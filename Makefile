@@ -10,7 +10,8 @@
 # the transport mux's _stream/_win fields, and the shard flag
 # parsers). `make bench` refreshes the committed hot-path baseline
 # (BENCH_attrspace.json); `make benchdiff` re-runs the same suite and
-# fails on a >20% ns/op regression against it. `make bench-samehost`
+# fails on a >20% ns/op regression against it (and leaves no
+# bench.current.json behind either way). `make bench-samehost`
 # re-runs just the same-host transport ladder (tcp / unix socket /
 # shm ring) and folds the trio into BENCH_attrspace.json in place.
 #
@@ -49,11 +50,17 @@ TDP_CHAOS_SEED ?= 1
 # (flag > TDP_SCENARIO_SEED env > 1).
 TDP_SCENARIO_SEED ?= 1
 
-.PHONY: all tier1 vet build test race chaos fuzz bench benchdiff bench-samehost scenario scenario-smoke scenariodiff
+.PHONY: all tier1 vet build test race chaos fuzz bench benchdiff bench-samehost bench-smoke scenario scenario-smoke scenariodiff
 
 all: tier1
 
-tier1: vet build race chaos scenario-smoke
+tier1: vet build race chaos scenario-smoke bench-smoke
+
+# The repo's benchmark (BENCHMARK.json, bench/) is its own module, which
+# the root `go build/test ./...` never see; this runs its 2 s smoke test
+# so a change that breaks what the benchmark uses fails tier1.
+bench-smoke:
+	cd bench && $(GO) test ./...
 
 chaos:
 	TDP_CHAOS_SEED=$(TDP_CHAOS_SEED) $(GO) test ./internal/attrspace -run 'Chaos' -race -count=2
@@ -96,8 +103,8 @@ bench:
 
 benchdiff:
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -count=1 . | scripts/bench2json.sh > bench.current.json
-	scripts/benchdiff.sh BENCH_attrspace.json bench.current.json
-	@rm -f bench.current.json
+	scripts/benchdiff.sh BENCH_attrspace.json bench.current.json; \
+		status=$$?; rm -f bench.current.json; exit $$status
 
 bench-samehost:
 	$(GO) test -run '^$$' -bench 'BenchmarkSameHostPut' -benchmem -count=1 . \

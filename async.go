@@ -48,7 +48,7 @@ func (h *Handle) AsyncGet(attribute string, cb Callback, arg any) error {
 // tdp_async_put.
 func (h *Handle) AsyncPut(attribute, value string, cb Callback, arg any) error {
 	done := h.observe("async_put")
-	h.traceStep("tdp_async_put", attribute+"="+value)
+	h.tracePut("tdp_async_put", attribute, value)
 	ch, err := h.lass.PutAsync(attribute, value)
 	if err != nil {
 		done()

@@ -28,7 +28,7 @@ func (h *Handle) Put(attribute, value string) error {
 // PutCtx is Put with a context for cancellation and span propagation.
 func (h *Handle) PutCtx(ctx context.Context, attribute, value string) error {
 	defer h.observe("put")()
-	h.traceStep("tdp_put", attribute+"="+value)
+	h.tracePut("tdp_put", attribute, value)
 	return h.lass.PutCtx(ctx, attribute, value)
 }
 
@@ -45,10 +45,8 @@ func (h *Handle) PutBatch(pairs []KV) error {
 // propagation.
 func (h *Handle) PutBatchCtx(ctx context.Context, pairs []KV) error {
 	defer h.observe("put_batch")()
-	if h.cfg.Trace != nil {
-		for _, p := range pairs {
-			h.traceStep("tdp_put", p.Key+"="+p.Value)
-		}
+	for _, p := range pairs {
+		h.tracePut("tdp_put", p.Key, p.Value)
 	}
 	return h.lass.PutBatchCtx(ctx, pairs)
 }
@@ -61,10 +59,8 @@ func (h *Handle) PutBatchGlobal(pairs []KV) error {
 		return ErrNoCASS
 	}
 	defer h.observe("put_batch_global")()
-	if h.cfg.Trace != nil {
-		for _, p := range pairs {
-			h.traceStep("tdp_put_global", p.Key+"="+p.Value)
-		}
+	for _, p := range pairs {
+		h.tracePut("tdp_put_global", p.Key, p.Value)
 	}
 	if h.cfg.GlobalViaLASS {
 		return h.lass.PutBatchGlobal(context.Background(), pairs)
@@ -113,7 +109,7 @@ func (h *Handle) PutGlobalCtx(ctx context.Context, attribute, value string) erro
 		return ErrNoCASS
 	}
 	defer h.observe("put_global")()
-	h.traceStep("tdp_put_global", attribute+"="+value)
+	h.tracePut("tdp_put_global", attribute, value)
 	if h.cfg.GlobalViaLASS {
 		return h.lass.PutGlobal(ctx, attribute, value)
 	}

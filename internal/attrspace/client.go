@@ -572,6 +572,11 @@ func (c *Client) sendHook(m *wire.Message, hook func(id string)) (chan *wire.Mes
 		c.mu.Unlock()
 		if err == nil {
 			err = ErrClientClosed
+		} else if !IsRetryable(err) {
+			// The read loop saw the transport die before this request
+			// was made: to the caller the same retryable loss as a death
+			// with the request in flight.
+			err = fmt.Errorf("%w: %v", ErrConnLost, err)
 		}
 		return nil, "", err
 	}

@@ -302,7 +302,9 @@ func TestShardDownFailsFast(t *testing.T) {
 	ctxs := shardedContexts(t, n)
 	bg := context.Background()
 
-	// Prime both shards so the health sessions have connected.
+	// Prime both shards, and see their health sessions connected: a
+	// shard that dies before its session ever connected is not "down",
+	// it gets the benefit of the doubt (shardConn.down).
 	clients := make([]*Client, n)
 	for i, name := range ctxs {
 		clients[i] = dialT(t, lassAddr, name)
@@ -310,17 +312,33 @@ func TestShardDownFailsFast(t *testing.T) {
 			t.Fatalf("PutGlobal(%q): %v", name, err)
 		}
 	}
+	deadline := time.Now().Add(5 * time.Second)
+	for i := 0; i < n; i++ {
+		for !lass.gcache.Load().shardAt(i).sess.Up() {
+			if time.Now().After(deadline) {
+				t.Fatalf("shard %d's health session never connected", i)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
 
 	shards[0].Close()
-	// Wait for the health session (50ms heartbeat) to notice.
-	deadline := time.Now().Add(5 * time.Second)
+	// Wait for both of the LASS's detectors, which run independently:
+	// the health session (50ms heartbeat) marks the shard down, and the
+	// cache context's own upstream connection, dying with the shard,
+	// flushes what it had cached — until it has, a read of "k" is still
+	// a cache hit, not a failure.
+	deadline = time.Now().Add(5 * time.Second)
 	for {
 		gc := lass.gcache.Load()
-		if gc.shardAt(0).down() {
+		gc.mu.Lock()
+		_, cached := gc.ctxs[ctxs[0]]
+		gc.mu.Unlock()
+		if gc.shardAt(0).down() && !cached {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("shard 0 never marked down")
+			t.Fatal("shard 0 never marked down and flushed")
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

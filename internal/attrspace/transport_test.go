@@ -6,12 +6,15 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"tdp/internal/attr"
+	"tdp/internal/telemetry"
 	"tdp/internal/wire"
 )
 
@@ -352,6 +355,14 @@ func TestSocketPathFor(t *testing.T) {
 // ---------------------------------------------------------------------------
 // Mux fan-out: a blocked GET must not stall event delivery.
 
+// The rule the count follows: a subscription's server-side ring holds
+// 64 updates and drops the oldest when the publisher outruns the drain,
+// so of 100 puts each is either delivered or declared lost — and the
+// loss is declared in the Lost field of the next EVENT that starts a
+// burst, which may be one that has not been written yet. The test
+// therefore demands delivered + declared == 100 (never 100 delivered),
+// and keeps a sentinel attribute ticking so that a loss still
+// undeclared when the 100 puts end gets an EVENT to ride on.
 func TestEventsFlowWhileGetBlocks(t *testing.T) {
 	_, addr := startServer(t)
 	watcher := dialT(t, addr, "job1")
@@ -359,8 +370,13 @@ func TestEventsFlowWhileGetBlocks(t *testing.T) {
 	if err := watcher.Subscribe(); err != nil {
 		t.Fatalf("Subscribe: %v", err)
 	}
-	var events atomic.Int64
-	watcher.SetEventHandler(func(Event) { events.Add(1) })
+	var delivered, lost atomic.Int64
+	watcher.SetEventHandler(func(ev Event) {
+		lost.Add(int64(ev.Lost))
+		if strings.HasPrefix(ev.Attr, "e") {
+			delivered.Add(1)
+		}
+	})
 
 	// A GET for an attribute nobody ever writes parks server-side.
 	ctx, cancel := context.WithCancel(context.Background())
@@ -378,11 +394,16 @@ func TestEventsFlowWhileGetBlocks(t *testing.T) {
 		}
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for events.Load() < 100 && time.Now().Before(deadline) {
+	for tick := 0; delivered.Load()+lost.Load() < 100 && time.Now().Before(deadline); tick++ {
 		time.Sleep(time.Millisecond)
+		if tick%20 == 19 {
+			if err := writer.Put("sentinel", strconv.Itoa(tick)); err != nil {
+				t.Fatalf("Put sentinel: %v", err)
+			}
+		}
 	}
-	if got := events.Load(); got < 100 {
-		t.Fatalf("watcher saw %d events while a GET was parked, want 100", got)
+	if d, l := delivered.Load(), lost.Load(); d+l < 100 || d > 100 || d == 0 {
+		t.Fatalf("watcher saw %d events and %d declared lost while a GET was parked, want 100 accounted for", d, l)
 	}
 	cancel()
 	wg.Wait()
@@ -506,6 +527,71 @@ func TestShmCutoverOverUnixSocket(t *testing.T) {
 	segs, _ := filepath.Glob(filepath.Join(t.TempDir(), "tdp-shm-*"))
 	if len(segs) != 0 {
 		t.Errorf("segment files leaked in test dir: %v", segs)
+	}
+}
+
+// TestShmIdleRingsStopSpinning is the global_write shape in miniature:
+// two shm clients of one in-process server take turns, with a
+// TCP-dialled client between them, so each ring sees a message only
+// now and then. A reader that spins for a message nobody owes it keeps
+// the scheduler from ever polling the network, which stalls the other
+// ring's doorbell and the TCP client alike — so once a ring's arrivals
+// have come late a few times in a row it must park without spinning,
+// and the spins wasted over the whole run are bounded by a constant
+// (four ring readers, a few spins each before they go cold), not by
+// the number of ops. The sleep keeps every arrival gap above the spin
+// budget whatever the speed of the box.
+func TestShmIdleRingsStopSpinning(t *testing.T) {
+	if !wire.ShmSupported() {
+		t.Skip("no shm transport on this platform")
+	}
+	reg := telemetry.NewRegistry()
+	srv := NewServer()
+	srv.SetTelemetry(reg, nil)
+	path := filepath.Join(t.TempDir(), "tdp.sock")
+	unixAddr, err := srv.ListenAndServe("unix:" + path)
+	if err != nil {
+		t.Fatalf("ListenAndServe unix: %v", err)
+	}
+	tcpAddr, err := srv.ListenAndServe("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("ListenAndServe tcp: %v", err)
+	}
+	t.Cleanup(srv.Close)
+	a, b := dialT(t, unixAddr, "job1"), dialT(t, unixAddr, "job2")
+	for _, c := range []*Client{a, b} {
+		if !c.ShmActive() {
+			t.Fatal("shm cutover did not complete")
+		}
+		c.SetTelemetry(reg, nil)
+	}
+	remote, err := Dial(TCPDial, tcpAddr, "job3")
+	if err != nil {
+		t.Fatalf("Dial tcp: %v", err)
+	}
+	t.Cleanup(func() { remote.Close() })
+
+	wasted := reg.Counter("wire.shm.spin.wasted")
+	cycles := func(n int) {
+		for i := 0; i < n; i++ {
+			for _, c := range []*Client{a, remote, b, remote} {
+				if err := c.Put("k", strconv.Itoa(i)); err != nil {
+					t.Fatalf("Put: %v", err)
+				}
+			}
+			time.Sleep(300 * time.Microsecond)
+		}
+	}
+	cycles(50)
+	settled := wasted.Value()
+	cycles(400)
+	const maxWasted = 4 * 8
+	if got := wasted.Value(); got != settled || got > maxWasted {
+		t.Errorf("wire.shm.spin.wasted = %d after 50 cycles and %d after 450, want it settled and <= %d",
+			settled, got, maxWasted)
+	}
+	if parks := reg.Counter("wire.shm.parks").Value(); parks < 4*400 {
+		t.Errorf("wire.shm.parks = %d, want every idle wait of the last 400 cycles (>= %d) to be a park", parks, 4*400)
 	}
 }
 

@@ -20,13 +20,14 @@
 // (store-flag-then-load-cursor on one side, store-cursor-then-load-flag
 // on the other — the Dekker pattern).
 //
-// Wakeups are spin-then-park: a side finding no progress spins a few
-// dozen scheduler yields (covering the common case where the peer is
-// actively running, so the idle cost of the parked state is zero),
-// then sets its park flag in the shared header, rechecks, and sleeps
-// on the doorbell. The peer, after publishing a cursor, rings the
-// doorbell — one byte on the socket — only when it observes the
-// opposite park flag, so a busy ring never touches the kernel at all.
+// Wakeups are spin-or-park, and spinning has to earn its keep: a side
+// finding no progress yields the scheduler for up to shmSpinBudget only
+// while its recent arrivals came closer together than that budget (a
+// ping-ponging pair then never touches the kernel); once several in a
+// row came later it skips the spin, sets its park flag in the shared
+// header, rechecks, and sleeps on the doorbell. The peer, after
+// publishing a cursor, rings the doorbell — one byte on the socket —
+// only when it observes the opposite park flag.
 package wire
 
 import (
@@ -71,15 +72,24 @@ const (
 )
 
 // shmSpinBudget is how long a side yields the scheduler before parking
-// on the doorbell. The budget is time-based rather than a fixed yield
-// count so an actively ping-ponging pair — request out, reply back a
-// few microseconds later — stays entirely in user space: the reader is
-// still spinning when the reply lands, no park flag is ever set, and
-// the producer never writes a doorbell byte. Gosched (not a busy
-// pause) keeps the spin harmless on a single-CPU box: each iteration
-// is a chance for the peer goroutine to run. Past the budget the side
-// parks and costs nothing until the doorbell rings.
-const shmSpinBudget = 100 * time.Microsecond
+// on the doorbell, and the arrival gap under which spinning counts as
+// paid: a pair trading messages faster than this stays entirely in
+// user space — the reader is still spinning when the reply lands, no
+// park flag is ever set, no doorbell byte written. It must stay above
+// a round trip made through doorbells, or a parked pair could never
+// climb back to spinning. Gosched (not a busy pause) lets the peer
+// goroutine run on a single-CPU box, but a yielding spinner is always
+// runnable, so the Go scheduler never gets as far as polling the
+// network while one exists: spinning for a message that is not coming
+// delays every doorbell and socket wake-up in the process by the
+// budget. Hence shmColdAfter: after that many consecutive arrivals a
+// budget or more apart the side parks at once, until the first arrival
+// that comes sooner. (One late arrival is not enough: a hot ring that
+// parks on every stray miss pays a stall on each way in and out.)
+const (
+	shmSpinBudget = 100 * time.Microsecond
+	shmColdAfter  = 4
+)
 
 // ErrShmBadSegment reports a segment file that is not a valid TDP
 // transport-v3 segment (wrong magic, impossible size, truncated).
@@ -220,7 +230,8 @@ func (s *ShmSegment) half(ctl, dataOff int) ringHalf {
 func (s *ShmSegment) Endpoint(server bool, sock net.Conn) *ShmEndpoint {
 	a := s.half(shmOffA, shmHdrSize)
 	b := s.half(shmOffB, shmHdrSize+s.size)
-	e := &ShmEndpoint{seg: s, bell: newDoorbell(sock)}
+	e := &ShmEndpoint{seg: s, bell: newDoorbell(sock), now: shmNow}
+	e.ctr.Store(&uncountedRing)
 	if server {
 		e.rd, e.wr = a, b
 	} else {
@@ -238,7 +249,39 @@ type ShmEndpoint struct {
 	bell *doorbell
 	rd   ringHalf // ring this side consumes
 	wr   ringHalf // ring this side produces
+	rdw  ringWait // owned by the reader
+	wrw  ringWait // owned by the writer
+	now  func() time.Duration
+	ctr  atomic.Pointer[ringCounters]
 }
+
+// shmNow is the endpoints' clock: monotonic time since shmEpoch, which
+// costs one clock read where time.Now costs two — and the reader pays
+// it on every arrival.
+func shmNow() time.Duration { return time.Since(shmEpoch) }
+
+var shmEpoch = time.Now()
+
+// ringWait is one direction's spin-or-park state.
+type ringWait struct {
+	last time.Duration // when this side last moved bytes
+	late int           // consecutive gaps >= shmSpinBudget before last, up to shmColdAfter
+}
+
+// moved records a transfer, so the next wait knows whether spinning
+// has lately been paid.
+func (w *ringWait) moved(now time.Duration) {
+	if now-w.last < shmSpinBudget {
+		w.late = 0
+	} else if w.late < shmColdAfter {
+		w.late++
+	}
+	w.last = now
+}
+
+// instrument points the ring-wait counters at c; Conn.InstrumentRegistry
+// and the transport swaps call it.
+func (e *ShmEndpoint) instrument(c *ringCounters) { e.ctr.Store(c) }
 
 // Activate starts the doorbell reader on the socket. From here on the
 // socket's read side belongs to the ring transport.
@@ -252,17 +295,54 @@ func (e *ShmEndpoint) Close() error {
 	return e.bell.sock.Close()
 }
 
-// Read copies available ring bytes into p, blocking (spin, then park
-// on the doorbell) while the ring is empty. Data already in the ring
-// is always drained before a transport error is surfaced, so a peer's
-// final replies survive its exit.
+// await blocks one side of ring r while it holds exactly stuck bytes —
+// 0 for the reader's empty ring, the ring size for the writer's full
+// one. A side whose spins have lately been paid (see shmColdAfter)
+// spins first; then, or at once, it parks behind the Dekker flag and
+// recheck. It returns on progress, on any doorbell, and on death; the
+// caller rechecks all three.
+func (e *ShmEndpoint) await(r *ringHalf, w *ringWait, park *atomic.Uint32, stuck uint64) {
+	ctr := e.ctr.Load()
+	if w.late < shmColdAfter {
+		for start := e.now(); e.now()-start < shmSpinBudget; {
+			runtime.Gosched()
+			if r.tail.Load()-r.head.Load() != stuck {
+				inc(ctr.rewarded)
+				return
+			}
+			if e.bell.deadErr() != nil {
+				return
+			}
+		}
+		inc(ctr.wasted)
+	}
+	gen := e.bell.gen.Load()
+	park.Store(1)
+	// Progress that slipped in before the flag went up may have missed
+	// it, so only sleep when the recheck still finds none.
+	if r.tail.Load()-r.head.Load() == stuck {
+		inc(ctr.parks)
+		e.bell.wait(gen)
+	}
+	park.Store(0)
+}
+
+// ring wakes the parked peer through the doorbell socket.
+func (e *ShmEndpoint) ring() {
+	inc(e.ctr.Load().doorbells)
+	e.bell.ring()
+}
+
+// Read copies available ring bytes into p, blocking (spin or park, see
+// await) while the ring is empty. Data already in the ring is always
+// drained before a transport error is surfaced, so a peer's final
+// replies survive its exit.
 func (e *ShmEndpoint) Read(p []byte) (int, error) {
 	if len(p) == 0 {
 		return 0, nil
 	}
 	r := &e.rd
 	size := uint64(len(r.data))
-	var spinStart time.Time
 	for {
 		head := r.head.Load()
 		avail := r.tail.Load() - head
@@ -280,86 +360,54 @@ func (e *ShmEndpoint) Read(p []byte) (int, error) {
 			copy(p[c:n], r.data[:n-c])
 			r.head.Store(head + n)
 			if r.wpark.Load() != 0 {
-				e.bell.ring()
+				e.ring()
 			}
+			e.rdw.moved(e.now())
 			return int(n), nil
 		}
 		if err := e.bell.deadErr(); err != nil {
 			return 0, err
 		}
-		if spinStart.IsZero() {
-			spinStart = time.Now()
-		}
-		if time.Since(spinStart) < shmSpinBudget {
-			runtime.Gosched()
-			continue
-		}
-		gen := e.bell.generation()
-		r.rpark.Store(1)
-		if r.tail.Load() != r.head.Load() {
-			// Data slipped in between the empty check and the park: the
-			// producer may have missed the flag, so do not sleep.
-			r.rpark.Store(0)
-			spinStart = time.Time{}
-			continue
-		}
-		e.bell.wait(gen)
-		r.rpark.Store(0)
-		spinStart = time.Time{}
+		e.await(r, &e.rdw, r.rpark, 0)
 	}
 }
 
-// Write copies all of p into the ring, blocking (spin, then park) while
+// Write copies all of p into the ring, blocking (spin or park) while
 // the ring is full. Frames larger than the ring stream through in
 // pieces as the consumer frees space.
 func (e *ShmEndpoint) Write(p []byte) (int, error) {
 	r := &e.wr
 	size := uint64(len(r.data))
 	total := len(p)
-	var spinStart time.Time
 	for len(p) > 0 {
 		if err := e.bell.deadErr(); err != nil {
 			return total - len(p), err
 		}
 		tail := r.tail.Load()
 		free := size - (tail - r.head.Load())
-		if free > 0 {
-			n := uint64(len(p))
-			if n > free {
-				n = free
-			}
-			off := tail & r.mask
-			c := size - off
-			if c > n {
-				c = n
-			}
-			copy(r.data[off:off+c], p[:c])
-			copy(r.data[:n-c], p[c:n])
-			r.tail.Store(tail + n)
-			if r.rpark.Load() != 0 {
-				e.bell.ring()
-			}
-			p = p[n:]
-			spinStart = time.Time{}
+		if free == 0 {
+			// The writer's arrivals are the ends of its waits for room:
+			// a ring that is seldom full costs its writes no clock read.
+			e.await(r, &e.wrw, r.wpark, size)
+			e.wrw.moved(e.now())
 			continue
 		}
-		if spinStart.IsZero() {
-			spinStart = time.Now()
+		n := uint64(len(p))
+		if n > free {
+			n = free
 		}
-		if time.Since(spinStart) < shmSpinBudget {
-			runtime.Gosched()
-			continue
+		off := tail & r.mask
+		c := size - off
+		if c > n {
+			c = n
 		}
-		gen := e.bell.generation()
-		r.wpark.Store(1)
-		if size-(r.tail.Load()-r.head.Load()) > 0 {
-			r.wpark.Store(0)
-			spinStart = time.Time{}
-			continue
+		copy(r.data[off:off+c], p[:c])
+		copy(r.data[:n-c], p[c:n])
+		r.tail.Store(tail + n)
+		if r.rpark.Load() != 0 {
+			e.ring()
 		}
-		e.bell.wait(gen)
-		r.wpark.Store(0)
-		spinStart = time.Time{}
+		p = p[n:]
 	}
 	return total, nil
 }
@@ -368,14 +416,16 @@ func (e *ShmEndpoint) Write(p []byte) (int, error) {
 // one endpoint. A wakeup is one byte; the receiver does not care which
 // ring it is for — waiters recheck their own cursors. The reader
 // goroutine also turns socket death into ring death: transport v3 has
-// no liveness of its own beyond the socket that bootstrapped it.
+// no liveness of its own beyond the socket that bootstrapped it. gen
+// and err are atomics so the ring paths read them without the lock; mu
+// only orders a change of either against a waiter going to sleep.
 type doorbell struct {
 	sock net.Conn
+	gen  atomic.Uint64
+	err  atomic.Pointer[error]
 
 	mu   sync.Mutex
 	cond *sync.Cond
-	gen  uint64
-	err  error
 }
 
 func newDoorbell(sock net.Conn) *doorbell {
@@ -391,17 +441,14 @@ func (d *doorbell) start() {
 		var buf [64]byte
 		for {
 			_, err := d.sock.Read(buf[:])
-			d.mu.Lock()
-			d.gen++
-			if err != nil && d.err == nil {
-				d.err = err
-			}
-			dead := d.err != nil
-			d.mu.Unlock()
-			d.cond.Broadcast()
-			if dead {
+			if err != nil {
+				d.fail(err)
 				return
 			}
+			d.mu.Lock()
+			d.gen.Add(1)
+			d.mu.Unlock()
+			d.cond.Broadcast()
 		}
 	}()
 }
@@ -414,33 +461,26 @@ func (d *doorbell) ring() {
 	d.sock.Write(one[:])
 }
 
-func (d *doorbell) generation() uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.gen
-}
-
 // wait sleeps until the generation moves past gen or the bell dies.
 func (d *doorbell) wait(gen uint64) {
 	d.mu.Lock()
-	for d.gen == gen && d.err == nil {
+	for d.gen.Load() == gen && d.err.Load() == nil {
 		d.cond.Wait()
 	}
 	d.mu.Unlock()
 }
 
 func (d *doorbell) deadErr() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.err
+	if p := d.err.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // fail kills the bell (and so the endpoint) with err.
 func (d *doorbell) fail(err error) {
 	d.mu.Lock()
-	if d.err == nil {
-		d.err = err
-	}
+	d.err.CompareAndSwap(nil, &err)
 	d.mu.Unlock()
 	d.cond.Broadcast()
 }

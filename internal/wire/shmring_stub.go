@@ -45,6 +45,8 @@ func (s *ShmSegment) Endpoint(server bool, sock net.Conn) *ShmEndpoint { return 
 // ShmEndpoint is unavailable on this platform.
 type ShmEndpoint struct{}
 
+func (e *ShmEndpoint) instrument(*ringCounters) {}
+
 // Activate is a no-op on this platform.
 func (e *ShmEndpoint) Activate() {}
 

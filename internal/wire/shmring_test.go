@@ -12,8 +12,11 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"tdp/internal/telemetry"
 )
 
 // shmPair maps one segment from both ends — exactly what a real
@@ -311,4 +314,244 @@ func byteSizeName(n int) string {
 		return strconv.Itoa(n>>10) + "KiB"
 	}
 	return strconv.Itoa(n) + "B"
+}
+
+// The policy tests below run the endpoints on a clock the test owns and
+// assert only on the ring-wait counters: a spin ends when bytes arrive
+// or when the test moves the clock past the budget, never because the
+// box was slow.
+
+type fakeClock struct{ ns, reads atomic.Int64 }
+
+func (c *fakeClock) now() time.Duration {
+	c.reads.Add(1)
+	return time.Duration(c.ns.Load())
+}
+
+func (c *fakeClock) advance(d time.Duration) { c.ns.Add(int64(d)) }
+
+// clockedPair is shmPair with both endpoints on one fake clock and each
+// counting into its own registry.
+func clockedPair(t *testing.T) (server, client *ShmEndpoint, clk *fakeClock, sreg, creg *telemetry.Registry) {
+	t.Helper()
+	server, client = shmPair(t, 4096)
+	clk = &fakeClock{}
+	sreg, creg = telemetry.NewRegistry(), telemetry.NewRegistry()
+	for ep, reg := range map[*ShmEndpoint]*telemetry.Registry{server: sreg, client: creg} {
+		ep.now = clk.now
+		ctr := newRingCounters(reg)
+		ep.instrument(&ctr)
+	}
+	return
+}
+
+type ringCounts struct{ rewarded, wasted, parks, doorbells int64 }
+
+func ringCountsOf(reg *telemetry.Registry) ringCounts {
+	return ringCounts{
+		rewarded:  reg.Counter("wire.shm.spin.rewarded").Value(),
+		wasted:    reg.Counter("wire.shm.spin.wasted").Value(),
+		parks:     reg.Counter("wire.shm.parks").Value(),
+		doorbells: reg.Counter("wire.shm.doorbells").Value(),
+	}
+}
+
+// eventually polls cond, which must come true through some other
+// goroutine's progress; the deadline only turns a hang into a failure.
+func eventually(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+}
+
+// readOne starts a one-byte Read on ep and returns the channel its
+// result arrives on.
+func readOne(t *testing.T, ep *ShmEndpoint) <-chan byte {
+	got := make(chan byte, 1)
+	go func() {
+		var b [1]byte
+		if _, err := ep.Read(b[:]); err != nil {
+			t.Errorf("Read: %v", err)
+		}
+		got <- b[0]
+	}()
+	return got
+}
+
+// lateArrivals delivers n single bytes to reader, each a full two
+// budgets after the one before and already in the ring when it is read,
+// so none of them involves a wait.
+func lateArrivals(t *testing.T, clk *fakeClock, writer, reader *ShmEndpoint, n int) {
+	t.Helper()
+	var b [1]byte
+	for i := 0; i < n; i++ {
+		clk.advance(2 * shmSpinBudget)
+		if _, err := writer.Write([]byte{'l'}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := reader.Read(b[:]); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestShmPingPongStaysInUserSpace: a pair trading messages faster than
+// the budget never parks and never writes a doorbell byte.
+func TestShmPingPongStaysInUserSpace(t *testing.T) {
+	server, client, _, sreg, creg := clockedPair(t)
+	go func() { // echo
+		var b [8]byte
+		for {
+			n, err := server.Read(b[:])
+			if err != nil {
+				return
+			}
+			if _, err := server.Write(b[:n]); err != nil {
+				return
+			}
+		}
+	}()
+	roundTrips := func(n int) {
+		var b [8]byte
+		for i := 0; i < n; i++ {
+			if _, err := client.Write([]byte("ping")); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := io.ReadFull(client, b[:4]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	roundTrips(16) // warm-up
+	s0, c0 := ringCountsOf(sreg), ringCountsOf(creg)
+	roundTrips(2000)
+	s1, c1 := ringCountsOf(sreg), ringCountsOf(creg)
+	if s1.parks != s0.parks || c1.parks != c0.parks {
+		t.Errorf("parks moved during ping-pong: server %d→%d, client %d→%d", s0.parks, s1.parks, c0.parks, c1.parks)
+	}
+	if s1.doorbells != s0.doorbells || c1.doorbells != c0.doorbells {
+		t.Errorf("doorbells rung during ping-pong: server %d→%d, client %d→%d", s0.doorbells, s1.doorbells, c0.doorbells, c1.doorbells)
+	}
+	if s1.wasted != s0.wasted || c1.wasted != c0.wasted {
+		t.Errorf("spins wasted during ping-pong: server %d→%d, client %d→%d", s0.wasted, s1.wasted, c0.wasted, c1.wasted)
+	}
+}
+
+// TestShmColdRingParksAtOnce walks one reader through the whole policy:
+// a wasted spin, the run of late arrivals that turns the ring cold, a
+// park with no spin at all, and the single early arrival that re-arms
+// spinning.
+func TestShmColdRingParksAtOnce(t *testing.T) {
+	server, client, clk, sreg, creg := clockedPair(t)
+	// parked reports whether the reader has gone to sleep n times so
+	// far; the counter moves after everything else a wait counts.
+	parked := func(n int64) func() bool {
+		return func() bool { return ringCountsOf(sreg).parks == n }
+	}
+
+	// A new ring spins. Nothing arrives and the budget runs out: one
+	// wasted spin, one park, and the late write has to ring the bell.
+	got := readOne(t, server)
+	reads := clk.reads.Load()
+	eventually(t, "the reader to spin", func() bool { return clk.reads.Load() >= reads+2 })
+	clk.advance(2 * shmSpinBudget)
+	eventually(t, "the reader to park", parked(1))
+	if c := ringCountsOf(sreg); c != (ringCounts{wasted: 1, parks: 1}) {
+		t.Fatalf("after an unpaid spin: %+v, want 1 wasted, 1 park", c)
+	}
+	if _, err := client.Write([]byte{'a'}); err != nil {
+		t.Fatal(err)
+	}
+	<-got
+	if c := ringCountsOf(creg); c.doorbells != 1 {
+		t.Fatalf("waking a parked reader rang %d doorbells, want 1", c.doorbells)
+	}
+
+	// That was one late arrival; the rest of the run makes the ring cold.
+	lateArrivals(t, clk, client, server, shmColdAfter-1)
+	before := ringCountsOf(sreg)
+	reads = clk.reads.Load()
+	got = readOne(t, server)
+	eventually(t, "the cold reader to park", parked(before.parks+1))
+	after := ringCountsOf(sreg)
+	if after.parks != before.parks+1 || after.wasted != before.wasted || after.rewarded != before.rewarded {
+		t.Fatalf("cold ring: %+v → %+v, want one park and no spin", before, after)
+	}
+	if n := clk.reads.Load() - reads; n != 0 {
+		t.Fatalf("cold ring read the clock %d times before parking, want 0 (no yield loop)", n)
+	}
+
+	// Still late: the ring stays cold however long the run gets.
+	clk.advance(2 * shmSpinBudget)
+	if _, err := client.Write([]byte{'b'}); err != nil {
+		t.Fatal(err)
+	}
+	<-got
+	got = readOne(t, server)
+	eventually(t, "the cold reader to park again", parked(before.parks+2))
+	if c := ringCountsOf(sreg); c.wasted != before.wasted || c.rewarded != before.rewarded {
+		t.Fatalf("ring spun while cold: %+v → %+v", before, c)
+	}
+
+	// One arrival sooner than the budget re-arms spinning: the next
+	// empty Read yields until its byte comes, and nobody touches the
+	// doorbell for it.
+	if _, err := client.Write([]byte{'c'}); err != nil {
+		t.Fatal(err)
+	}
+	<-got
+	before, bells := ringCountsOf(sreg), ringCountsOf(creg).doorbells
+	reads = clk.reads.Load()
+	got = readOne(t, server)
+	eventually(t, "the re-armed reader to spin", func() bool { return clk.reads.Load() >= reads+2 })
+	if _, err := client.Write([]byte{'d'}); err != nil {
+		t.Fatal(err)
+	}
+	<-got
+	after = ringCountsOf(sreg)
+	if after.rewarded != before.rewarded+1 || after.parks != before.parks || after.wasted != before.wasted {
+		t.Fatalf("re-armed ring: %+v → %+v, want one rewarded spin and no park", before, after)
+	}
+	if n := ringCountsOf(creg).doorbells; n != bells {
+		t.Fatalf("writer rang %d doorbells for a spinning reader", n-bells)
+	}
+}
+
+// TestShmCountersThroughConn: Conn.InstrumentRegistry reaches the ring
+// whichever side of the cutover it runs on, and never again looks a
+// counter up by name.
+func TestShmCountersThroughConn(t *testing.T) {
+	for _, swapFirst := range []bool{false, true} {
+		server, client := shmPair(t, 4096)
+		reg := telemetry.NewRegistry()
+		var sock bytes.Buffer
+		sc := NewConn(&sock)
+		if !swapFirst {
+			sc.InstrumentRegistry(reg)
+		}
+		sc.SwapWrite(server)
+		sc.SwapRead(server)
+		if swapFirst {
+			sc.InstrumentRegistry(reg)
+		}
+		got := make(chan error, 1)
+		go func() {
+			_, err := sc.Recv()
+			got <- err
+		}()
+		eventually(t, "the conn's reader to park", func() bool { return ringCountsOf(reg).parks == 1 })
+		if err := NewConn(client).Send(NewMessage("PING")); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-got; err != nil {
+			t.Fatal(err)
+		}
+		if c := ringCountsOf(reg); c.parks != 1 || c.wasted != 1 {
+			t.Errorf("swapFirst=%v: registry saw %+v, want 1 park after 1 wasted spin", swapFirst, c)
+		}
+	}
 }

@@ -455,49 +455,100 @@ type Conn struct {
 	corked  int    // Cork depth, guarded by wmu
 	pending int    // messages accumulated while corked, guarded by wmu
 
-	// Optional telemetry, installed by Instrument. Held behind an
-	// atomic pointer — NOT the r/w mutexes — because a reader
+	// Optional telemetry, installed by InstrumentRegistry. Held behind
+	// an atomic pointer — NOT the r/w mutexes — because a reader
 	// goroutine may sit blocked inside Recv (holding rmu) for the
-	// connection's whole life, and Instrument must not wait for it.
+	// connection's whole life, and installing must not wait for it.
 	metrics atomic.Pointer[connCounters]
+	// The shm ring this connection was swapped onto, if any, so that
+	// counters installed after the cutover still reach it.
+	ring atomic.Pointer[ShmEndpoint]
 }
 
-// connCounters bundles a connection's installed counters; any may be
-// nil.
+// connCounters bundles a connection's installed counters.
 type connCounters struct {
 	txBytes, rxBytes *telemetry.Counter
 	txMsgs, rxMsgs   *telemetry.Counter
+	ring             ringCounters
+}
+
+// ringCounters is the ring-wait layer of the shm transport: how each
+// wait on an empty (or full) ring ended. A spin is rewarded when
+// progress arrived inside its budget and wasted when it did not; parks
+// counts sleeps on the doorbell and doorbells the wake-up bytes written
+// to the peer. A ping-ponging pair moves only rewarded; an idle one
+// only parks and doorbells.
+type ringCounters struct {
+	rewarded, wasted, parks, doorbells *telemetry.Counter
+}
+
+// newRingCounters resolves the ring-wait counters in reg, once.
+func newRingCounters(reg *telemetry.Registry) ringCounters {
+	return ringCounters{
+		rewarded:  reg.Counter("wire.shm.spin.rewarded"),
+		wasted:    reg.Counter("wire.shm.spin.wasted"),
+		parks:     reg.Counter("wire.shm.parks"),
+		doorbells: reg.Counter("wire.shm.doorbells"),
+	}
+}
+
+// uncountedRing is what an endpoint no registry was ever installed on
+// counts into: nothing. (Not some shared sink: a ping-ponging pair
+// bumps rewarded on every message, from both ends.)
+var uncountedRing ringCounters
+
+// inc bumps one ring-wait counter, if it is installed.
+func inc(c *telemetry.Counter) {
+	if c != nil {
+		c.Inc()
+	}
 }
 
 // NewConn returns a framed connection over rw.
 func NewConn(rw io.ReadWriter) *Conn {
-	return &Conn{br: bufio.NewReader(rw), w: rw, rw: rw}
+	c := &Conn{br: bufio.NewReader(rw), w: rw, rw: rw}
+	c.noteRing(rw)
+	return c
 }
 
-// Instrument installs byte and message counters (any may be nil) that
-// the connection bumps on every framed send and receive. Byte counts
-// include the 4-byte frame headers — they are what crossed the wire.
-// The counters typically come from the owning daemon's
-// telemetry.Registry; installation is safe at any time, including
-// while another goroutine is blocked in Recv.
-func (c *Conn) Instrument(txBytes, rxBytes, txMsgs, rxMsgs *telemetry.Counter) {
-	c.metrics.Store(&connCounters{
-		txBytes: txBytes, rxBytes: rxBytes, txMsgs: txMsgs, rxMsgs: rxMsgs,
-	})
-}
-
-// InstrumentRegistry installs the standard wire counters
-// ("wire.tx.bytes", "wire.rx.bytes", "wire.tx.msgs", "wire.rx.msgs")
-// from reg. Several connections may share one registry; the counters
-// then aggregate across them.
+// InstrumentRegistry installs the standard wire counters from reg:
+// "wire.tx.bytes", "wire.rx.bytes", "wire.tx.msgs", "wire.rx.msgs",
+// which the connection bumps on every framed send and receive (byte
+// counts include the 4-byte frame headers — they are what crossed the
+// wire), and the ring-wait counters "wire.shm.spin.rewarded",
+// "wire.shm.spin.wasted", "wire.shm.parks", "wire.shm.doorbells" for a
+// shm ring the connection is, or later gets, swapped onto. All are
+// resolved here, once. Several connections may share one registry; the
+// counters then aggregate across them. Installation is safe at any
+// time, including while another goroutine is blocked in Recv.
 func (c *Conn) InstrumentRegistry(reg *telemetry.Registry) {
 	if reg == nil {
 		return
 	}
-	c.Instrument(
-		reg.Counter("wire.tx.bytes"), reg.Counter("wire.rx.bytes"),
-		reg.Counter("wire.tx.msgs"), reg.Counter("wire.rx.msgs"),
-	)
+	m := &connCounters{
+		txBytes: reg.Counter("wire.tx.bytes"), rxBytes: reg.Counter("wire.rx.bytes"),
+		txMsgs: reg.Counter("wire.tx.msgs"), rxMsgs: reg.Counter("wire.rx.msgs"),
+		ring: newRingCounters(reg),
+	}
+	c.metrics.Store(m)
+	if ep := c.ring.Load(); ep != nil {
+		ep.instrument(&m.ring)
+	}
+}
+
+// noteRing runs at a transport swap. It records the ring before it
+// reads the installed counters, and InstrumentRegistry stores its
+// counters before it reads the ring, so whichever order the two run
+// in, at least one of them hands the counters over.
+func (c *Conn) noteRing(rw any) {
+	ep, ok := rw.(*ShmEndpoint)
+	if !ok {
+		return
+	}
+	c.ring.Store(ep)
+	if m := c.metrics.Load(); m != nil {
+		ep.instrument(&m.ring)
+	}
 }
 
 // Underlying returns the wrapped stream (e.g. to close it).
@@ -521,6 +572,7 @@ func (c *Conn) SwapRead(r io.Reader) {
 	c.rmu.Lock()
 	c.br = bufio.NewReader(r)
 	c.rmu.Unlock()
+	c.noteRing(r)
 }
 
 // SwapWrite replaces the connection's write side with w, the transmit
@@ -532,6 +584,7 @@ func (c *Conn) SwapWrite(w io.Writer) {
 	c.wmu.Lock()
 	c.w = w
 	c.wmu.Unlock()
+	c.noteRing(w)
 }
 
 // Send frames and writes one message. Header and payload go out in a
@@ -615,12 +668,8 @@ func (c *Conn) flushLocked() error {
 		return err
 	}
 	if m := c.metrics.Load(); m != nil {
-		if m.txBytes != nil {
-			m.txBytes.Add(int64(n))
-		}
-		if m.txMsgs != nil {
-			m.txMsgs.Add(int64(msgs))
-		}
+		m.txBytes.Add(int64(n))
+		m.txMsgs.Add(int64(msgs))
 	}
 	return nil
 }
@@ -660,12 +709,8 @@ func (c *Conn) RecvInto(m *Message) error {
 		return err
 	}
 	if cm := c.metrics.Load(); cm != nil {
-		if cm.rxBytes != nil {
-			cm.rxBytes.Add(int64(len(hdr)) + int64(n))
-		}
-		if cm.rxMsgs != nil {
-			cm.rxMsgs.Inc()
-		}
+		cm.rxBytes.Add(int64(len(hdr)) + int64(n))
+		cm.rxMsgs.Inc()
 	}
 	err := DecodeInto(m, payload)
 	if cap(c.rbuf) > scratchKeepCap {

@@ -281,6 +281,14 @@ func (h *Handle) traceStep(action, detail string) {
 	}
 }
 
+// tracePut is traceStep for a put's "attribute=value" detail, which it
+// builds only when tracing is on: the put paths run it on every call.
+func (h *Handle) tracePut(action, attribute, value string) {
+	if h.cfg.Trace != nil {
+		h.traceStep(action, attribute+"="+value)
+	}
+}
+
 // kernel returns the configured process substrate or ErrNoKernel.
 func (h *Handle) kernel() (*procsim.Kernel, error) {
 	if h.cfg.Kernel == nil {
