@@ -4,6 +4,7 @@
 //	tdpbench -experiment matrix    the m+n interoperability matrix (E9)
 //	tdpbench -experiment fig1      the Figure-1 firewall/proxy topology (E1)
 //	tdpbench -experiment footprint the adapter-size report (E10)
+//	tdpbench -experiment timeline  per-step waterfall of the Figure-6 launch (E24)
 //
 // The timing experiments (E11–E15) are `go test -bench=.` benchmarks;
 // see bench_test.go.
@@ -21,6 +22,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"sort"
 	"time"
 
 	"tdp/internal/condor"
@@ -30,10 +32,12 @@ import (
 	"tdp/internal/procsim"
 	"tdp/internal/proxy"
 	"tdp/internal/telemetry"
+	"tdp/internal/trace"
 )
 
 func main() {
-	exp := flag.String("experiment", "matrix", "experiment to run: matrix | fig1 | footprint")
+	exp := flag.String("experiment", "matrix", "experiment to run: matrix | fig1 | footprint | timeline")
+	jobs := flag.Int("jobs", 200, "timeline: number of tool launches to time")
 	metrics := flag.Bool("metrics", false, "write BENCH_<experiment>.json with a telemetry snapshot")
 	flag.Parse()
 	start := time.Now()
@@ -44,6 +48,8 @@ func main() {
 		runFig1()
 	case "footprint":
 		runFootprint()
+	case "timeline":
+		runTimeline(*jobs)
 	default:
 		fmt.Fprintf(os.Stderr, "tdpbench: unknown experiment %q\n", *exp)
 		os.Exit(2)
@@ -172,6 +178,83 @@ queue
 	}
 	fmt.Printf("  proxy: %d tunnel(s), %d bytes relayed\n", tunnels, bytes)
 	fmt.Printf("  network: %d dials allowed, %d blocked by firewall\n", dials, blocked)
+}
+
+// runTimeline launches n jobs under paradynd on a one-machine pool,
+// one at a time, and prints where a launch's time goes: for every step
+// the pool, the starter, the tool and their TDP handles record, the
+// median and p90 gap since the step before it in the same job, in the
+// order the steps happen (experiment E24). A launch regression shows as
+// the one row whose gap grew.
+func runTimeline(n int) {
+	rec := trace.New()
+	pool := condor.NewPool(condor.PoolOptions{Trace: rec})
+	defer pool.Close()
+	m, err := pool.AddMachine(condor.MachineConfig{Name: "node1", Arch: "INTEL", OpSys: "LINUX", Memory: 128})
+	if err != nil {
+		log.Fatalf("tdpbench: %v", err)
+	}
+	// As lassd does: starter and tool take the same-host path to the LASS.
+	if _, err := m.LASS().ListenUnixBeside(m.LASSAddr()); err != nil {
+		log.Fatalf("tdpbench: %v", err)
+	}
+	pool.Registry().RegisterTool("paradynd", paradyn.Tool())
+	phases := []procsim.PhaseSpec{{Name: "phase0", Units: 2}, {Name: "phase1", Units: 2}}
+	pool.Registry().RegisterProgram("app", func([]string) (procsim.Program, []string) {
+		return procsim.NewPhasedProgram(1, phases), procsim.PhasedSymbols(phases)
+	})
+	type step struct{ at, gap []float64 } // µs since the job's first step; since its previous step
+	steps := make(map[string]*step)
+	for i := 0; i < n; i++ {
+		from := rec.Len()
+		jobs, err := pool.Submit("executable = app\n+SuspendJobAtExec = True\n+ToolDaemonCmd = \"paradynd\"\n+ToolDaemonArgs = \"-a%pid\"\nqueue\n")
+		if err != nil {
+			log.Fatalf("tdpbench: %v", err)
+		}
+		if st, err := jobs[0].WaitExit(time.Minute); err != nil || st.Code != 0 {
+			log.Fatalf("tdpbench: job %d: %v, %v", i, st, err)
+		}
+		// One job in flight: everything recorded since from is this job's.
+		entries := rec.Entries()[from:]
+		seen := make(map[string]int)
+		for k, e := range entries {
+			key := e.Actor + ":" + e.Action
+			if seen[key]++; seen[key] > 1 {
+				key = fmt.Sprintf("%s#%d", key, seen[key])
+			}
+			s := steps[key]
+			if s == nil {
+				s = &step{}
+				steps[key] = s
+			}
+			s.at = append(s.at, float64(e.At.Sub(entries[0].At).Microseconds()))
+			if k > 0 {
+				s.gap = append(s.gap, float64(e.At.Sub(entries[k-1].At).Microseconds()))
+			}
+		}
+	}
+	keys := make([]string, 0, len(steps))
+	for k := range steps {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool { return quantile(steps[keys[i]].at, 0.5) < quantile(steps[keys[j]].at, 0.5) })
+	fmt.Printf("E24: Figure-6 launch timeline, %d jobs, one in flight (µs; at = since the job's first step, gap = since its previous step)\n", n)
+	fmt.Printf("  %-36s %8s %8s %8s %8s %6s\n", "step", "at p50", "at p90", "gap p50", "gap p90", "jobs")
+	for _, k := range keys {
+		s := steps[k]
+		fmt.Printf("  %-36s %8.0f %8.0f %8.0f %8.0f %6d\n", k,
+			quantile(s.at, 0.5), quantile(s.at, 0.9), quantile(s.gap, 0.5), quantile(s.gap, 0.9), len(s.at))
+	}
+}
+
+// quantile returns the q-quantile of xs (nearest rank), sorting xs in
+// place; 0 for no samples.
+func quantile(xs []float64, q float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	sort.Float64s(xs)
+	return xs[int(q*float64(len(xs)-1)+0.5)]
 }
 
 // runFootprint reports the §4.3 "< 500 lines" adapter claim for this

@@ -311,27 +311,32 @@ func (c *Client) readLoop() {
 			ev := Event{Attr: m.Get("attr"), Value: m.Get("value"), Op: m.Get("op"), Seq: seq, Lost: lost}
 			c.mu.Lock()
 			handler := c.handler
+			if handler == nil && !c.closed {
+				// Under mu, which also covers fail closing the channel: a
+				// Close from another goroutine while an event is in flight
+				// must not turn this send into a panic. None of the sends
+				// block.
+				select {
+				case c.events <- ev:
+				default:
+					// The event buffer is full; drop-oldest keeps the
+					// connection from deadlocking against a slow consumer.
+					select {
+					case <-c.events:
+					default:
+					}
+					select {
+					case c.events <- ev:
+					default:
+					}
+				}
+			}
 			c.mu.Unlock()
 			if handler != nil {
 				// Synchronous delivery: the handler observes every event
 				// in server order with no client-side drops. It must not
 				// block on this client's own operations.
 				handler(ev)
-				continue
-			}
-			select {
-			case c.events <- ev:
-			default:
-				// The event buffer is full; drop-oldest keeps the
-				// connection from deadlocking against a slow consumer.
-				select {
-				case <-c.events:
-				default:
-				}
-				select {
-				case c.events <- ev:
-				default:
-				}
 			}
 			continue
 		}
@@ -426,6 +431,7 @@ func (c *Client) fail(err error) {
 	c.chunks = make(map[string][]*wire.Message)
 	mux := c.mux
 	onClose := c.onClose
+	close(c.events)
 	c.mu.Unlock()
 	if mux != nil {
 		mux.Fail(err)
@@ -433,7 +439,6 @@ func (c *Client) fail(err error) {
 	for id, ch := range pending {
 		ch <- wire.NewMessage("ERROR").Set("id", id).Set("error", err.Error()).Set("conn", "1")
 	}
-	close(c.events)
 	c.raw.Close()
 	if onClose != nil {
 		onClose(err)

@@ -709,15 +709,13 @@ func (c *serverConn) dispatch(ctx context.Context, m *wire.Message) bool {
 					// creation failure (full temp dir, exotic fs) quietly
 					// withdraws the grant — the client falls back to the
 					// socket like any v2 peer.
-					shmPath = shmSegmentPath()
-					if seg, err := wire.CreateShmSegment(shmPath, 0); err == nil {
-						c.shmSeg, c.shmPath = seg, shmPath
+					if seg, path, err := createShmSegment(); err == nil {
+						c.shmSeg, c.shmPath, shmPath = seg, path, path
 					} else {
 						srv.log().Debugf("attrspace: shm segment create: %v", err)
 						delete(c.caps, wire.CapShm)
 						supported = withoutCap(supported, wire.CapShm)
 						granted = wire.IntersectCaps(granted, supported)
-						shmPath = ""
 					}
 				}
 				if c.caps[wire.CapMux] {

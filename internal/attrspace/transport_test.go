@@ -595,6 +595,49 @@ func TestShmIdleRingsStopSpinning(t *testing.T) {
 	}
 }
 
+// TestShmShortConnectionsNeverSpin is the launch shape: a daemon joins,
+// does one op and leaves, fifty times over. A new ring has no arrivals
+// to justify a spin, and a spin it takes anyway is 100 µs during which
+// the peer's doorbell and every other socket in the process wait — so
+// neither end may waste one, on any of the connections.
+func TestShmShortConnectionsNeverSpin(t *testing.T) {
+	if !wire.ShmSupported() {
+		t.Skip("no shm transport on this platform")
+	}
+	sreg, creg := telemetry.NewRegistry(), telemetry.NewRegistry()
+	srv := NewServer()
+	srv.SetTelemetry(sreg, nil)
+	bound, err := srv.ListenAndServe("unix:" + filepath.Join(t.TempDir(), "tdp.sock"))
+	if err != nil {
+		t.Fatalf("ListenAndServe: %v", err)
+	}
+	t.Cleanup(srv.Close)
+	for i := 0; i < 50; i++ {
+		c, err := Dial(nil, bound, "job"+strconv.Itoa(i))
+		if err != nil {
+			t.Fatalf("Dial: %v", err)
+		}
+		if !c.ShmActive() {
+			t.Fatal("shm cutover did not complete")
+		}
+		c.SetTelemetry(creg, nil)
+		if err := c.Put("pid", "4242"); err != nil {
+			t.Fatalf("Put: %v", err)
+		}
+		c.Close()
+	}
+	for side, reg := range map[string]*telemetry.Registry{"server": sreg, "client": creg} {
+		if n := reg.Counter("wire.shm.spin.wasted").Value(); n != 0 {
+			t.Errorf("%s wasted %d spins over 50 one-op connections, want 0", side, n)
+		}
+	}
+	// The client's first park can come before its registry is attached;
+	// the server's cannot.
+	if n := sreg.Counter("wire.shm.parks").Value(); n < 50 {
+		t.Errorf("server parked %d times, want at least once per connection", n)
+	}
+}
+
 // TestShmWithdrawnByServer: a server configured without CapShm leaves
 // a shm-offering client on the plain v2 socket path.
 func TestShmWithdrawnByServer(t *testing.T) {

@@ -28,6 +28,11 @@ const (
 	StatusHeld
 )
 
+// terminal reports whether a job in this state is finished for good.
+func (s JobStatus) terminal() bool {
+	return s == StatusCompleted || s == StatusRemoved || s == StatusHeld
+}
+
 // String names the status as condor_q would.
 func (s JobStatus) String() string {
 	switch s {
@@ -67,7 +72,6 @@ type Job struct {
 	toolErr   bytes.Buffer
 	ranksDone int
 	restarts  int
-	doneOnce  bool
 }
 
 func newJob(id int, sf *SubmitFile) *Job {
@@ -122,8 +126,8 @@ func (j *Job) Machines() []string {
 	return out
 }
 
-// Done returns a channel closed when the job reaches a terminal state
-// (Completed, Removed, or Held).
+// Done returns a channel closed when the job has reached a terminal
+// state (Completed, Removed, or Held) and the schedd has retired it.
 func (j *Job) Done() <-chan struct{} { return j.done }
 
 // ExitStatus returns the job's exit status; valid once Completed.
@@ -172,17 +176,7 @@ func (j *Job) ToolErrorOutput() string {
 func (j *Job) setStatus(s JobStatus) {
 	j.mu.Lock()
 	j.status = s
-	fire := false
-	if s == StatusCompleted || s == StatusRemoved || s == StatusHeld {
-		if !j.doneOnce {
-			j.doneOnce = true
-			fire = true
-		}
-	}
 	j.mu.Unlock()
-	if fire {
-		close(j.done)
-	}
 }
 
 func (j *Job) hold(msg string) {

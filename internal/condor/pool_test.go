@@ -3,6 +3,7 @@ package condor
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -540,5 +541,51 @@ func TestQueueSummary(t *testing.T) {
 	}
 	if !strings.Contains(out, "2 jobs") || !strings.Contains(out, "2 completed") {
 		t.Errorf("counts wrong:\n%s", out)
+	}
+}
+
+// TestJobsLeaveNothingBehind runs 2,000 tool jobs through one machine
+// and checks what a finished job may still hold: no entry in the
+// kernel's process table (the starter reaps what it spawned), a place
+// in the schedd's bounded history, and no heap — the growth between job
+// 500 and job 2,000 must stay under what a few dozen jobs allocate, not
+// scale with the 1,500 that ran.
+func TestJobsLeaveNothingBehind(t *testing.T) {
+	pool := newTestPool(t, 1, nil)
+	registerTestTool(pool.Registry(), "tool")
+	submit := "executable = foo\n+SuspendJobAtExec = True\n+ToolDaemonCmd = \"tool\"\nqueue\n"
+	heapAfter := func(jobs int) uint64 {
+		for i := 0; i < jobs; i++ {
+			js, err := pool.Submit(submit)
+			if err != nil {
+				t.Fatalf("Submit: %v", err)
+			}
+			if st, err := js[0].WaitExit(30 * time.Second); err != nil || st.Code != 0 || st.Signaled() {
+				t.Fatalf("job %d: %v, %v; want exit(0)", js[0].ID, st, err)
+			}
+		}
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	at500 := heapAfter(500)
+	at2000 := heapAfter(1500)
+	if grown := int64(at2000) - int64(at500); grown > 256<<10 {
+		t.Errorf("heap grew %d KiB over 1,500 jobs (%d B/job)", grown>>10, grown/1500)
+	}
+	if procs := pool.Machine("node1").Kernel().Processes(); len(procs) != 0 {
+		t.Errorf("%d processes left in the kernel's table, first pid %d (%s)", len(procs), procs[0].PID(), procs[0].State())
+	}
+	jobs := pool.Schedd().Jobs()
+	if len(jobs) > scheddHistory {
+		t.Errorf("schedd holds %d jobs, want at most the %d of its history", len(jobs), scheddHistory)
+	}
+	// The history is the most recent jobs, and condor_q still shows them.
+	if last := jobs[len(jobs)-1].ID; last != 2000 {
+		t.Errorf("newest job in the queue is %d, want 2000", last)
+	}
+	if out := pool.QueueSummary(); !strings.Contains(out, "2000 ") || !strings.Contains(out, fmt.Sprintf("%d completed", scheddHistory)) {
+		t.Errorf("summary does not list the recent completed jobs:\n%s", out)
 	}
 }

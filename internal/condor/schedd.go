@@ -19,9 +19,15 @@ type Schedd struct {
 	pool *Pool
 
 	mu     sync.Mutex
-	jobs   []*Job
+	jobs   []*Job // unfinished jobs plus the last scheddHistory finished ones
 	nextID int
 }
+
+// scheddHistory is how many finished jobs the queue remembers for
+// condor_q (QueueSummary). Older ones are forgotten, so a schedd's
+// memory is bounded by the jobs it is running, not by every job it
+// ever ran.
+const scheddHistory = 64
 
 func newSchedd(name string, pool *Pool) *Schedd {
 	return &Schedd{name: name, pool: pool, nextID: 1}
@@ -86,6 +92,29 @@ func (s *Schedd) runJob(j *Job) {
 	} else {
 		sh.runVanilla()
 	}
+	s.retire(j)
+}
+
+// retire closes the books on a job its shadow has brought to a
+// terminal state: the oldest finished job beyond scheddHistory leaves
+// the queue, and only then are j's waiters released — whoever saw the
+// job finish sees a queue that has already let go of its predecessor.
+func (s *Schedd) retire(j *Job) {
+	s.mu.Lock()
+	finished, oldest := 0, -1
+	for i, q := range s.jobs {
+		if !q.Status().terminal() {
+			continue
+		}
+		if finished++; finished == 1 {
+			oldest = i
+		}
+	}
+	if finished > scheddHistory {
+		s.jobs = append(s.jobs[:oldest], s.jobs[oldest+1:]...)
+	}
+	s.mu.Unlock()
+	close(j.done)
 }
 
 // shadow is the submit-side representative of one running job (§4.1:
@@ -375,9 +404,11 @@ func (j *Job) WaitExit(timeout time.Duration) (procsim.ExitStatus, error) {
 	if timeout <= 0 {
 		timeout = time.Minute
 	}
+	t := time.NewTimer(timeout)
+	defer t.Stop()
 	select {
 	case <-j.Done():
-	case <-time.After(timeout):
+	case <-t.C:
 		return procsim.ExitStatus{}, fmt.Errorf("condor: job %d did not finish within %v (status %s)", j.ID, timeout, j.Status())
 	}
 	if j.Status() == StatusHeld {

@@ -227,6 +227,7 @@ func (st *Starter) runPlain(spec tdp.ProcessSpec) StarterReport {
 	if err != nil {
 		return StarterReport{Err: err}
 	}
+	defer st.reap(ap)
 	st.setAP(ap)
 	st.record("spawn_job", spec.Executable)
 	telemetry.Default().Counter("condor.jobs.started").Inc()
@@ -280,6 +281,7 @@ func (st *Starter) runWithTool(spec tdp.ProcessSpec) StarterReport {
 	if err != nil {
 		return StarterReport{Err: err}
 	}
+	defer st.reap(ap)
 	st.setAP(ap)
 	st.record("spawn_job", spec.Executable+","+mode.String())
 	telemetry.Default().Counter("condor.jobs.started").Inc()
@@ -373,6 +375,7 @@ func (st *Starter) runWithTool(spec tdp.ProcessSpec) StarterReport {
 		ap.Kill("")
 		return StarterReport{Err: fmt.Errorf("condor: launch tool daemon: %w", err)}
 	}
+	defer st.reap(rt)
 	st.record("spawn_tool", td.Cmd)
 	telemetry.Default().Counter("condor.tools.launched").Inc()
 
@@ -417,25 +420,18 @@ func (st *Starter) waitProcess(p *tdp.Process) (procsim.ExitStatus, error) {
 	if st.req.Timeout <= 0 {
 		return p.Wait()
 	}
-	type result struct {
-		exit procsim.ExitStatus
-		err  error
-	}
-	ch := make(chan result, 1)
-	go func() {
-		e, err := p.Wait()
-		ch <- result{e, err}
-	}()
+	t := time.NewTimer(st.req.Timeout)
+	defer t.Stop()
 	select {
-	case r := <-ch:
-		return r.exit, r.err
-	case <-time.After(st.req.Timeout):
+	case <-p.Exited():
+		return p.Wait()
+	case <-t.C:
 		p.Kill("SIGKILL")
-		r := <-ch
-		if r.err != nil {
-			return procsim.ExitStatus{}, fmt.Errorf("condor: job timed out: %w", r.err)
+		exit, err := p.Wait()
+		if err != nil {
+			return procsim.ExitStatus{}, fmt.Errorf("condor: job timed out: %w", err)
 		}
-		return r.exit, fmt.Errorf("condor: job exceeded %v and was killed", st.req.Timeout)
+		return exit, fmt.Errorf("condor: job exceeded %v and was killed", st.req.Timeout)
 	}
 }
 
@@ -443,15 +439,19 @@ func (st *Starter) waitProcess(p *tdp.Process) (procsim.ExitStatus, error) {
 // normally does, once the application it monitors is gone) and kills
 // it otherwise.
 func (st *Starter) reapTool(rt *tdp.Process) {
-	done := make(chan struct{})
-	go func() {
-		rt.Wait()
-		close(done)
-	}()
+	t := time.NewTimer(5 * time.Second)
+	defer t.Stop()
 	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
+	case <-rt.Exited():
+	case <-t.C:
 		rt.Kill("SIGKILL")
-		<-done
+		<-rt.Exited()
 	}
 }
+
+// reap takes a child the starter spawned out of the kernel's process
+// table once it has exited, as wait(2) would: the table holds zombies
+// until their parent collects them, and a machine runs many jobs. A
+// child still unwinding from a kill on an error path is left behind
+// (Reap refuses the living) rather than waited for.
+func (st *Starter) reap(p *tdp.Process) { st.sd.machine.Kernel().Reap(p.PID()) }

@@ -100,19 +100,20 @@ func TestTransportV2ClientAgainstV1Server(t *testing.T) {
 	go v2.Serve(l2)
 	defer v2.Close()
 
+	// The session serves operations as soon as the new connection is
+	// installed and resyncs right after, so the resync is waited for
+	// like the recovery itself, not read once behind it.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		v, err := s.TryGetCtx(ctx, "missed")
-		if err == nil && v == "yes" {
+		_, _, resyncs := s.Stats()
+		if err == nil && v == "yes" && resyncs >= 1 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("session never recovered against the v1 server: %v", err)
+			t.Fatalf("session never recovered against the v1 server: missed = %q, %v; resyncs = %d, want >= 1 (full-snapshot fallback)", v, err, resyncs)
 		}
 		time.Sleep(10 * time.Millisecond)
-	}
-	if _, _, resyncs := s.Stats(); resyncs < 1 {
-		t.Errorf("resyncs = %d, want >= 1 (full-snapshot fallback)", resyncs)
 	}
 	if s.GaveUp() {
 		t.Fatal("session gave up")

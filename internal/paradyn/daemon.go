@@ -74,7 +74,8 @@ func (o DaemonOptions) FEAddr() string {
 }
 
 // SampleInterval is how often a daemon streams metric samples to its
-// front-end while the application runs.
+// front-end while the application runs. The wait between samples ends
+// early when the application exits.
 const SampleInterval = 5 * time.Millisecond
 
 // Tool is paradynd packaged as a condor run-time tool: register it
@@ -229,15 +230,13 @@ func runDaemon(env condor.ToolEnv, args []string, pc *procsim.ProcContext) int {
 		lastPub = cur
 		fe.Uncork()
 	}
-	var exit procsim.ExitStatus
 	for {
-		if st, done := proc.ExitStatus(); done {
-			exit = st
+		sendSamples()
+		if pc.Wait(SampleInterval, proc.Exited()) {
 			break
 		}
-		sendSamples()
-		pc.Sleep(SampleInterval)
 	}
+	exit, _ := proc.ExitStatus()
 	sendSamples()
 	if fe != nil {
 		fe.Send(wire.NewMessage("DONE").Set("status", exit.String()))

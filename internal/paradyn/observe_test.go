@@ -52,8 +52,11 @@ func TestFrontEndTSampleIngest(t *testing.T) {
 	// Latest-value semantics: re-sending replaces, never adds.
 	sendTS(t, d1, wire.TelemetrySample{Kind: wire.KindCounter, Name: "ops", Value: 31})
 
-	waitSnapshot(t, "pool counter ops=43", func() bool {
-		return fe.PoolSnapshot().Counters["ops"] == 43
+	// The two daemons' streams are independent: wait for the last sample
+	// of each.
+	waitSnapshot(t, "pool counter ops=43 and both histograms", func() bool {
+		pool := fe.PoolSnapshot()
+		return pool.Counters["ops"] == 43 && pool.Histograms["lat"].Count == 2
 	})
 	pool := fe.PoolSnapshot()
 	if pool.Gauges["depth"] != 9 {

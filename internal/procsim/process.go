@@ -23,10 +23,10 @@ type Process struct {
 	sig    string
 	tracer string // attached tool identity, "" when untraced
 
-	status     ExitStatus
-	parentWait chan ExitStatus // closed-without-value when status stolen
-	tracerWait chan ExitStatus
-	parentErr  error
+	status    ExitStatus
+	exited    chan struct{} // closed by exit, once status and routing are recorded
+	toTracer  bool          // routing delivered the status to the tracer
+	parentErr error         // ErrStatusStolen when routing starved the parent
 
 	checkpoint    string // latest program-saved checkpoint
 	hasCheckpoint bool
@@ -48,15 +48,14 @@ type probeEntry struct {
 
 func newProcess(k *Kernel, pid PID, spec Spec) *Process {
 	p := &Process{
-		kernel:     k,
-		pid:        pid,
-		spec:       spec,
-		state:      StateCreated,
-		parked:     true, // pre-main park
-		parentWait: make(chan ExitStatus, 1),
-		tracerWait: make(chan ExitStatus, 1),
-		probes:     make(map[string][]*probeEntry),
-		symbols:    make(map[string]bool, len(spec.Symbols)),
+		kernel:  k,
+		pid:     pid,
+		spec:    spec,
+		state:   StateCreated,
+		parked:  true, // pre-main park
+		exited:  make(chan struct{}),
+		probes:  make(map[string][]*probeEntry),
+		symbols: make(map[string]bool, len(spec.Symbols)),
 	}
 	for _, s := range spec.Symbols {
 		p.symbols[s] = true
@@ -169,18 +168,11 @@ func (p *Process) exit(status ExitStatus) {
 	p.parked = true
 	p.status = status
 	traced := p.tracer != ""
-	toParent := routing == RouteParent || routing == RouteBoth || !traced
-	toTracer := traced && (routing == RouteTracer || routing == RouteBoth)
-	if toParent {
-		p.parentWait <- status
-	} else {
+	p.toTracer = traced && (routing == RouteTracer || routing == RouteBoth)
+	if traced && routing == RouteTracer {
 		p.parentErr = ErrStatusStolen
 	}
-	close(p.parentWait)
-	if toTracer {
-		p.tracerWait <- status
-	}
-	close(p.tracerWait)
+	close(p.exited)
 	p.cond.Broadcast()
 	p.mu.Unlock()
 
@@ -342,30 +334,34 @@ func (p *Process) Kill(signal string) error {
 // the parent would see it. Under RouteTracer with a tracer attached,
 // it returns ErrStatusStolen — the OS quirk §2.3 describes.
 func (p *Process) WaitParent() (ExitStatus, error) {
-	st, ok := <-p.parentWait
-	if ok {
-		return st, nil
-	}
+	<-p.exited
 	p.mu.Lock()
-	err := p.parentErr
-	status := p.status
-	p.mu.Unlock()
-	if err != nil {
-		return ExitStatus{}, err
+	defer p.mu.Unlock()
+	if p.parentErr != nil {
+		return ExitStatus{}, p.parentErr
 	}
-	// The channel was already drained by an earlier WaitParent; like
-	// wait(2), only one reap consumes the status — later callers get
-	// the bookkeeping snapshot.
-	return status, nil
+	return p.status, nil
 }
 
 // WaitTracer blocks until exit and returns the status as the tracer
 // sees it. It returns ok=false when routing did not deliver a status
 // to the tracer.
 func (p *Process) WaitTracer() (ExitStatus, bool) {
-	st, ok := <-p.tracerWait
-	return st, ok
+	<-p.exited
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if !p.toTracer {
+		return ExitStatus{}, false
+	}
+	return p.status, true
 }
+
+// Exited returns a channel closed when the process has terminated,
+// however it died and whoever the status was routed to. It carries no
+// status: a waiter that must also watch a clock or another channel
+// selects on it and then asks WaitParent, WaitTracer or
+// ExitStatusSnapshot, none of which block any longer.
+func (p *Process) Exited() <-chan struct{} { return p.exited }
 
 // CheckpointData returns the latest checkpoint the program saved and
 // whether one exists. Valid while running and after exit — the RM
@@ -572,18 +568,32 @@ func spin(d time.Duration) {
 }
 
 // Sleep blocks for d in small slices, checkpointing between them.
-func (c *ProcContext) Sleep(d time.Duration) {
+func (c *ProcContext) Sleep(d time.Duration) { c.Wait(d, nil) }
+
+// Wait blocks until wake is closed or delivers a value, or d has
+// passed, whichever comes first, and reports whether it was wake. It
+// is a tool daemon's way to sit out a sampling interval without
+// sleeping through the event it is sampling for. Like Sleep it passes
+// a checkpoint at least every millisecond, so a stop or kill of the
+// waiting process itself takes effect as promptly as anywhere else.
+func (c *ProcContext) Wait(d time.Duration, wake <-chan struct{}) bool {
 	const slice = time.Millisecond
-	for d > 0 {
-		c.Checkpoint()
-		s := slice
-		if d < s {
-			s = d
-		}
-		time.Sleep(s)
-		d -= s
-	}
 	c.Checkpoint()
+	t := time.NewTimer(min(d, slice))
+	defer t.Stop() // a kill unwinds through Checkpoint's panic
+	for {
+		select {
+		case <-wake:
+			c.Checkpoint()
+			return true
+		case <-t.C:
+		}
+		c.Checkpoint()
+		if d -= slice; d <= 0 {
+			return false
+		}
+		t.Reset(min(d, slice))
+	}
 }
 
 // Stdout returns the process's standard output stream.

@@ -131,45 +131,37 @@ func Launch(host *Host, jobCtx string, spec JobSpec, rec *trace.Recorder, rmIden
 	}
 
 	exit, err := waitWithTimeout(ap, spec.Timeout)
+	host.Kernel.Reap(ap.PID())
 	if rt != nil {
 		reapTool(rt)
+		host.Kernel.Reap(rt.PID())
 	}
 	return exit, err
 }
 
 func waitWithTimeout(p *tdp.Process, d time.Duration) (procsim.ExitStatus, error) {
-	type result struct {
-		exit procsim.ExitStatus
-		err  error
-	}
-	ch := make(chan result, 1)
-	go func() {
-		e, err := p.Wait()
-		ch <- result{e, err}
-	}()
+	t := time.NewTimer(d)
+	defer t.Stop()
 	select {
-	case r := <-ch:
-		return r.exit, r.err
-	case <-time.After(d):
+	case <-p.Exited():
+		return p.Wait()
+	case <-t.C:
 		p.Kill("SIGKILL")
-		r := <-ch
-		if r.err != nil {
-			return procsim.ExitStatus{}, fmt.Errorf("rmkit: job timed out: %w", r.err)
+		exit, err := p.Wait()
+		if err != nil {
+			return procsim.ExitStatus{}, fmt.Errorf("rmkit: job timed out: %w", err)
 		}
-		return r.exit, fmt.Errorf("rmkit: job exceeded %v and was killed", d)
+		return exit, fmt.Errorf("rmkit: job exceeded %v and was killed", d)
 	}
 }
 
 func reapTool(rt *tdp.Process) {
-	done := make(chan struct{})
-	go func() {
-		rt.Wait()
-		close(done)
-	}()
+	t := time.NewTimer(5 * time.Second)
+	defer t.Stop()
 	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
+	case <-rt.Exited():
+	case <-t.C:
 		rt.Kill("SIGKILL")
-		<-done
+		<-rt.Exited()
 	}
 }

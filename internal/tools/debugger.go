@@ -120,9 +120,7 @@ func runDebugger(env toolapi.Env, pc *procsim.ProcContext, bp string, maxHits in
 
 	hits := 0
 	for hits < maxHits {
-		select {
-		case <-hitCh:
-		case <-time.After(10 * time.Second):
+		if !pc.Wait(10*time.Second, hitCh) {
 			goto sessionEnd // no more hits coming; avoid hanging
 		}
 		if _, done := proc.ExitStatus(); done {
@@ -148,17 +146,8 @@ sessionEnd:
 			proc.Continue()
 		}
 	}
-	st, _ := waitExit(proc, pc)
+	pc.Wait(20*time.Second, proc.Exited())
+	st, _ := proc.ExitStatus()
 	fmt.Fprintf(pc.Stdout(), "DEBUG-END breakpoint=%s hits=%d status=%s\n", bp, hits, st)
 	return 0
-}
-
-func waitExit(proc *tdp.Process, pc *procsim.ProcContext) (procsim.ExitStatus, bool) {
-	for i := 0; i < 10000; i++ {
-		if st, done := proc.ExitStatus(); done {
-			return st, true
-		}
-		pc.Sleep(2 * time.Millisecond)
-	}
-	return procsim.ExitStatus{}, false
 }

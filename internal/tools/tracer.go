@@ -123,12 +123,8 @@ func runTracer(env toolapi.Env, pc *procsim.ProcContext) int {
 			}
 		}
 	}
-	for {
-		if _, done := proc.ExitStatus(); done {
-			break
-		}
+	for !pc.Wait(2*time.Millisecond, proc.Exited()) {
 		flush()
-		pc.Sleep(2 * time.Millisecond)
 	}
 	flush()
 	st, _ := proc.ExitStatus()

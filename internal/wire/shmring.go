@@ -24,7 +24,8 @@
 // finding no progress yields the scheduler for up to shmSpinBudget only
 // while its recent arrivals came closer together than that budget (a
 // ping-ponging pair then never touches the kernel); once several in a
-// row came later it skips the spin, sets its park flag in the shared
+// row came later — and on a new ring, until the first one comes
+// sooner — it skips the spin, sets its park flag in the shared
 // header, rechecks, and sleeps on the doorbell. The peer, after
 // publishing a cursor, rings the doorbell — one byte on the socket —
 // only when it observes the opposite park flag.
@@ -85,7 +86,11 @@ const (
 // budget. Hence shmColdAfter: after that many consecutive arrivals a
 // budget or more apart the side parks at once, until the first arrival
 // that comes sooner. (One late arrival is not enough: a hot ring that
-// parks on every stray miss pays a stall on each way in and out.)
+// parks on every stray miss pays a stall on each way in and out.) A
+// new ring starts cold — it has no arrivals to show, and its first
+// wait is for a peer still busy with the handshake that created it —
+// so a connection that lives for a handful of ops never spins at all,
+// and one that goes on to trade messages is spinning from the second.
 const (
 	shmSpinBudget = 100 * time.Microsecond
 	shmColdAfter  = 4
@@ -231,6 +236,7 @@ func (s *ShmSegment) Endpoint(server bool, sock net.Conn) *ShmEndpoint {
 	a := s.half(shmOffA, shmHdrSize)
 	b := s.half(shmOffB, shmHdrSize+s.size)
 	e := &ShmEndpoint{seg: s, bell: newDoorbell(sock), now: shmNow}
+	e.rdw.late, e.wrw.late = shmColdAfter, shmColdAfter // no history, no spin
 	e.ctr.Store(&uncountedRing)
 	if server {
 		e.rd, e.wr = a, b

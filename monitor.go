@@ -22,7 +22,10 @@ import (
 // every kernel state change of the process is mirrored into the
 // attribute space under AttrStatus, and the exit status is recorded as
 // "exited:<status>". It returns a stop function; monitoring also ends
-// when the process exits.
+// when the process exits. Once the process has exited, stop does not
+// return before that final status has been put — an RM that waits for
+// its application and then stops monitoring never loses the status,
+// however close behind the exit it comes.
 func (h *Handle) MonitorProcess(p *Process) (stop func(), err error) {
 	k, err := h.kernel()
 	if err != nil {
@@ -30,7 +33,10 @@ func (h *Handle) MonitorProcess(p *Process) (stop func(), err error) {
 	}
 	sub := k.Subscribe()
 	pid := p.PID()
+	done := make(chan struct{})
+	final := false // the exit status has been put; written before done closes
 	go func() {
+		defer close(done)
 		for e := range sub.Events() {
 			if e.PID != pid {
 				continue
@@ -42,12 +48,22 @@ func (h *Handle) MonitorProcess(p *Process) (stop func(), err error) {
 				h.Put(AttrStatus, "stopped")
 			case procsim.EventExited:
 				h.Put(AttrStatus, "exited:"+e.Status.String())
+				final = true
 				k.Cancel(sub)
 				return
 			}
 		}
 	}()
-	return func() { k.Cancel(sub) }, nil
+	return func() {
+		k.Cancel(sub)
+		<-done
+		// The kernel publishes the exit event after the exit itself, and
+		// drops events on a subscriber that has fallen behind: a stop that
+		// overtakes or outlives the event puts the status in its place.
+		if st, exited := p.ExitStatus(); exited && !final {
+			h.Put(AttrStatus, "exited:"+st.String())
+		}
+	}, nil
 }
 
 // RequestStart asks the RM to start (continue) the paused application:

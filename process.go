@@ -224,6 +224,11 @@ func (p *Process) Wait() (procsim.ExitStatus, error) {
 	return p.p.WaitParent()
 }
 
+// Exited returns a channel closed when the process has terminated. A
+// tool daemon selects on it (procsim.ProcContext.Wait) between samples
+// instead of polling ExitStatus, so it sees the exit when it happens.
+func (p *Process) Exited() <-chan struct{} { return p.p.Exited() }
+
 // ExitStatus returns the recorded status after exit (authoritative
 // bookkeeping, independent of routing). ok is false while alive.
 func (p *Process) ExitStatus() (procsim.ExitStatus, bool) {

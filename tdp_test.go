@@ -427,6 +427,41 @@ func TestMonitorProcessPublishesStatus(t *testing.T) {
 	}
 }
 
+// TestMonitorStopKeepsFinalStatus is an RM's shutdown order — wait for
+// the application, stop monitoring, leave — run as close behind the
+// exit as a caller can get: the status it leaves in the attribute space
+// must be the exit status every time, not whatever transition the
+// monitor had got to when stop cancelled its subscription.
+func TestMonitorStopKeepsFinalStatus(t *testing.T) {
+	addr := newLASS(t)
+	k := procsim.NewKernel()
+	rm := initT(t, Config{Context: "job", LASSAddr: addr, Kernel: k, Identity: "RM"})
+	for i := 0; i < 200; i++ {
+		ap, err := rm.CreateProcess(ProcessSpec{Executable: "app", Program: procsim.NewExitingProgram(0)}, StartPaused)
+		if err != nil {
+			t.Fatalf("CreateProcess: %v", err)
+		}
+		stop, err := rm.MonitorProcess(ap)
+		if err != nil {
+			t.Fatalf("MonitorProcess: %v", err)
+		}
+		if err := ap.Continue(); err != nil {
+			t.Fatalf("Continue: %v", err)
+		}
+		if _, err := ap.Wait(); err != nil {
+			t.Fatalf("Wait: %v", err)
+		}
+		stop()
+		if v, err := rm.TryGet(AttrStatus); err != nil || v != "exited:exit(0)" {
+			t.Fatalf("run %d: status after stop = %q, %v; want exited:exit(0)", i, v, err)
+		}
+		if err := rm.Delete(AttrStatus); err != nil {
+			t.Fatalf("Delete: %v", err)
+		}
+		k.Reap(ap.PID())
+	}
+}
+
 func TestRequestStartServeStartRequests(t *testing.T) {
 	addr := newLASS(t)
 	k := procsim.NewKernel()
