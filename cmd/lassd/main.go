@@ -54,7 +54,7 @@ func main() {
 	eventBuf := flag.Int("event-buffer", attrspace.DefaultEventBuffer, "per-subscriber event ring size")
 	drainTimeout := flag.Duration("drain-timeout", 5*time.Second, "graceful shutdown bound: announce CLOSE to clients and finish in-flight replies for up to this long before closing (0 closes immediately)")
 	debugAddr := flag.String("debug-addr", "", "serve pprof, /metrics, and /stats.json over HTTP on this address (empty disables)")
-	shm := flag.Bool("shm", true, "grant the shared-memory ring transport to same-host clients (unix-socket connections upgrade to an mmap ring pair after HELLO); -shm=false keeps every client on the socket byte stream")
+	shm := flag.Bool("shm", true, "grant the shared-memory ring transport to same-host clients (unix-socket connections are promoted to an mmap ring pair once their traffic has paid for one); -shm=false keeps every client on the socket byte stream")
 	flag.Parse()
 
 	srv := attrspace.NewServer()

@@ -35,6 +35,30 @@ func dialT(t *testing.T, addr, ctx string) *Client {
 	return c
 }
 
+// TestDialCtxCancelAfterReturn: the idiom every caller uses — DialCtx
+// under a timeout, cancel deferred — cancels the context the moment the
+// dial returns. That must not reach the connection: the handshake
+// watchdog used to pick between "handshake over" and "context done"
+// at random when it first ran after both, and closed one healthy
+// connection in a few hundred under load (the Session probe tests and
+// the router's health sessions were where it showed).
+func TestDialCtxCancelAfterReturn(t *testing.T) {
+	_, addr := startServer(t)
+	for i := 0; i < 300; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		c, err := DialCtx(ctx, TCPDial, addr, "job1")
+		cancel()
+		if err != nil {
+			t.Fatalf("DialCtx %d: %v", i, err)
+		}
+		time.Sleep(10 * time.Microsecond) // let a late watchdog run
+		if err := c.Put("k", "v"); err != nil {
+			t.Fatalf("Put on connection %d after its dial context was cancelled: %v", i, err)
+		}
+		c.Close()
+	}
+}
+
 func TestPutGetRoundTrip(t *testing.T) {
 	_, addr := startServer(t)
 	c := dialT(t, addr, "job1")
@@ -156,7 +180,7 @@ func TestContextRefcountAcrossConnections(t *testing.T) {
 
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
+	deadline := time.Now().Add(10 * time.Second) // only a failure takes this long
 	for time.Now().Before(deadline) {
 		if cond() {
 			return

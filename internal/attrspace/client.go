@@ -48,7 +48,9 @@ func TCPDial(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
 // clientCaps are the transport capabilities this client offers in
 // HELLO; the server grants the intersection with its own. CapShm is
 // offered separately, only when the dialed connection is provably
-// same-host (see dialWithCaps).
+// same-host (see dialWithCaps), and a grant only makes the connection
+// eligible for a ring: it starts on the socket and asks for one when
+// its traffic has paid for it (see shmPromoteAfter).
 var clientCaps = []string{wire.CapMux, wire.CapSnapd, wire.CapChunk, wire.CapPing, wire.CapByteWin}
 
 // Event is a pushed attribute change received after Subscribe.
@@ -101,12 +103,15 @@ type Client struct {
 	mux    *wire.Mux
 	chunks map[string][]*wire.Message
 
-	// Transport v3 cutover state. shmSwapID names the in-flight SHMRDY
-	// request: when its reply arrives, the read loop activates the ring
-	// endpoint and swaps the conn's read side onto it BEFORE delivering
-	// the reply — the very next frame already arrives over shared
-	// memory. Registered under mu by the same send that registers the
-	// pending-reply slot, so the reply can never race the registration.
+	// Transport v3 promotion state. replies counts what the read loop
+	// has delivered; reaching shmPromoteAfter starts promote, once.
+	// shmSwapID names the in-flight SHMRDY request: when its OK arrives,
+	// the read loop activates the ring endpoint and swaps the conn's read
+	// side onto it BEFORE delivering the reply — the very next frame
+	// already arrives over shared memory. Registered under mu by the same
+	// send that registers the pending-reply slot, so the reply can never
+	// race the registration.
+	replies   uint64
 	shmSwapID string
 	shmSwapEP *wire.ShmEndpoint
 	shmActive bool
@@ -159,7 +164,8 @@ func dialWithCaps(ctx context.Context, dial DialFunc, addr, contextName string, 
 	// The shm transport is only meaningful (and only safe — both ends
 	// must reach the same segment file) across a provably same-host
 	// connection, so the capability is offered per connection rather
-	// than unconditionally.
+	// than unconditionally. It is an environmental fact, not a cutover:
+	// nothing is mapped until the connection has earned it.
 	if wire.ShmSupported() && sameHostConn(raw) {
 		caps = append(append([]string(nil), caps...), wire.CapShm)
 	}
@@ -173,13 +179,20 @@ func dialWithCaps(ctx context.Context, dial DialFunc, addr, contextName string, 
 	go c.readLoop()
 	if ctx.Done() != nil {
 		// Watchdog: a cancelled handshake closes the transport, which
-		// fails the read loop and errors the pending HELLO promptly.
+		// fails the read loop and errors the pending HELLO promptly. A
+		// caller that cancels ctx the moment Dial returns (defer cancel)
+		// makes both channels ready at once; the handshake being over
+		// has to win, or a healthy connection is closed under its owner.
 		stop := make(chan struct{})
 		defer close(stop)
 		go func() {
 			select {
 			case <-ctx.Done():
-				raw.Close()
+				select {
+				case <-stop:
+				default:
+					raw.Close()
+				}
 			case <-stop:
 			}
 		}()
@@ -206,63 +219,111 @@ func dialWithCaps(ctx context.Context, dial DialFunc, addr, contextName string, 
 			c.mux = wire.NewMux(c.wc, wire.MuxConfig{Registry: c.reg, ByteWindow: set[wire.CapByteWin]})
 		}
 		c.mu.Unlock()
-		if set[wire.CapShm] {
-			// Best effort: a failed cutover leaves the connection on the
-			// socket exactly as a v2 peer — the server cleans the segment
-			// file at connection teardown.
-			c.upgradeShm(reply.Get("shmfile"))
-		}
 	}
 	return c, nil
 }
 
-// upgradeShm performs the client half of the transport-v3 cutover: map
-// the segment the server created, announce readiness with SHMRDY (the
-// last framed bytes this client ever writes to the socket), and swap
-// the conn's write side onto the ring once the server's OK lands. The
-// read-side swap happens inside the read loop (see readLoop), which is
-// the only place that knows no framed socket byte follows the OK.
-// Failing anywhere before SHMRDY just leaves the connection on the
-// socket; the server only cuts over when SHMRDY arrives.
-func (c *Client) upgradeShm(path string) {
-	if path == "" {
-		return
-	}
-	seg, err := wire.OpenShmSegment(path)
-	if err != nil {
-		return
-	}
-	ep := seg.Endpoint(false, c.raw)
-	ch, _, err := c.sendHook(wire.NewMessage("SHMRDY"), func(id string) {
-		c.shmSwapID, c.shmSwapEP = id, ep
-	})
-	if err != nil {
-		return
-	}
-	// Safe to block: dialWithCaps still owns the client — no Session
-	// heartbeats, subscriptions, or user requests exist yet, so nothing
-	// else can write to the socket behind SHMRDY, and the only traffic
-	// the read loop can see before this reply is the reply itself (a
-	// conn failure delivers a synthetic ERROR here instead).
-	reply := <-ch
-	if reply.Verb != "OK" {
-		c.mu.Lock()
-		c.shmSwapID, c.shmSwapEP = "", nil
-		c.mu.Unlock()
-		return
-	}
-	// The read loop has already activated the doorbell and swapped the
-	// read side (before delivering the OK). Swapping the write side
-	// completes the cutover; the request that follows is the first
-	// frame through the ring.
-	c.wc.SwapWrite(ep)
-	c.mu.Lock()
-	c.shmActive = true
-	c.mu.Unlock()
+// shmPromoteAfter is the number of replies a same-host connection
+// takes over its socket before it asks for a ring. Derived, not tuned:
+// a promotion costs about 250 µs (segment create, two mmaps, two round
+// trips; the median of attrspace.shm.promote_us, EXPERIMENTS E25) and a
+// ring round trip is 2–3 µs cheaper than one over the unix socket
+// (BenchmarkSameHostPut and the wire.conn.unix/shm.rtt_us rungs, E25),
+// so a ring has paid for itself after on the order of 100 round trips.
+// A connection that lives a handful of
+// ops — a daemon joining, publishing and leaving — never maps anything,
+// one that lives gets its ring within its first milliseconds, and a
+// promoted ring is by construction not a young connection's.
+const shmPromoteAfter = 100
+
+// shmMetrics counts ring promotions at one end: attempts that ended on
+// the ring, attempts that left the connection on the socket, and how
+// long a completed one took. Handles are resolved once per registry (or
+// per promoted connection), never on the request path.
+type shmMetrics struct {
+	promotions, failed *telemetry.Counter
+	us                 *telemetry.Histogram
 }
 
-// ShmActive reports whether this connection completed the transport-v3
-// cutover and is carrying its frames over the shared-memory ring.
+// shmPromoteBuckets are promote_us's bucket bounds, in microseconds.
+var shmPromoteBuckets = []float64{50, 100, 150, 200, 300, 500, 1000, 2500, 10000, 100000}
+
+func newShmMetrics(reg *telemetry.Registry) shmMetrics {
+	return shmMetrics{
+		promotions: reg.Counter("attrspace.shm.promotions"),
+		failed:     reg.Counter("attrspace.shm.promote_failed"),
+		us:         reg.Histogram("attrspace.shm.promote_us", shmPromoteBuckets),
+	}
+}
+
+// done records the end of a promotion that began at start.
+func (m shmMetrics) done(start time.Time, err error) {
+	if err != nil {
+		m.failed.Inc()
+		return
+	}
+	m.promotions.Inc()
+	m.us.Observe(float64(time.Since(start)) / float64(time.Microsecond))
+}
+
+// promote moves the connection onto a shared-memory ring, off every
+// caller's path: the read loop starts it, once, on its own goroutine
+// when the connection has taken shmPromoteAfter replies. A failure at
+// any step leaves the connection on the socket for the rest of its
+// life; it is never retried.
+func (c *Client) promote() {
+	c.mu.Lock()
+	reg := c.reg
+	c.mu.Unlock()
+	start := time.Now()
+	err := c.cutover()
+	if reg != nil {
+		newShmMetrics(reg).done(start, err)
+	}
+}
+
+// cutover is the client half of the transport-v3 promotion. SHMREQ
+// asks the server to create a segment and returns its path; the client
+// maps it and sends SHMRDY, which is by construction (wire.Conn.SendSwap)
+// the last framed byte it writes to the socket: requests, heartbeats,
+// async-put flushes and window updates from other goroutines land
+// either before it on the socket or after it on the ring, and nobody
+// holds the write side while the reply is awaited. The read-side swap
+// happens inside the read loop (see readLoop), which is the only place
+// that knows no framed socket byte follows the OK. A SHMRDY carrying an
+// error tells the server the segment could not be mapped, so it can
+// drop it now rather than at teardown; nothing is swapped then.
+func (c *Client) cutover() error {
+	reply, err := c.call(context.Background(), "SHMREQ", wire.NewMessage("SHMREQ"))
+	if err == nil {
+		err = replyErr(reply)
+	}
+	if err != nil {
+		return err
+	}
+	seg, err := wire.OpenShmSegment(reply.Get("shmfile"))
+	if err != nil {
+		// Best effort: if the report does not get through, the server
+		// drops the segment when the connection ends.
+		c.call(context.Background(), "SHMRDY", wire.NewMessage("SHMRDY").Set("error", err.Error()))
+		return err
+	}
+	ch, _, err := c.sendSwap(wire.NewMessage("SHMRDY"), seg.Endpoint(false, c.raw))
+	if err != nil {
+		return err
+	}
+	if err := replyErr(<-ch); err != nil {
+		// Our write side is already on a ring the server is not reading:
+		// the connection is beyond use, which to callers (and a Session)
+		// is a connection lost.
+		c.fail(fmt.Errorf("attrspace: shm cutover: %w", err))
+		return err
+	}
+	return nil
+}
+
+// ShmActive reports whether this connection has been promoted and is
+// carrying its frames over the shared-memory ring.
 func (c *Client) ShmActive() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -378,18 +439,24 @@ func (c *Client) readLoop() {
 		var swapEP *wire.ShmEndpoint
 		if id != "" && id == c.shmSwapID && m.Verb == "OK" {
 			swapEP, c.shmSwapID, c.shmSwapEP = c.shmSwapEP, "", nil
+			c.shmActive = true
 		}
+		c.replies++
+		earned := c.replies == shmPromoteAfter && c.caps[wire.CapShm]
 		drained := c.draining && len(c.pending) == 0
 		c.mu.Unlock()
 		if swapEP != nil {
 			// Transport-v3 cutover: this OK answers our SHMRDY and is the
 			// last framed byte the socket will ever carry — the server
-			// swapped its write side right after sending it. Hand the
+			// sent it and swapped its write side in one step. Hand the
 			// socket to the doorbell and read everything further from the
-			// ring, before the waiter sees the reply (so its first request
-			// cannot outrun the swap).
+			// ring: replies to requests pipelined before the swap, events
+			// and chunks arrive there with ids and windows untouched.
 			swapEP.Activate()
 			c.wc.SwapRead(swapEP)
+		}
+		if earned {
+			go c.promote()
 		}
 		if ch != nil {
 			ch <- m
@@ -561,16 +628,16 @@ func (c *Client) call(ctx context.Context, verb string, m *wire.Message) (*wire.
 // while its read half blocks would otherwise strand every other
 // pending reply forever. fail drains them all exactly once.
 func (c *Client) send(m *wire.Message) (chan *wire.Message, string, error) {
-	return c.sendHook(m, nil)
+	return c.sendSwap(m, nil)
 }
 
-// sendHook is send with an optional hook invoked under mu right after
-// the pending-reply slot is registered — atomically with it, from the
-// read loop's point of view. The transport-v3 cutover uses it to
-// register the SHMRDY swap state: registering after send returned
-// would let the reply arrive first and the read-side swap never
-// happen.
-func (c *Client) sendHook(m *wire.Message, hook func(id string)) (chan *wire.Message, string, error) {
+// sendSwap is send for SHMRDY when given the ring endpoint (only
+// cutover passes one): the swap state is registered under mu together
+// with the pending slot — registering after the send returned would let
+// the reply arrive first and the read-side swap never happen — and the
+// frame leaves through SendSwap, which moves the write side onto the
+// ring behind it.
+func (c *Client) sendSwap(m *wire.Message, ep *wire.ShmEndpoint) (chan *wire.Message, string, error) {
 	c.mu.Lock()
 	if c.closed {
 		err := c.err
@@ -593,8 +660,8 @@ func (c *Client) sendHook(m *wire.Message, hook func(id string)) (chan *wire.Mes
 	id := strconv.FormatUint(c.nextID, 10)
 	ch := make(chan *wire.Message, 1)
 	c.pending[id] = ch
-	if hook != nil {
-		hook(id)
+	if ep != nil {
+		c.shmSwapID, c.shmSwapEP = id, ep
 	}
 	x := c.mux
 	c.mu.Unlock()
@@ -603,9 +670,12 @@ func (c *Client) sendHook(m *wire.Message, hook func(id string)) (chan *wire.Mes
 	// them through the mux lets accumulated receive-side credit grants
 	// piggyback instead of costing explicit WINUP frames.
 	var err error
-	if x != nil {
+	switch {
+	case ep != nil:
+		err = c.wc.SendSwap(m, ep)
+	case x != nil:
 		err = x.SendOn(wire.StreamControl, m)
-	} else {
+	default:
 		err = c.wc.Send(m)
 	}
 	if err != nil {

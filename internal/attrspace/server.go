@@ -93,7 +93,8 @@ var serverVerbs = []string{"hello", "put", "mput", "get", "tryget", "delete", "s
 // defaultServerCaps are the transport capabilities a server grants
 // when the client offers them; see Server.SetCaps. CapShm is listed
 // but additionally gated per connection: it is only granted across a
-// provably same-host transport (see the HELLO handler).
+// provably same-host transport (see the HELLO handler), and granting it
+// creates nothing — the client asks for its ring later, with SHMREQ.
 var defaultServerCaps = []string{wire.CapMux, wire.CapSnapd, wire.CapChunk, wire.CapPing, wire.CapCtxOp, wire.CapByteWin, wire.CapShm}
 
 // verbMetrics caches one verb's hot-path metric handles.
@@ -125,6 +126,8 @@ type telemetryHandles struct {
 	cacheFills *telemetry.Counter
 	cacheInval *telemetry.Counter // entries invalidated by upstream events
 	cacheFlush *telemetry.Counter // whole-context flushes (lost events, teardown)
+
+	shm shmMetrics // ring promotions (SHMREQ … SHMRDY), server half
 }
 
 // Server is one attribute space server instance (a LASS or the CASS).
@@ -311,6 +314,7 @@ func (s *Server) SetTelemetry(reg *telemetry.Registry, tracer *telemetry.Tracer)
 		h.cacheFills = reg.Counter("attrspace.cache.fills")
 		h.cacheInval = reg.Counter("attrspace.cache.invalidations")
 		h.cacheFlush = reg.Counter("attrspace.cache.flushes")
+		h.shm = newShmMetrics(reg)
 	}
 	if tracer != nil {
 		h.tracer = tracer
@@ -573,15 +577,12 @@ type serverConn struct {
 	caps map[string]bool // capabilities granted on HELLO; nil = v1 peer
 	mux  *wire.Mux       // non-nil once CapMux granted
 
-	// Transport-v3 cutover state: the segment created at HELLO (and its
-	// file, removed once the client maps it — or at teardown if the
-	// client never does), and the ring endpoint handed from the SHMRDY
-	// handler to the read loop, which swaps its read side after the
-	// dispatch returns (the client's SHMRDY was its last framed socket
-	// write).
-	shmSeg  *wire.ShmSegment
-	shmPath string
-	shmEP   *wire.ShmEndpoint
+	// Transport-v3 promotion state, owned by the read loop: the segment
+	// created for SHMREQ, its file, and when that was, until SHMRDY (or
+	// teardown, if the connection dies in between) takes them.
+	shmSeg   *wire.ShmSegment
+	shmPath  string
+	shmStart time.Time
 }
 
 // muxer returns the connection's mux, or nil before CapMux was granted.
@@ -607,8 +608,6 @@ func (c *serverConn) run() {
 		c.mu.Lock()
 		ref, sub := c.ref, c.sub
 		c.ref, c.sub = nil, nil
-		shmPath := c.shmPath
-		c.shmPath = ""
 		c.mu.Unlock()
 		if sub != nil && ref != nil {
 			ref.Unsubscribe(sub)
@@ -616,11 +615,9 @@ func (c *serverConn) run() {
 		if ref != nil {
 			ref.Leave()
 		}
-		if shmPath != "" {
-			// Granted shm at HELLO but the client never sent SHMRDY: the
-			// segment file is still on disk. (After a completed cutover
-			// the SHMRDY handler already unlinked it.)
-			os.Remove(shmPath)
+		if c.takeShmSegment() != nil {
+			// The connection died between SHMREQ and SHMRDY.
+			srv.tel.Load().shm.failed.Inc()
 		}
 		// Closing the socket also kills the doorbell after a cutover,
 		// which wakes anything parked on the ring.
@@ -654,20 +651,19 @@ func (c *serverConn) run() {
 		if exit {
 			return
 		}
-		c.mu.Lock()
-		ep := c.shmEP
-		c.shmEP = nil
-		c.mu.Unlock()
-		if ep != nil {
-			// The dispatch we just returned from was SHMRDY: the client's
-			// request was its last framed socket write and our OK was
-			// ours, so the socket now belongs to the doorbell and every
-			// further frame — starting with the next RecvInto — rides the
-			// ring.
-			ep.Activate()
-			c.wc.SwapRead(ep)
-		}
 	}
+}
+
+// takeShmSegment ends the window between SHMREQ and SHMRDY: it returns
+// the segment created for this connection, nil if there is none, and
+// unlinks its file — both ends hold mappings by now, or never will.
+func (c *serverConn) takeShmSegment() *wire.ShmSegment {
+	seg := c.shmSeg
+	if seg != nil {
+		os.Remove(c.shmPath)
+		c.shmSeg, c.shmPath = nil, ""
+	}
+	return seg
 }
 
 // dispatch handles one request; it returns true when the connection
@@ -691,7 +687,9 @@ func (c *serverConn) dispatch(ctx context.Context, m *wire.Message) bool {
 		// CapShm is further gated on the transport itself: it is only
 		// honest across a same-host connection this build can mmap on,
 		// so anywhere else it is stripped from the supported set before
-		// the intersection — the client sees a plain v2 grant.
+		// the intersection — the client sees a plain v2 grant. Granting
+		// it states that fact and nothing more: the connection stays on
+		// the socket until the client asks for a ring (SHMREQ).
 		supported := srv.Caps()
 		if !wire.ShmSupported() || !sameHostConn(c.raw) {
 			supported = withoutCap(supported, wire.CapShm)
@@ -699,25 +697,10 @@ func (c *serverConn) dispatch(ctx context.Context, m *wire.Message) bool {
 		granted := wire.IntersectCaps(m.Get("caps"), supported)
 		c.mu.Lock()
 		already := c.ref != nil
-		var shmPath string
 		if !already {
 			c.ref = srv.space.Join(name)
 			if granted != "" {
 				c.caps = wire.ParseCaps(granted)
-				if c.caps[wire.CapShm] {
-					// Create the segment now so its path rides the OK. A
-					// creation failure (full temp dir, exotic fs) quietly
-					// withdraws the grant — the client falls back to the
-					// socket like any v2 peer.
-					if seg, path, err := createShmSegment(); err == nil {
-						c.shmSeg, c.shmPath, shmPath = seg, path, path
-					} else {
-						srv.log().Debugf("attrspace: shm segment create: %v", err)
-						delete(c.caps, wire.CapShm)
-						supported = withoutCap(supported, wire.CapShm)
-						granted = wire.IntersectCaps(granted, supported)
-					}
-				}
 				if c.caps[wire.CapMux] {
 					c.mux = wire.NewMux(c.wc, wire.MuxConfig{
 						Registry:   srv.tel.Load().reg,
@@ -736,37 +719,56 @@ func (c *serverConn) dispatch(ctx context.Context, m *wire.Message) bool {
 		if granted != "" {
 			ok.Set("caps", granted)
 		}
-		if shmPath != "" {
-			ok.Set("shmfile", shmPath)
-		}
 		c.reply(ok)
 		done()
-	case "SHMRDY":
-		// Transport-v3 cutover request: the client has mapped the
-		// segment announced at HELLO and this frame is the last framed
-		// byte it will ever write to the socket. Reply OK (our own last
-		// framed socket write), swap the write side onto the ring, and
-		// hand the endpoint to the read loop, which swaps its read side
-		// before the next RecvInto. The segment file is no longer
-		// needed once both ends hold mappings, so unlink it here.
+	case "SHMREQ":
+		// Transport-v3 promotion, step one: the client has taken enough
+		// replies over the socket to pay for a ring and asks for one.
+		// Create the segment and answer with its path. The request uses
+		// up the HELLO grant — a connection is promoted once or never —
+		// and a creation failure (full tmpfs, exotic fs) is an ERROR that
+		// leaves the client on the socket.
 		c.mu.Lock()
-		seg := c.shmSeg
+		granted := c.caps[wire.CapShm]
+		delete(c.caps, wire.CapShm)
 		c.mu.Unlock()
+		if !granted {
+			c.unknownVerb(m)
+			return false
+		}
+		c.shmStart = time.Now()
+		seg, path, err := createShmSegment()
+		if err != nil {
+			srv.tel.Load().shm.failed.Inc()
+			c.replyErr(m.Get("id"), err)
+			return false
+		}
+		c.shmSeg, c.shmPath = seg, path
+		c.reply(wire.NewMessage("OK").Set("id", m.Get("id")).Set("shmfile", path))
+	case "SHMRDY":
+		// Step two: the client has mapped the segment, and this frame is
+		// the last framed byte it will ever write to the socket — it
+		// swapped its write side onto the ring behind it. We are the read
+		// loop, between two RecvIntos, so the read side swaps here; the
+		// OK and the write-side swap are one step (SendSwap), because
+		// event and blocked-GET goroutines write whenever they like: the
+		// OK reaches the socket even under pushEvents' open cork, and
+		// whatever they send after it reaches the ring. A SHMRDY that
+		// carries an error reports a segment the client could not map.
+		seg := c.takeShmSegment()
 		if seg == nil {
-			c.unknownVerb(m) // no shm grant on this connection
+			c.unknownVerb(m) // no SHMREQ before it
+			return false
+		}
+		if text := m.Get("error"); text != "" {
+			srv.tel.Load().shm.failed.Inc()
+			c.replyErr(m.Get("id"), errors.New(text))
 			return false
 		}
 		ep := seg.Endpoint(true, c.raw)
-		c.reply(wire.NewMessage("OK").Set("id", m.Get("id")))
-		c.wc.SwapWrite(ep)
-		c.mu.Lock()
-		c.shmEP = ep
-		c.shmSeg = nil // a second SHMRDY is an unknown verb, not a re-swap
-		if c.shmPath != "" {
-			os.Remove(c.shmPath)
-			c.shmPath = ""
-		}
-		c.mu.Unlock()
+		ep.Activate()
+		c.wc.SwapRead(ep)
+		srv.tel.Load().shm.done(c.shmStart, c.wc.SendSwap(wire.NewMessage("OK").Set("id", m.Get("id")), ep))
 	case "EXIT":
 		return true
 	case "PING":

@@ -93,7 +93,12 @@ func TestSoakSessionSurvivesRestarts(t *testing.T) {
 	// Bounded retries: each restart should cost a handful of retried
 	// ops per session, not a storm. The generous constant still fails
 	// hard on quadratic/unbounded retry behavior.
+	// The last restart may be milliseconds old when the loop ends: give
+	// its reconnect the time to land before counting.
 	wrec, wret, _ := writer.Stats()
+	for until := time.Now().Add(5 * time.Second); wrec < int64(restarts) && time.Now().Before(until); wrec, wret, _ = writer.Stats() {
+		time.Sleep(time.Millisecond)
+	}
 	if wrec < int64(restarts) {
 		t.Errorf("writer reconnects = %d, want >= %d (one per restart)", wrec, restarts)
 	}

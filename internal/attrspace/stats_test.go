@@ -207,6 +207,11 @@ func TestTracePropagationTwoHop(t *testing.T) {
 	op.End()
 	tid := op.TraceID()
 
+	// A server ends its span after it has written the reply, so the
+	// reply can get here first.
+	waitFor(t, func() bool {
+		return len(cass.Tracer().SpansForTrace(tid)) > 0 && len(lass.Tracer().SpansForTrace(tid)) > 0
+	})
 	cassSpans := cass.Tracer().SpansForTrace(tid)
 	lassSpans := lass.Tracer().SpansForTrace(tid)
 	if len(cassSpans) != 1 || len(lassSpans) != 1 {

@@ -20,10 +20,13 @@ import (
 // local. The dominant TDP hop — AP or paradynd talking to the LASS on
 // the same execution host — then skips the TCP stack entirely while
 // remote clients keep using TCP, with no configuration on either side.
-// On top of the socket, transport v3 (wire.CapShm) negotiates a
-// shared-memory ring pair per connection: the segment file lives on
-// tmpfs (shmDir), travels in the HELLO reply, and is unlinked as soon
-// as both ends have mapped it.
+// A same-host connection starts, and if it is short ends, on that
+// socket. HELLO only establishes that a shared-memory ring is possible
+// (wire.CapShm: same host, this build can mmap); a connection that has
+// taken shmPromoteAfter replies asks for one in mid-stream (SHMREQ):
+// the server creates the segment file on tmpfs (shmDir), its path
+// travels in the reply, and the file is unlinked as soon as the client
+// has mapped it and said so (SHMRDY), or failed to, or gone away.
 
 // SocketPathFor derives the conventional unix socket path paired with
 // a TCP listen address: tdp-attr-<port>.sock in the system temp
@@ -43,9 +46,9 @@ var shmSegSeq atomic.Uint64
 
 // shmDir is where segment files are created: the host's tmpfs when it
 // has one, else the system temp directory beside the sockets. A
-// segment on a disk-backed temp directory costs every new connection a
+// segment on a disk-backed temp directory costs a promotion a
 // file-system journal's worth of create, truncate and unlink (~250 µs
-// where tmpfs takes ~12 µs) for a file that exists only between HELLO
+// where tmpfs takes ~12 µs) for a file that exists only between SHMREQ
 // and the client mapping it, and whose pages never need to reach a
 // disk.
 var shmDir = sync.OnceValue(func() string {
@@ -101,7 +104,9 @@ func isLoopbackHost(host string) bool {
 	return ip != nil && ip.IsLoopback()
 }
 
-// AutoDial is the default DialFunc: "unix:/path" dials that socket
+// AutoDial is the default DialFunc, and its rule is "same host → unix
+// socket" (what rides the connection later is the connection's own
+// business, see shmPromoteAfter): "unix:/path" dials that socket
 // directly; a loopback TCP address first tries the conventional
 // same-host socket (SocketPathFor) and falls back to TCP when no local
 // daemon is listening there — including when a stale socket file from

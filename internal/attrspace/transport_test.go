@@ -451,9 +451,9 @@ func TestServerMutationsFeedChangeLog(t *testing.T) {
 // Transport v3: the shared-memory ring cutover.
 
 // TestShmCutoverOverUnixSocket is the happy path: a client dialing the
-// unix socket negotiates shm, completes the cutover, and every kind of
-// traffic — purs, batches, chunked snapshots, events, pings — rides
-// the ring.
+// unix socket negotiates shm, earns its ring, and every kind of
+// traffic — puts, batches, chunked snapshots, events, pings — rides
+// it.
 func TestShmCutoverOverUnixSocket(t *testing.T) {
 	if !wire.ShmSupported() {
 		t.Skip("no shm transport on this platform")
@@ -472,9 +472,10 @@ func TestShmCutoverOverUnixSocket(t *testing.T) {
 	if !c.HasCap(wire.CapByteWin) {
 		t.Fatal("CapByteWin not granted")
 	}
-	if !c.ShmActive() {
-		t.Fatal("shm cutover did not complete")
+	if c.ShmActive() {
+		t.Fatal("a connection with one reply behind it is on a ring")
 	}
+	earnRing(t, c)
 
 	if err := c.Put("pid", "42"); err != nil {
 		t.Fatalf("Put over ring: %v", err)
@@ -503,9 +504,7 @@ func TestShmCutoverOverUnixSocket(t *testing.T) {
 
 	// Event fan-out: a second ring connection watches the first's puts.
 	watcher := dialT(t, bound, "job1")
-	if !watcher.ShmActive() {
-		t.Fatal("second connection did not cut over")
-	}
+	earnRing(t, watcher)
 	var events atomic.Int64
 	watcher.SetEventHandler(func(Event) { events.Add(1) })
 	if err := watcher.Subscribe(); err != nil {
@@ -560,10 +559,8 @@ func TestShmIdleRingsStopSpinning(t *testing.T) {
 	t.Cleanup(srv.Close)
 	a, b := dialT(t, unixAddr, "job1"), dialT(t, unixAddr, "job2")
 	for _, c := range []*Client{a, b} {
-		if !c.ShmActive() {
-			t.Fatal("shm cutover did not complete")
-		}
 		c.SetTelemetry(reg, nil)
+		earnRing(t, c)
 	}
 	remote, err := Dial(TCPDial, tcpAddr, "job3")
 	if err != nil {
@@ -592,49 +589,6 @@ func TestShmIdleRingsStopSpinning(t *testing.T) {
 	}
 	if parks := reg.Counter("wire.shm.parks").Value(); parks < 4*400 {
 		t.Errorf("wire.shm.parks = %d, want every idle wait of the last 400 cycles (>= %d) to be a park", parks, 4*400)
-	}
-}
-
-// TestShmShortConnectionsNeverSpin is the launch shape: a daemon joins,
-// does one op and leaves, fifty times over. A new ring has no arrivals
-// to justify a spin, and a spin it takes anyway is 100 µs during which
-// the peer's doorbell and every other socket in the process wait — so
-// neither end may waste one, on any of the connections.
-func TestShmShortConnectionsNeverSpin(t *testing.T) {
-	if !wire.ShmSupported() {
-		t.Skip("no shm transport on this platform")
-	}
-	sreg, creg := telemetry.NewRegistry(), telemetry.NewRegistry()
-	srv := NewServer()
-	srv.SetTelemetry(sreg, nil)
-	bound, err := srv.ListenAndServe("unix:" + filepath.Join(t.TempDir(), "tdp.sock"))
-	if err != nil {
-		t.Fatalf("ListenAndServe: %v", err)
-	}
-	t.Cleanup(srv.Close)
-	for i := 0; i < 50; i++ {
-		c, err := Dial(nil, bound, "job"+strconv.Itoa(i))
-		if err != nil {
-			t.Fatalf("Dial: %v", err)
-		}
-		if !c.ShmActive() {
-			t.Fatal("shm cutover did not complete")
-		}
-		c.SetTelemetry(creg, nil)
-		if err := c.Put("pid", "4242"); err != nil {
-			t.Fatalf("Put: %v", err)
-		}
-		c.Close()
-	}
-	for side, reg := range map[string]*telemetry.Registry{"server": sreg, "client": creg} {
-		if n := reg.Counter("wire.shm.spin.wasted").Value(); n != 0 {
-			t.Errorf("%s wasted %d spins over 50 one-op connections, want 0", side, n)
-		}
-	}
-	// The client's first park can come before its registry is attached;
-	// the server's cannot.
-	if n := sreg.Counter("wire.shm.parks").Value(); n < 50 {
-		t.Errorf("server parked %d times, want at least once per connection", n)
 	}
 }
 
@@ -673,73 +627,6 @@ func TestShmNotOfferedOverTCP(t *testing.T) {
 	}
 	if err := c.Put("k", "v"); err != nil {
 		t.Fatalf("Put: %v", err)
-	}
-}
-
-// TestShmFallbackWhenSegmentUnmappable: a server that grants shm but
-// hands out a segment path the client cannot map (gone, truncated,
-// wrong fs) must quietly end up on the plain socket path — the client
-// simply never sends SHMRDY. Driven with a scripted server so the
-// failure can be injected.
-func TestShmFallbackWhenSegmentUnmappable(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "fake.sock")
-	l, err := net.Listen("unix", path)
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	t.Cleanup(func() { l.Close() })
-	srvErr := make(chan error, 1)
-	go func() {
-		conn, err := l.Accept()
-		if err != nil {
-			srvErr <- err
-			return
-		}
-		defer conn.Close()
-		wc := wire.NewConn(conn)
-		m, err := wc.Recv()
-		if err != nil || m.Verb != "HELLO" {
-			srvErr <- fmt.Errorf("first frame = %v, %v", m, err)
-			return
-		}
-		// Grant shm with a segment path that does not exist.
-		if err := wc.Send(wire.NewMessage("OK").Set("id", m.Get("id")).
-			Set("caps", "mux,snapd,chunk,ping,bytewin,shm").
-			Set("shmfile", filepath.Join(t.TempDir(), "no-such-segment"))); err != nil {
-			srvErr <- err
-			return
-		}
-		// The client must carry on over the socket: the next frame is a
-		// regular request, not SHMRDY.
-		m, err = wc.Recv()
-		if err != nil {
-			srvErr <- err
-			return
-		}
-		if m.Verb == "SHMRDY" {
-			srvErr <- fmt.Errorf("client sent SHMRDY for an unmappable segment")
-			return
-		}
-		if m.Verb != "PING" {
-			srvErr <- fmt.Errorf("unexpected frame %v", m)
-			return
-		}
-		srvErr <- wc.Send(wire.NewMessage("PONG").Set("id", m.Get("id")))
-	}()
-
-	c, err := Dial(nil, "unix:"+path, "job1")
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	t.Cleanup(func() { c.Close() })
-	if c.ShmActive() {
-		t.Fatal("ShmActive over an unmappable segment")
-	}
-	if err := c.Ping(context.Background()); err != nil {
-		t.Fatalf("Ping on the socket fallback: %v", err)
-	}
-	if err := <-srvErr; err != nil {
-		t.Fatalf("scripted server: %v", err)
 	}
 }
 

@@ -327,8 +327,13 @@ func TestFigure4CondorFlow(t *testing.T) {
 
 // TestFigure6LaunchSteps runs the paper's Figure 5B job (adapted to
 // the test registry) and asserts the starter/tool TDP call sequence of
-// Figure 6: tdp_init → create(AP, paused) → create(tool) → put(pid) →
-// tool init/get/attach/continue.
+// Figure 6 as the partial order the figure draws: the starter's chain
+// (tdp_init → create(AP, paused) → create(tool) → put(pid) → exit
+// status) and the tool's (tdp_init → get → attach → continue) each in
+// order, joined only where one causes the other — the pid put lets the
+// tool attach, and the tool's continue lets the job run to its exit.
+// Whether the tool's tdp_init comes before or after the starter's put
+// is a race between two processes, and says nothing.
 func TestFigure6LaunchSteps(t *testing.T) {
 	rec := trace.New()
 	pool := newTestPool(t, 1, rec)
@@ -350,20 +355,22 @@ func TestFigure6LaunchSteps(t *testing.T) {
 		t.Errorf("exit = %v", st)
 	}
 
-	if err := rec.CheckOrder(
-		"starter:tdp_init",
-		"starter:tdp_create_process", // AP, paused
-		"starter:spawn_job",
-		"starter:tdp_create_process", // tool, run
-		"starter:spawn_tool",
-		"starter:tdp_put", // pid
-		"testtool:tdp_init",
-		"testtool:tdp_get",
-		"testtool:tdp_attach",
-		"testtool:tdp_continue_process",
-		"starter:job_exit",
-	); err != nil {
-		t.Error(err)
+	for _, chain := range [][]string{
+		{
+			"starter:tdp_init",
+			"starter:tdp_create_process", // AP, paused
+			"starter:spawn_job",
+			"starter:tdp_create_process", // tool, run
+			"starter:spawn_tool",
+			"starter:tdp_put", // pid
+			"starter:job_exit",
+		},
+		{"testtool:tdp_init", "testtool:tdp_get", "testtool:tdp_attach", "testtool:tdp_continue_process"},
+		{"starter:tdp_put", "testtool:tdp_attach", "testtool:tdp_continue_process", "starter:job_exit"},
+	} {
+		if err := rec.CheckOrder(chain...); err != nil {
+			t.Error(err)
+		}
 	}
 
 	// The AP must have been created paused (SuspendJobAtExec).

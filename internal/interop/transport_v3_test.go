@@ -8,6 +8,7 @@ import (
 	"net"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -21,13 +22,15 @@ import (
 // servers frozen at each transport generation, over the transports
 // where each pairing can occur in a real pool. Every cell must settle
 // on exactly the capability set both ends support and then serve the
-// same operations:
+// same operations — enough of them to earn a ring where one can be had,
+// and a server that did not grant shm must never see a SHMREQ:
 //
-//	v3 server, unix dial  → shm ring + byte windows
+//	v3 server, unix dial  → byte windows; shm ring once earned
 //	v3 server, tcp dial   → byte windows, no shm (client never offers it off-host)
 //	v2 server, unix dial  → mux/snapd/chunk/ping, message windows, no shm
 //	v1 server, unix dial  → bare v1 framing
 func TestTransportV3FallbackMatrix(t *testing.T) {
+	const puts = 150 // past the promotion threshold
 	v2caps := []string{wire.CapMux, wire.CapSnapd, wire.CapChunk, wire.CapPing, wire.CapCtxOp}
 	cases := []struct {
 		name     string
@@ -48,18 +51,21 @@ func TestTransportV3FallbackMatrix(t *testing.T) {
 			if tc.caps != nil {
 				srv.SetCaps(tc.caps...)
 			}
-			var addr string
-			var err error
+			network, laddr := "unix", filepath.Join(t.TempDir(), "lass.sock")
 			if tc.tcp {
-				addr, err = srv.ListenAndServe("127.0.0.1:0")
-			} else {
-				path := filepath.Join(t.TempDir(), "lass.sock")
-				addr, err = srv.ListenAndServe("unix:" + path)
+				network, laddr = "tcp", "127.0.0.1:0"
 			}
+			l, err := net.Listen(network, laddr)
 			if err != nil {
-				t.Fatalf("serve: %v", err)
+				t.Fatalf("listen: %v", err)
 			}
+			rl := &recListener{Listener: l}
+			go srv.Serve(rl)
 			defer srv.Close()
+			addr := l.Addr().String()
+			if !tc.tcp {
+				addr = "unix:" + laddr
+			}
 			dial := attrspace.DialFunc(nil)
 			if tc.tcp {
 				dial = attrspace.TCPDial
@@ -69,8 +75,11 @@ func TestTransportV3FallbackMatrix(t *testing.T) {
 				t.Fatalf("Dial: %v", err)
 			}
 			defer c.Close()
-			if got := c.ShmActive(); got != tc.wantShm {
-				t.Errorf("ShmActive = %v, want %v", got, tc.wantShm)
+			if c.ShmActive() {
+				t.Error("ShmActive straight after HELLO")
+			}
+			if got := c.HasCap(wire.CapShm); got != tc.wantShm {
+				t.Errorf("HasCap(shm) = %v, want %v", got, tc.wantShm)
 			}
 			if got := c.HasCap(wire.CapByteWin); got != tc.wantByte {
 				t.Errorf("HasCap(bytewin) = %v, want %v", got, tc.wantByte)
@@ -80,7 +89,7 @@ func TestTransportV3FallbackMatrix(t *testing.T) {
 			}
 			// The same operation script must work in every cell,
 			// whatever transport it landed on.
-			for i := 0; i < 50; i++ {
+			for i := 0; i < puts; i++ {
 				if err := c.Put(fmt.Sprintf("a%03d", i), "v"); err != nil {
 					t.Fatalf("Put: %v", err)
 				}
@@ -89,13 +98,34 @@ func TestTransportV3FallbackMatrix(t *testing.T) {
 				t.Fatalf("TryGet = %q, %v", v, err)
 			}
 			snap, _, err := c.SnapshotSeq(context.Background())
-			if err != nil || len(snap) != 50 {
-				t.Fatalf("SnapshotSeq = %d entries, %v; want 50", len(snap), err)
+			if err != nil || len(snap) != puts {
+				t.Fatalf("SnapshotSeq = %d entries, %v; want %d", len(snap), err, puts)
 			}
 			if tc.wantMux {
 				// Every mux-era server here also grants ping.
 				if err := c.Ping(context.Background()); err != nil {
 					t.Fatalf("Ping: %v", err)
+				}
+			}
+			if tc.wantShm {
+				// The promotion runs beside the requests; keep some coming
+				// until it lands.
+				for deadline := time.Now().Add(10 * time.Second); !c.ShmActive(); {
+					if err := c.Ping(context.Background()); err != nil {
+						t.Fatalf("Ping on the way to a ring: %v", err)
+					}
+					if time.Now().After(deadline) {
+						t.Fatal("connection never earned its ring")
+					}
+				}
+				return
+			}
+			if c.ShmActive() {
+				t.Error("ShmActive without a shm grant")
+			}
+			for i, frame := range splitFrames(t, rl.snapshot(0)) {
+				if m, err := wire.Decode(frame); err != nil || m.Verb == "SHMREQ" || m.Verb == "SHMRDY" {
+					t.Fatalf("frame %d from the client: %v, %v; a server that granted no shm must never see the promotion verbs", i, m, err)
 				}
 			}
 		})
@@ -169,9 +199,10 @@ func splitFrames(t *testing.T, data []byte) [][]byte {
 // TestTransportV3ClientBytesMatchV2 is the wire-identity half of the
 // fallback matrix: a shm-capable client talking to a server that
 // grants nothing must emit, after the HELLO, exactly the message
-// stream a client with no shm eligibility emits — the v3 machinery may
-// not leak a single byte (no SHMRDY, no doorbell traffic, no extra
-// fields) when the capability is not granted. The HELLO itself may
+// stream a client with no shm eligibility emits, however long the
+// connection lives — the v3 machinery may not leak a single byte (no
+// SHMREQ or SHMRDY, no doorbell traffic, no extra fields) when the
+// capability is not granted. The HELLO itself may
 // differ only in the shm token of the caps offer. Frames are compared
 // decoded because field order within a frame is map-iteration order;
 // splitFrames still proves the raw streams are pure length-prefixed
@@ -208,7 +239,7 @@ func TestTransportV3ClientBytesMatchV2(t *testing.T) {
 		if c.ShmActive() {
 			t.Fatal("shm active against a v1 server")
 		}
-		for i := 0; i < 5; i++ {
+		for i := 0; i < 120; i++ { // past the promotion threshold
 			if err := c.Put(fmt.Sprintf("k%d", i), "v"); err != nil {
 				t.Fatalf("Put: %v", err)
 			}
@@ -277,8 +308,8 @@ func TestTransportV3ClientBytesMatchV2(t *testing.T) {
 		if err != nil {
 			t.Fatalf("decode tcp frame %d: %v", i, err)
 		}
-		if um.Verb == "SHMRDY" || tm.Verb == "SHMRDY" {
-			t.Fatalf("frame %d: SHMRDY leaked onto a no-shm connection", i)
+		if strings.HasPrefix(um.Verb, "SHM") || strings.HasPrefix(tm.Verb, "SHM") {
+			t.Fatalf("frame %d: a promotion verb leaked onto a no-shm connection", i)
 		}
 		if um.Verb != tm.Verb || !reflect.DeepEqual(um.Fields, tm.Fields) {
 			t.Errorf("frame %d differs:\n  unix: %s %v\n  tcp:  %s %v",

@@ -482,9 +482,10 @@ const (
 	CapByteWin = "bytewin"
 	// CapShm: the shared-memory ring transport for same-host
 	// connections. Granted only when the server can see the client is
-	// local (unix socket); the framed protocol bootstraps over the
-	// socket and then both byte streams cut over to the mmap ring,
-	// with the socket retained as doorbell and liveness signal.
+	// local (unix socket). The grant maps nothing: the framed protocol
+	// runs over the socket until the client asks for a ring (SHMREQ),
+	// then both byte streams move onto the mmap ring in mid-stream, with
+	// the socket retained as doorbell and liveness signal.
 	CapShm = "shm"
 )
 

@@ -5,11 +5,12 @@
 // direction, carrying the exact same 4-byte-framed payloads the socket
 // carries — AppendEncode and DecodeInto never know the difference.
 // The existing connection's socket is kept as the bootstrap and
-// doorbell channel: the segment path travels in the HELLO reply, the
-// SHMRDY exchange serializes the cutover, and afterwards the socket
-// carries only single-byte wakeups (and, crucially, liveness — a dead
-// peer's socket closing is what unblocks parked ring waiters, which is
-// also where netsim/chaos interpose delay and kill).
+// doorbell channel: a connection that has earned a ring asks for one
+// in mid-stream (SHMREQ, answered with the segment path), the SHMRDY
+// exchange serializes the cutover, and afterwards the socket carries
+// only single-byte wakeups (and, crucially, liveness — a dead peer's
+// socket closing is what unblocks parked ring waiters, which is also
+// where netsim/chaos interpose delay and kill).
 //
 // Ring discipline: free-running uint64 head/tail cursors masked by a
 // power-of-two size, each cursor (and each park flag) alone on its own
@@ -24,8 +25,7 @@
 // finding no progress yields the scheduler for up to shmSpinBudget only
 // while its recent arrivals came closer together than that budget (a
 // ping-ponging pair then never touches the kernel); once several in a
-// row came later — and on a new ring, until the first one comes
-// sooner — it skips the spin, sets its park flag in the shared
+// row came later it skips the spin, sets its park flag in the shared
 // header, rechecks, and sleeps on the doorbell. The peer, after
 // publishing a cursor, rings the doorbell — one byte on the socket —
 // only when it observes the opposite park flag.
@@ -87,10 +87,8 @@ const (
 // budget or more apart the side parks at once, until the first arrival
 // that comes sooner. (One late arrival is not enough: a hot ring that
 // parks on every stray miss pays a stall on each way in and out.) A
-// new ring starts cold — it has no arrivals to show, and its first
-// wait is for a peer still busy with the handshake that created it —
-// so a connection that lives for a handful of ops never spins at all,
-// and one that goes on to trade messages is spinning from the second.
+// new ring needs no state of its own: only a connection that has
+// already traded a hundred messages over its socket is given one.
 const (
 	shmSpinBudget = 100 * time.Microsecond
 	shmColdAfter  = 4
@@ -236,7 +234,6 @@ func (s *ShmSegment) Endpoint(server bool, sock net.Conn) *ShmEndpoint {
 	a := s.half(shmOffA, shmHdrSize)
 	b := s.half(shmOffB, shmHdrSize+s.size)
 	e := &ShmEndpoint{seg: s, bell: newDoorbell(sock), now: shmNow}
-	e.rdw.late, e.wrw.late = shmColdAfter, shmColdAfter // no history, no spin
 	e.ctr.Store(&uncountedRing)
 	if server {
 		e.rd, e.wr = a, b
@@ -442,7 +439,14 @@ func newDoorbell(sock net.Conn) *doorbell {
 
 // start launches the reader that drains wakeup bytes and detects peer
 // death. Must run only once the framed protocol has left the socket.
+// It rings the bell once itself: a writer that filled the ring and
+// parked before this point may have had its wakeup byte read — behind
+// the last framed message — by the framed reader this one replaces.
 func (d *doorbell) start() {
+	d.mu.Lock()
+	d.gen.Add(1)
+	d.mu.Unlock()
+	d.cond.Broadcast()
 	go func() {
 		var buf [64]byte
 		for {

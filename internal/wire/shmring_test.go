@@ -442,10 +442,9 @@ func TestShmPingPongStaysInUserSpace(t *testing.T) {
 }
 
 // TestShmColdRingParksAtOnce walks one reader through the whole policy:
-// a new ring parks with no spin at all and stays that way while its
-// arrivals come late, the single early arrival arms spinning, an unpaid
-// spin is counted as wasted, and a run of late arrivals turns the ring
-// cold again.
+// a wasted spin, the run of late arrivals that turns the ring cold, a
+// park with no spin at all, and the single early arrival that re-arms
+// spinning.
 func TestShmColdRingParksAtOnce(t *testing.T) {
 	server, client, clk, sreg, creg := clockedPair(t)
 	// parked reports whether the reader has gone to sleep n times so
@@ -454,18 +453,16 @@ func TestShmColdRingParksAtOnce(t *testing.T) {
 		return func() bool { return ringCountsOf(sreg).parks == n }
 	}
 
-	// A new ring has earned no spin: its first empty Read goes straight
-	// to sleep without a look at the clock, and the write that comes
-	// has to ring the bell.
+	// A new ring spins. Nothing arrives and the budget runs out: one
+	// wasted spin, one park, and the late write has to ring the bell.
 	got := readOne(t, server)
-	eventually(t, "the new ring's reader to park", parked(1))
-	if c := ringCountsOf(sreg); c != (ringCounts{parks: 1}) {
-		t.Fatalf("new ring: %+v, want one park and no spin", c)
-	}
-	if n := clk.reads.Load(); n != 0 {
-		t.Fatalf("new ring read the clock %d times before parking, want 0 (no yield loop)", n)
-	}
+	reads := clk.reads.Load()
+	eventually(t, "the reader to spin", func() bool { return clk.reads.Load() >= reads+2 })
 	clk.advance(2 * shmSpinBudget)
+	eventually(t, "the reader to park", parked(1))
+	if c := ringCountsOf(sreg); c != (ringCounts{wasted: 1, parks: 1}) {
+		t.Fatalf("after an unpaid spin: %+v, want 1 wasted, 1 park", c)
+	}
 	if _, err := client.Write([]byte{'a'}); err != nil {
 		t.Fatal(err)
 	}
@@ -474,79 +471,54 @@ func TestShmColdRingParksAtOnce(t *testing.T) {
 		t.Fatalf("waking a parked reader rang %d doorbells, want 1", c.doorbells)
 	}
 
-	// Still late: the ring stays cold however long the run gets.
-	lateArrivals(t, clk, client, server, 2*shmColdAfter)
+	// That was one late arrival; the rest of the run makes the ring cold.
+	lateArrivals(t, clk, client, server, shmColdAfter-1)
+	before := ringCountsOf(sreg)
+	reads = clk.reads.Load()
 	got = readOne(t, server)
-	eventually(t, "the cold reader to park again", parked(2))
-	if c := ringCountsOf(sreg); c != (ringCounts{parks: 2}) {
-		t.Fatalf("ring spun while cold: %+v", c)
+	eventually(t, "the cold reader to park", parked(before.parks+1))
+	after := ringCountsOf(sreg)
+	if after.parks != before.parks+1 || after.wasted != before.wasted || after.rewarded != before.rewarded {
+		t.Fatalf("cold ring: %+v → %+v, want one park and no spin", before, after)
 	}
+	if n := clk.reads.Load() - reads; n != 0 {
+		t.Fatalf("cold ring read the clock %d times before parking, want 0 (no yield loop)", n)
+	}
+
+	// Still late: the ring stays cold however long the run gets.
 	clk.advance(2 * shmSpinBudget)
 	if _, err := client.Write([]byte{'b'}); err != nil {
 		t.Fatal(err)
 	}
 	<-got
 	got = readOne(t, server)
-	eventually(t, "the cold reader to park a third time", parked(3))
+	eventually(t, "the cold reader to park again", parked(before.parks+2))
+	if c := ringCountsOf(sreg); c.wasted != before.wasted || c.rewarded != before.rewarded {
+		t.Fatalf("ring spun while cold: %+v → %+v", before, c)
+	}
 
-	// One arrival sooner than the budget arms spinning: the next empty
-	// Read yields until its byte comes, and nobody touches the doorbell
-	// for it.
+	// One arrival sooner than the budget re-arms spinning: the next
+	// empty Read yields until its byte comes, and nobody touches the
+	// doorbell for it.
 	if _, err := client.Write([]byte{'c'}); err != nil {
 		t.Fatal(err)
 	}
 	<-got
 	before, bells := ringCountsOf(sreg), ringCountsOf(creg).doorbells
-	reads := clk.reads.Load()
+	reads = clk.reads.Load()
 	got = readOne(t, server)
-	eventually(t, "the armed reader to spin", func() bool { return clk.reads.Load() >= reads+2 })
+	eventually(t, "the re-armed reader to spin", func() bool { return clk.reads.Load() >= reads+2 })
 	if _, err := client.Write([]byte{'d'}); err != nil {
 		t.Fatal(err)
 	}
 	<-got
-	after := ringCountsOf(sreg)
+	after = ringCountsOf(sreg)
 	if after.rewarded != before.rewarded+1 || after.parks != before.parks || after.wasted != before.wasted {
-		t.Fatalf("armed ring: %+v → %+v, want one rewarded spin and no park", before, after)
+		t.Fatalf("re-armed ring: %+v → %+v, want one rewarded spin and no park", before, after)
 	}
 	if n := ringCountsOf(creg).doorbells; n != bells {
 		t.Fatalf("writer rang %d doorbells for a spinning reader", n-bells)
 	}
-
-	// An armed ring spins. Nothing arrives and the budget runs out: one
-	// wasted spin, then the park.
-	before = after
-	reads = clk.reads.Load()
-	got = readOne(t, server)
-	eventually(t, "the reader to spin", func() bool { return clk.reads.Load() >= reads+2 })
-	clk.advance(2 * shmSpinBudget)
-	eventually(t, "the reader to park", parked(before.parks+1))
-	if c := ringCountsOf(sreg); c.wasted != before.wasted+1 || c.rewarded != before.rewarded {
-		t.Fatalf("after an unpaid spin: %+v → %+v, want one more wasted", before, c)
-	}
-	if _, err := client.Write([]byte{'e'}); err != nil {
-		t.Fatal(err)
-	}
-	<-got
-
-	// That was one late arrival; the rest of the run makes the ring
-	// cold, and it parks at once as it did when it was new.
-	lateArrivals(t, clk, client, server, shmColdAfter-1)
-	before = ringCountsOf(sreg)
-	reads = clk.reads.Load()
-	got = readOne(t, server)
-	eventually(t, "the cold reader to park", parked(before.parks+1))
-	after = ringCountsOf(sreg)
-	if after.wasted != before.wasted || after.rewarded != before.rewarded {
-		t.Fatalf("cold ring: %+v → %+v, want one park and no spin", before, after)
-	}
-	if n := clk.reads.Load() - reads; n != 0 {
-		t.Fatalf("cold ring read the clock %d times before parking, want 0 (no yield loop)", n)
-	}
-	clk.advance(2 * shmSpinBudget)
-	if _, err := client.Write([]byte{'f'}); err != nil {
-		t.Fatal(err)
-	}
-	<-got
 }
 
 // TestShmCountersThroughConn: Conn.InstrumentRegistry reaches the ring
@@ -561,7 +533,9 @@ func TestShmCountersThroughConn(t *testing.T) {
 		if !swapFirst {
 			sc.InstrumentRegistry(reg)
 		}
-		sc.SwapWrite(server)
+		if err := sc.SendSwap(NewMessage("SHMRDY"), server); err != nil {
+			t.Fatal(err)
+		}
 		sc.SwapRead(server)
 		if swapFirst {
 			sc.InstrumentRegistry(reg)
@@ -578,8 +552,8 @@ func TestShmCountersThroughConn(t *testing.T) {
 		if err := <-got; err != nil {
 			t.Fatal(err)
 		}
-		if c := ringCountsOf(reg); c != (ringCounts{parks: 1}) {
-			t.Errorf("swapFirst=%v: registry saw %+v, want the new ring's one park and no spin", swapFirst, c)
+		if c := ringCountsOf(reg); c.parks != 1 || c.wasted != 1 {
+			t.Errorf("swapFirst=%v: registry saw %+v, want 1 park after 1 wasted spin", swapFirst, c)
 		}
 	}
 }

@@ -101,8 +101,8 @@ func init() {
 		// Transport v2 verbs: delta snapshots, flow-control window
 		// updates, and wire-level liveness probes.
 		"SNAPD", "DELTA", "WINUP", "PING", "PONG",
-		// Transport v3: the client's shared-memory cutover request.
-		"SHMRDY",
+		// Transport v3: the client's shared-memory promotion requests.
+		"SHMREQ", "SHMRDY",
 		// Common field keys.
 		"id", "attr", "value", "context", "error", "daemon", "json",
 		"n", "seq", "op", "who", "lost", "seqs", "reason", "conn",
@@ -561,7 +561,7 @@ func (c *Conn) Underlying() io.ReadWriter { return c.rw }
 func (c *Conn) Detach() io.Reader { return c.br }
 
 // SwapRead replaces the connection's read side with r. It is the
-// receive half of a transport cutover (the shm upgrade): the Conn —
+// receive half of a transport cutover (the shm promotion): the Conn —
 // and any Mux layered on it — keeps its identity while the bytes start
 // arriving from somewhere else. The caller must guarantee that no
 // framed bytes remain on (or will ever again arrive from) the old
@@ -575,16 +575,25 @@ func (c *Conn) SwapRead(r io.Reader) {
 	c.noteRing(r)
 }
 
-// SwapWrite replaces the connection's write side with w, the transmit
-// half of a transport cutover. Safe at any time with respect to
-// concurrent Sends (the write mutex orders the swap against them); the
-// caller's protocol must guarantee the peer is ready to read from the
-// new stream before anything is sent on it.
-func (c *Conn) SwapWrite(w io.Writer) {
+// SendSwap is the transmit half of a transport cutover: it frames m,
+// writes it — together with every frame an open Cork is holding, so
+// whatever the cork depth — to the current writer, and installs w, all
+// under the write mutex. m is thus the last framed byte the old stream
+// carries and every later Send, from any goroutine, corked or not,
+// lands on w. Nothing waits for the peer here; the caller's protocol
+// must guarantee the peer reads w once it has seen m.
+func (c *Conn) SendSwap(m *Message, w io.Writer) error {
+	size := m.EncodedSize()
+	if size > MaxFrameSize {
+		return ErrFrameTooLarge
+	}
 	c.wmu.Lock()
+	c.appendFrameLocked(m, size)
+	err := c.flushLocked() // a failed write has killed the stream either way
 	c.w = w
 	c.wmu.Unlock()
 	c.noteRing(w)
+	return err
 }
 
 // Send frames and writes one message. Header and payload go out in a
@@ -598,15 +607,21 @@ func (c *Conn) Send(m *Message) error {
 	}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
+	c.appendFrameLocked(m, size)
+	if c.corked > 0 {
+		return nil
+	}
+	return c.flushLocked()
+}
+
+// appendFrameLocked appends m's frame (size is its EncodedSize) to the
+// write buffer. Callers hold wmu.
+func (c *Conn) appendFrameLocked(m *Message, size int) {
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], uint32(size))
 	c.wbuf = append(c.wbuf, hdr[:]...)
 	c.wbuf = m.AppendEncode(c.wbuf)
 	c.pending++
-	if c.corked > 0 {
-		return nil
-	}
-	return c.flushLocked()
 }
 
 // Flush writes out any frames buffered by an enclosing Cork without

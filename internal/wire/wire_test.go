@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -206,6 +207,113 @@ func TestConnConcurrentSenders(t *testing.T) {
 		if seen[s] != per {
 			t.Errorf("sender %d delivered %d messages, want %d", s, seen[s], per)
 		}
+	}
+}
+
+// lockedBuffer is a bytes.Buffer two goroutines may touch.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) Len() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Len()
+}
+
+// TestConnSendSwapIsOneStep is the transport cutover's invariant: with a
+// cork open (an event burst in progress) and another goroutine sending
+// all the while, SendSwap puts every frame sent before the marked one,
+// and the marked one, on the old writer — at once, whatever the cork
+// depth — and every frame sent after it on the new writer. No frame is
+// split, lost, repeated or reordered across the swap.
+func TestConnSendSwapIsOneStep(t *testing.T) {
+	var old, ring lockedBuffer
+	c := NewConn(struct {
+		io.Reader
+		io.Writer
+	}{strings.NewReader(""), &old})
+	c.Cork()
+	stop := make(chan struct{})
+	sent := make(chan int, 1)
+	go func() {
+		i := 0
+		defer func() { sent <- i }()
+		for ; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := c.Send(NewMessage("N").SetInt("i", i)); err != nil {
+				t.Errorf("Send: %v", err)
+				return
+			}
+			if i%64 == 63 {
+				c.Flush() // as a mux sender does before blocking on a window
+			}
+		}
+	}()
+	for old.Len() == 0 { // let the sender get going before the swap
+		runtime.Gosched()
+	}
+	if err := c.SendSwap(NewMessage("MARK"), &ring); err != nil {
+		t.Fatalf("SendSwap: %v", err)
+	}
+	atSwap := old.Len()
+	for ring.Len() == 0 { // and carry on after it
+		runtime.Gosched()
+	}
+	close(stop)
+	total := <-sent
+	if err := c.Uncork(); err != nil {
+		t.Fatalf("Uncork: %v", err)
+	}
+	if old.Len() != atSwap {
+		t.Fatalf("old writer grew from %d to %d bytes after the swap", atSwap, old.Len())
+	}
+
+	next := 0
+	drain := func(name string, buf *lockedBuffer, wantMark bool) {
+		rc := NewConn(&buf.b)
+		for {
+			m, err := rc.Recv()
+			if err == io.EOF {
+				if wantMark {
+					t.Fatalf("%s writer: no MARK frame", name)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("%s writer: frame %d: %v", name, next, err)
+			}
+			if m.Verb == "MARK" {
+				if _, err := rc.Recv(); !wantMark || err != io.EOF {
+					t.Fatalf("%s writer: MARK (expected there: %v) followed by %v, want EOF", name, wantMark, err)
+				}
+				return
+			}
+			if got := m.Int("i", -1); got != next {
+				t.Fatalf("%s writer: frame %d where %d was due", name, got, next)
+			}
+			next++
+		}
+	}
+	drain("old", &old, true)
+	if next == 0 {
+		t.Fatal("no frame preceded the swap")
+	}
+	before := next
+	drain("new", &ring, false)
+	if next == before || next != total {
+		t.Fatalf("%d frames before the swap, %d after, %d sent", before, next-before, total)
 	}
 }
 
