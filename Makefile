@@ -15,6 +15,10 @@
 # re-runs just the same-host transport ladder (tcp / unix socket /
 # shm ring) and folds the trio into BENCH_attrspace.json in place.
 #
+# `make loc` prints the size of the non-test Go source (raw and code
+# lines) for the protocol core and for the root module
+# (scripts/coreloc.sh): core LOC is tracked the way ns/op is.
+#
 # `make scenario-smoke` runs the pre-built pool scenarios at smoke
 # scale under the race detector (part of tier1). `make scenario` is
 # the full tier — 10k+ host planes, shard loss under load, churn and
@@ -29,7 +33,7 @@ GO ?= go
 # The hot-path suite tracked in BENCH_attrspace.json: attribute space
 # round trips, the wire codec micro-benchmarks, the scaling suite
 # (sharded many-context fan-out, LASS global read cache, proxy relay),
-# and the transport-v2 suite (same-host unix fast path, delta resync,
+# and the transport suite (same-host unix fast path, delta resync,
 # mux fan-out). The parallel contention benchmark (AttrSpaceClients)
 # stays out of the tracked set: RunParallel numbers swing 20%+ run to
 # run on shared machines, which would make the benchdiff gate flaky.
@@ -50,7 +54,7 @@ TDP_CHAOS_SEED ?= 1
 # (flag > TDP_SCENARIO_SEED env > 1).
 TDP_SCENARIO_SEED ?= 1
 
-.PHONY: all tier1 vet build test race chaos fuzz bench benchdiff bench-samehost bench-smoke scenario scenario-smoke scenariodiff
+.PHONY: all tier1 vet build test race chaos fuzz bench benchdiff bench-samehost bench-smoke scenario scenario-smoke scenariodiff loc
 
 all: tier1
 
@@ -74,6 +78,9 @@ scenario:
 
 scenariodiff:
 	scripts/scenariodiff.sh
+
+loc:
+	@scripts/coreloc.sh
 
 vet:
 	$(GO) vet ./...

@@ -1,12 +1,12 @@
 package tdp_test
 
-// Transport v2/v3 benchmarks (EXPERIMENTS.md): the same-host transport
+// Transport benchmarks (EXPERIMENTS.md): the same-host transport
 // ladder (loopback TCP, unix socket, shared-memory ring), delta resync
 // (SNAPD) bytes against a full snapshot for a small gap in a large
-// context, and event latency under a concurrent bulk snapshot with and
-// without stream multiplexing. The first two back PR acceptance
-// criteria: shm beats unix beats TCP on the put round trip, and resync
-// bytes are proportional to the gap, not the context.
+// context, and event latency under a concurrent chunked bulk snapshot.
+// The first two back PR acceptance criteria: shm beats unix beats TCP
+// on the put round trip, and resync bytes are proportional to the gap,
+// not the context.
 
 import (
 	"context"
@@ -21,16 +21,14 @@ import (
 )
 
 func BenchmarkSameHostPut(b *testing.B) {
-	// grantShm toggles the server capability; wantShm asserts what the
+	// grantShm is the server's SetShm; wantShm asserts what the
 	// client is actually riding when the clock starts, after a warm-up
 	// long enough to earn a ring where one is to be had, so the
 	// sub-benchmark names stay honest (the unix row must not silently
 	// ride the ring, nor the shm row the socket).
 	run := func(b *testing.B, dial attrspace.DialFunc, grantShm, wantShm bool) {
 		srv := attrspace.NewServer()
-		if !grantShm {
-			srv.SetCaps(attrspace.CapsWithoutShm(srv.Caps())...)
-		}
+		srv.SetShm(grantShm)
 		addr, err := srv.ListenAndServe("127.0.0.1:0")
 		if err != nil {
 			b.Fatalf("serve: %v", err)
@@ -155,16 +153,12 @@ func BenchmarkSessionResync(b *testing.B) {
 
 func BenchmarkMuxFanout(b *testing.B) {
 	// Event latency while a bulk snapshot streams on the same
-	// connection. Without the mux the whole snapshot is one inline
-	// frame and a concurrent event waits behind it; with mux + chunking
-	// the event interleaves between bulk-stream parts. The event-wait
-	// metric is the one to compare across the two sub-benchmarks.
+	// connection: the snapshot goes out in chunks on the bulk stream and
+	// the event interleaves between its parts. The event-wait metric is
+	// the one to watch.
 	const size = 5000
-	run := func(b *testing.B, v1 bool) {
+	b.Run("mux", func(b *testing.B) {
 		srv := attrspace.NewServer()
-		if v1 {
-			srv.SetCaps()
-		}
 		addr, err := srv.ListenAndServe("127.0.0.1:0")
 		if err != nil {
 			b.Fatalf("serve: %v", err)
@@ -217,7 +211,5 @@ func BenchmarkMuxFanout(b *testing.B) {
 		}
 		b.StopTimer()
 		b.ReportMetric(float64(eventWait)/float64(b.N), "event-ns/op")
-	}
-	b.Run("v1", func(b *testing.B) { run(b, true) })
-	b.Run("mux", func(b *testing.B) { run(b, false) })
+	})
 }

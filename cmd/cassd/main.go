@@ -40,13 +40,11 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 5*time.Second, "graceful shutdown bound: announce CLOSE to clients and finish in-flight replies for up to this long before closing (0 closes immediately)")
 	debugAddr := flag.String("debug-addr", "", "serve pprof, /metrics, and /stats.json over HTTP on this address (empty disables)")
 	shard := flag.String("shard", "", "serve as shard i of an n-way partitioned CASS (\"i/n\", 0-based); contexts hashing to other shards are refused")
-	shm := flag.Bool("shm", true, "grant the shared-memory ring transport to same-host clients (unix-socket connections are promoted to an mmap ring pair once their traffic has paid for one); -shm=false keeps every client on the socket byte stream")
+	shm := flag.Bool("shm", true, "let same-host clients be promoted to the shared-memory ring transport (unix-socket connections are promoted to an mmap ring pair once their traffic has paid for one); -shm=false keeps every client on the socket byte stream")
 	flag.Parse()
 
 	srv := attrspace.NewServer()
-	if !*shm {
-		srv.SetCaps(attrspace.CapsWithoutShm(srv.Caps())...)
-	}
+	srv.SetShm(*shm)
 	srv.SetLogger(telemetry.NewLogger(os.Stderr, telemetry.ParseLevel(*logLevel), "cassd"))
 	srv.SetTelemetry(telemetry.NewRegistry(), telemetry.NewTracer("cassd"))
 	srv.SetEventBuffer(*eventBuf)

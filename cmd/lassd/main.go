@@ -54,13 +54,11 @@ func main() {
 	eventBuf := flag.Int("event-buffer", attrspace.DefaultEventBuffer, "per-subscriber event ring size")
 	drainTimeout := flag.Duration("drain-timeout", 5*time.Second, "graceful shutdown bound: announce CLOSE to clients and finish in-flight replies for up to this long before closing (0 closes immediately)")
 	debugAddr := flag.String("debug-addr", "", "serve pprof, /metrics, and /stats.json over HTTP on this address (empty disables)")
-	shm := flag.Bool("shm", true, "grant the shared-memory ring transport to same-host clients (unix-socket connections are promoted to an mmap ring pair once their traffic has paid for one); -shm=false keeps every client on the socket byte stream")
+	shm := flag.Bool("shm", true, "let same-host clients be promoted to the shared-memory ring transport (unix-socket connections are promoted to an mmap ring pair once their traffic has paid for one); -shm=false keeps every client on the socket byte stream")
 	flag.Parse()
 
 	srv := attrspace.NewServer()
-	if !*shm {
-		srv.SetCaps(attrspace.CapsWithoutShm(srv.Caps())...)
-	}
+	srv.SetShm(*shm)
 	srv.SetLogger(telemetry.NewLogger(os.Stderr, telemetry.ParseLevel(*logLevel), "lassd"))
 	srv.SetTelemetry(telemetry.NewRegistry(), telemetry.NewTracer("lassd"))
 	srv.SetEventBuffer(*eventBuf)

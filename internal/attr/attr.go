@@ -198,11 +198,28 @@ func (s *Space) shardFor(name string) *shard {
 // context and all its attributes are destroyed when the last reference
 // leaves, mirroring tdp_exit semantics.
 func (s *Space) Join(name string) *Ref {
+	ref, _ := s.join(name, true)
+	return ref
+}
+
+// JoinExisting enters the named context only when somebody already
+// holds it, reporting false (and joining nothing) otherwise. The
+// existence check and the join are one shard-lock hold, so a caller can
+// never create — or write into and then destroy — a context whose last
+// holder left between the two.
+func (s *Space) JoinExisting(name string) (*Ref, bool) {
+	return s.join(name, false)
+}
+
+func (s *Space) join(name string, create bool) (*Ref, bool) {
 	sh := s.shardFor(name)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	c := sh.contexts[name]
 	if c == nil {
+		if !create {
+			return nil, false
+		}
 		c = &spaceContext{
 			name:    name,
 			sh:      sh,
@@ -213,7 +230,7 @@ func (s *Space) Join(name string) *Ref {
 		sh.contexts[name] = c
 	}
 	c.refs++
-	return &Ref{space: s, ctx: c}
+	return &Ref{space: s, ctx: c}, true
 }
 
 // Contexts returns the names of live contexts, sorted.

@@ -416,13 +416,21 @@ func TestConcurrentClients(t *testing.T) {
 	}
 }
 
+// rawCall sends a request no Client method would — an unknown verb,
+// missing or extra fields — on c and returns the reply.
+func rawCall(t *testing.T, c *Client, m *wire.Message) *wire.Message {
+	t.Helper()
+	reply, err := c.call(context.Background(), &opSpec{verb: m.Verb}, m)
+	if err != nil {
+		t.Fatalf("%s: transport error: %v", m.Verb, err)
+	}
+	return reply
+}
+
 func TestHelloTwiceRejected(t *testing.T) {
 	_, addr := startServer(t)
 	c := dialT(t, addr, "j")
-	reply, err := c.call(context.Background(), "HELLO", wire.NewMessage("HELLO").Set("context", "other"))
-	if err != nil {
-		t.Fatalf("second HELLO transport error: %v", err)
-	}
+	reply := rawCall(t, c, wire.NewMessage("HELLO").Set("context", "other").Set("rev", ProtocolRevision))
 	if reply.Verb != "ERROR" {
 		t.Errorf("second HELLO verb = %s, want ERROR", reply.Verb)
 	}
@@ -431,10 +439,7 @@ func TestHelloTwiceRejected(t *testing.T) {
 func TestUnknownVerbRejected(t *testing.T) {
 	_, addr := startServer(t)
 	c := dialT(t, addr, "j")
-	reply, err := c.call(context.Background(), "BOGUS", wire.NewMessage("BOGUS"))
-	if err != nil {
-		t.Fatalf("transport error: %v", err)
-	}
+	reply := rawCall(t, c, wire.NewMessage("BOGUS"))
 	if reply.Verb != "ERROR" {
 		t.Errorf("verb = %s, want ERROR", reply.Verb)
 	}

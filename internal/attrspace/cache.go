@@ -10,7 +10,7 @@ import (
 	"tdp/internal/telemetry"
 )
 
-// GlobalCache is the LASS side of the G* global-forwarding verbs: a
+// GlobalCache is the LASS side of the global-scope verbs (GPUT, GGET, …): a
 // read-through, subscription-invalidated cache of CASS attributes.
 //
 // The paper's LASS/CASS split (§3.2) puts one attribute space server
@@ -74,8 +74,8 @@ type CacheConfig struct {
 	ShardHeartbeat time.Duration
 }
 
-// EnableGlobalCache turns this server into a caching LASS: the G*
-// verbs forward to the CASS(es) at cassAddr — a single endpoint or a
+// EnableGlobalCache turns this server into a caching LASS: the
+// global-scope verbs forward to the CASS(es) at cassAddr — a single endpoint or a
 // comma-separated shard list ("host1:7170,host2:7170") — through a
 // GlobalCache. Call once, before serving traffic; the cache closes
 // with the server. With more than one shard, `STATS scope=tree` on
@@ -143,9 +143,6 @@ func (gc *GlobalCache) shard(contextName string) *shardConn {
 	return gc.conns[gc.shards.ShardFor(contextName)]
 }
 
-// shardAt returns shard i's connection state.
-func (gc *GlobalCache) shardAt(i int) *shardConn { return gc.conns[i] }
-
 func (gc *GlobalCache) isClosed() bool {
 	gc.mu.Lock()
 	defer gc.mu.Unlock()
@@ -168,9 +165,6 @@ func (gc *GlobalCache) healthLoop() {
 		}
 	}
 }
-
-// GlobalCacheEnabled reports whether this server forwards G* verbs.
-func (s *Server) GlobalCacheEnabled() bool { return s.gcache.Load() != nil }
 
 // centry is one cached attribute: its value and CASS seq, or a
 // tombstone (dead) recording a deletion. Tombstones matter: they stop
@@ -428,12 +422,7 @@ func (gc *GlobalCache) Put(ctx context.Context, contextName, attribute, value st
 	if err != nil {
 		return 0, err
 	}
-	sh := gc.shard(contextName)
-	seq, err := sh.put(ctx, contextName, attribute, value)
-	if errors.Is(err, errNoCtxOp) {
-		sh.cFallback.Inc()
-		seq, err = cc.up.PutV(ctx, attribute, value)
-	}
+	seq, err := gc.shard(contextName).put(ctx, contextName, attribute, value)
 	if err != nil {
 		return 0, err
 	}
@@ -449,20 +438,13 @@ func (gc *GlobalCache) PutBatch(ctx context.Context, contextName string, pairs [
 	if err != nil {
 		return 0, err
 	}
-	sh := gc.shard(contextName)
-	last, err := sh.putBatch(ctx, contextName, pairs)
-	if errors.Is(err, errNoCtxOp) {
-		sh.cFallback.Inc()
-		last, err = cc.up.PutBatchV(ctx, pairs)
-	}
+	last, err := gc.shard(contextName).putBatch(ctx, contextName, pairs)
 	if err != nil {
 		return 0, err
 	}
-	if last > 0 {
-		first := last - uint64(len(pairs)) + 1
-		for i, p := range pairs {
-			cc.store(p.Key, p.Value, first+uint64(i), false)
-		}
+	first := last - uint64(len(pairs)) + 1
+	for i, p := range pairs {
+		cc.store(p.Key, p.Value, first+uint64(i), false)
 	}
 	return last, nil
 }
@@ -484,12 +466,7 @@ func (gc *GlobalCache) TryGet(ctx context.Context, contextName, attribute string
 		return v, seq, nil
 	}
 	tel.cacheMiss.Inc()
-	sh := gc.shard(contextName)
-	v, seq, err := sh.tryGet(ctx, contextName, attribute)
-	if errors.Is(err, errNoCtxOp) {
-		sh.cFallback.Inc()
-		v, seq, err = cc.up.TryGetV(ctx, attribute)
-	}
+	v, seq, err := gc.shard(contextName).tryGet(ctx, contextName, attribute)
 	if err != nil {
 		return "", 0, err
 	}
@@ -531,12 +508,7 @@ func (gc *GlobalCache) Delete(ctx context.Context, contextName, attribute string
 	if err != nil {
 		return 0, err
 	}
-	sh := gc.shard(contextName)
-	seq, err := sh.delete(ctx, contextName, attribute)
-	if errors.Is(err, errNoCtxOp) {
-		sh.cFallback.Inc()
-		seq, err = cc.up.DeleteV(ctx, attribute)
-	}
+	seq, err := gc.shard(contextName).delete(ctx, contextName, attribute)
 	if err != nil {
 		return 0, err
 	}

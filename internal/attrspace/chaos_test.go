@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -34,12 +35,18 @@ func chaosSeed(t *testing.T) int64 {
 }
 
 // restartable is an attribute server that can be killed and rebound on
-// the same TCP address with its attribute space (and therefore context
-// seqs) intact — the shape of a daemon crash + supervisor restart.
+// the same address with its attribute space (and therefore context
+// seqs) intact — the shape of a daemon crash + supervisor restart. The
+// address is a unix socket in the test's own directory, served with
+// shm off so connections stay on the socket: a TCP port is the
+// machine's to hand to another test process while the daemon is down,
+// and a session that reconnects to somebody else's server sees a
+// context restart that never happened.
 type restartable struct {
 	t     *testing.T
 	space *attr.Space
-	addr  string
+	path  string
+	addr  string // "unix:" + path; AutoDial takes it
 
 	mu  sync.Mutex
 	srv *Server
@@ -47,14 +54,9 @@ type restartable struct {
 
 func newRestartable(t *testing.T) *restartable {
 	t.Helper()
-	r := &restartable{t: t, space: attr.NewSpace()}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	r.addr = l.Addr().String()
-	r.srv = NewServerWithSpace(r.space)
-	go r.srv.Serve(l)
+	r := &restartable{t: t, space: attr.NewSpace(), path: filepath.Join(t.TempDir(), "r.sock")}
+	r.addr = "unix:" + r.path
+	r.restart()
 	t.Cleanup(func() {
 		r.mu.Lock()
 		defer r.mu.Unlock()
@@ -80,23 +82,16 @@ func (r *restartable) drain(timeout time.Duration) {
 	srv.Shutdown(ctx)
 }
 
-// restart rebinds a fresh server on the same address and space.
+// restart binds a fresh server on the same address and space.
 func (r *restartable) restart() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var l net.Listener
-	var err error
-	for i := 0; i < 200; i++ {
-		l, err = net.Listen("tcp", r.addr)
-		if err == nil {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	l, err := net.Listen("unix", r.path)
 	if err != nil {
-		r.t.Fatalf("rebind %s: %v", r.addr, err)
+		r.t.Fatalf("bind %s: %v", r.path, err)
 	}
 	r.srv = NewServerWithSpace(r.space)
+	r.srv.SetShm(false)
 	go r.srv.Serve(l)
 }
 
@@ -208,7 +203,7 @@ func TestChaosSessionConvergence(t *testing.T) {
 		Latency:       time.Millisecond,
 	})
 	cfg := SessionConfig{
-		Dial:        chaos.Dial(TCPDial),
+		Dial:        chaos.Dial(AutoDial),
 		Addr:        r.addr,
 		Context:     "chaos",
 		Backoff:     Backoff{Initial: 5 * time.Millisecond, Max: 80 * time.Millisecond, Factor: 2, Jitter: 0.5},
@@ -558,7 +553,7 @@ func TestChaosShardKill(t *testing.T) {
 	}
 }
 
-// TestChaosShmRingKill covers fault injection on the transport-v3
+// TestChaosShmRingKill covers fault injection on the
 // ring. The injector interposes on the doorbell socket — the only
 // kernel object a cut-over connection still owns — so killing or
 // delaying that socket is exactly how chaos reaches a ring: CutAll

@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"tdp/internal/attr"
@@ -44,14 +43,6 @@ type DialFunc func(addr string) (net.Conn, error)
 // is AutoDial, which prefers the same-host unix socket for loopback
 // endpoints; pass TCPDial explicitly to force TCP.
 func TCPDial(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
-
-// clientCaps are the transport capabilities this client offers in
-// HELLO; the server grants the intersection with its own. CapShm is
-// offered separately, only when the dialed connection is provably
-// same-host (see dialWithCaps), and a grant only makes the connection
-// eligible for a ring: it starts on the socket and asks for one when
-// its traffic has paid for it (see shmPromoteAfter).
-var clientCaps = []string{wire.CapMux, wire.CapSnapd, wire.CapChunk, wire.CapPing, wire.CapByteWin}
 
 // Event is a pushed attribute change received after Subscribe.
 type Event struct {
@@ -96,36 +87,28 @@ type Client struct {
 	onClose func(error)
 	subbed  bool
 
-	// Transport v2 state, fixed once HELLO's OK lands: the granted
-	// capability set, the stream mux (nil on a v1 connection), and the
-	// reassembly buffer for chunked bulk replies, keyed by request id.
-	caps   map[string]bool
+	// The stream mux, and the reassembly buffer for chunked bulk
+	// replies, keyed by request id.
 	mux    *wire.Mux
 	chunks map[string][]*wire.Message
 
-	// Transport v3 promotion state. replies counts what the read loop
-	// has delivered; reaching shmPromoteAfter starts promote, once.
+	// Promotion state. shmOK is HELLO's answer: this connection may be
+	// promoted to a ring. replies counts what the read loop has
+	// delivered; reaching shmPromoteAfter starts promote, once.
 	// shmSwapID names the in-flight SHMRDY request: when its OK arrives,
-	// the read loop activates the ring endpoint and swaps the conn's read
-	// side onto it BEFORE delivering the reply — the very next frame
-	// already arrives over shared memory. Registered under mu by the same
-	// send that registers the pending-reply slot, so the reply can never
-	// race the registration.
+	// the read loop swaps the conn's read side onto the ring BEFORE
+	// delivering the reply. Registered under mu by the send that
+	// registers the pending slot, so the reply cannot race it.
+	shmOK     bool
 	replies   uint64
 	shmSwapID string
 	shmSwapEP *wire.ShmEndpoint
 	shmActive bool
 
 	// Async-put coalescing state: queued puts accumulate in putq while
-	// a flush is in flight and leave as one MPUT. noMPUT flips on when
-	// the server answers MPUT with an unknown-verb error (an older
-	// peer); from then on batches fall back to pipelined PUTs. noSNAPD
-	// is the same latch for the delta-snapshot verb — belt and braces
-	// on top of capability negotiation.
+	// a flush is in flight and leave as one MPUT.
 	putq     []pendingPut
 	flushing bool
-	noMPUT   atomic.Bool
-	noSNAPD  atomic.Bool
 
 	// Optional telemetry, installed by SetTelemetry. reg counts
 	// per-verb ops and latencies under "client.*"; tracer starts a
@@ -145,15 +128,9 @@ func Dial(dial DialFunc, addr, contextName string) (*Client, error) {
 // covers the HELLO round trip, so a server that accepts connections
 // but never replies (hung, not dead) cannot wedge the caller. The
 // fault supervisor's service pings and the Session reconnect loop
-// depend on this bound.
+// depend on this bound. A peer that does not speak ProtocolRevision
+// fails the dial with ErrProtocolRevision.
 func DialCtx(ctx context.Context, dial DialFunc, addr, contextName string) (*Client, error) {
-	return dialWithCaps(ctx, dial, addr, contextName, clientCaps)
-}
-
-// dialWithCaps is DialCtx with an explicit capability offer. The shard
-// router uses it to offer CapCtxOp on its pooled connections without
-// changing what ordinary clients advertise.
-func dialWithCaps(ctx context.Context, dial DialFunc, addr, contextName string, caps []string) (*Client, error) {
 	if dial == nil {
 		dial = AutoDial
 	}
@@ -161,22 +138,7 @@ func dialWithCaps(ctx context.Context, dial DialFunc, addr, contextName string, 
 	if err != nil {
 		return nil, fmt.Errorf("attrspace: dial %s: %w", addr, err)
 	}
-	// The shm transport is only meaningful (and only safe — both ends
-	// must reach the same segment file) across a provably same-host
-	// connection, so the capability is offered per connection rather
-	// than unconditionally. It is an environmental fact, not a cutover:
-	// nothing is mapped until the connection has earned it.
-	if wire.ShmSupported() && sameHostConn(raw) {
-		caps = append(append([]string(nil), caps...), wire.CapShm)
-	}
-	c := &Client{
-		wc:      wire.NewConn(raw),
-		raw:     raw,
-		pending: make(map[string]chan *wire.Message),
-		chunks:  make(map[string][]*wire.Message),
-		events:  make(chan Event, 64),
-	}
-	go c.readLoop()
+	c := newClient(raw)
 	if ctx.Done() != nil {
 		// Watchdog: a cancelled handshake closes the transport, which
 		// fails the read loop and errors the pending HELLO promptly. A
@@ -197,43 +159,61 @@ func dialWithCaps(ctx context.Context, dial DialFunc, addr, contextName string, 
 			}
 		}()
 	}
-	hello := wire.NewMessage("HELLO").Set("context", contextName).
-		Set("caps", strings.Join(caps, ","))
-	reply, err := c.call(ctx, "HELLO", hello)
+	spec := opFor(opHello, scopeDaemon)
+	hello := spec.req().Set("context", contextName).Set("rev", ProtocolRevision)
+	// A ring is only meaningful (and only safe — both ends must reach the
+	// same segment file) across a provably same-host connection, so it is
+	// asked for per connection. The answer is an environmental fact, not
+	// a cutover: nothing is mapped until the connection has earned it.
+	if wire.ShmSupported() && sameHostConn(raw) {
+		hello.Set("shm", "1")
+	}
+	reply, err := c.call(ctx, spec, hello)
+	if err == nil {
+		switch {
+		case reply.Verb == "ERROR" && reply.Get("error") == revisionMismatch:
+			err = fmt.Errorf("%w: %s", ErrProtocolRevision, revisionMismatch)
+		case reply.Verb != "OK":
+			err = fmt.Errorf("rejected: %s", reply.Get("error"))
+		case reply.Get("rev") != ProtocolRevision:
+			err = fmt.Errorf("%w: server answered revision %q, want %s", ErrProtocolRevision, reply.Get("rev"), ProtocolRevision)
+		}
+	}
 	if err != nil {
 		c.Close()
 		return nil, fmt.Errorf("attrspace: hello: %w", err)
 	}
-	if reply.Verb != "OK" {
-		c.Close()
-		return nil, fmt.Errorf("attrspace: hello rejected: %s", reply.Get("error"))
-	}
-	// A v1 server ignored the caps field and granted nothing; a v2
-	// server replies with the intersection. Either way both ends now
-	// agree, and the mux engages only when both speak it.
-	if granted := reply.Get("caps"); granted != "" {
-		set := wire.ParseCaps(granted)
-		c.mu.Lock()
-		c.caps = set
-		if set[wire.CapMux] {
-			c.mux = wire.NewMux(c.wc, wire.MuxConfig{Registry: c.reg, ByteWindow: set[wire.CapByteWin]})
-		}
-		c.mu.Unlock()
-	}
+	c.mu.Lock()
+	c.shmOK = reply.Get("shm") == "1"
+	c.mu.Unlock()
 	return c, nil
+}
+
+// newClient starts a client on an open transport, before any HELLO:
+// the mux exists from the first frame (it stamps nothing until a
+// flow-controlled stream is used), and the read loop is running.
+func newClient(raw net.Conn) *Client {
+	c := &Client{
+		wc:      wire.NewConn(raw),
+		raw:     raw,
+		pending: make(map[string]chan *wire.Message),
+		chunks:  make(map[string][]*wire.Message),
+		events:  make(chan Event, 64),
+	}
+	c.mux = wire.NewMux(c.wc, wire.MuxConfig{})
+	go c.readLoop()
+	return c
 }
 
 // shmPromoteAfter is the number of replies a same-host connection
 // takes over its socket before it asks for a ring. Derived, not tuned:
-// a promotion costs about 250 µs (segment create, two mmaps, two round
-// trips; the median of attrspace.shm.promote_us, EXPERIMENTS E25) and a
-// ring round trip is 2–3 µs cheaper than one over the unix socket
-// (BenchmarkSameHostPut and the wire.conn.unix/shm.rtt_us rungs, E25),
-// so a ring has paid for itself after on the order of 100 round trips.
-// A connection that lives a handful of
-// ops — a daemon joining, publishing and leaving — never maps anything,
-// one that lives gets its ring within its first milliseconds, and a
-// promoted ring is by construction not a young connection's.
+// a promotion costs about 250 µs (the median of
+// attrspace.shm.promote_us) and a ring round trip is 2–3 µs cheaper
+// than one over the unix socket, so a ring has paid for itself after on
+// the order of 100 round trips (EXPERIMENTS E25). A connection that
+// lives a handful of ops — a daemon joining, publishing and leaving —
+// never maps anything, and one that lives gets its ring within its
+// first milliseconds.
 const shmPromoteAfter = 100
 
 // shmMetrics counts ring promotions at one end: attempts that ended on
@@ -282,33 +262,30 @@ func (c *Client) promote() {
 	}
 }
 
-// cutover is the client half of the transport-v3 promotion. SHMREQ
-// asks the server to create a segment and returns its path; the client
-// maps it and sends SHMRDY, which is by construction (wire.Conn.SendSwap)
-// the last framed byte it writes to the socket: requests, heartbeats,
-// async-put flushes and window updates from other goroutines land
-// either before it on the socket or after it on the ring, and nobody
-// holds the write side while the reply is awaited. The read-side swap
-// happens inside the read loop (see readLoop), which is the only place
-// that knows no framed socket byte follows the OK. A SHMRDY carrying an
-// error tells the server the segment could not be mapped, so it can
-// drop it now rather than at teardown; nothing is swapped then.
+// cutover is the client half of the promotion. SHMREQ asks the server
+// to create a segment and returns its path; the client maps it and
+// sends SHMRDY, which is by construction (wire.Conn.SendSwap) the last
+// framed byte it writes to the socket: whatever other goroutines send
+// lands either before it on the socket or after it on the ring, and
+// nobody holds the write side while the reply is awaited. The read-side
+// swap happens inside the read loop, the only place that knows no
+// framed socket byte follows the OK. A SHMRDY carrying an error tells
+// the server the segment could not be mapped, so it can drop it at
+// once; nothing is swapped then.
 func (c *Client) cutover() error {
-	reply, err := c.call(context.Background(), "SHMREQ", wire.NewMessage("SHMREQ"))
-	if err == nil {
-		err = replyErr(reply)
-	}
-	if err != nil {
+	ready := opFor(opShmRdy, scopeDaemon)
+	reply, err := c.call(context.Background(), opFor(opShmReq, scopeDaemon), nil)
+	if err = okReply(reply, err); err != nil {
 		return err
 	}
 	seg, err := wire.OpenShmSegment(reply.Get("shmfile"))
 	if err != nil {
 		// Best effort: if the report does not get through, the server
 		// drops the segment when the connection ends.
-		c.call(context.Background(), "SHMRDY", wire.NewMessage("SHMRDY").Set("error", err.Error()))
+		c.call(context.Background(), ready, ready.req().Set("error", err.Error()))
 		return err
 	}
-	ch, _, err := c.sendSwap(wire.NewMessage("SHMRDY"), seg.Endpoint(false, c.raw))
+	ch, _, err := c.sendSwap(ready.req(), seg.Endpoint(false, c.raw))
 	if err != nil {
 		return err
 	}
@@ -330,19 +307,22 @@ func (c *Client) ShmActive() bool {
 	return c.shmActive
 }
 
-// muxer returns the connection's stream mux, nil on a v1 connection.
-func (c *Client) muxer() *wire.Mux {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.mux
-}
-
-// HasCap reports whether the server granted the named transport-v2
-// capability (wire.CapMux etc.) during the HELLO handshake.
-func (c *Client) HasCap(name string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.caps[name]
+// offer queues ev on ch without ever blocking: when the buffer is full
+// the oldest queued event makes room, which keeps a connection from
+// deadlocking against a slow consumer.
+func offer(ch chan Event, ev Event) {
+	select {
+	case ch <- ev:
+	default:
+		select {
+		case <-ch:
+		default:
+		}
+		select {
+		case ch <- ev:
+		default:
+		}
+	}
 }
 
 func (c *Client) readLoop() {
@@ -361,10 +341,8 @@ func (c *Client) readLoop() {
 			c.fail(err)
 			return
 		}
-		if x := c.muxer(); x != nil {
-			if _, handled := x.Accept(m); handled {
-				continue // pure transport (WINUP), nothing to dispatch
-			}
+		if _, handled := c.mux.Accept(m); handled {
+			continue // pure transport (WINUP), nothing to dispatch
 		}
 		if m.Verb == "EVENT" {
 			seq, _ := strconv.ParseUint(m.Get("seq"), 10, 64)
@@ -375,22 +353,8 @@ func (c *Client) readLoop() {
 			if handler == nil && !c.closed {
 				// Under mu, which also covers fail closing the channel: a
 				// Close from another goroutine while an event is in flight
-				// must not turn this send into a panic. None of the sends
-				// block.
-				select {
-				case c.events <- ev:
-				default:
-					// The event buffer is full; drop-oldest keeps the
-					// connection from deadlocking against a slow consumer.
-					select {
-					case <-c.events:
-					default:
-					}
-					select {
-					case c.events <- ev:
-					default:
-					}
-				}
+				// must not turn this send into a panic.
+				offer(c.events, ev)
 			}
 			c.mu.Unlock()
 			if handler != nil {
@@ -418,7 +382,7 @@ func (c *Client) readLoop() {
 		}
 		id := m.Get("id")
 		if m.Get("more") == "1" {
-			// Interior chunk of a multi-part bulk reply (CapChunk):
+			// Interior chunk of a multi-part bulk reply:
 			// buffer it against the request id; the final part (no
 			// `more`) is delivered through the pending channel as usual
 			// and the call site collects the buffered parts. Chunks for
@@ -442,11 +406,11 @@ func (c *Client) readLoop() {
 			c.shmActive = true
 		}
 		c.replies++
-		earned := c.replies == shmPromoteAfter && c.caps[wire.CapShm]
+		earned := c.replies == shmPromoteAfter && c.shmOK
 		drained := c.draining && len(c.pending) == 0
 		c.mu.Unlock()
 		if swapEP != nil {
-			// Transport-v3 cutover: this OK answers our SHMRDY and is the
+			// Cutover: this OK answers our SHMRDY and is the
 			// last framed byte the socket will ever carry — the server
 			// sent it and swapped its write side in one step. Hand the
 			// socket to the doorbell and read everything further from the
@@ -496,13 +460,10 @@ func (c *Client) fail(err error) {
 	pending := c.pending
 	c.pending = make(map[string]chan *wire.Message)
 	c.chunks = make(map[string][]*wire.Message)
-	mux := c.mux
 	onClose := c.onClose
 	close(c.events)
 	c.mu.Unlock()
-	if mux != nil {
-		mux.Fail(err)
-	}
+	c.mux.Fail(err)
 	for id, ch := range pending {
 		ch <- wire.NewMessage("ERROR").Set("id", id).Set("error", err.Error()).Set("conn", "1")
 	}
@@ -564,47 +525,40 @@ func (c *Client) SetTelemetry(reg *telemetry.Registry, tracer *telemetry.Tracer)
 }
 
 // instrument opens the client-side observation of one operation: it
-// bumps the verb counter, starts (or continues) a span, stamps the
-// trace fields onto m, and returns a func to call when the reply is
-// in. Returns a no-op when no telemetry is configured and no span is
-// in ctx.
-func (c *Client) instrument(ctx context.Context, verb string, m *wire.Message) func() {
+// bumps the verb counter, starts (or continues) a span, and stamps the
+// trace fields onto m; end the result when the reply is in. It records
+// nothing when no telemetry is configured and no span is in ctx.
+func (c *Client) instrument(ctx context.Context, spec *opSpec, m *wire.Message) observation {
 	c.mu.Lock()
 	reg, tracer := c.reg, c.tracer
 	c.mu.Unlock()
 
-	var span *telemetry.Span
+	o := observation{start: time.Now()}
 	if parent := telemetry.FromContext(ctx); parent != nil {
-		span = parent.StartChild("client." + strings.ToLower(verb))
+		o.sp = parent.StartChild(spec.cliSpan)
 	} else if tracer != nil {
-		span = tracer.StartSpan("client." + strings.ToLower(verb))
+		o.sp = tracer.StartSpan(spec.cliSpan)
 	}
-	if span != nil {
+	if o.sp != nil {
 		if a := m.Get("attr"); a != "" {
-			span.Set("attr", a)
+			o.sp.Set("attr", a)
 		}
-		m.SetTrace(span.TraceID(), span.SpanID())
+		m.SetTrace(o.sp.TraceID(), o.sp.SpanID())
 	}
-
-	var lat *telemetry.Histogram
 	if reg != nil {
-		v := strings.ToLower(verb)
-		reg.Counter("client.ops." + v).Inc()
-		lat = reg.Histogram("client.latency."+v, nil)
+		reg.Counter(spec.cliOpsName).Inc()
+		o.lat = reg.Histogram(spec.cliLatName, nil)
 	}
-	start := time.Now()
-	return func() {
-		if lat != nil {
-			lat.Since(start)
-		}
-		span.End()
-	}
+	return o
 }
 
-// call sends a request and waits for its tagged reply.
-func (c *Client) call(ctx context.Context, verb string, m *wire.Message) (*wire.Message, error) {
-	done := c.instrument(ctx, verb, m)
-	defer done()
+// call sends the request m of the op-table row spec (nil for the bare
+// verb) and waits for its tagged reply.
+func (c *Client) call(ctx context.Context, spec *opSpec, m *wire.Message) (*wire.Message, error) {
+	if m == nil {
+		m = spec.req()
+	}
+	defer c.instrument(ctx, spec, m).end()
 	ch, id, err := c.send(m)
 	if err != nil {
 		return nil, err
@@ -663,20 +617,16 @@ func (c *Client) sendSwap(m *wire.Message, ep *wire.ShmEndpoint) (chan *wire.Mes
 	if ep != nil {
 		c.shmSwapID, c.shmSwapEP = id, ep
 	}
-	x := c.mux
 	c.mu.Unlock()
 	m.Set("id", id)
 	// Requests ride the control stream (never window-limited); routing
-	// them through the mux lets accumulated receive-side credit grants
+	// them through the mux lets accumulated receive-side window grants
 	// piggyback instead of costing explicit WINUP frames.
 	var err error
-	switch {
-	case ep != nil:
+	if ep != nil {
 		err = c.wc.SendSwap(m, ep)
-	case x != nil:
-		err = x.SendOn(wire.StreamControl, m)
-	default:
-		err = c.wc.Send(m)
+	} else {
+		err = c.mux.SendOn(wire.StreamControl, m)
 	}
 	if err != nil {
 		c.fail(err)
@@ -685,23 +635,39 @@ func (c *Client) sendSwap(m *wire.Message, ep *wire.ShmEndpoint) (chan *wire.Mes
 	return ch, id, nil
 }
 
+// ErrNoGlobal reports a global-scope verb sent to a server without an
+// upstream CASS (global forwarding not enabled).
+var ErrNoGlobal = errors.New("attrspace: server has no global forwarding")
+
+// noGlobalText is the ERROR text of that refusal on the wire.
+const noGlobalText = "global forwarding not enabled"
+
+// replyErr maps an ERROR reply onto the client-side sentinels; nil for
+// any other reply.
 func replyErr(reply *wire.Message) error {
-	if reply.Verb == "ERROR" {
-		text := reply.Get("error")
-		if text == attr.ErrNotFound.Error() {
-			return ErrNotFound
-		}
-		if reply.Get("conn") == "1" {
-			// Synthetic reply injected by fail(): the transport died with
-			// the request in flight — retryable, unlike a server ERROR.
-			if text == ErrServerDraining.Error() {
-				return ErrServerDraining
-			}
-			return fmt.Errorf("%w: %s", ErrConnLost, text)
-		}
-		return errors.New("attrspace: server: " + text)
+	if reply.Verb != "ERROR" {
+		return nil
 	}
-	return nil
+	text := reply.Get("error")
+	switch {
+	case text == attr.ErrNotFound.Error():
+		return ErrNotFound
+	case reply.Get("conn") == "1":
+		// Synthetic reply injected by fail(): the transport died with
+		// the request in flight — retryable, unlike a server ERROR.
+		if text == ErrServerDraining.Error() {
+			return ErrServerDraining
+		}
+		return fmt.Errorf("%w: %s", ErrConnLost, text)
+	case text == noGlobalText:
+		return ErrNoGlobal
+	case strings.Contains(text, ErrShardDown.Error()):
+		// A routing LASS reporting one dead shard: surface the typed
+		// degraded-mode error so callers can distinguish "this key
+		// range is briefly down" from a hard failure.
+		return fmt.Errorf("%w: %s", ErrShardDown, text)
+	}
+	return errors.New("attrspace: server: " + text)
 }
 
 // IsRetryable reports whether err is a transport-level failure a
@@ -716,6 +682,45 @@ func IsRetryable(err error) bool {
 		errors.Is(err, ErrServerDraining)
 }
 
+// The operations, once each. scope picks the verb — the connection's
+// own context, or its context in the global space through this LASS —
+// and the exported methods below are spellings of these.
+
+func (c *Client) put(ctx context.Context, scope opScope, attribute, value string) (uint64, error) {
+	spec := opFor(opPut, scope)
+	return seqReply(c.call(ctx, spec, putReq(spec, attribute, value)))
+}
+
+// putBatch stores every pair in order in one round trip and returns the
+// seq acked for the last pair.
+func (c *Client) putBatch(ctx context.Context, scope opScope, pairs []KV) (uint64, error) {
+	switch len(pairs) {
+	case 0:
+		return 0, nil
+	case 1:
+		return c.put(ctx, scope, pairs[0].Key, pairs[0].Value)
+	}
+	spec := opFor(opMPut, scope)
+	return seqReply(c.call(ctx, spec, batchReq(spec, pairs)))
+}
+
+// read is get (blocking) and tryget.
+func (c *Client) read(ctx context.Context, op opKind, scope opScope, attribute string) (string, uint64, error) {
+	spec := opFor(op, scope)
+	return valueReply(c.call(ctx, spec, attrReq(spec, attribute)))
+}
+
+func (c *Client) delete(ctx context.Context, scope opScope, attribute string) (uint64, error) {
+	spec := opFor(opDelete, scope)
+	return seqReply(c.call(ctx, spec, attrReq(spec, attribute)))
+}
+
+func (c *Client) snapshot(ctx context.Context, scope opScope) (map[string]string, error) {
+	reply, err := c.call(ctx, opFor(opSnapshot, scope), nil)
+	out := make(map[string]string)
+	return out, c.entries(reply, err, func(e entry) { out[e.k] = e.v })
+}
+
 // Put stores attribute = value and waits for the acknowledgement,
 // matching the paper's blocking tdp_put.
 func (c *Client) Put(attribute, value string) error {
@@ -725,46 +730,156 @@ func (c *Client) Put(attribute, value string) error {
 // PutCtx is Put with a context; a span carried by ctx (see
 // telemetry.NewContext) propagates to the server as _tid/_sid.
 func (c *Client) PutCtx(ctx context.Context, attribute, value string) error {
-	reply, err := c.call(ctx, "PUT", wire.NewMessage("PUT").Set("attr", attribute).Set("value", value))
-	if err != nil {
-		return err
-	}
-	return replyErr(reply)
+	_, err := c.put(ctx, scopeConn, attribute, value)
+	return err
+}
+
+// PutV is Put returning the per-context seq the server assigned the
+// write.
+func (c *Client) PutV(ctx context.Context, attribute, value string) (uint64, error) {
+	return c.put(ctx, scopeConn, attribute, value)
+}
+
+// PutGlobal stores a global (CASS) attribute through this LASS: the
+// LASS writes through to its CASS and caches the acked value, so a
+// subsequent GetGlobal via the same LASS sees this write without an
+// upstream round trip.
+func (c *Client) PutGlobal(ctx context.Context, attribute, value string) error {
+	_, err := c.put(ctx, scopeGlobal, attribute, value)
+	return err
+}
+
+// PutBatch stores every pair in order and waits for the single
+// acknowledgement — one round trip for the whole batch (the Parador
+// startup pattern: a daemon publishing pid, executable, args and
+// friends together).
+func (c *Client) PutBatch(pairs []KV) error {
+	return c.PutBatchCtx(context.Background(), pairs)
+}
+
+// PutBatchCtx is PutBatch with a context for cancellation and span
+// propagation.
+func (c *Client) PutBatchCtx(ctx context.Context, pairs []KV) error {
+	_, err := c.putBatch(ctx, scopeConn, pairs)
+	return err
+}
+
+// PutBatchV is PutBatch returning the seq acked for the last pair.
+func (c *Client) PutBatchV(ctx context.Context, pairs []KV) (uint64, error) {
+	return c.putBatch(ctx, scopeConn, pairs)
+}
+
+// PutBatchGlobal stores a batch of global attributes in one round trip.
+func (c *Client) PutBatchGlobal(ctx context.Context, pairs []KV) error {
+	_, err := c.putBatch(ctx, scopeGlobal, pairs)
+	return err
 }
 
 // Get blocks until the attribute exists and returns its value (the
 // paper's blocking tdp_get). Cancel via ctx.
 func (c *Client) Get(ctx context.Context, attribute string) (string, error) {
-	reply, err := c.call(ctx, "GET", wire.NewMessage("GET").Set("attr", attribute))
-	if err != nil {
-		return "", err
-	}
-	if err := replyErr(reply); err != nil {
-		return "", err
-	}
-	return reply.Get("value"), nil
+	v, _, err := c.read(ctx, opGet, scopeConn, attribute)
+	return v, err
+}
+
+// GetV is Get additionally returning the seq of the write that
+// produced the value.
+func (c *Client) GetV(ctx context.Context, attribute string) (string, uint64, error) {
+	return c.read(ctx, opGet, scopeConn, attribute)
+}
+
+// GetGlobal blocks until the global attribute exists; steady-state
+// reads are answered from the LASS cache in one local hop.
+func (c *Client) GetGlobal(ctx context.Context, attribute string) (string, error) {
+	v, _, err := c.read(ctx, opGet, scopeGlobal, attribute)
+	return v, err
+}
+
+// TryGet returns the current value without blocking; ErrNotFound when
+// the attribute is absent.
+func (c *Client) TryGet(attribute string) (string, error) {
+	return c.TryGetCtx(context.Background(), attribute)
+}
+
+// TryGetCtx is TryGet with a context for cancellation and span
+// propagation.
+func (c *Client) TryGetCtx(ctx context.Context, attribute string) (string, error) {
+	v, _, err := c.read(ctx, opTryGet, scopeConn, attribute)
+	return v, err
+}
+
+// TryGetV is TryGet additionally returning the seq of the write that
+// produced the value.
+func (c *Client) TryGetV(ctx context.Context, attribute string) (string, uint64, error) {
+	return c.read(ctx, opTryGet, scopeConn, attribute)
+}
+
+// TryGetGlobal returns the global attribute's value without blocking;
+// ErrNotFound when absent.
+func (c *Client) TryGetGlobal(ctx context.Context, attribute string) (string, error) {
+	v, _, err := c.read(ctx, opTryGet, scopeGlobal, attribute)
+	return v, err
+}
+
+// Delete removes an attribute.
+func (c *Client) Delete(attribute string) error {
+	return c.DeleteCtx(context.Background(), attribute)
+}
+
+// DeleteCtx is Delete with a context for cancellation and span
+// propagation.
+func (c *Client) DeleteCtx(ctx context.Context, attribute string) error {
+	_, err := c.delete(ctx, scopeConn, attribute)
+	return err
+}
+
+// DeleteV is Delete returning the seq assigned to the deletion (0 when
+// the attribute was already absent).
+func (c *Client) DeleteV(ctx context.Context, attribute string) (uint64, error) {
+	return c.delete(ctx, scopeConn, attribute)
+}
+
+// DeleteGlobal removes a global attribute through this LASS.
+func (c *Client) DeleteGlobal(ctx context.Context, attribute string) error {
+	_, err := c.delete(ctx, scopeGlobal, attribute)
+	return err
+}
+
+// Snapshot returns a copy of all attributes in the context.
+func (c *Client) Snapshot() (map[string]string, error) {
+	return c.snapshot(context.Background(), scopeConn)
+}
+
+// SnapshotGlobal dumps the context's global attributes (always one
+// upstream round trip; snapshots are never served from the cache).
+func (c *Client) SnapshotGlobal(ctx context.Context) (map[string]string, error) {
+	return c.snapshot(ctx, scopeGlobal)
+}
+
+// Result is the completion of an asynchronous get or put.
+type Result struct {
+	Attr  string
+	Value string
+	Err   error
 }
 
 // GetAsync issues a blocking GET whose reply is delivered on the
 // returned channel: the transport half of tdp_async_get. The tdp
 // package layers callback queueing and ServiceEvents on top.
 func (c *Client) GetAsync(attribute string) (<-chan Result, error) {
-	m := wire.NewMessage("GET").Set("attr", attribute)
-	done := c.instrument(context.Background(), "GET", m)
+	spec := opFor(opGet, scopeConn)
+	m := attrReq(spec, attribute)
+	obs := c.instrument(context.Background(), spec, m)
 	ch, _, err := c.send(m)
 	if err != nil {
-		done()
+		obs.end()
 		return nil, err
 	}
 	out := make(chan Result, 1)
 	go func() {
-		reply := <-ch
-		done()
-		if err := replyErr(reply); err != nil {
-			out <- Result{Attr: attribute, Err: err}
-			return
-		}
-		out <- Result{Attr: attribute, Value: reply.Get("value")}
+		v, _, err := valueReply(<-ch, nil)
+		obs.end()
+		out <- Result{Attr: attribute, Value: v, Err: err}
 	}()
 	return out, nil
 }
@@ -797,7 +912,8 @@ func (c *Client) PutAsync(attribute, value string) (<-chan Result, error) {
 }
 
 // flushPuts drains the async-put queue, one batch per loop: whatever
-// accumulated during the previous round trip goes out together.
+// accumulated during the previous round trip goes out together, and
+// every pending channel receives the batch's completion.
 func (c *Client) flushPuts() {
 	for {
 		c.mu.Lock()
@@ -809,182 +925,15 @@ func (c *Client) flushPuts() {
 			return
 		}
 		c.mu.Unlock()
-		c.sendPutBatch(batch)
-	}
-}
-
-// sendPutBatch transmits a batch of queued puts. A single put (or a
-// server without MPUT) uses ordinary pipelined PUTs; otherwise the
-// batch is one MPUT round trip. Every pending channel receives its
-// completion.
-func (c *Client) sendPutBatch(batch []pendingPut) {
-	if len(batch) > 1 && !c.noMPUT.Load() {
 		pairs := make([]KV, len(batch))
 		for i, p := range batch {
 			pairs[i] = KV{Key: p.attr, Value: p.value}
 		}
-		err := c.mput(context.Background(), pairs)
-		if !errors.Is(err, errMPUTUnsupported) {
-			for _, p := range batch {
-				p.out <- Result{Attr: p.attr, Value: p.value, Err: err}
-			}
-			return
-		}
-		// Old server: fall through to individual pipelined PUTs.
-	}
-	type inflight struct {
-		p    pendingPut
-		ch   chan *wire.Message
-		done func()
-	}
-	sent := make([]inflight, 0, len(batch))
-	for _, p := range batch {
-		m := wire.NewMessage("PUT").Set("attr", p.attr).Set("value", p.value)
-		done := c.instrument(context.Background(), "PUT", m)
-		ch, _, err := c.send(m)
-		if err != nil {
-			done()
+		_, err := c.putBatch(context.Background(), scopeConn, pairs)
+		for _, p := range batch {
 			p.out <- Result{Attr: p.attr, Value: p.value, Err: err}
-			continue
-		}
-		sent = append(sent, inflight{p: p, ch: ch, done: done})
-	}
-	for _, f := range sent {
-		reply := <-f.ch
-		f.done()
-		f.p.out <- Result{Attr: f.p.attr, Value: f.p.value, Err: replyErr(reply)}
-	}
-}
-
-// errMPUTUnsupported marks an MPUT rejected by a pre-MPUT server.
-var errMPUTUnsupported = errors.New("attrspace: server does not support MPUT")
-
-// mput performs one MPUT round trip for pairs. It returns
-// errMPUTUnsupported (and latches noMPUT) when the server rejects the
-// verb, so callers can fall back to individual PUTs.
-func (c *Client) mput(ctx context.Context, pairs []KV) error {
-	_, err := c.mputV(ctx, pairs)
-	return err
-}
-
-// mputV is mput returning the seq acked for the batch's last pair
-// (0 against a server that predates seq-carrying acks).
-func (c *Client) mputV(ctx context.Context, pairs []KV) (uint64, error) {
-	m := wire.NewMessage("MPUT").SetInt("n", len(pairs))
-	for i, p := range pairs {
-		idx := strconv.Itoa(i)
-		m.Set("k"+idx, p.Key).Set("v"+idx, p.Value)
-	}
-	reply, err := c.call(ctx, "MPUT", m)
-	if err != nil {
-		return 0, err
-	}
-	if reply.Verb == "ERROR" && strings.Contains(reply.Get("error"), "unknown verb") {
-		c.noMPUT.Store(true)
-		return 0, errMPUTUnsupported
-	}
-	if err := replyErr(reply); err != nil {
-		return 0, err
-	}
-	return replySeq(reply), nil
-}
-
-// PutBatch stores every pair in order and waits for the single
-// acknowledgement — one round trip for the whole batch (the Parador
-// startup pattern: a daemon publishing pid, executable, args and
-// friends together). Against a server that predates MPUT it degrades
-// to pipelined individual PUTs and reports the first error.
-func (c *Client) PutBatch(pairs []KV) error {
-	return c.PutBatchCtx(context.Background(), pairs)
-}
-
-// PutBatchCtx is PutBatch with a context for cancellation and span
-// propagation.
-func (c *Client) PutBatchCtx(ctx context.Context, pairs []KV) error {
-	switch len(pairs) {
-	case 0:
-		return nil
-	case 1:
-		return c.PutCtx(ctx, pairs[0].Key, pairs[0].Value)
-	}
-	if !c.noMPUT.Load() {
-		err := c.mput(ctx, pairs)
-		if !errors.Is(err, errMPUTUnsupported) {
-			return err
 		}
 	}
-	// Fallback: pipeline individual PUTs, then collect every ack.
-	type inflight struct {
-		ch   chan *wire.Message
-		done func()
-	}
-	sent := make([]inflight, 0, len(pairs))
-	var firstErr error
-	for _, p := range pairs {
-		m := wire.NewMessage("PUT").Set("attr", p.Key).Set("value", p.Value)
-		done := c.instrument(ctx, "PUT", m)
-		ch, _, err := c.send(m)
-		if err != nil {
-			done()
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		sent = append(sent, inflight{ch: ch, done: done})
-	}
-	for _, f := range sent {
-		reply := <-f.ch
-		f.done()
-		if err := replyErr(reply); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
-// Result is the completion of an asynchronous get or put.
-type Result struct {
-	Attr  string
-	Value string
-	Err   error
-}
-
-// TryGet returns the current value without blocking; ErrNotFound when
-// the attribute is absent.
-func (c *Client) TryGet(attribute string) (string, error) {
-	return c.TryGetCtx(context.Background(), attribute)
-}
-
-// TryGetCtx is TryGet with a context for cancellation and span
-// propagation.
-func (c *Client) TryGetCtx(ctx context.Context, attribute string) (string, error) {
-	reply, err := c.call(ctx, "TRYGET", wire.NewMessage("TRYGET").Set("attr", attribute))
-	if err != nil {
-		return "", err
-	}
-	if reply.Verb == "NOTFOUND" {
-		return "", ErrNotFound
-	}
-	if err := replyErr(reply); err != nil {
-		return "", err
-	}
-	return reply.Get("value"), nil
-}
-
-// Delete removes an attribute.
-func (c *Client) Delete(attribute string) error {
-	return c.DeleteCtx(context.Background(), attribute)
-}
-
-// DeleteCtx is Delete with a context for cancellation and span
-// propagation.
-func (c *Client) DeleteCtx(ctx context.Context, attribute string) error {
-	reply, err := c.call(ctx, "DELETE", wire.NewMessage("DELETE").Set("attr", attribute))
-	if err != nil {
-		return err
-	}
-	return replyErr(reply)
 }
 
 // ServerStats asks the server to dump its telemetry registry (the
@@ -1000,15 +949,13 @@ func (c *Client) ServerStats(ctx context.Context) (daemon string, snap telemetry
 // Server.SetStatsChildren) into the reply — one request for a whole
 // subtree's telemetry. An empty scope behaves like ServerStats.
 func (c *Client) ServerStatsScope(ctx context.Context, scope string) (daemon string, snap telemetry.Snapshot, err error) {
-	req := wire.NewMessage("STATS")
+	spec := opFor(opStats, scopeDaemon)
+	req := spec.req()
 	if scope != "" {
 		req.Set("scope", scope)
 	}
-	reply, err := c.call(ctx, "STATS", req)
-	if err != nil {
-		return "", telemetry.Snapshot{}, err
-	}
-	if err := replyErr(reply); err != nil {
+	reply, err := c.call(ctx, spec, req)
+	if err = okReply(reply, err); err != nil {
 		return "", telemetry.Snapshot{}, err
 	}
 	snap, err = telemetry.ParseSnapshot([]byte(reply.Get("json")))
@@ -1018,56 +965,24 @@ func (c *Client) ServerStatsScope(ctx context.Context, scope string) (daemon str
 	return reply.Get("daemon"), snap, nil
 }
 
-// Snapshot returns a copy of all attributes in the context.
-func (c *Client) Snapshot() (map[string]string, error) {
-	reply, err := c.call(context.Background(), "SNAP", wire.NewMessage("SNAP"))
-	if err != nil {
-		return nil, err
-	}
-	return parseSnap(reply)
-}
-
 // Versioned is a value paired with the seq of the write that produced
 // it; re-exported from the attr engine so wire-level and in-process
 // versioned snapshots share a type.
 type Versioned = attr.Versioned
 
 // SnapshotSeq returns every attribute with the seq of the write that
-// produced it, plus the context's current sequence number (0 against a
-// server that predates versioned snapshots). It is the resync primitive:
-// a Session diffs the result against its last-known seqs after a
-// reconnect, so stale values never overwrite newer ones.
+// produced it, plus the context's current sequence number. It is the
+// resync primitive: a Session diffs the result against its last-known
+// seqs after a reconnect, so stale values never overwrite newer ones.
 func (c *Client) SnapshotSeq(ctx context.Context) (map[string]Versioned, uint64, error) {
-	reply, err := c.call(ctx, "SNAP", wire.NewMessage("SNAP").Set("seqs", "1"))
+	spec := opFor(opSnapshot, scopeConn)
+	reply, err := c.call(ctx, spec, spec.req().Set("seqs", "1"))
 	if err != nil {
 		return nil, 0, err
 	}
-	if err := replyErr(reply); err != nil {
-		return nil, 0, err
-	}
-	out := make(map[string]Versioned, reply.Int("total", reply.Int("n", 0)))
-	for _, part := range append(c.takeChunks(reply.Get("id")), reply) {
-		if err := parseVersionedInto(out, part); err != nil {
-			return nil, 0, err
-		}
-	}
-	ctxSeq, _ := strconv.ParseUint(reply.Get("seq"), 10, 64)
-	return out, ctxSeq, nil
-}
-
-// parseVersionedInto decodes one SNAPV part's k<i>/v<i>/s<i> entries.
-func parseVersionedInto(out map[string]Versioned, part *wire.Message) error {
-	n := part.Int("n", 0)
-	for i := 0; i < n; i++ {
-		idx := strconv.Itoa(i)
-		k, ok := part.Lookup("k" + idx)
-		if !ok {
-			return fmt.Errorf("attrspace: malformed snapshot reply")
-		}
-		seq, _ := strconv.ParseUint(part.Get("s"+idx), 10, 64)
-		out[k] = Versioned{Value: part.Get("v" + idx), Seq: seq}
-	}
-	return nil
+	out := make(map[string]Versioned, entryCount(reply))
+	err = c.entries(reply, nil, func(e entry) { out[e.k] = Versioned{Value: e.v, Seq: e.seq} })
+	return out, replySeq(reply), err
 }
 
 // DeltaOp is one replayed mutation from a delta resync (SNAPD).
@@ -1078,184 +993,44 @@ type DeltaOp struct {
 	Delete bool
 }
 
-// errSNAPDUnsupported marks a SNAPD rejected by a pre-v2 server.
-var errSNAPDUnsupported = errors.New("attrspace: server does not support SNAPD")
-
 // SnapshotDelta asks the server for just the mutations after `since`
 // (the SNAPD delta-resync verb), so reconnect traffic is proportional
 // to the gap, not the context size. Exactly one of ops/full is
 // non-nil: ops carries the replayable delta in seq order; full is the
 // complete versioned snapshot the server fell back to because its
 // change log no longer covers the gap. Both come with the context's
-// current seq. Against a server without the verb it returns
-// errSNAPDUnsupported (latched, like MPUT) and the caller falls back
-// to SnapshotSeq.
+// current seq.
 func (c *Client) SnapshotDelta(ctx context.Context, since uint64) (ops []DeltaOp, full map[string]Versioned, ctxSeq uint64, err error) {
-	if c.noSNAPD.Load() || !c.HasCap(wire.CapSnapd) {
-		return nil, nil, 0, errSNAPDUnsupported
-	}
-	reply, err := c.call(ctx, "SNAPD",
-		wire.NewMessage("SNAPD").Set("since", strconv.FormatUint(since, 10)))
+	spec := opFor(opSnapDelta, scopeConn)
+	reply, err := c.call(ctx, spec, spec.req().Set("since", strconv.FormatUint(since, 10)))
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	if reply.Verb == "ERROR" && strings.Contains(reply.Get("error"), "unknown verb") {
-		c.noSNAPD.Store(true)
-		return nil, nil, 0, errSNAPDUnsupported
-	}
-	if err := replyErr(reply); err != nil {
-		return nil, nil, 0, err
-	}
-	parts := append(c.takeChunks(reply.Get("id")), reply)
-	ctxSeq, _ = strconv.ParseUint(reply.Get("seq"), 10, 64)
-	if reply.Verb != "DELTA" {
+	if reply.Verb == "DELTA" {
+		// Parts were sent, buffered, and appended in order, and entries
+		// within a part are in order, so ops come out seq-ascending.
+		ops = make([]DeltaOp, 0, entryCount(reply))
+		err = c.entries(reply, nil, func(e entry) {
+			ops = append(ops, DeltaOp{Attr: e.k, Value: e.v, Seq: e.seq, Delete: e.del})
+		})
+	} else {
 		// Change log compacted past `since`: the server shipped a full
 		// versioned snapshot instead.
-		full = make(map[string]Versioned, reply.Int("total", reply.Int("n", 0)))
-		for _, part := range parts {
-			if err := parseVersionedInto(full, part); err != nil {
-				return nil, nil, 0, err
-			}
-		}
-		return nil, full, ctxSeq, nil
+		full = make(map[string]Versioned, entryCount(reply))
+		err = c.entries(reply, nil, func(e entry) { full[e.k] = Versioned{Value: e.v, Seq: e.seq} })
 	}
-	// Parts were sent, buffered, and appended in order, and entries
-	// within a part are in order, so ops come out seq-ascending.
-	ops = make([]DeltaOp, 0, reply.Int("total", reply.Int("n", 0)))
-	for _, part := range parts {
-		n := part.Int("n", 0)
-		for i := 0; i < n; i++ {
-			idx := strconv.Itoa(i)
-			k, ok := part.Lookup("k" + idx)
-			if !ok {
-				return nil, nil, 0, fmt.Errorf("attrspace: malformed delta reply")
-			}
-			seq, _ := strconv.ParseUint(part.Get("s"+idx), 10, 64)
-			ops = append(ops, DeltaOp{
-				Attr: k, Value: part.Get("v" + idx), Seq: seq,
-				Delete: part.Get("o"+idx) == "d",
-			})
-		}
+	if err != nil {
+		return nil, nil, 0, err
 	}
-	return ops, nil, ctxSeq, nil
+	return ops, full, replySeq(reply), nil
 }
 
-// Ping performs a wire-level liveness round trip (CapPing). The server
-// answers inline on its read loop, so a timely PONG proves the
-// connection and the peer's dispatch are alive even while bulk replies
-// stream on other goroutines.
+// Ping performs a wire-level liveness round trip. The server answers
+// inline on its read loop, so a timely PONG proves the connection and
+// the peer's dispatch are alive even while bulk replies stream on other
+// goroutines.
 func (c *Client) Ping(ctx context.Context) error {
-	reply, err := c.call(ctx, "PING", wire.NewMessage("PING"))
-	if err != nil {
-		return err
-	}
-	return replyErr(reply)
-}
-
-// parseSnap decodes a SNAPV reply's k0/v0.. pairs.
-func parseSnap(reply *wire.Message) (map[string]string, error) {
-	if err := replyErr(reply); err != nil {
-		return nil, err
-	}
-	n := reply.Int("n", 0)
-	out := make(map[string]string, n)
-	for i := 0; i < n; i++ {
-		k, ok := reply.Lookup("k" + strconv.Itoa(i))
-		if !ok {
-			return nil, fmt.Errorf("attrspace: malformed snapshot reply")
-		}
-		out[k] = reply.Get("v" + strconv.Itoa(i))
-	}
-	return out, nil
-}
-
-// replySeq extracts the per-context sequence number a mutating ack or
-// VALUE reply carries; 0 against a pre-seq server.
-func replySeq(reply *wire.Message) uint64 {
-	seq, _ := strconv.ParseUint(reply.Get("seq"), 10, 64)
-	return seq
-}
-
-// PutV is Put returning the per-context seq the server assigned the
-// write (0 against a pre-seq server).
-func (c *Client) PutV(ctx context.Context, attribute, value string) (uint64, error) {
-	reply, err := c.call(ctx, "PUT", wire.NewMessage("PUT").Set("attr", attribute).Set("value", value))
-	if err != nil {
-		return 0, err
-	}
-	if err := replyErr(reply); err != nil {
-		return 0, err
-	}
-	return replySeq(reply), nil
-}
-
-// GetV is Get additionally returning the seq of the write that
-// produced the value.
-func (c *Client) GetV(ctx context.Context, attribute string) (string, uint64, error) {
-	reply, err := c.call(ctx, "GET", wire.NewMessage("GET").Set("attr", attribute))
-	if err != nil {
-		return "", 0, err
-	}
-	if err := replyErr(reply); err != nil {
-		return "", 0, err
-	}
-	return reply.Get("value"), replySeq(reply), nil
-}
-
-// TryGetV is TryGet additionally returning the seq of the write that
-// produced the value.
-func (c *Client) TryGetV(ctx context.Context, attribute string) (string, uint64, error) {
-	reply, err := c.call(ctx, "TRYGET", wire.NewMessage("TRYGET").Set("attr", attribute))
-	if err != nil {
-		return "", 0, err
-	}
-	if reply.Verb == "NOTFOUND" {
-		return "", 0, ErrNotFound
-	}
-	if err := replyErr(reply); err != nil {
-		return "", 0, err
-	}
-	return reply.Get("value"), replySeq(reply), nil
-}
-
-// DeleteV is Delete returning the seq assigned to the deletion (0 when
-// the attribute was already absent).
-func (c *Client) DeleteV(ctx context.Context, attribute string) (uint64, error) {
-	reply, err := c.call(ctx, "DELETE", wire.NewMessage("DELETE").Set("attr", attribute))
-	if err != nil {
-		return 0, err
-	}
-	if err := replyErr(reply); err != nil {
-		return 0, err
-	}
-	return replySeq(reply), nil
-}
-
-// PutBatchV is PutBatch returning the seq acked for the last pair.
-// Against a server without MPUT it falls back to sequential PutVs so
-// the returned seq is still the last write's.
-func (c *Client) PutBatchV(ctx context.Context, pairs []KV) (uint64, error) {
-	switch len(pairs) {
-	case 0:
-		return 0, nil
-	case 1:
-		return c.PutV(ctx, pairs[0].Key, pairs[0].Value)
-	}
-	if !c.noMPUT.Load() {
-		seq, err := c.mputV(ctx, pairs)
-		if !errors.Is(err, errMPUTUnsupported) {
-			return seq, err
-		}
-	}
-	var last uint64
-	for _, p := range pairs {
-		seq, err := c.PutV(ctx, p.Key, p.Value)
-		if err != nil {
-			return 0, err
-		}
-		last = seq
-	}
-	return last, nil
+	return okReply(c.call(ctx, opFor(opPing, scopeDaemon), nil))
 }
 
 // Subscribe starts event push from the server. Events arrive on the
@@ -1270,154 +1045,41 @@ func (c *Client) Subscribe() error {
 	}
 	c.subbed = true
 	c.mu.Unlock()
-	unsub := func() {
+	err := okReply(c.call(context.Background(), opFor(opSub, scopeConn), nil))
+	if err != nil {
 		c.mu.Lock()
 		c.subbed = false
 		c.mu.Unlock()
 	}
-	reply, err := c.call(context.Background(), "SUB", wire.NewMessage("SUB"))
-	if err != nil {
-		unsub()
-		return err
-	}
-	if err := replyErr(reply); err != nil {
-		unsub()
-		return err
-	}
-	return nil
+	return err
 }
 
 // Events returns the subscription event channel. It never yields
 // events before Subscribe succeeds.
 func (c *Client) Events() <-chan Event { return c.events }
 
-// ErrNoGlobal reports a G* verb sent to a server without an upstream
-// CASS (global forwarding not enabled, or an older server).
-var ErrNoGlobal = errors.New("attrspace: server has no global forwarding")
-
-// globalErr maps a G* ERROR reply onto client-side sentinels.
-func globalErr(reply *wire.Message) error {
-	if reply.Verb == "ERROR" {
-		text := reply.Get("error")
-		if strings.Contains(text, "unknown verb") || strings.Contains(text, "global forwarding not enabled") {
-			return ErrNoGlobal
-		}
-		if strings.Contains(text, ErrShardDown.Error()) {
-			// A routing LASS reporting one dead shard: surface the typed
-			// degraded-mode error so callers can distinguish "this key
-			// range is briefly down" from a hard failure.
-			return fmt.Errorf("%w: %s", ErrShardDown, text)
-		}
-	}
-	return replyErr(reply)
-}
-
-// PutGlobal stores a global (CASS) attribute through this LASS: the
-// LASS writes through to its CASS and caches the acked value, so a
-// subsequent GetGlobal via the same LASS sees this write without an
-// upstream round trip.
-func (c *Client) PutGlobal(ctx context.Context, attribute, value string) error {
-	reply, err := c.call(ctx, "GPUT", wire.NewMessage("GPUT").Set("attr", attribute).Set("value", value))
-	if err != nil {
-		return err
-	}
-	return globalErr(reply)
-}
-
-// PutBatchGlobal stores a batch of global attributes in one GMPUT.
-func (c *Client) PutBatchGlobal(ctx context.Context, pairs []KV) error {
-	if len(pairs) == 0 {
-		return nil
-	}
-	m := wire.NewMessage("GMPUT").SetInt("n", len(pairs))
-	for i, p := range pairs {
-		idx := strconv.Itoa(i)
-		m.Set("k"+idx, p.Key).Set("v"+idx, p.Value)
-	}
-	reply, err := c.call(ctx, "GMPUT", m)
-	if err != nil {
-		return err
-	}
-	return globalErr(reply)
-}
-
-// GetGlobal blocks until the global attribute exists; steady-state
-// reads are answered from the LASS cache in one local hop.
-func (c *Client) GetGlobal(ctx context.Context, attribute string) (string, error) {
-	reply, err := c.call(ctx, "GGET", wire.NewMessage("GGET").Set("attr", attribute))
-	if err != nil {
-		return "", err
-	}
-	if err := globalErr(reply); err != nil {
-		return "", err
-	}
-	return reply.Get("value"), nil
-}
-
-// TryGetGlobal returns the global attribute's value without blocking;
-// ErrNotFound when absent.
-func (c *Client) TryGetGlobal(ctx context.Context, attribute string) (string, error) {
-	reply, err := c.call(ctx, "GTRYGET", wire.NewMessage("GTRYGET").Set("attr", attribute))
-	if err != nil {
-		return "", err
-	}
-	if reply.Verb == "NOTFOUND" {
-		return "", ErrNotFound
-	}
-	if err := globalErr(reply); err != nil {
-		return "", err
-	}
-	return reply.Get("value"), nil
-}
-
-// DeleteGlobal removes a global attribute through this LASS.
-func (c *Client) DeleteGlobal(ctx context.Context, attribute string) error {
-	reply, err := c.call(ctx, "GDEL", wire.NewMessage("GDEL").Set("attr", attribute))
-	if err != nil {
-		return err
-	}
-	return globalErr(reply)
-}
-
-// SnapshotGlobal dumps the context's global attributes (always one
-// upstream round trip; snapshots are never served from the cache).
-func (c *Client) SnapshotGlobal(ctx context.Context) (map[string]string, error) {
-	reply, err := c.call(ctx, "GSNAP", wire.NewMessage("GSNAP"))
-	if err != nil {
-		return nil, err
-	}
-	if err := globalErr(reply); err != nil {
-		return nil, err
-	}
-	return parseSnap(reply)
-}
-
 // SnapshotGlobalMany snapshots several global contexts in one GSNAPM
 // round trip. On a sharded LASS the contexts are fetched from their
 // owning CASS shards concurrently (scatter-gather); the result maps
 // context name → attribute snapshot. ErrNoGlobal against servers
-// without forwarding or too old to know the verb.
+// without forwarding.
 func (c *Client) SnapshotGlobalMany(ctx context.Context, contexts []string) (map[string]map[string]string, error) {
-	m := wire.NewMessage("GSNAPM").SetInt("n", len(contexts))
-	for i, name := range contexts {
-		m.Set("k"+strconv.Itoa(i), name)
+	spec := opFor(opSnapMany, scopeGlobal)
+	reply, err := c.call(ctx, spec, setNames(spec.req(), contexts))
+	out := make(map[string]map[string]string)
+	var decErr error
+	err = c.entries(reply, err, func(e entry) {
+		var snap map[string]string
+		if jerr := json.Unmarshal([]byte(e.v), &snap); jerr != nil && decErr == nil {
+			decErr = fmt.Errorf("attrspace: gsnapm decode %q: %w", e.k, jerr)
+		}
+		out[e.k] = snap
+	})
+	if err == nil {
+		err = decErr
 	}
-	reply, err := c.call(ctx, "GSNAPM", m)
 	if err != nil {
 		return nil, err
-	}
-	if err := globalErr(reply); err != nil {
-		return nil, err
-	}
-	out := make(map[string]map[string]string)
-	n, _ := strconv.Atoi(reply.Get("n"))
-	for i := 0; i < n; i++ {
-		idx := strconv.Itoa(i)
-		var snap map[string]string
-		if err := json.Unmarshal([]byte(reply.Get("v"+idx)), &snap); err != nil {
-			return nil, fmt.Errorf("attrspace: gsnapm decode %q: %w", reply.Get("k"+idx), err)
-		}
-		out[reply.Get("k"+idx)] = snap
 	}
 	return out, nil
 }
@@ -1426,19 +1088,7 @@ func (c *Client) SnapshotGlobalMany(ctx context.Context, contexts []string) (map
 // space — on a sharded LASS, the deduplicated union over every
 // reachable shard. ErrNoGlobal against servers without forwarding.
 func (c *Client) GlobalContexts(ctx context.Context) ([]string, error) {
-	reply, err := c.call(ctx, "GCTXS", wire.NewMessage("GCTXS"))
-	if err != nil {
-		return nil, err
-	}
-	if err := globalErr(reply); err != nil {
-		return nil, err
-	}
-	n, _ := strconv.Atoi(reply.Get("n"))
-	names := make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		names = append(names, reply.Get("k"+strconv.Itoa(i)))
-	}
-	return names, nil
+	return namesReply(c.call(ctx, opFor(opContexts, scopeGlobal), nil))
 }
 
 // Close leaves the context (the tdp_exit half of the refcount) and
@@ -1451,7 +1101,7 @@ func (c *Client) Close() error {
 	}
 	c.mu.Unlock()
 	// Best-effort polite exit; the server also leaves on disconnect.
-	c.wc.Send(wire.NewMessage("EXIT"))
+	c.wc.Send(opFor(opExit, scopeDaemon).req())
 	c.fail(ErrClientClosed)
 	return nil
 }

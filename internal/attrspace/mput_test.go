@@ -124,7 +124,7 @@ func (r *rawCaller) call(m *wire.Message) *wire.Message {
 func TestMPUTMalformed(t *testing.T) {
 	_, addr := startServer(t)
 	rc := newRawCaller(t, addr)
-	if got := rc.call(wire.NewMessage("HELLO").Set("context", "job")); got.Verb != "OK" {
+	if got := rc.call(wire.NewMessage("HELLO").Set("context", "job").Set("rev", ProtocolRevision)); got.Verb != "OK" {
 		t.Fatalf("HELLO: %v", got)
 	}
 
@@ -152,18 +152,16 @@ func TestMPUTMalformed(t *testing.T) {
 	}
 }
 
-// legacyServer speaks the pre-MPUT protocol: HELLO/PUT/SUB only, and
-// answers anything else — MPUT included — with the unknown-verb ERROR
-// an old daemon would produce. subFails makes the first SUB attempts
-// fail, to exercise the client's Subscribe retry path.
-func legacyServer(t *testing.T, subFailures int) (addr string, putCount *int32) {
+// flakySubServer is a stub that completes the HELLO handshake and then
+// fails the first subFailures SUB attempts, to exercise the client's
+// Subscribe retry path.
+func flakySubServer(t *testing.T, subFailures int) (addr string) {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
 	t.Cleanup(func() { l.Close() })
-	var puts int32
 	var mu sync.Mutex
 	remaining := subFailures
 	go func() {
@@ -182,12 +180,7 @@ func legacyServer(t *testing.T, subFailures int) (addr string, putCount *int32) 
 					}
 					switch m.Verb {
 					case "HELLO":
-						wc.Send(wire.NewMessage("OK").Set("id", m.Get("id")))
-					case "PUT":
-						mu.Lock()
-						puts++
-						mu.Unlock()
-						wc.Send(wire.NewMessage("OK").Set("id", m.Get("id")))
+						wc.Send(wire.NewMessage("OK").Set("id", m.Get("id")).Set("rev", ProtocolRevision))
 					case "SUB":
 						mu.Lock()
 						fail := remaining > 0
@@ -200,87 +193,20 @@ func legacyServer(t *testing.T, subFailures int) (addr string, putCount *int32) 
 						} else {
 							wc.Send(wire.NewMessage("OK").Set("id", m.Get("id")))
 						}
-					case "EXIT":
-						return
 					default:
-						wc.Send(wire.NewMessage("ERROR").Set("id", m.Get("id")).
-							Set("error", fmt.Sprintf("unknown verb %q", m.Verb)))
+						return
 					}
 				}
 			}(conn)
 		}
 	}()
-	return l.Addr().String(), &puts
-}
-
-// TestMPUTFallbackToOldServer: against a server that predates MPUT the
-// client's PutBatch degrades to individual PUTs, succeeds, and latches
-// so later batches skip the doomed MPUT attempt.
-func TestMPUTFallbackToOldServer(t *testing.T) {
-	addr, puts := legacyServer(t, 0)
-	c, err := Dial(nil, addr, "job")
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	defer c.Close()
-
-	pairs := []KV{{Key: "a", Value: "1"}, {Key: "b", Value: "2"}, {Key: "c", Value: "3"}}
-	if err := c.PutBatch(pairs); err != nil {
-		t.Fatalf("PutBatch against old server: %v", err)
-	}
-	if got := *puts; got != 3 {
-		t.Errorf("old server saw %d PUTs, want 3", got)
-	}
-	if !c.noMPUT.Load() {
-		t.Error("client did not latch MPUT unsupported")
-	}
-	// Second batch goes straight to PUTs, no MPUT retry.
-	if err := c.PutBatch(pairs[:2]); err != nil {
-		t.Fatalf("second PutBatch: %v", err)
-	}
-	if got := *puts; got != 5 {
-		t.Errorf("old server saw %d PUTs after second batch, want 5", got)
-	}
-}
-
-// TestPutAsyncCoalescesAgainstOldServer: the async flush path also
-// falls back and completes every put individually.
-func TestPutAsyncFallbackToOldServer(t *testing.T) {
-	addr, puts := legacyServer(t, 0)
-	c, err := Dial(nil, addr, "job")
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	defer c.Close()
-	const n = 20
-	chans := make([]<-chan Result, n)
-	for i := 0; i < n; i++ {
-		ch, err := c.PutAsync(fmt.Sprintf("k%d", i), "v")
-		if err != nil {
-			t.Fatalf("PutAsync: %v", err)
-		}
-		chans[i] = ch
-	}
-	for i, ch := range chans {
-		select {
-		case r := <-ch:
-			if r.Err != nil {
-				t.Errorf("put %d failed: %v", i, r.Err)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("put %d never completed", i)
-		}
-	}
-	if got := *puts; got != n {
-		t.Errorf("old server saw %d PUTs, want %d", got, n)
-	}
+	return l.Addr().String()
 }
 
 // TestSubscribeRetriesAfterFailure: a failed SUB must not latch the
-// client as subscribed (the bug fixed alongside MPUT) — a retry goes
-// back to the wire and can succeed.
+// client as subscribed — a retry goes back to the wire and can succeed.
 func TestSubscribeRetriesAfterFailure(t *testing.T) {
-	addr, _ := legacyServer(t, 1)
+	addr := flakySubServer(t, 1)
 	c, err := Dial(nil, addr, "job")
 	if err != nil {
 		t.Fatalf("Dial: %v", err)

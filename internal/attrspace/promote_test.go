@@ -68,6 +68,13 @@ func earnRing(t testing.TB, c *Client) {
 	}
 }
 
+// shmOffered reports HELLO's answer: may c be promoted to a ring.
+func shmOffered(c *Client) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.shmOK
+}
+
 // shmCounts reads the promotion counters of one registry.
 func shmCounts(reg *telemetry.Registry) (promotions, failed, timed int64) {
 	return reg.Counter("attrspace.shm.promotions").Value(),
@@ -206,8 +213,8 @@ func TestShmShortConnectionsNeverMap(t *testing.T) {
 			t.Fatalf("Dial: %v", err)
 		}
 		c.SetTelemetry(creg, nil)
-		if !c.HasCap(wire.CapShm) {
-			t.Fatal("CapShm not granted over a unix socket")
+		if !shmOffered(c) {
+			t.Fatal("HELLO over a unix socket did not answer shm=1")
 		}
 		if err := c.Put("pid", "4242"); err != nil {
 			t.Fatalf("Put: %v", err)
@@ -460,7 +467,7 @@ func scriptedServer(t *testing.T, onShm func(m *wire.Message) *wire.Message) (ad
 			var reply *wire.Message
 			switch m.Verb {
 			case "HELLO":
-				reply = wire.NewMessage("OK").Set("caps", "mux,snapd,chunk,ping,bytewin,shm")
+				reply = wire.NewMessage("OK").Set("rev", ProtocolRevision).Set("shm", "1")
 			case "PING":
 				reply = wire.NewMessage("PONG")
 			case "SHMREQ", "SHMRDY":
@@ -650,7 +657,7 @@ func TestShmPromotionAbandoned(t *testing.T) {
 		t.Cleanup(func() { raw.Close() })
 		wc := wire.NewConn(raw)
 		for _, m := range []*wire.Message{
-			wire.NewMessage("HELLO").Set("context", "raw").Set("caps", "ping,shm"),
+			wire.NewMessage("HELLO").Set("context", "raw").Set("rev", ProtocolRevision).Set("shm", "1"),
 			wire.NewMessage("SHMREQ"),
 		} {
 			if err := wc.Send(m.Set("id", m.Verb)); err != nil {

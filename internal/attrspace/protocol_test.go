@@ -20,23 +20,6 @@ func rawConn(t *testing.T, addr string) *wire.Conn {
 	return wire.NewConn(raw)
 }
 
-func TestProtocolOpBeforeHello(t *testing.T) {
-	_, addr := startServer(t)
-	wc := rawConn(t, addr)
-	for _, verb := range []string{"PUT", "GET", "TRYGET", "DELETE", "SNAP", "SUB"} {
-		if err := wc.Send(wire.NewMessage(verb).Set("id", "1").Set("attr", "a").Set("value", "v")); err != nil {
-			t.Fatalf("send %s: %v", verb, err)
-		}
-		reply, err := wc.Recv()
-		if err != nil {
-			t.Fatalf("recv after %s: %v", verb, err)
-		}
-		if reply.Verb != "ERROR" || reply.Get("error") != "HELLO required" {
-			t.Errorf("%s before HELLO: reply %v", verb, reply)
-		}
-	}
-}
-
 func TestProtocolSurvivesGarbageThenDisconnect(t *testing.T) {
 	// A client that sends a valid frame with an unknown verb, then
 	// slams the connection, must not disturb other sessions.
@@ -49,7 +32,7 @@ func TestProtocolSurvivesGarbageThenDisconnect(t *testing.T) {
 		t.Fatalf("dial: %v", err)
 	}
 	wc := wire.NewConn(raw)
-	wc.Send(wire.NewMessage("HELLO").Set("context", "junk"))
+	wc.Send(wire.NewMessage("HELLO").Set("context", "junk").Set("rev", ProtocolRevision))
 	wc.Recv()
 	wc.Send(wire.NewMessage("WAT").Set("id", "9"))
 	if reply, err := wc.Recv(); err != nil || reply.Verb != "ERROR" {
@@ -97,7 +80,7 @@ func TestProtocolMalformedFrameDisconnectsOnlyThatClient(t *testing.T) {
 func TestProtocolDoubleSubscribeRejected(t *testing.T) {
 	_, addr := startServer(t)
 	wc := rawConn(t, addr)
-	wc.Send(wire.NewMessage("HELLO").Set("context", "c").Set("id", "0"))
+	wc.Send(wire.NewMessage("HELLO").Set("context", "c").Set("rev", ProtocolRevision).Set("id", "0"))
 	wc.Recv()
 	wc.Send(wire.NewMessage("SUB").Set("id", "1"))
 	if reply, _ := wc.Recv(); reply.Verb != "OK" {
@@ -116,7 +99,7 @@ func TestProtocolInterleavedGetsShareConnection(t *testing.T) {
 	_, addr := startServer(t)
 	producer := dialT(t, addr, "c")
 	wc := rawConn(t, addr)
-	wc.Send(wire.NewMessage("HELLO").Set("context", "c").Set("id", "0"))
+	wc.Send(wire.NewMessage("HELLO").Set("context", "c").Set("rev", ProtocolRevision).Set("id", "0"))
 	wc.Recv()
 	wc.Send(wire.NewMessage("GET").Set("id", "g1").Set("attr", "first"))
 	wc.Send(wire.NewMessage("GET").Set("id", "g2").Set("attr", "second"))

@@ -2,11 +2,9 @@ package attrspace
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -23,22 +21,19 @@ import (
 //     fast (ErrShardDown) instead of hanging every caller on dial
 //     timeouts — and so one shard's death degrades only its hash range
 //     while the others keep serving;
-//   - a pooled, muxed data connection speaking the context-explicit C*
-//     verbs (CapCtxOp): any context's ops ride this one connection,
+//   - a pooled data connection speaking the ctx-scope verbs of the op
+//     table (CPUT, CGET, …): any context's ops ride this one connection,
 //     named per message by a ctx field. Ops destined for the same
 //     shard coalesce into Cork-batched drain cycles — one corked write
 //     and one bounded in-flight window per shard — which both
 //     amortizes the per-frame cost and bounds how many operations can
 //     be in limbo when a shard dies mid-batch.
 //
-// A shard that never granted CapCtxOp (a legacy, pre-shard CASS — the
-// mixed-version pool case) or that answers a C* verb with an
-// unknown-verb error latches legacy mode: its single-context ops fall
-// back to the per-context upstream connections the cache has always
-// held, so a v2 router in front of a v1 CASS behaves exactly like the
-// old GlobalCache. Multi-context scatter-gather (SnapshotMany,
-// Contexts listing, per-shard STATS) fans out concurrently across
-// shardConns and merges.
+// Blocking waits and subscriptions stay on the per-context upstream
+// connections the cache holds (cacheCtx.up), whose reference is also
+// what lets a ctx-scope op find its context. Multi-context
+// scatter-gather (SnapshotMany, Contexts listing, per-shard STATS) fans
+// out concurrently across shardConns and merges.
 
 // ErrShardDown reports an operation routed to a shard whose health
 // session is currently disconnected: the op fails fast rather than
@@ -46,10 +41,6 @@ import (
 // unaffected — this error is the degraded mode, not an outage of the
 // global space.
 var ErrShardDown = errors.New("attrspace: shard down")
-
-// errNoCtxOp marks a shard that does not speak the C* verbs; callers
-// fall back to the per-context connection path.
-var errNoCtxOp = errors.New("attrspace: shard does not speak ctxop")
 
 // defaultShardBatch bounds the operations one drain cycle corks into a
 // single write when CacheConfig.ShardBatch is zero. The bound is the
@@ -86,8 +77,7 @@ type shardConn struct {
 	sess *Session // health: reconnect + heartbeat; nil in tests only
 
 	mu       sync.Mutex
-	pool     *Client // pooled C* connection; nil until first use or after loss
-	legacy   bool    // shard spoke v1: no CapCtxOp (or unknown-verb latched)
+	pool     *Client // pooled ctx-scope connection; nil until first use or after loss
 	queue    []*shardOp
 	draining bool
 
@@ -95,7 +85,6 @@ type shardConn struct {
 	gErrors   *telemetry.Counter
 	gInflight *telemetry.Gauge
 	cPooled   *telemetry.Counter
-	cFallback *telemetry.Counter
 }
 
 func (gc *GlobalCache) newShardConn(idx int) *shardConn {
@@ -109,7 +98,6 @@ func (gc *GlobalCache) newShardConn(idx int) *shardConn {
 		gErrors:   reg.Counter(prefix + "errors"),
 		gInflight: reg.Gauge(prefix + "inflight"),
 		cPooled:   reg.Counter("attrspace.router.pooled"),
-		cFallback: reg.Counter("attrspace.router.fallback"),
 	}
 	sh.sess = NewSession(SessionConfig{
 		Dial:        gc.dial,
@@ -169,43 +157,20 @@ func (sh *shardConn) healthTick() {
 	sh.gUp.Set(up)
 }
 
-// pooledOK reports whether the pooled C* path should be attempted.
-func (sh *shardConn) pooledOK() bool {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return !sh.legacy
-}
-
 // dialPool opens (or returns) the pooled data connection. The
-// connection joins the router context — the C* ops it will carry name
-// their real target per message — and offers CapCtxOp on top of the
-// standard client capability set.
+// connection joins the router context — the ctx-scope ops it will carry
+// name their real target per message.
 func (sh *shardConn) dialPool(ctx context.Context) (*Client, error) {
 	sh.mu.Lock()
-	if pool := sh.pool; pool != nil {
-		sh.mu.Unlock()
+	pool := sh.pool
+	sh.mu.Unlock()
+	if pool != nil {
 		return pool, nil
 	}
-	legacy := sh.legacy
-	sh.mu.Unlock()
-	if legacy {
-		return nil, errNoCtxOp
-	}
-	pool, err := dialWithCaps(ctx, sh.gc.dial, sh.addr, routerContext,
-		append(append([]string(nil), clientCaps...), wire.CapCtxOp))
+	pool, err := DialCtx(ctx, sh.gc.dial, sh.addr, routerContext)
 	if err != nil {
 		sh.gErrors.Inc()
 		return nil, err
-	}
-	if !pool.HasCap(wire.CapCtxOp) {
-		// A live server that does not speak the C* verbs: a legacy
-		// single-shard CASS. Latch fallback mode; the per-context
-		// connections carry its traffic from here on.
-		pool.Close()
-		sh.mu.Lock()
-		sh.legacy = true
-		sh.mu.Unlock()
-		return nil, errNoCtxOp
 	}
 	pool.OnClose(func(error) {
 		sh.mu.Lock()
@@ -220,20 +185,21 @@ func (sh *shardConn) dialPool(ctx context.Context) (*Client, error) {
 	return pool, nil
 }
 
-// do queues one C* request for the next drain cycle and waits for its
-// reply. Fails fast when the shard is down or legacy.
-func (sh *shardConn) do(ctx context.Context, m *wire.Message) (*wire.Message, *Client, error) {
+// do names contextName as the target of the ctx-scope request m (""
+// for the one daemon-scope listing), queues it for the next drain cycle
+// and waits for its reply. Fails fast when the shard is down.
+func (sh *shardConn) do(ctx context.Context, contextName string, m *wire.Message) shardReply {
 	if sh.down() {
-		return nil, nil, sh.downErr()
+		return shardReply{err: sh.downErr()}
 	}
-	if !sh.pooledOK() {
-		return nil, nil, errNoCtxOp
+	if contextName != "" {
+		m.Set("ctx", contextName)
 	}
 	op := &shardOp{m: m, done: make(chan shardReply, 1)}
 	sh.mu.Lock()
 	if sh.gc.isClosed() {
 		sh.mu.Unlock()
-		return nil, nil, errCacheClosed
+		return shardReply{err: errCacheClosed}
 	}
 	sh.queue = append(sh.queue, op)
 	kick := !sh.draining
@@ -247,16 +213,13 @@ func (sh *shardConn) do(ctx context.Context, m *wire.Message) (*wire.Message, *C
 	select {
 	case r := <-op.done:
 		if r.err != nil {
-			if !errors.Is(r.err, errNoCtxOp) {
-				sh.gErrors.Inc()
-			}
-			return nil, nil, r.err
+			sh.gErrors.Inc()
 		}
-		return r.reply, r.pool, nil
+		return r
 	case <-ctx.Done():
 		// The drain loop still completes the op (done is buffered);
 		// this caller just stops waiting.
-		return nil, nil, ctx.Err()
+		return shardReply{err: ctx.Err()}
 	}
 }
 
@@ -317,201 +280,99 @@ func (sh *shardConn) drain(ctx context.Context) {
 	}
 }
 
-// ctxVerb builds a C* request naming its target context.
-func ctxVerb(verb, contextName string) *wire.Message {
-	return wire.NewMessage(verb).Set("ctx", contextName)
-}
-
-// checkCtxOpReply maps a C* reply to an error, latching legacy mode on
-// unknown-verb (a server that granted nothing would already have been
-// latched at dial; this is belt and braces against odd middleboxes).
-func (sh *shardConn) checkCtxOpReply(reply *wire.Message) error {
-	err := replyErr(reply)
-	if err != nil && isUnknownVerb(err) {
-		sh.mu.Lock()
-		sh.legacy = true
-		sh.mu.Unlock()
-		return errNoCtxOp
-	}
-	return err
-}
-
-func isUnknownVerb(err error) bool {
-	return err != nil && strings.Contains(err.Error(), "unknown verb")
-}
-
-// --- single-context pooled operations -------------------------------
+// The single-context operations: Client's requests and reply parsers,
+// at ctx scope.
 
 func (sh *shardConn) put(ctx context.Context, contextName, attribute, value string) (uint64, error) {
-	reply, _, err := sh.do(ctx, ctxVerb("CPUT", contextName).Set("attr", attribute).Set("value", value))
-	if err != nil {
-		return 0, err
-	}
-	if err := sh.checkCtxOpReply(reply); err != nil {
-		return 0, err
-	}
-	return strconv.ParseUint(reply.Get("seq"), 10, 64)
+	r := sh.do(ctx, contextName, putReq(opFor(opPut, scopeCtx), attribute, value))
+	return seqReply(r.reply, r.err)
 }
 
 func (sh *shardConn) putBatch(ctx context.Context, contextName string, pairs []KV) (uint64, error) {
-	m := ctxVerb("CMPUT", contextName).SetInt("n", len(pairs))
-	for i, p := range pairs {
-		idx := strconv.Itoa(i)
-		m.Set("k"+idx, p.Key)
-		m.Set("v"+idx, p.Value)
-	}
-	reply, _, err := sh.do(ctx, m)
-	if err != nil {
-		return 0, err
-	}
-	if err := sh.checkCtxOpReply(reply); err != nil {
-		return 0, err
-	}
-	return strconv.ParseUint(reply.Get("seq"), 10, 64)
+	r := sh.do(ctx, contextName, batchReq(opFor(opMPut, scopeCtx), pairs))
+	return seqReply(r.reply, r.err)
 }
 
 func (sh *shardConn) tryGet(ctx context.Context, contextName, attribute string) (string, uint64, error) {
-	reply, _, err := sh.do(ctx, ctxVerb("CGET", contextName).Set("attr", attribute))
-	if err != nil {
-		return "", 0, err
-	}
-	if reply.Verb == "NOTFOUND" {
-		return "", 0, ErrNotFound
-	}
-	if err := sh.checkCtxOpReply(reply); err != nil {
-		return "", 0, err
-	}
-	seq, _ := strconv.ParseUint(reply.Get("seq"), 10, 64)
-	return reply.Get("value"), seq, nil
+	r := sh.do(ctx, contextName, attrReq(opFor(opTryGet, scopeCtx), attribute))
+	return valueReply(r.reply, r.err)
 }
 
 func (sh *shardConn) delete(ctx context.Context, contextName, attribute string) (uint64, error) {
-	reply, _, err := sh.do(ctx, ctxVerb("CDEL", contextName).Set("attr", attribute))
-	if err != nil {
-		return 0, err
-	}
-	if err := sh.checkCtxOpReply(reply); err != nil {
-		return 0, err
-	}
-	return strconv.ParseUint(reply.Get("seq"), 10, 64)
+	r := sh.do(ctx, contextName, attrReq(opFor(opDelete, scopeCtx), attribute))
+	return seqReply(r.reply, r.err)
 }
 
 func (sh *shardConn) snapshot(ctx context.Context, contextName string) (map[string]string, error) {
-	reply, pool, err := sh.do(ctx, ctxVerb("CSNAP", contextName))
-	if err != nil {
-		return nil, err
-	}
-	if err := sh.checkCtxOpReply(reply); err != nil {
-		return nil, err
+	r := sh.do(ctx, contextName, opFor(opSnapshot, scopeCtx).req())
+	if r.err != nil {
+		return nil, r.err
 	}
 	out := make(map[string]string)
-	for _, part := range append(pool.takeChunks(reply.Get("id")), reply) {
-		n, _ := strconv.Atoi(part.Get("n"))
-		for i := 0; i < n; i++ {
-			idx := strconv.Itoa(i)
-			out[part.Get("k"+idx)] = part.Get("v" + idx)
-		}
-	}
-	return out, nil
+	return out, r.pool.entries(r.reply, nil, func(e entry) { out[e.k] = e.v })
 }
 
 func (sh *shardConn) contexts(ctx context.Context) ([]string, error) {
-	reply, _, err := sh.do(ctx, wire.NewMessage("CCTXS"))
-	if err != nil {
-		return nil, err
-	}
-	if err := sh.checkCtxOpReply(reply); err != nil {
-		return nil, err
-	}
-	n, _ := strconv.Atoi(reply.Get("n"))
-	names := make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		names = append(names, reply.Get("k"+strconv.Itoa(i)))
-	}
-	return names, nil
+	r := sh.do(ctx, "", opFor(opContexts, scopeDaemon).req())
+	return namesReply(r.reply, r.err)
 }
 
-// --- scatter-gather -------------------------------------------------
+// scatter runs fn(0) … fn(n-1) concurrently and returns their results
+// by index.
+func scatter[T any](n int, fn func(i int) (T, error)) ([]T, []error) {
+	vals, errs := make([]T, n), make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			vals[i], errs[i] = fn(i)
+		}(i)
+	}
+	wg.Wait()
+	return vals, errs
+}
 
 // SnapshotMany snapshots several contexts in one scatter-gather: the
 // names group by owning shard, each shard's snapshots coalesce into
 // Cork-batched drain cycles on its pooled connection, and the shards
 // run concurrently. The result maps context name → snapshot for every
-// context that answered; err is the first failure (down shard, legacy
-// shard error) with the successes still returned — a degraded pool
-// yields a partial, labeled picture rather than nothing.
+// context that answered; err is the first failure (a down shard) with
+// the successes still returned — a degraded pool yields a partial,
+// labeled picture rather than nothing.
 func (gc *GlobalCache) SnapshotMany(ctx context.Context, names []string) (map[string]map[string]string, error) {
-	type result struct {
-		name string
-		snap map[string]string
-		err  error
-	}
-	results := make(chan result, len(names))
-	for _, name := range names {
-		go func(name string) {
-			sh := gc.shard(name)
-			snap, err := sh.snapshot(ctx, name)
-			if errors.Is(err, errNoCtxOp) {
-				// Legacy shard: one per-context connection does the job.
-				snap, err = gc.Snapshot(ctx, name)
-			}
-			results <- result{name: name, snap: snap, err: err}
-		}(name)
-	}
+	snaps, errs := scatter(len(names), func(i int) (map[string]string, error) {
+		return gc.shard(names[i]).snapshot(ctx, names[i])
+	})
 	out := make(map[string]map[string]string, len(names))
 	var firstErr error
-	for range names {
-		r := <-results
-		if r.err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("context %q: %w", r.name, r.err)
-			}
-			continue
+	for i, name := range names {
+		if errs[i] == nil {
+			out[name] = snaps[i]
+		} else if firstErr == nil {
+			firstErr = fmt.Errorf("context %q: %w", name, errs[i])
 		}
-		out[r.name] = r.snap
 	}
 	return out, firstErr
 }
 
 // GlobalContexts lists the context names alive across every shard
-// (deduplicated, unsorted). Shards that are down or legacy are skipped
-// — the listing is best-effort by design, like the paper's monitoring
-// verbs — with err reporting the first skip cause when any shard could
-// not answer.
+// (deduplicated, unsorted). Shards that are down are skipped — the
+// listing is best-effort by design, like the paper's monitoring verbs —
+// with err reporting the first skip cause when any shard could not
+// answer.
 func (gc *GlobalCache) GlobalContexts(ctx context.Context) ([]string, error) {
-	n := gc.shards.Len()
-	type result struct {
-		names []string
-		err   error
-	}
-	results := make(chan result, n)
-	for i := 0; i < n; i++ {
-		go func(i int, sh *shardConn) {
-			names, err := sh.contexts(ctx)
-			if errors.Is(err, errNoCtxOp) {
-				// A legacy shard cannot enumerate its contexts — the
-				// v1 protocol has no listing verb. But the router has
-				// forwarded every one of that shard's contexts itself,
-				// so its per-context connection cache is an authoritative
-				// local substitute for everything this LASS touched.
-				sh.cFallback.Inc()
-				names, err = gc.localContextsFor(i), nil
-			}
-			results <- result{names: names, err: err}
-		}(i, gc.shardAt(i))
-	}
+	lists, errs := scatter(gc.shards.Len(), func(i int) ([]string, error) {
+		return gc.conns[i].contexts(ctx)
+	})
 	seen := make(map[string]struct{})
 	var out []string
 	var firstErr error
-	for i := 0; i < n; i++ {
-		r := <-results
-		if r.err != nil {
-			if firstErr == nil {
-				firstErr = r.err
-			}
-			continue
+	for i, names := range lists {
+		if errs[i] != nil && firstErr == nil {
+			firstErr = errs[i]
 		}
-		for _, name := range r.names {
+		for _, name := range names {
 			if _, dup := seen[name]; !dup {
 				seen[name] = struct{}{}
 				out = append(out, name)
@@ -521,73 +382,29 @@ func (gc *GlobalCache) GlobalContexts(ctx context.Context) ([]string, error) {
 	return out, firstErr
 }
 
-// localContextsFor lists the cached per-context connections whose
-// context hashes to shard i — the router's own record of what it has
-// forwarded to a shard that cannot answer CCTXS itself.
-func (gc *GlobalCache) localContextsFor(i int) []string {
-	gc.mu.Lock()
-	defer gc.mu.Unlock()
-	var out []string
-	for name := range gc.ctxs {
-		if gc.shards.ShardFor(name) == i {
-			out = append(out, name)
-		}
-	}
-	return out
-}
-
 // ShardStats fetches each live shard's telemetry snapshot
 // concurrently — the scatter half of `STATS scope=tree` on a sharded
 // LASS. Down or unreachable shards contribute nothing; the rollup is
 // the surviving pool's picture.
 func (gc *GlobalCache) ShardStats() []telemetry.Snapshot {
-	n := gc.shards.Len()
-	results := make(chan *telemetry.Snapshot, n)
-	for i := 0; i < n; i++ {
-		go func(sh *shardConn) {
-			if sh.down() {
-				results <- nil
-				return
-			}
-			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			defer cancel()
-			pool, err := sh.dialPool(ctx)
-			if err != nil {
-				results <- nil
-				return
-			}
-			_, snap, err := pool.ServerStats(ctx)
-			if err != nil {
-				results <- nil
-				return
-			}
-			results <- &snap
-		}(gc.shardAt(i))
-	}
+	snaps, errs := scatter(gc.shards.Len(), func(i int) (snap telemetry.Snapshot, err error) {
+		sh := gc.conns[i]
+		if sh.down() {
+			return snap, ErrShardDown
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		pool, err := sh.dialPool(ctx)
+		if err == nil {
+			_, snap, err = pool.ServerStats(ctx)
+		}
+		return snap, err
+	})
 	var out []telemetry.Snapshot
-	for i := 0; i < n; i++ {
-		if s := <-results; s != nil {
-			out = append(out, *s)
+	for i, snap := range snaps {
+		if errs[i] == nil {
+			out = append(out, snap)
 		}
 	}
 	return out
-}
-
-// encodeSnapshotMany renders a SnapshotMany result as the GSNAPM reply
-// payload: one k/v pair per context, the value a JSON object of the
-// context's attributes.
-func encodeSnapshotMany(id string, snaps map[string]map[string]string) (*wire.Message, error) {
-	reply := wire.NewMessage("SNAPV").Set("id", id).SetInt("n", len(snaps))
-	i := 0
-	for name, snap := range snaps {
-		data, err := json.Marshal(snap)
-		if err != nil {
-			return nil, err
-		}
-		idx := strconv.Itoa(i)
-		reply.Set("k"+idx, name)
-		reply.Set("v"+idx, string(data))
-		i++
-	}
-	return reply, nil
 }

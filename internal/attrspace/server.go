@@ -5,64 +5,34 @@
 // the same server — the distinction is purely where they run and who
 // connects — so one implementation serves both roles.
 //
-// The protocol is framed wire.Messages:
+// The protocol is framed wire.Messages. A client says HELLO (context,
+// protocol revision, and whether it could share a ring) and then sends
+// requests; the request verbs — each an operation at a scope: the
+// connection's context, an explicit ctx, or the global space behind a
+// caching LASS — are the op table in ops.go, and DESIGN §12 describes
+// the whole protocol. The server answers:
 //
-//	client → server:
-//	  HELLO   context=<name>                 join a context
-//	  PUT     id=<n> attr=<a> value=<v>      store, ack with OK
-//	  MPUT    id=<n> n=<c> k0=.. v0=.. k1=.. store c pairs in order, one OK
-//	  GET     id=<n> attr=<a>                blocking get, reply VALUE
-//	  TRYGET  id=<n> attr=<a>                non-blocking, VALUE or NOTFOUND
-//	  DELETE  id=<n> attr=<a>                remove, ack with OK
-//	  SNAP    id=<n> [seqs=1]                dump all attributes; seqs=1
-//	                                         adds per-entry s<i> + context seq
-//	  SUB     id=<n>                         start event push, ack with OK
-//	  STATS   id=<n> [scope=tree]            dump daemon telemetry (no HELLO needed);
-//	                                         scope=tree merges in child snapshots
-//	  EXIT                                   leave context and disconnect
-//
-//	client → LASS (global forwarding; LASS relays to its CASS):
-//	  GPUT    id=<n> attr=<a> value=<v>      global put, write-through
-//	  GMPUT   id=<n> n=<c> k0=.. v0=..       global batched put
-//	  GGET    id=<n> attr=<a>                blocking global get (cache first)
-//	  GTRYGET id=<n> attr=<a>                non-blocking global get (cache first)
-//	  GDEL    id=<n> attr=<a>                global delete, write-through
-//	  GSNAP   id=<n>                         global snapshot (never cached)
-//
-//	server → client:
-//	  OK      id=<n> [seq=<s>]
-//	  VALUE   id=<n> attr=<a> value=<v> [seq=<s>]
-//	  NOTFOUND id=<n> attr=<a>
-//	  SNAPV   id=<n> n=<count> k0=.. v0=.. k1=..
-//	  STATSV  id=<n> daemon=<name> json=<telemetry snapshot>
-//	  ERROR   id=<n> error=<text>
-//	  EVENT   attr=<a> value=<v> op=<put|delete|destroy> seq=<n> [lost=<d>]
-//	  CLOSE   reason=<r>                     GOAWAY: server draining; no new
-//	                                         requests, in-flight replies land
+//	OK       id=<n> [seq=<s>]
+//	VALUE    id=<n> attr=<a> value=<v> seq=<s>
+//	NOTFOUND id=<n> attr=<a>
+//	SNAPV    id=<n> n=<count> k0=.. v0=.. k1=..
+//	STATSV   id=<n> daemon=<name> json=<telemetry snapshot>
+//	ERROR    id=<n> error=<text>
+//	EVENT    attr=<a> value=<v> op=<put|delete|destroy> seq=<n> [lost=<d>]
+//	CLOSE    reason=<r>    GOAWAY: server draining; no new requests,
+//	                       in-flight replies land
 //
 // Every reply carries the request id, so a client may keep many
 // blocking GETs outstanding on one connection — this is what makes the
-// paper's tdp_async_get natural to implement. MPUT batches a burst of
-// puts (a tool daemon publishing its startup attributes) into one
-// round trip; servers that predate it answer with an unknown-verb
-// ERROR and clients fall back to individual PUTs.
-//
-// Mutating acks and VALUE replies carry the per-context sequence
-// number of the write they report (seq), which is what versions the
-// LASS read cache. EVENT may carry lost=<d>: the number of updates the
-// server's fan-out ring had to drop for this subscriber since the last
-// event — a nonzero delta tells a mirroring consumer (the cache) that
-// its picture has a gap and must be flushed. The G* verbs are answered
-// by a LASS started with an upstream CASS (see EnableGlobalCache):
-// reads are served from a local cache kept coherent by the LASS's own
-// subscription to the CASS, writes go through to the CASS and update
-// the cache with the CASS-assigned seq before the ack, so a client
-// reads its own global writes through the same LASS.
-//
-// Requests may additionally carry the reserved _tid/_sid span-tracing
-// fields (wire.FieldTraceID); the server then records its share of the
-// operation in its span log under the caller's trace ID, which is how
-// one Put can be followed front-end → CASS → proxy → LASS.
+// paper's tdp_async_get natural to implement. Mutating acks and VALUE
+// replies carry the per-context sequence number of the write they
+// report (seq), which is what versions the LASS read cache; EVENT may
+// carry lost=<d>, the number of updates the server's fan-out ring had
+// to drop for this subscriber since the last event. Requests may carry
+// the reserved _tid/_sid span-tracing fields (wire.FieldTraceID); the
+// server then records its share of the operation in its span log under
+// the caller's trace ID, which is how one Put can be followed
+// front-end → CASS → proxy → LASS.
 package attrspace
 
 import (
@@ -83,20 +53,6 @@ import (
 	"tdp/internal/wire"
 )
 
-// serverVerbs are the request verbs the server counts and times; one
-// counter "attrspace.ops.<verb>" and one latency histogram
-// "attrspace.latency.<verb>" exist per verb.
-var serverVerbs = []string{"hello", "put", "mput", "get", "tryget", "delete", "snap", "snapd", "sub",
-	"stats", "ping", "gput", "gmput", "gget", "gtryget", "gdel", "gsnap", "gsnapm", "gctxs",
-	"cput", "cmput", "cget", "cdel", "csnap", "cctxs"}
-
-// defaultServerCaps are the transport capabilities a server grants
-// when the client offers them; see Server.SetCaps. CapShm is listed
-// but additionally gated per connection: it is only granted across a
-// provably same-host transport (see the HELLO handler), and granting it
-// creates nothing — the client asks for its ring later, with SHMREQ.
-var defaultServerCaps = []string{wire.CapMux, wire.CapSnapd, wire.CapChunk, wire.CapPing, wire.CapCtxOp, wire.CapByteWin, wire.CapShm}
-
 // verbMetrics caches one verb's hot-path metric handles.
 type verbMetrics struct {
 	ops *telemetry.Counter
@@ -111,7 +67,7 @@ type verbMetrics struct {
 type telemetryHandles struct {
 	reg    *telemetry.Registry
 	tracer *telemetry.Tracer
-	verbs  map[string]verbMetrics // read-only after construction
+	verbs  []verbMetrics // by opSpec.idx; read-only after construction
 	gConns *telemetry.Gauge
 
 	// Event fan-out accounting (the asynchronous subscriber path).
@@ -143,9 +99,8 @@ type Server struct {
 	closed    bool
 	draining  bool // Shutdown in progress; Serve exits cleanly
 
-	// caps is the transport-v2 capability set this server grants; see
-	// SetCaps. Never nil after NewServer.
-	caps atomic.Pointer[[]string]
+	// noShm withholds ring promotion from every connection; see SetShm.
+	noShm atomic.Bool
 
 	// inflight counts requests currently inside their synchronous
 	// dispatch (reply not yet written). Blocked GETs hand off to a
@@ -165,12 +120,12 @@ type Server struct {
 	// created by SUB; see SetEventBuffer.
 	evBuf atomic.Int32
 
-	// gcache, when non-nil, serves the G* global-forwarding verbs: this
+	// gcache, when non-nil, serves the global-scope verbs: this
 	// server is a LASS with an upstream CASS. See EnableGlobalCache.
 	gcache atomic.Pointer[GlobalCache]
 
 	// shard, when non-nil, makes this server one partition of a sharded
-	// CASS: HELLO (and the C* verbs) refuse contexts whose hash places
+	// CASS: HELLO (and the ctx-scope verbs) refuse contexts whose hash places
 	// them on a different shard. See SetShard.
 	shard atomic.Pointer[shardSpec]
 }
@@ -193,52 +148,15 @@ func NewServerWithSpace(space *attr.Space) *Server {
 		conns: make(map[*serverConn]struct{}),
 	}
 	s.evBuf.Store(DefaultEventBuffer)
-	s.caps.Store(&defaultServerCaps)
 	s.SetTelemetry(telemetry.NewRegistry(), telemetry.NewTracer("attrspace"))
 	return s
 }
 
-// SetCaps replaces the transport-v2 capability set this server is
-// willing to grant on HELLO. Callers pass wire.CapMux etc.; passing
-// none makes the server behave exactly like a pre-v2 build (SNAPD and
-// PING answered with unknown-verb errors, no mux, no chunking) — the
-// interop tests use that to simulate a v1 peer.
-func (s *Server) SetCaps(caps ...string) {
-	cp := append([]string(nil), caps...)
-	s.caps.Store(&cp)
-}
-
-// Caps returns the capability set granted on HELLO.
-func (s *Server) Caps() []string { return *s.caps.Load() }
-
-// CapsWithoutShm returns caps minus the shared-memory transport
-// capability — the -shm=false path of lassd/cassd, which keeps every
-// client on the socket byte stream while leaving the rest of the v2/v3
-// capability set intact.
-func CapsWithoutShm(caps []string) []string {
-	return withoutCap(caps, wire.CapShm)
-}
-
-// withoutCap returns caps minus the named capability (a copy; the
-// input — often the server's live set — is never mutated).
-func withoutCap(caps []string, name string) []string {
-	out := make([]string, 0, len(caps))
-	for _, c := range caps {
-		if c != name {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-func (s *Server) capEnabled(name string) bool {
-	for _, c := range *s.caps.Load() {
-		if c == name {
-			return true
-		}
-	}
-	return false
-}
+// SetShm sets whether this server lets same-host connections be
+// promoted to a shared-memory ring (the default). Off — the -shm=false
+// flag of lassd/cassd — no HELLO is told a ring is possible, so every
+// client stays on its socket for the life of its connection.
+func (s *Server) SetShm(on bool) { s.noShm.Store(!on) }
 
 // SetShard declares this server to be shard idx of a total-way
 // partitioned CASS (the cassd -shard i/n flag). From then on HELLO and
@@ -255,15 +173,17 @@ func (s *Server) SetShard(idx, total int) error {
 	return nil
 }
 
-// shardRefuses reports whether this server's shard assignment excludes
-// the named context, with the owner's index for the error message.
-func (s *Server) shardRefuses(name string) (owner int, refused bool) {
+// shardRefuses returns the "wrong shard" error, naming the owner, when
+// this server's shard assignment excludes the named context.
+func (s *Server) shardRefuses(name string) error {
 	sp := s.shard.Load()
 	if sp == nil || strings.HasPrefix(name, InfraContextPrefix) {
-		return 0, false
+		return nil
 	}
-	owner = ShardIndex(name, sp.total)
-	return owner, owner != sp.idx
+	if owner := ShardIndex(name, sp.total); owner != sp.idx {
+		return fmt.Errorf("wrong shard: context %q belongs to shard %d", name, owner)
+	}
+	return nil
 }
 
 // DefaultEventBuffer is the per-subscription fan-out ring size used
@@ -297,11 +217,10 @@ func (s *Server) SetTelemetry(reg *telemetry.Registry, tracer *telemetry.Tracer)
 	}
 	if reg != nil {
 		h.reg = reg
-		h.verbs = make(map[string]verbMetrics, len(serverVerbs))
-		for _, v := range serverVerbs {
-			h.verbs[v] = verbMetrics{
-				ops: reg.Counter("attrspace.ops." + v),
-				lat: reg.Histogram("attrspace.latency."+v, nil),
+		h.verbs = make([]verbMetrics, len(opTable))
+		for i := range opTable {
+			if spec := &opTable[i]; !spec.quiet {
+				h.verbs[i] = verbMetrics{ops: reg.Counter(spec.opsName), lat: reg.Histogram(spec.latName, nil)}
 			}
 		}
 		h.gConns = reg.Gauge("attrspace.conns")
@@ -354,13 +273,6 @@ func (s *Server) SetLogger(l *telemetry.Logger) {
 	s.logger.Store(l)
 }
 
-// SetLogf installs a printf-style logging function (e.g. log.Printf).
-// It is the legacy form of SetLogger; both paths now feed the same
-// leveled logger.
-func (s *Server) SetLogf(f func(format string, args ...any)) {
-	s.SetLogger(telemetry.FuncLogger(f))
-}
-
 func (s *Server) log() *telemetry.Logger {
 	return s.logger.Load()
 }
@@ -373,24 +285,9 @@ func (s *Server) Space() *attr.Space { return s.space }
 // it never races a concurrent SetTelemetry and always reports one
 // registry's counters consistently.
 func (s *Server) Stats() (puts, gets, tryGets, deletes int64) {
-	reg := s.tel.Load().reg
-	return reg.Counter("attrspace.ops.put").Value(),
-		reg.Counter("attrspace.ops.get").Value(),
-		reg.Counter("attrspace.ops.tryget").Value(),
-		reg.Counter("attrspace.ops.delete").Value()
-}
-
-// observe bumps a verb's counter; the returned func records its
-// latency when the reply goes out. Lock-free: one atomic load plus a
-// probe of an immutable map.
-func (s *Server) observe(verb string) func() {
-	vm, ok := s.tel.Load().verbs[verb]
-	if !ok {
-		return func() {}
-	}
-	vm.ops.Inc()
-	start := time.Now()
-	return func() { vm.lat.Since(start) }
+	verbs := s.tel.Load().verbs
+	count := func(op opKind) int64 { return verbs[opFor(op, scopeConn).idx].ops.Value() }
+	return count(opPut), count(opGet), count(opTryGet), count(opDelete)
 }
 
 // Serve accepts connections on l until Close is called or the listener
@@ -420,6 +317,10 @@ func (s *Server) Serve(l net.Listener) error {
 		// after SetTelemetry count into the new registry.
 		tel := s.tel.Load()
 		sc.wc.InstrumentRegistry(tel.reg)
+		// The mux exists from accept: it stamps nothing on the control
+		// stream until it has received on a flow-controlled one, so a
+		// peer that never says HELLO (a STATS probe) sees plain frames.
+		sc.mux = wire.NewMux(sc.wc, wire.MuxConfig{Registry: tel.reg})
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
@@ -570,32 +471,23 @@ type serverConn struct {
 	srv *Server
 	wc  *wire.Conn
 	raw net.Conn
+	mux *wire.Mux // set at accept, before run
 
-	mu   sync.Mutex
-	ref  *attr.Ref // joined context, nil until HELLO
-	sub  *attr.Subscription
-	caps map[string]bool // capabilities granted on HELLO; nil = v1 peer
-	mux  *wire.Mux       // non-nil once CapMux granted
+	mu    sync.Mutex
+	ref   *attr.Ref // joined context, nil until HELLO
+	sub   *attr.Subscription
+	shmOK bool // HELLO said a ring is possible and no SHMREQ has used that up
 
-	// Transport-v3 promotion state, owned by the read loop: the segment
-	// created for SHMREQ, its file, and when that was, until SHMRDY (or
-	// teardown, if the connection dies in between) takes them.
+	// quit ends the connection after the current request: EXIT, or a
+	// HELLO of another protocol revision. Owned by the read loop.
+	quit bool
+
+	// Promotion state, owned by the read loop: the segment created for
+	// SHMREQ, its file, and when that was, until SHMRDY (or teardown, if
+	// the connection dies in between) takes them.
 	shmSeg   *wire.ShmSegment
 	shmPath  string
 	shmStart time.Time
-}
-
-// muxer returns the connection's mux, or nil before CapMux was granted.
-func (c *serverConn) muxer() *wire.Mux {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.mux
-}
-
-func (c *serverConn) capGranted(name string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.caps[name]
 }
 
 func (c *serverConn) run() {
@@ -631,24 +523,20 @@ func (c *serverConn) run() {
 	m := new(wire.Message)
 	for {
 		if err := c.wc.RecvInto(m); err != nil {
-			if x := c.muxer(); x != nil {
-				x.Fail(err) // wake event/chunk senders blocked on windows
-			}
-			return // disconnect
+			c.mux.Fail(err) // wake event/chunk senders blocked on windows
+			return          // disconnect
 		}
-		if x := c.muxer(); x != nil {
-			if _, handled := x.Accept(m); handled {
-				continue // pure transport (WINUP), nothing to dispatch
-			}
+		if _, handled := c.mux.Accept(m); handled {
+			continue // pure transport (WINUP), nothing to dispatch
 		}
 		// The inflight window covers only the synchronous part of the
 		// dispatch: once dispatch returns, any still-pending reply
 		// belongs to a blocked GET goroutine, which a drain deliberately
 		// does not wait for.
 		srv.inflight.Add(1)
-		exit := c.dispatch(ctx, m)
+		c.dispatch(ctx, m)
 		srv.inflight.Add(-1)
-		if exit {
+		if c.quit {
 			return
 		}
 	}
@@ -666,474 +554,501 @@ func (c *serverConn) takeShmSegment() *wire.ShmSegment {
 	return seg
 }
 
-// dispatch handles one request; it returns true when the connection
-// should end (EXIT).
-func (c *serverConn) dispatch(ctx context.Context, m *wire.Message) bool {
-	srv := c.srv
-	switch m.Verb {
-	case "HELLO":
-		done := srv.observe("hello")
-		name := m.Get("context")
-		if owner, refused := srv.shardRefuses(name); refused {
-			c.reply(wire.NewMessage("ERROR").Set("id", m.Get("id")).
-				Set("error", fmt.Sprintf("wrong shard: context %q belongs to shard %d", name, owner)))
-			done()
-			return false
-		}
-		// Capability negotiation: grant the intersection of what the
-		// client offered and what this server speaks. A v1 client sends
-		// no caps field and gets none back; a v1 server ignores the
-		// field entirely — either way both ends stay on v1 behavior.
-		// CapShm is further gated on the transport itself: it is only
-		// honest across a same-host connection this build can mmap on,
-		// so anywhere else it is stripped from the supported set before
-		// the intersection — the client sees a plain v2 grant. Granting
-		// it states that fact and nothing more: the connection stays on
-		// the socket until the client asks for a ring (SHMREQ).
-		supported := srv.Caps()
-		if !wire.ShmSupported() || !sameHostConn(c.raw) {
-			supported = withoutCap(supported, wire.CapShm)
-		}
-		granted := wire.IntersectCaps(m.Get("caps"), supported)
-		c.mu.Lock()
-		already := c.ref != nil
-		if !already {
-			c.ref = srv.space.Join(name)
-			if granted != "" {
-				c.caps = wire.ParseCaps(granted)
-				if c.caps[wire.CapMux] {
-					c.mux = wire.NewMux(c.wc, wire.MuxConfig{
-						Registry:   srv.tel.Load().reg,
-						ByteWindow: c.caps[wire.CapByteWin],
-					})
-				}
-			}
-		}
-		c.mu.Unlock()
-		if already {
-			c.reply(wire.NewMessage("ERROR").Set("id", m.Get("id")).Set("error", "already joined"))
-			done()
-			return false
-		}
-		ok := wire.NewMessage("OK").Set("id", m.Get("id"))
-		if granted != "" {
-			ok.Set("caps", granted)
-		}
-		c.reply(ok)
-		done()
-	case "SHMREQ":
-		// Transport-v3 promotion, step one: the client has taken enough
-		// replies over the socket to pay for a ring and asks for one.
-		// Create the segment and answer with its path. The request uses
-		// up the HELLO grant — a connection is promoted once or never —
-		// and a creation failure (full tmpfs, exotic fs) is an ERROR that
-		// leaves the client on the socket.
-		c.mu.Lock()
-		granted := c.caps[wire.CapShm]
-		delete(c.caps, wire.CapShm)
-		c.mu.Unlock()
-		if !granted {
-			c.unknownVerb(m)
-			return false
-		}
-		c.shmStart = time.Now()
-		seg, path, err := createShmSegment()
-		if err != nil {
-			srv.tel.Load().shm.failed.Inc()
-			c.replyErr(m.Get("id"), err)
-			return false
-		}
-		c.shmSeg, c.shmPath = seg, path
-		c.reply(wire.NewMessage("OK").Set("id", m.Get("id")).Set("shmfile", path))
-	case "SHMRDY":
-		// Step two: the client has mapped the segment, and this frame is
-		// the last framed byte it will ever write to the socket — it
-		// swapped its write side onto the ring behind it. We are the read
-		// loop, between two RecvIntos, so the read side swaps here; the
-		// OK and the write-side swap are one step (SendSwap), because
-		// event and blocked-GET goroutines write whenever they like: the
-		// OK reaches the socket even under pushEvents' open cork, and
-		// whatever they send after it reaches the ring. A SHMRDY that
-		// carries an error reports a segment the client could not map.
-		seg := c.takeShmSegment()
-		if seg == nil {
-			c.unknownVerb(m) // no SHMREQ before it
-			return false
-		}
-		if text := m.Get("error"); text != "" {
-			srv.tel.Load().shm.failed.Inc()
-			c.replyErr(m.Get("id"), errors.New(text))
-			return false
-		}
-		ep := seg.Endpoint(true, c.raw)
-		ep.Activate()
-		c.wc.SwapRead(ep)
-		srv.tel.Load().shm.done(c.shmStart, c.wc.SendSwap(wire.NewMessage("OK").Set("id", m.Get("id")), ep))
-	case "EXIT":
-		return true
-	case "PING":
-		// Wire-level liveness probe (CapPing). Answered inline on the
-		// read loop — which is the point: a client's heartbeat must get
-		// through even while bulk replies stream from side goroutines.
-		if !srv.capEnabled(wire.CapPing) {
-			c.unknownVerb(m) // a pre-v2 server would not know PING
-			return false
-		}
-		done := srv.observe("ping")
-		c.reply(wire.NewMessage("PONG").Set("id", m.Get("id")))
-		done()
-		return false
-	case "STATS":
-		// STATS needs no context: it reports on the daemon, not on
-		// any attribute space, so monitoring tools can probe a
-		// server without joining (and without bumping refcounts).
-		c.handleStats(m)
-	case "SNAPD":
-		if !srv.capEnabled(wire.CapSnapd) {
-			c.unknownVerb(m) // a pre-v2 server would not know SNAPD
-			return false
-		}
-		c.handleOp(ctx, m)
-	case "PUT", "MPUT", "GET", "TRYGET", "DELETE", "SNAP", "SUB":
-		c.handleOp(ctx, m)
-	case "CPUT", "CMPUT", "CGET", "CDEL", "CSNAP", "CCTXS":
-		// Context-explicit ops (CapCtxOp): the shard router's pooled
-		// connections name the target context per message instead of
-		// being bound to one at HELLO.
-		if !srv.capEnabled(wire.CapCtxOp) {
-			c.unknownVerb(m) // a pre-shard server would not know these
-			return false
-		}
-		c.handleCtxOp(m)
-	case "GPUT", "GMPUT", "GGET", "GTRYGET", "GDEL", "GSNAP", "GSNAPM", "GCTXS":
-		c.handleGlobal(ctx, m)
-	default:
-		c.unknownVerb(m)
-	}
-	return false
+// request is one dispatched request: its op-table row, the message (valid
+// until the handler returns), the target its scope resolved to, and the
+// observation to end when the reply is out. Handlers take it by value,
+// so a request costs no allocation of its own.
+type request struct {
+	spec *opSpec
+	m    *wire.Message
+	id   string
+	t    target
+	obs  observation
 }
 
-// unknownVerb is the v1-compat fallback reply: clients probe new verbs
-// and latch off the ones a server rejects this way.
+// observation times one request and holds its span; end records both.
+// The zero value (a quiet row) records nothing.
+type observation struct {
+	lat   *telemetry.Histogram
+	start time.Time
+	sp    *telemetry.Span
+}
+
+func (o observation) end() {
+	if o.lat != nil {
+		o.lat.Since(o.start)
+	}
+	o.sp.End()
+}
+
+// observe counts a request and opens its latency sample and — when the
+// caller sent trace IDs — this daemon's span for it. Lock-free: one
+// atomic load and a slice index.
+func (c *serverConn) observe(spec *opSpec, m *wire.Message) observation {
+	if spec.quiet {
+		return observation{}
+	}
+	tel := c.srv.tel.Load()
+	vm := tel.verbs[spec.idx]
+	vm.ops.Inc()
+	o := observation{lat: vm.lat, start: time.Now()}
+	if tid, sid := m.Trace(); tid != "" {
+		o.sp = tel.tracer.StartChild(spec.span, tid, sid)
+		if a := m.Get("attr"); a != "" {
+			o.sp.Set("attr", a)
+		}
+	}
+	return o
+}
+
+// target is where a context-bound operation lands: a joined context in
+// this server's own space (connection and ctx scopes), or the
+// connection's context in the global space behind the cache.
+type target struct {
+	ref  *attr.Ref
+	gc   *GlobalCache
+	name string // context name, global scope only
+}
+
+func (t target) put(ctx context.Context, attribute, value string) (uint64, error) {
+	if t.gc != nil {
+		return t.gc.Put(ctx, t.name, attribute, value)
+	}
+	return t.ref.PutSeq(attribute, value)
+}
+
+func (t target) putBatch(ctx context.Context, pairs []attr.KV) (uint64, error) {
+	if t.gc != nil {
+		return t.gc.PutBatch(ctx, t.name, pairs)
+	}
+	return t.ref.PutBatchSeq(pairs)
+}
+
+func (t target) tryGet(ctx context.Context, attribute string) (string, uint64, error) {
+	if t.gc != nil {
+		return t.gc.TryGet(ctx, t.name, attribute)
+	}
+	return t.ref.TryGetSeq(attribute)
+}
+
+func (t target) get(ctx context.Context, attribute string) (string, uint64, error) {
+	if t.gc != nil {
+		return t.gc.Get(ctx, t.name, attribute)
+	}
+	return t.ref.GetSeq(ctx, attribute)
+}
+
+func (t target) delete(ctx context.Context, attribute string) (uint64, error) {
+	if t.gc != nil {
+		return t.gc.Delete(ctx, t.name, attribute)
+	}
+	return t.ref.DeleteSeq(attribute)
+}
+
+func (t target) snapshot(ctx context.Context) (map[string]string, error) {
+	if t.gc != nil {
+		return t.gc.Snapshot(ctx, t.name)
+	}
+	return t.ref.Snapshot()
+}
+
+// resolve checks a scope's precondition and finds the operation's
+// target. The ctx scope joins its context for the request's duration
+// (leave reports that), and only when somebody already holds it — the
+// shard router's per-context subscription connection provides that
+// reference — so a ctx-scope op can never create a context as a side
+// effect or apply a write to one that everyone has already left.
+func (c *serverConn) resolve(spec *opSpec, m *wire.Message) (t target, leave bool, err error) {
+	srv := c.srv
+	switch spec.scope {
+	case scopeDaemon:
+		return t, false, nil
+	case scopeCtx:
+		name := m.Get("ctx")
+		if name == "" {
+			return t, false, errors.New("ctxop: missing ctx")
+		}
+		if err := srv.shardRefuses(name); err != nil {
+			return t, false, err
+		}
+		ref, ok := srv.space.JoinExisting(name)
+		if !ok {
+			return t, false, fmt.Errorf("ctxop: no such context %q", name)
+		}
+		return target{ref: ref}, true, nil
+	}
+	c.mu.Lock()
+	ref := c.ref
+	c.mu.Unlock()
+	if ref == nil {
+		return t, false, errors.New("HELLO required")
+	}
+	if spec.scope == scopeConn {
+		return target{ref: ref}, false, nil
+	}
+	gc := srv.gcache.Load()
+	if gc == nil {
+		return t, false, errors.New(noGlobalText)
+	}
+	return target{gc: gc, name: ref.Context()}, false, nil
+}
+
+// dispatch handles one request: find its row, count it, resolve its
+// scope, run its operation's handler.
+func (c *serverConn) dispatch(ctx context.Context, m *wire.Message) {
+	spec := opByVerb[m.Verb]
+	if spec == nil {
+		c.unknownVerb(m)
+		return
+	}
+	r := request{spec: spec, m: m, id: m.Get("id"), obs: c.observe(spec, m)}
+	t, leave, err := c.resolve(spec, m)
+	if err != nil {
+		c.fail(r, err)
+		return
+	}
+	r.t = t
+	spec.handle(c, ctx, r)
+	if leave {
+		t.ref.Leave()
+	}
+}
+
+// unknownVerb answers a verb that is not in the op table.
 func (c *serverConn) unknownVerb(m *wire.Message) {
 	c.reply(wire.NewMessage("ERROR").Set("id", m.Get("id")).
 		Set("error", fmt.Sprintf("unknown verb %q", m.Verb)))
 }
 
-// startSpan opens this daemon's span for a request when the caller
-// sent trace IDs; untraced requests record nothing.
-func (c *serverConn) startSpan(m *wire.Message) *telemetry.Span {
-	tid, sid := m.Trace()
-	if tid == "" {
-		return nil
-	}
-	tracer := c.srv.tel.Load().tracer
-	return tracer.StartChild("attrspace."+strings.ToLower(m.Verb), tid, sid)
+// fail answers r with err and ends it.
+func (c *serverConn) fail(r request, err error) {
+	c.replyErr(r.id, err)
+	r.obs.end()
 }
 
-func (c *serverConn) handleStats(m *wire.Message) {
+// replySeq acknowledges a mutation with the seq it was assigned, or
+// reports its error, and ends the request.
+func (c *serverConn) replySeq(r request, seq uint64, err error) {
+	if err != nil {
+		c.fail(r, err)
+		return
+	}
+	c.reply(wire.NewMessage("OK").Set("id", r.id).Set("seq", strconv.FormatUint(seq, 10)))
+	r.obs.end()
+}
+
+// replyValue answers a read — VALUE, NOTFOUND for an absent attribute,
+// or the error — and ends the request.
+func (c *serverConn) replyValue(r request, attribute, v string, seq uint64, err error) {
+	switch {
+	case errors.Is(err, attr.ErrNotFound):
+		c.reply(wire.NewMessage("NOTFOUND").Set("id", r.id).Set("attr", attribute))
+	case err != nil:
+		c.replyErr(r.id, err)
+	default:
+		c.reply(wire.NewMessage("VALUE").Set("id", r.id).Set("attr", attribute).
+			Set("value", v).Set("seq", strconv.FormatUint(seq, 10)))
+	}
+	r.obs.end()
+}
+
+func (c *serverConn) opHello(_ context.Context, r request) {
+	defer r.obs.end()
 	srv := c.srv
-	done := srv.observe("stats")
-	sp := c.startSpan(m)
+	if r.m.Get("rev") != ProtocolRevision {
+		c.replyErr(r.id, errors.New(revisionMismatch))
+		c.quit = true
+		return
+	}
+	name := r.m.Get("context")
+	if err := srv.shardRefuses(name); err != nil {
+		c.replyErr(r.id, err)
+		return
+	}
+	// shm is the one environmental fact HELLO settles: may this
+	// connection be promoted to a ring — the client asked, both builds
+	// can mmap, and the transport is provably same-host. Saying yes maps
+	// nothing: the connection stays on the socket until the client asks
+	// for its ring (SHMREQ).
+	shm := r.m.Get("shm") == "1" && !srv.noShm.Load() && wire.ShmSupported() && sameHostConn(c.raw)
+	c.mu.Lock()
+	already := c.ref != nil
+	if !already {
+		c.ref = srv.space.Join(name)
+		c.shmOK = shm
+	}
+	c.mu.Unlock()
+	if already {
+		c.replyErr(r.id, errors.New("already joined"))
+		return
+	}
+	ok := wire.NewMessage("OK").Set("id", r.id).Set("rev", ProtocolRevision)
+	if shm {
+		ok.Set("shm", "1")
+	}
+	c.reply(ok)
+}
+
+func (c *serverConn) opExit(context.Context, request) { c.quit = true }
+
+// opShmReq is promotion, step one: the client has taken enough replies
+// over the socket to pay for a ring and asks for one. Create the
+// segment and answer with its path. The request uses up HELLO's shm —
+// a connection is promoted once or never — and a creation failure (full
+// tmpfs, exotic fs) is an ERROR that leaves the client on the socket.
+func (c *serverConn) opShmReq(_ context.Context, r request) {
+	c.mu.Lock()
+	granted := c.shmOK
+	c.shmOK = false
+	c.mu.Unlock()
+	if !granted {
+		c.unknownVerb(r.m)
+		return
+	}
+	c.shmStart = time.Now()
+	seg, path, err := createShmSegment()
+	if err != nil {
+		c.srv.tel.Load().shm.failed.Inc()
+		c.replyErr(r.id, err)
+		return
+	}
+	c.shmSeg, c.shmPath = seg, path
+	c.reply(wire.NewMessage("OK").Set("id", r.id).Set("shmfile", path))
+}
+
+// opShmRdy is step two: the client has mapped the segment, and this
+// frame is the last framed byte it will ever write to the socket — it
+// swapped its write side onto the ring behind it. We are the read loop,
+// between two RecvIntos, so the read side swaps here; the OK and the
+// write-side swap are one step (SendSwap), because event and
+// blocked-GET goroutines write whenever they like: the OK reaches the
+// socket even under pushEvents' open cork, and whatever they send after
+// it reaches the ring. A SHMRDY that carries an error reports a segment
+// the client could not map.
+func (c *serverConn) opShmRdy(_ context.Context, r request) {
+	seg := c.takeShmSegment()
+	if seg == nil {
+		c.unknownVerb(r.m) // no SHMREQ before it
+		return
+	}
+	shm := c.srv.tel.Load().shm
+	if text := r.m.Get("error"); text != "" {
+		shm.failed.Inc()
+		c.replyErr(r.id, errors.New(text))
+		return
+	}
+	ep := seg.Endpoint(true, c.raw)
+	ep.Activate()
+	c.wc.SwapRead(ep)
+	shm.done(c.shmStart, c.wc.SendSwap(wire.NewMessage("OK").Set("id", r.id), ep))
+}
+
+// opPing is the wire-level liveness probe. Answered inline on the read
+// loop — which is the point: a client's heartbeat must get through even
+// while bulk replies stream from side goroutines.
+func (c *serverConn) opPing(_ context.Context, r request) {
+	c.reply(wire.NewMessage("PONG").Set("id", r.id))
+	r.obs.end()
+}
+
+// opStats reports on the daemon, not on any attribute space, so
+// monitoring tools can probe a server without joining (and without
+// bumping refcounts).
+func (c *serverConn) opStats(_ context.Context, r request) {
+	srv := c.srv
 	tel := srv.tel.Load()
 	snap := tel.reg.Snapshot()
-	if m.Get("scope") == "tree" {
+	if r.m.Get("scope") == "tree" {
 		if fn := srv.statsKids.Load(); fn != nil {
 			snap = telemetry.MergeSnapshots(append([]telemetry.Snapshot{snap}, (*fn)()...)...)
 		}
 	}
 	data, err := json.Marshal(snap)
 	if err != nil {
-		c.replyErr(m.Get("id"), err)
+		c.replyErr(r.id, err)
 	} else {
 		c.reply(wire.NewMessage("STATSV").
-			Set("id", m.Get("id")).
+			Set("id", r.id).
 			Set("daemon", tel.tracer.Actor()).
 			Set("json", string(data)))
 	}
-	done()
-	sp.End()
+	r.obs.end()
 }
 
-func (c *serverConn) handleOp(ctx context.Context, m *wire.Message) {
+func (c *serverConn) opPut(ctx context.Context, r request) {
+	seq, err := r.t.put(ctx, r.m.Get("attr"), r.m.Get("value"))
+	c.replySeq(r, seq, err)
+}
+
+func (c *serverConn) opMPut(ctx context.Context, r request) {
+	pairs, err := decodeBatch(r.m)
+	var seq uint64
+	if err == nil {
+		seq, err = r.t.putBatch(ctx, pairs)
+	}
+	c.replySeq(r, seq, err)
+}
+
+func (c *serverConn) opDelete(ctx context.Context, r request) {
+	seq, err := r.t.delete(ctx, r.m.Get("attr"))
+	c.replySeq(r, seq, err)
+}
+
+// opTryGet never blocks, which is why the ctx scope spells its only
+// read this way (CGET): the router's drain cycle must never stall
+// behind an op that could wait forever.
+func (c *serverConn) opTryGet(ctx context.Context, r request) {
+	attribute := r.m.Get("attr")
+	v, seq, err := r.t.tryGet(ctx, attribute)
+	c.replyValue(r, attribute, v, seq, err)
+}
+
+func (c *serverConn) opGet(ctx context.Context, r request) {
+	attribute := r.m.Get("attr")
+	// Fast path: when the attribute is already present (in the context,
+	// or in the global cache) the GET cannot block, so answer inline and
+	// skip the per-request goroutine — the common case once a job is
+	// running.
+	if v, seq, err := r.t.tryGet(ctx, attribute); err == nil {
+		c.replyValue(r, attribute, v, seq, nil)
+		return
+	}
+	// Blocking get: serve it on its own goroutine so this session keeps
+	// processing other requests (the multiplexing that makes async gets
+	// possible on a single connection). The latency histogram therefore
+	// includes the time spent blocked — the number a tool writer actually
+	// experiences.
+	go func() {
+		v, seq, err := r.t.get(ctx, attribute)
+		c.replyValue(r, attribute, v, seq, err)
+	}()
+}
+
+// opSnapshot dumps a context. The versioned form — each entry with its
+// write seq (s<i>), the reply with the context seq, chunked when large —
+// is what a reconnecting session needs to resync without letting a
+// stale snapshot value clobber a newer live event (SNAP seqs=1) and
+// what the router's scatter-gather reads (CSNAP, always); the plain
+// form is the tool-facing tdp_snapshot.
+func (c *serverConn) opSnapshot(ctx context.Context, r request) {
+	if r.t.gc == nil && (r.spec.scope == scopeCtx || r.m.Get("seqs") == "1") {
+		c.sendVersioned(r)
+		return
+	}
+	snap, err := r.t.snapshot(ctx)
+	if err != nil {
+		c.fail(r, err)
+		return
+	}
+	c.reply(snapReply(r.id, snap))
+	r.obs.end()
+}
+
+// snapReply renders a plain snapshot: SNAPV n k0 v0 k1 v1 …
+func snapReply(id string, snap map[string]string) *wire.Message {
+	reply := wire.NewMessage("SNAPV").Set("id", id).SetInt("n", len(snap))
+	i := 0
+	for k, v := range snap {
+		idx := strconv.Itoa(i)
+		reply.Set("k"+idx, k).Set("v"+idx, v)
+		i++
+	}
+	return reply
+}
+
+// sendVersioned answers r with its context's full versioned snapshot.
+func (c *serverConn) sendVersioned(r request) {
+	snap, ctxSeq, err := r.t.ref.SnapshotSeq()
+	if err != nil {
+		c.fail(r, err)
+		return
+	}
+	c.sendEntryChunks("SNAPV", r, versionedEntries(snap), ctxSeq)
+}
+
+// opSnapDelta is the delta resync: ship only the mutations after the
+// client's seq watermark, falling back to a full versioned snapshot when
+// the bounded change log no longer covers the gap.
+func (c *serverConn) opSnapDelta(_ context.Context, r request) {
+	since, err := strconv.ParseUint(r.m.Get("since"), 10, 64)
+	if err != nil {
+		c.fail(r, fmt.Errorf("snapd: bad since %q", r.m.Get("since")))
+		return
+	}
+	changes, ctxSeq, covered, err := r.t.ref.ChangesSince(since)
+	switch {
+	case err != nil:
+		c.fail(r, err)
+	case covered:
+		c.sendEntryChunks("DELTA", r, deltaEntries(changes), ctxSeq)
+	default:
+		c.sendVersioned(r)
+	}
+}
+
+// opSnapMany is the multi-context snapshot: scatter-gather across the
+// CASS shards. Strict by design — any unreachable context fails the
+// request, because a snapshot that silently omits contexts reads as
+// "they are empty".
+func (c *serverConn) opSnapMany(ctx context.Context, r request) {
+	defer r.obs.end()
+	names, err := readNames(r.m)
+	if err != nil {
+		c.replyErr(r.id, fmt.Errorf("gsnapm: %w", err))
+		return
+	}
+	snaps, err := r.t.gc.SnapshotMany(ctx, names)
+	// One pair per context, the value a JSON object of its attributes.
+	docs := make(map[string]string, len(snaps))
+	for name, snap := range snaps {
+		if err != nil {
+			break
+		}
+		var data []byte
+		data, err = json.Marshal(snap)
+		docs[name] = string(data)
+	}
+	if err != nil {
+		c.replyErr(r.id, err)
+		return
+	}
+	c.reply(snapReply(r.id, docs))
+}
+
+// opContexts lists context names: this daemon's own (CCTXS, what a
+// shard answers the router with), or the deduplicated union over every
+// reachable shard (GCTXS). The union is best-effort by design — a down
+// shard hides its contexts but does not hide the survivors'.
+func (c *serverConn) opContexts(ctx context.Context, r request) {
+	var names []string
+	if r.t.gc != nil {
+		names, _ = r.t.gc.GlobalContexts(ctx)
+	} else {
+		names = c.srv.space.Contexts()
+	}
+	c.reply(setNames(wire.NewMessage("OK").Set("id", r.id), names))
+	r.obs.end()
+}
+
+func (c *serverConn) opSub(_ context.Context, r request) {
+	defer r.obs.end()
 	c.mu.Lock()
-	ref := c.ref
+	already := c.sub != nil
+	var err error
+	if !already {
+		c.sub, err = r.t.ref.Subscribe(int(c.srv.evBuf.Load()))
+	}
+	sub := c.sub
 	c.mu.Unlock()
-	id := m.Get("id")
-	if ref == nil {
-		c.reply(wire.NewMessage("ERROR").Set("id", id).Set("error", "HELLO required"))
+	if already {
+		err = errors.New("already subscribed")
+	}
+	if err != nil {
+		c.replyErr(r.id, err)
 		return
 	}
-	srv := c.srv
-	done := srv.observe(strings.ToLower(m.Verb))
-	sp := c.startSpan(m)
-	if sp != nil && m.Get("attr") != "" {
-		sp.Set("attr", m.Get("attr"))
-	}
-	finish := func() {
-		done()
-		sp.End()
-	}
-	switch m.Verb {
-	case "PUT":
-		seq, err := ref.PutSeq(m.Get("attr"), m.Get("value"))
-		if err != nil {
-			c.replyErr(id, err)
-			finish()
-			return
-		}
-		c.reply(wire.NewMessage("OK").Set("id", id).Set("seq", strconv.FormatUint(seq, 10)))
-		finish()
-	case "MPUT":
-		pairs, err := decodeBatch(m)
-		if err != nil {
-			c.replyErr(id, err)
-			finish()
-			return
-		}
-		seq, err := ref.PutBatchSeq(pairs)
-		if err != nil {
-			c.replyErr(id, err)
-			finish()
-			return
-		}
-		c.reply(wire.NewMessage("OK").Set("id", id).Set("seq", strconv.FormatUint(seq, 10)))
-		finish()
-	case "TRYGET":
-		v, seq, err := ref.TryGetSeq(m.Get("attr"))
-		switch {
-		case errors.Is(err, attr.ErrNotFound):
-			c.reply(wire.NewMessage("NOTFOUND").Set("id", id).Set("attr", m.Get("attr")))
-		case err != nil:
-			c.replyErr(id, err)
-		default:
-			c.reply(wire.NewMessage("VALUE").Set("id", id).Set("attr", m.Get("attr")).
-				Set("value", v).Set("seq", strconv.FormatUint(seq, 10)))
-		}
-		finish()
-	case "GET":
-		attribute := m.Get("attr")
-		// Fast path: when the attribute is already present the GET
-		// cannot block, so answer inline and skip the per-request
-		// goroutine entirely — the common case once a job is running.
-		if v, seq, err := ref.TryGetSeq(attribute); err == nil {
-			c.reply(wire.NewMessage("VALUE").Set("id", id).Set("attr", attribute).
-				Set("value", v).Set("seq", strconv.FormatUint(seq, 10)))
-			finish()
-			return
-		}
-		// Blocking get: serve it on its own goroutine so this session
-		// keeps processing other requests (the multiplexing that makes
-		// async gets possible on a single connection). The latency
-		// histogram therefore includes the time spent blocked — the
-		// number a tool writer actually experiences.
-		go func() {
-			v, seq, err := ref.GetSeq(ctx, attribute)
-			if err != nil {
-				c.replyErr(id, err)
-				finish()
-				return
-			}
-			c.reply(wire.NewMessage("VALUE").Set("id", id).Set("attr", attribute).
-				Set("value", v).Set("seq", strconv.FormatUint(seq, 10)))
-			finish()
-		}()
-	case "DELETE":
-		seq, err := ref.DeleteSeq(m.Get("attr"))
-		if err != nil {
-			c.replyErr(id, err)
-			finish()
-			return
-		}
-		c.reply(wire.NewMessage("OK").Set("id", id).Set("seq", strconv.FormatUint(seq, 10)))
-		finish()
-	case "SNAPD":
-		// Delta resync: ship only the mutations after the client's seq
-		// watermark, falling back to a full versioned snapshot when the
-		// bounded change log no longer covers the gap.
-		since, perr := strconv.ParseUint(m.Get("since"), 10, 64)
-		if perr != nil {
-			c.replyErr(id, fmt.Errorf("snapd: bad since %q", m.Get("since")))
-			finish()
-			return
-		}
-		changes, ctxSeq, covered, err := ref.ChangesSince(since)
-		if err != nil {
-			c.replyErr(id, err)
-			finish()
-			return
-		}
-		if !covered {
-			snap, ctxSeq, err := ref.SnapshotSeq()
-			if err != nil {
-				c.replyErr(id, err)
-				finish()
-				return
-			}
-			c.sendEntryChunks("SNAPV", id, versionedEntries(snap), ctxSeq, finish)
-			return
-		}
-		c.sendEntryChunks("DELTA", id, deltaEntries(changes), ctxSeq, finish)
-	case "SNAP":
-		// seqs=1 asks for the versioned form: each entry carries its
-		// write seq (s<i>) and the reply carries the context seq, which
-		// is what a reconnecting session needs to resync without letting
-		// a stale snapshot value clobber a newer live event.
-		if m.Get("seqs") == "1" {
-			snap, ctxSeq, err := ref.SnapshotSeq()
-			if err != nil {
-				c.replyErr(id, err)
-				finish()
-				return
-			}
-			c.sendEntryChunks("SNAPV", id, versionedEntries(snap), ctxSeq, finish)
-			return
-		}
-		snap, err := ref.Snapshot()
-		if err != nil {
-			c.replyErr(id, err)
-			finish()
-			return
-		}
-		reply := wire.NewMessage("SNAPV").Set("id", id).SetInt("n", len(snap))
-		i := 0
-		for k, v := range snap {
-			reply.Set("k"+strconv.Itoa(i), k)
-			reply.Set("v"+strconv.Itoa(i), v)
-			i++
-		}
-		c.reply(reply)
-		finish()
-	case "SUB":
-		c.mu.Lock()
-		already := c.sub != nil
-		var err error
-		if !already {
-			c.sub, err = ref.Subscribe(int(srv.evBuf.Load()))
-		}
-		sub := c.sub
-		c.mu.Unlock()
-		if already {
-			c.reply(wire.NewMessage("ERROR").Set("id", id).Set("error", "already subscribed"))
-			finish()
-			return
-		}
-		if err != nil {
-			c.replyErr(id, err)
-			finish()
-			return
-		}
-		go c.pushEvents(sub)
-		c.reply(wire.NewMessage("OK").Set("id", id))
-		finish()
-	}
-}
-
-// handleCtxOp serves the C* context-explicit verbs: single-context
-// operations whose target context rides in the message (ctx field)
-// rather than in the connection's HELLO binding, which is what lets
-// one pooled connection carry every context a shard owns. Ops join the
-// context only for the op's duration, and only when somebody already
-// holds it (Refs > 0) — the shard router's per-context subscription
-// connection provides that reference, so a C* op can never create a
-// context as a side effect or apply a write to one that everyone has
-// already left. CGET is deliberately non-blocking (tryget semantics):
-// the router's drain cycle must never stall behind an op that could
-// wait forever — blocking reads stay on the per-context path.
-func (c *serverConn) handleCtxOp(m *wire.Message) {
-	srv := c.srv
-	id := m.Get("id")
-	done := srv.observe(strings.ToLower(m.Verb))
-	sp := c.startSpan(m)
-	finish := func() {
-		done()
-		sp.End()
-	}
-	if m.Verb == "CCTXS" {
-		names := srv.space.Contexts()
-		reply := wire.NewMessage("OK").Set("id", id).SetInt("n", len(names))
-		for i, name := range names {
-			reply.Set("k"+strconv.Itoa(i), name)
-		}
-		c.reply(reply)
-		finish()
-		return
-	}
-	name := m.Get("ctx")
-	if name == "" {
-		c.reply(wire.NewMessage("ERROR").Set("id", id).Set("error", "ctxop: missing ctx"))
-		finish()
-		return
-	}
-	if owner, refused := srv.shardRefuses(name); refused {
-		c.reply(wire.NewMessage("ERROR").Set("id", id).
-			Set("error", fmt.Sprintf("wrong shard: context %q belongs to shard %d", name, owner)))
-		finish()
-		return
-	}
-	if srv.space.Refs(name) == 0 {
-		c.reply(wire.NewMessage("ERROR").Set("id", id).
-			Set("error", fmt.Sprintf("ctxop: no such context %q", name)))
-		finish()
-		return
-	}
-	ref := srv.space.Join(name)
-	defer ref.Leave()
-	switch m.Verb {
-	case "CPUT":
-		seq, err := ref.PutSeq(m.Get("attr"), m.Get("value"))
-		if err != nil {
-			c.replyErr(id, err)
-			finish()
-			return
-		}
-		c.reply(wire.NewMessage("OK").Set("id", id).Set("seq", strconv.FormatUint(seq, 10)))
-		finish()
-	case "CMPUT":
-		pairs, err := decodeBatch(m)
-		if err != nil {
-			c.replyErr(id, err)
-			finish()
-			return
-		}
-		seq, err := ref.PutBatchSeq(pairs)
-		if err != nil {
-			c.replyErr(id, err)
-			finish()
-			return
-		}
-		c.reply(wire.NewMessage("OK").Set("id", id).Set("seq", strconv.FormatUint(seq, 10)))
-		finish()
-	case "CGET":
-		v, seq, err := ref.TryGetSeq(m.Get("attr"))
-		switch {
-		case errors.Is(err, attr.ErrNotFound):
-			c.reply(wire.NewMessage("NOTFOUND").Set("id", id).Set("attr", m.Get("attr")))
-		case err != nil:
-			c.replyErr(id, err)
-		default:
-			c.reply(wire.NewMessage("VALUE").Set("id", id).Set("attr", m.Get("attr")).
-				Set("value", v).Set("seq", strconv.FormatUint(seq, 10)))
-		}
-		finish()
-	case "CDEL":
-		seq, err := ref.DeleteSeq(m.Get("attr"))
-		if err != nil {
-			c.replyErr(id, err)
-			finish()
-			return
-		}
-		c.reply(wire.NewMessage("OK").Set("id", id).Set("seq", strconv.FormatUint(seq, 10)))
-		finish()
-	case "CSNAP":
-		snap, ctxSeq, err := ref.SnapshotSeq()
-		if err != nil {
-			c.replyErr(id, err)
-			finish()
-			return
-		}
-		c.sendEntryChunks("SNAPV", id, versionedEntries(snap), ctxSeq, finish)
-	}
+	go c.pushEvents(sub)
+	c.reply(wire.NewMessage("OK").Set("id", r.id))
 }
 
 // decodeBatch extracts the k0/v0..k(n-1)/v(n-1) pairs of an MPUT. The
@@ -1150,11 +1065,11 @@ func decodeBatch(m *wire.Message) ([]attr.KV, error) {
 	}
 	pairs := make([]attr.KV, 0, count)
 	for i := 0; i < count; i++ {
-		k, ok := m.Lookup("k" + strconv.Itoa(i))
+		k, ok := indexed(m, 'k', i)
 		if !ok {
 			return nil, fmt.Errorf("mput: missing k%d", i)
 		}
-		v, ok := m.Lookup("v" + strconv.Itoa(i))
+		v, ok := indexed(m, 'v', i)
 		if !ok {
 			return nil, fmt.Errorf("mput: missing v%d", i)
 		}
@@ -1164,36 +1079,28 @@ func decodeBatch(m *wire.Message) ([]attr.KV, error) {
 }
 
 // SnapChunkEntries is the entry-count threshold above which versioned
-// snapshot and delta replies are split into part/more chunks when the
-// client negotiated CapChunk. 256 entries keep each frame well under
-// 64KiB for typical attribute sizes while leaving few enough parts
-// that chunking overhead is negligible.
+// snapshot and delta replies are split into part/more chunks. 256
+// entries keep each frame well under 64KiB for typical attribute sizes
+// while leaving few enough parts that chunking overhead is negligible.
 const SnapChunkEntries = 256
 
-// snapEntry is one attribute in a snapshot or delta reply.
-type snapEntry struct {
-	k, v string
-	seq  uint64
-	del  bool
-}
-
-func versionedEntries(snap map[string]attr.Versioned) []snapEntry {
-	out := make([]snapEntry, 0, len(snap))
+func versionedEntries(snap map[string]attr.Versioned) []entry {
+	out := make([]entry, 0, len(snap))
 	for k, v := range snap {
-		out = append(out, snapEntry{k: k, v: v.Value, seq: v.Seq})
+		out = append(out, entry{k: k, v: v.Value, seq: v.Seq})
 	}
 	return out
 }
 
-func deltaEntries(changes []attr.Change) []snapEntry {
-	out := make([]snapEntry, 0, len(changes))
+func deltaEntries(changes []attr.Change) []entry {
+	out := make([]entry, 0, len(changes))
 	for _, ch := range changes {
-		out = append(out, snapEntry{k: ch.Attr, v: ch.Value, seq: ch.Seq, del: ch.Delete})
+		out = append(out, entry{k: ch.Attr, v: ch.Value, seq: ch.Seq, del: ch.Delete})
 	}
 	return out
 }
 
-func appendEntries(m *wire.Message, entries []snapEntry) {
+func appendEntries(m *wire.Message, entries []entry) {
 	for i, e := range entries {
 		idx := strconv.Itoa(i)
 		m.Set("k"+idx, e.k)
@@ -1206,44 +1113,33 @@ func appendEntries(m *wire.Message, entries []snapEntry) {
 	}
 }
 
-// sendEntryChunks streams entries as `verb` replies. Small replies (or
-// v1 peers) get the single-message form. Large replies with CapChunk
-// granted are split into parts of SnapChunkEntries each and sent from
-// their own goroutine on the bulk stream, so the read loop keeps
-// servicing the connection — PING heartbeats and window updates
-// interleave with the replay instead of queueing behind it. finish is
-// called once the last part (or the single reply) is out.
-func (c *serverConn) sendEntryChunks(verb, id string, entries []snapEntry, ctxSeq uint64, finish func()) {
+// sendEntryChunks answers r with entries as `verb` replies and ends the
+// request. Up to SnapChunkEntries go out as one message. Larger replies
+// are split into parts of SnapChunkEntries each and sent from their own
+// goroutine on the bulk stream, so the read loop keeps servicing the
+// connection — PING heartbeats and window updates interleave with the
+// replay instead of queueing behind it.
+func (c *serverConn) sendEntryChunks(verb string, r request, entries []entry, ctxSeq uint64) {
 	seqStr := strconv.FormatUint(ctxSeq, 10)
-	if len(entries) <= SnapChunkEntries || !c.capGranted(wire.CapChunk) {
-		m := wire.NewMessage(verb).Set("id", id).SetInt("n", len(entries)).Set("seq", seqStr)
+	if len(entries) <= SnapChunkEntries {
+		m := wire.NewMessage(verb).Set("id", r.id).SetInt("n", len(entries)).Set("seq", seqStr)
 		appendEntries(m, entries)
 		c.reply(m)
-		finish()
+		r.obs.end()
 		return
 	}
-	x := c.muxer()
 	go func() {
-		defer finish()
+		defer r.obs.end()
 		total := len(entries)
 		for lo := 0; lo < total; lo += SnapChunkEntries {
-			hi := lo + SnapChunkEntries
-			if hi > total {
-				hi = total
-			}
-			m := wire.NewMessage(verb).Set("id", id).SetInt("n", hi-lo).
+			hi := min(lo+SnapChunkEntries, total)
+			m := wire.NewMessage(verb).Set("id", r.id).SetInt("n", hi-lo).
 				Set("seq", seqStr).SetInt("part", lo/SnapChunkEntries).SetInt("total", total)
 			if hi < total {
 				m.Set("more", "1")
 			}
 			appendEntries(m, entries[lo:hi])
-			var err error
-			if x != nil {
-				err = x.SendOn(wire.StreamBulk, m)
-			} else {
-				err = c.wc.Send(m)
-			}
-			if err != nil {
+			if err := c.mux.SendOn(wire.StreamBulk, m); err != nil {
 				c.srv.log().Debugf("attrspace: chunked %s to %v failed: %v", verb, c.raw.RemoteAddr(), err)
 				return
 			}
@@ -1251,18 +1147,16 @@ func (c *serverConn) sendEntryChunks(verb, id string, entries []snapEntry, ctxSe
 	}()
 }
 
-// pushEvents forwards subscription updates to the peer. Bursts (a
-// batched put, a publisher faster than the network) are drained under
-// one Cork so the whole burst leaves in a single write. Once per burst
-// it samples the ring's overflow counters; any drops since the last
-// sample ride the next EVENT as a lost=<delta> field so a mirroring
-// consumer knows its picture has a gap.
+// pushEvents forwards subscription updates to the peer on the events
+// stream, which is flow-controlled on its own: a subscriber that stops
+// reading stalls only this goroutine, never the request/reply path.
+// Bursts (a batched put, a publisher faster than the network) are
+// drained under one Cork so the whole burst leaves in a single write.
+// Once per burst it samples the ring's overflow counters; any drops
+// since the last sample ride the next EVENT as a lost=<delta> field so a
+// mirroring consumer knows its picture has a gap.
 func (c *serverConn) pushEvents(sub *attr.Subscription) {
 	tel := c.srv.tel.Load()
-	// The mux (fixed by HELLO, which precedes any SUB) puts events on
-	// their own flow-controlled stream: a subscriber that stops reading
-	// stalls only this goroutine, never the request/reply path.
-	x := c.muxer()
 	updates := sub.Updates()
 	var reportedLost, reportedCoal uint64
 	for u := range updates {
@@ -1278,7 +1172,7 @@ func (c *serverConn) pushEvents(sub *attr.Subscription) {
 		}
 		tel.evDepth.Set(int64(sub.Depth()))
 		c.wc.Cork()
-		err := c.sendEvent(x, u, lostDelta)
+		err := c.sendEvent(u, lostDelta)
 		sent := 1
 	drain:
 		for err == nil {
@@ -1287,7 +1181,7 @@ func (c *serverConn) pushEvents(sub *attr.Subscription) {
 				if !ok {
 					break drain
 				}
-				err = c.sendEvent(x, u, 0)
+				err = c.sendEvent(u, 0)
 				sent++
 			default:
 				break drain
@@ -1303,7 +1197,7 @@ func (c *serverConn) pushEvents(sub *attr.Subscription) {
 	}
 }
 
-func (c *serverConn) sendEvent(x *wire.Mux, u attr.Update, lost uint64) error {
+func (c *serverConn) sendEvent(u attr.Update, lost uint64) error {
 	m := wire.NewMessage("EVENT").
 		Set("attr", u.Attr).
 		Set("value", u.Value).
@@ -1312,182 +1206,14 @@ func (c *serverConn) sendEvent(x *wire.Mux, u attr.Update, lost uint64) error {
 	if lost > 0 {
 		m.Set("lost", strconv.FormatUint(lost, 10))
 	}
-	if x != nil {
-		return x.SendOn(wire.StreamEvents, m)
-	}
-	return c.wc.Send(m)
-}
-
-// handleGlobal serves the G* forwarding verbs: this server acting as a
-// LASS relays the operation to its upstream CASS through the global
-// cache. Reads are answered from the cache when it holds a live entry
-// for the attribute; everything else is one upstream round trip whose
-// result (with the CASS-assigned seq) lands in the cache before the
-// reply, so a client observes its own writes through the same LASS.
-func (c *serverConn) handleGlobal(ctx context.Context, m *wire.Message) {
-	c.mu.Lock()
-	ref := c.ref
-	c.mu.Unlock()
-	id := m.Get("id")
-	if ref == nil {
-		c.reply(wire.NewMessage("ERROR").Set("id", id).Set("error", "HELLO required"))
-		return
-	}
-	gc := c.srv.gcache.Load()
-	if gc == nil {
-		c.reply(wire.NewMessage("ERROR").Set("id", id).Set("error", "global forwarding not enabled"))
-		return
-	}
-	srv := c.srv
-	done := srv.observe(strings.ToLower(m.Verb))
-	sp := c.startSpan(m)
-	if sp != nil && m.Get("attr") != "" {
-		sp.Set("attr", m.Get("attr"))
-	}
-	finish := func() {
-		done()
-		sp.End()
-	}
-	contextName := ref.Context()
-	switch m.Verb {
-	case "GPUT":
-		seq, err := gc.Put(ctx, contextName, m.Get("attr"), m.Get("value"))
-		if err != nil {
-			c.replyErr(id, err)
-			finish()
-			return
-		}
-		c.reply(wire.NewMessage("OK").Set("id", id).Set("seq", strconv.FormatUint(seq, 10)))
-		finish()
-	case "GMPUT":
-		pairs, err := decodeBatch(m)
-		if err != nil {
-			c.replyErr(id, err)
-			finish()
-			return
-		}
-		seq, err := gc.PutBatch(ctx, contextName, pairs)
-		if err != nil {
-			c.replyErr(id, err)
-			finish()
-			return
-		}
-		c.reply(wire.NewMessage("OK").Set("id", id).Set("seq", strconv.FormatUint(seq, 10)))
-		finish()
-	case "GTRYGET":
-		attribute := m.Get("attr")
-		v, seq, err := gc.TryGet(ctx, contextName, attribute)
-		switch {
-		case errors.Is(err, attr.ErrNotFound):
-			c.reply(wire.NewMessage("NOTFOUND").Set("id", id).Set("attr", attribute))
-		case err != nil:
-			c.replyErr(id, err)
-		default:
-			c.reply(wire.NewMessage("VALUE").Set("id", id).Set("attr", attribute).
-				Set("value", v).Set("seq", strconv.FormatUint(seq, 10)))
-		}
-		finish()
-	case "GGET":
-		attribute := m.Get("attr")
-		// Cache hit: answer inline, no upstream traffic — the steady
-		// state the cache exists for.
-		if v, seq, err := gc.TryGet(ctx, contextName, attribute); err == nil {
-			c.reply(wire.NewMessage("VALUE").Set("id", id).Set("attr", attribute).
-				Set("value", v).Set("seq", strconv.FormatUint(seq, 10)))
-			finish()
-			return
-		}
-		// Miss: block on the CASS from a goroutine, like local GET.
-		go func() {
-			v, seq, err := gc.Get(ctx, contextName, attribute)
-			if err != nil {
-				c.replyErr(id, err)
-				finish()
-				return
-			}
-			c.reply(wire.NewMessage("VALUE").Set("id", id).Set("attr", attribute).
-				Set("value", v).Set("seq", strconv.FormatUint(seq, 10)))
-			finish()
-		}()
-	case "GDEL":
-		seq, err := gc.Delete(ctx, contextName, m.Get("attr"))
-		if err != nil {
-			c.replyErr(id, err)
-			finish()
-			return
-		}
-		c.reply(wire.NewMessage("OK").Set("id", id).Set("seq", strconv.FormatUint(seq, 10)))
-		finish()
-	case "GSNAP":
-		snap, err := gc.Snapshot(ctx, contextName)
-		if err != nil {
-			c.replyErr(id, err)
-			finish()
-			return
-		}
-		reply := wire.NewMessage("SNAPV").Set("id", id).SetInt("n", len(snap))
-		i := 0
-		for k, v := range snap {
-			reply.Set("k"+strconv.Itoa(i), k)
-			reply.Set("v"+strconv.Itoa(i), v)
-			i++
-		}
-		c.reply(reply)
-		finish()
-	case "GSNAPM":
-		// Multi-context snapshot: scatter-gather across the CASS shards.
-		// Strict by design — any unreachable context fails the request,
-		// because a snapshot that silently omits contexts reads as "they
-		// are empty".
-		n, aerr := strconv.Atoi(m.Get("n"))
-		if aerr != nil || n < 0 || n > len(m.Fields) {
-			c.replyErr(id, fmt.Errorf("gsnapm: bad n %q", m.Get("n")))
-			finish()
-			return
-		}
-		names := make([]string, 0, n)
-		for i := 0; i < n; i++ {
-			names = append(names, m.Get("k"+strconv.Itoa(i)))
-		}
-		snaps, err := gc.SnapshotMany(ctx, names)
-		if err != nil {
-			c.replyErr(id, err)
-			finish()
-			return
-		}
-		reply, err := encodeSnapshotMany(id, snaps)
-		if err != nil {
-			c.replyErr(id, err)
-			finish()
-			return
-		}
-		c.reply(reply)
-		finish()
-	case "GCTXS":
-		// Global context listing: the deduplicated union over every
-		// reachable shard. Best-effort by design — a down shard hides
-		// its contexts but does not hide the survivors'.
-		names, _ := gc.GlobalContexts(ctx)
-		reply := wire.NewMessage("OK").Set("id", id).SetInt("n", len(names))
-		for i, name := range names {
-			reply.Set("k"+strconv.Itoa(i), name)
-		}
-		c.reply(reply)
-		finish()
-	}
+	return c.mux.SendOn(wire.StreamEvents, m)
 }
 
 func (c *serverConn) reply(m *wire.Message) {
 	// Replies ride the control stream; routing them through the mux
-	// piggybacks accumulated credit grants on traffic the client was
+	// piggybacks accumulated window grants on traffic the client was
 	// waiting for anyway.
-	var err error
-	if x := c.muxer(); x != nil {
-		err = x.SendOn(wire.StreamControl, m)
-	} else {
-		err = c.wc.Send(m)
-	}
-	if err != nil {
+	if err := c.mux.SendOn(wire.StreamControl, m); err != nil {
 		c.srv.log().Debugf("attrspace: send to %v failed: %v", c.raw.RemoteAddr(), err)
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"tdp/internal/telemetry"
-	"tdp/internal/wire"
 )
 
 // API is the attribute-space surface the tdp layer programs against:
@@ -113,8 +112,7 @@ type SessionConfig struct {
 	// Heartbeat, when > 0, pings the server at this interval on every
 	// live connection and declares the connection lost when a ping gets
 	// no reply within one interval — catching half-dead transports that
-	// never produce a read error. Silently inactive against servers
-	// that did not grant the ping capability. 0 = disabled.
+	// never produce a read error. 0 = disabled.
 	Heartbeat time.Duration
 	// Seed seeds the jitter RNG so tests are deterministic; 0 seeds
 	// from the clock.
@@ -632,18 +630,7 @@ func (s *Session) forwardLocked(ev Event) {
 		s.handler(ev)
 		return
 	}
-	select {
-	case s.events <- ev:
-	default:
-		select {
-		case <-s.events:
-		default:
-		}
-		select {
-		case s.events <- ev:
-		default:
-		}
-	}
+	offer(s.events, ev)
 }
 
 // resync closes the event gap a reconnect opened: fetch a versioned
@@ -677,8 +664,6 @@ func (s *Session) resync(c *Client, preSeq uint64) {
 			// ctxSeq < preSeq: the context was destroyed and recreated
 			// while we were away. The delta is from the wrong seq epoch;
 			// only a full snapshot can establish the new one.
-		case errors.Is(err, errSNAPDUnsupported):
-			// Pre-v2 server: fall through to the full snapshot path.
 		default:
 			// A transport error here fails the client, which re-triggers
 			// the reconnect loop — the next install resyncs again.
@@ -768,9 +753,6 @@ func (s *Session) applyFullResync(snap map[string]Versioned, ctxSeq, preSeq uint
 // chunked snapshot replay, which is why large resyncs no longer read
 // as dead transports.
 func (s *Session) heartbeatLoop(gen uint64, c *Client) {
-	if !c.HasCap(wire.CapPing) {
-		return
-	}
 	t := time.NewTicker(s.cfg.Heartbeat)
 	defer t.Stop()
 	for {
@@ -1009,16 +991,22 @@ func (s *Session) DeleteCtx(ctx context.Context, attribute string) error {
 		})
 }
 
-// Get blocks until the attribute exists, retrying across reconnects;
-// cancel via ctx.
-func (s *Session) Get(ctx context.Context, attribute string) (string, error) {
+// read is get and tryget at either scope, retried across reconnects.
+// Replies from the connection's own context feed the retry baseline.
+func (s *Session) read(ctx context.Context, op opKind, scope opScope, attribute string) (string, error) {
 	return retryVal(s, ctx, func(c *Client) (string, error) {
-		v, seq, err := c.GetV(ctx, attribute)
-		if err == nil {
+		v, seq, err := c.read(ctx, op, scope, attribute)
+		if err == nil && scope == scopeConn {
 			s.noteSeq(seq)
 		}
 		return v, err
 	})
+}
+
+// Get blocks until the attribute exists, retrying across reconnects;
+// cancel via ctx.
+func (s *Session) Get(ctx context.Context, attribute string) (string, error) {
+	return s.read(ctx, opGet, scopeConn, attribute)
 }
 
 // TryGet returns the current value without blocking, retrying across
@@ -1029,13 +1017,7 @@ func (s *Session) TryGet(attribute string) (string, error) {
 
 // TryGetCtx is TryGet under a caller deadline.
 func (s *Session) TryGetCtx(ctx context.Context, attribute string) (string, error) {
-	return retryVal(s, ctx, func(c *Client) (string, error) {
-		v, seq, err := c.TryGetV(ctx, attribute)
-		if err == nil {
-			s.noteSeq(seq)
-		}
-		return v, err
-	})
+	return s.read(ctx, opTryGet, scopeConn, attribute)
 }
 
 // GetAsync issues a blocking GET whose result is delivered on the
@@ -1069,38 +1051,36 @@ func (s *Session) Snapshot() (map[string]string, error) {
 
 // SnapshotSeq dumps the context with per-attribute write seqs,
 // retrying across reconnects.
-func (s *Session) SnapshotSeq(ctx context.Context) (map[string]Versioned, uint64, error) {
-	type versioned struct {
-		snap map[string]Versioned
-		seq  uint64
-	}
-	out, err := retryVal(s, ctx, func(c *Client) (versioned, error) {
-		snap, seq, err := c.SnapshotSeq(ctx)
-		return versioned{snap, seq}, err
+func (s *Session) SnapshotSeq(ctx context.Context) (snap map[string]Versioned, seq uint64, err error) {
+	err = s.retry(ctx, func(c *Client) (e error) {
+		snap, seq, e = c.SnapshotSeq(ctx)
+		return e
 	})
-	return out.snap, out.seq, err
+	return snap, seq, err
+}
+
+// probeGlobal is the lost-ack probe of a global put: the session keeps
+// no seq baseline for the global space, so the guard is by value —
+// present-and-equal means landed, anything else re-sends.
+func probeGlobal(attribute, value string) func(context.Context, *Client, uint64) (putOutcome, error) {
+	return func(ctx context.Context, c *Client, _ uint64) (putOutcome, error) {
+		v, err := c.TryGetGlobal(ctx, attribute)
+		if err == nil && v == value {
+			return outcomeLanded, nil
+		}
+		if errors.Is(err, ErrNotFound) {
+			err = nil
+		}
+		return outcomeResend, err
+	}
 }
 
 // PutGlobal stores a global (CASS) attribute through this LASS,
-// surviving transport failures; a lost ack is resolved by re-reading
-// the global value (the G* protocol carries no seqs, so the guard is
-// by value: present-and-equal means landed).
+// surviving transport failures.
 func (s *Session) PutGlobal(ctx context.Context, attribute, value string) error {
 	return s.putGuarded(ctx,
 		func(c *Client) (uint64, error) { return 0, c.PutGlobal(ctx, attribute, value) },
-		func(ctx context.Context, c *Client, _ uint64) (putOutcome, error) {
-			v, err := c.TryGetGlobal(ctx, attribute)
-			if errors.Is(err, ErrNotFound) {
-				return outcomeResend, nil
-			}
-			if err != nil {
-				return outcomeResend, err
-			}
-			if v == value {
-				return outcomeLanded, nil
-			}
-			return outcomeResend, nil
-		})
+		probeGlobal(attribute, value))
 }
 
 // PutBatchGlobal stores a batch of global attributes, surviving
@@ -1113,35 +1093,19 @@ func (s *Session) PutBatchGlobal(ctx context.Context, pairs []KV) error {
 	last := pairs[len(pairs)-1]
 	return s.putGuarded(ctx,
 		func(c *Client) (uint64, error) { return 0, c.PutBatchGlobal(ctx, pairs) },
-		func(ctx context.Context, c *Client, _ uint64) (putOutcome, error) {
-			v, err := c.TryGetGlobal(ctx, last.Key)
-			if errors.Is(err, ErrNotFound) {
-				return outcomeResend, nil
-			}
-			if err != nil {
-				return outcomeResend, err
-			}
-			if v == last.Value {
-				return outcomeLanded, nil
-			}
-			return outcomeResend, nil
-		})
+		probeGlobal(last.Key, last.Value))
 }
 
 // GetGlobal blocks until the global attribute exists, retrying across
 // reconnects.
 func (s *Session) GetGlobal(ctx context.Context, attribute string) (string, error) {
-	return retryVal(s, ctx, func(c *Client) (string, error) {
-		return c.GetGlobal(ctx, attribute)
-	})
+	return s.read(ctx, opGet, scopeGlobal, attribute)
 }
 
 // TryGetGlobal returns the global attribute's value without blocking,
 // retrying across reconnects.
 func (s *Session) TryGetGlobal(ctx context.Context, attribute string) (string, error) {
-	return retryVal(s, ctx, func(c *Client) (string, error) {
-		return c.TryGetGlobal(ctx, attribute)
-	})
+	return s.read(ctx, opTryGet, scopeGlobal, attribute)
 }
 
 // SnapshotGlobalMany snapshots several global contexts in one GSNAPM

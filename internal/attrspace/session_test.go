@@ -56,7 +56,7 @@ func (sc *scriptConn) reply(req *wire.Message, verb string, kv ...string) {
 
 // hello serves the handshake.
 func (sc *scriptConn) hello() {
-	sc.reply(sc.expect("HELLO"), "OK")
+	sc.reply(sc.expect("HELLO"), "OK", "rev", ProtocolRevision)
 }
 
 // drainForbidding reads frames until the peer disconnects, failing the

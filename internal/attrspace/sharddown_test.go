@@ -66,7 +66,7 @@ func TestShardDownTypedUnderScatterGather(t *testing.T) {
 	// A shard that dies before its health session ever connected is not
 	// "down", it gets the benefit of the doubt (shardConn.down): see the
 	// victim's session up before killing it.
-	for up := time.Now().Add(5 * time.Second); !lass.gcache.Load().shardAt(victim).sess.Up(); time.Sleep(time.Millisecond) {
+	for up := time.Now().Add(5 * time.Second); !lass.gcache.Load().conns[victim].sess.Up(); time.Sleep(time.Millisecond) {
 		if time.Now().After(up) {
 			t.Fatal("victim's health session never connected")
 		}

@@ -22,7 +22,7 @@ import (
 // remote clients keep using TCP, with no configuration on either side.
 // A same-host connection starts, and if it is short ends, on that
 // socket. HELLO only establishes that a shared-memory ring is possible
-// (wire.CapShm: same host, this build can mmap); a connection that has
+// (shm=1: same host, both builds can mmap); a connection that has
 // taken shmPromoteAfter replies asks for one in mid-stream (SHMREQ):
 // the server creates the segment file on tmpfs (shmDir), its path
 // travels in the reply, and the file is unlinked as soon as the client
@@ -58,7 +58,7 @@ var shmDir = sync.OnceValue(func() string {
 	return os.TempDir()
 })
 
-// createShmSegment creates and maps a fresh transport-v3 segment file
+// createShmSegment creates and maps a fresh ring segment file
 // and returns it with its path, trying the system temp directory when
 // shmDir refuses (read-only, full, not ours to write). Uniqueness needs
 // only pid + sequence: the file exists just until the client has mapped

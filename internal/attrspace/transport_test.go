@@ -2,6 +2,7 @@ package attrspace
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -19,85 +20,88 @@ import (
 )
 
 // ---------------------------------------------------------------------------
-// Capability negotiation.
+// The revision handshake.
 
-func TestCapsNegotiated(t *testing.T) {
-	_, addr := startServer(t)
-	c := dialT(t, addr, "job1")
-	for _, cap := range []string{wire.CapMux, wire.CapSnapd, wire.CapChunk, wire.CapPing} {
-		if !c.HasCap(cap) {
-			t.Errorf("HasCap(%s) = false against a v2 server", cap)
-		}
-	}
-	if err := c.Ping(context.Background()); err != nil {
-		t.Errorf("Ping: %v", err)
-	}
-}
-
-func TestCapsAgainstV1Server(t *testing.T) {
+// TestRevisionHandshake: HELLO is the one place a peer of another (or
+// no) protocol revision is told so. A raw peer gets the stable ERROR
+// and the server keeps nothing of it — no context joined, the
+// connection dropped; a client dialing a server whose OK names no
+// revision gets ErrProtocolRevision instead of a half-working
+// connection.
+func TestRevisionHandshake(t *testing.T) {
 	srv, addr := startServer(t)
-	srv.SetCaps() // simulate a pre-v2 server: grant nothing
-	c := dialT(t, addr, "job1")
-	for _, cap := range []string{wire.CapMux, wire.CapSnapd, wire.CapChunk, wire.CapPing} {
-		if c.HasCap(cap) {
-			t.Errorf("HasCap(%s) = true against a v1 server", cap)
+	conns := srv.Telemetry().Gauge("attrspace.conns")
+	for _, hello := range []*wire.Message{
+		wire.NewMessage("HELLO").Set("context", "stray"),
+		wire.NewMessage("HELLO").Set("context", "stray").Set("rev", "0"),
+		wire.NewMessage("HELLO").Set("context", "stray").Set("caps", "mux,snapd,chunk,ping,bytewin"),
+	} {
+		raw, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		wc := wire.NewConn(raw)
+		if err := wc.Send(hello.Set("id", "1")); err != nil {
+			t.Fatalf("HELLO: %v", err)
+		}
+		reply, err := wc.Recv()
+		if err != nil || reply.Verb != "ERROR" || reply.Get("error") != revisionMismatch || reply.Get("id") != "1" {
+			t.Fatalf("reply to %v = %v, %v; want ERROR %q", hello, reply, err, revisionMismatch)
+		}
+		// Nothing else: the server hangs up behind the error.
+		raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if m, err := wc.Recv(); err == nil {
+			t.Fatalf("server kept talking after the revision error: %v", m)
+		}
+		raw.Close()
+		waitFor(t, func() bool { return conns.Value() == 0 })
+		if refs := srv.Space().Refs("stray"); refs != 0 {
+			t.Fatalf("refused HELLO joined its context (refs %d)", refs)
 		}
 	}
-	// The v1 surface still works end to end.
-	if err := c.Put("pid", "42"); err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-	if v, err := c.TryGet("pid"); err != nil || v != "42" {
-		t.Fatalf("TryGet = %q, %v", v, err)
-	}
-	if err := c.Ping(context.Background()); err == nil {
-		t.Error("Ping against a v1 server succeeded; want unknown-verb error")
-	}
-}
 
-// TestV1ClientAgainstV2Server drives the server with a raw pre-v2
-// client: HELLO without a caps offer must yield an OK without caps, and
-// a large SNAP must come back as one inline SNAPV (no chunk framing the
-// old client would not understand).
-func TestV1ClientAgainstV2Server(t *testing.T) {
-	_, addr := startServer(t)
-	seed := dialT(t, addr, "job1")
-	var pairs []KV
-	for i := 0; i < SnapChunkEntries*2; i++ {
-		pairs = append(pairs, KV{Key: fmt.Sprintf("a%04d", i), Value: "v"})
-	}
-	if err := seed.PutBatch(pairs); err != nil {
-		t.Fatalf("PutBatch: %v", err)
-	}
-
-	raw, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer raw.Close()
-	wc := wire.NewConn(raw)
-	if err := wc.Send(wire.NewMessage("HELLO").Set("context", "job1").Set("id", "1")); err != nil {
-		t.Fatalf("HELLO: %v", err)
-	}
-	ok, err := wc.Recv()
-	if err != nil || ok.Verb != "OK" {
-		t.Fatalf("HELLO reply = %v, %v", ok, err)
-	}
-	if got := ok.Get("caps"); got != "" {
-		t.Fatalf("server granted caps %q to a client that offered none", got)
-	}
-	if err := wc.Send(wire.NewMessage("SNAP").Set("id", "2").Set("seqs", "1")); err != nil {
-		t.Fatalf("SNAP: %v", err)
-	}
-	snap, err := wc.Recv()
-	if err != nil || snap.Verb != "SNAPV" {
-		t.Fatalf("SNAP reply = %v, %v", snap, err)
-	}
-	if snap.Get("more") != "" || snap.Get("part") != "" {
-		t.Errorf("v1 client got a chunked snapshot part: more=%q part=%q", snap.Get("more"), snap.Get("part"))
-	}
-	if n := snap.Int("n", -1); n != len(pairs) {
-		t.Errorf("inline snapshot n = %d, want %d", n, len(pairs))
+	// The client's half, against stubs: one that says a bare OK to
+	// anything, the way a build without the revision would, and one that
+	// refuses ours the way a server of another revision does.
+	for name, answer := range map[string]*wire.Message{
+		"bare OK":        wire.NewMessage("OK"),
+		"other revision": wire.NewMessage("OK").Set("rev", "2"),
+		"revision ERROR": wire.NewMessage("ERROR").Set("error", revisionMismatch),
+	} {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("listen: %v", err)
+		}
+		t.Cleanup(func() { l.Close() })
+		go func() {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			defer conn.Close()
+			wc := wire.NewConn(conn)
+			for {
+				m, err := wc.Recv()
+				if err != nil {
+					return
+				}
+				wc.Send(answer.Set("id", m.Get("id")))
+			}
+		}()
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		start := time.Now()
+		c, err := DialCtx(ctx, TCPDial, l.Addr().String(), "job1")
+		cancel()
+		if err == nil {
+			c.Close()
+			t.Fatalf("%s: Dial succeeded", name)
+		}
+		if !errors.Is(err, ErrProtocolRevision) {
+			t.Fatalf("%s: Dial error = %v, want ErrProtocolRevision", name, err)
+		}
+		if d := time.Since(start); d > 2*time.Second {
+			t.Fatalf("%s: Dial took %v to refuse; it must not wait out its timeout", name, d)
+		}
 	}
 }
 
@@ -185,15 +189,6 @@ func TestSnapshotDeltaCompactedFallsBackToFull(t *testing.T) {
 	}
 	if ctxSeq == 0 {
 		t.Error("fallback snapshot carried no context seq")
-	}
-}
-
-func TestSnapshotDeltaAgainstV1Server(t *testing.T) {
-	srv, addr := startServer(t)
-	srv.SetCaps()
-	c := dialT(t, addr, "job1")
-	if _, _, _, err := c.SnapshotDelta(context.Background(), 0); err == nil {
-		t.Fatal("SnapshotDelta against a v1 server succeeded; want unsupported error")
 	}
 }
 
@@ -299,9 +294,6 @@ func TestUnixSocketRoundTrip(t *testing.T) {
 	}
 	if v, err := c.TryGet("pid"); err != nil || v != "7" {
 		t.Fatalf("TryGet = %q, %v", v, err)
-	}
-	if !c.HasCap(wire.CapMux) {
-		t.Error("caps not negotiated over the unix transport")
 	}
 }
 
@@ -448,7 +440,7 @@ func TestServerMutationsFeedChangeLog(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Transport v3: the shared-memory ring cutover.
+// The shared-memory ring promotion.
 
 // TestShmCutoverOverUnixSocket is the happy path: a client dialing the
 // unix socket negotiates shm, earns its ring, and every kind of
@@ -466,11 +458,8 @@ func TestShmCutoverOverUnixSocket(t *testing.T) {
 	}
 	t.Cleanup(srv.Close)
 	c := dialT(t, bound, "job1")
-	if !c.HasCap(wire.CapShm) {
-		t.Fatal("CapShm not granted over a unix socket")
-	}
-	if !c.HasCap(wire.CapByteWin) {
-		t.Fatal("CapByteWin not granted")
+	if !shmOffered(c) {
+		t.Fatal("HELLO over a unix socket did not answer shm=1")
 	}
 	if c.ShmActive() {
 		t.Fatal("a connection with one reply behind it is on a ring")
@@ -592,29 +581,35 @@ func TestShmIdleRingsStopSpinning(t *testing.T) {
 	}
 }
 
-// TestShmWithdrawnByServer: a server configured without CapShm leaves
-// a shm-offering client on the plain v2 socket path.
+// TestShmWithdrawnByServer: a server with SetShm(false) — the daemons'
+// -shm=false — leaves a same-host client on its socket however much
+// traffic it carries.
 func TestShmWithdrawnByServer(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "tdp.sock")
 	srv := NewServer()
-	srv.SetCaps(wire.CapMux, wire.CapSnapd, wire.CapChunk, wire.CapPing, wire.CapCtxOp, wire.CapByteWin)
+	srv.SetShm(false)
 	bound, err := srv.ListenAndServe("unix:" + path)
 	if err != nil {
 		t.Fatalf("ListenAndServe: %v", err)
 	}
 	t.Cleanup(srv.Close)
 	c := dialT(t, bound, "job1")
-	if c.HasCap(wire.CapShm) || c.ShmActive() {
-		t.Fatal("shm engaged against a server that does not speak it")
+	for i := 0; i < 2*shmPromoteAfter; i++ {
+		if err := c.Put("k", "v"); err != nil {
+			t.Fatalf("Put on the socket: %v", err)
+		}
 	}
-	if err := c.Put("k", "v"); err != nil {
-		t.Fatalf("Put on the v2 fallback: %v", err)
+	if shmOffered(c) || c.ShmActive() {
+		t.Fatal("shm engaged against a server that withholds it")
+	}
+	if n := srv.Telemetry().Counter("attrspace.shm.promotions").Value(); n != 0 {
+		t.Fatalf("attrspace.shm.promotions = %d with shm off", n)
 	}
 }
 
 // TestShmNotOfferedOverTCP: a TCP connection — even to localhost — is
-// not provably same-host at the transport level, so the capability is
-// never offered and never granted.
+// not provably same-host at the transport level, so a ring is never
+// asked for and never offered.
 func TestShmNotOfferedOverTCP(t *testing.T) {
 	_, addr := startServer(t)
 	c, err := Dial(TCPDial, addr, "job1")
@@ -622,7 +617,7 @@ func TestShmNotOfferedOverTCP(t *testing.T) {
 		t.Fatalf("Dial: %v", err)
 	}
 	t.Cleanup(func() { c.Close() })
-	if c.HasCap(wire.CapShm) || c.ShmActive() {
+	if shmOffered(c) || c.ShmActive() {
 		t.Fatal("shm engaged over TCP")
 	}
 	if err := c.Put("k", "v"); err != nil {

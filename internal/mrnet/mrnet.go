@@ -237,14 +237,11 @@ func (n *Node) connectUpstream(resume bool) error {
 		Set("executable", fmt.Sprintf("aggregate(%d children)", children)).
 		SetInt("pid", 0).
 		SetInt("rank", 0).
-		// Offer the transport-v2 mux, batched flushes, and byte-granular
-		// windows. A parent node acks with OK caps=mux,tbatch,bytewin
-		// and the uplink upgrades; the real front-end ignores the field
-		// and everything stays v1. (The shm cap is not offered here:
-		// tree links cross hosts by construction, and a co-located
-		// daemon's attribute traffic already rides the attrspace
-		// clients, which negotiate shm on their own.)
-		Set("caps", wire.CapMux+","+wire.CapTBatch+","+wire.CapByteWin)
+		// Offer the stream mux and batched flushes. Our parent is either
+		// another node, which acks with OK caps=mux,tbatch and the uplink
+		// upgrades, or the front-end, which ignores the field and gets
+		// plain SAMPLE/TSAMPLE frames — a peer kind, not a version.
+		Set("caps", capMux+","+capTBatch)
 	if resume {
 		reg.Set("resume", "1")
 	}
@@ -294,13 +291,13 @@ func (n *Node) connectUpstream(resume bool) error {
 				// uplink per granted cap — mux puts samples on a
 				// flow-controlled stream, tbatch collapses each drain
 				// cycle into one frame.
-				caps := wire.ParseCaps(m.Get("caps"))
+				caps := parseCaps(m.Get("caps"))
 				n.mu.Lock()
 				if n.up == up {
-					if caps[wire.CapMux] && n.upMux == nil {
-						n.upMux = wire.NewMux(up, wire.MuxConfig{Registry: n.reg, ByteWindow: caps[wire.CapByteWin]})
+					if caps[capMux] && n.upMux == nil {
+						n.upMux = wire.NewMux(up, wire.MuxConfig{Registry: n.reg})
 					}
-					if caps[wire.CapTBatch] {
+					if caps[capTBatch] {
 						n.upBatch = true
 					}
 				}
@@ -311,6 +308,28 @@ func (n *Node) connectUpstream(resume bool) error {
 		}
 	}()
 	return nil
+}
+
+// The REGISTER handshake's capability names. A node offers both to its
+// parent and grants both to a child node that offers them; plain
+// daemons and the front-end never send or answer the field.
+const (
+	// capMux: stream IDs + byte-window flow control on the uplink.
+	capMux = "mux"
+	// capTBatch: a whole drain cycle's SAMPLE and TSAMPLE updates packed
+	// into one TBATCH frame.
+	capTBatch = "tbatch"
+)
+
+// parseCaps splits a comma-separated capability list into a set.
+func parseCaps(s string) map[string]bool {
+	out := make(map[string]bool)
+	for _, c := range strings.Split(s, ",") {
+		if c != "" {
+			out[c] = true
+		}
+	}
+	return out
 }
 
 // upstreamLost reacts to a dead parent connection: drop it and start
@@ -469,20 +488,16 @@ func (n *Node) handleChild(raw net.Conn) {
 	// stamped samples and returns window credit as WINUPs. tbatch lets
 	// the child pack each drain cycle into one TBATCH frame.
 	var cm *wire.Mux
-	childCaps := wire.ParseCaps(first.Get("caps"))
+	childCaps := parseCaps(first.Get("caps"))
 	var granted []string
-	if childCaps[wire.CapMux] {
-		// Byte-granular windows when the child offers them: a sample
-		// burst is then bounded in bytes, so one fat TBATCH cannot eat
-		// the same window as dozens of small flushes.
-		cm = wire.NewMux(wc, wire.MuxConfig{Registry: n.reg, ByteWindow: childCaps[wire.CapByteWin]})
-		granted = append(granted, wire.CapMux)
-		if childCaps[wire.CapByteWin] {
-			granted = append(granted, wire.CapByteWin)
-		}
+	if childCaps[capMux] {
+		// Windows count bytes, so one fat TBATCH cannot eat the same
+		// window as dozens of small flushes.
+		cm = wire.NewMux(wc, wire.MuxConfig{Registry: n.reg})
+		granted = append(granted, capMux)
 	}
-	if childCaps[wire.CapTBatch] {
-		granted = append(granted, wire.CapTBatch)
+	if childCaps[capTBatch] {
+		granted = append(granted, capTBatch)
 	}
 	if len(granted) > 0 {
 		wc.Send(wire.NewMessage("OK").Set("caps", strings.Join(granted, ",")))
@@ -820,7 +835,7 @@ func (n *Node) flush() {
 		send = func(m *wire.Message) error { return upX.SendOn(wire.StreamSamples, m) }
 	}
 	if batch {
-		// CapTBatch uplink: the drain cycle's dirty profile functions
+		// tbatch uplink: the drain cycle's dirty profile functions
 		// and untraced telemetry streams leave as one TBATCH frame. This
 		// is what keeps a reduction level from costing more frames than
 		// it saves: without it the self-published registry diffs alone

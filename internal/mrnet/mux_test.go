@@ -10,7 +10,7 @@ import (
 	"tdp/internal/telemetry"
 )
 
-// TestNodeUplinkUpgradesToMux verifies the transport-v2 negotiation on
+// TestNodeUplinkUpgradesToMux verifies the REGISTER negotiation on
 // a node→node link: the child offers the mux cap in REGISTER, the
 // parent acks with OK caps=mux, and the child's sample uplink moves
 // onto the flow-controlled samples stream — while reduction results
@@ -85,5 +85,17 @@ func TestNodeUplinkUpgradesToMux(t *testing.T) {
 	snap := leafReg.Snapshot()
 	if g, ok := snap.Gauges["wire.mux.streams"]; !ok || g < 1 {
 		t.Errorf("wire.mux.streams gauge = %d, %v; want >= 1", g, ok)
+	}
+}
+
+// TestParseCaps: the REGISTER handshake's capability list is a
+// comma-separated set; empty items are skipped.
+func TestParseCaps(t *testing.T) {
+	caps := parseCaps(capMux + ",," + capTBatch + ",future")
+	if len(caps) != 3 || !caps[capMux] || !caps[capTBatch] || !caps["future"] {
+		t.Fatalf("parseCaps = %v", caps)
+	}
+	if len(parseCaps("")) != 0 {
+		t.Fatal("an empty list must parse to the empty set")
 	}
 }

@@ -154,6 +154,13 @@ func TestRegisterErrorFrames(t *testing.T) {
 	if err := first.Send(wire.NewMessage("REGISTER").Set("daemon", "d0").Set("host", "h")); err != nil {
 		t.Fatalf("register: %v", err)
 	}
+	// Sent is not registered: the duplicate must not overtake it, or it
+	// is the one accepted and no ERROR ever comes.
+	for deadline := time.Now().Add(5 * time.Second); node.ChildCount() != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("first registration never landed")
+		}
+	}
 	expectError(wire.NewMessage("REGISTER").Set("daemon", "d0").Set("host", "h"), "duplicate")
 
 	// resume=1 replaces the live registration: accepted, and the old

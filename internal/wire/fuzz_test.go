@@ -24,7 +24,7 @@ func FuzzDecode(f *testing.F) {
 	f.Add(NewMessage("EVENT").Set("attr", "a").Set("op", "put").Set("seq", "7").AppendEncode(nil))
 	f.Add([]byte("3:PUT999999999;4:attr3:pid")) // count far past payload
 	f.Add([]byte("3:PUT0;"))
-	// Transport v2 seeds: mux-framed messages, window updates, delta
+	// Mux seeds: mux-framed messages, window updates, delta
 	// snapshots, and chunked snapshot parts.
 	f.Add(NewMessage("EVENT").Set("attr", "a").Set(FieldStream, "1").Encode())
 	f.Add(NewMessage("OK").Set(FieldWindow, "1:32,2:7").Encode())
@@ -36,7 +36,7 @@ func FuzzDecode(f *testing.F) {
 		Set("k1", "dead").Set("o1", "d").Set("s1", "44").Encode())
 	f.Add(NewMessage("SNAPV").SetInt("part", 3).SetInt("more", 1).
 		Set(FieldStream, "2").Set("k0", "a").Set("v0", "b").Set("s0", "9").Encode())
-	f.Add(NewMessage("HELLO").Set("context", "g").Set("caps", "mux,snapd,chunk,ping").Encode())
+	f.Add(NewMessage("HELLO").Set("context", "g").Set("rev", "1").Set("shm", "1").Encode())
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		m, err := Decode(payload)
 		if err != nil {
@@ -136,8 +136,8 @@ func TestEncodeDecodeIdentityQuick(t *testing.T) {
 	}
 }
 
-// FuzzMux feeds arbitrary _stream / _win header values through Accept
-// in both flow-control granularities. Invariants: never panic, a WINUP
+// FuzzMux feeds arbitrary _stream / _win header values through Accept.
+// Invariants: never panic, a WINUP
 // is always transport-only, invalid stream IDs (0, non-numeric, past
 // maxStreamID) are never accounted, and no grant — however hostile —
 // pushes a send window past its initial size.
@@ -154,12 +154,23 @@ func FuzzMux(f *testing.F) {
 		{"65537", "65537:1"},  // just past maxStreamID
 		{"", "1:1,2:2,3:3"},   // grants with no stream
 		{"3", ""},
+		// Byte-window edges: a grant of exactly a stream's window, one
+		// past it, the same stream granted twice, an unclassed stream,
+		// and separators in the wrong places.
+		{"1", "1:32768"},
+		{"2", "2:262145"},
+		{"3", "3:131072,3:131072"},
+		{"7", "7:65536"},
+		{"1", "1:1,"},
+		{"1", ",1:1"},
+		{"1", " 1:1"},
+		{"+1", "1:+1"},
+		{"0x1", "0x1:1"},
 	}
 	for _, s := range seeds {
-		f.Add(s.stream, s.win, true)
-		f.Add(s.stream, s.win, false)
+		f.Add(s.stream, s.win)
 	}
-	f.Fuzz(func(t *testing.T, stream, win string, byteMode bool) {
+	f.Fuzz(func(t *testing.T, stream, win string) {
 		ca, cb := net.Pipe()
 		defer ca.Close()
 		defer cb.Close()
@@ -173,7 +184,7 @@ func FuzzMux(f *testing.F) {
 				}
 			}
 		}()
-		x := NewMux(NewConn(ca), MuxConfig{ByteWindow: byteMode})
+		x := NewMux(NewConn(ca), MuxConfig{})
 
 		// A pure window update must always be transport-only.
 		wm := NewMessage(VerbWinUpdate)

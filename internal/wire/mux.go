@@ -11,45 +11,28 @@ import (
 	"tdp/internal/telemetry"
 )
 
-// This file implements transport v2's stream multiplexing and flow
-// control — an HTTP/2-lite layered over the existing framing rather
-// than a new binary format. A message's stream rides in the reserved
-// "_stream" field (absent = stream 0) and credit grants piggyback in
-// "_win", so a v1 peer that never negotiated the extension either
-// never sees the fields (senders only stamp them after capability
-// negotiation) or carries them through untouched per the reserved-key
-// contract.
+// This file implements stream multiplexing and flow control — an
+// HTTP/2-lite layered over the framing rather than a new binary format.
+// A message's stream rides in the reserved "_stream" field (absent =
+// stream 0) and window grants piggyback in "_win".
 //
-// Flow control is credit-based and comes in two granularities. The v2
-// baseline counts messages: each non-zero stream starts with the same
-// fixed number of send credits on both sides, a send consumes one, and
-// the receiver grants credits back as it consumes messages. Message
-// counting keeps the two ends' accounting trivially symmetric (no
-// drift from encoding differences), and bulk frames are bounded —
-// large snapshot replays are chunked (see attrspace) — so a
-// message-credit window still bounds the bytes a stream can have in
-// flight, loosely.
-//
-// Transport v3 (negotiated via CapByteWin) counts bytes instead: a
-// send consumes the message's EncodedSize, grants carry bytes, and
-// each stream's initial window is sized for its traffic class — bulk
-// and samples get room for throughput, events stay small so a
-// fan-out burst cannot buffer far ahead of a slow consumer. Byte
-// accounting stays symmetric because both ends measure the same
-// payload with the same EncodedSize: the sender costs the message
-// before stamping _stream/_win, the receiver after stripping them.
-// One message always moves even when it alone exceeds the whole
-// window — the sender waits for the window to be positive, then
-// deducts the full cost and lets the window go negative — so an
+// Flow control is credit-based and counts bytes: a send consumes the
+// message's EncodedSize, grants carry bytes, and each stream's initial
+// window is sized for its traffic class. Both ends measure the same
+// payload — the sender before stamping _stream/_win, the receiver after
+// stripping them — so the accounting stays symmetric. One message
+// always moves even when it alone exceeds the whole window: the sender
+// waits for a positive window, then deducts the full cost, so an
 // oversized frame degrades to stop-and-wait rather than deadlocking.
 //
-// Stream 0 is the control stream: request/reply traffic is
-// self-limiting (one reply per request) and exempt from flow control,
-// so the RPC hot path pays nothing beyond an empty-grant check.
+// Stream 0 is the control stream: request/reply traffic limits itself
+// and is exempt, so the RPC hot path pays nothing beyond an empty-grant
+// check, and a mux that has received nothing on a flow-controlled
+// stream stamps nothing at all.
 
 // Well-known stream IDs. The assignment is a protocol convention, not
-// a negotiation: both ends of a capability-negotiated connection use
-// the same IDs for the same traffic classes.
+// a negotiation: both ends of a connection use the same IDs for the
+// same traffic classes.
 const (
 	// StreamControl is the unflow-controlled request/reply stream.
 	StreamControl uint32 = 0
@@ -61,14 +44,9 @@ const (
 	StreamSamples uint32 = 3
 )
 
-// DefaultCredits is the initial per-stream send window, in messages.
-// It is a protocol constant: both ends of a negotiated connection
-// assume it, so changing it is a capability change.
-const DefaultCredits = 64
-
-// Per-stream initial windows for byte-granular flow control
-// (CapByteWin). Like DefaultCredits these are protocol constants both
-// ends assume. Bulk is sized to keep a chunked snapshot replay
+// Per-stream initial windows, in bytes. They are protocol constants:
+// both ends of a connection assume them, so changing one is a protocol
+// revision. Bulk is sized to keep a chunked snapshot replay
 // streaming (one SnapChunkEntries part in flight plus headroom),
 // samples sized for sustained telemetry fan-in, and events kept small
 // on purpose: event latency is the point of that stream, so a slow
@@ -81,28 +59,14 @@ const (
 	ByteWindowDefault = 64 << 10
 )
 
-// byteWindowFor maps a stream to its initial byte window.
-func byteWindowFor(stream uint32) int {
-	switch stream {
-	case StreamEvents:
-		return ByteWindowEvents
-	case StreamBulk:
-		return ByteWindowBulk
-	case StreamSamples:
-		return ByteWindowSamples
-	default:
-		return ByteWindowDefault
-	}
-}
-
 // maxStreamID bounds accepted stream IDs so a hostile peer cannot
 // grow the per-stream accounting maps without bound.
 const maxStreamID = 1 << 16
 
-// maxByteGrant bounds a single grant value in byte mode; anything
-// larger than 1 GiB is a corrupt or hostile peer (windows are capped
-// at their initial size anyway — this just rejects absurd parses
-// before they touch the accounting).
+// maxByteGrant bounds a single grant value; anything larger than 1 GiB
+// is a corrupt or hostile peer (windows are capped at their initial
+// size anyway — this just rejects absurd parses before they touch the
+// accounting).
 const maxByteGrant = 1 << 30
 
 // VerbWinUpdate is the explicit window-update verb, sent when a
@@ -115,20 +79,14 @@ var ErrMuxClosed = errors.New("wire: mux closed")
 
 // MuxConfig parameterizes a Mux.
 type MuxConfig struct {
-	// Credits is the initial per-stream send window in messages;
-	// 0 means DefaultCredits. In byte mode a non-zero Credits instead
-	// overrides every stream's byte window. Both ends must agree
-	// (tests only).
-	Credits int
-	// ByteWindow selects byte-granular flow control (CapByteWin):
-	// windows and grants count payload bytes rather than messages.
-	// Both ends must agree — it is set from the negotiated capability.
-	ByteWindow bool
+	// Window, when non-zero, overrides every stream's initial byte
+	// window. Both ends must agree (tests only).
+	Window int
 	// Registry receives the wire.mux.* metrics; nil records nothing.
 	Registry *telemetry.Registry
 }
 
-// Mux layers stream multiplexing with per-stream credit windows over a
+// Mux layers stream multiplexing with per-stream byte windows over a
 // Conn. One Mux serves both directions of one connection: SendOn
 // stamps outgoing messages and blocks when the stream's window is
 // exhausted; Accept (called by the owner's read loop for every
@@ -137,9 +95,8 @@ type MuxConfig struct {
 // piggybacked on outgoing sends, or as an explicit WINUP once half a
 // window has accumulated.
 type Mux struct {
-	c       *Conn
-	credits int  // initial window per stream (messages, or byte override)
-	bytes   bool // byte-granular windows (CapByteWin)
+	c      *Conn
+	window int // test override of every stream's initial window; 0 = per class
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -158,19 +115,9 @@ type Mux struct {
 // NewMux returns a Mux over c. The caller keeps using c's Recv
 // directly; every received message must be passed through Accept.
 func NewMux(c *Conn, cfg MuxConfig) *Mux {
-	credits := cfg.Credits
-	if credits <= 0 {
-		credits = DefaultCredits
-	}
-	if cfg.ByteWindow {
-		// In byte mode the per-stream windows come from byteWindowFor;
-		// cfg.Credits (when set) overrides them uniformly for tests.
-		credits = cfg.Credits
-	}
 	x := &Mux{
 		c:       c,
-		credits: credits,
-		bytes:   cfg.ByteWindow,
+		window:  cfg.Window,
 		send:    make(map[uint32]int),
 		pending: make(map[uint32]int),
 	}
@@ -195,18 +142,8 @@ func (x *Mux) SendOn(stream uint32, m *Message) error {
 		// Cost the message BEFORE stamping the mux fields; the receiver
 		// costs it after stripping them, so both ends account the same
 		// bytes (Encode is field-order independent).
-		cost := 1
-		if x.bytes {
-			cost = m.EncodedSize()
-		}
-		if !x.tryAcquire(stream, cost) {
-			// About to block: push out any frames an enclosing Cork is
-			// holding — their receipt is what funds the grants we wait
-			// for, so leaving them buffered would deadlock the stream.
-			x.c.Flush()
-			if err := x.acquire(stream, cost); err != nil {
-				return err
-			}
+		if err := x.acquire(stream, m.EncodedSize()); err != nil {
+			return err
 		}
 		m.Set(FieldStream, strconv.FormatUint(uint64(stream), 10))
 	}
@@ -218,16 +155,22 @@ func (x *Mux) SendOn(stream uint32, m *Message) error {
 	return nil
 }
 
-// winFor returns a stream's initial send window: messages in v2 mode,
-// bytes (per traffic class, unless overridden) in byte mode.
+// winFor returns a stream's initial send window in bytes: per traffic
+// class, unless overridden.
 func (x *Mux) winFor(stream uint32) int {
-	if !x.bytes {
-		return x.credits
+	if x.window > 0 {
+		return x.window
 	}
-	if x.credits > 0 {
-		return x.credits
+	switch stream {
+	case StreamEvents:
+		return ByteWindowEvents
+	case StreamBulk:
+		return ByteWindowBulk
+	case StreamSamples:
+		return ByteWindowSamples
+	default:
+		return ByteWindowDefault
 	}
-	return byteWindowFor(stream)
 }
 
 // initLocked lazily initializes a stream's send window. Callers hold mu.
@@ -243,31 +186,23 @@ func (x *Mux) initLocked(stream uint32) int {
 	return cr
 }
 
-// tryAcquire deducts cost from stream's send window without blocking;
-// it reports false when the window is dry (or the mux already failed —
-// acquire surfaces the error). The window only gates entry (it must be
-// positive); the full cost is deducted even when it exceeds the
-// remaining window, so an oversized message degrades to stop-and-wait
-// instead of deadlocking.
-func (x *Mux) tryAcquire(stream uint32, cost int) bool {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	if x.err != nil {
-		return false
-	}
-	if x.initLocked(stream) <= 0 {
-		return false
-	}
-	x.send[stream] -= cost
-	return true
-}
-
 // acquire deducts cost from stream's send window, waiting for the
-// peer's grants while the window is non-positive.
+// peer's grants while the window is non-positive. The window only gates
+// entry; the full cost is deducted even when it exceeds what is left,
+// so an oversized message degrades to stop-and-wait instead of
+// deadlocking.
 func (x *Mux) acquire(stream uint32, cost int) error {
 	x.mu.Lock()
-	cr := x.initLocked(stream)
-	if cr <= 0 && x.err == nil {
+	defer x.mu.Unlock()
+	if x.initLocked(stream) <= 0 && x.err == nil {
+		// About to block: push out any frames an enclosing Cork is
+		// holding — their receipt is what funds the grants we wait
+		// for, so leaving them buffered would deadlock the stream.
+		x.mu.Unlock()
+		x.c.Flush()
+		x.mu.Lock()
+	}
+	if x.send[stream] <= 0 && x.err == nil {
 		if x.cStalls != nil {
 			x.cStalls.Inc()
 		}
@@ -280,12 +215,9 @@ func (x *Mux) acquire(stream uint32, cost int) error {
 		}
 	}
 	if x.err != nil {
-		err := x.err
-		x.mu.Unlock()
-		return err
+		return x.err
 	}
 	x.send[stream] -= cost
-	x.mu.Unlock()
 	return nil
 }
 
@@ -315,10 +247,7 @@ func (x *Mux) Accept(m *Message) (stream uint32, handled bool) {
 	sid := uint32(sid64)
 	// Cost AFTER stripping _stream/_win — the mirror of SendOn costing
 	// before stamping them, so both ends deduct identical amounts.
-	cost := 1
-	if x.bytes {
-		cost = m.EncodedSize()
-	}
+	cost := m.EncodedSize()
 	x.mu.Lock()
 	x.pending[sid] += cost
 	x.npend += cost
@@ -410,12 +339,8 @@ func (x *Mux) applyGrants(grants string) {
 		if err != nil || sid64 == 0 || sid64 > maxStreamID {
 			continue
 		}
-		maxGrant := maxStreamID
-		if x.bytes {
-			maxGrant = maxByteGrant
-		}
 		n, err := strconv.Atoi(pair[i+1:])
-		if err != nil || n <= 0 || n > maxGrant {
+		if err != nil || n <= 0 || n > maxByteGrant {
 			continue
 		}
 		sid := uint32(sid64)
@@ -445,84 +370,4 @@ func (x *Mux) Fail(err error) {
 	}
 	x.mu.Unlock()
 	x.cond.Broadcast()
-}
-
-// ---------------------------------------------------------------------------
-// Capability negotiation helpers.
-//
-// Transport v2 is negotiated on the application handshake (HELLO for
-// the attribute space, REGISTER for the tool protocol): the initiator
-// lists the capabilities it speaks in a "caps" field, the responder
-// answers with the intersection of that list and its own, and both
-// sides enable exactly the granted set. A v1 peer ignores the unknown
-// field and grants nothing — transparent fallback, the MPUT pattern.
-
-// Capability names.
-const (
-	// CapMux: stream IDs + credit-window flow control on this conn.
-	CapMux = "mux"
-	// CapSnapd: the SNAPD delta-snapshot verb.
-	CapSnapd = "snapd"
-	// CapChunk: large snapshot replies arrive as part/more chunks.
-	CapChunk = "chunk"
-	// CapPing: wire-level PING/PONG liveness probes.
-	CapPing = "ping"
-	// CapCtxOp: the C* context-explicit verbs (CPUT, CGET, ...), which
-	// carry the target context per message instead of binding the whole
-	// connection to one context at HELLO. This is what lets a shard
-	// router keep one pooled connection per CASS shard and route any
-	// context's operations over it.
-	CapCtxOp = "ctxop"
-	// CapTBatch: the TBATCH verb — a whole mrnet drain cycle's SAMPLE
-	// and TSAMPLE updates packed into one frame on a node→node uplink.
-	CapTBatch = "tbatch"
-	// CapByteWin: byte-granular credit windows — _win entries carry
-	// bytes and per-stream windows come from the ByteWindow* constants.
-	// Without it a mux-capable peer stays on message counting (v2).
-	CapByteWin = "bytewin"
-	// CapShm: the shared-memory ring transport for same-host
-	// connections. Granted only when the server can see the client is
-	// local (unix socket). The grant maps nothing: the framed protocol
-	// runs over the socket until the client asks for a ring (SHMREQ),
-	// then both byte streams move onto the mmap ring in mid-stream, with
-	// the socket retained as doorbell and liveness signal.
-	CapShm = "shm"
-)
-
-// ParseCaps splits a comma-separated capability list into a set.
-func ParseCaps(s string) map[string]bool {
-	out := make(map[string]bool)
-	for s != "" {
-		var c string
-		if i := strings.IndexByte(s, ','); i >= 0 {
-			c, s = s[:i], s[i+1:]
-		} else {
-			c, s = s, ""
-		}
-		if c != "" {
-			out[c] = true
-		}
-	}
-	return out
-}
-
-// IntersectCaps returns the comma-separated subset of supported that
-// the peer offered, preserving supported's order (deterministic
-// replies).
-func IntersectCaps(offered string, supported []string) string {
-	if offered == "" || len(supported) == 0 {
-		return ""
-	}
-	set := ParseCaps(offered)
-	var b strings.Builder
-	for _, c := range supported {
-		if !set[c] {
-			continue
-		}
-		if b.Len() > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(c)
-	}
-	return b.String()
 }

@@ -10,19 +10,20 @@ import (
 )
 
 // muxPair returns two muxed connections over an in-memory pipe, plus a
-// cleanup closing both ends.
-func muxPair(t *testing.T, credits int) (a, b *Conn, am, bm *Mux) {
+// cleanup closing both ends; window sets a uniform byte window, 0 keeps
+// the per-stream defaults.
+func muxPair(t *testing.T, window int) (a, b *Conn, am, bm *Mux) {
 	t.Helper()
 	ca, cb := net.Pipe()
 	t.Cleanup(func() { ca.Close(); cb.Close() })
 	a, b = NewConn(ca), NewConn(cb)
-	am = NewMux(a, MuxConfig{Credits: credits})
-	bm = NewMux(b, MuxConfig{Credits: credits})
+	am = NewMux(a, MuxConfig{Window: window})
+	bm = NewMux(b, MuxConfig{Window: window})
 	return a, b, am, bm
 }
 
 func TestMuxStampsAndStripsStream(t *testing.T) {
-	_, b, am, bm := muxPair(t, 4)
+	_, b, am, bm := muxPair(t, 0)
 	go func() {
 		if err := am.SendOn(StreamEvents, NewMessage("EVENT").Set("attr", "a")); err != nil {
 			t.Error(err)
@@ -45,7 +46,7 @@ func TestMuxStampsAndStripsStream(t *testing.T) {
 }
 
 func TestMuxControlStreamNotStamped(t *testing.T) {
-	_, b, am, _ := muxPair(t, 4)
+	_, b, am, _ := muxPair(t, 0)
 	go am.SendOn(StreamControl, NewMessage("PUT").Set("attr", "a"))
 	m, err := b.Recv()
 	if err != nil {
@@ -72,56 +73,16 @@ func pump(x *Mux) {
 	}()
 }
 
-// TestMuxWindowBlocksAndWinupUnblocks pushes several windows' worth of
-// messages through one stream: the sender can only finish if the
-// receiver's WINUP grants flow back and reopen the window.
-func TestMuxWindowBlocksAndWinupUnblocks(t *testing.T) {
-	const credits = 4
-	const total = 3*credits + 1
-	_, b, am, bm := muxPair(t, credits)
-	pump(am) // applies the WINUPs bm sends back
-
-	done := make(chan error, 1)
-	go func() {
-		for i := 0; i < total; i++ {
-			if err := am.SendOn(StreamBulk, NewMessage("SNAPV").SetInt("part", i)); err != nil {
-				done <- err
-				return
-			}
-		}
-		done <- nil
-	}()
-
-	got := 0
-	for got < total {
-		m, err := b.Recv()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, handled := bm.Accept(m); handled {
-			continue
-		}
-		got++
-	}
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("sender never finished despite grants")
-	}
-}
-
 // TestMuxIndependentStreams verifies a stalled stream does not block
 // another stream on the same conn — the head-of-line property the mux
 // exists for.
 func TestMuxIndependentStreams(t *testing.T) {
-	const credits = 2
-	_, b, am, _ := muxPair(t, credits)
+	// A window of exactly two messages: the third bulk send finds it dry.
+	const fills = 2
+	_, b, am, _ := muxPair(t, fills*NewMessage("SNAPV").EncodedSize())
 
 	// Exhaust StreamBulk's window.
-	for i := 0; i < credits; i++ {
+	for i := 0; i < fills; i++ {
 		done := make(chan error, 1)
 		go func() { done <- am.SendOn(StreamBulk, NewMessage("SNAPV")) }()
 		if _, err := b.Recv(); err != nil {
@@ -183,7 +144,9 @@ func TestMuxFailWakesBlockedSenders(t *testing.T) {
 }
 
 func TestMuxPiggybackGrants(t *testing.T) {
-	_, b, am, bm := muxPair(t, 8)
+	// A window far above one message, so the grant waits for a ride
+	// instead of leaving as a WINUP of its own.
+	_, b, am, bm := muxPair(t, 1024)
 	// a → b: one events message; b accounts it.
 	go am.SendOn(StreamEvents, NewMessage("EVENT"))
 	m, err := b.Recv()
@@ -211,8 +174,8 @@ func TestMuxTelemetry(t *testing.T) {
 	ca, cb := net.Pipe()
 	t.Cleanup(func() { ca.Close(); cb.Close() })
 	a, b := NewConn(ca), NewConn(cb)
-	am := NewMux(a, MuxConfig{Credits: 1, Registry: reg})
-	bm := NewMux(b, MuxConfig{Credits: 1})
+	am := NewMux(a, MuxConfig{Window: 1, Registry: reg})
+	bm := NewMux(b, MuxConfig{Window: 1})
 
 	pump(am) // applies the WINUP bm sends back
 
@@ -233,7 +196,7 @@ func TestMuxTelemetry(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	bm.Accept(m) // grants credit back via WINUP (threshold = 1)
+	bm.Accept(m) // grants the window back via WINUP (threshold = 1)
 	m, err = b.Recv()
 	if err != nil {
 		t.Fatal(err)
@@ -241,25 +204,6 @@ func TestMuxTelemetry(t *testing.T) {
 	bm.Accept(m)
 	if reg.Gauge("wire.mux.streams").Value() == 0 {
 		t.Fatal("wire.mux.streams gauge not set")
-	}
-}
-
-func TestParseAndIntersectCaps(t *testing.T) {
-	caps := ParseCaps("mux,snapd,,chunk")
-	for _, want := range []string{"mux", "snapd", "chunk"} {
-		if !caps[want] {
-			t.Fatalf("ParseCaps missing %q", want)
-		}
-	}
-	if len(caps) != 3 {
-		t.Fatalf("ParseCaps len = %d, want 3", len(caps))
-	}
-	got := IntersectCaps("snapd,mux,future", []string{CapMux, CapSnapd, CapChunk, CapPing})
-	if got != "mux,snapd" {
-		t.Fatalf("IntersectCaps = %q, want %q", got, "mux,snapd")
-	}
-	if IntersectCaps("", []string{CapMux}) != "" {
-		t.Fatal("empty offer must grant nothing")
 	}
 }
 
@@ -271,7 +215,7 @@ func TestCorkUncorkConcurrentSendRace(t *testing.T) {
 	ca, cb := net.Pipe()
 	t.Cleanup(func() { ca.Close(); cb.Close() })
 	conn := NewConn(ca)
-	mux := NewMux(conn, MuxConfig{Credits: 1 << 14}) // effectively unbounded
+	mux := NewMux(conn, MuxConfig{Window: 1 << 20}) // effectively unbounded
 	peer := NewConn(cb)
 
 	const (
@@ -335,22 +279,10 @@ func TestCorkUncorkConcurrentSendRace(t *testing.T) {
 	}
 }
 
-// byteMuxPair is muxPair for byte-granular (transport v3) windows;
-// override sets a uniform byte window, 0 keeps the per-stream defaults.
-func byteMuxPair(t *testing.T, override int) (a, b *Conn, am, bm *Mux) {
-	t.Helper()
-	ca, cb := net.Pipe()
-	t.Cleanup(func() { ca.Close(); cb.Close() })
-	a, b = NewConn(ca), NewConn(cb)
-	am = NewMux(a, MuxConfig{ByteWindow: true, Credits: override})
-	bm = NewMux(b, MuxConfig{ByteWindow: true, Credits: override})
-	return a, b, am, bm
-}
-
 func TestMuxByteWindowDefaults(t *testing.T) {
 	ca, cb := net.Pipe()
 	t.Cleanup(func() { ca.Close(); cb.Close() })
-	x := NewMux(NewConn(ca), MuxConfig{ByteWindow: true})
+	x := NewMux(NewConn(ca), MuxConfig{})
 	for _, tc := range []struct {
 		stream uint32
 		want   int
@@ -364,21 +296,15 @@ func TestMuxByteWindowDefaults(t *testing.T) {
 			t.Errorf("winFor(%d) = %d, want %d", tc.stream, got, tc.want)
 		}
 	}
-	// Message mode keeps the credit count for every stream.
-	y := NewMux(NewConn(cb), MuxConfig{})
-	if got := y.winFor(StreamBulk); got != DefaultCredits {
-		t.Errorf("message-mode winFor = %d, want %d", got, DefaultCredits)
-	}
 }
 
-// TestMuxByteWindowBlocksAndRefills is the byte-mode mirror of the
-// window/WINUP test: the total payload pushed through the stream is
-// many times the byte window, so the sender only finishes if the
-// receiver's byte grants flow back.
+// TestMuxByteWindowBlocksAndRefills: the total payload pushed through
+// the stream is many times the byte window, so the sender only finishes
+// if the receiver's WINUP grants flow back and reopen the window.
 func TestMuxByteWindowBlocksAndRefills(t *testing.T) {
 	const window = 256
 	const total = 40 // ~40 messages of ~45 encoded bytes through a 256-byte window
-	_, b, am, bm := byteMuxPair(t, window)
+	_, b, am, bm := muxPair(t, window)
 	pump(am)
 
 	done := make(chan error, 1)
@@ -418,7 +344,7 @@ func TestMuxByteWindowBlocksAndRefills(t *testing.T) {
 // window goes negative and the receiver's grant restores it.
 func TestMuxByteWindowOversizedMessage(t *testing.T) {
 	const window = 64
-	_, b, am, bm := byteMuxPair(t, window)
+	_, b, am, bm := muxPair(t, window)
 	pump(am)
 
 	big := NewMessage("SNAPV").Set("blob", "this payload alone encodes far larger than the whole sixty-four byte window")
@@ -463,7 +389,7 @@ func TestMuxByteWindowOversizedMessage(t *testing.T) {
 func TestMuxByteGrantCappedAtWindow(t *testing.T) {
 	ca, cb := net.Pipe()
 	t.Cleanup(func() { ca.Close(); cb.Close() })
-	x := NewMux(NewConn(ca), MuxConfig{ByteWindow: true})
+	x := NewMux(NewConn(ca), MuxConfig{})
 	go func() { // drain any WINUP the accept side emits
 		buf := make([]byte, 4096)
 		for {
@@ -498,7 +424,7 @@ func TestMuxBlockedSendRacesFailOnClose(t *testing.T) {
 	ca, cb := net.Pipe()
 	t.Cleanup(func() { ca.Close(); cb.Close() })
 	a, b := NewConn(ca), NewConn(cb)
-	am := NewMux(a, MuxConfig{Credits: 1})
+	am := NewMux(a, MuxConfig{Window: 1})
 	pump(am)
 
 	// Drain the window.
@@ -526,9 +452,9 @@ func TestMuxBlockedSendRacesFailOnClose(t *testing.T) {
 // window must not deadlock — SendOn flushes the cork before parking, so
 // the receiver can fund the grants the tail of the batch waits for.
 func TestMuxCorkedBatchExceedsWindow(t *testing.T) {
-	const credits = 4
-	const total = 3 * credits
-	a, b, am, bm := muxPair(t, credits)
+	const window = 64 // about four of the messages below
+	const total = 12
+	a, b, am, bm := muxPair(t, window)
 	pump(am)
 
 	done := make(chan error, 1)

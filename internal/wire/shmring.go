@@ -1,6 +1,6 @@
 //go:build linux || darwin
 
-// Transport v3's same-host fast path: a pair of single-producer /
+// The same-host fast path: a pair of single-producer /
 // single-consumer byte rings in a shared mmap'd file, one ring per
 // direction, carrying the exact same 4-byte-framed payloads the socket
 // carries — AppendEncode and DecodeInto never know the difference.
@@ -51,7 +51,7 @@ import (
 // per connection.
 const DefaultShmRingSize = 256 << 10
 
-// shmMagic identifies a TDP transport-v3 segment ("TDPSHM3\n").
+// shmMagic identifies a TDP ring segment ("TDPSHM3\n").
 const shmMagic = 0x54445053484d330a
 
 // Header layout. Every mutable field sits alone on a 64-byte cache
@@ -95,13 +95,13 @@ const (
 )
 
 // ErrShmBadSegment reports a segment file that is not a valid TDP
-// transport-v3 segment (wrong magic, impossible size, truncated).
+// ring segment (wrong magic, impossible size, truncated).
 var ErrShmBadSegment = errors.New("wire: bad shm segment")
 
 // ShmSupported reports whether this build can serve the shm transport.
 func ShmSupported() bool { return true }
 
-// ShmSegment is one mapped transport-v3 segment: the shared header and
+// ShmSegment is one mapped ring segment: the shared header and
 // the two directional rings. Both endpoints of a connection hold their
 // own mapping of the same file. The mapping is released by the
 // garbage collector (a finalizer) rather than an explicit unmap, so a
@@ -418,7 +418,7 @@ func (e *ShmEndpoint) Write(p []byte) (int, error) {
 // doorbell is the socket-backed wakeup channel shared by both rings of
 // one endpoint. A wakeup is one byte; the receiver does not care which
 // ring it is for — waiters recheck their own cursors. The reader
-// goroutine also turns socket death into ring death: transport v3 has
+// goroutine also turns socket death into ring death: the ring has
 // no liveness of its own beyond the socket that bootstrapped it. gen
 // and err are atomics so the ring paths read them without the lock; mu
 // only orders a change of either against a waiter going to sleep.

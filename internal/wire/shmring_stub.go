@@ -7,8 +7,8 @@ import (
 	"net"
 )
 
-// Stub for platforms without the mmap-backed ring: the shm capability
-// is simply never offered or granted (ShmSupported gates both ends),
+// Stub for platforms without the mmap-backed ring: HELLO never asks for
+// or offers one (ShmSupported gates both ends),
 // so these entry points are unreachable in practice and exist only to
 // keep the package compiling everywhere.
 

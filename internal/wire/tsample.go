@@ -94,7 +94,7 @@ type BatchProfileSample struct {
 
 // EncodeTBatch packs one uplink drain cycle — every dirty profile
 // function plus every dirty telemetry stream — into a single TBATCH
-// frame (the CapTBatch capability). Without it a reduction node sends
+// frame (mrnet's tbatch capability). Without it a reduction node sends
 // one frame per dirty stream per cycle, and with self-published
 // registry diffs keeping several streams perpetually dirty that means
 // ~6 small frames per child per millisecond at the tree's upper

@@ -46,12 +46,9 @@ var ErrFrameTooLarge = errors.New("wire: frame exceeds maximum size")
 var ErrMalformed = errors.New("wire: malformed message")
 
 // Reserved field names. Keys beginning with "_" are reserved for the
-// protocol layer: current peers use the two below for cross-daemon
-// span tracing, and decoders MUST carry unknown "_"-prefixed keys
-// through untouched (they are a newer peer's protocol extensions, not
-// application data). Verb handlers read named fields only, so unknown
-// reserved keys are safely ignored end to end; IsReserved lets
-// generic code (snapshot dumps, attribute iteration) skip them.
+// protocol layer. Verb handlers read named fields only, so reserved
+// keys are ignored end to end; IsReserved lets generic code (snapshot
+// dumps, attribute iteration) skip them.
 const (
 	// FieldTraceID carries the telemetry trace ID across daemons.
 	FieldTraceID = "_tid"
@@ -60,7 +57,7 @@ const (
 	// FieldStream carries the mux stream ID a message rides (see Mux);
 	// absent means stream 0, the uncontrolled control stream.
 	FieldStream = "_stream"
-	// FieldWindow piggybacks flow-control credit grants ("sid:credits"
+	// FieldWindow piggybacks flow-control window grants ("sid:bytes"
 	// pairs, comma separated) on any outgoing message.
 	FieldWindow = "_win"
 )
@@ -86,11 +83,11 @@ func init() {
 		// Global-forwarding verbs (LASS → CASS relay).
 		"GPUT", "GMPUT", "GGET", "GTRYGET", "GDEL", "GSNAP",
 		"GSNAPM", "GCTXS",
-		// Context-explicit verbs (shard router → CASS shard, CapCtxOp):
-		// the pooled per-shard connection names the target context in a
-		// ctx field on every request instead of joining one at HELLO.
+		// Context-explicit verbs (shard router → CASS shard): the pooled
+		// per-shard connection names the target context in a ctx field on
+		// every request instead of joining one at HELLO.
 		"CPUT", "CMPUT", "CGET", "CDEL", "CSNAP", "CCTXS",
-		// Batched uplink flush (mrnet node→node, CapTBatch).
+		// Batched uplink flush (mrnet node→node).
 		"TBATCH",
 		// Tool-stream verbs (paradyn front-end protocol, mrnet
 		// reduction network, proxy handshake) — the monitoring fan-in
@@ -98,18 +95,16 @@ func init() {
 		// per sample interval.
 		"REGISTER", "SAMPLE", "TSAMPLE", "DONE", "RUN",
 		"CONNECT", "REFUSED",
-		// Transport v2 verbs: delta snapshots, flow-control window
-		// updates, and wire-level liveness probes.
-		"SNAPD", "DELTA", "WINUP", "PING", "PONG",
-		// Transport v3: the client's shared-memory promotion requests.
-		"SHMREQ", "SHMRDY",
+		// Delta snapshots, flow-control window updates, wire-level
+		// liveness probes, and the shared-memory promotion requests.
+		"SNAPD", "DELTA", "WINUP", "PING", "PONG", "SHMREQ", "SHMRDY",
 		// Common field keys.
 		"id", "attr", "value", "context", "error", "daemon", "json",
 		"n", "seq", "op", "who", "lost", "seqs", "reason", "conn",
 		"fn", "calls", "time_us", "status", "host", "executable",
 		"pid", "rank", "kind", "name", "scope", "target", "resume",
 		"caps", "since", "part", "more", "total",
-		"ctx", "wait", "shard", "smv", "shmfile",
+		"ctx", "wait", "shard", "shmfile", "rev", "shm",
 		FieldTraceID, FieldSpanID, FieldStream, FieldWindow,
 	}
 	// Batched put / snapshot field keys k0..k31, v0..v31 (plus the

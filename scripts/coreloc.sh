@@ -1,0 +1,31 @@
+#!/usr/bin/env bash
+# Prints the size of the non-test Go source, raw (wc -l) and code
+# (non-blank, non-comment) lines, for the protocol core
+# (internal/attrspace + internal/wire) and for the whole root module
+# (bench/ is its own module and is not counted). Core LOC is tracked
+# the way ns/op is: run at the parent commit and at the change.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+count() { # count <label> <find-root>...
+	local label=$1
+	shift
+	find "$@" -name '*.go' ! -name '*_test.go' ! -path './bench/*' -print0 |
+		xargs -0 awk -v label="$label" '
+			{ raw++ }
+			{
+				line = $0
+				if (inblock) {
+					if (!sub(/^.*\*\//, "", line)) next
+					inblock = 0
+				}
+				gsub(/\/\*.*\*\//, "", line)
+				if (line ~ /^[ \t]*\/\*/) { inblock = 1; next }
+				if (line ~ /^[ \t]*(\/\/.*)?$/) next
+				code++
+			}
+			END { printf "%-34s raw %6d   code %6d\n", label, raw, code }'
+}
+
+count "internal/attrspace + internal/wire" internal/attrspace internal/wire
+count "root module" .
