@@ -4,7 +4,10 @@
 # injection tests (reconnecting sessions through the netsim chaos
 # transport) twice under the race detector with a pinned seed; vary
 # the seed with `make chaos TDP_CHAOS_SEED=7` to explore other fault
-# schedules. `make fuzz` is a short native-fuzzing smoke run over the
+# schedules. The seed drives the fault injector (netsim.Chaos) only:
+# the sessions' reconnect jitter comes from internal/liveness and is
+# not seeded — the tests assert outcomes, not a replayed timing.
+# `make fuzz` is a short native-fuzzing smoke run over the
 # parsers that face untrusted or operator-typed bytes (the wire
 # decoder, the telemetry-sample codec, the ClassAd expression parser,
 # the transport mux's _stream/_win fields, and the shard flag
@@ -17,7 +20,10 @@
 #
 # `make loc` prints the size of the non-test Go source (raw and code
 # lines) for the protocol core and for the root module
-# (scripts/coreloc.sh): core LOC is tracked the way ns/op is.
+# (scripts/coreloc.sh): core LOC is tracked the way ns/op is. `make
+# slowtests` prints the ten slowest tests and each package's wall time
+# from one `go test -json ./...` run (scripts/slowtests.sh), so a test
+# that sleeps for half a minute cannot hide in a green tier-1.
 #
 # `make scenario-smoke` runs the pre-built pool scenarios at smoke
 # scale under the race detector (part of tier1). `make scenario` is
@@ -54,7 +60,7 @@ TDP_CHAOS_SEED ?= 1
 # (flag > TDP_SCENARIO_SEED env > 1).
 TDP_SCENARIO_SEED ?= 1
 
-.PHONY: all tier1 vet build test race chaos fuzz bench benchdiff bench-samehost bench-smoke scenario scenario-smoke scenariodiff loc
+.PHONY: all tier1 vet build test race chaos fuzz bench benchdiff bench-samehost bench-smoke scenario scenario-smoke scenariodiff loc slowtests
 
 all: tier1
 
@@ -81,6 +87,9 @@ scenariodiff:
 
 loc:
 	@scripts/coreloc.sh
+
+slowtests:
+	@GO=$(GO) scripts/slowtests.sh
 
 vet:
 	$(GO) vet ./...

@@ -68,9 +68,9 @@ type CacheConfig struct {
 	// ShardBatch bounds how many pooled operations one per-shard drain
 	// cycle corks into a single write; 0 means 64. See router.go.
 	ShardBatch int
-	// ShardHeartbeat is the per-shard health session's ping interval;
-	// 0 means 1s, negative disables heartbeats (liveness then rests on
-	// transport read errors alone).
+	// ShardHeartbeat is the interval at which each shard's pooled
+	// connection is pinged; 0 means 1s, negative disables heartbeats
+	// (liveness then rests on transport read errors alone).
 	ShardHeartbeat time.Duration
 }
 
@@ -309,7 +309,7 @@ func (cc *cacheCtx) init() {
 	defer close(cc.ready)
 	sh := cc.gc.shard(cc.name)
 	if sh.down() {
-		// The owning shard's health session says it is unreachable:
+		// The owning shard's session says it is unreachable:
 		// fail fast instead of burning a dial timeout. Other shards'
 		// contexts are unaffected — this is the degraded mode.
 		cc.initE = sh.downErr()
@@ -356,13 +356,10 @@ func (cc *cacheCtx) teardown() {
 // surface as ev.Lost and flush the whole context.
 func (cc *cacheCtx) onEvent(ev Event) {
 	tel := cc.gc.srv.tel.Load()
-	if ev.Lost > 0 || ev.Op == "resync" {
-		// Server-side ring drops and a session's reconnect gap marker
-		// mean the same thing here: events were (or may have been)
-		// missed, so the mirror can no longer be trusted. Flush; the
-		// session's snapshot replay (put/delete events tagged Resync)
-		// and demand fills then warm it back up with authoritative
-		// seqs through the switch below.
+	if ev.Lost > 0 {
+		// The server's fan-out ring dropped events for us: the mirror
+		// can no longer be trusted. Flush; demand fills warm it back up
+		// with authoritative seqs.
 		cc.mu.Lock()
 		if !cc.gone {
 			cc.entries = make(map[string]centry)

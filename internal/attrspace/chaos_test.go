@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"tdp/internal/attr"
+	"tdp/internal/liveness"
 	"tdp/internal/netsim"
 	"tdp/internal/wire"
 )
@@ -206,10 +207,9 @@ func TestChaosSessionConvergence(t *testing.T) {
 		Dial:        chaos.Dial(AutoDial),
 		Addr:        r.addr,
 		Context:     "chaos",
-		Backoff:     Backoff{Initial: 5 * time.Millisecond, Max: 80 * time.Millisecond, Factor: 2, Jitter: 0.5},
+		Backoff:     liveness.Schedule{Initial: 5 * time.Millisecond, Max: 80 * time.Millisecond},
 		MaxAttempts: -1, // partitions outlast any finite budget; never give up
 		ConnectWait: 5 * time.Second,
-		Seed:        seed,
 	}
 	writer := NewSession(cfg)
 	defer writer.Close()
@@ -377,11 +377,10 @@ func TestChaosRefuseListener(t *testing.T) {
 	s := NewSession(SessionConfig{
 		Addr:        l.Addr().String(),
 		Context:     "refuse",
-		Backoff:     Backoff{Initial: 5 * time.Millisecond, Max: 50 * time.Millisecond, Factor: 2, Jitter: 0.5},
+		Backoff:     liveness.Schedule{Initial: 5 * time.Millisecond, Max: 50 * time.Millisecond},
 		MaxAttempts: 20,
 		ConnectWait: 5 * time.Second,
 		DialTimeout: 250 * time.Millisecond,
-		Seed:        chaosSeed(t),
 	})
 	defer s.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -404,10 +403,9 @@ func TestChaosPartitionGivesUp(t *testing.T) {
 		Dial:        chaos.Dial(TCPDial),
 		Addr:        addr,
 		Context:     "part",
-		Backoff:     Backoff{Initial: time.Millisecond, Max: 5 * time.Millisecond, Factor: 2, Jitter: 0},
+		Backoff:     liveness.Schedule{Initial: time.Millisecond, Max: 5 * time.Millisecond},
 		MaxAttempts: 4,
 		ConnectWait: 200 * time.Millisecond,
-		Seed:        chaosSeed(t),
 	})
 	defer s.Close()
 	if err := s.Put("k", "v"); err != nil {
@@ -624,10 +622,9 @@ func TestChaosShmRingKill(t *testing.T) {
 		Dial:        dial,
 		Addr:        addr,
 		Context:     "chaos-shm-sess",
-		Backoff:     Backoff{Initial: 5 * time.Millisecond, Max: 80 * time.Millisecond, Factor: 2, Jitter: 0.5},
+		Backoff:     liveness.Schedule{Initial: 5 * time.Millisecond, Max: 80 * time.Millisecond},
 		MaxAttempts: -1,
 		ConnectWait: 5 * time.Second,
-		Seed:        seed,
 		Heartbeat:   20 * time.Millisecond,
 	}
 	writer := NewSession(cfg)

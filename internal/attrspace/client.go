@@ -59,8 +59,8 @@ type Event struct {
 	// rather than pushed live by the server: either the bare gap marker
 	// (Op "resync", no Attr) emitted first, or a snapshot-diff replay
 	// ("put"/"delete") bringing the consumer's mirror back in step.
-	// Consumers holding derived state (the LASS global cache, monitors)
-	// must treat the marker as "events may have been missed here".
+	// Consumers holding derived state (monitors) must treat the marker
+	// as "events may have been missed here".
 	Resync bool
 }
 
@@ -127,9 +127,8 @@ func Dial(dial DialFunc, addr, contextName string) (*Client, error) {
 // DialCtx is Dial bounded by a context: a deadline or cancellation
 // covers the HELLO round trip, so a server that accepts connections
 // but never replies (hung, not dead) cannot wedge the caller. The
-// fault supervisor's service pings and the Session reconnect loop
-// depend on this bound. A peer that does not speak ProtocolRevision
-// fails the dial with ErrProtocolRevision.
+// Session reconnect loop depends on this bound. A peer that does not
+// speak ProtocolRevision fails the dial with ErrProtocolRevision.
 func DialCtx(ctx context.Context, dial DialFunc, addr, contextName string) (*Client, error) {
 	if dial == nil {
 		dial = AutoDial
@@ -187,6 +186,24 @@ func DialCtx(ctx context.Context, dial DialFunc, addr, contextName string) (*Cli
 	c.shmOK = reply.Get("shm") == "1"
 	c.mu.Unlock()
 	return c, nil
+}
+
+// Probe is one liveness round trip to the server at addr — dial, PING,
+// close — bounded by ctx, so a server that accepts and never answers
+// (hung, not dead) is an error rather than a stuck prober. PING is
+// daemon-scope and legal before HELLO: nothing is joined, created or
+// destroyed per probe.
+func Probe(ctx context.Context, dial DialFunc, addr string) error {
+	if dial == nil {
+		dial = AutoDial
+	}
+	raw, err := dial(addr)
+	if err != nil {
+		return fmt.Errorf("attrspace: dial %s: %w", addr, err)
+	}
+	c := newClient(raw)
+	defer c.Close()
+	return c.Ping(ctx)
 }
 
 // newClient starts a client on an open transport, before any HELLO:

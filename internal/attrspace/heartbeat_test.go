@@ -51,7 +51,7 @@ func TestSessionHeartbeatDetectsHalfDeadConn(t *testing.T) {
 	}
 	s := NewSession(SessionConfig{
 		Dial: dial, Addr: addr, Context: "job1",
-		Heartbeat: 25 * time.Millisecond, Seed: 1,
+		Heartbeat: 25 * time.Millisecond,
 	})
 	defer s.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -92,7 +92,6 @@ func TestSessionHeartbeatDetectsHalfDeadConn(t *testing.T) {
 // session may not give up), and the watcher must converge on the
 // authoritative state with per-attribute seq order intact.
 func TestChaosLargeResyncHeartbeat(t *testing.T) {
-	seed := chaosSeed(t)
 	r := newRestartable(t)
 	keep := r.space.Join("big")
 	defer keep.Leave()
@@ -111,7 +110,7 @@ func TestChaosLargeResyncHeartbeat(t *testing.T) {
 	m := newMirror()
 	s := NewSession(SessionConfig{
 		Addr: r.addr, Context: "big",
-		Heartbeat: 25 * time.Millisecond, Seed: seed,
+		Heartbeat:   25 * time.Millisecond,
 		MaxAttempts: -1, ConnectWait: 10 * time.Second,
 	})
 	defer s.Close()

@@ -14,20 +14,20 @@ import (
 
 // This file is the LASS-side shard router: the piece that turns the
 // GlobalCache from a relay onto one CASS into a relay onto a ShardMap
-// of them. It owns one shardConn per shard, each holding
-//
-//   - a health Session ("tdp.router" context) whose reconnect loop and
-//     heartbeats track shard liveness, so a dead shard fails its ops
-//     fast (ErrShardDown) instead of hanging every caller on dial
-//     timeouts — and so one shard's death degrades only its hash range
-//     while the others keep serving;
-//   - a pooled data connection speaking the ctx-scope verbs of the op
-//     table (CPUT, CGET, …): any context's ops ride this one connection,
-//     named per message by a ctx field. Ops destined for the same
-//     shard coalesce into Cork-batched drain cycles — one corked write
-//     and one bounded in-flight window per shard — which both
-//     amortizes the per-frame cost and bounds how many operations can
-//     be in limbo when a shard dies mid-batch.
+// of them. It owns one shardConn per shard, each holding one Session
+// ("tdp.router" context) whose current connection is the pooled data
+// connection: it speaks the ctx-scope verbs of the op table (CPUT, CGET,
+// …), so any context's ops ride it, named per message by a ctx field.
+// Ops destined for the same shard coalesce into Cork-batched drain
+// cycles — one corked write and one bounded in-flight window per shard
+// — which both amortizes the per-frame cost and bounds how many
+// operations can be in limbo when a shard dies mid-batch. The session's
+// heartbeat pings the connection the ops ride: a missed PONG fails it
+// (every stranded op is answered ErrConnLost), later ops fail fast with
+// ErrShardDown instead of hanging on dial timeouts, only that shard's
+// hash range degrades, and the session's reconnect brings it back. The
+// router never retries an op through the session: an op of unknown fate
+// is its caller's to resolve.
 //
 // Blocking waits and subscriptions stay on the per-context upstream
 // connections the cache holds (cacheCtx.up), whose reference is also
@@ -35,11 +35,10 @@ import (
 // scatter-gather (SnapshotMany, Contexts listing, per-shard STATS) fans
 // out concurrently across shardConns and merges.
 
-// ErrShardDown reports an operation routed to a shard whose health
-// session is currently disconnected: the op fails fast rather than
-// queueing behind a dial that cannot succeed. Ops on other shards are
-// unaffected — this error is the degraded mode, not an outage of the
-// global space.
+// ErrShardDown reports an operation routed to a shard whose session is
+// currently disconnected: the op fails fast rather than queueing behind
+// a dial that cannot succeed. Ops on other shards are unaffected — this
+// error is the degraded mode, not an outage of the global space.
 var ErrShardDown = errors.New("attrspace: shard down")
 
 // defaultShardBatch bounds the operations one drain cycle corks into a
@@ -49,10 +48,10 @@ var ErrShardDown = errors.New("attrspace: shard down")
 // can monopolize the sender.
 const defaultShardBatch = 64
 
-// routerContext is the infrastructure context each shard health
-// session joins. It carries no data; its HELLO/heartbeat traffic is
-// the liveness probe. The InfraContextPrefix exempts it from shard
-// ownership enforcement, since it must exist on every shard.
+// routerContext is the infrastructure context each shard session joins.
+// It carries no data — the ctx-scope ops name their real target per
+// message. The InfraContextPrefix exempts it from shard ownership
+// enforcement, since it must exist on every shard.
 const routerContext = InfraContextPrefix + "router"
 
 // shardOp is one queued operation awaiting a drain cycle.
@@ -74,10 +73,9 @@ type shardConn struct {
 	gc   *GlobalCache
 	idx  int
 	addr string
-	sess *Session // health: reconnect + heartbeat; nil in tests only
+	sess *Session // the shard's one connection: pooled ops, heartbeat, reconnect
 
 	mu       sync.Mutex
-	pool     *Client // pooled ctx-scope connection; nil until first use or after loss
 	queue    []*shardOp
 	draining bool
 
@@ -112,13 +110,11 @@ func (gc *GlobalCache) newShardConn(idx int) *shardConn {
 	return sh
 }
 
-// down reports whether the shard should fail fast: its health session
-// has connected before and is currently not connected. Before the
-// first connect the router gives the shard the benefit of the doubt
-// (ops attempt their own dial), so startup ordering — LASS before
-// CASS — keeps working.
+// down reports whether the shard should fail fast: its session has
+// connected before and is currently not connected.
 func (sh *shardConn) down() bool {
-	return sh.sess != nil && sh.sess.HasConnected() && !sh.sess.Up()
+	c, ever := sh.sess.live()
+	return c == nil && ever
 }
 
 // downErr wraps ErrShardDown with this shard's identity and counts the
@@ -130,20 +126,13 @@ func (sh *shardConn) downErr() error {
 
 func (sh *shardConn) close() {
 	sh.mu.Lock()
-	pool := sh.pool
-	sh.pool = nil
 	queue := sh.queue
 	sh.queue = nil
 	sh.mu.Unlock()
 	for _, op := range queue {
 		op.done <- shardReply{err: ErrClientClosed}
 	}
-	if pool != nil {
-		pool.Close()
-	}
-	if sh.sess != nil {
-		sh.sess.Close()
-	}
+	sh.sess.Close()
 	sh.gUp.Set(0)
 }
 
@@ -151,38 +140,26 @@ func (sh *shardConn) close() {
 // background loop so tdptop sees state changes even on an idle router.
 func (sh *shardConn) healthTick() {
 	up := int64(0)
-	if sh.sess != nil && sh.sess.Up() {
+	if sh.sess.Up() {
 		up = 1
 	}
 	sh.gUp.Set(up)
 }
 
-// dialPool opens (or returns) the pooled data connection. The
-// connection joins the router context — the ctx-scope ops it will carry
-// name their real target per message.
-func (sh *shardConn) dialPool(ctx context.Context) (*Client, error) {
-	sh.mu.Lock()
-	pool := sh.pool
-	sh.mu.Unlock()
-	if pool != nil {
-		return pool, nil
+// conn returns the connection the next cycle rides. A session that has
+// lost its connection is a down shard and fails at once; only before
+// its first connect does an op wait (bounded by ctx and ConnectWait),
+// so start-up ordering — LASS before CASS — keeps working.
+func (sh *shardConn) conn(ctx context.Context) (*Client, error) {
+	c, ever := sh.sess.live()
+	switch {
+	case c != nil:
+		return c, nil
+	case ever:
+		return nil, sh.downErr()
 	}
-	pool, err := DialCtx(ctx, sh.gc.dial, sh.addr, routerContext)
-	if err != nil {
-		sh.gErrors.Inc()
-		return nil, err
-	}
-	pool.OnClose(func(error) {
-		sh.mu.Lock()
-		if sh.pool == pool {
-			sh.pool = nil
-		}
-		sh.mu.Unlock()
-	})
-	sh.mu.Lock()
-	sh.pool = pool
-	sh.mu.Unlock()
-	return pool, nil
+	c, _, err := sh.sess.client(ctx)
+	return c, err
 }
 
 // do names contextName as the target of the ctx-scope request m (""
@@ -247,7 +224,7 @@ func (sh *shardConn) drain(ctx context.Context) {
 		sh.queue = append([]*shardOp(nil), sh.queue[n:]...)
 		sh.mu.Unlock()
 
-		pool, err := sh.dialPool(ctx)
+		pool, err := sh.conn(ctx)
 		if err != nil {
 			for _, op := range batch {
 				op.done <- shardReply{err: err}
@@ -394,7 +371,7 @@ func (gc *GlobalCache) ShardStats() []telemetry.Snapshot {
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		defer cancel()
-		pool, err := sh.dialPool(ctx)
+		pool, err := sh.conn(ctx)
 		if err == nil {
 			_, snap, err = pool.ServerStats(ctx)
 		}

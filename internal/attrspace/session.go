@@ -4,13 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
-	"os"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"tdp/internal/liveness"
 	"tdp/internal/telemetry"
 )
 
@@ -52,41 +50,8 @@ var ErrSessionClosed = errors.New("attrspace: session closed")
 // with this error.
 var ErrSessionGaveUp = errors.New("attrspace: session gave up reconnecting")
 
-// Backoff is the reconnect schedule: delays start at Initial, multiply
-// by Factor up to Max, and each is randomized by ±Jitter/2 of itself so
-// a fleet of daemons reconnecting after a server restart does not
-// stampede in lockstep.
-type Backoff struct {
-	Initial time.Duration
-	Max     time.Duration
-	Factor  float64
-	Jitter  float64 // fraction of the delay randomized, 0..1
-}
-
-// DefaultBackoff is the schedule used when SessionConfig.Backoff is
-// zero, after applying the TDP_RETRY_INITIAL / TDP_RETRY_MAX duration
-// env knobs (the deployment-level override an operator reaches for
-// without rebuilding the tool).
-func DefaultBackoff() Backoff {
-	b := Backoff{Initial: 50 * time.Millisecond, Max: 2 * time.Second, Factor: 2.0, Jitter: 0.5}
-	if v := os.Getenv("TDP_RETRY_INITIAL"); v != "" {
-		if d, err := time.ParseDuration(v); err == nil && d > 0 {
-			b.Initial = d
-		}
-	}
-	if v := os.Getenv("TDP_RETRY_MAX"); v != "" {
-		if d, err := time.ParseDuration(v); err == nil && d > 0 {
-			b.Max = d
-		}
-	}
-	if b.Max < b.Initial {
-		b.Max = b.Initial
-	}
-	return b
-}
-
 // DefaultMaxAttempts is the consecutive-failure budget of one outage
-// when SessionConfig.MaxAttempts is zero and TDP_RETRY_ATTEMPTS unset.
+// when SessionConfig.MaxAttempts is zero.
 const DefaultMaxAttempts = 8
 
 // SessionConfig configures a reconnecting Session.
@@ -95,12 +60,12 @@ type SessionConfig struct {
 	Addr    string
 	Context string
 
-	// Backoff is the reconnect schedule; zero value = DefaultBackoff().
-	Backoff Backoff
+	// Backoff is the reconnect schedule; zero value = 50 ms doubling to 2 s.
+	Backoff liveness.Schedule
 	// MaxAttempts bounds consecutive failed connect attempts in one
 	// outage before the session turns terminal (ErrSessionGaveUp).
-	// 0 = DefaultMaxAttempts (or TDP_RETRY_ATTEMPTS), negative = retry
-	// forever. The counter resets on every successful connect.
+	// 0 = DefaultMaxAttempts, negative = retry forever. The counter
+	// resets on every successful connect.
 	MaxAttempts int
 	// ConnectWait bounds how long one operation waits for a live
 	// connection before failing with ErrConnLost. 0 = 15s, negative =
@@ -114,13 +79,11 @@ type SessionConfig struct {
 	// no reply within one interval — catching half-dead transports that
 	// never produce a read error. 0 = disabled.
 	Heartbeat time.Duration
-	// Seed seeds the jitter RNG so tests are deterministic; 0 seeds
-	// from the clock.
-	Seed int64
 
-	Registry *telemetry.Registry // session.* counters; nil = private registry
-	Tracer   *telemetry.Tracer   // per-op spans, passed through to each Client
-	Logger   *telemetry.Logger   // reconnect diagnostics; nil discards
+	// Registry receives the session.* counters; nil = a private one.
+	// (What each connection counts and traces is SetTelemetry's to say.)
+	Registry *telemetry.Registry
+	Logger   *telemetry.Logger // reconnect diagnostics; nil discards
 }
 
 // seqMark is the session's memory of one attribute: the newest write
@@ -148,8 +111,7 @@ type seqMark struct {
 // was missed. Per-attribute event order stays monotonic in seq across
 // any number of reconnects.
 type Session struct {
-	cfg         SessionConfig
-	maxAttempts int
+	cfg SessionConfig
 
 	mu     sync.Mutex
 	cur    *Client       // nil while disconnected
@@ -157,7 +119,10 @@ type Session struct {
 	ready  chan struct{} // closed while cur != nil; replaced on loss
 	err    error         // terminal error; nil while alive
 	subbed bool
-	rng    *rand.Rand
+	// What SetTelemetry installed, handed to every connection. Nil until
+	// then: a session nobody instruments (the router's) counts no frames.
+	reg    *telemetry.Registry
+	tracer *telemetry.Tracer
 
 	done     chan struct{} // closed exactly once on terminal failure/Close
 	doneOnce sync.Once
@@ -192,22 +157,8 @@ type Session struct {
 // until the session is live — tdp.Init does, so a missing daemon still
 // surfaces as a prompt error when the caller wants one.
 func NewSession(cfg SessionConfig) *Session {
-	if cfg.Backoff == (Backoff{}) {
-		cfg.Backoff = DefaultBackoff()
-	}
-	if cfg.Backoff.Factor < 1 {
-		cfg.Backoff.Factor = 2.0
-	}
-	if cfg.Backoff.Max < cfg.Backoff.Initial {
-		cfg.Backoff.Max = cfg.Backoff.Initial
-	}
 	if cfg.MaxAttempts == 0 {
-		cfg.MaxAttempts = DefaultMaxAttempts
-		if v := os.Getenv("TDP_RETRY_ATTEMPTS"); v != "" {
-			if n, err := strconv.Atoi(v); err == nil && n != 0 {
-				cfg.MaxAttempts = n
-			}
-		}
+		cfg.MaxAttempts = DefaultMaxAttempts // negative stays: Retry's "forever"
 	}
 	if cfg.ConnectWait == 0 {
 		cfg.ConnectWait = 15 * time.Second
@@ -218,18 +169,12 @@ func NewSession(cfg SessionConfig) *Session {
 	if cfg.Registry == nil {
 		cfg.Registry = telemetry.NewRegistry()
 	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = time.Now().UnixNano()
-	}
 	s := &Session{
-		cfg:         cfg,
-		maxAttempts: cfg.MaxAttempts,
-		ready:       make(chan struct{}),
-		done:        make(chan struct{}),
-		seqs:        make(map[string]seqMark),
-		events:      make(chan Event, 256),
-		rng:         rand.New(rand.NewSource(seed)),
+		cfg:    cfg,
+		ready:  make(chan struct{}),
+		done:   make(chan struct{}),
+		seqs:   make(map[string]seqMark),
+		events: make(chan Event, 256),
 	}
 	s.bindCounters(cfg.Registry)
 	go s.connectLoop()
@@ -263,63 +208,27 @@ func (s *Session) GaveUp() bool {
 
 // Up reports whether the session currently holds a live connection.
 // False means disconnected: either still dialing the first connection
-// or inside a reconnect outage. The shard router uses this as its
-// liveness signal.
+// or inside a reconnect outage.
 func (s *Session) Up() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cur != nil && s.err == nil
+	c, _ := s.live()
+	return c != nil
 }
 
-// HasConnected reports whether the session has ever held a live
-// connection. Up()==false before the first connect means "not yet",
-// after it means "lost" — callers that fail fast on outages (the shard
-// router) use the distinction to stay permissive during startup.
-func (s *Session) HasConnected() bool {
+// live returns the current connection without waiting — nil while
+// disconnected — and whether the session has ever held one: nil before
+// the first connect means "not yet", after it means "lost" (the shard
+// router fails fast on the second and waits out the first).
+func (s *Session) live() (c *Client, ever bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.everConnected
+	return s.cur, s.everConnected
 }
 
 // WaitReady blocks until the session has a live connection, the
-// session turns terminal, or ctx expires.
+// session turns terminal, ctx expires, or ConnectWait runs out.
 func (s *Session) WaitReady(ctx context.Context) error {
-	for {
-		s.mu.Lock()
-		if s.err != nil {
-			err := s.err
-			s.mu.Unlock()
-			return err
-		}
-		if s.cur != nil {
-			s.mu.Unlock()
-			return nil
-		}
-		ready := s.ready
-		s.mu.Unlock()
-		select {
-		case <-ready:
-		case <-s.done:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-}
-
-// jitterDelay randomizes one backoff delay by ±Jitter/2.
-func (s *Session) jitterDelay(d time.Duration) time.Duration {
-	j := s.cfg.Backoff.Jitter
-	if j <= 0 {
-		return d
-	}
-	s.mu.Lock()
-	f := s.rng.Float64()
-	s.mu.Unlock()
-	out := time.Duration(float64(d) * (1 + j*(f-0.5)))
-	if out <= 0 {
-		out = d
-	}
-	return out
+	_, _, err := s.client(ctx)
+	return err
 }
 
 // connectLoop is the single-flight reconnect driver: exactly one runs
@@ -327,48 +236,24 @@ func (s *Session) jitterDelay(d time.Duration) time.Duration {
 // soon as a connection is installed, the session closes, or the
 // attempt budget runs dry.
 func (s *Session) connectLoop() {
-	delay := s.cfg.Backoff.Initial
-	var lastErr error
-	for attempt := 1; ; attempt++ {
-		s.mu.Lock()
-		dead := s.err != nil
-		s.mu.Unlock()
-		if dead {
-			return
-		}
+	err := liveness.Retry(liveness.System, s.done, s.cfg.Backoff, s.cfg.MaxAttempts, func() error {
 		ctx, cancel := context.WithTimeout(context.Background(), s.cfg.DialTimeout)
+		defer cancel()
 		c, err := DialCtx(ctx, s.cfg.Dial, s.cfg.Addr, s.cfg.Context)
-		cancel()
-		if err == nil {
-			if s.install(c) {
-				return
-			}
-			// install failed: session closed underneath us, or the
-			// subscription replay died — either way count the attempt.
-			err = lastErr
-			if err == nil {
-				err = ErrConnLost
-			}
+		if err == nil && !s.install(c) {
+			// The session closed underneath us, or the subscription
+			// replay died: a failed attempt either way.
+			err = ErrConnLost
 		}
-		lastErr = err
-		s.log().Debugf("attrspace: session connect %s attempt %d failed: %v", s.cfg.Addr, attempt, err)
-		if s.maxAttempts > 0 && attempt >= s.maxAttempts {
-			s.cGaveUp.Inc()
-			s.log().Errorf("attrspace: session %s gave up after %d attempts: %v", s.cfg.Addr, attempt, err)
-			s.fail(fmt.Errorf("%w (%d attempts, last error: %v)", ErrSessionGaveUp, attempt, err))
-			return
+		if err != nil {
+			s.log().Debugf("attrspace: session connect %s failed: %v", s.cfg.Addr, err)
 		}
-		t := time.NewTimer(s.jitterDelay(delay))
-		select {
-		case <-t.C:
-		case <-s.done:
-			t.Stop()
-			return
-		}
-		delay = time.Duration(float64(delay) * s.cfg.Backoff.Factor)
-		if delay > s.cfg.Backoff.Max {
-			delay = s.cfg.Backoff.Max
-		}
+		return err
+	})
+	if err != nil { // the budget is spent: liveness.ErrGaveUp
+		s.cGaveUp.Inc()
+		s.log().Errorf("attrspace: session %s: %v", s.cfg.Addr, err)
+		s.fail(fmt.Errorf("%w: %w", ErrSessionGaveUp, err))
 	}
 }
 
@@ -389,6 +274,7 @@ func (s *Session) install(c *Client) bool {
 	gen := s.gen
 	subbed := s.subbed
 	reconnect := s.everConnected
+	reg, tracer := s.reg, s.tracer
 	s.mu.Unlock()
 
 	// The epoch baseline must predate the new subscription: once SUB is
@@ -410,8 +296,8 @@ func (s *Session) install(c *Client) bool {
 			return false
 		}
 	}
-	if s.cfg.Registry != nil || s.cfg.Tracer != nil {
-		c.SetTelemetry(s.cfg.Registry, s.cfg.Tracer)
+	if reg != nil || tracer != nil {
+		c.SetTelemetry(reg, tracer)
 	}
 
 	s.mu.Lock()
@@ -436,7 +322,7 @@ func (s *Session) install(c *Client) bool {
 	// concurrently with a large snapshot replay are exactly the traffic
 	// the server's chunked replies exist to keep answering.
 	if s.cfg.Heartbeat > 0 {
-		go s.heartbeatLoop(gen, c)
+		go s.heartbeat(gen, c)
 	}
 	if subbed {
 		// SUB is live on the new connection; diff a versioned snapshot
@@ -499,14 +385,9 @@ func (s *Session) Close() error {
 
 // client returns the current connection, waiting through an outage if
 // necessary. The wait is bounded by ctx and by ConnectWait, whichever
-// ends first.
+// ends first; with a connection in hand it allocates nothing.
 func (s *Session) client(ctx context.Context) (*Client, uint64, error) {
 	var bound <-chan time.Time
-	if s.cfg.ConnectWait > 0 {
-		t := time.NewTimer(s.cfg.ConnectWait)
-		defer t.Stop()
-		bound = t.C
-	}
 	for {
 		s.mu.Lock()
 		if s.err != nil {
@@ -521,6 +402,11 @@ func (s *Session) client(ctx context.Context) (*Client, uint64, error) {
 		}
 		ready := s.ready
 		s.mu.Unlock()
+		if bound == nil && s.cfg.ConnectWait > 0 {
+			t := time.NewTimer(s.cfg.ConnectWait)
+			defer t.Stop()
+			bound = t.C
+		}
 		select {
 		case <-ready:
 		case <-s.done:
@@ -747,34 +633,16 @@ func (s *Session) applyFullResync(snap map[string]Versioned, ctxSeq, preSeq uint
 	}
 }
 
-// heartbeatLoop probes one connection generation with periodic PINGs,
-// retiring it through the normal loss path when a probe times out. It
-// runs alongside everything else the connection does — including a
-// chunked snapshot replay, which is why large resyncs no longer read
-// as dead transports.
-func (s *Session) heartbeatLoop(gen uint64, c *Client) {
-	t := time.NewTicker(s.cfg.Heartbeat)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-		case <-s.done:
-			return
-		}
-		s.mu.Lock()
-		live := s.err == nil && s.gen == gen && s.cur == c
-		s.mu.Unlock()
-		if !live {
-			return
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), s.cfg.Heartbeat)
-		err := c.Ping(ctx)
-		cancel()
-		if err != nil {
-			s.log().Debugf("attrspace: session heartbeat to %s failed (gen %d): %v", s.cfg.Addr, gen, err)
-			s.lost(gen, c)
-			return
-		}
+// heartbeat probes one connection generation with periodic PINGs, each
+// bounded by one interval, and retires it through the normal loss path
+// when one goes unanswered. It runs alongside everything else the
+// connection does — a chunked snapshot replay included, so large resyncs
+// do not read as dead transports — and ends with the generation: a ping
+// on a closed client fails at once.
+func (s *Session) heartbeat(gen uint64, c *Client) {
+	if err := liveness.Watch(liveness.System, s.done, s.cfg.Heartbeat, s.cfg.Heartbeat, c.Ping); err != nil {
+		s.log().Debugf("attrspace: session heartbeat to %s failed (gen %d): %v", s.cfg.Addr, gen, err)
+		s.lost(gen, c)
 	}
 }
 
@@ -1124,18 +992,19 @@ func (s *Session) GlobalContexts(ctx context.Context) ([]string, error) {
 	})
 }
 
-// SetTelemetry installs the registry the session's resilience counters
-// (session.reconnects / retries / gaveup / resyncs) count into, and
-// the registry + tracer handed to every underlying client connection.
+// SetTelemetry installs the registry and tracer handed to every
+// underlying client connection; a non-nil registry also takes over the
+// session's resilience counters (session.reconnects / retries / gaveup
+// / resyncs).
 func (s *Session) SetTelemetry(reg *telemetry.Registry, tracer *telemetry.Tracer) {
 	s.mu.Lock()
 	if reg != nil {
-		s.cfg.Registry = reg
+		s.reg = reg
 	}
 	if tracer != nil {
-		s.cfg.Tracer = tracer
+		s.tracer = tracer
 	}
-	reg, tracer = s.cfg.Registry, s.cfg.Tracer
+	reg, tracer = s.reg, s.tracer
 	c := s.cur
 	s.mu.Unlock()
 	if reg != nil {

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"tdp/internal/liveness"
 	"tdp/internal/wire"
 )
 
@@ -132,10 +133,9 @@ func scriptSession(t *testing.T, addr string) *Session {
 	s := NewSession(SessionConfig{
 		Addr:        addr,
 		Context:     "script",
-		Backoff:     Backoff{Initial: 2 * time.Millisecond, Max: 20 * time.Millisecond, Factor: 2, Jitter: 0},
+		Backoff:     liveness.Schedule{Initial: 2 * time.Millisecond, Max: 20 * time.Millisecond},
 		MaxAttempts: 50,
 		ConnectWait: 5 * time.Second,
-		Seed:        1,
 	})
 	t.Cleanup(func() { s.Close() })
 	return s
@@ -389,10 +389,9 @@ func TestSessionRidesThroughDrain(t *testing.T) {
 	s := NewSession(SessionConfig{
 		Addr:        r.addr,
 		Context:     "drainride",
-		Backoff:     Backoff{Initial: 2 * time.Millisecond, Max: 20 * time.Millisecond, Factor: 2, Jitter: 0.5},
+		Backoff:     liveness.Schedule{Initial: 2 * time.Millisecond, Max: 20 * time.Millisecond},
 		MaxAttempts: -1,
 		ConnectWait: 5 * time.Second,
-		Seed:        1,
 	})
 	defer s.Close()
 	if err := s.Put("before", "1"); err != nil {
@@ -427,7 +426,7 @@ func TestSessionGateEpochRestart(t *testing.T) {
 		},
 		Addr:        "nowhere",
 		Context:     "gate",
-		Backoff:     Backoff{Initial: time.Hour, Max: time.Hour, Factor: 1},
+		Backoff:     liveness.Schedule{Initial: time.Hour, Max: time.Hour},
 		MaxAttempts: -1,
 	})
 	defer s.Close()

@@ -4,36 +4,40 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"strconv"
 	"testing"
 	"time"
+
+	"tdp/internal/liveness"
 )
 
-// soakDuration is 30s by default, overridable with TDP_SOAK (e.g.
-// TDP_SOAK=5s for a quick run, TDP_SOAK=10m for a long burn-in).
-func soakDuration(t *testing.T) time.Duration {
+// soakRestarts is 40 by default, overridable with TDP_SOAK (e.g.
+// TDP_SOAK=5000 for a burn-in).
+func soakRestarts(t *testing.T) int {
 	t.Helper()
 	if v := os.Getenv("TDP_SOAK"); v != "" {
-		d, err := time.ParseDuration(v)
-		if err != nil {
-			t.Fatalf("bad TDP_SOAK %q: %v", v, err)
+		n, err := strconv.Atoi(v)
+		if err != nil || n < 1 {
+			t.Fatalf("bad TDP_SOAK %q: want a restart count", v)
 		}
-		return d
+		return n
 	}
-	return 30 * time.Second
+	return 40
 }
 
 // TestSoakSessionSurvivesRestarts drives a live Session through a
 // sustained loop of daemon restarts — alternating crashes and graceful
 // drains of an in-process attribute server — while a writer keeps
-// putting and a subscribed watcher mirrors. The sessions must never
-// give up, retries must stay bounded (no retry storms), and the final
-// state must be exactly what the writer last wrote, with the watcher
-// resynced to match.
+// putting and a subscribed watcher mirrors. The test is bound by
+// restarts, not by the wall clock: each one is awaited by condition
+// (both sessions report the reconnect). The sessions must never give
+// up, retries must stay bounded (no retry storms), and the final state
+// must be exactly what the writer last wrote, with the watcher resynced
+// to match.
 func TestSoakSessionSurvivesRestarts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test: skipped with -short")
 	}
-	dur := soakDuration(t)
 	r := newRestartable(t)
 	keep := r.space.Join("soak")
 	defer keep.Leave()
@@ -41,10 +45,9 @@ func TestSoakSessionSurvivesRestarts(t *testing.T) {
 	cfg := SessionConfig{
 		Addr:        r.addr,
 		Context:     "soak",
-		Backoff:     Backoff{Initial: 5 * time.Millisecond, Max: 100 * time.Millisecond, Factor: 2, Jitter: 0.5},
+		Backoff:     liveness.Schedule{Initial: 5 * time.Millisecond, Max: 100 * time.Millisecond},
 		MaxAttempts: -1,
 		ConnectWait: 10 * time.Second,
-		Seed:        chaosSeed(t),
 	}
 	writer := NewSession(cfg)
 	defer writer.Close()
@@ -56,36 +59,42 @@ func TestSoakSessionSurvivesRestarts(t *testing.T) {
 		t.Fatalf("Subscribe: %v", err)
 	}
 
-	deadline := time.Now().Add(dur)
-	nextRestart := time.Now().Add(400 * time.Millisecond)
 	restarts, writes := 0, 0
 	var lastVal string
-	for time.Now().Before(deadline) {
+	put := func() {
+		t.Helper()
 		writes++
 		lastVal = fmt.Sprintf("w%d", writes)
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		err := writer.PutCtx(ctx, "heartbeat", lastVal)
-		cancel()
-		if err != nil {
+		defer cancel()
+		if err := writer.PutCtx(ctx, "heartbeat", lastVal); err != nil {
 			t.Fatalf("PutCtx (write %d, after %d restarts): %v", writes, restarts, err)
 		}
-		if time.Now().After(nextRestart) {
-			if restarts%2 == 0 {
-				r.kill() // crash
-			} else {
-				r.drain(100 * time.Millisecond) // graceful GOAWAY
-			}
-			time.Sleep(10 * time.Millisecond)
-			r.restart()
-			restarts++
-			nextRestart = time.Now().Add(400 * time.Millisecond)
+	}
+	for n := soakRestarts(t); restarts < n; {
+		for i := 0; i < 5; i++ {
+			put()
 		}
-		time.Sleep(5 * time.Millisecond)
+		if restarts%2 == 0 {
+			r.kill() // crash
+		} else {
+			r.drain(100 * time.Millisecond) // graceful GOAWAY
+		}
+		r.restart()
+		restarts++
+		put() // issued across the outage
+		for until := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+			wrec, _, _ := writer.Stats()
+			vrec, _, _ := watcher.Stats()
+			if wrec >= int64(restarts) && vrec >= int64(restarts) {
+				break
+			}
+			if time.Now().After(until) {
+				t.Fatalf("restart %d: reconnects writer %d, watcher %d", restarts, wrec, vrec)
+			}
+		}
 	}
 
-	if restarts < 3 {
-		t.Fatalf("only %d restarts in %v; soak did not exercise recovery", restarts, dur)
-	}
 	if writer.GaveUp() || watcher.GaveUp() {
 		t.Fatalf("a session gave up (writer %v, watcher %v)", writer.GaveUp(), watcher.GaveUp())
 	}
@@ -93,15 +102,7 @@ func TestSoakSessionSurvivesRestarts(t *testing.T) {
 	// Bounded retries: each restart should cost a handful of retried
 	// ops per session, not a storm. The generous constant still fails
 	// hard on quadratic/unbounded retry behavior.
-	// The last restart may be milliseconds old when the loop ends: give
-	// its reconnect the time to land before counting.
-	wrec, wret, _ := writer.Stats()
-	for until := time.Now().Add(5 * time.Second); wrec < int64(restarts) && time.Now().Before(until); wrec, wret, _ = writer.Stats() {
-		time.Sleep(time.Millisecond)
-	}
-	if wrec < int64(restarts) {
-		t.Errorf("writer reconnects = %d, want >= %d (one per restart)", wrec, restarts)
-	}
+	_, wret, _ := writer.Stats()
 	if max := int64(restarts*16 + 32); wret > max {
 		t.Errorf("writer retries = %d after %d restarts, want <= %d (retry storm?)", wret, restarts, max)
 	}

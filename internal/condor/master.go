@@ -1,11 +1,13 @@
 package condor
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"tdp/internal/attrspace"
+	"tdp/internal/liveness"
 	"tdp/internal/trace"
 )
 
@@ -16,9 +18,8 @@ import (
 // and notifies other entities) this closes the fault-handling loop for
 // the AS entity class.
 type Master struct {
-	machine  *Machine
-	interval time.Duration
-	rec      *trace.Recorder
+	machine *Machine
+	rec     *trace.Recorder
 
 	restarts atomic.Int64
 	stopOnce sync.Once
@@ -26,15 +27,24 @@ type Master struct {
 	wg       sync.WaitGroup
 }
 
+// probeTimeout bounds one health probe of the LASS: a daemon that
+// accepts connections and never answers is dead to its clients, and
+// without a bound it would wedge the master (and Close) forever.
+const probeTimeout = 2 * time.Second
+
 // NewMaster starts supervision of the machine's LASS; interval <= 0
 // defaults to 20ms.
 func NewMaster(machine *Machine, interval time.Duration, rec *trace.Recorder) *Master {
+	return newMaster(machine, interval, rec, liveness.System)
+}
+
+func newMaster(machine *Machine, interval time.Duration, rec *trace.Recorder, clk liveness.Clock) *Master {
 	if interval <= 0 {
 		interval = 20 * time.Millisecond
 	}
-	m := &Master{machine: machine, interval: interval, rec: rec, stopCh: make(chan struct{})}
+	m := &Master{machine: machine, rec: rec, stopCh: make(chan struct{})}
 	m.wg.Add(1)
-	go m.loop()
+	go m.loop(clk, interval)
 	return m
 }
 
@@ -44,42 +54,28 @@ func (m *Master) record(action, detail string) {
 	}
 }
 
-func (m *Master) loop() {
+func (m *Master) loop(clk liveness.Clock, interval time.Duration) {
 	defer m.wg.Done()
-	ticker := time.NewTicker(m.interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-m.stopCh:
-			return
-		case <-ticker.C:
-			if m.ping() == nil {
-				continue
-			}
-			// Confirm once before restarting — a single failed dial
-			// can be transient.
-			if m.ping() == nil {
-				continue
-			}
-			m.record("daemon_died", "lass@"+m.machine.Name())
-			if err := m.machine.RestartLASS(); err != nil {
-				m.record("restart_failed", err.Error())
-				continue
-			}
-			m.restarts.Add(1)
-			m.record("daemon_restarted", "lass@"+m.machine.Name())
+	// Watch returns nil only when Close stops it.
+	for liveness.Watch(clk, m.stopCh, interval, probeTimeout, m.probe) != nil {
+		m.record("daemon_died", "lass@"+m.machine.Name())
+		if err := m.machine.RestartLASS(); err != nil {
+			m.record("restart_failed", err.Error())
+			continue
 		}
+		m.restarts.Add(1)
+		m.record("daemon_restarted", "lass@"+m.machine.Name())
 	}
 }
 
-// ping performs one health probe of the LASS.
-func (m *Master) ping() error {
-	c, err := attrspace.Dial(m.machine.Dial(), m.machine.LASSAddr(), "master-probe")
-	if err != nil {
-		return err
+// probe is one health check of the LASS. A failure is confirmed once
+// before it counts — a single failed dial can be transient.
+func (m *Master) probe(ctx context.Context) error {
+	dial, addr := m.machine.Dial(), m.machine.LASSAddr()
+	if attrspace.Probe(ctx, dial, addr) == nil {
+		return nil
 	}
-	defer c.Close()
-	return c.Put("ping", "1")
+	return attrspace.Probe(ctx, dial, addr)
 }
 
 // Restarts reports how many times the master restarted the LASS.

@@ -6,6 +6,7 @@ import (
 
 	"tdp/internal/attrspace"
 	"tdp/internal/netsim"
+	"tdp/internal/testkit"
 	"tdp/internal/trace"
 )
 
@@ -125,5 +126,85 @@ func TestJobSurvivesAcrossLASSRestart(t *testing.T) {
 	}
 	if st.Code != 7 {
 		t.Errorf("exit = %v", st)
+	}
+}
+
+// TestMasterDetectsHungLASS: a LASS that accepts connections and never
+// answers is dead to its clients. The master's probe is bounded, so the
+// hang is declared a death when the bound runs out — on the master's
+// clock, so the test advances the two seconds instead of waiting them
+// out — and Close returns even with a probe in flight against the hung
+// daemon.
+func TestMasterDetectsHungLASS(t *testing.T) {
+	rec := trace.New()
+	machine, err := NewMachine(MachineConfig{Name: "m", Arch: "INTEL", OpSys: "LINUX", Memory: 64})
+	if err != nil {
+		t.Fatalf("NewMachine: %v", err)
+	}
+	defer machine.Close()
+	machine.mu.Lock()
+	machine.lassAddr = testkit.HungListener(t)
+	machine.mu.Unlock()
+
+	clk := testkit.NewClock()
+	master := newMaster(machine, 5*time.Millisecond, rec, clk)
+	clk.Advance(clk.NextTimer()) // the interval: a probe is now in flight
+	if d := clk.NextTimer(); d != probeTimeout {
+		t.Fatalf("probe bound = %v, want probeTimeout (%v)", d, probeTimeout)
+	}
+	if rec.Happened("master", "daemon_died") {
+		t.Fatal("death declared before the probe's bound ran out")
+	}
+	clk.Advance(probeTimeout)
+	for deadline := time.Now().Add(5 * time.Second); !rec.Happened("master", "daemon_died"); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("hung LASS never declared dead")
+		}
+	}
+
+	// The restart cannot bind the hung daemon's port, so the master is
+	// watching again: put another probe in flight, then close.
+	clk.Advance(clk.NextTimer())
+	clk.NextTimer()
+	closed := make(chan struct{})
+	go func() {
+		master.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close wedged behind a probe of the hung LASS")
+	}
+}
+
+// TestMasterProbeJoinsNothing: the master's health check is a PING on a
+// connection that never says HELLO, so supervising a LASS creates no
+// context on it and sends it no HELLO.
+func TestMasterProbeJoinsNothing(t *testing.T) {
+	machine, err := NewMachine(MachineConfig{Name: "m", Arch: "INTEL", OpSys: "LINUX", Memory: 64})
+	if err != nil {
+		t.Fatalf("NewMachine: %v", err)
+	}
+	defer machine.Close()
+	lass := machine.LASS()
+	hellos := lass.Telemetry().Counter("attrspace.ops.hello")
+	pings := lass.Telemetry().Counter("attrspace.ops.ping")
+	h0, c0 := hellos.Value(), len(lass.Space().Contexts())
+	master := NewMaster(machine, time.Millisecond, nil)
+	for deadline := time.Now().Add(5 * time.Second); pings.Value() < 20; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d probes in 5s", pings.Value())
+		}
+	}
+	master.Close()
+	if got := hellos.Value() - h0; got != 0 {
+		t.Errorf("20 probes sent %d HELLOs, want none", got)
+	}
+	if got := len(lass.Space().Contexts()); got != c0 {
+		t.Errorf("contexts = %d after 20 probes, want %d", got, c0)
+	}
+	if master.Restarts() != 0 {
+		t.Errorf("spurious restarts: %d", master.Restarts())
 	}
 }

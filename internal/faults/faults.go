@@ -23,6 +23,7 @@ import (
 
 	"tdp"
 	"tdp/internal/attrspace"
+	"tdp/internal/liveness"
 	"tdp/internal/procsim"
 )
 
@@ -85,6 +86,7 @@ type Supervisor struct {
 	kernel *procsim.Kernel
 	sub    *procsim.EventSub
 	faults chan Fault
+	clock  liveness.Clock // service probes' time source; tests substitute a fake
 
 	mu      sync.Mutex
 	watched map[procsim.PID]watchEntry
@@ -106,6 +108,7 @@ func NewSupervisor(k *procsim.Kernel) *Supervisor {
 		kernel:  k,
 		sub:     k.Subscribe(),
 		faults:  make(chan Fault, 64),
+		clock:   liveness.System,
 		watched: make(map[procsim.PID]watchEntry),
 		stopCh:  make(chan struct{}),
 	}
@@ -170,28 +173,28 @@ func (s *Supervisor) Unwatch(pid procsim.PID) {
 	delete(s.watched, pid)
 }
 
-// WatchService polls an auxiliary service with ping every interval; a
-// ping error reports a fault and stops the poller (re-watch after
-// recovery).
-func (s *Supervisor) WatchService(name string, interval time.Duration, ping func() error) {
+// DefaultPingTimeout bounds one service probe when WatchService is given
+// no timeout. Hung daemons — accepting connections but never replying —
+// are indistinguishable from healthy ones without a bound.
+const DefaultPingTimeout = 2 * time.Second
+
+// WatchService probes an auxiliary service every interval, each probe
+// bounded by timeout (<= 0 means DefaultPingTimeout); the first failed
+// or unanswered probe reports a fault and stops the watch (re-watch
+// after recovery).
+func (s *Supervisor) WatchService(name string, interval, timeout time.Duration, probe func(context.Context) error) {
 	if interval <= 0 {
 		interval = 50 * time.Millisecond
 	}
+	if timeout <= 0 {
+		timeout = DefaultPingTimeout
+	}
+	clk := s.clock
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-s.stopCh:
-				return
-			case <-ticker.C:
-				if err := ping(); err != nil {
-					s.report(Fault{Role: RoleAux, Name: name, Err: err, When: time.Now()})
-					return
-				}
-			}
+		if err := liveness.Watch(clk, s.stopCh, interval, timeout, probe); err != nil {
+			s.report(Fault{Role: RoleAux, Name: name, Err: err, When: clk.Now()})
 		}
 	}()
 }
@@ -296,34 +299,8 @@ func (s *Supervisor) Close() {
 	s.wg.Wait()
 }
 
-// DefaultPingTimeout bounds one attribute-server ping (dial + HELLO +
-// PUT). Hung daemons — accepting connections but never replying — are
-// indistinguishable from healthy ones without it.
-const DefaultPingTimeout = 2 * time.Second
-
-// PingAttrSpace returns a ping function for an attribute space server:
-// it dials, joins a probe context, performs one put, and disconnects,
-// all bounded by DefaultPingTimeout.
-func PingAttrSpace(dial attrspace.DialFunc, addr string) func() error {
-	return PingAttrSpaceTimeout(dial, addr, DefaultPingTimeout)
-}
-
-// PingAttrSpaceTimeout is PingAttrSpace with an explicit bound on the
-// whole probe. The timeout is what turns a hung server (accepts, never
-// replies — a deadlocked daemon, not a dead one) into a detectable
-// fault rather than a stuck supervisor goroutine.
-func PingAttrSpaceTimeout(dial attrspace.DialFunc, addr string, timeout time.Duration) func() error {
-	if timeout <= 0 {
-		timeout = DefaultPingTimeout
-	}
-	return func() error {
-		ctx, cancel := context.WithTimeout(context.Background(), timeout)
-		defer cancel()
-		c, err := attrspace.DialCtx(ctx, dial, addr, "fault-probe")
-		if err != nil {
-			return err
-		}
-		defer c.Close()
-		return c.PutCtx(ctx, "ping", "1")
-	}
+// PingAttrSpace returns a WatchService probe for an attribute space
+// server: one attrspace.Probe (dial, PING, close) per call.
+func PingAttrSpace(dial attrspace.DialFunc, addr string) func(context.Context) error {
+	return func(ctx context.Context) error { return attrspace.Probe(ctx, dial, addr) }
 }

@@ -104,10 +104,10 @@ func TestDetectDeadAttributeServer(t *testing.T) {
 		t.Fatalf("ServeLASS: %v", err)
 	}
 	ping := PingAttrSpace(nil, addr)
-	if err := ping(); err != nil {
+	if err := ping(context.Background()); err != nil {
 		t.Fatalf("initial ping: %v", err)
 	}
-	s.WatchService("lass@node1", 10*time.Millisecond, ping)
+	s.WatchService("lass@node1", 10*time.Millisecond, 0, ping)
 	// Healthy for a few cycles.
 	select {
 	case f := <-s.Faults():
@@ -121,6 +121,35 @@ func TestDetectDeadAttributeServer(t *testing.T) {
 	}
 	if !strings.Contains(f.String(), "AS lass@node1") {
 		t.Errorf("String = %q", f.String())
+	}
+}
+
+// TestPingAttrSpaceJoinsNothing: a probe is a PING on a connection that
+// never says HELLO — twenty of them leave the server's HELLO count and
+// its set of contexts exactly where they were.
+func TestPingAttrSpaceJoinsNothing(t *testing.T) {
+	srv, addr, err := tdp.ServeLASS("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("ServeLASS: %v", err)
+	}
+	defer srv.Close()
+	hellos := srv.Telemetry().Counter("attrspace.ops.hello")
+	pings := srv.Telemetry().Counter("attrspace.ops.ping")
+	h0, p0, c0 := hellos.Value(), pings.Value(), len(srv.Space().Contexts())
+	ping := PingAttrSpace(nil, addr)
+	for i := 0; i < 20; i++ {
+		if err := ping(context.Background()); err != nil {
+			t.Fatalf("probe %d: %v", i, err)
+		}
+	}
+	if got := pings.Value() - p0; got != 20 {
+		t.Errorf("server answered %d PINGs, want 20", got)
+	}
+	if got := hellos.Value() - h0; got != 0 {
+		t.Errorf("20 probes sent %d HELLOs, want none", got)
+	}
+	if got := len(srv.Space().Contexts()); got != c0 {
+		t.Errorf("contexts = %d after 20 probes, want %d: a probe joins nothing", got, c0)
 	}
 }
 

@@ -1,55 +1,22 @@
 package faults
 
 import (
-	"net"
-	"sync"
+	"errors"
 	"testing"
 	"time"
+
+	"tdp/internal/liveness"
+	"tdp/internal/testkit"
 )
 
-// hungListener accepts connections and never replies — the shape of a
-// deadlocked daemon: alive at the TCP layer, dead at the protocol
-// layer. Accepted connections are held open (not closed) so the client
-// sees neither a reset nor an answer.
-func hungListener(t *testing.T) string {
-	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	var mu sync.Mutex
-	var held []net.Conn
-	go func() {
-		for {
-			c, err := l.Accept()
-			if err != nil {
-				return
-			}
-			mu.Lock()
-			held = append(held, c)
-			mu.Unlock()
-		}
-	}()
-	t.Cleanup(func() {
-		l.Close()
-		mu.Lock()
-		defer mu.Unlock()
-		for _, c := range held {
-			c.Close()
-		}
-	})
-	return l.Addr().String()
-}
-
 // TestDetectHungAttributeServer: a daemon that accepts but never
-// replies must surface as an AS fault via the ping timeout — without
-// the bound the HELLO round trip would block the supervisor's poller
+// replies must surface as an AS fault via the probe timeout — without
+// the bound the PING round trip would block the supervisor's watch
 // forever and the hang would be undetectable.
 func TestDetectHungAttributeServer(t *testing.T) {
-	addr := hungListener(t)
+	addr := testkit.HungListener(t)
 	_, s := newSupervisorT(t)
-	s.WatchService("lass", 10*time.Millisecond,
-		PingAttrSpaceTimeout(nil, addr, 150*time.Millisecond))
+	s.WatchService("lass", 10*time.Millisecond, 150*time.Millisecond, PingAttrSpace(nil, addr))
 	f := waitFault(t, s)
 	if f.Role != RoleAux || f.Name != "lass" {
 		t.Errorf("fault = %+v, want AS lass", f)
@@ -60,15 +27,29 @@ func TestDetectHungAttributeServer(t *testing.T) {
 }
 
 // TestPingTimeoutZeroDefaults: a non-positive timeout falls back to
-// DefaultPingTimeout rather than producing an unbounded probe.
+// DefaultPingTimeout rather than producing an unbounded probe. On the
+// supervisor's clock, so the two seconds are advanced, not waited out.
 func TestPingTimeoutZeroDefaults(t *testing.T) {
-	addr := hungListener(t)
-	start := time.Now()
-	err := PingAttrSpaceTimeout(nil, addr, -1)()
-	if err == nil {
-		t.Fatal("ping against a hung server returned nil")
+	addr := testkit.HungListener(t)
+	_, s := newSupervisorT(t)
+	clk := testkit.NewClock()
+	s.clock = clk
+	s.WatchService("lass", time.Second, -1, PingAttrSpace(nil, addr))
+	clk.Advance(clk.NextTimer()) // the interval: the probe is now in flight
+	if d := clk.NextTimer(); d != DefaultPingTimeout {
+		t.Fatalf("probe bound = %v, want DefaultPingTimeout (%v)", d, DefaultPingTimeout)
 	}
-	if d := time.Since(start); d > DefaultPingTimeout+2*time.Second {
-		t.Errorf("ping took %v, want ~DefaultPingTimeout (%v)", d, DefaultPingTimeout)
+	select {
+	case f := <-s.Faults():
+		t.Fatalf("fault before the bound ran out: %v", f)
+	default:
+	}
+	clk.Advance(DefaultPingTimeout)
+	f := waitFault(t, s)
+	if !errors.Is(f.Err, liveness.ErrProbeTimeout) {
+		t.Errorf("fault error = %v, want ErrProbeTimeout", f.Err)
+	}
+	if !f.When.Equal(clk.Now()) {
+		t.Errorf("fault stamped %v, want the supervisor clock's %v", f.When, clk.Now())
 	}
 }

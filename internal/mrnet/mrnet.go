@@ -41,10 +41,10 @@ import (
 	"net"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
+	"tdp/internal/liveness"
 	"tdp/internal/paradyn"
 	"tdp/internal/telemetry"
 	"tdp/internal/toolapi"
@@ -94,8 +94,7 @@ type Node struct {
 
 	mu           sync.Mutex
 	up           *wire.Conn
-	upMux        *wire.Mux // non-nil once the parent granted the mux cap
-	upBatch      bool      // parent granted tbatch: whole drain cycles ride one frame
+	upMux        *wire.Mux // non-nil once a parent node acked: the uplink is muxed, each drain cycle one TBATCH frame
 	reconnecting bool
 	children     map[string]*childState
 	totals       map[string]paradyn.FuncStats
@@ -113,6 +112,7 @@ type Node struct {
 	upReadyOnce  sync.Once
 	upReady      chan struct{}
 	sessionDone  chan struct{}
+	stop         chan struct{} // closed by Close: ends a pending reconnect
 	wg           sync.WaitGroup
 }
 
@@ -174,6 +174,7 @@ func NewNode(cfg Config) (*Node, error) {
 		synthetic:   make(map[string]paradyn.FuncStats),
 		upReady:     make(chan struct{}),
 		sessionDone: make(chan struct{}),
+		stop:        make(chan struct{}),
 	}
 	// Self-registry publication rides the flush loop but at a coarser
 	// cadence (~100ms, at most every 16th cycle): snapshotting and
@@ -236,12 +237,7 @@ func (n *Node) connectUpstream(resume bool) error {
 		Set("kind", "node").
 		Set("executable", fmt.Sprintf("aggregate(%d children)", children)).
 		SetInt("pid", 0).
-		SetInt("rank", 0).
-		// Offer the stream mux and batched flushes. Our parent is either
-		// another node, which acks with OK caps=mux,tbatch and the uplink
-		// upgrades, or the front-end, which ignores the field and gets
-		// plain SAMPLE/TSAMPLE frames — a peer kind, not a version.
-		Set("caps", capMux+","+capTBatch)
+		SetInt("rank", 0)
 	if resume {
 		reg.Set("resume", "1")
 	}
@@ -252,7 +248,6 @@ func (n *Node) connectUpstream(resume bool) error {
 	n.mu.Lock()
 	n.up = up
 	n.upMux = nil
-	n.upBatch = false
 	n.reconnecting = false
 	if resume {
 		// The new parent session starts from nothing: resend every
@@ -287,19 +282,14 @@ func (n *Node) connectUpstream(resume bool) error {
 			}
 			switch m.Verb {
 			case "OK":
-				// A parent node acking our registration: upgrade the
-				// uplink per granted cap — mux puts samples on a
-				// flow-controlled stream, tbatch collapses each drain
-				// cycle into one frame.
-				caps := parseCaps(m.Get("caps"))
+				// Only a parent node acks a kind=node registration (the
+				// front-end never does — a peer kind, not a version):
+				// the uplink upgrades. The mux puts samples on a
+				// flow-controlled stream, and each drain cycle collapses
+				// into one TBATCH frame.
 				n.mu.Lock()
-				if n.up == up {
-					if caps[capMux] && n.upMux == nil {
-						n.upMux = wire.NewMux(up, wire.MuxConfig{Registry: n.reg})
-					}
-					if caps[capTBatch] {
-						n.upBatch = true
-					}
+				if n.up == up && n.upMux == nil {
+					n.upMux = wire.NewMux(up, wire.MuxConfig{Registry: n.reg})
 				}
 				n.mu.Unlock()
 			case "RUN":
@@ -310,30 +300,9 @@ func (n *Node) connectUpstream(resume bool) error {
 	return nil
 }
 
-// The REGISTER handshake's capability names. A node offers both to its
-// parent and grants both to a child node that offers them; plain
-// daemons and the front-end never send or answer the field.
-const (
-	// capMux: stream IDs + byte-window flow control on the uplink.
-	capMux = "mux"
-	// capTBatch: a whole drain cycle's SAMPLE and TSAMPLE updates packed
-	// into one TBATCH frame.
-	capTBatch = "tbatch"
-)
-
-// parseCaps splits a comma-separated capability list into a set.
-func parseCaps(s string) map[string]bool {
-	out := make(map[string]bool)
-	for _, c := range strings.Split(s, ",") {
-		if c != "" {
-			out[c] = true
-		}
-	}
-	return out
-}
-
-// upstreamLost reacts to a dead parent connection: drop it and start
-// (at most one) background reconnect loop.
+// upstreamLost reacts to a dead parent connection: drop it and start the
+// background reconnect loop (n.up is nil while one runs, so at most one
+// does).
 func (n *Node) upstreamLost(up *wire.Conn) {
 	n.mu.Lock()
 	if n.closed || n.up != up {
@@ -343,14 +312,6 @@ func (n *Node) upstreamLost(up *wire.Conn) {
 	n.up = nil
 	x := n.upMux
 	n.upMux = nil
-	n.upBatch = false
-	if n.reconnecting {
-		n.mu.Unlock()
-		if x != nil {
-			x.Fail(nil)
-		}
-		return
-	}
 	n.reconnecting = true
 	n.mu.Unlock()
 	if x != nil {
@@ -364,24 +325,13 @@ func (n *Node) upstreamLost(up *wire.Conn) {
 	go n.reconnectLoop()
 }
 
+// reconnectLoop re-registers upstream, with resume semantics, until it
+// succeeds or Close stops it.
 func (n *Node) reconnectLoop() {
 	defer n.wg.Done()
-	backoff := 10 * time.Millisecond
-	for {
-		n.mu.Lock()
-		closed := n.closed
-		n.mu.Unlock()
-		if closed {
-			return
-		}
-		if err := n.connectUpstream(true); err == nil {
-			return
-		}
-		time.Sleep(backoff)
-		if backoff < 500*time.Millisecond {
-			backoff *= 2
-		}
-	}
+	sched := liveness.Schedule{Initial: 10 * time.Millisecond, Max: 500 * time.Millisecond}
+	// No budget, so no error: it ends connected or stopped.
+	_ = liveness.Retry(liveness.System, n.stop, sched, 0, func() error { return n.connectUpstream(true) })
 }
 
 // multicastRun forwards the front-end's RUN to every child, including
@@ -480,32 +430,25 @@ func (n *Node) handleChild(raw net.Conn) {
 	runAlready := n.runRecvd
 	needUpstream := n.up == nil && !n.reconnecting && n.cfg.ExpectedChildren > 0 && count >= n.cfg.ExpectedChildren
 	n.selfForce = true // topology changed: republish mrnet.tree.* promptly
-	n.mu.Unlock()
-
-	// Grant the mux and tbatch caps to children that offered them
-	// (child nodes do; plain daemons and old binaries never see the
-	// ack). The mux runs receive-side here: Accept meters the child's
-	// stamped samples and returns window credit as WINUPs. tbatch lets
-	// the child pack each drain cycle into one TBATCH frame.
-	var cm *wire.Mux
-	childCaps := parseCaps(first.Get("caps"))
-	var granted []string
-	if childCaps[capMux] {
-		// Windows count bytes, so one fat TBATCH cannot eat the same
-		// window as dozens of small flushes.
-		cm = wire.NewMux(wc, wire.MuxConfig{Registry: n.reg})
-		granted = append(granted, capMux)
-	}
-	if childCaps[capTBatch] {
-		granted = append(granted, capTBatch)
-	}
-	if len(granted) > 0 {
-		wc.Send(wire.NewMessage("OK").Set("caps", strings.Join(granted, ",")))
-	}
-
 	if replacing {
+		// Under n.mu, as childGone's retire is: a retire that landed
+		// after this revive would park the live child's streams in the
+		// retired set, and its next update would count beside them.
 		n.streams.revive(name)
 	}
+	n.mu.Unlock()
+
+	// A child node's uplink is muxed and batched; the bare OK tells it
+	// so (plain daemons never see an ack). The mux runs receive-side
+	// here: Accept meters the child's stamped samples and returns window
+	// credit as WINUPs — windows count bytes, so one fat TBATCH cannot eat
+	// the same window as dozens of small flushes.
+	var cm *wire.Mux
+	if kind == "node" {
+		cm = wire.NewMux(wc, wire.MuxConfig{Registry: n.reg})
+		wc.Send(wire.NewMessage("OK"))
+	}
+
 	if needUpstream {
 		if err := n.connectUpstream(false); err != nil {
 			// Parent unreachable right now: keep absorbing children and
@@ -639,9 +582,11 @@ func (n *Node) childGone(child *childState) {
 	n.synthetic["host_down"] = s
 	n.fnsDirty = true
 	n.selfForce = true // hosts.down must not wait for the self cadence
+	// Under n.mu, so a re-registration's revive (handleChild) cannot
+	// slip in between the check above and this.
+	n.streams.retire(child.name)
 	n.mu.Unlock()
 	n.reg.Counter("mrnet.hosts.down").Inc()
-	n.streams.retire(child.name)
 }
 
 // serveStatsConn answers STATS queries on a connection that never
@@ -799,7 +744,7 @@ func (n *Node) flush() {
 	n.mu.Lock()
 	up := n.up
 	upX := n.upMux
-	batch := n.upBatch
+	batch := upX != nil
 	if up == nil || n.closed {
 		n.mu.Unlock()
 		return
@@ -939,6 +884,10 @@ func (n *Node) sendDone() {
 		return
 	}
 	up.Send(wire.NewMessage("DONE").Set("status", status))
+	// A flush cycle on another goroutine may hold the uplink corked, and
+	// a corked Send only buffers: write DONE out before saying it was
+	// sent, or the Close that SessionDone releases can beat the Uncork.
+	up.Flush()
 	close(n.sessionDone)
 }
 
@@ -969,6 +918,7 @@ func (n *Node) Close() {
 		return
 	}
 	n.closed = true
+	close(n.stop)
 	children := make([]*childState, 0, len(n.children))
 	for _, c := range n.children {
 		children = append(children, c)

@@ -10,11 +10,11 @@ import (
 	"tdp/internal/telemetry"
 )
 
-// TestNodeUplinkUpgradesToMux verifies the REGISTER negotiation on
-// a node→node link: the child offers the mux cap in REGISTER, the
-// parent acks with OK caps=mux, and the child's sample uplink moves
-// onto the flow-controlled samples stream — while reduction results
-// stay exactly what the bare connection produced.
+// TestNodeUplinkUpgradesToMux verifies the REGISTER handshake on a
+// node→node link: the child registers as kind=node, the parent node
+// acks with a bare OK, and the child's sample uplink moves onto the
+// flow-controlled samples stream — while reduction results stay exactly
+// what the bare connection produced.
 func TestNodeUplinkUpgradesToMux(t *testing.T) {
 	fe := newFE(t)
 	pl, err := net.Listen("tcp", "127.0.0.1:0")
@@ -54,8 +54,8 @@ func TestNodeUplinkUpgradesToMux(t *testing.T) {
 	}
 
 	// The leaf's uplink must have upgraded (the parent is a node and
-	// grants the cap; the real front-end upstream of the parent never
-	// does, so the parent's own uplink stays v1).
+	// acks; the real front-end upstream of the parent never does, so
+	// the parent's own uplink stays plain).
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		leaf.mu.Lock()
@@ -73,7 +73,7 @@ func TestNodeUplinkUpgradesToMux(t *testing.T) {
 	parentUpgraded := parent.upMux != nil
 	parent.mu.Unlock()
 	if parentUpgraded {
-		t.Error("parent uplink to the plain front-end upgraded; the front-end never acks caps")
+		t.Error("parent uplink to the plain front-end upgraded; the front-end never acks")
 	}
 
 	// Reduction is unchanged by the transport: 2 daemons x 7 calls.
@@ -85,17 +85,5 @@ func TestNodeUplinkUpgradesToMux(t *testing.T) {
 	snap := leafReg.Snapshot()
 	if g, ok := snap.Gauges["wire.mux.streams"]; !ok || g < 1 {
 		t.Errorf("wire.mux.streams gauge = %d, %v; want >= 1", g, ok)
-	}
-}
-
-// TestParseCaps: the REGISTER handshake's capability list is a
-// comma-separated set; empty items are skipped.
-func TestParseCaps(t *testing.T) {
-	caps := parseCaps(capMux + ",," + capTBatch + ",future")
-	if len(caps) != 3 || !caps[capMux] || !caps[capTBatch] || !caps["future"] {
-		t.Fatalf("parseCaps = %v", caps)
-	}
-	if len(parseCaps("")) != 0 {
-		t.Fatal("an empty list must parse to the empty set")
 	}
 }

@@ -391,6 +391,14 @@ func TestFanIn256ThreeLevel(t *testing.T) {
 		t.Error("aggregated rollup missing the nodes' own stream metrics")
 	}
 
+	// The root's rollup converging says the root has absorbed
+	// everything, not that it has flushed since or that the front-end
+	// has read the flush: drive the root until a TSAMPLE has arrived.
+	waitFor(t, 5*time.Second, func() bool {
+		tree.Root().flush()
+		return sink.verbCount("TSAMPLE") > 0
+	}, "a TSAMPLE at the front-end")
+
 	// The front-end held one connection and received fewer messages
 	// than there are daemons, though the daemons injected >1500: the
 	// uplink rate tracks distinct streams, not pool size.
@@ -399,9 +407,6 @@ func TestFanIn256ThreeLevel(t *testing.T) {
 	}
 	if got := sink.msgs.Load(); got >= daemons {
 		t.Errorf("front-end received %d messages for %d daemons; aggregation should keep this below one per daemon", got, daemons)
-	}
-	if sink.verbCount("TSAMPLE") == 0 {
-		t.Error("no TSAMPLE reached the front-end")
 	}
 }
 

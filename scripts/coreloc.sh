@@ -1,16 +1,19 @@
 #!/usr/bin/env bash
 # Prints the size of the non-test Go source, raw (wc -l) and code
 # (non-blank, non-comment) lines, for the protocol core
-# (internal/attrspace + internal/wire) and for the whole root module
-# (bench/ is its own module and is not counted). Core LOC is tracked
-# the way ns/op is: run at the parent commit and at the change.
+# (internal/attrspace + internal/wire + internal/liveness, the retry /
+# probe helper the core's sessions run on) and for the whole root module
+# (bench/ is its own module and is not counted; internal/testkit is the
+# tests' shared fakes — it imports "testing" and only _test files import
+# it — and is reported on its own line). Core LOC is tracked the way
+# ns/op is: run at the parent commit and at the change.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 count() { # count <label> <find-root>...
 	local label=$1
 	shift
-	find "$@" -name '*.go' ! -name '*_test.go' ! -path './bench/*' -print0 |
+	find "$@" -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './internal/testkit/*' -print0 |
 		xargs -0 awk -v label="$label" '
 			{ raw++ }
 			{
@@ -27,5 +30,6 @@ count() { # count <label> <find-root>...
 			END { printf "%-34s raw %6d   code %6d\n", label, raw, code }'
 }
 
-count "internal/attrspace + internal/wire" internal/attrspace internal/wire
+count "attrspace + wire + liveness" internal/attrspace internal/wire internal/liveness
 count "root module" .
+count "internal/testkit (test support)" internal/testkit

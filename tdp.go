@@ -129,11 +129,6 @@ type Config struct {
 	// re-runs tdp_init. See DESIGN.md §10.
 	Resilient bool
 
-	// Backoff tunes the Resilient reconnect schedule; the zero value
-	// uses attrspace.DefaultBackoff (which honors the
-	// TDP_RETRY_INITIAL / TDP_RETRY_MAX env knobs).
-	Backoff attrspace.Backoff
-
 	// Kernel is the process substrate for CreateProcess/Attach. A
 	// daemon that only exchanges attributes (e.g. a tool front-end)
 	// may leave it nil.
@@ -214,14 +209,7 @@ func dialSpace(cfg Config, addr string) (attrspace.API, error) {
 	if !cfg.Resilient {
 		return attrspace.Dial(cfg.Dial, addr, cfg.Context)
 	}
-	s := attrspace.NewSession(attrspace.SessionConfig{
-		Dial:     cfg.Dial,
-		Addr:     addr,
-		Context:  cfg.Context,
-		Backoff:  cfg.Backoff,
-		Registry: cfg.Telemetry,
-		Tracer:   cfg.Tracer,
-	})
+	s := attrspace.NewSession(attrspace.SessionConfig{Dial: cfg.Dial, Addr: addr, Context: cfg.Context})
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
 	if err := s.WaitReady(ctx); err != nil {

@@ -3,6 +3,8 @@ package tdp
 import (
 	"context"
 	"errors"
+	"path/filepath"
+	"strconv"
 	"testing"
 	"time"
 
@@ -649,5 +651,77 @@ func TestFigure3BAttachSequence(t *testing.T) {
 		"RT:tdp_continue_process",
 	); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestResilientHandleSurvivesLASSRestart turns Config.Resilient on: the
+// LASS is killed and restarted on the same address (state lost, as with
+// any daemon restart) under two live handles. A blocking Get and a Put
+// issued across the outage both succeed on the new daemon, and
+// WatchUpdates — its subscription replayed by the session — delivers a
+// change made after the restart.
+func TestResilientHandleSurvivesLASSRestart(t *testing.T) {
+	addr := "unix:" + filepath.Join(t.TempDir(), "lass.sock")
+	srv, _, err := ServeLASS(addr)
+	if err != nil {
+		t.Fatalf("ServeLASS: %v", err)
+	}
+	rm := initT(t, Config{Context: "c", LASSAddr: addr, Identity: "RM", Resilient: true})
+	rt := initT(t, Config{Context: "c", LASSAddr: addr, Identity: "RT", Resilient: true})
+	seen := make(map[string]bool)
+	if err := rt.WatchUpdates(func(attr, value, op string) { seen[op+":"+attr+"="+value] = true }); err != nil {
+		t.Fatalf("WatchUpdates: %v", err)
+	}
+	waitSeen := func(want string) {
+		t.Helper()
+		deadline := time.After(10 * time.Second)
+		for !seen[want] {
+			select {
+			case <-rt.Activity():
+				rt.ServiceEvents()
+			case <-deadline:
+				t.Fatalf("never saw %q; seen = %v", want, seen)
+			}
+		}
+	}
+	// Several writes, so the old context's seq is well past anything the
+	// restarted daemon's fresh context will have reached when the watcher
+	// resyncs: a session recognises a restart that lost state by the
+	// context seq having gone backward (Session.resync), and has no other
+	// sign of it.
+	for i := 1; i <= 5; i++ {
+		if err := rm.Put("before", strconv.Itoa(i)); err != nil {
+			t.Fatalf("Put before the outage: %v", err)
+		}
+	}
+	waitSeen("put:before=5")
+
+	srv.Close() // the LASS dies
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	type result struct {
+		v   string
+		err error
+	}
+	got := make(chan result, 1)
+	go func() {
+		v, err := rt.Get(ctx, "after") // blocks across the outage
+		got <- result{v, err}
+	}()
+	srv, _, err = ServeLASS(addr)
+	if err != nil {
+		t.Fatalf("restart LASS: %v", err)
+	}
+	defer srv.Close()
+
+	if err := rm.Put("after", "2"); err != nil {
+		t.Fatalf("Put across the outage: %v", err)
+	}
+	if r := <-got; r.err != nil || r.v != "2" {
+		t.Fatalf("Get across the outage = %q, %v; want 2", r.v, r.err)
+	}
+	waitSeen("put:after=2")
+	if v, err := rm.TryGet("after"); err != nil || v != "2" {
+		t.Errorf("TryGet after the restart = %q, %v", v, err)
 	}
 }
