@@ -32,14 +32,14 @@ type Callback func(r Result, arg any)
 // queued and will run on the next ServiceEvents call. This is
 // tdp_async_get.
 func (h *Handle) AsyncGet(attribute string, cb Callback, arg any) error {
-	done := h.observe("async_get")
+	timing := h.observe(opAsyncGet)
 	h.traceStep("tdp_async_get", attribute)
 	ch, err := h.lass.GetAsync(attribute)
 	if err != nil {
-		done()
+		timing.done()
 		return err
 	}
-	go h.post(ch, cb, arg, done)
+	go h.post(ch, cb, arg, timing)
 	return nil
 }
 
@@ -47,23 +47,23 @@ func (h *Handle) AsyncGet(attribute string, cb Callback, arg any) error {
 // once the server acknowledges (or the operation fails). This is
 // tdp_async_put.
 func (h *Handle) AsyncPut(attribute, value string, cb Callback, arg any) error {
-	done := h.observe("async_put")
+	timing := h.observe(opAsyncPut)
 	h.tracePut("tdp_async_put", attribute, value)
 	ch, err := h.lass.PutAsync(attribute, value)
 	if err != nil {
-		done()
+		timing.done()
 		return err
 	}
-	go h.post(ch, cb, arg, done)
+	go h.post(ch, cb, arg, timing)
 	return nil
 }
 
 // post waits for the transport completion, records the operation's
 // end-to-end latency, and queues the callback; the pending-event gauge
 // tracks the backlog the poll loop has yet to service.
-func (h *Handle) post(ch <-chan attrspace.Result, cb Callback, arg any, done func()) {
+func (h *Handle) post(ch <-chan attrspace.Result, cb Callback, arg any, timing opTiming) {
 	r := <-ch
-	done()
+	timing.done()
 	res := Result{Attr: r.Attr, Value: r.Value, Err: r.Err}
 	if cb == nil {
 		return
@@ -78,7 +78,7 @@ func (h *Handle) post(ch <-chan attrspace.Result, cb Callback, arg any, done fun
 // therefore execute at a well-known, safe point (§3.3). This is
 // tdp_service_event.
 func (h *Handle) ServiceEvents() int {
-	defer h.observe("service_events")()
+	defer h.observe(opServiceEvents).done()
 	h.traceStep("tdp_service_event", "")
 	n := h.queue.Service()
 	h.noteEventDepth()

@@ -27,7 +27,7 @@ func (h *Handle) Put(attribute, value string) error {
 
 // PutCtx is Put with a context for cancellation and span propagation.
 func (h *Handle) PutCtx(ctx context.Context, attribute, value string) error {
-	defer h.observe("put")()
+	defer h.observe(opPut).done()
 	h.tracePut("tdp_put", attribute, value)
 	return h.lass.PutCtx(ctx, attribute, value)
 }
@@ -35,8 +35,8 @@ func (h *Handle) PutCtx(ctx context.Context, attribute, value string) error {
 // PutBatch stores every pair in the local space in order and blocks
 // until all are visible — one MPUT round trip instead of N PUTs, the
 // natural shape for the paper's startup pattern (an RM publishing pid,
-// executable name, args and frontend address together). Servers that
-// predate MPUT degrade transparently to pipelined PUTs.
+// executable name, args and frontend address together). A batch of one
+// travels as a plain PUT.
 func (h *Handle) PutBatch(pairs []KV) error {
 	return h.PutBatchCtx(context.Background(), pairs)
 }
@@ -44,7 +44,7 @@ func (h *Handle) PutBatch(pairs []KV) error {
 // PutBatchCtx is PutBatch with a context for cancellation and span
 // propagation.
 func (h *Handle) PutBatchCtx(ctx context.Context, pairs []KV) error {
-	defer h.observe("put_batch")()
+	defer h.observe(opPutBatch).done()
 	for _, p := range pairs {
 		h.tracePut("tdp_put", p.Key, p.Value)
 	}
@@ -58,7 +58,7 @@ func (h *Handle) PutBatchGlobal(pairs []KV) error {
 	if h.cass == nil && !h.cfg.GlobalViaLASS {
 		return ErrNoCASS
 	}
-	defer h.observe("put_batch_global")()
+	defer h.observe(opPutBatchGlobal).done()
 	for _, p := range pairs {
 		h.tracePut("tdp_put_global", p.Key, p.Value)
 	}
@@ -72,7 +72,7 @@ func (h *Handle) PutBatchGlobal(pairs []KV) error {
 // its value (the paper's blocking tdp_get). Cancel through ctx; a span
 // carried by ctx propagates to the server.
 func (h *Handle) Get(ctx context.Context, attribute string) (string, error) {
-	defer h.observe("get")()
+	defer h.observe(opGet).done()
 	h.traceStep("tdp_get", attribute)
 	return h.lass.Get(ctx, attribute)
 }
@@ -80,19 +80,19 @@ func (h *Handle) Get(ctx context.Context, attribute string) (string, error) {
 // TryGet returns the attribute's current value without blocking, or
 // ErrNotFound.
 func (h *Handle) TryGet(attribute string) (string, error) {
-	defer h.observe("tryget")()
+	defer h.observe(opTryGet).done()
 	return h.lass.TryGet(attribute)
 }
 
 // Delete removes an attribute from the local space.
 func (h *Handle) Delete(attribute string) error {
-	defer h.observe("delete")()
+	defer h.observe(opDelete).done()
 	return h.lass.Delete(attribute)
 }
 
 // Snapshot copies every attribute in the local space's context.
 func (h *Handle) Snapshot() (map[string]string, error) {
-	defer h.observe("snapshot")()
+	defer h.observe(opSnapshot).done()
 	return h.lass.Snapshot()
 }
 
@@ -108,7 +108,7 @@ func (h *Handle) PutGlobalCtx(ctx context.Context, attribute, value string) erro
 	if h.cass == nil && !h.cfg.GlobalViaLASS {
 		return ErrNoCASS
 	}
-	defer h.observe("put_global")()
+	defer h.observe(opPutGlobal).done()
 	h.tracePut("tdp_put_global", attribute, value)
 	if h.cfg.GlobalViaLASS {
 		return h.lass.PutGlobal(ctx, attribute, value)
@@ -123,7 +123,7 @@ func (h *Handle) GetGlobal(ctx context.Context, attribute string) (string, error
 	if h.cass == nil && !h.cfg.GlobalViaLASS {
 		return "", ErrNoCASS
 	}
-	defer h.observe("get_global")()
+	defer h.observe(opGetGlobal).done()
 	h.traceStep("tdp_get_global", attribute)
 	if h.cfg.GlobalViaLASS {
 		return h.lass.GetGlobal(ctx, attribute)
@@ -136,7 +136,7 @@ func (h *Handle) TryGetGlobal(attribute string) (string, error) {
 	if h.cass == nil && !h.cfg.GlobalViaLASS {
 		return "", ErrNoCASS
 	}
-	defer h.observe("tryget_global")()
+	defer h.observe(opTryGetGlobal).done()
 	if h.cfg.GlobalViaLASS {
 		return h.lass.TryGetGlobal(context.Background(), attribute)
 	}
@@ -167,7 +167,7 @@ func (h *Handle) SnapshotGlobalMany(ctx context.Context, contexts []string) (map
 	if !ok {
 		return nil, attrspace.ErrNoGlobal
 	}
-	defer h.observe("snapshot_global_many")()
+	defer h.observe(opSnapshotGlobalMany).done()
 	return api.SnapshotGlobalMany(ctx, contexts)
 }
 
@@ -181,6 +181,6 @@ func (h *Handle) GlobalContexts(ctx context.Context) ([]string, error) {
 	if !ok {
 		return nil, attrspace.ErrNoGlobal
 	}
-	defer h.observe("global_contexts")()
+	defer h.observe(opGlobalContexts).done()
 	return api.GlobalContexts(ctx)
 }

@@ -5,6 +5,7 @@
 //	tdpbench -experiment fig1      the Figure-1 firewall/proxy topology (E1)
 //	tdpbench -experiment footprint the adapter-size report (E10)
 //	tdpbench -experiment timeline  per-step waterfall of the Figure-6 launch (E24)
+//	tdpbench -experiment allocs    heap objects per operation by allocation site and layer (E28)
 //
 // The timing experiments (E11–E15) are `go test -bench=.` benchmarks;
 // see bench_test.go.
@@ -36,7 +37,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("experiment", "matrix", "experiment to run: matrix | fig1 | footprint | timeline")
+	exp := flag.String("experiment", "matrix", "experiment to run: matrix | fig1 | footprint | timeline | allocs")
 	jobs := flag.Int("jobs", 200, "timeline: number of tool launches to time")
 	metrics := flag.Bool("metrics", false, "write BENCH_<experiment>.json with a telemetry snapshot")
 	flag.Parse()
@@ -50,6 +51,8 @@ func main() {
 		runFootprint()
 	case "timeline":
 		runTimeline(*jobs)
+	case "allocs":
+		runAllocs()
 	default:
 		fmt.Fprintf(os.Stderr, "tdpbench: unknown experiment %q\n", *exp)
 		os.Exit(2)

@@ -222,13 +222,11 @@ func TestFigure2AttributeServers(t *testing.T) {
 +FrontendAddr = "` + feAddr + `"
 queue
 `
-	jobs, err := pool.Submit(submit)
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-
-	// While the job runs, observe its attributes in node1's LASS —
-	// reached through the gateway, the only host the firewall admits.
+	// Observe the job's attributes in node1's LASS — reached through the
+	// gateway, the only host the firewall admits. The probe joins the
+	// job's context before the job exists: a launch takes 200 µs, and a
+	// probe that joined after the last participant had left would wait on
+	// a fresh, empty context.
 	probe, err := attrspace.Dial(
 		func(addr string) (net.Conn, error) { return gateway.Dial(addr) },
 		machine.LASSAddr(), "job-1")
@@ -236,6 +234,10 @@ queue
 		t.Fatalf("probe dial: %v", err)
 	}
 	defer probe.Close()
+	jobs, err := pool.Submit(submit)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
 	probeCtx, probeCancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer probeCancel()
 	pidVal, err := probe.Get(probeCtx, tdp.AttrPID)

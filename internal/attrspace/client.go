@@ -77,7 +77,8 @@ type Client struct {
 
 	mu       sync.Mutex
 	nextID   uint64
-	pending  map[string]chan *wire.Message
+	pending  map[string]*replySlot
+	free     []*replySlot // released slots; never longer than the peak of len(pending)
 	closed   bool
 	draining bool // server sent CLOSE; no new sends, replies still land
 	err      error
@@ -213,13 +214,51 @@ func newClient(raw net.Conn) *Client {
 	c := &Client{
 		wc:      wire.NewConn(raw),
 		raw:     raw,
-		pending: make(map[string]chan *wire.Message),
+		pending: make(map[string]*replySlot),
 		chunks:  make(map[string][]*wire.Message),
 		events:  make(chan Event, 64),
 	}
 	c.mux = wire.NewMux(c.wc, wire.MuxConfig{})
 	go c.readLoop()
 	return c
+}
+
+// replySlot is one request's registration in pending: the id it is sent
+// under, the channel its one reply arrives on, and the message last
+// delivered through it. A slot whose reply has been consumed may be
+// released and is then reused — id, channel and message — by a later
+// request, which is what keeps the request path free of per-request
+// allocations.
+//
+// Only the goroutine that received the reply from ch may release, once,
+// when it has finished reading the reply; nothing may hold the message
+// afterwards (the strings taken out of it stay valid — they are views of
+// an immutable payload copy). A slot whose waiter gave up is never
+// released: the read loop may already hold it and be about to send, and
+// a blocking GET is answered whenever its attribute appears, under that
+// id. The ids on the free list are thus exactly those whose one reply
+// has been consumed, so a repeated id can never be answered by an
+// earlier request's reply. Not releasing is always safe; the slot is
+// then garbage like any other value.
+type replySlot struct {
+	id  string
+	ch  chan *wire.Message // capacity 1: a registration is answered exactly once
+	msg *wire.Message
+}
+
+// release returns a slot whose reply has been read to the free list.
+// The message is emptied first so that an idle slot pins no payload.
+func (c *Client) release(slot *replySlot) {
+	if slot == nil {
+		return
+	}
+	slot.msg.Verb = ""
+	clear(slot.msg.Fields)
+	c.mu.Lock()
+	if !c.closed {
+		c.free = append(c.free, slot)
+	}
+	c.mu.Unlock()
 }
 
 // shmPromoteAfter is the number of replies a same-host connection
@@ -302,11 +341,11 @@ func (c *Client) cutover() error {
 		c.call(context.Background(), ready, ready.req().Set("error", err.Error()))
 		return err
 	}
-	ch, _, err := c.sendSwap(ready.req(), seg.Endpoint(false, c.raw))
+	slot, err := c.sendSwap(ready.req(), seg.Endpoint(false, c.raw))
 	if err != nil {
 		return err
 	}
-	if err := replyErr(<-ch); err != nil {
+	if err := replyErr(<-slot.ch); err != nil {
 		// Our write side is already on a ring the server is not reading:
 		// the connection is beyond use, which to callers (and a Session)
 		// is a connection lost.
@@ -342,10 +381,18 @@ func offer(ch chan Event, ev Event) {
 	}
 }
 
+// readLoop decodes every incoming message into one scratch Message it
+// owns. Transport frames, events and the drain announcement are consumed
+// from the scratch in place (an Event holds only strings). A reply
+// leaves through its slot, and the loop takes the message that slot
+// delivered last time as its next scratch — two messages per slot
+// changing places, no pool. Only what outlives the iteration without a
+// slot to trade with (an interior chunk, a reply for a first-use slot)
+// costs a fresh Message.
 func (c *Client) readLoop() {
+	m := new(wire.Message)
 	for {
-		m, err := c.wc.Recv()
-		if err != nil {
+		if err := c.wc.RecvInto(m); err != nil {
 			// A transport error after a CLOSE announcement is the
 			// drain completing, not an unexpected loss: report it as
 			// such so retrying callers classify it correctly.
@@ -362,9 +409,7 @@ func (c *Client) readLoop() {
 			continue // pure transport (WINUP), nothing to dispatch
 		}
 		if m.Verb == "EVENT" {
-			seq, _ := strconv.ParseUint(m.Get("seq"), 10, 64)
-			lost, _ := strconv.ParseUint(m.Get("lost"), 10, 64)
-			ev := Event{Attr: m.Get("attr"), Value: m.Get("value"), Op: m.Get("op"), Seq: seq, Lost: lost}
+			ev := Event{Attr: m.Get("attr"), Value: m.Get("value"), Op: m.Get("op"), Seq: uintField(m, "seq"), Lost: uintField(m, "lost")}
 			c.mu.Lock()
 			handler := c.handler
 			if handler == nil && !c.closed {
@@ -405,16 +450,20 @@ func (c *Client) readLoop() {
 			// and the call site collects the buffered parts. Chunks for
 			// an abandoned request are dropped, not accumulated.
 			c.mu.Lock()
-			if _, live := c.pending[id]; live {
+			_, live := c.pending[id]
+			if live {
 				c.chunks[id] = append(c.chunks[id], m)
 			}
 			c.mu.Unlock()
+			if live {
+				m = new(wire.Message) // the buffer keeps this one
+			}
 			continue
 		}
 		c.mu.Lock()
-		ch := c.pending[id]
+		slot := c.pending[id]
 		delete(c.pending, id)
-		if ch == nil {
+		if slot == nil {
 			delete(c.chunks, id)
 		}
 		var swapEP *wire.ShmEndpoint
@@ -439,8 +488,15 @@ func (c *Client) readLoop() {
 		if earned {
 			go c.promote()
 		}
-		if ch != nil {
-			ch <- m
+		if slot != nil {
+			// Read the slot before the send: its receiver may release it,
+			// and another request reuse it, the moment the reply is out.
+			next := slot.msg
+			slot.msg = m
+			slot.ch <- m
+			if m = next; m == nil {
+				m = new(wire.Message)
+			}
 		}
 		if drained {
 			c.fail(ErrServerDraining)
@@ -475,14 +531,18 @@ func (c *Client) fail(err error) {
 	c.closed = true
 	c.err = err
 	pending := c.pending
-	c.pending = make(map[string]chan *wire.Message)
+	c.pending = make(map[string]*replySlot)
 	c.chunks = make(map[string][]*wire.Message)
+	c.free = nil
 	onClose := c.onClose
 	close(c.events)
 	c.mu.Unlock()
 	c.mux.Fail(err)
-	for id, ch := range pending {
-		ch <- wire.NewMessage("ERROR").Set("id", id).Set("error", err.Error()).Set("conn", "1")
+	// pending was swapped out under mu, so the read loop can find none of
+	// these slots any more: each gets this one send and no other.
+	for id, slot := range pending {
+		slot.msg = wire.NewMessage("ERROR").Set("id", id).Set("error", err.Error()).Set("conn", "1")
+		slot.ch <- slot.msg
 	}
 	c.raw.Close()
 	if onClose != nil {
@@ -570,35 +630,45 @@ func (c *Client) instrument(ctx context.Context, spec *opSpec, m *wire.Message) 
 }
 
 // call sends the request m of the op-table row spec (nil for the bare
-// verb) and waits for its tagged reply.
+// verb) and waits for its tagged reply. The reply is the caller's to
+// keep: its slot is never released.
 func (c *Client) call(ctx context.Context, spec *opSpec, m *wire.Message) (*wire.Message, error) {
+	_, reply, err := c.exchange(ctx, spec, m)
+	return reply, err
+}
+
+// exchange is call for the operations that release: it also returns the
+// slot the reply came through, for the caller to release once it has
+// parsed the reply (nil along with any error). A caller that leaves
+// through ctx abandons its slot — see replySlot for why it must.
+func (c *Client) exchange(ctx context.Context, spec *opSpec, m *wire.Message) (*replySlot, *wire.Message, error) {
 	if m == nil {
 		m = spec.req()
 	}
 	defer c.instrument(ctx, spec, m).end()
-	ch, id, err := c.send(m)
+	slot, err := c.send(m)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	select {
-	case reply := <-ch:
-		return reply, nil
+	case reply := <-slot.ch:
+		return slot, reply, nil
 	case <-ctx.Done():
 		c.mu.Lock()
-		delete(c.pending, id)
-		delete(c.chunks, id)
+		delete(c.pending, slot.id)
+		delete(c.chunks, slot.id)
 		c.mu.Unlock()
-		return nil, ctx.Err()
+		return nil, nil, ctx.Err()
 	}
 }
 
-// send registers a pending reply slot and transmits the request. A
-// write error is terminal for the whole connection, not just this
-// request: the frame may have left partially, so the stream's framing
-// can no longer be trusted, and a connection whose write half is dead
-// while its read half blocks would otherwise strand every other
-// pending reply forever. fail drains them all exactly once.
-func (c *Client) send(m *wire.Message) (chan *wire.Message, string, error) {
+// send registers a reply slot and transmits the request. A write error
+// is terminal for the whole connection, not just this request: the
+// frame may have left partially, so the stream's framing can no longer
+// be trusted, and a connection whose write half is dead while its read
+// half blocks would otherwise strand every other pending reply forever.
+// fail drains them all exactly once.
+func (c *Client) send(m *wire.Message) (*replySlot, error) {
 	return c.sendSwap(m, nil)
 }
 
@@ -608,7 +678,7 @@ func (c *Client) send(m *wire.Message) (chan *wire.Message, string, error) {
 // the reply arrive first and the read-side swap never happen — and the
 // frame leaves through SendSwap, which moves the write side onto the
 // ring behind it.
-func (c *Client) sendSwap(m *wire.Message, ep *wire.ShmEndpoint) (chan *wire.Message, string, error) {
+func (c *Client) sendSwap(m *wire.Message, ep *wire.ShmEndpoint) (*replySlot, error) {
 	c.mu.Lock()
 	if c.closed {
 		err := c.err
@@ -621,21 +691,25 @@ func (c *Client) sendSwap(m *wire.Message, ep *wire.ShmEndpoint) (chan *wire.Mes
 			// with the request in flight.
 			err = fmt.Errorf("%w: %v", ErrConnLost, err)
 		}
-		return nil, "", err
+		return nil, err
 	}
 	if c.draining {
 		c.mu.Unlock()
-		return nil, "", ErrServerDraining
+		return nil, ErrServerDraining
 	}
-	c.nextID++
-	id := strconv.FormatUint(c.nextID, 10)
-	ch := make(chan *wire.Message, 1)
-	c.pending[id] = ch
+	var slot *replySlot
+	if n := len(c.free); n > 0 {
+		slot, c.free = c.free[n-1], c.free[:n-1]
+	} else {
+		c.nextID++
+		slot = &replySlot{id: strconv.FormatUint(c.nextID, 10), ch: make(chan *wire.Message, 1)}
+	}
+	c.pending[slot.id] = slot
 	if ep != nil {
-		c.shmSwapID, c.shmSwapEP = id, ep
+		c.shmSwapID, c.shmSwapEP = slot.id, ep
 	}
 	c.mu.Unlock()
-	m.Set("id", id)
+	m.Set("id", slot.id)
 	// Requests ride the control stream (never window-limited); routing
 	// them through the mux lets accumulated receive-side window grants
 	// piggyback instead of costing explicit WINUP frames.
@@ -647,9 +721,9 @@ func (c *Client) sendSwap(m *wire.Message, ep *wire.ShmEndpoint) (chan *wire.Mes
 	}
 	if err != nil {
 		c.fail(err)
-		return nil, "", fmt.Errorf("%w: %v", ErrConnLost, err)
+		return nil, fmt.Errorf("%w: %v", ErrConnLost, err)
 	}
-	return ch, id, nil
+	return slot, nil
 }
 
 // ErrNoGlobal reports a global-scope verb sent to a server without an
@@ -703,9 +777,18 @@ func IsRetryable(err error) bool {
 // own context, or its context in the global space through this LASS —
 // and the exported methods below are spellings of these.
 
+// mutate is the round trip of put, putBatch and delete: send, parse the
+// ack, release the slot.
+func (c *Client) mutate(ctx context.Context, spec *opSpec, m *wire.Message) (uint64, error) {
+	slot, reply, err := c.exchange(ctx, spec, m)
+	seq, err := seqReply(reply, err)
+	c.release(slot)
+	return seq, err
+}
+
 func (c *Client) put(ctx context.Context, scope opScope, attribute, value string) (uint64, error) {
 	spec := opFor(opPut, scope)
-	return seqReply(c.call(ctx, spec, putReq(spec, attribute, value)))
+	return c.mutate(ctx, spec, putReq(spec, attribute, value))
 }
 
 // putBatch stores every pair in order in one round trip and returns the
@@ -718,18 +801,21 @@ func (c *Client) putBatch(ctx context.Context, scope opScope, pairs []KV) (uint6
 		return c.put(ctx, scope, pairs[0].Key, pairs[0].Value)
 	}
 	spec := opFor(opMPut, scope)
-	return seqReply(c.call(ctx, spec, batchReq(spec, pairs)))
+	return c.mutate(ctx, spec, batchReq(spec, pairs))
 }
 
 // read is get (blocking) and tryget.
 func (c *Client) read(ctx context.Context, op opKind, scope opScope, attribute string) (string, uint64, error) {
 	spec := opFor(op, scope)
-	return valueReply(c.call(ctx, spec, attrReq(spec, attribute)))
+	slot, reply, err := c.exchange(ctx, spec, attrReq(spec, attribute))
+	v, seq, err := valueReply(reply, err)
+	c.release(slot)
+	return v, seq, err
 }
 
 func (c *Client) delete(ctx context.Context, scope opScope, attribute string) (uint64, error) {
 	spec := opFor(opDelete, scope)
-	return seqReply(c.call(ctx, spec, attrReq(spec, attribute)))
+	return c.mutate(ctx, spec, attrReq(spec, attribute))
 }
 
 func (c *Client) snapshot(ctx context.Context, scope opScope) (map[string]string, error) {
@@ -887,14 +973,15 @@ func (c *Client) GetAsync(attribute string) (<-chan Result, error) {
 	spec := opFor(opGet, scopeConn)
 	m := attrReq(spec, attribute)
 	obs := c.instrument(context.Background(), spec, m)
-	ch, _, err := c.send(m)
+	slot, err := c.send(m)
 	if err != nil {
 		obs.end()
 		return nil, err
 	}
 	out := make(chan Result, 1)
 	go func() {
-		v, _, err := valueReply(<-ch, nil)
+		v, _, err := valueReply(<-slot.ch, nil)
+		c.release(slot)
 		obs.end()
 		out <- Result{Attr: attribute, Value: v, Err: err}
 	}()

@@ -171,7 +171,7 @@ func putReq(s *opSpec, attribute, value string) *wire.Message {
 func setNames(m *wire.Message, names []string) *wire.Message {
 	m.SetInt("n", len(names))
 	for i, name := range names {
-		m.Set("k"+strconv.Itoa(i), name)
+		m.Set(wire.IndexedKey('k', i), name)
 	}
 	return m
 }
@@ -201,8 +201,7 @@ func indexed(m *wire.Message, prefix byte, i int) (string, bool) {
 func batchReq(s *opSpec, pairs []KV) *wire.Message {
 	m := s.req().SetInt("n", len(pairs))
 	for i, p := range pairs {
-		idx := strconv.Itoa(i)
-		m.Set("k"+idx, p.Key).Set("v"+idx, p.Value)
+		m.Set(wire.IndexedKey('k', i), p.Key).Set(wire.IndexedKey('v', i), p.Value)
 	}
 	return m
 }
@@ -238,9 +237,18 @@ func valueReply(reply *wire.Message, err error) (string, uint64, error) {
 	return reply.Get("value"), replySeq(reply), nil
 }
 
-func replySeq(reply *wire.Message) uint64 {
-	seq, _ := strconv.ParseUint(reply.Get("seq"), 10, 64)
-	return seq
+func replySeq(reply *wire.Message) uint64 { return uintField(reply, "seq") }
+
+// uintField is the decimal field key of m, 0 when it is absent or not a
+// number. Absence is asked first: ParseUint("") would build an error
+// value on every event and ack that carries no such field.
+func uintField(m *wire.Message, key string) uint64 {
+	s, ok := m.Fields[key]
+	if !ok {
+		return 0
+	}
+	n, _ := strconv.ParseUint(s, 10, 64)
+	return n
 }
 
 // namesReply parses a contexts listing.

@@ -208,13 +208,13 @@ var opContracts = [numOps]func(h *opHarness, spec *opSpec){
 		// not, and the put that creates the attribute answers it.
 		key = h.key()
 		c, _, _ := h.via(spec)
-		waiting, _, err := c.send(attrReq(spec, key))
+		waiting, err := c.send(attrReq(spec, key))
 		if err != nil {
 			h.t.Fatalf("%s: %v", spec.verb, err)
 		}
 		seq = h.seed(spec, key, "late")
 		select {
-		case reply := <-waiting:
+		case reply := <-waiting.ch:
 			h.wantValue(spec, reply, key, "late", seq)
 		case <-time.After(10 * time.Second):
 			h.t.Errorf("%s of an absent attribute was not woken by its put", spec.verb)

@@ -140,14 +140,15 @@ func (c *tapConn) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
-// afterFrame walks the framed messages in data up to the first one
-// last accepts and returns that message and the bytes behind it; ok is
-// false when no frame matches.
-func afterFrame(t *testing.T, data []byte, last func(*wire.Message) bool) (m *wire.Message, tail []byte, ok bool) {
+// afterFrame walks the framed messages in data — up to the first
+// zero-length frame, which is doorbell bytes, not framing — and returns
+// the last one accept takes and the bytes behind it; ok is false when no
+// frame matches. The last, not the first: request ids repeat.
+func afterFrame(t *testing.T, data []byte, accept func(*wire.Message) bool) (last *wire.Message, tail []byte, ok bool) {
 	t.Helper()
 	for len(data) >= 4 {
 		n := int(binary.BigEndian.Uint32(data))
-		if len(data) < 4+n {
+		if n == 0 || len(data) < 4+n {
 			break
 		}
 		m, err := wire.Decode(data[4 : 4+n])
@@ -155,11 +156,11 @@ func afterFrame(t *testing.T, data []byte, last func(*wire.Message) bool) (m *wi
 			t.Fatalf("socket tap: undecodable frame: %v", err)
 		}
 		data = data[4+n:]
-		if last(m) {
-			return m, data, true
+		if accept(m) {
+			last, tail, ok = m, data, true
 		}
 	}
-	return nil, nil, false
+	return last, tail, ok
 }
 
 // checkTaps demands of every tapped connection that was promoted that
@@ -181,6 +182,8 @@ func (l *tapListener) checkTaps(t *testing.T) int {
 			if len(bytes.Trim(rxTail, "\x00")) != 0 {
 				t.Errorf("conn %d: client wrote framed bytes to the socket after SHMRDY: %q", i, rxTail)
 			}
+			// SHMRDY's reply slot is never released, so the OK answering it
+			// is the last one under its id.
 			_, txTail, ok := afterFrame(t, tx, func(m *wire.Message) bool {
 				return m.Verb == "OK" && m.Get("id") == rdy.Get("id")
 			})

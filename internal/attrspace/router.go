@@ -54,18 +54,37 @@ const defaultShardBatch = 64
 // enforcement, since it must exist on every shard.
 const routerContext = InfraContextPrefix + "router"
 
-// shardOp is one queued operation awaiting a drain cycle.
+// shardOp is one queued operation awaiting a drain cycle. An op whose
+// outcome its caller received is reused, channel included; one whose
+// caller stopped waiting is not (the drainer still completes it).
 type shardOp struct {
 	m    *wire.Message
-	done chan shardReply
+	done chan shardReply // capacity 1: the drainer answers each queued op once
 }
 
-// shardReply carries an op's outcome: the raw reply plus the client it
-// arrived on (chunked replies need its reassembly buffer).
+// shardReply carries an op's outcome: the raw reply, the client it
+// arrived on (chunked replies need its reassembly buffer) and the slot
+// it came through, for a caller that is done with the reply to release.
 type shardReply struct {
 	reply *wire.Message
 	pool  *Client
+	slot  *replySlot
 	err   error
+}
+
+// release hands the reply's slot back to the pooled client; the caller
+// must have finished reading the reply (see replySlot).
+func (r shardReply) release() {
+	if r.pool != nil {
+		r.pool.release(r.slot)
+	}
+}
+
+// shardSend is one op of the cycle in flight and the slot its reply
+// will come through.
+type shardSend struct {
+	op   *shardOp
+	slot *replySlot
 }
 
 // shardConn is the router's state for one shard.
@@ -77,7 +96,11 @@ type shardConn struct {
 
 	mu       sync.Mutex
 	queue    []*shardOp
+	spare    []*shardOp // the emptied slice queue swaps with; nil while a cycle has it as its batch
+	freeOps  []*shardOp // never longer than the peak number of concurrent callers
 	draining bool
+
+	sends []shardSend // the drainer's scratch: there is one drainer per shard
 
 	gUp       *telemetry.Gauge
 	gErrors   *telemetry.Counter
@@ -172,12 +195,18 @@ func (sh *shardConn) do(ctx context.Context, contextName string, m *wire.Message
 	if contextName != "" {
 		m.Set("ctx", contextName)
 	}
-	op := &shardOp{m: m, done: make(chan shardReply, 1)}
 	sh.mu.Lock()
 	if sh.gc.isClosed() {
 		sh.mu.Unlock()
 		return shardReply{err: errCacheClosed}
 	}
+	var op *shardOp
+	if n := len(sh.freeOps); n > 0 {
+		op, sh.freeOps = sh.freeOps[n-1], sh.freeOps[:n-1]
+	} else {
+		op = &shardOp{done: make(chan shardReply, 1)}
+	}
+	op.m = m
 	sh.queue = append(sh.queue, op)
 	kick := !sh.draining
 	if kick {
@@ -189,15 +218,47 @@ func (sh *shardConn) do(ctx context.Context, contextName string, m *wire.Message
 	}
 	select {
 	case r := <-op.done:
+		op.m = nil
+		sh.mu.Lock()
+		sh.freeOps = append(sh.freeOps, op)
+		sh.mu.Unlock()
 		if r.err != nil {
 			sh.gErrors.Inc()
 		}
 		return r
 	case <-ctx.Done():
 		// The drain loop still completes the op (done is buffered);
-		// this caller just stops waiting.
+		// this caller just stops waiting, and the op is never reused.
 		return shardReply{err: ctx.Err()}
 	}
+}
+
+// nextBatch takes the next cycle's ops off the queue — at most
+// gc.batch — or ends the drainer (nil) when nothing is queued. prev is
+// the cycle just finished: its slice becomes the spare the queue swaps
+// onto, so steady state alternates two slices and allocates neither.
+func (sh *shardConn) nextBatch(prev []*shardOp) []*shardOp {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if prev != nil {
+		clear(prev)
+		sh.spare = prev[:0]
+	}
+	n := len(sh.queue)
+	if n == 0 {
+		sh.draining = false
+		return nil
+	}
+	if n > sh.gc.batch {
+		n = sh.gc.batch
+	}
+	// batch keeps the whole backing array (nothing appends to it), so
+	// the spare it becomes is as roomy as the queue ever had to be.
+	batch := sh.queue[:n]
+	rest := append(sh.spare[:0], sh.queue[n:]...)
+	clear(sh.queue[n:])
+	sh.queue, sh.spare = rest, nil
+	return batch
 }
 
 // drain is the per-shard group-commit loop: while ops are queued, take
@@ -209,21 +270,11 @@ func (sh *shardConn) do(ctx context.Context, contextName string, m *wire.Message
 // Independent shards' cycles overlap, which is where the aggregate
 // throughput beyond one daemon comes from.
 func (sh *shardConn) drain(ctx context.Context) {
+	var batch []*shardOp
 	for {
-		sh.mu.Lock()
-		if len(sh.queue) == 0 {
-			sh.draining = false
-			sh.mu.Unlock()
+		if batch = sh.nextBatch(batch); batch == nil {
 			return
 		}
-		n := len(sh.queue)
-		if n > sh.gc.batch {
-			n = sh.gc.batch
-		}
-		batch := sh.queue[:n:n]
-		sh.queue = append([]*shardOp(nil), sh.queue[n:]...)
-		sh.mu.Unlock()
-
 		pool, err := sh.conn(ctx)
 		if err != nil {
 			for _, op := range batch {
@@ -231,53 +282,59 @@ func (sh *shardConn) drain(ctx context.Context) {
 			}
 			continue
 		}
-		type sent struct {
-			op *shardOp
-			ch chan *wire.Message
-		}
-		sends := make([]sent, 0, len(batch))
+		sends := sh.sends[:0]
 		pool.wc.Cork()
 		for _, op := range batch {
-			ch, _, err := pool.send(op.m)
+			slot, err := pool.send(op.m)
 			if err != nil {
 				op.done <- shardReply{err: err}
 				continue
 			}
-			sends = append(sends, sent{op: op, ch: ch})
+			sends = append(sends, shardSend{op: op, slot: slot})
 		}
 		pool.wc.Uncork()
 		sh.gInflight.Set(int64(len(sends)))
 		for _, s := range sends {
 			// Always answered: a real reply, or the synthetic conn-error
 			// reply fail() injects when the transport dies.
-			s.op.done <- shardReply{reply: <-s.ch, pool: pool}
+			s.op.done <- shardReply{reply: <-s.slot.ch, pool: pool, slot: s.slot}
 		}
 		sh.gInflight.Set(0)
 		sh.cPooled.Add(int64(len(sends)))
+		clear(sends)
+		sh.sends = sends
 	}
 }
 
 // The single-context operations: Client's requests and reply parsers,
 // at ctx scope.
 
+// mutate is the round trip of put, putBatch and delete (Client.mutate,
+// through a drain cycle).
+func (sh *shardConn) mutate(ctx context.Context, contextName string, m *wire.Message) (uint64, error) {
+	r := sh.do(ctx, contextName, m)
+	seq, err := seqReply(r.reply, r.err)
+	r.release()
+	return seq, err
+}
+
 func (sh *shardConn) put(ctx context.Context, contextName, attribute, value string) (uint64, error) {
-	r := sh.do(ctx, contextName, putReq(opFor(opPut, scopeCtx), attribute, value))
-	return seqReply(r.reply, r.err)
+	return sh.mutate(ctx, contextName, putReq(opFor(opPut, scopeCtx), attribute, value))
 }
 
 func (sh *shardConn) putBatch(ctx context.Context, contextName string, pairs []KV) (uint64, error) {
-	r := sh.do(ctx, contextName, batchReq(opFor(opMPut, scopeCtx), pairs))
-	return seqReply(r.reply, r.err)
+	return sh.mutate(ctx, contextName, batchReq(opFor(opMPut, scopeCtx), pairs))
 }
 
 func (sh *shardConn) tryGet(ctx context.Context, contextName, attribute string) (string, uint64, error) {
 	r := sh.do(ctx, contextName, attrReq(opFor(opTryGet, scopeCtx), attribute))
-	return valueReply(r.reply, r.err)
+	v, seq, err := valueReply(r.reply, r.err)
+	r.release()
+	return v, seq, err
 }
 
 func (sh *shardConn) delete(ctx context.Context, contextName, attribute string) (uint64, error) {
-	r := sh.do(ctx, contextName, attrReq(opFor(opDelete, scopeCtx), attribute))
-	return seqReply(r.reply, r.err)
+	return sh.mutate(ctx, contextName, attrReq(opFor(opDelete, scopeCtx), attribute))
 }
 
 func (sh *shardConn) snapshot(ctx context.Context, contextName string) (map[string]string, error) {

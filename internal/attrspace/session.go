@@ -616,7 +616,11 @@ func (s *Session) applyFullResync(snap map[string]Versioned, ctxSeq, preSeq uint
 		s.forwardLocked(Event{Attr: k, Value: v.Value, Op: "put", Seq: v.Seq, Resync: true})
 	}
 	for k, mark := range s.seqs {
-		if mark.dead {
+		if mark.dead || mark.seq > ctxSeq {
+			// Already known dead, or written after the snapshot was
+			// taken: its absence there says nothing about it. (Live events
+			// can overtake a resync only on the very first subscription,
+			// when Subscribe's handler replaces the gate's.)
 			continue
 		}
 		if _, ok := snap[k]; ok {

@@ -3,7 +3,9 @@ package attrspace
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -459,5 +461,37 @@ func TestSessionGateEpochRestart(t *testing.T) {
 	want := map[string]string{"x": "new", "y": "new"}
 	if !sameMap(got, want) {
 		t.Fatalf("mirror after epoch restart = %v, want %v", got, want)
+	}
+}
+
+// TestFullResyncOlderThanLiveEvents: a full-resync snapshot says an
+// attribute is gone only if it is at least as new as what consumers have
+// seen of that attribute. The first subscription's snapshot can be
+// applied after live events that outran it (Subscribe's handler replaces
+// the gate's); its silence about attributes written since must not turn
+// into deletes versioned below them.
+func TestFullResyncOlderThanLiveEvents(t *testing.T) {
+	_, addr := startServer(t)
+	s := NewSession(SessionConfig{Addr: addr, Context: "job"})
+	defer s.Close()
+	var got []string
+	s.SetEventHandler(func(ev Event) {
+		if ev.Op != "resync" {
+			got = append(got, fmt.Sprintf("%s %s@%d", ev.Op, ev.Attr, ev.Seq))
+		}
+	})
+	s.deliver(Event{Attr: "old", Value: "v", Op: "put", Seq: 1})
+	s.deliver(Event{Attr: "new", Value: "v", Op: "put", Seq: 5})
+	got = nil
+	// Taken at seq 2, applied late: "old" really was deleted by then,
+	// "new" did not exist yet.
+	s.applyFullResync(map[string]Versioned{}, 2, 0)
+	if want := []string{"delete old@2"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("stale full resync emitted %v, want %v", got, want)
+	}
+	got = nil
+	s.applyFullResync(map[string]Versioned{}, 9, 5)
+	if want := []string{"delete new@9"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("current full resync emitted %v, want %v", got, want)
 	}
 }

@@ -1,0 +1,582 @@
+package attrspace
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"tdp/internal/attr"
+)
+
+// The reply-slot contract (see replySlot), checked on every way a hot
+// operation reaches a Client: directly, through a Session, and through
+// the shard router's pooled connection. Request ids repeat once slots
+// are reused, so what used to follow from "every id is fresh" is now a
+// property of who may release: a late reply answers nobody, a failing
+// connection answers every waiter exactly once, and the free list is
+// bounded by concurrency.
+
+// slotAPI is what the tests drive: the calls Client and Session share.
+type slotAPI interface {
+	API
+	SnapshotSeq(ctx context.Context) (map[string]Versioned, uint64, error)
+}
+
+// slotVias opens a subject on addr and returns it with a function
+// yielding the Client its operations currently ride.
+var slotVias = []struct {
+	name string
+	open func(t *testing.T, addr, contextName string) (slotAPI, func() *Client)
+}{
+	{"client", func(t *testing.T, addr, contextName string) (slotAPI, func() *Client) {
+		c := dialT(t, addr, contextName)
+		return c, func() *Client { return c }
+	}},
+	{"session", func(t *testing.T, addr, contextName string) (slotAPI, func() *Client) {
+		s := NewSession(SessionConfig{Addr: addr, Context: contextName})
+		t.Cleanup(func() { s.Close() })
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := s.WaitReady(ctx); err != nil {
+			t.Fatalf("session never connected: %v", err)
+		}
+		return s, func() *Client { c, _ := s.live(); return c }
+	}},
+}
+
+// slotCounts is a client's slot bookkeeping at one instant.
+type slotCounts struct {
+	pending, free int
+	freeIDs       map[string]bool
+	replies       uint64 // messages the read loop has taken as replies
+	issued        uint64 // ids ever made: every other request reused one
+}
+
+func slotState(c *Client) slotCounts {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	st := slotCounts{pending: len(c.pending), free: len(c.free), freeIDs: make(map[string]bool, len(c.free)), replies: c.replies, issued: c.nextID}
+	for _, s := range c.free {
+		st.freeIDs[s.id] = true
+	}
+	return st
+}
+
+// TestSlotAbandonedNeverReused: a blocking get its caller gave up on is
+// still answered, under its id, whenever the attribute appears. That id
+// must therefore never be issued again, and the late answer must reach
+// nobody.
+func TestSlotAbandonedNeverReused(t *testing.T) {
+	for _, via := range slotVias {
+		via := via
+		t.Run(via.name, func(t *testing.T) {
+			_, addr := startServer(t)
+			api, client := via.open(t, addr, "job")
+			bg := context.Background()
+			// One completed op first, so the get below takes a slot (and an
+			// id) that has been used before: the case reuse made possible.
+			if err := api.PutCtx(bg, "warm", "x"); err != nil {
+				t.Fatalf("Put: %v", err)
+			}
+			c := client()
+			ctx, cancel := context.WithCancel(bg)
+			gave := make(chan error, 1)
+			go func() { _, err := api.Get(ctx, "late"); gave <- err }()
+			var abandoned string
+			waitFor(t, func() bool {
+				c.mu.Lock()
+				defer c.mu.Unlock()
+				for id := range c.pending {
+					abandoned = id
+				}
+				return len(c.pending) == 1
+			})
+			cancel()
+			if err := <-gave; !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled Get = %v, want context.Canceled", err)
+			}
+
+			check := func(i int) {
+				t.Helper()
+				st := slotState(c)
+				if st.freeIDs[abandoned] {
+					t.Fatalf("after op %d: abandoned id %s is on the free list", i, abandoned)
+				}
+				if st.pending != 0 {
+					t.Fatalf("after op %d: %d requests still pending", i, st.pending)
+				}
+			}
+			for i := 0; i < 1000; i++ {
+				k, v := fmt.Sprintf("k%d", i%7), fmt.Sprintf("v%d", i)
+				if err := api.PutCtx(bg, k, v); err != nil {
+					t.Fatalf("Put %d: %v", i, err)
+				}
+				if got, err := api.TryGet(k); err != nil || got != v {
+					t.Fatalf("TryGet %d = %q, %v; want %q", i, got, err, v)
+				}
+				if i%10 == 0 {
+					if err := api.PutBatch([]KV{{Key: "b0", Value: v}, {Key: "b1", Value: v}}); err != nil {
+						t.Fatalf("PutBatch %d: %v", i, err)
+					}
+					if err := api.Delete("b0"); err != nil {
+						t.Fatalf("Delete %d: %v", i, err)
+					}
+				}
+				check(i)
+			}
+
+			// The put that answers the abandoned GET: its own OK and the
+			// orphan VALUE both reach the read loop; neither may surface in a
+			// later call.
+			before := slotState(c).replies
+			if err := api.PutCtx(bg, "late", "answer-to-nobody"); err != nil {
+				t.Fatalf("Put late: %v", err)
+			}
+			waitFor(t, func() bool { return slotState(c).replies >= before+2 })
+			for i := 0; i < 100; i++ {
+				if got, err := api.TryGet("warm"); err != nil || got != "x" {
+					t.Fatalf("TryGet after the late reply = %q, %v; want \"x\"", got, err)
+				}
+				check(1000 + i)
+			}
+			c.mu.Lock()
+			if len(c.chunks) != 0 {
+				t.Errorf("%d chunk buffers left behind", len(c.chunks))
+			}
+			c.mu.Unlock()
+		})
+	}
+}
+
+// typedLoss reports whether err is one of the errors a caller may see
+// when its connection goes away under it.
+func typedLoss(err error) bool {
+	return errors.Is(err, ErrConnLost) || errors.Is(err, ErrServerDraining) || errors.Is(err, ErrClientClosed)
+}
+
+// TestSlotFailAnswersEachCallerOnce: a connection failing under 64
+// concurrent callers — half blocked in a get, half in a loop of hot
+// operations, so that releases race the failure — answers every one of
+// them, with a typed error, and leaves no slot behind.
+func TestSlotFailAnswersEachCallerOnce(t *testing.T) {
+	const callers = 64
+	kills := []struct {
+		name string
+		kill func(srv *Server, c *Client)
+		want func(error) bool
+	}{
+		{"cut", func(_ *Server, c *Client) { c.raw.Close() },
+			func(err error) bool { return errors.Is(err, ErrConnLost) }},
+		{"drain", func(srv *Server, _ *Client) {
+			ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+			defer cancel()
+			srv.Shutdown(ctx)
+		}, func(err error) bool { return errors.Is(err, ErrConnLost) || errors.Is(err, ErrServerDraining) }},
+		{"close", func(_ *Server, c *Client) { c.Close() }, typedLoss},
+	}
+	for _, k := range kills {
+		k := k
+		t.Run(k.name, func(t *testing.T) {
+			srv, addr := startServer(t)
+			c := dialT(t, addr, "job")
+			errs := make(chan error, callers)
+			var started sync.WaitGroup
+			for i := 0; i < callers; i++ {
+				i := i
+				started.Add(1)
+				go func() {
+					if i%2 == 0 {
+						started.Done()
+						_, err := c.Get(context.Background(), fmt.Sprintf("never%d", i))
+						errs <- err
+						return
+					}
+					key := fmt.Sprintf("hot%d", i)
+					for n := 0; ; n++ {
+						v := fmt.Sprintf("v%d", n)
+						err := c.Put(key, v)
+						if err == nil {
+							var got string
+							if got, err = c.TryGet(key); err == nil && got != v {
+								err = fmt.Errorf("caller %d read %q, want %q: a reply went to the wrong request", i, got, v)
+							}
+						}
+						if n == 0 {
+							started.Done()
+						}
+						if err != nil {
+							errs <- err
+							return
+						}
+					}
+				}()
+			}
+			started.Wait()
+			waitFor(t, func() bool { return slotState(c).pending >= callers/2 })
+			k.kill(srv, c)
+			for i := 0; i < callers; i++ {
+				select {
+				case err := <-errs:
+					if !k.want(err) {
+						t.Errorf("a caller was answered %v", err)
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatalf("only %d of %d callers were answered", i, callers)
+				}
+			}
+			if st := slotState(c); st.pending != 0 || st.free != 0 {
+				t.Errorf("failed client keeps %d pending and %d free slots", st.pending, st.free)
+			}
+			if err := c.Put("after", "x"); !typedLoss(err) {
+				t.Errorf("Put on the failed client = %v", err)
+			}
+		})
+	}
+}
+
+// TestSlotSessionRidesRestartUnderCallers is the Session's half of the
+// above: the daemon dies under 64 callers and comes back; blocked gets
+// are re-issued on the new connection and each wakes exactly once with
+// the value, hot loops never read another request's reply, and the dead
+// connection keeps nothing.
+func TestSlotSessionRidesRestartUnderCallers(t *testing.T) {
+	const callers = 64
+	r := newRestartable(t)
+	s := NewSession(SessionConfig{Addr: r.addr, Context: "job", MaxAttempts: -1})
+	t.Cleanup(func() { s.Close() })
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	if err := s.WaitReady(ctx); err != nil {
+		t.Fatalf("session never connected: %v", err)
+	}
+	first, _ := s.live()
+	var stop atomic.Bool
+	var woken atomic.Int64
+	errs := make(chan error, callers)
+	for i := 0; i < callers; i++ {
+		i := i
+		go func() {
+			if i%2 == 0 {
+				v, err := s.Get(ctx, "go")
+				if err == nil && v != "now" {
+					err = fmt.Errorf("blocked get %d woke with %q", i, v)
+				}
+				woken.Add(1)
+				errs <- err
+				return
+			}
+			key := fmt.Sprintf("hot%d", i)
+			for n := 0; !stop.Load(); n++ {
+				v := fmt.Sprintf("v%d", n)
+				if err := s.PutCtx(ctx, key, v); err != nil {
+					errs <- err
+					return
+				}
+				// The restart empties the context (everyone left it), so a
+				// read may find nothing; it may not find anything else.
+				if got, err := s.TryGetCtx(ctx, key); !errors.Is(err, ErrNotFound) && (err != nil || got != v) {
+					errs <- fmt.Errorf("caller %d read %q, %v; want %q", i, got, err, v)
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	waitFor(t, func() bool { return slotState(first).pending >= callers/2 })
+	r.kill()
+	r.restart()
+	waitFor(t, func() bool { c, _ := s.live(); return c != nil && c != first })
+	if n := woken.Load(); n != 0 {
+		t.Errorf("%d blocked gets returned before their attribute existed", n)
+	}
+	if st := slotState(first); st.pending != 0 || st.free != 0 {
+		t.Errorf("dead connection keeps %d pending and %d free slots", st.pending, st.free)
+	}
+	second, _ := s.live()
+	waitFor(t, func() bool { return slotState(second).pending >= callers/2 })
+	stop.Store(true)
+	if err := s.PutCtx(ctx, "go", "now"); err != nil {
+		t.Fatalf("releasing put: %v", err)
+	}
+	for i := 0; i < callers; i++ {
+		if err := <-errs; err != nil {
+			t.Errorf("caller: %v", err)
+		}
+	}
+	if n := woken.Load(); n != callers/2 {
+		t.Errorf("%d gets woke, want %d", n, callers/2)
+	}
+	if free := slotState(second).free; free > callers+1 {
+		t.Errorf("free list holds %d slots, more than the %d callers (+1) that were ever concurrent", free, callers)
+	}
+}
+
+// TestSlotChunkedSnapshotAmongHotOps: interior chunks of a multi-part
+// reply are kept, not decoded over, while hot operations on the same
+// connection trade messages with the read loop.
+func TestSlotChunkedSnapshotAmongHotOps(t *testing.T) {
+	for _, via := range slotVias {
+		via := via
+		t.Run(via.name, func(t *testing.T) {
+			_, addr := startServer(t)
+			api, _ := via.open(t, addr, "job")
+			const n = SnapChunkEntries*3 + 17 // four parts
+			pairs := make([]KV, n)
+			for i := range pairs {
+				pairs[i] = KV{Key: fmt.Sprintf("base%04d", i), Value: fmt.Sprintf("val%d", i)}
+			}
+			if err := api.PutBatch(pairs); err != nil {
+				t.Fatalf("PutBatch: %v", err)
+			}
+			var stop atomic.Bool
+			hot := make(chan error, 1)
+			go func() {
+				for i := 0; !stop.Load(); i++ {
+					v := fmt.Sprintf("h%d", i)
+					if err := api.PutCtx(context.Background(), "hot", v); err != nil {
+						hot <- err
+						return
+					}
+					if got, err := api.TryGet("hot"); err != nil || got != v {
+						hot <- fmt.Errorf("TryGet hot = %q, %v; want %q", got, err, v)
+						return
+					}
+				}
+				hot <- nil
+			}()
+			for round := 0; round < 20; round++ {
+				snap, _, err := api.SnapshotSeq(context.Background())
+				if err != nil {
+					t.Fatalf("SnapshotSeq %d: %v", round, err)
+				}
+				for _, p := range pairs {
+					if snap[p.Key].Value != p.Value {
+						t.Fatalf("snapshot %d: %s = %q, want %q (%d entries)", round, p.Key, snap[p.Key].Value, p.Value, len(snap))
+					}
+				}
+			}
+			stop.Store(true)
+			if err := <-hot; err != nil {
+				t.Fatalf("hot ops beside the snapshots: %v", err)
+			}
+		})
+	}
+}
+
+// TestSlotFreeListBoundedByConcurrency: 256 gets outstanding at once
+// need 256 slots; answering and releasing them leaves at most that many
+// on the free list, and the traffic that follows creates no more.
+func TestSlotFreeListBoundedByConcurrency(t *testing.T) {
+	const outstanding = 256
+	for _, via := range slotVias {
+		via := via
+		t.Run(via.name, func(t *testing.T) {
+			_, addr := startServer(t)
+			api, client := via.open(t, addr, "job")
+			writer := dialT(t, addr, "job")
+			results := make([]<-chan Result, outstanding)
+			pairs := make([]KV, outstanding)
+			for i := range results {
+				pairs[i] = KV{Key: fmt.Sprintf("async%d", i), Value: fmt.Sprintf("v%d", i)}
+				ch, err := api.GetAsync(pairs[i].Key)
+				if err != nil {
+					t.Fatalf("GetAsync %d: %v", i, err)
+				}
+				results[i] = ch
+			}
+			c := client()
+			waitFor(t, func() bool { return slotState(c).pending == outstanding })
+			if err := writer.PutBatch(pairs); err != nil {
+				t.Fatalf("PutBatch: %v", err)
+			}
+			for i, ch := range results {
+				if r := <-ch; r.Err != nil || r.Attr != pairs[i].Key || r.Value != pairs[i].Value {
+					t.Fatalf("async get %d = %+v, want %s=%s", i, r, pairs[i].Key, pairs[i].Value)
+				}
+			}
+			answered := slotState(c)
+			if answered.pending != 0 || answered.free > outstanding {
+				t.Fatalf("after %d concurrent gets: %d pending, %d free", outstanding, answered.pending, answered.free)
+			}
+			for i := 0; i < 500; i++ {
+				if err := api.PutCtx(context.Background(), "k", "v"); err != nil {
+					t.Fatalf("Put: %v", err)
+				}
+			}
+			if now := slotState(c); now.free > outstanding || now.issued != answered.issued {
+				t.Errorf("500 sequential puts later: %d free slots (was %d), %d ids ever issued (was %d)", now.free, answered.free, now.issued, answered.issued)
+			}
+		})
+	}
+}
+
+// TestSlotRouterShardKilledMidCycle puts the same properties through
+// the shard router (TestChaosShardKill's pool): concurrent callers per
+// shard whose ops share drain cycles, some of them leaving through a
+// cancelled context, chunked snapshots on the same pooled connections,
+// and one shard dying in the middle. Callers on the surviving shards
+// never fail and never read another op's reply; the victim's callers get
+// typed errors; the pooled connections keep no more slots, and the
+// shardConns no more ops, than there were callers.
+func TestSlotRouterShardKilledMidCycle(t *testing.T) {
+	const n, victim, perShard = 3, 1, 8
+	shards := make([]*Server, n)
+	addrs := make([]string, n)
+	for i := range shards {
+		shards[i], addrs[i] = startServer(t)
+		if err := shards[i].SetShard(i, n); err != nil {
+			t.Fatalf("SetShard: %v", err)
+		}
+	}
+	lass := NewServer()
+	// No heartbeat: a closed shard shows as a read error at once, and a
+	// 50 ms PONG deadline beside 24 callers under the race detector would
+	// fail the surviving connections for reasons of the test's own making.
+	// Three ops a cycle for eight callers: the queue is split every cycle.
+	gc := lass.EnableGlobalCache(strings.Join(addrs, ","), CacheConfig{ShardHeartbeat: -1, ShardBatch: 3})
+	t.Cleanup(lass.Close)
+	ctxs := shardedContexts(t, n)
+	bg := context.Background()
+	const base = SnapChunkEntries + 40 // a two-part CSNAP
+	basePairs := make([]attr.KV, base)
+	for i := range basePairs {
+		basePairs[i] = attr.KV{Key: fmt.Sprintf("base%03d", i), Value: fmt.Sprintf("val%d", i)}
+	}
+	for _, name := range ctxs {
+		// Through the cache first: its per-context upstream connection is
+		// what holds the context open for the ctx-scope ops below.
+		if _, err := gc.PutBatch(bg, name, basePairs); err != nil {
+			t.Fatalf("prime %s: %v", name, err)
+		}
+	}
+	pools := make([]*Client, n)
+	for i := range pools {
+		pools[i], _ = gc.conns[i].sess.live()
+	}
+
+	var stop, killed atomic.Bool
+	var wg sync.WaitGroup
+	var abandoned atomic.Int64
+	fails, rounds := make([]atomic.Int64, n), make([]atomic.Int64, n)
+	report := func(shard int, format string, args ...any) {
+		if shard != victim || !killed.Load() {
+			t.Errorf("shard %d: "+format, append([]any{shard}, args...)...)
+		}
+	}
+	for shard := 0; shard < n; shard++ {
+		for w := 0; w < perShard; w++ {
+			shard, w := shard, w
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				sh, name, key := gc.conns[shard], ctxs[shard], fmt.Sprintf("w%d", w)
+				for round := 0; !stop.Load(); round++ {
+					ctx, cancel := context.WithTimeout(bg, 3*time.Second)
+					v := fmt.Sprintf("v%d", round)
+					_, err := sh.put(ctx, name, key, v)
+					var got string
+					if err == nil {
+						got, _, err = sh.tryGet(ctx, name, key)
+					}
+					if err == nil && round%4 == 0 {
+						_, err = sh.putBatch(ctx, name, []KV{{Key: key + ".a", Value: v}, {Key: key + ".b", Value: v}})
+					}
+					if err == nil && round%4 == 1 {
+						_, err = sh.delete(ctx, name, key+".a")
+					}
+					if err == nil && round%8 == 2 {
+						// Leave (perhaps) before the cycle completes: whichever
+						// of the reply and the cancellation wins, a value that
+						// does come back is this key's.
+						gone, cancelGone := context.WithCancel(ctx)
+						cancelGone()
+						late, _, lateErr := sh.tryGet(gone, name, key)
+						switch {
+						case errors.Is(lateErr, context.Canceled):
+							abandoned.Add(1)
+						case lateErr == nil && late != v:
+							report(shard, "abandonable tryget of %s read %q, want %q", key, late, v)
+						}
+					}
+					if err == nil && w == 0 && round%8 == 5 {
+						var snap map[string]string
+						if snap, err = sh.snapshot(ctx, name); err == nil {
+							for _, p := range basePairs {
+								if snap[p.Key] != p.Value {
+									report(shard, "chunked snapshot: %s = %q, want %q (%d entries)", p.Key, snap[p.Key], p.Value, len(snap))
+									break
+								}
+							}
+						}
+					}
+					cancel()
+					rounds[shard].Add(1)
+					switch {
+					case err == nil && got != v:
+						report(shard, "%s read %q, want %q: a reply went to the wrong op", key, got, v)
+					case err != nil:
+						fails[shard].Add(1)
+						time.Sleep(time.Millisecond) // a down shard fails fast; do not spin on it
+						if !typedLoss(err) && !errors.Is(err, ErrShardDown) {
+							t.Errorf("shard %d: untyped error %v", shard, err)
+						}
+					}
+				}
+			}()
+		}
+	}
+	// 50 rounds per caller on every shard, the kill, then as many again
+	// on the survivors with the victim's callers failing beside them.
+	progressed := func(from [n]int64) func() bool {
+		return func() bool {
+			for i := range rounds {
+				if i != victim && rounds[i].Load() < from[i]+50*perShard {
+					return false
+				}
+			}
+			return true
+		}
+	}
+	waitFor(t, func() bool { return progressed([n]int64{})() && rounds[victim].Load() >= 50*perShard })
+	killed.Store(true)
+	shards[victim].Close()
+	waitFor(t, progressed([n]int64{rounds[0].Load(), rounds[1].Load(), rounds[2].Load()}))
+	waitFor(t, func() bool { return fails[victim].Load() > 0 })
+	stop.Store(true)
+	wg.Wait()
+	t.Logf("failed ops per shard: %d %d %d; %d ops left through a cancelled context",
+		fails[0].Load(), fails[1].Load(), fails[2].Load(), abandoned.Load())
+
+	for i, sh := range gc.conns {
+		if i == victim {
+			if fails[i].Load() == 0 {
+				t.Errorf("victim shard: no op failed after the kill")
+			}
+			if st := slotState(pools[i]); st.pending != 0 || st.free != 0 {
+				t.Errorf("victim's dead pooled connection keeps %d pending and %d free slots", st.pending, st.free)
+			}
+			continue
+		}
+		if f := fails[i].Load(); f != 0 {
+			t.Errorf("surviving shard %d: %d ops failed", i, f)
+		}
+		if now, _ := sh.sess.live(); now != pools[i] {
+			t.Errorf("surviving shard %d changed its pooled connection", i)
+		}
+		// The drainer completes what cancelled callers walked away from.
+		waitFor(t, func() bool { return slotState(pools[i]).pending == 0 })
+		if free := slotState(pools[i]).free; free > perShard {
+			t.Errorf("shard %d: pooled connection keeps %d free slots for %d callers", i, free, perShard)
+		}
+		sh.mu.Lock()
+		if len(sh.freeOps) > perShard || len(sh.queue) != 0 {
+			t.Errorf("shard %d: %d free ops for %d callers, %d still queued", i, len(sh.freeOps), perShard, len(sh.queue))
+		}
+		sh.mu.Unlock()
+	}
+}

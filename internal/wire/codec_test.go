@@ -237,3 +237,48 @@ func TestSendCorkedMetricsCountOnFlush(t *testing.T) {
 		t.Errorf("tx.bytes = %d, want %d", got, w.buf.Len())
 	}
 }
+
+// TestSendRecvIntoCycleAllocatesThePayloadCopy: what the package comment
+// promises of a steady-state cycle — the frame header, the read and write
+// scratch and the reused Message cost nothing; the one object is the
+// payload copy the decoded strings are views of.
+func TestSendRecvIntoCycleAllocatesThePayloadCopy(t *testing.T) {
+	var buf bytes.Buffer
+	c := NewConn(&buf)
+	out := NewMessage("PUT").Set("attr", "pid").Set("value", "0123456789abcdef0123456789abcdef").Set("id", "7")
+	in := new(Message)
+	var err error
+	cycle := func() {
+		if e := c.Send(out); e != nil {
+			err = e
+		}
+		if e := c.RecvInto(in); e != nil {
+			err = e
+		}
+	}
+	cycle()
+	got := testing.AllocsPerRun(100, cycle)
+	if err != nil || in.Get("attr") != "pid" {
+		t.Fatalf("cycle: %v, %v", in, err)
+	}
+	if got != 1 {
+		t.Errorf("a Send/RecvInto cycle allocates %.0f objects, want 1 (the payload copy)", got)
+	}
+}
+
+func TestIndexedKey(t *testing.T) {
+	for _, c := range []struct {
+		prefix byte
+		i      int
+		want   string
+	}{{'k', 0, "k0"}, {'v', 7, "v7"}, {'s', 31, "s31"}, {'o', 12, "o12"}, {'k', 32, "k32"}, {'v', 1000, "v1000"}} {
+		if got := IndexedKey(c.prefix, c.i); got != c.want {
+			t.Errorf("IndexedKey(%q, %d) = %q, want %q", c.prefix, c.i, got, c.want)
+		}
+	}
+	// The indexes the vocabulary holds come out of it, not off the heap.
+	var key string
+	if n := testing.AllocsPerRun(100, func() { key = IndexedKey('k', 31) }); n != 0 || key != "k31" {
+		t.Errorf("IndexedKey of an interned index allocates %.0f objects", n)
+	}
+}

@@ -467,9 +467,12 @@ func (d *doorbell) start() {
 // the transport is dying; the parked peer learns through its own
 // doorbell reader, so the error needs no handling here.
 func (d *doorbell) ring() {
-	var one [1]byte
-	d.sock.Write(one[:])
+	d.sock.Write(bellByte[:])
 }
+
+// bellByte is what every doorbell writes and nobody reads the value of;
+// package-level because a local would escape through the Write.
+var bellByte [1]byte
 
 // wait sleeps until the generation moves past gen or the bell dies.
 func (d *doorbell) wait(gen uint64) {

@@ -13,9 +13,13 @@
 // The codec is allocation-conscious: AppendEncode appends into a
 // caller-supplied buffer in map order (no sort), DecodeInto reuses a
 // Message and interns the protocol's fixed key/verb vocabulary, and
-// Conn keeps per-connection scratch buffers so a steady-state
-// Send/Recv cycle allocates only the decoded value strings. Encode
-// remains deterministic (sorted keys) for tests and logs.
+// Conn keeps per-connection scratch buffers (frame header included), so
+// a steady-state Send/RecvInto cycle allocates one thing per message
+// received: the copy of its payload that every decoded verb, key and
+// value is a view of. The attribute space server and client both
+// receive into a Message they reuse; Recv, which allocates the Message
+// and its field map as well, remains for protocols off the hot path.
+// Encode remains deterministic (sorted keys) for tests and logs.
 package wire
 
 import (
@@ -129,6 +133,18 @@ func intern(s string) string {
 		return c
 	}
 	return s
+}
+
+// IndexedKey returns the field key <prefix><i> (k0, v17, s3, …) of a
+// batch or snapshot entry: the vocabulary's own string for the indexes
+// it holds, a new one beyond them.
+func IndexedKey(prefix byte, i int) string {
+	var buf [21]byte
+	key := strconv.AppendInt(append(buf[:0], prefix), int64(i), 10)
+	if c, ok := interned[string(key)]; ok {
+		return c
+	}
+	return string(key)
 }
 
 // Message is a verb plus a set of string key/value fields. It is the
@@ -440,7 +456,8 @@ const scratchKeepCap = 64 << 10
 // another writes, and multiple goroutines may send concurrently.
 type Conn struct {
 	rmu  sync.Mutex
-	rbuf []byte // payload scratch, guarded by rmu
+	rbuf []byte  // payload scratch, guarded by rmu
+	rhdr [4]byte // frame header scratch, guarded by rmu (a local escapes through io.ReadFull)
 	br   *bufio.Reader
 	w    io.Writer
 	rw   io.ReadWriter
@@ -703,11 +720,11 @@ func (c *Conn) Recv() (*Message, error) {
 func (c *Conn) RecvInto(m *Message) error {
 	c.rmu.Lock()
 	defer c.rmu.Unlock()
-	var hdr [4]byte
-	if _, err := io.ReadFull(c.br, hdr[:]); err != nil {
+	hdr := c.rhdr[:]
+	if _, err := io.ReadFull(c.br, hdr); err != nil {
 		return err
 	}
-	n := int(binary.BigEndian.Uint32(hdr[:]))
+	n := int(binary.BigEndian.Uint32(hdr))
 	if n > MaxFrameSize {
 		return ErrFrameTooLarge
 	}

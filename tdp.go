@@ -40,6 +40,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"tdp/internal/attrspace"
@@ -160,6 +161,8 @@ type Handle struct {
 	lass  attrspace.API
 	cass  attrspace.API
 	queue *events.Queue
+
+	meters [numHandleOps]atomic.Pointer[opMeter] // see observe
 
 	mu       sync.Mutex
 	attached []*Process

@@ -26,17 +26,83 @@ func (h *Handle) Telemetry() *telemetry.Registry { return h.cfg.Telemetry }
 // none).
 func (h *Handle) Tracer() *telemetry.Tracer { return h.cfg.Tracer }
 
-// observe counts one tdp-level operation and returns the closure that
-// records its latency; a no-op without a registry.
-func (h *Handle) observe(op string) func() {
+// handleOp names one tdp-level operation for observe.
+type handleOp uint8
+
+const (
+	opPut handleOp = iota
+	opPutBatch
+	opPutBatchGlobal
+	opGet
+	opTryGet
+	opDelete
+	opSnapshot
+	opPutGlobal
+	opGetGlobal
+	opTryGetGlobal
+	opSnapshotGlobalMany
+	opGlobalContexts
+	opAsyncGet
+	opAsyncPut
+	opServiceEvents
+	opCreateProcess
+	opAttach
+	opContinueProcess
+	numHandleOps
+)
+
+// handleOpNames holds each operation's two metric names, built once.
+var handleOpNames = func() (names [numHandleOps]struct{ ops, latency string }) {
+	for op, name := range [numHandleOps]string{
+		opPut: "put", opPutBatch: "put_batch", opPutBatchGlobal: "put_batch_global",
+		opGet: "get", opTryGet: "tryget", opDelete: "delete", opSnapshot: "snapshot",
+		opPutGlobal: "put_global", opGetGlobal: "get_global", opTryGetGlobal: "tryget_global",
+		opSnapshotGlobalMany: "snapshot_global_many", opGlobalContexts: "global_contexts",
+		opAsyncGet: "async_get", opAsyncPut: "async_put", opServiceEvents: "service_events",
+		opCreateProcess: "create_process", opAttach: "attach", opContinueProcess: "continue_process",
+	} {
+		names[op].ops, names[op].latency = "tdp.ops."+name, "tdp.latency."+name
+	}
+	return names
+}()
+
+// opMeter is one operation's counter and latency histogram, resolved in
+// the handle's registry on the operation's first use — so an operation
+// never called stays out of the snapshot — and never looked up again.
+type opMeter struct {
+	ops     *telemetry.Counter
+	latency *telemetry.Histogram
+}
+
+// opTiming is one observed call in progress; the caller defers (or, for
+// an async operation, hands on) its done.
+type opTiming struct {
+	latency *telemetry.Histogram
+	start   time.Time
+}
+
+// done records the call's latency; a no-op without a registry.
+func (t opTiming) done() {
+	if t.latency != nil {
+		t.latency.Since(t.start)
+	}
+}
+
+// observe counts one tdp-level operation and starts timing it.
+func (h *Handle) observe(op handleOp) opTiming {
 	reg := h.cfg.Telemetry
 	if reg == nil {
-		return func() {}
+		return opTiming{}
 	}
-	reg.Counter("tdp.ops." + op).Inc()
-	lat := reg.Histogram("tdp.latency."+op, nil)
-	start := time.Now()
-	return func() { lat.Since(start) }
+	m := h.meters[op].Load()
+	if m == nil {
+		// First uses that race resolve the same two registry entries.
+		names := &handleOpNames[op]
+		m = &opMeter{ops: reg.Counter(names.ops), latency: reg.Histogram(names.latency, nil)}
+		h.meters[op].Store(m)
+	}
+	m.ops.Inc()
+	return opTiming{latency: m.latency, start: time.Now()}
 }
 
 // noteEventDepth tracks the completion-callback backlog — the distance

@@ -116,3 +116,83 @@ func TestUninstrumentedHandleIsFree(t *testing.T) {
 		stop()
 	}
 }
+
+// TestHandleMetersResolveOnFirstUse: a handle resolves an operation's
+// tdp.* counter and histogram when the operation is first called, so the
+// registry of a fresh handle names no operation and afterwards names
+// exactly the ones called.
+func TestHandleMetersResolveOnFirstUse(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	h := initT(t, Config{Context: "job", LASSAddr: newLASS(t), Identity: "rm", Telemetry: reg})
+	tdpNames := func() map[string]bool {
+		names := map[string]bool{}
+		snap := reg.Snapshot()
+		for name := range snap.Counters {
+			if strings.HasPrefix(name, "tdp.ops.") {
+				names[name] = true
+			}
+		}
+		for name := range snap.Histograms {
+			if strings.HasPrefix(name, "tdp.latency.") {
+				names[name] = true
+			}
+		}
+		return names
+	}
+	if got := tdpNames(); len(got) != 0 {
+		t.Fatalf("fresh handle already registered %v", got)
+	}
+	for i := 0; i < 3; i++ {
+		if err := h.Put("pid", "42"); err != nil {
+			t.Fatalf("Put: %v", err)
+		}
+		if _, err := h.TryGet("pid"); err != nil {
+			t.Fatalf("TryGet: %v", err)
+		}
+	}
+	got := tdpNames()
+	want := []string{"tdp.ops.put", "tdp.latency.put", "tdp.ops.tryget", "tdp.latency.tryget"}
+	for _, name := range want {
+		if !got[name] {
+			t.Errorf("%s missing after the operation was called", name)
+		}
+	}
+	if len(got) != len(want) {
+		t.Errorf("registered %v, want exactly %v", got, want)
+	}
+	snap := reg.Snapshot()
+	if n := snap.Counters["tdp.ops.put"]; n != 3 {
+		t.Errorf("tdp.ops.put = %d, want 3", n)
+	}
+	if n := snap.Histograms["tdp.latency.tryget"].Count; n != 3 {
+		t.Errorf("tdp.latency.tryget count = %d, want 3", n)
+	}
+}
+
+// TestHandlePutAddsNoAllocations: with a registry configured, a put
+// through the handle allocates what the same put on the handle's own
+// connection allocates — the tdp.* accounting adds nothing per call.
+func TestHandlePutAddsNoAllocations(t *testing.T) {
+	h := initT(t, Config{Context: "job", LASSAddr: newLASS(t), Identity: "rm", Telemetry: telemetry.NewRegistry()})
+	var err error
+	note := func(e error) {
+		if e != nil {
+			err = e
+		}
+	}
+	// Warm past everything that changes what a put costs: the meters and
+	// the reply slot (first call), the ring a same-host connection earns
+	// (100 replies), the small seqs strconv formats without allocating.
+	for i := 0; i < 300; i++ {
+		note(h.Put("pid", "42"))
+	}
+	direct := testing.AllocsPerRun(200, func() { note(h.lass.PutCtx(context.Background(), "pid", "42")) })
+	wrapped := testing.AllocsPerRun(200, func() { note(h.Put("pid", "42")) })
+	if err != nil {
+		t.Fatalf("Put: %v", err)
+	}
+	t.Logf("Client.Put %.1f allocs, Handle.Put %.1f", direct, wrapped)
+	if wrapped > direct {
+		t.Errorf("Handle.Put allocates %.1f objects per call, the connection's own put %.1f", wrapped, direct)
+	}
+}
