@@ -23,7 +23,10 @@
 # (scripts/coreloc.sh): core LOC is tracked the way ns/op is. `make
 # slowtests` prints the ten slowest tests and each package's wall time
 # from one `go test -json ./...` run (scripts/slowtests.sh), so a test
-# that sleeps for half a minute cannot hide in a green tier-1.
+# that sleeps for half a minute cannot hide in a green tier-1. `make
+# allocs` prints where the heap objects and bytes of the hot ops, of one
+# connection set-up and of one launch are allocated, by site and layer
+# (cmd/tdpbench -experiment allocs).
 #
 # `make scenario-smoke` runs the pre-built pool scenarios at smoke
 # scale under the race detector (part of tier1). `make scenario` is
@@ -60,7 +63,7 @@ TDP_CHAOS_SEED ?= 1
 # (flag > TDP_SCENARIO_SEED env > 1).
 TDP_SCENARIO_SEED ?= 1
 
-.PHONY: all tier1 vet build test race chaos fuzz bench benchdiff bench-samehost bench-smoke scenario scenario-smoke scenariodiff loc slowtests
+.PHONY: all tier1 vet build test race chaos fuzz bench benchdiff bench-samehost bench-smoke scenario scenario-smoke scenariodiff loc slowtests allocs
 
 all: tier1
 
@@ -90,6 +93,12 @@ loc:
 
 slowtests:
 	@GO=$(GO) scripts/slowtests.sh
+
+# Heap objects and bytes per operation by allocation site and layer: the
+# four hot ops, one connection set-up and one launch (EXPERIMENTS
+# E28/E29). Exact (MemProfileRate=1), about 15 s.
+allocs:
+	$(GO) run ./cmd/tdpbench -experiment allocs
 
 vet:
 	$(GO) vet ./...

@@ -13,16 +13,19 @@ import (
 	"tdp/internal/telemetry"
 )
 
-// allocOps is how many operations each scenario of the allocs
-// experiment profiles, after allocWarm unprofiled ones (past the ring
-// promotion at 100 replies and the seqs strconv formats for free).
+// allocOps is how many operations each hot-op scenario of the allocs
+// experiment profiles, and allocLives how many whole connection or job
+// lifetimes (a hundred times an op's work each), after allocWarm
+// unprofiled ones (past the ring promotion at 100 replies and the seqs
+// strconv formats for free).
 const (
-	allocOps  = 20000
-	allocWarm = 500
+	allocOps   = 20000
+	allocLives = 5000
+	allocWarm  = 500
 )
 
 // allocLayers is the order layers print in.
-var allocLayers = []string{"tdp", "attrspace client", "attrspace server", "attrspace cache", "attrspace router", "attrspace", "wire", "attr", "telemetry", "other"}
+var allocLayers = []string{"condor", "classad", "paradyn", "procsim", "tdp", "attrspace client", "attrspace server", "attrspace cache", "attrspace router", "attrspace", "wire", "attr", "telemetry", "net/syscall", "other"}
 
 // runAllocs prints, for each hot operation, where its heap objects are
 // allocated: objects and bytes per operation by allocation site, grouped
@@ -56,24 +59,38 @@ func runAllocs() {
 	global := allocHandle(tdp.Config{Context: "allocs-global", LASSAddr: glass.addr, GlobalViaLASS: true})
 	defer global.Exit()
 
+	pool := newLaunchPool(nil)
+	defer pool.Close()
+
 	value := strings.Repeat("v", 32)
 	batch := make([]tdp.KV, 8)
 	for i := range batch {
 		batch[i] = tdp.KV{Key: fmt.Sprintf("allocs.batch%d", i), Value: value}
 	}
-	fmt.Printf("E28: heap objects per operation by allocation site (%d ops each after %d warm-up; all daemons in this process)\n", allocOps, allocWarm)
+	fmt.Printf("E28/E29: heap objects per operation by allocation site (%d ops, or %d set-ups or jobs, each after %d warm-up; all daemons in this process)\n", allocOps, allocLives, allocWarm)
 	fmt.Println("  The profile records every object given its own block; objects the tiny allocator packs")
 	fmt.Println("  into an existing block are invisible to it, which is why MemStats.Mallocs reads higher.")
 	for _, sc := range []struct {
 		name string
+		ops  int
 		op   func() error
 	}{
-		{"local put (32 B)", func() error { return local.Put("allocs.attr", value) }},
-		{"local tryget (hit)", func() error { _, err := local.TryGet("allocs.attr"); return err }},
-		{"local putbatch(8)", func() error { return local.PutBatch(batch) }},
-		{"global put through a caching LASS + 2 shards", func() error { return global.PutGlobal("allocs.attr", value) }},
+		{"local put (32 B)", allocOps, func() error { return local.Put("allocs.attr", value) }},
+		{"local tryget (hit)", allocOps, func() error { _, err := local.TryGet("allocs.attr"); return err }},
+		{"local putbatch(8)", allocOps, func() error { return local.PutBatch(batch) }},
+		{"global put through a caching LASS + 2 shards", allocOps, func() error { return global.PutGlobal("allocs.attr", value) }},
+		{"set-up (tdp.Init + one put + Exit)", allocLives, func() error {
+			h, err := tdp.Init(tdp.Config{Context: "allocs-setup", LASSAddr: lass.addr, Identity: "tdpbench", Telemetry: local.Telemetry()})
+			if err != nil {
+				return err
+			}
+			err = h.Put("allocs.attr", value)
+			h.Exit()
+			return err
+		}},
+		{"launch (one job through condor.Pool under paradynd)", allocLives, func() error { return launchOne(pool) }},
 	} {
-		profileScenario(sc.name, sc.op)
+		profileScenario(sc.name, sc.ops, sc.op)
 	}
 }
 
@@ -135,7 +152,7 @@ func heapSites() map[[32]uintptr]siteCount {
 	}
 }
 
-func profileScenario(name string, op func() error) {
+func profileScenario(name string, ops int, op func() error) {
 	run := func(n int) {
 		for i := 0; i < n; i++ {
 			if err := op(); err != nil {
@@ -147,7 +164,7 @@ func profileScenario(name string, op func() error) {
 	before := heapSites()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	run(allocOps)
+	run(ops)
 	runtime.ReadMemStats(&m1)
 	after := heapSites()
 
@@ -177,7 +194,7 @@ func profileScenario(name string, op func() error) {
 		total.objects += s.objects
 		total.bytes += s.bytes
 	}
-	per := func(n int64) float64 { return float64(n) / allocOps }
+	per := func(n int64) float64 { return float64(n) / float64(ops) }
 	fmt.Printf("\n%s\n", name)
 	fmt.Printf("  %-18s %-62s %10s %10s\n", "layer", "site", "objects/op", "bytes/op")
 	for _, layer := range allocLayers {
@@ -212,18 +229,25 @@ func profileScenario(name string, op func() error) {
 // module on its stack — the line that asked for the object, whatever
 // library routine made it — and assigns it that frame's layer. The
 // helpers in attrspace's ops.go serve client and router alike, so for
-// those the layer is their caller's.
+// those the layer is their caller's. An object the socket layer of the
+// standard library made for itself (a dial's or an accept's netFD, its
+// addresses) is the net/syscall layer's, under the module line that
+// asked for the connection.
 func classifyStack(stack [32]uintptr) (layer, label string) {
 	n := 0
 	for n < len(stack) && stack[n] != 0 {
 		n++
 	}
 	frames := runtime.CallersFrames(stack[:n])
-	leaf := ""
+	leaf, sockets := "", false
 	for {
 		f, more := frames.Next()
 		if leaf == "" {
 			leaf = f.Function
+		}
+		if !sockets {
+			pkg, _, _ := strings.Cut(f.Function, ".")
+			sockets = pkg == "net" || pkg == "syscall" || pkg == "os" || pkg == "internal/poll"
 		}
 		if fn, ok := strings.CutPrefix(f.Function, "tdp/internal/"); ok || strings.HasPrefix(f.Function, "tdp.") {
 			if !ok {
@@ -236,6 +260,9 @@ func classifyStack(stack [32]uintptr) (layer, label string) {
 				}
 			}
 			if layer = layerOf(fn, filepath.Base(f.File)); layer != "" {
+				if sockets {
+					layer = "net/syscall"
+				}
 				return layer, label
 			}
 		}
@@ -254,7 +281,7 @@ func classifyStack(stack [32]uintptr) (layer, label string) {
 func layerOf(fn, file string) string {
 	pkg, _, _ := strings.Cut(fn, ".")
 	switch pkg {
-	case "tdp", "wire", "attr", "telemetry":
+	case "tdp", "wire", "attr", "telemetry", "condor", "classad", "paradyn", "procsim":
 		return pkg
 	case "attrspace":
 		switch file {

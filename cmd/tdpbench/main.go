@@ -183,6 +183,41 @@ queue
 	fmt.Printf("  network: %d dials allowed, %d blocked by firewall\n", dials, blocked)
 }
 
+// newLaunchPool starts the one-machine pool of the launch experiments
+// (timeline, allocs): as lassd does, its LASS also listens on the unix
+// socket, so starter and tool take the same-host path to it; "app" is a
+// two-phase program and paradynd the registered tool.
+func newLaunchPool(rec *trace.Recorder) *condor.Pool {
+	pool := condor.NewPool(condor.PoolOptions{Trace: rec})
+	m, err := pool.AddMachine(condor.MachineConfig{Name: "node1", Arch: "INTEL", OpSys: "LINUX", Memory: 128})
+	if err == nil {
+		_, err = m.LASS().ListenUnixBeside(m.LASSAddr())
+	}
+	if err != nil {
+		log.Fatalf("tdpbench: %v", err)
+	}
+	pool.Registry().RegisterTool("paradynd", paradyn.Tool())
+	phases := []procsim.PhaseSpec{{Name: "phase0", Units: 2}, {Name: "phase1", Units: 2}}
+	pool.Registry().RegisterProgram("app", func([]string) (procsim.Program, []string) {
+		return procsim.NewPhasedProgram(1, phases), procsim.PhasedSymbols(phases)
+	})
+	return pool
+}
+
+// launchOne runs one job under paradynd through pool — the paper's
+// Figure 3/6 flow — and waits for its clean exit.
+func launchOne(pool *condor.Pool) error {
+	jobs, err := pool.Submit("executable = app\n+SuspendJobAtExec = True\n+ToolDaemonCmd = \"paradynd\"\n+ToolDaemonArgs = \"-a%pid\"\nqueue\n")
+	if err != nil {
+		return err
+	}
+	st, err := jobs[0].WaitExit(time.Minute)
+	if err == nil && (st.Signaled() || st.Code != 0) {
+		err = fmt.Errorf("job ended %s", st)
+	}
+	return err
+}
+
 // runTimeline launches n jobs under paradynd on a one-machine pool,
 // one at a time, and prints where a launch's time goes: for every step
 // the pool, the starter, the tool and their TDP handles record, the
@@ -191,31 +226,14 @@ queue
 // the one row whose gap grew.
 func runTimeline(n int) {
 	rec := trace.New()
-	pool := condor.NewPool(condor.PoolOptions{Trace: rec})
+	pool := newLaunchPool(rec)
 	defer pool.Close()
-	m, err := pool.AddMachine(condor.MachineConfig{Name: "node1", Arch: "INTEL", OpSys: "LINUX", Memory: 128})
-	if err != nil {
-		log.Fatalf("tdpbench: %v", err)
-	}
-	// As lassd does: starter and tool take the same-host path to the LASS.
-	if _, err := m.LASS().ListenUnixBeside(m.LASSAddr()); err != nil {
-		log.Fatalf("tdpbench: %v", err)
-	}
-	pool.Registry().RegisterTool("paradynd", paradyn.Tool())
-	phases := []procsim.PhaseSpec{{Name: "phase0", Units: 2}, {Name: "phase1", Units: 2}}
-	pool.Registry().RegisterProgram("app", func([]string) (procsim.Program, []string) {
-		return procsim.NewPhasedProgram(1, phases), procsim.PhasedSymbols(phases)
-	})
 	type step struct{ at, gap []float64 } // µs since the job's first step; since its previous step
 	steps := make(map[string]*step)
 	for i := 0; i < n; i++ {
 		from := rec.Len()
-		jobs, err := pool.Submit("executable = app\n+SuspendJobAtExec = True\n+ToolDaemonCmd = \"paradynd\"\n+ToolDaemonArgs = \"-a%pid\"\nqueue\n")
-		if err != nil {
-			log.Fatalf("tdpbench: %v", err)
-		}
-		if st, err := jobs[0].WaitExit(time.Minute); err != nil || st.Code != 0 {
-			log.Fatalf("tdpbench: job %d: %v, %v", i, st, err)
+		if err := launchOne(pool); err != nil {
+			log.Fatalf("tdpbench: job %d: %v", i, err)
 		}
 		// One job in flight: everything recorded since from is this job's.
 		entries := rec.Entries()[from:]

@@ -2,8 +2,10 @@ package attrspace
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
+	"tdp/internal/testkit"
 	"tdp/internal/wire"
 )
 
@@ -115,5 +117,57 @@ func TestEventAllocBudget(t *testing.T) {
 	t.Logf("put + one delivered event: %.1f allocs", withEvent)
 	if withEvent > 2*putAllocBudget {
 		t.Errorf("a put pushed to one subscriber allocates %.1f objects, want at most %d (two puts)", withEvent, 2*putAllocBudget)
+	}
+}
+
+// The budget of a connection's whole life — dial, HELLO, one Put, Close
+// over the unix socket, client and in-process server together — in
+// objects and in bytes: what every tdp_init of a launch pays. One object
+// and 5 % over what the lazy set-up measures (it was 81 objects and
+// 18.6 KB while every connection built its read buffers, event channel
+// and mux tables up front).
+const (
+	setupAllocBudget = 51
+	setupBytesBudget = 4750
+)
+
+func TestSetupAllocBudget(t *testing.T) {
+	srv := NewServer()
+	addr := serveUnix(t, srv, nil)
+	hold := dialT(t, addr, "setup") // keeps the context, so a cycle does not pay for creating it
+	if err := hold.Put("held", "1"); err != nil {
+		t.Fatal(err)
+	}
+	cycle := func() {
+		c, err := Dial(nil, addr, "setup")
+		if err != nil {
+			t.Fatalf("Dial: %v", err)
+		}
+		if err := c.Put("pid", "4242"); err != nil {
+			t.Fatalf("Put: %v", err)
+		}
+		c.Close()
+	}
+	for i := 0; i < 200; i++ { // warm: the buffer pool, the attribute, seqs below 100
+		cycle()
+	}
+	const cycles = 500
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < cycles; i++ {
+		cycle()
+	}
+	runtime.ReadMemStats(&after)
+	objects := float64(after.Mallocs-before.Mallocs) / cycles
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / cycles
+	t.Logf("set-up: %.1f objects, %.0f bytes per dial + HELLO + put + close (budgets %d, %d)", objects, bytes, setupAllocBudget, setupBytesBudget)
+	if testkit.Race {
+		return // the read-buffer pool leaks by design under the race detector
+	}
+	if objects > setupAllocBudget {
+		t.Errorf("a set-up allocates %.1f objects, budget %d", objects, setupAllocBudget)
+	}
+	if bytes > setupBytesBudget {
+		t.Errorf("a set-up allocates %.0f bytes, budget %d", bytes, setupBytesBudget)
 	}
 }

@@ -83,13 +83,13 @@ type Client struct {
 	draining bool // server sent CLOSE; no new sends, replies still land
 	err      error
 
-	events  chan Event
+	events  chan Event  // made by the first event or the first Events(), whichever comes first
 	handler func(Event) // when set, replaces the events channel
 	onClose func(error)
 	subbed  bool
 
 	// The stream mux, and the reassembly buffer for chunked bulk
-	// replies, keyed by request id.
+	// replies, keyed by request id (nil until a reply comes in parts).
 	mux    *wire.Mux
 	chunks map[string][]*wire.Message
 
@@ -139,25 +139,13 @@ func DialCtx(ctx context.Context, dial DialFunc, addr, contextName string) (*Cli
 		return nil, fmt.Errorf("attrspace: dial %s: %w", addr, err)
 	}
 	c := newClient(raw)
-	if ctx.Done() != nil {
-		// Watchdog: a cancelled handshake closes the transport, which
-		// fails the read loop and errors the pending HELLO promptly. A
-		// caller that cancels ctx the moment Dial returns (defer cancel)
-		// makes both channels ready at once; the handshake being over
-		// has to win, or a healthy connection is closed under its owner.
-		stop := make(chan struct{})
-		defer close(stop)
-		go func() {
-			select {
-			case <-ctx.Done():
-				select {
-				case <-stop:
-				default:
-					raw.Close()
-				}
-			case <-stop:
-			}
-		}()
+	if d, ok := ctx.Deadline(); ok {
+		// ctx bounds the HELLO round trip where it waits: the reply is
+		// awaited under ctx (exchange) and the one write gets its deadline.
+		// Nothing watches ctx once Dial has returned, so a caller that
+		// cancels it then (defer cancel) keeps its connection.
+		raw.SetWriteDeadline(d)
+		defer raw.SetWriteDeadline(time.Time{})
 	}
 	spec := opFor(opHello, scopeDaemon)
 	hello := spec.req().Set("context", contextName).Set("rev", ProtocolRevision)
@@ -168,7 +156,7 @@ func DialCtx(ctx context.Context, dial DialFunc, addr, contextName string) (*Cli
 	if wire.ShmSupported() && sameHostConn(raw) {
 		hello.Set("shm", "1")
 	}
-	reply, err := c.call(ctx, spec, hello)
+	slot, reply, err := c.exchange(ctx, spec, hello)
 	if err == nil {
 		switch {
 		case reply.Verb == "ERROR" && reply.Get("error") == revisionMismatch:
@@ -186,6 +174,7 @@ func DialCtx(ctx context.Context, dial DialFunc, addr, contextName string) (*Cli
 	c.mu.Lock()
 	c.shmOK = reply.Get("shm") == "1"
 	c.mu.Unlock()
+	c.release(slot) // the connection's first request reuses it
 	return c, nil
 }
 
@@ -209,15 +198,11 @@ func Probe(ctx context.Context, dial DialFunc, addr string) error {
 
 // newClient starts a client on an open transport, before any HELLO:
 // the mux exists from the first frame (it stamps nothing until a
-// flow-controlled stream is used), and the read loop is running.
+// flow-controlled stream is used), and the read loop is running. What
+// only some connections use — event channel, chunk buffer, mux windows,
+// a ring — is made at first use.
 func newClient(raw net.Conn) *Client {
-	c := &Client{
-		wc:      wire.NewConn(raw),
-		raw:     raw,
-		pending: make(map[string]*replySlot),
-		chunks:  make(map[string][]*wire.Message),
-		events:  make(chan Event, 64),
-	}
+	c := &Client{wc: wire.NewConn(raw), raw: raw, pending: make(map[string]*replySlot)}
 	c.mux = wire.NewMux(c.wc, wire.MuxConfig{})
 	go c.readLoop()
 	return c
@@ -390,6 +375,7 @@ func offer(ch chan Event, ev Event) {
 // slot to trade with (an interior chunk, a reply for a first-use slot)
 // costs a fresh Message.
 func (c *Client) readLoop() {
+	defer c.wc.ReleaseRead() // a drain ends the loop with the stream still good
 	m := new(wire.Message)
 	for {
 		if err := c.wc.RecvInto(m); err != nil {
@@ -416,7 +402,7 @@ func (c *Client) readLoop() {
 				// Under mu, which also covers fail closing the channel: a
 				// Close from another goroutine while an event is in flight
 				// must not turn this send into a panic.
-				offer(c.events, ev)
+				offer(c.eventsLocked(), ev)
 			}
 			c.mu.Unlock()
 			if handler != nil {
@@ -452,6 +438,9 @@ func (c *Client) readLoop() {
 			c.mu.Lock()
 			_, live := c.pending[id]
 			if live {
+				if c.chunks == nil {
+					c.chunks = make(map[string][]*wire.Message)
+				}
 				c.chunks[id] = append(c.chunks[id], m)
 			}
 			c.mu.Unlock()
@@ -531,11 +520,11 @@ func (c *Client) fail(err error) {
 	c.closed = true
 	c.err = err
 	pending := c.pending
-	c.pending = make(map[string]*replySlot)
-	c.chunks = make(map[string][]*wire.Message)
-	c.free = nil
+	c.pending, c.chunks, c.free = nil, nil, nil // closed: nothing registers again
 	onClose := c.onClose
-	close(c.events)
+	if c.events != nil {
+		close(c.events)
+	}
 	c.mu.Unlock()
 	c.mux.Fail(err)
 	// pending was swapped out under mu, so the read loop can find none of
@@ -1160,7 +1149,24 @@ func (c *Client) Subscribe() error {
 
 // Events returns the subscription event channel. It never yields
 // events before Subscribe succeeds.
-func (c *Client) Events() <-chan Event { return c.events }
+func (c *Client) Events() <-chan Event {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.eventsLocked()
+}
+
+// eventsLocked returns the event channel, making it on first use (most
+// connections never subscribe): closed if the client already is, as for
+// a consumer that asked earlier. Callers hold mu.
+func (c *Client) eventsLocked() chan Event {
+	if c.events == nil {
+		c.events = make(chan Event, 64) // a lagging consumer's slack; beyond it offer drops the oldest
+		if c.closed {
+			close(c.events)
+		}
+	}
+	return c.events
+}
 
 // SnapshotGlobalMany snapshots several global contexts in one GSNAPM
 // round trip. On a sharded LASS the contexts are fetched from their

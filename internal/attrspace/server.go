@@ -493,6 +493,7 @@ type serverConn struct {
 func (c *serverConn) run() {
 	srv := c.srv
 	defer srv.dropConn(c)
+	defer c.wc.ReleaseRead() // EXIT ends the loop with the stream still good
 	// Per-connection context cancels blocked GETs when the peer goes away.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

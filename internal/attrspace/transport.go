@@ -104,6 +104,17 @@ func isLoopbackHost(host string) bool {
 	return ip != nil && ip.IsLoopback()
 }
 
+// dialUnix is net.Dial("unix", path) without the resolver: a socket path
+// has nothing to resolve, and the Dialer and address list built to find
+// that out cost every dial three objects.
+func dialUnix(path string) (net.Conn, error) {
+	conn, err := net.DialUnix("unix", nil, &net.UnixAddr{Name: path, Net: "unix"})
+	if err != nil {
+		return nil, err // not a typed-nil *net.UnixConn in a net.Conn
+	}
+	return conn, nil
+}
+
 // AutoDial is the default DialFunc, and its rule is "same host → unix
 // socket" (what rides the connection later is the connection's own
 // business, see shmPromoteAfter): "unix:/path" dials that socket
@@ -115,11 +126,11 @@ func isLoopbackHost(host string) bool {
 // straight to TCP. Non-loopback addresses always use TCP.
 func AutoDial(addr string) (net.Conn, error) {
 	if path, ok := strings.CutPrefix(addr, "unix:"); ok {
-		return net.Dial("unix", path)
+		return dialUnix(path)
 	}
 	if host, _, err := net.SplitHostPort(addr); err == nil && isLoopbackHost(host) {
 		if path := SocketPathFor(addr); path != "" {
-			conn, err := net.Dial("unix", path)
+			conn, err := dialUnix(path)
 			if err == nil {
 				return conn, nil
 			}

@@ -2,27 +2,44 @@ package classad
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
 
 // Ad is a ClassAd: an ordered set of attribute = expression bindings.
-// Attribute names are case-insensitive, per ClassAd convention.
+// Attribute names are case-insensitive, per ClassAd convention. An ad
+// holds a dozen bindings, so they are a list searched by folding
+// comparison: no name is ever lower-cased into a new string.
 type Ad struct {
-	attrs map[string]Expr // lower-cased name -> expression
-	names map[string]string
+	bindings []binding
+}
+
+type binding struct {
+	name string // as last Set
+	expr Expr
 }
 
 // NewAd returns an empty ad.
-func NewAd() *Ad {
-	return &Ad{attrs: make(map[string]Expr), names: make(map[string]string)}
+func NewAd() *Ad { return &Ad{} }
+
+// find returns the index of name's binding, or -1.
+func (a *Ad) find(name string) int {
+	for i := range a.bindings {
+		if strings.EqualFold(a.bindings[i].name, name) {
+			return i
+		}
+	}
+	return -1
 }
 
 // Set binds an attribute to a parsed expression.
 func (a *Ad) Set(name string, e Expr) {
-	key := strings.ToLower(name)
-	a.attrs[key] = e
-	a.names[key] = name
+	if i := a.find(name); i >= 0 {
+		a.bindings[i] = binding{name, e}
+		return
+	}
+	a.bindings = append(a.bindings, binding{name, e})
 }
 
 // SetExpr parses src and binds it to name.
@@ -46,21 +63,20 @@ func (a *Ad) SetBool(name string, b bool) { a.Set(name, &litExpr{v: Bool(b)}) }
 
 // expr returns the raw expression bound to name.
 func (a *Ad) expr(name string) (Expr, bool) {
-	e, ok := a.attrs[strings.ToLower(name)]
-	return e, ok
+	if i := a.find(name); i >= 0 {
+		return a.bindings[i].expr, true
+	}
+	return nil, false
 }
 
 // Has reports whether the attribute is bound.
-func (a *Ad) Has(name string) bool {
-	_, ok := a.attrs[strings.ToLower(name)]
-	return ok
-}
+func (a *Ad) Has(name string) bool { return a.find(name) >= 0 }
 
 // Names returns the bound attribute names (original case), sorted.
 func (a *Ad) Names() []string {
-	out := make([]string, 0, len(a.names))
-	for _, n := range a.names {
-		out = append(out, n)
+	out := make([]string, 0, len(a.bindings))
+	for _, b := range a.bindings {
+		out = append(out, b.name)
 	}
 	sort.Strings(out)
 	return out
@@ -117,14 +133,7 @@ func (a *Ad) String() string {
 }
 
 // Clone returns a shallow copy (expressions are immutable).
-func (a *Ad) Clone() *Ad {
-	out := NewAd()
-	for k, e := range a.attrs {
-		out.attrs[k] = e
-		out.names[k] = a.names[k]
-	}
-	return out
-}
+func (a *Ad) Clone() *Ad { return &Ad{bindings: slices.Clone(a.bindings)} }
 
 // Matches reports whether both ads' Requirements evaluate to true
 // against each other — Condor's symmetric matchmaking test. An ad

@@ -596,3 +596,25 @@ func TestJobsLeaveNothingBehind(t *testing.T) {
 		t.Errorf("summary does not list the recent completed jobs:\n%s", out)
 	}
 }
+
+// TestWaitExitOfFinishedJobArmsNoTimer: WaitExit looks at the job before
+// it arms its timeout, so waiting for a job that is already done
+// allocates nothing.
+func TestWaitExitOfFinishedJobArmsNoTimer(t *testing.T) {
+	pool := newTestPool(t, 1, nil)
+	jobs, err := pool.Submit("executable = exit7\nqueue\n")
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if st, err := jobs[0].WaitExit(10 * time.Second); err != nil || st.Code != 7 {
+		t.Fatalf("WaitExit = %v, %v; want exit(7)", st, err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if st, err := jobs[0].WaitExit(time.Hour); err != nil || st.Code != 7 {
+			t.Errorf("WaitExit of a finished job = %v, %v", st, err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("WaitExit of a finished job allocates %.0f objects, want 0 (no timer)", allocs)
+	}
+}

@@ -398,17 +398,33 @@ func (j *Job) RanksDone() int {
 	return j.ranksDone
 }
 
+// closedWithin waits up to d for done to close and reports whether it
+// did. What is waited for has often happened already — a finished job, a
+// tool that left with its application — so the timer is armed only when
+// there is something to wait for.
+func closedWithin(done <-chan struct{}, d time.Duration) bool {
+	select {
+	case <-done:
+		return true
+	default:
+	}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-done:
+		return true
+	case <-t.C:
+		return false
+	}
+}
+
 // WaitExit blocks until the job is terminal and returns its exit
 // status; held jobs return their hold reason as an error.
 func (j *Job) WaitExit(timeout time.Duration) (procsim.ExitStatus, error) {
 	if timeout <= 0 {
 		timeout = time.Minute
 	}
-	t := time.NewTimer(timeout)
-	defer t.Stop()
-	select {
-	case <-j.Done():
-	case <-t.C:
+	if !closedWithin(j.Done(), timeout) {
 		return procsim.ExitStatus{}, fmt.Errorf("condor: job %d did not finish within %v (status %s)", j.ID, timeout, j.Status())
 	}
 	if j.Status() == StatusHeld {

@@ -420,30 +420,22 @@ func (st *Starter) waitProcess(p *tdp.Process) (procsim.ExitStatus, error) {
 	if st.req.Timeout <= 0 {
 		return p.Wait()
 	}
-	t := time.NewTimer(st.req.Timeout)
-	defer t.Stop()
-	select {
-	case <-p.Exited():
+	if closedWithin(p.Exited(), st.req.Timeout) {
 		return p.Wait()
-	case <-t.C:
-		p.Kill("SIGKILL")
-		exit, err := p.Wait()
-		if err != nil {
-			return procsim.ExitStatus{}, fmt.Errorf("condor: job timed out: %w", err)
-		}
-		return exit, fmt.Errorf("condor: job exceeded %v and was killed", st.req.Timeout)
 	}
+	p.Kill("SIGKILL")
+	exit, err := p.Wait()
+	if err != nil {
+		return procsim.ExitStatus{}, fmt.Errorf("condor: job timed out: %w", err)
+	}
+	return exit, fmt.Errorf("condor: job exceeded %v and was killed", st.req.Timeout)
 }
 
 // reapTool waits briefly for the tool daemon to exit on its own (it
 // normally does, once the application it monitors is gone) and kills
 // it otherwise.
 func (st *Starter) reapTool(rt *tdp.Process) {
-	t := time.NewTimer(5 * time.Second)
-	defer t.Stop()
-	select {
-	case <-rt.Exited():
-	case <-t.C:
+	if !closedWithin(rt.Exited(), 5*time.Second) {
 		rt.Kill("SIGKILL")
 		<-rt.Exited()
 	}

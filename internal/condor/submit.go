@@ -109,13 +109,12 @@ func ParseSubmit(src string) (*SubmitFile, error) {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		lower := strings.ToLower(line)
-		if lower == "queue" {
+		if strings.EqualFold(line, "queue") {
 			sf.Queue++
 			sawQueue = true
 			continue
 		}
-		if strings.HasPrefix(lower, "queue ") {
+		if len(line) > 6 && strings.EqualFold(line[:6], "queue ") {
 			n, err := strconv.Atoi(strings.TrimSpace(line[6:]))
 			if err != nil || n < 1 {
 				return nil, fmt.Errorf("condor: line %d: bad queue count %q", lineNo+1, line)
@@ -133,8 +132,11 @@ func ParseSubmit(src string) (*SubmitFile, error) {
 		value := strings.TrimSpace(line[eq+1:])
 		value = unquote(value)
 
-		switch strings.ToLower(key) {
-		case "universe":
+		// Keys compare by folding: lower-casing one costs a string per
+		// mixed-case line (+ToolDaemonCmd, …) of every submit.
+		is := func(name string) bool { return strings.EqualFold(key, name) }
+		switch {
+		case is("universe"):
 			switch strings.ToLower(value) {
 			case "vanilla":
 				sf.Universe = UniverseVanilla
@@ -145,62 +147,62 @@ func ParseSubmit(src string) (*SubmitFile, error) {
 			default:
 				return nil, fmt.Errorf("condor: line %d: unsupported universe %q", lineNo+1, value)
 			}
-		case "executable":
+		case is("executable"):
 			sf.Executable = value
-		case "arguments":
+		case is("arguments"):
 			sf.Arguments = SplitArgs(value)
-		case "input":
+		case is("input"):
 			sf.Input = value
-		case "output":
+		case is("output"):
 			sf.Output = value
-		case "error":
+		case is("error"):
 			sf.Error = value
-		case "transfer_files":
+		case is("transfer_files"):
 			sf.TransferFiles = strings.ToLower(value)
-		case "transfer_input_files", "tranfer_input_files": // paper's Figure 5B typo
+		case is("transfer_input_files"), is("tranfer_input_files"): // paper's Figure 5B typo
 			for _, f := range strings.Split(value, ",") {
 				f = strings.TrimSpace(f)
 				if f != "" {
 					sf.TransferInput = append(sf.TransferInput, f)
 				}
 			}
-		case "machine_count":
+		case is("machine_count"):
 			n, err := strconv.Atoi(value)
 			if err != nil || n < 1 {
 				return nil, fmt.Errorf("condor: line %d: bad machine_count %q", lineNo+1, value)
 			}
 			sf.MachineCount = n
-		case "requirements":
+		case is("requirements"):
 			sf.Requirements = value
-		case "rank":
+		case is("rank"):
 			sf.Rank = value
-		case "image_size":
+		case is("image_size"):
 			n, err := strconv.ParseInt(value, 10, 64)
 			if err != nil {
 				return nil, fmt.Errorf("condor: line %d: bad image_size %q", lineNo+1, value)
 			}
 			sf.ImageSizeKB = n
-		case "+suspendjobatexec":
+		case is("+suspendjobatexec"):
 			sf.SuspendJobAtExec = parseBool(value)
-		case "+tooldaemoncmd":
+		case is("+tooldaemoncmd"):
 			td.Cmd = value
 			tdUsed = true
-		case "+tooldaemonargs", "+tooldaemonarguments":
+		case is("+tooldaemonargs"), is("+tooldaemonarguments"):
 			td.Args = SplitArgs(value)
 			tdUsed = true
-		case "+tooldaemonoutput":
+		case is("+tooldaemonoutput"):
 			td.Output = value
 			tdUsed = true
-		case "+tooldaemonerror":
+		case is("+tooldaemonerror"):
 			td.Error = value
 			tdUsed = true
-		case "+tooldaemoninput":
+		case is("+tooldaemoninput"):
 			td.Input = value
 			tdUsed = true
-		case "+auxservicecmd":
+		case is("+auxservicecmd"):
 			aux.Cmd = value
 			auxUsed = true
-		case "+auxserviceargs", "+auxservicearguments":
+		case is("+auxserviceargs"), is("+auxservicearguments"):
 			aux.Args = SplitArgs(value)
 			auxUsed = true
 		default:
@@ -236,12 +238,7 @@ func ParseSubmit(src string) (*SubmitFile, error) {
 }
 
 func parseBool(v string) bool {
-	switch strings.ToLower(v) {
-	case "true", "yes", "1":
-		return true
-	default:
-		return false
-	}
+	return strings.EqualFold(v, "true") || strings.EqualFold(v, "yes") || v == "1"
 }
 
 func unquote(v string) string {

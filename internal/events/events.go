@@ -16,7 +16,9 @@ package events
 
 import "sync"
 
-// Queue holds pending completion callbacks until serviced.
+// Queue holds pending completion callbacks until serviced. The zero
+// value is an empty queue; most daemons never post to theirs, so the
+// activity channel is made by the first Post or Activity.
 type Queue struct {
 	mu      sync.Mutex
 	pending []func()
@@ -24,8 +26,14 @@ type Queue struct {
 }
 
 // NewQueue returns an empty queue.
-func NewQueue() *Queue {
-	return &Queue{notify: make(chan struct{}, 1)}
+func NewQueue() *Queue { return new(Queue) }
+
+// activityLocked returns the activity channel. Callers hold mu.
+func (q *Queue) activityLocked() chan struct{} {
+	if q.notify == nil {
+		q.notify = make(chan struct{}, 1)
+	}
+	return q.notify
 }
 
 // Post enqueues a callback and marks the queue active. It never runs
@@ -37,9 +45,10 @@ func (q *Queue) Post(cb func()) {
 	}
 	q.mu.Lock()
 	q.pending = append(q.pending, cb)
+	notify := q.activityLocked()
 	q.mu.Unlock()
 	select {
-	case q.notify <- struct{}{}:
+	case notify <- struct{}{}:
 	default: // already marked active
 	}
 }
@@ -47,7 +56,11 @@ func (q *Queue) Post(cb func()) {
 // Activity returns the descriptor-activity channel: it yields a value
 // when at least one callback is pending. Use it in a select loop the
 // way the paper's daemons use poll(); after it fires, call Service.
-func (q *Queue) Activity() <-chan struct{} { return q.notify }
+func (q *Queue) Activity() <-chan struct{} {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.activityLocked()
+}
 
 // Len reports the number of pending callbacks.
 func (q *Queue) Len() int {
@@ -64,11 +77,12 @@ func (q *Queue) Service() int {
 	q.mu.Lock()
 	batch := q.pending
 	q.pending = nil
+	notify := q.notify // nil (never ready) while nothing was ever posted
 	q.mu.Unlock()
 	// Drain the activity mark; callbacks posted while we run will
 	// re-arm it.
 	select {
-	case <-q.notify:
+	case <-notify:
 	default:
 	}
 	for _, cb := range batch {
@@ -89,10 +103,11 @@ func (q *Queue) ServiceOne() bool {
 	cb := q.pending[0]
 	q.pending = q.pending[1:]
 	rearm := len(q.pending) > 0
+	notify := q.notify
 	q.mu.Unlock()
 	if !rearm {
 		select {
-		case <-q.notify:
+		case <-notify:
 		default:
 		}
 	}

@@ -119,7 +119,11 @@ func NewSupervisor(k *procsim.Kernel) *Supervisor {
 
 func (s *Supervisor) loop() {
 	defer s.wg.Done()
-	for e := range s.sub.Events() {
+	for {
+		e, ok := s.sub.Next()
+		if !ok {
+			return
+		}
 		if e.Kind != procsim.EventExited {
 			continue
 		}

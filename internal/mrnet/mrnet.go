@@ -92,7 +92,14 @@ type Node struct {
 	tracer  *telemetry.Tracer
 	streams *streamAgg
 
+	// flushMu serialises flush from taking the dirty set through writing
+	// it: a cycle on the ticker goroutine that holds a taken set must not
+	// be overtaken by the handler's final flush + DONE, or the parent
+	// sees DONE before the last sample.
+	flushMu sync.Mutex
+
 	mu           sync.Mutex
+	afterTake    func(taken int) // test hook: runs in flush between taking the dirty set and sending it
 	up           *wire.Conn
 	upMux        *wire.Mux // non-nil once a parent node acked: the uplink is muxed, each drain cycle one TBATCH frame
 	reconnecting bool
@@ -730,6 +737,8 @@ func (n *Node) Flush() { n.flush() }
 // changed. With the parent gone it leaves state dirty for the
 // reconnect resync.
 func (n *Node) flush() {
+	n.flushMu.Lock()
+	defer n.flushMu.Unlock()
 	n.mu.Lock()
 	doSelf := n.selfForce || n.selfCount <= 0
 	if doSelf {
@@ -745,6 +754,7 @@ func (n *Node) flush() {
 	up := n.up
 	upX := n.upMux
 	batch := upX != nil
+	afterTake := n.afterTake
 	if up == nil || n.closed {
 		n.mu.Unlock()
 		return
@@ -766,6 +776,9 @@ func (n *Node) flush() {
 	}
 	n.mu.Unlock()
 	items := n.streams.takeDirty()
+	if afterTake != nil {
+		afterTake(len(dirty) + len(items))
+	}
 	if len(dirty) == 0 && len(items) == 0 {
 		return
 	}

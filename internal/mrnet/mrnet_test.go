@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -264,5 +265,66 @@ func TestRealParadyndsThroughTree(t *testing.T) {
 	}
 	if !strings.Contains(fe.Report(), "work") {
 		t.Errorf("report:\n%s", fe.Report())
+	}
+}
+
+// TestFinalFlushNotOvertaken: a flush that has taken the dirty set but
+// not yet written it (the ticker goroutine's, under load) must not be
+// overtaken by the handler's final flush + DONE, or the parent sees DONE
+// before the last sample ("compute_forces calls = 0").
+func TestFinalFlushNotOvertaken(t *testing.T) {
+	fe := newFE(t)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	node, err := NewNode(Config{
+		Name: "agg", Listener: l, ParentAddr: fe.Addr(), ExpectedChildren: 1,
+		FlushInterval: time.Hour, // every flush below is the test's or the handler's
+	})
+	if err != nil {
+		t.Fatalf("NewNode: %v", err)
+	}
+	defer node.Close()
+	parked, release := make(chan struct{}), make(chan struct{})
+	var first atomic.Bool
+	node.mu.Lock()
+	node.afterTake = func(taken int) {
+		if taken > 0 && first.CompareAndSwap(false, true) {
+			close(parked)
+			<-release // only this flush parks; any other runs through
+		}
+	}
+	node.mu.Unlock()
+
+	raw, err := net.Dial("tcp", node.Addr())
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer raw.Close()
+	wc := wire.NewConn(raw)
+	wc.Send(wire.NewMessage("REGISTER").Set("daemon", "d0").Set("host", "h").SetInt("pid", 1))
+	wc.Send(wire.NewMessage("SAMPLE").Set("fn", "compute_forces").Set("calls", "5").Set("time_us", "50"))
+	go func() { // the ticker's part: flush until one has taken the sample
+		for {
+			node.Flush()
+			select {
+			case <-parked:
+				return
+			case <-time.After(time.Millisecond):
+			}
+		}
+	}()
+	<-parked
+	wc.Send(wire.NewMessage("DONE").Set("status", "exit(0)"))
+	if fe.WaitDone(1, 100*time.Millisecond) == nil {
+		t.Error("DONE reached the front-end while a flush still held the sample it had taken")
+	}
+	close(release)
+	if err := fe.WaitDone(1, 5*time.Second); err != nil {
+		t.Fatalf("WaitDone: %v", err)
+	}
+	if got := fe.AllStats()["compute_forces"].Calls; got != 5 {
+		t.Errorf("compute_forces calls = %d at DONE, want 5", got)
 	}
 }

@@ -15,8 +15,10 @@ type Process struct {
 	pid    PID
 	spec   Spec
 
+	subs []*EventSub // this process's subscribers; guarded by kernel.mu, see Kernel.subs
+
 	mu     sync.Mutex
-	cond   *sync.Cond
+	cond   sync.Cond // on mu
 	state  State
 	parked bool // program goroutine is blocked at a safe point
 	killed bool
@@ -60,7 +62,7 @@ func newProcess(k *Kernel, pid PID, spec Spec) *Process {
 	for _, s := range spec.Symbols {
 		p.symbols[s] = true
 	}
-	p.cond = sync.NewCond(&p.mu)
+	p.cond.L = &p.mu
 	return p
 }
 
@@ -176,7 +178,7 @@ func (p *Process) exit(status ExitStatus) {
 	p.cond.Broadcast()
 	p.mu.Unlock()
 
-	k.publish(Event{Kind: EventExited, PID: p.pid, Status: status})
+	k.publish(p, Event{Kind: EventExited, PID: p.pid, Status: status})
 }
 
 // Continue moves a created or stopped process to running. The tracer
@@ -200,7 +202,7 @@ func (p *Process) Continue(tracer string) error {
 	p.state = StateRunning
 	p.cond.Broadcast()
 	p.mu.Unlock()
-	p.kernel.publish(Event{Kind: EventContinued, PID: p.pid})
+	p.kernel.publish(p, Event{Kind: EventContinued, PID: p.pid})
 	return nil
 }
 
@@ -288,7 +290,7 @@ func (p *Process) Attach(tracer string) error {
 		}
 	}
 	p.mu.Unlock()
-	p.kernel.publish(Event{Kind: EventAttached, PID: p.pid, Tracer: tracer})
+	p.kernel.publish(p, Event{Kind: EventAttached, PID: p.pid, Tracer: tracer})
 	return nil
 }
 
@@ -306,7 +308,7 @@ func (p *Process) Detach(tracer string) error {
 	}
 	p.tracer = ""
 	p.mu.Unlock()
-	p.kernel.publish(Event{Kind: EventDetached, PID: p.pid, Tracer: tracer})
+	p.kernel.publish(p, Event{Kind: EventDetached, PID: p.pid, Tracer: tracer})
 	return nil
 }
 
@@ -493,7 +495,7 @@ func (c *ProcContext) Checkpoint() {
 		p.parked = true
 		p.cond.Broadcast() // wake Stop/Attach waiting for the park
 		p.mu.Unlock()
-		p.kernel.publish(Event{Kind: EventStopped, PID: p.pid})
+		p.kernel.publish(p, Event{Kind: EventStopped, PID: p.pid})
 		p.mu.Lock()
 	}
 	for p.state == StateStopped {
@@ -579,6 +581,12 @@ func (c *ProcContext) Sleep(d time.Duration) { c.Wait(d, nil) }
 func (c *ProcContext) Wait(d time.Duration, wake <-chan struct{}) bool {
 	const slice = time.Millisecond
 	c.Checkpoint()
+	select {
+	case <-wake: // already there: no timer to arm
+		c.Checkpoint()
+		return true
+	default:
+	}
 	t := time.NewTimer(min(d, slice))
 	defer t.Stop() // a kill unwinds through Checkpoint's panic
 	for {

@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -196,7 +197,11 @@ type Kernel struct {
 	nextPID PID
 	procs   map[PID]*Process
 	routing StatusRouting
-	subs    map[*EventSub]struct{}
+	// subs holds the kernel-wide subscriptions; Process.subs, under this
+	// same mutex, the per-process ones. Both slices are replaced, never
+	// changed in place, so publish delivers to the ones it read without
+	// copying them.
+	subs []*EventSub
 }
 
 // NewKernel returns an empty kernel with RouteParent status routing.
@@ -204,7 +209,6 @@ func NewKernel() *Kernel {
 	return &Kernel{
 		nextPID: 1000,
 		procs:   make(map[PID]*Process),
-		subs:    make(map[*EventSub]struct{}),
 	}
 }
 
@@ -216,17 +220,42 @@ func (k *Kernel) SetStatusRouting(r StatusRouting) {
 	k.routing = r
 }
 
-// EventSub is a subscription to kernel process events. Delivery is
-// buffered; when a subscriber falls behind beyond its buffer, the
-// oldest undelivered event is dropped rather than blocking the kernel.
+// subQueueMax bounds the events a subscription holds undelivered. A
+// subscriber that falls further behind loses the oldest of them rather
+// than blocking the kernel or growing without limit.
+const subQueueMax = 128
+
+// EventSub is a subscription to process events: every process's
+// (Kernel.Subscribe) or one process's (Process.Subscribe). Events wait
+// in arrival order in a queue that grows with the backlog, so a
+// subscription that is kept up with costs a few events' worth of memory.
 type EventSub struct {
+	proc *Process // nil for a kernel-wide subscription
+
 	mu     sync.Mutex
-	ch     chan Event
+	cond   sync.Cond // on mu
+	queue  []Event   // queue[head:] is undelivered
+	head   int
 	closed bool
 }
 
-// Events returns the delivery channel. It closes on Cancel.
-func (s *EventSub) Events() <-chan Event { return s.ch }
+// Next blocks until an event is available and returns it. After Cancel
+// it returns what was still queued and then false.
+func (s *EventSub) Next() (Event, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for s.head == len(s.queue) {
+		if s.closed {
+			return Event{}, false
+		}
+		s.cond.Wait()
+	}
+	e := s.queue[s.head]
+	if s.head++; s.head == len(s.queue) {
+		s.queue, s.head = s.queue[:0], 0
+	}
+	return e, true
+}
 
 func (s *EventSub) deliver(e Event) {
 	s.mu.Lock()
@@ -234,55 +263,67 @@ func (s *EventSub) deliver(e Event) {
 	if s.closed {
 		return
 	}
-	for {
-		select {
-		case s.ch <- e:
-			return
-		default:
-			// Buffer full: drop the oldest event to stay live.
-			select {
-			case <-s.ch:
-			default:
-			}
-		}
+	if len(s.queue)-s.head == subQueueMax {
+		s.head++ // drop the oldest event to stay live
 	}
+	if s.head > 0 && len(s.queue) == cap(s.queue) {
+		s.queue = s.queue[:copy(s.queue, s.queue[s.head:])]
+		s.head = 0
+	}
+	s.queue = append(s.queue, e)
+	s.cond.Signal()
 }
 
 func (s *EventSub) close() {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return
-	}
 	s.closed = true
-	close(s.ch)
+	s.mu.Unlock()
+	s.cond.Broadcast()
 }
 
-// Subscribe registers for all subsequent process events.
-func (k *Kernel) Subscribe() *EventSub {
-	s := &EventSub{ch: make(chan Event, 128)}
+// Subscribe registers for all subsequent events of every process.
+func (k *Kernel) Subscribe() *EventSub { return k.subscribe(nil) }
+
+// Subscribe registers for all subsequent events of this process.
+func (p *Process) Subscribe() *EventSub { return p.kernel.subscribe(p) }
+
+// subsOf returns the list a subscription to p (nil: to every process)
+// is registered in. Callers hold mu.
+func (k *Kernel) subsOf(p *Process) *[]*EventSub {
+	if p != nil {
+		return &p.subs
+	}
+	return &k.subs
+}
+
+func (k *Kernel) subscribe(p *Process) *EventSub {
+	s := &EventSub{proc: p}
+	s.cond.L = &s.mu
 	k.mu.Lock()
-	k.subs[s] = struct{}{}
+	subs := k.subsOf(p)
+	*subs = append(slices.Clip(*subs), s)
 	k.mu.Unlock()
 	return s
 }
 
-// Cancel removes the subscription and closes its channel.
+// Cancel removes the subscription and ends its stream.
 func (k *Kernel) Cancel(s *EventSub) {
 	k.mu.Lock()
-	delete(k.subs, s)
+	subs := k.subsOf(s.proc)
+	*subs = slices.DeleteFunc(slices.Clone(*subs), func(x *EventSub) bool { return x == s })
 	k.mu.Unlock()
 	s.close()
 }
 
-func (k *Kernel) publish(e Event) {
+// publish delivers p's event e to the kernel-wide subscribers and to p's own.
+func (k *Kernel) publish(p *Process, e Event) {
 	k.mu.Lock()
-	subs := make([]*EventSub, 0, len(k.subs))
-	for s := range k.subs {
-		subs = append(subs, s)
-	}
+	all, own := k.subs, p.subs
 	k.mu.Unlock()
-	for _, s := range subs {
+	for _, s := range all {
+		s.deliver(e)
+	}
+	for _, s := range own {
 		s.deliver(e)
 	}
 }
@@ -342,7 +383,7 @@ func (k *Kernel) Spawn(spec Spec, paused bool) (*Process, error) {
 	k.procs[pid] = p
 	k.mu.Unlock()
 
-	k.publish(Event{Kind: EventCreated, PID: pid})
+	k.publish(p, Event{Kind: EventCreated, PID: pid})
 	go p.run()
 	if !paused {
 		if err := p.Continue(""); err != nil {

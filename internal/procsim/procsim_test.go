@@ -352,17 +352,82 @@ func TestKernelEvents(t *testing.T) {
 
 	want := []EventKind{EventCreated, EventAttached, EventContinued, EventExited}
 	for i, wk := range want {
-		select {
-		case e := <-sub.Events():
-			if e.Kind != wk || e.PID != p.PID() {
-				t.Errorf("event %d = %v pid %d, want %v pid %d", i, e.Kind, e.PID, wk, p.PID())
-			}
-			if wk == EventExited && e.Status.Code != 3 {
-				t.Errorf("exit event status = %v", e.Status)
-			}
-		case <-time.After(2 * time.Second):
-			t.Fatalf("event %d (%v) never arrived", i, wk)
+		e := nextEvent(t, sub)
+		if e.Kind != wk || e.PID != p.PID() {
+			t.Errorf("event %d = %v pid %d, want %v pid %d", i, e.Kind, e.PID, wk, p.PID())
 		}
+		if wk == EventExited && e.Status.Code != 3 {
+			t.Errorf("exit event status = %v", e.Status)
+		}
+	}
+}
+
+// nextEvent is sub.Next with a bound, so a missing event fails the test
+// instead of hanging it.
+func nextEvent(t *testing.T, sub *EventSub) Event {
+	t.Helper()
+	got := make(chan Event, 1)
+	go func() {
+		if e, ok := sub.Next(); ok {
+			got <- e
+		}
+	}()
+	select {
+	case e := <-got:
+		return e
+	case <-time.After(2 * time.Second):
+		t.Fatal("event never arrived")
+		return Event{}
+	}
+}
+
+// TestProcessSubscription: a per-process subscription sees its own
+// process's transitions, in order, and nothing of the thousand other
+// processes' events published around them.
+func TestProcessSubscription(t *testing.T) {
+	k := NewKernel()
+	gate := make(chan struct{})
+	p := spawnT(t, k, Spec{Executable: "gated", Program: ProgramFunc(func(ctx *ProcContext) int {
+		ctx.Call("work", func() { <-gate })
+		ctx.Checkpoint()
+		return 7
+	}), Symbols: []string{"work"}}, true)
+	sub := p.Subscribe()
+	defer k.Cancel(sub)
+
+	noise := func(n int) { // each spawn-and-exit publishes created, continued, exited
+		for i := 0; i < n; i++ {
+			spawnT(t, k, exitSpec(0), false).WaitParent()
+		}
+	}
+	expect := func(wk EventKind) Event {
+		t.Helper()
+		e := nextEvent(t, sub)
+		if e.Kind != wk || e.PID != p.PID() {
+			t.Fatalf("event = %v pid %d, want %v pid %d", e.Kind, e.PID, wk, p.PID())
+		}
+		return e
+	}
+	noise(120)
+	p.Continue("")
+	noise(120)
+	expect(EventContinued)
+	if err := p.RequestStop(""); err != nil {
+		t.Fatalf("RequestStop: %v", err)
+	}
+	close(gate) // the program reaches its next safe point and parks there
+	p.WaitStopped()
+	noise(120)
+	expect(EventStopped) // published by the park, before Continue publishes below
+	p.Continue("")
+	p.WaitParent()
+	expect(EventContinued)
+	if e := expect(EventExited); e.Status.Code != 7 {
+		t.Errorf("exit event status = %v", e.Status)
+	}
+	k.Cancel(sub)
+	if e, ok := sub.Next(); ok {
+		t.Errorf("event %v pid %d after the exit", e.Kind, e.PID)
 	}
 }
 

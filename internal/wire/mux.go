@@ -98,12 +98,14 @@ type Mux struct {
 	c      *Conn
 	window int // test override of every stream's initial window; 0 = per class
 
+	// The maps stay nil until a flow-controlled stream is used: requests
+	// and replies alone cost a connection the Mux and nothing else.
 	mu      sync.Mutex
-	cond    *sync.Cond
 	send    map[uint32]int // remaining send window per stream
 	pending map[uint32]int // received-but-ungranted units per stream
 	npend   int            // sum of pending
 	err     error
+	cond    sync.Cond // on mu; behind what every message touches
 
 	cStalls  *telemetry.Counter   // sends that had to wait for window
 	cWinups  *telemetry.Counter   // explicit WINUP frames sent
@@ -115,13 +117,8 @@ type Mux struct {
 // NewMux returns a Mux over c. The caller keeps using c's Recv
 // directly; every received message must be passed through Accept.
 func NewMux(c *Conn, cfg MuxConfig) *Mux {
-	x := &Mux{
-		c:       c,
-		window:  cfg.Window,
-		send:    make(map[uint32]int),
-		pending: make(map[uint32]int),
-	}
-	x.cond = sync.NewCond(&x.mu)
+	x := &Mux{c: c, window: cfg.Window}
+	x.cond.L = &x.mu
 	if reg := cfg.Registry; reg != nil {
 		x.cStalls = reg.Counter("wire.mux.stalls")
 		x.cWinups = reg.Counter("wire.mux.winups")
@@ -178,6 +175,9 @@ func (x *Mux) initLocked(stream uint32) int {
 	cr, ok := x.send[stream]
 	if !ok {
 		cr = x.winFor(stream)
+		if x.send == nil {
+			x.send = make(map[uint32]int)
+		}
 		x.send[stream] = cr
 		if x.gStreams != nil {
 			x.gStreams.Set(int64(len(x.send)))
@@ -249,6 +249,9 @@ func (x *Mux) Accept(m *Message) (stream uint32, handled bool) {
 	// before stamping them, so both ends deduct identical amounts.
 	cost := m.EncodedSize()
 	x.mu.Lock()
+	if x.pending == nil {
+		x.pending = make(map[uint32]int)
+	}
 	x.pending[sid] += cost
 	x.npend += cost
 	// Grant back once half the stream's window has accumulated: often

@@ -454,11 +454,17 @@ const scratchKeepCap = 64 << 10
 // Conn wraps an io.ReadWriter with framed Message I/O. Reads and
 // writes are independently serialized, so one goroutine may read while
 // another writes, and multiple goroutines may send concurrently.
+//
+// Its receive buffers are borrowed from a pool at the first Recv and go
+// back when the stream ends under a Recv — by the goroutine inside that
+// Recv, holding rmu, so no other Recv can be touching them — and its
+// send buffer starts on an array of its own: a connection that lives a
+// handful of small messages allocates no buffer at all.
 type Conn struct {
 	rmu  sync.Mutex
-	rbuf []byte  // payload scratch, guarded by rmu
-	rhdr [4]byte // frame header scratch, guarded by rmu (a local escapes through io.ReadFull)
-	br   *bufio.Reader
+	rd   *readBuf  // nil before the first Recv and after the stream's last; guarded by rmu
+	r    io.Reader // what rd reads from, guarded by rmu
+	rhdr [4]byte   // frame header scratch, guarded by rmu (a local escapes through io.ReadFull)
 	w    io.Writer
 	rw   io.ReadWriter
 
@@ -475,6 +481,10 @@ type Conn struct {
 	// The shm ring this connection was swapped onto, if any, so that
 	// counters installed after the cutover still reach it.
 	ring atomic.Pointer[ShmEndpoint]
+
+	// wbuf's first backing (every frame of a launch fits; the struct
+	// fills a 256-byte size class), behind everything a message touches.
+	wfirst [120]byte
 }
 
 // connCounters bundles a connection's installed counters.
@@ -516,11 +526,44 @@ func inc(c *telemetry.Counter) {
 	}
 }
 
+// readBuf is the receive side's reusable memory: the stream buffer and
+// the payload scratch a frame is read into before it is decoded.
+type readBuf struct {
+	br      bufio.Reader
+	payload []byte
+}
+
+var readBufs = sync.Pool{New: func() any { return new(readBuf) }}
+
 // NewConn returns a framed connection over rw.
 func NewConn(rw io.ReadWriter) *Conn {
-	c := &Conn{br: bufio.NewReader(rw), w: rw, rw: rw}
+	c := &Conn{r: rw, w: rw, rw: rw}
+	c.wbuf = c.wfirst[:0]
 	c.noteRing(rw)
 	return c
+}
+
+// ReleaseRead hands the receive buffers back to the pool. RecvInto does
+// it when the stream fails under it (a frame the failure cut short could
+// not have been resumed anyway), so only a read loop that stops of its
+// own accord — the peer said EXIT — calls it, after its last Recv.
+func (c *Conn) ReleaseRead() {
+	c.rmu.Lock()
+	defer c.rmu.Unlock()
+	c.releaseReadLocked()
+}
+
+func (c *Conn) releaseReadLocked() {
+	rd := c.rd
+	if rd == nil {
+		return
+	}
+	c.rd = nil
+	rd.br.Reset(nil)
+	if cap(rd.payload) > scratchKeepCap {
+		rd.payload = nil
+	}
+	readBufs.Put(rd)
 }
 
 // InstrumentRegistry installs the standard wire counters from reg:
@@ -569,8 +612,17 @@ func (c *Conn) Underlying() io.ReadWriter { return c.rw }
 // Detach returns a reader that first drains any bytes this framed
 // connection has already buffered and then continues from the
 // underlying stream. Use it when switching a connection from framed
-// messages to a raw byte stream (e.g. after a proxy handshake).
-func (c *Conn) Detach() io.Reader { return c.br }
+// messages to a raw byte stream (e.g. after a proxy handshake). The
+// buffer leaves with the reader and never returns to the pool.
+func (c *Conn) Detach() io.Reader {
+	c.rmu.Lock()
+	defer c.rmu.Unlock()
+	if rd := c.rd; rd != nil {
+		c.rd = nil
+		return &rd.br
+	}
+	return c.r
+}
 
 // SwapRead replaces the connection's read side with r. It is the
 // receive half of a transport cutover (the shm promotion): the Conn —
@@ -582,7 +634,10 @@ func (c *Conn) Detach() io.Reader { return c.br }
 // two of its own Recv calls, which satisfies both.
 func (c *Conn) SwapRead(r io.Reader) {
 	c.rmu.Lock()
-	c.br = bufio.NewReader(r)
+	c.r = r
+	if c.rd != nil {
+		c.rd.br.Reset(r)
+	}
 	c.rmu.Unlock()
 	c.noteRing(r)
 }
@@ -686,7 +741,7 @@ func (c *Conn) flushLocked() error {
 	msgs := c.pending
 	_, err := c.w.Write(c.wbuf)
 	if cap(c.wbuf) > scratchKeepCap {
-		c.wbuf = nil
+		c.wbuf = c.wfirst[:0]
 	} else {
 		c.wbuf = c.wbuf[:0]
 	}
@@ -720,19 +775,27 @@ func (c *Conn) Recv() (*Message, error) {
 func (c *Conn) RecvInto(m *Message) error {
 	c.rmu.Lock()
 	defer c.rmu.Unlock()
+	rd := c.rd
+	if rd == nil {
+		rd = readBufs.Get().(*readBuf)
+		rd.br.Reset(c.r)
+		c.rd = rd
+	}
 	hdr := c.rhdr[:]
-	if _, err := io.ReadFull(c.br, hdr); err != nil {
+	if _, err := io.ReadFull(&rd.br, hdr); err != nil {
+		c.releaseReadLocked()
 		return err
 	}
 	n := int(binary.BigEndian.Uint32(hdr))
 	if n > MaxFrameSize {
 		return ErrFrameTooLarge
 	}
-	if cap(c.rbuf) < n {
-		c.rbuf = make([]byte, n)
+	if cap(rd.payload) < n {
+		rd.payload = make([]byte, n)
 	}
-	payload := c.rbuf[:n]
-	if _, err := io.ReadFull(c.br, payload); err != nil {
+	payload := rd.payload[:n]
+	if _, err := io.ReadFull(&rd.br, payload); err != nil {
+		c.releaseReadLocked()
 		return err
 	}
 	if cm := c.metrics.Load(); cm != nil {
@@ -740,8 +803,8 @@ func (c *Conn) RecvInto(m *Message) error {
 		cm.rxMsgs.Inc()
 	}
 	err := DecodeInto(m, payload)
-	if cap(c.rbuf) > scratchKeepCap {
-		c.rbuf = nil
+	if cap(rd.payload) > scratchKeepCap {
+		rd.payload = nil
 	}
 	return err
 }

@@ -31,15 +31,15 @@ func (h *Handle) MonitorProcess(p *Process) (stop func(), err error) {
 	if err != nil {
 		return nil, err
 	}
-	sub := k.Subscribe()
-	pid := p.PID()
+	sub := p.p.Subscribe()
 	done := make(chan struct{})
 	final := false // the exit status has been put; written before done closes
 	go func() {
 		defer close(done)
-		for e := range sub.Events() {
-			if e.PID != pid {
-				continue
+		for {
+			e, ok := sub.Next()
+			if !ok {
+				return
 			}
 			switch e.Kind {
 			case procsim.EventContinued:

@@ -160,7 +160,7 @@ type Handle struct {
 	cfg   Config
 	lass  attrspace.API
 	cass  attrspace.API
-	queue *events.Queue
+	queue events.Queue
 
 	meters [numHandleOps]atomic.Pointer[opMeter] // see observe
 
@@ -198,7 +198,7 @@ func Init(cfg Config) (*Handle, error) {
 		}
 		cass.SetTelemetry(cfg.Telemetry, cfg.Tracer)
 	}
-	h := &Handle{cfg: cfg, lass: lass, cass: cass, queue: events.NewQueue()}
+	h := &Handle{cfg: cfg, lass: lass, cass: cass}
 	h.traceStep("tdp_init", "context="+cfg.Context)
 	return h, nil
 }
