@@ -24,8 +24,9 @@
 # slowtests` prints the ten slowest tests and each package's wall time
 # from one `go test -json ./...` run (scripts/slowtests.sh), so a test
 # that sleeps for half a minute cannot hide in a green tier-1. `make
-# allocs` prints where the heap objects and bytes of the hot ops, of one
-# connection set-up and of one launch are allocated, by site and layer
+# allocs` prints where the heap objects and bytes of the hot ops (a
+# global write through the caching LASS among them), of one connection
+# set-up and of one launch are allocated, by site and layer
 # (cmd/tdpbench -experiment allocs).
 #
 # `make scenario-smoke` runs the pre-built pool scenarios at smoke
@@ -71,9 +72,15 @@ tier1: vet build race chaos scenario-smoke bench-smoke
 
 # The repo's benchmark (BENCHMARK.json, bench/) is its own module, which
 # the root `go build/test ./...` never see; this runs its 2 s smoke test
-# so a change that breaks what the benchmark uses fails tier1.
+# so a change that breaks what the benchmark uses fails tier1. The
+# global-write smoke beside it is the part of what `global_write`
+# measures that a test can hold: 2,000 PutGlobal through an in-process
+# pool push no event to the cache that wrote them and all ride the
+# router's pooled connection — an echo or a second sender coming back
+# fails here, not ten benchmark pairs later.
 bench-smoke:
 	cd bench && $(GO) test ./...
+	$(GO) test ./internal/attrspace -run TestGlobalWriteSmoke -count=1
 
 chaos:
 	TDP_CHAOS_SEED=$(TDP_CHAOS_SEED) $(GO) test ./internal/attrspace -run 'Chaos' -race -count=2
@@ -95,8 +102,9 @@ slowtests:
 	@GO=$(GO) scripts/slowtests.sh
 
 # Heap objects and bytes per operation by allocation site and layer: the
-# four hot ops, one connection set-up and one launch (EXPERIMENTS
-# E28/E29). Exact (MemProfileRate=1), about 15 s.
+# three local hot ops, a global write through the caching LASS (with the
+# shards' events pushed / suppressed per op), one connection set-up and
+# one launch (EXPERIMENTS E28–E30). Exact (MemProfileRate=1), about 15 s.
 allocs:
 	$(GO) run ./cmd/tdpbench -experiment allocs
 

@@ -42,15 +42,26 @@ func runAllocs() {
 
 	const shards = 2
 	addrs := make([]string, shards)
+	casses := make([]allocServer, shards)
 	for i := range addrs {
 		i := i
-		cass := allocDaemon(func(s *attrspace.Server) {
+		casses[i] = allocDaemon(func(s *attrspace.Server) {
 			if err := s.SetShard(i, shards); err != nil {
 				log.Fatalf("tdpbench: %v", err)
 			}
 		})
-		defer cass.Close()
-		addrs[i] = cass.addr
+		defer casses[i].Close()
+		addrs[i] = casses[i].addr
+	}
+	// shardEvents sums what the shards pushed to subscribers and what
+	// they withheld from the cache that made the write.
+	shardEvents := func() (pushed, suppressed int64) {
+		for _, cass := range casses {
+			reg := cass.Telemetry()
+			pushed += reg.Counter("attrspace.events.pushed").Value()
+			suppressed += reg.Counter("attrspace.events.suppressed").Value()
+		}
+		return
 	}
 	glass := allocDaemon(func(s *attrspace.Server) {
 		s.EnableGlobalCache(strings.Join(addrs, ","), attrspace.CacheConfig{})
@@ -67,19 +78,21 @@ func runAllocs() {
 	for i := range batch {
 		batch[i] = tdp.KV{Key: fmt.Sprintf("allocs.batch%d", i), Value: value}
 	}
-	fmt.Printf("E28/E29: heap objects per operation by allocation site (%d ops, or %d set-ups or jobs, each after %d warm-up; all daemons in this process)\n", allocOps, allocLives, allocWarm)
+	fmt.Printf("E28–E30: heap objects per operation by allocation site (%d ops, or %d set-ups or jobs, each after %d warm-up; all daemons in this process)\n", allocOps, allocLives, allocWarm)
 	fmt.Println("  The profile records every object given its own block; objects the tiny allocator packs")
 	fmt.Println("  into an existing block are invisible to it, which is why MemStats.Mallocs reads higher.")
 	for _, sc := range []struct {
-		name string
-		ops  int
-		op   func() error
+		name   string
+		ops    int
+		op     func() error
+		events bool // also print the shards' events per op
 	}{
-		{"local put (32 B)", allocOps, func() error { return local.Put("allocs.attr", value) }},
-		{"local tryget (hit)", allocOps, func() error { _, err := local.TryGet("allocs.attr"); return err }},
-		{"local putbatch(8)", allocOps, func() error { return local.PutBatch(batch) }},
-		{"global put through a caching LASS + 2 shards", allocOps, func() error { return global.PutGlobal("allocs.attr", value) }},
-		{"set-up (tdp.Init + one put + Exit)", allocLives, func() error {
+		{name: "local put (32 B)", ops: allocOps, op: func() error { return local.Put("allocs.attr", value) }},
+		{name: "local tryget (hit)", ops: allocOps, op: func() error { _, err := local.TryGet("allocs.attr"); return err }},
+		{name: "local putbatch(8)", ops: allocOps, op: func() error { return local.PutBatch(batch) }},
+		{name: "global write (handle → caching LASS → shard)", ops: allocOps, events: true,
+			op: func() error { return global.PutGlobal("allocs.attr", value) }},
+		{name: "set-up (tdp.Init + one put + Exit)", ops: allocLives, op: func() error {
 			h, err := tdp.Init(tdp.Config{Context: "allocs-setup", LASSAddr: lass.addr, Identity: "tdpbench", Telemetry: local.Telemetry()})
 			if err != nil {
 				return err
@@ -88,9 +101,16 @@ func runAllocs() {
 			h.Exit()
 			return err
 		}},
-		{"launch (one job through condor.Pool under paradynd)", allocLives, func() error { return launchOne(pool) }},
+		{name: "launch (one job through condor.Pool under paradynd)", ops: allocLives, op: func() error { return launchOne(pool) }},
 	} {
+		pushed, suppressed := shardEvents()
 		profileScenario(sc.name, sc.ops, sc.op)
+		if sc.events {
+			p, s := shardEvents()
+			n := float64(allocWarm + sc.ops)
+			fmt.Printf("  shard events per op: %.2f pushed, %.2f suppressed (attrspace.events.pushed / .suppressed; the cache's is the only subscription)\n",
+				float64(p-pushed)/n, float64(s-suppressed)/n)
+		}
 	}
 }
 

@@ -35,6 +35,14 @@
 // counted (Subscription.Lost) — OpDestroy is never dropped. Blocked
 // Gets are woken outside the lock through buffered channels, exactly
 // one value each.
+//
+// A writer that mirrors the context itself — the caching LASS, which
+// learns each of its writes' seq from the acknowledgement — has no use
+// for the event that reports its own write back to it. A reference may
+// therefore name the origin it writes for (SetOrigin) and a subscription
+// the origin it was made under (SubscribeOrigin); a put or delete skips
+// the subscriptions of its own non-empty origin. Everything without an
+// origin, and OpDestroy always, is delivered to everyone.
 package attr
 
 import (
@@ -43,6 +51,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // ErrNoContext is returned when an operation references a context that
@@ -266,6 +275,31 @@ type Ref struct {
 	space *Space
 	mu    sync.Mutex
 	ctx   *spaceContext // nil after Leave
+
+	origin     string        // see SetOrigin; "" for almost every reference
+	suppressed atomic.Uint64 // updates not queued for subscriptions of origin
+}
+
+// SetOrigin names the writer this reference's mutations are made for:
+// they are not queued for subscriptions made under the same origin (see
+// SubscribeOrigin). Call it before the reference is used; the empty
+// origin, the default, is nobody's.
+func (r *Ref) SetOrigin(origin string) { r.origin = origin }
+
+// Suppressed reports how many updates this reference's mutations have
+// withheld from subscriptions of its own origin.
+func (r *Ref) Suppressed() uint64 { return r.suppressed.Load() }
+
+// publish queues u, a mutation made through r, for every subscription
+// but those of r's own origin. Callers hold the shard lock.
+func (c *spaceContext) publish(r *Ref, u Update) {
+	for sub := range c.subs {
+		if r.origin != "" && sub.origin == r.origin {
+			r.suppressed.Add(1)
+			continue
+		}
+		sub.enqueue(u) // O(1) ring append; never blocks
+	}
 }
 
 // Context returns the context name, or "" after Leave.
@@ -310,9 +344,7 @@ func (r *Ref) PutSeq(attribute, value string) (uint64, error) {
 	u := Update{Context: c.name, Attr: attribute, Value: value, Op: OpPut, Seq: c.seq}
 	waiters := c.waiters[attribute]
 	delete(c.waiters, attribute)
-	for sub := range c.subs {
-		sub.enqueue(u) // O(1) ring append; never blocks
-	}
+	c.publish(r, u)
 	sh.mu.Unlock()
 
 	for _, w := range waiters {
@@ -365,9 +397,7 @@ func (r *Ref) PutBatchSeq(pairs []KV) (uint64, error) {
 			wakes = append(wakes, wake{chans: ws, u: u})
 			delete(c.waiters, p.Key)
 		}
-		for sub := range c.subs {
-			sub.enqueue(u)
-		}
+		c.publish(r, u)
 	}
 	last := c.seq
 	sh.mu.Unlock()
@@ -489,9 +519,7 @@ func (r *Ref) DeleteSeq(attribute string) (uint64, error) {
 	delete(c.attrs, attribute)
 	c.appendLog(changeEntry{attr: attribute, seq: c.seq, del: true})
 	u := Update{Context: c.name, Attr: attribute, Value: prev.value, Op: OpDelete, Seq: c.seq}
-	for sub := range c.subs {
-		sub.enqueue(u)
-	}
+	c.publish(r, u)
 	sh.mu.Unlock()
 	return u.Seq, nil
 }
@@ -647,9 +675,10 @@ func (r *Ref) Leave() error {
 // Unsubscribe; an abandoned, undrained subscription pins its delivery
 // goroutine.
 type Subscription struct {
-	ch   chan Update
-	wake chan struct{} // cap 1: "queue non-empty or done changed"
-	stop chan struct{} // closed by Unsubscribe: abort delivery
+	ch     chan Update
+	wake   chan struct{} // cap 1: "queue non-empty or done changed"
+	stop   chan struct{} // closed by Unsubscribe: abort delivery
+	origin string        // mutations made for this origin are not queued; "" gets all
 
 	mu       sync.Mutex
 	queue    []Update
@@ -798,6 +827,13 @@ func (s *Subscription) run() {
 // (minimum 1); size it for the expected burst — on overflow the ring
 // coalesces per attribute and then drops oldest (see Subscription).
 func (r *Ref) Subscribe(buffer int) (*Subscription, error) {
+	return r.SubscribeOrigin(buffer, "")
+}
+
+// SubscribeOrigin is Subscribe for a consumer that applies its own
+// writes itself: mutations made through a reference of the same
+// non-empty origin (SetOrigin) are not delivered to it.
+func (r *Ref) SubscribeOrigin(buffer int, origin string) (*Subscription, error) {
 	c, err := r.live()
 	if err != nil {
 		return nil, err
@@ -806,11 +842,12 @@ func (r *Ref) Subscribe(buffer int) (*Subscription, error) {
 		buffer = 1
 	}
 	sub := &Subscription{
-		ch:    make(chan Update, buffer),
-		wake:  make(chan struct{}, 1),
-		stop:  make(chan struct{}),
-		idx:   make(map[string]int),
-		limit: buffer,
+		ch:     make(chan Update, buffer),
+		wake:   make(chan struct{}, 1),
+		stop:   make(chan struct{}),
+		origin: origin,
+		idx:    make(map[string]int),
+		limit:  buffer,
 	}
 	sh := c.sh
 	sh.mu.Lock()

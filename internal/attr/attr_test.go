@@ -340,6 +340,51 @@ func TestSubscribeDestroyNotification(t *testing.T) {
 	}
 }
 
+// TestOriginSuppressesOwnEcho: a mutation made through a reference with
+// an origin skips the subscriptions of that origin and nobody else's;
+// without an origin on either side everything is delivered as ever, and
+// a destroy reaches everyone.
+func TestOriginSuppressesOwnEcho(t *testing.T) {
+	s := NewSpace()
+	holder := s.Join("c")
+	mine, _ := holder.SubscribeOrigin(16, "lass-1")
+	theirs, _ := holder.SubscribeOrigin(16, "lass-2")
+	plain, _ := holder.Subscribe(16)
+
+	writer, ok := s.JoinExisting("c")
+	if !ok {
+		t.Fatal("JoinExisting of a held context failed")
+	}
+	writer.SetOrigin("lass-1")
+	writer.Put("a", "1")                                                  // seq 1
+	writer.PutBatch([]KV{{Key: "b", Value: "2"}, {Key: "c", Value: "3"}}) // seqs 2, 3
+	writer.Delete("a")                                                    // seq 4
+	if n := writer.Suppressed(); n != 4 {
+		t.Errorf("writer.Suppressed() = %d, want 4 (one per update withheld from its own origin)", n)
+	}
+	writer.Leave()
+	holder.Put("d", "4") // seq 5, no origin: everyone's
+	if n := holder.Suppressed(); n != 0 {
+		t.Errorf("an origin-less reference suppressed %d updates", n)
+	}
+	holder.Leave() // destroy, seq 6
+
+	seqs := func(sub *Subscription) (got []uint64) {
+		for u := range sub.Updates() {
+			got = append(got, u.Seq)
+		}
+		return got
+	}
+	if got := seqs(mine); fmt.Sprint(got) != "[5 6]" {
+		t.Errorf("the writer's own origin saw seqs %v, want [5 6]: only the foreign put and the destroy", got)
+	}
+	for name, sub := range map[string]*Subscription{"another origin": theirs, "no origin": plain} {
+		if got := seqs(sub); fmt.Sprint(got) != "[1 2 3 4 5 6]" {
+			t.Errorf("a subscription under %s saw seqs %v, want all of 1..6", name, got)
+		}
+	}
+}
+
 func TestUnsubscribeStopsDelivery(t *testing.T) {
 	s := NewSpace()
 	r := s.Join("c")

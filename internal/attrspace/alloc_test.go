@@ -1,6 +1,7 @@
 package attrspace
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -81,6 +82,40 @@ func TestHotOpAllocBudget(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// The budget of one PutGlobal through the caching LASS: the handle's
+// request and reply over the unix socket, the cache, the router, the
+// pooled TCP connection and the shard, process-wide. One object over
+// what the path measures: four payload copies (GPUT, CPUT and their two
+// acks), two formatted seqs, the router's CPUT request (message, field
+// map and the map's one group) and the reference a ctx-scope request
+// joins its context through. An echoed EVENT (built, copied, decoded:
+// four objects) or a goroutine per cycle shows here.
+const globalPutAllocBudget = 11
+
+func TestGlobalPutAllocBudget(t *testing.T) {
+	_, lass, _, _ := startCachingLASS(t)
+	lass.SetShm(false)
+	c := dialT(t, serveUnix(t, lass, nil), "alloc")
+	bg := context.Background()
+	var err error
+	put := func() {
+		if e := c.PutGlobal(bg, "pid", "4242"); e != nil {
+			err = e
+		}
+	}
+	for i := 0; i < 128; i++ { // slots, scratch, the mirror's entry, seqs below 100
+		put()
+	}
+	got := testing.AllocsPerRun(500, put)
+	if err != nil {
+		t.Fatalf("PutGlobal: %v", err)
+	}
+	t.Logf("PutGlobal: %.2f allocs/op (budget %d)", got, globalPutAllocBudget)
+	if got > globalPutAllocBudget {
+		t.Errorf("a PutGlobal through cache, router and one shard allocates %.2f objects, budget %d", got, globalPutAllocBudget)
 	}
 }
 

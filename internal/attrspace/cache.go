@@ -2,7 +2,10 @@ package attrspace
 
 import (
 	"context"
+	"crypto/rand"
+	"encoding/base64"
 	"errors"
+	"strconv"
 	"sync"
 	"time"
 
@@ -11,24 +14,37 @@ import (
 )
 
 // GlobalCache is the LASS side of the global-scope verbs (GPUT, GGET, …): a
-// read-through, subscription-invalidated cache of CASS attributes.
+// read-through, write-through mirror of CASS attributes, kept coherent
+// by the seq the CASS assigns every write.
 //
 // The paper's LASS/CASS split (§3.2) puts one attribute space server
 // on every execution host and one next to the tool front-end; a
 // global tdp_get therefore pays a front-end round trip on every call.
 // The cache exploits the split for locality instead: the first global
-// get for a context opens one upstream connection from the LASS to the
-// CASS, joins the context, and subscribes to its events. From then on
+// op for a context opens one upstream connection from the LASS to the
+// CASS, joins the context, and subscribes to its events — one
+// incarnation of the context's mirror (cacheCtx). From then on
 //
 //   - reads hit the local entry map when it holds the attribute
 //     (live or deleted) and otherwise fill it from one upstream round
 //     trip, versioned by the CASS-assigned per-context seq;
-//   - upstream EVENTs update or tombstone entries (compare-by-seq, so
-//     a late fill can never overwrite a newer event and a late event
-//     never regresses a newer fill);
 //   - writes (GPUT/GMPUT/GDEL) go through to the CASS and apply to the
-//     cache with the acked seq before the client sees OK, giving
-//     read-your-writes to every client of the same LASS;
+//     mirror with the acked seq before the client sees OK, giving
+//     read-your-writes to every client of the same LASS. That is all
+//     the mirror ever hears of them: the subscription is made under the
+//     incarnation's origin, the writes carry it, and the CASS does not
+//     echo a write to the subscription of its own origin;
+//   - everybody else's writes arrive as EVENTs and update or tombstone
+//     entries. Acks, fills and events all compare by seq, so whichever
+//     order they land in, the newest write of an attribute wins;
+//   - a write whose outcome the mirror never learns — the pooled
+//     connection lost with the request in flight, the caller gone
+//     before the reply, the cache closing — may have been applied with
+//     nothing left to say so. Such a write retires the incarnation
+//     (teardown); the next global op starts one under a new origin, to
+//     which a write of the old one that lands late is a foreign write,
+//     echoed like any other. An ERROR the shard itself answered settles
+//     the write (nothing was applied) and costs nothing;
 //   - an EVENT carrying lost=<d> (the server's fan-out ring dropped
 //     updates for us) flushes the context's entries — the cache never
 //     trusts a picture with a gap;
@@ -48,8 +64,14 @@ type GlobalCache struct {
 	batch     int
 	heartbeat time.Duration
 
+	// nonce tells this cache's origins from every other cache's; "" (no
+	// randomness to be had) turns echo suppression off rather than risk
+	// two caches suppressing each other's writes.
+	nonce string
+
 	mu     sync.Mutex
 	ctxs   map[string]*cacheCtx
+	born   uint64 // incarnations made so far; the next origin's counter
 	closed bool
 	stop   chan struct{}
 
@@ -109,6 +131,10 @@ func (s *Server) EnableGlobalCache(cassAddr string, cfg CacheConfig) *GlobalCach
 		heartbeat: cfg.ShardHeartbeat,
 		ctxs:      make(map[string]*cacheCtx),
 		stop:      make(chan struct{}),
+	}
+	var nonce [8]byte
+	if _, err := rand.Read(nonce[:]); err == nil {
+		gc.nonce = base64.RawURLEncoding.EncodeToString(nonce[:])
 	}
 	gc.conns = make([]*shardConn, gc.shards.Len())
 	for i := range gc.conns {
@@ -176,14 +202,16 @@ type centry struct {
 	dead  bool
 }
 
-// cacheCtx is the cache for one context: one upstream connection,
-// subscribed, plus the entry map.
+// cacheCtx is one incarnation of the cache for one context: one
+// upstream connection, subscribed under the incarnation's origin, plus
+// the entry map.
 type cacheCtx struct {
-	gc    *GlobalCache
-	name  string
-	ready chan struct{} // closed when up/initErr are settled
-	up    *Client
-	initE error
+	gc     *GlobalCache
+	name   string
+	origin string        // on cc.up's SUB and on every write made through this incarnation
+	ready  chan struct{} // closed when up/initErr are settled
+	up     *Client
+	initE  error
 
 	mu      sync.RWMutex
 	gone    bool
@@ -259,6 +287,10 @@ func (gc *GlobalCache) ctx(ctx context.Context, name string) (*cacheCtx, error) 
 				ready:   make(chan struct{}),
 				entries: make(map[string]centry),
 			}
+			if gc.nonce != "" {
+				gc.born++
+				cc.origin = gc.nonce + strconv.FormatUint(gc.born, 36)
+			}
 			gc.ctxs[name] = cc
 			gc.mu.Unlock()
 			cc.init()
@@ -304,7 +336,8 @@ func (gc *GlobalCache) drop(cc *cacheCtx) {
 // init dials the CASS, joins the context, and subscribes — in that
 // order, which is what makes the cache coherent: every fill is
 // requested after the subscription is live on the CASS, so any write
-// newer than what a fill observed must produce an event we will see.
+// newer than what a fill observed must produce an event we will see,
+// or be one of this incarnation's own, whose ack we will.
 func (cc *cacheCtx) init() {
 	defer close(cc.ready)
 	sh := cc.gc.shard(cc.name)
@@ -322,7 +355,7 @@ func (cc *cacheCtx) init() {
 	}
 	up.SetEventHandler(cc.onEvent)
 	up.OnClose(func(error) { go cc.teardown() })
-	if err := up.Subscribe(); err != nil {
+	if err := up.subscribe(cc.origin); err != nil {
 		up.Close()
 		cc.initE = err
 		return
@@ -330,7 +363,8 @@ func (cc *cacheCtx) init() {
 	cc.up = up
 }
 
-// teardown flushes the context and closes its upstream connection.
+// teardown retires the incarnation: it leaves the context map, flushes
+// its entries and closes its upstream connection.
 func (cc *cacheCtx) teardown() {
 	cc.gc.drop(cc)
 	cc.mu.Lock()
@@ -411,6 +445,19 @@ func (cc *cacheCtx) lookup(attribute string) (string, uint64, bool, bool) {
 	return e.value, e.seq, true, e.dead
 }
 
+// wrote takes the outcome of a mutation sent under this incarnation's
+// origin. No event will report that write to this mirror, so the ack is
+// the only word of it: an error that leaves open whether the shard
+// applied it — a transport loss (IsRetryable) or the caller's context
+// ending first; not the shard's own ERROR answer, not a down shard's
+// refusal before anything was sent — retires the incarnation.
+func (cc *cacheCtx) wrote(err error) error {
+	if err != nil && (IsRetryable(err) || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
+		cc.teardown()
+	}
+	return err
+}
+
 // Put writes through to the CASS, then installs the acked value in the
 // cache before returning, so a subsequent read through this LASS sees
 // it (read-your-writes).
@@ -419,8 +466,8 @@ func (gc *GlobalCache) Put(ctx context.Context, contextName, attribute, value st
 	if err != nil {
 		return 0, err
 	}
-	seq, err := gc.shard(contextName).put(ctx, contextName, attribute, value)
-	if err != nil {
+	seq, err := gc.shard(contextName).put(ctx, contextName, cc.origin, attribute, value)
+	if cc.wrote(err) != nil {
 		return 0, err
 	}
 	cc.store(attribute, value, seq, false)
@@ -435,8 +482,8 @@ func (gc *GlobalCache) PutBatch(ctx context.Context, contextName string, pairs [
 	if err != nil {
 		return 0, err
 	}
-	last, err := gc.shard(contextName).putBatch(ctx, contextName, pairs)
-	if err != nil {
+	last, err := gc.shard(contextName).putBatch(ctx, contextName, cc.origin, pairs)
+	if cc.wrote(err) != nil {
 		return 0, err
 	}
 	first := last - uint64(len(pairs)) + 1
@@ -505,8 +552,8 @@ func (gc *GlobalCache) Delete(ctx context.Context, contextName, attribute string
 	if err != nil {
 		return 0, err
 	}
-	seq, err := gc.shard(contextName).delete(ctx, contextName, attribute)
-	if err != nil {
+	seq, err := gc.shard(contextName).delete(ctx, contextName, cc.origin, attribute)
+	if cc.wrote(err) != nil {
 		return 0, err
 	}
 	if seq > 0 {

@@ -48,12 +48,14 @@ func TCPDial(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
 type Event struct {
 	Attr  string
 	Value string
-	Op    string // "put", "delete", or "destroy"
+	Op    string // "put", "delete", "destroy", or "lost" (only Lost is set)
 	Seq   uint64
 	// Lost is the number of updates the server's fan-out ring dropped
-	// for this subscriber since the previous event (0 almost always).
-	// A consumer mirroring the space — the LASS global cache — must
-	// treat any nonzero Lost as a gap and resynchronize.
+	// for this subscriber since it last said so (0 almost always): on the
+	// event that opens a burst, or on an Op "lost" event of its own when
+	// the drops came while the burst was being sent. A consumer mirroring
+	// the space — the LASS global cache — must treat any nonzero Lost as
+	// a gap and resynchronize.
 	Lost uint64
 	// Resync marks an event synthesized by a Session after a reconnect
 	// rather than pushed live by the server: either the bare gap marker
@@ -237,8 +239,7 @@ func (c *Client) release(slot *replySlot) {
 	if slot == nil {
 		return
 	}
-	slot.msg.Verb = ""
-	clear(slot.msg.Fields)
+	slot.msg.Reset()
 	c.mu.Lock()
 	if !c.closed {
 		c.free = append(c.free, slot)
@@ -643,12 +644,19 @@ func (c *Client) exchange(ctx context.Context, spec *opSpec, m *wire.Message) (*
 	case reply := <-slot.ch:
 		return slot, reply, nil
 	case <-ctx.Done():
-		c.mu.Lock()
-		delete(c.pending, slot.id)
-		delete(c.chunks, slot.id)
-		c.mu.Unlock()
+		c.abandon(slot)
 		return nil, nil, ctx.Err()
 	}
+}
+
+// abandon withdraws the registration of a request whose caller has
+// stopped waiting: a reply that still comes is dropped by the read loop,
+// with the interior chunks buffered for it.
+func (c *Client) abandon(slot *replySlot) {
+	c.mu.Lock()
+	delete(c.pending, slot.id)
+	delete(c.chunks, slot.id)
+	c.mu.Unlock()
 }
 
 // send registers a reply slot and transmits the request. A write error
@@ -1130,7 +1138,12 @@ func (c *Client) Ping(ctx context.Context) error {
 // Events channel; the channel closes when the client does. A failed
 // SUB leaves the client unsubscribed, so the caller may retry;
 // concurrent Subscribes collapse to one wire request.
-func (c *Client) Subscribe() error {
+func (c *Client) Subscribe() error { return c.subscribe("") }
+
+// subscribe is Subscribe under an origin: the server withholds from
+// this subscription the ctx-scope mutations that carry the same origin
+// (the LASS cache, which applies its own writes from their acks).
+func (c *Client) subscribe(origin string) error {
 	c.mu.Lock()
 	if c.subbed {
 		c.mu.Unlock()
@@ -1138,7 +1151,12 @@ func (c *Client) Subscribe() error {
 	}
 	c.subbed = true
 	c.mu.Unlock()
-	err := okReply(c.call(context.Background(), opFor(opSub, scopeConn), nil))
+	spec := opFor(opSub, scopeConn)
+	req := spec.req()
+	if origin != "" {
+		req.Set("origin", origin)
+	}
+	err := okReply(c.call(context.Background(), spec, req))
 	if err != nil {
 		c.mu.Lock()
 		c.subbed = false

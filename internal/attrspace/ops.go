@@ -84,6 +84,13 @@ type opSpec struct {
 	scope  opScope
 	handle func(*serverConn, context.Context, request)
 	quiet  bool // neither counted nor timed nor traced
+	// origin: the request may name, in an optional origin field, the
+	// mirror it is made for — a subscription's owner on SUB, a write's
+	// on the ctx-scope mutations — and the server does not push a write
+	// to the subscription of its own origin. Absent, nothing changes: a
+	// server that ignored the field would be correct, only chattier,
+	// which is why it did not take a new ProtocolRevision.
+	origin bool
 
 	// Derived once at init: the row's index (its slot in
 	// telemetryHandles.verbs) and every telemetry name either end builds
@@ -105,7 +112,7 @@ var opTable = []opSpec{
 	{verb: "SHMRDY", op: opShmRdy, scope: scopeDaemon, handle: (*serverConn).opShmRdy, quiet: true},
 	{verb: "CCTXS", op: opContexts, scope: scopeDaemon, handle: (*serverConn).opContexts},
 
-	{verb: "SUB", op: opSub, scope: scopeConn, handle: (*serverConn).opSub},
+	{verb: "SUB", op: opSub, scope: scopeConn, handle: (*serverConn).opSub, origin: true},
 	{verb: "PUT", op: opPut, scope: scopeConn, handle: (*serverConn).opPut},
 	{verb: "MPUT", op: opMPut, scope: scopeConn, handle: (*serverConn).opMPut},
 	{verb: "GET", op: opGet, scope: scopeConn, handle: (*serverConn).opGet},
@@ -114,10 +121,10 @@ var opTable = []opSpec{
 	{verb: "SNAP", op: opSnapshot, scope: scopeConn, handle: (*serverConn).opSnapshot},
 	{verb: "SNAPD", op: opSnapDelta, scope: scopeConn, handle: (*serverConn).opSnapDelta},
 
-	{verb: "CPUT", op: opPut, scope: scopeCtx, handle: (*serverConn).opPut},
-	{verb: "CMPUT", op: opMPut, scope: scopeCtx, handle: (*serverConn).opMPut},
+	{verb: "CPUT", op: opPut, scope: scopeCtx, handle: (*serverConn).opPut, origin: true},
+	{verb: "CMPUT", op: opMPut, scope: scopeCtx, handle: (*serverConn).opMPut, origin: true},
 	{verb: "CGET", op: opTryGet, scope: scopeCtx, handle: (*serverConn).opTryGet},
-	{verb: "CDEL", op: opDelete, scope: scopeCtx, handle: (*serverConn).opDelete},
+	{verb: "CDEL", op: opDelete, scope: scopeCtx, handle: (*serverConn).opDelete, origin: true},
 	{verb: "CSNAP", op: opSnapshot, scope: scopeCtx, handle: (*serverConn).opSnapshot},
 
 	{verb: "GPUT", op: opPut, scope: scopeGlobal, handle: (*serverConn).opPut},

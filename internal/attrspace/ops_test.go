@@ -403,14 +403,17 @@ func TestDesignOpTable(t *testing.T) {
 		t.Fatalf("DESIGN.md has no %s … %s block", strings.TrimSpace(begin), end)
 	}
 	var b strings.Builder
-	b.WriteString("| verb | operation | scope | counted as |\n|---|---|---|---|\n")
+	b.WriteString("| verb | operation | scope | counted as | may carry |\n|---|---|---|---|---|\n")
 	for i := range opTable {
 		s := &opTable[i]
-		counted := "`attrspace.ops." + s.name + "`"
+		counted, carries := "`attrspace.ops."+s.name+"`", "—"
 		if s.quiet {
 			counted = "—"
 		}
-		fmt.Fprintf(&b, "| `%s` | %s | %s | %s |\n", s.verb, opNames[s.op], scopeNames[s.scope], counted)
+		if s.origin {
+			carries = "`origin`"
+		}
+		fmt.Fprintf(&b, "| `%s` | %s | %s | %s | %s |\n", s.verb, opNames[s.op], scopeNames[s.scope], counted, carries)
 	}
 	if have != b.String() {
 		t.Errorf("DESIGN.md's op table has drifted from ops.go; it should read:\n%s", b.String())

@@ -18,16 +18,22 @@ import (
 // ("tdp.router" context) whose current connection is the pooled data
 // connection: it speaks the ctx-scope verbs of the op table (CPUT, CGET,
 // …), so any context's ops ride it, named per message by a ctx field.
-// Ops destined for the same shard coalesce into Cork-batched drain
-// cycles — one corked write and one bounded in-flight window per shard
-// — which both amortizes the per-frame cost and bounds how many
-// operations can be in limbo when a shard dies mid-batch. The session's
-// heartbeat pings the connection the ops ride: a missed PONG fails it
-// (every stranded op is answered ErrConnLost), later ops fail fast with
-// ErrShardDown instead of hanging on dial timeouts, only that shard's
-// hash range degrades, and the session's reconnect brings it back. The
-// router never retries an op through the session: an op of unknown fate
-// is its caller's to resolve.
+//
+// One cycle is in flight per shard. The caller that finds the shard
+// idle leads: it sends its op and awaits the reply on its own goroutine,
+// as it would on a connection of its own — one op in flight costs no
+// queue, no hand-off and no goroutine. Callers that arrive meanwhile
+// follow: they queue, and when the leader's cycle ends it hands the
+// queue to a drainer goroutine, which runs Cork-batched cycles — one
+// corked write and one bounded in-flight window each — until nothing is
+// queued. Concurrent callers thus group-commit, which both amortizes the
+// per-frame cost and bounds how many operations can be in limbo when a
+// shard dies mid-batch. The session's heartbeat pings the connection the
+// ops ride: a missed PONG fails it (every stranded op is answered
+// ErrConnLost), later ops fail fast with ErrShardDown instead of hanging
+// on dial timeouts, only that shard's hash range degrades, and the
+// session's reconnect brings it back. The router never retries an op
+// through the session: an op of unknown fate is its caller's to resolve.
 //
 // Blocking waits and subscriptions stay on the per-context upstream
 // connections the cache holds (cacheCtx.up), whose reference is also
@@ -54,9 +60,9 @@ const defaultShardBatch = 64
 // enforcement, since it must exist on every shard.
 const routerContext = InfraContextPrefix + "router"
 
-// shardOp is one queued operation awaiting a drain cycle. An op whose
-// outcome its caller received is reused, channel included; one whose
-// caller stopped waiting is not (the drainer still completes it).
+// shardOp is one follower's queued operation awaiting a drain cycle. An
+// op whose outcome its caller received is reused, channel included; one
+// whose caller stopped waiting is not (the drainer still completes it).
 type shardOp struct {
 	m    *wire.Message
 	done chan shardReply // capacity 1: the drainer answers each queued op once
@@ -98,9 +104,9 @@ type shardConn struct {
 	queue    []*shardOp
 	spare    []*shardOp // the emptied slice queue swaps with; nil while a cycle has it as its batch
 	freeOps  []*shardOp // never longer than the peak number of concurrent callers
-	draining bool
+	draining bool       // a cycle is in flight, a leader's or the drainer's: callers queue
 
-	sends []shardSend // the drainer's scratch: there is one drainer per shard
+	sends []shardSend // the drainer's scratch: there is at most one drainer per shard
 
 	gUp       *telemetry.Gauge
 	gErrors   *telemetry.Counter
@@ -186,8 +192,9 @@ func (sh *shardConn) conn(ctx context.Context) (*Client, error) {
 }
 
 // do names contextName as the target of the ctx-scope request m (""
-// for the one daemon-scope listing), queues it for the next drain cycle
-// and waits for its reply. Fails fast when the shard is down.
+// for the one daemon-scope listing), runs it through a cycle — its own
+// when the shard is idle, the drainer's next otherwise — and returns its
+// reply. Fails fast when the shard is down.
 func (sh *shardConn) do(ctx context.Context, contextName string, m *wire.Message) shardReply {
 	if sh.down() {
 		return shardReply{err: sh.downErr()}
@@ -200,6 +207,11 @@ func (sh *shardConn) do(ctx context.Context, contextName string, m *wire.Message
 		sh.mu.Unlock()
 		return shardReply{err: errCacheClosed}
 	}
+	if !sh.draining {
+		sh.draining = true
+		sh.mu.Unlock()
+		return sh.lead(ctx, m)
+	}
 	var op *shardOp
 	if n := len(sh.freeOps); n > 0 {
 		op, sh.freeOps = sh.freeOps[n-1], sh.freeOps[:n-1]
@@ -208,14 +220,7 @@ func (sh *shardConn) do(ctx context.Context, contextName string, m *wire.Message
 	}
 	op.m = m
 	sh.queue = append(sh.queue, op)
-	kick := !sh.draining
-	if kick {
-		sh.draining = true
-	}
 	sh.mu.Unlock()
-	if kick {
-		go sh.drain(ctx)
-	}
 	select {
 	case r := <-op.done:
 		op.m = nil
@@ -233,10 +238,50 @@ func (sh *shardConn) do(ctx context.Context, contextName string, m *wire.Message
 	}
 }
 
+// lead is the cycle of the caller that found the shard idle: its one
+// request, sent and awaited under its own ctx like a request on a
+// connection of its own. draining is set, so whoever arrives meanwhile
+// queues; when the cycle ends — by the reply, by an error, or by ctx,
+// which abandons the request in flight as Client.exchange does — the
+// queue is handed to a drainer, or the shard is idle again.
+func (sh *shardConn) lead(ctx context.Context, m *wire.Message) shardReply {
+	defer sh.handOff()
+	pool, err := sh.conn(ctx)
+	var slot *replySlot
+	if err == nil {
+		slot, err = pool.send(m)
+	}
+	if err != nil {
+		sh.gErrors.Inc()
+		return shardReply{err: err}
+	}
+	sh.gInflight.Set(1)
+	defer sh.gInflight.Set(0)
+	sh.cPooled.Inc()
+	select {
+	case reply := <-slot.ch:
+		return shardReply{reply: reply, pool: pool, slot: slot}
+	case <-ctx.Done():
+		pool.abandon(slot)
+		return shardReply{err: ctx.Err()}
+	}
+}
+
+// handOff ends a leader's cycle. Whether anything queued up behind it is
+// read under the mutex producers test draining under: either the shard
+// goes idle and the next caller leads, or a drainer takes the queue and
+// draining stays set — never both, never neither.
+func (sh *shardConn) handOff() {
+	if batch := sh.nextBatch(nil); batch != nil {
+		go sh.drain(batch)
+	}
+}
+
 // nextBatch takes the next cycle's ops off the queue — at most
-// gc.batch — or ends the drainer (nil) when nothing is queued. prev is
-// the cycle just finished: its slice becomes the spare the queue swaps
-// onto, so steady state alternates two slices and allocates neither.
+// gc.batch — or, when nothing is queued, leaves the shard idle (nil).
+// prev is the drain cycle just finished: its slice becomes the spare the
+// queue swaps onto, so steady state alternates two slices and allocates
+// neither.
 func (sh *shardConn) nextBatch(prev []*shardOp) []*shardOp {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -261,21 +306,20 @@ func (sh *shardConn) nextBatch(prev []*shardOp) []*shardOp {
 	return batch
 }
 
-// drain is the per-shard group-commit loop: while ops are queued, take
-// up to shardDrainBatch of them, send them upstream in one corked
-// write, then wait for all their replies before starting the next
-// cycle. One cycle in flight per shard — a bounded window that
-// back-pressures producers, keeps any one shard from monopolizing the
-// router, and caps the ops in limbo when the shard dies mid-cycle.
+// drain is the per-shard group-commit loop a leader hands its followers
+// to: send the batch upstream in one corked write, wait for all its
+// replies, take up to gc.batch of what queued up meanwhile, and so on
+// until nothing has. One cycle in flight per shard — a bounded window
+// that back-pressures producers, keeps any one shard from monopolizing
+// the router, and caps the ops in limbo when the shard dies mid-cycle.
 // Independent shards' cycles overlap, which is where the aggregate
-// throughput beyond one daemon comes from.
-func (sh *shardConn) drain(ctx context.Context) {
-	var batch []*shardOp
-	for {
-		if batch = sh.nextBatch(batch); batch == nil {
-			return
-		}
-		pool, err := sh.conn(ctx)
+// throughput beyond one daemon comes from. The drainer serves many
+// callers and outlives each, so it runs under no caller's context:
+// before the shard's first connect it waits as long as the session's
+// ConnectWait allows.
+func (sh *shardConn) drain(batch []*shardOp) {
+	for ; batch != nil; batch = sh.nextBatch(batch) {
+		pool, err := sh.conn(context.Background())
 		if err != nil {
 			for _, op := range batch {
 				op.done <- shardReply{err: err}
@@ -310,20 +354,25 @@ func (sh *shardConn) drain(ctx context.Context) {
 // at ctx scope.
 
 // mutate is the round trip of put, putBatch and delete (Client.mutate,
-// through a drain cycle).
-func (sh *shardConn) mutate(ctx context.Context, contextName string, m *wire.Message) (uint64, error) {
+// through a cycle). origin, when not empty, names the cache incarnation
+// the write is made for: the shard does not echo it to the subscription
+// made under the same origin.
+func (sh *shardConn) mutate(ctx context.Context, contextName, origin string, m *wire.Message) (uint64, error) {
+	if origin != "" {
+		m.Set("origin", origin)
+	}
 	r := sh.do(ctx, contextName, m)
 	seq, err := seqReply(r.reply, r.err)
 	r.release()
 	return seq, err
 }
 
-func (sh *shardConn) put(ctx context.Context, contextName, attribute, value string) (uint64, error) {
-	return sh.mutate(ctx, contextName, putReq(opFor(opPut, scopeCtx), attribute, value))
+func (sh *shardConn) put(ctx context.Context, contextName, origin, attribute, value string) (uint64, error) {
+	return sh.mutate(ctx, contextName, origin, putReq(opFor(opPut, scopeCtx), attribute, value))
 }
 
-func (sh *shardConn) putBatch(ctx context.Context, contextName string, pairs []KV) (uint64, error) {
-	return sh.mutate(ctx, contextName, batchReq(opFor(opMPut, scopeCtx), pairs))
+func (sh *shardConn) putBatch(ctx context.Context, contextName, origin string, pairs []KV) (uint64, error) {
+	return sh.mutate(ctx, contextName, origin, batchReq(opFor(opMPut, scopeCtx), pairs))
 }
 
 func (sh *shardConn) tryGet(ctx context.Context, contextName, attribute string) (string, uint64, error) {
@@ -333,8 +382,8 @@ func (sh *shardConn) tryGet(ctx context.Context, contextName, attribute string) 
 	return v, seq, err
 }
 
-func (sh *shardConn) delete(ctx context.Context, contextName, attribute string) (uint64, error) {
-	return sh.mutate(ctx, contextName, attrReq(opFor(opDelete, scopeCtx), attribute))
+func (sh *shardConn) delete(ctx context.Context, contextName, origin, attribute string) (uint64, error) {
+	return sh.mutate(ctx, contextName, origin, attrReq(opFor(opDelete, scopeCtx), attribute))
 }
 
 func (sh *shardConn) snapshot(ctx context.Context, contextName string) (map[string]string, error) {

@@ -19,6 +19,7 @@
 //	STATSV   id=<n> daemon=<name> json=<telemetry snapshot>
 //	ERROR    id=<n> error=<text>
 //	EVENT    attr=<a> value=<v> op=<put|delete|destroy> seq=<n> [lost=<d>]
+//	EVENT    op=lost lost=<d>      closes a burst: drops none of its EVENTs declared
 //	CLOSE    reason=<r>    GOAWAY: server draining; no new requests,
 //	                       in-flight replies land
 //
@@ -28,7 +29,9 @@
 // replies carry the per-context sequence number of the write they
 // report (seq), which is what versions the LASS read cache; EVENT may
 // carry lost=<d>, the number of updates the server's fan-out ring had
-// to drop for this subscriber since the last event. Requests may carry
+// to drop for this subscriber since the last event, and a burst that
+// ends with drops still undeclared ends with an EVENT op=lost that
+// carries nothing else. Requests may carry
 // the reserved _tid/_sid span-tracing fields (wire.FieldTraceID); the
 // server then records its share of the operation in its span log under
 // the caller's trace ID, which is how one Put can be followed
@@ -72,6 +75,7 @@ type telemetryHandles struct {
 
 	// Event fan-out accounting (the asynchronous subscriber path).
 	evPushed    *telemetry.Counter // events written to subscribers
+	evSuppress  *telemetry.Counter // updates withheld from the subscription of the cache that wrote them
 	evLost      *telemetry.Counter // updates dropped on ring overflow
 	evCoalesced *telemetry.Counter // updates coalesced-to-latest on overflow
 	evDepth     *telemetry.Gauge   // last observed ring depth (high-water hint)
@@ -225,6 +229,7 @@ func (s *Server) SetTelemetry(reg *telemetry.Registry, tracer *telemetry.Tracer)
 		}
 		h.gConns = reg.Gauge("attrspace.conns")
 		h.evPushed = reg.Counter("attrspace.events.pushed")
+		h.evSuppress = reg.Counter("attrspace.events.suppressed")
 		h.evLost = reg.Counter("attrspace.events.lost")
 		h.evCoalesced = reg.Counter("attrspace.events.coalesced")
 		h.evDepth = reg.Gauge("attrspace.events.depth")
@@ -658,7 +663,10 @@ func (t target) snapshot(ctx context.Context) (map[string]string, error) {
 // (leave reports that), and only when somebody already holds it — the
 // shard router's per-context subscription connection provides that
 // reference — so a ctx-scope op can never create a context as a side
-// effect or apply a write to one that everyone has already left.
+// effect or apply a write to one that everyone has already left. The
+// reference of a mutation acts for the request's origin, if it names
+// one: what it writes is not echoed to the subscription made under that
+// origin.
 func (c *serverConn) resolve(spec *opSpec, m *wire.Message) (t target, leave bool, err error) {
 	srv := c.srv
 	switch spec.scope {
@@ -675,6 +683,9 @@ func (c *serverConn) resolve(spec *opSpec, m *wire.Message) (t target, leave boo
 		ref, ok := srv.space.JoinExisting(name)
 		if !ok {
 			return t, false, fmt.Errorf("ctxop: no such context %q", name)
+		}
+		if spec.origin {
+			ref.SetOrigin(m.Get("origin"))
 		}
 		return target{ref: ref}, true, nil
 	}
@@ -711,6 +722,9 @@ func (c *serverConn) dispatch(ctx context.Context, m *wire.Message) {
 	r.t = t
 	spec.handle(c, ctx, r)
 	if leave {
+		if n := t.ref.Suppressed(); n > 0 {
+			c.srv.tel.Load().evSuppress.Add(int64(n))
+		}
 		t.ref.Leave()
 	}
 }
@@ -1037,7 +1051,7 @@ func (c *serverConn) opSub(_ context.Context, r request) {
 	already := c.sub != nil
 	var err error
 	if !already {
-		c.sub, err = r.t.ref.Subscribe(int(c.srv.evBuf.Load()))
+		c.sub, err = r.t.ref.SubscribeOrigin(int(c.srv.evBuf.Load()), r.m.Get("origin"))
 	}
 	sub := c.sub
 	c.mu.Unlock()
@@ -1153,27 +1167,35 @@ func (c *serverConn) sendEntryChunks(verb string, r request, entries []entry, ct
 // reading stalls only this goroutine, never the request/reply path.
 // Bursts (a batched put, a publisher faster than the network) are
 // drained under one Cork so the whole burst leaves in a single write.
-// Once per burst it samples the ring's overflow counters; any drops
-// since the last sample ride the next EVENT as a lost=<delta> field so a
-// mirroring consumer knows its picture has a gap.
+// A burst samples the ring's overflow counters twice. Drops since the
+// last sample ride its first EVENT as a lost=<delta> field, so a
+// mirroring consumer knows its picture has a gap; drops that happened
+// while the burst was draining are declared by a value-less EVENT
+// op=lost that closes it — a stream's last burst has no next EVENT to
+// wait for.
 func (c *serverConn) pushEvents(sub *attr.Subscription) {
 	tel := c.srv.tel.Load()
 	updates := sub.Updates()
 	var reportedLost, reportedCoal uint64
-	for u := range updates {
-		var lostDelta uint64
+	// undeclared samples the counters and returns the drops since the
+	// sample before.
+	undeclared := func() (lost uint64) {
 		if l := sub.Lost(); l > reportedLost {
-			lostDelta = l - reportedLost
+			lost = l - reportedLost
 			reportedLost = l
-			tel.evLost.Add(int64(lostDelta))
+			tel.evLost.Add(int64(lost))
 		}
 		if cl := sub.Coalesced(); cl > reportedCoal {
 			tel.evCoalesced.Add(int64(cl - reportedCoal))
 			reportedCoal = cl
 		}
+		return lost
+	}
+	for u := range updates {
+		lost := undeclared()
 		tel.evDepth.Set(int64(sub.Depth()))
 		c.wc.Cork()
-		err := c.sendEvent(u, lostDelta)
+		err := c.sendEvent(u, lost)
 		sent := 1
 	drain:
 		for err == nil {
@@ -1186,6 +1208,13 @@ func (c *serverConn) pushEvents(sub *attr.Subscription) {
 				sent++
 			default:
 				break drain
+			}
+		}
+		if err == nil {
+			if lost = undeclared(); lost > 0 {
+				err = c.mux.SendOn(wire.StreamEvents, wire.NewMessage("EVENT").
+					Set("op", "lost").Set("lost", strconv.FormatUint(lost, 10)))
+				sent++
 			}
 		}
 		if uerr := c.wc.Uncork(); err == nil {

@@ -478,16 +478,16 @@ func TestSlotRouterShardKilledMidCycle(t *testing.T) {
 				for round := 0; !stop.Load(); round++ {
 					ctx, cancel := context.WithTimeout(bg, 3*time.Second)
 					v := fmt.Sprintf("v%d", round)
-					_, err := sh.put(ctx, name, key, v)
+					_, err := sh.put(ctx, name, "", key, v)
 					var got string
 					if err == nil {
 						got, _, err = sh.tryGet(ctx, name, key)
 					}
 					if err == nil && round%4 == 0 {
-						_, err = sh.putBatch(ctx, name, []KV{{Key: key + ".a", Value: v}, {Key: key + ".b", Value: v}})
+						_, err = sh.putBatch(ctx, name, "", []KV{{Key: key + ".a", Value: v}, {Key: key + ".b", Value: v}})
 					}
 					if err == nil && round%4 == 1 {
-						_, err = sh.delete(ctx, name, key+".a")
+						_, err = sh.delete(ctx, name, "", key+".a")
 					}
 					if err == nil && round%8 == 2 {
 						// Leave (perhaps) before the cycle completes: whichever

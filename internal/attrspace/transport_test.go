@@ -349,12 +349,11 @@ func TestSocketPathFor(t *testing.T) {
 
 // The rule the count follows: a subscription's server-side ring holds
 // 64 updates and drops the oldest when the publisher outruns the drain,
-// so of 100 puts each is either delivered or declared lost — and the
-// loss is declared in the Lost field of the next EVENT that starts a
-// burst, which may be one that has not been written yet. The test
-// therefore demands delivered + declared == 100 (never 100 delivered),
-// and keeps a sentinel attribute ticking so that a loss still
-// undeclared when the 100 puts end gets an EVENT to ride on.
+// so of 100 puts each is either delivered or declared lost — in the Lost
+// field of the EVENT that opens the next burst, or of the op=lost marker
+// that closes the burst the drop happened in. The test therefore demands
+// delivered + declared == 100 (never 100 delivered), with nothing
+// published after the 100 puts to carry a late declaration.
 func TestEventsFlowWhileGetBlocks(t *testing.T) {
 	_, addr := startServer(t)
 	watcher := dialT(t, addr, "job1")
@@ -385,16 +384,10 @@ func TestEventsFlowWhileGetBlocks(t *testing.T) {
 			t.Fatalf("Put: %v", err)
 		}
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for tick := 0; delivered.Load()+lost.Load() < 100 && time.Now().Before(deadline); tick++ {
+	for deadline := time.Now().Add(5 * time.Second); delivered.Load()+lost.Load() < 100 && time.Now().Before(deadline); {
 		time.Sleep(time.Millisecond)
-		if tick%20 == 19 {
-			if err := writer.Put("sentinel", strconv.Itoa(tick)); err != nil {
-				t.Fatalf("Put sentinel: %v", err)
-			}
-		}
 	}
-	if d, l := delivered.Load(), lost.Load(); d+l < 100 || d > 100 || d == 0 {
+	if d, l := delivered.Load(), lost.Load(); d+l != 100 || d == 0 {
 		t.Fatalf("watcher saw %d events and %d declared lost while a GET was parked, want 100 accounted for", d, l)
 	}
 	cancel()

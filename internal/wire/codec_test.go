@@ -76,6 +76,61 @@ func TestDecodeIntoReusesMessage(t *testing.T) {
 	}
 }
 
+// TestDecodeIntoDropsABigMessagesMap: a map is cleared in time
+// proportional to its capacity and never shrinks, so a reused Message
+// must not keep the table of one big batch or snapshot under every small
+// message that follows — and must keep, and never reallocate, the map of
+// a stream of small ones.
+func TestDecodeIntoDropsABigMessagesMap(t *testing.T) {
+	mapOf := func(m *Message) uintptr { return reflect.ValueOf(m.Fields).Pointer() }
+	big := NewMessage("MPUT").SetInt("n", 300)
+	for i := 0; i < 300; i++ {
+		big.Set(IndexedKey('k', i), "attr").Set(IndexedKey('v', i), "value")
+	}
+	small := NewMessage("PUT").Set("attr", "pid").Set("value", "1234").Set("id", "7").Encode()
+
+	m := new(Message)
+	if err := DecodeInto(m, big.Encode()); err != nil || len(m.Fields) != 601 {
+		t.Fatalf("big decode: %d fields, %v", len(m.Fields), err)
+	}
+	bigMap := mapOf(m)
+	if err := DecodeInto(m, small); err != nil || len(m.Fields) != 3 || m.Get("value") != "1234" {
+		t.Fatalf("small decode after big: %v, %v", m, err)
+	}
+	smallMap := mapOf(m)
+	if smallMap == bigMap {
+		t.Fatal("a 3-field message was decoded into the 601-field message's map")
+	}
+	var err error
+	allocs := testing.AllocsPerRun(200, func() {
+		if e := DecodeInto(m, small); e != nil {
+			err = e
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mapOf(m) != smallMap || allocs != 1 {
+		t.Errorf("a stream of small decodes: map reused = %v, %.0f allocs per decode; want the same map and 1 (the payload copy)",
+			mapOf(m) == smallMap, allocs)
+	}
+
+	// Reset, which a reply slot going idle calls, follows the same rule.
+	if err := DecodeInto(m, big.Encode()); err != nil {
+		t.Fatal(err)
+	}
+	if m.Reset(); m.Fields != nil || m.Verb != "" {
+		t.Errorf("Reset after a big message kept %d-capacity state: %v", len(m.Fields), m)
+	}
+	if err := DecodeInto(m, small); err != nil {
+		t.Fatal(err)
+	}
+	kept := mapOf(m)
+	if m.Reset(); m.Fields == nil || len(m.Fields) != 0 || mapOf(m) != kept {
+		t.Errorf("Reset after a small message did not keep its emptied map")
+	}
+}
+
 func TestDecodeIntoDoesNotAliasPayload(t *testing.T) {
 	payload := NewMessage("PUT").Set("attr", "pid").Set("value", "1234").Encode()
 	m := new(Message)

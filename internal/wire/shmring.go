@@ -23,10 +23,14 @@
 //
 // Wakeups are spin-or-park, and spinning has to earn its keep: a side
 // finding no progress yields the scheduler for up to shmSpinBudget only
-// while its recent arrivals came closer together than that budget (a
-// ping-ponging pair then never touches the kernel); once several in a
-// row came later it skips the spin, sets its park flag in the shared
-// header, rechecks, and sleeps on the doorbell. The peer, after
+// while it is hot, and otherwise sets its park flag in the shared header,
+// rechecks, and sleeps on the doorbell. Arrival gaps decide which, in
+// three bands: a gap comfortably inside the budget (under a quarter of
+// it) makes the side hot — a ping-ponging pair then never touches the
+// kernel; shmColdAfter gaps at or beyond the budget, with no such short
+// one among them, make it cold; a gap in between changes nothing, so
+// traffic whose period sits near the budget cannot flip the side back
+// and forth and waste a full budget on every miss. The peer, after
 // publishing a cursor, rings the doorbell — one byte on the socket —
 // only when it observes the opposite park flag.
 package wire
@@ -72,23 +76,27 @@ const (
 	ctlWPark = 192 // uint32, producer parked on the doorbell
 )
 
-// shmSpinBudget is how long a side yields the scheduler before parking
-// on the doorbell, and the arrival gap under which spinning counts as
-// paid: a pair trading messages faster than this stays entirely in
-// user space — the reader is still spinning when the reply lands, no
-// park flag is ever set, no doorbell byte written. It must stay above
-// a round trip made through doorbells, or a parked pair could never
-// climb back to spinning. Gosched (not a busy pause) lets the peer
-// goroutine run on a single-CPU box, but a yielding spinner is always
-// runnable, so the Go scheduler never gets as far as polling the
-// network while one exists: spinning for a message that is not coming
-// delays every doorbell and socket wake-up in the process by the
-// budget. Hence shmColdAfter: after that many consecutive arrivals a
-// budget or more apart the side parks at once, until the first arrival
-// that comes sooner. (One late arrival is not enough: a hot ring that
-// parks on every stray miss pays a stall on each way in and out.) A
-// new ring needs no state of its own: only a connection that has
-// already traded a hundred messages over its socket is given one.
+// shmSpinBudget is how long a hot side yields the scheduler before
+// parking on the doorbell: a pair trading messages faster than this
+// stays entirely in user space — the reader is still spinning when the
+// reply lands, no park flag is ever set, no doorbell byte written.
+// Gosched (not a busy pause) lets the peer goroutine run on a single-CPU
+// box, but a yielding spinner is always runnable, so the Go scheduler
+// never gets as far as polling the network while one exists: spinning
+// for a message that is not coming delays every doorbell and socket
+// wake-up in the process by the budget. Hence the bands of
+// ringWait.moved. Cooling takes shmColdAfter arrivals a budget or more
+// apart with no warming one between them (one is not enough: a hot ring
+// that parks on every stray miss pays a stall on each way in and out),
+// after which the side parks at once. Warming takes one arrival under a quarter of the
+// budget — a round trip made through doorbells is well under that, so a
+// parked pair can always climb back — and not merely one under the
+// budget: arrivals a little under a budget apart pay for no spin, and
+// when a period jitters around the budget (four handles taking turns at
+// 26 µs an op) re-arming on each short gap wastes a whole budget on each
+// long one. A new ring needs no state of its own: only a connection
+// that has already traded a hundred messages over its socket is given
+// one.
 const (
 	shmSpinBudget = 100 * time.Microsecond
 	shmColdAfter  = 4
@@ -268,15 +276,18 @@ var shmEpoch = time.Now()
 // ringWait is one direction's spin-or-park state.
 type ringWait struct {
 	last time.Duration // when this side last moved bytes
-	late int           // consecutive gaps >= shmSpinBudget before last, up to shmColdAfter
+	late int           // gaps >= shmSpinBudget since the last one < shmSpinBudget/4, up to shmColdAfter
 }
 
 // moved records a transfer, so the next wait knows whether spinning
-// has lately been paid.
+// has lately been paid: a gap under a quarter of the budget warms the
+// side, one of a budget or more cools it a step, one in between leaves
+// it as it was.
 func (w *ringWait) moved(now time.Duration) {
-	if now-w.last < shmSpinBudget {
+	switch gap := now - w.last; {
+	case gap < shmSpinBudget/4:
 		w.late = 0
-	} else if w.late < shmColdAfter {
+	case gap >= shmSpinBudget && w.late < shmColdAfter:
 		w.late++
 	}
 	w.last = now

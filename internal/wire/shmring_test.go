@@ -521,6 +521,75 @@ func TestShmColdRingParksAtOnce(t *testing.T) {
 	}
 }
 
+// TestRingWaitBands: the three-band rule of ringWait.moved, on gaps the
+// test dictates. Only a gap under a quarter of the budget warms, only
+// gaps of a budget or more cool, and the band between — where a period
+// that jitters around the budget spends half its time — changes nothing.
+func TestRingWaitBands(t *testing.T) {
+	const b = shmSpinBudget
+	for _, c := range []struct {
+		name string
+		from int // late before the gaps
+		gaps []time.Duration
+		want int
+	}{
+		{"cold, gaps around the budget never re-arm", shmColdAfter, []time.Duration{b * 9 / 10, b, b * 11 / 10, b * 95 / 100, b - 1}, shmColdAfter},
+		{"hot, four late gaps cool", 0, []time.Duration{b, 2 * b, b, 5 * b}, shmColdAfter},
+		{"hot, three late gaps do not", 0, []time.Duration{b, b, b}, 3},
+		{"late gaps count across in-band ones", 0, []time.Duration{b, b / 2, b, b / 4, b, b * 9 / 10, b}, shmColdAfter},
+		{"cold, one short gap warms", shmColdAfter, []time.Duration{b/4 - 1}, 0},
+		{"half cooled, in-band gaps leave it", 2, []time.Duration{b / 4, b / 2, b - 1}, 2},
+		{"half cooled, a short gap starts over", 2, []time.Duration{b, 0, b}, 1},
+		{"cold stays capped", shmColdAfter, []time.Duration{b, b, b}, shmColdAfter},
+	} {
+		w := ringWait{late: c.from}
+		var now time.Duration
+		for _, gap := range c.gaps {
+			now += gap
+			w.moved(now)
+		}
+		if w.late != c.want || w.last != now {
+			t.Errorf("%s: late %d → %d after gaps %v, want %d (last %v, want %v)", c.name, c.from, w.late, c.gaps, c.want, w.last, now)
+		}
+	}
+}
+
+// TestShmNearBudgetArrivalsStayCold is the band rule at the endpoint: a
+// cold reader whose next arrival comes just inside the budget parks at
+// once again — it used to spin out a full budget for it.
+func TestShmNearBudgetArrivalsStayCold(t *testing.T) {
+	server, client, clk, sreg, _ := clockedPair(t)
+	clk.advance(2 * shmSpinBudget)
+	if _, err := client.Write([]byte{'a'}); err != nil {
+		t.Fatal(err)
+	}
+	var b [1]byte
+	if _, err := server.Read(b[:]); err != nil {
+		t.Fatal(err)
+	}
+	lateArrivals(t, clk, client, server, shmColdAfter-1) // cold now
+	for i := 0; i < 3; i++ {
+		clk.advance(shmSpinBudget * 9 / 10)
+		if _, err := client.Write([]byte{'n'}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := server.Read(b[:]); err != nil {
+			t.Fatal(err)
+		}
+		before, reads := ringCountsOf(sreg), clk.reads.Load()
+		got := readOne(t, server)
+		eventually(t, "the cold reader to park", func() bool { return ringCountsOf(sreg).parks == before.parks+1 })
+		if after := ringCountsOf(sreg); after.wasted != before.wasted || after.rewarded != before.rewarded || clk.reads.Load() != reads {
+			t.Fatalf("round %d: an arrival 0.9 budgets after the last re-armed a cold ring: %+v → %+v, %d clock reads", i, before, after, clk.reads.Load()-reads)
+		}
+		clk.advance(2 * shmSpinBudget) // wake it, late, for the next round
+		if _, err := client.Write([]byte{'w'}); err != nil {
+			t.Fatal(err)
+		}
+		<-got
+	}
+}
+
 // TestShmCountersThroughConn: Conn.InstrumentRegistry reaches the ring
 // whichever side of the cutover it runs on, and never again looks a
 // counter up by name.

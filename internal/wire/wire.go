@@ -197,6 +197,27 @@ func (m *Message) SetTrace(traceID, spanID string) *Message {
 	return m
 }
 
+// fieldsKeep is the largest field population a reused Message keeps its
+// map after. Go clears a map in time proportional to its capacity, not
+// its population, and a map never shrinks: a connection's request
+// message that once decoded a 256-pair batch (513 fields) would pay for
+// clearing that table before every 3-field put that follows. Above a few
+// dozen fields — every fixed-shape protocol message and an 8-pair batch
+// stay below — the map is dropped and the next message makes its own.
+const fieldsKeep = 32
+
+// Reset empties m for reuse: the verb, and the fields — by clearing the
+// map while the message it held was small, by dropping it otherwise
+// (fieldsKeep).
+func (m *Message) Reset() {
+	m.Verb = ""
+	if len(m.Fields) > fieldsKeep {
+		m.Fields = nil
+	} else {
+		clear(m.Fields)
+	}
+}
+
 // Trace returns the reserved span-tracing fields ("" when untraced).
 func (m *Message) Trace() (traceID, spanID string) {
 	return m.Fields[FieldTraceID], m.Fields[FieldSpanID]
@@ -322,9 +343,9 @@ func Decode(payload []byte) (*Message, error) {
 	return m, nil
 }
 
-// DecodeInto parses a payload into m, reusing m's field map when
-// present (it is cleared first). Decoded messages share no memory with
-// payload, so callers may reuse the payload buffer immediately: the
+// DecodeInto parses a payload into m, reusing m's field map while the
+// message it last held was small (Reset). Decoded messages share no
+// memory with payload, so callers may reuse the payload buffer at once: the
 // payload is copied into a single string up front and every decoded
 // verb, key, and value is a zero-copy view of that one copy — a
 // message with f fields costs one allocation, not f+1. (The flip side:
@@ -341,18 +362,17 @@ func DecodeInto(m *Message, payload []byte) error {
 	if err != nil {
 		return err
 	}
+	m.Reset()
 	m.Verb = intern(verb)
-	// Cap the map size hint by what the remaining bytes could possibly
-	// hold (a field is at least 4 bytes: "0:0:"), so a hostile count
-	// cannot force a huge allocation before parsing fails.
-	hint := n
-	if max := len(rest) / 4; hint > max {
-		hint = max
-	}
 	if m.Fields == nil {
+		// Cap the map size hint by what the remaining bytes could possibly
+		// hold (a field is at least 4 bytes: "0:0:"), so a hostile count
+		// cannot force a huge allocation before parsing fails.
+		hint := n
+		if max := len(rest) / 4; hint > max {
+			hint = max
+		}
 		m.Fields = make(map[string]string, hint)
-	} else {
-		clear(m.Fields)
 	}
 	for i := 0; i < n; i++ {
 		var k, v string
