@@ -97,8 +97,13 @@ func (h *Handle) PendingEvents() int { return h.queue.Len() }
 
 // WatchUpdates subscribes to attribute change events in the local
 // context. Each change queues a call to cb (delivered, like all TDP
-// callbacks, through ServiceEvents). The paper uses this for the RM's
-// optional immediate notification of process status changes (§2.3).
+// callbacks, through ServiceEvents) with op "put", "delete" or
+// "destroy". The paper uses this for the RM's optional immediate
+// notification of process status changes (§2.3). The server's bare
+// account of updates it had to drop for a slow subscriber (an event of
+// op "lost", which names no attribute) is not a change and is not
+// delivered: a callback learns of a gap no more than it did when the
+// count rode on the next change.
 func (h *Handle) WatchUpdates(cb func(attr, value, op string)) error {
 	if err := h.lass.Subscribe(); err != nil {
 		return err
@@ -106,7 +111,7 @@ func (h *Handle) WatchUpdates(cb func(attr, value, op string)) error {
 	go func() {
 		for ev := range h.lass.Events() {
 			ev := ev
-			if cb == nil {
+			if cb == nil || ev.Op == "lost" {
 				continue
 			}
 			h.queue.Post(func() { cb(ev.Attr, ev.Value, ev.Op) })

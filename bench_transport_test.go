@@ -10,6 +10,7 @@ package tdp_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -147,6 +148,101 @@ func BenchmarkSessionResync(b *testing.B) {
 				return fmt.Errorf("delta = %d ops, full=%v; want %d ops", len(ops), full != nil, gap)
 			}
 			return nil
+		})
+	})
+}
+
+// BenchmarkShmIdleThenBurst is the traffic no workload of the
+// repository's benchmark has: one connection on a ring that goes idle
+// long enough for both sides to turn cold (eight ops a millisecond
+// apart), then a burst of 4,000 ops one at a time. What it prices is how
+// soon a parked pair climbs back to trading messages in user space —
+// the warming half of the spin-or-park policy (DESIGN §12, E30) — as
+// µs per op of the burst, and parks and unpaid spins per op on both ends
+// of the ring. "local" is a TryGet at the ring's own server; "global" a
+// PutGlobal through a caching LASS to a TCP-dialled shard, whose round
+// trip with both sides parked is 23–30 µs.
+func BenchmarkShmIdleThenBurst(b *testing.B) {
+	if !wire.ShmSupported() {
+		b.Skip("no shm transport on this platform")
+	}
+	const idleOps, burstOps = 8, 4000
+	run := func(b *testing.B, srv *attrspace.Server, addr string, op func(c *attrspace.Client) error) {
+		sreg, creg := telemetry.NewRegistry(), telemetry.NewRegistry()
+		srv.SetTelemetry(sreg, nil)
+		if _, err := srv.ListenUnixBeside(addr); err != nil {
+			b.Fatalf("ListenUnixBeside: %v", err)
+		}
+		c := benchClientAt(b, addr, "job-0")
+		c.SetTelemetry(creg, nil)
+		for deadline := time.Now().Add(10 * time.Second); !c.ShmActive(); {
+			if err := op(c); err != nil {
+				b.Fatal(err)
+			}
+			if time.Now().After(deadline) {
+				b.Fatal("connection was never promoted to a shm ring")
+			}
+		}
+		waits := func(name string) int64 {
+			return sreg.Counter("wire.shm."+name).Value() + creg.Counter("wire.shm."+name).Value()
+		}
+		var burst time.Duration
+		var parks, wasted int64
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			for j := 0; j < idleOps; j++ {
+				time.Sleep(time.Millisecond)
+				if err := op(c); err != nil {
+					b.Fatal(err)
+				}
+			}
+			p0, w0, start := waits("parks"), waits("spin.wasted"), time.Now()
+			b.StartTimer()
+			for j := 0; j < burstOps; j++ {
+				if err := op(c); err != nil {
+					b.Fatal(err)
+				}
+			}
+			burst += time.Since(start)
+			parks += waits("parks") - p0
+			wasted += waits("spin.wasted") - w0
+		}
+		ops := float64(b.N * burstOps)
+		b.ReportMetric(float64(burst.Microseconds())/ops, "burst-µs/op")
+		b.ReportMetric(float64(parks)/ops, "parks/op")
+		b.ReportMetric(float64(wasted)/ops, "unpaid-spins/op")
+	}
+	b.Run("local", func(b *testing.B) {
+		srv := attrspace.NewServer()
+		addr, err := srv.ListenAndServe("127.0.0.1:0")
+		if err != nil {
+			b.Fatalf("serve: %v", err)
+		}
+		b.Cleanup(srv.Close)
+		run(b, srv, addr, func(c *attrspace.Client) error {
+			_, err := c.TryGet("absent")
+			if errors.Is(err, attrspace.ErrNotFound) {
+				err = nil
+			}
+			return err
+		})
+	})
+	b.Run("global", func(b *testing.B) {
+		shard := attrspace.NewServer()
+		shardAddr, err := shard.ListenAndServe("127.0.0.1:0")
+		if err != nil {
+			b.Fatalf("serve: %v", err)
+		}
+		b.Cleanup(shard.Close)
+		lass := attrspace.NewServer()
+		lass.EnableGlobalCache(shardAddr, attrspace.CacheConfig{Dial: attrspace.TCPDial})
+		addr, err := lass.ListenAndServe("127.0.0.1:0")
+		if err != nil {
+			b.Fatalf("serve: %v", err)
+		}
+		b.Cleanup(lass.Close)
+		run(b, lass, addr, func(c *attrspace.Client) error {
+			return c.PutGlobal(context.Background(), "attr", "value")
 		})
 	})
 }

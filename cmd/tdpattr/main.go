@@ -127,7 +127,12 @@ func main() {
 				if !ok {
 					return
 				}
-				fmt.Printf("%s %s = %q (seq %d)\n", ev.Op, ev.Attr, ev.Value, ev.Seq)
+				if ev.Lost > 0 {
+					fmt.Printf("lost %d updates (this watcher fell behind)\n", ev.Lost)
+				}
+				if ev.Op != "lost" {
+					fmt.Printf("%s %s = %q (seq %d)\n", ev.Op, ev.Attr, ev.Value, ev.Seq)
+				}
 			case <-deadline:
 				return
 			}

@@ -450,7 +450,11 @@ func (cc *cacheCtx) lookup(attribute string) (string, uint64, bool, bool) {
 // the only word of it: an error that leaves open whether the shard
 // applied it — a transport loss (IsRetryable) or the caller's context
 // ending first; not the shard's own ERROR answer, not a down shard's
-// refusal before anything was sent — retires the incarnation.
+// refusal before anything was sent — retires the incarnation. The test
+// errs on the safe side in one case: a context that ends while the
+// router still waits for the shard's first connect has sent nothing and
+// is retired all the same — a start-up that timed out refills its
+// mirror once.
 func (cc *cacheCtx) wrote(err error) error {
 	if err != nil && (IsRetryable(err) || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
 		cc.teardown()

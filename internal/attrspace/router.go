@@ -19,21 +19,21 @@ import (
 // connection: it speaks the ctx-scope verbs of the op table (CPUT, CGET,
 // …), so any context's ops ride it, named per message by a ctx field.
 //
-// One cycle is in flight per shard. The caller that finds the shard
-// idle leads: it sends its op and awaits the reply on its own goroutine,
-// as it would on a connection of its own — one op in flight costs no
-// queue, no hand-off and no goroutine. Callers that arrive meanwhile
+// One cycle is in flight per shard: one corked write and one bounded
+// in-flight window. The caller that finds the shard idle leads: it runs
+// the cycle of its own op on its own goroutine — one op in flight costs
+// no queue, no hand-off and no goroutine. Callers that arrive meanwhile
 // follow: they queue, and when the leader's cycle ends it hands the
-// queue to a drainer goroutine, which runs Cork-batched cycles — one
-// corked write and one bounded in-flight window each — until nothing is
-// queued. Concurrent callers thus group-commit, which both amortizes the
-// per-frame cost and bounds how many operations can be in limbo when a
-// shard dies mid-batch. The session's heartbeat pings the connection the
-// ops ride: a missed PONG fails it (every stranded op is answered
-// ErrConnLost), later ops fail fast with ErrShardDown instead of hanging
-// on dial timeouts, only that shard's hash range degrades, and the
-// session's reconnect brings it back. The router never retries an op
-// through the session: an op of unknown fate is its caller's to resolve.
+// queue to a drainer goroutine, which runs the same cycle on batches of
+// them until nothing is queued. Concurrent callers thus group-commit,
+// which both amortizes the per-frame cost and bounds how many operations
+// can be in limbo when a shard dies mid-batch. The session's heartbeat
+// pings the connection the ops ride: a missed PONG fails it (every
+// stranded op is answered ErrConnLost), later ops fail fast with
+// ErrShardDown instead of hanging on dial timeouts, only that shard's
+// hash range degrades, and the session's reconnect brings it back. The
+// router never retries an op through the session: an op of unknown fate
+// is its caller's to resolve.
 //
 // Blocking waits and subscriptions stay on the per-context upstream
 // connections the cache holds (cacheCtx.up), whose reference is also
@@ -60,12 +60,12 @@ const defaultShardBatch = 64
 // enforcement, since it must exist on every shard.
 const routerContext = InfraContextPrefix + "router"
 
-// shardOp is one follower's queued operation awaiting a drain cycle. An
-// op whose outcome its caller received is reused, channel included; one
-// whose caller stopped waiting is not (the drainer still completes it).
+// shardOp is one caller's operation awaiting its cycle. An op whose
+// outcome its caller received is reused, channel included; one whose
+// caller stopped waiting is not (the drainer still completes it).
 type shardOp struct {
 	m    *wire.Message
-	done chan shardReply // capacity 1: the drainer answers each queued op once
+	done chan shardReply // capacity 1: a cycle answers each of its ops once
 }
 
 // shardReply carries an op's outcome: the raw reply, the client it
@@ -106,7 +106,9 @@ type shardConn struct {
 	freeOps  []*shardOp // never longer than the peak number of concurrent callers
 	draining bool       // a cycle is in flight, a leader's or the drainer's: callers queue
 
-	sends []shardSend // the drainer's scratch: there is at most one drainer per shard
+	// The cycle's scratch — there is one cycle at a time per shard.
+	sends []shardSend
+	lone  [1]*shardOp // a leader's batch
 
 	gUp       *telemetry.Gauge
 	gErrors   *telemetry.Counter
@@ -207,11 +209,6 @@ func (sh *shardConn) do(ctx context.Context, contextName string, m *wire.Message
 		sh.mu.Unlock()
 		return shardReply{err: errCacheClosed}
 	}
-	if !sh.draining {
-		sh.draining = true
-		sh.mu.Unlock()
-		return sh.lead(ctx, m)
-	}
 	var op *shardOp
 	if n := len(sh.freeOps); n > 0 {
 		op, sh.freeOps = sh.freeOps[n-1], sh.freeOps[:n-1]
@@ -219,52 +216,41 @@ func (sh *shardConn) do(ctx context.Context, contextName string, m *wire.Message
 		op = &shardOp{done: make(chan shardReply, 1)}
 	}
 	op.m = m
-	sh.queue = append(sh.queue, op)
+	lead := !sh.draining
+	if lead {
+		sh.draining = true
+	} else {
+		sh.queue = append(sh.queue, op)
+	}
 	sh.mu.Unlock()
-	select {
-	case r := <-op.done:
-		op.m = nil
-		sh.mu.Lock()
-		sh.freeOps = append(sh.freeOps, op)
-		sh.mu.Unlock()
-		if r.err != nil {
-			sh.gErrors.Inc()
+	var r shardReply
+	if lead {
+		// The leader's cycle carries its own op and nothing else, so it
+		// runs under the leader's ctx, like a request on a connection of
+		// its own. draining is set, so whoever arrives meanwhile queues;
+		// when the cycle ends the queue is handed to a drainer, or the
+		// shard is idle again.
+		sh.lone[0] = op
+		sh.cycle(ctx, sh.lone[:])
+		sh.handOff()
+		r = <-op.done
+	} else {
+		select {
+		case r = <-op.done:
+		case <-ctx.Done():
+			// The drainer still completes the op (done is buffered); this
+			// caller just stops waiting, and the op is never reused.
+			return shardReply{err: ctx.Err()}
 		}
-		return r
-	case <-ctx.Done():
-		// The drain loop still completes the op (done is buffered);
-		// this caller just stops waiting, and the op is never reused.
-		return shardReply{err: ctx.Err()}
 	}
-}
-
-// lead is the cycle of the caller that found the shard idle: its one
-// request, sent and awaited under its own ctx like a request on a
-// connection of its own. draining is set, so whoever arrives meanwhile
-// queues; when the cycle ends — by the reply, by an error, or by ctx,
-// which abandons the request in flight as Client.exchange does — the
-// queue is handed to a drainer, or the shard is idle again.
-func (sh *shardConn) lead(ctx context.Context, m *wire.Message) shardReply {
-	defer sh.handOff()
-	pool, err := sh.conn(ctx)
-	var slot *replySlot
-	if err == nil {
-		slot, err = pool.send(m)
-	}
-	if err != nil {
+	op.m = nil
+	sh.mu.Lock()
+	sh.freeOps = append(sh.freeOps, op)
+	sh.mu.Unlock()
+	if r.err != nil {
 		sh.gErrors.Inc()
-		return shardReply{err: err}
 	}
-	sh.gInflight.Set(1)
-	defer sh.gInflight.Set(0)
-	sh.cPooled.Inc()
-	select {
-	case reply := <-slot.ch:
-		return shardReply{reply: reply, pool: pool, slot: slot}
-	case <-ctx.Done():
-		pool.abandon(slot)
-		return shardReply{err: ctx.Err()}
-	}
+	return r
 }
 
 // handOff ends a leader's cycle. Whether anything queued up behind it is
@@ -306,47 +292,59 @@ func (sh *shardConn) nextBatch(prev []*shardOp) []*shardOp {
 	return batch
 }
 
-// drain is the per-shard group-commit loop a leader hands its followers
-// to: send the batch upstream in one corked write, wait for all its
-// replies, take up to gc.batch of what queued up meanwhile, and so on
-// until nothing has. One cycle in flight per shard — a bounded window
-// that back-pressures producers, keeps any one shard from monopolizing
-// the router, and caps the ops in limbo when the shard dies mid-cycle.
-// Independent shards' cycles overlap, which is where the aggregate
-// throughput beyond one daemon comes from. The drainer serves many
+// cycle sends batch upstream in one corked write and answers every op
+// of it: with its reply — a real one, or the synthetic conn-error reply
+// fail() injects when the transport dies — or, under a leader's ctx that
+// ends first, with the ctx's error, the request in flight abandoned as
+// Client.exchange abandons one. One cycle in flight per shard — a
+// bounded window that back-pressures producers, keeps any one shard from
+// monopolizing the router, and caps the ops in limbo when the shard dies
+// mid-cycle. Independent shards' cycles overlap, which is where the
+// aggregate throughput beyond one daemon comes from.
+func (sh *shardConn) cycle(ctx context.Context, batch []*shardOp) {
+	pool, err := sh.conn(ctx)
+	if err != nil {
+		for _, op := range batch {
+			op.done <- shardReply{err: err}
+		}
+		return
+	}
+	sends := sh.sends[:0]
+	pool.wc.Cork()
+	for _, op := range batch {
+		slot, err := pool.send(op.m)
+		if err != nil {
+			op.done <- shardReply{err: err}
+			continue
+		}
+		sends = append(sends, shardSend{op: op, slot: slot})
+	}
+	pool.wc.Uncork()
+	sh.gInflight.Set(int64(len(sends)))
+	for _, s := range sends {
+		select {
+		case reply := <-s.slot.ch:
+			s.op.done <- shardReply{reply: reply, pool: pool, slot: s.slot}
+		case <-ctx.Done():
+			pool.abandon(s.slot)
+			s.op.done <- shardReply{err: ctx.Err()}
+		}
+	}
+	sh.gInflight.Set(0)
+	sh.cPooled.Add(int64(len(sends)))
+	clear(sends)
+	sh.sends = sends
+}
+
+// drain is the group-commit loop a leader hands its followers to: a
+// cycle of the batch, then of up to gc.batch of what queued up
+// meanwhile, and so on until nothing has. The drainer serves many
 // callers and outlives each, so it runs under no caller's context:
 // before the shard's first connect it waits as long as the session's
 // ConnectWait allows.
 func (sh *shardConn) drain(batch []*shardOp) {
 	for ; batch != nil; batch = sh.nextBatch(batch) {
-		pool, err := sh.conn(context.Background())
-		if err != nil {
-			for _, op := range batch {
-				op.done <- shardReply{err: err}
-			}
-			continue
-		}
-		sends := sh.sends[:0]
-		pool.wc.Cork()
-		for _, op := range batch {
-			slot, err := pool.send(op.m)
-			if err != nil {
-				op.done <- shardReply{err: err}
-				continue
-			}
-			sends = append(sends, shardSend{op: op, slot: slot})
-		}
-		pool.wc.Uncork()
-		sh.gInflight.Set(int64(len(sends)))
-		for _, s := range sends {
-			// Always answered: a real reply, or the synthetic conn-error
-			// reply fail() injects when the transport dies.
-			s.op.done <- shardReply{reply: <-s.slot.ch, pool: pool, slot: s.slot}
-		}
-		sh.gInflight.Set(0)
-		sh.cPooled.Add(int64(len(sends)))
-		clear(sends)
-		sh.sends = sends
+		sh.cycle(context.Background(), batch)
 	}
 }
 

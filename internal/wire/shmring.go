@@ -25,10 +25,11 @@
 // finding no progress yields the scheduler for up to shmSpinBudget only
 // while it is hot, and otherwise sets its park flag in the shared header,
 // rechecks, and sleeps on the doorbell. Arrival gaps decide which, in
-// three bands: a gap comfortably inside the budget (under a quarter of
-// it) makes the side hot — a ping-ponging pair then never touches the
-// kernel; shmColdAfter gaps at or beyond the budget, with no such short
-// one among them, make it cold; a gap in between changes nothing, so
+// three bands: a gap under half the budget makes the side hot — a
+// ping-ponging pair then never touches the kernel, and a parked pair's
+// round trips through the doorbell are short enough to get there;
+// shmColdAfter gaps at or beyond the budget, with no such short one
+// among them, make it cold; a gap in between changes nothing, so
 // traffic whose period sits near the budget cannot flip the side back
 // and forth and waste a full budget on every miss. The peer, after
 // publishing a cursor, rings the doorbell — one byte on the socket —
@@ -88,13 +89,18 @@ const (
 // ringWait.moved. Cooling takes shmColdAfter arrivals a budget or more
 // apart with no warming one between them (one is not enough: a hot ring
 // that parks on every stray miss pays a stall on each way in and out),
-// after which the side parks at once. Warming takes one arrival under a quarter of the
-// budget — a round trip made through doorbells is well under that, so a
-// parked pair can always climb back — and not merely one under the
-// budget: arrivals a little under a budget apart pay for no spin, and
-// when a period jitters around the budget (four handles taking turns at
-// 26 µs an op) re-arming on each short gap wastes a whole budget on each
-// long one. A new ring needs no state of its own: only a connection
+// after which the side parks at once. Warming takes one arrival under
+// half the budget, and not merely one under the budget: arrivals a
+// little under a budget apart pay for no spin, and when a period jitters
+// around the budget re-arming on each short gap wastes a whole budget on
+// each long one. Half is where the measurements put it (EXPERIMENTS
+// E30): a parked pair trading one request at a time sees gaps of a
+// round trip through both doorbells plus the work — 14–30 µs for a local
+// op, 23–30 µs for a write through a caching LASS, about 45 µs for a
+// cache miss — so a threshold below those strands a cooled ring in the
+// cold state for good, and the one traffic known to sit on the budget
+// (four handles taking turns at a 24.6 µs op) has no gap under 90 µs in
+// 1.6 million. A new ring needs no state of its own: only a connection
 // that has already traded a hundred messages over its socket is given
 // one.
 const (
@@ -276,16 +282,16 @@ var shmEpoch = time.Now()
 // ringWait is one direction's spin-or-park state.
 type ringWait struct {
 	last time.Duration // when this side last moved bytes
-	late int           // gaps >= shmSpinBudget since the last one < shmSpinBudget/4, up to shmColdAfter
+	late int           // gaps >= shmSpinBudget since the last one < shmSpinBudget/2, up to shmColdAfter
 }
 
 // moved records a transfer, so the next wait knows whether spinning
-// has lately been paid: a gap under a quarter of the budget warms the
-// side, one of a budget or more cools it a step, one in between leaves
-// it as it was.
+// has lately been paid: a gap under half the budget warms the side, one
+// of a budget or more cools it a step, one in between leaves it as it
+// was.
 func (w *ringWait) moved(now time.Duration) {
 	switch gap := now - w.last; {
-	case gap < shmSpinBudget/4:
+	case gap < shmSpinBudget/2:
 		w.late = 0
 	case gap >= shmSpinBudget && w.late < shmColdAfter:
 		w.late++

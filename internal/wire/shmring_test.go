@@ -522,9 +522,11 @@ func TestShmColdRingParksAtOnce(t *testing.T) {
 }
 
 // TestRingWaitBands: the three-band rule of ringWait.moved, on gaps the
-// test dictates. Only a gap under a quarter of the budget warms, only
-// gaps of a budget or more cool, and the band between — where a period
-// that jitters around the budget spends half its time — changes nothing.
+// test dictates. Only a gap under half the budget warms — which the
+// round trips of a parked pair, 14–45 µs through both doorbells where
+// they were measured, are — only gaps of a budget or more cool, and the
+// band between — where a period that jitters around the budget spends
+// half its time — changes nothing.
 func TestRingWaitBands(t *testing.T) {
 	const b = shmSpinBudget
 	for _, c := range []struct {
@@ -536,9 +538,10 @@ func TestRingWaitBands(t *testing.T) {
 		{"cold, gaps around the budget never re-arm", shmColdAfter, []time.Duration{b * 9 / 10, b, b * 11 / 10, b * 95 / 100, b - 1}, shmColdAfter},
 		{"hot, four late gaps cool", 0, []time.Duration{b, 2 * b, b, 5 * b}, shmColdAfter},
 		{"hot, three late gaps do not", 0, []time.Duration{b, b, b}, 3},
-		{"late gaps count across in-band ones", 0, []time.Duration{b, b / 2, b, b / 4, b, b * 9 / 10, b}, shmColdAfter},
-		{"cold, one short gap warms", shmColdAfter, []time.Duration{b/4 - 1}, 0},
-		{"half cooled, in-band gaps leave it", 2, []time.Duration{b / 4, b / 2, b - 1}, 2},
+		{"late gaps count across in-band ones", 0, []time.Duration{b, b / 2, b, b * 3 / 4, b, b * 9 / 10, b}, shmColdAfter},
+		{"cold, one short gap warms", shmColdAfter, []time.Duration{b/2 - 1}, 0},
+		{"cold, a round trip through the doorbells warms", shmColdAfter, []time.Duration{2 * b, 45 * time.Microsecond}, 0},
+		{"half cooled, in-band gaps leave it", 2, []time.Duration{b / 2, b * 3 / 4, b - 1}, 2},
 		{"half cooled, a short gap starts over", 2, []time.Duration{b, 0, b}, 1},
 		{"cold stays capped", shmColdAfter, []time.Duration{b, b, b}, shmColdAfter},
 	} {

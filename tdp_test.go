@@ -338,6 +338,56 @@ func TestWatchUpdates(t *testing.T) {
 	}
 }
 
+// TestWatchUpdatesSkipsLossMarkers: a watcher that falls behind a burst
+// is told of attribute changes and nothing else. The server's account of
+// the updates it dropped while a burst drained — an event of op "lost"
+// that names no attribute — is not a change, and the callback never
+// sees it.
+func TestWatchUpdatesSkipsLossMarkers(t *testing.T) {
+	srv, addr, err := ServeLASS("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("ServeLASS: %v", err)
+	}
+	t.Cleanup(srv.Close)
+	srv.SetEventBuffer(64) // the 1,000-pair bursts below overflow it
+	rm := initT(t, Config{Context: "c", LASSAddr: addr, Identity: "RM"})
+	rt := initT(t, Config{Context: "c", LASSAddr: addr, Identity: "RT"})
+	ops := map[string]int{}
+	done := false
+	if err := rt.WatchUpdates(func(attr, value, op string) {
+		ops[op]++
+		if attr == "" {
+			t.Errorf("callback got (%q, %q, %q): not an attribute change", attr, value, op)
+		}
+		done = done || attr == "done"
+	}); err != nil {
+		t.Fatalf("WatchUpdates: %v", err)
+	}
+	pairs := make([]KV, 1000)
+	for i := range pairs {
+		pairs[i] = KV{Key: "k" + strconv.Itoa(i), Value: "v"}
+	}
+	for round := 0; round < 20; round++ {
+		if err := rm.PutBatch(pairs); err != nil {
+			t.Fatalf("PutBatch: %v", err)
+		}
+	}
+	if err := rm.Put("done", "1"); err != nil {
+		t.Fatalf("Put: %v", err)
+	}
+	for deadline := time.After(10 * time.Second); !done; {
+		select {
+		case <-rt.Activity():
+			rt.ServiceEvents()
+		case <-deadline:
+			t.Fatalf("the last put never reached the watcher; ops seen %v", ops)
+		}
+	}
+	if ops["lost"] != 0 || ops["put"] == 0 {
+		t.Errorf("ops delivered = %v, want puts only", ops)
+	}
+}
+
 func TestGlobalSpace(t *testing.T) {
 	lass := newLASS(t)
 	cassSrv, cassAddr, err := ServeLASS("127.0.0.1:0")
