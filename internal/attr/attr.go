@@ -36,12 +36,18 @@
 // Gets are woken outside the lock through buffered channels, exactly
 // one value each.
 //
-// A writer that mirrors the context itself — the caching LASS, which
+// # Identities
+//
+// A Space mints every identity it hands out from one generator: a
+// random base drawn when the Space is made, plus a counter. A context
+// gets one at creation — its incarnation: the same name destroyed and
+// created again, here or in a restarted daemon, is another incarnation —
+// and a subscription gets one at registration (Subscription.ID). A
+// writer that mirrors the context itself — the caching LASS, which
 // learns each of its writes' seq from the acknowledgement — has no use
-// for the event that reports its own write back to it. A reference may
-// therefore name the origin it writes for (SetOrigin) and a subscription
-// the origin it was made under (SubscribeOrigin); a put or delete skips
-// the subscriptions of its own non-empty origin. Everything without an
+// for the event that reports its own write back to it, so a reference
+// may name the subscription it writes for (SetOrigin), and a put or
+// delete made through it skips that subscription. Everything without an
 // origin, and OpDestroy always, is delivered to everyone.
 package attr
 
@@ -49,6 +55,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -111,6 +118,7 @@ type entry struct {
 // spaceContext is one named attribute space.
 type spaceContext struct {
 	name    string
+	inc     uint64 // the incarnation, minted at creation
 	sh      *shard // owning shard; its mutex guards every field below
 	refs    int
 	attrs   map[string]entry
@@ -163,7 +171,14 @@ const DefaultShards = 64
 type Space struct {
 	shards []shard
 	mask   uint32
+
+	idBase uint64        // 60 random bits: ids from two Spaces do not meet
+	ids    atomic.Uint64 // ids minted so far
 }
+
+// mint returns a new identity: never 0, unique within the Space and, by
+// its random base, across daemons — at most 12 characters in base 36.
+func (s *Space) mint() uint64 { return s.idBase + s.ids.Add(1) }
 
 // NewSpace returns an empty attribute space with DefaultShards shards.
 func NewSpace() *Space {
@@ -181,7 +196,7 @@ func NewSpaceShards(n int) *Space {
 	for size < n {
 		size <<= 1
 	}
-	s := &Space{shards: make([]shard, size), mask: uint32(size - 1)}
+	s := &Space{shards: make([]shard, size), mask: uint32(size - 1), idBase: rand.Uint64() >> 4}
 	for i := range s.shards {
 		s.shards[i].contexts = make(map[string]*spaceContext)
 	}
@@ -231,6 +246,7 @@ func (s *Space) join(name string, create bool) (*Ref, bool) {
 		}
 		c = &spaceContext{
 			name:    name,
+			inc:     s.mint(),
 			sh:      sh,
 			attrs:   make(map[string]entry),
 			waiters: make(map[string][]chan Update),
@@ -276,25 +292,24 @@ type Ref struct {
 	mu    sync.Mutex
 	ctx   *spaceContext // nil after Leave
 
-	origin     string        // see SetOrigin; "" for almost every reference
-	suppressed atomic.Uint64 // updates not queued for subscriptions of origin
+	origin     uint64        // see SetOrigin; 0 for almost every reference
+	suppressed atomic.Uint64 // updates not queued for the origin subscription
 }
 
-// SetOrigin names the writer this reference's mutations are made for:
-// they are not queued for subscriptions made under the same origin (see
-// SubscribeOrigin). Call it before the reference is used; the empty
-// origin, the default, is nobody's.
-func (r *Ref) SetOrigin(origin string) { r.origin = origin }
+// SetOrigin names the subscription (Subscription.ID) this reference's
+// mutations are made for: they are not queued for it. Call it before the
+// reference is used; origin 0, the default, is nobody's.
+func (r *Ref) SetOrigin(origin uint64) { r.origin = origin }
 
 // Suppressed reports how many updates this reference's mutations have
-// withheld from subscriptions of its own origin.
+// withheld from its origin subscription.
 func (r *Ref) Suppressed() uint64 { return r.suppressed.Load() }
 
 // publish queues u, a mutation made through r, for every subscription
-// but those of r's own origin. Callers hold the shard lock.
+// but r's origin. Callers hold the shard lock.
 func (c *spaceContext) publish(r *Ref, u Update) {
 	for sub := range c.subs {
-		if r.origin != "" && sub.origin == r.origin {
+		if sub.ID == r.origin {
 			r.suppressed.Add(1)
 			continue
 		}
@@ -593,8 +608,8 @@ func (r *Ref) ChangesSince(since uint64) (changes []Change, seq uint64, ok bool,
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	if since >= c.seq {
-		// Nothing missed (or the caller is ahead of us — an epoch
-		// restart the session layer detects from the returned seq).
+		// Nothing missed. (A caller ahead of c.seq copied another
+		// incarnation; Subscription.Inc is how it learns that.)
 		return nil, c.seq, true, nil
 	}
 	// The log holds consecutive seqs ending at c.seq; it covers the gap
@@ -675,10 +690,16 @@ func (r *Ref) Leave() error {
 // Unsubscribe; an abandoned, undrained subscription pins its delivery
 // goroutine.
 type Subscription struct {
-	ch     chan Update
-	wake   chan struct{} // cap 1: "queue non-empty or done changed"
-	stop   chan struct{} // closed by Unsubscribe: abort delivery
-	origin string        // mutations made for this origin are not queued; "" gets all
+	// Set at registration, under the lock that registered it, and never
+	// changed: the subscription's id, the origin a mirror names on its
+	// writes (Ref.SetOrigin) so they are not queued for it; the
+	// incarnation of the context it was made on; and the context seq it
+	// starts after — every later update reaches it or is counted Lost.
+	ID, Inc, Seq uint64
+
+	ch   chan Update
+	wake chan struct{} // cap 1: "queue non-empty or done changed"
+	stop chan struct{} // closed by Unsubscribe: abort delivery
 
 	mu       sync.Mutex
 	queue    []Update
@@ -827,13 +848,6 @@ func (s *Subscription) run() {
 // (minimum 1); size it for the expected burst — on overflow the ring
 // coalesces per attribute and then drops oldest (see Subscription).
 func (r *Ref) Subscribe(buffer int) (*Subscription, error) {
-	return r.SubscribeOrigin(buffer, "")
-}
-
-// SubscribeOrigin is Subscribe for a consumer that applies its own
-// writes itself: mutations made through a reference of the same
-// non-empty origin (SetOrigin) are not delivered to it.
-func (r *Ref) SubscribeOrigin(buffer int, origin string) (*Subscription, error) {
 	c, err := r.live()
 	if err != nil {
 		return nil, err
@@ -842,12 +856,12 @@ func (r *Ref) SubscribeOrigin(buffer int, origin string) (*Subscription, error) 
 		buffer = 1
 	}
 	sub := &Subscription{
-		ch:     make(chan Update, buffer),
-		wake:   make(chan struct{}, 1),
-		stop:   make(chan struct{}),
-		origin: origin,
-		idx:    make(map[string]int),
-		limit:  buffer,
+		ID:    r.space.mint(),
+		ch:    make(chan Update, buffer),
+		wake:  make(chan struct{}, 1),
+		stop:  make(chan struct{}),
+		idx:   make(map[string]int),
+		limit: buffer,
 	}
 	sh := c.sh
 	sh.mu.Lock()
@@ -855,6 +869,7 @@ func (r *Ref) SubscribeOrigin(buffer int, origin string) (*Subscription, error) 
 		sh.mu.Unlock()
 		return nil, ErrClosed
 	}
+	sub.Inc, sub.Seq = c.inc, c.seq
 	c.subs[sub] = struct{}{}
 	sh.mu.Unlock()
 	go sub.run()

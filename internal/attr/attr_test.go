@@ -340,22 +340,25 @@ func TestSubscribeDestroyNotification(t *testing.T) {
 	}
 }
 
-// TestOriginSuppressesOwnEcho: a mutation made through a reference with
-// an origin skips the subscriptions of that origin and nobody else's;
-// without an origin on either side everything is delivered as ever, and
-// a destroy reaches everyone.
+// TestOriginSuppressesOwnEcho: a mutation made through a reference whose
+// origin is a subscription's id skips that subscription and nobody
+// else's; without an origin everything is delivered as ever, and a
+// destroy reaches everyone.
 func TestOriginSuppressesOwnEcho(t *testing.T) {
 	s := NewSpace()
 	holder := s.Join("c")
-	mine, _ := holder.SubscribeOrigin(16, "lass-1")
-	theirs, _ := holder.SubscribeOrigin(16, "lass-2")
+	mine, _ := holder.Subscribe(16)
+	theirs, _ := holder.Subscribe(16)
 	plain, _ := holder.Subscribe(16)
+	if mine.ID == 0 || mine.ID == theirs.ID || theirs.ID == plain.ID {
+		t.Fatalf("subscription ids %d, %d, %d: want distinct and non-zero", mine.ID, theirs.ID, plain.ID)
+	}
 
 	writer, ok := s.JoinExisting("c")
 	if !ok {
 		t.Fatal("JoinExisting of a held context failed")
 	}
-	writer.SetOrigin("lass-1")
+	writer.SetOrigin(mine.ID)
 	writer.Put("a", "1")                                                  // seq 1
 	writer.PutBatch([]KV{{Key: "b", Value: "2"}, {Key: "c", Value: "3"}}) // seqs 2, 3
 	writer.Delete("a")                                                    // seq 4
@@ -378,10 +381,34 @@ func TestOriginSuppressesOwnEcho(t *testing.T) {
 	if got := seqs(mine); fmt.Sprint(got) != "[5 6]" {
 		t.Errorf("the writer's own origin saw seqs %v, want [5 6]: only the foreign put and the destroy", got)
 	}
-	for name, sub := range map[string]*Subscription{"another origin": theirs, "no origin": plain} {
+	for name, sub := range map[string]*Subscription{"theirs": theirs, "plain": plain} {
 		if got := seqs(sub); fmt.Sprint(got) != "[1 2 3 4 5 6]" {
-			t.Errorf("a subscription under %s saw seqs %v, want all of 1..6", name, got)
+			t.Errorf("subscription %s saw seqs %v, want all of 1..6", name, got)
 		}
+	}
+}
+
+// TestIncarnationsAreMintedPerCreation: a context's incarnation is fixed
+// for its life and new each time the name is created again, in this
+// Space or another; a subscription records it with the seq it starts
+// after.
+func TestIncarnationsAreMintedPerCreation(t *testing.T) {
+	s := NewSpace()
+	first := s.Join("c")
+	first.Put("a", "1")
+	second := s.Join("c")
+	sub1, _ := first.Subscribe(1)
+	again, _ := second.Subscribe(1)
+	if sub1.Inc == 0 || again.Inc != sub1.Inc || sub1.Seq != 1 {
+		t.Fatalf("one context's subscriptions: inc %d and %d, seq %d; want one non-zero inc, seq 1", sub1.Inc, again.Inc, sub1.Seq)
+	}
+	first.Leave()
+	second.Leave() // the last reference: the context is destroyed
+	sub2, _ := s.Join("c").Subscribe(1)
+	other, _ := NewSpace().Join("c").Subscribe(1)
+	if sub2.Inc == sub1.Inc || other.Inc == sub1.Inc || other.Inc == sub2.Inc || sub2.Seq != 0 {
+		t.Errorf("incarnations %d, recreated %d (seq %d), another space's %d: want three distinct, the recreated at seq 0",
+			sub1.Inc, sub2.Inc, sub2.Seq, other.Inc)
 	}
 }
 

@@ -2,10 +2,7 @@ package attrspace
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/base64"
 	"errors"
-	"strconv"
 	"sync"
 	"time"
 
@@ -22,8 +19,9 @@ import (
 // global tdp_get therefore pays a front-end round trip on every call.
 // The cache exploits the split for locality instead: the first global
 // op for a context opens one upstream connection from the LASS to the
-// CASS, joins the context, and subscribes to its events — one
-// incarnation of the context's mirror (cacheCtx). From then on
+// CASS, joins the context, and subscribes to its events — one mirror
+// of the context (cacheCtx), a replica under the subscription's id.
+// From then on
 //
 //   - reads hit the local entry map when it holds the attribute
 //     (live or deleted) and otherwise fill it from one upstream round
@@ -31,20 +29,21 @@ import (
 //   - writes (GPUT/GMPUT/GDEL) go through to the CASS and apply to the
 //     mirror with the acked seq before the client sees OK, giving
 //     read-your-writes to every client of the same LASS. That is all
-//     the mirror ever hears of them: the subscription is made under the
-//     incarnation's origin, the writes carry it, and the CASS does not
-//     echo a write to the subscription of its own origin;
+//     the mirror ever hears of them: the writes carry the id the CASS
+//     gave the mirror's subscription as their origin, and the CASS does
+//     not echo a write to the subscription it names;
 //   - everybody else's writes arrive as EVENTs and update or tombstone
 //     entries. Acks, fills and events all compare by seq, so whichever
 //     order they land in, the newest write of an attribute wins;
 //   - a write whose outcome the mirror never learns — the pooled
 //     connection lost with the request in flight, the caller gone
 //     before the reply, the cache closing — may have been applied with
-//     nothing left to say so. Such a write retires the incarnation
-//     (teardown); the next global op starts one under a new origin, to
-//     which a write of the old one that lands late is a foreign write,
-//     echoed like any other. An ERROR the shard itself answered settles
-//     the write (nothing was applied) and costs nothing;
+//     nothing left to say so. Such a write retires the mirror
+//     (teardown); the next global op starts one under a new
+//     subscription, to which a write of the old one that lands late is a
+//     foreign write, echoed like any other. An ERROR the shard itself
+//     answered settles the write (nothing was applied) and costs
+//     nothing;
 //   - an EVENT carrying lost=<d> (the server's fan-out ring dropped
 //     updates for us) flushes the context's entries — the cache never
 //     trusts a picture with a gap;
@@ -64,14 +63,8 @@ type GlobalCache struct {
 	batch     int
 	heartbeat time.Duration
 
-	// nonce tells this cache's origins from every other cache's; "" (no
-	// randomness to be had) turns echo suppression off rather than risk
-	// two caches suppressing each other's writes.
-	nonce string
-
 	mu     sync.Mutex
 	ctxs   map[string]*cacheCtx
-	born   uint64 // incarnations made so far; the next origin's counter
 	closed bool
 	stop   chan struct{}
 
@@ -132,10 +125,6 @@ func (s *Server) EnableGlobalCache(cassAddr string, cfg CacheConfig) *GlobalCach
 		ctxs:      make(map[string]*cacheCtx),
 		stop:      make(chan struct{}),
 	}
-	var nonce [8]byte
-	if _, err := rand.Read(nonce[:]); err == nil {
-		gc.nonce = base64.RawURLEncoding.EncodeToString(nonce[:])
-	}
 	gc.conns = make([]*shardConn, gc.shards.Len())
 	for i := range gc.conns {
 		gc.conns[i] = gc.newShardConn(i)
@@ -192,30 +181,21 @@ func (gc *GlobalCache) healthLoop() {
 	}
 }
 
-// centry is one cached attribute: its value and CASS seq, or a
-// tombstone (dead) recording a deletion. Tombstones matter: they stop
-// an in-flight fill that read the attribute just before its deletion
-// from resurrecting it.
-type centry struct {
-	value string
-	seq   uint64
-	dead  bool
-}
-
-// cacheCtx is one incarnation of the cache for one context: one
-// upstream connection, subscribed under the incarnation's origin, plus
-// the entry map.
+// cacheCtx is one mirror of one context: one upstream connection and
+// its subscription, and the replica the subscription keeps coherent
+// (tombstones matter here: they stop an in-flight fill that read the
+// attribute just before its deletion from resurrecting it).
 type cacheCtx struct {
 	gc     *GlobalCache
 	name   string
-	origin string        // on cc.up's SUB and on every write made through this incarnation
-	ready  chan struct{} // closed when up/initErr are settled
+	ready  chan struct{} // closed when up, origin and initE are settled
 	up     *Client
+	origin string // up's subscription id, stamped on every write made through this mirror
 	initE  error
 
-	mu      sync.RWMutex
-	gone    bool
-	entries map[string]centry
+	mu   sync.RWMutex
+	gone bool
+	rep  replica
 }
 
 // Close tears down every cached context and upstream connection.
@@ -282,14 +262,10 @@ func (gc *GlobalCache) ctx(ctx context.Context, name string) (*cacheCtx, error) 
 		cc := gc.ctxs[name]
 		if cc == nil {
 			cc = &cacheCtx{
-				gc:      gc,
-				name:    name,
-				ready:   make(chan struct{}),
-				entries: make(map[string]centry),
-			}
-			if gc.nonce != "" {
-				gc.born++
-				cc.origin = gc.nonce + strconv.FormatUint(gc.born, 36)
+				gc:    gc,
+				name:  name,
+				ready: make(chan struct{}),
+				rep:   replica{entries: make(map[string]rentry), max: gc.max},
 			}
 			gc.ctxs[name] = cc
 			gc.mu.Unlock()
@@ -337,7 +313,7 @@ func (gc *GlobalCache) drop(cc *cacheCtx) {
 // order, which is what makes the cache coherent: every fill is
 // requested after the subscription is live on the CASS, so any write
 // newer than what a fill observed must produce an event we will see,
-// or be one of this incarnation's own, whose ack we will.
+// or be one of this mirror's own, whose ack we will.
 func (cc *cacheCtx) init() {
 	defer close(cc.ready)
 	sh := cc.gc.shard(cc.name)
@@ -353,18 +329,18 @@ func (cc *cacheCtx) init() {
 		cc.initE = err
 		return
 	}
-	up.SetEventHandler(cc.onEvent)
 	up.OnClose(func(error) { go cc.teardown() })
-	if err := up.subscribe(cc.origin); err != nil {
+	at, _, err := up.subscribe(cc.onEvent)
+	if err != nil {
 		up.Close()
 		cc.initE = err
 		return
 	}
-	cc.up = up
+	cc.up, cc.origin = up, at.origin
 }
 
-// teardown retires the incarnation: it leaves the context map, flushes
-// its entries and closes its upstream connection.
+// teardown retires the mirror: it leaves the context map, flushes its
+// entries and closes its upstream connection.
 func (cc *cacheCtx) teardown() {
 	cc.gc.drop(cc)
 	cc.mu.Lock()
@@ -373,8 +349,8 @@ func (cc *cacheCtx) teardown() {
 		return
 	}
 	cc.gone = true
-	n := len(cc.entries)
-	cc.entries = make(map[string]centry)
+	n := len(cc.rep.entries)
+	cc.rep.reset(0)
 	cc.mu.Unlock()
 	if n > 0 {
 		cc.gc.srv.tel.Load().cacheFlush.Inc()
@@ -395,9 +371,7 @@ func (cc *cacheCtx) onEvent(ev Event) {
 		// can no longer be trusted. Flush; demand fills warm it back up
 		// with authoritative seqs.
 		cc.mu.Lock()
-		if !cc.gone {
-			cc.entries = make(map[string]centry)
-		}
+		clear(cc.rep.entries)
 		cc.mu.Unlock()
 		tel.cacheFlush.Inc()
 	}
@@ -419,42 +393,30 @@ func (cc *cacheCtx) onEvent(ev Event) {
 // freshest write wins regardless of arrival order.
 func (cc *cacheCtx) store(attribute, value string, seq uint64, dead bool) {
 	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	if cc.gone {
-		return
+	if !cc.gone {
+		cc.rep.apply(attribute, value, seq, dead)
 	}
-	if e, ok := cc.entries[attribute]; ok && e.seq >= seq {
-		return
-	} else if !ok && len(cc.entries) >= cc.gc.max {
-		for k := range cc.entries { // evict an arbitrary entry
-			delete(cc.entries, k)
-			break
-		}
-	}
-	cc.entries[attribute] = centry{value: value, seq: seq, dead: dead}
+	cc.mu.Unlock()
 }
 
-// lookup probes the cache: (value, seq, true, dead) on a hit.
-func (cc *cacheCtx) lookup(attribute string) (string, uint64, bool, bool) {
+// lookup probes the cache: the entry, tombstone or not, on a hit.
+func (cc *cacheCtx) lookup(attribute string) (rentry, bool) {
 	cc.mu.RLock()
 	defer cc.mu.RUnlock()
-	e, ok := cc.entries[attribute]
-	if !ok || cc.gone {
-		return "", 0, false, false
-	}
-	return e.value, e.seq, true, e.dead
+	e, ok := cc.rep.entries[attribute]
+	return e, ok && !cc.gone
 }
 
-// wrote takes the outcome of a mutation sent under this incarnation's
+// wrote takes the outcome of a mutation sent under this mirror's
 // origin. No event will report that write to this mirror, so the ack is
 // the only word of it: an error that leaves open whether the shard
 // applied it — a transport loss (IsRetryable) or the caller's context
 // ending first; not the shard's own ERROR answer, not a down shard's
-// refusal before anything was sent — retires the incarnation. The test
-// errs on the safe side in one case: a context that ends while the
-// router still waits for the shard's first connect has sent nothing and
-// is retired all the same — a start-up that timed out refills its
-// mirror once.
+// refusal before anything was sent — retires the mirror. The test errs
+// on the safe side in one case: a context that ends while the router
+// still waits for the shard's first connect has sent nothing and is
+// retired all the same — a start-up that timed out refills its mirror
+// once.
 func (cc *cacheCtx) wrote(err error) error {
 	if err != nil && (IsRetryable(err) || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
 		cc.teardown()
@@ -501,26 +463,7 @@ func (gc *GlobalCache) PutBatch(ctx context.Context, contextName string, pairs [
 // one upstream round trip. A cached tombstone answers ErrNotFound
 // locally — that is a hit: the deletion is known, not guessed.
 func (gc *GlobalCache) TryGet(ctx context.Context, contextName, attribute string) (string, uint64, error) {
-	cc, err := gc.ctx(ctx, contextName)
-	if err != nil {
-		return "", 0, err
-	}
-	tel := gc.srv.tel.Load()
-	if v, seq, ok, dead := cc.lookup(attribute); ok {
-		tel.cacheHits.Inc()
-		if dead {
-			return "", 0, attr.ErrNotFound
-		}
-		return v, seq, nil
-	}
-	tel.cacheMiss.Inc()
-	v, seq, err := gc.shard(contextName).tryGet(ctx, contextName, attribute)
-	if err != nil {
-		return "", 0, err
-	}
-	cc.store(attribute, v, seq, false)
-	tel.cacheFills.Inc()
-	return v, seq, nil
+	return gc.read(ctx, contextName, attribute, false)
 }
 
 // Get blocks until the attribute exists globally. A live cache entry
@@ -530,17 +473,31 @@ func (gc *GlobalCache) TryGet(ctx context.Context, contextName, attribute string
 // path: a drain cycle must not stall behind an op that may block
 // forever.
 func (gc *GlobalCache) Get(ctx context.Context, contextName, attribute string) (string, uint64, error) {
+	return gc.read(ctx, contextName, attribute, true)
+}
+
+// read is TryGet and, blocking, Get.
+func (gc *GlobalCache) read(ctx context.Context, contextName, attribute string, block bool) (string, uint64, error) {
 	cc, err := gc.ctx(ctx, contextName)
 	if err != nil {
 		return "", 0, err
 	}
 	tel := gc.srv.tel.Load()
-	if v, seq, ok, dead := cc.lookup(attribute); ok && !dead {
+	if e, ok := cc.lookup(attribute); ok && !(block && e.dead) {
 		tel.cacheHits.Inc()
-		return v, seq, nil
+		if e.dead {
+			return "", 0, attr.ErrNotFound
+		}
+		return e.value, e.seq, nil
 	}
 	tel.cacheMiss.Inc()
-	v, seq, err := cc.up.GetV(ctx, attribute)
+	var v string
+	var seq uint64
+	if block {
+		v, seq, err = cc.up.GetV(ctx, attribute)
+	} else {
+		v, seq, err = gc.shard(contextName).tryGet(ctx, contextName, attribute)
+	}
 	if err != nil {
 		return "", 0, err
 	}

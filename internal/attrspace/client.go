@@ -54,13 +54,14 @@ type Event struct {
 	// for this subscriber since it last said so (0 almost always): on the
 	// event that opens a burst, or on an Op "lost" event of its own when
 	// the drops came while the burst was being sent. A consumer mirroring
-	// the space — the LASS global cache — must treat any nonzero Lost as
-	// a gap and resynchronize.
+	// the space must treat any nonzero Lost as a gap: the LASS global
+	// cache flushes, a Session resyncs.
 	Lost uint64
-	// Resync marks an event synthesized by a Session after a reconnect
-	// rather than pushed live by the server: either the bare gap marker
-	// (Op "resync", no Attr) emitted first, or a snapshot-diff replay
-	// ("put"/"delete") bringing the consumer's mirror back in step.
+	// Resync marks an event synthesized by a Session to close a gap (a
+	// reconnect, a declared loss) rather than pushed live by the server:
+	// the bare gap marker (Op "resync", no Attr) emitted first, a replay
+	// ("put"/"delete") bringing the consumer's mirror back in step, or
+	// the "destroy" of an incarnation the session found replaced.
 	// Consumers holding derived state (monitors) must treat the marker
 	// as "events may have been missed here".
 	Resync bool
@@ -396,7 +397,7 @@ func (c *Client) readLoop() {
 			continue // pure transport (WINUP), nothing to dispatch
 		}
 		if m.Verb == "EVENT" {
-			ev := Event{Attr: m.Get("attr"), Value: m.Get("value"), Op: m.Get("op"), Seq: uintField(m, "seq"), Lost: uintField(m, "lost")}
+			ev := Event{Attr: m.Get("attr"), Value: m.Get("value"), Op: m.Get("op"), Seq: uintField(m, "seq", 10), Lost: uintField(m, "lost", 10)}
 			c.mu.Lock()
 			handler := c.handler
 			if handler == nil && !c.closed {
@@ -1138,31 +1139,44 @@ func (c *Client) Ping(ctx context.Context) error {
 // Events channel; the channel closes when the client does. A failed
 // SUB leaves the client unsubscribed, so the caller may retry;
 // concurrent Subscribes collapse to one wire request.
-func (c *Client) Subscribe() error { return c.subscribe("") }
+func (c *Client) Subscribe() error {
+	_, _, err := c.subscribe(nil)
+	return err
+}
 
-// subscribe is Subscribe under an origin: the server withholds from
-// this subscription the ctx-scope mutations that carry the same origin
-// (the LASS cache, which applies its own writes from their acks).
-func (c *Client) subscribe(origin string) error {
+// subMark is what SUB's OK says of the subscription it made that a
+// mirror uses: the incarnation of the context (fixed while the
+// connection holds it), and the subscription's id as the server wrote
+// it — the origin a mirror stamps, unparsed, on the writes it applies
+// itself so they are not echoed back to it.
+type subMark struct {
+	inc    uint64
+	origin string
+}
+
+// subscribe is Subscribe with the handler, when not nil, installed in
+// the same step that claims the connection's one subscription. made
+// reports whether this call sent the SUB: false with a nil error means
+// the connection was subscribed already, and nothing was changed.
+func (c *Client) subscribe(handler func(Event)) (at subMark, made bool, err error) {
 	c.mu.Lock()
 	if c.subbed {
 		c.mu.Unlock()
-		return nil
+		return at, false, nil
 	}
 	c.subbed = true
-	c.mu.Unlock()
-	spec := opFor(opSub, scopeConn)
-	req := spec.req()
-	if origin != "" {
-		req.Set("origin", origin)
+	if handler != nil {
+		c.handler = handler
 	}
-	err := okReply(c.call(context.Background(), spec, req))
-	if err != nil {
+	c.mu.Unlock()
+	reply, err := c.call(context.Background(), opFor(opSub, scopeConn), nil)
+	if err = okReply(reply, err); err != nil {
 		c.mu.Lock()
 		c.subbed = false
 		c.mu.Unlock()
+		return at, false, err
 	}
-	return err
+	return subMark{inc: uintField(reply, "inc", 36), origin: reply.Get("origin")}, true, nil
 }
 
 // Events returns the subscription event channel. It never yields

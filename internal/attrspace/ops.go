@@ -23,7 +23,7 @@ import (
 // this tree speaks. HELLO carries it in both directions; a peer with no
 // or a different revision is refused there (ErrProtocolRevision) and
 // nowhere else — everything the revision includes is simply on.
-const ProtocolRevision = "1"
+const ProtocolRevision = "2"
 
 // ErrProtocolRevision reports a peer that does not speak
 // ProtocolRevision: a server that refused our HELLO for it, or one
@@ -84,12 +84,9 @@ type opSpec struct {
 	scope  opScope
 	handle func(*serverConn, context.Context, request)
 	quiet  bool // neither counted nor timed nor traced
-	// origin: the request may name, in an optional origin field, the
-	// mirror it is made for — a subscription's owner on SUB, a write's
-	// on the ctx-scope mutations — and the server does not push a write
-	// to the subscription of its own origin. Absent, nothing changes: a
-	// server that ignored the field would be correct, only chattier,
-	// which is why it did not take a new ProtocolRevision.
+	// origin: the mutation may name, in an optional origin field, the
+	// subscription it is made for — the id SUB's OK gave it — and the
+	// server does not push the write to that subscription.
 	origin bool
 
 	// Derived once at init: the row's index (its slot in
@@ -112,7 +109,7 @@ var opTable = []opSpec{
 	{verb: "SHMRDY", op: opShmRdy, scope: scopeDaemon, handle: (*serverConn).opShmRdy, quiet: true},
 	{verb: "CCTXS", op: opContexts, scope: scopeDaemon, handle: (*serverConn).opContexts},
 
-	{verb: "SUB", op: opSub, scope: scopeConn, handle: (*serverConn).opSub, origin: true},
+	{verb: "SUB", op: opSub, scope: scopeConn, handle: (*serverConn).opSub},
 	{verb: "PUT", op: opPut, scope: scopeConn, handle: (*serverConn).opPut},
 	{verb: "MPUT", op: opMPut, scope: scopeConn, handle: (*serverConn).opMPut},
 	{verb: "GET", op: opGet, scope: scopeConn, handle: (*serverConn).opGet},
@@ -244,17 +241,19 @@ func valueReply(reply *wire.Message, err error) (string, uint64, error) {
 	return reply.Get("value"), replySeq(reply), nil
 }
 
-func replySeq(reply *wire.Message) uint64 { return uintField(reply, "seq") }
+func replySeq(reply *wire.Message) uint64 { return uintField(reply, "seq", 10) }
 
-// uintField is the decimal field key of m, 0 when it is absent or not a
-// number. Absence is asked first: ParseUint("") would build an error
-// value on every event and ack that carries no such field.
-func uintField(m *wire.Message, key string) uint64 {
+// uintField is the field key of m as a number in base, 0 when it is
+// absent or not a number. Absence is asked first: ParseUint("") would
+// build an error value on every event and ack that carries no such
+// field. Seqs and counts are decimal; ids (attr.Space's incarnations and
+// subscription ids) are base 36 on the wire and numbers everywhere else.
+func uintField(m *wire.Message, key string, base int) uint64 {
 	s, ok := m.Fields[key]
 	if !ok {
 		return 0
 	}
-	n, _ := strconv.ParseUint(s, 10, 64)
+	n, _ := strconv.ParseUint(s, base, 64)
 	return n
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,7 +17,8 @@ import (
 )
 
 // The tests of a global write's path as it stands since the shard
-// stopped echoing a cache's own writes back to it: what the origin
+// stopped echoing a cache's own writes back to it: what the origin — the
+// id the shard gave the mirror's subscription —
 // suppresses and what it must not, the rule that replaces the echo as
 // the repair of a write of unknown outcome, and the router's
 // leader/follower cycle.
@@ -128,18 +130,34 @@ func startTappedPool(t *testing.T) *tappedPool {
 }
 
 // keep joins name at the CASS for the rest of the test, as the tools of
-// a real context do: a mirror's incarnations come and go without the
+// a real context do: a context's mirrors come and go without the
 // context being destroyed under them.
 func (p *tappedPool) keep(t *testing.T, name string) {
 	t.Helper()
 	dialT(t, p.cassAddr, name)
 }
 
-// incarnation returns the cache's current mirror of name, nil if none.
-func (p *tappedPool) incarnation(name string) *cacheCtx {
+// mirrorOf returns the cache's current mirror of name, nil if none.
+func (p *tappedPool) mirrorOf(name string) *cacheCtx {
 	p.gc.mu.Lock()
 	defer p.gc.mu.Unlock()
 	return p.gc.ctxs[name]
+}
+
+// subscribed reports whether the CASS holds a subscription whose id, as
+// SUB's OK spells it, is origin.
+func (p *tappedPool) subscribed(origin string) bool {
+	p.cass.mu.Lock()
+	defer p.cass.mu.Unlock()
+	for c := range p.cass.conns {
+		c.mu.Lock()
+		sub := c.sub
+		c.mu.Unlock()
+		if sub != nil && strconv.FormatUint(sub.ID, 36) == origin {
+			return true
+		}
+	}
+	return false
 }
 
 // atShard reads name/attribute straight from the CASS's space.
@@ -244,7 +262,7 @@ func TestOwnWriteIsNotEchoed(t *testing.T) {
 
 // TestUnknownOutcomeRetiresIncarnation: the echo used to be what
 // repaired a mirror after a write the cache never saw acknowledged. With
-// the echo gone, such a write retires the incarnation, and the next read
+// the echo gone, such a write retires the mirror, and the next read
 // returns what the shard holds — here the new value, because the write
 // had been applied — never the entry cached before it.
 func TestUnknownOutcomeRetiresIncarnation(t *testing.T) {
@@ -273,7 +291,7 @@ func TestUnknownOutcomeRetiresIncarnation(t *testing.T) {
 			if v, _, err := p.gc.TryGet(bg, "job1", "k"); err != nil || v != "old" {
 				t.Fatalf("TryGet = %q, %v", v, err)
 			}
-			first := p.incarnation("job1")
+			first := p.mirrorOf("job1")
 
 			p.pooled.hold()
 			ctx, cancel := context.WithCancel(bg)
@@ -304,23 +322,23 @@ func TestUnknownOutcomeRetiresIncarnation(t *testing.T) {
 			if v != "new" {
 				t.Errorf("TryGet after a write of unknown outcome = %q; the shard holds %q", v, p.atShard("job1", "k"))
 			}
-			second := p.incarnation("job1")
+			second := p.mirrorOf("job1")
 			if second == nil || second == first || second.origin == first.origin {
-				t.Errorf("the incarnation was not retired: %p (origin %q) → %p", first, first.origin, second)
+				t.Errorf("the mirror was not retired: %p (origin %q) → %p", first, first.origin, second)
 			}
 			if names := p.gc.Contexts(); len(names) != 1 || names[0] != "job1" {
-				t.Errorf("Contexts() = %v, want the one new incarnation of job1", names)
+				t.Errorf("Contexts() = %v, want the one new mirror of job1", names)
 			}
 		})
 	}
 }
 
-// TestRetiredIncarnationsLateWriteIsEchoed: an incarnation's write can
-// outlive it — sent, then applied by the shard after the incarnation was
-// retired and its successor has filled the attribute. The successor
-// subscribed under a new origin, so to it that write is a foreign one
-// and arrives as an EVENT; the same write under the successor's own
-// origin would not.
+// TestRetiredIncarnationsLateWriteIsEchoed: a mirror's write can
+// outlive it — sent, then applied by the shard after the mirror was
+// retired and its successor has filled the attribute. The successor's
+// subscription has a new id, so to it that write is a foreign one and
+// arrives as an EVENT; the same write under the successor's own origin
+// would not.
 func TestRetiredIncarnationsLateWriteIsEchoed(t *testing.T) {
 	p := startTappedPool(t)
 	p.keep(t, "job1")
@@ -328,15 +346,18 @@ func TestRetiredIncarnationsLateWriteIsEchoed(t *testing.T) {
 	if _, err := p.gc.Put(bg, "job1", "k", "v1"); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
-	retired := p.incarnation("job1")
+	retired := p.mirrorOf("job1")
 	retired.teardown()
 	if v, _, err := p.gc.TryGet(bg, "job1", "k"); err != nil || v != "v1" {
-		t.Fatalf("TryGet through the new incarnation = %q, %v", v, err)
+		t.Fatalf("TryGet through the new mirror = %q, %v", v, err)
 	}
-	current := p.incarnation("job1")
+	current := p.mirrorOf("job1")
 	if current == retired || current.origin == retired.origin || current.origin == "" {
 		t.Fatalf("origins: retired %q, current %q", retired.origin, current.origin)
 	}
+	// Each origin is the id the shard minted for that mirror's
+	// subscription, which went with the retired mirror's connection.
+	waitFor(t, func() bool { return p.subscribed(current.origin) && !p.subscribed(retired.origin) })
 
 	// The late write, as the shard sees it: a CPUT on a pooled
 	// connection naming the retired origin.
@@ -354,7 +375,7 @@ func TestRetiredIncarnationsLateWriteIsEchoed(t *testing.T) {
 		return err == nil && v == "late"
 	})
 	// The control: under the current origin the shard stays silent, which
-	// is why only the incarnation itself may write under it. (A push is
+	// is why only the mirror itself may write under it. (A push is
 	// counted once it is written, which may be after it was read.)
 	pushed := func() int64 { return counter(p.cass, "attrspace.events.pushed") }
 	waitFor(t, func() bool { return pushed() == 1 })
@@ -372,7 +393,7 @@ func TestRetiredIncarnationsLateWriteIsEchoed(t *testing.T) {
 
 // TestShardErrorKeepsMirror: an ERROR the shard itself answered settles
 // the write — nothing was applied — so the mirror stays, entries and
-// incarnation. The shard is told mid-test that it is shard 1 of 2, which
+// mirror. The shard is told mid-test that it is shard 1 of 2, which
 // makes it refuse the context it was serving.
 func TestShardErrorKeepsMirror(t *testing.T) {
 	p := startTappedPool(t)
@@ -381,7 +402,7 @@ func TestShardErrorKeepsMirror(t *testing.T) {
 	if _, err := p.gc.Put(bg, name, "k", "kept"); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
-	cc := p.incarnation(name)
+	cc := p.mirrorOf(name)
 	if err := p.cass.SetShard(1, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -406,8 +427,8 @@ func TestShardErrorKeepsMirror(t *testing.T) {
 	if v, _, err := p.gc.TryGet(bg, name, "k"); err != nil || v != "kept" {
 		t.Errorf("TryGet after refused writes = %q, %v, want the cached %q", v, err, "kept")
 	}
-	if counter(p.lass, "attrspace.cache.hits") != hits+1 || p.incarnation(name) != cc {
-		t.Errorf("a shard ERROR tore the mirror down (incarnation %p → %p)", cc, p.incarnation(name))
+	if counter(p.lass, "attrspace.cache.hits") != hits+1 || p.mirrorOf(name) != cc {
+		t.Errorf("a shard ERROR tore the mirror down (%p → %p)", cc, p.mirrorOf(name))
 	}
 }
 

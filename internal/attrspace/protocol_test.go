@@ -82,8 +82,13 @@ func TestProtocolDoubleSubscribeRejected(t *testing.T) {
 	wc := rawConn(t, addr)
 	wc.Send(wire.NewMessage("HELLO").Set("context", "c").Set("rev", ProtocolRevision).Set("id", "0"))
 	wc.Recv()
+	wc.Send(wire.NewMessage("PUT").Set("id", "p").Set("attr", "k").Set("value", "v"))
+	wc.Recv()
 	wc.Send(wire.NewMessage("SUB").Set("id", "1"))
-	if reply, _ := wc.Recv(); reply.Verb != "OK" {
+	// The OK names the context's incarnation and the subscription's id,
+	// base 36, and the seq the subscription starts after.
+	if reply, _ := wc.Recv(); reply.Verb != "OK" || uintField(reply, "inc", 36) == 0 ||
+		uintField(reply, "origin", 36) == 0 || reply.Get("seq") != "1" {
 		t.Fatalf("first SUB: %v", reply)
 	}
 	wc.Send(wire.NewMessage("SUB").Set("id", "2"))

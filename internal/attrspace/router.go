@@ -352,9 +352,9 @@ func (sh *shardConn) drain(batch []*shardOp) {
 // at ctx scope.
 
 // mutate is the round trip of put, putBatch and delete (Client.mutate,
-// through a cycle). origin, when not empty, names the cache incarnation
-// the write is made for: the shard does not echo it to the subscription
-// made under the same origin.
+// through a cycle). origin, when not empty, is the id the shard gave the
+// subscription of the mirror the write is made for: the shard does not
+// echo the write to it.
 func (sh *shardConn) mutate(ctx context.Context, contextName, origin string, m *wire.Message) (uint64, error) {
 	if origin != "" {
 		m.Set("origin", origin)

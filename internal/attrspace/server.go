@@ -12,7 +12,7 @@
 // caching LASS — are the op table in ops.go, and DESIGN §12 describes
 // the whole protocol. The server answers:
 //
-//	OK       id=<n> [seq=<s>]
+//	OK       id=<n> [seq=<s>]  (SUB's also inc=<i> origin=<o>: base-36 ids)
 //	VALUE    id=<n> attr=<a> value=<v> seq=<s>
 //	NOTFOUND id=<n> attr=<a>
 //	SNAPV    id=<n> n=<count> k0=.. v0=.. k1=..
@@ -665,8 +665,7 @@ func (t target) snapshot(ctx context.Context) (map[string]string, error) {
 // reference — so a ctx-scope op can never create a context as a side
 // effect or apply a write to one that everyone has already left. The
 // reference of a mutation acts for the request's origin, if it names
-// one: what it writes is not echoed to the subscription made under that
-// origin.
+// one: what it writes is not echoed to the subscription of that id.
 func (c *serverConn) resolve(spec *opSpec, m *wire.Message) (t target, leave bool, err error) {
 	srv := c.srv
 	switch spec.scope {
@@ -685,7 +684,7 @@ func (c *serverConn) resolve(spec *opSpec, m *wire.Message) (t target, leave boo
 			return t, false, fmt.Errorf("ctxop: no such context %q", name)
 		}
 		if spec.origin {
-			ref.SetOrigin(m.Get("origin"))
+			ref.SetOrigin(uintField(m, "origin", 36))
 		}
 		return target{ref: ref}, true, nil
 	}
@@ -1051,7 +1050,7 @@ func (c *serverConn) opSub(_ context.Context, r request) {
 	already := c.sub != nil
 	var err error
 	if !already {
-		c.sub, err = r.t.ref.SubscribeOrigin(int(c.srv.evBuf.Load()), r.m.Get("origin"))
+		c.sub, err = r.t.ref.Subscribe(int(c.srv.evBuf.Load()))
 	}
 	sub := c.sub
 	c.mu.Unlock()
@@ -1063,7 +1062,8 @@ func (c *serverConn) opSub(_ context.Context, r request) {
 		return
 	}
 	go c.pushEvents(sub)
-	c.reply(wire.NewMessage("OK").Set("id", r.id))
+	c.reply(wire.NewMessage("OK").Set("id", r.id).Set("inc", strconv.FormatUint(sub.Inc, 36)).
+		Set("seq", strconv.FormatUint(sub.Seq, 10)).Set("origin", strconv.FormatUint(sub.ID, 36)))
 }
 
 // decodeBatch extracts the k0/v0..k(n-1)/v(n-1) pairs of an MPUT. The

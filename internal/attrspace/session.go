@@ -86,15 +86,6 @@ type SessionConfig struct {
 	Logger   *telemetry.Logger // reconnect diagnostics; nil discards
 }
 
-// seqMark is the session's memory of one attribute: the newest write
-// seq it has delivered and whether that write was a delete. It is what
-// lets a post-reconnect snapshot diff tell "missed update" from
-// "already seen" and "missed delete" from "never existed".
-type seqMark struct {
-	seq  uint64
-	dead bool
-}
-
 // Session is a self-healing connection to a LASS or CASS: a Client
 // that, when the transport dies, reconnects with jittered exponential
 // backoff, re-issues HELLO, replays its subscription, resynchronizes
@@ -107,9 +98,10 @@ type seqMark struct {
 //
 // Consumers of Events() additionally see Event{Resync: true} markers:
 // a bare Op "resync" event first (the gap announcement), then
-// synthetic put/delete events replaying what the snapshot diff proved
-// was missed. Per-attribute event order stays monotonic in seq across
-// any number of reconnects.
+// synthetic put/delete events replaying what was missed — after a
+// reconnect, and after any event that declares a loss (Lost > 0). Per-
+// attribute event order stays monotonic in seq across any number of
+// gaps.
 type Session struct {
 	cfg SessionConfig
 
@@ -129,11 +121,11 @@ type Session struct {
 
 	// emitMu serializes everything that delivers events downstream —
 	// live pushes, resync replays, channel close — so consumers observe
-	// one totally-ordered stream and per-attr seq checks are atomic
-	// with delivery.
+	// one totally-ordered stream, and guards rep, the record of what
+	// they have been told, so per-attr seq checks are atomic with
+	// delivery.
 	emitMu   sync.Mutex
-	seqs     map[string]seqMark
-	ctxSeq   uint64 // newest context seq delivered to consumers
+	rep      replica
 	events   chan Event
 	evClosed bool
 	handler  func(Event)
@@ -173,7 +165,7 @@ func NewSession(cfg SessionConfig) *Session {
 		cfg:    cfg,
 		ready:  make(chan struct{}),
 		done:   make(chan struct{}),
-		seqs:   make(map[string]seqMark),
+		rep:    replica{entries: make(map[string]rentry)},
 		events: make(chan Event, 256),
 	}
 	s.bindCounters(cfg.Registry)
@@ -193,7 +185,7 @@ func (s *Session) log() *telemetry.Logger { return s.cfg.Logger }
 // Stats reports the session's lifetime resilience counters:
 // reconnects (successful re-establishments after the first connect),
 // retries (operations re-issued after a transport failure), and
-// resyncs (snapshot-diff replays after a reconnect).
+// resyncs (replays closing a gap: a reconnect's, or a declared loss).
 func (s *Session) Stats() (reconnects, retries, resyncs int64) {
 	return s.cReconnects.Value(), s.cRetries.Value(), s.cResyncs.Value()
 }
@@ -259,10 +251,10 @@ func (s *Session) connectLoop() {
 
 // install publishes a freshly-dialed client as the current connection:
 // bump the generation, replay the subscription if one is active, wire
-// the loss trigger, then resynchronize the event stream. Returns false
-// when the client could not be installed (session closed, or the
-// subscription replay failed) — the connect loop counts that as a
-// failed attempt.
+// the loss trigger, then bring the event stream in step (rebase).
+// Returns false when the client could not be installed (session closed,
+// or the subscription replay failed) — the connect loop counts that as
+// a failed attempt.
 func (s *Session) install(c *Client) bool {
 	s.mu.Lock()
 	if s.err != nil {
@@ -277,21 +269,11 @@ func (s *Session) install(c *Client) bool {
 	reg, tracer := s.reg, s.tracer
 	s.mu.Unlock()
 
-	// The epoch baseline must predate the new subscription: once SUB is
-	// live, fresh events advance ctxSeq past whatever snapshot resync
-	// will fetch, and comparing against the moving value would misread
-	// that race as a context restart.
-	s.emitMu.Lock()
-	preSeq := s.ctxSeq
-	s.emitMu.Unlock()
 	var gate *evGate
+	var at subMark
 	if subbed {
-		// Handler before SUB: no pushed event can slip past delivery.
-		// The gate holds live events back until the resync below has
-		// re-established the seq epoch (see evGate).
-		gate = &evGate{s: s}
-		c.SetEventHandler(gate.handle)
-		if err := c.Subscribe(); err != nil {
+		var err error
+		if gate, at, err = s.subscribe(c); err != nil {
 			c.Close()
 			return false
 		}
@@ -324,16 +306,8 @@ func (s *Session) install(c *Client) bool {
 	if s.cfg.Heartbeat > 0 {
 		go s.heartbeat(gen, c)
 	}
-	if subbed {
-		// SUB is live on the new connection; diff a versioned snapshot
-		// against what consumers have already seen and replay the gap,
-		// then release the live events the gate held back across the
-		// fetch. Released even when the resync itself failed: in the
-		// common same-epoch case the held events are fine as-is, and in
-		// the epoch-restart case the failed client re-enters the
-		// reconnect loop and the next install resyncs again.
-		s.resync(c, preSeq)
-		gate.release()
+	if gate != nil {
+		s.rebase(gate, at, false)
 	}
 	return true
 }
@@ -432,73 +406,118 @@ func (s *Session) noteSeq(seq uint64) {
 // ---------------------------------------------------------------------------
 // Event stream: live delivery, loss, and resync.
 
-// evGate holds one connection's live events back until the
-// post-reconnect resync has re-established the seq epoch. Between SUB
-// going live and the resync snapshot being applied, deliver would judge
-// incoming events against the *previous* connection's per-attribute seq
-// marks. Usually that is exactly right — such events are replays or
-// fresh writes with higher seqs — but when the context was destroyed
-// and recreated while the session was away, the new epoch's seqs
-// restart from 1: every live event compares stale against the old
-// marks, and the resync snapshot (fetched at a moment that predates
-// them) cannot replay them either, so real writes would be dropped for
-// good. Holding delivery until resync has run lets applyFullResync
-// detect the epoch restart (ctxSeq < preSeq) and reset the marks first;
-// the held events then replay against the correct epoch. The buffer is
-// bounded in practice by the resync RPC duration (cfg.DialTimeout).
+// evGate stands between one connection's live events and deliver. It
+// is shut while the replica is being brought in step with the server —
+// from SUB until the rebase that follows it, and through every repair
+// of a declared loss — and holds the events that arrive meanwhile, so
+// none is judged against a replica about to change under it; opening
+// flushes them in arrival order. The held backlog is bounded in
+// practice by one resync RPC (cfg.DialTimeout).
 type evGate struct {
 	s    *Session
+	c    *Client
 	mu   sync.Mutex
-	open bool
+	shut bool
 	pend []Event
 }
 
+// handle is the connection's event handler, on its read loop.
 func (g *evGate) handle(ev Event) {
 	g.mu.Lock()
-	if !g.open {
-		g.pend = append(g.pend, ev)
-		g.mu.Unlock()
-		return
+	defer g.mu.Unlock()
+	g.pend = append(g.pend, ev)
+	if !g.shut {
+		g.flushLocked()
 	}
-	g.mu.Unlock()
-	g.s.deliver(ev)
 }
 
-// release flushes the held events in arrival order and switches the
-// gate to pass-through. The mutex is held across the flush so an event
-// arriving concurrently cannot overtake the backlog.
+// resync is the session's one repair path run behind the shut gate;
+// then the gate opens.
+func (g *evGate) resync(since uint64) {
+	g.s.resync(g.c, since)
+	g.release()
+}
+
 func (g *evGate) release() {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.open = true
-	for _, ev := range g.pend {
+	g.flushLocked()
+}
+
+// flushLocked delivers what is held, in arrival order and under the
+// mutex, so an event arriving meanwhile cannot overtake the backlog. An
+// event that declares a loss shuts the gate behind it: the repair, a
+// resync from seq 0, waits for its reply on the read loop that called
+// handle, so it runs on a goroutine of its own.
+func (g *evGate) flushLocked() {
+	g.shut = false
+	for i, ev := range g.pend {
 		g.s.deliver(ev)
+		if ev.Lost > 0 {
+			g.pend, g.shut = append(g.pend[:0], g.pend[i+1:]...), true
+			go g.resync(0)
+			return
+		}
 	}
-	g.pend = nil
+	g.pend = g.pend[:0]
+}
+
+// subscribe makes c's subscription with a shut gate as its handler and
+// returns the gate with what SUB's OK said; the caller rebases. A nil
+// gate and error: c was subscribed already.
+func (s *Session) subscribe(c *Client) (*evGate, subMark, error) {
+	g := &evGate{s: s, c: c, shut: true}
+	at, made, err := c.subscribe(g.handle)
+	if !made {
+		g = nil
+	}
+	return g, at, err
+}
+
+// rebase brings the replica in step with the subscription just made on
+// g's connection, then opens the gate. The first subscription has no
+// gap to close: it records the incarnation, and the replica holds what
+// events deliver from then on. After that the incarnation decides: the
+// same one means what was missed is the delta after the replica's
+// high-water seq (0 while nothing has been applied, which replays the
+// whole context); another means the context was recreated while the
+// session was away — consumers get a synthetic destroy (unless a live
+// one already told them), and the new incarnation is replayed from
+// seq 0.
+func (s *Session) rebase(g *evGate, at subMark, first bool) {
+	s.emitMu.Lock()
+	since := s.rep.seq
+	switch {
+	case first:
+		s.rep.inc = at.inc
+	case at.inc != s.rep.inc:
+		if s.rep.inc != 0 {
+			s.forwardLocked(Event{Op: "destroy", Resync: true})
+		}
+		s.rep.reset(at.inc)
+		since = 0
+	}
+	s.emitMu.Unlock()
+	if first {
+		g.release()
+	} else {
+		g.resync(since)
+	}
 }
 
 // deliver forwards one server-pushed event downstream, holding the
-// per-attribute monotonic-seq invariant across reconnects: an event
-// whose seq is not newer than what consumers have already seen for
-// that attribute is dropped (it is a replay straddling a reconnect).
+// per-attribute monotonic-seq invariant across gaps: an event whose seq
+// is not newer than what consumers have already seen for that attribute
+// is dropped (it is a replay straddling a reconnect).
 func (s *Session) deliver(ev Event) {
 	s.emitMu.Lock()
 	defer s.emitMu.Unlock()
-	if ev.Op == "destroy" {
-		// The context itself is gone: every per-attr mark is from a
-		// seq epoch that no longer exists.
-		s.seqs = make(map[string]seqMark)
-		s.ctxSeq = 0
-		s.forwardLocked(ev)
-		return
-	}
-	if ev.Seq != 0 {
-		if mark, ok := s.seqs[ev.Attr]; ok && ev.Seq <= mark.seq {
+	switch {
+	case ev.Op == "destroy":
+		s.rep.reset(0) // the incarnation is gone, and consumers are told
+	case ev.Seq != 0:
+		if !s.rep.apply(ev.Attr, ev.Value, ev.Seq, ev.Op == "delete") {
 			return
-		}
-		s.seqs[ev.Attr] = seqMark{seq: ev.Seq, dead: ev.Op == "delete"}
-		if ev.Seq > s.ctxSeq {
-			s.ctxSeq = ev.Seq
 		}
 		s.noteSeq(ev.Seq)
 	}
@@ -519,121 +538,33 @@ func (s *Session) forwardLocked(ev Event) {
 	offer(s.events, ev)
 }
 
-// resync closes the event gap a reconnect opened: fetch a versioned
-// snapshot, announce the gap with a bare Resync marker, then replay the
-// diff — puts for attributes whose snapshot seq is newer than what
-// consumers saw, deletes for attributes consumers believe live that the
-// snapshot no longer holds. Stale snapshot entries (an event from the
-// new subscription already delivered something newer) are skipped, so
-// the per-attr seq order never goes backward.
-//
-// preSeq is the newest context seq delivered before this reconnect: a
-// snapshot whose context seq is below it means the context was
-// destroyed and recreated while we were away (seqs restarted), so the
-// old epoch's marks are meaningless — consumers get a synthetic
-// destroy, then the snapshot replayed as the new truth.
-func (s *Session) resync(c *Client, preSeq uint64) {
+// resync closes a gap in the event stream from since: SNAPD answers
+// with the mutations after it, or with the whole context when its
+// change log no longer reaches back that far. Consumers get a bare
+// Resync marker, then each write the replica had not seen (a delete for
+// an attribute the whole context no longer holds). From seq 0 it
+// repairs a declared loss: the ring drops the oldest queued updates,
+// older than ones delivered after them, so a delta from the newest
+// delivered seq would miss exactly the lost ones. A failed fetch
+// changes nothing; a transport error also fails the client, and the
+// next install resyncs again.
+func (s *Session) resync(c *Client, since uint64) {
 	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.DialTimeout)
 	defer cancel()
-	if preSeq > 0 {
-		ops, full, ctxSeq, err := c.SnapshotDelta(ctx, preSeq)
-		switch {
-		case err == nil && full != nil:
-			// The server's change log was compacted past our gap and it
-			// shipped the whole context instead.
-			s.applyFullResync(full, ctxSeq, preSeq)
-			return
-		case err == nil && ctxSeq >= preSeq:
-			s.applyDelta(ops, ctxSeq)
-			return
-		case err == nil:
-			// ctxSeq < preSeq: the context was destroyed and recreated
-			// while we were away. The delta is from the wrong seq epoch;
-			// only a full snapshot can establish the new one.
-		default:
-			// A transport error here fails the client, which re-triggers
-			// the reconnect loop — the next install resyncs again.
-			s.log().Debugf("attrspace: session delta resync failed: %v", err)
-			return
-		}
-	}
-	snap, ctxSeq, err := c.SnapshotSeq(ctx)
+	ops, full, ctxSeq, err := c.SnapshotDelta(ctx, since)
 	if err != nil {
-		s.log().Debugf("attrspace: session resync snapshot failed: %v", err)
+		s.log().Debugf("attrspace: session resync from seq %d failed: %v", since, err)
 		return
 	}
-	s.applyFullResync(snap, ctxSeq, preSeq)
-}
-
-// applyDelta replays a server-shipped mutation log covering the
-// reconnect gap: traffic proportional to what was missed, not to the
-// context size. Deletes arrive explicitly, so no presence diff against
-// consumer state is needed.
-func (s *Session) applyDelta(ops []DeltaOp, ctxSeq uint64) {
 	s.cResyncs.Inc()
 	s.noteSeq(ctxSeq)
 	s.emitMu.Lock()
 	defer s.emitMu.Unlock()
 	s.forwardLocked(Event{Op: "resync", Seq: ctxSeq, Resync: true})
-	for _, op := range ops {
-		if mark, ok := s.seqs[op.Attr]; ok && op.Seq <= mark.seq {
-			continue // the new subscription already delivered this (or newer)
-		}
-		s.seqs[op.Attr] = seqMark{seq: op.Seq, dead: op.Delete}
-		evOp := "put"
-		if op.Delete {
-			evOp = "delete"
-		}
-		s.forwardLocked(Event{Attr: op.Attr, Value: op.Value, Op: evOp, Seq: op.Seq, Resync: true})
-	}
-	if ctxSeq > s.ctxSeq {
-		s.ctxSeq = ctxSeq
-	}
-}
-
-// applyFullResync diffs a complete versioned snapshot against what
-// consumers have seen and replays the difference (see resync).
-func (s *Session) applyFullResync(snap map[string]Versioned, ctxSeq, preSeq uint64) {
-	s.cResyncs.Inc()
-	s.noteSeq(ctxSeq)
-	s.emitMu.Lock()
-	defer s.emitMu.Unlock()
-	// Gap announcement first: consumers holding derived state (caches,
-	// monitors) learn events may have been missed before the replay.
-	s.forwardLocked(Event{Op: "resync", Seq: ctxSeq, Resync: true})
-	if ctxSeq < preSeq {
-		// New seq epoch: drop every mark and tell consumers the old
-		// context is gone before replaying the new one.
-		s.seqs = make(map[string]seqMark)
-		s.ctxSeq = 0
-		s.forwardLocked(Event{Op: "destroy", Resync: true})
-	}
-	for k, v := range snap {
-		if mark, ok := s.seqs[k]; ok && v.Seq <= mark.seq {
-			continue // consumers already saw this write (or newer)
-		}
-		s.seqs[k] = seqMark{seq: v.Seq}
-		s.forwardLocked(Event{Attr: k, Value: v.Value, Op: "put", Seq: v.Seq, Resync: true})
-	}
-	for k, mark := range s.seqs {
-		if mark.dead || mark.seq > ctxSeq {
-			// Already known dead, or written after the snapshot was
-			// taken: its absence there says nothing about it. (Live events
-			// can overtake a resync only on the very first subscription,
-			// when Subscribe's handler replaces the gate's.)
-			continue
-		}
-		if _, ok := snap[k]; ok {
-			continue
-		}
-		// Consumers think k is live; the snapshot says it is gone — the
-		// delete happened in the gap. Version the synthetic delete with
-		// the context seq so a later live put supersedes it.
-		s.seqs[k] = seqMark{seq: ctxSeq, dead: true}
-		s.forwardLocked(Event{Attr: k, Op: "delete", Seq: ctxSeq, Resync: true})
-	}
-	if ctxSeq > s.ctxSeq {
-		s.ctxSeq = ctxSeq
+	if full != nil {
+		s.rep.applyFull(full, ctxSeq, s.forwardLocked)
+	} else {
+		s.rep.applyDelta(ops, ctxSeq, s.forwardLocked)
 	}
 }
 
@@ -676,8 +607,11 @@ func (s *Session) Subscribe() error {
 	s.subbed = true
 	s.mu.Unlock()
 	return s.retry(context.Background(), func(c *Client) error {
-		c.SetEventHandler(func(ev Event) { s.deliver(ev) })
-		return c.Subscribe()
+		g, at, err := s.subscribe(c) // nil gate: install subscribed c already
+		if g != nil {
+			s.rebase(g, at, true)
+		}
+		return err
 	})
 }
 

@@ -413,15 +413,18 @@ func TestSessionRidesThroughDrain(t *testing.T) {
 	}
 }
 
-// TestSessionGateEpochRestart pins down why install() gates event
-// delivery until the resync has run. A context destroyed and recreated
-// while the session was away restarts its seqs from 1; a live event
-// from the new epoch that lands between SUB and the resync snapshot
-// would be judged against the previous epoch's per-attribute marks and
-// silently dropped — and since the snapshot was fetched before that
-// write, nothing ever replays it. The gate holds such events until
-// applyFullResync has detected the epoch restart and reset the marks.
+// TestSessionGateEpochRestart pins down the incarnation rule and why
+// install() gates event delivery until the rebase has run. The context
+// was destroyed and recreated while the session was away, so its seqs
+// restarted from 1: a live event from the new incarnation that lands
+// between SUB and the resync would be judged against the previous
+// incarnation's per-attribute marks and silently dropped — and since the
+// resync's reply predates that write, nothing would ever replay it. The
+// gate holds such events until rebase has seen SUB's new incarnation,
+// told consumers the old one is gone and replayed the new one from seq
+// 0; they then apply against the new incarnation's marks.
 func TestSessionGateEpochRestart(t *testing.T) {
+	_, addr := startServer(t)
 	s := NewSession(SessionConfig{
 		Dial: func(addr string) (net.Conn, error) {
 			return nil, errors.New("no server in this test")
@@ -435,63 +438,99 @@ func TestSessionGateEpochRestart(t *testing.T) {
 	m := newMirror()
 	s.SetEventHandler(m.handle)
 
-	// Epoch A, delivered live on the first connection.
+	// Incarnation 1, delivered live on the first connection.
+	first := &evGate{s: s, shut: true}
+	s.rebase(first, subMark{inc: 1}, true)
 	for i, a := range []string{"x", "y", "z"} {
-		s.deliver(Event{Attr: a, Value: "old", Op: "put", Seq: uint64(i + 1)})
+		first.handle(Event{Attr: a, Value: "old", Op: "put", Seq: uint64(i + 1)})
 	}
 
-	// Reconnect: install() captures the epoch baseline, subscribes on
-	// the new connection, and gates its handler.
-	s.emitMu.Lock()
-	preSeq := s.ctxSeq
-	s.emitMu.Unlock()
-	gate := &evGate{s: s}
-
-	// The recreated context restarted seqs: a live event for y (seq 2
-	// in the new epoch, stale against epoch A's mark y=2) arrives while
-	// the resync RPC is still in flight.
+	// Reconnect to incarnation 2, which holds x at seq 1.
+	c := dialT(t, addr, "gate")
+	if err := c.Put("x", "new"); err != nil {
+		t.Fatal(err)
+	}
+	gate := &evGate{s: s, c: c, shut: true}
+	// A live event for y (seq 2 in the new incarnation, stale against
+	// incarnation 1's mark y=2) arrives before the rebase has run.
 	gate.handle(Event{Attr: "y", Value: "new", Op: "put", Seq: 2})
-
-	// The resync snapshot predates y's write: only x, at ctxSeq 1 <
-	// preSeq — an epoch restart. applyFullResync resets the marks.
-	s.applyFullResync(map[string]Versioned{"x": {Value: "new", Seq: 1}}, 1, preSeq)
-	gate.release()
+	s.rebase(gate, subMark{inc: 2}, false)
 
 	got, _, _ := m.snapshot()
 	want := map[string]string{"x": "new", "y": "new"}
 	if !sameMap(got, want) {
-		t.Fatalf("mirror after epoch restart = %v, want %v", got, want)
+		t.Fatalf("mirror after the context was recreated = %v, want %v\n%v", got, want, m.events())
+	}
+	// Seen again, incarnation 2 is the same context: no destroy, a delta.
+	s.rebase(&evGate{s: s, c: c, shut: true}, subMark{inc: 2}, false)
+	if got, _, _ := m.snapshot(); !sameMap(got, want) {
+		t.Errorf("mirror after a reconnect to the same incarnation = %v, want %v", got, want)
 	}
 }
 
 // TestFullResyncOlderThanLiveEvents: a full-resync snapshot says an
 // attribute is gone only if it is at least as new as what consumers have
-// seen of that attribute. The first subscription's snapshot can be
-// applied after live events that outran it (Subscribe's handler replaces
-// the gate's); its silence about attributes written since must not turn
-// into deletes versioned below them.
+// seen of that attribute. A snapshot can be applied after live events
+// that outran its reply; its silence about attributes written since must
+// not turn into deletes versioned below them.
 func TestFullResyncOlderThanLiveEvents(t *testing.T) {
-	_, addr := startServer(t)
-	s := NewSession(SessionConfig{Addr: addr, Context: "job"})
-	defer s.Close()
+	r := replica{inc: 1, entries: make(map[string]rentry)}
+	r.apply("old", "v", 1, false)
+	r.apply("new", "v", 5, false)
 	var got []string
-	s.SetEventHandler(func(ev Event) {
-		if ev.Op != "resync" {
-			got = append(got, fmt.Sprintf("%s %s@%d", ev.Op, ev.Attr, ev.Seq))
-		}
-	})
-	s.deliver(Event{Attr: "old", Value: "v", Op: "put", Seq: 1})
-	s.deliver(Event{Attr: "new", Value: "v", Op: "put", Seq: 5})
-	got = nil
+	emit := func(ev Event) { got = append(got, fmt.Sprintf("%s %s@%d", ev.Op, ev.Attr, ev.Seq)) }
 	// Taken at seq 2, applied late: "old" really was deleted by then,
 	// "new" did not exist yet.
-	s.applyFullResync(map[string]Versioned{}, 2, 0)
+	r.applyFull(map[string]Versioned{}, 2, emit)
 	if want := []string{"delete old@2"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("stale full resync emitted %v, want %v", got, want)
 	}
 	got = nil
-	s.applyFullResync(map[string]Versioned{}, 9, 5)
+	r.applyFull(map[string]Versioned{}, 9, emit)
 	if want := []string{"delete new@9"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("current full resync emitted %v, want %v", got, want)
+	}
+	if r.seq != 9 || r.inc != 1 {
+		t.Errorf("replica at seq %d of incarnation %d, want 9 of 1", r.seq, r.inc)
+	}
+}
+
+// TestSessionRepairsDeclaredLoss: a subscriber whose server ring
+// overflows is told how many updates it lost, and a Session repairs the
+// gap — a resync from seq 0, because the ring drops the oldest queued
+// updates — so its consumer ends with the server's picture.
+func TestSessionRepairsDeclaredLoss(t *testing.T) {
+	srv, addr := startServer(t)
+	srv.SetEventBuffer(1)
+	keep := srv.Space().Join("lossy")
+	defer keep.Leave()
+	s := NewSession(SessionConfig{Addr: addr, Context: "lossy"})
+	defer s.Close()
+	m := newMirror()
+	s.SetEventHandler(m.handle)
+	if err := s.Subscribe(); err != nil {
+		t.Fatalf("Subscribe: %v", err)
+	}
+	for i := 0; i < 500; i++ {
+		if err := keep.Put(fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	auth, err := keep.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for got, _, _ := m.snapshot(); !sameMap(got, auth); got, _, _ = m.snapshot() {
+		if time.Now().After(deadline) {
+			t.Fatalf("mirror holds %d of the server's %d attributes", len(got), len(auth))
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if _, resyncs, viol := m.snapshot(); resyncs == 0 || len(viol) > 0 {
+		t.Errorf("%d resyncs, seq violations %v", resyncs, viol)
+	}
+	if n := counter(srv, "attrspace.events.lost"); n == 0 {
+		t.Error("the ring of 1 dropped nothing: the test did not overflow it")
 	}
 }

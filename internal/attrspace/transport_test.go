@@ -23,17 +23,19 @@ import (
 // The revision handshake.
 
 // TestRevisionHandshake: HELLO is the one place a peer of another (or
-// no) protocol revision is told so. A raw peer gets the stable ERROR
-// and the server keeps nothing of it — no context joined, the
-// connection dropped; a client dialing a server whose OK names no
-// revision gets ErrProtocolRevision instead of a half-working
-// connection.
+// no) protocol revision is told so. A raw peer — revision 1 among them,
+// whose SUB named an origin of its own and whose OK carried no
+// incarnation — gets the stable ERROR and the server keeps nothing of
+// it: no context joined, the connection dropped; a client dialing a
+// server whose OK names no revision gets ErrProtocolRevision instead of
+// a half-working connection.
 func TestRevisionHandshake(t *testing.T) {
 	srv, addr := startServer(t)
 	conns := srv.Telemetry().Gauge("attrspace.conns")
 	for _, hello := range []*wire.Message{
 		wire.NewMessage("HELLO").Set("context", "stray"),
 		wire.NewMessage("HELLO").Set("context", "stray").Set("rev", "0"),
+		wire.NewMessage("HELLO").Set("context", "stray").Set("rev", "1"),
 		wire.NewMessage("HELLO").Set("context", "stray").Set("caps", "mux,snapd,chunk,ping,bytewin"),
 	} {
 		raw, err := net.Dial("tcp", addr)
@@ -65,7 +67,7 @@ func TestRevisionHandshake(t *testing.T) {
 	// refuses ours the way a server of another revision does.
 	for name, answer := range map[string]*wire.Message{
 		"bare OK":        wire.NewMessage("OK"),
-		"other revision": wire.NewMessage("OK").Set("rev", "2"),
+		"other revision": wire.NewMessage("OK").Set("rev", "1"),
 		"revision ERROR": wire.NewMessage("ERROR").Set("error", revisionMismatch),
 	} {
 		l, err := net.Listen("tcp", "127.0.0.1:0")

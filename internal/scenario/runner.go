@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
@@ -133,11 +134,17 @@ type TB interface {
 }
 
 // RunTB executes the scenario under a test, failing it (with the
-// replay seed in the message) on any phase or checkpoint error.
+// replay seed in the message) on any phase or checkpoint error. A failed
+// run first logs its Report as one JSON line — seed, per-phase counters
+// and latencies, the failing checkpoint's detail — so the evidence
+// stays in the test output (`go test -json` included) with no report
+// directory configured.
 func RunTB(tb TB, s *Scenario) *Report {
 	tb.Helper()
 	rep, err := Execute(s, RunConfig{Logf: tb.Logf})
 	if err != nil {
+		data, _ := json.Marshal(rep) // its numbers are all finite: it encodes
+		tb.Logf("scenario report: %s", data)
 		tb.Fatalf("%v", err)
 	}
 	return rep

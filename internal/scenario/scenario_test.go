@@ -1,7 +1,11 @@
 package scenario
 
 import (
+	"encoding/json"
+	"errors"
+	"fmt"
 	"os"
+	"strings"
 	"testing"
 	"time"
 )
@@ -116,6 +120,61 @@ func TestExecuteFailureShape(t *testing.T) {
 		if !contains(err.Error(), frag) {
 			t.Errorf("error %q missing %q", err, frag)
 		}
+	}
+}
+
+// fakeTB records what RunTB tells a test.
+type fakeTB struct {
+	logs  []string
+	fatal string
+}
+
+func (f *fakeTB) Helper() {}
+func (f *fakeTB) Logf(format string, args ...any) {
+	f.logs = append(f.logs, fmt.Sprintf(format, args...))
+}
+func (f *fakeTB) Fatalf(format string, args ...any) {
+	f.fatal = fmt.Sprintf(format, args...)
+}
+
+// TestRunTBLogsFailedReport: a failed run leaves its report in the test
+// output as one JSON line before the test fails — the seed, the phase's
+// counters and latencies, and the failing checkpoint's detail — so a
+// failure seen once in `go test -json ./...` can be read afterwards.
+func TestRunTBLogsFailedReport(t *testing.T) {
+	s := &Scenario{
+		Name: "fails-with-evidence",
+		Phases: []Phase{{
+			Name: "load",
+			Run: func(r *Run) error {
+				r.Count("ops", 7)
+				r.Observe("op", time.Millisecond)
+				return nil
+			},
+			Checkpoints: []Checkpoint{{Name: "converged", Check: func(*Run) error {
+				return errors.New("2 of 9 mirrors diverged")
+			}}},
+		}},
+	}
+	tb := &fakeTB{}
+	RunTB(tb, s)
+	if !contains(tb.fatal, "converged") {
+		t.Fatalf("Fatalf = %q, want the failing checkpoint", tb.fatal)
+	}
+	var line string
+	for _, l := range tb.logs {
+		if rest, ok := strings.CutPrefix(l, "scenario report: "); ok {
+			line = rest
+		}
+	}
+	var rep Report
+	if err := json.Unmarshal([]byte(line), &rep); err != nil {
+		t.Fatalf("no JSON report line in the log (%v): %q", err, tb.logs)
+	}
+	ph := rep.Phases[0]
+	if rep.Seed != resolveSeed(0) || rep.Passed || ph.Counters["ops"] != 7 || ph.Latencies["op"].Count != 1 ||
+		ph.Checkpoints[0].Detail != "2 of 9 mirrors diverged" {
+		t.Errorf("logged report = %s", line)
 	}
 }
 

@@ -109,12 +109,13 @@ func (h *Handle) WaitStatus(ctx context.Context, wantPrefix string) (string, err
 			if !ok {
 				return "", ErrClosed
 			}
-			if ev.Resync && ev.Op == "resync" {
-				// Reconnect gap marker (Config.Resilient): transitions
-				// may have been missed, and the replay that follows
-				// carries only the latest value per attribute — so ask
-				// for the current status directly rather than waiting
-				// for an event that may never be re-sent.
+			if ev.Lost > 0 || ev.Resync && ev.Op == "resync" {
+				// A gap: the server's ring dropped updates for us (Lost,
+				// the op "lost" marker included), or a reconnect opened
+				// one (Config.Resilient) whose replay carries only the
+				// latest value per attribute. Transitions may have been
+				// missed, so ask for the current status directly rather
+				// than wait for an event that may never be re-sent.
 				if v, err := h.TryGet(AttrStatus); err == nil && hasPrefix(v, wantPrefix) {
 					return v, nil
 				}

@@ -5,8 +5,10 @@
 # probe helper the core's sessions run on) and for the whole root module
 # (bench/ is its own module and is not counted; internal/testkit is the
 # tests' shared fakes — it imports "testing" and only _test files import
-# it — and is reported on its own line). Core LOC is tracked the way
-# ns/op is: run at the parent commit and at the change.
+# it — and is reported on its own line), then the raw line counts of
+# the four documents that describe the system, so their growth is
+# tracked beside the code's. Core LOC is tracked the way ns/op is: run
+# at the parent commit and at the change.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -33,3 +35,6 @@ count() { # count <label> <find-root>...
 count "attrspace + wire + liveness" internal/attrspace internal/wire internal/liveness
 count "root module" .
 count "internal/testkit (test support)" internal/testkit
+for doc in README.md DESIGN.md EXPERIMENTS.md ROADMAP.md; do
+	printf '%-34s raw %6d\n' "$doc" "$(wc -l <"$doc")"
+done

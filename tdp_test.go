@@ -388,6 +388,55 @@ func TestWatchUpdatesSkipsLossMarkers(t *testing.T) {
 	}
 }
 
+// TestWaitStatusSurvivesDroppedTransition: the status transition a
+// waiter wants is dropped by the server's overflowing event ring — a
+// ring of one, and a burst of puts on either side of "exited:" — and
+// WaitStatus still returns it, by re-reading the status when an event
+// declares the loss.
+func TestWaitStatusSurvivesDroppedTransition(t *testing.T) {
+	srv, addr, err := ServeLASS("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("ServeLASS: %v", err)
+	}
+	t.Cleanup(srv.Close)
+	srv.SetEventBuffer(1)
+	rm := initT(t, Config{Context: "c", LASSAddr: addr, Identity: "RM"})
+	rt := initT(t, Config{Context: "c", LASSAddr: addr, Identity: "RT"})
+	if err := rm.Put(AttrStatus, "stopped"); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	type result struct {
+		v   string
+		err error
+	}
+	got := make(chan result, 1)
+	go func() {
+		v, err := rt.WaitStatus(ctx, "exited:")
+		got <- result{v, err}
+	}()
+	// WaitStatus reads the status twice, around its SUB; both reads have
+	// answered "stopped" once the server has counted two.
+	tryGets := srv.Telemetry().Counter("attrspace.ops.tryget")
+	for tryGets.Value() < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	burst := make([]KV, 0, 2001)
+	for i := 0; i < 2000; i++ {
+		if i == 1000 {
+			burst = append(burst, KV{Key: AttrStatus, Value: "exited:0"})
+		}
+		burst = append(burst, KV{Key: "k" + strconv.Itoa(i), Value: "v"})
+	}
+	if err := rm.PutBatch(burst); err != nil {
+		t.Fatalf("PutBatch: %v", err)
+	}
+	if r := <-got; r.err != nil || r.v != "exited:0" {
+		t.Fatalf("WaitStatus = %q, %v; want exited:0 before the deadline", r.v, r.err)
+	}
+}
+
 func TestGlobalSpace(t *testing.T) {
 	lass := newLASS(t)
 	cassSrv, cassAddr, err := ServeLASS("127.0.0.1:0")
@@ -709,7 +758,9 @@ func TestFigure3BAttachSequence(t *testing.T) {
 // any daemon restart) under two live handles. A blocking Get and a Put
 // issued across the outage both succeed on the new daemon, and
 // WatchUpdates — its subscription replayed by the session — delivers a
-// change made after the restart.
+// change made after the restart and learns that what it saw before is
+// gone: the restarted daemon's context is another incarnation, however
+// its seq compares with the old one's.
 func TestResilientHandleSurvivesLASSRestart(t *testing.T) {
 	addr := "unix:" + filepath.Join(t.TempDir(), "lass.sock")
 	srv, _, err := ServeLASS(addr)
@@ -734,17 +785,10 @@ func TestResilientHandleSurvivesLASSRestart(t *testing.T) {
 			}
 		}
 	}
-	// Several writes, so the old context's seq is well past anything the
-	// restarted daemon's fresh context will have reached when the watcher
-	// resyncs: a session recognises a restart that lost state by the
-	// context seq having gone backward (Session.resync), and has no other
-	// sign of it.
-	for i := 1; i <= 5; i++ {
-		if err := rm.Put("before", strconv.Itoa(i)); err != nil {
-			t.Fatalf("Put before the outage: %v", err)
-		}
+	if err := rm.Put("before", "1"); err != nil {
+		t.Fatalf("Put before the outage: %v", err)
 	}
-	waitSeen("put:before=5")
+	waitSeen("put:before=1")
 
 	srv.Close() // the LASS dies
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -773,5 +817,16 @@ func TestResilientHandleSurvivesLASSRestart(t *testing.T) {
 	waitSeen("put:after=2")
 	if v, err := rm.TryGet("after"); err != nil || v != "2" {
 		t.Errorf("TryGet after the restart = %q, %v", v, err)
+	}
+	// The old incarnation's end reaches the watcher as a destroy, or as
+	// the delete of what it held — never as silence.
+	deadline := time.After(10 * time.Second)
+	for !seen["destroy:="] && !seen["delete:before="] {
+		select {
+		case <-rt.Activity():
+			rt.ServiceEvents()
+		case <-deadline:
+			t.Fatalf("the watcher was never told that before=1 is gone; seen = %v", seen)
+		}
 	}
 }
