@@ -78,7 +78,7 @@ func runAllocs() {
 	for i := range batch {
 		batch[i] = tdp.KV{Key: fmt.Sprintf("allocs.batch%d", i), Value: value}
 	}
-	fmt.Printf("E28–E30: heap objects per operation by allocation site (%d ops, or %d set-ups or jobs, each after %d warm-up; all daemons in this process)\n", allocOps, allocLives, allocWarm)
+	fmt.Printf("E28–E32: heap objects per operation by allocation site (%d ops, or %d set-ups or jobs, each after %d warm-up; all daemons in this process)\n", allocOps, allocLives, allocWarm)
 	fmt.Println("  The profile records every object given its own block; objects the tiny allocator packs")
 	fmt.Println("  into an existing block are invisible to it, which is why MemStats.Mallocs reads higher.")
 	for _, sc := range []struct {
@@ -92,6 +92,8 @@ func runAllocs() {
 		{name: "local putbatch(8)", ops: allocOps, op: func() error { return local.PutBatch(batch) }},
 		{name: "global write (handle → caching LASS → shard)", ops: allocOps, events: true,
 			op: func() error { return global.PutGlobal("allocs.attr", value) }},
+		{name: "global batch write (8 pairs)", ops: allocOps, events: true,
+			op: func() error { return global.PutBatchGlobal(batch) }},
 		{name: "set-up (tdp.Init + one put + Exit)", ops: allocLives, op: func() error {
 			h, err := tdp.Init(tdp.Config{Context: "allocs-setup", LASSAddr: lass.addr, Identity: "tdpbench", Telemetry: local.Telemetry()})
 			if err != nil {

@@ -222,27 +222,29 @@ func (s *Space) shardFor(name string) *shard {
 // context and all its attributes are destroyed when the last reference
 // leaves, mirroring tdp_exit semantics.
 func (s *Space) Join(name string) *Ref {
-	ref, _ := s.join(name, true)
+	ref := new(Ref)
+	s.join(name, true, ref)
 	return ref
 }
 
-// JoinExisting enters the named context only when somebody already
-// holds it, reporting false (and joining nothing) otherwise. The
+// JoinExisting enters the named context through ref only when somebody
+// already holds it, reporting false (and joining nothing) otherwise. The
 // existence check and the join are one shard-lock hold, so a caller can
 // never create — or write into and then destroy — a context whose last
-// holder left between the two.
-func (s *Space) JoinExisting(name string) (*Ref, bool) {
-	return s.join(name, false)
+// holder left between the two. ref is the caller's: a new one, or one
+// it has left, which starts over with origin 0 and nothing suppressed.
+func (s *Space) JoinExisting(name string, ref *Ref) bool {
+	return s.join(name, false, ref)
 }
 
-func (s *Space) join(name string, create bool) (*Ref, bool) {
+func (s *Space) join(name string, create bool, ref *Ref) bool {
 	sh := s.shardFor(name)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	c := sh.contexts[name]
 	if c == nil {
 		if !create {
-			return nil, false
+			return false
 		}
 		c = &spaceContext{
 			name:    name,
@@ -255,7 +257,9 @@ func (s *Space) join(name string, create bool) (*Ref, bool) {
 		sh.contexts[name] = c
 	}
 	c.refs++
-	return &Ref{space: s, ctx: c}, true
+	ref.space, ref.ctx, ref.origin = s, c, 0
+	ref.suppressed.Store(0)
+	return true
 }
 
 // Contexts returns the names of live contexts, sorted.

@@ -354,8 +354,8 @@ func TestOriginSuppressesOwnEcho(t *testing.T) {
 		t.Fatalf("subscription ids %d, %d, %d: want distinct and non-zero", mine.ID, theirs.ID, plain.ID)
 	}
 
-	writer, ok := s.JoinExisting("c")
-	if !ok {
+	writer := new(Ref)
+	if !s.JoinExisting("c", writer) {
 		t.Fatal("JoinExisting of a held context failed")
 	}
 	writer.SetOrigin(mine.ID)
@@ -385,6 +385,43 @@ func TestOriginSuppressesOwnEcho(t *testing.T) {
 		if got := seqs(sub); fmt.Sprint(got) != "[1 2 3 4 5 6]" {
 			t.Errorf("subscription %s saw seqs %v, want all of 1..6", name, got)
 		}
+	}
+}
+
+// TestJoinExistingRefillsItsRef: a reference JoinExisting filled, once
+// left, can be filled again and starts over — no origin, nothing
+// suppressed — which is what lets a server join every ctx-scope request
+// of a connection through one reference. A context nobody holds leaves
+// the reference as it was.
+func TestJoinExistingRefillsItsRef(t *testing.T) {
+	s := NewSpace()
+	holder := s.Join("c")
+	sub, _ := holder.Subscribe(16)
+	var ref Ref
+	if !s.JoinExisting("c", &ref) {
+		t.Fatal("JoinExisting of a held context failed")
+	}
+	ref.SetOrigin(sub.ID)
+	ref.Put("a", "1") // seq 1, withheld from sub
+	ref.Leave()
+	if s.JoinExisting("nobody", &ref) || ref.Context() != "" || s.Refs("nobody") != 0 {
+		t.Fatal("JoinExisting of a context nobody holds joined or created it")
+	}
+	if !s.JoinExisting("c", &ref) {
+		t.Fatal("JoinExisting through a left reference failed")
+	}
+	if n := ref.Suppressed(); n != 0 {
+		t.Errorf("a refilled reference starts with %d suppressed, want 0", n)
+	}
+	ref.Put("b", "2") // seq 2, no origin: sub's
+	ref.Leave()
+	holder.Leave() // destroy, seq 3
+	var got []uint64
+	for u := range sub.Updates() {
+		got = append(got, u.Seq)
+	}
+	if fmt.Sprint(got) != "[2 3]" {
+		t.Errorf("the subscription saw seqs %v, want [2 3]: the refilled reference kept its origin", got)
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 const (
 	putAllocBudget      = 4
 	tryGetAllocBudget   = 4
-	putBatchAllocBudget = 13 // a batch of 8: the request's field map is the rest
+	putBatchAllocBudget = 10 // a batch of 8: the server's pairs and the request's field map growing are the rest
 )
 
 // allocPair is a connected client and server, on the unix socket or on
@@ -85,37 +85,65 @@ func TestHotOpAllocBudget(t *testing.T) {
 	}
 }
 
-// The budget of one PutGlobal through the caching LASS: the handle's
+// The budgets of a global write through the caching LASS: the handle's
 // request and reply over the unix socket, the cache, the router, the
 // pooled TCP connection and the shard, process-wide. One object over
-// what the path measures: four payload copies (GPUT, CPUT and their two
-// acks), two formatted seqs, the router's CPUT request (message, field
-// map and the map's one group) and the reference a ctx-scope request
-// joins its context through. An echoed EVENT (built, copied, decoded:
-// four objects) or a goroutine per cycle shows here.
-const globalPutAllocBudget = 11
+// what the path measures. A PutGlobal measures the protocol's own: four
+// payload copies (GPUT, CPUT and their two acks) and two formatted seqs.
+// The router's request travels in its op and the shard joins the
+// context through its connection's one reference, so neither adds
+// anything; an echoed EVENT (built, copied, decoded: four objects) or a
+// goroutine per cycle shows here. An 8-pair PutBatchGlobal adds the
+// client's GMPUT field map outgrowing the one group it has on the stack
+// (five objects) and the pairs each of the two servers decodes the batch
+// into.
+const (
+	globalPutAllocBudget      = 7
+	globalPutBatchAllocBudget = 14
+)
 
 func TestGlobalPutAllocBudget(t *testing.T) {
+	c := globalAllocPair(t)
+	bg := context.Background()
+	globalAllocBudget(t, "PutGlobal", globalPutAllocBudget, func() error { return c.PutGlobal(bg, "pid", "4242") })
+}
+
+func TestGlobalPutBatchAllocBudget(t *testing.T) {
+	c := globalAllocPair(t)
+	bg := context.Background()
+	batch := make([]KV, 8)
+	for i := range batch {
+		batch[i] = KV{Key: fmt.Sprintf("batch%d", i), Value: "0123456789abcdef0123456789abcdef"}
+	}
+	globalAllocBudget(t, "PutBatchGlobal(8)", globalPutBatchAllocBudget, func() error { return c.PutBatchGlobal(bg, batch) })
+}
+
+// globalAllocPair is a handle on a caching LASS over one shard, on the
+// unix socket.
+func globalAllocPair(t *testing.T) *Client {
 	_, lass, _, _ := startCachingLASS(t)
 	lass.SetShm(false)
-	c := dialT(t, serveUnix(t, lass, nil), "alloc")
-	bg := context.Background()
+	return dialT(t, serveUnix(t, lass, nil), "alloc")
+}
+
+func globalAllocBudget(t *testing.T, name string, budget int, op func() error) {
+	t.Helper()
 	var err error
-	put := func() {
-		if e := c.PutGlobal(bg, "pid", "4242"); e != nil {
+	run := func() {
+		if e := op(); e != nil {
 			err = e
 		}
 	}
-	for i := 0; i < 128; i++ { // slots, scratch, the mirror's entry, seqs below 100
-		put()
+	for i := 0; i < 128; i++ { // slots, scratch, the mirror's entries, seqs below 100
+		run()
 	}
-	got := testing.AllocsPerRun(500, put)
+	got := testing.AllocsPerRun(500, run)
 	if err != nil {
-		t.Fatalf("PutGlobal: %v", err)
+		t.Fatalf("%s: %v", name, err)
 	}
-	t.Logf("PutGlobal: %.2f allocs/op (budget %d)", got, globalPutAllocBudget)
-	if got > globalPutAllocBudget {
-		t.Errorf("a PutGlobal through cache, router and one shard allocates %.2f objects, budget %d", got, globalPutAllocBudget)
+	t.Logf("%s: %.2f allocs/op (budget %d)", name, got, budget)
+	if got > float64(budget) {
+		t.Errorf("a %s through cache, router and one shard allocates %.2f objects, budget %d", name, got, budget)
 	}
 }
 

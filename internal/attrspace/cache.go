@@ -321,6 +321,7 @@ func (cc *cacheCtx) init() {
 		// The owning shard's session says it is unreachable:
 		// fail fast instead of burning a dial timeout. Other shards'
 		// contexts are unaffected — this is the degraded mode.
+		sh.gErrors.Inc()
 		cc.initE = sh.downErr()
 		return
 	}

@@ -786,7 +786,7 @@ func (c *Client) mutate(ctx context.Context, spec *opSpec, m *wire.Message) (uin
 
 func (c *Client) put(ctx context.Context, scope opScope, attribute, value string) (uint64, error) {
 	spec := opFor(opPut, scope)
-	return c.mutate(ctx, spec, putReq(spec, attribute, value))
+	return c.mutate(ctx, spec, putReq(spec.req(), attribute, value))
 }
 
 // putBatch stores every pair in order in one round trip and returns the
@@ -799,13 +799,13 @@ func (c *Client) putBatch(ctx context.Context, scope opScope, pairs []KV) (uint6
 		return c.put(ctx, scope, pairs[0].Key, pairs[0].Value)
 	}
 	spec := opFor(opMPut, scope)
-	return c.mutate(ctx, spec, batchReq(spec, pairs))
+	return c.mutate(ctx, spec, batchReq(spec.req(), pairs))
 }
 
 // read is get (blocking) and tryget.
 func (c *Client) read(ctx context.Context, op opKind, scope opScope, attribute string) (string, uint64, error) {
 	spec := opFor(op, scope)
-	slot, reply, err := c.exchange(ctx, spec, attrReq(spec, attribute))
+	slot, reply, err := c.exchange(ctx, spec, attrReq(spec.req(), attribute))
 	v, seq, err := valueReply(reply, err)
 	c.release(slot)
 	return v, seq, err
@@ -813,7 +813,7 @@ func (c *Client) read(ctx context.Context, op opKind, scope opScope, attribute s
 
 func (c *Client) delete(ctx context.Context, scope opScope, attribute string) (uint64, error) {
 	spec := opFor(opDelete, scope)
-	return c.mutate(ctx, spec, attrReq(spec, attribute))
+	return c.mutate(ctx, spec, attrReq(spec.req(), attribute))
 }
 
 func (c *Client) snapshot(ctx context.Context, scope opScope) (map[string]string, error) {
@@ -969,7 +969,7 @@ type Result struct {
 // package layers callback queueing and ServiceEvents on top.
 func (c *Client) GetAsync(attribute string) (<-chan Result, error) {
 	spec := opFor(opGet, scopeConn)
-	m := attrReq(spec, attribute)
+	m := attrReq(spec.req(), attribute)
 	obs := c.instrument(context.Background(), spec, m)
 	slot, err := c.send(m)
 	if err != nil {

@@ -74,7 +74,7 @@ func TestCtxScopeNeverWritesToALeftContext(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < writes; i++ {
 				key := fmt.Sprintf("w%d-%d", w, i)
-				m := putReq(cput, key, "v").Set("ctx", name)
+				m := putReq(cput.req(), key, "v").Set("ctx", name)
 				reply, err := pool.call(context.Background(), cput, m)
 				switch {
 				case err != nil:
@@ -106,5 +106,50 @@ func TestCtxScopeNeverWritesToALeftContext(t *testing.T) {
 	}
 	if nAcked == 0 || nRefused == 0 {
 		t.Errorf("%d acknowledged, %d refused: the test must exercise both sides of the race", nAcked, nRefused)
+	}
+}
+
+// TestCtxScopeOriginIsPerRequest: the ctx-scope requests of one pooled
+// connection join their contexts through one reference, so nothing one
+// request sets on it may outlive that request. A CPUT naming the
+// subscription's id is withheld from it, and the next CPUT on the same
+// connection, naming none, is delivered; the shard counts one update
+// suppressed, not one per request since.
+func TestCtxScopeOriginIsPerRequest(t *testing.T) {
+	srv, addr := startServer(t)
+	watcher := dialT(t, addr, "job1")
+	seen := make(chan string, 4)
+	at, _, err := watcher.subscribe(func(ev Event) { seen <- ev.Value })
+	if err != nil {
+		t.Fatalf("subscribe: %v", err)
+	}
+	pool := dialT(t, addr, routerContext)
+	bg := context.Background()
+	cput := opFor(opPut, scopeCtx)
+	for _, origin := range []string{at.origin, ""} {
+		m := putReq(cput.req(), "k", "origin="+origin).Set("ctx", "job1")
+		if origin != "" {
+			m.Set("origin", origin)
+		}
+		if _, err := pool.mutate(bg, cput, m); err != nil {
+			t.Fatalf("CPUT origin=%q: %v", origin, err)
+		}
+	}
+	select {
+	case v := <-seen:
+		if v != "origin=" {
+			t.Fatalf("the subscription was sent %q, its own origin's write", v)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a CPUT without an origin was withheld from the subscription the one before it named")
+	}
+	// A third request on the connection: the second one's dispatch, and
+	// with it its suppressed count, is done.
+	cget := opFor(opTryGet, scopeCtx)
+	if _, err := pool.call(bg, cget, attrReq(cget.req(), "k").Set("ctx", "job1")); err != nil {
+		t.Fatalf("CGET: %v", err)
+	}
+	if n := counter(srv, "attrspace.events.suppressed"); n != 1 {
+		t.Errorf("attrspace.events.suppressed = %d after one withheld update, want 1", n)
 	}
 }

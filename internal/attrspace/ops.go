@@ -160,14 +160,16 @@ func (s *opSpec) req() *wire.Message { return wire.NewMessage(s.verb) }
 
 // Requests and replies, one build and one parse per operation. Client
 // (connection and global scopes) and shardConn (ctx scope) share them.
+// A build fills the started request it is given: the client's, made by
+// req on its stack, or the one a shardOp owns and reuses.
 
 // attrReq is the request of get, tryget and delete.
-func attrReq(s *opSpec, attribute string) *wire.Message {
-	return s.req().Set("attr", attribute)
+func attrReq(m *wire.Message, attribute string) *wire.Message {
+	return m.Set("attr", attribute)
 }
 
-func putReq(s *opSpec, attribute, value string) *wire.Message {
-	return s.req().Set("attr", attribute).Set("value", value)
+func putReq(m *wire.Message, attribute, value string) *wire.Message {
+	return m.Set("attr", attribute).Set("value", value)
 }
 
 // setNames appends a counted name list, n and k0..k(n-1): what a
@@ -202,8 +204,8 @@ func indexed(m *wire.Message, prefix byte, i int) (string, bool) {
 	return v, ok
 }
 
-func batchReq(s *opSpec, pairs []KV) *wire.Message {
-	m := s.req().SetInt("n", len(pairs))
+func batchReq(m *wire.Message, pairs []KV) *wire.Message {
+	m.SetInt("n", len(pairs))
 	for i, p := range pairs {
 		m.Set(wire.IndexedKey('k', i), p.Key).Set(wire.IndexedKey('v', i), p.Value)
 	}

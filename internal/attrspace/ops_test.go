@@ -130,7 +130,7 @@ func (h *opHarness) mutate(spec *opSpec, m *wire.Message) uint64 {
 func (h *opHarness) seed(spec *opSpec, key, value string) uint64 {
 	h.t.Helper()
 	put := opFor(opPut, spec.scope)
-	return h.mutate(put, putReq(put, key, value))
+	return h.mutate(put, putReq(put.req(), key, value))
 }
 
 func (h *opHarness) wantError(spec *opSpec, reply *wire.Message, text string) {
@@ -150,7 +150,7 @@ func (h *opHarness) wantValue(spec *opSpec, reply *wire.Message, key, value stri
 
 // preconditions drives a row against everything its scope refuses.
 func (h *opHarness) preconditions(spec *opSpec) {
-	probe := func() *wire.Message { return putReq(spec, "a", "v").SetInt("n", 0) }
+	probe := func() *wire.Message { return putReq(spec.req(), "a", "v").SetInt("n", 0) }
 	switch spec.scope {
 	case scopeConn, scopeGlobal:
 		h.wantError(spec, rawCall(h.t, h.bare, probe()), "HELLO required")
@@ -173,20 +173,20 @@ func (h *opHarness) preconditions(spec *opSpec) {
 var opContracts = [numOps]func(h *opHarness, spec *opSpec){
 	opPut: func(h *opHarness, spec *opSpec) {
 		key := h.key()
-		h.mutate(spec, putReq(spec, key, "1"))
-		seq := h.mutate(spec, putReq(spec, key, "2"))
+		h.mutate(spec, putReq(spec.req(), key, "1"))
+		seq := h.mutate(spec, putReq(spec.req(), key, "2"))
 		read := opFor(opTryGet, spec.scope)
-		h.wantValue(read, h.send(read, attrReq(read, key)), key, "2", seq)
+		h.wantValue(read, h.send(read, attrReq(read.req(), key)), key, "2", seq)
 	},
 	opMPut: func(h *opHarness, spec *opSpec) {
 		_, _, space := h.via(spec)
 		before := h.last[space]
 		pairs := []KV{{Key: h.key(), Value: "a"}, {Key: h.key(), Value: "b"}, {Key: h.key(), Value: "c"}}
-		if seq := h.mutate(spec, batchReq(spec, pairs)); seq-before != uint64(len(pairs)) {
+		if seq := h.mutate(spec, batchReq(spec.req(), pairs)); seq-before != uint64(len(pairs)) {
 			h.t.Errorf("%s of %d pairs moved seq %d → %d", spec.verb, len(pairs), before, seq)
 		}
 		read := opFor(opTryGet, spec.scope)
-		h.wantValue(read, h.send(read, attrReq(read, pairs[1].Key)), pairs[1].Key, "b", before+2)
+		h.wantValue(read, h.send(read, attrReq(read.req(), pairs[1].Key)), pairs[1].Key, "b", before+2)
 		// n bounds the decoding: never more pairs than fields present.
 		for _, n := range []string{"9999999", "-1", "zzz", "2"} {
 			h.wantError(spec, h.send(spec, spec.req().Set("n", n).Set("k0", "x").Set("v0", "y")), "mput:")
@@ -194,21 +194,21 @@ var opContracts = [numOps]func(h *opHarness, spec *opSpec){
 	},
 	opTryGet: func(h *opHarness, spec *opSpec) {
 		key := h.key()
-		if reply := h.send(spec, attrReq(spec, key)); reply.Verb != "NOTFOUND" || reply.Get("attr") != key {
+		if reply := h.send(spec, attrReq(spec.req(), key)); reply.Verb != "NOTFOUND" || reply.Get("attr") != key {
 			h.t.Errorf("%s of an absent attribute: %v; want NOTFOUND", spec.verb, reply)
 		}
 		seq := h.seed(spec, key, "v")
-		h.wantValue(spec, h.send(spec, attrReq(spec, key)), key, "v", seq)
+		h.wantValue(spec, h.send(spec, attrReq(spec.req(), key)), key, "v", seq)
 	},
 	opGet: func(h *opHarness, spec *opSpec) {
 		key := h.key()
 		seq := h.seed(spec, key, "v")
-		h.wantValue(spec, h.send(spec, attrReq(spec, key)), key, "v", seq)
+		h.wantValue(spec, h.send(spec, attrReq(spec.req(), key)), key, "v", seq)
 		// Absent: the request waits, other requests on the connection do
 		// not, and the put that creates the attribute answers it.
 		key = h.key()
 		c, _, _ := h.via(spec)
-		waiting, err := c.send(attrReq(spec, key))
+		waiting, err := c.send(attrReq(spec.req(), key))
 		if err != nil {
 			h.t.Fatalf("%s: %v", spec.verb, err)
 		}
@@ -223,9 +223,9 @@ var opContracts = [numOps]func(h *opHarness, spec *opSpec){
 	opDelete: func(h *opHarness, spec *opSpec) {
 		key := h.key()
 		h.seed(spec, key, "v")
-		h.mutate(spec, attrReq(spec, key))
+		h.mutate(spec, attrReq(spec.req(), key))
 		read := opFor(opTryGet, spec.scope)
-		if reply := h.send(read, attrReq(read, key)); reply.Verb != "NOTFOUND" {
+		if reply := h.send(read, attrReq(read.req(), key)); reply.Verb != "NOTFOUND" {
 			h.t.Errorf("%s after %s: %v; want NOTFOUND", read.verb, spec.verb, reply)
 		}
 	},
@@ -348,6 +348,12 @@ func TestOpTableConformance(t *testing.T) {
 			}
 			if opFor(spec.op, spec.scope) != spec || opByVerb[spec.verb] != spec {
 				t.Fatalf("row %s is not the only spelling of %s at %s scope", spec.verb, opNames[spec.op], scopeNames[spec.scope])
+			}
+			// A ctx-scope op rides a drain cycle, and joins its context
+			// through its connection's one reference, which the next
+			// request takes over: it may never block.
+			if spec.scope == scopeCtx && spec.op == opGet {
+				t.Fatalf("row %s puts a blocking %s at ctx scope", spec.verb, opNames[spec.op])
 			}
 			name := strings.ToLower(spec.verb)
 			_, reg, _ := h.via(spec)

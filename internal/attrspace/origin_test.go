@@ -27,14 +27,32 @@ import (
 // It counts the writes — a cycle is one — and while held keeps what the
 // shard answers from reaching the LASS: the bytes wait until release,
 // and are dropped if the connection is closed first, which is a reply
-// lost in flight.
+// lost in flight. While its writes are held a cycle's write waits, after
+// it was counted, until releaseWrites — closing the connection does not
+// end the wait.
 type heldConn struct {
 	net.Conn
 	writes atomic.Int64
 
 	mu     sync.Mutex
 	gate   chan struct{} // non-nil while held
+	wgate  chan struct{} // non-nil while writes are held
 	closed bool
+}
+
+func (h *heldConn) holdWrites() {
+	h.mu.Lock()
+	h.wgate = make(chan struct{})
+	h.mu.Unlock()
+}
+
+func (h *heldConn) releaseWrites() {
+	h.mu.Lock()
+	if h.wgate != nil {
+		close(h.wgate)
+		h.wgate = nil
+	}
+	h.mu.Unlock()
 }
 
 func (h *heldConn) hold() {
@@ -70,6 +88,12 @@ func (h *heldConn) Read(p []byte) (int, error) {
 
 func (h *heldConn) Write(p []byte) (int, error) {
 	h.writes.Add(1)
+	h.mu.Lock()
+	gate := h.wgate
+	h.mu.Unlock()
+	if gate != nil {
+		<-gate
+	}
 	return h.Conn.Write(p)
 }
 
@@ -162,8 +186,8 @@ func (p *tappedPool) subscribed(origin string) bool {
 
 // atShard reads name/attribute straight from the CASS's space.
 func (p *tappedPool) atShard(name, attribute string) string {
-	ref, ok := p.cass.space.JoinExisting(name)
-	if !ok {
+	ref := new(attr.Ref)
+	if !p.cass.space.JoinExisting(name, ref) {
 		return ""
 	}
 	defer ref.Leave()
@@ -365,7 +389,7 @@ func TestRetiredIncarnationsLateWriteIsEchoed(t *testing.T) {
 	cput := func(origin, value string) {
 		t.Helper()
 		spec := opFor(opPut, scopeCtx)
-		if _, err := router.mutate(bg, spec, putReq(spec, "k", value).Set("ctx", "job1").Set("origin", origin)); err != nil {
+		if _, err := router.mutate(bg, spec, putReq(spec.req(), "k", value).Set("ctx", "job1").Set("origin", origin)); err != nil {
 			t.Fatalf("CPUT origin=%s: %v", origin, err)
 		}
 	}
@@ -535,6 +559,117 @@ func TestRouterCancelledLeaderStillServesFollowers(t *testing.T) {
 	pool, _ := p.sh.sess.live()
 	if st := slotState(pool); st.pending != 0 {
 		t.Errorf("%d requests still pending on the pooled connection", st.pending)
+	}
+}
+
+// TestRouterAbandonedOpKeepsItsRequest: an op carries its request, and
+// an op is reused once its caller has its outcome. A follower that stops
+// waiting has none, so its op — still queued, still to be sent — is not
+// handed to the next caller: the shard receives the abandoned write as
+// it was made, and the next caller's with its own value.
+func TestRouterAbandonedOpKeepsItsRequest(t *testing.T) {
+	p := startTappedPool(t)
+	bg := context.Background()
+	if _, err := p.gc.Put(bg, "job1", "prime", "1"); err != nil {
+		t.Fatalf("Put: %v", err)
+	}
+	queued := func(n int) func() bool {
+		return func() bool {
+			p.sh.mu.Lock()
+			defer p.sh.mu.Unlock()
+			return len(p.sh.queue) == n
+		}
+	}
+	p.pooled.hold()
+	errs := make(chan error, 4)
+	put := func(ctx context.Context, key string) {
+		_, err := p.sh.put(ctx, "job1", "", key, key+"-own")
+		if err != nil {
+			err = fmt.Errorf("%s: %w", key, err)
+		}
+		errs <- err
+	}
+	go put(bg, "leader")
+	waitFor(t, func() bool { return p.atShard("job1", "leader") == "leader-own" })
+	ctx, cancel := context.WithCancel(bg)
+	defer cancel()
+	abandoned := make(chan error, 1)
+	go func() {
+		_, err := p.sh.put(ctx, "job1", "", "abandoned", "abandoned-own")
+		abandoned <- err
+	}()
+	waitFor(t, queued(1))
+	go put(bg, "follower")
+	waitFor(t, queued(2))
+	cancel()
+	if err := <-abandoned; !errors.Is(err, context.Canceled) {
+		t.Fatalf("a follower whose context ended = %v, want context.Canceled", err)
+	}
+	go put(bg, "next")
+	waitFor(t, queued(3))
+	p.pooled.release()
+	for i := 0; i < 3; i++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	for _, key := range []string{"abandoned", "follower", "next"} {
+		if v := p.atShard("job1", key); v != key+"-own" {
+			t.Errorf("the shard holds %s = %q, want %q", key, v, key+"-own")
+		}
+	}
+}
+
+// TestRouterErrorsCountFailedOps: attrspace.router.shard.N.errors
+// counts the ops that failed on the shard, once each. The shard dies
+// while a leader's cycle is still being written and four followers
+// queue behind it, two cycles' worth: the leader's reply is lost with
+// the connection, and each cycle after is refused whole, neither cycle
+// adding an error of its own.
+func TestRouterErrorsCountFailedOps(t *testing.T) {
+	p := startTappedPool(t)
+	p.gc.batch = 2
+	bg := context.Background()
+	if _, err := p.gc.Put(bg, "job1", "prime", "1"); err != nil {
+		t.Fatalf("Put: %v", err)
+	}
+	errCount := p.lass.Telemetry().Counter("attrspace.router.shard.0.errors")
+	before, writes := errCount.Value(), p.pooled.writes.Load()
+	p.pooled.holdWrites()
+	defer p.pooled.releaseWrites()
+	led := make(chan error, 1)
+	go func() {
+		_, err := p.sh.put(bg, "job1", "", "leader", "v")
+		led <- err
+	}()
+	waitFor(t, func() bool { return p.pooled.writes.Load() == writes+1 })
+	const followers = 4
+	followed := make(chan error, followers)
+	for i := 0; i < followers; i++ {
+		key := fmt.Sprintf("follower%d", i)
+		go func() {
+			_, err := p.sh.put(bg, "job1", "", key, "v")
+			followed <- err
+		}()
+	}
+	waitFor(t, func() bool {
+		p.sh.mu.Lock()
+		defer p.sh.mu.Unlock()
+		return len(p.sh.queue) == followers
+	})
+	p.cass.Close()
+	waitFor(t, p.sh.down)
+	p.pooled.releaseWrites()
+	if err := <-led; !IsRetryable(err) {
+		t.Errorf("the leader whose connection died = %v, want a retryable loss", err)
+	}
+	for i := 0; i < followers; i++ {
+		if err := <-followed; !errors.Is(err, ErrShardDown) {
+			t.Errorf("a follower behind a dead shard = %v, want ErrShardDown", err)
+		}
+	}
+	if n := errCount.Value() - before; n != followers+1 {
+		t.Errorf("attrspace.router.shard.0.errors moved by %d for %d failed ops", n, followers+1)
 	}
 }
 

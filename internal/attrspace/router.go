@@ -60,9 +60,11 @@ const defaultShardBatch = 64
 // enforcement, since it must exist on every shard.
 const routerContext = InfraContextPrefix + "router"
 
-// shardOp is one caller's operation awaiting its cycle. An op whose
-// outcome its caller received is reused, channel included; one whose
-// caller stopped waiting is not (the drainer still completes it).
+// shardOp is one caller's operation awaiting its cycle, and the request
+// it carries, built in place. An op whose outcome its caller received is
+// reused, request and channel included; one whose caller stopped waiting
+// is not (the drainer still sends and completes it), so no cycle ever
+// encodes a request that is being refilled.
 type shardOp struct {
 	m    *wire.Message
 	done chan shardReply // capacity 1: a cycle answers each of its ops once
@@ -148,10 +150,11 @@ func (sh *shardConn) down() bool {
 	return c == nil && ever
 }
 
-// downErr wraps ErrShardDown with this shard's identity and counts the
-// failed op; every fail-fast site returns through here.
+// downErr wraps ErrShardDown with this shard's identity; every fail-fast
+// site returns through here. The ops it fails are counted where they
+// fail — in do, or in a mirror's set-up — once each, however many ops
+// one refused cycle carried.
 func (sh *shardConn) downErr() error {
-	sh.gErrors.Inc()
 	return fmt.Errorf("%w: shard %d (%s)", ErrShardDown, sh.idx, sh.addr)
 }
 
@@ -193,38 +196,39 @@ func (sh *shardConn) conn(ctx context.Context) (*Client, error) {
 	return c, err
 }
 
-// do names contextName as the target of the ctx-scope request m (""
-// for the one daemon-scope listing), runs it through a cycle — its own
-// when the shard is idle, the drainer's next otherwise — and returns its
-// reply. Fails fast when the shard is down.
-func (sh *shardConn) do(ctx context.Context, contextName string, m *wire.Message) shardReply {
-	if sh.down() {
-		return shardReply{err: sh.downErr()}
-	}
-	if contextName != "" {
-		m.Set("ctx", contextName)
-	}
+// op takes an op off the free list, or makes one, with its request
+// started as one of spec's for the caller to fill.
+func (sh *shardConn) op(spec *opSpec) *shardOp {
 	sh.mu.Lock()
-	if sh.gc.isClosed() {
-		sh.mu.Unlock()
-		return shardReply{err: errCacheClosed}
-	}
 	var op *shardOp
 	if n := len(sh.freeOps); n > 0 {
 		op, sh.freeOps = sh.freeOps[n-1], sh.freeOps[:n-1]
 	} else {
-		op = &shardOp{done: make(chan shardReply, 1)}
-	}
-	op.m = m
-	lead := !sh.draining
-	if lead {
-		sh.draining = true
-	} else {
-		sh.queue = append(sh.queue, op)
+		op = &shardOp{m: new(wire.Message), done: make(chan shardReply, 1)}
 	}
 	sh.mu.Unlock()
+	op.m.Reset()
+	op.m.Verb = spec.verb
+	return op
+}
+
+// do names contextName as the target of op's ctx-scope request (""
+// for the one daemon-scope listing), runs it through a cycle — its own
+// when the shard is idle, the drainer's next otherwise — and returns its
+// reply. Fails fast when the shard is down. Each op that fails — with
+// an error, or with an ERROR reply, the shard's or the one a lost
+// connection leaves — is one of the shard's errors, but for a follower's
+// that stopped waiting: its op is still sent, and its outcome is
+// nobody's.
+func (sh *shardConn) do(ctx context.Context, contextName string, op *shardOp) shardReply {
+	if contextName != "" {
+		op.m.Set("ctx", contextName)
+	}
 	var r shardReply
-	if lead {
+	switch lead, err := sh.enter(op); {
+	case err != nil:
+		r.err = err
+	case lead:
 		// The leader's cycle carries its own op and nothing else, so it
 		// runs under the leader's ctx, like a request on a connection of
 		// its own. draining is set, so whoever arrives meanwhile queues;
@@ -234,7 +238,7 @@ func (sh *shardConn) do(ctx context.Context, contextName string, m *wire.Message
 		sh.cycle(ctx, sh.lone[:])
 		sh.handOff()
 		r = <-op.done
-	} else {
+	default:
 		select {
 		case r = <-op.done:
 		case <-ctx.Done():
@@ -243,14 +247,32 @@ func (sh *shardConn) do(ctx context.Context, contextName string, m *wire.Message
 			return shardReply{err: ctx.Err()}
 		}
 	}
-	op.m = nil
 	sh.mu.Lock()
 	sh.freeOps = append(sh.freeOps, op)
 	sh.mu.Unlock()
-	if r.err != nil {
+	if r.err != nil || r.reply.Verb == "ERROR" {
 		sh.gErrors.Inc()
 	}
 	return r
+}
+
+// enter admits op to the shard: as the leader when it is idle, into the
+// queue behind the cycle in flight otherwise.
+func (sh *shardConn) enter(op *shardOp) (lead bool, err error) {
+	if sh.down() {
+		return false, sh.downErr()
+	}
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if sh.gc.isClosed() {
+		return false, errCacheClosed
+	}
+	if lead = !sh.draining; lead {
+		sh.draining = true
+	} else {
+		sh.queue = append(sh.queue, op)
+	}
+	return lead, nil
 }
 
 // handOff ends a leader's cycle. Whether anything queued up behind it is
@@ -355,37 +377,45 @@ func (sh *shardConn) drain(batch []*shardOp) {
 // through a cycle). origin, when not empty, is the id the shard gave the
 // subscription of the mirror the write is made for: the shard does not
 // echo the write to it.
-func (sh *shardConn) mutate(ctx context.Context, contextName, origin string, m *wire.Message) (uint64, error) {
+func (sh *shardConn) mutate(ctx context.Context, contextName, origin string, op *shardOp) (uint64, error) {
 	if origin != "" {
-		m.Set("origin", origin)
+		op.m.Set("origin", origin)
 	}
-	r := sh.do(ctx, contextName, m)
+	r := sh.do(ctx, contextName, op)
 	seq, err := seqReply(r.reply, r.err)
 	r.release()
 	return seq, err
 }
 
 func (sh *shardConn) put(ctx context.Context, contextName, origin, attribute, value string) (uint64, error) {
-	return sh.mutate(ctx, contextName, origin, putReq(opFor(opPut, scopeCtx), attribute, value))
+	op := sh.op(opFor(opPut, scopeCtx))
+	putReq(op.m, attribute, value)
+	return sh.mutate(ctx, contextName, origin, op)
 }
 
 func (sh *shardConn) putBatch(ctx context.Context, contextName, origin string, pairs []KV) (uint64, error) {
-	return sh.mutate(ctx, contextName, origin, batchReq(opFor(opMPut, scopeCtx), pairs))
+	op := sh.op(opFor(opMPut, scopeCtx))
+	batchReq(op.m, pairs)
+	return sh.mutate(ctx, contextName, origin, op)
 }
 
 func (sh *shardConn) tryGet(ctx context.Context, contextName, attribute string) (string, uint64, error) {
-	r := sh.do(ctx, contextName, attrReq(opFor(opTryGet, scopeCtx), attribute))
+	op := sh.op(opFor(opTryGet, scopeCtx))
+	attrReq(op.m, attribute)
+	r := sh.do(ctx, contextName, op)
 	v, seq, err := valueReply(r.reply, r.err)
 	r.release()
 	return v, seq, err
 }
 
 func (sh *shardConn) delete(ctx context.Context, contextName, origin, attribute string) (uint64, error) {
-	return sh.mutate(ctx, contextName, origin, attrReq(opFor(opDelete, scopeCtx), attribute))
+	op := sh.op(opFor(opDelete, scopeCtx))
+	attrReq(op.m, attribute)
+	return sh.mutate(ctx, contextName, origin, op)
 }
 
 func (sh *shardConn) snapshot(ctx context.Context, contextName string) (map[string]string, error) {
-	r := sh.do(ctx, contextName, opFor(opSnapshot, scopeCtx).req())
+	r := sh.do(ctx, contextName, sh.op(opFor(opSnapshot, scopeCtx)))
 	if r.err != nil {
 		return nil, r.err
 	}
@@ -394,7 +424,7 @@ func (sh *shardConn) snapshot(ctx context.Context, contextName string) (map[stri
 }
 
 func (sh *shardConn) contexts(ctx context.Context) ([]string, error) {
-	r := sh.do(ctx, "", opFor(opContexts, scopeDaemon).req())
+	r := sh.do(ctx, "", sh.op(opFor(opContexts, scopeDaemon)))
 	return namesReply(r.reply, r.err)
 }
 

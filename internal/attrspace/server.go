@@ -487,6 +487,12 @@ type serverConn struct {
 	// HELLO of another protocol revision. Owned by the read loop.
 	quit bool
 
+	// ctxRef is the reference every ctx-scope request joins its context
+	// through and leaves before the next is read, made by the first. Owned
+	// by the read loop: a ctx-scope op never blocks, so none outlives its
+	// dispatch.
+	ctxRef *attr.Ref
+
 	// Promotion state, owned by the read loop: the segment created for
 	// SHMREQ, its file, and when that was, until SHMRDY (or teardown, if
 	// the connection dies in between) takes them.
@@ -659,10 +665,11 @@ func (t target) snapshot(ctx context.Context) (map[string]string, error) {
 }
 
 // resolve checks a scope's precondition and finds the operation's
-// target. The ctx scope joins its context for the request's duration
-// (leave reports that), and only when somebody already holds it — the
-// shard router's per-context subscription connection provides that
-// reference — so a ctx-scope op can never create a context as a side
+// target. The ctx scope joins its context through the connection's
+// ctxRef for the request's duration (leave reports that), and only when
+// somebody already holds it — the shard router's per-context
+// subscription connection provides that reference — so a ctx-scope op
+// can never create a context as a side
 // effect or apply a write to one that everyone has already left. The
 // reference of a mutation acts for the request's origin, if it names
 // one: what it writes is not echoed to the subscription of that id.
@@ -679,14 +686,16 @@ func (c *serverConn) resolve(spec *opSpec, m *wire.Message) (t target, leave boo
 		if err := srv.shardRefuses(name); err != nil {
 			return t, false, err
 		}
-		ref, ok := srv.space.JoinExisting(name)
-		if !ok {
+		if c.ctxRef == nil {
+			c.ctxRef = new(attr.Ref)
+		}
+		if !srv.space.JoinExisting(name, c.ctxRef) {
 			return t, false, fmt.Errorf("ctxop: no such context %q", name)
 		}
 		if spec.origin {
-			ref.SetOrigin(uintField(m, "origin", 36))
+			c.ctxRef.SetOrigin(uintField(m, "origin", 36))
 		}
-		return target{ref: ref}, true, nil
+		return target{ref: c.ctxRef}, true, nil
 	}
 	c.mu.Lock()
 	ref := c.ref

@@ -155,8 +155,12 @@ func waitWithTimeout(p *tdp.Process, d time.Duration) (procsim.ExitStatus, error
 	}
 }
 
+// toolGrace is how long a tool may outlive its application before
+// reapTool kills it; a variable so that a test need not wait it out.
+var toolGrace = 5 * time.Second
+
 func reapTool(rt *tdp.Process) {
-	t := time.NewTimer(5 * time.Second)
+	t := time.NewTimer(toolGrace)
 	defer t.Stop()
 	select {
 	case <-rt.Exited():
