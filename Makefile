@@ -19,9 +19,11 @@
 # shm ring) and folds the trio into BENCH_attrspace.json in place.
 #
 # `make loc` prints the size of the non-test Go source (raw and code
-# lines) for the protocol core and for the root module, and the raw
-# line counts of README, DESIGN, EXPERIMENTS and ROADMAP
-# (scripts/coreloc.sh): core LOC is tracked the way ns/op is. `make
+# lines) for the protocol core and for the root module, the raw line
+# counts of README, DESIGN, EXPERIMENTS and ROADMAP, and the exported
+# methods of Client, Session and tdp.Handle and the methods of
+# attrspace.API (scripts/coreloc.sh): core LOC and API surface are
+# tracked the way ns/op is. `make
 # slowtests` prints the ten slowest tests and each package's wall time
 # from one `go test -json ./...` run (scripts/slowtests.sh), so a test
 # that sleeps for half a minute cannot hide in a green tier-1. `make

@@ -12,7 +12,8 @@ type KV = attrspace.KV
 // This file implements the synchronous attribute space operations
 // (§3.2): tdp_put and tdp_get plus the convenience lookups built on
 // them. All default to the local space (LASS); the *Global variants
-// address the central space (CASS).
+// address the central space (CASS) along the one route Init chose —
+// h.global at h.gscope.
 //
 // Each operation counts under "tdp.ops.*" / "tdp.latency.*" when the
 // handle has a telemetry registry, and the *Ctx variants propagate a
@@ -29,7 +30,8 @@ func (h *Handle) Put(attribute, value string) error {
 func (h *Handle) PutCtx(ctx context.Context, attribute, value string) error {
 	defer h.observe(opPut).done()
 	h.tracePut("tdp_put", attribute, value)
-	return h.lass.PutCtx(ctx, attribute, value)
+	_, err := h.lass.PutAt(ctx, attrspace.Local, attribute, value)
+	return err
 }
 
 // PutBatch stores every pair in the local space in order and blocks
@@ -48,24 +50,23 @@ func (h *Handle) PutBatchCtx(ctx context.Context, pairs []KV) error {
 	for _, p := range pairs {
 		h.tracePut("tdp_put", p.Key, p.Value)
 	}
-	return h.lass.PutBatchCtx(ctx, pairs)
+	_, err := h.lass.PutBatchAt(ctx, attrspace.Local, pairs)
+	return err
 }
 
-// PutBatchGlobal is PutBatch against the global space. With a direct
-// CASS connection it is one MPUT to the CASS; with GlobalViaLASS it is
-// one GMPUT relayed (and cached) by the LASS.
+// PutBatchGlobal is PutBatch against the global space: one MPUT to the
+// CASS, or one GMPUT relayed (and cached) by the LASS with
+// GlobalViaLASS.
 func (h *Handle) PutBatchGlobal(pairs []KV) error {
-	if h.cass == nil && !h.cfg.GlobalViaLASS {
+	if h.global == nil {
 		return ErrNoCASS
 	}
 	defer h.observe(opPutBatchGlobal).done()
 	for _, p := range pairs {
 		h.tracePut("tdp_put_global", p.Key, p.Value)
 	}
-	if h.cfg.GlobalViaLASS {
-		return h.lass.PutBatchGlobal(context.Background(), pairs)
-	}
-	return h.cass.PutBatch(pairs)
+	_, err := h.global.PutBatchAt(context.Background(), h.gscope, pairs)
+	return err
 }
 
 // Get blocks until the attribute exists in the local space and returns
@@ -74,26 +75,29 @@ func (h *Handle) PutBatchGlobal(pairs []KV) error {
 func (h *Handle) Get(ctx context.Context, attribute string) (string, error) {
 	defer h.observe(opGet).done()
 	h.traceStep("tdp_get", attribute)
-	return h.lass.Get(ctx, attribute)
+	v, _, err := h.lass.GetAt(ctx, attrspace.Local, attribute)
+	return v, err
 }
 
 // TryGet returns the attribute's current value without blocking, or
 // ErrNotFound.
 func (h *Handle) TryGet(attribute string) (string, error) {
 	defer h.observe(opTryGet).done()
-	return h.lass.TryGet(attribute)
+	v, _, err := h.lass.TryGetAt(context.Background(), attrspace.Local, attribute)
+	return v, err
 }
 
 // Delete removes an attribute from the local space.
 func (h *Handle) Delete(attribute string) error {
 	defer h.observe(opDelete).done()
-	return h.lass.Delete(attribute)
+	_, err := h.lass.DeleteAt(context.Background(), attrspace.Local, attribute)
+	return err
 }
 
 // Snapshot copies every attribute in the local space's context.
 func (h *Handle) Snapshot() (map[string]string, error) {
 	defer h.observe(opSnapshot).done()
-	return h.lass.Snapshot()
+	return h.lass.SnapshotAt(context.Background(), attrspace.Local)
 }
 
 // PutGlobal stores attribute = value in the global space (directly on
@@ -105,82 +109,63 @@ func (h *Handle) PutGlobal(attribute, value string) error {
 // PutGlobalCtx is PutGlobal with a context for cancellation and span
 // propagation.
 func (h *Handle) PutGlobalCtx(ctx context.Context, attribute, value string) error {
-	if h.cass == nil && !h.cfg.GlobalViaLASS {
+	if h.global == nil {
 		return ErrNoCASS
 	}
 	defer h.observe(opPutGlobal).done()
 	h.tracePut("tdp_put_global", attribute, value)
-	if h.cfg.GlobalViaLASS {
-		return h.lass.PutGlobal(ctx, attribute, value)
-	}
-	return h.cass.PutCtx(ctx, attribute, value)
+	_, err := h.global.PutAt(ctx, h.gscope, attribute, value)
+	return err
 }
 
 // GetGlobal blocks until the attribute exists in the global space.
 // With GlobalViaLASS a cached attribute is answered by the LASS in one
 // local hop; only misses travel to the CASS.
 func (h *Handle) GetGlobal(ctx context.Context, attribute string) (string, error) {
-	if h.cass == nil && !h.cfg.GlobalViaLASS {
+	if h.global == nil {
 		return "", ErrNoCASS
 	}
 	defer h.observe(opGetGlobal).done()
 	h.traceStep("tdp_get_global", attribute)
-	if h.cfg.GlobalViaLASS {
-		return h.lass.GetGlobal(ctx, attribute)
-	}
-	return h.cass.Get(ctx, attribute)
+	v, _, err := h.global.GetAt(ctx, h.gscope, attribute)
+	return v, err
 }
 
 // TryGetGlobal is the non-blocking global space lookup.
 func (h *Handle) TryGetGlobal(attribute string) (string, error) {
-	if h.cass == nil && !h.cfg.GlobalViaLASS {
+	if h.global == nil {
 		return "", ErrNoCASS
 	}
 	defer h.observe(opTryGetGlobal).done()
-	if h.cfg.GlobalViaLASS {
-		return h.lass.TryGetGlobal(context.Background(), attribute)
-	}
-	return h.cass.TryGet(attribute)
+	v, _, err := h.global.TryGetAt(context.Background(), h.gscope, attribute)
+	return v, err
 }
 
 // HasGlobal reports whether this handle can reach a global space —
 // through its own CASS connection or a caching LASS.
-func (h *Handle) HasGlobal() bool { return h.cass != nil || h.cfg.GlobalViaLASS }
-
-// globalManyAPI is the multi-context surface of the sharded global
-// space. It is asserted rather than part of attrspace.API so that
-// custom API implementations predating it keep compiling.
-type globalManyAPI interface {
-	SnapshotGlobalMany(ctx context.Context, contexts []string) (map[string]map[string]string, error)
-	GlobalContexts(ctx context.Context) ([]string, error)
-}
+func (h *Handle) HasGlobal() bool { return h.global != nil }
 
 // SnapshotGlobalMany snapshots several global contexts at once through
 // the caching LASS (one GSNAPM round trip; on a sharded CASS pool the
 // LASS fetches each context from its owning shard concurrently). The
-// result maps context name → attribute snapshot.
+// result maps context name → attribute snapshot. A CASS reached
+// directly has no such verb: attrspace.ErrNoGlobal.
 func (h *Handle) SnapshotGlobalMany(ctx context.Context, contexts []string) (map[string]map[string]string, error) {
-	if !h.cfg.GlobalViaLASS {
+	if h.global == nil {
 		return nil, ErrNoCASS
 	}
-	api, ok := h.lass.(globalManyAPI)
-	if !ok {
-		return nil, attrspace.ErrNoGlobal
-	}
 	defer h.observe(opSnapshotGlobalMany).done()
-	return api.SnapshotGlobalMany(ctx, contexts)
+	return h.global.SnapshotGlobalMany(ctx, contexts)
 }
 
 // GlobalContexts lists the context names alive in the global space —
-// on a sharded CASS pool, the union across every reachable shard.
+// on a sharded CASS pool, the union across every reachable shard —
+// through the caching LASS (attrspace.ErrNoGlobal from a CASS reached
+// directly).
 func (h *Handle) GlobalContexts(ctx context.Context) ([]string, error) {
-	if !h.cfg.GlobalViaLASS {
+	if h.global == nil {
 		return nil, ErrNoCASS
 	}
-	api, ok := h.lass.(globalManyAPI)
-	if !ok {
-		return nil, attrspace.ErrNoGlobal
-	}
 	defer h.observe(opGlobalContexts).done()
-	return api.GlobalContexts(ctx)
+	return h.global.GlobalContexts(ctx)
 }

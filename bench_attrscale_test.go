@@ -223,7 +223,7 @@ func BenchmarkGlobalGetCached(b *testing.B) {
 		defer c.Close()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := c.TryGet("endpoint"); err != nil {
+			if _, _, err := c.TryGetAt(context.Background(), attrspace.Local, "endpoint"); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -245,12 +245,12 @@ func BenchmarkGlobalGetCached(b *testing.B) {
 		defer c.Close()
 		ctx := context.Background()
 		// Prime: the first read misses and fills the cache upstream.
-		if _, err := c.TryGetGlobal(ctx, "endpoint"); err != nil {
+		if _, _, err := c.TryGetAt(ctx, attrspace.Global, "endpoint"); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := c.TryGetGlobal(ctx, "endpoint"); err != nil {
+			if _, _, err := c.TryGetAt(ctx, attrspace.Global, "endpoint"); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -101,7 +101,7 @@ func BenchmarkAttrSpaceTryGet(b *testing.B) {
 	c.Put("attr", "value")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.TryGet("attr"); err != nil {
+		if _, _, err := c.TryGetAt(context.Background(), attrspace.Local, "attr"); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -113,7 +113,7 @@ func BenchmarkAttrSpaceGetPresent(b *testing.B) {
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Get(ctx, "attr"); err != nil {
+		if _, _, err := c.GetAt(ctx, attrspace.Local, "attr"); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -200,7 +200,7 @@ func BenchmarkBlockingGetVsPoll(b *testing.B) {
 				producer.Put(attr, "v")
 				close(done)
 			}()
-			if _, err := c.Get(ctx, attr); err != nil {
+			if _, _, err := c.GetAt(ctx, attrspace.Local, attr); err != nil {
 				b.Fatal(err)
 			}
 			<-done
@@ -223,7 +223,7 @@ func BenchmarkBlockingGetVsPoll(b *testing.B) {
 			}()
 			for {
 				rounds++
-				if _, err := c.TryGet(attr); err == nil {
+				if _, _, err := c.TryGetAt(context.Background(), attrspace.Local, attr); err == nil {
 					break
 				}
 			}

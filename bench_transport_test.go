@@ -220,7 +220,7 @@ func BenchmarkShmIdleThenBurst(b *testing.B) {
 		}
 		b.Cleanup(srv.Close)
 		run(b, srv, addr, func(c *attrspace.Client) error {
-			_, err := c.TryGet("absent")
+			_, _, err := c.TryGetAt(context.Background(), attrspace.Local, "absent")
 			if errors.Is(err, attrspace.ErrNotFound) {
 				err = nil
 			}
@@ -242,7 +242,8 @@ func BenchmarkShmIdleThenBurst(b *testing.B) {
 		}
 		b.Cleanup(lass.Close)
 		run(b, lass, addr, func(c *attrspace.Client) error {
-			return c.PutGlobal(context.Background(), "attr", "value")
+			_, err := c.PutAt(context.Background(), attrspace.Global, "attr", "value")
+			return err
 		})
 	})
 }

@@ -55,7 +55,7 @@ func main() {
 		if len(args) != 3 {
 			usage()
 		}
-		if err := c.Put(args[1], args[2]); err != nil {
+		if _, err := c.PutAt(context.Background(), attrspace.Local, args[1], args[2]); err != nil {
 			fail(err)
 		}
 	case "get":
@@ -64,7 +64,7 @@ func main() {
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 		defer cancel()
-		v, err := c.Get(ctx, args[1])
+		v, _, err := c.GetAt(ctx, attrspace.Local, args[1])
 		if err != nil {
 			fail(err)
 		}
@@ -73,7 +73,7 @@ func main() {
 		if len(args) != 2 {
 			usage()
 		}
-		v, err := c.TryGet(args[1])
+		v, _, err := c.TryGetAt(context.Background(), attrspace.Local, args[1])
 		if err != nil {
 			fail(err)
 		}
@@ -82,11 +82,11 @@ func main() {
 		if len(args) != 2 {
 			usage()
 		}
-		if err := c.Delete(args[1]); err != nil {
+		if _, err := c.DeleteAt(context.Background(), attrspace.Local, args[1]); err != nil {
 			fail(err)
 		}
 	case "list":
-		snap, err := c.Snapshot()
+		snap, err := c.SnapshotAt(context.Background(), attrspace.Local)
 		if err != nil {
 			fail(err)
 		}
@@ -110,7 +110,7 @@ func main() {
 	case "stats":
 		ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 		defer cancel()
-		daemon, snap, err := c.ServerStatsScope(ctx, *scope)
+		daemon, snap, err := c.ServerStats(ctx, *scope)
 		if err != nil {
 			fail(err)
 		}

@@ -47,7 +47,7 @@ func main() {
 	first := true
 	for {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		daemon, cur, err := c.ServerStatsScope(ctx, *scope)
+		daemon, cur, err := c.ServerStats(ctx, *scope)
 		cancel()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "tdptop:", err)

@@ -240,7 +240,7 @@ queue
 	}
 	probeCtx, probeCancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer probeCancel()
-	pidVal, err := probe.Get(probeCtx, tdp.AttrPID)
+	pidVal, _, err := probe.GetAt(probeCtx, attrspace.Local, tdp.AttrPID)
 	if err != nil {
 		t.Fatalf("pid never appeared in node1's LASS: %v", err)
 	}
@@ -248,7 +248,7 @@ queue
 		t.Error("empty pid attribute")
 	}
 	// The front-end address disseminated from the CASS reached the LASS.
-	if fa, err := probe.Get(probeCtx, tdp.AttrFrontendAddr); err != nil || fa != "gateway:7000" {
+	if fa, _, err := probe.GetAt(probeCtx, attrspace.Local, tdp.AttrFrontendAddr); err != nil || fa != "gateway:7000" {
 		t.Errorf("frontend addr in LASS = %q, %v", fa, err)
 	}
 

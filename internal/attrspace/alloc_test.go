@@ -45,6 +45,7 @@ func TestHotOpAllocBudget(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			c := allocPair(t, name == "shm")
+			bg := context.Background()
 			batch := make([]KV, 8)
 			for i := range batch {
 				batch[i] = KV{Key: fmt.Sprintf("batch%d", i), Value: "0123456789abcdef0123456789abcdef"}
@@ -54,9 +55,9 @@ func TestHotOpAllocBudget(t *testing.T) {
 				budget float64
 				run    func() error
 			}{
-				{"Put", putAllocBudget, func() error { return c.Put("pid", "4242") }},
-				{"TryGet", tryGetAllocBudget, func() error { _, err := c.TryGet("pid"); return err }},
-				{"PutBatch8", putBatchAllocBudget, func() error { return c.PutBatch(batch) }},
+				{"PutAt", putAllocBudget, func() error { return dropSeq(c.PutAt(bg, Local, "pid", "4242")) }},
+				{"TryGetAt", tryGetAllocBudget, func() error { _, _, err := c.TryGetAt(bg, Local, "pid"); return err }},
+				{"PutBatchAt8", putBatchAllocBudget, func() error { return dropSeq(c.PutBatchAt(bg, Local, batch)) }},
 			}
 			for _, op := range ops {
 				// Warm: slots, scratch buffers, the attribute, and the seqs
@@ -105,7 +106,7 @@ const (
 func TestGlobalPutAllocBudget(t *testing.T) {
 	c := globalAllocPair(t)
 	bg := context.Background()
-	globalAllocBudget(t, "PutGlobal", globalPutAllocBudget, func() error { return c.PutGlobal(bg, "pid", "4242") })
+	globalAllocBudget(t, "PutAt(Global)", globalPutAllocBudget, func() error { return dropSeq(c.PutAt(bg, Global, "pid", "4242")) })
 }
 
 func TestGlobalPutBatchAllocBudget(t *testing.T) {
@@ -115,7 +116,7 @@ func TestGlobalPutBatchAllocBudget(t *testing.T) {
 	for i := range batch {
 		batch[i] = KV{Key: fmt.Sprintf("batch%d", i), Value: "0123456789abcdef0123456789abcdef"}
 	}
-	globalAllocBudget(t, "PutBatchGlobal(8)", globalPutBatchAllocBudget, func() error { return c.PutBatchGlobal(bg, batch) })
+	globalAllocBudget(t, "PutBatchAt(Global, 8)", globalPutBatchAllocBudget, func() error { return dropSeq(c.PutBatchAt(bg, Global, batch)) })
 }
 
 // globalAllocPair is a handle on a caching LASS over one shard, on the

@@ -65,7 +65,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if err := c.Put("pid", "1234"); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
-	v, err := c.TryGet("pid")
+	v, _, err := c.TryGetAt(context.Background(), Local, "pid")
 	if err != nil || v != "1234" {
 		t.Fatalf("TryGet = %q, %v", v, err)
 	}
@@ -80,7 +80,7 @@ func TestBlockingGetAcrossClients(t *testing.T) {
 
 	got := make(chan string, 1)
 	go func() {
-		v, err := paradynd.Get(context.Background(), "pid")
+		v, _, err := paradynd.GetAt(context.Background(), Local, "pid")
 		if err != nil {
 			t.Errorf("Get: %v", err)
 		}
@@ -107,7 +107,7 @@ func TestBlockingGetAcrossClients(t *testing.T) {
 func TestTryGetNotFound(t *testing.T) {
 	_, addr := startServer(t)
 	c := dialT(t, addr, "j")
-	if _, err := c.TryGet("ghost"); !errors.Is(err, ErrNotFound) {
+	if _, _, err := c.TryGetAt(context.Background(), Local, "ghost"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("err = %v, want ErrNotFound", err)
 	}
 }
@@ -118,7 +118,7 @@ func TestDeleteAndSnapshot(t *testing.T) {
 	c.Put("a", "1")
 	c.Put("b", "2")
 	c.Put("args", "-p1500 -P2000")
-	if err := c.Delete("a"); err != nil {
+	if _, err := c.DeleteAt(context.Background(), Local, "a"); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
 	snap, err := c.Snapshot()
@@ -141,7 +141,7 @@ func TestGetCancellation(t *testing.T) {
 	c := dialT(t, addr, "j")
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	_, err := c.Get(ctx, "never-put")
+	_, _, err := c.GetAt(ctx, Local, "never-put")
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("err = %v, want DeadlineExceeded", err)
 	}
@@ -156,7 +156,7 @@ func TestContextIsolationBetweenJobs(t *testing.T) {
 	a := dialT(t, addr, "jobA")
 	b := dialT(t, addr, "jobB")
 	a.Put("pid", "1")
-	if _, err := b.TryGet("pid"); !errors.Is(err, ErrNotFound) {
+	if _, _, err := b.TryGetAt(context.Background(), Local, "pid"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("context leak: err = %v", err)
 	}
 }
@@ -171,7 +171,7 @@ func TestContextRefcountAcrossConnections(t *testing.T) {
 	}
 	a.Close()
 	waitFor(t, func() bool { return srv.Space().Refs("job") == 1 })
-	if v, err := b.TryGet("k"); err != nil || v != "v" {
+	if v, _, err := b.TryGetAt(context.Background(), Local, "k"); err != nil || v != "v" {
 		t.Fatalf("attribute lost while a participant remains: %q %v", v, err)
 	}
 	b.Close()
@@ -260,7 +260,7 @@ func TestSubscribeEvents(t *testing.T) {
 	}
 	pub.Put("status", "running")
 	pub.Put("status", "stopped")
-	pub.Delete("status")
+	pub.DeleteAt(context.Background(), Local, "status")
 
 	wantOps := []string{"put", "put", "delete"}
 	for i, op := range wantOps {
@@ -280,7 +280,7 @@ func TestClientCloseUnblocksPendingGet(t *testing.T) {
 	c := dialT(t, addr, "j")
 	errc := make(chan error, 1)
 	go func() {
-		_, err := c.Get(context.Background(), "never")
+		_, _, err := c.GetAt(context.Background(), Local, "never")
 		errc <- err
 	}()
 	time.Sleep(20 * time.Millisecond)
@@ -303,7 +303,7 @@ func TestServerCloseDisconnectsClients(t *testing.T) {
 	c := dialT(t, addr, "j")
 	errc := make(chan error, 1)
 	go func() {
-		_, err := c.Get(context.Background(), "never")
+		_, _, err := c.GetAt(context.Background(), Local, "never")
 		errc <- err
 	}()
 	time.Sleep(20 * time.Millisecond)
@@ -322,8 +322,8 @@ func TestServerStats(t *testing.T) {
 	srv, addr := startServer(t)
 	c := dialT(t, addr, "j")
 	c.Put("a", "1")
-	c.TryGet("a")
-	c.Delete("a")
+	c.TryGetAt(context.Background(), Local, "a")
+	c.DeleteAt(context.Background(), Local, "a")
 	ch, _ := c.GetAsync("b")
 	c.Put("b", "2")
 	<-ch
@@ -363,7 +363,7 @@ func TestOverSimulatedNetwork(t *testing.T) {
 	if err := c.Put("pid", "5"); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
-	v, err := c.TryGet("pid")
+	v, _, err := c.TryGetAt(context.Background(), Local, "pid")
 	if err != nil || v != "5" {
 		t.Fatalf("TryGet = %q, %v", v, err)
 	}
@@ -377,7 +377,7 @@ func TestLASSIsolationBetweenHosts(t *testing.T) {
 	c1 := dialT(t, addr1, "job")
 	c2 := dialT(t, addr2, "job")
 	c1.Put("pid", "1")
-	if _, err := c2.TryGet("pid"); !errors.Is(err, ErrNotFound) {
+	if _, _, err := c2.TryGetAt(context.Background(), Local, "pid"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("attribute crossed LASS boundary: %v", err)
 	}
 }
@@ -402,7 +402,7 @@ func TestConcurrentClients(t *testing.T) {
 					t.Errorf("Put: %v", err)
 					return
 				}
-				if _, err := c.TryGet(key); err != nil {
+				if _, _, err := c.TryGetAt(context.Background(), Local, key); err != nil {
 					t.Errorf("TryGet: %v", err)
 					return
 				}

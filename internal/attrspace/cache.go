@@ -330,7 +330,7 @@ func (cc *cacheCtx) init() {
 		cc.initE = err
 		return
 	}
-	up.OnClose(func(error) { go cc.teardown() })
+	up.onClose(func(error) { go cc.teardown() })
 	at, _, err := up.subscribe(cc.onEvent)
 	if err != nil {
 		up.Close()
@@ -495,7 +495,7 @@ func (gc *GlobalCache) read(ctx context.Context, contextName, attribute string, 
 	var v string
 	var seq uint64
 	if block {
-		v, seq, err = cc.up.GetV(ctx, attribute)
+		v, seq, err = cc.up.GetAt(ctx, Local, attribute)
 	} else {
 		v, seq, err = gc.shard(contextName).tryGet(ctx, contextName, attribute)
 	}
@@ -532,7 +532,7 @@ func (gc *GlobalCache) Snapshot(ctx context.Context, contextName string) (map[st
 	if err != nil {
 		return nil, err
 	}
-	return cc.up.Snapshot()
+	return cc.up.SnapshotAt(ctx, Local)
 }
 
 // Contexts reports the names of currently cached contexts (tests).

@@ -31,29 +31,29 @@ func TestGlobalForwardingBasics(t *testing.T) {
 	ctx := context.Background()
 
 	// Absent globally.
-	if _, err := c.TryGetGlobal(ctx, "ghost"); !errors.Is(err, ErrNotFound) {
+	if _, _, err := c.TryGetAt(ctx, Global, "ghost"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("TryGetGlobal(ghost) = %v, want ErrNotFound", err)
 	}
 	// Put through the LASS, read back through the LASS.
-	if err := c.PutGlobal(ctx, "license", "granted"); err != nil {
+	if _, err := c.PutAt(ctx, Global, "license", "granted"); err != nil {
 		t.Fatalf("PutGlobal: %v", err)
 	}
-	if v, err := c.TryGetGlobal(ctx, "license"); err != nil || v != "granted" {
+	if v, _, err := c.TryGetAt(ctx, Global, "license"); err != nil || v != "granted" {
 		t.Fatalf("TryGetGlobal = %q, %v", v, err)
 	}
 	// The value must actually be on the CASS, visible to a direct client.
 	direct := dialT(t, cassAddr, "job1")
-	if v, err := direct.TryGet("license"); err != nil || v != "granted" {
+	if v, _, err := direct.TryGetAt(context.Background(), Local, "license"); err != nil || v != "granted" {
 		t.Fatalf("direct CASS TryGet = %q, %v", v, err)
 	}
 	// Delete through the LASS; both views agree.
-	if err := c.DeleteGlobal(ctx, "license"); err != nil {
+	if _, err := c.DeleteAt(ctx, Global, "license"); err != nil {
 		t.Fatalf("DeleteGlobal: %v", err)
 	}
-	if _, err := c.TryGetGlobal(ctx, "license"); !errors.Is(err, ErrNotFound) {
+	if _, _, err := c.TryGetAt(ctx, Global, "license"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("after DeleteGlobal: %v, want ErrNotFound", err)
 	}
-	if _, err := direct.TryGet("license"); !errors.Is(err, ErrNotFound) {
+	if _, _, err := direct.TryGetAt(context.Background(), Local, "license"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("direct after DeleteGlobal: %v, want ErrNotFound", err)
 	}
 }
@@ -68,10 +68,10 @@ func TestCacheReadYourWrites(t *testing.T) {
 	ctx := context.Background()
 	for i := 0; i < 200; i++ {
 		want := fmt.Sprintf("v%d", i)
-		if err := c.PutGlobal(ctx, "counter", want); err != nil {
+		if _, err := c.PutAt(ctx, Global, "counter", want); err != nil {
 			t.Fatalf("PutGlobal %d: %v", i, err)
 		}
-		got, err := c.TryGetGlobal(ctx, "counter")
+		got, _, err := c.TryGetAt(ctx, Global, "counter")
 		if err != nil {
 			t.Fatalf("TryGetGlobal %d: %v", i, err)
 		}
@@ -95,7 +95,7 @@ func TestCacheInvalidationFromDirectWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Prime the cache (fill).
-	if v, err := c.TryGetGlobal(ctx, "phase"); err != nil || v != "1" {
+	if v, _, err := c.TryGetAt(ctx, Global, "phase"); err != nil || v != "1" {
 		t.Fatalf("prime: %q, %v", v, err)
 	}
 	// Write behind the cache's back; the invalidation must land.
@@ -105,7 +105,7 @@ func TestCacheInvalidationFromDirectWrite(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	last := "1"
 	for {
-		v, err := c.TryGetGlobal(ctx, "phase")
+		v, _, err := c.TryGetAt(ctx, Global, "phase")
 		if err != nil {
 			t.Fatalf("TryGetGlobal: %v", err)
 		}
@@ -131,18 +131,18 @@ func TestCacheInvalidationDelete(t *testing.T) {
 	direct := dialT(t, cassAddr, "job1")
 	ctx := context.Background()
 
-	if err := c.PutGlobal(ctx, "tmp", "x"); err != nil {
+	if _, err := c.PutAt(ctx, Global, "tmp", "x"); err != nil {
 		t.Fatal(err)
 	}
-	if v, err := c.TryGetGlobal(ctx, "tmp"); err != nil || v != "x" {
+	if v, _, err := c.TryGetAt(ctx, Global, "tmp"); err != nil || v != "x" {
 		t.Fatalf("prime: %q, %v", v, err)
 	}
-	if err := direct.Delete("tmp"); err != nil {
+	if _, err := direct.DeleteAt(context.Background(), Local, "tmp"); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		_, err := c.TryGetGlobal(ctx, "tmp")
+		_, _, err := c.TryGetAt(ctx, Global, "tmp")
 		if errors.Is(err, ErrNotFound) {
 			return
 		}
@@ -166,7 +166,7 @@ func TestCacheBlockingGlobalGet(t *testing.T) {
 	got := make(chan string, 1)
 	errc := make(chan error, 1)
 	go func() {
-		v, err := c.GetGlobal(context.Background(), "pid")
+		v, _, err := c.GetAt(context.Background(), Global, "pid")
 		if err != nil {
 			errc <- err
 			return
@@ -194,7 +194,7 @@ func TestCacheBlockingGlobalGet(t *testing.T) {
 		t.Fatal("GetGlobal never woke")
 	}
 	// And now it is cached: served without an upstream round trip.
-	if v, err := c.TryGetGlobal(context.Background(), "pid"); err != nil || v != "777" {
+	if v, _, err := c.TryGetAt(context.Background(), Global, "pid"); err != nil || v != "777" {
 		t.Fatalf("cached read = %q, %v", v, err)
 	}
 }
@@ -205,12 +205,12 @@ func TestCacheBatchAndSnapshot(t *testing.T) {
 	ctx := context.Background()
 
 	pairs := []KV{{Key: "a", Value: "1"}, {Key: "b", Value: "2"}, {Key: "c", Value: "3"}}
-	if err := c.PutBatchGlobal(ctx, pairs); err != nil {
+	if _, err := c.PutBatchAt(ctx, Global, pairs); err != nil {
 		t.Fatalf("PutBatchGlobal: %v", err)
 	}
 	// All three readable through the cache and present upstream.
 	for _, p := range pairs {
-		if v, err := c.TryGetGlobal(ctx, p.Key); err != nil || v != p.Value {
+		if v, _, err := c.TryGetAt(ctx, Global, p.Key); err != nil || v != p.Value {
 			t.Fatalf("TryGetGlobal(%s) = %q, %v", p.Key, v, err)
 		}
 	}
@@ -220,7 +220,7 @@ func TestCacheBatchAndSnapshot(t *testing.T) {
 		t.Fatalf("direct snapshot = %v, %v", snap, err)
 	}
 	// Global snapshot through the LASS agrees.
-	gsnap, err := c.SnapshotGlobal(ctx)
+	gsnap, err := c.SnapshotAt(ctx, Global)
 	if err != nil {
 		t.Fatalf("SnapshotGlobal: %v", err)
 	}
@@ -237,16 +237,16 @@ func TestCacheHitAvoidsUpstream(t *testing.T) {
 	c := dialT(t, lassAddr, "job1")
 	ctx := context.Background()
 
-	if err := c.PutGlobal(ctx, "k", "v"); err != nil {
+	if _, err := c.PutAt(ctx, Global, "k", "v"); err != nil {
 		t.Fatal(err)
 	}
 	before := cass.Telemetry().Counter("attrspace.ops.tryget").Value() +
 		cass.Telemetry().Counter("attrspace.ops.get").Value()
 	for i := 0; i < 100; i++ {
-		if v, err := c.TryGetGlobal(ctx, "k"); err != nil || v != "v" {
+		if v, _, err := c.TryGetAt(ctx, Global, "k"); err != nil || v != "v" {
 			t.Fatalf("TryGetGlobal = %q, %v", v, err)
 		}
-		if v, err := c.GetGlobal(ctx, "k"); err != nil || v != "v" {
+		if v, _, err := c.GetAt(ctx, Global, "k"); err != nil || v != "v" {
 			t.Fatalf("GetGlobal = %q, %v", v, err)
 		}
 	}
@@ -263,7 +263,7 @@ func TestCacheHitAvoidsUpstream(t *testing.T) {
 func TestCacheSweepReleasesUpstream(t *testing.T) {
 	cass, lass, _, lassAddr := startCachingLASS(t)
 	c := dialT(t, lassAddr, "sweepme")
-	if err := c.PutGlobal(context.Background(), "k", "v"); err != nil {
+	if _, err := c.PutAt(context.Background(), Global, "k", "v"); err != nil {
 		t.Fatal(err)
 	}
 	if cass.Space().Refs("sweepme") == 0 {
@@ -285,10 +285,10 @@ func TestCacheSweepReleasesUpstream(t *testing.T) {
 func TestGlobalWithoutCache(t *testing.T) {
 	_, addr := startServer(t)
 	c := dialT(t, addr, "job1")
-	if err := c.PutGlobal(context.Background(), "a", "b"); !errors.Is(err, ErrNoGlobal) {
+	if _, err := c.PutAt(context.Background(), Global, "a", "b"); !errors.Is(err, ErrNoGlobal) {
 		t.Fatalf("PutGlobal on plain server = %v, want ErrNoGlobal", err)
 	}
-	if _, err := c.TryGetGlobal(context.Background(), "a"); !errors.Is(err, ErrNoGlobal) {
+	if _, _, err := c.TryGetAt(context.Background(), Global, "a"); !errors.Is(err, ErrNoGlobal) {
 		t.Fatalf("TryGetGlobal on plain server = %v, want ErrNoGlobal", err)
 	}
 }
@@ -314,11 +314,11 @@ func TestSeqCarriedOnReplies(t *testing.T) {
 	if err != nil || v != "3" || seq != 3 {
 		t.Fatalf("GetV = %q, %d, %v", v, seq, err)
 	}
-	ds, err := c.DeleteV(ctx, "a")
+	ds, err := c.DeleteAt(ctx, Local, "a")
 	if err != nil || ds != 4 {
 		t.Fatalf("DeleteV = %d, %v", ds, err)
 	}
-	if ds, err = c.DeleteV(ctx, "a"); err != nil || ds != 0 {
+	if ds, err = c.DeleteAt(ctx, Local, "a"); err != nil || ds != 0 {
 		t.Fatalf("DeleteV absent = %d, %v", ds, err)
 	}
 }
@@ -371,7 +371,7 @@ func TestDestroyTearsDownCacheCtx(t *testing.T) {
 	c := dialT(t, lassAddr, "job1")
 	ctx := context.Background()
 
-	if err := c.PutGlobal(ctx, "k", "v1"); err != nil {
+	if _, err := c.PutAt(ctx, Global, "k", "v1"); err != nil {
 		t.Fatal(err)
 	}
 	// Destroy upstream: the cache's own ref is the only one; closing a
@@ -398,7 +398,7 @@ func TestDestroyTearsDownCacheCtx(t *testing.T) {
 		t.Fatal(err)
 	}
 	c2 := dialT(t, lassAddr, "job1")
-	if v, err := c2.TryGetGlobal(ctx, "k"); err != nil || v != "v2" {
+	if v, _, err := c2.TryGetAt(ctx, Global, "k"); err != nil || v != "v2" {
 		t.Fatalf("after re-create, TryGetGlobal = %q, %v (stale cache?)", v, err)
 	}
 	_ = attr.ErrNotFound

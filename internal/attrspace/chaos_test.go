@@ -217,7 +217,7 @@ func TestChaosSessionConvergence(t *testing.T) {
 	defer watcher.Close()
 
 	m := newMirror()
-	watcher.SetEventHandler(m.handle)
+	watcher.setEventHandler(m.handle)
 	if err := watcher.Subscribe(); err != nil {
 		t.Fatalf("Subscribe: %v", err)
 	}
@@ -230,7 +230,7 @@ func TestChaosSessionConvergence(t *testing.T) {
 	put := func(a, v string) {
 		ctx, cancel := opCtx()
 		defer cancel()
-		if err := writer.PutCtx(ctx, a, v); err != nil {
+		if _, err := writer.PutAt(ctx, Local, a, v); err != nil {
 			t.Fatalf("PutCtx(%s): %v", a, err)
 		}
 		expected[a] = v
@@ -238,7 +238,7 @@ func TestChaosSessionConvergence(t *testing.T) {
 	del := func(a string) {
 		ctx, cancel := opCtx()
 		defer cancel()
-		if err := writer.DeleteCtx(ctx, a); err != nil {
+		if _, err := writer.DeleteAt(ctx, Local, a); err != nil {
 			t.Fatalf("DeleteCtx(%s): %v", a, err)
 		}
 		delete(expected, a)
@@ -323,8 +323,8 @@ func TestChaosSessionConvergence(t *testing.T) {
 	if resyncs == 0 {
 		t.Errorf("watcher saw no resync markers despite %d injected failures", kills)
 	}
-	if writer.GaveUp() || watcher.GaveUp() {
-		t.Fatalf("a session gave up (writer %v, watcher %v)", writer.GaveUp(), watcher.GaveUp())
+	if writer.gaveUp() || watcher.gaveUp() {
+		t.Fatalf("a session gave up (writer %v, watcher %v)", writer.gaveUp(), watcher.gaveUp())
 	}
 	reconnects, retries, _ := writer.Stats()
 	if reconnects == 0 && retries == 0 {
@@ -385,10 +385,10 @@ func TestChaosRefuseListener(t *testing.T) {
 	defer s.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if err := s.PutCtx(ctx, "k", "v"); err != nil {
+	if _, err := s.PutAt(ctx, Local, "k", "v"); err != nil {
 		t.Fatalf("PutCtx through refusing listener: %v", err)
 	}
-	if v, err := s.TryGet("k"); err != nil || v != "v" {
+	if v, _, err := s.TryGetAt(context.Background(), Local, "k"); err != nil || v != "v" {
 		t.Fatalf("TryGet = %q, %v", v, err)
 	}
 }
@@ -408,18 +408,18 @@ func TestChaosPartitionGivesUp(t *testing.T) {
 		ConnectWait: 200 * time.Millisecond,
 	})
 	defer s.Close()
-	if err := s.Put("k", "v"); err != nil {
+	if _, err := s.PutAt(context.Background(), Local, "k", "v"); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
 	chaos.Partition() // cuts the live conn and refuses every redial
 	deadline := time.Now().Add(5 * time.Second)
-	for !s.GaveUp() {
+	for !s.gaveUp() {
 		if time.Now().After(deadline) {
 			t.Fatal("session never gave up under a permanent partition")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if err := s.Put("k2", "v2"); !errors.Is(err, ErrSessionGaveUp) {
+	if _, err := s.PutAt(context.Background(), Local, "k2", "v2"); !errors.Is(err, ErrSessionGaveUp) {
 		t.Fatalf("post-give-up Put error = %v, want ErrSessionGaveUp", err)
 	}
 }
@@ -488,9 +488,9 @@ func TestChaosShardKill(t *testing.T) {
 				}
 				opCtx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
 				start := time.Now()
-				err := c.PutGlobal(opCtx, "k", fmt.Sprintf("v%d", round))
+				_, err := c.PutAt(opCtx, Global, "k", fmt.Sprintf("v%d", round))
 				if err == nil {
-					_, err = c.TryGetGlobal(opCtx, "k")
+					_, _, err = c.TryGetAt(opCtx, Global, "k")
 				}
 				cancel()
 				ms := time.Since(start).Milliseconds()
@@ -632,7 +632,7 @@ func TestChaosShmRingKill(t *testing.T) {
 	watcher := NewSession(cfg)
 	defer watcher.Close()
 	m := newMirror()
-	watcher.SetEventHandler(m.handle)
+	watcher.setEventHandler(m.handle)
 	if err := watcher.Subscribe(); err != nil {
 		t.Fatalf("Subscribe: %v", err)
 	}
@@ -641,7 +641,7 @@ func TestChaosShmRingKill(t *testing.T) {
 	putS := func(a, v string) {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
-		if err := writer.PutCtx(ctx, a, v); err != nil {
+		if _, err := writer.PutAt(ctx, Local, a, v); err != nil {
 			t.Fatalf("PutCtx(%s): %v", a, err)
 		}
 		expected[a] = v

@@ -86,10 +86,10 @@ type Client struct {
 	draining bool // server sent CLOSE; no new sends, replies still land
 	err      error
 
-	events  chan Event  // made by the first event or the first Events(), whichever comes first
-	handler func(Event) // when set, replaces the events channel
-	onClose func(error)
-	subbed  bool
+	events    chan Event  // made by the first event or the first Events(), whichever comes first
+	handler   func(Event) // when set, replaces the events channel
+	closeHook func(error)
+	subbed    bool
 
 	// The stream mux, and the reassembly buffer for chunked bulk
 	// replies, keyed by request id (nil until a reply comes in parts).
@@ -196,7 +196,7 @@ func Probe(ctx context.Context, dial DialFunc, addr string) error {
 	}
 	c := newClient(raw)
 	defer c.Close()
-	return c.Ping(ctx)
+	return c.ping(ctx)
 }
 
 // newClient starts a client on an open transport, before any HELLO:
@@ -510,7 +510,7 @@ func (c *Client) takeChunks(id string) []*wire.Message {
 // pending reply slot receives a synthetic connection-error reply (the
 // "conn" tag distinguishes it from a real server ERROR, so callers see
 // ErrConnLost rather than a server fault), the event channel closes,
-// and the OnClose hook fires. It is called from the read loop on any
+// and the onClose hook fires. It is called from the read loop on any
 // transport error, from send on a write error (a partial write corrupts
 // framing — the connection is unusable), and from Close.
 func (c *Client) fail(err error) {
@@ -523,7 +523,7 @@ func (c *Client) fail(err error) {
 	c.err = err
 	pending := c.pending
 	c.pending, c.chunks, c.free = nil, nil, nil // closed: nothing registers again
-	onClose := c.onClose
+	hook := c.closeHook
 	if c.events != nil {
 		close(c.events)
 	}
@@ -536,8 +536,8 @@ func (c *Client) fail(err error) {
 		slot.ch <- slot.msg
 	}
 	c.raw.Close()
-	if onClose != nil {
-		onClose(err)
+	if hook != nil {
+		hook(err)
 	}
 }
 
@@ -554,14 +554,14 @@ func (c *Client) SetEventHandler(fn func(Event)) {
 	c.mu.Unlock()
 }
 
-// OnClose installs a hook invoked once when the client fails or is
+// onClose installs a hook invoked once when the client fails or is
 // closed, with the terminal error. Used by the LASS global cache to
 // tear down a cache context whose upstream died, and by Session to
 // trigger reconnection. Installing the hook on an already-failed
 // client invokes it immediately (on the calling goroutine) — without
-// this, a client that dies between Dial and OnClose would never signal
+// this, a client that dies between Dial and onClose would never signal
 // anyone.
-func (c *Client) OnClose(fn func(error)) {
+func (c *Client) onClose(fn func(error)) {
 	c.mu.Lock()
 	if c.closed {
 		err := c.err
@@ -571,7 +571,7 @@ func (c *Client) OnClose(fn func(error)) {
 		}
 		return
 	}
-	c.onClose = fn
+	c.closeHook = fn
 	c.mu.Unlock()
 }
 
@@ -771,12 +771,14 @@ func IsRetryable(err error) bool {
 		errors.Is(err, ErrServerDraining)
 }
 
-// The operations, once each. scope picks the verb — the connection's
-// own context, or its context in the global space through this LASS —
-// and the exported methods below are spellings of these.
+// The operations, once each: scope picks the verb — Local, the
+// connection's own context, or Global, that context in the global space
+// through this LASS — and every write or read returns the per-context
+// seq the server assigned it (for a global one, the owning CASS shard's
+// seq). The pre-scope spellings bench/ still calls are in compat.go.
 
-// mutate is the round trip of put, putBatch and delete: send, parse the
-// ack, release the slot.
+// mutate is the round trip of a put, a batch and a delete: send, parse
+// the ack, release the slot.
 func (c *Client) mutate(ctx context.Context, spec *opSpec, m *wire.Message) (uint64, error) {
 	slot, reply, err := c.exchange(ctx, spec, m)
 	seq, err := seqReply(reply, err)
@@ -784,177 +786,68 @@ func (c *Client) mutate(ctx context.Context, spec *opSpec, m *wire.Message) (uin
 	return seq, err
 }
 
-func (c *Client) put(ctx context.Context, scope opScope, attribute, value string) (uint64, error) {
-	spec := opFor(opPut, scope)
-	return c.mutate(ctx, spec, putReq(spec.req(), attribute, value))
-}
-
-// putBatch stores every pair in order in one round trip and returns the
-// seq acked for the last pair.
-func (c *Client) putBatch(ctx context.Context, scope opScope, pairs []KV) (uint64, error) {
-	switch len(pairs) {
-	case 0:
-		return 0, nil
-	case 1:
-		return c.put(ctx, scope, pairs[0].Key, pairs[0].Value)
-	}
-	spec := opFor(opMPut, scope)
-	return c.mutate(ctx, spec, batchReq(spec.req(), pairs))
-}
-
-// read is get (blocking) and tryget.
-func (c *Client) read(ctx context.Context, op opKind, scope opScope, attribute string) (string, uint64, error) {
-	spec := opFor(op, scope)
+// read is the round trip of a get and a tryget.
+func (c *Client) read(ctx context.Context, spec *opSpec, attribute string) (string, uint64, error) {
 	slot, reply, err := c.exchange(ctx, spec, attrReq(spec.req(), attribute))
 	v, seq, err := valueReply(reply, err)
 	c.release(slot)
 	return v, seq, err
 }
 
-func (c *Client) delete(ctx context.Context, scope opScope, attribute string) (uint64, error) {
+// PutAt stores attribute = value at scope and waits for the
+// acknowledgement, matching the paper's blocking tdp_put. A global put
+// writes through the LASS to its CASS and caches the acked value, so a
+// later read through the same LASS sees it without an upstream round
+// trip. A span carried by ctx (see telemetry.NewContext) propagates to
+// the server as _tid/_sid.
+func (c *Client) PutAt(ctx context.Context, scope Scope, attribute, value string) (uint64, error) {
+	spec := opFor(opPut, scope)
+	return c.mutate(ctx, spec, putReq(spec.req(), attribute, value))
+}
+
+// PutBatchAt stores every pair in order in one round trip (the Parador
+// startup pattern: a daemon publishing pid, executable, args and
+// friends together) and returns the seq acked for the last pair. A
+// batch of one travels as a plain put.
+func (c *Client) PutBatchAt(ctx context.Context, scope Scope, pairs []KV) (uint64, error) {
+	switch len(pairs) {
+	case 0:
+		return 0, nil
+	case 1:
+		return c.PutAt(ctx, scope, pairs[0].Key, pairs[0].Value)
+	}
+	spec := opFor(opMPut, scope)
+	return c.mutate(ctx, spec, batchReq(spec.req(), pairs))
+}
+
+// GetAt blocks until the attribute exists at scope and returns its
+// value with the seq of the write that produced it (the paper's
+// blocking tdp_get). Cancel via ctx. A cached global attribute is
+// answered by the LASS in one local hop.
+func (c *Client) GetAt(ctx context.Context, scope Scope, attribute string) (string, uint64, error) {
+	return c.read(ctx, opFor(opGet, scope), attribute)
+}
+
+// TryGetAt is GetAt without blocking: ErrNotFound when the attribute is
+// absent.
+func (c *Client) TryGetAt(ctx context.Context, scope Scope, attribute string) (string, uint64, error) {
+	return c.read(ctx, opFor(opTryGet, scope), attribute)
+}
+
+// DeleteAt removes an attribute at scope and returns the seq assigned
+// to the deletion (0 when the attribute was already absent).
+func (c *Client) DeleteAt(ctx context.Context, scope Scope, attribute string) (uint64, error) {
 	spec := opFor(opDelete, scope)
 	return c.mutate(ctx, spec, attrReq(spec.req(), attribute))
 }
 
-func (c *Client) snapshot(ctx context.Context, scope opScope) (map[string]string, error) {
+// SnapshotAt returns a copy of every attribute of the context at scope
+// (a global one always takes an upstream round trip; snapshots are
+// never served from the cache).
+func (c *Client) SnapshotAt(ctx context.Context, scope Scope) (map[string]string, error) {
 	reply, err := c.call(ctx, opFor(opSnapshot, scope), nil)
 	out := make(map[string]string)
 	return out, c.entries(reply, err, func(e entry) { out[e.k] = e.v })
-}
-
-// Put stores attribute = value and waits for the acknowledgement,
-// matching the paper's blocking tdp_put.
-func (c *Client) Put(attribute, value string) error {
-	return c.PutCtx(context.Background(), attribute, value)
-}
-
-// PutCtx is Put with a context; a span carried by ctx (see
-// telemetry.NewContext) propagates to the server as _tid/_sid.
-func (c *Client) PutCtx(ctx context.Context, attribute, value string) error {
-	_, err := c.put(ctx, scopeConn, attribute, value)
-	return err
-}
-
-// PutV is Put returning the per-context seq the server assigned the
-// write.
-func (c *Client) PutV(ctx context.Context, attribute, value string) (uint64, error) {
-	return c.put(ctx, scopeConn, attribute, value)
-}
-
-// PutGlobal stores a global (CASS) attribute through this LASS: the
-// LASS writes through to its CASS and caches the acked value, so a
-// subsequent GetGlobal via the same LASS sees this write without an
-// upstream round trip.
-func (c *Client) PutGlobal(ctx context.Context, attribute, value string) error {
-	_, err := c.put(ctx, scopeGlobal, attribute, value)
-	return err
-}
-
-// PutBatch stores every pair in order and waits for the single
-// acknowledgement — one round trip for the whole batch (the Parador
-// startup pattern: a daemon publishing pid, executable, args and
-// friends together).
-func (c *Client) PutBatch(pairs []KV) error {
-	return c.PutBatchCtx(context.Background(), pairs)
-}
-
-// PutBatchCtx is PutBatch with a context for cancellation and span
-// propagation.
-func (c *Client) PutBatchCtx(ctx context.Context, pairs []KV) error {
-	_, err := c.putBatch(ctx, scopeConn, pairs)
-	return err
-}
-
-// PutBatchV is PutBatch returning the seq acked for the last pair.
-func (c *Client) PutBatchV(ctx context.Context, pairs []KV) (uint64, error) {
-	return c.putBatch(ctx, scopeConn, pairs)
-}
-
-// PutBatchGlobal stores a batch of global attributes in one round trip.
-func (c *Client) PutBatchGlobal(ctx context.Context, pairs []KV) error {
-	_, err := c.putBatch(ctx, scopeGlobal, pairs)
-	return err
-}
-
-// Get blocks until the attribute exists and returns its value (the
-// paper's blocking tdp_get). Cancel via ctx.
-func (c *Client) Get(ctx context.Context, attribute string) (string, error) {
-	v, _, err := c.read(ctx, opGet, scopeConn, attribute)
-	return v, err
-}
-
-// GetV is Get additionally returning the seq of the write that
-// produced the value.
-func (c *Client) GetV(ctx context.Context, attribute string) (string, uint64, error) {
-	return c.read(ctx, opGet, scopeConn, attribute)
-}
-
-// GetGlobal blocks until the global attribute exists; steady-state
-// reads are answered from the LASS cache in one local hop.
-func (c *Client) GetGlobal(ctx context.Context, attribute string) (string, error) {
-	v, _, err := c.read(ctx, opGet, scopeGlobal, attribute)
-	return v, err
-}
-
-// TryGet returns the current value without blocking; ErrNotFound when
-// the attribute is absent.
-func (c *Client) TryGet(attribute string) (string, error) {
-	return c.TryGetCtx(context.Background(), attribute)
-}
-
-// TryGetCtx is TryGet with a context for cancellation and span
-// propagation.
-func (c *Client) TryGetCtx(ctx context.Context, attribute string) (string, error) {
-	v, _, err := c.read(ctx, opTryGet, scopeConn, attribute)
-	return v, err
-}
-
-// TryGetV is TryGet additionally returning the seq of the write that
-// produced the value.
-func (c *Client) TryGetV(ctx context.Context, attribute string) (string, uint64, error) {
-	return c.read(ctx, opTryGet, scopeConn, attribute)
-}
-
-// TryGetGlobal returns the global attribute's value without blocking;
-// ErrNotFound when absent.
-func (c *Client) TryGetGlobal(ctx context.Context, attribute string) (string, error) {
-	v, _, err := c.read(ctx, opTryGet, scopeGlobal, attribute)
-	return v, err
-}
-
-// Delete removes an attribute.
-func (c *Client) Delete(attribute string) error {
-	return c.DeleteCtx(context.Background(), attribute)
-}
-
-// DeleteCtx is Delete with a context for cancellation and span
-// propagation.
-func (c *Client) DeleteCtx(ctx context.Context, attribute string) error {
-	_, err := c.delete(ctx, scopeConn, attribute)
-	return err
-}
-
-// DeleteV is Delete returning the seq assigned to the deletion (0 when
-// the attribute was already absent).
-func (c *Client) DeleteV(ctx context.Context, attribute string) (uint64, error) {
-	return c.delete(ctx, scopeConn, attribute)
-}
-
-// DeleteGlobal removes a global attribute through this LASS.
-func (c *Client) DeleteGlobal(ctx context.Context, attribute string) error {
-	_, err := c.delete(ctx, scopeGlobal, attribute)
-	return err
-}
-
-// Snapshot returns a copy of all attributes in the context.
-func (c *Client) Snapshot() (map[string]string, error) {
-	return c.snapshot(context.Background(), scopeConn)
-}
-
-// SnapshotGlobal dumps the context's global attributes (always one
-// upstream round trip; snapshots are never served from the cache).
-func (c *Client) SnapshotGlobal(ctx context.Context) (map[string]string, error) {
-	return c.snapshot(ctx, scopeGlobal)
 }
 
 // Result is the completion of an asynchronous get or put.
@@ -968,7 +861,7 @@ type Result struct {
 // returned channel: the transport half of tdp_async_get. The tdp
 // package layers callback queueing and ServiceEvents on top.
 func (c *Client) GetAsync(attribute string) (<-chan Result, error) {
-	spec := opFor(opGet, scopeConn)
+	spec := opFor(opGet, Local)
 	m := attrReq(spec.req(), attribute)
 	obs := c.instrument(context.Background(), spec, m)
 	slot, err := c.send(m)
@@ -1031,7 +924,7 @@ func (c *Client) flushPuts() {
 		for i, p := range batch {
 			pairs[i] = KV{Key: p.attr, Value: p.value}
 		}
-		_, err := c.putBatch(context.Background(), scopeConn, pairs)
+		_, err := c.PutBatchAt(context.Background(), Local, pairs)
 		for _, p := range batch {
 			p.out <- Result{Attr: p.attr, Value: p.value, Err: err}
 		}
@@ -1041,16 +934,11 @@ func (c *Client) flushPuts() {
 // ServerStats asks the server to dump its telemetry registry (the
 // STATS verb) and returns the decoded snapshot plus the daemon name
 // the server reports itself as. STATS needs no joined context, and
-// any client — tdpattr included — may issue it.
-func (c *Client) ServerStats(ctx context.Context) (daemon string, snap telemetry.Snapshot, err error) {
-	return c.ServerStatsScope(ctx, "")
-}
-
-// ServerStatsScope is ServerStats with an explicit scope. Scope
-// "tree" asks the daemon to merge its children's snapshots (see
+// any client — tdpattr included — may issue it. Scope "tree" asks the
+// daemon to merge its children's snapshots (see
 // Server.SetStatsChildren) into the reply — one request for a whole
-// subtree's telemetry. An empty scope behaves like ServerStats.
-func (c *Client) ServerStatsScope(ctx context.Context, scope string) (daemon string, snap telemetry.Snapshot, err error) {
+// subtree's telemetry; "" asks for the daemon's own.
+func (c *Client) ServerStats(ctx context.Context, scope string) (daemon string, snap telemetry.Snapshot, err error) {
 	spec := opFor(opStats, scopeDaemon)
 	req := spec.req()
 	if scope != "" {
@@ -1077,7 +965,7 @@ type Versioned = attr.Versioned
 // resync primitive: a Session diffs the result against its last-known
 // seqs after a reconnect, so stale values never overwrite newer ones.
 func (c *Client) SnapshotSeq(ctx context.Context) (map[string]Versioned, uint64, error) {
-	spec := opFor(opSnapshot, scopeConn)
+	spec := opFor(opSnapshot, Local)
 	reply, err := c.call(ctx, spec, spec.req().Set("seqs", "1"))
 	if err != nil {
 		return nil, 0, err
@@ -1103,7 +991,7 @@ type DeltaOp struct {
 // change log no longer covers the gap. Both come with the context's
 // current seq.
 func (c *Client) SnapshotDelta(ctx context.Context, since uint64) (ops []DeltaOp, full map[string]Versioned, ctxSeq uint64, err error) {
-	spec := opFor(opSnapDelta, scopeConn)
+	spec := opFor(opSnapDelta, Local)
 	reply, err := c.call(ctx, spec, spec.req().Set("since", strconv.FormatUint(since, 10)))
 	if err != nil {
 		return nil, nil, 0, err
@@ -1127,11 +1015,11 @@ func (c *Client) SnapshotDelta(ctx context.Context, since uint64) (ops []DeltaOp
 	return ops, full, replySeq(reply), nil
 }
 
-// Ping performs a wire-level liveness round trip. The server answers
+// ping performs a wire-level liveness round trip. The server answers
 // inline on its read loop, so a timely PONG proves the connection and
 // the peer's dispatch are alive even while bulk replies stream on other
 // goroutines.
-func (c *Client) Ping(ctx context.Context) error {
+func (c *Client) ping(ctx context.Context) error {
 	return okReply(c.call(ctx, opFor(opPing, scopeDaemon), nil))
 }
 
@@ -1169,7 +1057,7 @@ func (c *Client) subscribe(handler func(Event)) (at subMark, made bool, err erro
 		c.handler = handler
 	}
 	c.mu.Unlock()
-	reply, err := c.call(context.Background(), opFor(opSub, scopeConn), nil)
+	reply, err := c.call(context.Background(), opFor(opSub, Local), nil)
 	if err = okReply(reply, err); err != nil {
 		c.mu.Lock()
 		c.subbed = false
@@ -1206,7 +1094,7 @@ func (c *Client) eventsLocked() chan Event {
 // context name → attribute snapshot. ErrNoGlobal against servers
 // without forwarding.
 func (c *Client) SnapshotGlobalMany(ctx context.Context, contexts []string) (map[string]map[string]string, error) {
-	spec := opFor(opSnapMany, scopeGlobal)
+	spec := opFor(opSnapMany, Global)
 	reply, err := c.call(ctx, spec, setNames(spec.req(), contexts))
 	out := make(map[string]map[string]string)
 	var decErr error
@@ -1230,7 +1118,7 @@ func (c *Client) SnapshotGlobalMany(ctx context.Context, contexts []string) (map
 // space — on a sharded LASS, the deduplicated union over every
 // reachable shard. ErrNoGlobal against servers without forwarding.
 func (c *Client) GlobalContexts(ctx context.Context) ([]string, error) {
-	return namesReply(c.call(ctx, opFor(opContexts, scopeGlobal), nil))
+	return namesReply(c.call(ctx, opFor(opContexts, Global), nil))
 }
 
 // Close leaves the context (the tdp_exit half of the refcount) and

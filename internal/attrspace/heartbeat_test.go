@@ -59,7 +59,7 @@ func TestSessionHeartbeatDetectsHalfDeadConn(t *testing.T) {
 	if err := s.WaitReady(ctx); err != nil {
 		t.Fatalf("WaitReady: %v", err)
 	}
-	if err := s.PutCtx(ctx, "k", "1"); err != nil {
+	if _, err := s.PutAt(ctx, Local, "k", "1"); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
 
@@ -77,10 +77,10 @@ func TestSessionHeartbeatDetectsHalfDeadConn(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if err := s.PutCtx(ctx, "k", "2"); err != nil {
+	if _, err := s.PutAt(ctx, Local, "k", "2"); err != nil {
 		t.Fatalf("Put after heartbeat reconnect: %v", err)
 	}
-	if v, err := s.TryGetCtx(ctx, "k"); err != nil || v != "2" {
+	if v, _, err := s.TryGetAt(ctx, Local, "k"); err != nil || v != "2" {
 		t.Fatalf("TryGet = %q, %v", v, err)
 	}
 }
@@ -114,7 +114,7 @@ func TestChaosLargeResyncHeartbeat(t *testing.T) {
 		MaxAttempts: -1, ConnectWait: 10 * time.Second,
 	})
 	defer s.Close()
-	s.SetEventHandler(m.handle)
+	s.setEventHandler(m.handle)
 	if err := s.Subscribe(); err != nil {
 		t.Fatalf("Subscribe: %v", err)
 	}
@@ -144,7 +144,7 @@ func TestChaosLargeResyncHeartbeat(t *testing.T) {
 			if _, ok := vals[fmt.Sprintf("gap%d", i)]; ok {
 				break
 			}
-			if s.GaveUp() {
+			if s.gaveUp() {
 				t.Fatal("session gave up during a large resync")
 			}
 			if time.Now().After(deadline) {
@@ -175,7 +175,7 @@ func TestChaosLargeResyncHeartbeat(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if s.GaveUp() {
+	if s.gaveUp() {
 		t.Fatal("session gave up")
 	}
 }

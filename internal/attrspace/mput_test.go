@@ -32,7 +32,7 @@ func TestMPUTRoundTrip(t *testing.T) {
 		t.Fatalf("PutBatch: %v", err)
 	}
 	for _, p := range pairs {
-		v, err := c.TryGet(p.Key)
+		v, _, err := c.TryGetAt(context.Background(), Local, p.Key)
 		if err != nil || v != p.Value {
 			t.Errorf("TryGet(%s) = %q, %v; want %q", p.Key, v, err, p.Value)
 		}
@@ -67,7 +67,7 @@ func TestMPUTWakesBlockedGets(t *testing.T) {
 
 	got := make(chan string, 1)
 	go func() {
-		v, err := consumer.Get(context.Background(), "b")
+		v, _, err := consumer.GetAt(context.Background(), Local, "b")
 		if err != nil {
 			t.Errorf("Get: %v", err)
 		}
@@ -246,7 +246,7 @@ func TestPutAsyncCoalesces(t *testing.T) {
 		}
 	}
 	for i := 0; i < n; i++ {
-		v, err := c.TryGet(fmt.Sprintf("k%d", i))
+		v, _, err := c.TryGetAt(context.Background(), Local, fmt.Sprintf("k%d", i))
 		if err != nil || v != fmt.Sprintf("v%d", i) {
 			t.Fatalf("TryGet(k%d) = %q, %v", i, v, err)
 		}
@@ -282,7 +282,7 @@ func TestConcurrentGetCancellationVsPut(t *testing.T) {
 					defer close(done)
 					// The Get may win (value) or lose (cancellation);
 					// both are valid — only races and hangs are bugs.
-					c.Get(ctx, attr)
+					c.GetAt(ctx, Local, attr)
 				}()
 				if i%2 == 0 {
 					producer.Put(attr, "v")
@@ -311,14 +311,14 @@ func TestGetFastPathStillBlocksWhenAbsent(t *testing.T) {
 		t.Fatalf("Put: %v", err)
 	}
 	for i := 0; i < 100; i++ {
-		v, err := c.Get(context.Background(), "present")
+		v, _, err := c.GetAt(context.Background(), Local, "present")
 		if err != nil || v != "yes" {
 			t.Fatalf("fast-path Get = %q, %v", v, err)
 		}
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	if _, err := c.Get(ctx, "absent"); err == nil {
+	if _, _, err := c.GetAt(ctx, Local, "absent"); err == nil {
 		t.Fatal("Get for absent attribute returned without a Put")
 	}
 }

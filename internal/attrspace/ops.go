@@ -57,23 +57,27 @@ const (
 	numOps
 )
 
-// opScope says what an operation is applied to, and with it what the
+// Scope says what an operation is applied to, and with it what the
 // request must satisfy before its handler runs (serverConn.resolve).
-type opScope uint8
+// Callers name two of them: every attribute operation of Client, Session
+// and API takes Local or Global. The daemon and ctx scopes are the
+// protocol's own (HELLO and STATS; the shard router's pooled ops).
+type Scope uint8
 
 const (
 	// scopeDaemon: the daemon or the connection itself; no precondition,
 	// which is what keeps STATS legal before HELLO.
-	scopeDaemon opScope = iota
-	// scopeConn: the context this connection joined at HELLO.
-	scopeConn
+	scopeDaemon Scope = iota
+	// Local is the context this connection joined at HELLO.
+	Local
 	// scopeCtx: the context named by the request's ctx field, which this
 	// shard must own and somebody must already hold. Never blocks: these
 	// ride the shard router's pooled drain cycles.
 	scopeCtx
-	// scopeGlobal: the connection's context in the global space, routed
-	// through this LASS's GlobalCache to the owning CASS shard.
-	scopeGlobal
+	// Global is the connection's context in the global space, routed
+	// through this LASS's GlobalCache to the owning CASS shard; a server
+	// without one refuses it (ErrNoGlobal).
+	Global
 	numScopes
 )
 
@@ -81,7 +85,7 @@ const (
 type opSpec struct {
 	verb   string
 	op     opKind
-	scope  opScope
+	scope  Scope
 	handle func(*serverConn, context.Context, request)
 	quiet  bool // neither counted nor timed nor traced
 	// origin: the mutation may name, in an optional origin field, the
@@ -109,14 +113,14 @@ var opTable = []opSpec{
 	{verb: "SHMRDY", op: opShmRdy, scope: scopeDaemon, handle: (*serverConn).opShmRdy, quiet: true},
 	{verb: "CCTXS", op: opContexts, scope: scopeDaemon, handle: (*serverConn).opContexts},
 
-	{verb: "SUB", op: opSub, scope: scopeConn, handle: (*serverConn).opSub},
-	{verb: "PUT", op: opPut, scope: scopeConn, handle: (*serverConn).opPut},
-	{verb: "MPUT", op: opMPut, scope: scopeConn, handle: (*serverConn).opMPut},
-	{verb: "GET", op: opGet, scope: scopeConn, handle: (*serverConn).opGet},
-	{verb: "TRYGET", op: opTryGet, scope: scopeConn, handle: (*serverConn).opTryGet},
-	{verb: "DELETE", op: opDelete, scope: scopeConn, handle: (*serverConn).opDelete},
-	{verb: "SNAP", op: opSnapshot, scope: scopeConn, handle: (*serverConn).opSnapshot},
-	{verb: "SNAPD", op: opSnapDelta, scope: scopeConn, handle: (*serverConn).opSnapDelta},
+	{verb: "SUB", op: opSub, scope: Local, handle: (*serverConn).opSub},
+	{verb: "PUT", op: opPut, scope: Local, handle: (*serverConn).opPut},
+	{verb: "MPUT", op: opMPut, scope: Local, handle: (*serverConn).opMPut},
+	{verb: "GET", op: opGet, scope: Local, handle: (*serverConn).opGet},
+	{verb: "TRYGET", op: opTryGet, scope: Local, handle: (*serverConn).opTryGet},
+	{verb: "DELETE", op: opDelete, scope: Local, handle: (*serverConn).opDelete},
+	{verb: "SNAP", op: opSnapshot, scope: Local, handle: (*serverConn).opSnapshot},
+	{verb: "SNAPD", op: opSnapDelta, scope: Local, handle: (*serverConn).opSnapDelta},
 
 	{verb: "CPUT", op: opPut, scope: scopeCtx, handle: (*serverConn).opPut, origin: true},
 	{verb: "CMPUT", op: opMPut, scope: scopeCtx, handle: (*serverConn).opMPut, origin: true},
@@ -124,14 +128,14 @@ var opTable = []opSpec{
 	{verb: "CDEL", op: opDelete, scope: scopeCtx, handle: (*serverConn).opDelete, origin: true},
 	{verb: "CSNAP", op: opSnapshot, scope: scopeCtx, handle: (*serverConn).opSnapshot},
 
-	{verb: "GPUT", op: opPut, scope: scopeGlobal, handle: (*serverConn).opPut},
-	{verb: "GMPUT", op: opMPut, scope: scopeGlobal, handle: (*serverConn).opMPut},
-	{verb: "GGET", op: opGet, scope: scopeGlobal, handle: (*serverConn).opGet},
-	{verb: "GTRYGET", op: opTryGet, scope: scopeGlobal, handle: (*serverConn).opTryGet},
-	{verb: "GDEL", op: opDelete, scope: scopeGlobal, handle: (*serverConn).opDelete},
-	{verb: "GSNAP", op: opSnapshot, scope: scopeGlobal, handle: (*serverConn).opSnapshot},
-	{verb: "GSNAPM", op: opSnapMany, scope: scopeGlobal, handle: (*serverConn).opSnapMany},
-	{verb: "GCTXS", op: opContexts, scope: scopeGlobal, handle: (*serverConn).opContexts},
+	{verb: "GPUT", op: opPut, scope: Global, handle: (*serverConn).opPut},
+	{verb: "GMPUT", op: opMPut, scope: Global, handle: (*serverConn).opMPut},
+	{verb: "GGET", op: opGet, scope: Global, handle: (*serverConn).opGet},
+	{verb: "GTRYGET", op: opTryGet, scope: Global, handle: (*serverConn).opTryGet},
+	{verb: "GDEL", op: opDelete, scope: Global, handle: (*serverConn).opDelete},
+	{verb: "GSNAP", op: opSnapshot, scope: Global, handle: (*serverConn).opSnapshot},
+	{verb: "GSNAPM", op: opSnapMany, scope: Global, handle: (*serverConn).opSnapMany},
+	{verb: "GCTXS", op: opContexts, scope: Global, handle: (*serverConn).opContexts},
 }
 
 var (
@@ -153,7 +157,7 @@ func init() {
 
 // opFor returns the row that spells op at scope; the verb sets of the
 // client and the shard router are calls of this.
-func opFor(op opKind, scope opScope) *opSpec { return opByKind[op][scope] }
+func opFor(op opKind, scope Scope) *opSpec { return opByKind[op][scope] }
 
 // req starts a request for this row.
 func (s *opSpec) req() *wire.Message { return wire.NewMessage(s.verb) }

@@ -25,7 +25,7 @@ var opNames = [numOps]string{
 }
 
 var scopeNames = [numScopes]string{
-	scopeDaemon: "daemon", scopeConn: "connection", scopeCtx: "ctx", scopeGlobal: "global",
+	scopeDaemon: "daemon", Local: "connection", scopeCtx: "ctx", Global: "global",
 }
 
 // countedNames are the telemetry names of the request verbs — one
@@ -91,7 +91,7 @@ func (h *opHarness) via(spec *opSpec) (c *Client, reg *telemetry.Registry, space
 	switch {
 	case spec.scope == scopeCtx, spec.op == opContexts && spec.scope == scopeDaemon:
 		return h.pool, h.shard0, "cass"
-	case spec.scope == scopeGlobal:
+	case spec.scope == Global:
 		return h.conn, h.lass, "cass"
 	}
 	return h.conn, h.lass, "lass"
@@ -152,9 +152,9 @@ func (h *opHarness) wantValue(spec *opSpec, reply *wire.Message, key, value stri
 func (h *opHarness) preconditions(spec *opSpec) {
 	probe := func() *wire.Message { return putReq(spec.req(), "a", "v").SetInt("n", 0) }
 	switch spec.scope {
-	case scopeConn, scopeGlobal:
+	case Local, Global:
 		h.wantError(spec, rawCall(h.t, h.bare, probe()), "HELLO required")
-		if spec.scope == scopeGlobal {
+		if spec.scope == Global {
 			reply := rawCall(h.t, h.plain, probe())
 			h.wantError(spec, reply, noGlobalText)
 			if err := replyErr(reply); !errors.Is(err, ErrNoGlobal) {
@@ -299,7 +299,7 @@ var opContracts = [numOps]func(h *opHarness, spec *opSpec){
 	opExit: func(h *opHarness, spec *opSpec) {
 		c := h.undialed(h.lassAddr)
 		closed := make(chan error, 1)
-		c.OnClose(func(err error) { closed <- err })
+		c.onClose(func(err error) { closed <- err })
 		if err := c.wc.Send(spec.req()); err != nil {
 			h.t.Fatalf("%s: %v", spec.verb, err)
 		}

@@ -149,7 +149,7 @@ func startTappedPool(t *testing.T) *tappedPool {
 	t.Cleanup(p.lass.Close)
 	p.sh = p.gc.conns[0]
 	p.pooled = <-held
-	waitFor(t, p.sh.sess.Up)
+	waitFor(t, p.sh.sess.up)
 	return p
 }
 
@@ -207,14 +207,14 @@ func TestOwnWriteIsNotEchoed(t *testing.T) {
 	bg := context.Background()
 	const writes = 50
 	for i := 0; i < writes; i++ {
-		if err := c.PutGlobal(bg, "status", fmt.Sprintf("v%d", i)); err != nil {
+		if _, err := c.PutAt(bg, Global, "status", fmt.Sprintf("v%d", i)); err != nil {
 			t.Fatalf("PutGlobal: %v", err)
 		}
 	}
-	if err := c.PutBatchGlobal(bg, []KV{{Key: "a", Value: "1"}, {Key: "b", Value: "2"}}); err != nil {
+	if _, err := c.PutBatchAt(bg, Global, []KV{{Key: "a", Value: "1"}, {Key: "b", Value: "2"}}); err != nil {
 		t.Fatalf("PutBatchGlobal: %v", err)
 	}
-	if err := c.DeleteGlobal(bg, "a"); err != nil {
+	if _, err := c.DeleteAt(bg, Global, "a"); err != nil {
 		t.Fatalf("DeleteGlobal: %v", err)
 	}
 	// The cache's subscription is the only one so far, so any EVENT the
@@ -230,13 +230,13 @@ func TestOwnWriteIsNotEchoed(t *testing.T) {
 	}
 	// Read back through the cache: hits, from the acks alone.
 	fills := counter(lass, "attrspace.cache.fills")
-	if v, err := c.TryGetGlobal(bg, "status"); err != nil || v != fmt.Sprintf("v%d", writes-1) {
+	if v, _, err := c.TryGetAt(bg, Global, "status"); err != nil || v != fmt.Sprintf("v%d", writes-1) {
 		t.Errorf("TryGetGlobal(status) = %q, %v", v, err)
 	}
-	if v, err := c.TryGetGlobal(bg, "b"); err != nil || v != "2" {
+	if v, _, err := c.TryGetAt(bg, Global, "b"); err != nil || v != "2" {
 		t.Errorf("TryGetGlobal(b) = %q, %v", v, err)
 	}
-	if _, err := c.TryGetGlobal(bg, "a"); !errors.Is(err, ErrNotFound) {
+	if _, _, err := c.TryGetAt(bg, Global, "a"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("TryGetGlobal(a) after DeleteGlobal = %v, want ErrNotFound", err)
 	}
 	if n := counter(lass, "attrspace.cache.fills") - fills; n != 0 {
@@ -263,23 +263,23 @@ func TestOwnWriteIsNotEchoed(t *testing.T) {
 	}
 	t.Cleanup(lass2.Close)
 	c2 := dialT(t, lass2Addr, "job1")
-	if v, err := c2.TryGetGlobal(bg, "status"); err != nil || v != fmt.Sprintf("v%d", writes-1) {
+	if v, _, err := c2.TryGetAt(bg, Global, "status"); err != nil || v != fmt.Sprintf("v%d", writes-1) {
 		t.Fatalf("second LASS, priming read = %q, %v", v, err)
 	}
-	if err := c.PutGlobal(bg, "status", "final"); err != nil {
+	if _, err := c.PutAt(bg, Global, "status", "final"); err != nil {
 		t.Fatalf("PutGlobal: %v", err)
 	}
 	waitFor(t, func() bool { return seen.Load() == "final" })
 	waitFor(t, func() bool {
-		v, err := c2.TryGetGlobal(bg, "status")
+		v, _, err := c2.TryGetAt(bg, Global, "status")
 		return err == nil && v == "final"
 	})
 	// And the second LASS's writes reach the first one's mirror.
-	if err := c2.PutGlobal(bg, "status", "from-lass2"); err != nil {
+	if _, err := c2.PutAt(bg, Global, "status", "from-lass2"); err != nil {
 		t.Fatalf("PutGlobal through the second LASS: %v", err)
 	}
 	waitFor(t, func() bool {
-		v, err := c.TryGetGlobal(bg, "status")
+		v, _, err := c.TryGetAt(bg, Global, "status")
 		return err == nil && v == "from-lass2"
 	})
 }
@@ -846,13 +846,13 @@ func TestGlobalWriteSmoke(t *testing.T) {
 	handles := []*Client{dialT(t, lassAddr, ctxs[0]), dialT(t, lassAddr, ctxs[1])}
 	const ops = 2000
 	for i := 0; i < ops; i++ {
-		if err := handles[i%2].PutGlobal(bg, fmt.Sprintf("attr%d", i%64), fmt.Sprintf("v%d", i)); err != nil {
+		if _, err := handles[i%2].PutAt(bg, Global, fmt.Sprintf("attr%d", i%64), fmt.Sprintf("v%d", i)); err != nil {
 			t.Fatalf("PutGlobal %d: %v", i, err)
 		}
 	}
 	for i, c := range handles {
 		// attr<i>'s last writer was op (ops-1)/64*64 + i, on this handle.
-		if v, err := c.TryGetGlobal(bg, fmt.Sprintf("attr%d", i)); err != nil || v != fmt.Sprintf("v%d", (ops-1)/64*64+i) {
+		if v, _, err := c.TryGetAt(bg, Global, fmt.Sprintf("attr%d", i)); err != nil || v != fmt.Sprintf("v%d", (ops-1)/64*64+i) {
 			t.Errorf("TryGetGlobal through the cache = %q, %v", v, err)
 		}
 	}

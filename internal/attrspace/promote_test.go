@@ -59,7 +59,7 @@ func leakedSegments(grace time.Duration) []string {
 func earnRing(t testing.TB, c *Client) {
 	t.Helper()
 	for deadline := time.Now().Add(10 * time.Second); !c.ShmActive(); {
-		if err := c.Ping(context.Background()); err != nil {
+		if err := c.ping(context.Background()); err != nil {
 			t.Fatalf("Ping on the way to a ring: %v", err)
 		}
 		if time.Now().After(deadline) {
@@ -222,10 +222,10 @@ func TestShmShortConnectionsNeverMap(t *testing.T) {
 		if err := c.Put("pid", "4242"); err != nil {
 			t.Fatalf("Put: %v", err)
 		}
-		if v, err := c.TryGet("pid"); err != nil || v != "4242" {
+		if v, _, err := c.TryGetAt(context.Background(), Local, "pid"); err != nil || v != "4242" {
 			t.Fatalf("TryGet = %q, %v", v, err)
 		}
-		if _, err := c.Get(context.Background(), "pid"); err != nil {
+		if _, _, err := c.GetAt(context.Background(), Local, "pid"); err != nil {
 			t.Fatalf("Get: %v", err)
 		}
 		if c.ShmActive() {
@@ -269,7 +269,7 @@ func TestShmPromotionAtThreshold(t *testing.T) {
 	c := dialT(t, serveUnix(t, srv, nil), "job1")
 	c.SetTelemetry(creg, nil)
 	for i := 1; i < shmPromoteAfter-1; i++ { // HELLO's OK was the first reply
-		if err := c.Ping(context.Background()); err != nil {
+		if err := c.ping(context.Background()); err != nil {
 			t.Fatalf("Ping: %v", err)
 		}
 	}
@@ -348,7 +348,7 @@ func TestShmPromotionUnderLoad(t *testing.T) {
 	}
 	subGot := make(chan error, 1)
 	go func() {
-		v, err := sub.Get(context.Background(), "release")
+		v, _, err := sub.GetAt(context.Background(), Local, "release")
 		if err == nil && v != "go" {
 			err = fmt.Errorf("value %q", v)
 		}
@@ -359,7 +359,7 @@ func TestShmPromotionUnderLoad(t *testing.T) {
 	// both earn a ring while the bursts are flowing.
 	stop := make(chan struct{})
 	var readers sync.WaitGroup
-	for name, tryGet := range map[string]func(string) (string, error){"subscriber": sub.TryGet, "session": sess.TryGet} {
+	for name, api := range map[string]API{"subscriber": sub, "session": sess} {
 		readers.Add(1)
 		go func() {
 			defer readers.Done()
@@ -369,7 +369,7 @@ func TestShmPromotionUnderLoad(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := tryGet("absent"); err != ErrNotFound {
+				if _, _, err := api.TryGetAt(context.Background(), Local, "absent"); err != ErrNotFound {
 					t.Errorf("%s TryGet: %v", name, err)
 					return
 				}
@@ -517,7 +517,7 @@ func TestShmFallbackWhenSegmentUnmappable(t *testing.T) {
 	}
 	c.SetTelemetry(creg, nil)
 	for i := 0; i < 3*shmPromoteAfter; i++ {
-		if err := c.Ping(context.Background()); err != nil {
+		if err := c.ping(context.Background()); err != nil {
 			t.Fatalf("Ping %d on the socket: %v", i, err)
 		}
 	}
@@ -528,7 +528,7 @@ func TestShmFallbackWhenSegmentUnmappable(t *testing.T) {
 	if c.ShmActive() {
 		t.Error("ShmActive over an unmappable segment")
 	}
-	if err := c.Ping(context.Background()); err != nil {
+	if err := c.ping(context.Background()); err != nil {
 		t.Fatalf("Ping after the failed promotion: %v", err)
 	}
 	c.Close()
@@ -565,7 +565,7 @@ func TestShmPromotionRefusedAtSHMRDY(t *testing.T) {
 	defer c.Close()
 	var opErr error
 	waitFor(t, func() bool {
-		opErr = c.Ping(context.Background())
+		opErr = c.ping(context.Background())
 		return opErr != nil
 	})
 	if !IsRetryable(opErr) {
@@ -618,7 +618,7 @@ func TestShmPromotionCreateFails(t *testing.T) {
 	if c.ShmActive() {
 		t.Error("ShmActive with no segment")
 	}
-	if v, err := c.TryGet("k"); err != nil || v != strconv.Itoa(3*shmPromoteAfter-1) {
+	if v, _, err := c.TryGetAt(context.Background(), Local, "k"); err != nil || v != strconv.Itoa(3*shmPromoteAfter-1) {
 		t.Errorf("TryGet on the socket after the failed promotion = %q, %v", v, err)
 	}
 }

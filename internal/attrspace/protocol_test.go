@@ -1,6 +1,7 @@
 package attrspace
 
 import (
+	"context"
 	"net"
 	"testing"
 	"time"
@@ -49,7 +50,7 @@ func TestProtocolSurvivesGarbageThenDisconnect(t *testing.T) {
 		t.Error("abandoned connection leaked a context reference")
 	}
 	// The good session is unaffected.
-	if v, err := good.TryGet("k"); err != nil || v != "v" {
+	if v, _, err := good.TryGetAt(context.Background(), Local, "k"); err != nil || v != "v" {
 		t.Errorf("good session disturbed: %q %v", v, err)
 	}
 }

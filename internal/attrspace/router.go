@@ -174,7 +174,7 @@ func (sh *shardConn) close() {
 // background loop so tdptop sees state changes even on an idle router.
 func (sh *shardConn) healthTick() {
 	up := int64(0)
-	if sh.sess.Up() {
+	if sh.sess.up() {
 		up = 1
 	}
 	sh.gUp.Set(up)
@@ -507,7 +507,7 @@ func (gc *GlobalCache) ShardStats() []telemetry.Snapshot {
 		defer cancel()
 		pool, err := sh.conn(ctx)
 		if err == nil {
-			_, snap, err = pool.ServerStats(ctx)
+			_, snap, err = pool.ServerStats(ctx, "")
 		}
 		return snap, err
 	})

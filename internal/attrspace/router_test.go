@@ -111,16 +111,16 @@ func TestShardedPutGet(t *testing.T) {
 
 	for i, name := range ctxs {
 		c := dialT(t, lassAddr, name)
-		if err := c.PutGlobal(bg, "owner", fmt.Sprintf("shard%d", i)); err != nil {
+		if _, err := c.PutAt(bg, Global, "owner", fmt.Sprintf("shard%d", i)); err != nil {
 			t.Fatalf("PutGlobal via router (ctx %q): %v", name, err)
 		}
-		if v, err := c.TryGetGlobal(bg, "owner"); err != nil || v != fmt.Sprintf("shard%d", i) {
+		if v, _, err := c.TryGetAt(bg, Global, "owner"); err != nil || v != fmt.Sprintf("shard%d", i) {
 			t.Fatalf("TryGetGlobal read-back = %q, %v", v, err)
 		}
 		// The value must live on the owning shard, visible to a direct
 		// client of that shard.
 		direct := dialT(t, shardAddrs[i], name)
-		if v, err := direct.TryGet("owner"); err != nil || v != fmt.Sprintf("shard%d", i) {
+		if v, _, err := direct.TryGetAt(context.Background(), Local, "owner"); err != nil || v != fmt.Sprintf("shard%d", i) {
 			t.Fatalf("owning shard %d missing value: %q, %v", i, v, err)
 		}
 	}
@@ -155,21 +155,21 @@ func TestShardedDeleteAndBatch(t *testing.T) {
 	bg := context.Background()
 	for _, name := range ctxs {
 		c := dialT(t, lassAddr, name)
-		if err := c.PutBatchGlobal(bg, []KV{
+		if _, err := c.PutBatchAt(bg, Global, []KV{
 			{Key: "a", Value: "1"}, {Key: "b", Value: "2"}, {Key: "c", Value: "3"},
 		}); err != nil {
 			t.Fatalf("PutBatchGlobal(%q): %v", name, err)
 		}
-		if v, err := c.TryGetGlobal(bg, "b"); err != nil || v != "2" {
+		if v, _, err := c.TryGetAt(bg, Global, "b"); err != nil || v != "2" {
 			t.Fatalf("TryGetGlobal(b) = %q, %v", v, err)
 		}
-		if err := c.DeleteGlobal(bg, "b"); err != nil {
+		if _, err := c.DeleteAt(bg, Global, "b"); err != nil {
 			t.Fatalf("DeleteGlobal: %v", err)
 		}
-		if _, err := c.TryGetGlobal(bg, "b"); !errors.Is(err, ErrNotFound) {
+		if _, _, err := c.TryGetAt(bg, Global, "b"); !errors.Is(err, ErrNotFound) {
 			t.Fatalf("after DeleteGlobal: %v, want ErrNotFound", err)
 		}
-		if snap, err := c.SnapshotGlobal(bg); err != nil || len(snap) != 2 {
+		if snap, err := c.SnapshotAt(bg, Global); err != nil || len(snap) != 2 {
 			t.Fatalf("SnapshotGlobal = %v, %v, want 2 entries", snap, err)
 		}
 	}
@@ -184,7 +184,7 @@ func TestSnapshotManyScatterGather(t *testing.T) {
 	bg := context.Background()
 	for i, name := range ctxs {
 		c := dialT(t, lassAddr, name)
-		if err := c.PutGlobal(bg, "pid", fmt.Sprintf("%d", 100+i)); err != nil {
+		if _, err := c.PutAt(bg, Global, "pid", fmt.Sprintf("%d", 100+i)); err != nil {
 			t.Fatalf("PutGlobal(%q): %v", name, err)
 		}
 	}
@@ -212,7 +212,7 @@ func TestGlobalContextsUnion(t *testing.T) {
 	bg := context.Background()
 	for _, name := range ctxs {
 		c := dialT(t, lassAddr, name)
-		if err := c.PutGlobal(bg, "alive", "1"); err != nil {
+		if _, err := c.PutAt(bg, Global, "alive", "1"); err != nil {
 			t.Fatalf("PutGlobal(%q): %v", name, err)
 		}
 	}
@@ -247,13 +247,13 @@ func TestShardDownFailsFast(t *testing.T) {
 	clients := make([]*Client, n)
 	for i, name := range ctxs {
 		clients[i] = dialT(t, lassAddr, name)
-		if err := clients[i].PutGlobal(bg, "k", "v"); err != nil {
+		if _, err := clients[i].PutAt(bg, Global, "k", "v"); err != nil {
 			t.Fatalf("PutGlobal(%q): %v", name, err)
 		}
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for i := 0; i < n; i++ {
-		for !lass.gcache.Load().conns[i].sess.Up() {
+		for !lass.gcache.Load().conns[i].sess.up() {
 			if time.Now().After(deadline) {
 				t.Fatalf("shard %d's health session never connected", i)
 			}
@@ -286,7 +286,7 @@ func TestShardDownFailsFast(t *testing.T) {
 	start := time.Now()
 	ctx, cancel := context.WithTimeout(bg, 3*time.Second)
 	defer cancel()
-	_, err := clients[0].TryGetGlobal(ctx, "k")
+	_, _, err := clients[0].TryGetAt(ctx, Global, "k")
 	if !errors.Is(err, ErrShardDown) {
 		t.Fatalf("op on dead shard = %v, want ErrShardDown", err)
 	}
@@ -295,10 +295,10 @@ func TestShardDownFailsFast(t *testing.T) {
 	}
 
 	// Surviving shard's range: unaffected.
-	if err := clients[1].PutGlobal(bg, "still", "alive"); err != nil {
+	if _, err := clients[1].PutAt(bg, Global, "still", "alive"); err != nil {
 		t.Fatalf("surviving shard put: %v", err)
 	}
-	if v, err := clients[1].TryGetGlobal(bg, "still"); err != nil || v != "alive" {
+	if v, _, err := clients[1].TryGetAt(bg, Global, "still"); err != nil || v != "alive" {
 		t.Fatalf("surviving shard get = %q, %v", v, err)
 	}
 
@@ -327,18 +327,18 @@ func TestShardedStatsChildren(t *testing.T) {
 	bg := context.Background()
 	for _, name := range ctxs {
 		c := dialT(t, lassAddr, name)
-		if err := c.PutGlobal(bg, "k", "v"); err != nil {
+		if _, err := c.PutAt(bg, Global, "k", "v"); err != nil {
 			t.Fatalf("PutGlobal(%q): %v", name, err)
 		}
 	}
 	c := dialT(t, lassAddr, ctxs[0])
-	_, snap, err := c.ServerStatsScope(bg, "tree")
+	_, snap, err := c.ServerStats(bg, "tree")
 	if err != nil {
 		t.Fatalf("ServerStatsScope(tree): %v", err)
 	}
 	// The CPUT ops above executed on the shards, not on the LASS: they
 	// can only appear in the rollup through the shard children.
-	_, own, err := c.ServerStats(bg)
+	_, own, err := c.ServerStats(bg, "")
 	if err != nil {
 		t.Fatalf("ServerStats: %v", err)
 	}

@@ -291,7 +291,7 @@ func (s *Server) Space() *attr.Space { return s.space }
 // registry's counters consistently.
 func (s *Server) Stats() (puts, gets, tryGets, deletes int64) {
 	verbs := s.tel.Load().verbs
-	count := func(op opKind) int64 { return verbs[opFor(op, scopeConn).idx].ops.Value() }
+	count := func(op opKind) int64 { return verbs[opFor(op, Local).idx].ops.Value() }
 	return count(opPut), count(opGet), count(opTryGet), count(opDelete)
 }
 
@@ -703,7 +703,7 @@ func (c *serverConn) resolve(spec *opSpec, m *wire.Message) (t target, leave boo
 	if ref == nil {
 		return t, false, errors.New("HELLO required")
 	}
-	if spec.scope == scopeConn {
+	if spec.scope == Local {
 		return target{ref: ref}, false, nil
 	}
 	gc := srv.gcache.Load()

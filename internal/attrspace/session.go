@@ -14,27 +14,25 @@ import (
 
 // API is the attribute-space surface the tdp layer programs against:
 // everything Handle (attrops.go, async.go, monitor.go) calls on its
-// LASS/CASS connection. Both the raw *Client and the reconnecting
-// *Session satisfy it, which is how Config.Resilient swaps one for the
-// other without the upper layers noticing.
+// LASS/CASS connection — each operation once, taking the scope it lands
+// at. Both the raw *Client and the reconnecting *Session satisfy it,
+// which is how Config.Resilient swaps one for the other without the
+// upper layers noticing.
 type API interface {
-	Close() error
-	Delete(attribute string) error
-	Events() <-chan Event
-	Get(ctx context.Context, attribute string) (string, error)
+	PutAt(ctx context.Context, scope Scope, attribute, value string) (uint64, error)
+	PutBatchAt(ctx context.Context, scope Scope, pairs []KV) (uint64, error)
+	GetAt(ctx context.Context, scope Scope, attribute string) (string, uint64, error)
+	TryGetAt(ctx context.Context, scope Scope, attribute string) (string, uint64, error)
+	DeleteAt(ctx context.Context, scope Scope, attribute string) (uint64, error)
+	SnapshotAt(ctx context.Context, scope Scope) (map[string]string, error)
+	SnapshotGlobalMany(ctx context.Context, contexts []string) (map[string]map[string]string, error)
+	GlobalContexts(ctx context.Context) ([]string, error)
 	GetAsync(attribute string) (<-chan Result, error)
-	GetGlobal(ctx context.Context, attribute string) (string, error)
 	PutAsync(attribute, value string) (<-chan Result, error)
-	PutBatch(pairs []KV) error
-	PutBatchCtx(ctx context.Context, pairs []KV) error
-	PutBatchGlobal(ctx context.Context, pairs []KV) error
-	PutCtx(ctx context.Context, attribute, value string) error
-	PutGlobal(ctx context.Context, attribute, value string) error
-	SetTelemetry(reg *telemetry.Registry, tracer *telemetry.Tracer)
-	Snapshot() (map[string]string, error)
 	Subscribe() error
-	TryGet(attribute string) (string, error)
-	TryGetGlobal(ctx context.Context, attribute string) (string, error)
+	Events() <-chan Event
+	SetTelemetry(reg *telemetry.Registry, tracer *telemetry.Tracer)
+	Close() error
 }
 
 var (
@@ -90,8 +88,9 @@ type SessionConfig struct {
 // that, when the transport dies, reconnects with jittered exponential
 // backoff, re-issues HELLO, replays its subscription, resynchronizes
 // its event stream from a versioned snapshot, and retries the
-// interrupted operation under the caller's deadline. Idempotent reads
-// retry blindly; mutations whose ack was lost are seq-guarded — the
+// interrupted operation under the caller's deadline. It serves the same
+// scoped operations as a Client. Idempotent reads retry blindly;
+// mutations whose ack was lost are seq-guarded at either scope — the
 // session probes the attribute on the new connection and only re-sends
 // when the probe shows its write is not (or no longer) there, so a
 // retried put can never clobber a newer value with a stale one.
@@ -130,9 +129,11 @@ type Session struct {
 	evClosed bool
 	handler  func(Event)
 
-	// maxSeq is the newest context seq this session has observed from
-	// any ack, reply, or event: the baseline for seq-guarded retries.
-	maxSeq atomic.Uint64
+	// maxSeq is, per scope, the newest context seq this session has
+	// observed from any ack, reply, or event: the baseline for
+	// seq-guarded retries. Local seqs are the LASS context's, Global ones
+	// the owning CASS shard's.
+	maxSeq [numScopes]atomic.Uint64
 
 	everConnected bool
 
@@ -190,18 +191,18 @@ func (s *Session) Stats() (reconnects, retries, resyncs int64) {
 	return s.cReconnects.Value(), s.cRetries.Value(), s.cResyncs.Value()
 }
 
-// GaveUp reports whether the reconnect loop exhausted its budget and
+// gaveUp reports whether the reconnect loop exhausted its budget and
 // turned the session terminal.
-func (s *Session) GaveUp() bool {
+func (s *Session) gaveUp() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return errors.Is(s.err, ErrSessionGaveUp)
 }
 
-// Up reports whether the session currently holds a live connection.
+// up reports whether the session currently holds a live connection.
 // False means disconnected: either still dialing the first connection
 // or inside a reconnect outage.
-func (s *Session) Up() bool {
+func (s *Session) up() bool {
 	c, _ := s.live()
 	return c != nil
 }
@@ -298,8 +299,8 @@ func (s *Session) install(c *Client) bool {
 		s.log().Infof("attrspace: session reconnected to %s (gen %d)", s.cfg.Addr, gen)
 	}
 	// The loss trigger arms after publication: if the client is already
-	// dead, OnClose fires immediately and tears this generation down.
-	c.OnClose(func(error) { s.lost(gen, c) })
+	// dead, onClose fires immediately and tears this generation down.
+	c.onClose(func(error) { s.lost(gen, c) })
 	// The heartbeat starts before the resync on purpose: pings running
 	// concurrently with a large snapshot replay are exactly the traffic
 	// the server's chunked replies exist to keep answering.
@@ -312,7 +313,7 @@ func (s *Session) install(c *Client) bool {
 	return true
 }
 
-// lost retires generation gen: the first caller (the client's OnClose
+// lost retires generation gen: the first caller (the client's onClose
 // hook, or an operation that saw a retryable error) clears the current
 // client and spawns the next connect loop; later callers for the same
 // generation are no-ops.
@@ -392,12 +393,13 @@ func (s *Session) client(ctx context.Context) (*Client, uint64, error) {
 	}
 }
 
-// noteSeq folds a context seq observed from an ack or reply into the
-// retry baseline.
-func (s *Session) noteSeq(seq uint64) {
+// noteSeq folds a context seq observed at scope from an ack or reply
+// into that scope's retry baseline.
+func (s *Session) noteSeq(scope Scope, seq uint64) {
+	high := &s.maxSeq[scope]
 	for {
-		cur := s.maxSeq.Load()
-		if seq <= cur || s.maxSeq.CompareAndSwap(cur, seq) {
+		cur := high.Load()
+		if seq <= cur || high.CompareAndSwap(cur, seq) {
 			return
 		}
 	}
@@ -519,7 +521,7 @@ func (s *Session) deliver(ev Event) {
 		if !s.rep.apply(ev.Attr, ev.Value, ev.Seq, ev.Op == "delete") {
 			return
 		}
-		s.noteSeq(ev.Seq)
+		s.noteSeq(Local, ev.Seq)
 	}
 	s.forwardLocked(ev)
 }
@@ -557,7 +559,7 @@ func (s *Session) resync(c *Client, since uint64) {
 		return
 	}
 	s.cResyncs.Inc()
-	s.noteSeq(ctxSeq)
+	s.noteSeq(Local, ctxSeq)
 	s.emitMu.Lock()
 	defer s.emitMu.Unlock()
 	s.forwardLocked(Event{Op: "resync", Seq: ctxSeq, Resync: true})
@@ -575,7 +577,7 @@ func (s *Session) resync(c *Client, since uint64) {
 // do not read as dead transports — and ends with the generation: a ping
 // on a closed client fails at once.
 func (s *Session) heartbeat(gen uint64, c *Client) {
-	if err := liveness.Watch(liveness.System, s.done, s.cfg.Heartbeat, s.cfg.Heartbeat, c.Ping); err != nil {
+	if err := liveness.Watch(liveness.System, s.done, s.cfg.Heartbeat, s.cfg.Heartbeat, c.ping); err != nil {
 		s.log().Debugf("attrspace: session heartbeat to %s failed (gen %d): %v", s.cfg.Addr, gen, err)
 		s.lost(gen, c)
 	}
@@ -585,11 +587,11 @@ func (s *Session) heartbeat(gen uint64, c *Client) {
 // survives reconnects; it closes only when the session turns terminal.
 func (s *Session) Events() <-chan Event { return s.events }
 
-// SetEventHandler installs a synchronous per-event callback replacing
+// setEventHandler installs a synchronous per-event callback replacing
 // the Events channel, with the same contract as Client.SetEventHandler
 // — plus delivery of the session's synthetic Resync events. The
 // handler must not call back into this session's blocking operations.
-func (s *Session) SetEventHandler(fn func(Event)) {
+func (s *Session) setEventHandler(fn func(Event)) {
 	s.emitMu.Lock()
 	s.handler = fn
 	s.emitMu.Unlock()
@@ -621,7 +623,7 @@ func (s *Session) Subscribe() error {
 // retry runs op against the current connection, re-issuing it after
 // transport failures until it settles, the caller's ctx expires, or the
 // session turns terminal. Only for idempotent operations — mutations go
-// through the seq-guarded paths below.
+// through putGuarded below.
 func (s *Session) retry(ctx context.Context, op func(*Client) error) error {
 	for {
 		c, gen, err := s.client(ctx)
@@ -640,294 +642,191 @@ func (s *Session) retry(ctx context.Context, op func(*Client) error) error {
 	}
 }
 
-// retryVal is retry for operations returning a value.
-func retryVal[T any](s *Session, ctx context.Context, op func(*Client) (T, error)) (T, error) {
-	var out T
-	err := s.retry(ctx, func(c *Client) error {
-		var e error
-		out, e = op(c)
-		return e
-	})
-	return out, err
-}
-
-// putOutcome is what a post-failure probe concluded about an
-// interrupted mutation.
-type putOutcome int
-
-const (
-	outcomeResend     putOutcome = iota // no evidence the write landed: re-send
-	outcomeLanded                       // the write is present: done
-	outcomeSuperseded                   // a newer write exists: re-sending would clobber it
-)
-
-// probePut decides an interrupted put's fate by reading the attribute
-// on the (new) connection and comparing seqs against base — the newest
-// context seq the session had observed before issuing the put:
+// probe decides an interrupted mutation's fate — a put of value, or a
+// delete when del — by reading the attribute at the mutation's scope on
+// the (new) connection and comparing seqs against base, the newest seq
+// the session had observed at that scope before issuing it. It reports
+// the mutation settled — not to be re-sent — when it landed or was
+// superseded:
 //
-//	value == ours                → landed (re-sending is at worst a no-op)
-//	absent                       → not landed (or landed and deleted —
-//	                               single-writer attributes make this
-//	                               the put that simply never arrived)
-//	value != ours, seq <= base   → the pre-put value: not landed
-//	value != ours, seq >  base   → someone wrote after us; treat our
-//	                               put as superseded rather than
-//	                               re-sending a stale value over it
-func (s *Session) probePut(ctx context.Context, c *Client, attribute, value string, base uint64) (putOutcome, error) {
-	v, seq, err := c.TryGetV(ctx, attribute)
-	if errors.Is(err, ErrNotFound) {
-		return outcomeResend, nil
+//	put of ours present        → landed (re-sending is at worst a no-op)
+//	delete, attribute absent   → landed
+//	put, attribute absent      → not landed (or landed and deleted —
+//	                             single-writer attributes make this
+//	                             the put that simply never arrived)
+//	other value, seq <= base   → the value from before: not landed
+//	other value, seq >  base   → someone wrote after us; treat ours as
+//	                             superseded rather than re-sending a
+//	                             stale write over it
+//
+// seq is the write's own when the probe found it landed, 0 otherwise.
+func (s *Session) probe(ctx context.Context, c *Client, scope Scope, attribute, value string, del bool, base uint64) (settled bool, seq uint64, err error) {
+	v, seq, err := c.TryGetAt(ctx, scope, attribute)
+	switch {
+	case errors.Is(err, ErrNotFound):
+		return del, 0, nil
+	case err != nil:
+		return false, 0, err
 	}
-	if err != nil {
-		return outcomeResend, err
+	s.noteSeq(scope, seq)
+	if !del && v == value {
+		return true, seq, nil
 	}
-	s.noteSeq(seq)
-	if v == value {
-		return outcomeLanded, nil
-	}
-	if seq > base {
-		return outcomeSuperseded, nil
-	}
-	return outcomeResend, nil
+	return seq > base, 0, nil
 }
 
-// putGuarded is the seq-guarded retry loop shared by every
-// ack-carrying mutation: issue the op; when the transport dies with
-// the ack in flight (fate unknown), probe before re-sending so a
-// retried write never overwrites a newer one with a stale value.
-func (s *Session) putGuarded(ctx context.Context, issue func(*Client) (uint64, error),
-	probe func(context.Context, *Client, uint64) (putOutcome, error)) error {
-	base := s.maxSeq.Load()
+// putGuarded is the seq-guarded retry loop of every mutation at either
+// scope: issue it; when the transport dies with the ack in flight (fate
+// unknown), probe attribute — the put's, a batch's final pair, the
+// delete's — before re-sending, so a retried write never overwrites a
+// newer one with a stale value. It returns the acked seq (see probe
+// for one settled by a probe).
+func (s *Session) putGuarded(ctx context.Context, scope Scope, attribute, value string, del bool, issue func(*Client) (uint64, error)) (uint64, error) {
+	base := s.maxSeq[scope].Load()
 	for {
 		c, gen, err := s.client(ctx)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		seq, err := issue(c)
 		if err == nil {
-			s.noteSeq(seq)
-			return nil
+			s.noteSeq(scope, seq)
+			return seq, nil
 		}
 		if !IsRetryable(err) {
-			return err
+			return 0, err
 		}
 		s.cRetries.Inc()
 		s.lost(gen, c)
 		if cerr := ctx.Err(); cerr != nil {
-			return cerr
+			return 0, cerr
 		}
 		// Fate unknown: probe on a fresh connection before re-sending.
-		outcome, err := retryVal(s, ctx, func(c *Client) (putOutcome, error) {
-			return probe(ctx, c, base)
+		var settled bool
+		err = s.retry(ctx, func(c *Client) (err error) {
+			settled, seq, err = s.probe(ctx, c, scope, attribute, value, del, base)
+			return err
 		})
 		if err != nil {
-			return err
+			return 0, err
 		}
-		if outcome != outcomeResend {
-			return nil
+		if settled {
+			return seq, nil
 		}
 	}
 }
 
 // ---------------------------------------------------------------------------
-// The API surface.
+// The operations: Client's, at either scope, made to survive transport
+// failures.
 
-// Put stores attribute = value, surviving transport failures.
-func (s *Session) Put(attribute, value string) error {
-	return s.PutCtx(context.Background(), attribute, value)
-}
-
-// PutCtx is Put under a caller deadline. An ack lost to a connection
+// PutAt stores attribute = value at scope. An ack lost to a connection
 // failure is resolved by probing the attribute on the next connection
-// (see probePut); the retried put never clobbers a newer value.
-func (s *Session) PutCtx(ctx context.Context, attribute, value string) error {
-	return s.putGuarded(ctx,
-		func(c *Client) (uint64, error) { return c.PutV(ctx, attribute, value) },
-		func(ctx context.Context, c *Client, base uint64) (putOutcome, error) {
-			return s.probePut(ctx, c, attribute, value, base)
-		})
-}
-
-// PutBatch stores every pair in order, surviving transport failures.
-func (s *Session) PutBatch(pairs []KV) error {
-	return s.PutBatchCtx(context.Background(), pairs)
-}
-
-// PutBatchCtx is PutBatch under a caller deadline. A batch whose ack
-// was lost is probed through its final pair — the batch applies in
-// order, so the last pair present with a post-base seq means the whole
-// batch landed.
-func (s *Session) PutBatchCtx(ctx context.Context, pairs []KV) error {
-	if len(pairs) == 0 {
-		return nil
-	}
-	last := pairs[len(pairs)-1]
-	return s.putGuarded(ctx,
-		func(c *Client) (uint64, error) { return c.PutBatchV(ctx, pairs) },
-		func(ctx context.Context, c *Client, base uint64) (putOutcome, error) {
-			return s.probePut(ctx, c, last.Key, last.Value, base)
-		})
-}
-
-// Delete removes an attribute, surviving transport failures.
-func (s *Session) Delete(attribute string) error {
-	return s.DeleteCtx(context.Background(), attribute)
-}
-
-// DeleteCtx is Delete under a caller deadline. A delete whose ack was
-// lost re-sends only while the attribute still holds a value from
-// before the call (seq <= base): absence means it landed, and a newer
-// value means re-deleting would destroy a write that superseded us.
-func (s *Session) DeleteCtx(ctx context.Context, attribute string) error {
-	return s.putGuarded(ctx,
-		func(c *Client) (uint64, error) { return c.DeleteV(ctx, attribute) },
-		func(ctx context.Context, c *Client, base uint64) (putOutcome, error) {
-			_, seq, err := c.TryGetV(ctx, attribute)
-			if errors.Is(err, ErrNotFound) {
-				return outcomeLanded, nil
-			}
-			if err != nil {
-				return outcomeResend, err
-			}
-			s.noteSeq(seq)
-			if seq > base {
-				return outcomeSuperseded, nil
-			}
-			return outcomeResend, nil
-		})
-}
-
-// read is get and tryget at either scope, retried across reconnects.
-// Replies from the connection's own context feed the retry baseline.
-func (s *Session) read(ctx context.Context, op opKind, scope opScope, attribute string) (string, error) {
-	return retryVal(s, ctx, func(c *Client) (string, error) {
-		v, seq, err := c.read(ctx, op, scope, attribute)
-		if err == nil && scope == scopeConn {
-			s.noteSeq(seq)
-		}
-		return v, err
+// (see probe); the retried put never clobbers a newer value.
+func (s *Session) PutAt(ctx context.Context, scope Scope, attribute, value string) (uint64, error) {
+	return s.putGuarded(ctx, scope, attribute, value, false, func(c *Client) (uint64, error) {
+		return c.PutAt(ctx, scope, attribute, value)
 	})
 }
 
-// Get blocks until the attribute exists, retrying across reconnects;
-// cancel via ctx.
-func (s *Session) Get(ctx context.Context, attribute string) (string, error) {
-	return s.read(ctx, opGet, scopeConn, attribute)
+// PutBatchAt stores every pair in order at scope. A batch whose ack was
+// lost is probed through its final pair — the batch applies in order,
+// so the last pair present means the whole batch landed.
+func (s *Session) PutBatchAt(ctx context.Context, scope Scope, pairs []KV) (uint64, error) {
+	if len(pairs) == 0 {
+		return 0, nil
+	}
+	last := pairs[len(pairs)-1]
+	return s.putGuarded(ctx, scope, last.Key, last.Value, false, func(c *Client) (uint64, error) {
+		return c.PutBatchAt(ctx, scope, pairs)
+	})
 }
 
-// TryGet returns the current value without blocking, retrying across
-// reconnects; ErrNotFound when absent.
-func (s *Session) TryGet(attribute string) (string, error) {
-	return s.TryGetCtx(context.Background(), attribute)
+// DeleteAt removes an attribute at scope. A delete whose ack was lost
+// re-sends only while the attribute still holds a value from before the
+// call (seq <= base): absence means it landed, and a newer value means
+// re-deleting would destroy a write that superseded us.
+func (s *Session) DeleteAt(ctx context.Context, scope Scope, attribute string) (uint64, error) {
+	return s.putGuarded(ctx, scope, attribute, "", true, func(c *Client) (uint64, error) {
+		return c.DeleteAt(ctx, scope, attribute)
+	})
 }
 
-// TryGetCtx is TryGet under a caller deadline.
-func (s *Session) TryGetCtx(ctx context.Context, attribute string) (string, error) {
-	return s.read(ctx, opTryGet, scopeConn, attribute)
+// GetAt blocks until the attribute exists at scope, retrying across
+// reconnects; cancel via ctx.
+func (s *Session) GetAt(ctx context.Context, scope Scope, attribute string) (string, uint64, error) {
+	return s.read(ctx, scope, attribute, (*Client).GetAt)
 }
 
-// GetAsync issues a blocking GET whose result is delivered on the
-// returned channel, retried across reconnects like Get.
+// TryGetAt returns the attribute's value at scope without blocking,
+// retrying across reconnects; ErrNotFound when absent.
+func (s *Session) TryGetAt(ctx context.Context, scope Scope, attribute string) (string, uint64, error) {
+	return s.read(ctx, scope, attribute, (*Client).TryGetAt)
+}
+
+// read is a get or a tryget, retried; its reply feeds the scope's
+// retry baseline.
+func (s *Session) read(ctx context.Context, scope Scope, attribute string,
+	get func(*Client, context.Context, Scope, string) (string, uint64, error)) (v string, seq uint64, err error) {
+	err = s.retry(ctx, func(c *Client) (err error) {
+		v, seq, err = get(c, ctx, scope, attribute)
+		return err
+	})
+	if err == nil {
+		s.noteSeq(scope, seq)
+	}
+	return v, seq, err
+}
+
+// SnapshotAt dumps the context at scope, retrying across reconnects.
+func (s *Session) SnapshotAt(ctx context.Context, scope Scope) (snap map[string]string, err error) {
+	err = s.retry(ctx, func(c *Client) (err error) {
+		snap, err = c.SnapshotAt(ctx, scope)
+		return err
+	})
+	return snap, err
+}
+
+// GetAsync issues a blocking get at Local whose result is delivered on
+// the returned channel, retried across reconnects like GetAt.
 func (s *Session) GetAsync(attribute string) (<-chan Result, error) {
 	out := make(chan Result, 1)
 	go func() {
-		v, err := s.Get(context.Background(), attribute)
+		v, _, err := s.GetAt(context.Background(), Local, attribute)
 		out <- Result{Attr: attribute, Value: v, Err: err}
 	}()
 	return out, nil
 }
 
-// PutAsync issues a put whose acknowledgement is delivered on the
-// returned channel, with the same seq-guarded retry as PutCtx.
+// PutAsync issues a put at Local whose acknowledgement is delivered on
+// the returned channel, with the same seq-guarded retry as PutAt.
 func (s *Session) PutAsync(attribute, value string) (<-chan Result, error) {
 	out := make(chan Result, 1)
 	go func() {
-		err := s.PutCtx(context.Background(), attribute, value)
+		_, err := s.PutAt(context.Background(), Local, attribute, value)
 		out <- Result{Attr: attribute, Value: value, Err: err}
 	}()
 	return out, nil
 }
 
-// Snapshot dumps the context, retrying across reconnects.
-func (s *Session) Snapshot() (map[string]string, error) {
-	return retryVal(s, context.Background(), func(c *Client) (map[string]string, error) {
-		return c.Snapshot()
-	})
-}
-
-// SnapshotSeq dumps the context with per-attribute write seqs,
-// retrying across reconnects.
-func (s *Session) SnapshotSeq(ctx context.Context) (snap map[string]Versioned, seq uint64, err error) {
-	err = s.retry(ctx, func(c *Client) (e error) {
-		snap, seq, e = c.SnapshotSeq(ctx)
-		return e
-	})
-	return snap, seq, err
-}
-
-// probeGlobal is the lost-ack probe of a global put: the session keeps
-// no seq baseline for the global space, so the guard is by value —
-// present-and-equal means landed, anything else re-sends.
-func probeGlobal(attribute, value string) func(context.Context, *Client, uint64) (putOutcome, error) {
-	return func(ctx context.Context, c *Client, _ uint64) (putOutcome, error) {
-		v, err := c.TryGetGlobal(ctx, attribute)
-		if err == nil && v == value {
-			return outcomeLanded, nil
-		}
-		if errors.Is(err, ErrNotFound) {
-			err = nil
-		}
-		return outcomeResend, err
-	}
-}
-
-// PutGlobal stores a global (CASS) attribute through this LASS,
-// surviving transport failures.
-func (s *Session) PutGlobal(ctx context.Context, attribute, value string) error {
-	return s.putGuarded(ctx,
-		func(c *Client) (uint64, error) { return 0, c.PutGlobal(ctx, attribute, value) },
-		probeGlobal(attribute, value))
-}
-
-// PutBatchGlobal stores a batch of global attributes, surviving
-// transport failures (probed through the final pair, like
-// PutBatchCtx).
-func (s *Session) PutBatchGlobal(ctx context.Context, pairs []KV) error {
-	if len(pairs) == 0 {
-		return nil
-	}
-	last := pairs[len(pairs)-1]
-	return s.putGuarded(ctx,
-		func(c *Client) (uint64, error) { return 0, c.PutBatchGlobal(ctx, pairs) },
-		probeGlobal(last.Key, last.Value))
-}
-
-// GetGlobal blocks until the global attribute exists, retrying across
-// reconnects.
-func (s *Session) GetGlobal(ctx context.Context, attribute string) (string, error) {
-	return s.read(ctx, opGet, scopeGlobal, attribute)
-}
-
-// TryGetGlobal returns the global attribute's value without blocking,
-// retrying across reconnects.
-func (s *Session) TryGetGlobal(ctx context.Context, attribute string) (string, error) {
-	return s.read(ctx, opTryGet, scopeGlobal, attribute)
-}
-
 // SnapshotGlobalMany snapshots several global contexts in one GSNAPM
 // scatter-gather, retrying across reconnects (reads are idempotent).
-func (s *Session) SnapshotGlobalMany(ctx context.Context, contexts []string) (map[string]map[string]string, error) {
-	return retryVal(s, ctx, func(c *Client) (map[string]map[string]string, error) {
-		return c.SnapshotGlobalMany(ctx, contexts)
+func (s *Session) SnapshotGlobalMany(ctx context.Context, contexts []string) (snaps map[string]map[string]string, err error) {
+	err = s.retry(ctx, func(c *Client) (err error) {
+		snaps, err = c.SnapshotGlobalMany(ctx, contexts)
+		return err
 	})
+	return snaps, err
 }
 
 // GlobalContexts lists the context names alive across the global
 // space, retrying across reconnects.
-func (s *Session) GlobalContexts(ctx context.Context) ([]string, error) {
-	return retryVal(s, ctx, func(c *Client) ([]string, error) {
-		return c.GlobalContexts(ctx)
+func (s *Session) GlobalContexts(ctx context.Context) (names []string, err error) {
+	err = s.retry(ctx, func(c *Client) (err error) {
+		names, err = c.GlobalContexts(ctx)
+		return err
 	})
+	return names, err
 }
 
 // SetTelemetry installs the registry and tracer handed to every

@@ -143,37 +143,48 @@ func scriptSession(t *testing.T, addr string) *Session {
 	return s
 }
 
-// TestSessionPutProbeLanded: the connection dies with a PUT ack in
+// The four probe tests run at both scopes: a lost GPUT ack is probed
+// with GTRYGET and judged by the CASS seqs GPUT acks carry, exactly as
+// a lost PUT's is by TRYGET and the context's seqs.
+func verbAt(op opKind, scope Scope) string { return opFor(op, scope).verb }
+
+// TestSessionPutProbeLanded: the connection dies with a put ack in
 // flight, but the write actually landed. The session must discover
-// that via the probe on the next connection and NOT re-send the PUT.
+// that via the probe on the next connection and NOT re-send the put.
 func TestSessionPutProbeLanded(t *testing.T) {
-	srv := newScripted(t,
-		func(sc *scriptConn) { // conn 0: take the PUT, die before acking
-			sc.hello()
-			if sc.expect("PUT") != nil {
-				sc.raw.Close()
+	for _, at := range slotScopes {
+		scope := at.scope
+		put, tryget := verbAt(opPut, scope), verbAt(opTryGet, scope)
+		t.Run(at.name, func(t *testing.T) {
+			srv := newScripted(t,
+				func(sc *scriptConn) { // conn 0: take the put, die before acking
+					sc.hello()
+					if sc.expect(put) != nil {
+						sc.raw.Close()
+					}
+				},
+				func(sc *scriptConn) { // conn 1: probe sees our value → landed
+					sc.hello()
+					m := sc.expect(tryget)
+					if m != nil && m.Get("attr") != "k" {
+						sc.t.Errorf("probe for %q, want k", m.Get("attr"))
+					}
+					sc.reply(m, "VALUE", "attr", "k", "value", "hello", "seq", "4")
+					sc.drainForbidding(put)
+				},
+			)
+			s := scriptSession(t, srv.addr)
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			if seq, err := s.PutAt(ctx, scope, "k", "hello"); err != nil || seq != 4 {
+				t.Fatalf("PutAt = seq %d, %v; want the landed write's seq 4", seq, err)
 			}
-		},
-		func(sc *scriptConn) { // conn 1: probe sees our value → landed
-			sc.hello()
-			m := sc.expect("TRYGET")
-			if m != nil && m.Get("attr") != "k" {
-				sc.t.Errorf("probe for %q, want k", m.Get("attr"))
+			s.Close()
+			srv.wait()
+			if _, retries, _ := s.Stats(); retries == 0 {
+				t.Error("no retry recorded despite the injected cut")
 			}
-			sc.reply(m, "VALUE", "attr", "k", "value", "hello", "seq", "4")
-			sc.drainForbidding("PUT")
-		},
-	)
-	s := scriptSession(t, srv.addr)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := s.PutCtx(ctx, "k", "hello"); err != nil {
-		t.Fatalf("PutCtx: %v", err)
-	}
-	s.Close()
-	srv.wait()
-	if _, retries, _ := s.Stats(); retries == 0 {
-		t.Error("no retry recorded despite the injected cut")
+		})
 	}
 }
 
@@ -182,85 +193,103 @@ func TestSessionPutProbeLanded(t *testing.T) {
 // value with a stale one; the session must treat the put as
 // superseded and return success without re-sending.
 func TestSessionPutProbeSuperseded(t *testing.T) {
-	srv := newScripted(t,
-		func(sc *scriptConn) {
-			sc.hello()
-			if sc.expect("PUT") != nil {
-				sc.raw.Close()
+	for _, at := range slotScopes {
+		scope := at.scope
+		put, tryget := verbAt(opPut, scope), verbAt(opTryGet, scope)
+		t.Run(at.name, func(t *testing.T) {
+			srv := newScripted(t,
+				func(sc *scriptConn) {
+					sc.hello()
+					if sc.expect(put) != nil {
+						sc.raw.Close()
+					}
+				},
+				func(sc *scriptConn) { // probe: newer value, newer seq → superseded
+					sc.hello()
+					m := sc.expect(tryget)
+					sc.reply(m, "VALUE", "attr", "k", "value", "newer", "seq", "9")
+					sc.drainForbidding(put)
+				},
+			)
+			s := scriptSession(t, srv.addr)
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			if _, err := s.PutAt(ctx, scope, "k", "stale"); err != nil {
+				t.Fatalf("PutAt: %v", err)
 			}
-		},
-		func(sc *scriptConn) { // probe: newer value, newer seq → superseded
-			sc.hello()
-			m := sc.expect("TRYGET")
-			sc.reply(m, "VALUE", "attr", "k", "value", "newer", "seq", "9")
-			sc.drainForbidding("PUT")
-		},
-	)
-	s := scriptSession(t, srv.addr)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := s.PutCtx(ctx, "k", "stale"); err != nil {
-		t.Fatalf("PutCtx: %v", err)
+			s.Close()
+			srv.wait()
+		})
 	}
-	s.Close()
-	srv.wait()
 }
 
 // TestSessionPutProbeResend: the probe finds no trace of the write
 // (NOTFOUND), so the session re-sends it on the new connection.
 func TestSessionPutProbeResend(t *testing.T) {
-	srv := newScripted(t,
-		func(sc *scriptConn) {
-			sc.hello()
-			if sc.expect("PUT") != nil {
-				sc.raw.Close()
+	for _, at := range slotScopes {
+		scope := at.scope
+		put, tryget := verbAt(opPut, scope), verbAt(opTryGet, scope)
+		t.Run(at.name, func(t *testing.T) {
+			srv := newScripted(t,
+				func(sc *scriptConn) {
+					sc.hello()
+					if sc.expect(put) != nil {
+						sc.raw.Close()
+					}
+				},
+				func(sc *scriptConn) {
+					sc.hello()
+					sc.reply(sc.expect(tryget), "NOTFOUND")
+					m := sc.expect(put)
+					if m != nil && (m.Get("attr") != "k" || m.Get("value") != "v") {
+						sc.t.Errorf("re-sent %s %v, want k=v", put, m)
+					}
+					sc.reply(m, "OK", "seq", "2")
+					sc.drainForbidding()
+				},
+			)
+			s := scriptSession(t, srv.addr)
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			if seq, err := s.PutAt(ctx, scope, "k", "v"); err != nil || seq != 2 {
+				t.Fatalf("PutAt = seq %d, %v; want the re-sent put's seq 2", seq, err)
 			}
-		},
-		func(sc *scriptConn) {
-			sc.hello()
-			sc.reply(sc.expect("TRYGET"), "NOTFOUND")
-			m := sc.expect("PUT")
-			if m != nil && (m.Get("attr") != "k" || m.Get("value") != "v") {
-				sc.t.Errorf("re-sent PUT %v, want k=v", m)
-			}
-			sc.reply(m, "OK", "seq", "2")
-			sc.drainForbidding()
-		},
-	)
-	s := scriptSession(t, srv.addr)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := s.PutCtx(ctx, "k", "v"); err != nil {
-		t.Fatalf("PutCtx: %v", err)
+			s.Close()
+			srv.wait()
+		})
 	}
-	s.Close()
-	srv.wait()
 }
 
 // TestSessionDeleteProbeLanded: a delete whose ack was lost but which
 // landed (probe says NOTFOUND) must not be re-sent.
 func TestSessionDeleteProbeLanded(t *testing.T) {
-	srv := newScripted(t,
-		func(sc *scriptConn) {
-			sc.hello()
-			if sc.expect("DELETE") != nil {
-				sc.raw.Close()
+	for _, at := range slotScopes {
+		scope := at.scope
+		del, tryget := verbAt(opDelete, scope), verbAt(opTryGet, scope)
+		t.Run(at.name, func(t *testing.T) {
+			srv := newScripted(t,
+				func(sc *scriptConn) {
+					sc.hello()
+					if sc.expect(del) != nil {
+						sc.raw.Close()
+					}
+				},
+				func(sc *scriptConn) {
+					sc.hello()
+					sc.reply(sc.expect(tryget), "NOTFOUND")
+					sc.drainForbidding(del)
+				},
+			)
+			s := scriptSession(t, srv.addr)
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			if _, err := s.DeleteAt(ctx, scope, "k"); err != nil {
+				t.Fatalf("DeleteAt: %v", err)
 			}
-		},
-		func(sc *scriptConn) {
-			sc.hello()
-			sc.reply(sc.expect("TRYGET"), "NOTFOUND")
-			sc.drainForbidding("DELETE")
-		},
-	)
-	s := scriptSession(t, srv.addr)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := s.DeleteCtx(ctx, "k"); err != nil {
-		t.Fatalf("DeleteCtx: %v", err)
+			s.Close()
+			srv.wait()
+		})
 	}
-	s.Close()
-	srv.wait()
 }
 
 // ---------------------------------------------------------------------------
@@ -396,18 +425,18 @@ func TestSessionRidesThroughDrain(t *testing.T) {
 		ConnectWait: 5 * time.Second,
 	})
 	defer s.Close()
-	if err := s.Put("before", "1"); err != nil {
+	if _, err := s.PutAt(context.Background(), Local, "before", "1"); err != nil {
 		t.Fatalf("Put before drain: %v", err)
 	}
 	r.drain(time.Second)
 	r.restart()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if err := s.PutCtx(ctx, "after", "2"); err != nil {
+	if _, err := s.PutAt(ctx, Local, "after", "2"); err != nil {
 		t.Fatalf("Put after drain+restart: %v", err)
 	}
 	for _, k := range []string{"before", "after"} {
-		if _, err := s.TryGet(k); err != nil {
+		if _, _, err := s.TryGetAt(context.Background(), Local, k); err != nil {
 			t.Errorf("TryGet(%s) after drain: %v", k, err)
 		}
 	}
@@ -436,7 +465,7 @@ func TestSessionGateEpochRestart(t *testing.T) {
 	})
 	defer s.Close()
 	m := newMirror()
-	s.SetEventHandler(m.handle)
+	s.setEventHandler(m.handle)
 
 	// Incarnation 1, delivered live on the first connection.
 	first := &evGate{s: s, shut: true}
@@ -507,7 +536,7 @@ func TestSessionRepairsDeclaredLoss(t *testing.T) {
 	s := NewSession(SessionConfig{Addr: addr, Context: "lossy"})
 	defer s.Close()
 	m := newMirror()
-	s.SetEventHandler(m.handle)
+	s.setEventHandler(m.handle)
 	if err := s.Subscribe(); err != nil {
 		t.Fatalf("Subscribe: %v", err)
 	}

@@ -61,7 +61,7 @@ func TestShardDownTypedUnderScatterGather(t *testing.T) {
 		t.Cleanup(func() { c.Close() })
 		clients[i] = c
 		opCtx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-		err = c.PutGlobal(opCtx, "seed", ctxs[i])
+		_, err = c.PutAt(opCtx, Global, "seed", ctxs[i])
 		cancel()
 		if err != nil {
 			t.Fatalf("seed shard %d: %v", i, err)
@@ -71,7 +71,7 @@ func TestShardDownTypedUnderScatterGather(t *testing.T) {
 	// A shard that dies before its health session ever connected is not
 	// "down", it gets the benefit of the doubt (shardConn.down): see the
 	// victim's session up before killing it.
-	for up := time.Now().Add(5 * time.Second); !lass.gcache.Load().conns[victim].sess.Up(); time.Sleep(time.Millisecond) {
+	for up := time.Now().Add(5 * time.Second); !lass.gcache.Load().conns[victim].sess.up(); time.Sleep(time.Millisecond) {
 		if time.Now().After(up) {
 			t.Fatal("victim's health session never connected")
 		}
@@ -82,7 +82,7 @@ func TestShardDownTypedUnderScatterGather(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		opCtx, cancel := context.WithTimeout(context.Background(), time.Second)
-		err := clients[victim].PutGlobal(opCtx, "probe", "x")
+		_, err := clients[victim].PutAt(opCtx, Global, "probe", "x")
 		cancel()
 		if errors.Is(err, ErrShardDown) {
 			break
@@ -112,7 +112,7 @@ func TestShardDownTypedUnderScatterGather(t *testing.T) {
 				c := clients[i]
 				for round := 0; round < rounds; round++ {
 					opCtx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-					err := c.PutGlobal(opCtx, fmt.Sprintf("k%d", w), fmt.Sprintf("v%d", round))
+					_, err := c.PutAt(opCtx, Global, fmt.Sprintf("k%d", w), fmt.Sprintf("v%d", round))
 					cancel()
 					if i == victim {
 						if err == nil {

@@ -15,29 +15,24 @@ import (
 
 // The reply-slot contract (see replySlot), checked on every way a hot
 // operation reaches a Client: directly, through a Session, and through
-// the shard router's pooled connection. Request ids repeat once slots
+// the shard router's pooled connection — and the operations' contract,
+// the same at both scopes. Request ids repeat once slots
 // are reused, so what used to follow from "every id is fresh" is now a
 // property of who may release: a late reply answers nobody, a failing
 // connection answers every waiter exactly once, and the free list is
 // bounded by concurrency.
 
-// slotAPI is what the tests drive: the calls Client and Session share.
-type slotAPI interface {
-	API
-	SnapshotSeq(ctx context.Context) (map[string]Versioned, uint64, error)
-}
-
 // slotVias opens a subject on addr and returns it with a function
 // yielding the Client its operations currently ride.
 var slotVias = []struct {
 	name string
-	open func(t *testing.T, addr, contextName string) (slotAPI, func() *Client)
+	open func(t *testing.T, addr, contextName string) (API, func() *Client)
 }{
-	{"client", func(t *testing.T, addr, contextName string) (slotAPI, func() *Client) {
+	{"client", func(t *testing.T, addr, contextName string) (API, func() *Client) {
 		c := dialT(t, addr, contextName)
 		return c, func() *Client { return c }
 	}},
-	{"session", func(t *testing.T, addr, contextName string) (slotAPI, func() *Client) {
+	{"session", func(t *testing.T, addr, contextName string) (API, func() *Client) {
 		s := NewSession(SessionConfig{Addr: addr, Context: contextName})
 		t.Cleanup(func() { s.Close() })
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -47,6 +42,64 @@ var slotVias = []struct {
 		}
 		return s, func() *Client { c, _ := s.live(); return c }
 	}},
+}
+
+// slotScopes are the two scopes a caller names.
+var slotScopes = []struct {
+	name  string
+	scope Scope
+}{{"local", Local}, {"global", Global}}
+
+// TestSlotContractAtBothScopes runs one sequence — put, batch, tryget,
+// get, delete, snapshot — through each via at each scope, on a caching
+// LASS in front of one CASS: the LASS's own context at Local, the CASS's
+// through the cache at Global. Every scope answers with the same values,
+// and each scope's acked seqs only increase.
+func TestSlotContractAtBothScopes(t *testing.T) {
+	for _, via := range slotVias {
+		for _, sc := range slotScopes {
+			via, scope := via, sc.scope
+			t.Run(via.name+"/"+sc.name, func(t *testing.T) {
+				_, _, _, lassAddr := startCachingLASS(t)
+				api, _ := via.open(t, lassAddr, "contract")
+				ctx := context.Background()
+				var last uint64
+				acked := func(op string, seq uint64, err error) {
+					t.Helper()
+					if err != nil {
+						t.Fatalf("%s: %v", op, err)
+					}
+					if seq <= last {
+						t.Fatalf("%s acked seq %d after %d", op, seq, last)
+					}
+					last = seq
+				}
+				read := func(op, attribute, want string, get func(context.Context, Scope, string) (string, uint64, error)) {
+					t.Helper()
+					v, seq, err := get(ctx, scope, attribute)
+					if err != nil || v != want || seq == 0 || seq > last {
+						t.Fatalf("%s %s = %q at seq %d, %v; want %q at a seq in (0, %d]", op, attribute, v, seq, err, want, last)
+					}
+				}
+
+				seq, err := api.PutAt(ctx, scope, "pid", "4242")
+				acked("put", seq, err)
+				seq, err = api.PutBatchAt(ctx, scope, []KV{{Key: "exe", Value: "a.out"}, {Key: "args", Value: "-p1500"}, {Key: "pid", Value: "4243"}})
+				acked("batch", seq, err)
+				read("tryget", "pid", "4243", api.TryGetAt)
+				read("get", "exe", "a.out", api.GetAt)
+				seq, err = api.DeleteAt(ctx, scope, "args")
+				acked("delete", seq, err)
+				if _, _, err := api.TryGetAt(ctx, scope, "args"); !errors.Is(err, ErrNotFound) {
+					t.Fatalf("tryget of the deleted attribute: %v, want ErrNotFound", err)
+				}
+				snap, err := api.SnapshotAt(ctx, scope)
+				if want := map[string]string{"pid": "4243", "exe": "a.out"}; err != nil || !sameMap(snap, want) {
+					t.Fatalf("snapshot = %v, %v; want %v", snap, err, want)
+				}
+			})
+		}
+	}
 }
 
 // slotCounts is a client's slot bookkeeping at one instant.
@@ -80,13 +133,13 @@ func TestSlotAbandonedNeverReused(t *testing.T) {
 			bg := context.Background()
 			// One completed op first, so the get below takes a slot (and an
 			// id) that has been used before: the case reuse made possible.
-			if err := api.PutCtx(bg, "warm", "x"); err != nil {
+			if _, err := api.PutAt(bg, Local, "warm", "x"); err != nil {
 				t.Fatalf("Put: %v", err)
 			}
 			c := client()
 			ctx, cancel := context.WithCancel(bg)
 			gave := make(chan error, 1)
-			go func() { _, err := api.Get(ctx, "late"); gave <- err }()
+			go func() { _, _, err := api.GetAt(ctx, Local, "late"); gave <- err }()
 			var abandoned string
 			waitFor(t, func() bool {
 				c.mu.Lock()
@@ -113,17 +166,17 @@ func TestSlotAbandonedNeverReused(t *testing.T) {
 			}
 			for i := 0; i < 1000; i++ {
 				k, v := fmt.Sprintf("k%d", i%7), fmt.Sprintf("v%d", i)
-				if err := api.PutCtx(bg, k, v); err != nil {
+				if _, err := api.PutAt(bg, Local, k, v); err != nil {
 					t.Fatalf("Put %d: %v", i, err)
 				}
-				if got, err := api.TryGet(k); err != nil || got != v {
+				if got, _, err := api.TryGetAt(context.Background(), Local, k); err != nil || got != v {
 					t.Fatalf("TryGet %d = %q, %v; want %q", i, got, err, v)
 				}
 				if i%10 == 0 {
-					if err := api.PutBatch([]KV{{Key: "b0", Value: v}, {Key: "b1", Value: v}}); err != nil {
+					if _, err := api.PutBatchAt(context.Background(), Local, []KV{{Key: "b0", Value: v}, {Key: "b1", Value: v}}); err != nil {
 						t.Fatalf("PutBatch %d: %v", i, err)
 					}
-					if err := api.Delete("b0"); err != nil {
+					if _, err := api.DeleteAt(context.Background(), Local, "b0"); err != nil {
 						t.Fatalf("Delete %d: %v", i, err)
 					}
 				}
@@ -134,12 +187,12 @@ func TestSlotAbandonedNeverReused(t *testing.T) {
 			// orphan VALUE both reach the read loop; neither may surface in a
 			// later call.
 			before := slotState(c).replies
-			if err := api.PutCtx(bg, "late", "answer-to-nobody"); err != nil {
+			if _, err := api.PutAt(bg, Local, "late", "answer-to-nobody"); err != nil {
 				t.Fatalf("Put late: %v", err)
 			}
 			waitFor(t, func() bool { return slotState(c).replies >= before+2 })
 			for i := 0; i < 100; i++ {
-				if got, err := api.TryGet("warm"); err != nil || got != "x" {
+				if got, _, err := api.TryGetAt(context.Background(), Local, "warm"); err != nil || got != "x" {
 					t.Fatalf("TryGet after the late reply = %q, %v; want \"x\"", got, err)
 				}
 				check(1000 + i)
@@ -192,7 +245,7 @@ func TestSlotFailAnswersEachCallerOnce(t *testing.T) {
 				go func() {
 					if i%2 == 0 {
 						started.Done()
-						_, err := c.Get(context.Background(), fmt.Sprintf("never%d", i))
+						_, _, err := c.GetAt(context.Background(), Local, fmt.Sprintf("never%d", i))
 						errs <- err
 						return
 					}
@@ -202,7 +255,7 @@ func TestSlotFailAnswersEachCallerOnce(t *testing.T) {
 						err := c.Put(key, v)
 						if err == nil {
 							var got string
-							if got, err = c.TryGet(key); err == nil && got != v {
+							if got, _, err = c.TryGetAt(context.Background(), Local, key); err == nil && got != v {
 								err = fmt.Errorf("caller %d read %q, want %q: a reply went to the wrong request", i, got, v)
 							}
 						}
@@ -262,7 +315,7 @@ func TestSlotSessionRidesRestartUnderCallers(t *testing.T) {
 		i := i
 		go func() {
 			if i%2 == 0 {
-				v, err := s.Get(ctx, "go")
+				v, _, err := s.GetAt(ctx, Local, "go")
 				if err == nil && v != "now" {
 					err = fmt.Errorf("blocked get %d woke with %q", i, v)
 				}
@@ -273,13 +326,13 @@ func TestSlotSessionRidesRestartUnderCallers(t *testing.T) {
 			key := fmt.Sprintf("hot%d", i)
 			for n := 0; !stop.Load(); n++ {
 				v := fmt.Sprintf("v%d", n)
-				if err := s.PutCtx(ctx, key, v); err != nil {
+				if _, err := s.PutAt(ctx, Local, key, v); err != nil {
 					errs <- err
 					return
 				}
 				// The restart empties the context (everyone left it), so a
 				// read may find nothing; it may not find anything else.
-				if got, err := s.TryGetCtx(ctx, key); !errors.Is(err, ErrNotFound) && (err != nil || got != v) {
+				if got, _, err := s.TryGetAt(ctx, Local, key); !errors.Is(err, ErrNotFound) && (err != nil || got != v) {
 					errs <- fmt.Errorf("caller %d read %q, %v; want %q", i, got, err, v)
 					return
 				}
@@ -300,7 +353,7 @@ func TestSlotSessionRidesRestartUnderCallers(t *testing.T) {
 	second, _ := s.live()
 	waitFor(t, func() bool { return slotState(second).pending >= callers/2 })
 	stop.Store(true)
-	if err := s.PutCtx(ctx, "go", "now"); err != nil {
+	if _, err := s.PutAt(ctx, Local, "go", "now"); err != nil {
 		t.Fatalf("releasing put: %v", err)
 	}
 	for i := 0; i < callers; i++ {
@@ -330,7 +383,7 @@ func TestSlotChunkedSnapshotAmongHotOps(t *testing.T) {
 			for i := range pairs {
 				pairs[i] = KV{Key: fmt.Sprintf("base%04d", i), Value: fmt.Sprintf("val%d", i)}
 			}
-			if err := api.PutBatch(pairs); err != nil {
+			if _, err := api.PutBatchAt(context.Background(), Local, pairs); err != nil {
 				t.Fatalf("PutBatch: %v", err)
 			}
 			var stop atomic.Bool
@@ -338,11 +391,11 @@ func TestSlotChunkedSnapshotAmongHotOps(t *testing.T) {
 			go func() {
 				for i := 0; !stop.Load(); i++ {
 					v := fmt.Sprintf("h%d", i)
-					if err := api.PutCtx(context.Background(), "hot", v); err != nil {
+					if _, err := api.PutAt(context.Background(), Local, "hot", v); err != nil {
 						hot <- err
 						return
 					}
-					if got, err := api.TryGet("hot"); err != nil || got != v {
+					if got, _, err := api.TryGetAt(context.Background(), Local, "hot"); err != nil || got != v {
 						hot <- fmt.Errorf("TryGet hot = %q, %v; want %q", got, err, v)
 						return
 					}
@@ -350,13 +403,13 @@ func TestSlotChunkedSnapshotAmongHotOps(t *testing.T) {
 				hot <- nil
 			}()
 			for round := 0; round < 20; round++ {
-				snap, _, err := api.SnapshotSeq(context.Background())
+				snap, err := api.SnapshotAt(context.Background(), Local)
 				if err != nil {
-					t.Fatalf("SnapshotSeq %d: %v", round, err)
+					t.Fatalf("SnapshotAt %d: %v", round, err)
 				}
 				for _, p := range pairs {
-					if snap[p.Key].Value != p.Value {
-						t.Fatalf("snapshot %d: %s = %q, want %q (%d entries)", round, p.Key, snap[p.Key].Value, p.Value, len(snap))
+					if snap[p.Key] != p.Value {
+						t.Fatalf("snapshot %d: %s = %q, want %q (%d entries)", round, p.Key, snap[p.Key], p.Value, len(snap))
 					}
 				}
 			}
@@ -404,7 +457,7 @@ func TestSlotFreeListBoundedByConcurrency(t *testing.T) {
 				t.Fatalf("after %d concurrent gets: %d pending, %d free", outstanding, answered.pending, answered.free)
 			}
 			for i := 0; i < 500; i++ {
-				if err := api.PutCtx(context.Background(), "k", "v"); err != nil {
+				if _, err := api.PutAt(context.Background(), Local, "k", "v"); err != nil {
 					t.Fatalf("Put: %v", err)
 				}
 			}

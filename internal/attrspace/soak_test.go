@@ -54,7 +54,7 @@ func TestSoakSessionSurvivesRestarts(t *testing.T) {
 	m := newMirror()
 	watcher := NewSession(cfg)
 	defer watcher.Close()
-	watcher.SetEventHandler(m.handle)
+	watcher.setEventHandler(m.handle)
 	if err := watcher.Subscribe(); err != nil {
 		t.Fatalf("Subscribe: %v", err)
 	}
@@ -67,7 +67,7 @@ func TestSoakSessionSurvivesRestarts(t *testing.T) {
 		lastVal = fmt.Sprintf("w%d", writes)
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
-		if err := writer.PutCtx(ctx, "heartbeat", lastVal); err != nil {
+		if _, err := writer.PutAt(ctx, Local, "heartbeat", lastVal); err != nil {
 			t.Fatalf("PutCtx (write %d, after %d restarts): %v", writes, restarts, err)
 		}
 	}
@@ -95,8 +95,8 @@ func TestSoakSessionSurvivesRestarts(t *testing.T) {
 		}
 	}
 
-	if writer.GaveUp() || watcher.GaveUp() {
-		t.Fatalf("a session gave up (writer %v, watcher %v)", writer.GaveUp(), watcher.GaveUp())
+	if writer.gaveUp() || watcher.gaveUp() {
+		t.Fatalf("a session gave up (writer %v, watcher %v)", writer.gaveUp(), watcher.gaveUp())
 	}
 
 	// Bounded retries: each restart should cost a handful of retried

@@ -23,14 +23,14 @@ func TestStatsRoundTrip(t *testing.T) {
 	if err := c.Put("pid", "1234"); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
-	if _, err := c.TryGet("pid"); err != nil {
+	if _, _, err := c.TryGetAt(context.Background(), Local, "pid"); err != nil {
 		t.Fatalf("TryGet: %v", err)
 	}
-	if _, err := c.Get(context.Background(), "pid"); err != nil {
+	if _, _, err := c.GetAt(context.Background(), Local, "pid"); err != nil {
 		t.Fatalf("Get: %v", err)
 	}
 
-	daemon, snap, err := c.ServerStats(context.Background())
+	daemon, snap, err := c.ServerStats(context.Background(), "")
 	if err != nil {
 		t.Fatalf("ServerStats: %v", err)
 	}
@@ -55,7 +55,7 @@ func TestStatsRoundTrip(t *testing.T) {
 	}
 
 	// STATS itself counts: a second call sees the first.
-	_, snap2, err := c.ServerStats(context.Background())
+	_, snap2, err := c.ServerStats(context.Background(), "")
 	if err != nil {
 		t.Fatalf("second ServerStats: %v", err)
 	}
@@ -92,7 +92,7 @@ func TestStatsScopeTree(t *testing.T) {
 		t.Fatalf("Put: %v", err)
 	}
 
-	daemon, tree, err := c.ServerStatsScope(context.Background(), "tree")
+	daemon, tree, err := c.ServerStats(context.Background(), "tree")
 	if err != nil {
 		t.Fatalf("ServerStatsScope: %v", err)
 	}
@@ -114,7 +114,7 @@ func TestStatsScopeTree(t *testing.T) {
 	}
 
 	// Plain STATS is unaffected by the installed children.
-	_, own, err := c.ServerStats(context.Background())
+	_, own, err := c.ServerStats(context.Background(), "")
 	if err != nil {
 		t.Fatalf("ServerStats: %v", err)
 	}
@@ -124,7 +124,7 @@ func TestStatsScopeTree(t *testing.T) {
 
 	// Uninstall: scope=tree degrades to the local snapshot.
 	srv.SetStatsChildren(nil)
-	_, local, err := c.ServerStatsScope(context.Background(), "tree")
+	_, local, err := c.ServerStats(context.Background(), "tree")
 	if err != nil {
 		t.Fatalf("ServerStatsScope after uninstall: %v", err)
 	}
@@ -145,7 +145,7 @@ func TestStatsNeedsNoHello(t *testing.T) {
 	defer raw.Close()
 	c := newClient(raw)
 	defer c.Close()
-	if _, _, err := c.ServerStats(context.Background()); err != nil {
+	if _, _, err := c.ServerStats(context.Background(), ""); err != nil {
 		t.Fatalf("STATS without HELLO: %v", err)
 	}
 }
@@ -191,10 +191,10 @@ func TestTracePropagationTwoHop(t *testing.T) {
 	// One logical front-end operation spanning both daemons.
 	op := feTracer.StartSpan("frontend.put")
 	ctx := telemetry.NewContext(context.Background(), op)
-	if err := cassClient.PutCtx(ctx, "frontend_addr", "1.2.3.4:2090"); err != nil {
+	if _, err := cassClient.PutAt(ctx, Local, "frontend_addr", "1.2.3.4:2090"); err != nil {
 		t.Fatalf("Put to CASS: %v", err)
 	}
-	if err := lassClient.PutCtx(ctx, "pid", "77"); err != nil {
+	if _, err := lassClient.PutAt(ctx, Local, "pid", "77"); err != nil {
 		t.Fatalf("Put to LASS via proxy: %v", err)
 	}
 	op.End()
@@ -257,7 +257,7 @@ func TestMonitorPublisher(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	v, err := c.Get(ctx, telemetry.MonitorPrefix+"lass.attrspace.ops.put")
+	v, _, err := c.GetAt(ctx, Local, telemetry.MonitorPrefix+"lass.attrspace.ops.put")
 	if err != nil {
 		t.Fatalf("Get monitor attribute: %v", err)
 	}
@@ -265,7 +265,7 @@ func TestMonitorPublisher(t *testing.T) {
 		t.Errorf("published put counter = %q, want non-zero", v)
 	}
 	// Histogram quantiles publish too.
-	if _, err := c.Get(ctx, telemetry.MonitorPrefix+"lass.attrspace.latency.put.p99"); err != nil {
+	if _, _, err := c.GetAt(ctx, Local, telemetry.MonitorPrefix+"lass.attrspace.latency.put.p99"); err != nil {
 		t.Fatalf("Get monitor p99: %v", err)
 	}
 }

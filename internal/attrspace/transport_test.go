@@ -129,7 +129,7 @@ func TestSnapshotDeltaReplaysOnlyTheGap(t *testing.T) {
 	if err := c.Put("new2", "y"); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
-	if err := c.Delete("base00"); err != nil {
+	if _, err := c.DeleteAt(context.Background(), Local, "base00"); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
 
@@ -265,7 +265,7 @@ func TestSnapshotInterleavesWithPing(t *testing.T) {
 	// Pings racing the replay: each must complete promptly.
 	for i := 0; i < 10; i++ {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		err := c.Ping(ctx)
+		err := c.ping(ctx)
 		cancel()
 		if err != nil {
 			t.Fatalf("Ping during snapshot replay: %v", err)
@@ -294,7 +294,7 @@ func TestUnixSocketRoundTrip(t *testing.T) {
 	if err := c.Put("pid", "7"); err != nil {
 		t.Fatalf("Put over unix socket: %v", err)
 	}
-	if v, err := c.TryGet("pid"); err != nil || v != "7" {
+	if v, _, err := c.TryGetAt(context.Background(), Local, "pid"); err != nil || v != "7" {
 		t.Fatalf("TryGet = %q, %v", v, err)
 	}
 }
@@ -378,7 +378,7 @@ func TestEventsFlowWhileGetBlocks(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		watcher.Get(ctx, "never-written")
+		watcher.GetAt(ctx, Local, "never-written")
 	}()
 
 	for i := 0; i < 100; i++ {
@@ -416,7 +416,7 @@ func TestServerMutationsFeedChangeLog(t *testing.T) {
 	if err := c.PutBatch([]KV{{Key: "b", Value: "2"}, {Key: "c", Value: "3"}}); err != nil {
 		t.Fatalf("PutBatch: %v", err)
 	}
-	if err := c.Delete("a"); err != nil {
+	if _, err := c.DeleteAt(context.Background(), Local, "a"); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
 	ref := space.Join("job1")
@@ -464,7 +464,7 @@ func TestShmCutoverOverUnixSocket(t *testing.T) {
 	if err := c.Put("pid", "42"); err != nil {
 		t.Fatalf("Put over ring: %v", err)
 	}
-	if v, err := c.TryGet("pid"); err != nil || v != "42" {
+	if v, _, err := c.TryGetAt(context.Background(), Local, "pid"); err != nil || v != "42" {
 		t.Fatalf("TryGet over ring = %q, %v", v, err)
 	}
 	// A chunked snapshot (multi-part bulk reply) across the ring.
@@ -482,7 +482,7 @@ func TestShmCutoverOverUnixSocket(t *testing.T) {
 	if len(snap) != len(pairs)+1 { // + pid
 		t.Fatalf("snapshot = %d entries, want %d", len(snap), len(pairs)+1)
 	}
-	if err := c.Ping(context.Background()); err != nil {
+	if err := c.ping(context.Background()); err != nil {
 		t.Fatalf("Ping over ring: %v", err)
 	}
 

@@ -255,9 +255,9 @@ func ShardLossUnderLoad(name string, baseline, afterKill time.Duration) *Scenari
 				}
 				opCtx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
 				opStart := time.Now()
-				err := c.PutGlobal(opCtx, "k", fmt.Sprintf("v%d", round))
+				_, err := c.PutAt(opCtx, attrspace.Global, "k", fmt.Sprintf("v%d", round))
 				if err == nil {
-					_, err = c.TryGetGlobal(opCtx, "k")
+					_, _, err = c.TryGetAt(opCtx, attrspace.Global, "k")
 				}
 				cancel()
 				ms := time.Since(opStart).Milliseconds()
@@ -405,14 +405,15 @@ func ShardLossUnderLoad(name string, baseline, afterKill time.Duration) *Scenari
 					return r.WaitFor(15*time.Second, func() bool {
 						ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 						defer cancel()
-						return c.PutGlobal(ctx, "recovered", "1") == nil
+						_, err := c.PutAt(ctx, attrspace.Global, "recovered", "1")
+						return err == nil
 					}, "the restarted shard to serve writes again")
 				},
 				Checkpoints: []Checkpoint{
 					{Name: "all-ranges-writable", Check: func(r *Run) error {
 						for i, c := range clients(r) {
 							ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-							err := c.PutGlobal(ctx, "final", fmt.Sprintf("s%d", i))
+							_, err := c.PutAt(ctx, attrspace.Global, "final", fmt.Sprintf("s%d", i))
 							cancel()
 							if err != nil {
 								return fmt.Errorf("shard %d still unwritable: %w", i, err)
@@ -628,7 +629,7 @@ func RollingRestart(name string, shards, opsPerShard int) *Scenario {
 						}
 						cs[i] = c
 						ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-						err = c.PutGlobal(ctx, "boot", sc.Contexts[i])
+						_, err = c.PutAt(ctx, attrspace.Global, "boot", sc.Contexts[i])
 						cancel()
 						if err != nil {
 							return fmt.Errorf("seed write shard %d: %w", i, err)
@@ -671,7 +672,7 @@ func RollingRestart(name string, shards, opsPerShard int) *Scenario {
 								for time.Now().Before(deadline) {
 									attemptStart := time.Now()
 									ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-									err := cs[i].PutGlobal(ctx, "k", fmt.Sprintf("v%d", op))
+									_, err := cs[i].PutAt(ctx, attrspace.Global, "k", fmt.Sprintf("v%d", op))
 									cancel()
 									ms := time.Since(attemptStart).Milliseconds()
 									st.mu.Lock()
@@ -721,7 +722,8 @@ func RollingRestart(name string, shards, opsPerShard int) *Scenario {
 						if err := r.WaitFor(15*time.Second, func() bool {
 							ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 							defer cancel()
-							return probe.PutGlobal(ctx, "probe", fmt.Sprintf("up%d", i)) == nil
+							_, err := probe.PutAt(ctx, attrspace.Global, "probe", fmt.Sprintf("up%d", i))
+							return err == nil
 						}, fmt.Sprintf("shard %d writable after restart", i)); err != nil {
 							close(stop)
 							wg.Wait()
@@ -755,7 +757,8 @@ func RollingRestart(name string, shards, opsPerShard int) *Scenario {
 					return ForEach(shards, shards, func(i int) error {
 						ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 						defer cancel()
-						return cs[i].PutGlobal(ctx, "final", fmt.Sprintf("s%d", i))
+						_, err := cs[i].PutAt(ctx, attrspace.Global, "final", fmt.Sprintf("s%d", i))
+						return err
 					})
 				},
 				Checkpoints: []Checkpoint{
@@ -788,7 +791,7 @@ func RollingRestart(name string, shards, opsPerShard int) *Scenario {
 					{Name: "post-restart-writes-read-back", Check: func(r *Run) error {
 						for i, c := range clients(r) {
 							ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-							got, err := c.TryGetGlobal(ctx, "final")
+							got, _, err := c.TryGetAt(ctx, attrspace.Global, "final")
 							cancel()
 							if err != nil {
 								return fmt.Errorf("shard %d read-back: %w", i, err)

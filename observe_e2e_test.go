@@ -94,7 +94,7 @@ func TestObservabilityPlaneEndToEnd(t *testing.T) {
 	defer c.Close()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		_, snap, err := c.ServerStatsScope(context.Background(), "tree")
+		_, snap, err := c.ServerStats(context.Background(), "tree")
 		if err != nil {
 			t.Fatalf("ServerStatsScope: %v", err)
 		}

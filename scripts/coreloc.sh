@@ -38,3 +38,27 @@ count "internal/testkit (test support)" internal/testkit
 for doc in README.md DESIGN.md EXPERIMENTS.md ROADMAP.md; do
 	printf '%-34s raw %6d\n' "$doc" "$(wc -l <"$doc")"
 done
+
+# The API surface, counted the way LOC is: the exported methods of
+# Client, Session and tdp.Handle, and the methods of attrspace.API.
+# Client's deprecated spellings in compat.go are counted on their own
+# line, so "one spelling per operation" can be read off beside the code.
+methods() { # methods <receiver-type> <file>...
+	local recv=$1
+	shift
+	sed -nE "s/^func \([a-z]+ \*?$recv\) ([A-Z][A-Za-z0-9]*)\(.*/\1/p" "$@" | sort
+}
+surface() { # surface <label> <names...>
+	local label=$1
+	shift
+	printf '%-34s %6d   %s\n' "$label" $# "$*"
+}
+attrspace_src=$(ls internal/attrspace/*.go | grep -v -e '_test\.go$' -e '/compat\.go$')
+# shellcheck disable=SC2086 # the file lists are word lists
+surface "Client exported methods" $(methods Client $attrspace_src)
+surface "Client, compat.go (deprecated)" $(methods Client internal/attrspace/compat.go)
+# shellcheck disable=SC2086
+surface "Session exported methods" $(methods Session $attrspace_src)
+surface "tdp.Handle exported methods" $(methods Handle $(ls ./*.go | grep -v '_test\.go$'))
+surface "attrspace.API methods" $(sed -n '/^type API interface {/,/^}/p' internal/attrspace/session.go |
+	sed -nE 's/^\t([A-Z][A-Za-z0-9]*)\(.*/\1/p' | sort)

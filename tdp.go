@@ -157,10 +157,14 @@ type Config struct {
 // Handle is the tdp handle returned by Init and used in every
 // subsequent TDP action. It is safe for concurrent use.
 type Handle struct {
-	cfg   Config
-	lass  attrspace.API
-	cass  attrspace.API
-	queue events.Queue
+	cfg  Config
+	lass attrspace.API
+	// global and gscope are where the *Global operations go, chosen once
+	// by Init: a CASS connection at Local, the caching LASS at Global, or
+	// nil when the handle has no global space.
+	global attrspace.API
+	gscope attrspace.Scope
+	queue  events.Queue
 
 	meters [numHandleOps]atomic.Pointer[opMeter] // see observe
 
@@ -189,16 +193,19 @@ func Init(cfg Config) (*Handle, error) {
 		return nil, fmt.Errorf("tdp: init: LASS: %w", err)
 	}
 	lass.SetTelemetry(cfg.Telemetry, cfg.Tracer)
-	var cass attrspace.API
-	if cfg.CASSAddr != "" {
-		cass, err = dialSpace(cfg, cfg.CASSAddr)
+	h := &Handle{cfg: cfg, lass: lass}
+	switch {
+	case cfg.GlobalViaLASS:
+		h.global, h.gscope = lass, attrspace.Global
+	case cfg.CASSAddr != "":
+		cass, err := dialSpace(cfg, cfg.CASSAddr)
 		if err != nil {
 			lass.Close()
 			return nil, fmt.Errorf("tdp: init: CASS: %w", err)
 		}
 		cass.SetTelemetry(cfg.Telemetry, cfg.Tracer)
+		h.global, h.gscope = cass, attrspace.Local
 	}
-	h := &Handle{cfg: cfg, lass: lass, cass: cass}
 	h.traceStep("tdp_init", "context="+cfg.Context)
 	return h, nil
 }
@@ -237,8 +244,8 @@ func (h *Handle) Exit() error {
 	for _, p := range attached {
 		p.Detach() // best effort; the process may have exited
 	}
-	if h.cass != nil {
-		h.cass.Close()
+	if h.global != nil && h.global != h.lass {
+		h.global.Close() // the CASS connection
 	}
 	return h.lass.Close()
 }

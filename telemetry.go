@@ -1,9 +1,11 @@
 package tdp
 
 import (
+	"context"
 	"strconv"
 	"time"
 
+	"tdp/internal/attrspace"
 	"tdp/internal/telemetry"
 )
 
@@ -147,7 +149,7 @@ func (h *Handle) StartMonitorPublisher(interval time.Duration) (stop func()) {
 					KV{Key: prefix + name + ".p50", Value: strconv.FormatFloat(hs.Quantile(0.50), 'g', -1, 64)},
 					KV{Key: prefix + name + ".p99", Value: strconv.FormatFloat(hs.Quantile(0.99), 'g', -1, 64)})
 			}
-			h.lass.PutBatch(pairs)
+			h.lass.PutBatchAt(context.Background(), attrspace.Local, pairs)
 			select {
 			case <-done:
 				return

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"tdp/internal/attrspace"
 	"tdp/internal/telemetry"
 )
 
@@ -186,12 +187,12 @@ func TestHandlePutAddsNoAllocations(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		note(h.Put("pid", "42"))
 	}
-	direct := testing.AllocsPerRun(200, func() { note(h.lass.PutCtx(context.Background(), "pid", "42")) })
+	direct := testing.AllocsPerRun(200, func() { _, e := h.lass.PutAt(context.Background(), attrspace.Local, "pid", "42"); note(e) })
 	wrapped := testing.AllocsPerRun(200, func() { note(h.Put("pid", "42")) })
 	if err != nil {
 		t.Fatalf("Put: %v", err)
 	}
-	t.Logf("Client.Put %.1f allocs, Handle.Put %.1f", direct, wrapped)
+	t.Logf("Client.PutAt %.1f allocs, Handle.Put %.1f", direct, wrapped)
 	if wrapped > direct {
 		t.Errorf("Handle.Put allocates %.1f objects per call, the connection's own put %.1f", wrapped, direct)
 	}
