@@ -33,7 +33,7 @@ type Callback func(r Result, arg any)
 // tdp_async_get.
 func (h *Handle) AsyncGet(attribute string, cb Callback, arg any) error {
 	timing := h.observe(opAsyncGet)
-	h.traceStep("tdp_async_get", attribute)
+	h.cfg.Tracer.Step(h.cfg.Identity, "tdp_async_get", attribute)
 	ch, err := h.lass.GetAsync(attribute)
 	if err != nil {
 		timing.done()
@@ -79,7 +79,7 @@ func (h *Handle) post(ch <-chan attrspace.Result, cb Callback, arg any, timing o
 // tdp_service_event.
 func (h *Handle) ServiceEvents() int {
 	defer h.observe(opServiceEvents).done()
-	h.traceStep("tdp_service_event", "")
+	h.cfg.Tracer.Step(h.cfg.Identity, "tdp_service_event", "")
 	n := h.queue.Service()
 	h.noteEventDepth()
 	return n

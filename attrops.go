@@ -74,7 +74,7 @@ func (h *Handle) PutBatchGlobal(pairs []KV) error {
 // carried by ctx propagates to the server.
 func (h *Handle) Get(ctx context.Context, attribute string) (string, error) {
 	defer h.observe(opGet).done()
-	h.traceStep("tdp_get", attribute)
+	h.cfg.Tracer.Step(h.cfg.Identity, "tdp_get", attribute)
 	v, _, err := h.lass.GetAt(ctx, attrspace.Local, attribute)
 	return v, err
 }
@@ -126,7 +126,7 @@ func (h *Handle) GetGlobal(ctx context.Context, attribute string) (string, error
 		return "", ErrNoCASS
 	}
 	defer h.observe(opGetGlobal).done()
-	h.traceStep("tdp_get_global", attribute)
+	h.cfg.Tracer.Step(h.cfg.Identity, "tdp_get_global", attribute)
 	v, _, err := h.global.GetAt(ctx, h.gscope, attribute)
 	return v, err
 }

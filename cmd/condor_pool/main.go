@@ -19,21 +19,24 @@ import (
 	"tdp/internal/condor"
 	"tdp/internal/paradyn"
 	"tdp/internal/procsim"
+	"tdp/internal/telemetry"
 	"tdp/internal/tools"
-	"tdp/internal/trace"
 )
 
 func main() {
 	machines := flag.Int("machines", 4, "number of execute machines")
-	showTrace := flag.Bool("trace", false, "print the protocol trace after each job")
+	showTrace := flag.Bool("trace", false, "record the protocol steps and print them after the last job")
 	flag.Parse()
 	if flag.NArg() == 0 {
 		fmt.Fprintln(os.Stderr, "usage: condor_pool [-machines N] [-trace] job.submit ...")
 		os.Exit(2)
 	}
 
-	rec := trace.New()
-	pool := condor.NewPool(condor.PoolOptions{Trace: rec, NegotiationTimeout: 10 * time.Second})
+	var tracer *telemetry.Tracer
+	if *showTrace {
+		tracer = telemetry.NewTracer("condor_pool")
+	}
+	pool := condor.NewPool(condor.PoolOptions{Tracer: tracer, NegotiationTimeout: 10 * time.Second})
 	defer pool.Close()
 	for i := 0; i < *machines; i++ {
 		m, err := pool.AddMachine(condor.MachineConfig{
@@ -71,8 +74,10 @@ func main() {
 	fmt.Print(pool.QueueSummary())
 	if *showTrace {
 		fmt.Println("--- protocol trace ---")
-		for _, line := range rec.Strings() {
-			fmt.Println(" ", line)
+		for _, sp := range tracer.Spans() {
+			if sp.TraceID == "" { // a protocol step, not an attribute operation's span
+				fmt.Println(" ", sp)
+			}
 		}
 	}
 }

@@ -22,18 +22,21 @@ import (
 	"tdp/internal/condor"
 	"tdp/internal/paradyn"
 	"tdp/internal/procsim"
-	"tdp/internal/trace"
+	"tdp/internal/telemetry"
 )
 
 func main() {
 	iters := flag.Int("iters", 100, "application iterations")
 	mpi := flag.Int("mpi", 0, "run as an MPI job with this many ranks (0 = vanilla)")
-	showTrace := flag.Bool("trace", false, "print the TDP protocol trace")
+	showTrace := flag.Bool("trace", false, "record the TDP protocol steps and print them")
 	showSearch := flag.Bool("pc", false, "print the Performance Consultant search tree")
 	showViz := flag.Bool("viz", false, "print time histograms for the hottest function")
 	flag.Parse()
 
-	rec := trace.New()
+	var tracer *telemetry.Tracer
+	if *showTrace {
+		tracer = telemetry.NewTracer("parador")
+	}
 
 	// 1. The Paradyn front-end starts first (as in the paper's tests)
 	//    and its ports go into the submit file.
@@ -41,7 +44,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("parador: %v", err)
 	}
-	fe, err := paradyn.NewFrontEnd(paradyn.FrontEndConfig{Listener: l, AutoRun: true, Trace: rec})
+	fe, err := paradyn.NewFrontEnd(paradyn.FrontEndConfig{Listener: l, AutoRun: true, Tracer: tracer})
 	if err != nil {
 		log.Fatalf("parador: %v", err)
 	}
@@ -55,7 +58,7 @@ func main() {
 	if *mpi > 0 {
 		machines, ranks = *mpi, *mpi
 	}
-	pool := condor.NewPool(condor.PoolOptions{Trace: rec, NegotiationTimeout: 10 * time.Second})
+	pool := condor.NewPool(condor.PoolOptions{Tracer: tracer, NegotiationTimeout: 10 * time.Second})
 	defer pool.Close()
 	for i := 0; i < machines; i++ {
 		if _, err := pool.AddMachine(condor.MachineConfig{
@@ -123,8 +126,10 @@ queue
 	}
 	if *showTrace {
 		fmt.Println("\n--- TDP protocol trace ---")
-		for _, line := range rec.Strings() {
-			fmt.Println(" ", line)
+		for _, sp := range tracer.Spans() {
+			if sp.TraceID == "" { // a protocol step, not an attribute operation's span
+				fmt.Println(" ", sp)
+			}
 		}
 	}
 }

@@ -95,7 +95,7 @@ func runAllocs() {
 		{name: "global batch write (8 pairs)", ops: allocOps, events: true,
 			op: func() error { return global.PutBatchGlobal(batch) }},
 		{name: "set-up (tdp.Init + one put + Exit)", ops: allocLives, op: func() error {
-			h, err := tdp.Init(tdp.Config{Context: "allocs-setup", LASSAddr: lass.addr, Identity: "tdpbench", Telemetry: local.Telemetry()})
+			h, err := tdp.Init(tdp.Config{Context: "allocs-setup", LASSAddr: lass.addr, Identity: "tdpbench"})
 			if err != nil {
 				return err
 			}

@@ -33,7 +33,6 @@ import (
 	"tdp/internal/procsim"
 	"tdp/internal/proxy"
 	"tdp/internal/telemetry"
-	"tdp/internal/trace"
 )
 
 func main() {
@@ -187,8 +186,8 @@ queue
 // (timeline, allocs): as lassd does, its LASS also listens on the unix
 // socket, so starter and tool take the same-host path to it; "app" is a
 // two-phase program and paradynd the registered tool.
-func newLaunchPool(rec *trace.Recorder) *condor.Pool {
-	pool := condor.NewPool(condor.PoolOptions{Trace: rec})
+func newLaunchPool(tracer *telemetry.Tracer) *condor.Pool {
+	pool := condor.NewPool(condor.PoolOptions{Tracer: tracer})
 	m, err := pool.AddMachine(condor.MachineConfig{Name: "node1", Arch: "INTEL", OpSys: "LINUX", Memory: 128})
 	if err == nil {
 		_, err = m.LASS().ListenUnixBeside(m.LASSAddr())
@@ -225,21 +224,27 @@ func launchOne(pool *condor.Pool) error {
 // order the steps happen (experiment E24). A launch regression shows as
 // the one row whose gap grew.
 func runTimeline(n int) {
-	rec := trace.New()
-	pool := newLaunchPool(rec)
+	tracer := telemetry.NewTracer("tdpbench")
+	pool := newLaunchPool(tracer)
 	defer pool.Close()
 	type step struct{ at, gap []float64 } // µs since the job's first step; since its previous step
 	steps := make(map[string]*step)
 	for i := 0; i < n; i++ {
-		from := rec.Len()
+		from := time.Now()
 		if err := launchOne(pool); err != nil {
 			log.Fatalf("tdpbench: job %d: %v", i, err)
 		}
-		// One job in flight: everything recorded since from is this job's.
-		entries := rec.Entries()[from:]
+		// One job in flight: every step taken since from is this job's,
+		// and one job's spans are a small part of the tracer's ring.
+		var entries []telemetry.SpanRecord
+		for _, sp := range tracer.Spans() {
+			if sp.TraceID == "" && !sp.Start.Before(from) {
+				entries = append(entries, sp)
+			}
+		}
 		seen := make(map[string]int)
 		for k, e := range entries {
-			key := e.Actor + ":" + e.Action
+			key := e.Actor + ":" + e.Name
 			if seen[key]++; seen[key] > 1 {
 				key = fmt.Sprintf("%s#%d", key, seen[key])
 			}
@@ -248,9 +253,9 @@ func runTimeline(n int) {
 				s = &step{}
 				steps[key] = s
 			}
-			s.at = append(s.at, float64(e.At.Sub(entries[0].At).Microseconds()))
+			s.at = append(s.at, float64(e.Start.Sub(entries[0].Start).Microseconds()))
 			if k > 0 {
-				s.gap = append(s.gap, float64(e.At.Sub(entries[k-1].At).Microseconds()))
+				s.gap = append(s.gap, float64(e.Start.Sub(entries[k-1].Start).Microseconds()))
 			}
 		}
 	}

@@ -14,9 +14,10 @@ import (
 // docLintFiles returns the documents that tell a reader which calls to
 // make: README, DESIGN and the verify notes in the repository's hidden
 // skills directory. Every method or field they name in backticks as T.M
-// or (*T).M, for T a type declared in package tdp or
-// internal/attrspace, must exist; a rename that leaves a sentence behind
-// fails here until the sentence follows it.
+// or (*T).M, for T a type declared in package tdp, internal/attrspace
+// or internal/telemetry, must exist, and so must every repository path
+// they name in backticks; a rename or deletion that leaves a sentence
+// behind fails here until the sentence follows it.
 func docLintFiles(t *testing.T) []string {
 	notes, err := filepath.Glob(".*/skills/verify/SKILL.md")
 	if err != nil || len(notes) != 1 {
@@ -27,7 +28,7 @@ func docLintFiles(t *testing.T) []string {
 
 // docLintPackages maps the qualifier a document may write before a type
 // to the directory that declares it.
-var docLintPackages = map[string]string{"tdp": ".", "attrspace": "internal/attrspace"}
+var docLintPackages = map[string]string{"tdp": ".", "attrspace": "internal/attrspace", "telemetry": "internal/telemetry"}
 
 // docMember is T.M or (*T).M, optionally qualified (attrspace.Client.PutAt);
 // a type qualified by another package (mrnet.Config) is not checked.
@@ -71,6 +72,44 @@ func TestDocsNameRealMembers(t *testing.T) {
 	}
 	if resolved == 0 {
 		t.Error("the documents name no member the check could resolve: it is checking nothing")
+	}
+}
+
+// docPath is a repository path in a code span: one under internal/,
+// cmd/, scripts/, examples/ or bench/, at the start of a word, after
+// "./" or in an import path ("tdp/internal/attr").
+var docPath = regexp.MustCompile(`(?:^|[^\w./-]|\./|\btdp/)((?:internal|cmd|scripts|examples|bench)/[\w./-]*)`)
+
+// generatedPaths are named by the documents but exist only once a run
+// has made them: bench/run.sh writes its results under bench/out/,
+// which git ignores.
+var generatedPaths = []string{"bench/out/"}
+
+func TestDocsNameRealPaths(t *testing.T) {
+	checked := 0
+	for _, file := range docLintFiles(t) {
+		doc, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+	spans:
+		for _, span := range inlineCode(string(doc)) {
+			for _, m := range docPath.FindAllStringSubmatch(span.text, -1) {
+				path := strings.TrimRight(m[1], ".,")
+				for _, gen := range generatedPaths {
+					if strings.HasPrefix(path, gen) {
+						continue spans
+					}
+				}
+				if _, err := os.Stat(path); err != nil {
+					t.Errorf("%s:%d: `%s` names %s, which does not exist", file, span.line, span.text, path)
+				}
+				checked++
+			}
+		}
+	}
+	if checked == 0 {
+		t.Error("the documents name no repository path: the check is checking nothing")
 	}
 }
 

@@ -26,7 +26,7 @@ import (
 	"tdp/internal/paradyn"
 	"tdp/internal/procsim"
 	"tdp/internal/proxy"
-	"tdp/internal/trace"
+	"tdp/internal/telemetry"
 )
 
 // figure1Net builds the Figure-1 network: the user's desktop (RM and
@@ -46,7 +46,7 @@ func figure1Net() (nw *netsim.Network, desktop, gateway, node *netsim.Host) {
 }
 
 func TestFigure1Topology(t *testing.T) {
-	rec := trace.New()
+	tr := telemetry.NewTracer("test")
 	nw, desktop, gateway, node := figure1Net()
 
 	// Paradyn front-end on the desktop.
@@ -54,7 +54,7 @@ func TestFigure1Topology(t *testing.T) {
 	if err != nil {
 		t.Fatalf("listen FE: %v", err)
 	}
-	fe, err := paradyn.NewFrontEnd(paradyn.FrontEndConfig{Listener: feListener, AutoRun: true, Trace: rec})
+	fe, err := paradyn.NewFrontEnd(paradyn.FrontEndConfig{Listener: feListener, AutoRun: true, Tracer: tr})
 	if err != nil {
 		t.Fatalf("NewFrontEnd: %v", err)
 	}
@@ -78,7 +78,7 @@ func TestFigure1Topology(t *testing.T) {
 
 	// Condor pool whose execute machine lives on the private host; its
 	// LASS binds on node1's simulated network.
-	pool := condor.NewPool(condor.PoolOptions{Trace: rec, NegotiationTimeout: 2 * time.Second})
+	pool := condor.NewPool(condor.PoolOptions{Tracer: tr, NegotiationTimeout: 2 * time.Second})
 	defer pool.Close()
 	if _, err := pool.AddMachine(condor.MachineConfig{
 		Name: "node1", Arch: "INTEL", OpSys: "LINUX", Memory: 128, NetHost: node,

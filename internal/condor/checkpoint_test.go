@@ -6,7 +6,8 @@ import (
 	"time"
 
 	"tdp/internal/procsim"
-	"tdp/internal/trace"
+	"tdp/internal/telemetry"
+	"tdp/internal/testkit"
 )
 
 // registerCheckpointable installs a standard-universe-capable program
@@ -20,8 +21,8 @@ func registerCheckpointable(reg *Registry, iters int, executed *atomic.Int64) {
 }
 
 func TestStandardUniverseVacateAndMigrate(t *testing.T) {
-	rec := trace.New()
-	pool := NewPool(PoolOptions{Trace: rec, NegotiationTimeout: 5 * time.Second, JobTimeout: 60 * time.Second})
+	tr := telemetry.NewTracer("test")
+	pool := NewPool(PoolOptions{Tracer: tr, NegotiationTimeout: 5 * time.Second, JobTimeout: 60 * time.Second})
 	t.Cleanup(pool.Close)
 	for _, name := range []string{"m1", "m2"} {
 		if _, err := pool.AddMachine(MachineConfig{Name: name, Arch: "INTEL", OpSys: "LINUX", Memory: 128}); err != nil {
@@ -78,7 +79,7 @@ func TestStandardUniverseVacateAndMigrate(t *testing.T) {
 	}
 	t.Logf("vacated at iteration %d; resumed at %d; total executed %d/%d", atVacate, st.Code, total, iters)
 
-	if err := rec.CheckOrder(
+	if err := testkit.StepsOf(t, tr).CheckOrder(
 		"starter:spawn_job",
 		"starter:vacate",
 		"shadow:migrate",

@@ -8,7 +8,7 @@ import (
 
 	"tdp/internal/attrspace"
 	"tdp/internal/liveness"
-	"tdp/internal/trace"
+	"tdp/internal/telemetry"
 )
 
 // Master supervises a machine's daemons the way condor_master does
@@ -19,7 +19,7 @@ import (
 // the AS entity class.
 type Master struct {
 	machine *Machine
-	rec     *trace.Recorder
+	tracer  *telemetry.Tracer
 
 	restarts atomic.Int64
 	stopOnce sync.Once
@@ -34,37 +34,31 @@ const probeTimeout = 2 * time.Second
 
 // NewMaster starts supervision of the machine's LASS; interval <= 0
 // defaults to 20ms.
-func NewMaster(machine *Machine, interval time.Duration, rec *trace.Recorder) *Master {
-	return newMaster(machine, interval, rec, liveness.System)
+func NewMaster(machine *Machine, interval time.Duration, tracer *telemetry.Tracer) *Master {
+	return newMaster(machine, interval, tracer, liveness.System)
 }
 
-func newMaster(machine *Machine, interval time.Duration, rec *trace.Recorder, clk liveness.Clock) *Master {
+func newMaster(machine *Machine, interval time.Duration, tracer *telemetry.Tracer, clk liveness.Clock) *Master {
 	if interval <= 0 {
 		interval = 20 * time.Millisecond
 	}
-	m := &Master{machine: machine, rec: rec, stopCh: make(chan struct{})}
+	m := &Master{machine: machine, tracer: tracer, stopCh: make(chan struct{})}
 	m.wg.Add(1)
 	go m.loop(clk, interval)
 	return m
-}
-
-func (m *Master) record(action, detail string) {
-	if m.rec != nil {
-		m.rec.Record("master", action, detail)
-	}
 }
 
 func (m *Master) loop(clk liveness.Clock, interval time.Duration) {
 	defer m.wg.Done()
 	// Watch returns nil only when Close stops it.
 	for liveness.Watch(clk, m.stopCh, interval, probeTimeout, m.probe) != nil {
-		m.record("daemon_died", "lass@"+m.machine.Name())
+		m.tracer.Step("master", "daemon_died", "lass@"+m.machine.Name())
 		if err := m.machine.RestartLASS(); err != nil {
-			m.record("restart_failed", err.Error())
+			m.tracer.Step("master", "restart_failed", err.Error())
 			continue
 		}
 		m.restarts.Add(1)
-		m.record("daemon_restarted", "lass@"+m.machine.Name())
+		m.tracer.Step("master", "daemon_restarted", "lass@"+m.machine.Name())
 	}
 }
 

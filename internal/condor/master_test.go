@@ -1,13 +1,14 @@
 package condor
 
 import (
+	"slices"
 	"testing"
 	"time"
 
 	"tdp/internal/attrspace"
 	"tdp/internal/netsim"
+	"tdp/internal/telemetry"
 	"tdp/internal/testkit"
-	"tdp/internal/trace"
 )
 
 func waitRestart(t *testing.T, m *Master, want int64) {
@@ -22,13 +23,13 @@ func waitRestart(t *testing.T, m *Master, want int64) {
 }
 
 func TestMasterRestartsDeadLASS(t *testing.T) {
-	rec := trace.New()
+	tr := telemetry.NewTracer("test")
 	machine, err := NewMachine(MachineConfig{Name: "m", Arch: "INTEL", OpSys: "LINUX", Memory: 64})
 	if err != nil {
 		t.Fatalf("NewMachine: %v", err)
 	}
 	defer machine.Close()
-	master := NewMaster(machine, 5*time.Millisecond, rec)
+	master := NewMaster(machine, 5*time.Millisecond, tr)
 	defer master.Close()
 	addr := machine.LASSAddr()
 
@@ -54,7 +55,7 @@ func TestMasterRestartsDeadLASS(t *testing.T) {
 	if err := c.Put("k", "v"); err != nil {
 		t.Fatalf("put after restart: %v", err)
 	}
-	if err := rec.CheckOrder("master:daemon_died", "master:daemon_restarted"); err != nil {
+	if err := testkit.StepsOf(t, tr).CheckOrder("master:daemon_died", "master:daemon_restarted"); err != nil {
 		t.Error(err)
 	}
 }
@@ -136,7 +137,7 @@ func TestJobSurvivesAcrossLASSRestart(t *testing.T) {
 // out — and Close returns even with a probe in flight against the hung
 // daemon.
 func TestMasterDetectsHungLASS(t *testing.T) {
-	rec := trace.New()
+	tr := telemetry.NewTracer("test")
 	machine, err := NewMachine(MachineConfig{Name: "m", Arch: "INTEL", OpSys: "LINUX", Memory: 64})
 	if err != nil {
 		t.Fatalf("NewMachine: %v", err)
@@ -147,16 +148,16 @@ func TestMasterDetectsHungLASS(t *testing.T) {
 	machine.mu.Unlock()
 
 	clk := testkit.NewClock()
-	master := newMaster(machine, 5*time.Millisecond, rec, clk)
+	master := newMaster(machine, 5*time.Millisecond, tr, clk)
 	clk.Advance(clk.NextTimer()) // the interval: a probe is now in flight
 	if d := clk.NextTimer(); d != probeTimeout {
 		t.Fatalf("probe bound = %v, want probeTimeout (%v)", d, probeTimeout)
 	}
-	if rec.Happened("master", "daemon_died") {
+	if slices.Contains(testkit.StepsOf(t, tr), "master:daemon_died") {
 		t.Fatal("death declared before the probe's bound ran out")
 	}
 	clk.Advance(probeTimeout)
-	for deadline := time.Now().Add(5 * time.Second); !rec.Happened("master", "daemon_died"); time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(5 * time.Second); !slices.Contains(testkit.StepsOf(t, tr), "master:daemon_died"); time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("hung LASS never declared dead")
 		}

@@ -6,7 +6,7 @@ import (
 	"sync"
 
 	"tdp/internal/classad"
-	"tdp/internal/trace"
+	"tdp/internal/telemetry"
 )
 
 // Matchmaker is the pool's collector + negotiator: machines advertise
@@ -19,24 +19,18 @@ type Matchmaker struct {
 	mu      sync.Mutex
 	offers  map[string]*classad.Ad // machine name -> ad
 	claimed map[string]bool        // machine name -> claimed
-	rec     *trace.Recorder
+	tracer  *telemetry.Tracer
 	matches int
 	fails   int
 }
 
-// NewMatchmaker returns an empty matchmaker; rec (optional) receives
-// protocol trace entries.
-func NewMatchmaker(rec *trace.Recorder) *Matchmaker {
+// NewMatchmaker returns an empty matchmaker; tracer (optional) records
+// its protocol steps.
+func NewMatchmaker(tracer *telemetry.Tracer) *Matchmaker {
 	return &Matchmaker{
 		offers:  make(map[string]*classad.Ad),
 		claimed: make(map[string]bool),
-		rec:     rec,
-	}
-}
-
-func (mm *Matchmaker) record(action, detail string) {
-	if mm.rec != nil {
-		mm.rec.Record("matchmaker", action, detail)
+		tracer:  tracer,
 	}
 }
 
@@ -46,7 +40,7 @@ func (mm *Matchmaker) AdvertiseMachine(name string, ad *classad.Ad) {
 	mm.mu.Lock()
 	mm.offers[name] = ad.Clone()
 	mm.mu.Unlock()
-	mm.record("advertise_machine", name)
+	mm.tracer.Step("matchmaker", "advertise_machine", name)
 }
 
 // RemoveMachine withdraws a machine from the pool.
@@ -89,13 +83,13 @@ func (mm *Matchmaker) Negotiate(jobAd *classad.Ad) (string, error) {
 	best := classad.MatchBest(jobAd, ads)
 	if best < 0 {
 		mm.fails++
-		mm.record("negotiate", "no-match")
+		mm.tracer.Step("matchmaker", "negotiate", "no-match")
 		return "", fmt.Errorf("condor: no machine matches job %s", jobAd.EvalString("JobId", nil))
 	}
 	name := names[best]
 	mm.claimed[name] = true
 	mm.matches++
-	mm.record("negotiate", "match="+name)
+	mm.tracer.Step("matchmaker", "negotiate", "match="+name)
 	return name, nil
 }
 
@@ -121,7 +115,7 @@ func (mm *Matchmaker) Release(name string) {
 	mm.mu.Lock()
 	delete(mm.claimed, name)
 	mm.mu.Unlock()
-	mm.record("release", name)
+	mm.tracer.Step("matchmaker", "release", name)
 }
 
 // Claimed reports whether the machine is currently claimed.

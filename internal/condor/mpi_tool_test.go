@@ -7,7 +7,8 @@ import (
 
 	"tdp/internal/mpisim"
 	"tdp/internal/procsim"
-	"tdp/internal/trace"
+	"tdp/internal/telemetry"
+	"tdp/internal/testkit"
 )
 
 func registerRing(reg *Registry) {
@@ -21,8 +22,8 @@ func registerRing(reg *Registry) {
 // own tool daemon attached, and only then runs; rank 0 starts first
 // and the remaining ranks are held until rank 0's tool is in control.
 func TestMPIUniverseWithToolDaemon(t *testing.T) {
-	rec := trace.New()
-	pool := newTestPool(t, 3, rec)
+	tr := telemetry.NewTracer("test")
+	pool := newTestPool(t, 3, tr)
 	registerRing(pool.Registry())
 	registerTestTool(pool.Registry(), "testtool")
 
@@ -49,7 +50,7 @@ queue
 	}
 
 	// Rank 0 was activated before the tool-ready gate; ranks 1, 2 after.
-	if err := rec.CheckOrder(
+	if err := testkit.StepsOf(t, tr).CheckOrder(
 		"shadow:activate",         // rank 0
 		"shadow:rank0_tool_ready", // gate
 		"shadow:activate",         // rank 1

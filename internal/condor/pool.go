@@ -6,14 +6,15 @@ import (
 	"sync"
 	"time"
 
-	"tdp/internal/trace"
+	"tdp/internal/telemetry"
 )
 
 // PoolOptions configure NewPool.
 type PoolOptions struct {
-	// Trace receives the pool's protocol steps (Figure 4 assertions);
-	// nil disables recording.
-	Trace *trace.Recorder
+	// Tracer records the pool's protocol steps (Figure 4 assertions),
+	// and every starter's and tool's tdp_* calls; nil disables
+	// recording.
+	Tracer *telemetry.Tracer
 	// NegotiationTimeout bounds how long a shadow waits for a machine.
 	// Zero means 10 seconds.
 	NegotiationTimeout time.Duration
@@ -29,7 +30,7 @@ type PoolOptions struct {
 // condor_master-style daemon supervision; the faults package injects
 // and detects failures underneath it.
 type Pool struct {
-	rec                *trace.Recorder
+	tracer             *telemetry.Tracer
 	mm                 *Matchmaker
 	registry           *Registry
 	schedd             *Schedd
@@ -53,8 +54,8 @@ func NewPool(opts PoolOptions) *Pool {
 		opts.JobTimeout = 60 * time.Second
 	}
 	p := &Pool{
-		rec:                opts.Trace,
-		mm:                 NewMatchmaker(opts.Trace),
+		tracer:             opts.Tracer,
+		mm:                 NewMatchmaker(opts.Tracer),
 		registry:           NewRegistry(),
 		submitFiles:        NewFileStore(),
 		negotiationTimeout: opts.NegotiationTimeout,
@@ -79,9 +80,6 @@ func (p *Pool) Schedd() *Schedd { return p.schedd }
 // files live and output files land).
 func (p *Pool) SubmitFiles() *FileStore { return p.submitFiles }
 
-// Trace returns the pool's protocol recorder (may be nil).
-func (p *Pool) Trace() *trace.Recorder { return p.rec }
-
 // AddMachine boots an execute machine, creates its startd, and
 // advertises it to the matchmaker.
 func (p *Pool) AddMachine(cfg MachineConfig) (*Machine, error) {
@@ -89,7 +87,7 @@ func (p *Pool) AddMachine(cfg MachineConfig) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	sd := NewStartd(m, p.registry, p.rec)
+	sd := NewStartd(m, p.registry, p.tracer)
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()

@@ -10,14 +10,15 @@ import (
 
 	"tdp"
 	"tdp/internal/procsim"
-	"tdp/internal/trace"
+	"tdp/internal/telemetry"
+	"tdp/internal/testkit"
 )
 
 // newTestPool builds a pool with n standard execute machines and the
 // default program set registered.
-func newTestPool(t *testing.T, n int, rec *trace.Recorder) *Pool {
+func newTestPool(t *testing.T, n int, tr *telemetry.Tracer) *Pool {
 	t.Helper()
-	pool := NewPool(PoolOptions{Trace: rec, NegotiationTimeout: 2 * time.Second, JobTimeout: 30 * time.Second})
+	pool := NewPool(PoolOptions{Tracer: tr, NegotiationTimeout: 2 * time.Second, JobTimeout: 30 * time.Second})
 	t.Cleanup(pool.Close)
 	for i := 0; i < n; i++ {
 		_, err := pool.AddMachine(MachineConfig{
@@ -60,7 +61,7 @@ func registerTestTool(reg *Registry, name string) {
 				Dial:     env.Dial,
 				Kernel:   env.Kernel,
 				Identity: name,
-				Trace:    env.Trace,
+				Tracer:   env.Tracer,
 			})
 			if err != nil {
 				fmt.Fprintf(pc.Stderr(), "tool init: %v\n", err)
@@ -297,8 +298,8 @@ func TestActivateWithoutClaimFails(t *testing.T) {
 // paper's Figure 4: submit → matchmaker negotiation → claim → shadow →
 // starter → job → status return.
 func TestFigure4CondorFlow(t *testing.T) {
-	rec := trace.New()
-	pool := newTestPool(t, 1, rec)
+	tr := telemetry.NewTracer("test")
+	pool := newTestPool(t, 1, tr)
 	jobs, err := pool.Submit("executable = exit7\nqueue\n")
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
@@ -306,7 +307,7 @@ func TestFigure4CondorFlow(t *testing.T) {
 	if _, err := jobs[0].WaitExit(10 * time.Second); err != nil {
 		t.Fatalf("WaitExit: %v", err)
 	}
-	if err := rec.CheckOrder(
+	if err := testkit.StepsOf(t, tr).CheckOrder(
 		"schedd:submit",
 		"schedd:spawn_shadow",
 		"matchmaker:negotiate",
@@ -320,7 +321,7 @@ func TestFigure4CondorFlow(t *testing.T) {
 		t.Error(err)
 	}
 	// The machine is advertised before any job arrives.
-	if !rec.Before("matchmaker", "advertise_machine", "schedd", "submit") {
+	if !testkit.StepsOf(t, tr).Before("matchmaker:advertise_machine", "schedd:submit") {
 		t.Error("machine advertisement did not precede submission")
 	}
 }
@@ -335,8 +336,8 @@ func TestFigure4CondorFlow(t *testing.T) {
 // Whether the tool's tdp_init comes before or after the starter's put
 // is a race between two processes, and says nothing.
 func TestFigure6LaunchSteps(t *testing.T) {
-	rec := trace.New()
-	pool := newTestPool(t, 1, rec)
+	tr := telemetry.NewTracer("test")
+	pool := newTestPool(t, 1, tr)
 	registerTestTool(pool.Registry(), "testtool")
 	pool.SubmitFiles().Write("infile", []byte(""))
 	pool.SubmitFiles().Write("testtool", []byte("binary"))
@@ -368,15 +369,15 @@ func TestFigure6LaunchSteps(t *testing.T) {
 		{"testtool:tdp_init", "testtool:tdp_get", "testtool:tdp_attach", "testtool:tdp_continue_process"},
 		{"starter:tdp_put", "testtool:tdp_attach", "testtool:tdp_continue_process", "starter:job_exit"},
 	} {
-		if err := rec.CheckOrder(chain...); err != nil {
+		if err := testkit.StepsOf(t, tr).CheckOrder(chain...); err != nil {
 			t.Error(err)
 		}
 	}
 
 	// The AP must have been created paused (SuspendJobAtExec).
 	found := false
-	for _, e := range rec.ByActor("starter") {
-		if e.Action == "tdp_create_process" && e.Detail == "foo,paused" {
+	for _, sp := range tr.Spans() {
+		if sp.Actor == "starter" && sp.Name == "tdp_create_process" && sp.Fields["detail"] == "foo,paused" {
 			found = true
 		}
 	}
@@ -523,8 +524,8 @@ func TestPoolDuplicateMachine(t *testing.T) {
 }
 
 func TestMatchmakerStats(t *testing.T) {
-	rec := trace.New()
-	pool := newTestPool(t, 1, rec)
+	tr := telemetry.NewTracer("test")
+	pool := newTestPool(t, 1, tr)
 	jobs, _ := pool.Submit("executable = exit7\nqueue\n")
 	jobs[0].WaitExit(10 * time.Second)
 	matches, _ := pool.Matchmaker().Stats()

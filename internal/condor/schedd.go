@@ -36,12 +36,6 @@ func newSchedd(name string, pool *Pool) *Schedd {
 // Name returns the schedd's identity in the claiming protocol.
 func (s *Schedd) Name() string { return s.name }
 
-func (s *Schedd) record(action, detail string) {
-	if s.pool.rec != nil {
-		s.pool.rec.Record("schedd", action, detail)
-	}
-}
-
 // Submit queues the jobs described by the submit file (one per queue
 // statement) and starts working on each. It returns the queued jobs.
 func (s *Schedd) Submit(sf *SubmitFile) ([]*Job, error) {
@@ -65,7 +59,7 @@ func (s *Schedd) Submit(sf *SubmitFile) ([]*Job, error) {
 	}
 	s.mu.Unlock()
 	for _, j := range out {
-		s.record("submit", fmt.Sprintf("job=%d cmd=%s universe=%s", j.ID, sf.Executable, sf.Universe))
+		s.pool.tracer.Step("schedd", "submit", fmt.Sprintf("job=%d cmd=%s universe=%s", j.ID, sf.Executable, sf.Universe))
 		go s.runJob(j)
 	}
 	return out, nil
@@ -83,10 +77,9 @@ func (s *Schedd) Jobs() []*Job {
 // runJob is the shadow-spawning path for one job.
 func (s *Schedd) runJob(j *Job) {
 	sh := &shadow{schedd: s, job: j}
-	s.record("spawn_shadow", fmt.Sprintf("job=%d", j.ID))
-	if s.pool.rec != nil {
-		s.pool.rec.Record("shadow", "start", fmt.Sprintf("job=%d", j.ID))
-	}
+	job := fmt.Sprintf("job=%d", j.ID)
+	s.pool.tracer.Step("schedd", "spawn_shadow", job)
+	s.pool.tracer.Step("shadow", "start", job)
 	if j.Submit.Universe == UniverseMPI {
 		sh.runMPI()
 	} else {
@@ -122,12 +115,6 @@ func (s *Schedd) retire(j *Job) {
 type shadow struct {
 	schedd *Schedd
 	job    *Job
-}
-
-func (sh *shadow) record(action, detail string) {
-	if sh.schedd.pool.rec != nil {
-		sh.schedd.pool.rec.Record("shadow", action, detail)
-	}
 }
 
 // negotiateAndClaim obtains a claimed machine for the job, retrying
@@ -189,7 +176,7 @@ func (sh *shadow) runVanilla() {
 			Timeout:     pool.jobTimeout,
 			RestartData: restartData,
 		}
-		sh.record("activate", fmt.Sprintf("job=%d machine=%s", j.ID, machine))
+		sh.schedd.pool.tracer.Step("shadow", "activate", fmt.Sprintf("job=%d machine=%s", j.ID, machine))
 		if _, err := sd.Activate(req); err != nil {
 			sd.ReleaseClaim(sh.schedd.name)
 			pool.mm.Release(machine)
@@ -210,7 +197,7 @@ func (sh *shadow) runVanilla() {
 			j.mu.Lock()
 			j.restarts++
 			j.mu.Unlock()
-			sh.record("migrate", fmt.Sprintf("job=%d from=%s checkpoint=%q", j.ID, machine, restartData))
+			sh.schedd.pool.tracer.Step("shadow", "migrate", fmt.Sprintf("job=%d from=%s checkpoint=%q", j.ID, machine, restartData))
 			j.setStatus(StatusIdle)
 			continue
 		}
@@ -223,7 +210,7 @@ func (sh *shadow) finishVanilla(r StarterReport) {
 	j := sh.job
 	pool := sh.schedd.pool
 	if r.Err != nil {
-		sh.record("final_status", fmt.Sprintf("job=%d err=%v", j.ID, r.Err))
+		sh.schedd.pool.tracer.Step("shadow", "final_status", fmt.Sprintf("job=%d err=%v", j.ID, r.Err))
 		j.hold(r.Err.Error())
 		return
 	}
@@ -236,7 +223,7 @@ func (sh *shadow) finishVanilla(r StarterReport) {
 	if out := j.Submit.Output; out != "" {
 		pool.submitFiles.Write(out, []byte(j.Output()))
 	}
-	sh.record("final_status", fmt.Sprintf("job=%d %s", j.ID, r.Exit))
+	sh.schedd.pool.tracer.Step("shadow", "final_status", fmt.Sprintf("job=%d %s", j.ID, r.Exit))
 	j.setStatus(StatusCompleted)
 }
 
@@ -314,7 +301,7 @@ func (sh *shadow) runMPI() {
 	if j.Submit.ToolDaemon != nil {
 		ready = make(chan struct{}, 1)
 	}
-	sh.record("activate", fmt.Sprintf("job=%d rank=0 machine=%s", j.ID, names[0]))
+	sh.schedd.pool.tracer.Step("shadow", "activate", fmt.Sprintf("job=%d rank=0 machine=%s", j.ID, names[0]))
 	if _, err := startds[0].Activate(makeReq(0, ready)); err != nil {
 		release()
 		j.hold(err.Error())
@@ -326,7 +313,7 @@ func (sh *shadow) runMPI() {
 		// Hold ranks 1..N-1 until rank 0's tool reports control.
 		select {
 		case <-ready:
-			sh.record("rank0_tool_ready", fmt.Sprintf("job=%d", j.ID))
+			sh.schedd.pool.tracer.Step("shadow", "rank0_tool_ready", fmt.Sprintf("job=%d", j.ID))
 		case <-time.After(30 * time.Second):
 			release()
 			j.hold("condor: rank 0 tool never became ready")
@@ -334,7 +321,7 @@ func (sh *shadow) runMPI() {
 		}
 	}
 	for rank := 1; rank < n; rank++ {
-		sh.record("activate", fmt.Sprintf("job=%d rank=%d machine=%s", j.ID, rank, names[rank]))
+		sh.schedd.pool.tracer.Step("shadow", "activate", fmt.Sprintf("job=%d rank=%d machine=%s", j.ID, rank, names[rank]))
 		if _, err := startds[rank].Activate(makeReq(rank, nil)); err != nil {
 			release()
 			j.hold(err.Error())
@@ -370,7 +357,7 @@ func (sh *shadow) runMPI() {
 	if out := j.Submit.Output; out != "" {
 		pool.submitFiles.Write(out, []byte(j.Output()))
 	}
-	sh.record("final_status", fmt.Sprintf("job=%d ranks=%d %s", j.ID, n, rank0.Exit))
+	sh.schedd.pool.tracer.Step("shadow", "final_status", fmt.Sprintf("job=%d ranks=%d %s", j.ID, n, rank0.Exit))
 	j.setStatus(StatusCompleted)
 }
 

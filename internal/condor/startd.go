@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"sync"
 
-	"tdp/internal/trace"
+	"tdp/internal/telemetry"
 )
 
 // Startd represents one machine's availability in the pool (§4.1:
@@ -14,7 +14,7 @@ import (
 type Startd struct {
 	machine  *Machine
 	registry *Registry
-	rec      *trace.Recorder
+	tracer   *telemetry.Tracer
 
 	mu        sync.Mutex
 	claimedBy string
@@ -23,14 +23,8 @@ type Startd struct {
 }
 
 // NewStartd returns a startd for the machine.
-func NewStartd(machine *Machine, registry *Registry, rec *trace.Recorder) *Startd {
-	return &Startd{machine: machine, registry: registry, rec: rec, starters: make(map[int][]*Starter)}
-}
-
-func (sd *Startd) record(action, detail string) {
-	if sd.rec != nil {
-		sd.rec.Record("startd", action, detail)
-	}
+func NewStartd(machine *Machine, registry *Registry, tracer *telemetry.Tracer) *Startd {
+	return &Startd{machine: machine, registry: registry, tracer: tracer, starters: make(map[int][]*Starter)}
 }
 
 // Machine returns the startd's machine.
@@ -44,11 +38,11 @@ func (sd *Startd) RequestClaim(scheddName string) error {
 	sd.mu.Lock()
 	defer sd.mu.Unlock()
 	if sd.claimedBy != "" && sd.claimedBy != scheddName {
-		sd.record("claim_refused", sd.machine.Name()+" held by "+sd.claimedBy)
+		sd.tracer.Step("startd", "claim_refused", sd.machine.Name()+" held by "+sd.claimedBy)
 		return fmt.Errorf("condor: machine %s already claimed by %s", sd.machine.Name(), sd.claimedBy)
 	}
 	sd.claimedBy = scheddName
-	sd.record("claim_accepted", sd.machine.Name()+" by "+scheddName)
+	sd.tracer.Step("startd", "claim_accepted", sd.machine.Name()+" by "+scheddName)
 	return nil
 }
 
@@ -58,7 +52,7 @@ func (sd *Startd) ReleaseClaim(scheddName string) {
 	defer sd.mu.Unlock()
 	if sd.claimedBy == scheddName {
 		sd.claimedBy = ""
-		sd.record("claim_released", sd.machine.Name())
+		sd.tracer.Step("startd", "claim_released", sd.machine.Name())
 	}
 }
 
@@ -82,7 +76,7 @@ func (sd *Startd) Activate(req *ActivationRequest) (*Starter, error) {
 	st := newStarter(sd, req)
 	sd.starters[req.JobID] = append(sd.starters[req.JobID], st)
 	sd.mu.Unlock()
-	sd.record("spawn_starter", fmt.Sprintf("job=%d machine=%s", req.JobID, sd.machine.Name()))
+	sd.tracer.Step("startd", "spawn_starter", fmt.Sprintf("job=%d machine=%s", req.JobID, sd.machine.Name()))
 	go st.run()
 	return st, nil
 }

@@ -87,7 +87,7 @@ func (st *Starter) Vacate() error {
 	if ap == nil {
 		return fmt.Errorf("condor: job %d not running here", st.req.JobID)
 	}
-	st.record("vacate", fmt.Sprintf("job=%d", st.req.JobID))
+	st.sd.tracer.Step("starter", "vacate", fmt.Sprintf("job=%d", st.req.JobID))
 	return ap.Kill("SIGVACATE")
 }
 
@@ -108,7 +108,7 @@ func (st *Starter) Suspend() error {
 	if ap == nil {
 		return fmt.Errorf("condor: job %d not running here", st.req.JobID)
 	}
-	st.record("suspend", fmt.Sprintf("job=%d", st.req.JobID))
+	st.sd.tracer.Step("starter", "suspend", fmt.Sprintf("job=%d", st.req.JobID))
 	return ap.Stop()
 }
 
@@ -120,18 +120,12 @@ func (st *Starter) Resume() error {
 	if ap == nil {
 		return fmt.Errorf("condor: job %d not running here", st.req.JobID)
 	}
-	st.record("resume", fmt.Sprintf("job=%d", st.req.JobID))
+	st.sd.tracer.Step("starter", "resume", fmt.Sprintf("job=%d", st.req.JobID))
 	return ap.Continue()
 }
 
 func newStarter(sd *Startd, req *ActivationRequest) *Starter {
 	return &Starter{sd: sd, req: req}
-}
-
-func (st *Starter) record(action, detail string) {
-	if st.sd.rec != nil {
-		st.sd.rec.Record("starter", action, detail)
-	}
 }
 
 // run executes the job and reports. It is the starter's main line.
@@ -155,7 +149,7 @@ func (st *Starter) execute() StarterReport {
 		if !req.SubmitFiles.CopyTo(machine.Files(), f) {
 			return StarterReport{Err: fmt.Errorf("condor: transfer_input_files: %q not found on submit machine", f)}
 		}
-		st.record("transfer_input", f)
+		st.sd.tracer.Step("starter", "transfer_input", f)
 	}
 
 	// Resolve the executable on this machine.
@@ -210,7 +204,7 @@ func (st *Starter) runPlain(spec tdp.ProcessSpec) StarterReport {
 		Dial:     machine.Dial(),
 		Kernel:   machine.Kernel(),
 		Identity: "starter",
-		Trace:    st.sd.rec,
+		Tracer:   st.sd.tracer,
 	})
 	if err != nil {
 		return StarterReport{Err: err}
@@ -229,13 +223,13 @@ func (st *Starter) runPlain(spec tdp.ProcessSpec) StarterReport {
 	}
 	defer st.reap(ap)
 	st.setAP(ap)
-	st.record("spawn_job", spec.Executable)
+	st.sd.tracer.Step("starter", "spawn_job", spec.Executable)
 	telemetry.Default().Counter("condor.jobs.started").Inc()
 	exit, err := st.waitProcess(ap)
 	if err != nil {
 		return StarterReport{Err: err}
 	}
-	st.record("job_exit", exit.String())
+	st.sd.tracer.Step("starter", "job_exit", exit.String())
 	ck, hasCk := ap.CheckpointData()
 	return StarterReport{Exit: exit, Checkpoint: ck, HasCheckpoint: hasCk}
 }
@@ -266,7 +260,7 @@ func (st *Starter) runWithTool(spec tdp.ProcessSpec) StarterReport {
 		Dial:     machine.Dial(),
 		Kernel:   machine.Kernel(),
 		Identity: "starter",
-		Trace:    st.sd.rec,
+		Tracer:   st.sd.tracer,
 	})
 	if err != nil {
 		return StarterReport{Err: err}
@@ -283,7 +277,7 @@ func (st *Starter) runWithTool(spec tdp.ProcessSpec) StarterReport {
 	}
 	defer st.reap(ap)
 	st.setAP(ap)
-	st.record("spawn_job", spec.Executable+","+mode.String())
+	st.sd.tracer.Step("starter", "spawn_job", spec.Executable+","+mode.String())
 	telemetry.Default().Counter("condor.jobs.started").Inc()
 
 	// The RM owns status monitoring (§2.3): publish process state
@@ -316,7 +310,7 @@ func (st *Starter) runWithTool(spec tdp.ProcessSpec) StarterReport {
 		env := ToolEnv{
 			Machine: machine.Name(), Kernel: machine.Kernel(),
 			LASSAddr: machine.LASSAddr(), Dial: machine.Dial(),
-			Context: req.Context, Rank: req.Rank, Trace: st.sd.rec,
+			Context: req.Context, Rank: req.Rank, Tracer: st.sd.tracer,
 			NetListen: machine.Listen,
 		}
 		auxAddr, shutdown, err := auxFactory(env, as.Args, frontendAddr)
@@ -325,7 +319,7 @@ func (st *Starter) runWithTool(spec tdp.ProcessSpec) StarterReport {
 			return StarterReport{Err: fmt.Errorf("condor: launch aux service: %w", err)}
 		}
 		defer shutdown()
-		st.record("spawn_aux", as.Cmd+"@"+auxAddr)
+		st.sd.tracer.Step("starter", "spawn_aux", as.Cmd+"@"+auxAddr)
 		frontendAddr = auxAddr
 	}
 
@@ -356,7 +350,7 @@ func (st *Starter) runWithTool(spec tdp.ProcessSpec) StarterReport {
 		Dial:     machine.Dial(),
 		Context:  req.Context,
 		Rank:     req.Rank,
-		Trace:    st.sd.rec,
+		Tracer:   st.sd.tracer,
 	}
 	// The tool's arguments pass through verbatim, including the paper's
 	// "-a%pid" marker: it shows "which information the starter should
@@ -376,7 +370,7 @@ func (st *Starter) runWithTool(spec tdp.ProcessSpec) StarterReport {
 		return StarterReport{Err: fmt.Errorf("condor: launch tool daemon: %w", err)}
 	}
 	defer st.reap(rt)
-	st.record("spawn_tool", td.Cmd)
+	st.sd.tracer.Step("starter", "spawn_tool", td.Cmd)
 	telemetry.Default().Counter("condor.tools.launched").Inc()
 
 	// Step 3 (starter half): publish the application pid. The tool is
@@ -394,7 +388,7 @@ func (st *Starter) runWithTool(spec tdp.ProcessSpec) StarterReport {
 		rt.Kill("")
 		return StarterReport{Err: err}
 	}
-	st.record("job_exit", exit.String())
+	st.sd.tracer.Step("starter", "job_exit", exit.String())
 
 	// Give the tool a grace period to wind down, then reap it.
 	st.reapTool(rt)
@@ -403,7 +397,7 @@ func (st *Starter) runWithTool(spec tdp.ProcessSpec) StarterReport {
 	// (+ToolDaemonOutput / +ToolDaemonError).
 	if td.Output != "" {
 		req.SubmitFiles.Write(td.Output, toolOut.Bytes())
-		st.record("transfer_tool_output", td.Output)
+		st.sd.tracer.Step("starter", "transfer_tool_output", td.Output)
 	}
 	if td.Error != "" {
 		req.SubmitFiles.Write(td.Error, toolErr.Bytes())

@@ -9,8 +9,9 @@
 //
 // Processes execute on the procsim kernel of each simulated machine;
 // attribute spaces are real LASS servers; the pool's control plane is
-// in-process message passing whose protocol steps are recorded in a
-// trace so Figure 4's daemon interactions can be asserted.
+// in-process message passing whose protocol steps are recorded as
+// telemetry.Tracer steps so Figure 4's daemon interactions can be
+// asserted.
 package condor
 
 import (

@@ -2,6 +2,7 @@ package mrnet
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -9,7 +10,8 @@ import (
 	"tdp/internal/condor"
 	"tdp/internal/paradyn"
 	"tdp/internal/procsim"
-	"tdp/internal/trace"
+	"tdp/internal/telemetry"
+	"tdp/internal/testkit"
 )
 
 // TestAuxServiceLaunchedByRM is the §2 auxiliary-service experiment:
@@ -18,10 +20,10 @@ import (
 // service transparently (it just reads AttrFrontendAddr); the
 // front-end sees the aggregate.
 func TestAuxServiceLaunchedByRM(t *testing.T) {
-	rec := trace.New()
+	tr := telemetry.NewTracer("test")
 	fe := newFE(t)
 
-	pool := condor.NewPool(condor.PoolOptions{Trace: rec, NegotiationTimeout: 5 * time.Second})
+	pool := condor.NewPool(condor.PoolOptions{Tracer: tr, NegotiationTimeout: 5 * time.Second})
 	t.Cleanup(pool.Close)
 	if _, err := pool.AddMachine(condor.MachineConfig{
 		Name: "node1", Arch: "INTEL", OpSys: "LINUX", Memory: 128,
@@ -72,10 +74,10 @@ queue
 		t.Errorf("bottleneck through the aux service = %q, %v", fn, ok)
 	}
 	// The RM launched the service (trace evidence).
-	if !rec.Happened("starter", "spawn_aux") {
+	if !slices.Contains(testkit.StepsOf(t, tr), "starter:spawn_aux") {
 		t.Error("starter never recorded spawn_aux")
 	}
-	if !rec.Before("starter", "spawn_aux", "starter", "spawn_tool") {
+	if !testkit.StepsOf(t, tr).Before("starter:spawn_aux", "starter:spawn_tool") {
 		t.Error("aux service was not up before the tool launched")
 	}
 }

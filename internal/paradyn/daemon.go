@@ -104,7 +104,7 @@ func runDaemon(env condor.ToolEnv, args []string, pc *procsim.ProcContext) int {
 		Dial:     env.Dial,
 		Kernel:   env.Kernel,
 		Identity: "paradynd",
-		Trace:    env.Trace,
+		Tracer:   env.Tracer,
 	})
 	if err != nil {
 		return fail("tdp_init", err)
@@ -137,8 +137,8 @@ func runDaemon(env condor.ToolEnv, args []string, pc *procsim.ProcContext) int {
 	for _, sym := range proc.Symbols() {
 		sym := sym
 		if _, err := proc.InsertProbe(sym,
-			func(*procsim.ProcContext) { metrics.OnEntry(sym) },
-			func(*procsim.ProcContext) { metrics.OnExit(sym) }); err != nil {
+			func(pc *procsim.ProcContext) { metrics.OnEntry(sym, pc.CPUMicros()) },
+			func(pc *procsim.ProcContext) { metrics.OnExit(sym, pc.CPUMicros()) }); err != nil {
 			return fail("instrument "+sym, err)
 		}
 	}

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"tdp/internal/telemetry"
-	"tdp/internal/trace"
 	"tdp/internal/wire"
 )
 
@@ -51,8 +50,8 @@ type FrontEndConfig struct {
 	// registration — the scripted equivalent of the user pressing RUN
 	// in the UI. When false, call Run or RunAll explicitly.
 	AutoRun bool
-	// Trace records protocol steps (optional).
-	Trace *trace.Recorder
+	// Tracer records protocol steps (optional).
+	Tracer *telemetry.Tracer
 }
 
 type daemonState struct {
@@ -95,12 +94,6 @@ func NewFrontEnd(cfg FrontEndConfig) (*FrontEnd, error) {
 	}
 	go fe.serve()
 	return fe, nil
-}
-
-func (fe *FrontEnd) record(action, detail string) {
-	if fe.cfg.Trace != nil {
-		fe.cfg.Trace.Record("paradyn-fe", action, detail)
-	}
 }
 
 // Addr returns the address daemons should dial (directly or via proxy).
@@ -159,7 +152,7 @@ func (fe *FrontEnd) handle(c net.Conn) {
 	fe.daemons[name] = ds
 	autoRun := fe.cfg.AutoRun
 	fe.mu.Unlock()
-	fe.record("register", name+" pid="+reg.Get("pid"))
+	fe.cfg.Tracer.Step("paradyn-fe", "register", name+" pid="+reg.Get("pid"))
 	telemetry.Default().Counter("paradyn.daemons.registered").Inc()
 	select {
 	case fe.regCh <- name:
@@ -203,7 +196,7 @@ func (fe *FrontEnd) handle(c net.Conn) {
 			ds.done = true
 			ds.exitStatus = m.Get("status")
 			fe.mu.Unlock()
-			fe.record("daemon_done", name+" "+m.Get("status"))
+			fe.cfg.Tracer.Step("paradyn-fe", "daemon_done", name+" "+m.Get("status"))
 		}
 	}
 }
@@ -216,7 +209,7 @@ func (fe *FrontEnd) runDaemon(ds *daemonState) {
 	if already {
 		return
 	}
-	fe.record("run", ds.name)
+	fe.cfg.Tracer.Step("paradyn-fe", "run", ds.name)
 	ds.conn.Send(wire.NewMessage("RUN"))
 }
 

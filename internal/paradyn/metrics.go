@@ -19,7 +19,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 )
 
 // FuncStats is the instrumentation record for one function.
@@ -30,24 +29,25 @@ type FuncStats struct {
 
 // Metrics accumulates per-function statistics inside a daemon. Probe
 // callbacks run on the application's goroutine; the daemon samples
-// from its own, so access is locked.
+// from its own, so access is locked. Time is the application's
+// simulated CPU time (procsim.ProcContext.CPUMicros), which the probes
+// pass in, so a profile does not move with the host's load.
 type Metrics struct {
 	mu      sync.Mutex
 	stats   map[string]*FuncStats
-	entries map[string]time.Time // entry timestamps for inclusive timing
+	entries map[string]int64 // entry CPU times (µs) for inclusive timing
 }
 
 // NewMetrics returns an empty metric store.
 func NewMetrics() *Metrics {
 	return &Metrics{
 		stats:   make(map[string]*FuncStats),
-		entries: make(map[string]time.Time),
+		entries: make(map[string]int64),
 	}
 }
 
-// OnEntry records a function entry.
-func (m *Metrics) OnEntry(fn string) {
-	now := time.Now()
+// OnEntry records a function entry at the given CPU time (µs).
+func (m *Metrics) OnEntry(fn string, now int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	s := m.stats[fn]
@@ -59,15 +59,15 @@ func (m *Metrics) OnEntry(fn string) {
 	m.entries[fn] = now
 }
 
-// OnExit records a function exit, accumulating inclusive time.
-func (m *Metrics) OnExit(fn string) {
-	now := time.Now()
+// OnExit records a function exit at the given CPU time (µs),
+// accumulating inclusive time.
+func (m *Metrics) OnExit(fn string, now int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if t0, ok := m.entries[fn]; ok {
 		delete(m.entries, fn)
 		if s := m.stats[fn]; s != nil {
-			s.TimeMicros += now.Sub(t0).Microseconds()
+			s.TimeMicros += now - t0
 		}
 	}
 }

@@ -9,7 +9,8 @@ import (
 	"tdp"
 	"tdp/internal/condor"
 	"tdp/internal/procsim"
-	"tdp/internal/trace"
+	"tdp/internal/telemetry"
+	"tdp/internal/testkit"
 	"tdp/internal/wire"
 )
 
@@ -54,20 +55,19 @@ func TestParseDaemonArgsAttachMode(t *testing.T) {
 
 func TestMetricsAccumulate(t *testing.T) {
 	m := NewMetrics()
-	m.OnEntry("f")
-	time.Sleep(2 * time.Millisecond)
-	m.OnExit("f")
-	m.OnEntry("f")
-	m.OnExit("f")
+	m.OnEntry("f", 100)
+	m.OnExit("f", 2100)
+	m.OnEntry("f", 2100)
+	m.OnExit("f", 2150)
 	s := m.Snapshot()["f"]
 	if s.Calls != 2 {
 		t.Errorf("Calls = %d", s.Calls)
 	}
-	if s.TimeMicros < 1000 {
-		t.Errorf("TimeMicros = %d, want >= 1000", s.TimeMicros)
+	if s.TimeMicros != 2050 {
+		t.Errorf("TimeMicros = %d, want 2050", s.TimeMicros)
 	}
 	// Exit without entry is harmless.
-	m.OnExit("ghost")
+	m.OnExit("ghost", 3000)
 	if _, ok := m.Snapshot()["ghost"]; ok {
 		t.Error("exit-without-entry created stats")
 	}
@@ -228,9 +228,9 @@ func TestFrontEndWaitTimeouts(t *testing.T) {
 
 // newParadorPool builds a pool with paradyn registered — the Parador
 // configuration of §4.3.
-func newParadorPool(t *testing.T, machines int, rec *trace.Recorder) *condor.Pool {
+func newParadorPool(t *testing.T, machines int, tr *telemetry.Tracer) *condor.Pool {
 	t.Helper()
-	pool := condor.NewPool(condor.PoolOptions{Trace: rec, NegotiationTimeout: 2 * time.Second})
+	pool := condor.NewPool(condor.PoolOptions{Tracer: tr, NegotiationTimeout: 2 * time.Second})
 	t.Cleanup(pool.Close)
 	for i := 0; i < machines; i++ {
 		name := "node" + string(rune('1'+i))
@@ -253,8 +253,8 @@ func TestParadorVanillaEndToEnd(t *testing.T) {
 	// publishes its ports; Condor runs the job with paradynd attached
 	// via TDP; the front-end collects a profile and finds the planted
 	// bottleneck.
-	rec := trace.New()
-	pool := newParadorPool(t, 1, rec)
+	tr := telemetry.NewTracer("test")
+	pool := newParadorPool(t, 1, tr)
 	fe := newFE(t, true)
 
 	host, port, _ := net.SplitHostPort(fe.Addr())
@@ -326,7 +326,7 @@ queue
 		{"paradynd:tdp_init", "paradynd:tdp_get", "paradynd:tdp_attach", "paradynd:tdp_continue_process"},
 		{"starter:tdp_put", "paradynd:tdp_attach", "paradynd:tdp_continue_process", "starter:job_exit"},
 	} {
-		if err := rec.CheckOrder(chain...); err != nil {
+		if err := testkit.StepsOf(t, tr).CheckOrder(chain...); err != nil {
 			t.Error(err)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"io"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -33,6 +34,8 @@ type Process struct {
 	checkpoint    string // latest program-saved checkpoint
 	hasCheckpoint bool
 	progress      uint64 // safe-point counter, for liveness detection
+
+	cpu atomic.Int64 // simulated CPU time in µs: Compute adds one per unit
 
 	probes  map[string][]*probeEntry
 	probeID int
@@ -550,13 +553,21 @@ func (c *ProcContext) Call(name string, body func()) {
 }
 
 // Compute burns CPU for roughly units microseconds of simulated work,
-// checkpointing between slices so stops remain responsive.
+// checkpointing between slices so stops remain responsive, and charges
+// the process one µs of simulated CPU time per unit (CPUMicros).
 func (c *ProcContext) Compute(units int) {
 	for i := 0; i < units; i++ {
 		c.Checkpoint()
 		spin(time.Microsecond)
+		c.proc.cpu.Add(1)
 	}
 }
+
+// CPUMicros returns the process's simulated CPU time: the units of
+// Compute it has run, whatever the host's scheduler did meanwhile. A
+// profile taken from it (Paradyn's probes) measures the program, not
+// the load on the machine it runs on.
+func (c *ProcContext) CPUMicros() int64 { return c.proc.cpu.Load() }
 
 // spin waits out d by the wall clock while yielding to the scheduler,
 // so simulated compute measures real elapsed time without starving

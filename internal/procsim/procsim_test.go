@@ -37,6 +37,28 @@ func TestSpawnRunExit(t *testing.T) {
 	}
 }
 
+// TestComputeChargesCPUTime: a process's simulated CPU time is exactly
+// the units of Compute it ran, so a profile built on it is the same on
+// a busy host as on an idle one.
+func TestComputeChargesCPUTime(t *testing.T) {
+	k := NewKernel()
+	var before, after int64
+	p := spawnT(t, k, Spec{Executable: "cpu", Program: ProgramFunc(func(ctx *ProcContext) int {
+		ctx.Compute(3)
+		before = ctx.CPUMicros()
+		ctx.Sleep(time.Millisecond) // wall time, not CPU time
+		ctx.Compute(40)
+		after = ctx.CPUMicros()
+		return 0
+	})}, false)
+	if _, err := p.WaitParent(); err != nil {
+		t.Fatalf("WaitParent: %v", err)
+	}
+	if before != 3 || after != 43 {
+		t.Errorf("CPUMicros = %d then %d, want 3 then 43", before, after)
+	}
+}
+
 func TestSpawnPausedStaysCreated(t *testing.T) {
 	k := NewKernel()
 	p := spawnT(t, k, exitSpec(0), true)

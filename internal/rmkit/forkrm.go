@@ -6,7 +6,7 @@ import (
 	"sync/atomic"
 
 	"tdp/internal/procsim"
-	"tdp/internal/trace"
+	"tdp/internal/telemetry"
 )
 
 // ForkRM is the simplest possible resource manager: it runs each job
@@ -15,21 +15,21 @@ import (
 // show that even a trivial RM hosts every TDP tool once it calls
 // Launch.
 type ForkRM struct {
-	host *Host
-	rec  *trace.Recorder
-	jobs atomic.Int64
+	host   *Host
+	tracer *telemetry.Tracer
+	jobs   atomic.Int64
 
 	mu     sync.Mutex
 	closed bool
 }
 
 // NewForkRM boots a fork RM with its own host.
-func NewForkRM(rec *trace.Recorder) (*ForkRM, error) {
+func NewForkRM(tracer *telemetry.Tracer) (*ForkRM, error) {
 	host, err := NewHost("forkrm-host")
 	if err != nil {
 		return nil, err
 	}
-	return &ForkRM{host: host, rec: rec}, nil
+	return &ForkRM{host: host, tracer: tracer}, nil
 }
 
 // Host returns the RM's execution host.
@@ -44,10 +44,8 @@ func (rm *ForkRM) Run(spec JobSpec) (procsim.ExitStatus, error) {
 	}
 	rm.mu.Unlock()
 	id := rm.jobs.Add(1)
-	if rm.rec != nil {
-		rm.rec.Record("forkrm", "run", spec.Name)
-	}
-	return Launch(rm.host, fmt.Sprintf("forkjob-%d", id), spec, rm.rec, "forkrm")
+	rm.tracer.Step("forkrm", "run", spec.Name)
+	return Launch(rm.host, fmt.Sprintf("forkjob-%d", id), spec, rm.tracer, "forkrm")
 }
 
 // Jobs reports how many jobs have been started.

@@ -15,8 +15,8 @@ import (
 	"tdp"
 	"tdp/internal/attrspace"
 	"tdp/internal/procsim"
+	"tdp/internal/telemetry"
 	"tdp/internal/toolapi"
-	"tdp/internal/trace"
 )
 
 // JobSpec describes one job for the rmkit resource managers.
@@ -63,7 +63,7 @@ func (h *Host) Close() { h.LASS.Close() }
 // application (paused when a tool is present), launch the tool daemon,
 // publish the pid, monitor status, wait for completion. Every rmkit RM
 // — and in spirit, any RM — is this function plus scheduling policy.
-func Launch(host *Host, jobCtx string, spec JobSpec, rec *trace.Recorder, rmIdentity string) (procsim.ExitStatus, error) {
+func Launch(host *Host, jobCtx string, spec JobSpec, tracer *telemetry.Tracer, rmIdentity string) (procsim.ExitStatus, error) {
 	if spec.Timeout <= 0 {
 		spec.Timeout = 60 * time.Second
 	}
@@ -73,7 +73,7 @@ func Launch(host *Host, jobCtx string, spec JobSpec, rec *trace.Recorder, rmIden
 		Dial:     host.Dial,
 		Kernel:   host.Kernel,
 		Identity: rmIdentity,
-		Trace:    rec,
+		Tracer:   tracer,
 	})
 	if err != nil {
 		return procsim.ExitStatus{}, err
@@ -110,7 +110,7 @@ func Launch(host *Host, jobCtx string, spec JobSpec, rec *trace.Recorder, rmIden
 			LASSAddr: host.LASSAddr,
 			Dial:     host.Dial,
 			Context:  jobCtx,
-			Trace:    rec,
+			Tracer:   tracer,
 		}
 		rt, err = h.CreateProcess(tdp.ProcessSpec{
 			Executable: "tool",

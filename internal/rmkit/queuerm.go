@@ -6,16 +6,16 @@ import (
 	"time"
 
 	"tdp/internal/procsim"
-	"tdp/internal/trace"
+	"tdp/internal/telemetry"
 )
 
 // QueueRM is a PBS/NQE-style batch queue: jobs enter a FIFO queue and
 // a fixed set of worker hosts drains it, one job at a time per worker.
 // It is the second extra resource manager in the m + n matrix.
 type QueueRM struct {
-	rec   *trace.Recorder
-	hosts []*Host
-	queue chan *QueuedJob
+	tracer *telemetry.Tracer
+	hosts  []*Host
+	queue  chan *QueuedJob
 
 	mu     sync.Mutex
 	closed bool
@@ -54,11 +54,11 @@ func (q *QueuedJob) Wait(timeout time.Duration) (procsim.ExitStatus, error) {
 }
 
 // NewQueueRM boots a queue RM with the given number of worker hosts.
-func NewQueueRM(workers int, rec *trace.Recorder) (*QueueRM, error) {
+func NewQueueRM(workers int, tracer *telemetry.Tracer) (*QueueRM, error) {
 	if workers < 1 {
 		workers = 1
 	}
-	rm := &QueueRM{rec: rec, queue: make(chan *QueuedJob, 1024)}
+	rm := &QueueRM{tracer: tracer, queue: make(chan *QueuedJob, 1024)}
 	for i := 0; i < workers; i++ {
 		host, err := NewHost(fmt.Sprintf("queuerm-w%d", i))
 		if err != nil {
@@ -75,11 +75,9 @@ func NewQueueRM(workers int, rec *trace.Recorder) (*QueueRM, error) {
 func (rm *QueueRM) worker(host *Host) {
 	defer rm.wg.Done()
 	for qj := range rm.queue {
-		if rm.rec != nil {
-			rm.rec.Record("queuerm", "dispatch", fmt.Sprintf("job=%d host=%s", qj.ID, host.Name))
-		}
+		rm.tracer.Step("queuerm", "dispatch", fmt.Sprintf("job=%d host=%s", qj.ID, host.Name))
 		qj.host = host.Name
-		qj.exit, qj.err = Launch(host, fmt.Sprintf("qjob-%d", qj.ID), qj.Spec, rm.rec, "queuerm")
+		qj.exit, qj.err = Launch(host, fmt.Sprintf("qjob-%d", qj.ID), qj.Spec, rm.tracer, "queuerm")
 		close(qj.done)
 	}
 }
@@ -94,9 +92,7 @@ func (rm *QueueRM) Enqueue(spec JobSpec) (*QueuedJob, error) {
 	rm.nextID++
 	qj := &QueuedJob{ID: rm.nextID, Spec: spec, done: make(chan struct{})}
 	rm.mu.Unlock()
-	if rm.rec != nil {
-		rm.rec.Record("queuerm", "enqueue", fmt.Sprintf("job=%d cmd=%s", qj.ID, spec.Name))
-	}
+	rm.tracer.Step("queuerm", "enqueue", fmt.Sprintf("job=%d cmd=%s", qj.ID, spec.Name))
 	rm.queue <- qj
 	return qj, nil
 }

@@ -6,7 +6,8 @@ import (
 	"time"
 
 	"tdp/internal/procsim"
-	"tdp/internal/trace"
+	"tdp/internal/telemetry"
+	"tdp/internal/testkit"
 )
 
 func TestForkRMPlainJob(t *testing.T) {
@@ -162,8 +163,8 @@ func TestQueueRMClose(t *testing.T) {
 }
 
 func TestLaunchRecordsTDPSequence(t *testing.T) {
-	rec := trace.New()
-	rm, err := NewForkRM(rec)
+	tr := telemetry.NewTracer("test")
+	rm, err := NewForkRM(tr)
 	if err != nil {
 		t.Fatalf("NewForkRM: %v", err)
 	}
@@ -174,7 +175,7 @@ func TestLaunchRecordsTDPSequence(t *testing.T) {
 	if err != nil || st.Code != 0 {
 		t.Fatalf("Run = %v, %v", st, err)
 	}
-	if err := rec.CheckOrder(
+	if err := testkit.StepsOf(t, tr).CheckOrder(
 		"forkrm:run",
 		"forkrm:tdp_init",
 		"forkrm:tdp_create_process",

@@ -594,9 +594,10 @@ func ToolChurn(name string, hosts, fanOut, levels, churnRounds, killsPerRound in
 // every range must take a confirmed write that reads back and shows up
 // in scatter-gather. Note what is deliberately NOT asserted: data
 // written before a shard's restart surviving it — today a restart
-// destroys the shard's contexts when their last reference leaves
-// (durability/replication is ROADMAP item 1), so the scenario pins
-// the availability contract, not a durability one.
+// destroys the shard's contexts when their last reference leaves (a
+// restarted shard answers with a new incarnation, and nothing is
+// replicated or persisted), so the scenario pins the availability
+// contract, not a durability one.
 func RollingRestart(name string, shards, opsPerShard int) *Scenario {
 	type wstate struct {
 		mu        sync.Mutex

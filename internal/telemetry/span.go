@@ -18,6 +18,11 @@ import (
 // CASS → proxy → LASS from the daemons' span logs alone. The proxy
 // needs no changes to participate: it splices bytes, so the reserved
 // fields pass through untouched.
+//
+// The same log holds the protocol steps a daemon takes (Step): each
+// tdp_* call, and each RM/tool daemon action around it, as a span with
+// no duration and no trace, which is what the figure reproductions
+// check the published call order on.
 
 // SpanRecord is one finished span in a daemon's span log.
 type SpanRecord struct {
@@ -31,8 +36,15 @@ type SpanRecord struct {
 	Fields   map[string]string `json:"fields,omitempty"`
 }
 
-// String renders "actor:name tid=.. sid=.. parent=.. dur=.." for logs.
+// String renders "actor:name tid=.. sid=.. parent=.. dur=.." for logs,
+// and a step (a span with no trace) as "actor:name(detail)".
 func (r SpanRecord) String() string {
+	if r.TraceID == "" {
+		if d := r.Fields["detail"]; d != "" {
+			return r.Actor + ":" + r.Name + "(" + d + ")"
+		}
+		return r.Actor + ":" + r.Name
+	}
 	s := fmt.Sprintf("%s:%s tid=%s sid=%s", r.Actor, r.Name, r.TraceID, r.SpanID)
 	if r.ParentID != "" {
 		s += " parent=" + r.ParentID
@@ -189,6 +201,22 @@ func (sp *Span) End() {
 		Fields:   fields,
 	}
 	sp.tracer.record(rec)
+}
+
+// Step records one protocol step taken now by actor (a daemon of the
+// caller's, not necessarily the tracer's own): a finished span named
+// name, with detail, when not empty, as its "detail" field. A step
+// belongs to no cross-daemon trace, so its trace and span IDs are
+// empty. Step on a nil tracer does nothing.
+func (t *Tracer) Step(actor, name, detail string) {
+	if t == nil {
+		return
+	}
+	rec := SpanRecord{Actor: actor, Name: name, Start: time.Now()}
+	if detail != "" {
+		rec.Fields = map[string]string{"detail": detail}
+	}
+	t.record(rec)
 }
 
 func (t *Tracer) record(rec SpanRecord) {

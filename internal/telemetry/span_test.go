@@ -84,6 +84,69 @@ func TestSpanEndIdempotent(t *testing.T) {
 	}
 }
 
+func TestStepRecordsActorNameDetail(t *testing.T) {
+	var off *Tracer
+	off.Step("RM", "tdp_init", "") // must not panic
+
+	tr := NewTracer("pool")
+	tr.Step("RM", "tdp_init", "")
+	tr.Step("RM", "tdp_create_process", "foo,paused")
+	spans := tr.Spans()
+	if len(spans) != 2 {
+		t.Fatalf("spans = %v", spans)
+	}
+	first, second := spans[0], spans[1]
+	if first.Actor != "RM" || first.Name != "tdp_init" || first.Fields != nil || first.Start.IsZero() {
+		t.Errorf("first step = %+v", first)
+	}
+	if second.Fields["detail"] != "foo,paused" || second.TraceID != "" || second.SpanID != "" {
+		t.Errorf("second step = %+v", second)
+	}
+	if second.Start.Before(first.Start) {
+		t.Error("steps out of order")
+	}
+	if first.String() != "RM:tdp_init" || second.String() != "RM:tdp_create_process(foo,paused)" {
+		t.Errorf("String = %q, %q", first, second)
+	}
+}
+
+func TestStepStrings(t *testing.T) {
+	tr := NewTracer("pool")
+	tr.Step("RM", "a", "")
+	tr.Step("RT", "b", "x")
+	got := make([]string, 0, 2)
+	for _, s := range tr.Spans() {
+		got = append(got, s.String())
+	}
+	if len(got) != 2 || got[0] != "RM:a" || got[1] != "RT:b(x)" {
+		t.Errorf("Strings = %v", got)
+	}
+}
+
+func TestStepConcurrent(t *testing.T) {
+	tr := NewTracer("pool")
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 100; j++ {
+				tr.Step("A", "step", "")
+			}
+		}()
+	}
+	wg.Wait()
+	spans := tr.Spans()
+	if tr.Len() != 800 || len(spans) != 800 {
+		t.Fatalf("steps = %d (Spans %d), want 800", tr.Len(), len(spans))
+	}
+	for i, s := range spans {
+		if s.Actor != "A" || s.Name != "step" || s.String() != "A:step" {
+			t.Fatalf("step %d = %+v", i, s)
+		}
+	}
+}
+
 func TestTracerRingOverflow(t *testing.T) {
 	tr := NewTracer("d")
 	for i := 0; i < maxSpans+10; i++ {

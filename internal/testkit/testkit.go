@@ -1,16 +1,68 @@
-// Package testkit holds the fakes more than one package's tests share:
-// a clock the test owns (for internal/liveness and its callers) and a
-// listener that accepts and never answers.
+// Package testkit holds the fakes and checks more than one package's
+// tests share: a clock the test owns (for internal/liveness and its
+// callers), a listener that accepts and never answers, and the order
+// check the figure reproductions run on a tracer's protocol steps.
 package testkit
 
 import (
+	"fmt"
 	"net"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"tdp/internal/liveness"
+	"tdp/internal/telemetry"
 )
+
+// spanRing is the size of a telemetry.Tracer's span log (its maxSpans).
+const spanRing = 4096
+
+// Steps is a tracer's span log as "actor:name" strings, oldest first:
+// the form in which the figure reproductions state the paper's order of
+// protocol steps (telemetry.Tracer.Step).
+type Steps []string
+
+// StepsOf reads tr's span log. It fails t when the log has filled the
+// tracer's ring, because the oldest steps may then be gone and no order
+// check on the rest means anything: a test that records that much uses
+// a fresh tracer.
+func StepsOf(t testing.TB, tr *telemetry.Tracer) Steps {
+	t.Helper()
+	spans := tr.Spans()
+	if len(spans) >= spanRing {
+		t.Fatalf("span log holds %d spans, a full ring: its oldest steps may be lost", len(spans))
+	}
+	out := make(Steps, len(spans))
+	for i, sp := range spans {
+		out[i] = sp.Actor + ":" + sp.Name
+	}
+	return out
+}
+
+// CheckOrder verifies that the given "actor:name" steps appear in s in
+// the given relative order (other steps may interleave). It returns an
+// error naming the first step that is missing or out of order.
+func (s Steps) CheckOrder(want ...string) error {
+	pos := 0
+	for _, w := range want {
+		i := slices.Index(s[pos:], w)
+		if i < 0 {
+			return fmt.Errorf("step %q missing or out of order; steps:\n  %s", w, strings.Join(s, "\n  "))
+		}
+		pos += i + 1
+	}
+	return nil
+}
+
+// Before reports whether the first occurrence of step a precedes the
+// first occurrence of step b. Both must have occurred.
+func (s Steps) Before(a, b string) bool {
+	i, j := slices.Index(s, a), slices.Index(s, b)
+	return i >= 0 && j > i
+}
 
 // Clock is a liveness.Clock that moves only when the test says so.
 // NextTimer is how a test meets the code it drives without sleeping: it

@@ -13,7 +13,7 @@ import (
 
 	"tdp/internal/attrspace"
 	"tdp/internal/procsim"
-	"tdp/internal/trace"
+	"tdp/internal/telemetry"
 )
 
 // Env is everything a tool daemon needs to operate on its execution
@@ -28,8 +28,8 @@ type Env struct {
 	Context  string
 	// Rank is the MPI rank this daemon monitors (0 for sequential jobs).
 	Rank int
-	// Trace receives the tool's TDP protocol steps (may be nil).
-	Trace *trace.Recorder
+	// Tracer records the tool's TDP protocol steps (may be nil).
+	Tracer *telemetry.Tracer
 	// NetListen binds a listener on the execution host (for tools or
 	// auxiliary services that accept connections). Nil means loopback
 	// TCP; machines on a simulated network set it to their host's

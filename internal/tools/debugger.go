@@ -60,7 +60,7 @@ func runDebugger(env toolapi.Env, pc *procsim.ProcContext, bp string, maxHits in
 		Dial:     env.Dial,
 		Kernel:   env.Kernel,
 		Identity: "debugger",
-		Trace:    env.Trace,
+		Tracer:   env.Tracer,
 	})
 	if err != nil {
 		return fail("tdp_init", err)

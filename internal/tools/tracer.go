@@ -49,7 +49,7 @@ func runTracer(env toolapi.Env, pc *procsim.ProcContext) int {
 		Dial:     env.Dial,
 		Kernel:   env.Kernel,
 		Identity: "tracer",
-		Trace:    env.Trace,
+		Tracer:   env.Tracer,
 	})
 	if err != nil {
 		return fail("tdp_init", err)

@@ -79,7 +79,7 @@ func (h *Handle) CreateProcess(spec ProcessSpec, mode StartMode) (*Process, erro
 		return nil, err
 	}
 	defer h.observe(opCreateProcess).done()
-	h.traceStep("tdp_create_process", spec.Executable+","+mode.String())
+	h.cfg.Tracer.Step(h.cfg.Identity, "tdp_create_process", spec.Executable+","+mode.String())
 	p, err := k.Spawn(procsim.Spec{
 		Executable:  spec.Executable,
 		Args:        spec.Args,
@@ -107,7 +107,7 @@ func (h *Handle) Attach(pid procsim.PID) (*Process, error) {
 		return nil, err
 	}
 	defer h.observe(opAttach).done()
-	h.traceStep("tdp_attach", "pid="+strconv.Itoa(int(pid)))
+	h.cfg.Tracer.Step(h.cfg.Identity, "tdp_attach", "pid="+strconv.Itoa(int(pid)))
 	p, err := k.Process(pid)
 	if err != nil {
 		return nil, fmt.Errorf("tdp: attach: %w", err)
@@ -159,13 +159,13 @@ func (p *Process) controller() string {
 // how execution (re)starts — tdp_continue_process.
 func (p *Process) Continue() error {
 	defer p.h.observe(opContinueProcess).done()
-	p.h.traceStep("tdp_continue_process", "pid="+strconv.Itoa(int(p.p.PID())))
+	p.h.cfg.Tracer.Step(p.h.cfg.Identity, "tdp_continue_process", "pid="+strconv.Itoa(int(p.p.PID())))
 	return p.p.Continue(p.controller())
 }
 
 // Stop pauses the process at its next safe point.
 func (p *Process) Stop() error {
-	p.h.traceStep("tdp_stop_process", "pid="+strconv.Itoa(int(p.p.PID())))
+	p.h.cfg.Tracer.Step(p.h.cfg.Identity, "tdp_stop_process", "pid="+strconv.Itoa(int(p.p.PID())))
 	return p.p.Stop(p.controller())
 }
 
@@ -173,7 +173,7 @@ func (p *Process) Stop() error {
 // waiting for the park. Safe to call from instrumentation callbacks
 // executing on the process's own goroutine — the breakpoint mechanism.
 func (p *Process) RequestStop() error {
-	p.h.traceStep("tdp_stop_process", "pid="+strconv.Itoa(int(p.p.PID()))+",async")
+	p.h.cfg.Tracer.Step(p.h.cfg.Identity, "tdp_stop_process", "pid="+strconv.Itoa(int(p.p.PID()))+",async")
 	return p.p.RequestStop(p.controller())
 }
 
@@ -184,7 +184,7 @@ func (p *Process) WaitStopped() { p.p.WaitStopped() }
 // Kill terminates the process with the given signal name ("" means
 // SIGKILL).
 func (p *Process) Kill(signal string) error {
-	p.h.traceStep("tdp_kill_process", "pid="+strconv.Itoa(int(p.p.PID())))
+	p.h.cfg.Tracer.Step(p.h.cfg.Identity, "tdp_kill_process", "pid="+strconv.Itoa(int(p.p.PID())))
 	return p.p.Kill(signal)
 }
 
@@ -198,7 +198,7 @@ func (p *Process) Detach() error {
 	p.attached = false
 	p.mu.Unlock()
 	p.h.untrackAttached(p)
-	p.h.traceStep("tdp_detach", "pid="+strconv.Itoa(int(p.p.PID())))
+	p.h.cfg.Tracer.Step(p.h.cfg.Identity, "tdp_detach", "pid="+strconv.Itoa(int(p.p.PID())))
 	return p.p.Detach(p.h.cfg.Identity)
 }
 

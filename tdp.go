@@ -47,7 +47,6 @@ import (
 	"tdp/internal/events"
 	"tdp/internal/procsim"
 	"tdp/internal/telemetry"
-	"tdp/internal/trace"
 )
 
 // Standard attribute names (§3.2: "there is a standard list of
@@ -139,18 +138,16 @@ type Config struct {
 	// (e.g. "condor_starter", "paradynd-3").
 	Identity string
 
-	// Trace, when non-nil, records every TDP call for the figure
-	// reproduction experiments.
-	Trace *trace.Recorder
-
 	// Telemetry, when non-nil, receives op counters and latency
 	// histograms for every tdp_* call ("tdp.*") plus the attribute
 	// space client and wire metrics ("client.*", "wire.*").
 	Telemetry *telemetry.Registry
 
-	// Tracer, when non-nil, gives every attribute space operation a
-	// span; spans started by the caller and carried in a context
-	// propagate to the servers as the reserved _tid/_sid wire fields.
+	// Tracer, when non-nil, records every tdp_* call as a step under
+	// Identity (what the figure reproductions check the published call
+	// order on) and gives every attribute space operation a span; spans
+	// started by the caller and carried in a context propagate to the
+	// servers as the reserved _tid/_sid wire fields.
 	Tracer *telemetry.Tracer
 }
 
@@ -206,7 +203,7 @@ func Init(cfg Config) (*Handle, error) {
 		cass.SetTelemetry(cfg.Telemetry, cfg.Tracer)
 		h.global, h.gscope = cass, attrspace.Local
 	}
-	h.traceStep("tdp_init", "context="+cfg.Context)
+	h.cfg.Tracer.Step(h.cfg.Identity, "tdp_init", "context="+cfg.Context)
 	return h, nil
 }
 
@@ -236,7 +233,7 @@ func dialSpace(cfg Config, addr string) (attrspace.API, error) {
 // ptrace attachments, which lets a replacement tool re-attach after a
 // tool fault. Exit is idempotent.
 func (h *Handle) Exit() error {
-	h.traceStep("tdp_exit", "")
+	h.cfg.Tracer.Step(h.cfg.Identity, "tdp_exit", "")
 	h.mu.Lock()
 	attached := h.attached
 	h.attached = nil
@@ -273,17 +270,11 @@ func (h *Handle) Identity() string { return h.cfg.Identity }
 // Context returns the attribute space context name.
 func (h *Handle) Context() string { return h.cfg.Context }
 
-func (h *Handle) traceStep(action, detail string) {
-	if h.cfg.Trace != nil {
-		h.cfg.Trace.Record(h.cfg.Identity, action, detail)
-	}
-}
-
-// tracePut is traceStep for a put's "attribute=value" detail, which it
-// builds only when tracing is on: the put paths run it on every call.
+// tracePut records a put step with its "attribute=value" detail, which
+// it builds only when tracing is on: the put paths run it on every call.
 func (h *Handle) tracePut(action, attribute, value string) {
-	if h.cfg.Trace != nil {
-		h.traceStep(action, attribute+"="+value)
+	if h.cfg.Tracer != nil {
+		h.cfg.Tracer.Step(h.cfg.Identity, action, attribute+"="+value)
 	}
 }
 

@@ -9,7 +9,8 @@ import (
 	"time"
 
 	"tdp/internal/procsim"
-	"tdp/internal/trace"
+	"tdp/internal/telemetry"
+	"tdp/internal/testkit"
 )
 
 // newLASS starts a LASS for a test and returns its address.
@@ -624,11 +625,11 @@ func TestHandleAccessors(t *testing.T) {
 // and continues the application. The recorded TDP calls must appear in
 // the paper's order.
 func TestFigure3ACreateSequence(t *testing.T) {
-	rec := trace.New()
+	tr := telemetry.NewTracer("test")
 	addr := newLASS(t)
 	k := procsim.NewKernel()
 
-	rm := initT(t, Config{Context: "job", LASSAddr: addr, Kernel: k, Identity: "RM", Trace: rec})
+	rm := initT(t, Config{Context: "job", LASSAddr: addr, Kernel: k, Identity: "RM", Tracer: tr})
 
 	// RM: tdp_create_process(AP, paused)
 	ap, err := rm.CreateProcess(ProcessSpec{
@@ -643,7 +644,7 @@ func TestFigure3ACreateSequence(t *testing.T) {
 	// process whose program performs the tool-side TDP calls.
 	rtDone := make(chan error, 1)
 	rtProg := procsim.ProgramFunc(func(pc *procsim.ProcContext) int {
-		rt, err := Init(Config{Context: "job", LASSAddr: addr, Kernel: k, Identity: "RT", Trace: rec})
+		rt, err := Init(Config{Context: "job", LASSAddr: addr, Kernel: k, Identity: "RT", Tracer: tr})
 		if err != nil {
 			rtDone <- err
 			return 1
@@ -679,7 +680,7 @@ func TestFigure3ACreateSequence(t *testing.T) {
 	rtProc.Wait()
 
 	// Assert the Figure 3A order.
-	if err := rec.CheckOrder(
+	if err := testkit.StepsOf(t, tr).CheckOrder(
 		"RM:tdp_init",
 		"RM:tdp_create_process", // AP, paused
 		"RM:tdp_create_process", // RT, run
@@ -690,13 +691,13 @@ func TestFigure3ACreateSequence(t *testing.T) {
 		t.Error(err)
 	}
 	// The AP create must be paused, the RT create run.
-	var creates []trace.Entry
-	for _, e := range rec.ByActor("RM") {
-		if e.Action == "tdp_create_process" {
-			creates = append(creates, e)
+	var creates []string
+	for _, sp := range tr.Spans() {
+		if sp.Actor == "RM" && sp.Name == "tdp_create_process" {
+			creates = append(creates, sp.Fields["detail"])
 		}
 	}
-	if len(creates) != 2 || creates[0].Detail != "foo,paused" || creates[1].Detail != "rt-daemon,run" {
+	if len(creates) != 2 || creates[0] != "foo,paused" || creates[1] != "rt-daemon,run" {
 		t.Errorf("creates = %v", creates)
 	}
 }
@@ -705,11 +706,11 @@ func TestFigure3ACreateSequence(t *testing.T) {
 // already running under the RM; the RT is created later, attaches, and
 // continues it.
 func TestFigure3BAttachSequence(t *testing.T) {
-	rec := trace.New()
+	tr := telemetry.NewTracer("test")
 	addr := newLASS(t)
 	k := procsim.NewKernel()
 
-	rm := initT(t, Config{Context: "job", LASSAddr: addr, Kernel: k, Identity: "RM", Trace: rec})
+	rm := initT(t, Config{Context: "job", LASSAddr: addr, Kernel: k, Identity: "RM", Tracer: tr})
 
 	// RM: tdp_create_process(AP, run) — the app runs for a while.
 	ap, err := rm.CreateProcess(ProcessSpec{
@@ -721,7 +722,7 @@ func TestFigure3BAttachSequence(t *testing.T) {
 	rm.PublishPID(ap)
 
 	// Later: RM creates the RT, which attaches to the running process.
-	rt := initT(t, Config{Context: "job", LASSAddr: addr, Kernel: k, Identity: "RT", Trace: rec})
+	rt := initT(t, Config{Context: "job", LASSAddr: addr, Kernel: k, Identity: "RT", Tracer: tr})
 	pid, err := rt.GetPID(context.Background())
 	if err != nil {
 		t.Fatalf("GetPID: %v", err)
@@ -742,7 +743,7 @@ func TestFigure3BAttachSequence(t *testing.T) {
 	}
 	tp.Kill("")
 
-	if err := rec.CheckOrder(
+	if err := testkit.StepsOf(t, tr).CheckOrder(
 		"RM:tdp_init",
 		"RM:tdp_create_process", // AP, run
 		"RT:tdp_init",

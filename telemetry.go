@@ -20,14 +20,6 @@ import (
 // from internal/telemetry so RM/RT code needs no extra import.
 const MonitorPrefix = telemetry.MonitorPrefix
 
-// Telemetry returns the handle's metrics registry (nil when the Config
-// carried none).
-func (h *Handle) Telemetry() *telemetry.Registry { return h.cfg.Telemetry }
-
-// Tracer returns the handle's span tracer (nil when the Config carried
-// none).
-func (h *Handle) Tracer() *telemetry.Tracer { return h.cfg.Tracer }
-
 // handleOp names one tdp-level operation for observe.
 type handleOp uint8
 

@@ -21,9 +21,6 @@ func TestHandleTelemetry(t *testing.T) {
 		Telemetry: reg, Tracer: telemetry.NewTracer("rm"),
 	})
 
-	if h.Telemetry() != reg {
-		t.Fatal("Telemetry() accessor does not return the configured registry")
-	}
 	if err := h.Put("pid", "42"); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
@@ -102,9 +99,6 @@ func TestHandleMonitorPublisher(t *testing.T) {
 func TestUninstrumentedHandleIsFree(t *testing.T) {
 	addr := newLASS(t)
 	h := initT(t, Config{Context: "job", LASSAddr: addr, Identity: "rm"})
-	if h.Telemetry() != nil || h.Tracer() != nil {
-		t.Fatal("unconfigured accessors not nil")
-	}
 	if err := h.Put("a", "1"); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
