@@ -20,9 +20,9 @@
 #
 # `make loc` prints the size of the non-test Go source (raw and code
 # lines) for the protocol core and for the root module, the raw line
-# counts of README, DESIGN, EXPERIMENTS and ROADMAP, and the exported
-# methods of Client, Session and tdp.Handle and the methods of
-# attrspace.API (scripts/coreloc.sh): core LOC and API surface are
+# counts of README, DESIGN, EXPERIMENTS and ROADMAP, the op table's
+# verbs, the exported methods of Client, Session and tdp.Handle and the
+# methods of attrspace.API (scripts/coreloc.sh): core LOC and API surface are
 # tracked the way ns/op is. `make
 # slowtests` prints the ten slowest tests and each package's wall time
 # from one `go test -json ./...` run (scripts/slowtests.sh), so a test
@@ -46,8 +46,8 @@ GO ?= go
 # The hot-path suite tracked in BENCH_attrspace.json: attribute space
 # round trips, the wire codec micro-benchmarks, the scaling suite
 # (sharded many-context fan-out, LASS global read cache, proxy relay),
-# and the transport suite (same-host unix fast path, delta resync,
-# mux fan-out). The parallel contention benchmark (AttrSpaceClients)
+# and the transport suite (same-host unix fast path, the bytes of a
+# session's snapshot resync, mux fan-out). The parallel contention benchmark (AttrSpaceClients)
 # stays out of the tracked set: RunParallel numbers swing 20%+ run to
 # run on shared machines, which would make the benchdiff gate flaky.
 # The scaling benchmarks and the CASS shard-scaling curve are

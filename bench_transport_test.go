@@ -1,12 +1,11 @@
 package tdp_test
 
 // Transport benchmarks (EXPERIMENTS.md): the same-host transport
-// ladder (loopback TCP, unix socket, shared-memory ring), delta resync
-// (SNAPD) bytes against a full snapshot for a small gap in a large
-// context, and event latency under a concurrent chunked bulk snapshot.
-// The first two back PR acceptance criteria: shm beats unix beats TCP
-// on the put round trip, and resync bytes are proportional to the gap,
-// not the context.
+// ladder (loopback TCP, unix socket, shared-memory ring), the bytes a
+// session's resync moves for a small gap in a large context (the whole
+// versioned snapshot), and event latency under a concurrent chunked
+// bulk snapshot. The ladder backs an acceptance criterion: shm beats
+// unix beats TCP on the put round trip.
 
 import (
 	"context"
@@ -72,48 +71,30 @@ func BenchmarkSameHostPut(b *testing.B) {
 	b.Run("shm", func(b *testing.B) { run(b, nil, true, wire.ShmSupported()) })
 }
 
-// resyncContext seeds a server with a large context and a small recent
-// gap: size attributes total, the last gap of them written after the
-// snapshot point. Returns the address and the pre-gap context seq.
-func resyncContext(b *testing.B, size, gap int) (addr string, since uint64) {
-	b.Helper()
-	srv := attrspace.NewServer()
-	addr, err := srv.ListenAndServe("127.0.0.1:0")
-	if err != nil {
-		b.Fatalf("serve: %v", err)
-	}
-	b.Cleanup(srv.Close)
-	c := benchClientAt(b, addr, "bench")
-	pairs := make([]attrspace.KV, 0, 256)
-	for i := 0; i < size-gap; i += 256 {
-		pairs = pairs[:0]
-		for j := i; j < i+256 && j < size-gap; j++ {
-			pairs = append(pairs, attrspace.KV{Key: fmt.Sprintf("attr%06d", j), Value: "value-of-some-typical-length"})
-		}
-		if err := c.PutBatch(pairs); err != nil {
-			b.Fatalf("PutBatch: %v", err)
-		}
-	}
-	_, since, err = c.SnapshotSeq(context.Background())
-	if err != nil {
-		b.Fatalf("SnapshotSeq: %v", err)
-	}
-	for i := size - gap; i < size; i++ {
-		if err := c.Put(fmt.Sprintf("attr%06d", i), "value-of-some-typical-length"); err != nil {
-			b.Fatalf("Put: %v", err)
-		}
-	}
-	return addr, since
-}
-
+// BenchmarkSessionResync prices what a reconnecting session fetches
+// after a brief outage in a 10k-attribute context: the whole versioned
+// snapshot, chunked. The rx-bytes/op metric is the number EXPERIMENTS
+// reports.
 func BenchmarkSessionResync(b *testing.B) {
-	// 10k-attribute context, 1% gap: what a reconnecting session needs
-	// after a brief outage. The rx-bytes/op metric is the acceptance
-	// number — delta resync must move >=10x fewer bytes than the full
-	// snapshot it replaces.
-	const size, gap = 10000, 100
-	measure := func(b *testing.B, fetch func(c *attrspace.Client, since uint64) error) {
-		addr, since := resyncContext(b, size, gap)
+	const size = 10000
+	b.Run("full", func(b *testing.B) {
+		srv := attrspace.NewServer()
+		addr, err := srv.ListenAndServe("127.0.0.1:0")
+		if err != nil {
+			b.Fatalf("serve: %v", err)
+		}
+		b.Cleanup(srv.Close)
+		w := benchClientAt(b, addr, "bench")
+		pairs := make([]attrspace.KV, 0, 256)
+		for i := 0; i < size; i += 256 {
+			pairs = pairs[:0]
+			for j := i; j < i+256 && j < size; j++ {
+				pairs = append(pairs, attrspace.KV{Key: fmt.Sprintf("attr%06d", j), Value: "value-of-some-typical-length"})
+			}
+			if err := w.PutBatch(pairs); err != nil {
+				b.Fatalf("PutBatch: %v", err)
+			}
+		}
 		c := benchClientAt(b, addr, "bench")
 		reg := telemetry.NewRegistry()
 		c.SetTelemetry(reg, nil)
@@ -122,33 +103,16 @@ func BenchmarkSessionResync(b *testing.B) {
 		b.ResetTimer()
 		start := rx.Value()
 		for i := 0; i < b.N; i++ {
-			if err := fetch(c, since); err != nil {
+			snap, _, err := c.SnapshotSeq(context.Background())
+			if err != nil {
 				b.Fatal(err)
+			}
+			if len(snap) != size {
+				b.Fatalf("snapshot = %d entries", len(snap))
 			}
 		}
 		b.StopTimer()
 		b.ReportMetric(float64(rx.Value()-start)/float64(b.N), "rx-bytes/op")
-	}
-	b.Run("full", func(b *testing.B) {
-		measure(b, func(c *attrspace.Client, _ uint64) error {
-			snap, _, err := c.SnapshotSeq(context.Background())
-			if err == nil && len(snap) != size {
-				return fmt.Errorf("snapshot = %d entries", len(snap))
-			}
-			return err
-		})
-	})
-	b.Run("delta", func(b *testing.B) {
-		measure(b, func(c *attrspace.Client, since uint64) error {
-			ops, full, _, err := c.SnapshotDelta(context.Background(), since)
-			if err != nil {
-				return err
-			}
-			if full != nil || len(ops) != gap {
-				return fmt.Errorf("delta = %d ops, full=%v; want %d ops", len(ops), full != nil, gap)
-			}
-			return nil
-		})
 	})
 }
 

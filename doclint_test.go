@@ -207,3 +207,58 @@ func receiverType(e ast.Expr) string {
 	}
 	return ""
 }
+
+// docVerb is a wire exchange written out in a code span, a verb followed
+// by a key=value field: `SNAP seqs=1`, `EVENT op=lost lost=<d>`.
+var docVerb = regexp.MustCompile(`^([A-Z][A-Z0-9]*) [a-z_]\w*=`)
+
+// TestDocsNameRealVerbs: every verb the documents write out that way is
+// a request verb of the op table (internal/attrspace/ops.go) or a word
+// of the wire vocabulary (internal/wire/wire.go), which holds the
+// replies and the tool-stream verbs; a verb that leaves the protocol
+// takes its sentences with it.
+func TestDocsNameRealVerbs(t *testing.T) {
+	verbs := map[string]bool{}
+	for _, src := range []string{"internal/attrspace/ops.go", "internal/wire/wire.go"} {
+		f, err := parser.ParseFile(token.NewFileSet(), src, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch d := n.(type) {
+			case *ast.ValueSpec: // var opTable = []opSpec{{verb: "HELLO", …}, …}
+				if d.Names[0].Name != "opTable" {
+					return false
+				}
+			case *ast.FuncDecl: // func init() { words := []string{"HELLO", …} … }
+				return d.Name.Name == "init"
+			case *ast.BasicLit:
+				if d.Kind == token.STRING {
+					verbs[strings.Trim(d.Value, `"`)] = true
+				}
+			}
+			return true
+		})
+	}
+	if !verbs["SNAP"] || !verbs["SNAPV"] {
+		t.Fatalf("read no verbs from the op table or the vocabulary: %v", verbs)
+	}
+	checked := 0
+	for _, file := range docLintFiles(t) {
+		doc, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, span := range inlineCode(string(doc)) {
+			if m := docVerb.FindStringSubmatch(span.text); m != nil {
+				if !verbs[m[1]] {
+					t.Errorf("%s:%d: `%s` names verb %s, which is neither in the op table nor in the wire vocabulary", file, span.line, span.text, m[1])
+				}
+				checked++
+			}
+		}
+	}
+	if checked == 0 {
+		t.Error("the documents write out no verb: the check is checking nothing")
+	}
+}

@@ -123,36 +123,8 @@ type spaceContext struct {
 	refs    int
 	attrs   map[string]entry
 	seq     uint64
-	log     []changeEntry            // bounded mutation log, oldest first
 	waiters map[string][]chan Update // blocked Gets per attribute
 	subs    map[*Subscription]struct{}
-}
-
-// changeEntry is one logged mutation. The log backs delta-snapshot
-// resync (the SNAPD wire verb): a reconnecting mirror that knows it is
-// `since` can fetch just the mutations with seq > since instead of the
-// whole context.
-type changeEntry struct {
-	attr  string
-	value string // value written; "" for a delete
-	seq   uint64
-	del   bool
-}
-
-// changeLogCap bounds the retained change log per context. The log
-// grows lazily (contexts that never resync pay only an occasional
-// append) and is compacted amortized: once it reaches twice the cap the
-// oldest half is discarded, so a warm context retains between
-// changeLogCap and 2*changeLogCap recent mutations.
-const changeLogCap = 1024
-
-// appendLog records one mutation. Callers hold the shard lock.
-func (c *spaceContext) appendLog(e changeEntry) {
-	if len(c.log) >= 2*changeLogCap {
-		n := copy(c.log, c.log[len(c.log)-changeLogCap:])
-		c.log = c.log[:n]
-	}
-	c.log = append(c.log, e)
 }
 
 // shard is one lock domain of the sharded context map.
@@ -359,7 +331,6 @@ func (r *Ref) PutSeq(attribute, value string) (uint64, error) {
 	sh.mu.Lock()
 	c.seq++
 	c.attrs[attribute] = entry{value: value, seq: c.seq}
-	c.appendLog(changeEntry{attr: attribute, value: value, seq: c.seq})
 	u := Update{Context: c.name, Attr: attribute, Value: value, Op: OpPut, Seq: c.seq}
 	waiters := c.waiters[attribute]
 	delete(c.waiters, attribute)
@@ -410,7 +381,6 @@ func (r *Ref) PutBatchSeq(pairs []KV) (uint64, error) {
 	for _, p := range pairs {
 		c.seq++
 		c.attrs[p.Key] = entry{value: p.Value, seq: c.seq}
-		c.appendLog(changeEntry{attr: p.Key, value: p.Value, seq: c.seq})
 		u := Update{Context: c.name, Attr: p.Key, Value: p.Value, Op: OpPut, Seq: c.seq}
 		if ws := c.waiters[p.Key]; len(ws) > 0 {
 			wakes = append(wakes, wake{chans: ws, u: u})
@@ -536,7 +506,6 @@ func (r *Ref) DeleteSeq(attribute string) (uint64, error) {
 	}
 	c.seq++
 	delete(c.attrs, attribute)
-	c.appendLog(changeEntry{attr: attribute, seq: c.seq, del: true})
 	u := Update{Context: c.name, Attr: attribute, Value: prev.value, Op: OpDelete, Seq: c.seq}
 	c.publish(r, u)
 	sh.mu.Unlock()
@@ -586,47 +555,6 @@ func (r *Ref) SnapshotSeq() (map[string]Versioned, uint64, error) {
 		out[k] = Versioned{Value: e.value, Seq: e.seq}
 	}
 	return out, c.seq, nil
-}
-
-// Change is one replayable mutation returned by ChangesSince.
-type Change struct {
-	Attr   string
-	Value  string // value written; "" for a delete
-	Seq    uint64
-	Delete bool
-}
-
-// ChangesSince returns the mutations applied to the context after
-// sequence number `since`, oldest first, together with the context's
-// current sequence number. ok reports whether the bounded change log
-// still covers the requested gap; when it is false the caller must fall
-// back to a full versioned snapshot (SnapshotSeq). This is the engine
-// behind the SNAPD delta-resync verb: reconnect traffic proportional to
-// the gap, not to the context size.
-func (r *Ref) ChangesSince(since uint64) (changes []Change, seq uint64, ok bool, err error) {
-	c, lerr := r.live()
-	if lerr != nil {
-		return nil, 0, false, lerr
-	}
-	sh := c.sh
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	if since >= c.seq {
-		// Nothing missed. (A caller ahead of c.seq copied another
-		// incarnation; Subscription.Inc is how it learns that.)
-		return nil, c.seq, true, nil
-	}
-	// The log holds consecutive seqs ending at c.seq; it covers the gap
-	// iff its oldest entry is no newer than since+1.
-	if len(c.log) == 0 || c.log[0].seq > since+1 {
-		return nil, c.seq, false, nil
-	}
-	i := sort.Search(len(c.log), func(i int) bool { return c.log[i].seq > since })
-	out := make([]Change, 0, len(c.log)-i)
-	for _, e := range c.log[i:] {
-		out = append(out, Change{Attr: e.attr, Value: e.value, Seq: e.seq, Delete: e.del})
-	}
-	return out, c.seq, true, nil
 }
 
 // Len reports the number of attributes in the context.

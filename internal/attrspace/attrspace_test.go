@@ -275,6 +275,39 @@ func TestSubscribeEvents(t *testing.T) {
 	}
 }
 
+// TestLaggingConsumerDropsDeclared: a subscriber that does not read
+// overflows its Events channel, and the events it discards are declared
+// in the Lost of the ones it keeps — every write is received or counted.
+func TestLaggingConsumerDropsDeclared(t *testing.T) {
+	_, addr := startServer(t)
+	sub := dialT(t, addr, "j")
+	pub := dialT(t, addr, "j")
+	if err := sub.Subscribe(); err != nil {
+		t.Fatalf("Subscribe: %v", err)
+	}
+	const n = 200
+	for i := 0; i < n; i++ {
+		if err := pub.Put(fmt.Sprintf("a%03d", i), "v"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	events := sub.Events()
+	waitFor(t, func() bool { return len(events) == cap(events) })
+	var received, lost uint64
+	for deadline := time.After(5 * time.Second); received+lost < n; {
+		select {
+		case ev := <-events:
+			received++
+			lost += ev.Lost
+		case <-deadline:
+			t.Fatalf("received %d events, %d declared lost; want %d accounted for", received, lost, n)
+		}
+	}
+	if received+lost != n || lost == 0 {
+		t.Errorf("received %d events, %d declared lost; want %d in all, some lost", received, lost, n)
+	}
+}
+
 func TestClientCloseUnblocksPendingGet(t *testing.T) {
 	_, addr := startServer(t)
 	c := dialT(t, addr, "j")

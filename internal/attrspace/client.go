@@ -53,7 +53,9 @@ type Event struct {
 	// Lost is the number of updates the server's fan-out ring dropped
 	// for this subscriber since it last said so (0 almost always): on the
 	// event that opens a burst, or on an Op "lost" event of its own when
-	// the drops came while the burst was being sent. A consumer mirroring
+	// the drops came while the burst was being sent. An event channel
+	// that discards its oldest event under a lagging consumer adds that
+	// event, and its Lost, to the next one it queues. A consumer mirroring
 	// the space must treat any nonzero Lost as a gap: the LASS global
 	// cache flushes, a Session resyncs.
 	Lost uint64
@@ -352,19 +354,26 @@ func (c *Client) ShmActive() bool {
 
 // offer queues ev on ch without ever blocking: when the buffer is full
 // the oldest queued event makes room, which keeps a connection from
-// deadlocking against a slow consumer.
+// deadlocking against a slow consumer. The drop is declared, not
+// silent: ev carries the discarded event's Lost plus one for the event
+// itself, so every event a consumer did not receive is counted in the
+// Lost of one it did — the contract a consumer mirroring the space (or
+// WaitStatus, which re-reads on any Lost) relies on. Each channel has
+// one sender, so the second send always finds room.
 func offer(ch chan Event, ev Event) {
 	select {
 	case ch <- ev:
+		return
 	default:
-		select {
-		case <-ch:
-		default:
-		}
-		select {
-		case ch <- ev:
-		default:
-		}
+	}
+	select {
+	case old := <-ch:
+		ev.Lost += old.Lost + 1
+	default:
+	}
+	select {
+	case ch <- ev:
+	default:
 	}
 }
 
@@ -973,46 +982,6 @@ func (c *Client) SnapshotSeq(ctx context.Context) (map[string]Versioned, uint64,
 	out := make(map[string]Versioned, entryCount(reply))
 	err = c.entries(reply, nil, func(e entry) { out[e.k] = Versioned{Value: e.v, Seq: e.seq} })
 	return out, replySeq(reply), err
-}
-
-// DeltaOp is one replayed mutation from a delta resync (SNAPD).
-type DeltaOp struct {
-	Attr   string
-	Value  string // value written; "" for a delete
-	Seq    uint64
-	Delete bool
-}
-
-// SnapshotDelta asks the server for just the mutations after `since`
-// (the SNAPD delta-resync verb), so reconnect traffic is proportional
-// to the gap, not the context size. Exactly one of ops/full is
-// non-nil: ops carries the replayable delta in seq order; full is the
-// complete versioned snapshot the server fell back to because its
-// change log no longer covers the gap. Both come with the context's
-// current seq.
-func (c *Client) SnapshotDelta(ctx context.Context, since uint64) (ops []DeltaOp, full map[string]Versioned, ctxSeq uint64, err error) {
-	spec := opFor(opSnapDelta, Local)
-	reply, err := c.call(ctx, spec, spec.req().Set("since", strconv.FormatUint(since, 10)))
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	if reply.Verb == "DELTA" {
-		// Parts were sent, buffered, and appended in order, and entries
-		// within a part are in order, so ops come out seq-ascending.
-		ops = make([]DeltaOp, 0, entryCount(reply))
-		err = c.entries(reply, nil, func(e entry) {
-			ops = append(ops, DeltaOp{Attr: e.k, Value: e.v, Seq: e.seq, Delete: e.del})
-		})
-	} else {
-		// Change log compacted past `since`: the server shipped a full
-		// versioned snapshot instead.
-		full = make(map[string]Versioned, entryCount(reply))
-		err = c.entries(reply, nil, func(e entry) { full[e.k] = Versioned{Value: e.v, Seq: e.seq} })
-	}
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return ops, full, replySeq(reply), nil
 }
 
 // ping performs a wire-level liveness round trip. The server answers

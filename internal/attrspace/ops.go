@@ -23,7 +23,7 @@ import (
 // this tree speaks. HELLO carries it in both directions; a peer with no
 // or a different revision is refused there (ErrProtocolRevision) and
 // nowhere else — everything the revision includes is simply on.
-const ProtocolRevision = "2"
+const ProtocolRevision = "3"
 
 // ErrProtocolRevision reports a peer that does not speak
 // ProtocolRevision: a server that refused our HELLO for it, or one
@@ -51,7 +51,6 @@ const (
 	opTryGet
 	opDelete
 	opSnapshot
-	opSnapDelta
 	opSnapMany
 	opContexts
 	numOps
@@ -120,7 +119,6 @@ var opTable = []opSpec{
 	{verb: "TRYGET", op: opTryGet, scope: Local, handle: (*serverConn).opTryGet},
 	{verb: "DELETE", op: opDelete, scope: Local, handle: (*serverConn).opDelete},
 	{verb: "SNAP", op: opSnapshot, scope: Local, handle: (*serverConn).opSnapshot},
-	{verb: "SNAPD", op: opSnapDelta, scope: Local, handle: (*serverConn).opSnapDelta},
 
 	{verb: "CPUT", op: opPut, scope: scopeCtx, handle: (*serverConn).opPut, origin: true},
 	{verb: "CMPUT", op: opMPut, scope: scopeCtx, handle: (*serverConn).opMPut, origin: true},
@@ -271,11 +269,10 @@ func namesReply(reply *wire.Message, err error) ([]string, error) {
 	return readNames(reply)
 }
 
-// entry is one k<i>/v<i>[/s<i>][/o<i>] group of a snapshot or delta.
+// entry is one k<i>/v<i>[/s<i>] group of a snapshot.
 type entry struct {
 	k, v string
 	seq  uint64
-	del  bool
 }
 
 // entries walks every entry of a snapshot-family reply in order,
@@ -293,9 +290,8 @@ func (c *Client) entries(reply *wire.Message, err error, fn func(entry)) error {
 			}
 			v, _ := indexed(part, 'v', i)
 			s, _ := indexed(part, 's', i)
-			o, _ := indexed(part, 'o', i)
 			seq, _ := strconv.ParseUint(s, 10, 64)
-			fn(entry{k: k, v: v, seq: seq, del: o == "d"})
+			fn(entry{k: k, v: v, seq: seq})
 		}
 	}
 	return nil

@@ -20,7 +20,7 @@ var opNames = [numOps]string{
 	opHello: "hello", opExit: "exit", opPing: "ping", opStats: "stats",
 	opShmReq: "shm-request", opShmRdy: "shm-ready", opSub: "subscribe",
 	opPut: "put", opMPut: "mput", opGet: "get", opTryGet: "tryget",
-	opDelete: "delete", opSnapshot: "snapshot", opSnapDelta: "snapshot-delta",
+	opDelete: "delete", opSnapshot: "snapshot",
 	opSnapMany: "snapshot-many", opContexts: "contexts",
 }
 
@@ -32,7 +32,7 @@ var scopeNames = [numScopes]string{
 // attrspace.ops.<name> counter and attrspace.latency.<name> histogram
 // each, and the span attrspace.<name>. The bench ladders, tdptop and the
 // scenario reports read them, so the table may not respell one.
-var countedNames = []string{"hello", "put", "mput", "get", "tryget", "delete", "snap", "snapd", "sub",
+var countedNames = []string{"hello", "put", "mput", "get", "tryget", "delete", "snap", "sub",
 	"stats", "ping", "gput", "gmput", "gget", "gtryget", "gdel", "gsnap", "gsnapm", "gctxs",
 	"cput", "cmput", "cget", "cdel", "csnap", "cctxs"}
 
@@ -241,16 +241,6 @@ var opContracts = [numOps]func(h *opHarness, spec *opSpec){
 		if got[key] != "snapped" || len(got) != reply.Int("n", -1) {
 			h.t.Errorf("%s: %d entries (n=%s), %s=%q", spec.verb, len(got), reply.Get("n"), key, got[key])
 		}
-	},
-	opSnapDelta: func(h *opHarness, spec *opSpec) {
-		since := h.seed(spec, h.key(), "old")
-		key := h.key()
-		seq := h.seed(spec, key, "new")
-		reply := h.send(spec, spec.req().Set("since", fmt.Sprint(since)))
-		if reply.Verb != "DELTA" || reply.Int("n", -1) != 1 || reply.Get("k0") != key || replySeq(reply) != seq {
-			h.t.Errorf("%s since %d: %v; want DELTA of just %s at seq %d", spec.verb, since, reply, key, seq)
-		}
-		h.wantError(spec, h.send(spec, spec.req().Set("since", "yesterday")), "bad since")
 	},
 	opSnapMany: func(h *opHarness, spec *opSpec) {
 		key := h.key()

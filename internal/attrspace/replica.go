@@ -11,7 +11,7 @@ package attrspace
 // for concurrent use: its owner's lock guards it.
 type replica struct {
 	inc     uint64 // 0: none copied yet, or the last one was destroyed
-	seq     uint64 // high-water: the newest context seq applied
+	seq     uint64 // high-water: the newest context seq applied; see applyFull
 	entries map[string]rentry
 	max     int // entry bound, 0 for none; beyond it an arbitrary entry goes
 }
@@ -47,39 +47,34 @@ func (r *replica) reset(inc uint64) {
 	clear(r.entries)
 }
 
-// applyDelta applies a mutation log ending at ctxSeq (SNAPD's DELTA),
-// calling emit with each write that was news.
-func (r *replica) applyDelta(ops []DeltaOp, ctxSeq uint64, emit func(Event)) {
-	for _, op := range ops {
-		if r.apply(op.Attr, op.Value, op.Seq, op.Delete) {
-			emit(deltaEvent(op.Attr, op.Value, op.Seq, op.Delete))
-		}
-	}
-	r.seq = max(r.seq, ctxSeq)
-}
-
 // applyFull applies a complete versioned snapshot taken at ctxSeq,
-// calling emit with each change: a put for every attribute newer there,
+// calling emit with each change: a put for every attribute written
+// there after the high-water seq and newer than the replica's copy, and
 // a delete versioned ctxSeq for every attribute live here that the
 // snapshot lacks — unless it was written after ctxSeq (live events can
-// overtake the snapshot's reply), when its absence says nothing.
+// overtake the snapshot's reply), when its absence says nothing. A write
+// at or below the high-water is not news: the replica applied it, or it
+// predates the subscription the replica was started from. So a replica
+// that has applied nothing, or whose owner zeroed seq on a declared
+// loss, takes every write the snapshot holds.
 func (r *replica) applyFull(snap map[string]Versioned, ctxSeq uint64, emit func(Event)) {
+	floor := r.seq
 	for k, v := range snap {
-		if r.apply(k, v.Value, v.Seq, false) {
-			emit(deltaEvent(k, v.Value, v.Seq, false))
+		if v.Seq > floor && r.apply(k, v.Value, v.Seq, false) {
+			emit(replayEvent(k, v.Value, v.Seq, false))
 		}
 	}
 	for k, e := range r.entries {
 		if _, ok := snap[k]; !ok && !e.dead && e.seq <= ctxSeq {
 			r.entries[k] = rentry{seq: ctxSeq, dead: true}
-			emit(deltaEvent(k, "", ctxSeq, true))
+			emit(replayEvent(k, "", ctxSeq, true))
 		}
 	}
 	r.seq = max(r.seq, ctxSeq)
 }
 
-// deltaEvent is a write a resync replays to consumers.
-func deltaEvent(attribute, value string, seq uint64, dead bool) Event {
+// replayEvent is a write a resync replays to consumers.
+func replayEvent(attribute, value string, seq uint64, dead bool) Event {
 	op := "put"
 	if dead {
 		op = "delete"

@@ -432,24 +432,7 @@ func (s *Server) StartMonitorPublisher(contextName, daemon string, interval time
 	ref := s.space.Join(contextName)
 	done := make(chan struct{})
 	var once sync.Once
-	publish := func() {
-		snap := s.tel.Load().reg.Snapshot()
-		prefix := telemetry.MonitorPrefix + daemon + "."
-		pairs := make([]attr.KV, 0, len(snap.Counters)+len(snap.Gauges)+3*len(snap.Histograms))
-		for name, v := range snap.Counters {
-			pairs = append(pairs, attr.KV{Key: prefix + name, Value: strconv.FormatInt(v, 10)})
-		}
-		for name, v := range snap.Gauges {
-			pairs = append(pairs, attr.KV{Key: prefix + name, Value: strconv.FormatInt(v, 10)})
-		}
-		for name, h := range snap.Histograms {
-			pairs = append(pairs,
-				attr.KV{Key: prefix + name + ".count", Value: strconv.FormatInt(h.Count, 10)},
-				attr.KV{Key: prefix + name + ".p50", Value: strconv.FormatFloat(h.Quantile(0.5), 'g', 6, 64)},
-				attr.KV{Key: prefix + name + ".p99", Value: strconv.FormatFloat(h.Quantile(0.99), 'g', 6, 64)})
-		}
-		ref.PutBatch(pairs)
-	}
+	publish := func() { ref.PutBatch(MonitorPairs(daemon, s.tel.Load().reg.Snapshot())) }
 	publish()
 	go func() {
 		t := time.NewTicker(interval)
@@ -469,6 +452,29 @@ func (s *Server) StartMonitorPublisher(contextName, daemon string, interval time
 			ref.Leave()
 		})
 	}
+}
+
+// MonitorPairs renders a registry snapshot as the attributes a daemon
+// publishes about itself, each named MonitorPrefix + daemon + "." + the
+// metric: counters and gauges their value, histograms ".count", ".p50"
+// and ".p99". Both publishers — a server's and a tdp.Handle's — put
+// exactly these, as one batch.
+func MonitorPairs(daemon string, snap telemetry.Snapshot) []KV {
+	prefix := telemetry.MonitorPrefix + daemon + "."
+	pairs := make([]KV, 0, len(snap.Counters)+len(snap.Gauges)+3*len(snap.Histograms))
+	for name, v := range snap.Counters {
+		pairs = append(pairs, KV{Key: prefix + name, Value: strconv.FormatInt(v, 10)})
+	}
+	for name, v := range snap.Gauges {
+		pairs = append(pairs, KV{Key: prefix + name, Value: strconv.FormatInt(v, 10)})
+	}
+	for name, h := range snap.Histograms {
+		pairs = append(pairs,
+			KV{Key: prefix + name + ".count", Value: strconv.FormatInt(h.Count, 10)},
+			KV{Key: prefix + name + ".p50", Value: strconv.FormatFloat(h.Quantile(0.5), 'g', 6, 64)},
+			KV{Key: prefix + name + ".p99", Value: strconv.FormatFloat(h.Quantile(0.99), 'g', 6, 64)})
+	}
+	return pairs
 }
 
 // serverConn is one client session.
@@ -979,36 +985,6 @@ func snapReply(id string, snap map[string]string) *wire.Message {
 	return reply
 }
 
-// sendVersioned answers r with its context's full versioned snapshot.
-func (c *serverConn) sendVersioned(r request) {
-	snap, ctxSeq, err := r.t.ref.SnapshotSeq()
-	if err != nil {
-		c.fail(r, err)
-		return
-	}
-	c.sendEntryChunks("SNAPV", r, versionedEntries(snap), ctxSeq)
-}
-
-// opSnapDelta is the delta resync: ship only the mutations after the
-// client's seq watermark, falling back to a full versioned snapshot when
-// the bounded change log no longer covers the gap.
-func (c *serverConn) opSnapDelta(_ context.Context, r request) {
-	since, err := strconv.ParseUint(r.m.Get("since"), 10, 64)
-	if err != nil {
-		c.fail(r, fmt.Errorf("snapd: bad since %q", r.m.Get("since")))
-		return
-	}
-	changes, ctxSeq, covered, err := r.t.ref.ChangesSince(since)
-	switch {
-	case err != nil:
-		c.fail(r, err)
-	case covered:
-		c.sendEntryChunks("DELTA", r, deltaEntries(changes), ctxSeq)
-	default:
-		c.sendVersioned(r)
-	}
-}
-
 // opSnapMany is the multi-context snapshot: scatter-gather across the
 // CASS shards. Strict by design — any unreachable context fails the
 // request, because a snapshot that silently omits contexts reads as
@@ -1103,50 +1079,37 @@ func decodeBatch(m *wire.Message) ([]attr.KV, error) {
 }
 
 // SnapChunkEntries is the entry-count threshold above which versioned
-// snapshot and delta replies are split into part/more chunks. 256
-// entries keep each frame well under 64KiB for typical attribute sizes
-// while leaving few enough parts that chunking overhead is negligible.
+// snapshot replies are split into part/more chunks. 256 entries keep
+// each frame well under 64KiB for typical attribute sizes while leaving
+// few enough parts that chunking overhead is negligible.
 const SnapChunkEntries = 256
-
-func versionedEntries(snap map[string]attr.Versioned) []entry {
-	out := make([]entry, 0, len(snap))
-	for k, v := range snap {
-		out = append(out, entry{k: k, v: v.Value, seq: v.Seq})
-	}
-	return out
-}
-
-func deltaEntries(changes []attr.Change) []entry {
-	out := make([]entry, 0, len(changes))
-	for _, ch := range changes {
-		out = append(out, entry{k: ch.Attr, v: ch.Value, seq: ch.Seq, del: ch.Delete})
-	}
-	return out
-}
 
 func appendEntries(m *wire.Message, entries []entry) {
 	for i, e := range entries {
 		idx := strconv.Itoa(i)
-		m.Set("k"+idx, e.k)
-		if e.del {
-			m.Set("o"+idx, "d")
-		} else {
-			m.Set("v"+idx, e.v)
-		}
-		m.Set("s"+idx, strconv.FormatUint(e.seq, 10))
+		m.Set("k"+idx, e.k).Set("v"+idx, e.v).Set("s"+idx, strconv.FormatUint(e.seq, 10))
 	}
 }
 
-// sendEntryChunks answers r with entries as `verb` replies and ends the
-// request. Up to SnapChunkEntries go out as one message. Larger replies
-// are split into parts of SnapChunkEntries each and sent from their own
-// goroutine on the bulk stream, so the read loop keeps servicing the
-// connection — PING heartbeats and window updates interleave with the
-// replay instead of queueing behind it.
-func (c *serverConn) sendEntryChunks(verb string, r request, entries []entry, ctxSeq uint64) {
+// sendVersioned answers r with its context's full versioned snapshot as
+// SNAPV replies and ends the request. Up to SnapChunkEntries go out as
+// one message. Larger replies are split into parts of SnapChunkEntries
+// each and sent from their own goroutine on the bulk stream, so the
+// read loop keeps servicing the connection — PING heartbeats and window
+// updates interleave with the replay instead of queueing behind it.
+func (c *serverConn) sendVersioned(r request) {
+	snap, ctxSeq, err := r.t.ref.SnapshotSeq()
+	if err != nil {
+		c.fail(r, err)
+		return
+	}
+	entries := make([]entry, 0, len(snap))
+	for k, v := range snap {
+		entries = append(entries, entry{k: k, v: v.Value, seq: v.Seq})
+	}
 	seqStr := strconv.FormatUint(ctxSeq, 10)
 	if len(entries) <= SnapChunkEntries {
-		m := wire.NewMessage(verb).Set("id", r.id).SetInt("n", len(entries)).Set("seq", seqStr)
+		m := wire.NewMessage("SNAPV").Set("id", r.id).SetInt("n", len(entries)).Set("seq", seqStr)
 		appendEntries(m, entries)
 		c.reply(m)
 		r.obs.end()
@@ -1157,14 +1120,14 @@ func (c *serverConn) sendEntryChunks(verb string, r request, entries []entry, ct
 		total := len(entries)
 		for lo := 0; lo < total; lo += SnapChunkEntries {
 			hi := min(lo+SnapChunkEntries, total)
-			m := wire.NewMessage(verb).Set("id", r.id).SetInt("n", hi-lo).
+			m := wire.NewMessage("SNAPV").Set("id", r.id).SetInt("n", hi-lo).
 				Set("seq", seqStr).SetInt("part", lo/SnapChunkEntries).SetInt("total", total)
 			if hi < total {
 				m.Set("more", "1")
 			}
 			appendEntries(m, entries[lo:hi])
 			if err := c.mux.SendOn(wire.StreamBulk, m); err != nil {
-				c.srv.log().Debugf("attrspace: chunked %s to %v failed: %v", verb, c.raw.RemoteAddr(), err)
+				c.srv.log().Debugf("attrspace: chunked SNAPV to %v failed: %v", c.raw.RemoteAddr(), err)
 				return
 			}
 		}

@@ -435,8 +435,8 @@ func (g *evGate) handle(ev Event) {
 
 // resync is the session's one repair path run behind the shut gate;
 // then the gate opens.
-func (g *evGate) resync(since uint64) {
-	g.s.resync(g.c, since)
+func (g *evGate) resync() {
+	g.s.resync(g.c)
 	g.release()
 }
 
@@ -449,15 +449,16 @@ func (g *evGate) release() {
 // flushLocked delivers what is held, in arrival order and under the
 // mutex, so an event arriving meanwhile cannot overtake the backlog. An
 // event that declares a loss shuts the gate behind it: the repair, a
-// resync from seq 0, waits for its reply on the read loop that called
-// handle, so it runs on a goroutine of its own.
+// resync of the whole snapshot (deliver zeroed the high-water), waits
+// for its reply on the read loop that called handle, so it runs on a
+// goroutine of its own.
 func (g *evGate) flushLocked() {
 	g.shut = false
 	for i, ev := range g.pend {
 		g.s.deliver(ev)
 		if ev.Lost > 0 {
 			g.pend, g.shut = append(g.pend[:0], g.pend[i+1:]...), true
-			go g.resync(0)
+			go g.resync()
 			return
 		}
 	}
@@ -480,15 +481,14 @@ func (s *Session) subscribe(c *Client) (*evGate, subMark, error) {
 // g's connection, then opens the gate. The first subscription has no
 // gap to close: it records the incarnation, and the replica holds what
 // events deliver from then on. After that the incarnation decides: the
-// same one means what was missed is the delta after the replica's
-// high-water seq (0 while nothing has been applied, which replays the
-// whole context); another means the context was recreated while the
-// session was away — consumers get a synthetic destroy (unless a live
-// one already told them), and the new incarnation is replayed from
-// seq 0.
+// same one means what was missed is what the snapshot holds above the
+// replica's high-water seq (0 while nothing has been applied, which
+// replays the whole context); another means the context was recreated
+// while the session was away — consumers get a synthetic destroy
+// (unless a live one already told them), and the replica starts over,
+// so the new incarnation is replayed whole.
 func (s *Session) rebase(g *evGate, at subMark, first bool) {
 	s.emitMu.Lock()
-	since := s.rep.seq
 	switch {
 	case first:
 		s.rep.inc = at.inc
@@ -497,38 +497,46 @@ func (s *Session) rebase(g *evGate, at subMark, first bool) {
 			s.forwardLocked(Event{Op: "destroy", Resync: true})
 		}
 		s.rep.reset(at.inc)
-		since = 0
 	}
 	s.emitMu.Unlock()
 	if first {
 		g.release()
 	} else {
-		g.resync(since)
+		g.resync()
 	}
 }
 
 // deliver forwards one server-pushed event downstream, holding the
 // per-attribute monotonic-seq invariant across gaps: an event whose seq
 // is not newer than what consumers have already seen for that attribute
-// is dropped (it is a replay straddling a reconnect).
+// is dropped (it is a replay straddling a reconnect). An event that
+// declares a loss zeroes the replica's high-water seq: the ring drops
+// the oldest queued updates, older than ones delivered after them, so
+// the writes it lost lie below the high-water, and the repair that
+// follows (flushLocked) must treat the whole snapshot as news.
 func (s *Session) deliver(ev Event) {
 	s.emitMu.Lock()
 	defer s.emitMu.Unlock()
+	fresh := true
 	switch {
 	case ev.Op == "destroy":
 		s.rep.reset(0) // the incarnation is gone, and consumers are told
 	case ev.Seq != 0:
-		if !s.rep.apply(ev.Attr, ev.Value, ev.Seq, ev.Op == "delete") {
-			return
+		if fresh = s.rep.apply(ev.Attr, ev.Value, ev.Seq, ev.Op == "delete"); fresh {
+			s.noteSeq(Local, ev.Seq)
 		}
-		s.noteSeq(Local, ev.Seq)
 	}
-	s.forwardLocked(ev)
+	if ev.Lost > 0 {
+		s.rep.seq = 0
+	}
+	if fresh {
+		s.forwardLocked(ev)
+	}
 }
 
 // forwardLocked hands an event to the consumer; emitMu held. A handler
 // sees every event synchronously; the channel drops oldest under a
-// lagging consumer, exactly like Client.Events.
+// lagging consumer and declares it in Lost, exactly like Client.Events.
 func (s *Session) forwardLocked(ev Event) {
 	if s.evClosed {
 		return
@@ -540,22 +548,20 @@ func (s *Session) forwardLocked(ev Event) {
 	offer(s.events, ev)
 }
 
-// resync closes a gap in the event stream from since: SNAPD answers
-// with the mutations after it, or with the whole context when its
-// change log no longer reaches back that far. Consumers get a bare
-// Resync marker, then each write the replica had not seen (a delete for
-// an attribute the whole context no longer holds). From seq 0 it
-// repairs a declared loss: the ring drops the oldest queued updates,
-// older than ones delivered after them, so a delta from the newest
-// delivered seq would miss exactly the lost ones. A failed fetch
+// resync closes a gap in the event stream — a reconnect's, a declared
+// loss's, a new incarnation's — from the context's versioned snapshot
+// (SNAP seqs=1, chunked when large). Consumers get a bare Resync marker,
+// then each write the replica takes as news (replica.applyFull): in
+// the same incarnation only what lies above its high-water seq, and a
+// delete for an attribute the context no longer holds. A failed fetch
 // changes nothing; a transport error also fails the client, and the
 // next install resyncs again.
-func (s *Session) resync(c *Client, since uint64) {
+func (s *Session) resync(c *Client) {
 	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.DialTimeout)
 	defer cancel()
-	ops, full, ctxSeq, err := c.SnapshotDelta(ctx, since)
+	snap, ctxSeq, err := c.SnapshotSeq(ctx)
 	if err != nil {
-		s.log().Debugf("attrspace: session resync from seq %d failed: %v", since, err)
+		s.log().Debugf("attrspace: session resync failed: %v", err)
 		return
 	}
 	s.cResyncs.Inc()
@@ -563,11 +569,7 @@ func (s *Session) resync(c *Client, since uint64) {
 	s.emitMu.Lock()
 	defer s.emitMu.Unlock()
 	s.forwardLocked(Event{Op: "resync", Seq: ctxSeq, Resync: true})
-	if full != nil {
-		s.rep.applyFull(full, ctxSeq, s.forwardLocked)
-	} else {
-		s.rep.applyDelta(ops, ctxSeq, s.forwardLocked)
-	}
+	s.rep.applyFull(snap, ctxSeq, s.forwardLocked)
 }
 
 // heartbeat probes one connection generation with periodic PINGs, each

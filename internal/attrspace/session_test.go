@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -561,5 +562,129 @@ func TestSessionRepairsDeclaredLoss(t *testing.T) {
 	}
 	if n := counter(srv, "attrspace.events.lost"); n == 0 {
 		t.Error("the ring of 1 dropped nothing: the test did not overflow it")
+	}
+}
+
+// TestSessionResyncReplaysOnlyTheGap: after an outage a Session repairs
+// from the versioned snapshot, and in the same incarnation its consumer
+// gets the resync marker and exactly the writes it missed — the two puts
+// and the delete made while it was away — none of the attributes it
+// already holds, and none written before it subscribed.
+func TestSessionResyncReplaysOnlyTheGap(t *testing.T) {
+	r := newRestartable(t)
+	keep := r.space.Join("gap")
+	defer keep.Leave()
+	for i := 0; i < 10; i++ {
+		if err := keep.Put(fmt.Sprintf("pre%02d", i), "v"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := NewSession(SessionConfig{
+		Addr:        r.addr,
+		Context:     "gap",
+		Backoff:     liveness.Schedule{Initial: 2 * time.Millisecond, Max: 20 * time.Millisecond},
+		MaxAttempts: -1,
+		ConnectWait: 5 * time.Second,
+	})
+	defer s.Close()
+	var mu sync.Mutex
+	var seen []Event
+	s.setEventHandler(func(ev Event) {
+		mu.Lock()
+		seen = append(seen, ev)
+		mu.Unlock()
+	})
+	// Connected first, so the subscription is the session's first and
+	// closes no gap: what was written before it is not news.
+	if err := s.WaitReady(context.Background()); err != nil {
+		t.Fatalf("WaitReady: %v", err)
+	}
+	if err := s.Subscribe(); err != nil {
+		t.Fatalf("Subscribe: %v", err)
+	}
+	count := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(seen)
+	}
+	for i := 0; i < 50; i++ {
+		if err := keep.Put(fmt.Sprintf("live%02d", i), "v"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, func() bool { return count() == 50 })
+
+	r.kill()
+	waitFor(t, func() bool { s.mu.Lock(); defer s.mu.Unlock(); return s.cur == nil })
+	if err := keep.Put("gap1", "x"); err != nil {
+		t.Fatal(err)
+	}
+	if err := keep.Put("gap2", "y"); err != nil {
+		t.Fatal(err)
+	}
+	if err := keep.Delete("live00"); err != nil {
+		t.Fatal(err)
+	}
+	r.restart()
+	waitFor(t, func() bool { return count() >= 54 })
+	// The marker and the replay are emitted in one hold of emitMu: once
+	// it is free again, a replay that said too much has said all of it.
+	s.emitMu.Lock()
+	s.emitMu.Unlock()
+
+	mu.Lock()
+	defer mu.Unlock()
+	var got []string
+	for _, ev := range seen[50:] {
+		got = append(got, fmt.Sprintf("%s %s=%s resync=%v", ev.Op, ev.Attr, ev.Value, ev.Resync))
+	}
+	if len(got) != 4 || got[0] != "resync = resync=true" {
+		t.Fatalf("after the outage the consumer got %q, want the resync marker and 3 writes", got)
+	}
+	sort.Strings(got[1:])
+	want := []string{"delete live00= resync=true", "put gap1=x resync=true", "put gap2=y resync=true"}
+	if !reflect.DeepEqual(got[1:], want) {
+		t.Errorf("the replay carried %q, want %q", got[1:], want)
+	}
+}
+
+// TestSessionLossReplaysBelowHighWater: the writes a declared loss stands
+// for can be older than events delivered before the declaration reached
+// the session, so the repair must not stop at the high-water seq. Here
+// b (seq 2) was dropped and the loss rides on c (seq 3): the replay must
+// bring b back.
+func TestSessionLossReplaysBelowHighWater(t *testing.T) {
+	_, addr := startServer(t)
+	s := NewSession(SessionConfig{
+		Dial: func(addr string) (net.Conn, error) {
+			return nil, errors.New("no server in this test")
+		},
+		Addr:        "nowhere",
+		Context:     "loss",
+		Backoff:     liveness.Schedule{Initial: time.Hour, Max: time.Hour},
+		MaxAttempts: -1,
+	})
+	defer s.Close()
+	m := newMirror()
+	s.setEventHandler(m.handle)
+
+	c := dialT(t, addr, "loss")
+	for _, a := range []string{"a", "b", "c"} {
+		if err := c.Put(a, "v"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gate := &evGate{s: s, c: c, shut: true}
+	s.rebase(gate, subMark{inc: 1}, true)
+	gate.handle(Event{Attr: "a", Value: "v", Op: "put", Seq: 1})
+	gate.handle(Event{Attr: "c", Value: "v", Op: "put", Seq: 3, Lost: 1})
+
+	want := map[string]string{"a": "v", "b": "v", "c": "v"}
+	deadline := time.Now().Add(5 * time.Second)
+	for got, _, _ := m.snapshot(); !sameMap(got, want); got, _, _ = m.snapshot() {
+		if time.Now().After(deadline) {
+			t.Fatalf("mirror after the repair = %v, want %v\n%v", got, want, m.events())
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

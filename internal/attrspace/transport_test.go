@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"tdp/internal/attr"
 	"tdp/internal/telemetry"
 	"tdp/internal/wire"
 )
@@ -25,7 +24,8 @@ import (
 // TestRevisionHandshake: HELLO is the one place a peer of another (or
 // no) protocol revision is told so. A raw peer — revision 1 among them,
 // whose SUB named an origin of its own and whose OK carried no
-// incarnation — gets the stable ERROR and the server keeps nothing of
+// incarnation, and revision 2, which repaired a session from SNAPD
+// deltas — gets the stable ERROR and the server keeps nothing of
 // it: no context joined, the connection dropped; a client dialing a
 // server whose OK names no revision gets ErrProtocolRevision instead of
 // a half-working connection.
@@ -36,6 +36,7 @@ func TestRevisionHandshake(t *testing.T) {
 		wire.NewMessage("HELLO").Set("context", "stray"),
 		wire.NewMessage("HELLO").Set("context", "stray").Set("rev", "0"),
 		wire.NewMessage("HELLO").Set("context", "stray").Set("rev", "1"),
+		wire.NewMessage("HELLO").Set("context", "stray").Set("rev", "2"),
 		wire.NewMessage("HELLO").Set("context", "stray").Set("caps", "mux,snapd,chunk,ping,bytewin"),
 	} {
 		raw, err := net.Dial("tcp", addr)
@@ -108,93 +109,6 @@ func TestRevisionHandshake(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Delta resync (SNAPD).
-
-func TestSnapshotDeltaReplaysOnlyTheGap(t *testing.T) {
-	_, addr := startServer(t)
-	c := dialT(t, addr, "job1")
-	for i := 0; i < 50; i++ {
-		if err := c.Put(fmt.Sprintf("base%02d", i), "v"); err != nil {
-			t.Fatalf("Put: %v", err)
-		}
-	}
-	_, since, err := c.SnapshotSeq(context.Background())
-	if err != nil {
-		t.Fatalf("SnapshotSeq: %v", err)
-	}
-	// The gap: two puts and a delete.
-	if err := c.Put("new1", "x"); err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-	if err := c.Put("new2", "y"); err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-	if _, err := c.DeleteAt(context.Background(), Local, "base00"); err != nil {
-		t.Fatalf("Delete: %v", err)
-	}
-
-	ops, full, ctxSeq, err := c.SnapshotDelta(context.Background(), since)
-	if err != nil {
-		t.Fatalf("SnapshotDelta: %v", err)
-	}
-	if full != nil {
-		t.Fatalf("SnapshotDelta fell back to a full snapshot for a covered gap")
-	}
-	if len(ops) != 3 {
-		t.Fatalf("delta = %d ops, want 3: %+v", len(ops), ops)
-	}
-	if ops[0].Attr != "new1" || ops[0].Value != "x" || ops[0].Delete {
-		t.Errorf("ops[0] = %+v", ops[0])
-	}
-	if ops[2].Attr != "base00" || !ops[2].Delete {
-		t.Errorf("ops[2] = %+v, want delete of base00", ops[2])
-	}
-	for i := 1; i < len(ops); i++ {
-		if ops[i].Seq <= ops[i-1].Seq {
-			t.Errorf("delta out of seq order: %+v", ops)
-		}
-	}
-	if ctxSeq != ops[2].Seq {
-		t.Errorf("ctxSeq = %d, want %d", ctxSeq, ops[2].Seq)
-	}
-}
-
-func TestSnapshotDeltaCompactedFallsBackToFull(t *testing.T) {
-	_, addr := startServer(t)
-	c := dialT(t, addr, "job1")
-	if err := c.Put("early", "1"); err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-	_, since, err := c.SnapshotSeq(context.Background())
-	if err != nil {
-		t.Fatalf("SnapshotSeq: %v", err)
-	}
-	// Push the change log far past its compaction bound so `since` falls
-	// off the retained tail.
-	var pairs []KV
-	for i := 0; i < 2100; i++ {
-		pairs = append(pairs, KV{Key: fmt.Sprintf("k%04d", i%40), Value: fmt.Sprintf("v%d", i)})
-	}
-	if err := c.PutBatch(pairs); err != nil {
-		t.Fatalf("PutBatch: %v", err)
-	}
-
-	ops, full, ctxSeq, err := c.SnapshotDelta(context.Background(), since)
-	if err != nil {
-		t.Fatalf("SnapshotDelta: %v", err)
-	}
-	if ops != nil || full == nil {
-		t.Fatalf("want full-snapshot fallback for a compacted gap, got %d ops, full=%v", len(ops), full != nil)
-	}
-	if len(full) != 41 { // "early" + 40 k-slots
-		t.Errorf("full snapshot = %d entries, want 41", len(full))
-	}
-	if ctxSeq == 0 {
-		t.Error("fallback snapshot carried no context seq")
-	}
-}
-
-// ---------------------------------------------------------------------------
 // Chunked snapshot replies.
 
 func TestChunkedSnapshotReassembly(t *testing.T) {
@@ -224,19 +138,6 @@ func TestChunkedSnapshotReassembly(t *testing.T) {
 	}
 	if ctxSeq == 0 {
 		t.Error("chunked snapshot carried no context seq")
-	}
-	// A delta over a wide gap chunks too; it must reassemble in order.
-	ops, full, _, err := c.SnapshotDelta(context.Background(), 0)
-	if err != nil || full != nil {
-		t.Fatalf("SnapshotDelta(0) = full=%v, %v", full != nil, err)
-	}
-	if len(ops) != n {
-		t.Fatalf("chunked delta = %d ops, want %d", len(ops), n)
-	}
-	for i := 1; i < len(ops); i++ {
-		if ops[i].Seq <= ops[i-1].Seq {
-			t.Fatalf("chunked delta out of order at %d: %d after %d", i, ops[i].Seq, ops[i-1].Seq)
-		}
 	}
 }
 
@@ -394,44 +295,6 @@ func TestEventsFlowWhileGetBlocks(t *testing.T) {
 	}
 	cancel()
 	wg.Wait()
-}
-
-// ---------------------------------------------------------------------------
-// Change-log plumbing end to end: mutations through the server land in
-// the per-context log that SNAPD serves from.
-
-func TestServerMutationsFeedChangeLog(t *testing.T) {
-	space := attr.NewSpace()
-	srv := NewServerWithSpace(space)
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	go srv.Serve(l)
-	t.Cleanup(srv.Close)
-	c := dialT(t, l.Addr().String(), "job1")
-	if err := c.Put("a", "1"); err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-	if err := c.PutBatch([]KV{{Key: "b", Value: "2"}, {Key: "c", Value: "3"}}); err != nil {
-		t.Fatalf("PutBatch: %v", err)
-	}
-	if _, err := c.DeleteAt(context.Background(), Local, "a"); err != nil {
-		t.Fatalf("Delete: %v", err)
-	}
-	ref := space.Join("job1")
-	defer ref.Leave()
-	changes, _, ok, err := ref.ChangesSince(0)
-	if err != nil || !ok {
-		t.Fatalf("ChangesSince = ok=%v, %v", ok, err)
-	}
-	if len(changes) != 4 {
-		t.Fatalf("change log = %d entries, want 4: %+v", len(changes), changes)
-	}
-	last := changes[len(changes)-1]
-	if last.Attr != "a" || !last.Delete {
-		t.Errorf("last change = %+v, want delete of a", last)
-	}
 }
 
 // ---------------------------------------------------------------------------

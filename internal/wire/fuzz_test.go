@@ -24,16 +24,16 @@ func FuzzDecode(f *testing.F) {
 	f.Add(NewMessage("EVENT").Set("attr", "a").Set("op", "put").Set("seq", "7").AppendEncode(nil))
 	f.Add([]byte("3:PUT999999999;4:attr3:pid")) // count far past payload
 	f.Add([]byte("3:PUT0;"))
-	// Mux seeds: mux-framed messages, window updates, delta
+	// Mux seeds: mux-framed messages, window updates, versioned
 	// snapshots, and chunked snapshot parts.
 	f.Add(NewMessage("EVENT").Set("attr", "a").Set(FieldStream, "1").Encode())
 	f.Add(NewMessage("OK").Set(FieldWindow, "1:32,2:7").Encode())
 	f.Add(NewMessage(VerbWinUpdate).Set(FieldWindow, "2:64").Encode())
 	f.Add(NewMessage(VerbWinUpdate).Set(FieldWindow, ":::,0:-1,99999999999:1").Encode())
-	f.Add(NewMessage("SNAPD").Set("context", "g").SetInt("since", 41).Encode())
-	f.Add(NewMessage("DELTA").SetInt("n", 2).SetInt("seq", 44).
+	f.Add(NewMessage("SNAP").Set("id", "7").Set("seqs", "1").Encode())
+	f.Add(NewMessage("SNAPV").SetInt("n", 2).SetInt("seq", 44).
 		Set("k0", "pid").Set("v0", "1").Set("s0", "43").
-		Set("k1", "dead").Set("o1", "d").Set("s1", "44").Encode())
+		Set("k1", "host").Set("v1", "n1").Set("s1", "44").Encode())
 	f.Add(NewMessage("SNAPV").SetInt("part", 3).SetInt("more", 1).
 		Set(FieldStream, "2").Set("k0", "a").Set("v0", "b").Set("s0", "9").Encode())
 	f.Add(NewMessage("HELLO").Set("context", "g").Set("rev", "1").Set("shm", "1").Encode())

@@ -38,7 +38,7 @@ const (
 	StreamControl uint32 = 0
 	// StreamEvents carries server→client event fan-out (EVENT).
 	StreamEvents uint32 = 1
-	// StreamBulk carries snapshot replay chunks (SNAPV/DELTA).
+	// StreamBulk carries snapshot replay chunks (SNAPV).
 	StreamBulk uint32 = 2
 	// StreamSamples carries telemetry uplinks (SAMPLE/TSAMPLE).
 	StreamSamples uint32 = 3

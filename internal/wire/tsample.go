@@ -103,9 +103,7 @@ type BatchProfileSample struct {
 // Layout: n=<count>, then per item i an o<i> kind code ("f" profile,
 // "c" counter, "g" gauge, "m" gaugemax, "h" hist), k<i> the fn/metric
 // name, v<i> the calls/value (hist: the HistogramSnapshot JSON), and
-// for profile items s<i> the cumulative time_us. The o/k/v/s keys are
-// interned vocabulary up to index 31, so the common small cycle costs
-// one byte per key on the wire.
+// for profile items s<i> the cumulative time_us.
 func EncodeTBatch(profs []BatchProfileSample, tels []TelemetrySample) (*Message, error) {
 	m := NewMessage("TBATCH").SetInt("n", len(profs)+len(tels))
 	i := 0

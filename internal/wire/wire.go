@@ -99,25 +99,23 @@ func init() {
 		// per sample interval.
 		"REGISTER", "SAMPLE", "TSAMPLE", "DONE", "RUN",
 		"CONNECT", "REFUSED",
-		// Delta snapshots, flow-control window updates, wire-level
-		// liveness probes, and the shared-memory promotion requests.
-		"SNAPD", "DELTA", "WINUP", "PING", "PONG", "SHMREQ", "SHMRDY",
+		// Flow-control window updates, wire-level liveness probes, and
+		// the shared-memory promotion requests.
+		"WINUP", "PING", "PONG", "SHMREQ", "SHMRDY",
 		// Common field keys.
 		"id", "attr", "value", "context", "error", "daemon", "json",
 		"n", "seq", "op", "who", "lost", "seqs", "reason", "conn",
 		"fn", "calls", "time_us", "status", "host", "executable",
 		"pid", "rank", "kind", "name", "scope", "target", "resume",
-		"caps", "since", "part", "more", "total",
+		"caps", "part", "more", "total",
 		"ctx", "wait", "shard", "shmfile", "rev", "shm",
 		FieldTraceID, FieldSpanID, FieldStream, FieldWindow,
 	}
 	// Batched put / snapshot field keys k0..k31, v0..v31 (plus the
-	// per-entry seq keys s0..s31 of a versioned snapshot and the o0..o31
-	// op markers of a delta); larger batches fall back to ordinary
-	// string conversion.
+	// per-entry seq keys s0..s31 of a versioned snapshot); larger batches
+	// fall back to ordinary string conversion.
 	for i := 0; i < 32; i++ {
-		words = append(words, "k"+strconv.Itoa(i), "v"+strconv.Itoa(i),
-			"s"+strconv.Itoa(i), "o"+strconv.Itoa(i))
+		words = append(words, "k"+strconv.Itoa(i), "v"+strconv.Itoa(i), "s"+strconv.Itoa(i))
 	}
 	for _, w := range words {
 		interned[w] = w

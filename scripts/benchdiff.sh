@@ -20,8 +20,8 @@
 # the tracked set. SameHostPut and SessionResync graduated from the
 # excluded list once a few releases of history showed them steady
 # within the threshold: the same-host transport ladder (tcp/unix/shm)
-# and the delta-resync path are headline transport numbers, so they
-# gate now too. MRNetFanIn graduated the same way — the telemetry
+# and a session's snapshot resync are headline transport numbers, so
+# they gate now too. MRNetFanIn graduated the same way — the telemetry
 # fan-in tree is the monitoring hot path, and its per-sample cost
 # proved steady enough to hard-gate once the batched uplink landed.
 # The CASSSharded scaling curve stays excluded like the other

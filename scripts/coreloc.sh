@@ -39,9 +39,10 @@ for doc in README.md DESIGN.md EXPERIMENTS.md ROADMAP.md; do
 	printf '%-34s raw %6d\n' "$doc" "$(wc -l <"$doc")"
 done
 
-# The API surface, counted the way LOC is: the exported methods of
-# Client, Session and tdp.Handle, the methods of attrspace.API, and the
-# knobs: the exported fields of tdp.Config.
+# The API surface, counted the way LOC is: the request verbs of the op
+# table (internal/attrspace/ops.go), the exported methods of Client,
+# Session and tdp.Handle, the methods of attrspace.API, and the knobs:
+# the exported fields of tdp.Config.
 # Client's deprecated spellings in compat.go are counted on their own
 # line, so "one spelling per operation" can be read off beside the code.
 methods() { # methods <receiver-type> <file>...
@@ -55,6 +56,8 @@ surface() { # surface <label> <names...>
 	printf '%-34s %6d   %s\n' "$label" $# "$*"
 }
 attrspace_src=$(ls internal/attrspace/*.go | grep -v -e '_test\.go$' -e '/compat\.go$')
+surface "op table verbs" $(sed -n '/^var opTable = \[\]opSpec{/,/^}/p' internal/attrspace/ops.go |
+	sed -nE 's/.*verb: "([A-Z]+)".*/\1/p')
 # shellcheck disable=SC2086 # the file lists are word lists
 surface "Client exported methods" $(methods Client $attrspace_src)
 surface "Client, compat.go (deprecated)" $(methods Client internal/attrspace/compat.go)

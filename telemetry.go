@@ -2,7 +2,6 @@ package tdp
 
 import (
 	"context"
-	"strconv"
 	"time"
 
 	"tdp/internal/attrspace"
@@ -111,15 +110,14 @@ func (h *Handle) noteEventDepth() {
 // StartMonitorPublisher periodically publishes this handle's registry
 // into its local attribute space under MonitorPrefix + identity + ".",
 // so any participant can watch the daemon with a plain Get — the same
-// mechanism the paper uses for process status (§2.3). Counters and
-// gauges publish their value; histograms publish ".count", ".p50" and
-// ".p99". The returned stop function ends publication.
+// mechanism the paper uses for process status (§2.3), in the encoding
+// every publisher shares (attrspace.MonitorPairs). The returned stop
+// function ends publication.
 func (h *Handle) StartMonitorPublisher(interval time.Duration) (stop func()) {
 	reg := h.cfg.Telemetry
 	if reg == nil {
 		return func() {}
 	}
-	prefix := MonitorPrefix + h.cfg.Identity + "."
 	done := make(chan struct{})
 	go func() {
 		t := time.NewTicker(interval)
@@ -127,20 +125,7 @@ func (h *Handle) StartMonitorPublisher(interval time.Duration) (stop func()) {
 		for {
 			// One batched put per tick: the whole snapshot crosses the
 			// wire as a single MPUT instead of one round trip per metric.
-			snap := reg.Snapshot()
-			pairs := make([]KV, 0, len(snap.Counters)+len(snap.Gauges)+3*len(snap.Histograms))
-			for name, v := range snap.Counters {
-				pairs = append(pairs, KV{Key: prefix + name, Value: strconv.FormatInt(v, 10)})
-			}
-			for name, v := range snap.Gauges {
-				pairs = append(pairs, KV{Key: prefix + name, Value: strconv.FormatInt(v, 10)})
-			}
-			for name, hs := range snap.Histograms {
-				pairs = append(pairs,
-					KV{Key: prefix + name + ".count", Value: strconv.FormatInt(hs.Count, 10)},
-					KV{Key: prefix + name + ".p50", Value: strconv.FormatFloat(hs.Quantile(0.50), 'g', -1, 64)},
-					KV{Key: prefix + name + ".p99", Value: strconv.FormatFloat(hs.Quantile(0.99), 'g', -1, 64)})
-			}
+			pairs := attrspace.MonitorPairs(h.cfg.Identity, reg.Snapshot())
 			h.lass.PutBatchAt(context.Background(), attrspace.Local, pairs)
 			select {
 			case <-done:
