@@ -10,11 +10,12 @@
 # `make fuzz` is a short native-fuzzing smoke run over the
 # parsers that face untrusted or operator-typed bytes (the wire
 # decoder, the telemetry-sample codec, the ClassAd expression parser,
-# the transport mux's _stream/_win fields, and the shard flag
-# parsers). `make bench` refreshes the committed hot-path baseline
-# (BENCH_attrspace.json); `make benchdiff` re-runs the same suite and
-# fails on a >20% ns/op regression against it (and leaves no
-# bench.current.json behind either way). `make bench-samehost`
+# and the shard flag parsers); TestMakeFuzzTargetsExist fails on a
+# line naming a target its package does not declare, which `go test
+# -fuzz` itself would pass. `make bench` refreshes the committed
+# hot-path baseline (BENCH_attrspace.json); `make benchdiff` re-runs
+# the same suite and fails on a >20% ns/op regression against it (and
+# leaves no bench.current.json behind either way). `make bench-samehost`
 # re-runs just the same-host transport ladder (tcp / unix socket /
 # shm ring) and folds the trio into BENCH_attrspace.json in place.
 #
@@ -47,7 +48,7 @@ GO ?= go
 # round trips, the wire codec micro-benchmarks, the scaling suite
 # (sharded many-context fan-out, LASS global read cache, proxy relay),
 # and the transport suite (same-host unix fast path, the bytes of a
-# session's snapshot resync, mux fan-out). The parallel contention benchmark (AttrSpaceClients)
+# session's snapshot resync, event latency behind a chunked snapshot). The parallel contention benchmark (AttrSpaceClients)
 # stays out of the tracked set: RunParallel numbers swing 20%+ run to
 # run on shared machines, which would make the benchdiff gate flaky.
 # The scaling benchmarks and the CASS shard-scaling curve are
@@ -125,7 +126,6 @@ race:
 
 fuzz:
 	$(GO) test ./internal/wire -run='^$$' -fuzz=FuzzDecode -fuzztime=10s
-	$(GO) test ./internal/wire -run='^$$' -fuzz=FuzzMux -fuzztime=10s
 	$(GO) test ./internal/wire -run='^$$' -fuzz=FuzzTSample -fuzztime=10s
 	$(GO) test ./internal/classad -run='^$$' -fuzz=FuzzParse -fuzztime=10s
 	$(GO) test ./internal/attrspace -run='^$$' -fuzz=FuzzParseShardSpec -fuzztime=10s

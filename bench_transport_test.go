@@ -214,9 +214,10 @@ func BenchmarkShmIdleThenBurst(b *testing.B) {
 
 func BenchmarkMuxFanout(b *testing.B) {
 	// Event latency while a bulk snapshot streams on the same
-	// connection: the snapshot goes out in chunks on the bulk stream and
-	// the event interleaves between its parts. The event-wait metric is
-	// the one to watch.
+	// connection: the snapshot goes out in chunks and the event
+	// interleaves between its parts. The event-wait metric is the one to
+	// watch. (The name is kept so the tracked baseline still matches;
+	// the connection carries one byte stream, no mux.)
 	const size = 5000
 	b.Run("mux", func(b *testing.B) {
 		srv := attrspace.NewServer()

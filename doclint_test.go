@@ -14,10 +14,11 @@ import (
 // docLintFiles returns the documents that tell a reader which calls to
 // make: README, DESIGN and the verify notes in the repository's hidden
 // skills directory. Every method or field they name in backticks as T.M
-// or (*T).M, for T a type declared in package tdp, internal/attrspace
-// or internal/telemetry, must exist, and so must every repository path
-// they name in backticks; a rename or deletion that leaves a sentence
-// behind fails here until the sentence follows it.
+// or (*T).M, for T a type declared in package tdp, internal/attrspace,
+// internal/telemetry or internal/wire, must exist, and so must every
+// name they qualify with one of those packages and every repository
+// path they name in backticks; a rename or deletion that leaves a
+// sentence behind fails here until the sentence follows it.
 func docLintFiles(t *testing.T) []string {
 	notes, err := filepath.Glob(".*/skills/verify/SKILL.md")
 	if err != nil || len(notes) != 1 {
@@ -28,11 +29,15 @@ func docLintFiles(t *testing.T) []string {
 
 // docLintPackages maps the qualifier a document may write before a type
 // to the directory that declares it.
-var docLintPackages = map[string]string{"tdp": ".", "attrspace": "internal/attrspace", "telemetry": "internal/telemetry"}
+var docLintPackages = map[string]string{"tdp": ".", "attrspace": "internal/attrspace", "telemetry": "internal/telemetry", "wire": "internal/wire"}
 
 // docMember is T.M or (*T).M, optionally qualified (attrspace.Client.PutAt);
 // a type qualified by another package (mrnet.Config) is not checked.
 var docMember = regexp.MustCompile(`(?:\b([a-z]\w*)\.)?(?:\(\*)?\b([A-Z]\w*)\)?\.([A-Za-z_]\w*)`)
+
+// docQualified is a qualified package-level name (wire.NewConn,
+// attrspace.Global), which the package must declare.
+var docQualified = regexp.MustCompile(`\b([a-z]\w*)\.([A-Z]\w*)`)
 
 func TestDocsNameRealMembers(t *testing.T) {
 	members := map[string]map[string]map[string]bool{} // qualifier → type → member
@@ -46,6 +51,11 @@ func TestDocsNameRealMembers(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, span := range inlineCode(string(doc)) {
+			for _, m := range docQualified.FindAllStringSubmatch(span.text, -1) {
+				if _, ours := docLintPackages[m[1]]; ours && !members[m[1]][""][m[2]] {
+					t.Errorf("%s:%d: `%s` names %s.%s, which does not exist", file, span.line, span.text, m[1], m[2])
+				}
+			}
 			for _, m := range docMember.FindAllStringSubmatch(span.text, -1) {
 				qual, typ, member := m[1], m[2], m[3]
 				if _, ours := docLintPackages[qual]; qual != "" && !ours {
@@ -142,8 +152,9 @@ func inlineCode(doc string) []codeSpan {
 
 // declaredMembers parses the non-test Go files of dir and returns, for
 // every type declared there (aliases of other packages' types aside),
-// the names of its methods and fields. No type of either package embeds
-// another, so nothing is promoted.
+// the names of its methods and fields, and under "" the package's own
+// top-level names. No type of either package embeds another, so nothing
+// is promoted.
 func declaredMembers(t *testing.T, dir string) map[string]map[string]bool {
 	t.Helper()
 	pkgs, err := parser.ParseDir(token.NewFileSet(), dir, func(fi os.FileInfo) bool {
@@ -166,11 +177,22 @@ func declaredMembers(t *testing.T, dir string) map[string]map[string]bool {
 				case *ast.FuncDecl:
 					if d.Recv != nil {
 						add(receiverType(d.Recv.List[0].Type), d.Name.Name)
+					} else {
+						add("", d.Name.Name)
 					}
 				case *ast.GenDecl:
 					for _, spec := range d.Specs {
+						if vs, ok := spec.(*ast.ValueSpec); ok {
+							for _, name := range vs.Names {
+								add("", name.Name)
+							}
+						}
 						ts, ok := spec.(*ast.TypeSpec)
-						if !ok || ts.Assign.IsValid() {
+						if !ok {
+							continue
+						}
+						add("", ts.Name.Name)
+						if ts.Assign.IsValid() {
 							continue
 						}
 						add(ts.Name.Name, "") // a type with no members is still a type
@@ -260,5 +282,42 @@ func TestDocsNameRealVerbs(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Error("the documents write out no verb: the check is checking nothing")
+	}
+}
+
+// makeFuzz is one `make fuzz` line: the package it runs in and the
+// target it names.
+var makeFuzz = regexp.MustCompile(`test (\./\S+) .*-fuzz=(\w+)`)
+
+// TestMakeFuzzTargetsExist: every -fuzz=Name in the Makefile is a fuzz
+// function of the package it runs in. `go test -fuzz` given a name that
+// matches nothing prints a warning and exits 0, so a deleted target
+// would leave `make fuzz` green while it fuzzes nothing.
+func TestMakeFuzzTargetsExist(t *testing.T) {
+	mk, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := makeFuzz.FindAllStringSubmatch(string(mk), -1)
+	if len(lines) == 0 {
+		t.Fatal("the Makefile names no fuzz target: the check is checking nothing")
+	}
+	for _, m := range lines {
+		dir, name := m[1], m[2]
+		tests, err := filepath.Glob(filepath.Join(dir, "*_test.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		found := false
+		for _, f := range tests {
+			src, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			found = found || strings.Contains(string(src), "func "+name+"(")
+		}
+		if !found {
+			t.Errorf("Makefile fuzzes %s in %s, which declares no func %s(", name, dir, name)
+		}
 	}
 }

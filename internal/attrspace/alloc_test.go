@@ -191,8 +191,8 @@ func TestEventAllocBudget(t *testing.T) {
 // 18.6 KB while every connection built its read buffers, event channel
 // and mux tables up front).
 const (
-	setupAllocBudget = 51
-	setupBytesBudget = 4750
+	setupAllocBudget = 49
+	setupBytesBudget = 4250
 )
 
 func TestSetupAllocBudget(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -278,33 +279,50 @@ func TestSubscribeEvents(t *testing.T) {
 // TestLaggingConsumerDropsDeclared: a subscriber that does not read
 // overflows its Events channel, and the events it discards are declared
 // in the Lost of the ones it keeps — every write is received or counted.
+// The larger input pushes more EVENT bytes than a 32 KiB window would
+// have admitted; either way the lagging subscriber's own requests still
+// get their replies while its Events channel sits undrained.
 func TestLaggingConsumerDropsDeclared(t *testing.T) {
-	_, addr := startServer(t)
-	sub := dialT(t, addr, "j")
-	pub := dialT(t, addr, "j")
-	if err := sub.Subscribe(); err != nil {
-		t.Fatalf("Subscribe: %v", err)
-	}
-	const n = 200
-	for i := 0; i < n; i++ {
-		if err := pub.Put(fmt.Sprintf("a%03d", i), "v"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	events := sub.Events()
-	waitFor(t, func() bool { return len(events) == cap(events) })
-	var received, lost uint64
-	for deadline := time.After(5 * time.Second); received+lost < n; {
-		select {
-		case ev := <-events:
-			received++
-			lost += ev.Lost
-		case <-deadline:
-			t.Fatalf("received %d events, %d declared lost; want %d accounted for", received, lost, n)
-		}
-	}
-	if received+lost != n || lost == 0 {
-		t.Errorf("received %d events, %d declared lost; want %d in all, some lost", received, lost, n)
+	for _, n := range []int{200, 2000} {
+		t.Run(strconv.Itoa(n), func(t *testing.T) {
+			_, addr := startServer(t)
+			sub := dialT(t, addr, "j")
+			pub := dialT(t, addr, "j")
+			if err := sub.Subscribe(); err != nil {
+				t.Fatalf("Subscribe: %v", err)
+			}
+			for i := 0; i < n; i++ {
+				if err := pub.Put(fmt.Sprintf("a%04d", i), "v"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			events := sub.Events()
+			waitFor(t, func() bool { return len(events) == cap(events) })
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			if _, err := sub.PutAt(ctx, Local, "own", "v"); err != nil {
+				t.Fatalf("subscriber's PutAt with Events undrained: %v", err)
+			}
+			if v, _, err := sub.TryGetAt(ctx, Local, "own"); err != nil || v != "v" {
+				t.Fatalf("subscriber's TryGetAt with Events undrained = %q, %v", v, err)
+			}
+			published := uint64(n) + 1 // the subscriber's own put is an event too
+			var received, lost uint64
+			for deadline := time.After(5 * time.Second); received+lost < published; {
+				select {
+				case ev := <-events:
+					if ev.Op != "lost" { // a marker carries a count, not an update
+						received++
+					}
+					lost += ev.Lost
+				case <-deadline:
+					t.Fatalf("received %d events, %d declared lost; want %d accounted for", received, lost, published)
+				}
+			}
+			if received+lost != published || lost == 0 {
+				t.Errorf("received %d events, %d declared lost; want %d in all, some lost", received, lost, published)
+			}
+		})
 	}
 }
 

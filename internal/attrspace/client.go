@@ -93,9 +93,8 @@ type Client struct {
 	closeHook func(error)
 	subbed    bool
 
-	// The stream mux, and the reassembly buffer for chunked bulk
-	// replies, keyed by request id (nil until a reply comes in parts).
-	mux    *wire.Mux
+	// The reassembly buffer for chunked bulk replies, keyed by request
+	// id (nil until a reply comes in parts).
 	chunks map[string][]*wire.Message
 
 	// Promotion state. shmOK is HELLO's answer: this connection may be
@@ -201,14 +200,11 @@ func Probe(ctx context.Context, dial DialFunc, addr string) error {
 	return c.ping(ctx)
 }
 
-// newClient starts a client on an open transport, before any HELLO:
-// the mux exists from the first frame (it stamps nothing until a
-// flow-controlled stream is used), and the read loop is running. What
-// only some connections use — event channel, chunk buffer, mux windows,
-// a ring — is made at first use.
+// newClient starts a client on an open transport, before any HELLO,
+// with its read loop running. What only some connections use — event
+// channel, chunk buffer, a ring — is made at first use.
 func newClient(raw net.Conn) *Client {
 	c := &Client{wc: wire.NewConn(raw), raw: raw, pending: make(map[string]*replySlot)}
-	c.mux = wire.NewMux(c.wc, wire.MuxConfig{})
 	go c.readLoop()
 	return c
 }
@@ -356,8 +352,9 @@ func (c *Client) ShmActive() bool {
 // the oldest queued event makes room, which keeps a connection from
 // deadlocking against a slow consumer. The drop is declared, not
 // silent: ev carries the discarded event's Lost plus one for the event
-// itself, so every event a consumer did not receive is counted in the
-// Lost of one it did — the contract a consumer mirroring the space (or
+// itself (none for an Op "lost" marker, which stands for no update), so
+// every update a consumer did not receive is counted in the Lost of an
+// event it did — the contract a consumer mirroring the space (or
 // WaitStatus, which re-reads on any Lost) relies on. Each channel has
 // one sender, so the second send always finds room.
 func offer(ch chan Event, ev Event) {
@@ -368,7 +365,10 @@ func offer(ch chan Event, ev Event) {
 	}
 	select {
 	case old := <-ch:
-		ev.Lost += old.Lost + 1
+		ev.Lost += old.Lost
+		if old.Op != "lost" {
+			ev.Lost++
+		}
 	default:
 	}
 	select {
@@ -401,9 +401,6 @@ func (c *Client) readLoop() {
 			}
 			c.fail(err)
 			return
-		}
-		if _, handled := c.mux.Accept(m); handled {
-			continue // pure transport (WINUP), nothing to dispatch
 		}
 		if m.Verb == "EVENT" {
 			ev := Event{Attr: m.Get("attr"), Value: m.Get("value"), Op: m.Get("op"), Seq: uintField(m, "seq", 10), Lost: uintField(m, "lost", 10)}
@@ -481,7 +478,7 @@ func (c *Client) readLoop() {
 			// sent it and swapped its write side in one step. Hand the
 			// socket to the doorbell and read everything further from the
 			// ring: replies to requests pipelined before the swap, events
-			// and chunks arrive there with ids and windows untouched.
+			// and chunks arrive there with ids untouched.
 			swapEP.Activate()
 			c.wc.SwapRead(swapEP)
 		}
@@ -537,7 +534,6 @@ func (c *Client) fail(err error) {
 		close(c.events)
 	}
 	c.mu.Unlock()
-	c.mux.Fail(err)
 	// pending was swapped out under mu, so the read loop can find none of
 	// these slots any more: each gets this one send and no other.
 	for id, slot := range pending {
@@ -717,14 +713,11 @@ func (c *Client) sendSwap(m *wire.Message, ep *wire.ShmEndpoint) (*replySlot, er
 	}
 	c.mu.Unlock()
 	m.Set("id", slot.id)
-	// Requests ride the control stream (never window-limited); routing
-	// them through the mux lets accumulated receive-side window grants
-	// piggyback instead of costing explicit WINUP frames.
 	var err error
 	if ep != nil {
 		err = c.wc.SendSwap(m, ep)
 	} else {
-		err = c.mux.SendOn(wire.StreamControl, m)
+		err = c.wc.Send(m)
 	}
 	if err != nil {
 		c.fail(err)

@@ -23,7 +23,7 @@ import (
 // this tree speaks. HELLO carries it in both directions; a peer with no
 // or a different revision is refused there (ErrProtocolRevision) and
 // nowhere else — everything the revision includes is simply on.
-const ProtocolRevision = "3"
+const ProtocolRevision = "4"
 
 // ErrProtocolRevision reports a peer that does not speak
 // ProtocolRevision: a server that refused our HELLO for it, or one

@@ -322,10 +322,6 @@ func (s *Server) Serve(l net.Listener) error {
 		// after SetTelemetry count into the new registry.
 		tel := s.tel.Load()
 		sc.wc.InstrumentRegistry(tel.reg)
-		// The mux exists from accept: it stamps nothing on the control
-		// stream until it has received on a flow-controlled one, so a
-		// peer that never says HELLO (a STATS probe) sees plain frames.
-		sc.mux = wire.NewMux(sc.wc, wire.MuxConfig{Registry: tel.reg})
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
@@ -482,7 +478,6 @@ type serverConn struct {
 	srv *Server
 	wc  *wire.Conn
 	raw net.Conn
-	mux *wire.Mux // set at accept, before run
 
 	mu    sync.Mutex
 	ref   *attr.Ref // joined context, nil until HELLO
@@ -541,11 +536,7 @@ func (c *serverConn) run() {
 	m := new(wire.Message)
 	for {
 		if err := c.wc.RecvInto(m); err != nil {
-			c.mux.Fail(err) // wake event/chunk senders blocked on windows
-			return          // disconnect
-		}
-		if _, handled := c.mux.Accept(m); handled {
-			continue // pure transport (WINUP), nothing to dispatch
+			return // disconnect
 		}
 		// The inflight window covers only the synchronous part of the
 		// dispatch: once dispatch returns, any still-pending reply
@@ -1094,9 +1085,9 @@ func appendEntries(m *wire.Message, entries []entry) {
 // sendVersioned answers r with its context's full versioned snapshot as
 // SNAPV replies and ends the request. Up to SnapChunkEntries go out as
 // one message. Larger replies are split into parts of SnapChunkEntries
-// each and sent from their own goroutine on the bulk stream, so the
-// read loop keeps servicing the connection — PING heartbeats and window
-// updates interleave with the replay instead of queueing behind it.
+// each and sent from their own goroutine, so the read loop keeps
+// servicing the connection — PING heartbeats and events interleave
+// with the replay, one frame at a time, instead of queueing behind it.
 func (c *serverConn) sendVersioned(r request) {
 	snap, ctxSeq, err := r.t.ref.SnapshotSeq()
 	if err != nil {
@@ -1126,7 +1117,7 @@ func (c *serverConn) sendVersioned(r request) {
 				m.Set("more", "1")
 			}
 			appendEntries(m, entries[lo:hi])
-			if err := c.mux.SendOn(wire.StreamBulk, m); err != nil {
+			if err := c.wc.Send(m); err != nil {
 				c.srv.log().Debugf("attrspace: chunked SNAPV to %v failed: %v", c.raw.RemoteAddr(), err)
 				return
 			}
@@ -1134,11 +1125,12 @@ func (c *serverConn) sendVersioned(r request) {
 	}()
 }
 
-// pushEvents forwards subscription updates to the peer on the events
-// stream, which is flow-controlled on its own: a subscriber that stops
-// reading stalls only this goroutine, never the request/reply path.
-// Bursts (a batched put, a publisher faster than the network) are
-// drained under one Cork so the whole burst leaves in a single write.
+// pushEvents forwards subscription updates to the peer. The client's
+// read loop never waits for its consumer — a full Events channel drops
+// and declares (Event.Lost) — so a subscriber that lags does not push
+// back on the socket and never stalls the request/reply path. Bursts
+// (a batched put, a publisher faster than the network) are drained
+// under one Cork so the whole burst leaves in a single write.
 // A burst samples the ring's overflow counters twice. Drops since the
 // last sample ride its first EVENT as a lost=<delta> field, so a
 // mirroring consumer knows its picture has a gap; drops that happened
@@ -1184,7 +1176,7 @@ func (c *serverConn) pushEvents(sub *attr.Subscription) {
 		}
 		if err == nil {
 			if lost = undeclared(); lost > 0 {
-				err = c.mux.SendOn(wire.StreamEvents, wire.NewMessage("EVENT").
+				err = c.wc.Send(wire.NewMessage("EVENT").
 					Set("op", "lost").Set("lost", strconv.FormatUint(lost, 10)))
 				sent++
 			}
@@ -1208,14 +1200,11 @@ func (c *serverConn) sendEvent(u attr.Update, lost uint64) error {
 	if lost > 0 {
 		m.Set("lost", strconv.FormatUint(lost, 10))
 	}
-	return c.mux.SendOn(wire.StreamEvents, m)
+	return c.wc.Send(m)
 }
 
 func (c *serverConn) reply(m *wire.Message) {
-	// Replies ride the control stream; routing them through the mux
-	// piggybacks accumulated window grants on traffic the client was
-	// waiting for anyway.
-	if err := c.mux.SendOn(wire.StreamControl, m); err != nil {
+	if err := c.wc.Send(m); err != nil {
 		c.srv.log().Debugf("attrspace: send to %v failed: %v", c.raw.RemoteAddr(), err)
 	}
 }

@@ -24,8 +24,10 @@ import (
 // TestRevisionHandshake: HELLO is the one place a peer of another (or
 // no) protocol revision is told so. A raw peer — revision 1 among them,
 // whose SUB named an origin of its own and whose OK carried no
-// incarnation, and revision 2, which repaired a session from SNAPD
-// deltas — gets the stable ERROR and the server keeps nothing of
+// incarnation, revision 2, which repaired a session from SNAPD deltas,
+// and revision 3, whose server would stall its events after 32 KiB
+// waiting for window grants a revision-4 client never sends — gets the
+// stable ERROR and the server keeps nothing of
 // it: no context joined, the connection dropped; a client dialing a
 // server whose OK names no revision gets ErrProtocolRevision instead of
 // a half-working connection.
@@ -37,6 +39,7 @@ func TestRevisionHandshake(t *testing.T) {
 		wire.NewMessage("HELLO").Set("context", "stray").Set("rev", "0"),
 		wire.NewMessage("HELLO").Set("context", "stray").Set("rev", "1"),
 		wire.NewMessage("HELLO").Set("context", "stray").Set("rev", "2"),
+		wire.NewMessage("HELLO").Set("context", "stray").Set("rev", "3"),
 		wire.NewMessage("HELLO").Set("context", "stray").Set("caps", "mux,snapd,chunk,ping,bytewin"),
 	} {
 		raw, err := net.Dial("tcp", addr)
@@ -248,7 +251,7 @@ func TestSocketPathFor(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Mux fan-out: a blocked GET must not stall event delivery.
+// Event fan-out: a blocked GET must not stall event delivery.
 
 // The rule the count follows: a subscription's server-side ring holds
 // 64 updates and drops the oldest when the publisher outruns the drain,

@@ -101,7 +101,7 @@ type Node struct {
 	mu           sync.Mutex
 	afterTake    func(taken int) // test hook: runs in flush between taking the dirty set and sending it
 	up           *wire.Conn
-	upMux        *wire.Mux // non-nil once a parent node acked: the uplink is muxed, each drain cycle one TBATCH frame
+	upAcked      bool // a parent node acked the registration: each drain cycle leaves as one TBATCH frame
 	reconnecting bool
 	children     map[string]*childState
 	totals       map[string]paradyn.FuncStats
@@ -254,7 +254,7 @@ func (n *Node) connectUpstream(resume bool) error {
 	}
 	n.mu.Lock()
 	n.up = up
-	n.upMux = nil
+	n.upAcked = false
 	n.reconnecting = false
 	if resume {
 		// The new parent session starts from nothing: resend every
@@ -279,24 +279,15 @@ func (n *Node) connectUpstream(resume bool) error {
 				n.upstreamLost(up)
 				return
 			}
-			n.mu.Lock()
-			x := n.upMux
-			n.mu.Unlock()
-			if x != nil {
-				if _, handled := x.Accept(m); handled {
-					continue // WINUP: grants applied, flush unblocked
-				}
-			}
 			switch m.Verb {
 			case "OK":
 				// Only a parent node acks a kind=node registration (the
 				// front-end never does — a peer kind, not a version):
-				// the uplink upgrades. The mux puts samples on a
-				// flow-controlled stream, and each drain cycle collapses
-				// into one TBATCH frame.
+				// from here each drain cycle collapses into one TBATCH
+				// frame.
 				n.mu.Lock()
-				if n.up == up && n.upMux == nil {
-					n.upMux = wire.NewMux(up, wire.MuxConfig{Registry: n.reg})
+				if n.up == up {
+					n.upAcked = true
 				}
 				n.mu.Unlock()
 			case "RUN":
@@ -317,16 +308,10 @@ func (n *Node) upstreamLost(up *wire.Conn) {
 		return
 	}
 	n.up = nil
-	x := n.upMux
-	n.upMux = nil
+	n.upAcked = false
 	n.reconnecting = true
 	n.mu.Unlock()
-	if x != nil {
-		// Wake any flush blocked on window credits the dead parent will
-		// never grant.
-		x.Fail(nil)
-	}
-	up.Close()
+	up.Close() // wakes a flush blocked writing to the dead parent
 	n.reg.Counter("mrnet.up.reconnects").Inc()
 	n.wg.Add(1)
 	go n.reconnectLoop()
@@ -445,14 +430,9 @@ func (n *Node) handleChild(raw net.Conn) {
 	}
 	n.mu.Unlock()
 
-	// A child node's uplink is muxed and batched; the bare OK tells it
-	// so (plain daemons never see an ack). The mux runs receive-side
-	// here: Accept meters the child's stamped samples and returns window
-	// credit as WINUPs — windows count bytes, so one fat TBATCH cannot eat
-	// the same window as dozens of small flushes.
-	var cm *wire.Mux
+	// A child node's uplink is batched; the bare OK tells it so (plain
+	// daemons never see an ack).
 	if kind == "node" {
-		cm = wire.NewMux(wc, wire.MuxConfig{Registry: n.reg})
 		wc.Send(wire.NewMessage("OK"))
 	}
 
@@ -484,11 +464,6 @@ func (n *Node) handleChild(raw net.Conn) {
 			n.childGone(child)
 			raw.Close()
 			return
-		}
-		if cm != nil {
-			if _, handled := cm.Accept(m); handled {
-				continue
-			}
 		}
 		switch m.Verb {
 		case "SAMPLE":
@@ -752,8 +727,7 @@ func (n *Node) flush() {
 	}
 	n.mu.Lock()
 	up := n.up
-	upX := n.upMux
-	batch := upX != nil
+	batch := n.upAcked
 	afterTake := n.afterTake
 	if up == nil || n.closed {
 		n.mu.Unlock()
@@ -784,14 +758,9 @@ func (n *Node) flush() {
 	}
 	n.streams.met.flushes.Inc()
 	sort.Strings(dirty)
-	// With a muxed uplink, samples ride the flow-controlled samples
-	// stream: a slow parent throttles this node without the unbounded
-	// buffering a bare connection would accumulate. SendOn flushes the
-	// cork before blocking on credits, so the two compose safely.
-	send := up.Send
-	if upX != nil {
-		send = func(m *wire.Message) error { return upX.SendOn(wire.StreamSamples, m) }
-	}
+	// A slow parent throttles this node through the socket: the Uncork
+	// that ends a cycle blocks writing until the parent reads, so no more
+	// than one cycle's frames are ever buffered here.
 	if batch {
 		// tbatch uplink: the drain cycle's dirty profile functions
 		// and untraced telemetry streams leave as one TBATCH frame. This
@@ -821,7 +790,7 @@ func (n *Node) flush() {
 		if len(profs)+len(tels) > 0 {
 			m, merr := wire.EncodeTBatch(profs, tels)
 			if merr == nil {
-				err = send(m)
+				err = up.Send(m)
 			}
 		}
 		for _, it := range traced {
@@ -835,7 +804,7 @@ func (n *Node) flush() {
 			sp := n.tracer.StartChild("mrnet.flush", it.tid, it.sid)
 			msg.SetTrace(it.tid, sp.SpanID())
 			sp.End()
-			err = send(msg)
+			err = up.Send(msg)
 		}
 		if uerr := up.Uncork(); err == nil {
 			err = uerr
@@ -850,7 +819,7 @@ func (n *Node) flush() {
 	var err error
 	for _, fn := range dirty {
 		s := reduced[fn]
-		if err = send(wire.NewMessage("SAMPLE").
+		if err = up.Send(wire.NewMessage("SAMPLE").
 			Set("fn", fn).
 			Set("calls", strconv.FormatInt(s.Calls, 10)).
 			Set("time_us", strconv.FormatInt(s.TimeMicros, 10))); err != nil {
@@ -869,7 +838,7 @@ func (n *Node) flush() {
 				msg.SetTrace(it.tid, sp.SpanID())
 				sp.End()
 			}
-			if err = send(msg); err != nil {
+			if err = up.Send(msg); err != nil {
 				break
 			}
 		}

@@ -259,7 +259,7 @@ func (s *ShmSegment) Endpoint(server bool, sock net.Conn) *ShmEndpoint {
 
 // ShmEndpoint is one end of an activated ring pair. Read and Write
 // carry the same framed stream the socket carried; wire.Conn swaps
-// onto it without its bufio/mux identity changing. Single reader and
+// onto it without its bufio identity changing. Single reader and
 // single writer (which Conn's rmu/wmu already guarantee).
 type ShmEndpoint struct {
 	seg  *ShmSegment

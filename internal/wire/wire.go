@@ -58,12 +58,6 @@ const (
 	FieldTraceID = "_tid"
 	// FieldSpanID carries the sender's span ID (the receiver's parent).
 	FieldSpanID = "_sid"
-	// FieldStream carries the mux stream ID a message rides (see Mux);
-	// absent means stream 0, the uncontrolled control stream.
-	FieldStream = "_stream"
-	// FieldWindow piggybacks flow-control window grants ("sid:bytes"
-	// pairs, comma separated) on any outgoing message.
-	FieldWindow = "_win"
 )
 
 // IsReserved reports whether a field key belongs to the protocol
@@ -99,9 +93,9 @@ func init() {
 		// per sample interval.
 		"REGISTER", "SAMPLE", "TSAMPLE", "DONE", "RUN",
 		"CONNECT", "REFUSED",
-		// Flow-control window updates, wire-level liveness probes, and
-		// the shared-memory promotion requests.
-		"WINUP", "PING", "PONG", "SHMREQ", "SHMRDY",
+		// Wire-level liveness probes and the shared-memory promotion
+		// requests.
+		"PING", "PONG", "SHMREQ", "SHMRDY",
 		// Common field keys.
 		"id", "attr", "value", "context", "error", "daemon", "json",
 		"n", "seq", "op", "who", "lost", "seqs", "reason", "conn",
@@ -109,7 +103,7 @@ func init() {
 		"pid", "rank", "kind", "name", "scope", "target", "resume",
 		"caps", "part", "more", "total",
 		"ctx", "wait", "shard", "shmfile", "rev", "shm",
-		FieldTraceID, FieldSpanID, FieldStream, FieldWindow,
+		FieldTraceID, FieldSpanID,
 	}
 	// Batched put / snapshot field keys k0..k31, v0..v31 (plus the
 	// per-entry seq keys s0..s31 of a versioned snapshot); larger batches
@@ -643,13 +637,13 @@ func (c *Conn) Detach() io.Reader {
 }
 
 // SwapRead replaces the connection's read side with r. It is the
-// receive half of a transport cutover (the shm promotion): the Conn —
-// and any Mux layered on it — keeps its identity while the bytes start
-// arriving from somewhere else. The caller must guarantee that no
-// framed bytes remain on (or will ever again arrive from) the old
-// stream, and must not call this while another goroutine is blocked in
-// Recv — in practice the owner's read loop performs the swap between
-// two of its own Recv calls, which satisfies both.
+// receive half of a transport cutover (the shm promotion): the Conn
+// keeps its identity while the bytes start arriving from somewhere
+// else. The caller must guarantee that no framed bytes remain on (or
+// will ever again arrive from) the old stream, and must not call this
+// while another goroutine is blocked in Recv — in practice the owner's
+// read loop performs the swap between two of its own Recv calls, which
+// satisfies both.
 func (c *Conn) SwapRead(r io.Reader) {
 	c.rmu.Lock()
 	c.r = r
@@ -711,10 +705,7 @@ func (c *Conn) appendFrameLocked(m *Message, size int) {
 
 // Flush writes out any frames buffered by an enclosing Cork without
 // changing the cork depth. Every buffered frame is complete, so an
-// early flush is always safe; it only forfeits some batching. A
-// flow-controlled sender (Mux.SendOn) flushes before blocking on a
-// window so the frames whose receipt will fund the awaited grants
-// actually reach the peer.
+// early flush is always safe; it only forfeits some batching.
 func (c *Conn) Flush() error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
