@@ -1,12 +1,13 @@
 # Build and verification entry points. `make tier1` is the gate every
 # change must pass: vet + build + full test suite under the race
 # detector + the seeded chaos suite. `make chaos` runs the fault-
-# injection tests (reconnecting sessions through the netsim chaos
-# transport) twice under the race detector with a pinned seed; vary
-# the seed with `make chaos TDP_CHAOS_SEED=7` to explore other fault
-# schedules. The seed drives the fault injector (netsim.Chaos) only:
-# the sessions' reconnect jitter comes from internal/liveness and is
-# not seeded — the tests assert outcomes, not a replayed timing.
+# injection tests (clients and the router's shard sessions through the
+# netsim chaos transport and killed daemons) twice under the race
+# detector with a pinned seed; vary the seed with `make chaos
+# TDP_CHAOS_SEED=7` to explore other fault schedules. The seed drives
+# the fault injector (netsim.Chaos) only: the sessions' reconnect jitter
+# comes from internal/liveness and is not seeded — the tests assert
+# outcomes, not a replayed timing.
 # `make fuzz` is a short native-fuzzing smoke run over the
 # parsers that face untrusted or operator-typed bytes (the wire
 # decoder, the telemetry-sample codec, the ClassAd expression parser,
@@ -23,7 +24,7 @@
 # lines) for the protocol core and for the root module, the raw line
 # counts of README, DESIGN, EXPERIMENTS and ROADMAP, the op table's
 # verbs, the exported methods of Client, Session and tdp.Handle and the
-# methods of attrspace.API (scripts/coreloc.sh): core LOC and API surface are
+# fields of tdp.Config (scripts/coreloc.sh): core LOC and API surface are
 # tracked the way ns/op is. `make
 # slowtests` prints the ten slowest tests and each package's wall time
 # from one `go test -json ./...` run (scripts/slowtests.sh), so a test

@@ -321,3 +321,56 @@ func TestMakeFuzzTargetsExist(t *testing.T) {
 		}
 	}
 }
+
+// makeRun is one `go test <pkg> -run <re>` line of the Makefile: the
+// package and the pattern, quoted or not, with make's `$$` still in it.
+var makeRun = regexp.MustCompile(`test (\./\S+) .*-run[= ]'?([^'\s]+)'?`)
+
+// testFunc is a top-level test function's name.
+var testFunc = regexp.MustCompile(`(?m)^func (Test\w*)\(`)
+
+// TestMakeRunPatternsMatchTests: every `-run` pattern in the Makefile
+// (`make chaos`, `make scenario-smoke`, the global-write smoke, …)
+// matches at least one test of the package it runs in. `go test -run`
+// given a pattern that matches nothing runs nothing and passes, so a
+// deleted or renamed test would leave its target green and empty. The
+// fuzz lines' `^$`, which runs no test on purpose, is exempt.
+func TestMakeRunPatternsMatchTests(t *testing.T) {
+	mk, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for _, m := range makeRun.FindAllStringSubmatch(string(mk), -1) {
+		dir, pattern := m[1], strings.ReplaceAll(m[2], "$$", "$")
+		if pattern == "^$" {
+			continue
+		}
+		re, err := regexp.Compile(strings.SplitN(pattern, "/", 2)[0])
+		if err != nil {
+			t.Errorf("Makefile runs %s in %s: %v", pattern, dir, err)
+			continue
+		}
+		tests, err := filepath.Glob(filepath.Join(dir, "*_test.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		found := false
+		for _, f := range tests {
+			src, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range testFunc.FindAllStringSubmatch(string(src), -1) {
+				found = found || re.MatchString(name[1])
+			}
+		}
+		if !found {
+			t.Errorf("Makefile runs -run %s in %s, which matches no func Test there", pattern, dir)
+		}
+		checked++
+	}
+	if checked == 0 {
+		t.Fatal("the Makefile names no -run pattern: the check is checking nothing")
+	}
+}

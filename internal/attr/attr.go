@@ -537,11 +537,7 @@ type Versioned struct {
 
 // SnapshotSeq returns a copy of every attribute together with the seq
 // of the write that produced it, plus the context's current sequence
-// number. A reconnecting mirror (attrspace.Session) diffs this against
-// its last-known per-attribute seqs to resynchronize after a gap:
-// entries with a newer seq are replayed, known attributes missing from
-// the snapshot were deleted while it was away, and the context seq
-// versions those synthetic deletions.
+// number: what a versioned snapshot (SNAP seqs=1) answers.
 func (r *Ref) SnapshotSeq() (map[string]Versioned, uint64, error) {
 	c, err := r.live()
 	if err != nil {

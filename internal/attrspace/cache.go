@@ -331,13 +331,13 @@ func (cc *cacheCtx) init() {
 		return
 	}
 	up.onClose(func(error) { go cc.teardown() })
-	at, _, err := up.subscribe(cc.onEvent)
+	origin, err := up.subscribe(cc.onEvent)
 	if err != nil {
 		up.Close()
 		cc.initE = err
 		return
 	}
-	cc.up, cc.origin = up, at.origin
+	cc.up, cc.origin = up, origin
 }
 
 // teardown retires the mirror: it leaves the context map, flushes its
@@ -351,7 +351,7 @@ func (cc *cacheCtx) teardown() {
 	}
 	cc.gone = true
 	n := len(cc.rep.entries)
-	cc.rep.reset(0)
+	clear(cc.rep.entries)
 	cc.mu.Unlock()
 	if n > 0 {
 		cc.gc.srv.tel.Load().cacheFlush.Inc()

@@ -4,18 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"os"
-	"path/filepath"
 	"strconv"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"tdp/internal/attr"
-	"tdp/internal/liveness"
 	"tdp/internal/netsim"
 	"tdp/internal/wire"
 )
@@ -35,140 +30,6 @@ func chaosSeed(t *testing.T) int64 {
 	return 1
 }
 
-// restartable is an attribute server that can be killed and rebound on
-// the same address with its attribute space (and therefore context
-// seqs) intact — the shape of a daemon crash + supervisor restart. The
-// address is a unix socket in the test's own directory, served with
-// shm off so connections stay on the socket: a TCP port is the
-// machine's to hand to another test process while the daemon is down,
-// and a session that reconnects to somebody else's server sees a
-// context restart that never happened.
-type restartable struct {
-	t     *testing.T
-	space *attr.Space
-	path  string
-	addr  string // "unix:" + path; AutoDial takes it
-
-	mu  sync.Mutex
-	srv *Server
-}
-
-func newRestartable(t *testing.T) *restartable {
-	t.Helper()
-	r := &restartable{t: t, space: attr.NewSpace(), path: filepath.Join(t.TempDir(), "r.sock")}
-	r.addr = "unix:" + r.path
-	r.restart()
-	t.Cleanup(func() {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		r.srv.Close()
-	})
-	return r
-}
-
-// kill closes the server abruptly (crash).
-func (r *restartable) kill() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.srv.Close()
-}
-
-// drain shuts the server down gracefully (CLOSE + in-flight replies).
-func (r *restartable) drain(timeout time.Duration) {
-	r.mu.Lock()
-	srv := r.srv
-	r.mu.Unlock()
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	srv.Shutdown(ctx)
-}
-
-// restart binds a fresh server on the same address and space.
-func (r *restartable) restart() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	l, err := net.Listen("unix", r.path)
-	if err != nil {
-		r.t.Fatalf("bind %s: %v", r.path, err)
-	}
-	r.srv = NewServerWithSpace(r.space)
-	r.srv.SetShm(false)
-	go r.srv.Serve(l)
-}
-
-// mirror consumes a subscribed session's event stream and maintains
-// the consumer-side picture, recording any violation of the
-// per-attribute monotonic-seq guarantee.
-type mirror struct {
-	mu         sync.Mutex
-	vals       map[string]string
-	seqs       map[string]uint64
-	resyncs    int
-	violations []string
-	journal    []string // every event, in arrival order — dumped on failure
-}
-
-func newMirror() *mirror {
-	return &mirror{vals: make(map[string]string), seqs: make(map[string]uint64)}
-}
-
-// mirrorJournalCap bounds the event journal: long soaks stream far
-// more events than a failure dump needs, so only the recent tail is
-// kept.
-const mirrorJournalCap = 4096
-
-func (m *mirror) handle(ev Event) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(m.journal) >= mirrorJournalCap {
-		m.journal = append(m.journal[:0], m.journal[mirrorJournalCap/2:]...)
-	}
-	m.journal = append(m.journal,
-		fmt.Sprintf("op=%s attr=%s val=%q seq=%d resync=%v lost=%d", ev.Op, ev.Attr, ev.Value, ev.Seq, ev.Resync, ev.Lost))
-	if ev.Op == "resync" {
-		m.resyncs++
-		return
-	}
-	if ev.Op == "destroy" {
-		m.vals = make(map[string]string)
-		m.seqs = make(map[string]uint64)
-		return
-	}
-	if ev.Seq != 0 {
-		// The guarantee is non-decreasing: a resync replay may repeat
-		// the newest seq it already delivered live, but never go back.
-		if last, ok := m.seqs[ev.Attr]; ok && ev.Seq < last {
-			m.violations = append(m.violations,
-				fmt.Sprintf("%s: seq %d after %d (op %s resync=%v)", ev.Attr, ev.Seq, last, ev.Op, ev.Resync))
-		}
-		m.seqs[ev.Attr] = ev.Seq
-	}
-	switch ev.Op {
-	case "put":
-		m.vals[ev.Attr] = ev.Value
-	case "delete":
-		delete(m.vals, ev.Attr)
-	}
-}
-
-func (m *mirror) snapshot() (map[string]string, int, []string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[string]string, len(m.vals))
-	for k, v := range m.vals {
-		out[k] = v
-	}
-	viol := append([]string(nil), m.violations...)
-	return out, m.resyncs, viol
-}
-
-// events returns the full arrival-order journal, for failure dumps.
-func (m *mirror) events() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]string(nil), m.journal...)
-}
-
 func sameMap(a, b map[string]string) bool {
 	if len(a) != len(b) {
 		return false
@@ -179,157 +40,6 @@ func sameMap(a, b map[string]string) bool {
 		}
 	}
 	return true
-}
-
-// TestChaosSessionConvergence is the acceptance-criteria run: a writer
-// and a subscribed watcher, both on reconnecting Sessions dialing
-// through the seeded fault injector, survive mid-frame cuts, a
-// partition, a crash restart, and a graceful drain restart (≥ 4
-// injected failures). At the end the watcher's mirror must equal the
-// server's authoritative state (no lost deletes), every delete the
-// writer issued must have stuck (zero lost destroys), and the watcher
-// must never have observed a per-attribute seq go backward.
-func TestChaosSessionConvergence(t *testing.T) {
-	seed := chaosSeed(t)
-	r := newRestartable(t)
-	// Pin the context open independently of client churn so its seq
-	// counter survives every disconnect.
-	keep := r.space.Join("chaos")
-	defer keep.Leave()
-
-	chaos := netsim.NewChaos(netsim.ChaosConfig{
-		Seed:          seed,
-		CutAfterBytes: 6 * 1024,
-		LatencyEvery:  13,
-		Latency:       time.Millisecond,
-	})
-	cfg := SessionConfig{
-		Dial:        chaos.Dial(AutoDial),
-		Addr:        r.addr,
-		Context:     "chaos",
-		Backoff:     liveness.Schedule{Initial: 5 * time.Millisecond, Max: 80 * time.Millisecond},
-		MaxAttempts: -1, // partitions outlast any finite budget; never give up
-		ConnectWait: 5 * time.Second,
-	}
-	writer := NewSession(cfg)
-	defer writer.Close()
-	watcher := NewSession(cfg)
-	defer watcher.Close()
-
-	m := newMirror()
-	watcher.setEventHandler(m.handle)
-	if err := watcher.Subscribe(); err != nil {
-		t.Fatalf("Subscribe: %v", err)
-	}
-
-	rng := rand.New(rand.NewSource(seed))
-	expected := make(map[string]string)
-	opCtx := func() (context.Context, context.CancelFunc) {
-		return context.WithTimeout(context.Background(), 5*time.Second)
-	}
-	put := func(a, v string) {
-		ctx, cancel := opCtx()
-		defer cancel()
-		if _, err := writer.PutAt(ctx, Local, a, v); err != nil {
-			t.Fatalf("PutCtx(%s): %v", a, err)
-		}
-		expected[a] = v
-	}
-	del := func(a string) {
-		ctx, cancel := opCtx()
-		defer cancel()
-		if _, err := writer.DeleteAt(ctx, Local, a); err != nil {
-			t.Fatalf("DeleteCtx(%s): %v", a, err)
-		}
-		delete(expected, a)
-	}
-
-	const rounds = 48
-	kills := 0
-	for round := 0; round < rounds; round++ {
-		a := fmt.Sprintf("a%d", rng.Intn(8))
-		put(a, fmt.Sprintf("v%d.%d", round, rng.Intn(1000)))
-		if rng.Intn(5) == 0 {
-			victim := fmt.Sprintf("a%d", rng.Intn(8))
-			del(victim)
-		}
-		// Injected failures at fixed rounds: the acceptance bar is
-		// surviving at least 3 kills/partitions in one run.
-		switch round {
-		case 10:
-			chaos.CutAll() // kill every live connection mid-stream
-			kills++
-		case 20:
-			chaos.Partition()
-			time.Sleep(60 * time.Millisecond)
-			chaos.Heal()
-			kills++
-		case 30:
-			r.kill() // daemon crash + supervisor restart
-			time.Sleep(20 * time.Millisecond)
-			r.restart()
-			kills++
-		case 40:
-			r.drain(200 * time.Millisecond) // graceful GOAWAY restart
-			r.restart()
-			kills++
-		}
-	}
-	if kills < 3 {
-		t.Fatalf("only %d failures injected; acceptance requires >= 3", kills)
-	}
-
-	// The byte-budget cutter must actually have torn frames.
-	if st := chaos.Stats(); st.Cuts < 3 {
-		t.Errorf("chaos cuts = %d, want >= 3 (stats %+v)", st.Cuts, st)
-	}
-
-	// Authoritative state: what the server's space really holds.
-	auth, _, err := keep.SnapshotSeq()
-	if err != nil {
-		t.Fatalf("authoritative snapshot: %v", err)
-	}
-	authVals := make(map[string]string, len(auth))
-	for k, v := range auth {
-		authVals[k] = v.Value
-	}
-	if !sameMap(authVals, expected) {
-		t.Fatalf("server state diverged from writer intent:\n server: %v\n expected: %v", authVals, expected)
-	}
-	// No lost destroys: every deleted attribute must be gone.
-	for k := range authVals {
-		if _, want := expected[k]; !want {
-			t.Errorf("deleted attribute %q still present on server", k)
-		}
-	}
-
-	// The watcher must converge to the authoritative state once its
-	// session resyncs.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		got, _, _ := m.snapshot()
-		if sameMap(got, authVals) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("mirror never converged:\n mirror: %v\n server: %v", got, authVals)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	_, resyncs, violations := m.snapshot()
-	if len(violations) > 0 {
-		t.Fatalf("per-attr seq went backward %d times: %v", len(violations), violations)
-	}
-	if resyncs == 0 {
-		t.Errorf("watcher saw no resync markers despite %d injected failures", kills)
-	}
-	if writer.gaveUp() || watcher.gaveUp() {
-		t.Fatalf("a session gave up (writer %v, watcher %v)", writer.gaveUp(), watcher.gaveUp())
-	}
-	reconnects, retries, _ := writer.Stats()
-	if reconnects == 0 && retries == 0 {
-		t.Errorf("writer session reports no reconnects and no retries — faults not exercised?")
-	}
 }
 
 // TestChaosMidFrameCut pins the injector's defining behavior: the
@@ -364,7 +74,8 @@ func TestChaosMidFrameCut(t *testing.T) {
 
 // TestChaosRefuseListener covers the refuse-then-accept daemon: the
 // first dials are reset before HELLO completes, and a Session's
-// backoff rides through until the listener settles.
+// backoff rides through until the listener settles — what the shard
+// router relies on when a shard restarts.
 func TestChaosRefuseListener(t *testing.T) {
 	srv := NewServer()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -374,53 +85,19 @@ func TestChaosRefuseListener(t *testing.T) {
 	go srv.Serve(netsim.RefuseListener(l, 3))
 	t.Cleanup(srv.Close)
 
-	s := NewSession(SessionConfig{
-		Addr:        l.Addr().String(),
-		Context:     "refuse",
-		Backoff:     liveness.Schedule{Initial: 5 * time.Millisecond, Max: 50 * time.Millisecond},
-		MaxAttempts: 20,
-		ConnectWait: 5 * time.Second,
-		DialTimeout: 250 * time.Millisecond,
-	})
+	s := NewSession(SessionConfig{Addr: l.Addr().String(), Context: "refuse"})
 	defer s.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if _, err := s.PutAt(ctx, Local, "k", "v"); err != nil {
-		t.Fatalf("PutCtx through refusing listener: %v", err)
+	c, err := s.client(ctx)
+	if err != nil {
+		t.Fatalf("session through a refusing listener: %v", err)
 	}
-	if v, _, err := s.TryGetAt(context.Background(), Local, "k"); err != nil || v != "v" {
-		t.Fatalf("TryGet = %q, %v", v, err)
+	if _, err := c.PutAt(ctx, Local, "k", "v"); err != nil {
+		t.Fatalf("PutAt: %v", err)
 	}
-}
-
-// TestChaosPartitionGivesUp verifies the bounded-attempts path: a
-// partition that outlives MaxAttempts turns the session terminal with
-// ErrSessionGaveUp, counted in session.gaveup.
-func TestChaosPartitionGivesUp(t *testing.T) {
-	_, addr := startServer(t)
-	chaos := netsim.NewChaos(netsim.ChaosConfig{Seed: chaosSeed(t)})
-	s := NewSession(SessionConfig{
-		Dial:        chaos.Dial(TCPDial),
-		Addr:        addr,
-		Context:     "part",
-		Backoff:     liveness.Schedule{Initial: time.Millisecond, Max: 5 * time.Millisecond},
-		MaxAttempts: 4,
-		ConnectWait: 200 * time.Millisecond,
-	})
-	defer s.Close()
-	if _, err := s.PutAt(context.Background(), Local, "k", "v"); err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-	chaos.Partition() // cuts the live conn and refuses every redial
-	deadline := time.Now().Add(5 * time.Second)
-	for !s.gaveUp() {
-		if time.Now().After(deadline) {
-			t.Fatal("session never gave up under a permanent partition")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if _, err := s.PutAt(context.Background(), Local, "k2", "v2"); !errors.Is(err, ErrSessionGaveUp) {
-		t.Fatalf("post-give-up Put error = %v, want ErrSessionGaveUp", err)
+	if v, _, err := c.TryGetAt(ctx, Local, "k"); err != nil || v != "v" {
+		t.Fatalf("TryGetAt = %q, %v", v, err)
 	}
 }
 
@@ -551,15 +228,13 @@ func TestChaosShardKill(t *testing.T) {
 	}
 }
 
-// TestChaosShmRingKill covers fault injection on the
-// ring. The injector interposes on the doorbell socket — the only
-// kernel object a cut-over connection still owns — so killing or
-// delaying that socket is exactly how chaos reaches a ring: CutAll
-// closes it, the doorbell reader dies, and every parked ring waiter
-// wakes with the transport error. A reconnecting Session must ride
-// through a mid-stream ring kill, start again on the socket of the
-// fresh connection, resync its mirror, keep heartbeating, and earn a
-// ring again by its traffic.
+// TestChaosShmRingKill covers fault injection on the ring. The
+// injector interposes on the doorbell socket — the only kernel object a
+// cut-over connection still owns — so killing or delaying that socket
+// is exactly how chaos reaches a ring: CutAll closes it, the doorbell
+// reader dies, and every parked ring waiter wakes with the transport
+// error. A client on a killed ring must fail with a retryable error,
+// never a hang or a success.
 func TestChaosShmRingKill(t *testing.T) {
 	if !wire.ShmSupported() {
 		t.Skip("no shm transport on this platform")
@@ -608,89 +283,4 @@ func TestChaosShmRingKill(t *testing.T) {
 		}
 	}
 	c.Close()
-
-	// Now a Session: heartbeats, reconnect, and resync all over rings.
-	// The session phase gets its own context, pinned open server-side:
-	// CutAll severs BOTH sessions' connections at once, and without the
-	// pin the context's refcount hits zero, tdp_exit semantics destroy
-	// it, and a put acked over a draining ring legitimately evaporates
-	// with the old seq epoch — the mirror could then never converge on
-	// a state the server no longer holds.
-	keep := srv.Space().Join("chaos-shm-sess")
-	defer keep.Leave()
-	cfg := SessionConfig{
-		Dial:        dial,
-		Addr:        addr,
-		Context:     "chaos-shm-sess",
-		Backoff:     liveness.Schedule{Initial: 5 * time.Millisecond, Max: 80 * time.Millisecond},
-		MaxAttempts: -1,
-		ConnectWait: 5 * time.Second,
-		Heartbeat:   20 * time.Millisecond,
-	}
-	writer := NewSession(cfg)
-	defer writer.Close()
-	watcher := NewSession(cfg)
-	defer watcher.Close()
-	m := newMirror()
-	watcher.setEventHandler(m.handle)
-	if err := watcher.Subscribe(); err != nil {
-		t.Fatalf("Subscribe: %v", err)
-	}
-
-	expected := make(map[string]string)
-	putS := func(a, v string) {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if _, err := writer.PutAt(ctx, Local, a, v); err != nil {
-			t.Fatalf("PutCtx(%s): %v", a, err)
-		}
-		expected[a] = v
-	}
-	for i := 0; i < 10; i++ {
-		putS(fmt.Sprintf("a%d", i), "before")
-	}
-	// onRing keeps the writer busy until its live connection is a ring.
-	onRing := func(when string) {
-		t.Helper()
-		for deadline := time.Now().Add(10 * time.Second); ; {
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			wc, _, err := writer.client(ctx)
-			cancel()
-			if err != nil {
-				t.Fatalf("writer client %s: %v", when, err)
-			}
-			if wc.ShmActive() {
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("writer session %s never earned a ring", when)
-			}
-			putS("busy", when)
-		}
-	}
-	onRing("before the kill")
-	chaos.CutAll() // kill every ring mid-session
-	for i := 0; i < 10; i++ {
-		putS(fmt.Sprintf("a%d", i), "after")
-	}
-	// The reconnected transport starts on the socket and earns a fresh
-	// ring the way the first one did.
-	onRing("after the kill")
-	// Watcher converges on the post-kill state via resync.
-	convergeBy := time.Now().Add(10 * time.Second)
-	for {
-		got, _, _ := m.snapshot()
-		if sameMap(got, expected) {
-			break
-		}
-		if time.Now().After(convergeBy) {
-			got, _, _ := m.snapshot()
-			t.Fatalf("mirror never converged over rings:\n mirror: %v\n expected: %v\n journal:\n  %s",
-				got, expected, strings.Join(m.events(), "\n  "))
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if reconnects, _, _ := writer.Stats(); reconnects == 0 {
-		t.Error("writer session reports no reconnects after a ring kill")
-	}
 }

@@ -25,14 +25,14 @@ var ErrClientClosed = errors.New("attrspace: client closed")
 // ErrConnLost reports an operation cut short by a transport failure:
 // the connection died between the request and its reply (or while
 // sending it). Unlike a server ERROR, the operation's fate is unknown
-// — it may or may not have been applied — which is exactly the case a
-// Session's seq-guarded retry exists for.
+// — it may or may not have been applied — so the caller, not the
+// client, decides whether to re-issue it on a fresh connection.
 var ErrConnLost = errors.New("attrspace: connection lost")
 
 // ErrServerDraining reports that the server announced a graceful
 // shutdown (the CLOSE verb): in-flight replies were still delivered,
-// but no new operations are accepted on this connection. A Session
-// treats it like a connection loss and reconnects after backoff.
+// but no new operations are accepted on this connection. The router's
+// Session treats it like a connection loss and reconnects after backoff.
 var ErrServerDraining = errors.New("attrspace: server draining")
 
 // DialFunc opens a stream to an attribute space server. Real TCP uses
@@ -57,16 +57,8 @@ type Event struct {
 	// that discards its oldest event under a lagging consumer adds that
 	// event, and its Lost, to the next one it queues. A consumer mirroring
 	// the space must treat any nonzero Lost as a gap: the LASS global
-	// cache flushes, a Session resyncs.
+	// cache flushes, WaitStatus re-reads the status it waits on.
 	Lost uint64
-	// Resync marks an event synthesized by a Session to close a gap (a
-	// reconnect, a declared loss) rather than pushed live by the server:
-	// the bare gap marker (Op "resync", no Attr) emitted first, a replay
-	// ("put"/"delete") bringing the consumer's mirror back in step, or
-	// the "destroy" of an incarnation the session found replaced.
-	// Consumers holding derived state (monitors) must treat the marker
-	// as "events may have been missed here".
-	Resync bool
 }
 
 // KV is one attribute/value pair in a batched put; re-exported from
@@ -332,8 +324,8 @@ func (c *Client) cutover() error {
 	}
 	if err := replyErr(<-slot.ch); err != nil {
 		// Our write side is already on a ring the server is not reading:
-		// the connection is beyond use, which to callers (and a Session)
-		// is a connection lost.
+		// the connection is beyond use, which to callers is a connection
+		// lost.
 		c.fail(fmt.Errorf("attrspace: shm cutover: %w", err))
 		return err
 	}
@@ -761,12 +753,11 @@ func replyErr(reply *wire.Message) error {
 	return errors.New("attrspace: server: " + text)
 }
 
-// IsRetryable reports whether err is a transport-level failure a
-// reconnecting caller may safely retry after re-establishing the
-// connection: the connection was lost, the client object is closed
-// (superseded by a newer one), or the server announced a drain. Server
-// application errors (including ErrNotFound) are not retryable — the
-// server saw the request and answered it.
+// IsRetryable reports whether err is a transport-level failure, after
+// which the operation's fate is unknown and only a new connection can
+// carry it again: the connection was lost, the client object is closed,
+// or the server announced a drain. Server application errors (including
+// ErrNotFound) are not — the server saw the request and answered it.
 func IsRetryable(err error) bool {
 	return errors.Is(err, ErrConnLost) ||
 		errors.Is(err, ErrClientClosed) ||
@@ -963,9 +954,8 @@ func (c *Client) ServerStats(ctx context.Context, scope string) (daemon string, 
 type Versioned = attr.Versioned
 
 // SnapshotSeq returns every attribute with the seq of the write that
-// produced it, plus the context's current sequence number. It is the
-// resync primitive: a Session diffs the result against its last-known
-// seqs after a reconnect, so stale values never overwrite newer ones.
+// produced it, plus the context's current sequence number (SNAP
+// seqs=1). No product path calls it; BenchmarkSessionResync prices it.
 func (c *Client) SnapshotSeq(ctx context.Context) (map[string]Versioned, uint64, error) {
 	spec := opFor(opSnapshot, Local)
 	reply, err := c.call(ctx, spec, spec.req().Set("seqs", "1"))
@@ -990,29 +980,21 @@ func (c *Client) ping(ctx context.Context) error {
 // SUB leaves the client unsubscribed, so the caller may retry;
 // concurrent Subscribes collapse to one wire request.
 func (c *Client) Subscribe() error {
-	_, _, err := c.subscribe(nil)
+	_, err := c.subscribe(nil)
 	return err
 }
 
-// subMark is what SUB's OK says of the subscription it made that a
-// mirror uses: the incarnation of the context (fixed while the
-// connection holds it), and the subscription's id as the server wrote
-// it — the origin a mirror stamps, unparsed, on the writes it applies
-// itself so they are not echoed back to it.
-type subMark struct {
-	inc    uint64
-	origin string
-}
-
 // subscribe is Subscribe with the handler, when not nil, installed in
-// the same step that claims the connection's one subscription. made
-// reports whether this call sent the SUB: false with a nil error means
-// the connection was subscribed already, and nothing was changed.
-func (c *Client) subscribe(handler func(Event)) (at subMark, made bool, err error) {
+// the same step that claims the connection's one subscription. It
+// returns the subscription's id as the server wrote it — the origin a
+// mirror stamps, unparsed, on the writes it applies itself so they are
+// not echoed back to it — or "" when the connection was subscribed
+// already and nothing was changed.
+func (c *Client) subscribe(handler func(Event)) (origin string, err error) {
 	c.mu.Lock()
 	if c.subbed {
 		c.mu.Unlock()
-		return at, false, nil
+		return "", nil
 	}
 	c.subbed = true
 	if handler != nil {
@@ -1024,9 +1006,9 @@ func (c *Client) subscribe(handler func(Event)) (at subMark, made bool, err erro
 		c.mu.Lock()
 		c.subbed = false
 		c.mu.Unlock()
-		return at, false, err
+		return "", err
 	}
-	return subMark{inc: uintField(reply, "inc", 36), origin: reply.Get("origin")}, true, nil
+	return reply.Get("origin"), nil
 }
 
 // Events returns the subscription event channel. It never yields

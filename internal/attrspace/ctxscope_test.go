@@ -119,14 +119,14 @@ func TestCtxScopeOriginIsPerRequest(t *testing.T) {
 	srv, addr := startServer(t)
 	watcher := dialT(t, addr, "job1")
 	seen := make(chan string, 4)
-	at, _, err := watcher.subscribe(func(ev Event) { seen <- ev.Value })
+	origin, err := watcher.subscribe(func(ev Event) { seen <- ev.Value })
 	if err != nil {
 		t.Fatalf("subscribe: %v", err)
 	}
 	pool := dialT(t, addr, routerContext)
 	bg := context.Background()
 	cput := opFor(opPut, scopeCtx)
-	for _, origin := range []string{at.origin, ""} {
+	for _, origin := range []string{origin, ""} {
 		m := putReq(cput.req(), "k", "origin="+origin).Set("ctx", "job1")
 		if origin != "" {
 			m.Set("origin", origin)

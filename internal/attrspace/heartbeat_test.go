@@ -31,9 +31,9 @@ func (b *blackholeConn) Write(p []byte) (int, error) {
 
 // TestSessionHeartbeatDetectsHalfDeadConn cuts a session's transport
 // without producing any error: absent a heartbeat the session would
-// hang on the dead connection forever; with one, the missed PONG
-// retires the generation and the next operation rides a fresh
-// connection.
+// hold the dead connection forever; with one, the missed PONG retires
+// the generation and the session redials, so the next operation rides a
+// fresh connection.
 func TestSessionHeartbeatDetectsHalfDeadConn(t *testing.T) {
 	_, addr := startServer(t)
 	var mu sync.Mutex
@@ -56,10 +56,11 @@ func TestSessionHeartbeatDetectsHalfDeadConn(t *testing.T) {
 	defer s.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if err := s.WaitReady(ctx); err != nil {
-		t.Fatalf("WaitReady: %v", err)
+	first, err := s.client(ctx)
+	if err != nil {
+		t.Fatalf("first connection: %v", err)
 	}
-	if _, err := s.PutAt(ctx, Local, "k", "1"); err != nil {
+	if _, err := first.PutAt(ctx, Local, "k", "1"); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
 
@@ -67,37 +68,31 @@ func TestSessionHeartbeatDetectsHalfDeadConn(t *testing.T) {
 	conns[0].dead.Store(true)
 	mu.Unlock()
 
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if reconnects, _, _ := s.Stats(); reconnects >= 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("heartbeat never detected the half-dead connection")
-		}
-		time.Sleep(5 * time.Millisecond)
+	waitFor(t, func() bool { c, _ := s.live(); return c != nil && c != first })
+	second, err := s.client(ctx)
+	if err != nil {
+		t.Fatalf("connection after the heartbeat: %v", err)
 	}
-	if _, err := s.PutAt(ctx, Local, "k", "2"); err != nil {
+	if _, err := second.PutAt(ctx, Local, "k", "2"); err != nil {
 		t.Fatalf("Put after heartbeat reconnect: %v", err)
 	}
-	if v, _, err := s.TryGetAt(ctx, Local, "k"); err != nil || v != "2" {
+	if v, _, err := second.TryGetAt(ctx, Local, "k"); err != nil || v != "2" {
 		t.Fatalf("TryGet = %q, %v", v, err)
 	}
 }
 
-// TestChaosLargeResyncHeartbeat is satellite coverage for the
-// snapshot-starvation fix: a context big enough that its resync replay
-// spans many chunks, a session heartbeating aggressively, and repeated
-// crash restarts. The replay must never read as a dead transport (the
-// session may not give up), and the watcher must converge on the
-// authoritative state with per-attribute seq order intact.
+// TestChaosLargeResyncHeartbeat pins what chunked snapshots are for: a
+// heartbeating session's connection fetches a context of about 20
+// chunks back to back — at least three times, and for at least five
+// heartbeat intervals, so pings run while the parts stream — and its
+// pings keep being answered between the parts: the bulk reply never
+// reads as a dead transport, so the session keeps its generation.
 func TestChaosLargeResyncHeartbeat(t *testing.T) {
-	r := newRestartable(t)
-	keep := r.space.Join("big")
+	const beat = 100 * time.Millisecond
+	srv, addr := startServer(t)
+	keep := srv.Space().Join("big")
 	defer keep.Leave()
-
-	// A snapshot around 20 chunks with values bulky enough that the
-	// replay is real work.
+	// Values bulky enough that each snapshot is real work.
 	val := strings.Repeat("v", 256)
 	var pairs []attr.KV
 	for i := 0; i < SnapChunkEntries*20; i++ {
@@ -107,75 +102,25 @@ func TestChaosLargeResyncHeartbeat(t *testing.T) {
 		t.Fatalf("PutBatch: %v", err)
 	}
 
-	m := newMirror()
-	s := NewSession(SessionConfig{
-		Addr: r.addr, Context: "big",
-		Heartbeat:   25 * time.Millisecond,
-		MaxAttempts: -1, ConnectWait: 10 * time.Second,
-	})
+	s := NewSession(SessionConfig{Addr: addr, Context: "big", Heartbeat: beat})
 	defer s.Close()
-	s.setEventHandler(m.handle)
-	if err := s.Subscribe(); err != nil {
-		t.Fatalf("Subscribe: %v", err)
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	if err := s.WaitReady(ctx); err != nil {
-		t.Fatalf("WaitReady: %v", err)
-	}
-	cancel()
-
-	const restarts = 3
-	for i := 0; i < restarts; i++ {
-		r.kill()
-		// Mutate while the watcher is away so every resync has a gap to
-		// close on top of the bulk replay.
-		if _, err := keep.PutSeq(fmt.Sprintf("gap%d", i), "x"); err != nil {
-			t.Fatalf("PutSeq: %v", err)
-		}
-		if _, err := keep.DeleteSeq(fmt.Sprintf("big%05d", i)); err != nil {
-			t.Fatalf("DeleteSeq: %v", err)
-		}
-		r.restart()
-		// Wait until this round's marker attribute lands in the mirror:
-		// the resync (bulk replay + gap) completed under the heartbeat.
-		deadline := time.Now().Add(15 * time.Second)
-		for {
-			vals, _, _ := m.snapshot()
-			if _, ok := vals[fmt.Sprintf("gap%d", i)]; ok {
-				break
-			}
-			if s.gaveUp() {
-				t.Fatal("session gave up during a large resync")
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("restart %d: resync never delivered the gap marker", i)
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
-
-	want, err := keep.Snapshot()
+	defer cancel()
+	c, err := s.client(ctx)
 	if err != nil {
-		t.Fatalf("Snapshot: %v", err)
+		t.Fatalf("connection: %v", err)
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		vals, resyncs, violations := m.snapshot()
-		if len(violations) != 0 {
-			t.Fatalf("seq violations: %v", violations)
+	start := time.Now()
+	for i := 0; i < 3 || time.Since(start) < 5*beat; i++ {
+		snap, _, err := c.SnapshotSeq(ctx)
+		if err != nil || len(snap) != len(pairs) {
+			t.Fatalf("snapshot %d: %d entries, %v; want %d", i, len(snap), err, len(pairs))
 		}
-		if sameMap(vals, want) {
-			if resyncs < restarts {
-				t.Errorf("resyncs = %d, want >= %d", resyncs, restarts)
-			}
-			break
+		if now, _ := s.live(); now != c {
+			t.Fatalf("snapshot %d: the heartbeat retired the connection under a bulk reply", i)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("mirror never converged: mirror=%d attrs, server=%d", len(vals), len(want))
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
-	if s.gaveUp() {
-		t.Fatal("session gave up")
+	if n := s.cReconnects.Value(); n != 0 {
+		t.Errorf("session reconnected %d times, want 0", n)
 	}
 }

@@ -58,8 +58,8 @@ const (
 
 // Scope says what an operation is applied to, and with it what the
 // request must satisfy before its handler runs (serverConn.resolve).
-// Callers name two of them: every attribute operation of Client, Session
-// and API takes Local or Global. The daemon and ctx scopes are the
+// Callers name two of them: every attribute operation of Client takes
+// Local or Global. The daemon and ctx scopes are the
 // protocol's own (HELLO and STATS; the shard router's pooled ops).
 type Scope uint8
 

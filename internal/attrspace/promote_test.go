@@ -338,8 +338,21 @@ func TestShmPromotionUnderLoad(t *testing.T) {
 	if err := sub.Subscribe(); err != nil {
 		t.Fatalf("Subscribe: %v", err)
 	}
-	sess := NewSession(SessionConfig{Addr: addr, Context: "load", Heartbeat: 20 * time.Millisecond, MaxAttempts: -1})
+	sess := NewSession(SessionConfig{Addr: addr, Context: "load", Heartbeat: 20 * time.Millisecond})
 	defer sess.Close()
+	// The session's current connection. Under -race a ping can outlast
+	// its 20 ms bound in a burst, and the heartbeat then retires the
+	// connection; the session's next one has to earn its own ring.
+	sessConn := func() *Client {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		c, err := sess.client(ctx)
+		if err != nil {
+			t.Errorf("session connection: %v", err)
+			return nil
+		}
+		return c
+	}
 
 	// GETs parked server-side while both connections are on the socket.
 	released, err := pub.GetAsync("release")
@@ -356,10 +369,12 @@ func TestShmPromotionUnderLoad(t *testing.T) {
 	}()
 
 	// Readers on the subscriber's and the session's connections, so that
-	// both earn a ring while the bursts are flowing.
+	// both earn a ring while the bursts are flowing. A connection the
+	// session retired answers its reader ErrConnLost, and the reader
+	// moves to the next one.
 	stop := make(chan struct{})
 	var readers sync.WaitGroup
-	for name, api := range map[string]API{"subscriber": sub, "session": sess} {
+	for name, conn := range map[string]func() *Client{"subscriber": func() *Client { return sub }, "session": sessConn} {
 		readers.Add(1)
 		go func() {
 			defer readers.Done()
@@ -369,7 +384,11 @@ func TestShmPromotionUnderLoad(t *testing.T) {
 					return
 				default:
 				}
-				if _, _, err := api.TryGetAt(context.Background(), Local, "absent"); err != ErrNotFound {
+				c := conn()
+				if c == nil {
+					return
+				}
+				if _, _, err := c.TryGetAt(context.Background(), Local, "absent"); err != ErrNotFound && (c == sub || !IsRetryable(err)) {
 					t.Errorf("%s TryGet: %v", name, err)
 					return
 				}
@@ -377,18 +396,16 @@ func TestShmPromotionUnderLoad(t *testing.T) {
 		}()
 	}
 
-	sessActive := func() bool {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		c, _, err := sess.client(ctx)
-		return err == nil && c.ShmActive()
-	}
 	published, tail := 0, 2
 	for deadline := time.Now().Add(30 * time.Second); tail > 0; {
-		if sub.ShmActive() && pub.ShmActive() && sessActive() {
+		sessRing := sessConn()
+		if sessRing == nil {
+			t.FailNow()
+		}
+		if sub.ShmActive() && pub.ShmActive() && sessRing.ShmActive() {
 			tail-- // two more rounds with every connection on its ring
 		} else if time.Now().After(deadline) {
-			t.Fatalf("not every connection was promoted: sub %v pub %v session %v", sub.ShmActive(), pub.ShmActive(), sessActive())
+			t.Fatalf("not every connection was promoted: sub %v pub %v session %v", sub.ShmActive(), pub.ShmActive(), sessRing.ShmActive())
 		}
 		burst := make([]KV, 1000)
 		for i := range burst {

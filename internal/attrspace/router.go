@@ -32,8 +32,8 @@ import (
 // stranded op is answered ErrConnLost), later ops fail fast with
 // ErrShardDown instead of hanging on dial timeouts, only that shard's
 // hash range degrades, and the session's reconnect brings it back. The
-// router never retries an op through the session: an op of unknown fate
-// is its caller's to resolve.
+// router never retries an op: an op of unknown fate is its caller's to
+// resolve.
 //
 // Blocking waits and subscriptions stay on the per-context upstream
 // connections the cache holds (cacheCtx.up), whose reference is also
@@ -131,14 +131,12 @@ func (gc *GlobalCache) newShardConn(idx int) *shardConn {
 		cPooled:   reg.Counter("attrspace.router.pooled"),
 	}
 	sh.sess = NewSession(SessionConfig{
-		Dial:        gc.dial,
-		Addr:        sh.addr,
-		Context:     routerContext,
-		MaxAttempts: -1, // a shard outage outlasts any finite budget
-		Heartbeat:   gc.heartbeat,
-		ConnectWait: 5 * time.Second,
-		Registry:    reg,
-		Logger:      gc.srv.log(),
+		Dial:      gc.dial,
+		Addr:      sh.addr,
+		Context:   routerContext,
+		Heartbeat: gc.heartbeat,
+		Registry:  reg,
+		Logger:    gc.srv.log(),
 	})
 	return sh
 }
@@ -182,8 +180,9 @@ func (sh *shardConn) healthTick() {
 
 // conn returns the connection the next cycle rides. A session that has
 // lost its connection is a down shard and fails at once; only before
-// its first connect does an op wait (bounded by ctx and ConnectWait),
-// so start-up ordering — LASS before CASS — keeps working.
+// its first connect does an op wait (bounded by ctx and the session's
+// connect wait), so start-up ordering — LASS before CASS — keeps
+// working.
 func (sh *shardConn) conn(ctx context.Context) (*Client, error) {
 	c, ever := sh.sess.live()
 	switch {
@@ -192,8 +191,7 @@ func (sh *shardConn) conn(ctx context.Context) (*Client, error) {
 	case ever:
 		return nil, sh.downErr()
 	}
-	c, _, err := sh.sess.client(ctx)
-	return c, err
+	return sh.sess.client(ctx)
 }
 
 // op takes an op off the free list, or makes one, with its request
@@ -363,7 +361,7 @@ func (sh *shardConn) cycle(ctx context.Context, batch []*shardOp) {
 // meanwhile, and so on until nothing has. The drainer serves many
 // callers and outlives each, so it runs under no caller's context:
 // before the shard's first connect it waits as long as the session's
-// ConnectWait allows.
+// connect wait allows.
 func (sh *shardConn) drain(batch []*shardOp) {
 	for ; batch != nil; batch = sh.nextBatch(batch) {
 		sh.cycle(context.Background(), batch)

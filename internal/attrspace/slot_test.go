@@ -13,35 +13,22 @@ import (
 	"tdp/internal/attr"
 )
 
-// The reply-slot contract (see replySlot), checked on every way a hot
-// operation reaches a Client: directly, through a Session, and through
-// the shard router's pooled connection — and the operations' contract,
+// The reply-slot contract (see replySlot), checked on both ways a hot
+// operation reaches a Client: directly, and through the shard router's
+// pooled connection — and the operations' contract,
 // the same at both scopes. Request ids repeat once slots
 // are reused, so what used to follow from "every id is fresh" is now a
 // property of who may release: a late reply answers nobody, a failing
 // connection answers every waiter exactly once, and the free list is
 // bounded by concurrency.
 
-// slotVias opens a subject on addr and returns it with a function
-// yielding the Client its operations currently ride.
+// slotVias opens a subject on addr: the direct way in, a caller's own
+// Client. (The router's is TestSlotRouterShardKilledMidCycle's.)
 var slotVias = []struct {
 	name string
-	open func(t *testing.T, addr, contextName string) (API, func() *Client)
+	open func(t *testing.T, addr, contextName string) *Client
 }{
-	{"client", func(t *testing.T, addr, contextName string) (API, func() *Client) {
-		c := dialT(t, addr, contextName)
-		return c, func() *Client { return c }
-	}},
-	{"session", func(t *testing.T, addr, contextName string) (API, func() *Client) {
-		s := NewSession(SessionConfig{Addr: addr, Context: contextName})
-		t.Cleanup(func() { s.Close() })
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := s.WaitReady(ctx); err != nil {
-			t.Fatalf("session never connected: %v", err)
-		}
-		return s, func() *Client { c, _ := s.live(); return c }
-	}},
+	{"client", dialT},
 }
 
 // slotScopes are the two scopes a caller names.
@@ -61,7 +48,7 @@ func TestSlotContractAtBothScopes(t *testing.T) {
 			via, scope := via, sc.scope
 			t.Run(via.name+"/"+sc.name, func(t *testing.T) {
 				_, _, _, lassAddr := startCachingLASS(t)
-				api, _ := via.open(t, lassAddr, "contract")
+				api := via.open(t, lassAddr, "contract")
 				ctx := context.Background()
 				var last uint64
 				acked := func(op string, seq uint64, err error) {
@@ -129,17 +116,16 @@ func TestSlotAbandonedNeverReused(t *testing.T) {
 		via := via
 		t.Run(via.name, func(t *testing.T) {
 			_, addr := startServer(t)
-			api, client := via.open(t, addr, "job")
+			c := via.open(t, addr, "job")
 			bg := context.Background()
 			// One completed op first, so the get below takes a slot (and an
 			// id) that has been used before: the case reuse made possible.
-			if _, err := api.PutAt(bg, Local, "warm", "x"); err != nil {
+			if _, err := c.PutAt(bg, Local, "warm", "x"); err != nil {
 				t.Fatalf("Put: %v", err)
 			}
-			c := client()
 			ctx, cancel := context.WithCancel(bg)
 			gave := make(chan error, 1)
-			go func() { _, _, err := api.GetAt(ctx, Local, "late"); gave <- err }()
+			go func() { _, _, err := c.GetAt(ctx, Local, "late"); gave <- err }()
 			var abandoned string
 			waitFor(t, func() bool {
 				c.mu.Lock()
@@ -166,17 +152,17 @@ func TestSlotAbandonedNeverReused(t *testing.T) {
 			}
 			for i := 0; i < 1000; i++ {
 				k, v := fmt.Sprintf("k%d", i%7), fmt.Sprintf("v%d", i)
-				if _, err := api.PutAt(bg, Local, k, v); err != nil {
+				if _, err := c.PutAt(bg, Local, k, v); err != nil {
 					t.Fatalf("Put %d: %v", i, err)
 				}
-				if got, _, err := api.TryGetAt(context.Background(), Local, k); err != nil || got != v {
+				if got, _, err := c.TryGetAt(context.Background(), Local, k); err != nil || got != v {
 					t.Fatalf("TryGet %d = %q, %v; want %q", i, got, err, v)
 				}
 				if i%10 == 0 {
-					if _, err := api.PutBatchAt(context.Background(), Local, []KV{{Key: "b0", Value: v}, {Key: "b1", Value: v}}); err != nil {
+					if _, err := c.PutBatchAt(context.Background(), Local, []KV{{Key: "b0", Value: v}, {Key: "b1", Value: v}}); err != nil {
 						t.Fatalf("PutBatch %d: %v", i, err)
 					}
-					if _, err := api.DeleteAt(context.Background(), Local, "b0"); err != nil {
+					if _, err := c.DeleteAt(context.Background(), Local, "b0"); err != nil {
 						t.Fatalf("Delete %d: %v", i, err)
 					}
 				}
@@ -187,12 +173,12 @@ func TestSlotAbandonedNeverReused(t *testing.T) {
 			// orphan VALUE both reach the read loop; neither may surface in a
 			// later call.
 			before := slotState(c).replies
-			if _, err := api.PutAt(bg, Local, "late", "answer-to-nobody"); err != nil {
+			if _, err := c.PutAt(bg, Local, "late", "answer-to-nobody"); err != nil {
 				t.Fatalf("Put late: %v", err)
 			}
 			waitFor(t, func() bool { return slotState(c).replies >= before+2 })
 			for i := 0; i < 100; i++ {
-				if got, _, err := api.TryGetAt(context.Background(), Local, "warm"); err != nil || got != "x" {
+				if got, _, err := c.TryGetAt(context.Background(), Local, "warm"); err != nil || got != "x" {
 					t.Fatalf("TryGet after the late reply = %q, %v; want \"x\"", got, err)
 				}
 				check(1000 + i)
@@ -292,83 +278,6 @@ func TestSlotFailAnswersEachCallerOnce(t *testing.T) {
 	}
 }
 
-// TestSlotSessionRidesRestartUnderCallers is the Session's half of the
-// above: the daemon dies under 64 callers and comes back; blocked gets
-// are re-issued on the new connection and each wakes exactly once with
-// the value, hot loops never read another request's reply, and the dead
-// connection keeps nothing.
-func TestSlotSessionRidesRestartUnderCallers(t *testing.T) {
-	const callers = 64
-	r := newRestartable(t)
-	s := NewSession(SessionConfig{Addr: r.addr, Context: "job", MaxAttempts: -1})
-	t.Cleanup(func() { s.Close() })
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-	defer cancel()
-	if err := s.WaitReady(ctx); err != nil {
-		t.Fatalf("session never connected: %v", err)
-	}
-	first, _ := s.live()
-	var stop atomic.Bool
-	var woken atomic.Int64
-	errs := make(chan error, callers)
-	for i := 0; i < callers; i++ {
-		i := i
-		go func() {
-			if i%2 == 0 {
-				v, _, err := s.GetAt(ctx, Local, "go")
-				if err == nil && v != "now" {
-					err = fmt.Errorf("blocked get %d woke with %q", i, v)
-				}
-				woken.Add(1)
-				errs <- err
-				return
-			}
-			key := fmt.Sprintf("hot%d", i)
-			for n := 0; !stop.Load(); n++ {
-				v := fmt.Sprintf("v%d", n)
-				if _, err := s.PutAt(ctx, Local, key, v); err != nil {
-					errs <- err
-					return
-				}
-				// The restart empties the context (everyone left it), so a
-				// read may find nothing; it may not find anything else.
-				if got, _, err := s.TryGetAt(ctx, Local, key); !errors.Is(err, ErrNotFound) && (err != nil || got != v) {
-					errs <- fmt.Errorf("caller %d read %q, %v; want %q", i, got, err, v)
-					return
-				}
-			}
-			errs <- nil
-		}()
-	}
-	waitFor(t, func() bool { return slotState(first).pending >= callers/2 })
-	r.kill()
-	r.restart()
-	waitFor(t, func() bool { c, _ := s.live(); return c != nil && c != first })
-	if n := woken.Load(); n != 0 {
-		t.Errorf("%d blocked gets returned before their attribute existed", n)
-	}
-	if st := slotState(first); st.pending != 0 || st.free != 0 {
-		t.Errorf("dead connection keeps %d pending and %d free slots", st.pending, st.free)
-	}
-	second, _ := s.live()
-	waitFor(t, func() bool { return slotState(second).pending >= callers/2 })
-	stop.Store(true)
-	if _, err := s.PutAt(ctx, Local, "go", "now"); err != nil {
-		t.Fatalf("releasing put: %v", err)
-	}
-	for i := 0; i < callers; i++ {
-		if err := <-errs; err != nil {
-			t.Errorf("caller: %v", err)
-		}
-	}
-	if n := woken.Load(); n != callers/2 {
-		t.Errorf("%d gets woke, want %d", n, callers/2)
-	}
-	if free := slotState(second).free; free > callers+1 {
-		t.Errorf("free list holds %d slots, more than the %d callers (+1) that were ever concurrent", free, callers)
-	}
-}
-
 // TestSlotChunkedSnapshotAmongHotOps: interior chunks of a multi-part
 // reply are kept, not decoded over, while hot operations on the same
 // connection trade messages with the read loop.
@@ -377,7 +286,7 @@ func TestSlotChunkedSnapshotAmongHotOps(t *testing.T) {
 		via := via
 		t.Run(via.name, func(t *testing.T) {
 			_, addr := startServer(t)
-			api, _ := via.open(t, addr, "job")
+			api := via.open(t, addr, "job")
 			const n = SnapChunkEntries*3 + 17 // four parts
 			pairs := make([]KV, n)
 			for i := range pairs {
@@ -430,19 +339,18 @@ func TestSlotFreeListBoundedByConcurrency(t *testing.T) {
 		via := via
 		t.Run(via.name, func(t *testing.T) {
 			_, addr := startServer(t)
-			api, client := via.open(t, addr, "job")
+			c := via.open(t, addr, "job")
 			writer := dialT(t, addr, "job")
 			results := make([]<-chan Result, outstanding)
 			pairs := make([]KV, outstanding)
 			for i := range results {
 				pairs[i] = KV{Key: fmt.Sprintf("async%d", i), Value: fmt.Sprintf("v%d", i)}
-				ch, err := api.GetAsync(pairs[i].Key)
+				ch, err := c.GetAsync(pairs[i].Key)
 				if err != nil {
 					t.Fatalf("GetAsync %d: %v", i, err)
 				}
 				results[i] = ch
 			}
-			c := client()
 			waitFor(t, func() bool { return slotState(c).pending == outstanding })
 			if err := writer.PutBatch(pairs); err != nil {
 				t.Fatalf("PutBatch: %v", err)
@@ -457,7 +365,7 @@ func TestSlotFreeListBoundedByConcurrency(t *testing.T) {
 				t.Fatalf("after %d concurrent gets: %d pending, %d free", outstanding, answered.pending, answered.free)
 			}
 			for i := 0; i < 500; i++ {
-				if _, err := api.PutAt(context.Background(), Local, "k", "v"); err != nil {
+				if _, err := c.PutAt(context.Background(), Local, "k", "v"); err != nil {
 					t.Fatalf("Put: %v", err)
 				}
 			}

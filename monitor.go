@@ -109,11 +109,9 @@ func (h *Handle) WaitStatus(ctx context.Context, wantPrefix string) (string, err
 			if !ok {
 				return "", ErrClosed
 			}
-			if ev.Lost > 0 || ev.Resync && ev.Op == "resync" {
-				// A gap: the server's ring dropped updates for us (Lost,
-				// the op "lost" marker included), or a reconnect opened
-				// one (Config.Resilient) whose replay carries only the
-				// latest value per attribute. Transitions may have been
+			if ev.Lost > 0 {
+				// A gap: the server's ring dropped updates for us (the
+				// op "lost" marker included). Transitions may have been
 				// missed, so ask for the current status directly rather
 				// than wait for an event that may never be re-sent.
 				if v, err := h.TryGet(AttrStatus); err == nil && hasPrefix(v, wantPrefix) {

@@ -41,8 +41,8 @@ done
 
 # The API surface, counted the way LOC is: the request verbs of the op
 # table (internal/attrspace/ops.go), the exported methods of Client,
-# Session and tdp.Handle, the methods of attrspace.API, and the knobs:
-# the exported fields of tdp.Config.
+# Session and tdp.Handle, and the knobs: the exported fields of
+# tdp.Config.
 # Client's deprecated spellings in compat.go are counted on their own
 # line, so "one spelling per operation" can be read off beside the code.
 methods() { # methods <receiver-type> <file>...
@@ -66,5 +66,3 @@ surface "Session exported methods" $(methods Session $attrspace_src)
 surface "tdp.Handle exported methods" $(methods Handle $(ls ./*.go | grep -v '_test\.go$'))
 surface "tdp.Config exported fields" $(sed -n '/^type Config struct {/,/^}/p' tdp.go |
 	sed -nE 's/^\t([A-Z][A-Za-z0-9]*) .*/\1/p')
-surface "attrspace.API methods" $(sed -n '/^type API interface {/,/^}/p' internal/attrspace/session.go |
-	sed -nE 's/^\t([A-Z][A-Za-z0-9]*)\(.*/\1/p' | sort)

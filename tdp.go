@@ -36,12 +36,10 @@
 package tdp
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"tdp/internal/attrspace"
 	"tdp/internal/events"
@@ -121,14 +119,6 @@ type Config struct {
 	// TCP; experiments on the simulated network pass the host's Dial.
 	Dial attrspace.DialFunc
 
-	// Resilient wraps each attribute space connection in an
-	// attrspace.Session: a LASS/CASS restart or network blip is
-	// absorbed by reconnecting with backoff, retrying the interrupted
-	// operation, replaying the subscription, and resynchronizing the
-	// event stream — instead of failing every call until the daemon
-	// re-runs tdp_init. See DESIGN.md §10.
-	Resilient bool
-
 	// Kernel is the process substrate for CreateProcess/Attach. A
 	// daemon that only exchanges attributes (e.g. a tool front-end)
 	// may leave it nil.
@@ -155,11 +145,11 @@ type Config struct {
 // subsequent TDP action. It is safe for concurrent use.
 type Handle struct {
 	cfg  Config
-	lass attrspace.API
+	lass *attrspace.Client
 	// global and gscope are where the *Global operations go, chosen once
 	// by Init: a CASS connection at Local, the caching LASS at Global, or
 	// nil when the handle has no global space.
-	global attrspace.API
+	global *attrspace.Client
 	gscope attrspace.Scope
 	queue  events.Queue
 
@@ -185,7 +175,7 @@ func Init(cfg Config) (*Handle, error) {
 	if cfg.GlobalViaLASS && cfg.CASSAddr != "" {
 		return nil, errors.New("tdp: GlobalViaLASS and CASSAddr are mutually exclusive")
 	}
-	lass, err := dialSpace(cfg, cfg.LASSAddr)
+	lass, err := attrspace.Dial(cfg.Dial, cfg.LASSAddr, cfg.Context)
 	if err != nil {
 		return nil, fmt.Errorf("tdp: init: LASS: %w", err)
 	}
@@ -195,7 +185,7 @@ func Init(cfg Config) (*Handle, error) {
 	case cfg.GlobalViaLASS:
 		h.global, h.gscope = lass, attrspace.Global
 	case cfg.CASSAddr != "":
-		cass, err := dialSpace(cfg, cfg.CASSAddr)
+		cass, err := attrspace.Dial(cfg.Dial, cfg.CASSAddr, cfg.Context)
 		if err != nil {
 			lass.Close()
 			return nil, fmt.Errorf("tdp: init: CASS: %w", err)
@@ -205,25 +195,6 @@ func Init(cfg Config) (*Handle, error) {
 	}
 	h.cfg.Tracer.Step(h.cfg.Identity, "tdp_init", "context="+cfg.Context)
 	return h, nil
-}
-
-// dialSpace opens one attribute space connection per the Config: a
-// plain Client normally, a reconnecting Session when Resilient. The
-// Session connects in the background, so Init still waits for (and
-// reports) the first connection — a missing daemon fails tdp_init
-// either way; Resilient changes what happens when a daemon dies later.
-func dialSpace(cfg Config, addr string) (attrspace.API, error) {
-	if !cfg.Resilient {
-		return attrspace.Dial(cfg.Dial, addr, cfg.Context)
-	}
-	s := attrspace.NewSession(attrspace.SessionConfig{Dial: cfg.Dial, Addr: addr, Context: cfg.Context})
-	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-	if err := s.WaitReady(ctx); err != nil {
-		s.Close()
-		return nil, err
-	}
-	return s, nil
 }
 
 // Exit disengages from the TDP library and the attribute space. When

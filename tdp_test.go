@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"tdp/internal/attrspace"
 	"tdp/internal/procsim"
 	"tdp/internal/telemetry"
 	"tdp/internal/testkit"
@@ -754,80 +755,64 @@ func TestFigure3BAttachSequence(t *testing.T) {
 	}
 }
 
-// TestResilientHandleSurvivesLASSRestart turns Config.Resilient on: the
-// LASS is killed and restarted on the same address (state lost, as with
-// any daemon restart) under two live handles. A blocking Get and a Put
-// issued across the outage both succeed on the new daemon, and
-// WatchUpdates — its subscription replayed by the session — delivers a
-// change made after the restart and learns that what it saw before is
-// gone: the restarted daemon's context is another incarnation, however
-// its seq compares with the old one's.
-func TestResilientHandleSurvivesLASSRestart(t *testing.T) {
+// TestHandleOverDeadLASSFailsTyped kills the LASS under two handles:
+// the library's job is to detect a dead server (PAPER §1), so every call
+// fails promptly with attrspace.ErrConnLost — a Get blocked across the
+// death included, instead of hanging — and the daemon recovers the way
+// it started, with a tdp_init against the restarted LASS.
+func TestHandleOverDeadLASSFailsTyped(t *testing.T) {
 	addr := "unix:" + filepath.Join(t.TempDir(), "lass.sock")
 	srv, _, err := ServeLASS(addr)
 	if err != nil {
 		t.Fatalf("ServeLASS: %v", err)
 	}
-	rm := initT(t, Config{Context: "c", LASSAddr: addr, Identity: "RM", Resilient: true})
-	rt := initT(t, Config{Context: "c", LASSAddr: addr, Identity: "RT", Resilient: true})
-	seen := make(map[string]bool)
-	if err := rt.WatchUpdates(func(attr, value, op string) { seen[op+":"+attr+"="+value] = true }); err != nil {
-		t.Fatalf("WatchUpdates: %v", err)
-	}
-	waitSeen := func(want string) {
-		t.Helper()
-		deadline := time.After(10 * time.Second)
-		for !seen[want] {
-			select {
-			case <-rt.Activity():
-				rt.ServiceEvents()
-			case <-deadline:
-				t.Fatalf("never saw %q; seen = %v", want, seen)
-			}
-		}
-	}
+	rm := initT(t, Config{Context: "c", LASSAddr: addr, Identity: "RM"})
+	rt := initT(t, Config{Context: "c", LASSAddr: addr, Identity: "RT"})
 	if err := rm.Put("before", "1"); err != nil {
-		t.Fatalf("Put before the outage: %v", err)
+		t.Fatalf("Put before the death: %v", err)
 	}
-	waitSeen("put:before=1")
+	got := make(chan error, 1)
+	go func() {
+		_, err := rt.Get(context.Background(), "after")
+		got <- err
+	}()
+	for { // the Get is parked on the server
+		if _, gets, _, _ := srv.Stats(); gets > 0 {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
 
 	srv.Close() // the LASS dies
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	type result struct {
-		v   string
-		err error
+	start := time.Now()
+	if err := rm.Put("after", "2"); !errors.Is(err, attrspace.ErrConnLost) {
+		t.Errorf("Put over a dead LASS: %v, want ErrConnLost", err)
 	}
-	got := make(chan result, 1)
-	go func() {
-		v, err := rt.Get(ctx, "after") // blocks across the outage
-		got <- result{v, err}
-	}()
+	if _, err := rt.TryGet("before"); !errors.Is(err, attrspace.ErrConnLost) {
+		t.Errorf("TryGet over a dead LASS: %v, want ErrConnLost", err)
+	}
+	select {
+	case err := <-got:
+		if !errors.Is(err, attrspace.ErrConnLost) {
+			t.Errorf("Get blocked across the death: %v, want ErrConnLost", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a Get blocked across the death never returned")
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Errorf("the handles took %v to fail, want under 5 s", d)
+	}
+
 	srv, _, err = ServeLASS(addr)
 	if err != nil {
 		t.Fatalf("restart LASS: %v", err)
 	}
 	defer srv.Close()
-
-	if err := rm.Put("after", "2"); err != nil {
-		t.Fatalf("Put across the outage: %v", err)
+	again := initT(t, Config{Context: "c", LASSAddr: addr, Identity: "RM"})
+	if err := again.Put("after", "2"); err != nil {
+		t.Fatalf("Put after re-Init: %v", err)
 	}
-	if r := <-got; r.err != nil || r.v != "2" {
-		t.Fatalf("Get across the outage = %q, %v; want 2", r.v, r.err)
-	}
-	waitSeen("put:after=2")
-	if v, err := rm.TryGet("after"); err != nil || v != "2" {
-		t.Errorf("TryGet after the restart = %q, %v", v, err)
-	}
-	// The old incarnation's end reaches the watcher as a destroy, or as
-	// the delete of what it held — never as silence.
-	deadline := time.After(10 * time.Second)
-	for !seen["destroy:="] && !seen["delete:before="] {
-		select {
-		case <-rt.Activity():
-			rt.ServiceEvents()
-		case <-deadline:
-			t.Fatalf("the watcher was never told that before=1 is gone; seen = %v", seen)
-		}
+	if v, err := again.TryGet("after"); err != nil || v != "2" {
+		t.Errorf("TryGet after re-Init = %q, %v; want 2", v, err)
 	}
 }
