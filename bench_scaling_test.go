@@ -17,6 +17,7 @@ import (
 	"tdp/internal/paradyn"
 	"tdp/internal/procsim"
 	"tdp/internal/rmkit"
+	"tdp/internal/telemetry"
 	"tdp/internal/wire"
 )
 
@@ -164,11 +165,10 @@ func BenchmarkToolFanout(b *testing.B) {
 	}
 }
 
-// BenchmarkMRNetFanIn measures telemetry-stream fan-in: N daemons each
-// publish one TSAMPLE round and the observability plane absorbs it —
-// directly into the front-end, or through a 2- or 3-level reduction
-// tree whose in-tree filters collapse the per-daemon streams so the
-// front-end socket loop's message rate is independent of N (E16).
+// BenchmarkMRNetFanIn times one telemetry poll of 64 daemons from the
+// front-end: directly (the front-end asks each daemon) or through a 2-
+// or 3-level reduction tree (the front-end asks the root, each node its
+// children, and the front-end reads one merged reply).
 func BenchmarkMRNetFanIn(b *testing.B) {
 	const daemons = 64
 	run := func(b *testing.B, levels int) {
@@ -193,7 +193,7 @@ func BenchmarkMRNetFanIn(b *testing.B) {
 				Daemons:       daemons,
 				FanOut:        8,
 				Levels:        levels,
-				FlushInterval: time.Millisecond,
+				FlushInterval: time.Hour,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -205,39 +205,48 @@ func BenchmarkMRNetFanIn(b *testing.B) {
 			}
 		}
 
-		conns := make([]*wire.Conn, daemons)
-		for i := range conns {
+		// Each daemon answers polls from its own registry, as paradynd
+		// does.
+		for i := range addrs {
 			raw, err := net.Dial("tcp", addrs[i])
 			if err != nil {
 				b.Fatal(err)
 			}
 			defer raw.Close()
 			wc := wire.NewConn(raw)
-			if err := wc.Send(wire.NewMessage("REGISTER").
-				Set("daemon", fmt.Sprintf("d%d", i)).Set("host", fmt.Sprintf("h%d", i))); err != nil {
+			name := fmt.Sprintf("d%d", i)
+			if err := wc.Send(wire.NewMessage("REGISTER").Set("daemon", name).Set("host", "h"+name)); err != nil {
 				b.Fatal(err)
 			}
-			conns[i] = wc
+			reg := telemetry.NewRegistry()
+			reg.Counter("app.ops").Add(int64(i + 1))
+			go func() {
+				for {
+					m, err := wc.Recv()
+					if err != nil {
+						return
+					}
+					if m.Verb == "STATS" {
+						wc.Send(paradyn.StatsReply(m, name, reg.Snapshot()))
+					}
+				}
+			}()
 		}
-		for i, wc := range conns {
-			if m, err := wc.Recv(); err != nil || m.Verb != "RUN" {
-				b.Fatalf("RUN handshake for daemon %d: %v %v", i, m, err)
-			}
+		want := int64(daemons * (daemons + 1) / 2)
+		registrants := daemons
+		if levels > 0 {
+			registrants = 1
+		}
+		if err := fe.WaitDaemons(registrants, 10*time.Second); err != nil {
+			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			for _, wc := range conns {
-				ts := wire.TelemetrySample{Kind: wire.KindCounter, Name: "app.ops", Value: int64(i + 1)}
-				m, err := ts.Message()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := wc.Send(m); err != nil {
-					b.Fatal(err)
-				}
+			if got := fe.PoolSnapshot().Counters["app.ops"]; got != want {
+				b.Fatalf("app.ops = %d, want %d", got, want)
 			}
 		}
-		b.ReportMetric(float64(daemons), "tsamples/op")
+		b.ReportMetric(daemons, "daemons/poll")
 	}
 	b.Run(fmt.Sprintf("direct/daemons=%d", daemons), func(b *testing.B) { run(b, 0) })
 	b.Run(fmt.Sprintf("tree2/daemons=%d", daemons), func(b *testing.B) { run(b, 2) })

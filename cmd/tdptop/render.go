@@ -10,8 +10,8 @@ import (
 )
 
 // render writes one frame of the pool view: the headline (hosts, tree
-// depth, sample rate, stream-engine health) followed by counter,
-// gauge, and histogram tables. prev is the previous poll's snapshot
+// depth, sample rate, late replies) followed by counter, gauge, and
+// histogram tables. prev is the previous poll's snapshot
 // (zero on the first frame), elapsed the time between the two — rates
 // are per-second deltas. Pure function of its inputs, so the display
 // logic is testable without a server.
@@ -24,14 +24,10 @@ func render(w io.Writer, daemon string, prev, cur telemetry.Snapshot, elapsed ti
 	}
 
 	fmt.Fprintf(w, "tdptop — %s\n", daemon)
-	fmt.Fprintf(w, "hosts %d (%d down)   tree depth %d   samples %.0f/s   tsamples %.0f/s\n",
+	fmt.Fprintf(w, "hosts %d (%d down)   tree depth %d   samples %.0f/s   stale replies %d\n\n",
 		cur.Counters["mrnet.tree.daemons"], cur.Counters["mrnet.hosts.down"],
 		cur.Gauges["mrnet.tree.depth"], rate("paradyn.samples.sent"),
-		rate("mrnet.stream.updates"))
-	fmt.Fprintf(w, "streams: queue %d   coalesced %d (%.0f/s)   lost %d   flushes %.0f/s\n\n",
-		cur.Gauges["mrnet.stream.depth"],
-		cur.Counters["mrnet.stream.coalesced"], rate("mrnet.stream.coalesced"),
-		cur.Counters["mrnet.stream.lost"], rate("mrnet.stream.flushes"))
+		cur.Counters["mrnet.poll.stale"])
 
 	if len(cur.Counters) > 0 {
 		fmt.Fprintf(w, "%-44s %14s %10s\n", "COUNTER", "VALUE", "RATE/S")

@@ -12,7 +12,6 @@ func TestRenderPoolView(t *testing.T) {
 	prev := telemetry.Snapshot{
 		Counters: map[string]int64{
 			"paradyn.samples.sent": 1000,
-			"mrnet.stream.updates": 400,
 		},
 	}
 	h := telemetry.NewHistogram([]float64{1, 10, 100})
@@ -24,16 +23,13 @@ func TestRenderPoolView(t *testing.T) {
 	}
 	cur := telemetry.Snapshot{
 		Counters: map[string]int64{
-			"paradyn.samples.sent":   1500,
-			"mrnet.stream.updates":   600,
-			"mrnet.stream.coalesced": 12,
-			"mrnet.stream.lost":      3,
-			"mrnet.tree.daemons":     256,
-			"mrnet.hosts.down":       2,
+			"paradyn.samples.sent": 1500,
+			"mrnet.poll.stale":     3,
+			"mrnet.tree.daemons":   256,
+			"mrnet.hosts.down":     2,
 		},
 		Gauges: map[string]int64{
-			"mrnet.tree.depth":   3,
-			"mrnet.stream.depth": 17,
+			"mrnet.tree.depth": 3,
 		},
 		Histograms: map[string]telemetry.HistogramSnapshot{
 			"paradyn.sample.batch_us": h.Snapshot(),
@@ -48,11 +44,8 @@ func TestRenderPoolView(t *testing.T) {
 		"tdptop — mrnet-root",
 		"hosts 256 (2 down)",
 		"tree depth 3",
-		"samples 250/s",  // (1500-1000)/2s
-		"tsamples 100/s", // (600-400)/2s
-		"queue 17",
-		"lost 3",
-		"coalesced 12",
+		"samples 250/s", // (1500-1000)/2s
+		"stale replies 3",
 		"paradyn.sample.batch_us",
 	} {
 		if !strings.Contains(out, want) {

@@ -101,7 +101,7 @@ func (s *Session) live() (c *Client, ever bool) {
 // per outage (spawned by NewSession and by lost()), and it exits as
 // soon as a connection is installed or the session closes.
 func (s *Session) connectLoop() {
-	_ = liveness.Retry(liveness.System, s.done, liveness.Schedule{}, 0, func() error {
+	liveness.Retry(liveness.System, s.done, liveness.Schedule{}, func() error {
 		ctx, cancel := context.WithTimeout(context.Background(), sessionDialTimeout)
 		defer cancel()
 		c, err := DialCtx(ctx, s.cfg.Dial, s.cfg.Addr, s.cfg.Context)

@@ -77,11 +77,11 @@ func TestStatsScopeTree(t *testing.T) {
 		return []telemetry.Snapshot{
 			{
 				Counters: map[string]int64{"paradyn.samples.sent": 40},
-				Gauges:   map[string]int64{"mrnet.stream.depth": 3},
+				Gauges:   map[string]int64{"mrnet.tree.depth": 3},
 			},
 			{
 				Counters:   map[string]int64{"paradyn.samples.sent": 2},
-				Gauges:     map[string]int64{"mrnet.stream.depth": 7},
+				Gauges:     map[string]int64{"mrnet.tree.depth": 7},
 				Histograms: map[string]telemetry.HistogramSnapshot{"lat": childHist.Snapshot()},
 			},
 		}
@@ -102,7 +102,7 @@ func TestStatsScopeTree(t *testing.T) {
 	if got := tree.Counters["paradyn.samples.sent"]; got != 42 {
 		t.Errorf("tree counter = %d, want 42 (children summed)", got)
 	}
-	if got := tree.Gauges["mrnet.stream.depth"]; got != 7 {
+	if got := tree.Gauges["mrnet.tree.depth"]; got != 7 {
 		t.Errorf("tree gauge = %d, want 7 (max across children)", got)
 	}
 	if h := tree.Histograms["lat"]; h.Count != 1 {

@@ -58,20 +58,13 @@ const (
 	jitter = 0.5
 )
 
-var (
-	// ErrGaveUp wraps the last attempt's error when Retry spends its
-	// budget.
-	ErrGaveUp = errors.New("liveness: gave up")
-	// ErrProbeTimeout is Watch's failure for a probe that outlived its
-	// bound.
-	ErrProbeTimeout = errors.New("liveness: probe timed out")
-)
+// ErrProbeTimeout is Watch's failure for a probe that outlived its
+// bound.
+var ErrProbeTimeout = errors.New("liveness: probe timed out")
 
-// Retry calls attempt until it returns nil, stop closes, or budget
-// consecutive attempts have failed — the one case it returns an error,
-// ErrGaveUp wrapping the last attempt's; budget <= 0 retries forever.
-// Between attempts it sleeps the schedule's next delay, jittered.
-func Retry(clk Clock, stop <-chan struct{}, sched Schedule, budget int, attempt func() error) error {
+// Retry calls attempt until it returns nil or stop closes. Between
+// attempts it sleeps the schedule's next delay, jittered.
+func Retry(clk Clock, stop <-chan struct{}, sched Schedule, attempt func() error) {
 	if sched == (Schedule{}) {
 		sched = Schedule{Initial: defaultInitial, Max: defaultMax}
 	}
@@ -79,25 +72,21 @@ func Retry(clk Clock, stop <-chan struct{}, sched Schedule, budget int, attempt 
 		sched.Max = sched.Initial
 	}
 	delay := sched.Initial
-	for n := 1; ; n++ {
+	for {
 		select {
 		case <-stop:
-			return nil
+			return
 		default:
 		}
-		err := attempt()
-		if err == nil {
-			return nil
-		}
-		if budget > 0 && n >= budget {
-			return fmt.Errorf("%w after %d attempts: %w", ErrGaveUp, n, err)
+		if attempt() == nil {
+			return
 		}
 		t := clk.NewTimer(time.Duration(float64(delay) * (1 + jitter*(rand.Float64()-0.5))))
 		select {
 		case <-t.C:
 		case <-stop:
 			t.Stop()
-			return nil
+			return
 		}
 		if delay *= 2; delay > sched.Max {
 			delay = sched.Max

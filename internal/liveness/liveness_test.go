@@ -22,14 +22,15 @@ func within(d, base time.Duration) bool {
 }
 
 // retryAsync runs Retry on its own goroutine with an attempt that fails
-// the first `failures` calls, and returns the result channel and the
-// attempt counter's reader.
-func retryAsync(clk liveness.Clock, stop <-chan struct{}, sched liveness.Schedule, budget, failures int) (<-chan error, func() int) {
+// the first `failures` calls, and returns a channel closed when Retry
+// returns and the attempt counter's reader.
+func retryAsync(clk liveness.Clock, stop <-chan struct{}, sched liveness.Schedule, failures int) (<-chan struct{}, func() int) {
 	calls := make(chan int, 1)
 	calls <- 0
-	res := make(chan error, 1)
+	res := make(chan struct{})
 	go func() {
-		res <- liveness.Retry(clk, stop, sched, budget, func() error {
+		defer close(res)
+		liveness.Retry(clk, stop, sched, func() error {
 			n := <-calls + 1
 			calls <- n
 			if n <= failures {
@@ -45,7 +46,7 @@ func TestRetryDoublesCapsAndJitters(t *testing.T) {
 	clk := testkit.NewClock()
 	sched := liveness.Schedule{Initial: 10 * time.Millisecond, Max: 80 * time.Millisecond}
 	want := []time.Duration{10, 20, 40, 80, 80, 80, 80, 80}
-	res, calls := retryAsync(clk, nil, sched, 0, len(want))
+	res, calls := retryAsync(clk, nil, sched, len(want))
 	exact := 0
 	for i, ms := range want {
 		base := ms * time.Millisecond
@@ -58,9 +59,7 @@ func TestRetryDoublesCapsAndJitters(t *testing.T) {
 		}
 		clk.Advance(d)
 	}
-	if err := <-res; err != nil {
-		t.Fatalf("Retry = %v, want nil once the attempt succeeds", err)
-	}
+	<-res
 	if got := calls(); got != len(want)+1 {
 		t.Errorf("attempts = %d, want %d", got, len(want)+1)
 	}
@@ -71,7 +70,7 @@ func TestRetryDoublesCapsAndJitters(t *testing.T) {
 
 func TestRetryZeroScheduleIsTheDefault(t *testing.T) {
 	clk := testkit.NewClock()
-	res, _ := retryAsync(clk, nil, liveness.Schedule{}, 0, 7)
+	res, calls := retryAsync(clk, nil, liveness.Schedule{}, 7)
 	for i, base := range []time.Duration{50, 100, 200, 400, 800, 1600, 2000} {
 		d := clk.NextTimer()
 		if !within(d, base*time.Millisecond) {
@@ -79,35 +78,19 @@ func TestRetryZeroScheduleIsTheDefault(t *testing.T) {
 		}
 		clk.Advance(d)
 	}
-	if err := <-res; err != nil {
-		t.Fatalf("Retry = %v", err)
-	}
-}
-
-func TestRetryGivesUpWithTheLastError(t *testing.T) {
-	clk := testkit.NewClock()
-	res, calls := retryAsync(clk, nil, liveness.Schedule{}, 3, 1<<30)
-	for i := 0; i < 2; i++ {
-		clk.Advance(clk.NextTimer())
-	}
-	err := <-res
-	if !errors.Is(err, liveness.ErrGaveUp) || !errors.Is(err, errBoom) {
-		t.Fatalf("Retry = %v, want ErrGaveUp wrapping the attempt's error", err)
-	}
-	if got := calls(); got != 3 {
-		t.Errorf("attempts = %d, want the budget of 3", got)
+	<-res
+	if got := calls(); got != 8 {
+		t.Errorf("attempts = %d, want 8", got)
 	}
 }
 
 func TestRetryStopInterruptsAPendingDelay(t *testing.T) {
 	clk := testkit.NewClock()
 	stop := make(chan struct{})
-	res, calls := retryAsync(clk, stop, liveness.Schedule{Initial: time.Hour, Max: time.Hour}, 0, 1<<30)
+	res, calls := retryAsync(clk, stop, liveness.Schedule{Initial: time.Hour, Max: time.Hour}, 1<<30)
 	clk.NextTimer() // the loop is asleep for about an hour
 	close(stop)
-	if err := <-res; err != nil {
-		t.Fatalf("Retry = %v, want nil on stop", err)
-	}
+	<-res
 	if got := calls(); got != 1 {
 		t.Errorf("attempts = %d, want 1", got)
 	}

@@ -19,23 +19,20 @@
 // Nodes compose: a node's parent may be another node, forming trees of
 // any fan-in and depth.
 //
-// Beyond the profile reduction, the tree doubles as the pool's
-// observability plane. Children publish their telemetry registries as
-// TSAMPLE streams; each node applies a per-kind aggregation filter
-// (counters sum, gauges last/max, histograms merge — see stream.go)
-// and forwards one Cork-batched update per stream per flush, so the
-// front-end's message rate depends on the number of distinct metrics,
-// not the number of daemons. Each node also injects its own registry
-// and topology (subtree daemon count, tree depth) into the streams,
-// answers `STATS scope=tree` with the merged subtree snapshot, and
-// surfaces child failure as a synthetic host_down sample plus an
-// mrnet.hosts.down counter. A node that loses its parent reconnects
-// with resume semantics and re-publishes its cumulative state, which
-// is safe because every stream carries latest values, never deltas.
+// Telemetry goes up the tree only when asked. A node answers `STATS
+// scope=tree` on any connection, its uplink included, by sending STATS
+// down to every live child and merging each child's last snapshot
+// with its own registry and topology (live daemons under it, tree
+// depth) — telemetry.MergeSnapshots, the same rollup a caching LASS
+// does over its shards. A child that does not answer within the bound
+// (paradyn.PollWait) is merged from its last reply and counted in
+// mrnet.poll.stale. Child failure surfaces as a synthetic host_down
+// profile sample plus an mrnet.hosts.down counter. A node that loses its
+// parent reconnects with resume semantics; the parent replaces its entry
+// by name.
 package mrnet
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -72,45 +69,36 @@ type Config struct {
 	// that many children have registered, so the aggregate announces
 	// itself once, completely. Zero registers upstream immediately.
 	ExpectedChildren int
-	// StreamBuffer bounds the telemetry dirty set: when that many
-	// distinct streams have pending updates, the absorbing child
-	// handler flushes synchronously before accepting more
-	// (back-pressure). Zero means a generous default.
-	StreamBuffer int
 	// Registry is the node's own telemetry; nil creates a private one.
-	// Its metrics self-publish into the stream plane every flush.
+	// Every poll merges it into the node's rollup.
 	Registry *telemetry.Registry
-	// Tracer records the node's spans (TSAMPLE receipt, uplink
-	// flushes); nil creates one named after the node.
+	// Tracer records the node's spans (one mrnet.poll per poll); nil
+	// creates one named after the node.
 	Tracer *telemetry.Tracer
 }
 
 // Node is one process of the reduction network.
 type Node struct {
-	cfg     Config
-	reg     *telemetry.Registry
-	tracer  *telemetry.Tracer
-	streams *streamAgg
+	cfg    Config
+	reg    *telemetry.Registry
+	tracer *telemetry.Tracer
+	stale  *telemetry.Counter // mrnet.poll.stale: children merged from an old reply
 
-	// flushMu serialises flush from taking the dirty set through writing
-	// it: a cycle on the ticker goroutine that holds a taken set must not
-	// be overtaken by the handler's final flush + DONE, or the parent
-	// sees DONE before the last sample.
+	// flushMu serialises flush from taking the changed profile totals
+	// through writing them: a cycle on the ticker goroutine that holds
+	// taken totals must not be overtaken by the handler's final flush +
+	// DONE, or the parent sees DONE before the last sample.
 	flushMu sync.Mutex
 
 	mu           sync.Mutex
-	afterTake    func(taken int) // test hook: runs in flush between taking the dirty set and sending it
+	afterTake    func(taken int) // test hook: runs in flush between taking the changed totals and sending them
 	up           *wire.Conn
 	upAcked      bool // a parent node acked the registration: each drain cycle leaves as one TBATCH frame
 	reconnecting bool
 	children     map[string]*childState
 	totals       map[string]paradyn.FuncStats
 	synthetic    map[string]paradyn.FuncStats // host_down and friends
-	lastSelf     telemetry.Snapshot           // last self-published registry state
 	fnsDirty     bool                         // a profile sample arrived since the last reduce
-	selfEvery    int                          // flush cycles between self-registry publications
-	selfCount    int                          // cycles until the next one (0 = due now)
-	selfForce    bool                         // publish self on the next flush regardless
 	doneCount    int
 	exitAgg      string
 	closed       bool
@@ -125,24 +113,15 @@ type Node struct {
 
 type childState struct {
 	name string
-	host string
 	kind string // "daemon" or "node"
 	conn *wire.Conn
 	// latest per-function sample from this child; reduction recomputes
 	// totals from the latest value of every child, so repeated samples
 	// do not double-count.
 	latest map[string]paradyn.FuncStats
+	peer   *paradyn.Peer // telemetry: the child's last snapshot and pending poll
 	done   bool
 	gone   bool // connection died before DONE (host down)
-}
-
-// ChildInfo is one downstream registration, for topology views.
-type ChildInfo struct {
-	Name string
-	Host string
-	Kind string
-	Done bool
-	Gone bool
 }
 
 // ErrNoParent is returned when the node cannot reach its parent.
@@ -176,6 +155,7 @@ func NewNode(cfg Config) (*Node, error) {
 		cfg:         cfg,
 		reg:         cfg.Registry,
 		tracer:      cfg.Tracer,
+		stale:       cfg.Registry.Counter("mrnet.poll.stale"),
 		children:    make(map[string]*childState),
 		totals:      make(map[string]paradyn.FuncStats),
 		synthetic:   make(map[string]paradyn.FuncStats),
@@ -183,21 +163,6 @@ func NewNode(cfg Config) (*Node, error) {
 		sessionDone: make(chan struct{}),
 		stop:        make(chan struct{}),
 	}
-	// Self-registry publication rides the flush loop but at a coarser
-	// cadence (~100ms, at most every 16th cycle): snapshotting and
-	// diffing the registry every millisecond-scale cycle costs more CPU
-	// than forwarding the children's streams does, and the node's own
-	// wire counters change on every message, so publishing them each
-	// cycle keeps every uplink permanently dirty. Event edges that must
-	// not wait (child death, resync, session end) force an immediate
-	// publication, and TreeSnapshot publishes on demand.
-	n.selfEvery = int(100 * time.Millisecond / cfg.FlushInterval)
-	if n.selfEvery < 1 {
-		n.selfEvery = 1
-	} else if n.selfEvery > 16 {
-		n.selfEvery = 16
-	}
-	n.streams = newStreamAgg(cfg.StreamBuffer, newStreamMetrics(n.reg))
 	if cfg.ExpectedChildren <= 0 {
 		if err := n.connectUpstream(false); err != nil {
 			cfg.Listener.Close()
@@ -219,10 +184,10 @@ func (n *Node) Registry() *telemetry.Registry { return n.reg }
 // Tracer returns the node's span tracer.
 func (n *Node) Tracer() *telemetry.Tracer { return n.tracer }
 
-// connectUpstream dials the parent and registers. With resume set the
-// registration replaces a prior session (after a reconnect) and the
-// node re-publishes its full cumulative state, which latest-value
-// semantics make safe.
+// connectUpstream dials the parent and registers, stating the node's
+// subtree depth so the parent's polls wait long enough for it. With
+// resume set the registration replaces a prior session (after a
+// reconnect) and the node resends its profile totals.
 func (n *Node) connectUpstream(resume bool) error {
 	raw, err := n.cfg.Dial(n.cfg.ParentAddr)
 	if err != nil {
@@ -237,6 +202,7 @@ func (n *Node) connectUpstream(resume bool) error {
 		return errors.New("mrnet: node closed")
 	}
 	children := len(n.children)
+	depth := n.depthLocked()
 	n.mu.Unlock()
 	reg := wire.NewMessage("REGISTER").
 		Set("daemon", n.cfg.Name).
@@ -244,7 +210,8 @@ func (n *Node) connectUpstream(resume bool) error {
 		Set("kind", "node").
 		Set("executable", fmt.Sprintf("aggregate(%d children)", children)).
 		SetInt("pid", 0).
-		SetInt("rank", 0)
+		SetInt("rank", 0).
+		SetInt("depth", int(depth))
 	if resume {
 		reg.Set("resume", "1")
 	}
@@ -258,18 +225,15 @@ func (n *Node) connectUpstream(resume bool) error {
 	n.reconnecting = false
 	if resume {
 		// The new parent session starts from nothing: resend every
-		// function total and the self registry on the next flush.
+		// function total on the next flush.
 		clear(n.totals)
 		n.fnsDirty = true
-		n.selfForce = true
 	}
 	n.mu.Unlock()
-	if resume {
-		n.streams.dirtyAll()
-	}
 	n.upReadyOnce.Do(func() { close(n.upReady) })
-	// Upstream RUN handling: multicast to children. A receive error
-	// means the parent is gone; hand off to the reconnect path.
+	// Upstream RUN handling: multicast to children; a STATS is a poll of
+	// the subtree. A receive error means the parent is gone; hand off to
+	// the reconnect path.
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
@@ -292,6 +256,8 @@ func (n *Node) connectUpstream(resume bool) error {
 				n.mu.Unlock()
 			case "RUN":
 				n.multicastRun()
+			case "STATS":
+				go n.replyStats(up, m)
 			}
 		}
 	}()
@@ -322,8 +288,7 @@ func (n *Node) upstreamLost(up *wire.Conn) {
 func (n *Node) reconnectLoop() {
 	defer n.wg.Done()
 	sched := liveness.Schedule{Initial: 10 * time.Millisecond, Max: 500 * time.Millisecond}
-	// No budget, so no error: it ends connected or stopped.
-	_ = liveness.Retry(liveness.System, n.stop, sched, 0, func() error { return n.connectUpstream(true) })
+	liveness.Retry(liveness.System, n.stop, sched, func() error { return n.connectUpstream(true) })
 }
 
 // multicastRun forwards the front-end's RUN to every child, including
@@ -391,11 +356,11 @@ func (n *Node) handleChild(raw net.Conn) {
 	resume := first.Get("resume") == "1"
 	child := &childState{
 		name:   name,
-		host:   first.Get("host"),
 		kind:   kind,
 		conn:   wc,
 		latest: make(map[string]paradyn.FuncStats),
 	}
+	var oldPeer *paradyn.Peer
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()
@@ -408,26 +373,19 @@ func (n *Node) handleChild(raw net.Conn) {
 			rejectChild(wc, raw, fmt.Sprintf("mrnet: duplicate registration for %q", name))
 			return
 		}
-		// Reconnect (resume, or replacing a downed host): inherit the
-		// old function totals and telemetry streams as the starting
-		// point so the reduction stays monotone while the child
-		// re-publishes; cumulative values overwrite in place, so
-		// nothing double-counts.
+		// Reconnect (resume, or replacing a downed host): the entry is
+		// replaced by name, starting from the old function totals and
+		// last snapshot so the rollup stays monotone until the child's
+		// next reply overwrites them — nothing double-counts.
 		child.latest = old.latest
+		oldPeer = old.peer
 		old.conn.Close()
 	}
-	replacing := n.children[name] != nil
+	child.peer = paradyn.NewPeer(first, oldPeer)
 	n.children[name] = child
 	count := len(n.children)
 	runAlready := n.runRecvd
 	needUpstream := n.up == nil && !n.reconnecting && n.cfg.ExpectedChildren > 0 && count >= n.cfg.ExpectedChildren
-	n.selfForce = true // topology changed: republish mrnet.tree.* promptly
-	if replacing {
-		// Under n.mu, as childGone's retire is: a retire that landed
-		// after this revive would park the live child's streams in the
-		// retired set, and its next update would count beside them.
-		n.streams.revive(name)
-	}
 	n.mu.Unlock()
 
 	// A child node's uplink is batched; the bare OK tells it so (plain
@@ -462,6 +420,7 @@ func (n *Node) handleChild(raw net.Conn) {
 	for {
 		if err := wc.RecvInto(m); err != nil {
 			n.childGone(child)
+			child.peer.Drop()
 			raw.Close()
 			return
 		}
@@ -475,8 +434,8 @@ func (n *Node) handleChild(raw net.Conn) {
 			n.mu.Unlock()
 		case "TBATCH":
 			// One whole drain cycle from a batching child: its dirty
-			// profile functions and telemetry streams in one frame.
-			profs, tels, err := wire.ParseTBatch(m)
+			// profile functions in one frame.
+			profs, err := wire.ParseTBatch(m)
 			if err != nil {
 				wc.Send(wire.NewMessage("ERROR").Set("error", err.Error()))
 				continue
@@ -489,40 +448,16 @@ func (n *Node) handleChild(raw net.Conn) {
 				n.fnsDirty = true
 			}
 			n.mu.Unlock()
-			needFlush := false
-			for _, ts := range tels {
-				// Batched items carry no per-item trace spans — the
-				// tradeoff of one frame per cycle; the cycle itself is
-				// still counted by the flush metrics.
-				if n.streams.update(child.name, ts, "", "") {
-					needFlush = true
-				}
-			}
-			if needFlush {
-				n.flush()
-			}
-		case "TSAMPLE":
-			ts, err := wire.ParseTSample(m)
-			if err != nil {
-				wc.Send(wire.NewMessage("ERROR").Set("error", err.Error()))
-				continue
-			}
-			tid, sid := m.Trace()
-			if tid != "" {
-				// Record this hop so the daemon→root chain has no gaps;
-				// the uplink flush will continue the chain from here.
-				sp := n.tracer.StartChild("mrnet.tsample", tid, sid)
-				sp.End()
-				sid = sp.SpanID()
-			}
-			if n.streams.update(child.name, ts, tid, sid) {
-				// Dirty set full: flush before absorbing more, which
-				// stalls this child's connection — back-pressure.
-				n.flush()
-			}
+		case "STATSV":
+			child.peer.Answer(m)
 		case "STATS":
-			n.replyStats(wc, m)
+			// m is reused by the next receive: the reply goroutine takes
+			// a copy of what it needs.
+			req := wire.NewMessage("STATS").Set("scope", m.Get("scope")).Set("id", m.Get("id"))
+			req.SetTrace(m.Trace())
+			go n.replyStats(wc, req)
 		case "DONE":
+			child.peer.Answer(m) // its json= is the child's final snapshot
 			n.mu.Lock()
 			if !child.done {
 				child.done = true
@@ -534,9 +469,6 @@ func (n *Node) handleChild(raw net.Conn) {
 				}
 			}
 			allDone := n.cfg.ExpectedChildren > 0 && n.doneCount >= n.cfg.ExpectedChildren
-			if allDone {
-				n.selfForce = true // final flush carries the full self state
-			}
 			n.mu.Unlock()
 			if allDone {
 				n.flush()
@@ -548,8 +480,8 @@ func (n *Node) handleChild(raw net.Conn) {
 
 // childGone handles a connection that died before DONE: the host is
 // down. Its profile totals stay in the reduction (monotone); its
-// telemetry streams retire (counters/hists keep counting, gauges drop
-// out); the failure surfaces as an mrnet.hosts.down counter and a
+// telemetry is retired (counters and histograms keep counting, gauges
+// drop out); the failure surfaces as an mrnet.hosts.down counter and a
 // synthetic host_down function sample that sums up the tree like any
 // profile entry.
 func (n *Node) childGone(child *childState) {
@@ -559,14 +491,13 @@ func (n *Node) childGone(child *childState) {
 		return
 	}
 	child.gone = true
+	// Under n.mu, so a re-registration (handleChild) takes the retired
+	// snapshot, never the live one.
+	child.peer.Retire()
 	s := n.synthetic["host_down"]
 	s.Calls++
 	n.synthetic["host_down"] = s
 	n.fnsDirty = true
-	n.selfForce = true // hosts.down must not wait for the self cadence
-	// Under n.mu, so a re-registration's revive (handleChild) cannot
-	// slip in between the check above and this.
-	n.streams.retire(child.name)
 	n.mu.Unlock()
 	n.reg.Counter("mrnet.hosts.down").Inc()
 }
@@ -587,83 +518,85 @@ func (n *Node) serveStatsConn(wc *wire.Conn, raw net.Conn, first *wire.Message) 
 	}
 }
 
-// replyStats answers one STATS message: scope=tree returns the merged
-// subtree rollup, anything else the node's own registry. The reply
-// shape (STATSV daemon= json=) matches the attrspace servers, so one
+// replyStats answers one STATS message: scope=tree polls the subtree,
+// anything else returns the node's own registry. The reply shape
+// (STATSV daemon= json=) matches the attrspace servers, so one
 // monitoring client can poll either.
 func (n *Node) replyStats(wc *wire.Conn, m *wire.Message) {
 	var snap telemetry.Snapshot
 	if m.Get("scope") == "tree" {
-		snap = n.TreeSnapshot()
+		snap = n.poll(m.Trace())
 	} else {
 		snap = n.reg.Snapshot()
 	}
-	data, err := json.Marshal(snap)
-	if err != nil {
-		wc.Send(wire.NewMessage("ERROR").Set("error", err.Error()))
-		return
-	}
-	reply := wire.NewMessage("STATSV").
-		Set("daemon", n.cfg.Name).
-		Set("json", string(data))
-	if id := m.Get("id"); id != "" {
-		reply.Set("id", id)
-	}
-	wc.Send(reply)
+	wc.Send(paradyn.StatsReply(m, n.cfg.Name, snap))
 }
 
-// TreeSnapshot returns the merged telemetry of the whole subtree:
-// every child's published registry (recursively — child nodes stream
-// their own aggregates) plus this node's. This is what `STATS
-// scope=tree` serves.
-func (n *Node) TreeSnapshot() telemetry.Snapshot {
-	n.publishSelf()
-	return n.streams.snapshot()
-}
+// TreeSnapshot polls the whole subtree and returns its merged
+// telemetry — what `STATS scope=tree` serves.
+func (n *Node) TreeSnapshot() telemetry.Snapshot { return n.poll("", "") }
 
-// Topology lists the node's direct children, sorted by name.
-func (n *Node) Topology() []ChildInfo {
+// poll sends STATS down every live child (continuing the caller's trace
+// tid/sid, or starting one), waits for the replies within the bound the
+// children's depth earns, and merges. A child that misses the bound is
+// merged from its last reply and counted in mrnet.poll.stale.
+func (n *Node) poll(tid, sid string) telemetry.Snapshot {
+	var sp *telemetry.Span
+	if tid != "" {
+		sp = n.tracer.StartChild("mrnet.poll", tid, sid)
+	} else {
+		sp = n.tracer.StartSpan("mrnet.poll")
+	}
+	defer sp.End()
+	var waits []<-chan struct{}
 	n.mu.Lock()
-	out := make([]ChildInfo, 0, len(n.children))
 	for _, c := range n.children {
-		out = append(out, ChildInfo{Name: c.name, Host: c.host, Kind: c.kind, Done: c.done, Gone: c.gone})
+		if !c.done && !c.gone {
+			waits = append(waits, c.peer.Ask(c.conn, sp.TraceID(), sp.SpanID()))
+		}
 	}
+	depth := n.depthLocked()
 	n.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
+	if stale := paradyn.Await(waits, paradyn.PollWait*time.Duration(depth)); stale > 0 {
+		n.stale.Add(int64(stale))
+	}
+	return n.merge()
 }
 
-// publishSelf injects the node's own registry changes and topology
-// into the stream plane, so they aggregate up the tree like any
-// daemon's telemetry.
-func (n *Node) publishSelf() {
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return
-	}
-	cur := n.reg.Snapshot()
-	diff := telemetry.SnapshotDiff(n.lastSelf, cur)
-	n.lastSelf = cur
-	daemons := 0
+// depthLocked is the node's subtree depth: one more than its deepest
+// live child node's (a daemon counts 0). Callers hold n.mu.
+func (n *Node) depthLocked() int64 {
+	var deepest int64
 	for _, c := range n.children {
+		if !c.gone {
+			deepest = max(deepest, c.peer.Depth())
+		}
+	}
+	return deepest + 1
+}
+
+// merge folds every child's last snapshot (a gone child's retired one,
+// a finished child's final one) with the node's own registry and
+// topology: mrnet.tree.daemons counts its live daemon children, so the
+// root's sums the pool; mrnet.tree.depth is its subtree depth, so the
+// root's is the tree's.
+func (n *Node) merge() telemetry.Snapshot {
+	n.mu.Lock()
+	parts := make([]telemetry.Snapshot, 0, len(n.children)+2)
+	var daemons int64
+	for _, c := range n.children {
+		parts = append(parts, c.peer.Last())
 		if c.kind == "daemon" && !c.gone {
 			daemons++
 		}
 	}
+	depth := n.depthLocked()
 	n.mu.Unlock()
-	for _, ts := range wire.AppendSnapshotSamples(nil, diff) {
-		n.streams.inject(ts)
-	}
-	// Topology streams: direct daemon count sums to the pool total at
-	// the root; depth is one more than the deepest child node reports.
-	n.streams.inject(wire.TelemetrySample{
-		Kind: wire.KindCounter, Name: "mrnet.tree.daemons", Value: int64(daemons),
+	parts = append(parts, n.reg.Snapshot(), telemetry.Snapshot{
+		Counters: map[string]int64{paradyn.TreeDaemons: daemons},
+		Gauges:   map[string]int64{paradyn.TreeDepth: depth},
 	})
-	childDepth := n.streams.childMax(streamKey{kind: wire.KindGaugeMax, name: "mrnet.tree.depth"})
-	n.streams.inject(wire.TelemetrySample{
-		Kind: wire.KindGaugeMax, Name: "mrnet.tree.depth", Value: childDepth + 1,
-	})
+	return telemetry.MergeSnapshots(parts...)
 }
 
 // reduce recomputes per-function totals from every child's latest
@@ -699,158 +632,70 @@ func (n *Node) flushLoop() {
 	}
 }
 
-// Flush drives one flush cycle by hand: reduced samples and telemetry
-// aggregates that changed since the last cycle go upstream now. Safe
-// to call from any goroutine, concurrently with the timer-driven
-// flushLoop. Harnesses configure a very long FlushInterval and call
-// this (bottom-up across a tree — see Tree.FlushUp) so convergence is
-// a function of flush rounds, not wall-clock timing.
-func (n *Node) Flush() { n.flush() }
-
 // flush sends upstream, in one corked burst, every function whose
-// reduced value changed and every telemetry stream whose aggregate
-// changed. With the parent gone it leaves state dirty for the
-// reconnect resync.
+// reduced value changed. With the parent gone it leaves the totals for
+// the reconnect resync.
 func (n *Node) flush() {
 	n.flushMu.Lock()
 	defer n.flushMu.Unlock()
 	n.mu.Lock()
-	doSelf := n.selfForce || n.selfCount <= 0
-	if doSelf {
-		n.selfForce = false
-		n.selfCount = n.selfEvery
-	}
-	n.selfCount--
-	n.mu.Unlock()
-	if doSelf {
-		n.publishSelf()
-	}
-	n.mu.Lock()
 	up := n.up
 	batch := n.upAcked
 	afterTake := n.afterTake
-	if up == nil || n.closed {
+	if up == nil || n.closed || !n.fnsDirty {
 		n.mu.Unlock()
 		return
 	}
-	var reduced map[string]paradyn.FuncStats
+	// Recomputing the profile reduction walks every child's latest map;
+	// cycles where no SAMPLE arrived skip the walk, since the totals
+	// cannot have changed.
+	n.fnsDirty = false
+	reduced := n.reduce()
 	var dirty []string
-	if n.fnsDirty {
-		// Recomputing the profile reduction walks every child's latest
-		// map; skip the walk entirely on the (steady-state) cycles where
-		// no SAMPLE arrived, since the totals cannot have changed.
-		n.fnsDirty = false
-		reduced = n.reduce()
-		for fn, s := range reduced {
-			if n.totals[fn] != s {
-				n.totals[fn] = s
-				dirty = append(dirty, fn)
-			}
+	for fn, s := range reduced {
+		if n.totals[fn] != s {
+			n.totals[fn] = s
+			dirty = append(dirty, fn)
 		}
 	}
 	n.mu.Unlock()
-	items := n.streams.takeDirty()
 	if afterTake != nil {
-		afterTake(len(dirty) + len(items))
+		afterTake(len(dirty))
 	}
-	if len(dirty) == 0 && len(items) == 0 {
+	if len(dirty) == 0 {
 		return
 	}
-	n.streams.met.flushes.Inc()
 	sort.Strings(dirty)
-	// A slow parent throttles this node through the socket: the Uncork
-	// that ends a cycle blocks writing until the parent reads, so no more
-	// than one cycle's frames are ever buffered here.
+	// A slow parent throttles this node through the socket: the write
+	// that ends a cycle blocks until the parent reads, so no more than
+	// one cycle's frames are ever buffered here.
+	var err error
 	if batch {
-		// tbatch uplink: the drain cycle's dirty profile functions
-		// and untraced telemetry streams leave as one TBATCH frame. This
-		// is what keeps a reduction level from costing more frames than
-		// it saves: without it the self-published registry diffs alone
-		// keep ~6 streams dirty per node per cycle, and each level of
-		// the tree multiplies that into per-stream frames. Items
-		// carrying a trace context stay on individual TSAMPLEs — the
-		// per-hop span chain is the point of stamping them, and they are
-		// rare enough not to matter for frame rate.
+		// tbatch uplink: the cycle's dirty profile functions leave as
+		// one TBATCH frame, so a reduction level costs one frame per
+		// cycle rather than one per function.
 		profs := make([]wire.BatchProfileSample, 0, len(dirty))
 		for _, fn := range dirty {
 			s := reduced[fn]
 			profs = append(profs, wire.BatchProfileSample{Fn: fn, Calls: s.Calls, TimeUS: s.TimeMicros})
 		}
-		tels := make([]wire.TelemetrySample, 0, len(items))
-		var traced []flushItem
-		for _, it := range items {
-			if it.tid != "" {
-				traced = append(traced, it)
-				continue
-			}
-			tels = append(tels, it.sample)
-		}
+		err = up.Send(wire.EncodeTBatch(profs))
+	} else {
 		up.Cork()
-		var err error
-		if len(profs)+len(tels) > 0 {
-			m, merr := wire.EncodeTBatch(profs, tels)
-			if merr == nil {
-				err = up.Send(m)
-			}
-		}
-		for _, it := range traced {
-			if err != nil {
+		for _, fn := range dirty {
+			s := reduced[fn]
+			if err = up.Send(wire.NewMessage("SAMPLE").
+				Set("fn", fn).
+				Set("calls", strconv.FormatInt(s.Calls, 10)).
+				Set("time_us", strconv.FormatInt(s.TimeMicros, 10))); err != nil {
 				break
 			}
-			msg, merr := it.sample.Message()
-			if merr != nil {
-				continue
-			}
-			sp := n.tracer.StartChild("mrnet.flush", it.tid, it.sid)
-			msg.SetTrace(it.tid, sp.SpanID())
-			sp.End()
-			err = up.Send(msg)
 		}
 		if uerr := up.Uncork(); err == nil {
 			err = uerr
 		}
-		if err != nil {
-			n.streams.met.lost.Add(int64(len(items)))
-			n.upstreamLost(up)
-		}
-		return
-	}
-	up.Cork()
-	var err error
-	for _, fn := range dirty {
-		s := reduced[fn]
-		if err = up.Send(wire.NewMessage("SAMPLE").
-			Set("fn", fn).
-			Set("calls", strconv.FormatInt(s.Calls, 10)).
-			Set("time_us", strconv.FormatInt(s.TimeMicros, 10))); err != nil {
-			break
-		}
-	}
-	if err == nil {
-		for _, it := range items {
-			msg, merr := it.sample.Message()
-			if merr != nil {
-				continue
-			}
-			if it.tid != "" {
-				// Continue the daemon's trace across the uplink hop.
-				sp := n.tracer.StartChild("mrnet.flush", it.tid, it.sid)
-				msg.SetTrace(it.tid, sp.SpanID())
-				sp.End()
-			}
-			if err = up.Send(msg); err != nil {
-				break
-			}
-		}
-	}
-	if uerr := up.Uncork(); err == nil {
-		err = uerr
 	}
 	if err != nil {
-		// These aggregates never reached the parent. The reconnect
-		// resync (dirtyAll) will re-publish current values; the lost
-		// counter records that a gap happened.
-		n.streams.met.lost.Add(int64(len(items)))
 		n.upstreamLost(up)
 	}
 }
@@ -865,7 +710,9 @@ func (n *Node) sendDone() {
 	if up == nil || done {
 		return
 	}
-	up.Send(wire.NewMessage("DONE").Set("status", status))
+	// Every child is finished, so the merge is exact without a poll: the
+	// node's DONE carries it as its final snapshot.
+	up.Send(paradyn.WithSnapshot(wire.NewMessage("DONE").Set("status", status), n.merge()))
 	// A flush cycle on another goroutine may hold the uplink corked, and
 	// a corked Send only buffers: write DONE out before saying it was
 	// sent, or the Close that SessionDone releases can beat the Uncork.
@@ -950,7 +797,7 @@ func AuxService(fanIn int) func(env toolapi.Env, args []string, parentAddr strin
 			Dial:             dial,
 			ExpectedChildren: fanIn,
 			// A named registry/tracer: the RM-launched node's own
-			// telemetry flows up to the front-end like any daemon's.
+			// telemetry reaches the front-end's polls like any daemon's.
 			Registry: telemetry.NewRegistry(),
 			Tracer:   telemetry.NewTracer(name),
 		})

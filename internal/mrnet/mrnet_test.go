@@ -307,7 +307,7 @@ func TestFinalFlushNotOvertaken(t *testing.T) {
 	wc.Send(wire.NewMessage("SAMPLE").Set("fn", "compute_forces").Set("calls", "5").Set("time_us", "50"))
 	go func() { // the ticker's part: flush until one has taken the sample
 		for {
-			node.Flush()
+			node.flush()
 			select {
 			case <-parked:
 				return

@@ -10,22 +10,26 @@ import (
 	"time"
 
 	"tdp/internal/netsim"
+	"tdp/internal/paradyn"
 	"tdp/internal/proxy"
 	"tdp/internal/telemetry"
 	"tdp/internal/wire"
 )
 
 // testSink is a minimal front-end stand-in: it accepts connections,
-// answers every REGISTER with RUN, and counts every message it
-// receives — the "front-end socket loop" whose rate the reduction
-// tree must keep independent of daemon count.
+// answers every REGISTER with RUN, counts every message it receives —
+// the "front-end socket loop" whose rate the reduction tree must keep
+// independent of daemon count — and polls the tree through the latest
+// connection, as the front-end does.
 type testSink struct {
 	l     net.Listener
 	msgs  atomic.Int64
 	conns atomic.Int64
 
-	mu    sync.Mutex
-	verbs map[string]int
+	mu      sync.Mutex
+	verbs   map[string]int
+	root    *wire.Conn
+	replies chan *wire.Message
 }
 
 func newTestSink(t *testing.T) *testSink {
@@ -34,7 +38,9 @@ func newTestSink(t *testing.T) *testSink {
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
-	s := &testSink{l: l, verbs: make(map[string]int)}
+	// replies holds STATSV frames until poll reads them; only poll asks,
+	// one STATS at a time, so a handful of slots never fills.
+	s := &testSink{l: l, verbs: make(map[string]int), replies: make(chan *wire.Message, 4)}
 	t.Cleanup(func() { l.Close() })
 	go func() {
 		for {
@@ -43,8 +49,11 @@ func newTestSink(t *testing.T) *testSink {
 				return
 			}
 			s.conns.Add(1)
+			wc := wire.NewConn(c)
+			s.mu.Lock()
+			s.root = wc
+			s.mu.Unlock()
 			go func() {
-				wc := wire.NewConn(c)
 				defer c.Close()
 				for {
 					m, err := wc.Recv()
@@ -55,8 +64,11 @@ func newTestSink(t *testing.T) *testSink {
 					s.mu.Lock()
 					s.verbs[m.Verb]++
 					s.mu.Unlock()
-					if m.Verb == "REGISTER" {
+					switch m.Verb {
+					case "REGISTER":
 						wc.Send(wire.NewMessage("RUN"))
+					case "STATSV":
+						s.replies <- m
 					}
 				}
 			}()
@@ -73,39 +85,107 @@ func (s *testSink) verbCount(verb string) int {
 	return s.verbs[verb]
 }
 
-// registerDaemon dials addr and registers under name. It does not
-// wait for RUN — with ExpectedChildren gating the upstream dial, RUN
-// only flows once the last sibling registers — so callers that need
-// it use awaitRun after registering everyone.
-func registerDaemon(t *testing.T, addr, name, host string) *wire.Conn {
+// poll sends STATS scope=tree up the root's connection and returns the
+// rollup its STATSV carries.
+func (s *testSink) poll(t *testing.T) telemetry.Snapshot {
+	t.Helper()
+	s.mu.Lock()
+	root := s.root
+	s.mu.Unlock()
+	if root == nil {
+		t.Fatal("poll: the root has not connected")
+	}
+	if err := root.Send(wire.NewMessage("STATS").Set("scope", "tree")); err != nil {
+		t.Fatalf("poll: %v", err)
+	}
+	select {
+	case m := <-s.replies:
+		snap, err := telemetry.ParseSnapshot([]byte(m.Get("json")))
+		if err != nil {
+			t.Fatalf("poll: %v", err)
+		}
+		return snap
+	case <-time.After(10 * time.Second):
+		t.Fatal("poll: no STATSV from the root")
+		return telemetry.Snapshot{}
+	}
+}
+
+// testDaemon is a registered daemon connection that answers every
+// STATS from its own registry, as paradynd does. hang makes it stop
+// reading (a hung daemon) until the returned release is called; its
+// tracer records one span per traced poll it answers.
+type testDaemon struct {
+	wc     *wire.Conn
+	reg    *telemetry.Registry
+	tracer *telemetry.Tracer
+	gate   atomic.Pointer[chan struct{}] // non-nil while hung
+	run    chan struct{}                 // closed at the first RUN
+}
+
+func (d *testDaemon) hang() (release func()) {
+	gate := make(chan struct{})
+	d.gate.Store(&gate)
+	return func() {
+		d.gate.Store(nil)
+		close(gate)
+	}
+}
+
+// startDaemon registers name at addr (resume=1 when resume) and serves
+// its polls from reg until the connection closes; nil reg makes one.
+func startDaemon(t *testing.T, addr, name string, reg *telemetry.Registry, resume bool) *testDaemon {
 	t.Helper()
 	raw, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatalf("%s: dial: %v", name, err)
 	}
-	wc := wire.NewConn(raw)
-	if err := wc.Send(wire.NewMessage("REGISTER").
-		Set("daemon", name).Set("host", host).SetInt("pid", 1)); err != nil {
+	if reg == nil {
+		reg = telemetry.NewRegistry()
+	}
+	d := &testDaemon{wc: wire.NewConn(raw), reg: reg, tracer: telemetry.NewTracer(name), run: make(chan struct{})}
+	t.Cleanup(func() { raw.Close() })
+	m := wire.NewMessage("REGISTER").Set("daemon", name).Set("host", name+"-host").SetInt("pid", 1)
+	if resume {
+		m.Set("resume", "1")
+	}
+	if err := d.wc.Send(m); err != nil {
 		t.Fatalf("%s: register: %v", name, err)
 	}
-	return wc
+	go d.serve(name)
+	return d
 }
 
-func awaitRun(t *testing.T, wc *wire.Conn) {
-	t.Helper()
-	if m, err := wc.Recv(); err != nil || m.Verb != "RUN" {
-		t.Fatalf("expected RUN, got %v, %v", m, err)
+func (d *testDaemon) serve(name string) {
+	var ran sync.Once
+	for {
+		m, err := d.wc.Recv()
+		if err != nil {
+			return
+		}
+		switch m.Verb {
+		case "RUN":
+			ran.Do(func() { close(d.run) })
+		case "STATS":
+			if gate := d.gate.Load(); gate != nil {
+				<-*gate
+			}
+			if tid, sid := m.Trace(); tid != "" {
+				d.tracer.StartChild("daemon.stats", tid, sid).End()
+			}
+			d.wc.Send(paradyn.StatsReply(m, name, d.reg.Snapshot()))
+		}
 	}
 }
 
-func sendTSample(t *testing.T, wc *wire.Conn, ts wire.TelemetrySample) {
+// awaitRun waits for the node's RUN, which flows only once the node's
+// last expected sibling has registered.
+func (d *testDaemon) awaitRun(t *testing.T) {
 	t.Helper()
-	m, err := ts.Message()
-	if err != nil {
-		t.Fatalf("tsample encode: %v", err)
-	}
-	if err := wc.Send(m); err != nil {
-		t.Fatalf("tsample send: %v", err)
+	select {
+	case <-d.run:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no RUN")
 	}
 }
 
@@ -188,8 +268,9 @@ func TestRegisterErrorFrames(t *testing.T) {
 }
 
 // TestStatsScopeTreeOverWire: a connection that opens with STATS is a
-// monitoring client; scope=tree returns the merged subtree rollup in
-// the same STATSV shape the attrspace servers use.
+// monitoring client; scope=tree polls the children and returns the
+// merged subtree rollup in the same STATSV shape the attrspace servers
+// use.
 func TestStatsScopeTreeOverWire(t *testing.T) {
 	sink := newTestSink(t)
 	l, _ := net.Listen("tcp", "127.0.0.1:0")
@@ -202,19 +283,13 @@ func TestStatsScopeTreeOverWire(t *testing.T) {
 	}
 	defer node.Close()
 
-	d0 := registerDaemon(t, node.Addr(), "d0", "h0")
-	defer d0.Close()
-	d1 := registerDaemon(t, node.Addr(), "d1", "h1")
-	defer d1.Close()
-	awaitRun(t, d0)
-	awaitRun(t, d1)
-	sendTSample(t, d0, wire.TelemetrySample{Kind: wire.KindCounter, Name: "app.ops", Value: 30})
-	sendTSample(t, d1, wire.TelemetrySample{Kind: wire.KindCounter, Name: "app.ops", Value: 12})
-	sendTSample(t, d1, wire.TelemetrySample{Kind: wire.KindGaugeMax, Name: "app.depth", Value: 9})
-
-	waitFor(t, 5*time.Second, func() bool {
-		return node.Registry().Counter("mrnet.stream.updates").Value() == 3
-	}, "stream updates absorbed")
+	d0 := startDaemon(t, node.Addr(), "d0", nil, false)
+	d1 := startDaemon(t, node.Addr(), "d1", nil, false)
+	d0.awaitRun(t)
+	d1.awaitRun(t)
+	d0.reg.Counter("app.ops").Add(30)
+	d1.reg.Counter("app.ops").Add(12)
+	d1.reg.Gauge("app.depth").Set(9)
 
 	raw, err := net.Dial("tcp", node.Addr())
 	if err != nil {
@@ -246,12 +321,21 @@ func TestStatsScopeTreeOverWire(t *testing.T) {
 		t.Errorf("mrnet.tree.daemons = %d, want 2", snap.Counters["mrnet.tree.daemons"])
 	}
 
-	// The same connection can poll repeatedly.
+	// The same connection can poll repeatedly, and each poll reads the
+	// daemons afresh.
+	d0.reg.Counter("app.ops").Add(8)
 	if err := wc.Send(wire.NewMessage("STATS").Set("scope", "tree")); err != nil {
 		t.Fatalf("second STATS: %v", err)
 	}
 	if reply, err = wc.Recv(); err != nil || reply.Verb != "STATSV" {
 		t.Fatalf("second STATSV: %v %v", reply, err)
+	}
+	if snap, _ = telemetry.ParseSnapshot([]byte(reply.Get("json"))); snap.Counters["app.ops"] != 50 {
+		t.Errorf("second poll app.ops = %d, want 50", snap.Counters["app.ops"])
+	}
+	// The node's uplink answers the same poll: the front-end's view.
+	if got := sink.poll(t).Counters["app.ops"]; got != 50 {
+		t.Errorf("front-end poll app.ops = %d, want 50", got)
 	}
 }
 
@@ -268,10 +352,10 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool, what string) {
 }
 
 // TestFanIn256ThreeLevel is the scaling acceptance test: 256 daemons
-// under a 3-level reduction tree deliver aggregated counter and
-// histogram streams, and the front-end receives fewer messages than
-// there are daemons — its socket-loop rate depends on the number of
-// distinct streams, not the pool size.
+// under a 3-level reduction tree, each with a counter and a histogram,
+// are read by front-end polls that each cost the front-end one reply —
+// it receives fewer messages than there are daemons, however many
+// polls it makes.
 func TestFanIn256ThreeLevel(t *testing.T) {
 	const (
 		daemons = 256
@@ -280,12 +364,10 @@ func TestFanIn256ThreeLevel(t *testing.T) {
 	)
 	sink := newTestSink(t)
 	tree, err := BuildReductionTree(TreeConfig{
-		ParentAddr: sink.addr(),
-		Daemons:    daemons,
-		FanOut:     8,
-		Levels:     3,
-		// Flushes are driven manually below, so the sink's message
-		// count is a function of flush rounds alone.
+		ParentAddr:    sink.addr(),
+		Daemons:       daemons,
+		FanOut:        8,
+		Levels:        3,
 		FlushInterval: time.Hour,
 	})
 	if err != nil {
@@ -299,109 +381,47 @@ func TestFanIn256ThreeLevel(t *testing.T) {
 		t.Fatalf("nodes = %d, want 37", got)
 	}
 
-	var (
-		connMu sync.Mutex
-		conns  []*wire.Conn
-	)
-	t.Cleanup(func() {
-		connMu.Lock()
-		defer connMu.Unlock()
-		for _, c := range conns {
-			c.Close()
-		}
-	})
-	var wg sync.WaitGroup
 	leafAddrs := tree.LeafAddrs()
-	errs := make(chan error, daemons)
-	for i := 0; i < daemons; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			raw, err := net.Dial("tcp", leafAddrs[i%len(leafAddrs)])
-			if err != nil {
-				errs <- fmt.Errorf("d%d: dial: %v", i, err)
-				return
-			}
-			wc := wire.NewConn(raw)
-			connMu.Lock()
-			conns = append(conns, wc)
-			connMu.Unlock()
-			if err := wc.Send(wire.NewMessage("REGISTER").
-				Set("daemon", fmt.Sprintf("d%d", i)).
-				Set("host", fmt.Sprintf("h%d", i%16)).
-				SetInt("pid", i)); err != nil {
-				errs <- fmt.Errorf("d%d: register: %v", i, err)
-				return
-			}
-			if m, err := wc.Recv(); err != nil || m.Verb != "RUN" {
-				errs <- fmt.Errorf("d%d: expected RUN, got %v, %v", i, m, err)
-				return
-			}
-			// Cumulative counter stream plus one histogram publication.
-			for k := 1; k <= rounds; k++ {
-				m, _ := wire.TelemetrySample{
-					Kind: wire.KindCounter, Name: "app.ops", Value: int64(k * perOps),
-				}.Message()
-				if err := wc.Send(m); err != nil {
-					errs <- fmt.Errorf("d%d: tsample: %v", i, err)
-					return
-				}
-			}
-			h := telemetry.NewHistogram([]float64{1, 10, 100})
-			h.Observe(float64(i % 20))
-			m, _ := wire.TelemetrySample{Kind: wire.KindHist, Name: "app.lat", Hist: h.Snapshot()}.Message()
-			if err := wc.Send(m); err != nil {
-				errs <- fmt.Errorf("d%d: hist: %v", i, err)
-			}
-		}(i)
+	ds := make([]*testDaemon, daemons)
+	for i := range ds {
+		ds[i] = startDaemon(t, leafAddrs[i%len(leafAddrs)], fmt.Sprintf("d%d", i), nil, false)
 	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
+	for i, d := range ds {
+		d.awaitRun(t)
+		h := d.reg.Histogram("app.lat", []float64{1, 10, 100})
+		h.Observe(float64(i % 20))
 	}
 
-	// Every leaf absorbed its share: 8 daemons x (rounds counter
-	// publications + 1 histogram).
-	for _, leaf := range tree.Nodes()[5:] {
-		waitFor(t, 10*time.Second, func() bool {
-			return leaf.Registry().Counter("mrnet.stream.updates").Value() == 8*(rounds+1)
-		}, fmt.Sprintf("leaf absorption (node %s)", leaf.cfg.Name))
-	}
-
-	// Drive flushes bottom-up until the root rollup converges.
-	nodes := tree.Nodes() // root first; iterate in reverse for bottom-up
+	// Every round advances each daemon's cumulative counter and is read
+	// by one poll at the front-end.
 	var snap telemetry.Snapshot
-	waitFor(t, 10*time.Second, func() bool {
-		for i := len(nodes) - 1; i >= 0; i-- {
-			nodes[i].flush()
+	for k := 1; k <= rounds; k++ {
+		for _, d := range ds {
+			d.reg.Counter("app.ops").Add(perOps)
 		}
-		snap = tree.Root().TreeSnapshot()
-		return snap.Counters["app.ops"] == daemons*rounds*perOps &&
-			snap.Histograms["app.lat"].Count == daemons
-	}, "root rollup convergence")
-
+		snap = sink.poll(t)
+		if got := snap.Counters["app.ops"]; got != int64(daemons*k*perOps) {
+			t.Fatalf("round %d: app.ops = %d, want %d", k, got, daemons*k*perOps)
+		}
+	}
+	if got := snap.Histograms["app.lat"].Count; got != daemons {
+		t.Errorf("app.lat count = %d, want %d", got, daemons)
+	}
 	if got := snap.Counters["mrnet.tree.daemons"]; got != daemons {
 		t.Errorf("mrnet.tree.daemons = %d, want %d", got, daemons)
 	}
 	if got := snap.Gauges["mrnet.tree.depth"]; got != 3 {
 		t.Errorf("mrnet.tree.depth = %d, want 3", got)
 	}
-	if snap.Counters["mrnet.stream.updates"] == 0 {
-		t.Error("aggregated rollup missing the nodes' own stream metrics")
+	if got := snap.Counters["mrnet.poll.stale"]; got != 0 {
+		t.Errorf("mrnet.poll.stale = %d, want 0", got)
+	}
+	if snap.Counters["wire.rx.msgs"] == 0 {
+		t.Error("aggregated rollup missing the nodes' own registries")
 	}
 
-	// The root's rollup converging says the root has absorbed
-	// everything, not that it has flushed since or that the front-end
-	// has read the flush: drive the root until a TSAMPLE has arrived.
-	waitFor(t, 5*time.Second, func() bool {
-		tree.Root().flush()
-		return sink.verbCount("TSAMPLE") > 0
-	}, "a TSAMPLE at the front-end")
-
 	// The front-end held one connection and received fewer messages
-	// than there are daemons, though the daemons injected >1500: the
-	// uplink rate tracks distinct streams, not pool size.
+	// than there are daemons: one reply per poll, not one per daemon.
 	if got := sink.conns.Load(); got != 1 {
 		t.Errorf("front-end connections = %d, want 1", got)
 	}
@@ -410,11 +430,11 @@ func TestFanIn256ThreeLevel(t *testing.T) {
 	}
 }
 
-// TestChaosSpanPropagation drives traced telemetry through a 2-level
-// tree while a chaos dialer cuts connections on every hop. Daemons
-// and nodes reconnect with resume semantics; afterwards every span's
-// parent must resolve (no orphaned spans) and the aggregated counter
-// and lost totals observed at the root must be monotone.
+// TestChaosSpanPropagation polls a 2-level tree while a chaos dialer
+// cuts connections on every hop. Daemons and nodes reconnect with
+// resume semantics; afterwards every span's parent must resolve (no
+// orphaned spans along mrnet.poll) and the aggregated counter and stale
+// totals observed at the root must be monotone.
 func TestChaosSpanPropagation(t *testing.T) {
 	const (
 		nDaemons = 8
@@ -439,96 +459,97 @@ func TestChaosSpanPropagation(t *testing.T) {
 	daemonChaos := netsim.NewChaos(netsim.ChaosConfig{Seed: 11, CutAfterBytes: 4 << 10})
 	dial := daemonChaos.Dial(func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) })
 
+	// Each daemon counts on its own clock and answers polls from its
+	// registry on whatever connection it has, reconnecting (resume) when
+	// a cut kills it, until stop.
+	stop := make(chan struct{})
 	tracers := make([]*telemetry.Tracer, nDaemons)
+	regs := make([]*telemetry.Registry, nDaemons)
 	leafAddrs := tree.LeafAddrs()
 	var wg sync.WaitGroup
 	for i := 0; i < nDaemons; i++ {
-		tracers[i] = telemetry.NewTracer(fmt.Sprintf("d%d", i))
-		wg.Add(1)
+		name := fmt.Sprintf("d%d", i)
+		tracers[i] = telemetry.NewTracer(name)
+		regs[i] = telemetry.NewRegistry()
+		wg.Add(2)
 		go func(i int) {
 			defer wg.Done()
-			name := fmt.Sprintf("d%d", i)
-			addr := leafAddrs[i%len(leafAddrs)]
-			var wc *wire.Conn
-			connect := func(resume bool) bool {
-				for a := 0; a < 200; a++ {
-					raw, err := dial(addr)
-					if err != nil {
-						time.Sleep(2 * time.Millisecond)
-						continue
-					}
-					c := wire.NewConn(raw)
-					reg := wire.NewMessage("REGISTER").Set("daemon", name).Set("host", "h").SetInt("pid", i)
-					if resume {
-						reg.Set("resume", "1")
-					}
-					if c.Send(reg) != nil {
-						c.Close()
-						continue
-					}
-					if !resume {
-						if m, err := c.Recv(); err != nil || m.Verb != "RUN" {
-							c.Close()
-							continue
-						}
-					}
-					wc = c
-					return true
-				}
-				return false
-			}
-			if !connect(false) {
-				t.Errorf("%s: never connected", name)
-				return
-			}
-			defer func() { wc.Close() }()
-			for k := 1; k <= rounds; {
-				sp := tracers[i].StartSpan("publish")
-				m, _ := wire.TelemetrySample{
-					Kind: wire.KindCounter, Name: "chaos.ops", Value: int64(k * step),
-				}.Message()
-				m.SetTrace(sp.TraceID(), sp.SpanID())
-				err := wc.Send(m)
-				sp.End()
-				if err != nil {
-					wc.Close()
-					if !connect(true) {
-						t.Errorf("%s: reconnect failed", name)
-						return
-					}
-					continue // re-send the same cumulative value
-				}
-				k++
+			ops := regs[i].Counter("chaos.ops")
+			for k := 0; k < rounds; k++ {
+				ops.Add(step)
 				time.Sleep(time.Millisecond)
+			}
+		}(i)
+		go func(i int) {
+			defer wg.Done()
+			addr := leafAddrs[i%len(leafAddrs)]
+			for resume := false; ; resume = true {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				raw, err := dial(addr)
+				if err != nil {
+					time.Sleep(2 * time.Millisecond)
+					continue
+				}
+				wc := wire.NewConn(raw)
+				reg := wire.NewMessage("REGISTER").Set("daemon", name).Set("host", "h").SetInt("pid", i)
+				if resume {
+					reg.Set("resume", "1")
+				}
+				go func() { <-stop; raw.Close() }()
+				if wc.Send(reg) != nil {
+					raw.Close()
+					continue
+				}
+				for {
+					m, err := wc.Recv()
+					if err != nil {
+						break
+					}
+					if m.Verb != "STATS" {
+						continue
+					}
+					tid, sid := m.Trace()
+					sp := tracers[i].StartChild("daemon.stats", tid, sid)
+					err = wc.Send(paradyn.StatsReply(m, name, regs[i].Snapshot()))
+					sp.End()
+					if err != nil {
+						break
+					}
+				}
+				raw.Close()
 			}
 		}(i)
 	}
 
-	// While daemons publish, watch the root rollup: cumulative streams
-	// must never run backwards, reconnects and retires included.
-	stop := make(chan struct{})
+	// While daemons count, poll the root: cumulative counters must never
+	// run backwards, reconnects and retires included.
 	var monWG sync.WaitGroup
 	monWG.Add(1)
 	var monErr error
+	monStop := make(chan struct{})
 	go func() {
 		defer monWG.Done()
-		var lastOps, lastLost int64
+		var lastOps, lastStale int64
 		for {
 			select {
-			case <-stop:
+			case <-monStop:
 				return
 			case <-time.After(5 * time.Millisecond):
 			}
 			snap := tree.Root().TreeSnapshot()
 			ops := snap.Counters["chaos.ops"]
-			lost := snap.Counters["mrnet.stream.lost"]
+			stale := snap.Counters["mrnet.poll.stale"]
 			if ops < lastOps && monErr == nil {
 				monErr = fmt.Errorf("chaos.ops ran backwards: %d -> %d", lastOps, ops)
 			}
-			if lost < lastLost && monErr == nil {
-				monErr = fmt.Errorf("mrnet.stream.lost ran backwards: %d -> %d", lastLost, lost)
+			if stale < lastStale && monErr == nil {
+				monErr = fmt.Errorf("mrnet.poll.stale ran backwards: %d -> %d", lastStale, stale)
 			}
-			lastOps, lastLost = ops, lost
+			lastOps, lastStale = ops, stale
 		}
 	}()
 
@@ -538,13 +559,14 @@ func TestChaosSpanPropagation(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	treeChaos.CutAll()
 
-	wg.Wait()
 	want := int64(nDaemons * rounds * step)
 	waitFor(t, 15*time.Second, func() bool {
 		return tree.Root().TreeSnapshot().Counters["chaos.ops"] == want
 	}, "chaos rollup convergence")
-	close(stop)
+	close(monStop)
 	monWG.Wait()
+	close(stop)
+	wg.Wait()
 	if monErr != nil {
 		t.Error(monErr)
 	}
@@ -565,11 +587,12 @@ func TestChaosSpanPropagation(t *testing.T) {
 	for _, n := range tree.Nodes() {
 		collect(n.Tracer())
 	}
-	orphans := 0
+	orphans, hops := 0, 0
 	for _, rec := range records {
 		if rec.ParentID == "" {
 			continue
 		}
+		hops++
 		if _, ok := all[rec.ParentID]; !ok {
 			orphans++
 		}
@@ -577,9 +600,11 @@ func TestChaosSpanPropagation(t *testing.T) {
 	if orphans > 0 {
 		t.Errorf("%d orphaned spans (parent not recorded anywhere)", orphans)
 	}
-	rootSpans := tree.Root().Tracer().Spans()
-	if len(rootSpans) == 0 {
-		t.Error("no spans recorded at the root: trace context did not propagate through the tree")
+	if hops == 0 {
+		t.Error("no child spans: the poll's trace context did not propagate down the tree")
+	}
+	if len(tree.Root().Tracer().Spans()) == 0 {
+		t.Error("no mrnet.poll spans recorded at the root")
 	}
 	if daemonChaos.Stats().Cuts == 0 {
 		t.Error("chaos injector never cut a daemon connection; test exercised nothing")
@@ -588,7 +613,7 @@ func TestChaosSpanPropagation(t *testing.T) {
 
 // TestTreeViaProxy routes every parent-ward hop through the CONNECT
 // proxy, the way internal nodes behind a head node would reach the
-// front-end (§2.4).
+// front-end (§2.4); the front-end's poll travels down the same tunnels.
 func TestTreeViaProxy(t *testing.T) {
 	sink := newTestSink(t)
 
@@ -611,21 +636,16 @@ func TestTreeViaProxy(t *testing.T) {
 	}
 	defer tree.Close()
 
-	d0 := registerDaemon(t, tree.LeafAddrs()[0], "d0", "h0")
-	defer d0.Close()
-	d1 := registerDaemon(t, tree.LeafAddrs()[0], "d1", "h1")
-	defer d1.Close()
-	awaitRun(t, d0)
-	awaitRun(t, d1)
-	sendTSample(t, d0, wire.TelemetrySample{Kind: wire.KindCounter, Name: "app.ops", Value: 5})
-	sendTSample(t, d1, wire.TelemetrySample{Kind: wire.KindCounter, Name: "app.ops", Value: 7})
+	d0 := startDaemon(t, tree.LeafAddrs()[0], "d0", nil, false)
+	d1 := startDaemon(t, tree.LeafAddrs()[0], "d1", nil, false)
+	d0.awaitRun(t)
+	d1.awaitRun(t)
+	d0.reg.Counter("app.ops").Add(5)
+	d1.reg.Counter("app.ops").Add(7)
 
-	waitFor(t, 10*time.Second, func() bool {
-		return tree.Root().TreeSnapshot().Counters["app.ops"] == 12
-	}, "rollup through the proxy")
-	waitFor(t, 10*time.Second, func() bool {
-		return sink.verbCount("TSAMPLE") > 0
-	}, "TSAMPLE at the front-end via proxy")
+	if got := sink.poll(t).Counters["app.ops"]; got != 12 {
+		t.Errorf("app.ops through the proxy = %d, want 12", got)
+	}
 	tunnels, _ := ps.Stats()
 	if tunnels < 2 { // leaf->root and root->front-end
 		t.Errorf("proxy tunnels = %d, want >= 2", tunnels)

@@ -37,9 +37,8 @@ type TreeConfig struct {
 	// ProxyAddr, when set, routes every parent-ward connection through
 	// the CONNECT proxy at that address.
 	ProxyAddr string
-	// FlushInterval, StreamBuffer: per-node settings (see Config).
+	// FlushInterval is the per-node profile flush interval (see Config).
 	FlushInterval time.Duration
-	StreamBuffer  int
 }
 
 // Tree is a constructed reduction network.
@@ -69,17 +68,6 @@ func (t *Tree) LeafAddrs() []string {
 func (t *Tree) Close() {
 	for _, n := range t.nodes {
 		n.Close()
-	}
-}
-
-// FlushUp drives one reduction round bottom-up: every node flushes its
-// dirty streams to its parent, leaves first, root last. Harnesses that
-// build trees with a very long FlushInterval call this to make sample
-// propagation deterministic (the root rollup converges in a bounded
-// number of rounds instead of on timer ticks).
-func (t *Tree) FlushUp() {
-	for i := len(t.nodes) - 1; i >= 0; i-- {
-		t.nodes[i].Flush()
 	}
 }
 
@@ -178,7 +166,6 @@ func BuildReductionTree(cfg TreeConfig) (*Tree, error) {
 				Dial:             dial,
 				FlushInterval:    cfg.FlushInterval,
 				ExpectedChildren: expect,
-				StreamBuffer:     cfg.StreamBuffer,
 			})
 			if err != nil {
 				return fail(err)

@@ -154,6 +154,7 @@ func runDaemon(env condor.ToolEnv, args []string, pc *procsim.ProcContext) int {
 		}
 	}
 	var fe *wire.Conn
+	var local *telemetry.Registry
 	if feAddr != "" {
 		dial := env.Dial
 		if dial == nil {
@@ -165,8 +166,9 @@ func runDaemon(env condor.ToolEnv, args []string, pc *procsim.ProcContext) int {
 		}
 		defer raw.Close()
 		fe = wire.NewConn(raw)
+		name := fmt.Sprintf("paradynd.%s.rank%d", env.Machine, env.Rank)
 		reg := wire.NewMessage("REGISTER").
-			Set("daemon", fmt.Sprintf("paradynd.%s.rank%d", env.Machine, env.Rank)).
+			Set("daemon", name).
 			Set("host", env.Machine).
 			SetInt("pid", int(pid)).
 			Set("executable", proc.Executable()).
@@ -174,12 +176,17 @@ func runDaemon(env condor.ToolEnv, args []string, pc *procsim.ProcContext) int {
 		if err := fe.Send(reg); err != nil {
 			return fail("register", err)
 		}
+		// The daemon's telemetry lives in a daemon-LOCAL registry: many
+		// simulated daemons share one process, and the pool rollup sums
+		// counters across registrants, so answering the front-end's
+		// polls from the shared process registry would multiply-count
+		// it.
+		local = telemetry.NewRegistry()
+		run := make(chan error, 1)
+		go serveFrontEnd(fe, name, local, run)
 		// Wait for the user's run command from the front-end.
-		if m, err := fe.Recv(); err != nil || m.Verb != "RUN" {
-			if err != nil {
-				return fail("await RUN", err)
-			}
-			return fail("await RUN", fmt.Errorf("unexpected %s", m.Verb))
+		if err := <-run; err != nil {
+			return fail("await RUN", err)
 		}
 	}
 
@@ -191,44 +198,28 @@ func runDaemon(env condor.ToolEnv, args []string, pc *procsim.ProcContext) int {
 		return fail("tdp_continue", err)
 	}
 
-	// Stream samples until the application exits. Sample counts land
-	// in a daemon-LOCAL registry — many simulated daemons share one
-	// process, and the pool rollup sums counters across publishers, so
-	// publishing the shared process registry from every daemon would
-	// multiply-count it. The process-wide counter still ticks so a
-	// plain STATS snapshot shows the instrumentation data volume next
-	// to the protocol traffic.
-	local := telemetry.NewRegistry()
-	samplesLocal := local.Counter("paradyn.samples.sent")
-	sampleLat := local.Histogram("paradyn.sample.batch_us", nil)
-	samplesSent := telemetry.Default().Counter("paradyn.samples.sent")
-	var lastPub telemetry.Snapshot
-	sendSamples := func() {
-		if fe == nil {
-			return
-		}
-		start := time.Now()
-		fe.Cork()
-		for fn, s := range metrics.Snapshot() {
-			fe.Send(wire.NewMessage("SAMPLE").
-				Set("fn", fn).
-				Set("calls", strconv.FormatInt(s.Calls, 10)).
-				Set("time_us", strconv.FormatInt(s.TimeMicros, 10)))
-			samplesSent.Inc()
-			samplesLocal.Inc()
-		}
-		sampleLat.Observe(float64(time.Since(start).Microseconds()))
-		// Publish the daemon's own registry as telemetry streams:
-		// only the metrics that changed since the last flush, as
-		// cumulative latest values (reconnect-safe).
-		cur := local.Snapshot()
-		for _, ts := range wire.AppendSnapshotSamples(nil, telemetry.SnapshotDiff(lastPub, cur)) {
-			if msg, err := ts.Message(); err == nil {
-				fe.Send(msg)
+	// Stream samples until the application exits. The process-wide
+	// counter still ticks so a plain STATS snapshot shows the
+	// instrumentation data volume next to the protocol traffic.
+	sendSamples := func() {}
+	if fe != nil {
+		samplesLocal := local.Counter("paradyn.samples.sent")
+		sampleLat := local.Histogram("paradyn.sample.batch_us", nil)
+		samplesSent := telemetry.Default().Counter("paradyn.samples.sent")
+		sendSamples = func() {
+			start := time.Now()
+			fe.Cork()
+			for fn, s := range metrics.Snapshot() {
+				fe.Send(wire.NewMessage("SAMPLE").
+					Set("fn", fn).
+					Set("calls", strconv.FormatInt(s.Calls, 10)).
+					Set("time_us", strconv.FormatInt(s.TimeMicros, 10)))
+				samplesSent.Inc()
+				samplesLocal.Inc()
 			}
+			sampleLat.Observe(float64(time.Since(start).Microseconds()))
+			fe.Uncork()
 		}
-		lastPub = cur
-		fe.Uncork()
 	}
 	for {
 		sendSamples()
@@ -239,7 +230,9 @@ func runDaemon(env condor.ToolEnv, args []string, pc *procsim.ProcContext) int {
 	exit, _ := proc.ExitStatus()
 	sendSamples()
 	if fe != nil {
-		fe.Send(wire.NewMessage("DONE").Set("status", exit.String()))
+		// The final snapshot rides on DONE: a finished daemon's totals
+		// are exact at its parent without a poll.
+		fe.Send(WithSnapshot(wire.NewMessage("DONE").Set("status", exit.String()), local.Snapshot()))
 	}
 
 	// Leave a human-readable profile on stdout (lands in the
@@ -251,4 +244,30 @@ func runDaemon(env condor.ToolEnv, args []string, pc *procsim.ProcContext) int {
 		fmt.Fprintf(pc.Stdout(), "bottleneck: %s (%.0f%%)\n", fn, share*100)
 	}
 	return 0
+}
+
+// serveFrontEnd reads the front-end connection until it closes: the
+// first RUN (or the connection's failure before one) is reported on
+// run, and every STATS poll is answered from the daemon's registry —
+// also while the daemon still waits for RUN.
+func serveFrontEnd(fe *wire.Conn, name string, reg *telemetry.Registry, run chan<- error) {
+	ran := false
+	for {
+		m, err := fe.Recv()
+		if err != nil {
+			if !ran {
+				run <- err
+			}
+			return
+		}
+		switch m.Verb {
+		case "RUN":
+			if !ran {
+				ran = true
+				run <- nil
+			}
+		case "STATS":
+			fe.Send(StatsReply(m, name, reg.Snapshot()))
+		}
+	}
 }

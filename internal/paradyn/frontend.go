@@ -23,14 +23,14 @@ import (
 //
 //	daemon → FE:  REGISTER daemon= host= pid= executable= rank=
 //	              SAMPLE   fn= calls= time_us=     (repeated)
-//	              TSAMPLE  kind= name= value=|json= (telemetry streams)
-//	              DONE     status=
+//	              STATSV   daemon= json=           (reply to STATS)
+//	              DONE     status= json=
 //	FE → daemon:  RUN                               (the user's run command)
+//	              STATS    scope=tree               (a telemetry poll, poll.go)
 //
-// TSAMPLE carries cumulative latest values (never deltas), so the
-// front-end keeps one snapshot per daemon and PoolSnapshot merges them
-// — the same latest-value discipline the mrnet reduction uses, which
-// makes re-registration after a reconnect (resume=1) lossless.
+// PoolSnapshot polls every registrant that has not finished and merges
+// the last snapshot of each, so a re-registration after a reconnect
+// (resume=1) replaces its entry and nothing is counted twice.
 type FrontEnd struct {
 	cfg FrontEndConfig
 
@@ -63,7 +63,7 @@ type daemonState struct {
 	conn       *wire.Conn
 	stats      map[string]FuncStats
 	history    map[string][]TimedSample // per-function sample series
-	tel        telemetry.Snapshot       // latest TSAMPLE value per stream
+	peer       *Peer                    // telemetry poll state
 	done       bool
 	exitStatus string
 	ran        bool
@@ -133,6 +133,7 @@ func (fe *FrontEnd) handle(c net.Conn) {
 		c.Close()
 		return
 	}
+	var oldPeer *Peer
 	if old := fe.daemons[name]; old != nil {
 		// Re-registration (a daemon or mrnet node reconnecting with
 		// resume=1, or a replacement after a crash): the new connection
@@ -140,7 +141,7 @@ func (fe *FrontEnd) handle(c net.Conn) {
 		// dip, and the old connection is dropped so its handler exits.
 		ds.stats = old.stats
 		ds.history = old.history
-		ds.tel = old.tel
+		oldPeer = old.peer
 		ds.done = old.done
 		ds.exitStatus = old.exitStatus
 		// ran stays false: a reconnected peer that waits for RUN gets
@@ -149,6 +150,7 @@ func (fe *FrontEnd) handle(c net.Conn) {
 			old.conn.Close()
 		}
 	}
+	ds.peer = NewPeer(reg, oldPeer)
 	fe.daemons[name] = ds
 	autoRun := fe.cfg.AutoRun
 	fe.mu.Unlock()
@@ -164,6 +166,7 @@ func (fe *FrontEnd) handle(c net.Conn) {
 	for {
 		m, err := wc.Recv()
 		if err != nil {
+			ds.peer.Drop()
 			c.Close()
 			return
 		}
@@ -182,16 +185,10 @@ func (fe *FrontEnd) handle(c net.Conn) {
 			}
 			ds.history[fn] = series
 			fe.mu.Unlock()
-		case "TSAMPLE":
-			ts, err := wire.ParseTSample(m)
-			if err != nil {
-				continue
-			}
-			telemetry.Default().Counter("paradyn.tsamples.received").Inc()
-			fe.mu.Lock()
-			ds.tel = absorbTSample(ds.tel, ts)
-			fe.mu.Unlock()
+		case "STATSV":
+			ds.peer.Answer(m)
 		case "DONE":
+			ds.peer.Answer(m)
 			fe.mu.Lock()
 			ds.done = true
 			ds.exitStatus = m.Get("status")
@@ -332,58 +329,54 @@ func (fe *FrontEnd) AllStats() map[string]FuncStats {
 	return Merge(parts...)
 }
 
-// absorbTSample folds one telemetry sample into a daemon's snapshot,
-// overwriting the stream's previous value (TSAMPLE values are
-// cumulative, so latest wins).
-func absorbTSample(snap telemetry.Snapshot, ts wire.TelemetrySample) telemetry.Snapshot {
-	switch ts.Kind {
-	case wire.KindCounter:
-		if snap.Counters == nil {
-			snap.Counters = make(map[string]int64)
-		}
-		snap.Counters[ts.Name] = ts.Value
-	case wire.KindGauge, wire.KindGaugeMax:
-		if snap.Gauges == nil {
-			snap.Gauges = make(map[string]int64)
-		}
-		snap.Gauges[ts.Name] = ts.Value
-	case wire.KindHist:
-		if snap.Histograms == nil {
-			snap.Histograms = make(map[string]telemetry.HistogramSnapshot)
-		}
-		snap.Histograms[ts.Name] = ts.Hist
-	}
-	return snap
-}
-
-// DaemonSnapshot returns the latest telemetry snapshot one daemon (or
-// mrnet subtree, when the registrant is a reduction node) streamed via
-// TSAMPLE. Zero when the daemon is unknown or never published.
+// DaemonSnapshot polls one registrant (a daemon, or the root of an
+// mrnet subtree) and returns its telemetry snapshot: its last reply, or
+// the final snapshot its DONE carried. Zero when the daemon is unknown.
 func (fe *FrontEnd) DaemonSnapshot(daemon string) telemetry.Snapshot {
 	fe.mu.Lock()
-	defer fe.mu.Unlock()
 	ds := fe.daemons[daemon]
+	fe.mu.Unlock()
 	if ds == nil {
 		return telemetry.Snapshot{}
 	}
-	return ds.tel.Merge(telemetry.Snapshot{})
+	return telemetry.MergeSnapshots(fe.poll(ds)...)
 }
 
-// PoolSnapshot merges every registrant's telemetry streams into one
-// pool-wide view: counters sum, gauges take the maximum, histograms
+// PoolSnapshot polls every registrant and merges their snapshots into
+// one pool-wide view: counters sum, gauges take the maximum, histograms
 // merge bucket-wise. With daemons connected through a reduction tree
-// there is a single registrant (the tree root) and this is simply its
-// rolled-up subtree snapshot.
+// there is a single registrant (the tree root) and this is its
+// rolled-up subtree.
 func (fe *FrontEnd) PoolSnapshot() telemetry.Snapshot {
 	fe.mu.Lock()
-	defer fe.mu.Unlock()
-	parts := make([]telemetry.Snapshot, 0, len(fe.daemons))
+	list := make([]*daemonState, 0, len(fe.daemons))
 	for _, ds := range fe.daemons {
-		parts = append(parts, ds.tel)
+		list = append(list, ds)
 	}
-	// Merge under the lock: the parts alias the live per-daemon maps
-	// that handle() mutates, and MergeSnapshots deep-copies them.
-	return telemetry.MergeSnapshots(parts...)
+	fe.mu.Unlock()
+	return telemetry.MergeSnapshots(fe.poll(list...)...)
+}
+
+// poll sends STATS to each registrant in list that has not finished,
+// waits for the replies within the bound their depth earns (PollWait),
+// and returns every registrant's last snapshot.
+func (fe *FrontEnd) poll(list ...*daemonState) []telemetry.Snapshot {
+	var waits []<-chan struct{}
+	var depth int64
+	fe.mu.Lock()
+	for _, ds := range list {
+		if !ds.done {
+			waits = append(waits, ds.peer.Ask(ds.conn, "", ""))
+			depth = max(depth, ds.peer.Depth())
+		}
+	}
+	fe.mu.Unlock()
+	Await(waits, PollWait*time.Duration(depth+1))
+	out := make([]telemetry.Snapshot, len(list))
+	for i, ds := range list {
+		out[i] = ds.peer.Last()
+	}
+	return out
 }
 
 // ExitStatus returns the status a daemon reported with DONE.

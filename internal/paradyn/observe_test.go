@@ -8,14 +8,153 @@ import (
 	"tdp/internal/wire"
 )
 
-func sendTS(t *testing.T, wc *wire.Conn, ts wire.TelemetrySample) {
+// serveStats answers every STATS on wc from reg, as paradynd does, until
+// the connection closes; the returned channel receives each RUN.
+func serveStats(wc *wire.Conn, name string, reg *telemetry.Registry) <-chan struct{} {
+	runs := make(chan struct{}, 4)
+	go func() {
+		for {
+			m, err := wc.Recv()
+			if err != nil {
+				return
+			}
+			switch m.Verb {
+			case "RUN":
+				runs <- struct{}{}
+			case "STATS":
+				wc.Send(StatsReply(m, name, reg.Snapshot()))
+			}
+		}
+	}()
+	return runs
+}
+
+func awaitRun(t *testing.T, runs <-chan struct{}) {
 	t.Helper()
-	m, err := ts.Message()
-	if err != nil {
-		t.Fatalf("encode tsample: %v", err)
+	select {
+	case <-runs:
+	case <-time.After(2 * time.Second):
+		t.Fatal("no RUN")
 	}
-	if err := wc.Send(m); err != nil {
-		t.Fatalf("send tsample: %v", err)
+}
+
+// TestFrontEndPollMerge: PoolSnapshot polls every registrant and merges
+// the replies — counters sum, gauges take the maximum, histograms merge
+// bucket-wise — and each poll reads the daemons afresh, replacing their
+// last replies, never adding to them. DaemonSnapshot polls one.
+func TestFrontEndPollMerge(t *testing.T) {
+	fe := newFE(t, false)
+	r1, r2 := telemetry.NewRegistry(), telemetry.NewRegistry()
+	serveStats(fakeDaemon(t, fe.Addr(), "d1"), "d1", r1)
+	serveStats(fakeDaemon(t, fe.Addr(), "d2"), "d2", r2)
+	if err := fe.WaitDaemons(2, time.Second); err != nil {
+		t.Fatal(err)
+	}
+	r1.Counter("ops").Add(30)
+	r1.Gauge("depth").Set(3)
+	r1.Histogram("lat", []float64{1, 10}).Observe(0.5)
+	r2.Counter("ops").Add(12)
+	r2.Gauge("depth").Set(9)
+	r2.Histogram("lat", []float64{1, 10}).Observe(5)
+
+	pool := fe.PoolSnapshot()
+	if pool.Counters["ops"] != 42 {
+		t.Errorf("pool counter ops = %d, want 42", pool.Counters["ops"])
+	}
+	if pool.Gauges["depth"] != 9 {
+		t.Errorf("pool gauge depth = %d, want 9 (max across daemons)", pool.Gauges["depth"])
+	}
+	if h := pool.Histograms["lat"]; h.Count != 2 || h.Counts[0] != 1 || h.Counts[1] != 1 {
+		t.Errorf("pool hist lat = %+v, want merged counts", h)
+	}
+
+	// Latest-value semantics: the next poll replaces, never adds.
+	r1.Counter("ops").Add(1)
+	if got := fe.PoolSnapshot().Counters["ops"]; got != 43 {
+		t.Errorf("ops after a second poll = %d, want 43", got)
+	}
+	one := fe.DaemonSnapshot("d1")
+	if one.Counters["ops"] != 31 || one.Gauges["depth"] != 3 {
+		t.Errorf("DaemonSnapshot(d1) = %+v", one)
+	}
+	if got := fe.DaemonSnapshot("ghost"); len(got.Counters) != 0 {
+		t.Errorf("DaemonSnapshot(ghost) = %+v", got)
+	}
+}
+
+// TestFrontEndPollMalformedAndDone: a malformed reply is skipped, not
+// fatal to the connection; DONE's snapshot is the daemon's final one,
+// kept after its connection is gone.
+func TestFrontEndPollMalformedAndDone(t *testing.T) {
+	fe := newFE(t, false)
+	d1 := fakeDaemon(t, fe.Addr(), "d1")
+	if err := fe.WaitDaemons(1, time.Second); err != nil {
+		t.Fatal(err)
+	}
+	reply := func(json string) {
+		t.Helper()
+		m, err := d1.Recv()
+		if err != nil || m.Verb != "STATS" {
+			t.Fatalf("expected STATS, got %v, %v", m, err)
+		}
+		d1.Send(wire.NewMessage("STATSV").Set("daemon", "d1").Set("json", json))
+	}
+	polled := make(chan telemetry.Snapshot)
+	go func() { polled <- fe.PoolSnapshot() }()
+	reply(`{"counters":{"ops":5}}`)
+	if got := (<-polled).Counters["ops"]; got != 5 {
+		t.Fatalf("ops = %d, want 5", got)
+	}
+	go func() { polled <- fe.PoolSnapshot() }()
+	reply(`{"counters":`) // malformed: the last good reply stands
+	if got := (<-polled).Counters["ops"]; got != 5 {
+		t.Errorf("ops after a malformed reply = %d, want 5", got)
+	}
+
+	// DONE carries the final snapshot; no poll is needed after it.
+	d1.Send(WithSnapshot(wire.NewMessage("DONE").Set("status", "exit(0)"),
+		telemetry.Snapshot{Counters: map[string]int64{"ops": 9}}))
+	if err := fe.WaitDone(1, 2*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	d1.Close()
+	if got := fe.PoolSnapshot().Counters["ops"]; got != 9 {
+		t.Errorf("ops after DONE = %d, want the final 9", got)
+	}
+}
+
+func TestFrontEndResumeKeepsTelemetry(t *testing.T) {
+	fe := newFE(t, true)
+	reg := telemetry.NewRegistry()
+	d1 := fakeDaemon(t, fe.Addr(), "d1")
+	awaitRun(t, serveStats(d1, "d1", reg))
+	reg.Counter("ops").Add(10)
+	d1.Send(wire.NewMessage("SAMPLE").Set("fn", "work").Set("calls", "5").Set("time_us", "123"))
+	if got := fe.PoolSnapshot().Counters["ops"]; got != 10 {
+		t.Fatalf("ops = %d, want 10", got)
+	}
+
+	// The daemon reconnects (resume): same name, new connection, same
+	// cumulative registry. The accumulated state survives, the old
+	// connection is dropped, and the registrant is counted once.
+	d1b := fakeDaemon(t, fe.Addr(), "d1")
+	awaitRun(t, serveStats(d1b, "d1", reg))
+	if got := fe.Daemons(); len(got) != 1 {
+		t.Fatalf("Daemons after resume = %v, want just d1", got)
+	}
+	waitSnapshot(t, "stats kept across resume", func() bool { return fe.Stats("d1")["work"].Calls == 5 })
+	reg.Counter("ops").Add(2)
+	if got := fe.PoolSnapshot().Counters["ops"]; got != 12 {
+		t.Errorf("ops after resume = %d, want 12 (replaced, not 22)", got)
+	}
+
+	// The old connection is closed; the new one still works.
+	waitSnapshot(t, "old conn closed", func() bool {
+		return d1.Send(wire.NewMessage("SAMPLE").Set("fn", "x")) != nil
+	})
+	d1b.Send(wire.NewMessage("DONE").Set("status", "exit(0)"))
+	if err := fe.WaitDone(1, 2*time.Second); err != nil {
+		t.Fatalf("WaitDone after resume: %v", err)
 	}
 }
 
@@ -29,96 +168,4 @@ func waitSnapshot(t *testing.T, what string, cond func() bool) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatalf("timed out waiting for %s", what)
-}
-
-func TestFrontEndTSampleIngest(t *testing.T) {
-	fe := newFE(t, false)
-	d1 := fakeDaemon(t, fe.Addr(), "d1")
-	d2 := fakeDaemon(t, fe.Addr(), "d2")
-	fe.WaitDaemons(2, time.Second)
-
-	h1 := telemetry.NewHistogram([]float64{1, 10})
-	h1.Observe(0.5)
-	h2 := telemetry.NewHistogram([]float64{1, 10})
-	h2.Observe(5)
-	sendTS(t, d1, wire.TelemetrySample{Kind: wire.KindCounter, Name: "ops", Value: 30})
-	sendTS(t, d1, wire.TelemetrySample{Kind: wire.KindGaugeMax, Name: "depth", Value: 3})
-	sendTS(t, d1, wire.TelemetrySample{Kind: wire.KindHist, Name: "lat", Hist: h1.Snapshot()})
-	sendTS(t, d2, wire.TelemetrySample{Kind: wire.KindCounter, Name: "ops", Value: 12})
-	sendTS(t, d2, wire.TelemetrySample{Kind: wire.KindGaugeMax, Name: "depth", Value: 9})
-	sendTS(t, d2, wire.TelemetrySample{Kind: wire.KindHist, Name: "lat", Hist: h2.Snapshot()})
-	// A malformed TSAMPLE is skipped, not fatal to the connection.
-	d1.Send(wire.NewMessage("TSAMPLE").Set("kind", "counter").Set("name", "bad").Set("value", "x"))
-	// Latest-value semantics: re-sending replaces, never adds.
-	sendTS(t, d1, wire.TelemetrySample{Kind: wire.KindCounter, Name: "ops", Value: 31})
-
-	// The two daemons' streams are independent: wait for the last sample
-	// of each.
-	waitSnapshot(t, "pool counter ops=43 and both histograms", func() bool {
-		pool := fe.PoolSnapshot()
-		return pool.Counters["ops"] == 43 && pool.Histograms["lat"].Count == 2
-	})
-	pool := fe.PoolSnapshot()
-	if pool.Gauges["depth"] != 9 {
-		t.Errorf("pool gauge depth = %d, want 9 (max across daemons)", pool.Gauges["depth"])
-	}
-	if h := pool.Histograms["lat"]; h.Count != 2 || h.Counts[0] != 1 || h.Counts[1] != 1 {
-		t.Errorf("pool hist lat = %+v, want merged counts", h)
-	}
-	if _, ok := pool.Counters["bad"]; ok {
-		t.Error("malformed tsample was absorbed")
-	}
-
-	one := fe.DaemonSnapshot("d1")
-	if one.Counters["ops"] != 31 || one.Gauges["depth"] != 3 {
-		t.Errorf("DaemonSnapshot(d1) = %+v", one)
-	}
-	if got := fe.DaemonSnapshot("ghost"); len(got.Counters) != 0 {
-		t.Errorf("DaemonSnapshot(ghost) = %+v", got)
-	}
-}
-
-func TestFrontEndResumeKeepsTelemetry(t *testing.T) {
-	fe := newFE(t, true)
-	d1 := fakeDaemon(t, fe.Addr(), "d1")
-	fe.WaitDaemons(1, time.Second)
-	if m, err := d1.Recv(); err != nil || m.Verb != "RUN" {
-		t.Fatalf("await RUN: %v, %v", m, err)
-	}
-	sendTS(t, d1, wire.TelemetrySample{Kind: wire.KindCounter, Name: "ops", Value: 10})
-	d1.Send(wire.NewMessage("SAMPLE").Set("fn", "work").Set("calls", "5").Set("time_us", "123"))
-	waitSnapshot(t, "ops=10", func() bool {
-		return fe.PoolSnapshot().Counters["ops"] == 10
-	})
-
-	// The daemon reconnects (resume): same name, new connection. The
-	// accumulated state survives, the old connection is dropped, and a
-	// cumulative re-publication does not double-count.
-	d1b := fakeDaemon(t, fe.Addr(), "d1")
-	if m, err := d1b.Recv(); err != nil || m.Verb != "RUN" {
-		t.Fatalf("await RUN after resume: %v, %v", m, err)
-	}
-	if got := fe.Daemons(); len(got) != 1 {
-		t.Fatalf("Daemons after resume = %v, want just d1", got)
-	}
-	if fe.Stats("d1")["work"].Calls != 5 {
-		t.Errorf("stats lost across resume: %v", fe.Stats("d1"))
-	}
-	if got := fe.PoolSnapshot().Counters["ops"]; got != 10 {
-		t.Errorf("ops after resume = %d, want 10 (state inherited)", got)
-	}
-	sendTS(t, d1b, wire.TelemetrySample{Kind: wire.KindCounter, Name: "ops", Value: 12})
-	waitSnapshot(t, "ops=12 after resume", func() bool {
-		return fe.PoolSnapshot().Counters["ops"] == 12
-	})
-
-	// The old connection is closed; the new one still works.
-	waitSnapshot(t, "old conn closed", func() bool {
-		_, err := d1.Recv()
-		return err != nil
-	})
-	d1b.Send(wire.NewMessage("DONE").Set("status", "exit(0)"))
-	if err := fe.WaitDone(1, 2*time.Second); err != nil {
-		t.Fatalf("WaitDone after resume: %v", err)
-	}
 }

@@ -62,10 +62,11 @@ func cass(r *Run) *ShardedCASS           { return r.Get(cassKey).(*ShardedCASS) 
 func clients(r *Run) []*attrspace.Client { return r.Get(clientsKey).([]*attrspace.Client) }
 
 // SteadyState is the headline scale scenario: `hosts` simulated
-// daemons over a `levels`-deep reduction tree publish cumulative
-// counter streams and one histogram each; the front-end's message
-// count must stay below one per daemon, the rollup must converge to
-// exact totals, and the drain must produce a single aggregate DONE.
+// daemons over a `levels`-deep reduction tree count a cumulative
+// counter and one histogram each; the front-end's polls must see exact
+// totals with every daemon answering in time, its message count must
+// stay below one per daemon, and the drain must produce a single
+// aggregate DONE.
 func SteadyState(name string, hosts, fanOut, levels, rounds int) *Scenario {
 	const step = 25
 	return &Scenario{
@@ -117,7 +118,7 @@ func SteadyState(name string, hosts, fanOut, levels, rounds int) *Scenario {
 					{Name: "tree-sees-all-hosts", Check: func(r *Run) error {
 						p := plane(r)
 						return r.WaitFor(30*time.Second, func() bool {
-							return p.RootSnapshot().Counters["mrnet.tree.daemons"] == int64(hosts)
+							return p.RootSnapshot(r).Counters["mrnet.tree.daemons"] == int64(hosts)
 						}, fmt.Sprintf("mrnet.tree.daemons == %d", hosts))
 					}},
 				},
@@ -128,23 +129,18 @@ func SteadyState(name string, hosts, fanOut, levels, rounds int) *Scenario {
 					p := plane(r)
 					for k := 1; k <= rounds; k++ {
 						v := int64(k * step)
-						if err := p.Fleet.ForAll(0, func(i int) error {
-							start := time.Now()
-							if err := p.Fleet.PublishCounter(i, "app.ops", v); err != nil {
-								return err
-							}
-							r.Observe("publish", time.Since(start))
+						p.Fleet.ForAll(0, func(i int) error {
+							p.Fleet.SetCounter(i, "app.ops", v)
 							r.Count("samples_published", 1)
 							return nil
-						}); err != nil {
-							return fmt.Errorf("round %d: %w", k, err)
-						}
+						})
 					}
 					h := telemetry.NewHistogram([]float64{1, 10, 100})
 					return p.Fleet.ForAll(0, func(i int) error {
 						h2 := telemetry.NewHistogram(h.Bounds())
 						h2.Observe(float64(i % 20))
-						return p.Fleet.PublishHist(i, "app.lat", h2.Snapshot())
+						p.Fleet.ObserveHist(i, "app.lat", h2.Snapshot())
+						return nil
 					})
 				},
 				Checkpoints: []Checkpoint{
@@ -153,7 +149,7 @@ func SteadyState(name string, hosts, fanOut, levels, rounds int) *Scenario {
 						want := int64(hosts * rounds * step)
 						var last telemetry.Snapshot
 						err := r.WaitFor(60*time.Second, func() bool {
-							last = p.RootSnapshot()
+							last = p.RootSnapshot(r)
 							return last.Counters["app.ops"] == want &&
 								last.Histograms["app.lat"].Count == int64(hosts)
 						}, "root rollup convergence")
@@ -164,7 +160,7 @@ func SteadyState(name string, hosts, fanOut, levels, rounds int) *Scenario {
 						return nil
 					}},
 					{Name: "tree-depth", Check: func(r *Run) error {
-						if got := plane(r).RootSnapshot().Gauges["mrnet.tree.depth"]; got != int64(levels) {
+						if got := plane(r).RootSnapshot(r).Gauges["mrnet.tree.depth"]; got != int64(levels) {
 							return fmt.Errorf("mrnet.tree.depth = %d, want %d", got, levels)
 						}
 						return nil
@@ -177,9 +173,9 @@ func SteadyState(name string, hosts, fanOut, levels, rounds int) *Scenario {
 						r.Count("fe_messages", p.Sink.Msgs())
 						return nil
 					}},
-					{Name: "zero-stream-loss", Check: func(r *Run) error {
-						if lost := plane(r).RootSnapshot().Counters["mrnet.stream.lost"]; lost != 0 {
-							return fmt.Errorf("mrnet.stream.lost = %d, want 0", lost)
+					{Name: "zero-stale-replies", Check: func(r *Run) error {
+						if stale := plane(r).RootSnapshot(r).Counters["mrnet.poll.stale"]; stale != 0 {
+							return fmt.Errorf("mrnet.poll.stale = %d, want 0: a live daemon missed a poll's bound", stale)
 						}
 						return nil
 					}},
@@ -206,7 +202,7 @@ func SteadyState(name string, hosts, fanOut, levels, rounds int) *Scenario {
 						}, "the aggregated DONE at the front-end")
 					}},
 					{Name: "no-hosts-lost", Check: func(r *Run) error {
-						if down := plane(r).RootSnapshot().Counters["mrnet.hosts.down"]; down != 0 {
+						if down := plane(r).RootSnapshot(r).Counters["mrnet.hosts.down"]; down != 0 {
 							return fmt.Errorf("mrnet.hosts.down = %d, want 0 (clean drain)", down)
 						}
 						return nil
@@ -450,10 +446,10 @@ func ShardLossUnderLoad(name string, baseline, afterKill time.Duration) *Scenari
 }
 
 // ToolChurn repeatedly kills and resumes batches of daemons while the
-// pool publishes cumulative counters: hosts.down must count every
-// loss, cumulative totals must stay monotone through retire/revive,
-// and after the last revival the rollup must converge to the exact
-// total as if nothing ever died.
+// pool counts cumulative counters: hosts.down must count every loss,
+// cumulative totals must stay monotone through retire and resume, and
+// after the last resume the rollup must converge to the exact total as
+// if nothing ever died.
 func ToolChurn(name string, hosts, fanOut, levels, churnRounds, killsPerRound int) *Scenario {
 	const step = 10
 	return &Scenario{
@@ -470,17 +466,15 @@ func ToolChurn(name string, hosts, fanOut, levels, churnRounds, killsPerRound in
 					}
 					r.Put(planeKey, p)
 					return p.Fleet.ForAll(0, func(i int) error {
-						if err := p.Fleet.Register(i); err != nil {
-							return err
-						}
-						return p.Fleet.PublishCounter(i, "app.ops", step)
+						p.Fleet.SetCounter(i, "app.ops", step)
+						return p.Fleet.Register(i)
 					})
 				},
 				Checkpoints: []Checkpoint{
 					{Name: "baseline-rollup", Check: func(r *Run) error {
 						p := plane(r)
 						return r.WaitFor(30*time.Second, func() bool {
-							s := p.RootSnapshot()
+							s := p.RootSnapshot(r)
 							return s.Counters["app.ops"] == int64(hosts*step) &&
 								s.Counters["mrnet.tree.daemons"] == int64(hosts)
 						}, "baseline rollup")
@@ -503,13 +497,13 @@ func ToolChurn(name string, hosts, fanOut, levels, churnRounds, killsPerRound in
 						killedTotal += len(kills)
 						r.Count("kills", int64(len(kills)))
 						if err := r.WaitFor(30*time.Second, func() bool {
-							return p.RootSnapshot().Counters["mrnet.hosts.down"] == int64(killedTotal)
+							return p.RootSnapshot(r).Counters["mrnet.hosts.down"] == int64(killedTotal)
 						}, fmt.Sprintf("round %d: hosts.down == %d", round, killedTotal)); err != nil {
 							return err
 						}
 						// Cumulative streams must never run backwards,
 						// deaths and retires included.
-						if ops := p.RootSnapshot().Counters["app.ops"]; ops < lastOps {
+						if ops := p.RootSnapshot(r).Counters["app.ops"]; ops < lastOps {
 							return fmt.Errorf("round %d: app.ops ran backwards after kills: %d -> %d", round, lastOps, ops)
 						}
 						// Revive the victims and advance everyone one
@@ -526,14 +520,13 @@ func ToolChurn(name string, hosts, fanOut, levels, churnRounds, killsPerRound in
 							return fmt.Errorf("round %d resume: %w", round, err)
 						}
 						r.Count("resumes", int64(len(kills)))
-						if err := p.Fleet.ForAll(0, func(i int) error {
-							return p.Fleet.PublishCounter(i, "app.ops", v)
-						}); err != nil {
-							return fmt.Errorf("round %d publish: %w", round, err)
-						}
+						p.Fleet.ForAll(0, func(i int) error {
+							p.Fleet.SetCounter(i, "app.ops", v)
+							return nil
+						})
 						want := int64(hosts) * v
 						if err := r.WaitFor(30*time.Second, func() bool {
-							ops := p.RootSnapshot().Counters["app.ops"]
+							ops := p.RootSnapshot(r).Counters["app.ops"]
 							if ops < lastOps {
 								return false
 							}
@@ -548,14 +541,14 @@ func ToolChurn(name string, hosts, fanOut, levels, churnRounds, killsPerRound in
 				Checkpoints: []Checkpoint{
 					{Name: "every-loss-counted", Check: func(r *Run) error {
 						want := int64(churnRounds * killsPerRound)
-						if got := plane(r).RootSnapshot().Counters["mrnet.hosts.down"]; got != want {
+						if got := plane(r).RootSnapshot(r).Counters["mrnet.hosts.down"]; got != want {
 							return fmt.Errorf("mrnet.hosts.down = %d, want %d", got, want)
 						}
 						return nil
 					}},
 					{Name: "exact-total-after-churn", Check: func(r *Run) error {
 						want := int64(hosts * (churnRounds + 1) * step)
-						if got := plane(r).RootSnapshot().Counters["app.ops"]; got != want {
+						if got := plane(r).RootSnapshot(r).Counters["app.ops"]; got != want {
 							return fmt.Errorf("app.ops = %d, want %d (churn must not double-count or drop)", got, want)
 						}
 						return nil

@@ -5,21 +5,23 @@ import (
 	"net"
 	"sync"
 
+	"tdp/internal/paradyn"
 	"tdp/internal/telemetry"
 	"tdp/internal/wire"
 )
 
 // Fleet is a pool of simulated tool daemons: the cheapest thing that
-// speaks the daemon half of the tool protocol (REGISTER, TSAMPLE,
-// DONE) at 10k+ instances. Each daemon is just a wire connection from
-// its own simulated host into a reduction-tree leaf — no goroutine
-// per daemon: the sink at the top of the plane never sends RUN, so a
-// daemon connection never receives anything and a bounded worker pool
-// (ForAll) can drive the whole fleet.
+// speaks the daemon half of the tool protocol (REGISTER, STATS →
+// STATSV, DONE) at 10k+ instances. Each daemon is a registry and a wire
+// connection from its own simulated host into a reduction-tree leaf,
+// with one goroutine answering the leaf's polls from the registry. The
+// sink at the top of the plane never sends RUN, so nothing else ever
+// arrives, and a bounded worker pool (ForAll) drives the whole fleet.
 type Fleet struct {
 	size  int
 	leafs []string
 	dial  func(i int, addr string) (net.Conn, error)
+	regs  []*telemetry.Registry
 
 	mu    sync.Mutex
 	conns []*wire.Conn
@@ -28,7 +30,11 @@ type Fleet struct {
 // NewFleet prepares (but does not connect) a fleet of size daemons;
 // daemon i dials leafs[i%len(leafs)] via dial.
 func NewFleet(size int, leafs []string, dial func(i int, addr string) (net.Conn, error)) *Fleet {
-	return &Fleet{size: size, leafs: leafs, dial: dial, conns: make([]*wire.Conn, size)}
+	regs := make([]*telemetry.Registry, size)
+	for i := range regs {
+		regs[i] = telemetry.NewRegistry()
+	}
+	return &Fleet{size: size, leafs: leafs, dial: dial, regs: regs, conns: make([]*wire.Conn, size)}
 }
 
 // Size returns the fleet size.
@@ -74,7 +80,19 @@ func (f *Fleet) register(i int, resume bool) error {
 		return fmt.Errorf("%s: register: %w", f.Name(i), err)
 	}
 	f.setConn(i, wc)
+	go f.serve(i, wc)
 	return nil
+}
+
+// serve answers the leaf's polls on wc from daemon i's registry until
+// the connection closes.
+func (f *Fleet) serve(i int, wc *wire.Conn) {
+	m := new(wire.Message)
+	for wc.RecvInto(m) == nil {
+		if m.Verb == "STATS" {
+			wc.Send(paradyn.StatsReply(m, f.Name(i), f.regs[i].Snapshot()))
+		}
+	}
 }
 
 // Register connects and registers daemon i for the first time.
@@ -85,37 +103,25 @@ func (f *Fleet) Register(i int) error { return f.register(i, false) }
 func (f *Fleet) Resume(i int) error { return f.register(i, true) }
 
 // Kill abruptly closes daemon i's connection — the leaf sees the child
-// die, retires its streams, and publishes a synthetic host_down.
+// die, retires its snapshot, and publishes a synthetic host_down. The
+// daemon's registry survives for a Resume.
 func (f *Fleet) Kill(i int) {
 	f.setConn(i, nil)
 }
 
-// PublishCounter sends one cumulative counter sample from daemon i.
-func (f *Fleet) PublishCounter(i int, name string, value int64) error {
-	return f.send(i, wire.TelemetrySample{Kind: wire.KindCounter, Name: name, Value: value})
+// SetCounter sets daemon i's cumulative counter to value; the next poll
+// that reaches the daemon reads it.
+func (f *Fleet) SetCounter(i int, name string, value int64) {
+	c := f.regs[i].Counter(name)
+	c.Add(value - c.Value())
 }
 
-// PublishHist sends one histogram sample from daemon i.
-func (f *Fleet) PublishHist(i int, name string, h telemetry.HistogramSnapshot) error {
-	return f.send(i, wire.TelemetrySample{Kind: wire.KindHist, Name: name, Hist: h})
+// ObserveHist merges h's observations into daemon i's histogram.
+func (f *Fleet) ObserveHist(i int, name string, h telemetry.HistogramSnapshot) {
+	f.regs[i].Histogram(name, h.Bounds).Merge(h)
 }
 
-func (f *Fleet) send(i int, ts wire.TelemetrySample) error {
-	wc := f.conn(i)
-	if wc == nil {
-		return fmt.Errorf("%s: not registered", f.Name(i))
-	}
-	m, err := ts.Message()
-	if err != nil {
-		return err
-	}
-	if err := wc.Send(m); err != nil {
-		return fmt.Errorf("%s: tsample: %w", f.Name(i), err)
-	}
-	return nil
-}
-
-// Done reports daemon i's exit status and closes its connection the
+// Done reports daemon i's exit status with its final snapshot, the
 // polite way (DONE then EOF, so the leaf counts it toward aggregate
 // completion instead of a host_down).
 func (f *Fleet) Done(i int, status int) error {
@@ -123,7 +129,8 @@ func (f *Fleet) Done(i int, status int) error {
 	if wc == nil {
 		return fmt.Errorf("%s: not registered", f.Name(i))
 	}
-	if err := wc.Send(wire.NewMessage("DONE").SetInt("status", status)); err != nil {
+	m := paradyn.WithSnapshot(wire.NewMessage("DONE").SetInt("status", status), f.regs[i].Snapshot())
+	if err := wc.Send(m); err != nil {
 		return fmt.Errorf("%s: done: %w", f.Name(i), err)
 	}
 	return nil

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,22 +25,26 @@ import (
 // library objects — no testing.T — so scenarios stay declarative.
 
 // Sink is the front-end stand-in at the top of a telemetry plane: it
-// accepts the root's connection and counts every message and verb.
-// It deliberately never sends RUN — the simulated daemons don't wait
-// for it, which keeps the fleet's client connections receive-free (no
-// per-daemon reader goroutine at 10k+ hosts).
+// accepts the root's connection, counts every message and verb, and
+// polls the tree through the root with STATS scope=tree. It
+// deliberately never sends RUN — the simulated daemons don't wait for
+// it.
 type Sink struct {
 	l     net.Listener
 	msgs  atomic.Int64
 	conns atomic.Int64
 
-	mu    sync.Mutex
-	verbs map[string]int
+	mu      sync.Mutex
+	verbs   map[string]int
+	root    *wire.Conn         // the latest accepted connection: the tree root's
+	replies chan *wire.Message // STATSV frames, for Poll
+	pollMu  sync.Mutex         // one poll at a time
+	polls   int
 }
 
 // NewSink starts a sink on the listener.
 func NewSink(l net.Listener) *Sink {
-	s := &Sink{l: l, verbs: make(map[string]int)}
+	s := &Sink{l: l, verbs: make(map[string]int), replies: make(chan *wire.Message, 1)}
 	go func() {
 		for {
 			c, err := l.Accept()
@@ -47,8 +52,11 @@ func NewSink(l net.Listener) *Sink {
 				return
 			}
 			s.conns.Add(1)
+			wc := wire.NewConn(c)
+			s.mu.Lock()
+			s.root = wc
+			s.mu.Unlock()
 			go func() {
-				wc := wire.NewConn(c)
 				defer c.Close()
 				for {
 					m, err := wc.Recv()
@@ -59,11 +67,48 @@ func NewSink(l net.Listener) *Sink {
 					s.mu.Lock()
 					s.verbs[m.Verb]++
 					s.mu.Unlock()
+					if m.Verb == "STATSV" {
+						select {
+						case s.replies <- m:
+						default: // nobody waits for it: a late reply
+						}
+					}
 				}
 			}()
 		}
 	}()
 	return s
+}
+
+// Poll asks the root for its subtree rollup — one STATS scope=tree out,
+// one STATSV back, whatever the pool's size — and waits up to timeout
+// for it.
+func (s *Sink) Poll(timeout time.Duration) (telemetry.Snapshot, error) {
+	s.pollMu.Lock()
+	defer s.pollMu.Unlock()
+	s.mu.Lock()
+	root := s.root
+	s.mu.Unlock()
+	if root == nil {
+		return telemetry.Snapshot{}, fmt.Errorf("sink: the root has not connected")
+	}
+	s.polls++
+	id := strconv.Itoa(s.polls)
+	if err := root.Send(wire.NewMessage("STATS").Set("scope", "tree").Set("id", id)); err != nil {
+		return telemetry.Snapshot{}, fmt.Errorf("sink: poll: %w", err)
+	}
+	deadline := time.After(timeout)
+	for {
+		select {
+		case m := <-s.replies:
+			if m.Get("id") != id {
+				continue // an earlier poll's reply, after its caller gave up
+			}
+			return telemetry.ParseSnapshot([]byte(m.Get("json")))
+		case <-deadline:
+			return telemetry.Snapshot{}, fmt.Errorf("sink: no STATSV within %v", timeout)
+		}
+	}
 }
 
 // Addr returns the sink's listen address.
@@ -133,8 +178,8 @@ func BuildPlane(r *Run, cfg PlaneConfig) (*Plane, error) {
 		Levels:     cfg.Levels,
 		Dial:       mrHost.Dial,
 		Listen:     func() (net.Listener, error) { return mrHost.Listen(0) },
-		// Flushes are driven by Tree.FlushUp from the phases, so
-		// rollup convergence is deterministic in flush rounds.
+		// The fleet sends no profile SAMPLEs, so the nodes' flush
+		// tickers would only idle.
 		FlushInterval: time.Hour,
 	})
 	if err != nil {
@@ -167,11 +212,18 @@ func BuildPlane(r *Run, cfg PlaneConfig) (*Plane, error) {
 	return p, nil
 }
 
-// RootSnapshot flushes the tree bottom-up once and returns the root's
-// merged subtree rollup.
-func (p *Plane) RootSnapshot() telemetry.Snapshot {
-	p.Tree.FlushUp()
-	return p.Tree.Root().TreeSnapshot()
+// RootSnapshot polls the tree from the front-end and returns the
+// root's merged subtree rollup, recording the poll's latency on r. A
+// failed poll is logged and returns the zero Snapshot, which no
+// checkpoint accepts.
+func (p *Plane) RootSnapshot(r *Run) telemetry.Snapshot {
+	start := time.Now()
+	snap, err := p.Sink.Poll(time.Minute)
+	if err != nil {
+		r.Logf("  %v", err)
+	}
+	r.Observe("poll", time.Since(start))
+	return snap
 }
 
 func hostName(i int) string { return fmt.Sprintf("h%04d", i) }

@@ -6,10 +6,10 @@ import (
 )
 
 // This file implements snapshot merging — the arithmetic behind the
-// pool observability plane. An mrnet reduction node (and any daemon
-// answering `STATS scope=tree`) folds its children's registry
-// snapshots into one picture of the whole subtree; the filters are the
-// classic reduction-network set:
+// pool observability plane. An mrnet reduction node, the paradyn
+// front-end and any daemon answering `STATS scope=tree` fold their
+// children's registry snapshots into one picture of the whole subtree;
+// the filters are the classic reduction-network set:
 //
 //   - counters sum: each child's count is a disjoint share of the
 //     pool total (per-daemon registries, not the shared process one);
@@ -172,32 +172,4 @@ func (r *Registry) Merge(s Snapshot) {
 	for name, h := range s.Histograms {
 		r.Histogram(name, h.Bounds).Merge(h)
 	}
-}
-
-// SnapshotDiff returns the metrics of cur whose values differ from
-// prev (all of cur when prev is the zero Snapshot). Publishers use it
-// to ship only changed streams each interval: counters and gauges
-// compare by value, histograms by observation count and sum.
-func SnapshotDiff(prev, cur Snapshot) Snapshot {
-	out := Snapshot{
-		Counters:   make(map[string]int64),
-		Gauges:     make(map[string]int64),
-		Histograms: make(map[string]HistogramSnapshot),
-	}
-	for k, v := range cur.Counters {
-		if pv, ok := prev.Counters[k]; !ok || pv != v {
-			out.Counters[k] = v
-		}
-	}
-	for k, v := range cur.Gauges {
-		if pv, ok := prev.Gauges[k]; !ok || pv != v {
-			out.Gauges[k] = v
-		}
-	}
-	for k, h := range cur.Histograms {
-		if ph, ok := prev.Histograms[k]; !ok || ph.Count != h.Count || ph.Sum != h.Sum {
-			out.Histograms[k] = h
-		}
-	}
-	return out
 }

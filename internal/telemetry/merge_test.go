@@ -144,39 +144,3 @@ func TestRegistryMerge(t *testing.T) {
 		t.Errorf("lat count = %d, want 1 (created from snapshot)", got)
 	}
 }
-
-func TestSnapshotDiff(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("a").Add(1)
-	r.Counter("b").Add(1)
-	r.Gauge("g").Set(5)
-	r.Histogram("h", []float64{1}).Observe(0.5)
-	prev := r.Snapshot()
-
-	if d := SnapshotDiff(prev, prev); len(d.Counters)+len(d.Gauges)+len(d.Histograms) != 0 {
-		t.Errorf("self-diff not empty: %+v", d)
-	}
-
-	r.Counter("a").Add(1)
-	r.Histogram("h", nil).Observe(2)
-	cur := r.Snapshot()
-	d := SnapshotDiff(prev, cur)
-	if _, ok := d.Counters["a"]; !ok {
-		t.Error("changed counter a missing from diff")
-	}
-	if _, ok := d.Counters["b"]; ok {
-		t.Error("unchanged counter b present in diff")
-	}
-	if _, ok := d.Gauges["g"]; ok {
-		t.Error("unchanged gauge g present in diff")
-	}
-	if h, ok := d.Histograms["h"]; !ok || h.Count != 2 {
-		t.Errorf("changed histogram missing/wrong: %+v", d.Histograms)
-	}
-
-	// Against the zero snapshot, everything is a change.
-	full := SnapshotDiff(Snapshot{}, cur)
-	if len(full.Counters) != 2 || len(full.Gauges) != 1 || len(full.Histograms) != 1 {
-		t.Errorf("zero-diff = %+v", full)
-	}
-}

@@ -91,7 +91,7 @@ func init() {
 		// reduction network, proxy handshake) — the monitoring fan-in
 		// hot path, where a pool of daemons emits a message per metric
 		// per sample interval.
-		"REGISTER", "SAMPLE", "TSAMPLE", "DONE", "RUN",
+		"REGISTER", "SAMPLE", "DONE", "RUN",
 		"CONNECT", "REFUSED",
 		// Wire-level liveness probes and the shared-memory promotion
 		// requests.

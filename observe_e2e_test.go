@@ -1,10 +1,11 @@
 package tdp_test
 
 // End-to-end test of the observability plane (DESIGN.md §11): daemons
-// publish telemetry streams through an mrnet reduction node to a
-// paradyn front-end, the node's aggregated subtree is exposed through
-// an attribute-space server's `STATS scope=tree`, and a monitoring
-// client (what tdptop drives) reads one merged snapshot of the pool.
+// answer telemetry polls through an mrnet reduction node, the node's
+// rolled-up subtree is exposed through an attribute-space server's
+// `STATS scope=tree`, a monitoring client (what tdptop drives) reads
+// one merged snapshot of the pool, and the paradyn front-end reads the
+// same rollup by polling the node over its uplink.
 
 import (
 	"context"
@@ -20,7 +21,7 @@ import (
 )
 
 func TestObservabilityPlaneEndToEnd(t *testing.T) {
-	// Front-end: ingests SAMPLEs and TSAMPLEs.
+	// Front-end: ingests SAMPLEs and polls its registrant (the node).
 	feListener, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
@@ -48,7 +49,8 @@ func TestObservabilityPlaneEndToEnd(t *testing.T) {
 	}
 	defer node.Close()
 
-	// Two daemons publish cumulative telemetry streams.
+	// Two daemons count, and answer the node's polls from their
+	// registries.
 	for i, val := range []int64{5, 7} {
 		raw, err := net.Dial("tcp", node.Addr())
 		if err != nil {
@@ -60,15 +62,22 @@ func TestObservabilityPlaneEndToEnd(t *testing.T) {
 		if err := wc.Send(wire.NewMessage("REGISTER").Set("daemon", name).Set("host", name+"-host")); err != nil {
 			t.Fatalf("register %s: %v", name, err)
 		}
-		ts := wire.TelemetrySample{Kind: wire.KindCounter, Name: "app.ops", Value: val}
-		m, err := ts.Message()
-		if err != nil {
-			t.Fatalf("encode: %v", err)
-		}
-		if err := wc.Send(m); err != nil {
-			t.Fatalf("tsample %s: %v", name, err)
-		}
-		go func() { wc.Recv() }() // drain the multicast RUN
+		reg := telemetry.NewRegistry()
+		reg.Counter("app.ops").Add(val)
+		go func() {
+			for {
+				m, err := wc.Recv()
+				if err != nil {
+					return
+				}
+				if m.Verb == "STATS" {
+					wc.Send(paradyn.StatsReply(m, name, reg.Snapshot()))
+				}
+			}
+		}()
+	}
+	if err := fe.WaitDaemons(1, 5*time.Second); err != nil {
+		t.Fatal(err)
 	}
 
 	// Attribute-space server (the CASS of the deployment) exposes the
@@ -85,40 +94,27 @@ func TestObservabilityPlaneEndToEnd(t *testing.T) {
 	defer srv.Close()
 
 	// The monitoring client (tdptop's poll loop) sees one merged pool
-	// snapshot: the daemons' streams and the tree's own topology
-	// streams next to the CASS's registry.
+	// snapshot: the daemons' counters and the tree's own topology next
+	// to the CASS's registry.
 	c, err := attrspace.Dial(nil, cassAddr, "default")
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
 	defer c.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		_, snap, err := c.ServerStats(context.Background(), "tree")
-		if err != nil {
-			t.Fatalf("ServerStatsScope: %v", err)
-		}
-		if snap.Counters["app.ops"] == 12 && snap.Counters["mrnet.tree.daemons"] == 2 {
-			if snap.Counters["attrspace.ops.stats"] == 0 {
-				t.Errorf("pool snapshot lost the CASS's own registry: %v", snap.Counters)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("pool snapshot never converged: %v", snap.Counters)
-		}
-		time.Sleep(2 * time.Millisecond)
+	_, snap, err := c.ServerStats(context.Background(), "tree")
+	if err != nil {
+		t.Fatalf("ServerStats: %v", err)
+	}
+	if snap.Counters["app.ops"] != 12 || snap.Counters["mrnet.tree.daemons"] != 2 {
+		t.Errorf("pool snapshot = %v, want app.ops 12 over 2 daemons", snap.Counters)
+	}
+	if snap.Counters["attrspace.ops.stats"] == 0 {
+		t.Errorf("pool snapshot lost the CASS's own registry: %v", snap.Counters)
 	}
 
-	// The same streams reached the front-end via the reduction uplink.
-	deadline = time.Now().Add(5 * time.Second)
-	for {
-		if fe.PoolSnapshot().Counters["app.ops"] == 12 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("front-end pool snapshot never converged: %v", fe.PoolSnapshot().Counters)
-		}
-		time.Sleep(2 * time.Millisecond)
+	// The front-end's poll of its one registrant reads the same rollup.
+	pool := fe.PoolSnapshot()
+	if pool.Counters["app.ops"] != 12 || pool.Counters["mrnet.tree.daemons"] != 2 {
+		t.Fatalf("front-end pool snapshot = %v", pool.Counters)
 	}
 }
