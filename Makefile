@@ -10,7 +10,7 @@
 # outcomes, not a replayed timing.
 # `make fuzz` is a short native-fuzzing smoke run over the
 # parsers that face untrusted or operator-typed bytes (the wire
-# decoder, the mrnet uplink's TBATCH codec, the ClassAd expression
+# decoder, by copy and by view, the mrnet uplink's TBATCH codec, the ClassAd expression
 # parser, and the shard flag parsers); TestMakeFuzzTargetsExist fails on a
 # line naming a target its package does not declare, which `go test
 # -fuzz` itself would pass. `make bench` refreshes the committed
@@ -127,6 +127,7 @@ race:
 
 fuzz:
 	$(GO) test ./internal/wire -run='^$$' -fuzz=FuzzDecode -fuzztime=10s
+	$(GO) test ./internal/wire -run='^$$' -fuzz=FuzzRecvView -fuzztime=10s
 	$(GO) test ./internal/wire -run='^$$' -fuzz=FuzzTBatch -fuzztime=10s
 	$(GO) test ./internal/classad -run='^$$' -fuzz=FuzzParse -fuzztime=10s
 	$(GO) test ./internal/attrspace -run='^$$' -fuzz=FuzzParseShardSpec -fuzztime=10s

@@ -14,6 +14,10 @@
 //	tdpattr -server host:port stats                         # dump server telemetry
 //	tdpattr -server host:port -scope tree stats             # rolled-up subtree telemetry
 //
+// stats sends one bare STATS and joins no context, so it polls a CASS
+// shard without creating (or being refused) a context and polls an
+// mrnet node as well.
+//
 // Contexts are reference counted (§3.2): a context is destroyed when
 // its last participant exits, and each tdpattr invocation is a full
 // join/exit cycle. Inspecting a live job works because its daemons
@@ -26,6 +30,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"time"
@@ -42,6 +47,13 @@ func main() {
 	args := flag.Args()
 	if len(args) == 0 {
 		usage()
+	}
+
+	if args[0] == "stats" {
+		if err := stats(os.Stdout, *server, *scope, *timeout); err != nil {
+			fail(err)
+		}
+		return
 	}
 
 	c, err := attrspace.Dial(nil, *server, *ctxName)
@@ -107,15 +119,6 @@ func main() {
 		}
 		fmt.Printf("holding context %q for %v\n", *ctxName, d)
 		time.Sleep(d)
-	case "stats":
-		ctx, cancel := context.WithTimeout(context.Background(), *timeout)
-		defer cancel()
-		daemon, snap, err := c.ServerStats(ctx, *scope)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Printf("# daemon %s\n", daemon)
-		fmt.Print(snap.Text())
 	case "watch":
 		if err := c.Subscribe(); err != nil {
 			fail(err)
@@ -140,6 +143,20 @@ func main() {
 	default:
 		usage()
 	}
+}
+
+// stats polls server's telemetry with one bare STATS (PollStats) and
+// prints it as text.
+func stats(w io.Writer, server, scope string, timeout time.Duration) error {
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	daemon, snap, err := attrspace.PollStats(ctx, nil, server, scope)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "# daemon %s\n", daemon)
+	fmt.Fprint(w, snap.Text())
+	return nil
 }
 
 func usage() {

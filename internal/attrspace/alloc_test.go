@@ -13,14 +13,16 @@ import (
 // The allocation budget of the hot operations, counted the way the
 // repository's benchmark counts: process-wide mallocs, so the client and
 // the in-process server together. What is left per round trip is the
-// codec's own — one payload copy per message, request and reply — and
-// the seq the server formats into its ack; the budgets leave one object
-// of slack over that. Client bookkeeping (reply slot, reply message,
-// frame header, doorbell byte, batch keys) must add nothing.
+// server's copy of the request payload and, for a read, the client's
+// copy of the VALUE it returns; an ack is read in place and its seq is
+// written into the frame as digits, so neither end allocates for it.
+// The budgets leave one object of slack over that. Client bookkeeping
+// (reply slot, reply message, frame header, doorbell byte, batch keys)
+// must add nothing.
 const (
-	putAllocBudget      = 4
-	tryGetAllocBudget   = 4
-	putBatchAllocBudget = 10 // a batch of 8: the server's pairs and the request's field map growing are the rest
+	putAllocBudget      = 2
+	tryGetAllocBudget   = 3
+	putBatchAllocBudget = 6 // a batch of 8: the request's presized field map and the server's pairs are the rest
 )
 
 // allocPair is a connected client and server, on the unix socket or on
@@ -89,18 +91,17 @@ func TestHotOpAllocBudget(t *testing.T) {
 // The budgets of a global write through the caching LASS: the handle's
 // request and reply over the unix socket, the cache, the router, the
 // pooled TCP connection and the shard, process-wide. One object over
-// what the path measures. A PutGlobal measures the protocol's own: four
-// payload copies (GPUT, CPUT and their two acks) and two formatted seqs.
-// The router's request travels in its op and the shard joins the
-// context through its connection's one reference, so neither adds
-// anything; an echoed EVENT (built, copied, decoded: four objects) or a
-// goroutine per cycle shows here. An 8-pair PutBatchGlobal adds the
-// client's GMPUT field map outgrowing the one group it has on the stack
-// (five objects) and the pairs each of the two servers decodes the batch
-// into.
+// what the path measures. A PutGlobal measures the protocol's own: the
+// two request payloads the servers copy (GPUT, CPUT); both acks are read
+// in place and carry their seqs as digits written into the frame. The
+// router's request travels in its op and the shard joins the context
+// through its connection's one reference, so neither adds anything; an
+// echoed EVENT (copied and decoded) or a goroutine per cycle shows here.
+// An 8-pair PutBatchGlobal adds the client's presized GMPUT field map
+// and the pairs each of the two servers decodes the batch into.
 const (
-	globalPutAllocBudget      = 7
-	globalPutBatchAllocBudget = 14
+	globalPutAllocBudget      = 3
+	globalPutBatchAllocBudget = 8
 )
 
 func TestGlobalPutAllocBudget(t *testing.T) {

@@ -152,7 +152,7 @@ func DialCtx(ctx context.Context, dial DialFunc, addr, contextName string) (*Cli
 	if wire.ShmSupported() && sameHostConn(raw) {
 		hello.Set("shm", "1")
 	}
-	slot, reply, err := c.exchange(ctx, spec, hello)
+	slot, reply, err := c.exchange(ctx, spec, hello, false)
 	if err == nil {
 		switch {
 		case reply.Verb == "ERROR" && reply.Get("error") == revisionMismatch:
@@ -180,16 +180,39 @@ func DialCtx(ctx context.Context, dial DialFunc, addr, contextName string) (*Cli
 // daemon-scope and legal before HELLO: nothing is joined, created or
 // destroyed per probe.
 func Probe(ctx context.Context, dial DialFunc, addr string) error {
+	c, err := dialBare(dial, addr)
+	if err != nil {
+		return err
+	}
+	defer c.Close()
+	return c.ping(ctx)
+}
+
+// PollStats is one bare STATS round trip to the daemon at addr — dial,
+// STATS, close — bounded by ctx (see Client.ServerStats for scope). No
+// HELLO is sent: polling an attribute space server joins, and so
+// creates, no context, and an mrnet node, which takes STATS or REGISTER
+// as a connection's first message, answers it too.
+func PollStats(ctx context.Context, dial DialFunc, addr, scope string) (daemon string, snap telemetry.Snapshot, err error) {
+	c, err := dialBare(dial, addr)
+	if err != nil {
+		return "", snap, err
+	}
+	defer c.Close()
+	return c.ServerStats(ctx, scope)
+}
+
+// dialBare opens a client on addr that has said nothing yet: only the
+// daemon-scope verbs, legal before HELLO, may ride it.
+func dialBare(dial DialFunc, addr string) (*Client, error) {
 	if dial == nil {
 		dial = AutoDial
 	}
 	raw, err := dial(addr)
 	if err != nil {
-		return fmt.Errorf("attrspace: dial %s: %w", addr, err)
+		return nil, fmt.Errorf("attrspace: dial %s: %w", addr, err)
 	}
-	c := newClient(raw)
-	defer c.Close()
-	return c.ping(ctx)
+	return newClient(raw), nil
 }
 
 // newClient starts a client on an open transport, before any HELLO,
@@ -208,6 +231,12 @@ func newClient(raw net.Conn) *Client {
 // request, which is what keeps the request path free of per-request
 // allocations.
 //
+// A slot registered for a mutation (ack) is answered without a message
+// when the reply is an OK: the read loop parses the seq in place, stores
+// it in seq and sends nil, so an ack is never copied out of the read
+// buffer. Any other reply to it — an ERROR, the conn-lost one fail
+// injects — comes as a message like every reply to every other slot.
+//
 // Only the goroutine that received the reply from ch may release, once,
 // when it has finished reading the reply; nothing may hold the message
 // afterwards (the strings taken out of it stay valid — they are views of
@@ -221,7 +250,9 @@ func newClient(raw net.Conn) *Client {
 type replySlot struct {
 	id  string
 	ch  chan *wire.Message // capacity 1: a registration is answered exactly once
-	msg *wire.Message
+	msg *wire.Message      // nil until a reply comes as a message
+	ack bool               // set at registration, from the request's op
+	seq uint64             // an ack's seq, written before the nil send on ch
 }
 
 // release returns a slot whose reply has been read to the free list.
@@ -230,7 +261,9 @@ func (c *Client) release(slot *replySlot) {
 	if slot == nil {
 		return
 	}
-	slot.msg.Reset()
+	if slot.msg != nil {
+		slot.msg.Reset()
+	}
 	c.mu.Lock()
 	if !c.closed {
 		c.free = append(c.free, slot)
@@ -318,7 +351,7 @@ func (c *Client) cutover() error {
 		c.call(context.Background(), ready, ready.req().Set("error", err.Error()))
 		return err
 	}
-	slot, err := c.sendSwap(ready.req(), seg.Endpoint(false, c.raw))
+	slot, err := c.sendSwap(ready.req(), false, seg.Endpoint(false, c.raw))
 	if err != nil {
 		return err
 	}
@@ -370,18 +403,22 @@ func offer(ch chan Event, ev Event) {
 }
 
 // readLoop decodes every incoming message into one scratch Message it
-// owns. Transport frames, events and the drain announcement are consumed
-// from the scratch in place (an Event holds only strings). A reply
-// leaves through its slot, and the loop takes the message that slot
-// delivered last time as its next scratch — two messages per slot
-// changing places, no pool. Only what outlives the iteration without a
-// slot to trade with (an interior chunk, a reply for a first-use slot)
-// costs a fresh Message.
+// owns. An OK — the one verb a mutation's ack comes under — is decoded
+// in place (wire.Conn.RecvView), its strings the read buffer's own
+// bytes until the next receive: an ack's seq, or an OK nobody waits for
+// any more, is read there and never copied, and any other OK is kept
+// (wire.Conn.Keep) for its slot. Every other frame — EVENT (an Event
+// holds its strings), chunk, ERROR, every other reply, CLOSE — is
+// copied as it is parsed. A kept reply leaves through its slot, and the
+// loop takes the message that slot delivered last time as its next
+// scratch — two messages per slot changing places, no pool. Only what
+// outlives the iteration without a slot to trade with (an interior
+// chunk, a reply for a first-use slot) costs a fresh Message.
 func (c *Client) readLoop() {
 	defer c.wc.ReleaseRead() // a drain ends the loop with the stream still good
 	m := new(wire.Message)
 	for {
-		if err := c.wc.RecvInto(m); err != nil {
+		if err := c.wc.RecvView(m, isOK); err != nil {
 			// A transport error after a CLOSE announcement is the
 			// drain completing, not an unexpected loss: report it as
 			// such so retrying callers classify it correctly.
@@ -428,13 +465,13 @@ func (c *Client) readLoop() {
 			}
 			continue
 		}
-		id := m.Get("id")
 		if m.Get("more") == "1" {
 			// Interior chunk of a multi-part bulk reply:
 			// buffer it against the request id; the final part (no
 			// `more`) is delivered through the pending channel as usual
 			// and the call site collects the buffered parts. Chunks for
 			// an abandoned request are dropped, not accumulated.
+			id := m.Get("id")
 			c.mu.Lock()
 			_, live := c.pending[id]
 			if live {
@@ -449,6 +486,7 @@ func (c *Client) readLoop() {
 			}
 			continue
 		}
+		id := m.Get("id") // an OK's is a view: looked up and compared, never kept
 		c.mu.Lock()
 		slot := c.pending[id]
 		delete(c.pending, id)
@@ -464,6 +502,10 @@ func (c *Client) readLoop() {
 		earned := c.replies == shmPromoteAfter && c.shmOK
 		drained := c.draining && len(c.pending) == 0
 		c.mu.Unlock()
+		acked := slot != nil && slot.ack && m.Verb == "OK"
+		if slot != nil && !acked {
+			c.wc.Keep(m)
+		}
 		if swapEP != nil {
 			// Cutover: this OK answers our SHMRDY and is the
 			// last framed byte the socket will ever carry — the server
@@ -477,7 +519,11 @@ func (c *Client) readLoop() {
 		if earned {
 			go c.promote()
 		}
-		if slot != nil {
+		switch {
+		case acked:
+			slot.seq = replySeq(m)
+			slot.ch <- nil
+		case slot != nil:
 			// Read the slot before the send: its receiver may release it,
 			// and another request reuse it, the moment the reply is out.
 			next := slot.msg
@@ -493,6 +539,10 @@ func (c *Client) readLoop() {
 		}
 	}
 }
+
+// isOK is the read loop's RecvView rule: only an OK may be dropped
+// unkept.
+func isOK(verb string) bool { return verb == "OK" }
 
 // takeChunks removes and returns the buffered interior parts of a
 // chunked reply; call with the final part's request id in hand.
@@ -621,20 +671,21 @@ func (c *Client) instrument(ctx context.Context, spec *opSpec, m *wire.Message) 
 // verb) and waits for its tagged reply. The reply is the caller's to
 // keep: its slot is never released.
 func (c *Client) call(ctx context.Context, spec *opSpec, m *wire.Message) (*wire.Message, error) {
-	_, reply, err := c.exchange(ctx, spec, m)
+	_, reply, err := c.exchange(ctx, spec, m, false)
 	return reply, err
 }
 
 // exchange is call for the operations that release: it also returns the
 // slot the reply came through, for the caller to release once it has
-// parsed the reply (nil along with any error). A caller that leaves
-// through ctx abandons its slot — see replySlot for why it must.
-func (c *Client) exchange(ctx context.Context, spec *opSpec, m *wire.Message) (*replySlot, *wire.Message, error) {
+// parsed the reply (nil along with any error). With ack set, an OK comes
+// as a nil reply and its seq in the slot (see replySlot). A caller that
+// leaves through ctx abandons its slot — see replySlot for why it must.
+func (c *Client) exchange(ctx context.Context, spec *opSpec, m *wire.Message, ack bool) (*replySlot, *wire.Message, error) {
 	if m == nil {
 		m = spec.req()
 	}
 	defer c.instrument(ctx, spec, m).end()
-	slot, err := c.send(m)
+	slot, err := c.send(m, ack)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -657,14 +708,15 @@ func (c *Client) abandon(slot *replySlot) {
 	c.mu.Unlock()
 }
 
-// send registers a reply slot and transmits the request. A write error
+// send registers a reply slot — answered with only the seq of an OK when
+// ack is set (replySlot) — and transmits the request. A write error
 // is terminal for the whole connection, not just this request: the
 // frame may have left partially, so the stream's framing can no longer
 // be trusted, and a connection whose write half is dead while its read
 // half blocks would otherwise strand every other pending reply forever.
 // fail drains them all exactly once.
-func (c *Client) send(m *wire.Message) (*replySlot, error) {
-	return c.sendSwap(m, nil)
+func (c *Client) send(m *wire.Message, ack bool) (*replySlot, error) {
+	return c.sendSwap(m, ack, nil)
 }
 
 // sendSwap is send for SHMRDY when given the ring endpoint (only
@@ -673,7 +725,7 @@ func (c *Client) send(m *wire.Message) (*replySlot, error) {
 // the reply arrive first and the read-side swap never happen — and the
 // frame leaves through SendSwap, which moves the write side onto the
 // ring behind it.
-func (c *Client) sendSwap(m *wire.Message, ep *wire.ShmEndpoint) (*replySlot, error) {
+func (c *Client) sendSwap(m *wire.Message, ack bool, ep *wire.ShmEndpoint) (*replySlot, error) {
 	c.mu.Lock()
 	if c.closed {
 		err := c.err
@@ -699,6 +751,7 @@ func (c *Client) sendSwap(m *wire.Message, ep *wire.ShmEndpoint) (*replySlot, er
 		c.nextID++
 		slot = &replySlot{id: strconv.FormatUint(c.nextID, 10), ch: make(chan *wire.Message, 1)}
 	}
+	slot.ack = ack
 	c.pending[slot.id] = slot
 	if ep != nil {
 		c.shmSwapID, c.shmSwapEP = slot.id, ep
@@ -773,15 +826,15 @@ func IsRetryable(err error) bool {
 // mutate is the round trip of a put, a batch and a delete: send, parse
 // the ack, release the slot.
 func (c *Client) mutate(ctx context.Context, spec *opSpec, m *wire.Message) (uint64, error) {
-	slot, reply, err := c.exchange(ctx, spec, m)
-	seq, err := seqReply(reply, err)
+	slot, reply, err := c.exchange(ctx, spec, m, spec.ack)
+	seq, err := seqReply(slot, reply, err)
 	c.release(slot)
 	return seq, err
 }
 
 // read is the round trip of a get and a tryget.
 func (c *Client) read(ctx context.Context, spec *opSpec, attribute string) (string, uint64, error) {
-	slot, reply, err := c.exchange(ctx, spec, attrReq(spec.req(), attribute))
+	slot, reply, err := c.exchange(ctx, spec, attrReq(spec.req(), attribute), false)
 	v, seq, err := valueReply(reply, err)
 	c.release(slot)
 	return v, seq, err
@@ -810,7 +863,10 @@ func (c *Client) PutBatchAt(ctx context.Context, scope Scope, pairs []KV) (uint6
 		return c.PutAt(ctx, scope, pairs[0].Key, pairs[0].Value)
 	}
 	spec := opFor(opMPut, scope)
-	return c.mutate(ctx, spec, batchReq(spec.req(), pairs))
+	// Sized for the pairs, n, id and the two trace fields: a map left to
+	// grow from one group on the stack costs five objects per batch.
+	m := &wire.Message{Verb: spec.verb, Fields: make(map[string]string, 2*len(pairs)+4)}
+	return c.mutate(ctx, spec, batchReq(m, pairs))
 }
 
 // GetAt blocks until the attribute exists at scope and returns its
@@ -857,7 +913,7 @@ func (c *Client) GetAsync(attribute string) (<-chan Result, error) {
 	spec := opFor(opGet, Local)
 	m := attrReq(spec.req(), attribute)
 	obs := c.instrument(context.Background(), spec, m)
-	slot, err := c.send(m)
+	slot, err := c.send(m, false)
 	if err != nil {
 		obs.end()
 		return nil, err

@@ -91,6 +91,10 @@ type opSpec struct {
 	// subscription it is made for — the id SUB's OK gave it — and the
 	// server does not push the write to that subscription.
 	origin bool
+	// ack: the row is a mutation, whose OK carries nothing a caller
+	// reads but its seq. The client hands the waiter that number and no
+	// message (replySlot), so the reply is never copied.
+	ack bool
 
 	// Derived once at init: the row's index (its slot in
 	// telemetryHandles.verbs) and every telemetry name either end builds
@@ -148,6 +152,7 @@ func init() {
 		s.name = strings.ToLower(s.verb)
 		s.span, s.opsName, s.latName = "attrspace."+s.name, "attrspace.ops."+s.name, "attrspace.latency."+s.name
 		s.cliSpan, s.cliOpsName, s.cliLatName = "client."+s.name, "client.ops."+s.name, "client.latency."+s.name
+		s.ack = s.op == opPut || s.op == opMPut || s.op == opDelete
 		opByVerb[s.verb] = s
 		opByKind[s.op][s.scope] = s
 	}
@@ -225,8 +230,12 @@ func okReply(reply *wire.Message, err error) error {
 }
 
 // seqReply parses a mutation's ack: the per-context seq the server
-// assigned the write.
-func seqReply(reply *wire.Message, err error) (uint64, error) {
+// assigned the write. An OK the read loop answered with its seq alone
+// comes as no message and the seq in the slot.
+func seqReply(slot *replySlot, reply *wire.Message, err error) (uint64, error) {
+	if err == nil && reply == nil {
+		return slot.seq, nil
+	}
 	if err = okReply(reply, err); err != nil {
 		return 0, err
 	}

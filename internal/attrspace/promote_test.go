@@ -308,9 +308,14 @@ func TestShmPromotionAtThreshold(t *testing.T) {
 // parked before the swap and released after it, a subscriber taking
 // corked 1,000-event bursts across its own swap while it issues
 // requests, and a heartbeating Session. Every reply must arrive (once:
-// a second would find its one-slot channel gone), events must arrive in
-// seq order with delivered + declared lost == published, and the
-// sockets must carry no framed byte after the SHMRDY exchange.
+// a second would find its one-slot channel gone), each attribute's
+// events must arrive in seq order, delivered + declared lost + coalesced
+// must equal published exactly, and the sockets must carry no framed
+// byte after the SHMRDY exchange. Seq order is per attribute because a
+// subscription that overflows coalesces an update into the queued one
+// for its attribute (attr.Subscription): the newer seq then travels in
+// the older one's place. The server counts those coalesced updates, so
+// the sum stays an exact count.
 func TestShmPromotionUnderLoad(t *testing.T) {
 	if !wire.ShmSupported() {
 		t.Skip("no shm transport on this platform")
@@ -321,20 +326,20 @@ func TestShmPromotionUnderLoad(t *testing.T) {
 	addr := serveUnix(t, srv, func(l net.Listener) net.Listener { tap.Listener = l; return tap })
 
 	sub, pub := dialT(t, addr, "load"), dialT(t, addr, "load")
-	var delivered, lost, lastSeq atomic.Uint64
+	var delivered, lost atomic.Uint64
+	lastSeq := make(map[string]uint64)   // the handler's own
 	sub.SetEventHandler(func(ev Event) { // one goroutine: the read loop
 		lost.Add(ev.Lost)
 		if ev.Op == "lost" {
 			return // a declaration that closes a burst, not an update: it has no seq
 		}
-		if ev.Seq <= lastSeq.Load() {
-			t.Errorf("event seq %d after %d", ev.Seq, lastSeq.Load())
+		if ev.Seq <= lastSeq[ev.Attr] {
+			t.Errorf("%s: event seq %d after %d", ev.Attr, ev.Seq, lastSeq[ev.Attr])
 		}
-		lastSeq.Store(ev.Seq)
-		if strings.HasPrefix(ev.Attr, "e") {
-			delivered.Add(1)
-		}
+		lastSeq[ev.Attr] = ev.Seq
+		delivered.Add(1)
 	})
+	coalesced := srv.tel.Load().reg.Counter("attrspace.events.coalesced")
 	if err := sub.Subscribe(); err != nil {
 		t.Fatalf("Subscribe: %v", err)
 	}
@@ -435,6 +440,7 @@ func TestShmPromotionUnderLoad(t *testing.T) {
 	if err := pub.Put("release", "go"); err != nil {
 		t.Fatalf("Put release: %v", err)
 	}
+	published++
 	if res := <-released; res.Err != nil || res.Value != "go" {
 		t.Errorf("GET parked across the publisher's swap = %q, %v", res.Value, res.Err)
 	}
@@ -443,11 +449,12 @@ func TestShmPromotionUnderLoad(t *testing.T) {
 	}
 	// Every loss is declared without another publish to ride on (see
 	// TestEventsFlowWhileGetBlocks).
-	for deadline := time.Now().Add(10 * time.Second); delivered.Load()+lost.Load() < uint64(published) && time.Now().Before(deadline); {
+	accounted := func() uint64 { return delivered.Load() + lost.Load() + uint64(coalesced.Value()) }
+	for deadline := time.Now().Add(10 * time.Second); accounted() < uint64(published) && time.Now().Before(deadline); {
 		time.Sleep(time.Millisecond)
 	}
-	if d, l := delivered.Load(), lost.Load(); d+l != uint64(published) || d == 0 {
-		t.Errorf("subscriber saw %d events and %d declared lost of %d published", d, l, published)
+	if d, l, c := delivered.Load(), lost.Load(), coalesced.Value(); d+l+uint64(c) != uint64(published) || d == 0 {
+		t.Errorf("subscriber saw %d events, %d declared lost and %d coalesced of %d published", d, l, c, published)
 	}
 	if n := tap.checkTaps(t); n < 3 {
 		t.Errorf("%d connections were promoted on the server's side of the socket, want all 3", n)

@@ -67,12 +67,14 @@ const routerContext = InfraContextPrefix + "router"
 // encodes a request that is being refilled.
 type shardOp struct {
 	m    *wire.Message
+	ack  bool            // the request is a mutation: set with its verb, never around a cycle
 	done chan shardReply // capacity 1: a cycle answers each of its ops once
 }
 
-// shardReply carries an op's outcome: the raw reply, the client it
-// arrived on (chunked replies need its reassembly buffer) and the slot
-// it came through, for a caller that is done with the reply to release.
+// shardReply carries an op's outcome: the raw reply (nil for a
+// mutation's OK, whose seq is in the slot), the client it arrived on
+// (chunked replies need its reassembly buffer) and the slot it came
+// through, for a caller that is done with the reply to release.
 type shardReply struct {
 	reply *wire.Message
 	pool  *Client
@@ -207,6 +209,7 @@ func (sh *shardConn) op(spec *opSpec) *shardOp {
 	sh.mu.Unlock()
 	op.m.Reset()
 	op.m.Verb = spec.verb
+	op.ack = spec.ack
 	return op
 }
 
@@ -248,7 +251,7 @@ func (sh *shardConn) do(ctx context.Context, contextName string, op *shardOp) sh
 	sh.mu.Lock()
 	sh.freeOps = append(sh.freeOps, op)
 	sh.mu.Unlock()
-	if r.err != nil || r.reply.Verb == "ERROR" {
+	if r.err != nil || (r.reply != nil && r.reply.Verb == "ERROR") {
 		sh.gErrors.Inc()
 	}
 	return r
@@ -332,7 +335,7 @@ func (sh *shardConn) cycle(ctx context.Context, batch []*shardOp) {
 	sends := sh.sends[:0]
 	pool.wc.Cork()
 	for _, op := range batch {
-		slot, err := pool.send(op.m)
+		slot, err := pool.send(op.m, op.ack)
 		if err != nil {
 			op.done <- shardReply{err: err}
 			continue
@@ -380,7 +383,7 @@ func (sh *shardConn) mutate(ctx context.Context, contextName, origin string, op 
 		op.m.Set("origin", origin)
 	}
 	r := sh.do(ctx, contextName, op)
-	seq, err := seqReply(r.reply, r.err)
+	seq, err := seqReply(r.slot, r.reply, r.err)
 	r.release()
 	return seq, err
 }

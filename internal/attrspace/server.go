@@ -753,7 +753,7 @@ func (c *serverConn) replySeq(r request, seq uint64, err error) {
 		c.fail(r, err)
 		return
 	}
-	c.reply(wire.NewMessage("OK").Set("id", r.id).Set("seq", strconv.FormatUint(seq, 10)))
+	c.reply(wire.NewMessage("OK").Set("id", r.id).SetUint("seq", seq))
 	r.obs.end()
 }
 
@@ -767,7 +767,7 @@ func (c *serverConn) replyValue(r request, attribute, v string, seq uint64, err 
 		c.replyErr(r.id, err)
 	default:
 		c.reply(wire.NewMessage("VALUE").Set("id", r.id).Set("attr", attribute).
-			Set("value", v).Set("seq", strconv.FormatUint(seq, 10)))
+			Set("value", v).SetUint("seq", seq))
 	}
 	r.obs.end()
 }
@@ -1196,7 +1196,7 @@ func (c *serverConn) sendEvent(u attr.Update, lost uint64) error {
 		Set("attr", u.Attr).
 		Set("value", u.Value).
 		Set("op", u.Op.String()).
-		Set("seq", strconv.FormatUint(u.Seq, 10))
+		SetUint("seq", u.Seq)
 	if lost > 0 {
 		m.Set("lost", strconv.FormatUint(lost, 10))
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"tdp/internal/attr"
+	"tdp/internal/wire"
 )
 
 // The reply-slot contract (see replySlot), checked on both ways a hot
@@ -539,5 +541,162 @@ func TestSlotRouterShardKilledMidCycle(t *testing.T) {
 			t.Errorf("shard %d: %d free ops for %d callers, %d still queued", i, len(sh.freeOps), perShard, len(sh.queue))
 		}
 		sh.mu.Unlock()
+	}
+}
+
+// TestSlotKeptRepliesSurviveLaterFrames: the read loop decodes every
+// frame in place, in a buffer the next frame overwrites, and copies out
+// only what leaves it. On one connection that carries pipelined acks,
+// VALUEs, chunked SNAPVs and the EVENTs of its own writes, every string
+// a caller or the event handler kept must still read what the server
+// sent once many later frames have landed: a value and an event against
+// the value the put of that seq wrote, a snapshot against the batch.
+func TestSlotKeptRepliesSurviveLaterFrames(t *testing.T) {
+	srv, addr := startServer(t)
+	srv.SetEventBuffer(1 << 12) // every write's event arrives: none is lost or coalesced
+	c := dialT(t, addr, "job")
+	var mu sync.Mutex
+	var events []Event
+	c.SetEventHandler(func(ev Event) {
+		mu.Lock()
+		events = append(events, ev)
+		mu.Unlock()
+	})
+	if err := c.Subscribe(); err != nil {
+		t.Fatalf("Subscribe: %v", err)
+	}
+	bg := context.Background()
+	pairs := make([]KV, SnapChunkEntries*2+5) // three parts
+	want := make(map[string]string, len(pairs))
+	for i := range pairs {
+		pairs[i] = KV{Key: fmt.Sprintf("base%04d", i), Value: fmt.Sprintf("val%d", i)}
+		want[pairs[i].Key] = pairs[i].Value
+	}
+	if _, err := c.PutBatchAt(bg, Local, pairs); err != nil {
+		t.Fatalf("PutBatch: %v", err)
+	}
+
+	type read struct {
+		v   string
+		seq uint64
+	}
+	var (
+		wrote = make(map[uint64]string) // the hot puts' values by acked seq
+		reads []read
+		snaps []map[string]string
+	)
+	hot := make(chan error, 1)
+	go func() {
+		for i := 0; i < 300; i++ {
+			v := fmt.Sprintf("hot-%d-%s", i, strings.Repeat("x", i%40))
+			seq, err := c.PutAt(bg, Local, "hot", v)
+			if err != nil {
+				hot <- err
+				return
+			}
+			got, gotSeq, err := c.TryGetAt(bg, Local, "hot")
+			if err != nil {
+				hot <- err
+				return
+			}
+			mu.Lock()
+			wrote[seq] = v
+			reads = append(reads, read{got, gotSeq})
+			mu.Unlock()
+		}
+		hot <- nil
+	}()
+	for done := false; !done; {
+		snap, err := c.SnapshotAt(bg, Local)
+		if err != nil {
+			t.Fatalf("SnapshotAt: %v", err)
+		}
+		snaps = append(snaps, snap)
+		select {
+		case err := <-hot:
+			if err != nil {
+				t.Fatalf("hot ops: %v", err)
+			}
+			done = true
+		default:
+		}
+	}
+	// One more frame of each kind after the last kept one.
+	if _, err := c.PutAt(bg, Local, "after", "1"); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(events) > 0 && events[len(events)-1].Attr == "after"
+	})
+
+	mu.Lock()
+	defer mu.Unlock()
+	for _, r := range reads {
+		// The TryGet that follows a put reads that put or a later one.
+		if w, ok := wrote[r.seq]; !ok || r.v != w {
+			t.Fatalf("kept VALUE %q at seq %d; the put of that seq wrote %q", r.v, r.seq, w)
+		}
+	}
+	for i, snap := range snaps {
+		for k, v := range want {
+			if snap[k] != v {
+				t.Fatalf("kept snapshot %d: %s = %q, want %q", i, k, snap[k], v)
+			}
+		}
+	}
+	nHot := 0
+	for _, ev := range events {
+		switch {
+		case ev.Attr == "hot":
+			nHot++
+			if w := wrote[ev.Seq]; ev.Op != "put" || ev.Value != w {
+				t.Fatalf("kept EVENT %s %s=%q at seq %d; the put of that seq wrote %q", ev.Op, ev.Attr, ev.Value, ev.Seq, w)
+			}
+		case want[ev.Attr] != "" && ev.Value != want[ev.Attr]:
+			t.Fatalf("kept EVENT %s=%q, the batch wrote %q", ev.Attr, ev.Value, want[ev.Attr])
+		}
+	}
+	if nHot != len(wrote) {
+		t.Errorf("%d hot events for %d hot puts", nHot, len(wrote))
+	}
+}
+
+// TestSlotOKKeptForItsCaller: the read loop decodes an OK in place, and
+// an OK that is not a mutation's ack is kept for the caller it answers.
+// The OK of a SUB is followed at once by an EVENT, which the loop reads
+// into the same buffer; the origin the caller reads after that event
+// has been handled must still be the OK's own.
+func TestSlotOKKeptForItsCaller(t *testing.T) {
+	cliEnd, srvEnd := net.Pipe()
+	defer srvEnd.Close()
+	c := newClient(cliEnd)
+	defer c.Close()
+	seen := make(chan Event, 1)
+	c.SetEventHandler(func(ev Event) { seen <- ev })
+	go func() {
+		wc := wire.NewConn(srvEnd)
+		// An OK nobody waits for grows the loop's read buffer first, so
+		// that the SUB's OK and the EVENT after it land in the same one.
+		wc.Send(wire.NewMessage("OK").Set("id", "0").Set("pad", strings.Repeat("p", 1000)))
+		req, err := wc.Recv()
+		if err != nil {
+			return
+		}
+		wc.Send(wire.NewMessage("OK").Set("id", req.Get("id")).Set("origin", "abc123"))
+		wc.Send(wire.NewMessage("EVENT").Set("attr", strings.Repeat("x", 40)).Set("value", strings.Repeat("y", 40)).Set("op", "put").SetUint("seq", 1))
+		for wc.RecvInto(req) == nil { // EXIT, then the close
+		}
+	}()
+	reply, err := c.call(context.Background(), opFor(opSub, Local), nil)
+	if err != nil {
+		t.Fatalf("SUB: %v", err)
+	}
+	if ev := <-seen; ev.Attr != strings.Repeat("x", 40) {
+		t.Fatalf("event %+v", ev)
+	}
+	if reply.Verb != "OK" || reply.Get("origin") != "abc123" {
+		t.Errorf("the SUB's OK reads %v after the next frame, want origin=abc123", reply)
 	}
 }

@@ -146,30 +146,3 @@ func MergeSnapshots(parts ...Snapshot) Snapshot {
 	}
 	return out
 }
-
-// Merge combines s with o under the MergeSnapshots rules, returning a
-// new snapshot.
-func (s Snapshot) Merge(o Snapshot) Snapshot {
-	return MergeSnapshots(s, o)
-}
-
-// Merge folds a snapshot into the live registry: counters add the
-// snapshot's value, gauges keep the maximum of the current level and
-// the snapshot's, histograms merge observations (creating metrics on
-// first sight, histogram bounds adopted from the snapshot). It lets a
-// daemon adopt a child's registry wholesale instead of hand-rolling
-// per-metric aggregation.
-func (r *Registry) Merge(s Snapshot) {
-	for name, v := range s.Counters {
-		r.Counter(name).Add(v)
-	}
-	for name, v := range s.Gauges {
-		g := r.Gauge(name)
-		if g.Value() < v {
-			g.Set(v)
-		}
-	}
-	for name, h := range s.Histograms {
-		r.Histogram(name, h.Bounds).Merge(h)
-	}
-}

@@ -116,31 +116,4 @@ func TestMergeSnapshots(t *testing.T) {
 	if h := m.Histograms["lat"]; h.Count != 2 || h.Counts[0] != 1 || h.Counts[1] != 1 {
 		t.Errorf("lat = %+v", m.Histograms["lat"])
 	}
-
-	// Method form composes identically.
-	if got := r1.Snapshot().Merge(r2.Snapshot()); got.Counters["ops"] != 42 {
-		t.Errorf("Snapshot.Merge ops = %d", got.Counters["ops"])
-	}
-}
-
-func TestRegistryMerge(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("ops").Add(1)
-	r.Gauge("depth").Set(7)
-
-	child := NewRegistry()
-	child.Counter("ops").Add(41)
-	child.Gauge("depth").Set(3)
-	child.Histogram("lat", []float64{1}).Observe(0.5)
-
-	r.Merge(child.Snapshot())
-	if got := r.Counter("ops").Value(); got != 42 {
-		t.Errorf("ops = %d, want 42", got)
-	}
-	if got := r.Gauge("depth").Value(); got != 7 {
-		t.Errorf("depth = %d, want 7 (max keeps current)", got)
-	}
-	if got := r.Histogram("lat", nil).Count(); got != 1 {
-		t.Errorf("lat count = %d, want 1 (created from snapshot)", got)
-	}
 }

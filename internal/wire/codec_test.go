@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"net"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"tdp/internal/telemetry"
@@ -335,5 +336,159 @@ func TestIndexedKey(t *testing.T) {
 	var key string
 	if n := testing.AllocsPerRun(100, func() { key = IndexedKey('k', 31) }); n != 0 || key != "k31" {
 		t.Errorf("IndexedKey of an interned index allocates %.0f objects", n)
+	}
+}
+
+// viewCases are frames of every shape the read loops see: a SetUint ack,
+// a value, an event, a chunk, an error, a long batch with keys beyond
+// the vocabulary, and an empty message.
+func viewCases() []*Message {
+	batch := NewMessage("MPUT").SetInt("n", 40)
+	for i := 0; i < 40; i++ {
+		batch.Set(IndexedKey('k', i), "key").Set(IndexedKey('v', i), string(rune('a'+i%26)))
+	}
+	return []*Message{
+		NewMessage("OK").Set("id", "12").SetUint("seq", 18446744073709551615),
+		NewMessage("VALUE").Set("id", "3").Set("attr", "pid").Set("value", "4242").SetUint("seq", 7),
+		NewMessage("EVENT").Set("attr", "status").Set("value", "running").Set("op", "put").SetUint("seq", 9),
+		NewMessage("SNAPV").Set("id", "4").SetInt("more", 1).Set("k0", "a").Set("v0", "b\x00c").Set("s0", "1"),
+		NewMessage("ERROR").Set("id", "5").Set("error", "attrspace: no such context"),
+		batch,
+		NewMessage(""),
+	}
+}
+
+// TestRecvViewKeepMatchesRecvInto: a frame received by view and kept
+// decodes to exactly what RecvInto decodes, and stays so after later
+// frames have overwritten the read buffer its views pointed into.
+func TestRecvViewKeepMatchesRecvInto(t *testing.T) {
+	cases := viewCases()
+	var stream bytes.Buffer
+	send := NewConn(&stream)
+	for _, m := range cases {
+		if err := send.Send(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	frames := stream.Bytes()
+	copied, viewed := NewConn(bytes.NewBuffer(bytes.Clone(frames))), NewConn(bytes.NewBuffer(frames))
+	kept := make([]*Message, len(cases))
+	for i := range cases {
+		want, got := new(Message), new(Message)
+		if err := copied.RecvInto(want); err != nil {
+			t.Fatalf("RecvInto %d: %v", i, err)
+		}
+		if err := viewed.RecvView(got, always); err != nil {
+			t.Fatalf("RecvView %d: %v", i, err)
+		}
+		if got.Verb != want.Verb || !reflect.DeepEqual(got.Fields, want.Fields) {
+			t.Fatalf("frame %d: view %v, copy %v", i, got, want)
+		}
+		viewed.Keep(got)
+		if got.Verb != want.Verb || !reflect.DeepEqual(got.Fields, want.Fields) {
+			t.Fatalf("frame %d kept: %v, copy %v", i, got, want)
+		}
+		kept[i] = got
+	}
+	for i, m := range kept {
+		want, err := Decode(cases[i].Encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Verb != want.Verb || !reflect.DeepEqual(m.Fields, want.Fields) {
+			t.Errorf("frame %d after the later frames: %v, want %v", i, m, want)
+		}
+	}
+	if got := kept[0].Get("seq"); got != "18446744073709551615" {
+		t.Errorf("SetUint seq read back %q", got)
+	}
+}
+
+// always decodes every frame in place.
+func always(string) bool { return true }
+
+// TestRecvViewIsInPlace: a view is the read buffer itself — the next
+// frame overwrites it — and a Send/RecvView cycle allocates nothing.
+func TestRecvViewIsInPlace(t *testing.T) {
+	var buf bytes.Buffer
+	c := NewConn(&buf)
+	in := new(Message)
+	c.Send(NewMessage("OK").Set("id", "1").SetUint("seq", 1111))
+	if err := c.RecvView(in, always); err != nil {
+		t.Fatal(err)
+	}
+	seq := in.Get("seq")
+	c.Send(NewMessage("OK").Set("id", "2").SetUint("seq", 2222))
+	if err := c.RecvView(in, always); err != nil {
+		t.Fatal(err)
+	}
+	if seq != "2222" {
+		t.Errorf("a view taken before the next receive reads %q, want the next frame's 2222", seq)
+	}
+	// A frame whose verb inPlace refuses is copied, as RecvInto copies.
+	onlyOK := func(verb string) bool { return verb == "OK" }
+	c.Send(NewMessage("VALUE").Set("id", "3").Set("value", "3333"))
+	if err := c.RecvView(in, onlyOK); err != nil {
+		t.Fatal(err)
+	}
+	value := in.Get("value")
+	c.Send(NewMessage("VALUE").Set("id", "4").Set("value", "4444"))
+	if err := c.RecvView(new(Message), onlyOK); err != nil {
+		t.Fatal(err)
+	}
+	if value != "3333" {
+		t.Errorf("a refused verb's value reads %q after the next receive, want its own 3333", value)
+	}
+	out := NewMessage("OK").Set("id", "7").SetUint("seq", 123456789)
+	var err error
+	got := testing.AllocsPerRun(100, func() {
+		if e := c.Send(out); e != nil {
+			err = e
+		}
+		if e := c.RecvView(in, always); e != nil {
+			err = e
+		}
+	})
+	if err != nil || in.Get("id") != "7" {
+		t.Fatalf("cycle: %v, %v", in, err)
+	}
+	if got != 0 {
+		t.Errorf("a Send/RecvView cycle allocates %.0f objects, want 0", got)
+	}
+}
+
+// TestSetUintEncodesAsItsDigits: a SetUint field is on the wire the
+// string field Set would have made, in both encoders, and Set or
+// another SetUint of the same key replaces it.
+func TestSetUintEncodesAsItsDigits(t *testing.T) {
+	for _, n := range []uint64{0, 9, 10, 4242, 18446744073709551615} {
+		num := NewMessage("OK").Set("id", "3").SetUint("seq", n)
+		str := NewMessage("OK").Set("id", "3").Set("seq", strconv.FormatUint(n, 10))
+		if !bytes.Equal(num.Encode(), str.Encode()) {
+			t.Errorf("Encode of seq %d: %q, want %q", n, num.Encode(), str.Encode())
+		}
+		if num.EncodedSize() != len(str.Encode()) || len(num.AppendEncode(nil)) != num.EncodedSize() {
+			t.Errorf("seq %d: EncodedSize %d, AppendEncode %d bytes, want %d", n, num.EncodedSize(), len(num.AppendEncode(nil)), len(str.Encode()))
+		}
+		if back, err := Decode(num.AppendEncode(nil)); err != nil || !reflect.DeepEqual(back.Fields, str.Fields) {
+			t.Errorf("seq %d: AppendEncode decodes to %v, %v", n, back, err)
+		}
+		if num.String() != str.String() {
+			t.Errorf("String %s, want %s", num, str)
+		}
+	}
+	m := NewMessage("OK").SetUint("seq", 1).SetUint("seq", 2)
+	if m.Get("seq") != "2" || m.fieldCount() != 1 {
+		t.Errorf("SetUint twice: %v", m)
+	}
+	if m.Set("seq", "x"); m.Get("seq") != "x" || m.fieldCount() != 1 {
+		t.Errorf("Set over SetUint: %v", m)
+	}
+	m = NewMessage("EVENT").SetUint("seq", 5).SetUint("lost", 3)
+	if m.Get("seq") != "5" || m.Get("lost") != "3" || m.Int("lost", 0) != 3 {
+		t.Errorf("two SetUint keys: %v", m)
+	}
+	if m.Reset(); m.fieldCount() != 0 || m.Get("seq") != "" {
+		t.Errorf("Reset kept %v", m)
 	}
 }

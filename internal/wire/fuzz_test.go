@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"bytes"
+	"encoding/binary"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -60,6 +62,47 @@ func FuzzDecode(f *testing.F) {
 		}
 		if m.EncodedSize() != len(m.Encode()) {
 			t.Fatalf("EncodedSize %d != len(Encode) %d", m.EncodedSize(), len(m.Encode()))
+		}
+	})
+}
+
+// FuzzRecvView holds the view receive to the copying one: every
+// input, framed, is received by RecvView and decoded by DecodeInto, and
+// both must accept or refuse it together and agree on what they
+// accepted — the view as received, and kept once a second frame has
+// overwritten the read buffer it pointed into.
+func FuzzRecvView(f *testing.F) {
+	for _, m := range viewCases() {
+		f.Add(m.AppendEncode(nil))
+	}
+	f.Add([]byte("3:PUT999999999;4:attr3:pid"))
+	f.Add([]byte("2:OK2;2:id1:72:seq"))
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		want := new(Message)
+		wantErr := DecodeInto(want, payload)
+		var stream bytes.Buffer
+		var hdr [4]byte
+		binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
+		stream.Write(hdr[:])
+		stream.Write(payload)
+		stream.Write(hdr[:])
+		stream.Write(bytes.Repeat([]byte{'#'}, len(payload))) // overwrites the first frame's bytes
+		c := NewConn(&stream)
+		got := new(Message)
+		gotErr := c.RecvView(got, always)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("RecvView error %v, DecodeInto error %v", gotErr, wantErr)
+		}
+		if wantErr != nil {
+			return
+		}
+		if got.Verb != want.Verb || !reflect.DeepEqual(got.Fields, want.Fields) {
+			t.Fatalf("view %v, copy %v", got, want)
+		}
+		c.Keep(got)
+		c.RecvView(new(Message), always)
+		if got.Verb != want.Verb || !reflect.DeepEqual(got.Fields, want.Fields) {
+			t.Fatalf("kept view after the next frame %v, copy %v", got, want)
 		}
 	})
 }

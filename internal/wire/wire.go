@@ -11,13 +11,19 @@
 // strings) and has no external dependencies.
 //
 // The codec is allocation-conscious: AppendEncode appends into a
-// caller-supplied buffer in map order (no sort), DecodeInto reuses a
-// Message and interns the protocol's fixed key/verb vocabulary, and
-// Conn keeps per-connection scratch buffers (frame header included), so
-// a steady-state Send/RecvInto cycle allocates one thing per message
+// caller-supplied buffer in map order (no sort) and writes the digits of
+// a SetUint field straight into it, DecodeInto reuses a Message and
+// interns the protocol's fixed verb vocabulary, and Conn keeps
+// per-connection scratch buffers (frame header included). A steady-state
+// Send/RecvInto cycle therefore allocates one thing per message
 // received: the copy of its payload that every decoded verb, key and
-// value is a view of. The attribute space server and client both
-// receive into a Message they reuse; Recv, which allocates the Message
+// value is a view of. RecvView skips even that for the verbs its caller
+// names: their strings are views of the connection's read buffer, valid
+// until the next receive, and Conn.Keep makes the copy only for a
+// message that has to outlive it — the attribute space client reads a
+// mutation's ack, whose one number is all anyone takes from it, without
+// copying anything. The server
+// receives into a Message it reuses; Recv, which allocates the Message
 // and its field map as well, remains for protocols off the hot path.
 // Encode remains deterministic (sorted keys) for tests and logs.
 package wire
@@ -33,6 +39,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"tdp/internal/telemetry"
 )
@@ -141,9 +148,18 @@ func IndexedKey(prefix byte, i int) string {
 
 // Message is a verb plus a set of string key/value fields. It is the
 // unit of exchange on every control connection.
+//
+// A message built for sending may hold one field as a number (SetUint):
+// the encoder writes its decimal digits straight into the frame, so on
+// the wire it is the same string field Set would have made, and the
+// number is never formatted into a string of its own. Such a field is
+// not in Fields; Get, Lookup, Int, String and the encoders all see it.
+// A received message holds every field in Fields.
 type Message struct {
 	Verb   string
 	Fields map[string]string
+	numKey string // the SetUint field's key, "" when there is none
+	num    uint64
 }
 
 // NewMessage returns a Message with the given verb and an empty field set.
@@ -156,6 +172,9 @@ func (m *Message) Set(key, value string) *Message {
 	if m.Fields == nil {
 		m.Fields = make(map[string]string)
 	}
+	if m.isNum(key) {
+		m.numKey = ""
+	}
 	m.Fields[key] = value
 	return m
 }
@@ -165,15 +184,43 @@ func (m *Message) SetInt(key string, value int) *Message {
 	return m.Set(key, strconv.Itoa(value))
 }
 
+// SetUint stores an unsigned field whose digits the encoder writes
+// straight into the frame (see Message). A message holds one such field:
+// another key, or an empty one, is formatted into Fields, which costs
+// what Set would have.
+func (m *Message) SetUint(key string, value uint64) *Message {
+	if key == "" || (m.numKey != "" && m.numKey != key) {
+		return m.Set(key, strconv.FormatUint(value, 10))
+	}
+	delete(m.Fields, key)
+	m.numKey, m.num = key, value
+	return m
+}
+
 // Get returns the value for key, or "" when absent.
 func (m *Message) Get(key string) string {
-	return m.Fields[key]
+	v, _ := m.Lookup(key)
+	return v
 }
 
 // Lookup returns the value for key and whether it was present.
 func (m *Message) Lookup(key string) (string, bool) {
+	if m.isNum(key) {
+		return strconv.FormatUint(m.num, 10), true
+	}
 	v, ok := m.Fields[key]
 	return v, ok
+}
+
+// isNum reports whether key is m's SetUint field.
+func (m *Message) isNum(key string) bool { return m.numKey != "" && key == m.numKey }
+
+// fieldCount is the number of fields m encodes.
+func (m *Message) fieldCount() int {
+	if m.numKey != "" {
+		return len(m.Fields) + 1
+	}
+	return len(m.Fields)
 }
 
 // SetTrace stamps the reserved span-tracing fields on the message.
@@ -203,6 +250,7 @@ const fieldsKeep = 32
 // (fieldsKeep).
 func (m *Message) Reset() {
 	m.Verb = ""
+	m.numKey, m.num = "", 0
 	if len(m.Fields) > fieldsKeep {
 		m.Fields = nil
 	} else {
@@ -218,7 +266,7 @@ func (m *Message) Trace() (traceID, spanID string) {
 // Int returns the integer value of a field, or the provided default
 // when the field is absent or unparseable.
 func (m *Message) Int(key string, def int) int {
-	v, ok := m.Fields[key]
+	v, ok := m.Lookup(key)
 	if !ok {
 		return def
 	}
@@ -236,7 +284,7 @@ func (m *Message) Int(key string, def int) int {
 // feeding an undersized builder that regrows (and re-copies) as each
 // chunk lands.
 func (m *Message) String() string {
-	keys := sortedFieldKeys(m.Fields)
+	keys := m.sortedKeys()
 	size := len(m.Verb)
 	for _, k := range keys {
 		// ' ' + key + '=' + '"' + value + '"'; escapes may add more,
@@ -249,7 +297,13 @@ func (m *Message) String() string {
 		buf = append(buf, ' ')
 		buf = append(buf, k...)
 		buf = append(buf, '=')
-		buf = strconv.AppendQuote(buf, m.Fields[k])
+		if m.isNum(k) {
+			buf = append(buf, '"')
+			buf = strconv.AppendUint(buf, m.num, 10)
+			buf = append(buf, '"')
+		} else {
+			buf = strconv.AppendQuote(buf, m.Fields[k])
+		}
 	}
 	return string(buf)
 }
@@ -257,9 +311,12 @@ func (m *Message) String() string {
 // EncodedSize returns the exact number of payload bytes Encode and
 // AppendEncode produce for m.
 func (m *Message) EncodedSize() int {
-	n := varStrSize(len(m.Verb)) + decimalDigits(len(m.Fields)) + 1
+	n := varStrSize(len(m.Verb)) + uintDigits(uint64(m.fieldCount())) + 1
 	for k, v := range m.Fields {
 		n += varStrSize(len(k)) + varStrSize(len(v))
+	}
+	if m.numKey != "" {
+		n += varStrSize(len(m.numKey)) + varStrSize(uintDigits(m.num))
 	}
 	return n
 }
@@ -276,11 +333,15 @@ func (m *Message) EncodedSize() int {
 func (m *Message) Encode() []byte {
 	buf := make([]byte, 0, m.EncodedSize())
 	buf = appendVarStr(buf, m.Verb)
-	buf = strconv.AppendInt(buf, int64(len(m.Fields)), 10)
+	buf = strconv.AppendInt(buf, int64(m.fieldCount()), 10)
 	buf = append(buf, ';')
-	for _, k := range sortedFieldKeys(m.Fields) {
+	for _, k := range m.sortedKeys() {
 		buf = appendVarStr(buf, k)
-		buf = appendVarStr(buf, m.Fields[k])
+		if m.isNum(k) {
+			buf = appendVarUint(buf, m.num)
+		} else {
+			buf = appendVarStr(buf, m.Fields[k])
+		}
 	}
 	return buf
 }
@@ -292,27 +353,35 @@ func (m *Message) Encode() []byte {
 // when deterministic bytes matter.
 func (m *Message) AppendEncode(buf []byte) []byte {
 	buf = appendVarStr(buf, m.Verb)
-	buf = strconv.AppendInt(buf, int64(len(m.Fields)), 10)
+	buf = strconv.AppendInt(buf, int64(m.fieldCount()), 10)
 	buf = append(buf, ';')
 	for k, v := range m.Fields {
 		buf = appendVarStr(buf, k)
 		buf = appendVarStr(buf, v)
 	}
+	if m.numKey != "" {
+		buf = appendVarStr(buf, m.numKey)
+		buf = appendVarUint(buf, m.num)
+	}
 	return buf
 }
 
-// sortedFieldKeys returns the field keys in sorted order. Small key
-// sets (every protocol message; snapshots excepted) sort by insertion
-// into a stack-backed array, avoiding the sort.Strings allocation.
-func sortedFieldKeys(fields map[string]string) []string {
-	n := len(fields)
+// sortedKeys returns the field keys, the SetUint one included, in
+// sorted order. Small key sets (every protocol message; snapshots
+// excepted) sort by insertion into a stack-backed array, avoiding the
+// sort.Strings allocation.
+func (m *Message) sortedKeys() []string {
+	n := m.fieldCount()
 	var arr [16]string
 	keys := arr[:0]
 	if n > len(arr) {
 		keys = make([]string, 0, n)
 	}
-	for k := range fields {
+	for k := range m.Fields {
 		keys = append(keys, k)
+	}
+	if m.numKey != "" {
+		keys = append(keys, m.numKey)
 	}
 	if n > 32 {
 		sort.Strings(keys)
@@ -345,7 +414,12 @@ func Decode(payload []byte) (*Message, error) {
 // which for kilobyte-scale protocol messages is the right trade.)
 // On error m's contents are unspecified.
 func DecodeInto(m *Message, payload []byte) error {
-	s := string(payload)
+	return decode(m, string(payload))
+}
+
+// decode parses s into m; every string m holds afterwards is a view of
+// s or a word of the vocabulary.
+func decode(m *Message, s string) error {
 	verb, rest, err := readVarStr(s)
 	if err != nil {
 		return err
@@ -390,11 +464,20 @@ func appendVarStr(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
-// varStrSize is the encoded size of a string of length l.
-func varStrSize(l int) int { return decimalDigits(l) + 1 + l }
+// appendVarUint appends n as the varstr of its decimal digits: the
+// bytes appendVarStr(buf, strconv.FormatUint(n, 10)) appends, without
+// the string.
+func appendVarUint(buf []byte, n uint64) []byte {
+	buf = strconv.AppendInt(buf, int64(uintDigits(n)), 10)
+	buf = append(buf, ':')
+	return strconv.AppendUint(buf, n, 10)
+}
 
-// decimalDigits is the width of n (>= 0) in base 10.
-func decimalDigits(n int) int {
+// varStrSize is the encoded size of a string of length l.
+func varStrSize(l int) int { return uintDigits(uint64(l)) + 1 + l }
+
+// uintDigits is the width of n in base 10.
+func uintDigits(n uint64) int {
 	d := 1
 	for n >= 10 {
 		n /= 10
@@ -543,6 +626,7 @@ func inc(c *telemetry.Counter) {
 type readBuf struct {
 	br      bufio.Reader
 	payload []byte
+	view    string // the frame the last RecvView decoded, until the next receive or Keep
 }
 
 var readBufs = sync.Pool{New: func() any { return new(readBuf) }}
@@ -571,6 +655,7 @@ func (c *Conn) releaseReadLocked() {
 		return
 	}
 	c.rd = nil
+	rd.view = ""
 	rd.br.Reset(nil)
 	if cap(rd.payload) > scratchKeepCap {
 		rd.payload = nil
@@ -631,6 +716,7 @@ func (c *Conn) Detach() io.Reader {
 	defer c.rmu.Unlock()
 	if rd := c.rd; rd != nil {
 		c.rd = nil
+		rd.view = ""
 		return &rd.br
 	}
 	return c.r
@@ -780,8 +866,44 @@ func (c *Conn) Recv() (*Message, error) {
 // zero-allocation hot path: a caller that owns its Message (a server
 // request loop dispatching synchronously) avoids the per-message
 // Message and map allocations of Recv. The decoded message shares no
-// memory with the connection's buffers.
-func (c *Conn) RecvInto(m *Message) error {
+// memory with the connection's buffers: it is RecvView and Keep in one
+// step, the frame copied before it is parsed rather than after.
+func (c *Conn) RecvInto(m *Message) error { return c.recv(m, nil) }
+
+// RecvView is RecvInto without the copy for the frames whose verb
+// inPlace accepts: m's verb, keys and values are then views of the
+// connection's read buffer, valid until the next receive (or
+// ReleaseRead) on c, which overwrites them. A caller that reads what it
+// needs from m before then pays no allocation for the message at all;
+// one that has to hold m, or any string of it, longer calls Keep first.
+// A frame inPlace refuses is copied and parsed once, as RecvInto does:
+// a caller that knows from the verb alone that it will keep a message
+// does not parse it twice.
+func (c *Conn) RecvView(m *Message, inPlace func(verb string) bool) error {
+	return c.recv(m, inPlace)
+}
+
+// Keep gives m — decoded by the last RecvView on c, and not received
+// into since — a copy of its frame, so that it and every string taken
+// from it from now on outlive the read buffer: one allocation, the one
+// RecvInto would have made. Strings taken out of m before Keep are
+// still views.
+func (c *Conn) Keep(m *Message) {
+	c.rmu.Lock()
+	var frame string
+	if rd := c.rd; rd != nil {
+		frame, rd.view = rd.view, ""
+	}
+	c.rmu.Unlock()
+	if frame != "" {
+		decode(m, strings.Clone(frame)) // parsed once already: cannot fail
+	}
+}
+
+// recv is the one frame reader: it reads the next frame into the
+// payload scratch and decodes it into m, in place when inPlace accepts
+// its verb and from a copy otherwise.
+func (c *Conn) recv(m *Message, inPlace func(verb string) bool) error {
 	c.rmu.Lock()
 	defer c.rmu.Unlock()
 	rd := c.rd
@@ -790,6 +912,7 @@ func (c *Conn) RecvInto(m *Message) error {
 		rd.br.Reset(c.r)
 		c.rd = rd
 	}
+	rd.view = ""
 	hdr := c.rhdr[:]
 	if _, err := io.ReadFull(&rd.br, hdr); err != nil {
 		c.releaseReadLocked()
@@ -811,11 +934,23 @@ func (c *Conn) RecvInto(m *Message) error {
 		cm.rxBytes.Add(int64(len(hdr)) + int64(n))
 		cm.rxMsgs.Inc()
 	}
-	err := DecodeInto(m, payload)
 	if cap(rd.payload) > scratchKeepCap {
+		// The frame stays whole under whatever views it has; the
+		// connection just does not keep the buffer for the next one.
 		rd.payload = nil
 	}
-	return err
+	if inPlace == nil {
+		return DecodeInto(m, payload)
+	}
+	view := unsafe.String(unsafe.SliceData(payload), n)
+	if verb, _, err := readVarStr(view); err != nil || !inPlace(verb) {
+		return DecodeInto(m, payload)
+	}
+	if err := decode(m, view); err != nil {
+		return err
+	}
+	rd.view = view
+	return nil
 }
 
 // Close closes the underlying stream when it is an io.Closer.
