@@ -30,9 +30,12 @@
 # from one `go test -json ./...` run (scripts/slowtests.sh), so a test
 # that sleeps for half a minute cannot hide in a green tier-1. `make
 # allocs` prints where the heap objects and bytes of the hot ops (a
-# global write through the caching LASS among them), of one connection
+# local tryget that hits and one that misses, a global write and a
+# global read that hits the caching LASS among them), of one connection
 # set-up and of one launch are allocated, by site and layer
-# (cmd/tdpbench -experiment allocs).
+# (cmd/tdpbench -experiment allocs). Every set-up creates its context
+# and waits for the LASS to destroy it before the next, so two runs
+# agree on that row too.
 #
 # `make scenario-smoke` runs the pre-built pool scenarios at smoke
 # scale under the race detector (part of tier1). `make scenario` is

@@ -1,12 +1,14 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"log"
 	"path/filepath"
 	"runtime"
 	"sort"
 	"strings"
+	"time"
 
 	"tdp"
 	"tdp/internal/attrspace"
@@ -89,11 +91,18 @@ func runAllocs() {
 	}{
 		{name: "local put (32 B)", ops: allocOps, op: func() error { return local.Put("allocs.attr", value) }},
 		{name: "local tryget (hit)", ops: allocOps, op: func() error { _, err := local.TryGet("allocs.attr"); return err }},
+		{name: "local tryget (miss)", ops: allocOps, op: func() error {
+			if _, err := local.TryGet("allocs.absent"); !errors.Is(err, tdp.ErrNotFound) {
+				return fmt.Errorf("tryget of an absent attribute: %v", err)
+			}
+			return nil
+		}},
 		{name: "local putbatch(8)", ops: allocOps, op: func() error { return local.PutBatch(batch) }},
 		{name: "global write (handle → caching LASS → shard)", ops: allocOps, events: true,
 			op: func() error { return global.PutGlobal("allocs.attr", value) }},
 		{name: "global batch write (8 pairs)", ops: allocOps, events: true,
 			op: func() error { return global.PutBatchGlobal(batch) }},
+		{name: "global read (cache hit)", ops: allocOps, op: func() error { _, err := global.TryGetGlobal("allocs.attr"); return err }},
 		{name: "set-up (tdp.Init + one put + Exit)", ops: allocLives, op: func() error {
 			h, err := tdp.Init(tdp.Config{Context: "allocs-setup", LASSAddr: lass.addr, Identity: "tdpbench"})
 			if err != nil {
@@ -101,6 +110,11 @@ func runAllocs() {
 			}
 			err = h.Put("allocs.attr", value)
 			h.Exit()
+			// Every set-up creates the context: the next one starts only
+			// when the LASS has taken this one's EXIT and destroyed it.
+			for lass.Space().Refs("allocs-setup") > 0 {
+				time.Sleep(10 * time.Microsecond)
+			}
 			return err
 		}},
 		{name: "launch (one job through condor.Pool under paradynd)", ops: allocLives, op: func() error { return launchOne(pool) }},

@@ -12,16 +12,16 @@ import (
 
 // The allocation budget of the hot operations, counted the way the
 // repository's benchmark counts: process-wide mallocs, so the client and
-// the in-process server together. What is left per round trip is the
-// server's copy of the request payload and, for a read, the client's
-// copy of the VALUE it returns; an ack is read in place and its seq is
-// written into the frame as digits, so neither end allocates for it.
-// The budgets leave one object of slack over that. Client bookkeeping
-// (reply slot, reply message, frame header, doorbell byte, batch keys)
-// must add nothing.
+// the in-process server together. What is left per round trip is one
+// object: for a write the server's copy of the request payload (an ack
+// is read in place and its seq is written into the frame as digits), for
+// a read the client's copy of the value it returns (the server reads the
+// request in place, the client the VALUE). The budgets leave one object
+// of slack over that. Client bookkeeping (reply slot, reply message,
+// frame header, doorbell byte, batch keys) must add nothing.
 const (
 	putAllocBudget      = 2
-	tryGetAllocBudget   = 3
+	tryGetAllocBudget   = 2
 	putBatchAllocBudget = 6 // a batch of 8: the request's presized field map and the server's pairs are the rest
 )
 
@@ -98,16 +98,31 @@ func TestHotOpAllocBudget(t *testing.T) {
 // through its connection's one reference, so neither adds anything; an
 // echoed EVENT (copied and decoded) or a goroutine per cycle shows here.
 // An 8-pair PutBatchGlobal adds the client's presized GMPUT field map
-// and the pairs each of the two servers decodes the batch into.
+// and the pairs each of the two servers decodes the batch into. A
+// TryGetGlobal that hits the cache goes no further than the LASS, which
+// reads the GTRYGET in place: the client's copy of the value is all.
 const (
 	globalPutAllocBudget      = 3
 	globalPutBatchAllocBudget = 8
+	globalTryGetAllocBudget   = 2
 )
 
 func TestGlobalPutAllocBudget(t *testing.T) {
 	c := globalAllocPair(t)
 	bg := context.Background()
 	globalAllocBudget(t, "PutAt(Global)", globalPutAllocBudget, func() error { return dropSeq(c.PutAt(bg, Global, "pid", "4242")) })
+}
+
+func TestGlobalTryGetAllocBudget(t *testing.T) {
+	c := globalAllocPair(t)
+	bg := context.Background()
+	if _, err := c.PutAt(bg, Global, "pid", "4242"); err != nil { // the write caches it: every read below hits
+		t.Fatal(err)
+	}
+	globalAllocBudget(t, "TryGetAt(Global), a cache hit", globalTryGetAllocBudget, func() error {
+		_, _, err := c.TryGetAt(bg, Global, "pid")
+		return err
+	})
 }
 
 func TestGlobalPutBatchAllocBudget(t *testing.T) {
@@ -145,7 +160,7 @@ func globalAllocBudget(t *testing.T, name string, budget int, op func() error) {
 	}
 	t.Logf("%s: %.2f allocs/op (budget %d)", name, got, budget)
 	if got > float64(budget) {
-		t.Errorf("a %s through cache, router and one shard allocates %.2f objects, budget %d", name, got, budget)
+		t.Errorf("a %s through the caching LASS allocates %.2f objects, budget %d", name, got, budget)
 	}
 }
 

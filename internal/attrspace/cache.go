@@ -3,6 +3,7 @@ package attrspace
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"time"
 
@@ -492,6 +493,9 @@ func (gc *GlobalCache) read(ctx context.Context, contextName, attribute string, 
 		return e.value, e.seq, nil
 	}
 	tel.cacheMiss.Inc()
+	// The fill is kept under attribute, and the router's op can outlive
+	// this caller: neither may hold a view of the request's frame.
+	attribute = strings.Clone(attribute)
 	var v string
 	var seq uint64
 	if block {

@@ -152,7 +152,7 @@ func DialCtx(ctx context.Context, dial DialFunc, addr, contextName string) (*Cli
 	if wire.ShmSupported() && sameHostConn(raw) {
 		hello.Set("shm", "1")
 	}
-	slot, reply, err := c.exchange(ctx, spec, hello, false)
+	slot, reply, err := c.exchange(ctx, spec, hello, asMessage)
 	if err == nil {
 		switch {
 		case reply.Verb == "ERROR" && reply.Get("error") == revisionMismatch:
@@ -224,6 +224,16 @@ func newClient(raw net.Conn) *Client {
 	return c
 }
 
+// replyKind is what the read loop hands the waiter of a slot: the reply
+// as a message, or only what the caller takes from it (opSpec.reply).
+type replyKind uint8
+
+const (
+	asMessage replyKind = iota
+	asSeq               // a mutation's OK: its seq
+	asValue             // a read's VALUE (a copy of its value, and its seq) or NOTFOUND
+)
+
 // replySlot is one request's registration in pending: the id it is sent
 // under, the channel its one reply arrives on, and the message last
 // delivered through it. A slot whose reply has been consumed may be
@@ -231,11 +241,13 @@ func newClient(raw net.Conn) *Client {
 // request, which is what keeps the request path free of per-request
 // allocations.
 //
-// A slot registered for a mutation (ack) is answered without a message
-// when the reply is an OK: the read loop parses the seq in place, stores
-// it in seq and sends nil, so an ack is never copied out of the read
-// buffer. Any other reply to it — an ERROR, the conn-lost one fail
-// injects — comes as a message like every reply to every other slot.
+// A slot registered as asSeq or asValue is answered without a message
+// when the reply is the one its kind expects (answer): the read loop
+// takes the seq — and a read's value, the one string it copies — out of
+// the frame in place and sends nil, so the frame is never copied out of
+// the read buffer. Any other reply to it — an ERROR, the conn-lost one
+// fail injects — comes as a message like every reply to an asMessage
+// slot.
 //
 // Only the goroutine that received the reply from ch may release, once,
 // when it has finished reading the reply; nothing may hold the message
@@ -248,11 +260,31 @@ func newClient(raw net.Conn) *Client {
 // earlier request's reply. Not releasing is always safe; the slot is
 // then garbage like any other value.
 type replySlot struct {
-	id  string
-	ch  chan *wire.Message // capacity 1: a registration is answered exactly once
-	msg *wire.Message      // nil until a reply comes as a message
-	ack bool               // set at registration, from the request's op
-	seq uint64             // an ack's seq, written before the nil send on ch
+	id   string
+	ch   chan *wire.Message // capacity 1: a registration is answered exactly once
+	msg  *wire.Message      // nil until a reply comes as a message
+	kind replyKind          // set at registration, from the request's op
+	// What answer wrote before the nil send on ch.
+	seq      uint64
+	value    string
+	notFound bool
+}
+
+// answer takes m into the slot when it is the reply the slot's kind
+// expects, and reports whether it did: a mutation's OK is its seq, a
+// read's VALUE its value — cloned, since m may be a view of the read
+// buffer — and seq, a read's NOTFOUND that it was one.
+func (s *replySlot) answer(m *wire.Message) bool {
+	switch {
+	case s.kind == asSeq && m.Verb == "OK":
+	case s.kind == asValue && (m.Verb == "VALUE" || m.Verb == "NOTFOUND"):
+		s.notFound = m.Verb == "NOTFOUND"
+		s.value = strings.Clone(m.Get("value"))
+	default:
+		return false
+	}
+	s.seq = replySeq(m)
+	return true
 }
 
 // release returns a slot whose reply has been read to the free list.
@@ -264,6 +296,7 @@ func (c *Client) release(slot *replySlot) {
 	if slot.msg != nil {
 		slot.msg.Reset()
 	}
+	slot.value = ""
 	c.mu.Lock()
 	if !c.closed {
 		c.free = append(c.free, slot)
@@ -351,7 +384,7 @@ func (c *Client) cutover() error {
 		c.call(context.Background(), ready, ready.req().Set("error", err.Error()))
 		return err
 	}
-	slot, err := c.sendSwap(ready.req(), false, seg.Endpoint(false, c.raw))
+	slot, err := c.sendSwap(ready.req(), asMessage, seg.Endpoint(false, c.raw))
 	if err != nil {
 		return err
 	}
@@ -403,12 +436,13 @@ func offer(ch chan Event, ev Event) {
 }
 
 // readLoop decodes every incoming message into one scratch Message it
-// owns. An OK — the one verb a mutation's ack comes under — is decoded
-// in place (wire.Conn.RecvView), its strings the read buffer's own
-// bytes until the next receive: an ack's seq, or an OK nobody waits for
-// any more, is read there and never copied, and any other OK is kept
-// (wire.Conn.Keep) for its slot. Every other frame — EVENT (an Event
-// holds its strings), chunk, ERROR, every other reply, CLOSE — is
+// owns. OK, VALUE and NOTFOUND — the verbs a mutation's and a read's
+// replies come under — are decoded in place (wire.Conn.RecvView), their
+// strings the read buffer's own bytes until the next receive: what a
+// seq or value slot takes from one is read there (replySlot.answer), a
+// reply nobody waits for any more is dropped uncopied, and any other is
+// kept (wire.Conn.Keep) for its slot. Every other frame — EVENT (an
+// Event holds its strings), chunk, ERROR, every other reply, CLOSE — is
 // copied as it is parsed. A kept reply leaves through its slot, and the
 // loop takes the message that slot delivered last time as its next
 // scratch — two messages per slot changing places, no pool. Only what
@@ -418,7 +452,7 @@ func (c *Client) readLoop() {
 	defer c.wc.ReleaseRead() // a drain ends the loop with the stream still good
 	m := new(wire.Message)
 	for {
-		if err := c.wc.RecvView(m, isOK); err != nil {
+		if err := c.wc.RecvView(m, inPlaceReply); err != nil {
 			// A transport error after a CLOSE announcement is the
 			// drain completing, not an unexpected loss: report it as
 			// such so retrying callers classify it correctly.
@@ -486,7 +520,7 @@ func (c *Client) readLoop() {
 			}
 			continue
 		}
-		id := m.Get("id") // an OK's is a view: looked up and compared, never kept
+		id := m.Get("id") // may be a view: looked up and compared, never kept
 		c.mu.Lock()
 		slot := c.pending[id]
 		delete(c.pending, id)
@@ -502,8 +536,8 @@ func (c *Client) readLoop() {
 		earned := c.replies == shmPromoteAfter && c.shmOK
 		drained := c.draining && len(c.pending) == 0
 		c.mu.Unlock()
-		acked := slot != nil && slot.ack && m.Verb == "OK"
-		if slot != nil && !acked {
+		answered := slot != nil && slot.answer(m)
+		if slot != nil && !answered {
 			c.wc.Keep(m)
 		}
 		if swapEP != nil {
@@ -520,8 +554,7 @@ func (c *Client) readLoop() {
 			go c.promote()
 		}
 		switch {
-		case acked:
-			slot.seq = replySeq(m)
+		case answered:
 			slot.ch <- nil
 		case slot != nil:
 			// Read the slot before the send: its receiver may release it,
@@ -540,9 +573,9 @@ func (c *Client) readLoop() {
 	}
 }
 
-// isOK is the read loop's RecvView rule: only an OK may be dropped
-// unkept.
-func isOK(verb string) bool { return verb == "OK" }
+// inPlaceReply is the read loop's RecvView rule: the replies a slot may
+// take in place, and so the only ones that may be dropped unkept.
+func inPlaceReply(verb string) bool { return verb == "OK" || verb == "VALUE" || verb == "NOTFOUND" }
 
 // takeChunks removes and returns the buffered interior parts of a
 // chunked reply; call with the final part's request id in hand.
@@ -671,21 +704,21 @@ func (c *Client) instrument(ctx context.Context, spec *opSpec, m *wire.Message) 
 // verb) and waits for its tagged reply. The reply is the caller's to
 // keep: its slot is never released.
 func (c *Client) call(ctx context.Context, spec *opSpec, m *wire.Message) (*wire.Message, error) {
-	_, reply, err := c.exchange(ctx, spec, m, false)
+	_, reply, err := c.exchange(ctx, spec, m, asMessage)
 	return reply, err
 }
 
 // exchange is call for the operations that release: it also returns the
 // slot the reply came through, for the caller to release once it has
-// parsed the reply (nil along with any error). With ack set, an OK comes
-// as a nil reply and its seq in the slot (see replySlot). A caller that
-// leaves through ctx abandons its slot — see replySlot for why it must.
-func (c *Client) exchange(ctx context.Context, spec *opSpec, m *wire.Message, ack bool) (*replySlot, *wire.Message, error) {
+// parsed the reply (nil along with any error). A reply the slot's kind
+// answers comes as nil (see replySlot). A caller that leaves through ctx
+// abandons its slot — see replySlot for why it must.
+func (c *Client) exchange(ctx context.Context, spec *opSpec, m *wire.Message, kind replyKind) (*replySlot, *wire.Message, error) {
 	if m == nil {
 		m = spec.req()
 	}
 	defer c.instrument(ctx, spec, m).end()
-	slot, err := c.send(m, ack)
+	slot, err := c.send(m, kind)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -708,15 +741,15 @@ func (c *Client) abandon(slot *replySlot) {
 	c.mu.Unlock()
 }
 
-// send registers a reply slot — answered with only the seq of an OK when
-// ack is set (replySlot) — and transmits the request. A write error
+// send registers a reply slot of the given kind (replySlot) and
+// transmits the request. A write error
 // is terminal for the whole connection, not just this request: the
 // frame may have left partially, so the stream's framing can no longer
 // be trusted, and a connection whose write half is dead while its read
 // half blocks would otherwise strand every other pending reply forever.
 // fail drains them all exactly once.
-func (c *Client) send(m *wire.Message, ack bool) (*replySlot, error) {
-	return c.sendSwap(m, ack, nil)
+func (c *Client) send(m *wire.Message, kind replyKind) (*replySlot, error) {
+	return c.sendSwap(m, kind, nil)
 }
 
 // sendSwap is send for SHMRDY when given the ring endpoint (only
@@ -725,7 +758,7 @@ func (c *Client) send(m *wire.Message, ack bool) (*replySlot, error) {
 // the reply arrive first and the read-side swap never happen — and the
 // frame leaves through SendSwap, which moves the write side onto the
 // ring behind it.
-func (c *Client) sendSwap(m *wire.Message, ack bool, ep *wire.ShmEndpoint) (*replySlot, error) {
+func (c *Client) sendSwap(m *wire.Message, kind replyKind, ep *wire.ShmEndpoint) (*replySlot, error) {
 	c.mu.Lock()
 	if c.closed {
 		err := c.err
@@ -751,7 +784,7 @@ func (c *Client) sendSwap(m *wire.Message, ack bool, ep *wire.ShmEndpoint) (*rep
 		c.nextID++
 		slot = &replySlot{id: strconv.FormatUint(c.nextID, 10), ch: make(chan *wire.Message, 1)}
 	}
-	slot.ack = ack
+	slot.kind = kind
 	c.pending[slot.id] = slot
 	if ep != nil {
 		c.shmSwapID, c.shmSwapEP = slot.id, ep
@@ -826,7 +859,7 @@ func IsRetryable(err error) bool {
 // mutate is the round trip of a put, a batch and a delete: send, parse
 // the ack, release the slot.
 func (c *Client) mutate(ctx context.Context, spec *opSpec, m *wire.Message) (uint64, error) {
-	slot, reply, err := c.exchange(ctx, spec, m, spec.ack)
+	slot, reply, err := c.exchange(ctx, spec, m, spec.reply)
 	seq, err := seqReply(slot, reply, err)
 	c.release(slot)
 	return seq, err
@@ -834,8 +867,8 @@ func (c *Client) mutate(ctx context.Context, spec *opSpec, m *wire.Message) (uin
 
 // read is the round trip of a get and a tryget.
 func (c *Client) read(ctx context.Context, spec *opSpec, attribute string) (string, uint64, error) {
-	slot, reply, err := c.exchange(ctx, spec, attrReq(spec.req(), attribute), false)
-	v, seq, err := valueReply(reply, err)
+	slot, reply, err := c.exchange(ctx, spec, attrReq(spec.req(), attribute), spec.reply)
+	v, seq, err := valueReply(slot, reply, err)
 	c.release(slot)
 	return v, seq, err
 }
@@ -913,14 +946,14 @@ func (c *Client) GetAsync(attribute string) (<-chan Result, error) {
 	spec := opFor(opGet, Local)
 	m := attrReq(spec.req(), attribute)
 	obs := c.instrument(context.Background(), spec, m)
-	slot, err := c.send(m, false)
+	slot, err := c.send(m, spec.reply)
 	if err != nil {
 		obs.end()
 		return nil, err
 	}
 	out := make(chan Result, 1)
 	go func() {
-		v, _, err := valueReply(<-slot.ch, nil)
+		v, _, err := valueReply(slot, <-slot.ch, nil)
 		c.release(slot)
 		obs.end()
 		out <- Result{Attr: attribute, Value: v, Err: err}

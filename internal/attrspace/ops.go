@@ -91,10 +91,10 @@ type opSpec struct {
 	// subscription it is made for — the id SUB's OK gave it — and the
 	// server does not push the write to that subscription.
 	origin bool
-	// ack: the row is a mutation, whose OK carries nothing a caller
-	// reads but its seq. The client hands the waiter that number and no
-	// message (replySlot), so the reply is never copied.
-	ack bool
+	// reply is what the client hands the waiter of this row's request
+	// (replySlot): a mutation's seq, a read's value, or the message.
+	// The server decodes the requests of the value rows in place.
+	reply replyKind
 
 	// Derived once at init: the row's index (its slot in
 	// telemetryHandles.verbs) and every telemetry name either end builds
@@ -152,7 +152,12 @@ func init() {
 		s.name = strings.ToLower(s.verb)
 		s.span, s.opsName, s.latName = "attrspace."+s.name, "attrspace.ops."+s.name, "attrspace.latency."+s.name
 		s.cliSpan, s.cliOpsName, s.cliLatName = "client."+s.name, "client.ops."+s.name, "client.latency."+s.name
-		s.ack = s.op == opPut || s.op == opMPut || s.op == opDelete
+		switch s.op {
+		case opPut, opMPut, opDelete:
+			s.reply = asSeq
+		case opGet, opTryGet:
+			s.reply = asValue
+		}
 		opByVerb[s.verb] = s
 		opByKind[s.op][s.scope] = s
 	}
@@ -230,8 +235,8 @@ func okReply(reply *wire.Message, err error) error {
 }
 
 // seqReply parses a mutation's ack: the per-context seq the server
-// assigned the write. An OK the read loop answered with its seq alone
-// comes as no message and the seq in the slot.
+// assigned the write. An OK the read loop answered in the slot comes as
+// no message.
 func seqReply(slot *replySlot, reply *wire.Message, err error) (uint64, error) {
 	if err == nil && reply == nil {
 		return slot.seq, nil
@@ -243,8 +248,15 @@ func seqReply(slot *replySlot, reply *wire.Message, err error) (uint64, error) {
 }
 
 // valueReply parses the answer to a get or tryget: the value and the
-// seq of the write that produced it, or ErrNotFound.
-func valueReply(reply *wire.Message, err error) (string, uint64, error) {
+// seq of the write that produced it, or ErrNotFound. A VALUE or NOTFOUND
+// the read loop answered in the slot comes as no message.
+func valueReply(slot *replySlot, reply *wire.Message, err error) (string, uint64, error) {
+	if err == nil && reply == nil {
+		if slot.notFound {
+			return "", 0, ErrNotFound
+		}
+		return slot.value, slot.seq, nil
+	}
 	if err == nil && reply.Verb == "NOTFOUND" {
 		err = ErrNotFound
 	}

@@ -208,7 +208,7 @@ var opContracts = [numOps]func(h *opHarness, spec *opSpec){
 		// not, and the put that creates the attribute answers it.
 		key = h.key()
 		c, _, _ := h.via(spec)
-		waiting, err := c.send(attrReq(spec.req(), key), false)
+		waiting, err := c.send(attrReq(spec.req(), key), asMessage)
 		if err != nil {
 			h.t.Fatalf("%s: %v", spec.verb, err)
 		}

@@ -66,15 +66,16 @@ const routerContext = InfraContextPrefix + "router"
 // is not (the drainer still sends and completes it), so no cycle ever
 // encodes a request that is being refilled.
 type shardOp struct {
-	m    *wire.Message
-	ack  bool            // the request is a mutation: set with its verb, never around a cycle
-	done chan shardReply // capacity 1: a cycle answers each of its ops once
+	m     *wire.Message
+	reply replyKind       // its slot's kind: set with its verb, never around a cycle
+	done  chan shardReply // capacity 1: a cycle answers each of its ops once
 }
 
-// shardReply carries an op's outcome: the raw reply (nil for a
-// mutation's OK, whose seq is in the slot), the client it arrived on
-// (chunked replies need its reassembly buffer) and the slot it came
-// through, for a caller that is done with the reply to release.
+// shardReply carries an op's outcome: the raw reply (nil for one the
+// slot answered: a mutation's OK, a read's VALUE or NOTFOUND), the
+// client it arrived on (chunked replies need its reassembly buffer) and
+// the slot it came through, for a caller that is done with the reply to
+// release.
 type shardReply struct {
 	reply *wire.Message
 	pool  *Client
@@ -209,7 +210,7 @@ func (sh *shardConn) op(spec *opSpec) *shardOp {
 	sh.mu.Unlock()
 	op.m.Reset()
 	op.m.Verb = spec.verb
-	op.ack = spec.ack
+	op.reply = spec.reply
 	return op
 }
 
@@ -335,7 +336,7 @@ func (sh *shardConn) cycle(ctx context.Context, batch []*shardOp) {
 	sends := sh.sends[:0]
 	pool.wc.Cork()
 	for _, op := range batch {
-		slot, err := pool.send(op.m, op.ack)
+		slot, err := pool.send(op.m, op.reply)
 		if err != nil {
 			op.done <- shardReply{err: err}
 			continue
@@ -404,7 +405,7 @@ func (sh *shardConn) tryGet(ctx context.Context, contextName, attribute string) 
 	op := sh.op(opFor(opTryGet, scopeCtx))
 	attrReq(op.m, attribute)
 	r := sh.do(ctx, contextName, op)
-	v, seq, err := valueReply(r.reply, r.err)
+	v, seq, err := valueReply(r.slot, r.reply, r.err)
 	r.release()
 	return v, seq, err
 }

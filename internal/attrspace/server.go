@@ -530,12 +530,15 @@ func (c *serverConn) run() {
 	}()
 
 	// One request message is reused across the connection's whole
-	// life: every handler either finishes with the message before the
-	// next RecvInto or extracts plain strings first (the blocking-GET
-	// goroutine), so nothing retains it.
+	// life: every handler finishes with the message before the next
+	// receive, so nothing retains it. A read's request is decoded in
+	// place (readInPlace), its strings views of the read buffer that the
+	// next receive overwrites; the few that outlive its handler — the
+	// blocking GET's, a cache fill's, a span's — are cloned where they
+	// are kept.
 	m := new(wire.Message)
 	for {
-		if err := c.wc.RecvInto(m); err != nil {
+		if err := c.wc.RecvView(m, readInPlace); err != nil {
 			return // disconnect
 		}
 		// The inflight window covers only the synchronous part of the
@@ -549,6 +552,13 @@ func (c *serverConn) run() {
 			return
 		}
 	}
+}
+
+// readInPlace is the server's RecvView rule: the requests of the op
+// table's value rows (get and tryget at every scope).
+func readInPlace(verb string) bool {
+	spec := opByVerb[verb]
+	return spec != nil && spec.reply == asValue
 }
 
 // takeShmSegment ends the window between SHMREQ and SHMRDY: it returns
@@ -602,9 +612,10 @@ func (c *serverConn) observe(spec *opSpec, m *wire.Message) observation {
 	vm.ops.Inc()
 	o := observation{lat: vm.lat, start: time.Now()}
 	if tid, sid := m.Trace(); tid != "" {
-		o.sp = tel.tracer.StartChild(spec.span, tid, sid)
+		// The span outlives m, which may be a view of the read buffer.
+		o.sp = tel.tracer.StartChild(spec.span, strings.Clone(tid), strings.Clone(sid))
 		if a := m.Get("attr"); a != "" {
-			o.sp.Set("attr", a)
+			o.sp.Set("attr", strings.Clone(a))
 		}
 	}
 	return o
@@ -937,7 +948,9 @@ func (c *serverConn) opGet(ctx context.Context, r request) {
 	// processing other requests (the multiplexing that makes async gets
 	// possible on a single connection). The latency histogram therefore
 	// includes the time spent blocked — the number a tool writer actually
-	// experiences.
+	// experiences. The request was decoded in place: what the goroutine
+	// takes must be its own.
+	r.id, attribute = strings.Clone(r.id), strings.Clone(attribute)
 	go func() {
 		v, seq, err := r.t.get(ctx, attribute)
 		c.replyValue(r, attribute, v, seq, err)

@@ -239,8 +239,9 @@ func runDaemon(env condor.ToolEnv, args []string, pc *procsim.ProcContext) int {
 	// ToolDaemonOutput file and is transferred back, §2's data-file
 	// bullet).
 	fmt.Fprintf(pc.Stdout(), "paradynd %s rank %d: %s\n", env.Machine, env.Rank, exit)
-	fmt.Fprint(pc.Stdout(), FormatTable(metrics.Snapshot()))
-	if fn, share, ok := Bottleneck(metrics.Snapshot(), "main"); ok {
+	profile := metrics.Snapshot() // the probes stopped with the process
+	fmt.Fprint(pc.Stdout(), FormatTable(profile))
+	if fn, share, ok := Bottleneck(profile, "main"); ok {
 		fmt.Fprintf(pc.Stdout(), "bottleneck: %s (%.0f%%)\n", fn, share*100)
 	}
 	return 0

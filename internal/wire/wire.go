@@ -20,12 +20,12 @@
 // value is a view of. RecvView skips even that for the verbs its caller
 // names: their strings are views of the connection's read buffer, valid
 // until the next receive, and Conn.Keep makes the copy only for a
-// message that has to outlive it — the attribute space client reads a
-// mutation's ack, whose one number is all anyone takes from it, without
-// copying anything. The server
-// receives into a Message it reuses; Recv, which allocates the Message
-// and its field map as well, remains for protocols off the hot path.
-// Encode remains deterministic (sorted keys) for tests and logs.
+// message that has to outlive it. The attribute space server reads a
+// get's request that way, and its client a mutation's ack and a read's
+// VALUE, copying only the value a caller takes away. Both ends receive
+// into a Message they reuse; Recv, which allocates the Message and its
+// field map as well, remains for protocols off the hot path. Encode
+// remains deterministic (sorted keys) for tests and logs.
 package wire
 
 import (
