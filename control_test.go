@@ -183,3 +183,46 @@ func TestFormatPID(t *testing.T) {
 		t.Errorf("FormatPID = %q", FormatPID(procsim.PID(1234)))
 	}
 }
+
+// TestProcessVerbsUntracedBuildNoDetail: with no tracer, Attach,
+// Continue and Detach allocate what the same three kernel calls
+// allocate, plus the Process wrapper Attach returns — no "pid=N" trace
+// detail is built for nobody to record.
+func TestProcessVerbsUntracedBuildNoDetail(t *testing.T) {
+	k := procsim.NewKernel()
+	h := initT(t, Config{Context: "c", LASSAddr: newLASS(t), Kernel: k, Identity: "tool"})
+	ap, err := h.CreateProcess(ProcessSpec{
+		Executable: "app", Program: procsim.NewSpinnerProgram(), Symbols: procsim.StdSymbols,
+	}, StartRun)
+	if err != nil {
+		t.Fatalf("CreateProcess: %v", err)
+	}
+	defer ap.Kill("")
+	p := ap.p
+	note := func(e error) {
+		if e != nil && err == nil {
+			err = e
+		}
+	}
+	kernel := testing.AllocsPerRun(100, func() {
+		note(p.Attach("tool"))
+		note(p.Continue("tool"))
+		note(p.Detach("tool"))
+	})
+	verbs := testing.AllocsPerRun(100, func() {
+		tp, e := h.Attach(p.PID())
+		if e != nil {
+			note(e)
+			return
+		}
+		note(tp.Continue())
+		note(tp.Detach())
+	})
+	if err != nil {
+		t.Fatalf("cycle: %v", err)
+	}
+	t.Logf("kernel calls %.2f allocs, tdp verbs %.2f", kernel, verbs)
+	if verbs > kernel+1 {
+		t.Errorf("Attach, Continue and Detach allocate %.2f objects, the kernel calls %.2f: more than the Process wrapper", verbs, kernel)
+	}
+}

@@ -592,8 +592,8 @@ func (r *Ref) Leave() error {
 		sub.enqueue(u)
 		sub.finish()
 	}
-	c.subs = make(map[*Subscription]struct{})
-	c.waiters = make(map[string][]chan Update)
+	clear(c.subs)
+	clear(c.waiters)
 	sh.mu.Unlock()
 	return nil
 }

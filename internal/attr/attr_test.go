@@ -588,3 +588,22 @@ func TestOpString(t *testing.T) {
 		t.Errorf("unknown op = %q", Op(99).String())
 	}
 }
+
+// TestLastLeaveAllocatesNothing: destroying a context empties its
+// subscriber and waiter maps in place; the context is unreachable
+// after, so making new ones would be garbage at once.
+func TestLastLeaveAllocatesNothing(t *testing.T) {
+	const runs = 50
+	s := NewSpace()
+	refs := make([]*Ref, runs+1) // AllocsPerRun calls f once more to warm up
+	for i := range refs {
+		refs[i] = s.Join(fmt.Sprintf("c%d", i))
+	}
+	i := 0
+	if n := testing.AllocsPerRun(runs, func() { refs[i].Leave(); i++ }); n != 0 {
+		t.Errorf("last Leave allocates %.1f objects, want 0", n)
+	}
+	if left := s.Contexts(); len(left) != 0 {
+		t.Errorf("contexts left: %v", left)
+	}
+}

@@ -100,8 +100,11 @@ type Server struct {
 	mu        sync.Mutex
 	listeners []net.Listener // every Serve'd listener (tcp and/or unix)
 	conns     map[*serverConn]struct{}
-	closed    bool
 	draining  bool // Shutdown in progress; Serve exits cleanly
+
+	// closed is set under mu when Close begins; connections read it
+	// without mu and answer nothing from then on (see reply).
+	closed atomic.Bool
 
 	// noShm withholds ring promotion from every connection; see SetShm.
 	noShm atomic.Bool
@@ -299,7 +302,7 @@ func (s *Server) Stats() (puts, gets, tryGets, deletes int64) {
 // fails. It blocks; run it in a goroutine.
 func (s *Server) Serve(l net.Listener) error {
 	s.mu.Lock()
-	if s.closed {
+	if s.closed.Load() {
 		s.mu.Unlock()
 		l.Close()
 		return nil
@@ -310,7 +313,7 @@ func (s *Server) Serve(l net.Listener) error {
 		c, err := l.Accept()
 		if err != nil {
 			s.mu.Lock()
-			closed := s.closed || s.draining
+			closed := s.closed.Load() || s.draining
 			s.mu.Unlock()
 			if closed {
 				return nil
@@ -323,7 +326,7 @@ func (s *Server) Serve(l net.Listener) error {
 		tel := s.tel.Load()
 		sc.wc.InstrumentRegistry(tel.reg)
 		s.mu.Lock()
-		if s.closed {
+		if s.closed.Load() {
 			s.mu.Unlock()
 			c.Close()
 			return nil
@@ -339,11 +342,11 @@ func (s *Server) Serve(l net.Listener) error {
 // Close stops the listener and disconnects every client.
 func (s *Server) Close() {
 	s.mu.Lock()
-	if s.closed {
+	if s.closed.Load() {
 		s.mu.Unlock()
 		return
 	}
-	s.closed = true
+	s.closed.Store(true)
 	ls := s.listeners
 	s.listeners = nil
 	conns := make([]*serverConn, 0, len(s.conns))
@@ -371,7 +374,7 @@ func (s *Server) Close() {
 // ctx.Err() when the deadline cut the drain short, nil otherwise.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
-	if s.closed || s.draining {
+	if s.closed.Load() || s.draining {
 		s.mu.Unlock()
 		return nil
 	}
@@ -1216,7 +1219,14 @@ func (c *serverConn) sendEvent(u attr.Update, lost uint64) error {
 	return c.wc.Send(m)
 }
 
+// reply sends m unless Close has begun. Then it closes the connection
+// instead, so the peer sees its request lost, not answered from state
+// that Close's teardown of other connections has already changed.
 func (c *serverConn) reply(m *wire.Message) {
+	if c.srv.closed.Load() {
+		c.raw.Close()
+		return
+	}
 	if err := c.wc.Send(m); err != nil {
 		c.srv.log().Debugf("attrspace: send to %v failed: %v", c.raw.RemoteAddr(), err)
 	}

@@ -38,7 +38,9 @@ func SocketPathFor(tcpAddr string) string {
 	if err != nil || port == "" || port == "0" {
 		return ""
 	}
-	return filepath.Join(os.TempDir(), "tdp-attr-"+port+".sock")
+	// One string, not filepath.Join: every dial derives it.
+	dir := strings.TrimSuffix(os.TempDir(), string(filepath.Separator))
+	return dir + string(filepath.Separator) + "tdp-attr-" + port + ".sock"
 }
 
 // shmSegSeq makes segment paths unique within one server process.

@@ -248,6 +248,18 @@ func TestSocketPathFor(t *testing.T) {
 			t.Errorf("SocketPathFor(%q) = %q, want empty", bad, p)
 		}
 	}
+	// Server and clients derive the path apart, so it must be the one
+	// filepath.Join names whatever the temp directory's spelling.
+	for _, dir := range []string{"/tmp", "/tmp/", "/var/tmp/tdp", "/"} {
+		t.Setenv("TMPDIR", dir)
+		want := filepath.Join(dir, "tdp-attr-4510.sock")
+		if got := SocketPathFor("127.0.0.1:4510"); got != want {
+			t.Errorf("TMPDIR=%s: SocketPathFor = %q, want %q", dir, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { SocketPathFor("127.0.0.1:4510") }); n > 1 {
+		t.Errorf("SocketPathFor allocates %.0f objects, want the path alone", n)
+	}
 }
 
 // ---------------------------------------------------------------------------

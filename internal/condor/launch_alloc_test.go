@@ -15,13 +15,13 @@ import (
 // through a one-machine pool whose starter and tool reach the LASS over
 // the same-host socket, as in the repository's launch workload: heap
 // objects and bytes per job, process-wide. Both are 5 % over what is
-// measured with connection state acquired on first use — 310.6 objects,
-// 22.3 KB; which of a job's waits find their event already there, and so
-// arm no timer, moves with scheduling — against 417 objects and 61.8 KB
-// per job when every connection built everything up front.
+// measured — 227.2 objects, 18.8 KB; which of a job's waits find their
+// event already there, and so arm no timer, moves with scheduling —
+// with no untraced step building its detail, no probe fire copying its
+// list, and paradynd's profile appended into one buffer.
 const (
-	launchAllocBudget = 326
-	launchBytesBudget = 23400
+	launchAllocBudget = 239
+	launchBytesBudget = 19800
 )
 
 func TestLaunchAllocBudget(t *testing.T) {

@@ -52,13 +52,19 @@ func (m *Master) loop(clk liveness.Clock, interval time.Duration) {
 	defer m.wg.Done()
 	// Watch returns nil only when Close stops it.
 	for liveness.Watch(clk, m.stopCh, interval, probeTimeout, m.probe) != nil {
-		m.tracer.Step("master", "daemon_died", "lass@"+m.machine.Name())
+		if m.tracer != nil {
+			m.tracer.Step("master", "daemon_died", "lass@"+m.machine.Name())
+		}
 		if err := m.machine.RestartLASS(); err != nil {
-			m.tracer.Step("master", "restart_failed", err.Error())
+			if m.tracer != nil {
+				m.tracer.Step("master", "restart_failed", err.Error())
+			}
 			continue
 		}
 		m.restarts.Add(1)
-		m.tracer.Step("master", "daemon_restarted", "lass@"+m.machine.Name())
+		if m.tracer != nil {
+			m.tracer.Step("master", "daemon_restarted", "lass@"+m.machine.Name())
+		}
 	}
 }
 

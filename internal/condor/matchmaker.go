@@ -89,7 +89,9 @@ func (mm *Matchmaker) Negotiate(jobAd *classad.Ad) (string, error) {
 	name := names[best]
 	mm.claimed[name] = true
 	mm.matches++
-	mm.tracer.Step("matchmaker", "negotiate", "match="+name)
+	if mm.tracer != nil {
+		mm.tracer.Step("matchmaker", "negotiate", "match="+name)
+	}
 	return name, nil
 }
 

@@ -59,7 +59,9 @@ func (s *Schedd) Submit(sf *SubmitFile) ([]*Job, error) {
 	}
 	s.mu.Unlock()
 	for _, j := range out {
-		s.pool.tracer.Step("schedd", "submit", fmt.Sprintf("job=%d cmd=%s universe=%s", j.ID, sf.Executable, sf.Universe))
+		if s.pool.tracer != nil {
+			s.pool.tracer.Step("schedd", "submit", fmt.Sprintf("job=%d cmd=%s universe=%s", j.ID, sf.Executable, sf.Universe))
+		}
 		go s.runJob(j)
 	}
 	return out, nil
@@ -77,9 +79,11 @@ func (s *Schedd) Jobs() []*Job {
 // runJob is the shadow-spawning path for one job.
 func (s *Schedd) runJob(j *Job) {
 	sh := &shadow{schedd: s, job: j}
-	job := fmt.Sprintf("job=%d", j.ID)
-	s.pool.tracer.Step("schedd", "spawn_shadow", job)
-	s.pool.tracer.Step("shadow", "start", job)
+	if s.pool.tracer != nil {
+		job := fmt.Sprintf("job=%d", j.ID)
+		s.pool.tracer.Step("schedd", "spawn_shadow", job)
+		s.pool.tracer.Step("shadow", "start", job)
+	}
 	if j.Submit.Universe == UniverseMPI {
 		sh.runMPI()
 	} else {
@@ -176,7 +180,9 @@ func (sh *shadow) runVanilla() {
 			Timeout:     pool.jobTimeout,
 			RestartData: restartData,
 		}
-		sh.schedd.pool.tracer.Step("shadow", "activate", fmt.Sprintf("job=%d machine=%s", j.ID, machine))
+		if sh.schedd.pool.tracer != nil {
+			sh.schedd.pool.tracer.Step("shadow", "activate", fmt.Sprintf("job=%d machine=%s", j.ID, machine))
+		}
 		if _, err := sd.Activate(req); err != nil {
 			sd.ReleaseClaim(sh.schedd.name)
 			pool.mm.Release(machine)
@@ -197,7 +203,9 @@ func (sh *shadow) runVanilla() {
 			j.mu.Lock()
 			j.restarts++
 			j.mu.Unlock()
-			sh.schedd.pool.tracer.Step("shadow", "migrate", fmt.Sprintf("job=%d from=%s checkpoint=%q", j.ID, machine, restartData))
+			if sh.schedd.pool.tracer != nil {
+				sh.schedd.pool.tracer.Step("shadow", "migrate", fmt.Sprintf("job=%d from=%s checkpoint=%q", j.ID, machine, restartData))
+			}
 			j.setStatus(StatusIdle)
 			continue
 		}
@@ -210,7 +218,9 @@ func (sh *shadow) finishVanilla(r StarterReport) {
 	j := sh.job
 	pool := sh.schedd.pool
 	if r.Err != nil {
-		sh.schedd.pool.tracer.Step("shadow", "final_status", fmt.Sprintf("job=%d err=%v", j.ID, r.Err))
+		if sh.schedd.pool.tracer != nil {
+			sh.schedd.pool.tracer.Step("shadow", "final_status", fmt.Sprintf("job=%d err=%v", j.ID, r.Err))
+		}
 		j.hold(r.Err.Error())
 		return
 	}
@@ -223,7 +233,9 @@ func (sh *shadow) finishVanilla(r StarterReport) {
 	if out := j.Submit.Output; out != "" {
 		pool.submitFiles.Write(out, []byte(j.Output()))
 	}
-	sh.schedd.pool.tracer.Step("shadow", "final_status", fmt.Sprintf("job=%d %s", j.ID, r.Exit))
+	if sh.schedd.pool.tracer != nil {
+		sh.schedd.pool.tracer.Step("shadow", "final_status", fmt.Sprintf("job=%d %s", j.ID, r.Exit))
+	}
 	j.setStatus(StatusCompleted)
 }
 
@@ -301,7 +313,9 @@ func (sh *shadow) runMPI() {
 	if j.Submit.ToolDaemon != nil {
 		ready = make(chan struct{}, 1)
 	}
-	sh.schedd.pool.tracer.Step("shadow", "activate", fmt.Sprintf("job=%d rank=0 machine=%s", j.ID, names[0]))
+	if sh.schedd.pool.tracer != nil {
+		sh.schedd.pool.tracer.Step("shadow", "activate", fmt.Sprintf("job=%d rank=0 machine=%s", j.ID, names[0]))
+	}
 	if _, err := startds[0].Activate(makeReq(0, ready)); err != nil {
 		release()
 		j.hold(err.Error())
@@ -313,7 +327,9 @@ func (sh *shadow) runMPI() {
 		// Hold ranks 1..N-1 until rank 0's tool reports control.
 		select {
 		case <-ready:
-			sh.schedd.pool.tracer.Step("shadow", "rank0_tool_ready", fmt.Sprintf("job=%d", j.ID))
+			if sh.schedd.pool.tracer != nil {
+				sh.schedd.pool.tracer.Step("shadow", "rank0_tool_ready", fmt.Sprintf("job=%d", j.ID))
+			}
 		case <-time.After(30 * time.Second):
 			release()
 			j.hold("condor: rank 0 tool never became ready")
@@ -321,7 +337,9 @@ func (sh *shadow) runMPI() {
 		}
 	}
 	for rank := 1; rank < n; rank++ {
-		sh.schedd.pool.tracer.Step("shadow", "activate", fmt.Sprintf("job=%d rank=%d machine=%s", j.ID, rank, names[rank]))
+		if sh.schedd.pool.tracer != nil {
+			sh.schedd.pool.tracer.Step("shadow", "activate", fmt.Sprintf("job=%d rank=%d machine=%s", j.ID, rank, names[rank]))
+		}
 		if _, err := startds[rank].Activate(makeReq(rank, nil)); err != nil {
 			release()
 			j.hold(err.Error())
@@ -357,7 +375,9 @@ func (sh *shadow) runMPI() {
 	if out := j.Submit.Output; out != "" {
 		pool.submitFiles.Write(out, []byte(j.Output()))
 	}
-	sh.schedd.pool.tracer.Step("shadow", "final_status", fmt.Sprintf("job=%d ranks=%d %s", j.ID, n, rank0.Exit))
+	if sh.schedd.pool.tracer != nil {
+		sh.schedd.pool.tracer.Step("shadow", "final_status", fmt.Sprintf("job=%d ranks=%d %s", j.ID, n, rank0.Exit))
+	}
 	j.setStatus(StatusCompleted)
 }
 

@@ -38,11 +38,15 @@ func (sd *Startd) RequestClaim(scheddName string) error {
 	sd.mu.Lock()
 	defer sd.mu.Unlock()
 	if sd.claimedBy != "" && sd.claimedBy != scheddName {
-		sd.tracer.Step("startd", "claim_refused", sd.machine.Name()+" held by "+sd.claimedBy)
+		if sd.tracer != nil {
+			sd.tracer.Step("startd", "claim_refused", sd.machine.Name()+" held by "+sd.claimedBy)
+		}
 		return fmt.Errorf("condor: machine %s already claimed by %s", sd.machine.Name(), sd.claimedBy)
 	}
 	sd.claimedBy = scheddName
-	sd.tracer.Step("startd", "claim_accepted", sd.machine.Name()+" by "+scheddName)
+	if sd.tracer != nil {
+		sd.tracer.Step("startd", "claim_accepted", sd.machine.Name()+" by "+scheddName)
+	}
 	return nil
 }
 
@@ -52,7 +56,9 @@ func (sd *Startd) ReleaseClaim(scheddName string) {
 	defer sd.mu.Unlock()
 	if sd.claimedBy == scheddName {
 		sd.claimedBy = ""
-		sd.tracer.Step("startd", "claim_released", sd.machine.Name())
+		if sd.tracer != nil {
+			sd.tracer.Step("startd", "claim_released", sd.machine.Name())
+		}
 	}
 }
 
@@ -76,7 +82,9 @@ func (sd *Startd) Activate(req *ActivationRequest) (*Starter, error) {
 	st := newStarter(sd, req)
 	sd.starters[req.JobID] = append(sd.starters[req.JobID], st)
 	sd.mu.Unlock()
-	sd.tracer.Step("startd", "spawn_starter", fmt.Sprintf("job=%d machine=%s", req.JobID, sd.machine.Name()))
+	if sd.tracer != nil {
+		sd.tracer.Step("startd", "spawn_starter", fmt.Sprintf("job=%d machine=%s", req.JobID, sd.machine.Name()))
+	}
 	go st.run()
 	return st, nil
 }

@@ -87,7 +87,9 @@ func (st *Starter) Vacate() error {
 	if ap == nil {
 		return fmt.Errorf("condor: job %d not running here", st.req.JobID)
 	}
-	st.sd.tracer.Step("starter", "vacate", fmt.Sprintf("job=%d", st.req.JobID))
+	if st.sd.tracer != nil {
+		st.sd.tracer.Step("starter", "vacate", fmt.Sprintf("job=%d", st.req.JobID))
+	}
 	return ap.Kill("SIGVACATE")
 }
 
@@ -108,7 +110,9 @@ func (st *Starter) Suspend() error {
 	if ap == nil {
 		return fmt.Errorf("condor: job %d not running here", st.req.JobID)
 	}
-	st.sd.tracer.Step("starter", "suspend", fmt.Sprintf("job=%d", st.req.JobID))
+	if st.sd.tracer != nil {
+		st.sd.tracer.Step("starter", "suspend", fmt.Sprintf("job=%d", st.req.JobID))
+	}
 	return ap.Stop()
 }
 
@@ -120,7 +124,9 @@ func (st *Starter) Resume() error {
 	if ap == nil {
 		return fmt.Errorf("condor: job %d not running here", st.req.JobID)
 	}
-	st.sd.tracer.Step("starter", "resume", fmt.Sprintf("job=%d", st.req.JobID))
+	if st.sd.tracer != nil {
+		st.sd.tracer.Step("starter", "resume", fmt.Sprintf("job=%d", st.req.JobID))
+	}
 	return ap.Continue()
 }
 
@@ -229,7 +235,9 @@ func (st *Starter) runPlain(spec tdp.ProcessSpec) StarterReport {
 	if err != nil {
 		return StarterReport{Err: err}
 	}
-	st.sd.tracer.Step("starter", "job_exit", exit.String())
+	if st.sd.tracer != nil {
+		st.sd.tracer.Step("starter", "job_exit", exit.String())
+	}
 	ck, hasCk := ap.CheckpointData()
 	return StarterReport{Exit: exit, Checkpoint: ck, HasCheckpoint: hasCk}
 }
@@ -277,7 +285,9 @@ func (st *Starter) runWithTool(spec tdp.ProcessSpec) StarterReport {
 	}
 	defer st.reap(ap)
 	st.setAP(ap)
-	st.sd.tracer.Step("starter", "spawn_job", spec.Executable+","+mode.String())
+	if st.sd.tracer != nil {
+		st.sd.tracer.Step("starter", "spawn_job", spec.Executable+","+mode.String())
+	}
 	telemetry.Default().Counter("condor.jobs.started").Inc()
 
 	// The RM owns status monitoring (§2.3): publish process state
@@ -319,7 +329,9 @@ func (st *Starter) runWithTool(spec tdp.ProcessSpec) StarterReport {
 			return StarterReport{Err: fmt.Errorf("condor: launch aux service: %w", err)}
 		}
 		defer shutdown()
-		st.sd.tracer.Step("starter", "spawn_aux", as.Cmd+"@"+auxAddr)
+		if st.sd.tracer != nil {
+			st.sd.tracer.Step("starter", "spawn_aux", as.Cmd+"@"+auxAddr)
+		}
 		frontendAddr = auxAddr
 	}
 
@@ -388,7 +400,9 @@ func (st *Starter) runWithTool(spec tdp.ProcessSpec) StarterReport {
 		rt.Kill("")
 		return StarterReport{Err: err}
 	}
-	st.sd.tracer.Step("starter", "job_exit", exit.String())
+	if st.sd.tracer != nil {
+		st.sd.tracer.Step("starter", "job_exit", exit.String())
+	}
 
 	// Give the tool a grace period to wind down, then reap it.
 	st.reapTool(rt)

@@ -237,14 +237,32 @@ func runDaemon(env condor.ToolEnv, args []string, pc *procsim.ProcContext) int {
 
 	// Leave a human-readable profile on stdout (lands in the
 	// ToolDaemonOutput file and is transferred back, §2's data-file
-	// bullet).
-	fmt.Fprintf(pc.Stdout(), "paradynd %s rank %d: %s\n", env.Machine, env.Rank, exit)
+	// bullet), in one write.
 	profile := metrics.Snapshot() // the probes stopped with the process
-	fmt.Fprint(pc.Stdout(), FormatTable(profile))
-	if fn, share, ok := Bottleneck(profile, "main"); ok {
-		fmt.Fprintf(pc.Stdout(), "bottleneck: %s (%.0f%%)\n", fn, share*100)
-	}
+	pc.Stdout().Write(appendProfile(make([]byte, 0, tableSize(profile)+128), env.Machine, env.Rank, exit, profile))
 	return 0
+}
+
+// appendProfile appends the profile a daemon leaves on its stdout: the
+// line that names the daemon and the application's exit, the table
+// (AppendTable), and the bottleneck when there is one.
+func appendProfile(b []byte, machine string, rank int, exit procsim.ExitStatus, profile map[string]FuncStats) []byte {
+	b = append(b, "paradynd "...)
+	b = append(b, machine...)
+	b = append(b, " rank "...)
+	b = strconv.AppendInt(b, int64(rank), 10)
+	b = append(b, ": "...)
+	b = append(b, exit.String()...)
+	b = append(b, '\n')
+	b = AppendTable(b, profile)
+	if fn, share, ok := Bottleneck(profile, "main"); ok {
+		b = append(b, "bottleneck: "...)
+		b = append(b, fn...)
+		b = append(b, " ("...)
+		b = strconv.AppendFloat(b, share*100, 'f', 0, 64)
+		b = append(b, "%)\n"...)
+	}
+	return b
 }
 
 // serveFrontEnd reads the front-end connection until it closes: the

@@ -154,7 +154,9 @@ func (fe *FrontEnd) handle(c net.Conn) {
 	fe.daemons[name] = ds
 	autoRun := fe.cfg.AutoRun
 	fe.mu.Unlock()
-	fe.cfg.Tracer.Step("paradyn-fe", "register", name+" pid="+reg.Get("pid"))
+	if fe.cfg.Tracer != nil {
+		fe.cfg.Tracer.Step("paradyn-fe", "register", name+" pid="+reg.Get("pid"))
+	}
 	telemetry.Default().Counter("paradyn.daemons.registered").Inc()
 	select {
 	case fe.regCh <- name:
@@ -193,7 +195,9 @@ func (fe *FrontEnd) handle(c net.Conn) {
 			ds.done = true
 			ds.exitStatus = m.Get("status")
 			fe.mu.Unlock()
-			fe.cfg.Tracer.Step("paradyn-fe", "daemon_done", name+" "+m.Get("status"))
+			if fe.cfg.Tracer != nil {
+				fe.cfg.Tracer.Step("paradyn-fe", "daemon_done", name+" "+m.Get("status"))
+			}
 		}
 	}
 }

@@ -15,10 +15,13 @@
 package paradyn
 
 import (
-	"fmt"
-	"sort"
+	"cmp"
+	"maps"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
+	"unicode/utf8"
 )
 
 // FuncStats is the instrumentation record for one function.
@@ -34,14 +37,14 @@ type FuncStats struct {
 // pass in, so a profile does not move with the host's load.
 type Metrics struct {
 	mu      sync.Mutex
-	stats   map[string]*FuncStats
+	stats   map[string]FuncStats
 	entries map[string]int64 // entry CPU times (µs) for inclusive timing
 }
 
 // NewMetrics returns an empty metric store.
 func NewMetrics() *Metrics {
 	return &Metrics{
-		stats:   make(map[string]*FuncStats),
+		stats:   make(map[string]FuncStats),
 		entries: make(map[string]int64),
 	}
 }
@@ -51,11 +54,8 @@ func (m *Metrics) OnEntry(fn string, now int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	s := m.stats[fn]
-	if s == nil {
-		s = &FuncStats{}
-		m.stats[fn] = s
-	}
 	s.Calls++
+	m.stats[fn] = s
 	m.entries[fn] = now
 }
 
@@ -66,8 +66,9 @@ func (m *Metrics) OnExit(fn string, now int64) {
 	defer m.mu.Unlock()
 	if t0, ok := m.entries[fn]; ok {
 		delete(m.entries, fn)
-		if s := m.stats[fn]; s != nil {
+		if s, ok := m.stats[fn]; ok {
 			s.TimeMicros += now - t0
+			m.stats[fn] = s
 		}
 	}
 }
@@ -76,11 +77,7 @@ func (m *Metrics) OnExit(fn string, now int64) {
 func (m *Metrics) Snapshot() map[string]FuncStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make(map[string]FuncStats, len(m.stats))
-	for k, v := range m.stats {
-		out[k] = *v
-	}
-	return out
+	return maps.Clone(m.stats)
 }
 
 // Bottleneck finds the function with the largest share of inclusive
@@ -89,24 +86,15 @@ func (m *Metrics) Snapshot() map[string]FuncStats {
 // non-root total, and false when no data exists. This is the flat core
 // of the Performance Consultant's search.
 func Bottleneck(stats map[string]FuncStats, exclude ...string) (fn string, share float64, ok bool) {
-	skip := make(map[string]bool, len(exclude))
-	for _, e := range exclude {
-		skip[e] = true
-	}
 	var total, best int64
 	var bestFn string
-	names := make([]string, 0, len(stats))
-	for name := range stats {
-		names = append(names, name)
-	}
-	sort.Strings(names) // deterministic tie-break
-	for _, name := range names {
-		if skip[name] {
+	for name, s := range stats {
+		if slices.Contains(exclude, name) {
 			continue
 		}
-		t := stats[name].TimeMicros
+		t := s.TimeMicros
 		total += t
-		if t > best {
+		if t > best || t == best && t > 0 && name < bestFn { // a tie goes to the first name
 			best, bestFn = t, name
 		}
 	}
@@ -119,6 +107,21 @@ func Bottleneck(stats map[string]FuncStats, exclude ...string) (fn string, share
 // FormatTable renders the statistics as the front-end's "histogram"
 // display, sorted by time descending.
 func FormatTable(stats map[string]FuncStats) string {
+	return string(AppendTable(make([]byte, 0, tableSize(stats)), stats))
+}
+
+// tableHeader is the table's first line: the column names laid out as
+// each row's "%-24s %10d %12d %6.1f%%" lays out its values.
+const tableHeader = "FUNCTION                      CALLS     TIME(us)   SHARE\n"
+
+// tableSize is a capacity that holds the table of stats when names are
+// shorter than 32 bytes.
+func tableSize(stats map[string]FuncStats) int { return 64 * (len(stats) + 1) }
+
+// AppendTable appends FormatTable's text to b, without fmt: one row per
+// function, name left-aligned in 24 columns (counted in runes, as fmt
+// counts them), calls, time and share right-aligned in 10, 12 and 6.
+func AppendTable(b []byte, stats map[string]FuncStats) []byte {
 	type row struct {
 		name string
 		s    FuncStats
@@ -129,22 +132,43 @@ func FormatTable(stats map[string]FuncStats) string {
 		rows = append(rows, row{name, s})
 		total += s.TimeMicros
 	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].s.TimeMicros != rows[j].s.TimeMicros {
-			return rows[i].s.TimeMicros > rows[j].s.TimeMicros
+	slices.SortFunc(rows, func(x, y row) int {
+		if c := cmp.Compare(y.s.TimeMicros, x.s.TimeMicros); c != 0 {
+			return c
 		}
-		return rows[i].name < rows[j].name
+		return strings.Compare(x.name, y.name)
 	})
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-24s %10s %12s %7s\n", "FUNCTION", "CALLS", "TIME(us)", "SHARE")
+	b = append(b, tableHeader...)
+	var num [32]byte
 	for _, r := range rows {
 		share := 0.0
 		if total > 0 {
 			share = float64(r.s.TimeMicros) / float64(total)
 		}
-		fmt.Fprintf(&sb, "%-24s %10d %12d %6.1f%%\n", r.name, r.s.Calls, r.s.TimeMicros, share*100)
+		b = append(b, r.name...)
+		b = appendSpaces(b, 24-utf8.RuneCountInString(r.name))
+		b = append(b, ' ')
+		b = appendRight(b, strconv.AppendInt(num[:0], r.s.Calls, 10), 10)
+		b = append(b, ' ')
+		b = appendRight(b, strconv.AppendInt(num[:0], r.s.TimeMicros, 10), 12)
+		b = append(b, ' ')
+		b = appendRight(b, strconv.AppendFloat(num[:0], share*100, 'f', 1, 64), 6)
+		b = append(b, "%\n"...)
 	}
-	return sb.String()
+	return b
+}
+
+// appendRight appends the ASCII field s right-aligned in width columns.
+func appendRight(b, s []byte, width int) []byte {
+	return append(appendSpaces(b, width-len(s)), s...)
+}
+
+// appendSpaces appends n spaces; none when n is not positive.
+func appendSpaces(b []byte, n int) []byte {
+	for ; n > 0; n-- {
+		b = append(b, ' ')
+	}
+	return b
 }
 
 // Merge combines per-daemon statistics (e.g. across MPI ranks).

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,7 +38,7 @@ type Process struct {
 
 	cpu atomic.Int64 // simulated CPU time in µs: Compute adds one per unit
 
-	probes  map[string][]*probeEntry
+	probes  map[string][]*probeEntry // copy-on-write: a list is never changed in place
 	probeID int
 
 	symbols map[string]bool
@@ -421,7 +422,8 @@ func (p *Process) InsertProbe(tracer, point string, onEntry, onExit func(*ProcCo
 	}
 	p.probeID++
 	e := &probeEntry{id: p.probeID, owner: tracer, point: point, onEntry: onEntry, onExit: onExit}
-	p.probes[point] = append(p.probes[point], e)
+	list := p.probes[point]
+	p.probes[point] = append(list[:len(list):len(list)], e)
 	return e.id, nil
 }
 
@@ -442,7 +444,7 @@ func (p *Process) RemoveProbe(tracer string, id int) error {
 	for point, list := range p.probes {
 		for i, e := range list {
 			if e.id == id {
-				p.probes[point] = append(list[:i], list[i+1:]...)
+				p.probes[point] = slices.Concat(list[:i], list[i+1:])
 				return nil
 			}
 		}
@@ -461,14 +463,13 @@ func (p *Process) ProbeCount() int {
 	return n
 }
 
-// probesFor snapshots the probe list for a point.
+// probesFor returns the probe list for a point. Insert and remove
+// replace a list rather than change it, so the caller may range over
+// it after the lock is released.
 func (p *Process) probesFor(point string) []*probeEntry {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	list := p.probes[point]
-	out := make([]*probeEntry, len(list))
-	copy(out, list)
-	return out
+	return p.probes[point]
 }
 
 // ProcContext is a program's window onto its process and the kernel.

@@ -282,6 +282,77 @@ func TestProbesFireAndCount(t *testing.T) {
 	}
 }
 
+// TestCallThroughProbesCopiesNothing: a probe fire reads the installed
+// list itself, so a call through an instrumented function costs the
+// probes' own work and no copy of the list.
+func TestCallThroughProbesCopiesNothing(t *testing.T) {
+	k := NewKernel()
+	var calls atomic.Int64
+	allocs := -1.0
+	spec := Spec{
+		Executable: "app",
+		Program: ProgramFunc(func(c *ProcContext) int {
+			allocs = testing.AllocsPerRun(100, func() { c.Call("fA", nil) })
+			return 0
+		}),
+		Symbols: []string{"fA"},
+	}
+	p := spawnT(t, k, spec, true)
+	if err := p.Attach("tool"); err != nil {
+		t.Fatalf("Attach: %v", err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := p.InsertProbe("tool", "fA",
+			func(*ProcContext) { calls.Add(1) },
+			func(*ProcContext) { calls.Add(1) }); err != nil {
+			t.Fatalf("InsertProbe: %v", err)
+		}
+	}
+	p.Continue("tool")
+	p.WaitParent()
+	if want := int64(2 * 3 * 101); calls.Load() != want {
+		t.Errorf("probes fired %d times, want %d", calls.Load(), want)
+	}
+	if allocs != 0 {
+		t.Errorf("a call through 3 probes allocates %.1f objects, want 0", allocs)
+	}
+}
+
+// TestProbeListIsCopyOnWrite: a call ranges over the list it read after
+// the lock is gone, so inserting or removing a probe must leave that
+// list as it was.
+func TestProbeListIsCopyOnWrite(t *testing.T) {
+	k := NewKernel()
+	p := spawnT(t, k, Spec{Executable: "app", Program: NewExitingProgram(0), Symbols: []string{"f"}}, true)
+	defer p.Kill("")
+	if err := p.Attach("tool"); err != nil {
+		t.Fatalf("Attach: %v", err)
+	}
+	var ids []int
+	for i := 0; i < 3; i++ {
+		id, err := p.InsertProbe("tool", "f", nil, nil)
+		if err != nil {
+			t.Fatalf("InsertProbe: %v", err)
+		}
+		ids = append(ids, id)
+	}
+	firing := p.probesFor("f")
+	if err := p.RemoveProbe("tool", ids[0]); err != nil {
+		t.Fatalf("RemoveProbe: %v", err)
+	}
+	if _, err := p.InsertProbe("tool", "f", nil, nil); err != nil {
+		t.Fatalf("InsertProbe: %v", err)
+	}
+	for i, e := range firing {
+		if e.id != ids[i] {
+			t.Errorf("list being fired changed under it: entry %d is probe %d, want %d", i, e.id, ids[i])
+		}
+	}
+	if got := len(p.probesFor("f")); got != 3 {
+		t.Errorf("%d probes installed, want 3", got)
+	}
+}
+
 func TestInsertProbeDiscipline(t *testing.T) {
 	k := NewKernel()
 	p := spawnT(t, k, Spec{Executable: "spin", Program: NewSpinnerProgram(), Symbols: StdSymbols}, false)

@@ -75,7 +75,9 @@ func NewQueueRM(workers int, tracer *telemetry.Tracer) (*QueueRM, error) {
 func (rm *QueueRM) worker(host *Host) {
 	defer rm.wg.Done()
 	for qj := range rm.queue {
-		rm.tracer.Step("queuerm", "dispatch", fmt.Sprintf("job=%d host=%s", qj.ID, host.Name))
+		if rm.tracer != nil {
+			rm.tracer.Step("queuerm", "dispatch", fmt.Sprintf("job=%d host=%s", qj.ID, host.Name))
+		}
 		qj.host = host.Name
 		qj.exit, qj.err = Launch(host, fmt.Sprintf("qjob-%d", qj.ID), qj.Spec, rm.tracer, "queuerm")
 		close(qj.done)
@@ -92,7 +94,9 @@ func (rm *QueueRM) Enqueue(spec JobSpec) (*QueuedJob, error) {
 	rm.nextID++
 	qj := &QueuedJob{ID: rm.nextID, Spec: spec, done: make(chan struct{})}
 	rm.mu.Unlock()
-	rm.tracer.Step("queuerm", "enqueue", fmt.Sprintf("job=%d cmd=%s", qj.ID, spec.Name))
+	if rm.tracer != nil {
+		rm.tracer.Step("queuerm", "enqueue", fmt.Sprintf("job=%d cmd=%s", qj.ID, spec.Name))
+	}
 	rm.queue <- qj
 	return qj, nil
 }

@@ -79,7 +79,9 @@ func (h *Handle) CreateProcess(spec ProcessSpec, mode StartMode) (*Process, erro
 		return nil, err
 	}
 	defer h.observe(opCreateProcess).done()
-	h.cfg.Tracer.Step(h.cfg.Identity, "tdp_create_process", spec.Executable+","+mode.String())
+	if h.cfg.Tracer != nil {
+		h.cfg.Tracer.Step(h.cfg.Identity, "tdp_create_process", spec.Executable+","+mode.String())
+	}
 	p, err := k.Spawn(procsim.Spec{
 		Executable:  spec.Executable,
 		Args:        spec.Args,
@@ -107,7 +109,7 @@ func (h *Handle) Attach(pid procsim.PID) (*Process, error) {
 		return nil, err
 	}
 	defer h.observe(opAttach).done()
-	h.cfg.Tracer.Step(h.cfg.Identity, "tdp_attach", "pid="+strconv.Itoa(int(pid)))
+	h.tracePID("tdp_attach", pid, "")
 	p, err := k.Process(pid)
 	if err != nil {
 		return nil, fmt.Errorf("tdp: attach: %w", err)
@@ -144,6 +146,14 @@ func (p *Process) Executable() string { return p.p.Executable() }
 // State returns the current run state.
 func (p *Process) State() procsim.State { return p.p.State() }
 
+// tracePID records a process verb's step with its "pid=N" detail, and
+// suffix after it, which it builds only when tracing is on.
+func (h *Handle) tracePID(action string, pid procsim.PID, suffix string) {
+	if h.cfg.Tracer != nil {
+		h.cfg.Tracer.Step(h.cfg.Identity, action, "pid="+strconv.Itoa(int(pid))+suffix)
+	}
+}
+
 // controller is the identity used for kernel control calls: the
 // attached tracer's identity when this handle attached, otherwise the
 // anonymous owner identity.
@@ -159,13 +169,13 @@ func (p *Process) controller() string {
 // how execution (re)starts — tdp_continue_process.
 func (p *Process) Continue() error {
 	defer p.h.observe(opContinueProcess).done()
-	p.h.cfg.Tracer.Step(p.h.cfg.Identity, "tdp_continue_process", "pid="+strconv.Itoa(int(p.p.PID())))
+	p.h.tracePID("tdp_continue_process", p.p.PID(), "")
 	return p.p.Continue(p.controller())
 }
 
 // Stop pauses the process at its next safe point.
 func (p *Process) Stop() error {
-	p.h.cfg.Tracer.Step(p.h.cfg.Identity, "tdp_stop_process", "pid="+strconv.Itoa(int(p.p.PID())))
+	p.h.tracePID("tdp_stop_process", p.p.PID(), "")
 	return p.p.Stop(p.controller())
 }
 
@@ -173,7 +183,7 @@ func (p *Process) Stop() error {
 // waiting for the park. Safe to call from instrumentation callbacks
 // executing on the process's own goroutine — the breakpoint mechanism.
 func (p *Process) RequestStop() error {
-	p.h.cfg.Tracer.Step(p.h.cfg.Identity, "tdp_stop_process", "pid="+strconv.Itoa(int(p.p.PID()))+",async")
+	p.h.tracePID("tdp_stop_process", p.p.PID(), ",async")
 	return p.p.RequestStop(p.controller())
 }
 
@@ -184,7 +194,7 @@ func (p *Process) WaitStopped() { p.p.WaitStopped() }
 // Kill terminates the process with the given signal name ("" means
 // SIGKILL).
 func (p *Process) Kill(signal string) error {
-	p.h.cfg.Tracer.Step(p.h.cfg.Identity, "tdp_kill_process", "pid="+strconv.Itoa(int(p.p.PID())))
+	p.h.tracePID("tdp_kill_process", p.p.PID(), "")
 	return p.p.Kill(signal)
 }
 
@@ -198,7 +208,7 @@ func (p *Process) Detach() error {
 	p.attached = false
 	p.mu.Unlock()
 	p.h.untrackAttached(p)
-	p.h.cfg.Tracer.Step(p.h.cfg.Identity, "tdp_detach", "pid="+strconv.Itoa(int(p.p.PID())))
+	p.h.tracePID("tdp_detach", p.p.PID(), "")
 	return p.p.Detach(p.h.cfg.Identity)
 }
 

@@ -193,7 +193,9 @@ func Init(cfg Config) (*Handle, error) {
 		cass.SetTelemetry(cfg.Telemetry, cfg.Tracer)
 		h.global, h.gscope = cass, attrspace.Local
 	}
-	h.cfg.Tracer.Step(h.cfg.Identity, "tdp_init", "context="+cfg.Context)
+	if h.cfg.Tracer != nil {
+		h.cfg.Tracer.Step(h.cfg.Identity, "tdp_init", "context="+cfg.Context)
+	}
 	return h, nil
 }
 
