@@ -1,6 +1,10 @@
 package tdp
 
 import (
+	"cmp"
+	"context"
+	"slices"
+
 	"tdp/internal/attrspace"
 )
 
@@ -99,24 +103,83 @@ func (h *Handle) PendingEvents() int { return h.queue.Len() }
 // context. Each change queues a call to cb (delivered, like all TDP
 // callbacks, through ServiceEvents) with op "put", "delete" or
 // "destroy". The paper uses this for the RM's optional immediate
-// notification of process status changes (§2.3). The server's bare
-// account of updates it had to drop for a slow subscriber (an event of
-// op "lost", which names no attribute) is not a change and is not
-// delivered: a callback learns of a gap no more than it did when the
-// count rode on the next change.
+// notification of process status changes (§2.3).
+//
+// A watcher that falls behind loses updates, and the server says so
+// (Event.Lost). Then WatchUpdates re-reads the context and queues a
+// "put" for each attribute whose value differs from the last one its
+// callbacks saw, in write order, and a "delete" (with the last value
+// seen) for each that is gone; events the re-read already covers are
+// skipped. So the callbacks still see every attribute's final value,
+// though not every value in between. A re-read that fails is owed and
+// tried again at the next event. Each re-read is one snapshot of the
+// whole context, so a watcher that always lags pays one per burst of
+// events it falls behind. The server's bare account of a loss (an
+// event of op "lost", which names no attribute) is never handed to cb.
 func (h *Handle) WatchUpdates(cb func(attr, value, op string)) error {
 	if err := h.lass.Subscribe(); err != nil {
 		return err
 	}
+	if cb == nil {
+		return nil
+	}
+	post := func(attr, value, op string) {
+		h.queue.Post(func() { cb(attr, value, op) })
+		h.noteEventDepth()
+	}
 	go func() {
+		seen := map[string]string{} // each attribute's value as cb last saw it
+		var covered uint64          // the context seq the last re-read reflects
+		owed := false               // a declared loss no re-read has repaired yet
 		for ev := range h.lass.Events() {
-			ev := ev
-			if cb == nil || ev.Op == "lost" {
-				continue
+			if ev.Op != "lost" && ev.Seq > covered {
+				switch ev.Op {
+				case "put":
+					seen[ev.Attr] = ev.Value
+				case "delete":
+					delete(seen, ev.Attr)
+				case "destroy": // a context made again counts its seqs from 0
+					clear(seen)
+					covered = 0
+				}
+				post(ev.Attr, ev.Value, ev.Op)
 			}
-			h.queue.Post(func() { cb(ev.Attr, ev.Value, ev.Op) })
-			h.noteEventDepth()
+			if ev.Lost > 0 {
+				owed = true
+			}
+			if owed {
+				covered, owed = h.reread(seen, covered, post)
+			}
 		}
 	}()
 	return nil
+}
+
+// reread brings seen up to the context's current attributes, posting
+// what changed, and returns the context seq that read reflects. On
+// failure it returns covered unchanged and owed true, so the caller
+// tries again at the next event.
+func (h *Handle) reread(seen map[string]string, covered uint64, post func(attr, value, op string)) (seq uint64, owed bool) {
+	snap, seq, err := h.lass.SnapshotSeq(context.Background())
+	if err != nil {
+		return covered, true
+	}
+	changed := make([]string, 0, len(snap))
+	for k, v := range snap {
+		if old, ok := seen[k]; !ok || old != v.Value {
+			changed = append(changed, k)
+		}
+	}
+	slices.SortFunc(changed, func(a, b string) int { return cmp.Compare(snap[a].Seq, snap[b].Seq) })
+	for k, v := range seen {
+		if _, ok := snap[k]; !ok {
+			delete(seen, k)
+			post(k, v, "delete")
+		}
+	}
+	for _, k := range changed {
+		seen[k] = snap[k].Value
+		post(k, snap[k].Value, "put")
+	}
+	return seq, false
 }

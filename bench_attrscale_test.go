@@ -92,8 +92,8 @@ func (s *seedSpace) put(ctxName, attribute, value string) {
 // first. The seed engine serializes every putter on one space-wide
 // mutex and pays the subscriber fan-out synchronously (two channel
 // operations per full subscriber) on every put; the sharded engine
-// spreads putters across shard locks and coalesces fan-out into
-// per-subscription rings. GOMAXPROCS is pinned so the contention shape
+// spreads putters across shard locks and sends fan-out without blocking
+// on per-subscription channels that drop their oldest update when full. GOMAXPROCS is pinned so the contention shape
 // is the same on every host the baseline is recorded on.
 func BenchmarkAttrSpaceManyContexts(b *testing.B) {
 	const contexts = 64
@@ -152,8 +152,8 @@ func BenchmarkAttrSpaceManyContexts(b *testing.B) {
 			}
 		}
 		// Reach slow-consumer steady state (every delivery channel
-		// full, each delivery goroutine parked, every further put a
-		// pure ring coalesce) before timing.
+		// full, every further put a drop-oldest send per subscriber)
+		// before timing.
 		for i := 0; i < 2*64*contexts; i++ {
 			if err := refs[i%contexts].Put("hot", "v"); err != nil {
 				b.Fatal(err)

@@ -42,7 +42,8 @@ func BenchmarkSameHostPut(b *testing.B) {
 			b.Fatalf("dial: %v", err)
 		}
 		b.Cleanup(func() { c.Close() })
-		for i, deadline := 0, time.Now().Add(10*time.Second); i < 200 || (wantShm && !c.ShmActive()); i++ {
+		promotions := srv.Telemetry().Counter("attrspace.shm.promotions")
+		for i, deadline := 0, time.Now().Add(10*time.Second); i < 200 || (wantShm && promotions.Value() == 0); i++ {
 			if err := c.Put("attr", "warm"); err != nil {
 				b.Fatal(err)
 			}
@@ -50,8 +51,8 @@ func BenchmarkSameHostPut(b *testing.B) {
 				break
 			}
 		}
-		if c.ShmActive() != wantShm {
-			b.Fatalf("ShmActive = %v, want %v", c.ShmActive(), wantShm)
+		if onRing := promotions.Value() == 1; onRing != wantShm {
+			b.Fatalf("promoted to a ring = %v, want %v", onRing, wantShm)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -139,7 +140,7 @@ func BenchmarkShmIdleThenBurst(b *testing.B) {
 		}
 		c := benchClientAt(b, addr, "job-0")
 		c.SetTelemetry(creg, nil)
-		for deadline := time.Now().Add(10 * time.Second); !c.ShmActive(); {
+		for deadline := time.Now().Add(10 * time.Second); creg.Counter("attrspace.shm.promotions").Value() == 0; {
 			if err := op(c); err != nil {
 				b.Fatal(err)
 			}
@@ -243,11 +244,13 @@ func BenchmarkMuxFanout(b *testing.B) {
 		}
 		var gen atomic.Int64
 		arrived := make(chan int64, 64)
-		watcher.SetEventHandler(func(ev attrspace.Event) {
-			if ev.Attr == "signal" {
-				arrived <- gen.Load()
+		go func() { // ends when the watcher closes its events
+			for ev := range watcher.Events() {
+				if ev.Attr == "signal" {
+					arrived <- gen.Load()
+				}
 			}
-		})
+		}()
 		var eventWait int64
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -36,7 +36,7 @@ func main() {
 	logLevel := flag.String("loglevel", "error", "log verbosity: debug|info|error|silent")
 	monitor := flag.Duration("monitor", 0, "self-publish metrics as tdp.monitor.cass.* at this interval (0 disables)")
 	monitorCtx := flag.String("monitor-context", "default", "context to publish monitor attributes into")
-	eventBuf := flag.Int("event-buffer", attrspace.DefaultEventBuffer, "per-subscriber event ring size; a CASS fanning out to many caching LASSes wants this large")
+	eventBuf := flag.Int("event-buffer", attrspace.DefaultEventBuffer, "updates a subscriber may fall behind by before the oldest is dropped and declared; a CASS fanning out to many caching LASSes wants this large")
 	drainTimeout := flag.Duration("drain-timeout", 5*time.Second, "graceful shutdown bound: announce CLOSE to clients and finish in-flight replies for up to this long before closing (0 closes immediately)")
 	debugAddr := flag.String("debug-addr", "", "serve pprof, /metrics, and /stats.json over HTTP on this address (empty disables)")
 	shard := flag.String("shard", "", "serve as shard i of an n-way partitioned CASS (\"i/n\", 0-based); contexts hashing to other shards are refused")

@@ -15,8 +15,8 @@
 // ops scatter-gather across the pool, and a dead shard fails only its
 // own key range.
 // -cache-max bounds cached entries per context; -event-buffer sizes
-// the per-subscriber fan-out ring (larger absorbs bigger bursts before
-// the coalesce/drop overflow policy engages).
+// each subscriber's event channel: how many updates it may fall behind
+// by before the oldest is dropped and declared to it (EVENT lost=<d>).
 //
 // -debug-addr additionally serves pprof profiles and the registry as
 // /metrics (Prometheus exposition) and /stats.json over HTTP.
@@ -51,7 +51,7 @@ func main() {
 	monitorCtx := flag.String("monitor-context", "default", "context to publish monitor attributes into")
 	cassAddr := flag.String("cass", "", "upstream CASS address(es); enables the G* global verbs with a subscription-invalidated read cache. A comma-separated list (\"host1:4500,host2:4500\") routes contexts across a sharded CASS pool by name hash — order must match every cassd's -shard i/n numbering")
 	cacheMax := flag.Int("cache-max", 0, "max cached global entries per context (0 = default 4096)")
-	eventBuf := flag.Int("event-buffer", attrspace.DefaultEventBuffer, "per-subscriber event ring size")
+	eventBuf := flag.Int("event-buffer", attrspace.DefaultEventBuffer, "updates a subscriber may fall behind by before the oldest is dropped and declared")
 	drainTimeout := flag.Duration("drain-timeout", 5*time.Second, "graceful shutdown bound: announce CLOSE to clients and finish in-flight replies for up to this long before closing (0 closes immediately)")
 	debugAddr := flag.String("debug-addr", "", "serve pprof, /metrics, and /stats.json over HTTP on this address (empty disables)")
 	shm := flag.Bool("shm", true, "let same-host clients be promoted to the shared-memory ring transport (unix-socket connections are promoted to an mmap ring pair once their traffic has paid for one); -shm=false keeps every client on the socket byte stream")

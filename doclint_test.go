@@ -14,11 +14,12 @@ import (
 // docLintFiles returns the documents that tell a reader which calls to
 // make: README, DESIGN and the verify notes in the repository's hidden
 // skills directory. Every method or field they name in backticks as T.M
-// or (*T).M, for T a type declared in package tdp, internal/attrspace,
-// internal/telemetry or internal/wire, must exist, and so must every
-// name they qualify with one of those packages and every repository
-// path they name in backticks; a rename or deletion that leaves a
-// sentence behind fails here until the sentence follows it.
+// or (*T).M, for T a type declared in package tdp, internal/attr,
+// internal/attrspace, internal/telemetry or internal/wire, must exist,
+// and so must every name they qualify with one of those packages and
+// every repository path they name in backticks; a rename or deletion
+// that leaves a sentence behind fails here until the sentence follows
+// it.
 func docLintFiles(t *testing.T) []string {
 	notes, err := filepath.Glob(".*/skills/verify/SKILL.md")
 	if err != nil || len(notes) != 1 {
@@ -29,7 +30,7 @@ func docLintFiles(t *testing.T) []string {
 
 // docLintPackages maps the qualifier a document may write before a type
 // to the directory that declares it.
-var docLintPackages = map[string]string{"tdp": ".", "attrspace": "internal/attrspace", "telemetry": "internal/telemetry", "wire": "internal/wire"}
+var docLintPackages = map[string]string{"tdp": ".", "attr": "internal/attr", "attrspace": "internal/attrspace", "telemetry": "internal/telemetry", "wire": "internal/wire"}
 
 // docMember is T.M or (*T).M, optionally qualified (attrspace.Client.PutAt);
 // a type qualified by another package (mrnet.Config) is not checked.
@@ -82,6 +83,85 @@ func TestDocsNameRealMembers(t *testing.T) {
 	}
 	if resolved == 0 {
 		t.Error("the documents name no member the check could resolve: it is checking nothing")
+	}
+}
+
+// docMetric is a server metric name in a code span,
+// attrspace.<family>.<name>, not itself part of a longer dotted name
+// (tdp.monitor.lass.attrspace.ops.put is an attribute).
+var docMetric = regexp.MustCompile(`(?:^|[^\w.])(attrspace(?:\.[\w<>*]+)+)`)
+
+// metricPart is one segment of a concrete metric name. A name with any
+// other segment (<verb>, *, N) is a pattern, and is not checked.
+var metricPart = regexp.MustCompile(`^[a-z0-9_]+$`)
+
+// TestDocsNameRealMetrics: every attrspace.* metric the documents name
+// is registered somewhere in the root module's non-test code — written
+// out as a string literal, or built by the op table (opsName, latName:
+// attrspace.ops.<verb>, attrspace.latency.<verb>). A metric that is
+// deleted takes its sentences with it.
+func TestDocsNameRealMetrics(t *testing.T) {
+	known := map[string]bool{}
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "bench" || d.Name() == "testdata") {
+				return filepath.SkipDir // bench/ is its own module
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				known[strings.Trim(lit.Value, "`\"")] = true
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for verb := range verbLiterals(t, "internal/attrspace/ops.go") {
+		known["attrspace.ops."+strings.ToLower(verb)] = true
+		known["attrspace.latency."+strings.ToLower(verb)] = true
+	}
+	checked := 0
+	for _, file := range docLintFiles(t) {
+		doc, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, span := range inlineCode(string(doc)) {
+		names:
+			for _, m := range docMetric.FindAllStringSubmatch(span.text, -1) {
+				name := strings.TrimRight(m[1], ".")
+				parts := strings.Split(name, ".")
+				if len(parts) < 3 {
+					continue // attrspace.Global, a Go name, not a metric
+				}
+				for _, p := range parts {
+					if !metricPart.MatchString(p) {
+						continue names
+					}
+				}
+				if !known[name] {
+					t.Errorf("%s:%d: `%s` names metric %s, which no code registers", file, span.line, span.text, name)
+				}
+				checked++
+			}
+		}
+	}
+	if checked == 0 {
+		t.Error("the documents name no attrspace metric: the check is checking nothing")
 	}
 }
 
@@ -240,28 +320,7 @@ var docVerb = regexp.MustCompile(`^([A-Z][A-Z0-9]*) [a-z_]\w*=`)
 // replies and the tool-stream verbs; a verb that leaves the protocol
 // takes its sentences with it.
 func TestDocsNameRealVerbs(t *testing.T) {
-	verbs := map[string]bool{}
-	for _, src := range []string{"internal/attrspace/ops.go", "internal/wire/wire.go"} {
-		f, err := parser.ParseFile(token.NewFileSet(), src, nil, parser.SkipObjectResolution)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch d := n.(type) {
-			case *ast.ValueSpec: // var opTable = []opSpec{{verb: "HELLO", …}, …}
-				if d.Names[0].Name != "opTable" {
-					return false
-				}
-			case *ast.FuncDecl: // func init() { words := []string{"HELLO", …} … }
-				return d.Name.Name == "init"
-			case *ast.BasicLit:
-				if d.Kind == token.STRING {
-					verbs[strings.Trim(d.Value, `"`)] = true
-				}
-			}
-			return true
-		})
-	}
+	verbs := verbLiterals(t, "internal/attrspace/ops.go", "internal/wire/wire.go")
 	if !verbs["SNAP"] || !verbs["SNAPV"] {
 		t.Fatalf("read no verbs from the op table or the vocabulary: %v", verbs)
 	}
@@ -283,6 +342,38 @@ func TestDocsNameRealVerbs(t *testing.T) {
 	if checked == 0 {
 		t.Error("the documents write out no verb: the check is checking nothing")
 	}
+}
+
+// verbLiterals returns the string literals of the opTable variable and
+// the init functions of the given source files: the op table's verbs
+// (var opTable = []opSpec{{verb: "HELLO", …}, …}) and the wire
+// vocabulary (func init() { words := []string{"HELLO", …} … }), with
+// whatever else those init functions spell.
+func verbLiterals(t *testing.T, srcs ...string) map[string]bool {
+	t.Helper()
+	verbs := map[string]bool{}
+	for _, src := range srcs {
+		f, err := parser.ParseFile(token.NewFileSet(), src, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch d := n.(type) {
+			case *ast.ValueSpec:
+				if d.Names[0].Name != "opTable" {
+					return false
+				}
+			case *ast.FuncDecl:
+				return d.Name.Name == "init"
+			case *ast.BasicLit:
+				if d.Kind == token.STRING {
+					verbs[strings.Trim(d.Value, `"`)] = true
+				}
+			}
+			return true
+		})
+	}
+	return verbs
 }
 
 // makeFuzz is one `make fuzz` line: the package it runs in and the

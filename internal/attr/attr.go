@@ -24,17 +24,14 @@
 // context holds its shard lock exclusively, so the context's Seq
 // counter still totally orders its updates.
 //
-// Subscriber delivery is asynchronous. A Put appends the Update to
-// each subscription's bounded ring buffer while it holds the shard
-// lock (an O(1) slice write), and a per-subscription delivery
-// goroutine drains the ring onto the subscriber's channel. Publishers
-// therefore never block on slow subscribers and never perform channel
-// operations inside the store's critical section. When a ring
-// overflows, updates for the same attribute coalesce to the latest
-// value; if nothing coalesces, the oldest update is dropped and
-// counted (Subscription.Lost) — OpDestroy is never dropped. Blocked
-// Gets are woken outside the lock through buffered channels, exactly
-// one value each.
+// Subscriber delivery is one buffered channel per subscription. A Put
+// sends the Update on it while it holds the shard lock, so the
+// publisher is the channel's only sender and the channel carries the
+// context's seq order. The send never blocks: on a full channel the
+// oldest update is dropped and counted (Subscription.Lost), so a slow
+// subscriber loses updates, declared, and never slows a publisher.
+// OpDestroy is never dropped. Blocked Gets are woken outside the lock
+// through buffered channels, exactly one value each.
 //
 // # Identities
 //
@@ -289,7 +286,7 @@ func (c *spaceContext) publish(r *Ref, u Update) {
 			r.suppressed.Add(1)
 			continue
 		}
-		sub.enqueue(u) // O(1) ring append; never blocks
+		sub.send(u) // never blocks
 	}
 }
 
@@ -589,8 +586,8 @@ func (r *Ref) Leave() error {
 	c.seq++
 	u := Update{Context: c.name, Op: OpDestroy, Seq: c.seq}
 	for sub := range c.subs {
-		sub.enqueue(u)
-		sub.finish()
+		sub.send(u)
+		close(sub.ch)
 	}
 	clear(c.subs)
 	clear(c.waiters)
@@ -598,25 +595,18 @@ func (r *Ref) Leave() error {
 	return nil
 }
 
-// Subscription delivers Updates for a context through a bounded ring
-// buffer drained by a dedicated delivery goroutine, so publishers
-// never block on (or even perform channel operations for) a slow
-// subscriber.
+// Subscription delivers Updates for a context on one buffered channel.
+// The publisher of an update holds the context's shard lock, so it is
+// the channel's only sender, and its send never blocks: when the
+// channel is full, the oldest undelivered update is dropped to make
+// room and counted in Lost. Overflow has that one policy, and every
+// drop is declared: a consumer that must know what it missed — a cache
+// that must invalidate, a watcher that must re-read — watches Lost.
+// OpDestroy is the last update a subscription ever gets, so it is never
+// the one dropped.
 //
-// Overflow policy, in order:
-//  1. An update whose attribute already has a queued update replaces
-//     it in place (coalesce-to-latest — the subscriber still observes
-//     the final value of every attribute, though intermediate values
-//     and cross-attribute interleaving may be elided; Coalesced
-//     counts these).
-//  2. Otherwise the oldest queued update is dropped (Lost counts
-//     these). A consumer that needs to detect elision — a cache that
-//     must invalidate what it missed — watches Lost.
-//  3. OpDestroy is never coalesced away or dropped.
-//
-// The consumer must drain Updates until the channel closes, or call
-// Unsubscribe; an abandoned, undrained subscription pins its delivery
-// goroutine.
+// The channel closes after OpDestroy, or on Unsubscribe. A subscriber
+// that stops draining costs its channel's buffer and nothing more.
 type Subscription struct {
 	// Set at registration, under the lock that registered it, and never
 	// changed: the subscription's id, the origin a mirror names on its
@@ -625,182 +615,60 @@ type Subscription struct {
 	// starts after — every later update reaches it or is counted Lost.
 	ID, Inc, Seq uint64
 
+	ctx  *spaceContext // whose shard lock guards sending on and closing ch
 	ch   chan Update
-	wake chan struct{} // cap 1: "queue non-empty or done changed"
-	stop chan struct{} // closed by Unsubscribe: abort delivery
-
-	mu       sync.Mutex
-	queue    []Update
-	idx      map[string]int // attr -> absolute index of newest queued update
-	base     int            // absolute index of queue[0]
-	limit    int
-	done     bool // no further enqueues; delivery closes ch once drained
-	lost     uint64
-	coal     uint64
-	stopOnce sync.Once
+	lost atomic.Uint64
 }
 
 // Updates returns the channel on which updates arrive. The channel is
 // closed when the subscription is cancelled or the context destroyed.
 func (s *Subscription) Updates() <-chan Update { return s.ch }
 
-// Depth reports the number of updates currently queued (excluding any
-// buffered in the delivery channel).
-func (s *Subscription) Depth() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.queue)
-}
+// Lost reports the cumulative count of updates dropped on overflow.
+func (s *Subscription) Lost() uint64 { return s.lost.Load() }
 
-// Lost reports the cumulative count of updates dropped on ring
-// overflow (coalesced updates are not lost; see Coalesced).
-func (s *Subscription) Lost() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lost
-}
+// Coalesced always returns 0: a subscription no longer coalesces
+// updates. Its one caller is bench/ladder_local.go, which reports it as
+// the attr.events.coalesced metric; it goes with that metric, when the
+// benchmark next changes.
+func (s *Subscription) Coalesced() uint64 { return 0 }
 
-// Coalesced reports the cumulative count of updates that replaced an
-// older queued update for the same attribute on ring overflow.
-func (s *Subscription) Coalesced() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.coal
-}
-
-// enqueue adds an update to the ring. Called with the owning shard's
-// lock held, so it must stay O(1) and non-blocking.
-func (s *Subscription) enqueue(u Update) {
-	s.mu.Lock()
-	if s.done {
-		s.mu.Unlock()
-		return
-	}
-	if len(s.queue) >= s.limit && u.Op != OpDestroy {
-		// Coalesce to latest for the same attribute.
-		if abs, ok := s.idx[u.Attr]; ok && abs >= s.base {
-			if q := &s.queue[abs-s.base]; q.Op != OpDestroy {
-				*q = u
-				s.coal++
-				s.mu.Unlock()
-				s.signal()
-				return
-			}
-		}
-		// Nothing to coalesce: drop the oldest non-destroy update.
-		for i := range s.queue {
-			if s.queue[i].Op != OpDestroy {
-				if s.idx[s.queue[i].Attr] == s.base+i {
-					delete(s.idx, s.queue[i].Attr)
-				}
-				copy(s.queue[i:], s.queue[i+1:])
-				s.queue = s.queue[:len(s.queue)-1]
-				s.lost++
-				break
-			}
-		}
-		// Indexes after the removed slot shifted down by one; rather
-		// than rewrite the map (O(n)), rebase: entries are validated
-		// against the queue on use, so a slightly stale index only
-		// costs a missed coalesce, never a wrong one — except that a
-		// stale index could now point at a different attr's slot.
-		// Rebuild to stay exact; the ring is small and overflow is the
-		// rare path.
-		for i := range s.queue {
-			s.idx[s.queue[i].Attr] = s.base + i
-		}
-	}
-	s.queue = append(s.queue, u)
-	if u.Op != OpDestroy {
-		s.idx[u.Attr] = s.base + len(s.queue) - 1
-	}
-	s.mu.Unlock()
-	s.signal()
-}
-
-func (s *Subscription) signal() {
+// send queues u without blocking, dropping the oldest queued update
+// when the channel is full. Called with the owning shard's lock held,
+// which makes it the channel's only sender: once it has received (or
+// the consumer has), the last send finds room.
+func (s *Subscription) send(u Update) {
 	select {
-	case s.wake <- struct{}{}:
+	case s.ch <- u:
+		return
 	default:
 	}
-}
-
-// finish marks the subscription complete: no more enqueues; the
-// delivery goroutine closes the channel once the ring drains.
-func (s *Subscription) finish() {
-	s.mu.Lock()
-	s.done = true
-	s.mu.Unlock()
-	s.signal()
-}
-
-// run is the delivery goroutine: it drains the ring in batches onto
-// the subscriber channel and closes the channel on completion.
-func (s *Subscription) run() {
-	var batch []Update
-	for {
-		s.mu.Lock()
-		if len(s.queue) == 0 {
-			done := s.done
-			s.mu.Unlock()
-			if done {
-				close(s.ch)
-				return
-			}
-			select {
-			case <-s.wake:
-				continue
-			case <-s.stop:
-				close(s.ch)
-				return
-			}
-		}
-		// Swap the queue out; publishers keep appending to a fresh one.
-		batch, s.queue = s.queue, batch[:0]
-		s.base += len(batch)
-		clear(s.idx)
-		s.mu.Unlock()
-		for i := range batch {
-			select {
-			case s.ch <- batch[i]:
-			case <-s.stop:
-				close(s.ch)
-				return
-			}
-		}
+	select {
+	case <-s.ch:
+		s.lost.Add(1)
+	default: // the consumer took one meanwhile
 	}
+	s.ch <- u
 }
 
 // Subscribe registers for all subsequent updates in the context. The
-// buffer argument sizes both the ring buffer and the delivery channel
-// (minimum 1); size it for the expected burst — on overflow the ring
-// coalesces per attribute and then drops oldest (see Subscription).
+// buffer argument sizes the delivery channel (minimum 1); size it for
+// the expected burst — on overflow the oldest update is dropped and
+// counted (see Subscription).
 func (r *Ref) Subscribe(buffer int) (*Subscription, error) {
 	c, err := r.live()
 	if err != nil {
 		return nil, err
 	}
-	if buffer < 1 {
-		buffer = 1
-	}
-	sub := &Subscription{
-		ID:    r.space.mint(),
-		ch:    make(chan Update, buffer),
-		wake:  make(chan struct{}, 1),
-		stop:  make(chan struct{}),
-		idx:   make(map[string]int),
-		limit: buffer,
-	}
+	sub := &Subscription{ID: r.space.mint(), ctx: c, ch: make(chan Update, max(buffer, 1))}
 	sh := c.sh
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	if r.isClosed() || c.refs == 0 {
-		sh.mu.Unlock()
 		return nil, ErrClosed
 	}
 	sub.Inc, sub.Seq = c.inc, c.seq
 	c.subs[sub] = struct{}{}
-	sh.mu.Unlock()
-	go sub.run()
 	return sub, nil
 }
 
@@ -810,20 +678,18 @@ func (r *Ref) isClosed() bool {
 	return r.ctx == nil
 }
 
-// Unsubscribe cancels a subscription and closes its channel. Updates
-// still queued at cancellation are discarded.
+// Unsubscribe cancels a subscription and closes its channel; updates
+// already in the channel are still received before it reads closed. It
+// works through the subscription's own context, so it holds after the
+// reference that made it has left while others keep the context alive.
+// Unsubscribing twice, or after the context's destruction closed the
+// channel, does nothing.
 func (r *Ref) Unsubscribe(sub *Subscription) {
-	r.mu.Lock()
-	c := r.ctx
-	r.mu.Unlock()
-	if c != nil {
-		sh := c.sh
-		sh.mu.Lock()
+	c := sub.ctx
+	c.sh.mu.Lock()
+	defer c.sh.mu.Unlock()
+	if _, ok := c.subs[sub]; ok {
 		delete(c.subs, sub)
-		sh.mu.Unlock()
+		close(sub.ch)
 	}
-	sub.mu.Lock()
-	sub.done = true
-	sub.mu.Unlock()
-	sub.stopOnce.Do(func() { close(sub.stop) })
 }

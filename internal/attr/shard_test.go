@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -208,43 +210,89 @@ func TestConcurrentLifecycleRace(t *testing.T) {
 	}
 }
 
-// TestOverflowCoalescesToLatest fills a tiny ring with repeated writes
-// to the same attribute while delivery is stalled; the subscriber must
-// observe the final value, with the elided ones counted as coalesced.
-func TestOverflowCoalescesToLatest(t *testing.T) {
+// TestOverflowDropsOldestDeclared overflows a small subscription with
+// writes, some to one attribute and some to others, while nobody
+// drains it. The channel keeps the newest updates in seq order, the
+// last write among them; every other update is counted in Lost, so
+// delivered + Lost is exactly what was published.
+func TestOverflowDropsOldestDeclared(t *testing.T) {
 	s := NewSpace()
 	r := s.Join("c")
 	defer r.Leave()
+	const buffer, n = 4, 200
+	sub, err := r.Subscribe(buffer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		attr := "hot"
+		if i%3 == 0 {
+			attr = fmt.Sprintf("k%d", i)
+		}
+		r.Put(attr, strconv.Itoa(i))
+	}
+	r.Unsubscribe(sub)
+	var got []Update
+	for u := range sub.Updates() {
+		got = append(got, u)
+	}
+	if uint64(len(got))+sub.Lost() != n || len(got) != buffer {
+		t.Fatalf("delivered %d + lost %d, want %d updates in the channel and %d in all", len(got), sub.Lost(), buffer, n)
+	}
+	for i, u := range got {
+		if want := uint64(n - buffer + i + 1); u.Seq != want || u.Value != strconv.Itoa(int(want-1)) {
+			t.Errorf("update %d = seq %d value %q, want the newest: seq %d", i, u.Seq, u.Value, want)
+		}
+	}
+	if sub.Coalesced() != 0 {
+		t.Errorf("Coalesced = %d; nothing coalesces", sub.Coalesced())
+	}
+}
+
+// TestSubscribeStartsNoGoroutine: a subscription is its channel; a
+// hundred of them start nothing that runs.
+func TestSubscribeStartsNoGoroutine(t *testing.T) {
+	s := NewSpace()
+	r := s.Join("c")
+	defer r.Leave()
+	before := runtime.NumGoroutine()
+	for i := 0; i < 100; i++ {
+		if _, err := r.Subscribe(1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("100 subscriptions took the goroutine count from %d to %d", before, after)
+	}
+}
+
+// TestUnsubscribeAfterLeave: a subscription outlives the Leave of the
+// reference that made it while another reference keeps the context
+// alive, and Unsubscribe through the left reference still removes it:
+// its channel closes and later writes are not queued for it.
+func TestUnsubscribeAfterLeave(t *testing.T) {
+	s := NewSpace()
+	r, other := s.Join("c"), s.Join("c")
+	defer other.Leave()
 	sub, err := r.Subscribe(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 200
-	for i := 0; i < n; i++ {
-		r.Put("hot", fmt.Sprintf("%d", i))
+	r.Leave()
+	r.Unsubscribe(sub)
+	other.Put("a", "1")
+	if u, ok := <-sub.Updates(); ok {
+		t.Errorf("received %+v after Unsubscribe", u)
 	}
-	// Drain until we see the final value; it must arrive.
-	deadline := time.After(5 * time.Second)
-	var lastSeen string
-	for lastSeen != fmt.Sprintf("%d", n-1) {
-		select {
-		case u, ok := <-sub.Updates():
-			if !ok {
-				t.Fatalf("channel closed before final value; last seen %q", lastSeen)
-			}
-			if u.Attr == "hot" {
-				lastSeen = u.Value
-			}
-		case <-deadline:
-			t.Fatalf("final value never delivered; last seen %q", lastSeen)
-		}
-	}
-	if sub.Coalesced() == 0 && sub.Lost() == 0 {
-		t.Error("expected overflow accounting (coalesced or lost > 0)")
+	c := other.ctx
+	c.sh.mu.RLock()
+	defer c.sh.mu.RUnlock()
+	if len(c.subs) != 0 {
+		t.Errorf("%d subscriptions left in the context after Unsubscribe", len(c.subs))
 	}
 }
 
-// TestOverflowNeverDropsDestroy stalls delivery, overflows the ring
+// TestOverflowNeverDropsDestroy stalls delivery, overflows the channel
 // with distinct attributes, then destroys the context: OpDestroy must
 // still arrive, and the channel must close after it.
 func TestOverflowNeverDropsDestroy(t *testing.T) {
@@ -255,9 +303,9 @@ func TestOverflowNeverDropsDestroy(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 50; i++ {
-		r.Put(fmt.Sprintf("k%d", i), "v") // distinct attrs: no coalescing
+		r.Put(fmt.Sprintf("k%d", i), "v") // distinct attrs
 	}
-	r.Leave() // destroys: OpDestroy enqueued even though ring is full
+	r.Leave() // destroys: OpDestroy sent even though the channel is full
 	sawDestroy := false
 	deadline := time.After(5 * time.Second)
 	for !sawDestroy {

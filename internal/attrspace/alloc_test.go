@@ -173,8 +173,7 @@ func TestEventAllocBudget(t *testing.T) {
 	addr := serveUnix(t, srv, nil)
 	writer, watcher := dialT(t, addr, "alloc"), dialT(t, addr, "alloc")
 	seen := make(chan string, 1)
-	watcher.SetEventHandler(func(ev Event) { seen <- ev.Value })
-	if err := watcher.Subscribe(); err != nil {
+	if _, err := watcher.subscribe(func(ev Event) { seen <- ev.Value }); err != nil {
 		t.Fatalf("Subscribe: %v", err)
 	}
 	var err error

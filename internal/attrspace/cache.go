@@ -45,7 +45,7 @@ import (
 //     foreign write, echoed like any other. An ERROR the shard itself
 //     answered settles the write (nothing was applied) and costs
 //     nothing;
-//   - an EVENT carrying lost=<d> (the server's fan-out ring dropped
+//   - an EVENT carrying lost=<d> (the server's subscription dropped
 //     updates for us) flushes the context's entries — the cache never
 //     trusts a picture with a gap;
 //   - an upstream OpDestroy or connection failure tears the context's
@@ -362,14 +362,14 @@ func (cc *cacheCtx) teardown() {
 	}
 }
 
-// onEvent applies one upstream event. It runs synchronously on the
-// upstream client's read loop (SetEventHandler), so events apply in
-// CASS order and none can be dropped client-side; server-side drops
-// surface as ev.Lost and flush the whole context.
+// onEvent applies one upstream event. It is the upstream client's
+// event handler (installed by subscribe), run on its read loop, so
+// events apply in CASS order and none can be dropped client-side;
+// server-side drops surface as ev.Lost and flush the whole context.
 func (cc *cacheCtx) onEvent(ev Event) {
 	tel := cc.gc.srv.tel.Load()
 	if ev.Lost > 0 {
-		// The server's fan-out ring dropped events for us: the mirror
+		// The server's subscription dropped events for us: the mirror
 		// can no longer be trusted. Flush; demand fills warm it back up
 		// with authoritative seqs.
 		cc.mu.Lock()

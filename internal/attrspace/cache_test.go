@@ -328,13 +328,12 @@ func TestSeqCarriedOnReplies(t *testing.T) {
 // any buffer.
 func TestEventHandlerSeesEverything(t *testing.T) {
 	srv, addr := startServer(t)
-	srv.SetEventBuffer(8) // small ring: force server-side coalescing instead
+	srv.SetEventBuffer(8) // small: the server drops, and declares, instead
 	pub := dialT(t, addr, "job1")
 	subc := dialT(t, addr, "job1")
 
 	seen := make(chan Event, 4096)
-	subc.SetEventHandler(func(ev Event) { seen <- ev })
-	if err := subc.Subscribe(); err != nil {
+	if _, err := subc.subscribe(func(ev Event) { seen <- ev }); err != nil {
 		t.Fatal(err)
 	}
 	const n = 500
@@ -343,9 +342,9 @@ func TestEventHandlerSeesEverything(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The handler must observe the final value; lost deltas (if the
-	// tiny ring dropped distinct attrs — here it's one attr, so
-	// coalescing applies) are carried on events.
+	// The handler must observe the final value: the server drops the
+	// oldest updates, never the newest, and declares the drops in the
+	// events' Lost.
 	deadline := time.After(5 * time.Second)
 	var last Event
 	for last.Value != fmt.Sprintf("%d", n-1) {

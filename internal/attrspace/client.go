@@ -50,7 +50,7 @@ type Event struct {
 	Value string
 	Op    string // "put", "delete", "destroy", or "lost" (only Lost is set)
 	Seq   uint64
-	// Lost is the number of updates the server's fan-out ring dropped
+	// Lost is the number of updates the server's subscription dropped
 	// for this subscriber since it last said so (0 almost always): on the
 	// event that opens a burst, or on an Op "lost" event of its own when
 	// the drops came while the burst was being sent. An event channel
@@ -398,14 +398,6 @@ func (c *Client) cutover() error {
 	return nil
 }
 
-// ShmActive reports whether this connection has been promoted and is
-// carrying its frames over the shared-memory ring.
-func (c *Client) ShmActive() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.shmActive
-}
-
 // offer queues ev on ch without ever blocking: when the buffer is full
 // the oldest queued event makes room, which keeps a connection from
 // deadlocking against a slow consumer. The drop is declared, not
@@ -619,19 +611,6 @@ func (c *Client) fail(err error) {
 	if hook != nil {
 		hook(err)
 	}
-}
-
-// SetEventHandler installs a function invoked synchronously from the
-// read loop for every pushed EVENT, replacing delivery on the Events
-// channel. Unlike the channel (which drops oldest when the consumer
-// lags), a handler observes every event the server sent, in order —
-// the property a coherent mirror needs. Install it before Subscribe;
-// the handler must not call back into this client's blocking
-// operations (it runs on the loop that would receive their replies).
-func (c *Client) SetEventHandler(fn func(Event)) {
-	c.mu.Lock()
-	c.handler = fn
-	c.mu.Unlock()
 }
 
 // onClose installs a hook invoked once when the client fails or is
@@ -1044,7 +1023,8 @@ type Versioned = attr.Versioned
 
 // SnapshotSeq returns every attribute with the seq of the write that
 // produced it, plus the context's current sequence number (SNAP
-// seqs=1). No product path calls it; BenchmarkSessionResync prices it.
+// seqs=1). tdp.Handle.WatchUpdates re-reads the context with it after
+// a declared loss, skipping the events the read already covers.
 func (c *Client) SnapshotSeq(ctx context.Context) (map[string]Versioned, uint64, error) {
 	spec := opFor(opSnapshot, Local)
 	reply, err := c.call(ctx, spec, spec.req().Set("seqs", "1"))
@@ -1074,11 +1054,16 @@ func (c *Client) Subscribe() error {
 }
 
 // subscribe is Subscribe with the handler, when not nil, installed in
-// the same step that claims the connection's one subscription. It
-// returns the subscription's id as the server wrote it — the origin a
-// mirror stamps, unparsed, on the writes it applies itself so they are
-// not echoed back to it — or "" when the connection was subscribed
-// already and nothing was changed.
+// the same step that claims the connection's one subscription. The
+// handler is called on the read loop for every EVENT in place of the
+// Events channel: where the channel drops its oldest event when its
+// consumer lags, the handler sees every event the server sent, in
+// order — what a coherent mirror (the LASS cache) needs. It must not
+// call this client's blocking operations, whose replies the same loop
+// receives. subscribe returns the subscription's id as the server wrote
+// it — the origin a mirror stamps, unparsed, on the writes it applies
+// itself so they are not echoed back to it — or "" when the connection
+// was subscribed already and nothing was changed.
 func (c *Client) subscribe(handler func(Event)) (origin string, err error) {
 	c.mu.Lock()
 	if c.subbed {

@@ -247,12 +247,11 @@ func TestOwnWriteIsNotEchoed(t *testing.T) {
 	// every write the first LASS makes.
 	direct := dialT(t, cassAddr, "job1")
 	var seen atomic.Value
-	direct.SetEventHandler(func(ev Event) {
+	if _, err := direct.subscribe(func(ev Event) {
 		if ev.Attr == "status" {
 			seen.Store(ev.Value)
 		}
-	})
-	if err := direct.Subscribe(); err != nil {
+	}); err != nil {
 		t.Fatalf("Subscribe: %v", err)
 	}
 	lass2 := NewServer()
@@ -793,7 +792,7 @@ func TestTrailingLossDeclared(t *testing.T) {
 	_, addr := startServer(t)
 	watcher, writer := dialT(t, addr, "job1"), dialT(t, addr, "job1")
 	var delivered, declared, markers atomic.Int64
-	watcher.SetEventHandler(func(ev Event) {
+	if _, err := watcher.subscribe(func(ev Event) {
 		declared.Add(int64(ev.Lost))
 		switch {
 		case ev.Op == "lost":
@@ -804,8 +803,7 @@ func TestTrailingLossDeclared(t *testing.T) {
 		case strings.HasPrefix(ev.Attr, "e"):
 			delivered.Add(1)
 		}
-	})
-	if err := watcher.Subscribe(); err != nil {
+	}); err != nil {
 		t.Fatalf("Subscribe: %v", err)
 	}
 	burst := make([]KV, 1000) // against a ring of 64

@@ -58,7 +58,7 @@ func leakedSegments(grace time.Duration) []string {
 // for the cutover to complete.
 func earnRing(t testing.TB, c *Client) {
 	t.Helper()
-	for deadline := time.Now().Add(10 * time.Second); !c.ShmActive(); {
+	for deadline := time.Now().Add(10 * time.Second); !onRing(c); {
 		if err := c.ping(context.Background()); err != nil {
 			t.Fatalf("Ping on the way to a ring: %v", err)
 		}
@@ -73,6 +73,14 @@ func shmOffered(c *Client) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.shmOK
+}
+
+// onRing reports whether c has been promoted and carries its frames
+// over the shared-memory ring.
+func onRing(c *Client) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.shmActive
 }
 
 // shmCounts reads the promotion counters of one registry.
@@ -111,6 +119,7 @@ type tapConn struct {
 	net.Conn
 	mu     sync.Mutex
 	rx, tx bytes.Buffer
+	ends   []int // tx's length after each Write
 }
 
 func (l *tapListener) Accept() (net.Conn, error) {
@@ -136,6 +145,7 @@ func (c *tapConn) Read(p []byte) (int, error) {
 func (c *tapConn) Write(p []byte) (int, error) {
 	c.mu.Lock()
 	c.tx.Write(p)
+	c.ends = append(c.ends, c.tx.Len())
 	c.mu.Unlock()
 	return c.Conn.Write(p)
 }
@@ -228,7 +238,7 @@ func TestShmShortConnectionsNeverMap(t *testing.T) {
 		if _, _, err := c.GetAt(context.Background(), Local, "pid"); err != nil {
 			t.Fatalf("Get: %v", err)
 		}
-		if c.ShmActive() {
+		if onRing(c) {
 			t.Fatal("a three-op connection was promoted")
 		}
 		c.Close()
@@ -273,8 +283,8 @@ func TestShmPromotionAtThreshold(t *testing.T) {
 			t.Fatalf("Ping: %v", err)
 		}
 	}
-	if p, f, _ := shmCounts(sreg); p != 0 || f != 0 || c.ShmActive() {
-		t.Fatalf("promotion began before reply %d: server counts %d/%d, ShmActive %v", shmPromoteAfter, p, f, c.ShmActive())
+	if p, f, _ := shmCounts(sreg); p != 0 || f != 0 || onRing(c) {
+		t.Fatalf("promotion began before reply %d: server counts %d/%d, on a ring %v", shmPromoteAfter, p, f, onRing(c))
 	}
 	earnRing(t, c)
 	for _, reg := range []*telemetry.Registry{sreg, creg} {
@@ -308,14 +318,10 @@ func TestShmPromotionAtThreshold(t *testing.T) {
 // parked before the swap and released after it, a subscriber taking
 // corked 1,000-event bursts across its own swap while it issues
 // requests, and a heartbeating Session. Every reply must arrive (once:
-// a second would find its one-slot channel gone), each attribute's
-// events must arrive in seq order, delivered + declared lost + coalesced
-// must equal published exactly, and the sockets must carry no framed
-// byte after the SHMRDY exchange. Seq order is per attribute because a
-// subscription that overflows coalesces an update into the queued one
-// for its attribute (attr.Subscription): the newer seq then travels in
-// the older one's place. The server counts those coalesced updates, so
-// the sum stays an exact count.
+// a second would find its one-slot channel gone), the events must
+// arrive in seq order, delivered + declared lost must equal published
+// exactly, and the sockets must carry no framed byte after the SHMRDY
+// exchange.
 func TestShmPromotionUnderLoad(t *testing.T) {
 	if !wire.ShmSupported() {
 		t.Skip("no shm transport on this platform")
@@ -327,20 +333,18 @@ func TestShmPromotionUnderLoad(t *testing.T) {
 
 	sub, pub := dialT(t, addr, "load"), dialT(t, addr, "load")
 	var delivered, lost atomic.Uint64
-	lastSeq := make(map[string]uint64)   // the handler's own
-	sub.SetEventHandler(func(ev Event) { // one goroutine: the read loop
+	var lastSeq uint64                          // the handler's own
+	if _, err := sub.subscribe(func(ev Event) { // one goroutine: the read loop
 		lost.Add(ev.Lost)
 		if ev.Op == "lost" {
 			return // a declaration that closes a burst, not an update: it has no seq
 		}
-		if ev.Seq <= lastSeq[ev.Attr] {
-			t.Errorf("%s: event seq %d after %d", ev.Attr, ev.Seq, lastSeq[ev.Attr])
+		if ev.Seq <= lastSeq {
+			t.Errorf("%s: event seq %d after %d", ev.Attr, ev.Seq, lastSeq)
 		}
-		lastSeq[ev.Attr] = ev.Seq
+		lastSeq = ev.Seq
 		delivered.Add(1)
-	})
-	coalesced := srv.tel.Load().reg.Counter("attrspace.events.coalesced")
-	if err := sub.Subscribe(); err != nil {
+	}); err != nil {
 		t.Fatalf("Subscribe: %v", err)
 	}
 	sess := NewSession(SessionConfig{Addr: addr, Context: "load", Heartbeat: 20 * time.Millisecond})
@@ -407,10 +411,10 @@ func TestShmPromotionUnderLoad(t *testing.T) {
 		if sessRing == nil {
 			t.FailNow()
 		}
-		if sub.ShmActive() && pub.ShmActive() && sessRing.ShmActive() {
+		if onRing(sub) && onRing(pub) && onRing(sessRing) {
 			tail-- // two more rounds with every connection on its ring
 		} else if time.Now().After(deadline) {
-			t.Fatalf("not every connection was promoted: sub %v pub %v session %v", sub.ShmActive(), pub.ShmActive(), sessRing.ShmActive())
+			t.Fatalf("not every connection was promoted: sub %v pub %v session %v", onRing(sub), onRing(pub), onRing(sessRing))
 		}
 		burst := make([]KV, 1000)
 		for i := range burst {
@@ -449,15 +453,82 @@ func TestShmPromotionUnderLoad(t *testing.T) {
 	}
 	// Every loss is declared without another publish to ride on (see
 	// TestEventsFlowWhileGetBlocks).
-	accounted := func() uint64 { return delivered.Load() + lost.Load() + uint64(coalesced.Value()) }
+	accounted := func() uint64 { return delivered.Load() + lost.Load() }
 	for deadline := time.Now().Add(10 * time.Second); accounted() < uint64(published) && time.Now().Before(deadline); {
 		time.Sleep(time.Millisecond)
 	}
-	if d, l, c := delivered.Load(), lost.Load(), coalesced.Value(); d+l+uint64(c) != uint64(published) || d == 0 {
-		t.Errorf("subscriber saw %d events, %d declared lost and %d coalesced of %d published", d, l, c, published)
+	if d, l := delivered.Load(), lost.Load(); d+l != uint64(published) || d == 0 {
+		t.Errorf("subscriber saw %d events and %d declared lost of %d published", d, l, published)
 	}
 	if n := tap.checkTaps(t); n < 3 {
 		t.Errorf("%d connections were promoted on the server's side of the socket, want all 3", n)
+	}
+}
+
+// TestEventBurstIsBounded: a publisher that keeps a subscriber's
+// channel full must not hold the subscriber's connection in one corked
+// write for as long as it publishes — a reply queued behind the cork
+// would wait for all of it. Each burst sends what was queued when it
+// began: no write carries more than the subscription's buffer plus the
+// update that opened the burst, and every update is still delivered or
+// declared lost.
+func TestEventBurstIsBounded(t *testing.T) {
+	const buffer = 8
+	srv := NewServer()
+	srv.SetShm(false) // every write stays on the tapped socket
+	srv.SetEventBuffer(buffer)
+	tap := &tapListener{}
+	addr := serveUnix(t, srv, func(l net.Listener) net.Listener { tap.Listener = l; return tap })
+	sub, pub := dialT(t, addr, "burst"), dialT(t, addr, "burst")
+	var delivered, lost atomic.Uint64
+	if _, err := sub.subscribe(func(ev Event) {
+		lost.Add(ev.Lost)
+		if ev.Op != "lost" {
+			delivered.Add(1)
+		}
+	}); err != nil {
+		t.Fatalf("Subscribe: %v", err)
+	}
+	burst := make([]KV, 1000)
+	published := 0
+	for round := 0; round < 20; round++ {
+		for i := range burst {
+			burst[i] = KV{Key: fmt.Sprintf("b%d", i), Value: strconv.Itoa(round)}
+		}
+		if err := pub.PutBatch(burst); err != nil {
+			t.Fatalf("PutBatch: %v", err)
+		}
+		published += len(burst)
+	}
+	for deadline := time.Now().Add(10 * time.Second); delivered.Load()+lost.Load() < uint64(published) && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if d, l := delivered.Load(), lost.Load(); d+l != uint64(published) || d == 0 {
+		t.Fatalf("subscriber saw %d events and %d declared lost of %d published", d, l, published)
+	}
+	tap.mu.Lock()
+	defer tap.mu.Unlock()
+	most, writes := 0, 0
+	for _, c := range tap.conns {
+		c.mu.Lock()
+		tx, start := c.tx.Bytes(), 0
+		for _, end := range c.ends {
+			updates := 0
+			afterFrame(t, tx[start:end], func(m *wire.Message) bool {
+				if m.Verb == "EVENT" && m.Get("op") != "lost" {
+					updates++
+				}
+				return false
+			})
+			most, start = max(most, updates), end
+			if updates > 0 {
+				writes++
+			}
+		}
+		c.mu.Unlock()
+	}
+	if most > buffer+1 || writes == 0 {
+		t.Errorf("%d writes carried events, the largest %d; want at most %d each", writes, most, buffer+1)
 	}
 }
 
@@ -549,8 +620,8 @@ func TestShmFallbackWhenSegmentUnmappable(t *testing.T) {
 		_, f, _ := shmCounts(creg)
 		return f == 1
 	})
-	if c.ShmActive() {
-		t.Error("ShmActive over an unmappable segment")
+	if onRing(c) {
+		t.Error("on a ring over an unmappable segment")
 	}
 	if err := c.ping(context.Background()); err != nil {
 		t.Fatalf("Ping after the failed promotion: %v", err)
@@ -595,8 +666,8 @@ func TestShmPromotionRefusedAtSHMRDY(t *testing.T) {
 	if !IsRetryable(opErr) {
 		t.Errorf("refused cutover surfaced %v, want a retryable connection loss", opErr)
 	}
-	if c.ShmActive() {
-		t.Error("ShmActive after a refused SHMRDY")
+	if onRing(c) {
+		t.Error("on a ring after a refused SHMRDY")
 	}
 	c.Close()
 	if err := <-done; err != nil {
@@ -639,8 +710,8 @@ func TestShmPromotionCreateFails(t *testing.T) {
 			t.Errorf("%s: %d promotions, %d failed, want 0 and 1 (never retried)", side, p, f)
 		}
 	}
-	if c.ShmActive() {
-		t.Error("ShmActive with no segment")
+	if onRing(c) {
+		t.Error("on a ring with no segment")
 	}
 	if v, _, err := c.TryGetAt(context.Background(), Local, "k"); err != nil || v != strconv.Itoa(3*shmPromoteAfter-1) {
 		t.Errorf("TryGet on the socket after the failed promotion = %q, %v", v, err)

@@ -28,7 +28,7 @@
 // paper's tdp_async_get natural to implement. Mutating acks and VALUE
 // replies carry the per-context sequence number of the write they
 // report (seq), which is what versions the LASS read cache; EVENT may
-// carry lost=<d>, the number of updates the server's fan-out ring had
+// carry lost=<d>, the number of updates the server's subscription had
 // to drop for this subscriber since the last event, and a burst that
 // ends with drops still undeclared ends with an EVENT op=lost that
 // carries nothing else. Requests may carry
@@ -74,11 +74,10 @@ type telemetryHandles struct {
 	gConns *telemetry.Gauge
 
 	// Event fan-out accounting (the asynchronous subscriber path).
-	evPushed    *telemetry.Counter // events written to subscribers
-	evSuppress  *telemetry.Counter // updates withheld from the subscription of the cache that wrote them
-	evLost      *telemetry.Counter // updates dropped on ring overflow
-	evCoalesced *telemetry.Counter // updates coalesced-to-latest on overflow
-	evDepth     *telemetry.Gauge   // last observed ring depth (high-water hint)
+	evPushed   *telemetry.Counter // events written to subscribers
+	evSuppress *telemetry.Counter // updates withheld from the subscription of the cache that wrote them
+	evLost     *telemetry.Counter // updates dropped on subscription overflow
+	evDepth    *telemetry.Gauge   // last observed subscription depth (high-water hint)
 
 	// Global read-cache accounting (the LASS→CASS forwarding path).
 	cacheHits  *telemetry.Counter
@@ -123,8 +122,8 @@ type Server struct {
 	// `STATS scope=tree` reply. See SetStatsChildren.
 	statsKids atomic.Pointer[func() []telemetry.Snapshot]
 
-	// evBuf sizes the fan-out ring + delivery channel of subscriptions
-	// created by SUB; see SetEventBuffer.
+	// evBuf sizes the delivery channel of subscriptions created by SUB;
+	// see SetEventBuffer.
 	evBuf atomic.Int32
 
 	// gcache, when non-nil, serves the global-scope verbs: this
@@ -193,14 +192,14 @@ func (s *Server) shardRefuses(name string) error {
 	return nil
 }
 
-// DefaultEventBuffer is the per-subscription fan-out ring size used
-// for SUB when SetEventBuffer was not called.
+// DefaultEventBuffer is the number of undelivered updates a
+// subscription holds when SetEventBuffer was not called.
 const DefaultEventBuffer = 64
 
-// SetEventBuffer sizes the per-subscription ring buffer (and delivery
-// channel) for subscriptions created by subsequent SUB requests.
-// Larger buffers absorb bigger bursts before the overflow policy
-// (coalesce-to-latest, then drop-oldest) engages; see attr.Subscription.
+// SetEventBuffer sizes the delivery channel of subscriptions created by
+// subsequent SUB requests: the number of updates a subscriber may fall
+// behind by before the oldest is dropped and declared to it
+// (Event.Lost); see attr.Subscription.
 func (s *Server) SetEventBuffer(n int) {
 	if n < 1 {
 		n = 1
@@ -234,7 +233,6 @@ func (s *Server) SetTelemetry(reg *telemetry.Registry, tracer *telemetry.Tracer)
 		h.evPushed = reg.Counter("attrspace.events.pushed")
 		h.evSuppress = reg.Counter("attrspace.events.suppressed")
 		h.evLost = reg.Counter("attrspace.events.lost")
-		h.evCoalesced = reg.Counter("attrspace.events.coalesced")
 		h.evDepth = reg.Gauge("attrspace.events.depth")
 		h.cacheHits = reg.Counter("attrspace.cache.hits")
 		h.cacheMiss = reg.Counter("attrspace.cache.misses")
@@ -1145,50 +1143,43 @@ func (c *serverConn) sendVersioned(r request) {
 // read loop never waits for its consumer — a full Events channel drops
 // and declares (Event.Lost) — so a subscriber that lags does not push
 // back on the socket and never stalls the request/reply path. Bursts
-// (a batched put, a publisher faster than the network) are drained
-// under one Cork so the whole burst leaves in a single write.
-// A burst samples the ring's overflow counters twice. Drops since the
+// (a batched put, a publisher faster than the network) go out under one
+// Cork, so a burst leaves in a single write. A burst sends only what
+// was queued when it began, at most the subscription's buffer plus the
+// update that opened it: replies on the connection queue behind the
+// cork, and a publisher that keeps the channel full must not hold them
+// there for an unbounded write.
+// A burst samples the subscription's drop count twice. Drops since the
 // last sample ride its first EVENT as a lost=<delta> field, so a
 // mirroring consumer knows its picture has a gap; drops that happened
-// while the burst was draining are declared by a value-less EVENT
+// while the burst was being sent are declared by a value-less EVENT
 // op=lost that closes it — a stream's last burst has no next EVENT to
 // wait for.
 func (c *serverConn) pushEvents(sub *attr.Subscription) {
 	tel := c.srv.tel.Load()
 	updates := sub.Updates()
-	var reportedLost, reportedCoal uint64
-	// undeclared samples the counters and returns the drops since the
-	// sample before.
+	var reported uint64
+	// undeclared returns the drops since the sample before.
 	undeclared := func() (lost uint64) {
-		if l := sub.Lost(); l > reportedLost {
-			lost = l - reportedLost
-			reportedLost = l
+		if l := sub.Lost(); l > reported {
+			lost, reported = l-reported, l
 			tel.evLost.Add(int64(lost))
-		}
-		if cl := sub.Coalesced(); cl > reportedCoal {
-			tel.evCoalesced.Add(int64(cl - reportedCoal))
-			reportedCoal = cl
 		}
 		return lost
 	}
 	for u := range updates {
 		lost := undeclared()
-		tel.evDepth.Set(int64(sub.Depth()))
+		tel.evDepth.Set(int64(len(updates)))
 		c.wc.Cork()
 		err := c.sendEvent(u, lost)
 		sent := 1
-	drain:
-		for err == nil {
-			select {
-			case u, ok := <-updates:
-				if !ok {
-					break drain
-				}
-				err = c.sendEvent(u, 0)
-				sent++
-			default:
-				break drain
+		for n := len(updates); n > 0 && err == nil; n-- {
+			u, ok := <-updates
+			if !ok {
+				break
 			}
+			err = c.sendEvent(u, 0)
+			sent++
 		}
 		if err == nil {
 			if lost = undeclared(); lost > 0 {

@@ -553,16 +553,15 @@ func TestSlotRouterShardKilledMidCycle(t *testing.T) {
 // the value the put of that seq wrote, a snapshot against the batch.
 func TestSlotKeptRepliesSurviveLaterFrames(t *testing.T) {
 	srv, addr := startServer(t)
-	srv.SetEventBuffer(1 << 12) // every write's event arrives: none is lost or coalesced
+	srv.SetEventBuffer(1 << 12) // every write's event arrives: none is lost
 	c := dialT(t, addr, "job")
 	var mu sync.Mutex
 	var events []Event
-	c.SetEventHandler(func(ev Event) {
+	if _, err := c.subscribe(func(ev Event) {
 		mu.Lock()
 		events = append(events, ev)
 		mu.Unlock()
-	})
-	if err := c.Subscribe(); err != nil {
+	}); err != nil {
 		t.Fatalf("Subscribe: %v", err)
 	}
 	bg := context.Background()
@@ -674,7 +673,9 @@ func TestSlotOKKeptForItsCaller(t *testing.T) {
 	c := newClient(cliEnd)
 	defer c.Close()
 	seen := make(chan Event, 1)
-	c.SetEventHandler(func(ev Event) { seen <- ev })
+	c.mu.Lock()
+	c.handler = func(ev Event) { seen <- ev } // the SUB below is sent by hand
+	c.mu.Unlock()
 	go func() {
 		wc := wire.NewConn(srvEnd)
 		// An OK nobody waits for grows the loop's read buffer first, so

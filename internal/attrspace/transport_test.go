@@ -276,16 +276,15 @@ func TestEventsFlowWhileGetBlocks(t *testing.T) {
 	_, addr := startServer(t)
 	watcher := dialT(t, addr, "job1")
 	writer := dialT(t, addr, "job1")
-	if err := watcher.Subscribe(); err != nil {
-		t.Fatalf("Subscribe: %v", err)
-	}
 	var delivered, lost atomic.Int64
-	watcher.SetEventHandler(func(ev Event) {
+	if _, err := watcher.subscribe(func(ev Event) {
 		lost.Add(int64(ev.Lost))
 		if strings.HasPrefix(ev.Attr, "e") {
 			delivered.Add(1)
 		}
-	})
+	}); err != nil {
+		t.Fatalf("Subscribe: %v", err)
+	}
 
 	// A GET for an attribute nobody ever writes parks server-side.
 	ctx, cancel := context.WithCancel(context.Background())
@@ -334,7 +333,7 @@ func TestShmCutoverOverUnixSocket(t *testing.T) {
 	if !shmOffered(c) {
 		t.Fatal("HELLO over a unix socket did not answer shm=1")
 	}
-	if c.ShmActive() {
+	if onRing(c) {
 		t.Fatal("a connection with one reply behind it is on a ring")
 	}
 	earnRing(t, c)
@@ -368,8 +367,7 @@ func TestShmCutoverOverUnixSocket(t *testing.T) {
 	watcher := dialT(t, bound, "job1")
 	earnRing(t, watcher)
 	var events atomic.Int64
-	watcher.SetEventHandler(func(Event) { events.Add(1) })
-	if err := watcher.Subscribe(); err != nil {
+	if _, err := watcher.subscribe(func(Event) { events.Add(1) }); err != nil {
 		t.Fatalf("Subscribe over ring: %v", err)
 	}
 	for i := 0; i < 50; i++ {
@@ -472,7 +470,7 @@ func TestShmWithdrawnByServer(t *testing.T) {
 			t.Fatalf("Put on the socket: %v", err)
 		}
 	}
-	if shmOffered(c) || c.ShmActive() {
+	if shmOffered(c) || onRing(c) {
 		t.Fatal("shm engaged against a server that withholds it")
 	}
 	if n := srv.Telemetry().Counter("attrspace.shm.promotions").Value(); n != 0 {
@@ -490,7 +488,7 @@ func TestShmNotOfferedOverTCP(t *testing.T) {
 		t.Fatalf("Dial: %v", err)
 	}
 	t.Cleanup(func() { c.Close() })
-	if shmOffered(c) || c.ShmActive() {
+	if shmOffered(c) || onRing(c) {
 		t.Fatal("shm engaged over TCP")
 	}
 	if err := c.Put("k", "v"); err != nil {

@@ -77,14 +77,8 @@ func (q *Queue) Service() int {
 	q.mu.Lock()
 	batch := q.pending
 	q.pending = nil
-	notify := q.notify // nil (never ready) while nothing was ever posted
+	q.drainLocked()
 	q.mu.Unlock()
-	// Drain the activity mark; callbacks posted while we run will
-	// re-arm it.
-	select {
-	case <-notify:
-	default:
-	}
 	for _, cb := range batch {
 		cb()
 	}
@@ -102,15 +96,22 @@ func (q *Queue) ServiceOne() bool {
 	}
 	cb := q.pending[0]
 	q.pending = q.pending[1:]
-	rearm := len(q.pending) > 0
-	notify := q.notify
-	q.mu.Unlock()
-	if !rearm {
-		select {
-		case <-notify:
-		default:
-		}
+	if len(q.pending) == 0 {
+		q.drainLocked()
 	}
+	q.mu.Unlock()
 	cb()
 	return true
+}
+
+// drainLocked clears the activity mark of the callbacks just taken.
+// Callers hold mu, which a Post appends under before it marks: so every
+// callback posted after the taker unlocks sets the mark again. Cleared
+// after the unlock, the mark of a Post landing in between would be
+// lost, and a poll loop would sleep on a pending callback.
+func (q *Queue) drainLocked() {
+	select {
+	case <-q.notify: // nil (never ready) while nothing was ever posted
+	default:
+	}
 }

