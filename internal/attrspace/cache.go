@@ -363,7 +363,7 @@ func (cc *cacheCtx) teardown() {
 }
 
 // onEvent applies one upstream event. It is the upstream client's
-// event handler (installed by subscribe), run on its read loop, so
+// event handler (installed by subscribe), run by its reader, so
 // events apply in CASS order and none can be dropped client-side;
 // server-side drops surface as ev.Lost and flush the whole context.
 func (cc *cacheCtx) onEvent(ev Event) {
@@ -384,8 +384,8 @@ func (cc *cacheCtx) onEvent(ev Event) {
 		cc.store(ev.Attr, "", ev.Seq, true)
 		tel.cacheInval.Inc()
 	case "destroy":
-		// Run off the read loop: teardown closes the upstream client,
-		// which waits for this very read loop to finish.
+		// Run off the reader: teardown closes the upstream client
+		// whose frame this handler is still inside.
 		go cc.teardown()
 	}
 }

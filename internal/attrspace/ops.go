@@ -235,7 +235,7 @@ func okReply(reply *wire.Message, err error) error {
 }
 
 // seqReply parses a mutation's ack: the per-context seq the server
-// assigned the write. An OK the read loop answered in the slot comes as
+// assigned the write. An OK the reader answered in the slot comes as
 // no message.
 func seqReply(slot *replySlot, reply *wire.Message, err error) (uint64, error) {
 	if err == nil && reply == nil {
@@ -249,7 +249,7 @@ func seqReply(slot *replySlot, reply *wire.Message, err error) (uint64, error) {
 
 // valueReply parses the answer to a get or tryget: the value and the
 // seq of the write that produced it, or ErrNotFound. A VALUE or NOTFOUND
-// the read loop answered in the slot comes as no message.
+// the reader answered in the slot comes as no message.
 func valueReply(slot *replySlot, reply *wire.Message, err error) (string, uint64, error) {
 	if err == nil && reply == nil {
 		if slot.notFound {

@@ -320,10 +320,13 @@ func (sh *shardConn) nextBatch(prev []*shardOp) []*shardOp {
 // of it: with its reply — a real one, or the synthetic conn-error reply
 // fail() injects when the transport dies — or, under a leader's ctx that
 // ends first, with the ctx's error, the request in flight abandoned as
-// Client.exchange abandons one. One cycle in flight per shard — a
-// bounded window that back-pressures producers, keeps any one shard from
-// monopolizing the router, and caps the ops in limbo when the shard dies
-// mid-cycle. Independent shards' cycles overlap, which is where the
+// Client.exchange abandons one. The replies are read by the session
+// connection's resident reader, which its onClose hook keeps running:
+// a cycle's ops are sent before any is awaited, so none of them may be
+// handed the read side (Client.send, not an uncancellable exchange).
+// One cycle in flight per shard — a bounded window that back-pressures
+// producers, keeps any one shard from monopolizing the router, and caps
+// the ops in limbo when the shard dies mid-cycle. Independent shards' cycles overlap, which is where the
 // aggregate throughput beyond one daemon comes from.
 func (sh *shardConn) cycle(ctx context.Context, batch []*shardOp) {
 	pool, err := sh.conn(ctx)
@@ -346,12 +349,10 @@ func (sh *shardConn) cycle(ctx context.Context, batch []*shardOp) {
 	pool.wc.Uncork()
 	sh.gInflight.Set(int64(len(sends)))
 	for _, s := range sends {
-		select {
-		case reply := <-s.slot.ch:
+		if reply, err := pool.await(ctx, s.slot); err != nil {
+			s.op.done <- shardReply{err: err}
+		} else {
 			s.op.done <- shardReply{reply: reply, pool: pool, slot: s.slot}
-		case <-ctx.Done():
-			pool.abandon(s.slot)
-			s.op.done <- shardReply{err: ctx.Err()}
 		}
 	}
 	sh.gInflight.Set(0)

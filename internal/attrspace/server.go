@@ -960,10 +960,11 @@ func (c *serverConn) opGet(ctx context.Context, r request) {
 
 // opSnapshot dumps a context. The versioned form — each entry with its
 // write seq (s<i>), the reply with the context seq, chunked when large —
-// is what a reconnecting session needs to resync without letting a
-// stale snapshot value clobber a newer live event (SNAP seqs=1) and
-// what the router's scatter-gather reads (CSNAP, always); the plain
-// form is the tool-facing tdp_snapshot.
+// is what tdp.Handle.WatchUpdates re-reads the context with after a
+// declared loss (SNAP seqs=1, through Client.SnapshotSeq), skipping the
+// events the read already covers, and what the router's scatter-gather
+// reads (CSNAP, always); the plain form is the tool-facing
+// tdp_snapshot.
 func (c *serverConn) opSnapshot(ctx context.Context, r request) {
 	if r.t.gc == nil && (r.spec.scope == scopeCtx || r.m.Get("seqs") == "1") {
 		c.sendVersioned(r)

@@ -337,7 +337,7 @@ func (e *ShmEndpoint) await(r *ringHalf, w *ringWait, park *atomic.Uint32, stuck
 		inc(ctr.wasted)
 	}
 	gen := e.bell.gen.Load()
-	park.Store(1)
+	park.Swap(1) // not Store: see dekkerStore
 	// Progress that slipped in before the flag went up may have missed
 	// it, so only sleep when the recheck still finds none.
 	if r.tail.Load()-r.head.Load() == stuck {
@@ -346,6 +346,15 @@ func (e *ShmEndpoint) await(r *ringHalf, w *ringWait, park *atomic.Uint32, stuck
 	}
 	park.Store(0)
 }
+
+// dekkerStore: each side of a wake-up stores (a cursor, or its park
+// flag) and then loads what the other side stored, which is correct only
+// if no load is ordered before the store. sync/atomic's Store promises
+// that, but under the race detector its Store is a release store, which
+// the hardware may let a later load overtake: a parked reader and a
+// writer that moved the cursor then each miss the other, and the wake-up
+// is lost. Swap is a read-modify-write, a full barrier on every build,
+// and on amd64 the same instruction as Store.
 
 // ring wakes the parked peer through the doorbell socket.
 func (e *ShmEndpoint) ring() {
@@ -378,7 +387,7 @@ func (e *ShmEndpoint) Read(p []byte) (int, error) {
 			}
 			copy(p[:c], r.data[off:off+c])
 			copy(p[c:n], r.data[:n-c])
-			r.head.Store(head + n)
+			r.head.Swap(head + n) // dekkerStore
 			if r.wpark.Load() != 0 {
 				e.ring()
 			}
@@ -423,7 +432,7 @@ func (e *ShmEndpoint) Write(p []byte) (int, error) {
 		}
 		copy(r.data[off:off+c], p[:c])
 		copy(r.data[:n-c], p[c:n])
-		r.tail.Store(tail + n)
+		r.tail.Swap(tail + n) // dekkerStore
 		if r.rpark.Load() != 0 {
 			e.ring()
 		}

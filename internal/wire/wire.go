@@ -552,9 +552,11 @@ const scratchKeepCap = 64 << 10
 //
 // Its receive buffers are borrowed from a pool at the first Recv and go
 // back when the stream ends under a Recv — by the goroutine inside that
-// Recv, holding rmu, so no other Recv can be touching them — and its
-// send buffer starts on an array of its own: a connection that lives a
-// handful of small messages allocates no buffer at all.
+// Recv, holding rmu, so no other Recv can be touching them — or when its
+// reader stops (ReleaseRead) or pauses with nothing buffered
+// (ReleaseIdle); its send buffer starts on an array of its own: a
+// connection that lives a handful of small messages allocates no buffer
+// at all.
 type Conn struct {
 	rmu  sync.Mutex
 	rd   *readBuf  // nil before the first Recv and after the stream's last; guarded by rmu
@@ -639,14 +641,28 @@ func NewConn(rw io.ReadWriter) *Conn {
 	return c
 }
 
-// ReleaseRead hands the receive buffers back to the pool. RecvInto does
-// it when the stream fails under it (a frame the failure cut short could
-// not have been resumed anyway), so only a read loop that stops of its
-// own accord — the peer said EXIT — calls it, after its last Recv.
+// ReleaseRead hands the receive buffers back to the pool, with whatever
+// bytes of the stream they still hold. RecvInto does it when the stream
+// fails under it (a frame the failure cut short could not have been
+// resumed anyway), so only a reader that stops for good of its own
+// accord — the peer said EXIT, or its own side closed — calls it, after
+// its last Recv.
 func (c *Conn) ReleaseRead() {
 	c.rmu.Lock()
 	defer c.rmu.Unlock()
 	c.releaseReadLocked()
+}
+
+// ReleaseIdle is ReleaseRead for a stream that goes on, called when
+// nobody is to read it for a while: the buffers go back to the pool only
+// when they hold no bytes of the stream, so the next Recv resumes it
+// exactly where the last one stopped — on a fresh buffer, or on this one.
+func (c *Conn) ReleaseIdle() {
+	c.rmu.Lock()
+	defer c.rmu.Unlock()
+	if rd := c.rd; rd != nil && rd.br.Buffered() == 0 {
+		c.releaseReadLocked()
+	}
 }
 
 func (c *Conn) releaseReadLocked() {
