@@ -152,9 +152,9 @@ func TestMPUTMalformed(t *testing.T) {
 	}
 }
 
-// flakySubServer is a stub that completes the HELLO handshake and then
-// fails the first subFailures SUB attempts, to exercise the client's
-// Subscribe retry path.
+// flakySubServer is a stub that completes the HELLO handshake, fails the
+// first subFailures SUB attempts, to exercise the client's Subscribe
+// retry path, and acknowledges every other request with a bare OK.
 func flakySubServer(t *testing.T, subFailures int) (addr string) {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -194,7 +194,7 @@ func flakySubServer(t *testing.T, subFailures int) (addr string) {
 							wc.Send(wire.NewMessage("OK").Set("id", m.Get("id")))
 						}
 					default:
-						return
+						wc.Send(wire.NewMessage("OK").Set("id", m.Get("id")))
 					}
 				}
 			}(conn)
