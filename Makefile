@@ -23,9 +23,9 @@
 # `make loc` prints the size of the non-test Go source (raw and code
 # lines) for the protocol core and for the root module, the raw line
 # counts of README, DESIGN, EXPERIMENTS and ROADMAP, the op table's
-# verbs, the exported methods of Client, Session and tdp.Handle and the
-# fields of tdp.Config (scripts/coreloc.sh): core LOC and API surface are
-# tracked the way ns/op is. `make
+# verbs, the exported methods of Client and tdp.Handle and the fields of
+# tdp.Config and attrspace.CacheConfig (scripts/coreloc.sh): core LOC and
+# API surface are tracked the way ns/op is. `make
 # slowtests` prints the ten slowest tests and each package's wall time
 # from one `go test -json ./...` run (scripts/slowtests.sh), so a test
 # that sleeps for half a minute cannot hide in a green tier-1. `make

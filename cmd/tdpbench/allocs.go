@@ -329,7 +329,7 @@ func layerOf(fn, file string) string {
 			return "attrspace cache"
 		case "router.go", "shardmap.go":
 			return "attrspace router"
-		case "client.go", "session.go", "transport.go":
+		case "client.go", "transport.go":
 			return "attrspace client"
 		}
 		return "attrspace"

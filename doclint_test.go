@@ -14,12 +14,13 @@ import (
 // docLintFiles returns the documents that tell a reader which calls to
 // make: README, DESIGN and the verify notes in the repository's hidden
 // skills directory. Every method or field they name in backticks as T.M
-// or (*T).M, for T a type declared in package tdp, internal/attr,
-// internal/attrspace, internal/telemetry or internal/wire, must exist,
-// and so must every name they qualify with one of those packages and
-// every repository path they name in backticks; a rename or deletion
-// that leaves a sentence behind fails here until the sentence follows
-// it.
+// or (*T).M must exist: T must be a type some non-test package of the
+// root module declares (or one of docForeignTypes), and M one of its
+// members. So must every name they qualify with package tdp,
+// internal/attr, internal/attrspace, internal/telemetry or
+// internal/wire, and every repository path they name in backticks; a
+// rename or deletion that leaves a sentence behind fails here until the
+// sentence follows it.
 func docLintFiles(t *testing.T) []string {
 	notes, err := filepath.Glob(".*/skills/verify/SKILL.md")
 	if err != nil || len(notes) != 1 {
@@ -36,6 +37,42 @@ var docLintPackages = map[string]string{"tdp": ".", "attr": "internal/attr", "at
 // a type qualified by another package (mrnet.Config) is not checked.
 var docMember = regexp.MustCompile(`(?:\b([a-z]\w*)\.)?(?:\(\*)?\b([A-Z]\w*)\)?\.([A-Za-z_]\w*)`)
 
+// docForeignTypes are the types declared outside the root module whose
+// members the documents name unqualified (runtime.MemStats).
+var docForeignTypes = map[string]bool{"MemStats": true}
+
+// docFileExts are the suffixes that make a T.M span a file name
+// (BENCH_attrspace.json, DESIGN.md) rather than a member.
+var docFileExts = map[string]bool{"json": true, "md": true, "go": true, "sh": true, "txt": true, "sock": true, "seg": true}
+
+// moduleMembers merges declaredMembers over every package directory of
+// the root module but bench/, its own module: type → member.
+func moduleMembers(t *testing.T) map[string]map[string]bool {
+	t.Helper()
+	all := map[string]map[string]bool{}
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "bench" || d.Name() == "testdata") {
+			return filepath.SkipDir
+		}
+		for typ, ms := range declaredMembers(t, path) {
+			if all[typ] == nil {
+				all[typ] = map[string]bool{}
+			}
+			for m := range ms {
+				all[typ][m] = true
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return all
+}
+
 // docQualified is a qualified package-level name (wire.NewConn,
 // attrspace.Global), which the package must declare.
 var docQualified = regexp.MustCompile(`\b([a-z]\w*)\.([A-Z]\w*)`)
@@ -45,6 +82,7 @@ func TestDocsNameRealMembers(t *testing.T) {
 	for qual, dir := range docLintPackages {
 		members[qual] = declaredMembers(t, dir)
 	}
+	module := moduleMembers(t)
 	resolved := 0
 	for _, file := range docLintFiles(t) {
 		doc, err := os.ReadFile(file)
@@ -71,6 +109,13 @@ func TestDocsNameRealMembers(t *testing.T) {
 						known = true
 						exists = exists || ms[member]
 					}
+				}
+				if !known && qual == "" && !docForeignTypes[typ] && !docFileExts[member] {
+					ms, declared := module[typ]
+					if !declared {
+						t.Errorf("%s:%d: `%s` names %s.%s, and no package of the module declares a type %s", file, span.line, span.text, typ, member, typ)
+					}
+					known, exists = declared, ms[member]
 				}
 				if known && !exists {
 					t.Errorf("%s:%d: `%s` names %s.%s, which does not exist", file, span.line, span.text, typ, member)

@@ -41,8 +41,8 @@ func dialT(t *testing.T, addr, ctx string) *Client {
 // dial returns. That must not reach the connection: the handshake
 // watchdog used to pick between "handshake over" and "context done"
 // at random when it first ran after both, and closed one healthy
-// connection in a few hundred under load (the Session probe tests and
-// the router's health sessions were where it showed).
+// connection in a few hundred under load (the heartbeat tests and the
+// router's shard connections were where it showed).
 func TestDialCtxCancelAfterReturn(t *testing.T) {
 	_, addr := startServer(t)
 	for i := 0; i < 300; i++ {

@@ -52,12 +52,14 @@ import (
 //     cache down entirely; the next global op re-dials.
 //
 // Entries per context are bounded (MaxEntries); beyond the bound an
-// arbitrary entry is evicted, which only costs a future miss. A
-// background sweep drops cache contexts whose local context has no
-// participants left, so the cache's upstream reference does not pin a
-// CASS context forever after everyone exited.
+// arbitrary entry is evicted, which only costs a future miss. When the
+// last local participant of a context leaves, its mirror is retired
+// (left), so the cache's upstream reference does not pin a CASS context
+// after everyone exited. A mirror made by calling GlobalCache directly,
+// with no local participant, lives until Close, an upstream destroy or
+// the loss of its connection.
 type GlobalCache struct {
-	srv       *Server // telemetry + local space (idle sweep)
+	srv       *Server // telemetry + local space (left)
 	shards    *ShardMap
 	dial      DialFunc
 	max       int
@@ -67,7 +69,6 @@ type GlobalCache struct {
 	mu     sync.Mutex
 	ctxs   map[string]*cacheCtx
 	closed bool
-	stop   chan struct{}
 
 	conns []*shardConn // one per shard, index-aligned with shards
 }
@@ -78,9 +79,6 @@ type CacheConfig struct {
 	Dial DialFunc
 	// MaxEntries bounds cached entries per context; 0 means 4096.
 	MaxEntries int
-	// SweepInterval is how often idle contexts (no local participants)
-	// are dropped; 0 means 5s, negative disables the sweep.
-	SweepInterval time.Duration
 	// ShardBatch bounds how many pooled operations one per-shard drain
 	// cycle corks into a single write; 0 means 64. See router.go.
 	ShardBatch int
@@ -112,10 +110,6 @@ func (s *Server) EnableGlobalCache(cassAddr string, cfg CacheConfig) *GlobalCach
 	case cfg.ShardHeartbeat < 0:
 		cfg.ShardHeartbeat = 0
 	}
-	sweep := cfg.SweepInterval
-	if sweep == 0 {
-		sweep = 5 * time.Second
-	}
 	gc := &GlobalCache{
 		srv:       s,
 		shards:    ParseShardAddrs(cassAddr),
@@ -124,16 +118,11 @@ func (s *Server) EnableGlobalCache(cassAddr string, cfg CacheConfig) *GlobalCach
 		batch:     cfg.ShardBatch,
 		heartbeat: cfg.ShardHeartbeat,
 		ctxs:      make(map[string]*cacheCtx),
-		stop:      make(chan struct{}),
 	}
 	gc.conns = make([]*shardConn, gc.shards.Len())
 	for i := range gc.conns {
 		gc.conns[i] = gc.newShardConn(i)
 	}
-	if sweep > 0 {
-		go gc.sweeper(sweep)
-	}
-	go gc.healthLoop()
 	if gc.shards.Len() > 1 {
 		// Sharded pool: fold the shards' telemetry into this server's
 		// tree-scope STATS, preserving any callback already installed
@@ -165,23 +154,6 @@ func (gc *GlobalCache) isClosed() bool {
 	return gc.closed
 }
 
-// healthLoop refreshes the per-shard up gauges so tdptop tracks shard
-// state even while the router is idle.
-func (gc *GlobalCache) healthLoop() {
-	t := time.NewTicker(500 * time.Millisecond)
-	defer t.Stop()
-	for {
-		select {
-		case <-gc.stop:
-			return
-		case <-t.C:
-		}
-		for _, sh := range gc.conns {
-			sh.healthTick()
-		}
-	}
-}
-
 // cacheCtx is one mirror of one context: one upstream connection and
 // its subscription, and the replica the subscription keeps coherent
 // (tombstones matter here: they stop an in-flight fill that read the
@@ -210,7 +182,6 @@ func (gc *GlobalCache) Close() {
 	ctxs := gc.ctxs
 	gc.ctxs = make(map[string]*cacheCtx)
 	gc.mu.Unlock()
-	close(gc.stop)
 	for _, cc := range ctxs {
 		cc.teardown()
 	}
@@ -219,30 +190,24 @@ func (gc *GlobalCache) Close() {
 	}
 }
 
-// sweeper periodically drops cache contexts with no local
-// participants, releasing the cache's CASS reference so the upstream
-// context can be destroyed once its real participants exit.
-func (gc *GlobalCache) sweeper(interval time.Duration) {
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-gc.stop:
-			return
-		case <-t.C:
-		}
-		gc.mu.Lock()
-		var idle []*cacheCtx
-		for name, cc := range gc.ctxs {
-			if gc.srv.space.Refs(name) == 0 {
-				idle = append(idle, cc)
-			}
-		}
+// left retires the mirror of a context a connection of this server has
+// just left, if no local participant is left in it, releasing the
+// cache's CASS reference so the upstream context can be destroyed once
+// its real participants exit. The test is made under gc.mu, where ctx
+// registers mirrors, so a mirror whose creation races the last leave —
+// a blocking GET's, on a connection that died — is either found here or
+// refused there: the leaving connection cancels the context its
+// requests run under before it leaves.
+func (gc *GlobalCache) left(name string) {
+	gc.mu.Lock()
+	cc := gc.ctxs[name]
+	if cc == nil || gc.srv.space.Refs(name) != 0 {
 		gc.mu.Unlock()
-		for _, cc := range idle {
-			cc.teardown()
-		}
+		return
 	}
+	delete(gc.ctxs, name)
+	gc.mu.Unlock()
+	cc.teardown()
 }
 
 // errCacheClosed reports an operation on a closed cache.
@@ -252,7 +217,7 @@ var errCacheClosed = errors.New("attrspace: global cache closed")
 // HELLO, subscribe — on first use. Creation happens outside the cache
 // lock so a slow CASS dial for one context never stalls global ops in
 // others; concurrent first users share one creation via the ready
-// channel.
+// channel. A caller whose ctx has ended creates nothing (see left).
 func (gc *GlobalCache) ctx(ctx context.Context, name string) (*cacheCtx, error) {
 	for {
 		gc.mu.Lock()
@@ -262,6 +227,10 @@ func (gc *GlobalCache) ctx(ctx context.Context, name string) (*cacheCtx, error) 
 		}
 		cc := gc.ctxs[name]
 		if cc == nil {
+			if err := ctx.Err(); err != nil {
+				gc.mu.Unlock()
+				return nil, err
+			}
 			cc = &cacheCtx{
 				gc:    gc,
 				name:  name,
@@ -318,10 +287,10 @@ func (gc *GlobalCache) drop(cc *cacheCtx) {
 func (cc *cacheCtx) init() {
 	defer close(cc.ready)
 	sh := cc.gc.shard(cc.name)
-	if sh.down() {
-		// The owning shard's session says it is unreachable:
-		// fail fast instead of burning a dial timeout. Other shards'
-		// contexts are unaffected — this is the degraded mode.
+	if c, ever := sh.live(); c == nil && ever {
+		// The owning shard's connection is lost: fail fast instead of
+		// burning a dial timeout. Other shards' contexts are
+		// unaffected — this is the degraded mode.
 		sh.gErrors.Inc()
 		cc.initE = sh.downErr()
 		return
@@ -338,7 +307,15 @@ func (cc *cacheCtx) init() {
 		cc.initE = err
 		return
 	}
+	cc.mu.Lock()
 	cc.up, cc.origin = up, origin
+	gone := cc.gone
+	cc.mu.Unlock()
+	if gone {
+		// Retired while it was being made (left, Close): teardown found
+		// no connection to close.
+		up.Close()
+	}
 }
 
 // teardown retires the mirror: it leaves the context map, flushes its
@@ -351,14 +328,15 @@ func (cc *cacheCtx) teardown() {
 		return
 	}
 	cc.gone = true
+	up := cc.up
 	n := len(cc.rep.entries)
 	clear(cc.rep.entries)
 	cc.mu.Unlock()
 	if n > 0 {
 		cc.gc.srv.tel.Load().cacheFlush.Inc()
 	}
-	if cc.up != nil {
-		cc.up.Close()
+	if up != nil {
+		up.Close()
 	}
 }
 
@@ -537,15 +515,4 @@ func (gc *GlobalCache) Snapshot(ctx context.Context, contextName string) (map[st
 		return nil, err
 	}
 	return cc.up.SnapshotAt(ctx, Local)
-}
-
-// Contexts reports the names of currently cached contexts (tests).
-func (gc *GlobalCache) Contexts() []string {
-	gc.mu.Lock()
-	defer gc.mu.Unlock()
-	names := make([]string, 0, len(gc.ctxs))
-	for n := range gc.ctxs {
-		names = append(names, n)
-	}
-	return names
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,7 +18,7 @@ func startCachingLASS(t *testing.T) (cass, lass *Server, cassAddr, lassAddr stri
 	t.Helper()
 	cass, cassAddr = startServer(t)
 	lass = NewServer()
-	lass.EnableGlobalCache(cassAddr, CacheConfig{SweepInterval: 50 * time.Millisecond})
+	lass.EnableGlobalCache(cassAddr, CacheConfig{})
 	lassAddr, err := lass.ListenAndServe("127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("ListenAndServe: %v", err)
@@ -257,27 +259,117 @@ func TestCacheHitAvoidsUpstream(t *testing.T) {
 	}
 }
 
-// TestCacheSweepReleasesUpstream: once every local participant leaves
-// the context, the sweep drops the cache context, releasing the
-// cache's CASS reference so the context can actually be destroyed.
-func TestCacheSweepReleasesUpstream(t *testing.T) {
+// mirrored lists the contexts gc holds a mirror of.
+func mirrored(gc *GlobalCache) []string {
+	gc.mu.Lock()
+	defer gc.mu.Unlock()
+	names := make([]string, 0, len(gc.ctxs))
+	for name := range gc.ctxs {
+		names = append(names, name)
+	}
+	return names
+}
+
+// TestLastLocalLeaveReleasesMirror: once every local participant leaves
+// a context, its mirror is retired at once, releasing the cache's CASS
+// reference, on the default configuration. A second participant's
+// leave does not retire the mirror while the first is still joined.
+func TestLastLocalLeaveReleasesMirror(t *testing.T) {
 	cass, lass, _, lassAddr := startCachingLASS(t)
-	c := dialT(t, lassAddr, "sweepme")
-	if _, err := c.PutAt(context.Background(), Global, "k", "v"); err != nil {
+	a := dialT(t, lassAddr, "leaveme")
+	b := dialT(t, lassAddr, "leaveme")
+	if _, err := a.PutAt(context.Background(), Global, "k", "v"); err != nil {
 		t.Fatal(err)
 	}
-	if cass.Space().Refs("sweepme") == 0 {
+	if cass.Space().Refs("leaveme") == 0 {
 		t.Fatal("cache should hold an upstream reference while in use")
 	}
-	c.Close() // last local participant leaves
-	deadline := time.Now().Add(5 * time.Second)
-	for cass.Space().Refs("sweepme") != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("sweep never released the upstream context reference")
-		}
-		time.Sleep(5 * time.Millisecond)
+	a.Close()
+	waitFor(t, func() bool { return lass.Space().Refs("leaveme") == 1 })
+	if names := mirrored(lass.gcache.Load()); len(names) != 1 {
+		t.Fatalf("mirrors %v after a leave with a participant left, want leaveme's", names)
 	}
-	_ = lass
+	b.Close() // last local participant leaves
+	start := time.Now()
+	for cass.Space().Refs("leaveme") != 0 {
+		if time.Since(start) > time.Second {
+			t.Fatal("the last leave did not release the upstream context reference within 1 s")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Logf("CASS reference released %v after the last local participant left", time.Since(start))
+	if names := mirrored(lass.gcache.Load()); len(names) != 0 {
+		t.Errorf("mirrors %v left after the last leave", names)
+	}
+}
+
+// TestDyingBlockingGetLeavesNoMirror: a blocking global GET parks at
+// the CASS on the mirror's connection; its own connection to the LASS
+// then dies, at varying points of the fill. The leave retires the
+// mirror, and the GET's goroutine, still running, must not make a new
+// one after it: no mirror and no CASS reference are left behind.
+func TestDyingBlockingGetLeavesNoMirror(t *testing.T) {
+	cass, lass, _, lassAddr := startCachingLASS(t)
+	gc := lass.gcache.Load()
+	for i := 0; i < 20; i++ {
+		name := fmt.Sprintf("dying%d", i)
+		c, err := Dial(nil, lassAddr, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make(chan error, 1)
+		go func() {
+			_, _, err := c.GetAt(context.Background(), Global, "never")
+			got <- err
+		}()
+		time.Sleep(time.Duration(i%5) * 200 * time.Microsecond)
+		c.Close()
+		if err := <-got; err == nil {
+			t.Fatalf("%s: a GET of an attribute nobody puts returned", name)
+		}
+		waitFor(t, func() bool { return lass.Space().Refs(name) == 0 })
+		start := time.Now()
+		for cass.Space().Refs(name) != 0 || len(mirrored(gc)) != 0 {
+			if time.Since(start) > time.Second {
+				t.Fatalf("%s: mirrors %v, %d CASS references 1 s after the connection died", name, mirrored(gc), cass.Space().Refs(name))
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+}
+
+// TestMirrorRetiredWhileMadeClosesIt: a mirror retired while its
+// upstream dial is still in flight — the window a blocking GET's
+// mirror can open just before its connection's leave — has no
+// connection for the retirement to close; the set-up closes the one it
+// makes, so no CASS reference is left behind.
+func TestMirrorRetiredWhileMadeClosesIt(t *testing.T) {
+	cass, cassAddr := startServer(t)
+	gate := make(chan struct{})
+	lass := NewServer()
+	t.Cleanup(lass.Close)
+	var mirrorDial atomic.Bool
+	gc := lass.EnableGlobalCache(cassAddr, CacheConfig{Dial: func(addr string) (net.Conn, error) {
+		if mirrorDial.Load() {
+			<-gate
+		}
+		return net.Dial("tcp", addr)
+	}})
+	waitFor(t, func() bool { c, _ := gc.conns[0].live(); return c != nil })
+	mirrorDial.Store(true)
+	put := make(chan error, 1)
+	go func() { _, err := gc.Put(context.Background(), "made", "k", "v"); put <- err }()
+	waitFor(t, func() bool { return len(mirrored(gc)) == 1 })
+	gc.left("made") // no local participant, the dial still in flight
+	close(gate)
+	<-put
+	start := time.Now()
+	for cass.Space().Refs("made") != 0 || len(mirrored(gc)) != 0 {
+		if time.Since(start) > time.Second {
+			t.Fatalf("mirrors %v, %d CASS references 1 s after a mirror retired while being made", mirrored(gc), cass.Space().Refs("made"))
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // TestGlobalWithoutCache: G* verbs against a plain server (no upstream)
@@ -373,23 +465,11 @@ func TestDestroyTearsDownCacheCtx(t *testing.T) {
 	if _, err := c.PutAt(ctx, Global, "k", "v1"); err != nil {
 		t.Fatal(err)
 	}
-	// Destroy upstream: the cache's own ref is the only one; closing a
-	// direct participant after joining+leaving triggers destroy only
-	// when refs hit 0, so simulate by forcing the sweep: close the
-	// local client so the sweeper drops the cache ref and the CASS
-	// context dies.
+	// Destroy upstream: the cache's own ref is the only one, so
+	// closing the last local participant retires the mirror, which
+	// drops that ref, and the CASS context dies.
 	c.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		gc := lass.gcache.Load()
-		if len(gc.Contexts()) == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("cache context never torn down after local participants left")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitFor(t, func() bool { return len(mirrored(lass.gcache.Load())) == 0 })
 	// Recreate upstream with a different value; a fresh LASS client
 	// must see the new value, not a stale cached one.
 	direct := dialT(t, cassAddr, "job1")

@@ -73,9 +73,9 @@ func TestChaosMidFrameCut(t *testing.T) {
 }
 
 // TestChaosRefuseListener covers the refuse-then-accept daemon: the
-// first dials are reset before HELLO completes, and a Session's
-// backoff rides through until the listener settles — what the shard
-// router relies on when a shard restarts.
+// first dials are reset before HELLO completes, and a shard
+// connection's backoff rides through until the listener settles — what
+// the shard router relies on when a shard restarts.
 func TestChaosRefuseListener(t *testing.T) {
 	srv := NewServer()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -84,20 +84,20 @@ func TestChaosRefuseListener(t *testing.T) {
 	}
 	go srv.Serve(netsim.RefuseListener(l, 3))
 	t.Cleanup(srv.Close)
+	keep := srv.Space().Join("refuse")
+	defer keep.Leave()
 
-	s := NewSession(SessionConfig{Addr: l.Addr().String(), Context: "refuse"})
-	defer s.Close()
+	sh := oneShard(t, l.Addr().String(), CacheConfig{})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	c, err := s.client(ctx)
-	if err != nil {
-		t.Fatalf("session through a refusing listener: %v", err)
+	if _, err := sh.client(ctx); err != nil {
+		t.Fatalf("shard connection through a refusing listener: %v", err)
 	}
-	if _, err := c.PutAt(ctx, Local, "k", "v"); err != nil {
-		t.Fatalf("PutAt: %v", err)
+	if _, err := sh.put(ctx, "refuse", "", "k", "v"); err != nil {
+		t.Fatalf("put: %v", err)
 	}
-	if v, _, err := c.TryGetAt(ctx, Local, "k"); err != nil || v != "v" {
-		t.Fatalf("TryGetAt = %q, %v", v, err)
+	if v, _, err := sh.tryGet(ctx, "refuse", "k"); err != nil || v != "v" {
+		t.Fatalf("tryGet = %q, %v", v, err)
 	}
 }
 
@@ -105,7 +105,7 @@ func TestChaosRefuseListener(t *testing.T) {
 // continuous load. The contract being checked is partitioned
 // degradation: ops routed to the surviving shards keep succeeding
 // throughout, while ops in the dead shard's hash range surface as
-// prompt errors (ErrShardDown once the health session notices) — never
+// prompt errors (ErrShardDown once the shard's heartbeat notices) — never
 // as hangs.
 func TestChaosShardKill(t *testing.T) {
 	const n = 3
@@ -119,10 +119,7 @@ func TestChaosShardKill(t *testing.T) {
 		}
 	}
 	lass := NewServer()
-	lass.EnableGlobalCache(addrs[0]+","+addrs[1]+","+addrs[2], CacheConfig{
-		SweepInterval:  50 * time.Millisecond,
-		ShardHeartbeat: 50 * time.Millisecond,
-	})
+	lass.EnableGlobalCache(addrs[0]+","+addrs[1]+","+addrs[2], CacheConfig{ShardHeartbeat: 50 * time.Millisecond})
 	lassAddr, err := lass.ListenAndServe("127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("ListenAndServe: %v", err)

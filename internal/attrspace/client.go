@@ -31,8 +31,8 @@ var ErrConnLost = errors.New("attrspace: connection lost")
 
 // ErrServerDraining reports that the server announced a graceful
 // shutdown (the CLOSE verb): in-flight replies were still delivered,
-// but no new operations are accepted on this connection. The router's
-// Session treats it like a connection loss and reconnects after backoff.
+// but no new operations are accepted on this connection. The shard
+// router treats it like a connection loss and reconnects after backoff.
 var ErrServerDraining = errors.New("attrspace: server draining")
 
 // DialFunc opens a stream to an attribute space server. Real TCP uses
@@ -139,8 +139,8 @@ func Dial(dial DialFunc, addr, contextName string) (*Client, error) {
 // DialCtx is Dial bounded by a context: a deadline or cancellation
 // covers the HELLO round trip, so a server that accepts connections
 // but never replies (hung, not dead) cannot wedge the caller. The
-// Session reconnect loop depends on this bound. A peer that does not
-// speak ProtocolRevision fails the dial with ErrProtocolRevision.
+// shard router's reconnect loop depends on this bound. A peer that does
+// not speak ProtocolRevision fails the dial with ErrProtocolRevision.
 func DialCtx(ctx context.Context, dial DialFunc, addr, contextName string) (*Client, error) {
 	if dial == nil {
 		dial = AutoDial
@@ -778,9 +778,10 @@ func (c *Client) fail(err error) {
 
 // onClose installs a hook invoked once when the client fails or is
 // closed, with the terminal error. Used by the LASS global cache to
-// tear down a cache context whose upstream died, and by Session to
-// trigger reconnection. The hook keeps the resident reader running, so
-// the loss is seen when it happens, not at the next operation.
+// tear down a cache context whose upstream died, and by the shard
+// router to retire its connection and redial. The hook keeps the
+// resident reader running, so the loss is seen when it happens, not at
+// the next operation.
 // Installing the hook on an already-failed client invokes it
 // immediately (on the calling goroutine) — without this, a client that
 // dies between Dial and onClose would never signal anyone.

@@ -184,7 +184,8 @@ func TestServerShutdownDrain(t *testing.T) {
 	// Wait for the CLOSE frame to be processed (racing writes against
 	// it would see the connection torn down before the announcement),
 	// then require that new sends are turned away as draining — a
-	// retryable classification a Session rides through.
+	// retryable classification the shard router's reconnect rides
+	// through.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		c.mu.Lock()

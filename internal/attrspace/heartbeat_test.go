@@ -29,13 +29,24 @@ func (b *blackholeConn) Write(p []byte) (int, error) {
 	return b.Conn.Write(p)
 }
 
-// TestSessionHeartbeatDetectsHalfDeadConn cuts a session's transport
-// without producing any error: absent a heartbeat the session would
-// hold the dead connection forever; with one, the missed PONG retires
-// the generation and the session redials, so the next operation rides a
-// fresh connection.
-func TestSessionHeartbeatDetectsHalfDeadConn(t *testing.T) {
-	_, addr := startServer(t)
+// oneShard makes a caching LASS in front of the one shard at addr and
+// returns its shard connection, whose first dial is under way.
+func oneShard(t *testing.T, addr string, cfg CacheConfig) *shardConn {
+	t.Helper()
+	lass := NewServer()
+	t.Cleanup(lass.Close)
+	return lass.EnableGlobalCache(addr, cfg).conns[0]
+}
+
+// TestShardHeartbeatDetectsHalfDeadConn cuts a shard connection's
+// transport without producing any error: absent a heartbeat the router
+// would hold the dead connection forever; with one, the missed PONG
+// retires the connection and the shard redials, so the next operation
+// rides a fresh connection.
+func TestShardHeartbeatDetectsHalfDeadConn(t *testing.T) {
+	srv, addr := startServer(t)
+	keep := srv.Space().Join("job1")
+	defer keep.Leave()
 	var mu sync.Mutex
 	var conns []*blackholeConn
 	dial := func(a string) (net.Conn, error) {
@@ -49,44 +60,36 @@ func TestSessionHeartbeatDetectsHalfDeadConn(t *testing.T) {
 		mu.Unlock()
 		return bc, nil
 	}
-	s := NewSession(SessionConfig{
-		Dial: dial, Addr: addr, Context: "job1",
-		Heartbeat: 25 * time.Millisecond,
-	})
-	defer s.Close()
+	sh := oneShard(t, addr, CacheConfig{Dial: dial, ShardHeartbeat: 25 * time.Millisecond})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	first, err := s.client(ctx)
+	first, err := sh.client(ctx)
 	if err != nil {
 		t.Fatalf("first connection: %v", err)
 	}
-	if _, err := first.PutAt(ctx, Local, "k", "1"); err != nil {
-		t.Fatalf("Put: %v", err)
+	if _, err := sh.put(ctx, "job1", "", "k", "1"); err != nil {
+		t.Fatalf("put: %v", err)
 	}
 
 	mu.Lock()
 	conns[0].dead.Store(true)
 	mu.Unlock()
 
-	waitFor(t, func() bool { c, _ := s.live(); return c != nil && c != first })
-	second, err := s.client(ctx)
-	if err != nil {
-		t.Fatalf("connection after the heartbeat: %v", err)
+	waitFor(t, func() bool { c, _ := sh.live(); return c != nil && c != first })
+	if _, err := sh.put(ctx, "job1", "", "k", "2"); err != nil {
+		t.Fatalf("put after the heartbeat's reconnect: %v", err)
 	}
-	if _, err := second.PutAt(ctx, Local, "k", "2"); err != nil {
-		t.Fatalf("Put after heartbeat reconnect: %v", err)
-	}
-	if v, _, err := second.TryGetAt(ctx, Local, "k"); err != nil || v != "2" {
-		t.Fatalf("TryGet = %q, %v", v, err)
+	if v, _, err := sh.tryGet(ctx, "job1", "k"); err != nil || v != "2" {
+		t.Fatalf("tryGet = %q, %v", v, err)
 	}
 }
 
 // TestChaosLargeResyncHeartbeat pins what chunked snapshots are for: a
-// heartbeating session's connection fetches a context of about 20
-// chunks back to back — at least three times, and for at least five
+// heartbeating shard connection fetches a context of about 20 chunks
+// (CSNAP) back to back — at least three times, and for at least five
 // heartbeat intervals, so pings run while the parts stream — and its
 // pings keep being answered between the parts: the bulk reply never
-// reads as a dead transport, so the session keeps its generation.
+// reads as a dead transport, so the shard keeps its connection.
 func TestChaosLargeResyncHeartbeat(t *testing.T) {
 	const beat = 100 * time.Millisecond
 	srv, addr := startServer(t)
@@ -102,25 +105,24 @@ func TestChaosLargeResyncHeartbeat(t *testing.T) {
 		t.Fatalf("PutBatch: %v", err)
 	}
 
-	s := NewSession(SessionConfig{Addr: addr, Context: "big", Heartbeat: beat})
-	defer s.Close()
+	sh := oneShard(t, addr, CacheConfig{ShardHeartbeat: beat})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	c, err := s.client(ctx)
+	c, err := sh.client(ctx)
 	if err != nil {
 		t.Fatalf("connection: %v", err)
 	}
 	start := time.Now()
 	for i := 0; i < 3 || time.Since(start) < 5*beat; i++ {
-		snap, _, err := c.SnapshotSeq(ctx)
+		snap, err := sh.snapshot(ctx, "big")
 		if err != nil || len(snap) != len(pairs) {
 			t.Fatalf("snapshot %d: %d entries, %v; want %d", i, len(snap), err, len(pairs))
 		}
-		if now, _ := s.live(); now != c {
+		if now, _ := sh.live(); now != c {
 			t.Fatalf("snapshot %d: the heartbeat retired the connection under a bulk reply", i)
 		}
 	}
-	if n := s.cReconnects.Value(); n != 0 {
-		t.Errorf("session reconnected %d times, want 0", n)
+	if n := sh.cReconnects.Value(); n != 0 {
+		t.Errorf("the shard reconnected %d times, want 0", n)
 	}
 }

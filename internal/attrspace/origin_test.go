@@ -137,7 +137,6 @@ func startTappedPool(t *testing.T) *tappedPool {
 	var dials atomic.Int64
 	p.lass = NewServer()
 	p.gc = p.lass.EnableGlobalCache(p.cassAddr, CacheConfig{
-		SweepInterval:  -1,
 		ShardHeartbeat: -1,
 		Dial: func(addr string) (net.Conn, error) {
 			if dials.Add(1) == 1 {
@@ -149,7 +148,7 @@ func startTappedPool(t *testing.T) *tappedPool {
 	t.Cleanup(p.lass.Close)
 	p.sh = p.gc.conns[0]
 	p.pooled = <-held
-	waitFor(t, p.sh.sess.up)
+	waitFor(t, func() bool { c, _ := p.sh.live(); return c != nil })
 	return p
 }
 
@@ -349,8 +348,8 @@ func TestUnknownOutcomeRetiresIncarnation(t *testing.T) {
 			if second == nil || second == first || second.origin == first.origin {
 				t.Errorf("the mirror was not retired: %p (origin %q) → %p", first, first.origin, second)
 			}
-			if names := p.gc.Contexts(); len(names) != 1 || names[0] != "job1" {
-				t.Errorf("Contexts() = %v, want the one new mirror of job1", names)
+			if names := mirrored(p.gc); len(names) != 1 || names[0] != "job1" {
+				t.Errorf("mirrors %v, want the one new mirror of job1", names)
 			}
 		})
 	}
@@ -555,7 +554,7 @@ func TestRouterCancelledLeaderStillServesFollowers(t *testing.T) {
 	}
 	// Nothing is left registered: the leader withdrew its abandoned
 	// request, the drainer collected every follower's reply.
-	pool, _ := p.sh.sess.live()
+	pool, _ := p.sh.live()
 	if st := slotState(pool); st.pending != 0 {
 		t.Errorf("%d requests still pending on the pooled connection", st.pending)
 	}
@@ -657,7 +656,7 @@ func TestRouterErrorsCountFailedOps(t *testing.T) {
 		return len(p.sh.queue) == followers
 	})
 	p.cass.Close()
-	waitFor(t, p.sh.down)
+	waitFor(t, func() bool { c, ever := p.sh.live(); return c == nil && ever })
 	p.pooled.releaseWrites()
 	if err := <-led; !IsRetryable(err) {
 		t.Errorf("the leader whose connection died = %v, want a retryable loss", err)
@@ -705,7 +704,7 @@ func TestRouterConcurrentWriters(t *testing.T) {
 	if n := counter(p.lass, "attrspace.router.pooled"); n != ops {
 		t.Errorf("attrspace.router.pooled = %d, want %d", n, ops)
 	}
-	cycles := p.pooled.writes.Load() - 1 // the session's HELLO
+	cycles := p.pooled.writes.Load() - 1 // the shard connection's HELLO
 	if cycles >= ops {
 		t.Errorf("%d ops took %d writes on the pooled connection: nothing was group-committed", ops, cycles)
 	}
@@ -725,7 +724,6 @@ func TestRouterFirstConnectNotUnderCallersContext(t *testing.T) {
 	var up atomic.Bool
 	lass := NewServer()
 	gc := lass.EnableGlobalCache(cassAddr, CacheConfig{
-		SweepInterval:  -1,
 		ShardHeartbeat: -1,
 		Dial: func(addr string) (net.Conn, error) {
 			if !up.Load() {

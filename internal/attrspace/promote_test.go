@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -317,7 +318,8 @@ func TestShmPromotionAtThreshold(t *testing.T) {
 // connection can be doing: pipelined async puts and batches, a GET
 // parked before the swap and released after it, a subscriber taking
 // corked 1,000-event bursts across its own swap while it issues
-// requests, and a heartbeating Session. Every reply must arrive (once:
+// requests, and a heartbeating shard connection of a caching LASS.
+// Every reply must arrive (once:
 // a second would find its one-slot channel gone), the events must
 // arrive in seq order, delivered + declared lost must equal published
 // exactly, and the sockets must carry no framed byte after the SHMRDY
@@ -347,20 +349,18 @@ func TestShmPromotionUnderLoad(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("Subscribe: %v", err)
 	}
-	sess := NewSession(SessionConfig{Addr: addr, Context: "load", Heartbeat: 20 * time.Millisecond})
-	defer sess.Close()
-	// The session's current connection. Under -race a ping can outlast
-	// its 20 ms bound in a burst, and the heartbeat then retires the
-	// connection; the session's next one has to earn its own ring.
-	sessConn := func() *Client {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		c, err := sess.client(ctx)
-		if err != nil {
-			t.Errorf("session connection: %v", err)
-			return nil
+	sh := oneShard(t, addr, CacheConfig{Dial: AutoDial, ShardHeartbeat: 20 * time.Millisecond})
+	// The shard's current connection. Under -race a ping can outlast its
+	// 20 ms bound in a burst, and the heartbeat then retires the
+	// connection; the shard's next one has to earn its own ring.
+	shardConn := func() *Client {
+		for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			if c, _ := sh.live(); c != nil {
+				return c
+			}
 		}
-		return c
+		t.Errorf("no shard connection for 10 s")
+		return nil
 	}
 
 	// GETs parked server-side while both connections are on the socket.
@@ -377,13 +377,22 @@ func TestShmPromotionUnderLoad(t *testing.T) {
 		subGot <- err
 	}()
 
-	// Readers on the subscriber's and the session's connections, so that
-	// both earn a ring while the bursts are flowing. A connection the
-	// session retired answers its reader ErrConnLost, and the reader
-	// moves to the next one.
+	// Readers on the subscriber's connection and through the shard's,
+	// so that both earn a ring while the bursts are flowing. A tryget
+	// the heartbeat cut short answers ErrConnLost, and one made before
+	// the shard's next connection is up ErrShardDown.
 	stop := make(chan struct{})
 	var readers sync.WaitGroup
-	for name, conn := range map[string]func() *Client{"subscriber": func() *Client { return sub }, "session": sessConn} {
+	for name, tryGet := range map[string]func() error{
+		"subscriber": func() error { _, _, err := sub.TryGetAt(context.Background(), Local, "absent"); return err },
+		"shard": func() error {
+			_, _, err := sh.tryGet(context.Background(), "load", "absent")
+			if IsRetryable(err) || errors.Is(err, ErrShardDown) {
+				return ErrNotFound
+			}
+			return err
+		},
+	} {
 		readers.Add(1)
 		go func() {
 			defer readers.Done()
@@ -393,11 +402,7 @@ func TestShmPromotionUnderLoad(t *testing.T) {
 					return
 				default:
 				}
-				c := conn()
-				if c == nil {
-					return
-				}
-				if _, _, err := c.TryGetAt(context.Background(), Local, "absent"); err != ErrNotFound && (c == sub || !IsRetryable(err)) {
+				if err := tryGet(); !errors.Is(err, ErrNotFound) {
 					t.Errorf("%s TryGet: %v", name, err)
 					return
 				}
@@ -407,14 +412,14 @@ func TestShmPromotionUnderLoad(t *testing.T) {
 
 	published, tail := 0, 2
 	for deadline := time.Now().Add(30 * time.Second); tail > 0; {
-		sessRing := sessConn()
-		if sessRing == nil {
+		shardRing := shardConn()
+		if shardRing == nil {
 			t.FailNow()
 		}
-		if onRing(sub) && onRing(pub) && onRing(sessRing) {
+		if onRing(sub) && onRing(pub) && onRing(shardRing) {
 			tail-- // two more rounds with every connection on its ring
 		} else if time.Now().After(deadline) {
-			t.Fatalf("not every connection was promoted: sub %v pub %v session %v", onRing(sub), onRing(pub), onRing(sessRing))
+			t.Fatalf("not every connection was promoted: sub %v pub %v shard %v", onRing(sub), onRing(pub), onRing(shardRing))
 		}
 		burst := make([]KV, 1000)
 		for i := range burst {

@@ -88,6 +88,34 @@ func TestIdleConnGoroutineBudget(t *testing.T) {
 	}
 }
 
+// cachingLASSGoroutines is what an idle caching LASS in front of two
+// shards runs, the shards' servers counted: its listener, and per shard
+// its connection's resident reader (kept by the onClose hook that
+// notices a loss), its heartbeat, and the shard server's reader of that
+// connection. Nothing polls: the up gauges are set where a connection
+// is installed or lost, and a mirror is retired by the last local leave.
+const cachingLASSGoroutines = 7
+
+func TestIdleCachingLASSGoroutineBudget(t *testing.T) {
+	_, a0 := startServer(t)
+	_, a1 := startServer(t)
+	before := settledGoroutines()
+	lass := NewServer()
+	t.Cleanup(lass.Close)
+	gc := lass.EnableGlobalCache(a0+","+a1, CacheConfig{})
+	if _, err := lass.ListenAndServe("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	for _, sh := range gc.conns {
+		waitFor(t, func() bool { c, _ := sh.live(); return c != nil })
+	}
+	n := settledGoroutines() - before
+	t.Logf("an idle caching LASS over 2 shards: %d goroutines (budget %d)", n, cachingLASSGoroutines)
+	if n > cachingLASSGoroutines {
+		t.Errorf("an idle caching LASS over 2 shards runs %d goroutines, budget %d", n, cachingLASSGoroutines)
+	}
+}
+
 // hangUpListener keeps the server's end of every accepted connection so
 // that a test can cut them all under the server.
 type hangUpListener struct {

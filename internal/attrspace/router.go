@@ -8,16 +8,18 @@ import (
 	"sync"
 	"time"
 
+	"tdp/internal/liveness"
 	"tdp/internal/telemetry"
 	"tdp/internal/wire"
 )
 
 // This file is the LASS-side shard router: the piece that turns the
 // GlobalCache from a relay onto one CASS into a relay onto a ShardMap
-// of them. It owns one shardConn per shard, each holding one Session
-// ("tdp.router" context) whose current connection is the pooled data
-// connection: it speaks the ctx-scope verbs of the op table (CPUT, CGET,
-// …), so any context's ops ride it, named per message by a ctx field.
+// of them. It owns one shardConn per shard, each keeping up one
+// connection (joined to the "tdp.router" context) that carries the
+// pooled data ops: it speaks the ctx-scope verbs of the op table
+// (CPUT, CGET, …), so any context's ops ride it, named per message by
+// a ctx field.
 //
 // One cycle is in flight per shard: one corked write and one bounded
 // in-flight window. The caller that finds the shard idle leads: it runs
@@ -27,11 +29,11 @@ import (
 // queue to a drainer goroutine, which runs the same cycle on batches of
 // them until nothing is queued. Concurrent callers thus group-commit,
 // which both amortizes the per-frame cost and bounds how many operations
-// can be in limbo when a shard dies mid-batch. The session's heartbeat
+// can be in limbo when a shard dies mid-batch. The shard's heartbeat
 // pings the connection the ops ride: a missed PONG fails it (every
 // stranded op is answered ErrConnLost), later ops fail fast with
 // ErrShardDown instead of hanging on dial timeouts, only that shard's
-// hash range degrades, and the session's reconnect brings it back. The
+// hash range degrades, and the shard's connect loop brings it back. The
 // router never retries an op: an op of unknown fate is its caller's to
 // resolve.
 //
@@ -41,8 +43,8 @@ import (
 // scatter-gather (SnapshotMany, Contexts listing, per-shard STATS) fans
 // out concurrently across shardConns and merges.
 
-// ErrShardDown reports an operation routed to a shard whose session is
-// currently disconnected: the op fails fast rather than queueing behind
+// ErrShardDown reports an operation routed to a shard whose connection
+// is currently lost: the op fails fast rather than queueing behind
 // a dial that cannot succeed. Ops on other shards are unaffected — this
 // error is the degraded mode, not an outage of the global space.
 var ErrShardDown = errors.New("attrspace: shard down")
@@ -54,7 +56,7 @@ var ErrShardDown = errors.New("attrspace: shard down")
 // can monopolize the sender.
 const defaultShardBatch = 64
 
-// routerContext is the infrastructure context each shard session joins.
+// routerContext is the infrastructure context each shard connection joins.
 // It carries no data — the ctx-scope ops name their real target per
 // message. The InfraContextPrefix exempts it from shard ownership
 // enforcement, since it must exist on every shard.
@@ -98,14 +100,25 @@ type shardSend struct {
 	slot *replySlot
 }
 
-// shardConn is the router's state for one shard.
+// shardConn is the router's state for one shard: its one connection,
+// kept up, and the cycles that ride it.
+//
+// The connection is dialed in the background and redialed on the
+// liveness schedule (50 ms doubling to 2 s, jittered, forever) whenever
+// it dies; with a heartbeat, a connection whose pings go unanswered is
+// retired the same way.
 type shardConn struct {
 	gc   *GlobalCache
 	idx  int
 	addr string
-	sess *Session // the shard's one connection: pooled ops, heartbeat, reconnect
 
-	mu       sync.Mutex
+	mu     sync.Mutex
+	cur    *Client       // the connection cycles ride; nil while disconnected
+	ever   bool          // cur has been set once: nil now means the shard is down
+	ready  chan struct{} // closed by the first install
+	closed bool
+	done   chan struct{} // closed by close: stops the connect loop and heartbeats
+
 	queue    []*shardOp
 	spare    []*shardOp // the emptied slice queue swaps with; nil while a cycle has it as its batch
 	freeOps  []*shardOp // never longer than the peak number of concurrent callers
@@ -115,40 +128,42 @@ type shardConn struct {
 	sends []shardSend
 	lone  [1]*shardOp // a leader's batch
 
-	gUp       *telemetry.Gauge
-	gErrors   *telemetry.Counter
-	gInflight *telemetry.Gauge
-	cPooled   *telemetry.Counter
+	gUp         *telemetry.Gauge // set under mu where cur is
+	gErrors     *telemetry.Counter
+	gInflight   *telemetry.Gauge
+	cPooled     *telemetry.Counter
+	cReconnects *telemetry.Counter
 }
 
+const (
+	// shardDialTimeout bounds each dial + HELLO round trip, so a shard
+	// that accepts connections but never answers cannot wedge the loop.
+	shardDialTimeout = 3 * time.Second
+	// shardConnectWait bounds how long an op waits for the shard's first
+	// connection before failing with ErrConnLost.
+	shardConnectWait = 5 * time.Second
+)
+
+// newShardConn starts the connect loop of shard idx; the first
+// connection is made in the background, and an op that needs it waits
+// in client.
 func (gc *GlobalCache) newShardConn(idx int) *shardConn {
 	reg := gc.srv.tel.Load().reg
 	prefix := "attrspace.router.shard." + strconv.Itoa(idx) + "."
 	sh := &shardConn{
-		gc:        gc,
-		idx:       idx,
-		addr:      gc.shards.Addr(idx),
-		gUp:       reg.Gauge(prefix + "up"),
-		gErrors:   reg.Counter(prefix + "errors"),
-		gInflight: reg.Gauge(prefix + "inflight"),
-		cPooled:   reg.Counter("attrspace.router.pooled"),
+		gc:          gc,
+		idx:         idx,
+		addr:        gc.shards.Addr(idx),
+		ready:       make(chan struct{}),
+		done:        make(chan struct{}),
+		gUp:         reg.Gauge(prefix + "up"),
+		gErrors:     reg.Counter(prefix + "errors"),
+		gInflight:   reg.Gauge(prefix + "inflight"),
+		cPooled:     reg.Counter("attrspace.router.pooled"),
+		cReconnects: reg.Counter("session.reconnects"),
 	}
-	sh.sess = NewSession(SessionConfig{
-		Dial:      gc.dial,
-		Addr:      sh.addr,
-		Context:   routerContext,
-		Heartbeat: gc.heartbeat,
-		Registry:  reg,
-		Logger:    gc.srv.log(),
-	})
+	go sh.connect()
 	return sh
-}
-
-// down reports whether the shard should fail fast: its session has
-// connected before and is currently not connected.
-func (sh *shardConn) down() bool {
-	c, ever := sh.sess.live()
-	return c == nil && ever
 }
 
 // downErr wraps ErrShardDown with this shard's identity; every fail-fast
@@ -159,42 +174,148 @@ func (sh *shardConn) downErr() error {
 	return fmt.Errorf("%w: shard %d (%s)", ErrShardDown, sh.idx, sh.addr)
 }
 
+// live returns the shard's connection without waiting — nil while
+// disconnected — and whether it has ever held one: nil before the first
+// connect means "not yet", after it "down" (ops fail fast on the second
+// and wait out the first).
+func (sh *shardConn) live() (c *Client, ever bool) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.cur, sh.ever
+}
+
+// connect is the single-flight reconnect loop: exactly one runs per
+// outage (started by newShardConn and by lost), and it ends as soon as a
+// connection is installed or the shard closes.
+func (sh *shardConn) connect() {
+	liveness.Retry(liveness.System, sh.done, liveness.Schedule{}, func() error {
+		ctx, cancel := context.WithTimeout(context.Background(), shardDialTimeout)
+		defer cancel()
+		c, err := DialCtx(ctx, sh.gc.dial, sh.addr, routerContext)
+		if err != nil {
+			sh.gc.srv.log().Debugf("attrspace: shard %d connect %s failed: %v", sh.idx, sh.addr, err)
+			return err
+		}
+		sh.install(c)
+		return nil
+	})
+}
+
+// install publishes a freshly dialed connection, wires its loss trigger
+// and starts its heartbeat. A shard closed meanwhile closes it instead.
+func (sh *shardConn) install(c *Client) {
+	sh.mu.Lock()
+	if sh.closed {
+		sh.mu.Unlock()
+		c.Close()
+		return
+	}
+	reconnect := sh.ever
+	if !reconnect {
+		close(sh.ready)
+	}
+	sh.cur, sh.ever = c, true
+	sh.gUp.Set(1)
+	sh.mu.Unlock()
+
+	if reconnect {
+		sh.cReconnects.Inc()
+		sh.gc.srv.log().Infof("attrspace: shard %d reconnected to %s", sh.idx, sh.addr)
+	}
+	// The loss trigger arms after publication: if the client is already
+	// dead, onClose fires at once and retires it.
+	c.onClose(func(error) { sh.lost(c) })
+	if sh.gc.heartbeat > 0 {
+		go sh.heartbeat(c)
+	}
+}
+
+// lost retires connection c: the first caller (its onClose hook, or its
+// heartbeat) clears it and starts the next connect loop; later callers
+// for the same connection are no-ops.
+func (sh *shardConn) lost(c *Client) {
+	sh.mu.Lock()
+	if sh.closed || sh.cur != c {
+		sh.mu.Unlock()
+		return
+	}
+	sh.cur = nil
+	sh.gUp.Set(0)
+	sh.mu.Unlock()
+	c.Close()
+	sh.gc.srv.log().Debugf("attrspace: shard %d lost its connection to %s", sh.idx, sh.addr)
+	go sh.connect()
+}
+
+// heartbeat probes connection c with periodic PINGs, each bounded by one
+// interval, and retires it through lost when one goes unanswered. It
+// runs alongside everything else the connection does — a chunked
+// snapshot included, so a large reply does not read as a dead transport
+// — and ends with the connection: a ping on a closed client fails at
+// once.
+func (sh *shardConn) heartbeat(c *Client) {
+	beat := sh.gc.heartbeat
+	if err := liveness.Watch(liveness.System, sh.done, beat, beat, c.ping); err != nil {
+		sh.gc.srv.log().Debugf("attrspace: shard %d heartbeat to %s failed: %v", sh.idx, sh.addr, err)
+		sh.lost(c)
+	}
+}
+
+// close stops the connect loop and heartbeat, answers every queued op
+// and closes the connection.
 func (sh *shardConn) close() {
 	sh.mu.Lock()
-	queue := sh.queue
-	sh.queue = nil
+	if sh.closed {
+		sh.mu.Unlock()
+		return
+	}
+	sh.closed = true
+	c, queue := sh.cur, sh.queue
+	sh.cur, sh.queue = nil, nil
+	close(sh.done)
+	sh.gUp.Set(0)
 	sh.mu.Unlock()
 	for _, op := range queue {
 		op.done <- shardReply{err: ErrClientClosed}
 	}
-	sh.sess.Close()
-	sh.gUp.Set(0)
+	if c != nil {
+		c.Close()
+	}
 }
 
-// healthTick refreshes the shard's up gauge; called from the cache's
-// background loop so tdptop sees state changes even on an idle router.
-func (sh *shardConn) healthTick() {
-	up := int64(0)
-	if sh.sess.up() {
-		up = 1
+// client returns the connection the next cycle rides. A shard that has
+// lost its connection is down and fails at once; only before its first
+// connect does an op wait, bounded by ctx and shardConnectWait, so
+// start-up ordering — LASS before CASS — keeps working. With a
+// connection in hand it allocates nothing.
+func (sh *shardConn) client(ctx context.Context) (*Client, error) {
+	var bound <-chan time.Time
+	for {
+		sh.mu.Lock()
+		c, ever, closed := sh.cur, sh.ever, sh.closed
+		sh.mu.Unlock()
+		switch {
+		case closed:
+			return nil, errCacheClosed
+		case c != nil:
+			return c, nil
+		case ever:
+			return nil, sh.downErr()
+		}
+		if bound == nil {
+			t := time.NewTimer(shardConnectWait)
+			defer t.Stop()
+			bound = t.C
+		}
+		select {
+		case <-sh.ready:
+		case <-sh.done:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		case <-bound:
+			return nil, fmt.Errorf("%w: no connection to %s after %v", ErrConnLost, sh.addr, shardConnectWait)
+		}
 	}
-	sh.gUp.Set(up)
-}
-
-// conn returns the connection the next cycle rides. A session that has
-// lost its connection is a down shard and fails at once; only before
-// its first connect does an op wait (bounded by ctx and the session's
-// connect wait), so start-up ordering — LASS before CASS — keeps
-// working.
-func (sh *shardConn) conn(ctx context.Context) (*Client, error) {
-	c, ever := sh.sess.live()
-	switch {
-	case c != nil:
-		return c, nil
-	case ever:
-		return nil, sh.downErr()
-	}
-	return sh.sess.client(ctx)
 }
 
 // op takes an op off the free list, or makes one, with its request
@@ -261,12 +382,12 @@ func (sh *shardConn) do(ctx context.Context, contextName string, op *shardOp) sh
 // enter admits op to the shard: as the leader when it is idle, into the
 // queue behind the cycle in flight otherwise.
 func (sh *shardConn) enter(op *shardOp) (lead bool, err error) {
-	if sh.down() {
-		return false, sh.downErr()
-	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if sh.gc.isClosed() {
+	switch {
+	case sh.cur == nil && sh.ever:
+		return false, sh.downErr()
+	case sh.gc.isClosed():
 		return false, errCacheClosed
 	}
 	if lead = !sh.draining; lead {
@@ -320,16 +441,17 @@ func (sh *shardConn) nextBatch(prev []*shardOp) []*shardOp {
 // of it: with its reply — a real one, or the synthetic conn-error reply
 // fail() injects when the transport dies — or, under a leader's ctx that
 // ends first, with the ctx's error, the request in flight abandoned as
-// Client.exchange abandons one. The replies are read by the session
+// Client.exchange abandons one. The replies are read by the shard
 // connection's resident reader, which its onClose hook keeps running:
 // a cycle's ops are sent before any is awaited, so none of them may be
 // handed the read side (Client.send, not an uncancellable exchange).
 // One cycle in flight per shard — a bounded window that back-pressures
 // producers, keeps any one shard from monopolizing the router, and caps
-// the ops in limbo when the shard dies mid-cycle. Independent shards' cycles overlap, which is where the
-// aggregate throughput beyond one daemon comes from.
+// the ops in limbo when the shard dies mid-cycle. Independent shards'
+// cycles overlap, which is where the aggregate throughput beyond one
+// daemon comes from.
 func (sh *shardConn) cycle(ctx context.Context, batch []*shardOp) {
-	pool, err := sh.conn(ctx)
+	pool, err := sh.client(ctx)
 	if err != nil {
 		for _, op := range batch {
 			op.done <- shardReply{err: err}
@@ -365,8 +487,8 @@ func (sh *shardConn) cycle(ctx context.Context, batch []*shardOp) {
 // cycle of the batch, then of up to gc.batch of what queued up
 // meanwhile, and so on until nothing has. The drainer serves many
 // callers and outlives each, so it runs under no caller's context:
-// before the shard's first connect it waits as long as the session's
-// connect wait allows.
+// before the shard's first connect it waits as long as
+// shardConnectWait allows.
 func (sh *shardConn) drain(batch []*shardOp) {
 	for ; batch != nil; batch = sh.nextBatch(batch) {
 		sh.cycle(context.Background(), batch)
@@ -502,13 +624,9 @@ func (gc *GlobalCache) GlobalContexts(ctx context.Context) ([]string, error) {
 // the surviving pool's picture.
 func (gc *GlobalCache) ShardStats() []telemetry.Snapshot {
 	snaps, errs := scatter(gc.shards.Len(), func(i int) (snap telemetry.Snapshot, err error) {
-		sh := gc.conns[i]
-		if sh.down() {
-			return snap, ErrShardDown
-		}
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		defer cancel()
-		pool, err := sh.conn(ctx)
+		pool, err := gc.conns[i].client(ctx)
 		if err == nil {
 			_, snap, err = pool.ServerStats(ctx, "")
 		}

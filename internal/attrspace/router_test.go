@@ -24,10 +24,7 @@ func startShardedPool(t *testing.T, n int) (lass *Server, shards []*Server, shar
 		}
 	}
 	lass = NewServer()
-	lass.EnableGlobalCache(strings.Join(shardAddrs, ","), CacheConfig{
-		SweepInterval:  50 * time.Millisecond,
-		ShardHeartbeat: 50 * time.Millisecond,
-	})
+	lass.EnableGlobalCache(strings.Join(shardAddrs, ","), CacheConfig{ShardHeartbeat: 50 * time.Millisecond})
 	var err error
 	lassAddr, err = lass.ListenAndServe("127.0.0.1:0")
 	if err != nil {
@@ -241,9 +238,9 @@ func TestShardDownFailsFast(t *testing.T) {
 	ctxs := shardedContexts(t, n)
 	bg := context.Background()
 
-	// Prime both shards, and see their health sessions connected: a
-	// shard that dies before its session ever connected is not "down",
-	// it gets the benefit of the doubt (shardConn.down).
+	// Prime both shards, and see their connections up: a shard that dies
+	// before its connection was ever up is not "down", it gets the
+	// benefit of the doubt (shardConn.client).
 	clients := make([]*Client, n)
 	for i, name := range ctxs {
 		clients[i] = dialT(t, lassAddr, name)
@@ -251,29 +248,23 @@ func TestShardDownFailsFast(t *testing.T) {
 			t.Fatalf("PutGlobal(%q): %v", name, err)
 		}
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for i := 0; i < n; i++ {
-		for !lass.gcache.Load().conns[i].sess.up() {
-			if time.Now().After(deadline) {
-				t.Fatalf("shard %d's health session never connected", i)
-			}
-			time.Sleep(time.Millisecond)
-		}
+	for _, sh := range lass.gcache.Load().conns {
+		waitFor(t, func() bool { c, _ := sh.live(); return c != nil })
 	}
 
 	shards[0].Close()
 	// Wait for both of the LASS's detectors, which run independently:
-	// the health session (50ms heartbeat) marks the shard down, and the
+	// the shard's heartbeat (50ms) marks it down, and the
 	// cache context's own upstream connection, dying with the shard,
 	// flushes what it had cached — until it has, a read of "k" is still
 	// a cache hit, not a failure.
-	deadline = time.Now().Add(5 * time.Second)
+	deadline := time.Now().Add(5 * time.Second)
 	for {
 		gc := lass.gcache.Load()
 		gc.mu.Lock()
 		_, cached := gc.ctxs[ctxs[0]]
 		gc.mu.Unlock()
-		if gc.conns[0].down() && !cached {
+		if c, _ := gc.conns[0].live(); c == nil && !cached {
 			break
 		}
 		if time.Now().After(deadline) {

@@ -507,10 +507,13 @@ func (c *serverConn) run() {
 	srv := c.srv
 	defer srv.dropConn(c)
 	defer c.wc.ReleaseRead() // EXIT ends the loop with the stream still good
-	// Per-connection context cancels blocked GETs when the peer goes away.
+	// Per-connection context cancels blocked GETs when the peer goes
+	// away. It ends before the connection leaves its context, so a
+	// blocking global GET still running makes no mirror after the leave
+	// (GlobalCache.left).
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
 	defer func() {
+		cancel()
 		c.mu.Lock()
 		ref, sub := c.ref, c.sub
 		c.ref, c.sub = nil, nil
@@ -519,7 +522,11 @@ func (c *serverConn) run() {
 			ref.Unsubscribe(sub)
 		}
 		if ref != nil {
+			name := ref.Context()
 			ref.Leave()
+			if gc := srv.gcache.Load(); gc != nil {
+				gc.left(name)
+			}
 		}
 		if c.takeShmSegment() != nil {
 			// The connection died between SHMREQ and SHMRDY.

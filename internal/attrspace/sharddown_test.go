@@ -33,10 +33,7 @@ func TestShardDownTypedUnderScatterGather(t *testing.T) {
 		}
 	}
 	lass := NewServer()
-	lass.EnableGlobalCache(addrs[0]+","+addrs[1]+","+addrs[2], CacheConfig{
-		SweepInterval:  50 * time.Millisecond,
-		ShardHeartbeat: 50 * time.Millisecond,
-	})
+	lass.EnableGlobalCache(addrs[0]+","+addrs[1]+","+addrs[2], CacheConfig{ShardHeartbeat: 50 * time.Millisecond})
 	lassAddr, err := lass.ListenAndServe("127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("ListenAndServe: %v", err)
@@ -68,16 +65,12 @@ func TestShardDownTypedUnderScatterGather(t *testing.T) {
 		}
 	}
 
-	// A shard that dies before its health session ever connected is not
-	// "down", it gets the benefit of the doubt (shardConn.down): see the
-	// victim's session up before killing it.
-	for up := time.Now().Add(5 * time.Second); !lass.gcache.Load().conns[victim].sess.up(); time.Sleep(time.Millisecond) {
-		if time.Now().After(up) {
-			t.Fatal("victim's health session never connected")
-		}
-	}
+	// A shard that dies before its connection was ever up is not
+	// "down", it gets the benefit of the doubt (shardConn.client): see
+	// the victim's connection up before killing it.
+	waitFor(t, func() bool { c, _ := lass.gcache.Load().conns[victim].live(); return c != nil })
 	shards[victim].Close()
-	// Wait until the health sweep marks the victim down — from here on
+	// Wait until the router marks the victim down — from here on
 	// its range must fail fast and typed, never hang.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -183,7 +176,7 @@ func (c *pooledTrap) Write(p []byte) (int, error) {
 // heartbeat rides that same connection, so the op in flight is answered
 // with a typed loss within a few heartbeats instead of hanging to its
 // caller's deadline; the shard reads down and fails later ops fast; the
-// session reconnects by itself and writes flow again. The other shard
+// shard reconnects by itself and writes flow again. The other shard
 // never notices.
 func TestHalfDeadPooledConn(t *testing.T) {
 	const n = 2

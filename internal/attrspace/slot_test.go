@@ -419,7 +419,7 @@ func TestSlotRouterShardKilledMidCycle(t *testing.T) {
 	}
 	pools := make([]*Client, n)
 	for i := range pools {
-		pools[i], _ = gc.conns[i].sess.live()
+		pools[i], _ = gc.conns[i].live()
 	}
 
 	var stop, killed atomic.Bool
@@ -528,7 +528,7 @@ func TestSlotRouterShardKilledMidCycle(t *testing.T) {
 		if f := fails[i].Load(); f != 0 {
 			t.Errorf("surviving shard %d: %d ops failed", i, f)
 		}
-		if now, _ := sh.sess.live(); now != pools[i] {
+		if now, _ := sh.live(); now != pools[i] {
 			t.Errorf("surviving shard %d changed its pooled connection", i)
 		}
 		// The drainer completes what cancelled callers walked away from.

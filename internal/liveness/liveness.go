@@ -1,9 +1,9 @@
 // Package liveness is the repository's one retry / probe mechanism.
 // Retry re-runs an attempt on a doubling, jittered schedule until it
 // succeeds; Watch probes a peer at a fixed interval, each probe bounded,
-// until one fails. Sessions (and through them the shard router), the
-// mrnet uplink, the fault supervisor and the condor master call these
-// two and keep no timing loop of their own. Both read time only through
+// until one fails. The shard router's connections, the mrnet uplink,
+// the fault supervisor and the condor master call these two and keep
+// no timing loop of their own. Both read time only through
 // the Clock they are handed, so a test replays a recovery schedule on a
 // clock it owns instead of sleeping through it.
 package liveness

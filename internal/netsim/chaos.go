@@ -1,7 +1,7 @@
 // Chaos: deterministic fault injection layered over any net.Conn
 // dialer. The attrspace chaos suite drives clients through mid-frame
-// cuts, latency spikes and killed shm rings, and the router's
-// reconnecting Session through refuse-then-accept daemons — all
+// cuts, latency spikes and killed shm rings, and the shard router's
+// reconnecting connection through refuse-then-accept daemons — all
 // seeded, so a failing run replays byte-for-byte.
 package netsim
 

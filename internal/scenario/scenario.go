@@ -179,7 +179,7 @@ func (r *Run) Count(name string, delta int64) {
 // WaitFor polls cond until it holds or the timeout passes; the
 // returned error names what was being waited for. It is the harness's
 // standard convergence primitive (flush-driven rollups, reconnecting
-// sessions).
+// shard connections).
 func (r *Run) WaitFor(timeout time.Duration, cond func() bool, what string) error {
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {

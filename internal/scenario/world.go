@@ -334,10 +334,7 @@ func BuildShardedCASS(r *Run, n int, heartbeat time.Duration) (*ShardedCASS, err
 		spec += a
 	}
 	sc.LASS = attrspace.NewServer()
-	sc.LASS.EnableGlobalCache(spec, attrspace.CacheConfig{
-		SweepInterval:  50 * time.Millisecond,
-		ShardHeartbeat: heartbeat,
-	})
+	sc.LASS.EnableGlobalCache(spec, attrspace.CacheConfig{ShardHeartbeat: heartbeat})
 	addr, err := sc.LASS.ListenAndServe("127.0.0.1:0")
 	if err != nil {
 		return nil, err
