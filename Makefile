@@ -1,13 +1,16 @@
 # Build and verification entry points. `make tier1` is the gate every
 # change must pass: vet + build + full test suite under the race
 # detector + the seeded chaos suite. `make chaos` runs the fault-
-# injection tests (clients and the router's shard sessions through the
-# netsim chaos transport and killed daemons) twice under the race
-# detector with a pinned seed; vary the seed with `make chaos
+# injection tests (clients and the router's shard connections through
+# the netsim chaos transport and killed daemons) twice under the race
+# detector with a pinned seed, and beside them the two tests of many
+# ops in flight on one shard connection (TestRouterConcurrentWriters,
+# TestSlotRouterShardKilledMidCycle): the router's concurrency rests on
+# the client's pending map alone. Vary the seed with `make chaos
 # TDP_CHAOS_SEED=7` to explore other fault schedules. The seed drives
-# the fault injector (netsim.Chaos) only: the sessions' reconnect jitter
-# comes from internal/liveness and is not seeded — the tests assert
-# outcomes, not a replayed timing.
+# the fault injector (netsim.Chaos) only: the shard connections'
+# reconnect jitter comes from internal/liveness and is not seeded — the
+# tests assert outcomes, not a replayed timing.
 # `make fuzz` is a short native-fuzzing smoke run over the
 # parsers that face untrusted or operator-typed bytes (the wire
 # decoder, by copy and by view, the mrnet uplink's TBATCH codec, the ClassAd expression
@@ -91,7 +94,7 @@ bench-smoke:
 	$(GO) test ./internal/attrspace -run TestGlobalWriteSmoke -count=1
 
 chaos:
-	TDP_CHAOS_SEED=$(TDP_CHAOS_SEED) $(GO) test ./internal/attrspace -run 'Chaos' -race -count=2
+	TDP_CHAOS_SEED=$(TDP_CHAOS_SEED) $(GO) test ./internal/attrspace -run 'Chaos|TestRouterConcurrentWriters|TestSlotRouterShardKilledMidCycle' -race -count=2
 
 scenario-smoke:
 	TDP_SCENARIO_SEED=$(TDP_SCENARIO_SEED) $(GO) test ./internal/scenario -run TestScenariosSmoke -race -count=1

@@ -6,9 +6,10 @@ package tdp_test
 // shards cannot add compute, so all scaling must come from keeping
 // several cross-host writes in flight at once. The injected 2ms write
 // stall models that cross-host hop (same device as the GlobalGetCached
-// slow link, just slower); with it in place, a single shard's
-// throughput is capped at ShardBatch ops per link delay, while n
-// shards run n group-commit cycles concurrently. The drivers call the
+// slow link, just slower). The stall is charged to every write, and
+// each op is one write of its own on its shard's one connection, so a
+// single shard's throughput is capped at one op per link delay, while
+// n shards stall n writes concurrently. The drivers call the
 // GlobalCache router directly — the client↔LASS leg is priced
 // separately by BenchmarkSameHostPut and would only dilute the
 // fan-out signal here.
@@ -50,8 +51,7 @@ func benchShardPool(b *testing.B, n, contexts int) (*attrspace.GlobalCache, []st
 	}
 	lass := attrspace.NewServer()
 	gc := lass.EnableGlobalCache(strings.Join(addrs, ","), attrspace.CacheConfig{
-		Dial:       slowDial(shardLinkDelay),
-		ShardBatch: 4,
+		Dial: slowDial(shardLinkDelay),
 	})
 	b.Cleanup(lass.Close)
 	// One context per worker, dealt round-robin so every shard owns an

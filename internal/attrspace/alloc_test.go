@@ -94,9 +94,10 @@ func TestHotOpAllocBudget(t *testing.T) {
 // what the path measures. A PutGlobal measures the protocol's own: the
 // two request payloads the servers copy (GPUT, CPUT); both acks are read
 // in place and carry their seqs as digits written into the frame. The
-// router's request travels in its op and the shard joins the context
-// through its connection's one reference, so neither adds anything; an
-// echoed EVENT (copied and decoded) or a goroutine per cycle shows here.
+// router's request comes off its free list and the shard joins the
+// context through its connection's one reference, so neither adds
+// anything; an echoed EVENT (copied and decoded) or a goroutine per op
+// shows here.
 // An 8-pair PutBatchGlobal adds the client's presized GMPUT field map
 // and the pairs each of the two servers decodes the batch into. A
 // TryGetGlobal that hits the cache goes no further than the LASS, which

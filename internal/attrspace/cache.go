@@ -63,7 +63,6 @@ type GlobalCache struct {
 	shards    *ShardMap
 	dial      DialFunc
 	max       int
-	batch     int
 	heartbeat time.Duration
 
 	mu     sync.Mutex
@@ -79,9 +78,6 @@ type CacheConfig struct {
 	Dial DialFunc
 	// MaxEntries bounds cached entries per context; 0 means 4096.
 	MaxEntries int
-	// ShardBatch bounds how many pooled operations one per-shard drain
-	// cycle corks into a single write; 0 means 64. See router.go.
-	ShardBatch int
 	// ShardHeartbeat is the interval at which each shard's pooled
 	// connection is pinged; 0 means 1s, negative disables heartbeats
 	// (liveness then rests on transport read errors alone).
@@ -101,9 +97,6 @@ func (s *Server) EnableGlobalCache(cassAddr string, cfg CacheConfig) *GlobalCach
 	if cfg.MaxEntries <= 0 {
 		cfg.MaxEntries = 4096
 	}
-	if cfg.ShardBatch <= 0 {
-		cfg.ShardBatch = defaultShardBatch
-	}
 	switch {
 	case cfg.ShardHeartbeat == 0:
 		cfg.ShardHeartbeat = time.Second
@@ -115,7 +108,6 @@ func (s *Server) EnableGlobalCache(cassAddr string, cfg CacheConfig) *GlobalCach
 		shards:    ParseShardAddrs(cassAddr),
 		dial:      cfg.Dial,
 		max:       cfg.MaxEntries,
-		batch:     cfg.ShardBatch,
 		heartbeat: cfg.ShardHeartbeat,
 		ctxs:      make(map[string]*cacheCtx),
 	}
@@ -146,12 +138,6 @@ func (gc *GlobalCache) ShardMap() *ShardMap { return gc.shards }
 // shard returns the shardConn owning the named context.
 func (gc *GlobalCache) shard(contextName string) *shardConn {
 	return gc.conns[gc.shards.ShardFor(contextName)]
-}
-
-func (gc *GlobalCache) isClosed() bool {
-	gc.mu.Lock()
-	defer gc.mu.Unlock()
-	return gc.closed
 }
 
 // cacheCtx is one mirror of one context: one upstream connection and
@@ -450,8 +436,8 @@ func (gc *GlobalCache) TryGet(ctx context.Context, contextName, attribute string
 // answers immediately; otherwise (miss or tombstone) the blocking GET
 // is forwarded to the CASS and the result fills the cache. The wait
 // always rides the per-context connection, never the pooled shard
-// path: a drain cycle must not stall behind an op that may block
-// forever.
+// path: the ops on the pooled connection must not stall behind one that
+// may block forever.
 func (gc *GlobalCache) Get(ctx context.Context, contextName, attribute string) (string, uint64, error) {
 	return gc.read(ctx, contextName, attribute, true)
 }

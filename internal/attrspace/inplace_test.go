@@ -165,8 +165,8 @@ func TestInPlaceTracedReadKeepsItsSpan(t *testing.T) {
 }
 
 // TestInPlaceCGETThroughRouter: concurrent global reads that miss go to
-// the shard as CGETs, group-committed into shared writes; the shard
-// decodes each in place and every caller gets its own attribute's value.
+// the shard as CGETs, in flight together on the pooled connection; the
+// shard decodes each in place and every caller gets its own attribute's value.
 func TestInPlaceCGETThroughRouter(t *testing.T) {
 	_, _, cassAddr, lassAddr := startCachingLASS(t)
 	direct := dialT(t, cassAddr, "inplace")

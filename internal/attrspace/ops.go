@@ -71,7 +71,8 @@ const (
 	Local
 	// scopeCtx: the context named by the request's ctx field, which this
 	// shard must own and somebody must already hold. Never blocks: these
-	// ride the shard router's pooled drain cycles.
+	// ride the shard router's pooled connection, whose requests the shard
+	// serves in order.
 	scopeCtx
 	// Global is the connection's context in the global space, routed
 	// through this LASS's GlobalCache to the owning CASS shard; a server
@@ -173,7 +174,7 @@ func (s *opSpec) req() *wire.Message { return wire.NewMessage(s.verb) }
 // Requests and replies, one build and one parse per operation. Client
 // (connection and global scopes) and shardConn (ctx scope) share them.
 // A build fills the started request it is given: the client's, made by
-// req on its stack, or the one a shardOp owns and reuses.
+// req on its stack, or one off the shard router's free list.
 
 // attrReq is the request of get, tryget and delete.
 func attrReq(m *wire.Message, attribute string) *wire.Message {

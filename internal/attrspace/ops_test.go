@@ -339,7 +339,7 @@ func TestOpTableConformance(t *testing.T) {
 			if opFor(spec.op, spec.scope) != spec || opByVerb[spec.verb] != spec {
 				t.Fatalf("row %s is not the only spelling of %s at %s scope", spec.verb, opNames[spec.op], scopeNames[spec.scope])
 			}
-			// A ctx-scope op rides a drain cycle, and joins its context
+			// A ctx-scope op rides the pooled connection, and joins its context
 			// through its connection's one reference, which the next
 			// request takes over: it may never block.
 			if spec.scope == scopeCtx && spec.op == opGet {

@@ -21,15 +21,10 @@ import (
 // (CPUT, CGET, …), so any context's ops ride it, named per message by
 // a ctx field.
 //
-// One cycle is in flight per shard: one corked write and one bounded
-// in-flight window. The caller that finds the shard idle leads: it runs
-// the cycle of its own op on its own goroutine — one op in flight costs
-// no queue, no hand-off and no goroutine. Callers that arrive meanwhile
-// follow: they queue, and when the leader's cycle ends it hands the
-// queue to a drainer goroutine, which runs the same cycle on batches of
-// them until nothing is queued. Concurrent callers thus group-commit,
-// which both amortizes the per-frame cost and bounds how many operations
-// can be in limbo when a shard dies mid-batch. The shard's heartbeat
+// Each op is its caller's own request on that connection: the caller
+// sends it and awaits the reply under its own context, and the
+// connection's resident reader hands every reply to its waiter by id,
+// so concurrent callers pipeline without a queue. The shard's heartbeat
 // pings the connection the ops ride: a missed PONG fails it (every
 // stranded op is answered ErrConnLost), later ops fail fast with
 // ErrShardDown instead of hanging on dial timeouts, only that shard's
@@ -49,59 +44,14 @@ import (
 // error is the degraded mode, not an outage of the global space.
 var ErrShardDown = errors.New("attrspace: shard down")
 
-// defaultShardBatch bounds the operations one drain cycle corks into a
-// single write when CacheConfig.ShardBatch is zero. The bound is the
-// router's flow control: at most this many ops are in flight per shard
-// (so a shard crash strands a bounded set), and no single shard's burst
-// can monopolize the sender.
-const defaultShardBatch = 64
-
 // routerContext is the infrastructure context each shard connection joins.
 // It carries no data — the ctx-scope ops name their real target per
 // message. The InfraContextPrefix exempts it from shard ownership
 // enforcement, since it must exist on every shard.
 const routerContext = InfraContextPrefix + "router"
 
-// shardOp is one caller's operation awaiting its cycle, and the request
-// it carries, built in place. An op whose outcome its caller received is
-// reused, request and channel included; one whose caller stopped waiting
-// is not (the drainer still sends and completes it), so no cycle ever
-// encodes a request that is being refilled.
-type shardOp struct {
-	m     *wire.Message
-	reply replyKind       // its slot's kind: set with its verb, never around a cycle
-	done  chan shardReply // capacity 1: a cycle answers each of its ops once
-}
-
-// shardReply carries an op's outcome: the raw reply (nil for one the
-// slot answered: a mutation's OK, a read's VALUE or NOTFOUND), the
-// client it arrived on (chunked replies need its reassembly buffer) and
-// the slot it came through, for a caller that is done with the reply to
-// release.
-type shardReply struct {
-	reply *wire.Message
-	pool  *Client
-	slot  *replySlot
-	err   error
-}
-
-// release hands the reply's slot back to the pooled client; the caller
-// must have finished reading the reply (see replySlot).
-func (r shardReply) release() {
-	if r.pool != nil {
-		r.pool.release(r.slot)
-	}
-}
-
-// shardSend is one op of the cycle in flight and the slot its reply
-// will come through.
-type shardSend struct {
-	op   *shardOp
-	slot *replySlot
-}
-
 // shardConn is the router's state for one shard: its one connection,
-// kept up, and the cycles that ride it.
+// kept up, and the requests that ride it.
 //
 // The connection is dialed in the background and redialed on the
 // liveness schedule (50 ms doubling to 2 s, jittered, forever) whenever
@@ -112,21 +62,13 @@ type shardConn struct {
 	idx  int
 	addr string
 
-	mu     sync.Mutex
-	cur    *Client       // the connection cycles ride; nil while disconnected
-	ever   bool          // cur has been set once: nil now means the shard is down
-	ready  chan struct{} // closed by the first install
-	closed bool
-	done   chan struct{} // closed by close: stops the connect loop and heartbeats
-
-	queue    []*shardOp
-	spare    []*shardOp // the emptied slice queue swaps with; nil while a cycle has it as its batch
-	freeOps  []*shardOp // never longer than the peak number of concurrent callers
-	draining bool       // a cycle is in flight, a leader's or the drainer's: callers queue
-
-	// The cycle's scratch — there is one cycle at a time per shard.
-	sends []shardSend
-	lone  [1]*shardOp // a leader's batch
+	mu       sync.Mutex
+	cur      *Client       // the connection ops ride; nil while disconnected
+	ever     bool          // cur has been set once: nil now means the shard is down
+	ready    chan struct{} // closed by the first install
+	closed   bool
+	done     chan struct{}   // closed by close: stops the connect loop and heartbeats
+	freeReqs []*wire.Message // never longer than the peak number of concurrent senders
 
 	gUp         *telemetry.Gauge // set under mu where cur is
 	gErrors     *telemetry.Counter
@@ -168,8 +110,7 @@ func (gc *GlobalCache) newShardConn(idx int) *shardConn {
 
 // downErr wraps ErrShardDown with this shard's identity; every fail-fast
 // site returns through here. The ops it fails are counted where they
-// fail — in do, or in a mirror's set-up — once each, however many ops
-// one refused cycle carried.
+// fail — in do — once each.
 func (sh *shardConn) downErr() error {
 	return fmt.Errorf("%w: shard %d (%s)", ErrShardDown, sh.idx, sh.addr)
 }
@@ -261,8 +202,8 @@ func (sh *shardConn) heartbeat(c *Client) {
 	}
 }
 
-// close stops the connect loop and heartbeat, answers every queued op
-// and closes the connection.
+// close stops the connect loop and heartbeat and closes the connection,
+// which answers every op in flight on it.
 func (sh *shardConn) close() {
 	sh.mu.Lock()
 	if sh.closed {
@@ -270,20 +211,17 @@ func (sh *shardConn) close() {
 		return
 	}
 	sh.closed = true
-	c, queue := sh.cur, sh.queue
-	sh.cur, sh.queue = nil, nil
+	c := sh.cur
+	sh.cur = nil
 	close(sh.done)
 	sh.gUp.Set(0)
 	sh.mu.Unlock()
-	for _, op := range queue {
-		op.done <- shardReply{err: ErrClientClosed}
-	}
 	if c != nil {
 		c.Close()
 	}
 }
 
-// client returns the connection the next cycle rides. A shard that has
+// client returns the connection the next op rides. A shard that has
 // lost its connection is down and fails at once; only before its first
 // connect does an op wait, bounded by ctx and shardConnectWait, so
 // start-up ordering — LASS before CASS — keeps working. With a
@@ -318,239 +256,113 @@ func (sh *shardConn) client(ctx context.Context) (*Client, error) {
 	}
 }
 
-// op takes an op off the free list, or makes one, with its request
-// started as one of spec's for the caller to fill.
-func (sh *shardConn) op(spec *opSpec) *shardOp {
+// req takes a request off the free list, or makes one, started as one
+// of spec's for the caller to fill.
+func (sh *shardConn) req(spec *opSpec) *wire.Message {
 	sh.mu.Lock()
-	var op *shardOp
-	if n := len(sh.freeOps); n > 0 {
-		op, sh.freeOps = sh.freeOps[n-1], sh.freeOps[:n-1]
+	var m *wire.Message
+	if n := len(sh.freeReqs); n > 0 {
+		m, sh.freeReqs = sh.freeReqs[n-1], sh.freeReqs[:n-1]
 	} else {
-		op = &shardOp{m: new(wire.Message), done: make(chan shardReply, 1)}
+		m = new(wire.Message)
 	}
 	sh.mu.Unlock()
-	op.m.Reset()
-	op.m.Verb = spec.verb
-	op.reply = spec.reply
-	return op
+	m.Reset()
+	m.Verb = spec.verb
+	return m
 }
 
-// do names contextName as the target of op's ctx-scope request (""
-// for the one daemon-scope listing), runs it through a cycle — its own
-// when the shard is idle, the drainer's next otherwise — and returns its
-// reply. Fails fast when the shard is down. Each op that fails — with
-// an error, or with an ERROR reply, the shard's or the one a lost
-// connection leaves — is one of the shard's errors, but for a follower's
-// that stopped waiting: its op is still sent, and its outcome is
-// nobody's.
-func (sh *shardConn) do(ctx context.Context, contextName string, op *shardOp) shardReply {
+// do names contextName as the target of m, a ctx-scope request of spec's
+// ("" for the one daemon-scope listing), sends it on the shard's
+// connection and awaits its reply under ctx. m goes back on the free
+// list as soon as it is encoded. The reply is read by the connection's
+// resident reader, which its onClose hook keeps running, and comes with
+// the client it arrived on (chunked replies need its reassembly buffer)
+// and the slot it came through, for the caller to release once it has
+// read the reply (nil along with any error: a slot whose caller stopped
+// waiting is never released — see replySlot). Fails fast
+// when the shard is down. Each op that fails — with an error, or with
+// an ERROR reply, the shard's or the one a lost connection leaves — is
+// one of the shard's errors.
+func (sh *shardConn) do(ctx context.Context, contextName string, spec *opSpec, m *wire.Message) (pool *Client, slot *replySlot, reply *wire.Message, err error) {
 	if contextName != "" {
-		op.m.Set("ctx", contextName)
+		m.Set("ctx", contextName)
 	}
-	var r shardReply
-	switch lead, err := sh.enter(op); {
-	case err != nil:
-		r.err = err
-	case lead:
-		// The leader's cycle carries its own op and nothing else, so it
-		// runs under the leader's ctx, like a request on a connection of
-		// its own. draining is set, so whoever arrives meanwhile queues;
-		// when the cycle ends the queue is handed to a drainer, or the
-		// shard is idle again.
-		sh.lone[0] = op
-		sh.cycle(ctx, sh.lone[:])
-		sh.handOff()
-		r = <-op.done
-	default:
-		select {
-		case r = <-op.done:
-		case <-ctx.Done():
-			// The drainer still completes the op (done is buffered); this
-			// caller just stops waiting, and the op is never reused.
-			return shardReply{err: ctx.Err()}
-		}
+	pool, err = sh.client(ctx)
+	if err == nil {
+		slot, err = pool.send(m, spec.reply)
 	}
 	sh.mu.Lock()
-	sh.freeOps = append(sh.freeOps, op)
+	sh.freeReqs = append(sh.freeReqs, m)
 	sh.mu.Unlock()
-	if r.err != nil || (r.reply != nil && r.reply.Verb == "ERROR") {
+	if err == nil {
+		sh.cPooled.Inc()
+		sh.gInflight.Add(1)
+		if reply, err = pool.await(ctx, slot); err != nil {
+			slot = nil // abandoned by await: never released
+		}
+		sh.gInflight.Add(-1)
+	}
+	if err != nil || (reply != nil && reply.Verb == "ERROR") {
 		sh.gErrors.Inc()
 	}
-	return r
-}
-
-// enter admits op to the shard: as the leader when it is idle, into the
-// queue behind the cycle in flight otherwise.
-func (sh *shardConn) enter(op *shardOp) (lead bool, err error) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	switch {
-	case sh.cur == nil && sh.ever:
-		return false, sh.downErr()
-	case sh.gc.isClosed():
-		return false, errCacheClosed
-	}
-	if lead = !sh.draining; lead {
-		sh.draining = true
-	} else {
-		sh.queue = append(sh.queue, op)
-	}
-	return lead, nil
-}
-
-// handOff ends a leader's cycle. Whether anything queued up behind it is
-// read under the mutex producers test draining under: either the shard
-// goes idle and the next caller leads, or a drainer takes the queue and
-// draining stays set — never both, never neither.
-func (sh *shardConn) handOff() {
-	if batch := sh.nextBatch(nil); batch != nil {
-		go sh.drain(batch)
-	}
-}
-
-// nextBatch takes the next cycle's ops off the queue — at most
-// gc.batch — or, when nothing is queued, leaves the shard idle (nil).
-// prev is the drain cycle just finished: its slice becomes the spare the
-// queue swaps onto, so steady state alternates two slices and allocates
-// neither.
-func (sh *shardConn) nextBatch(prev []*shardOp) []*shardOp {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if prev != nil {
-		clear(prev)
-		sh.spare = prev[:0]
-	}
-	n := len(sh.queue)
-	if n == 0 {
-		sh.draining = false
-		return nil
-	}
-	if n > sh.gc.batch {
-		n = sh.gc.batch
-	}
-	// batch keeps the whole backing array (nothing appends to it), so
-	// the spare it becomes is as roomy as the queue ever had to be.
-	batch := sh.queue[:n]
-	rest := append(sh.spare[:0], sh.queue[n:]...)
-	clear(sh.queue[n:])
-	sh.queue, sh.spare = rest, nil
-	return batch
-}
-
-// cycle sends batch upstream in one corked write and answers every op
-// of it: with its reply — a real one, or the synthetic conn-error reply
-// fail() injects when the transport dies — or, under a leader's ctx that
-// ends first, with the ctx's error, the request in flight abandoned as
-// Client.exchange abandons one. The replies are read by the shard
-// connection's resident reader, which its onClose hook keeps running:
-// a cycle's ops are sent before any is awaited, so none of them may be
-// handed the read side (Client.send, not an uncancellable exchange).
-// One cycle in flight per shard — a bounded window that back-pressures
-// producers, keeps any one shard from monopolizing the router, and caps
-// the ops in limbo when the shard dies mid-cycle. Independent shards'
-// cycles overlap, which is where the aggregate throughput beyond one
-// daemon comes from.
-func (sh *shardConn) cycle(ctx context.Context, batch []*shardOp) {
-	pool, err := sh.client(ctx)
-	if err != nil {
-		for _, op := range batch {
-			op.done <- shardReply{err: err}
-		}
-		return
-	}
-	sends := sh.sends[:0]
-	pool.wc.Cork()
-	for _, op := range batch {
-		slot, err := pool.send(op.m, op.reply)
-		if err != nil {
-			op.done <- shardReply{err: err}
-			continue
-		}
-		sends = append(sends, shardSend{op: op, slot: slot})
-	}
-	pool.wc.Uncork()
-	sh.gInflight.Set(int64(len(sends)))
-	for _, s := range sends {
-		if reply, err := pool.await(ctx, s.slot); err != nil {
-			s.op.done <- shardReply{err: err}
-		} else {
-			s.op.done <- shardReply{reply: reply, pool: pool, slot: s.slot}
-		}
-	}
-	sh.gInflight.Set(0)
-	sh.cPooled.Add(int64(len(sends)))
-	clear(sends)
-	sh.sends = sends
-}
-
-// drain is the group-commit loop a leader hands its followers to: a
-// cycle of the batch, then of up to gc.batch of what queued up
-// meanwhile, and so on until nothing has. The drainer serves many
-// callers and outlives each, so it runs under no caller's context:
-// before the shard's first connect it waits as long as
-// shardConnectWait allows.
-func (sh *shardConn) drain(batch []*shardOp) {
-	for ; batch != nil; batch = sh.nextBatch(batch) {
-		sh.cycle(context.Background(), batch)
-	}
+	return pool, slot, reply, err
 }
 
 // The single-context operations: Client's requests and reply parsers,
 // at ctx scope.
 
 // mutate is the round trip of put, putBatch and delete (Client.mutate,
-// through a cycle). origin, when not empty, is the id the shard gave the
+// at ctx scope). origin, when not empty, is the id the shard gave the
 // subscription of the mirror the write is made for: the shard does not
 // echo the write to it.
-func (sh *shardConn) mutate(ctx context.Context, contextName, origin string, op *shardOp) (uint64, error) {
+func (sh *shardConn) mutate(ctx context.Context, contextName, origin string, spec *opSpec, m *wire.Message) (uint64, error) {
 	if origin != "" {
-		op.m.Set("origin", origin)
+		m.Set("origin", origin)
 	}
-	r := sh.do(ctx, contextName, op)
-	seq, err := seqReply(r.slot, r.reply, r.err)
-	r.release()
+	pool, slot, reply, err := sh.do(ctx, contextName, spec, m)
+	seq, err := seqReply(slot, reply, err)
+	pool.release(slot)
 	return seq, err
 }
 
 func (sh *shardConn) put(ctx context.Context, contextName, origin, attribute, value string) (uint64, error) {
-	op := sh.op(opFor(opPut, scopeCtx))
-	putReq(op.m, attribute, value)
-	return sh.mutate(ctx, contextName, origin, op)
+	spec := opFor(opPut, scopeCtx)
+	return sh.mutate(ctx, contextName, origin, spec, putReq(sh.req(spec), attribute, value))
 }
 
 func (sh *shardConn) putBatch(ctx context.Context, contextName, origin string, pairs []KV) (uint64, error) {
-	op := sh.op(opFor(opMPut, scopeCtx))
-	batchReq(op.m, pairs)
-	return sh.mutate(ctx, contextName, origin, op)
+	spec := opFor(opMPut, scopeCtx)
+	return sh.mutate(ctx, contextName, origin, spec, batchReq(sh.req(spec), pairs))
 }
 
 func (sh *shardConn) tryGet(ctx context.Context, contextName, attribute string) (string, uint64, error) {
-	op := sh.op(opFor(opTryGet, scopeCtx))
-	attrReq(op.m, attribute)
-	r := sh.do(ctx, contextName, op)
-	v, seq, err := valueReply(r.slot, r.reply, r.err)
-	r.release()
+	spec := opFor(opTryGet, scopeCtx)
+	pool, slot, reply, err := sh.do(ctx, contextName, spec, attrReq(sh.req(spec), attribute))
+	v, seq, err := valueReply(slot, reply, err)
+	pool.release(slot)
 	return v, seq, err
 }
 
 func (sh *shardConn) delete(ctx context.Context, contextName, origin, attribute string) (uint64, error) {
-	op := sh.op(opFor(opDelete, scopeCtx))
-	attrReq(op.m, attribute)
-	return sh.mutate(ctx, contextName, origin, op)
+	spec := opFor(opDelete, scopeCtx)
+	return sh.mutate(ctx, contextName, origin, spec, attrReq(sh.req(spec), attribute))
 }
 
 func (sh *shardConn) snapshot(ctx context.Context, contextName string) (map[string]string, error) {
-	r := sh.do(ctx, contextName, sh.op(opFor(opSnapshot, scopeCtx)))
-	if r.err != nil {
-		return nil, r.err
+	spec := opFor(opSnapshot, scopeCtx)
+	pool, _, reply, err := sh.do(ctx, contextName, spec, sh.req(spec))
+	if err != nil {
+		return nil, err
 	}
 	out := make(map[string]string)
-	return out, r.pool.entries(r.reply, nil, func(e entry) { out[e.k] = e.v })
+	return out, pool.entries(reply, nil, func(e entry) { out[e.k] = e.v })
 }
 
 func (sh *shardConn) contexts(ctx context.Context) ([]string, error) {
-	r := sh.do(ctx, "", sh.op(opFor(opContexts, scopeDaemon)))
-	return namesReply(r.reply, r.err)
+	spec := opFor(opContexts, scopeDaemon)
+	_, _, reply, err := sh.do(ctx, "", spec, sh.req(spec))
+	return namesReply(reply, err)
 }
 
 // scatter runs fn(0) … fn(n-1) concurrently and returns their results
@@ -569,10 +381,9 @@ func scatter[T any](n int, fn func(i int) (T, error)) ([]T, []error) {
 	return vals, errs
 }
 
-// SnapshotMany snapshots several contexts in one scatter-gather: the
-// names group by owning shard, each shard's snapshots coalesce into
-// Cork-batched drain cycles on its pooled connection, and the shards
-// run concurrently. The result maps context name → snapshot for every
+// SnapshotMany snapshots several contexts in one scatter-gather: one
+// request per context, each on its owning shard's pooled connection,
+// all in flight at once. The result maps context name → snapshot for every
 // context that answered; err is the first failure (a down shard) with
 // the successes still returned — a degraded pool yields a partial,
 // labeled picture rather than nothing.

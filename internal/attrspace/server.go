@@ -934,7 +934,7 @@ func (c *serverConn) opDelete(ctx context.Context, r request) {
 }
 
 // opTryGet never blocks, which is why the ctx scope spells its only
-// read this way (CGET): the router's drain cycle must never stall
+// read this way (CGET): the router's pooled connection must never stall
 // behind an op that could wait forever.
 func (c *serverConn) opTryGet(ctx context.Context, r request) {
 	attribute := r.m.Get("attr")

@@ -171,7 +171,7 @@ func (c *pooledTrap) Write(p []byte) (int, error) {
 	return c.blackholeConn.Write(p)
 }
 
-// TestHalfDeadPooledConn: the connection a shard's group commit rides
+// TestHalfDeadPooledConn: the connection a shard's pooled ops ride
 // goes half-dead — writes vanish, no read error ever surfaces. The
 // heartbeat rides that same connection, so the op in flight is answered
 // with a typed loss within a few heartbeats instead of hanging to its
